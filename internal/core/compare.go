@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,23 +50,11 @@ func NormalizeCell(v types.Value, opts CompareOptions) string {
 	switch v.K {
 	case types.KindNull:
 		return "\x00NULL"
-	case types.KindFloat:
-		if opts.FloatSigDigits > 0 {
-			return "n:" + strconv.FormatFloat(v.F, 'e', opts.FloatSigDigits-1, 64)
-		}
-		return "n:" + strconv.FormatFloat(v.F, 'g', -1, 64)
-	case types.KindInt:
-		if opts.FloatSigDigits > 0 {
-			// Integers and integral floats compare equal (3 vs 3.0).
-			return "n:" + strconv.FormatFloat(float64(v.I), 'e', opts.FloatSigDigits-1, 64)
-		}
-		return "n:" + strconv.FormatInt(v.I, 10)
+	case types.KindFloat, types.KindInt:
+		var buf [40]byte
+		return string(appendNumber(append(buf[:0], "n:"...), v, opts))
 	case types.KindString, types.KindDate:
-		s := v.S
-		if opts.TrimStrings {
-			s = strings.TrimRight(s, " ")
-		}
-		return "s:" + s
+		return "s:" + cellText(v, opts)
 	case types.KindBool:
 		if v.B {
 			return "b:1"
@@ -74,6 +63,98 @@ func NormalizeCell(v types.Value, opts CompareOptions) string {
 	default:
 		return "?" + v.String()
 	}
+}
+
+// appendNumber appends the canonical text of an INT or FLOAT cell. With
+// FloatSigDigits set, integers and integral floats share one form (3 vs
+// 3.0), and floats agree when they agree to that many digits.
+func appendNumber(dst []byte, v types.Value, opts CompareOptions) []byte {
+	if opts.FloatSigDigits > 0 {
+		f := v.F
+		if v.K == types.KindInt {
+			f = float64(v.I)
+		}
+		return strconv.AppendFloat(dst, f, 'e', opts.FloatSigDigits-1, 64)
+	}
+	if v.K == types.KindInt {
+		return strconv.AppendInt(dst, v.I, 10)
+	}
+	return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+}
+
+// cellText is the compared text of a string or date cell.
+func cellText(v types.Value, opts CompareOptions) string {
+	if opts.TrimStrings {
+		return strings.TrimRight(v.S, " ")
+	}
+	return v.S
+}
+
+// sameCell reports whether two cells have the same normal form, without
+// building it: the allocation-free counterpart of comparing NormalizeCell
+// strings.
+func sameCell(a, b types.Value, opts CompareOptions) bool {
+	switch a.K {
+	case types.KindNull:
+		return b.K == types.KindNull
+	case types.KindInt, types.KindFloat:
+		if !b.IsNumeric() {
+			return false
+		}
+		if a.K == b.K && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) {
+			return true
+		}
+		var bufA, bufB [40]byte
+		return string(appendNumber(bufA[:0], a, opts)) == string(appendNumber(bufB[:0], b, opts))
+	case types.KindString, types.KindDate:
+		return (b.K == types.KindString || b.K == types.KindDate) && cellText(a, opts) == cellText(b, opts)
+	case types.KindBool:
+		return b.K == types.KindBool && a.B == b.B
+	default:
+		return NormalizeCell(a, opts) == NormalizeCell(b, opts)
+	}
+}
+
+// sameColumnName is the digest's column-name rule (upper-cased names
+// compare equal); identical names, the usual case, are not re-cased.
+func sameColumnName(a, b string) bool {
+	return a == b || strings.ToUpper(a) == strings.ToUpper(b)
+}
+
+// sameResult reports whether two results are equal under the options by
+// comparing normalized cells in place, rows in the order given. It is
+// sound but not complete: true implies equal digests, while false only
+// means "not shown equal" (the rows of an order-insensitive comparison
+// may be permuted) and the caller decides by Digest.
+func sameResult(a, b *engine.Result, opts CompareOptions) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Kind != engine.ResultRows || b.Kind != engine.ResultRows {
+		return a.Kind != engine.ResultRows && b.Kind != engine.ResultRows && a.Affected == b.Affected
+	}
+	if len(a.Columns) != len(b.Columns) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	if opts.CompareColumnNames {
+		for i, c := range a.Columns {
+			if !sameColumnName(c, b.Columns[i]) {
+				return false
+			}
+		}
+	}
+	for i, ra := range a.Rows {
+		rb := b.Rows[i]
+		if len(ra) != len(rb) {
+			return false
+		}
+		for j, v := range ra {
+			if !sameCell(v, rb[j], opts) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Digest produces a canonical signature of a result set under the
@@ -119,7 +200,7 @@ func Digest(res *engine.Result, opts CompareOptions) string {
 
 // Equal reports whether two results are equivalent under the options.
 func Equal(a, b *engine.Result, opts CompareOptions) bool {
-	return Digest(a, opts) == Digest(b, opts)
+	return sameResult(a, b, opts) || Digest(a, opts) == Digest(b, opts)
 }
 
 // Diff returns a short human-readable description of the first

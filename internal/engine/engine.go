@@ -202,6 +202,9 @@ type Engine struct {
 	viewMu  sync.Mutex
 	viewGen atomic.Uint64
 
+	// plantedPanic is the test-only defect of PlantPanic (planted.go).
+	plantedPanic atomic.Bool
+
 	// Read-view and latch observability counters (obs.go).
 	viewBuilds  atomic.Uint64
 	viewHits    atomic.Uint64

@@ -30,3 +30,16 @@ func PlantRangeBoundDefect(on bool) { plantedRangeBoundDefect.Store(on) }
 // PlantNotNullDefect arms or disarms the NOT-of-NULL three-valued-logic
 // defect. Test-only.
 func PlantNotNullDefect(on bool) { plantedNotNullDefect.Store(on) }
+
+// PlantPanic arms or disarms a panic at the start of this engine's SELECT
+// and DML executions, raised with the engine's locks and table latches
+// held — the "bug in one replica's engine" that the layers above must
+// contain as a crash of that replica alone. Per engine, unlike the
+// defects above: the point is that its siblings keep running. Test-only.
+func (e *Engine) PlantPanic(on bool) { e.plantedPanic.Store(on) }
+
+func (e *Engine) checkPlantedPanic() {
+	if e.plantedPanic.Load() {
+		panic("engine: planted panic")
+	}
+}

@@ -189,14 +189,6 @@ func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, err
 			e.mu.RUnlock()
 			return nil, ErrSessionClosed
 		}
-		// A plan-memo hit proves the statement is a pure SELECT: only
-		// non-advancing selects reach the memo, and an unchanged schema
-		// stamp means the view chain it was classified against still
-		// stands. This skips the classification walk on the hot path.
-		if v, ok := e.planMemo.Load(x); ok && v.(*memoEntry).version == e.schemaVersion {
-			defer e.mu.RUnlock()
-			return s.execSelectRead(x, bind)
-		}
 		if !e.selectAdvancesSequences(x) {
 			defer e.mu.RUnlock()
 			return s.execSelectRead(x, bind)
@@ -290,6 +282,7 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 	refs := e.statementRefsLocked(st)
 	release := e.latchTables(refs)
 	defer release()
+	e.checkPlantedPanic()
 	if s.inTxn {
 		s.txnStmts++
 		if s.touched == nil {
@@ -331,6 +324,7 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 // Caller holds the engine read lock.
 func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value) (*Result, error) {
 	e := s.eng
+	e.checkPlantedPanic()
 	if s.inTxn {
 		s.txnStmts++
 		if s.didDDL || s.touchesRefs(sel) {
@@ -415,7 +409,17 @@ func (e *Engine) SelectAdvancesSequences(sel *ast.Select) bool {
 // lock already held (in at least read mode). The view chain is resolved
 // at classification time — views can be dropped and recreated, so a
 // flag stored at CREATE VIEW would go stale.
+//
+// A plan-memo hit proves the statement is a pure SELECT: only
+// non-advancing selects reach the memo, and an unchanged schema stamp
+// means the view chain it was classified against still stands. This
+// skips the classification walk on the hot path — the engine's own and
+// the one of callers choosing a lock mode per execution of a prepared
+// statement.
 func (e *Engine) selectAdvancesSequences(sel *ast.Select) bool {
+	if v, ok := e.planMemo.Load(sel); ok && v.(*memoEntry).version == e.schemaVersion {
+		return false
+	}
 	return e.selectAdvances(sel, nil)
 }
 

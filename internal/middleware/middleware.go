@@ -14,6 +14,14 @@
 // writes in the same order — the determinism replicated adjudication
 // depends on.
 //
+// Within one statement the client session's own goroutine executes the
+// replicas: all of them, one after the other, while the statement is
+// cheap, and the first of them next to helper goroutines running the rest
+// once the statement's measured cost says the overlap is worth a
+// goroutine hand-off (Session.broadcast). Locks nest cs.mu → execMu →
+// d.mu; d.mu is held only to read or change replica health and the
+// event counters, never across replica execution or adjudication.
+//
 // Resynchronization never waits for a global transaction boundary. A
 // quarantined replica rejoins at the start of the next state-changing
 // statement: the donor serves a copy-on-write snapshot of its COMMITTED
@@ -37,6 +45,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"divsql/internal/core"
@@ -179,14 +188,34 @@ type replica struct {
 
 // DiverseServer is the fault-tolerant diverse SQL server.
 type DiverseServer struct {
-	// mu guards the replica set, the metrics, the session registry and
-	// the default session.
+	// mu guards the replicas' health state, the event counters in
+	// metrics, the session registry and the default session. It is the
+	// innermost lock and is never held while a replica executes or while
+	// results are adjudicated.
 	mu       sync.Mutex
 	cfg      Config
 	replicas []*replica
-	metrics  Metrics
+	metrics  Metrics // Statements and Unanimous are the atomics below
 	sessions map[*Session]struct{}
 	def      *Session
+
+	// statements and unanimous are the two counters every statement
+	// bumps; kept out of mu so that an uneventful statement takes it at
+	// most once.
+	statements atomic.Int64
+	unanimous  atomic.Int64
+
+	// setGen numbers the active set: it advances (under mu) whenever a
+	// replica is quarantined or rejoins. Sessions cache their view of the
+	// active set and rebuild it when the number has moved on.
+	setGen atomic.Uint64
+
+	// inlineLimit is inlineCostLimit. Tests set it to force every
+	// statement onto one side of broadcast's cost rule.
+	inlineLimit time.Duration
+	// execHook, set only by tests, brackets each replica execution of a
+	// broadcast.
+	execHook func(entering bool)
 
 	// execMu orders statements across sessions: state-changing statements
 	// take it exclusively, so every replica applies writes in one global
@@ -229,9 +258,10 @@ func New(cfg Config, servers ...*server.Server) (*DiverseServer, error) {
 		cfg.Compare = core.DefaultCompareOptions()
 	}
 	d := &DiverseServer{
-		cfg:       cfg,
-		sessions:  make(map[*Session]struct{}),
-		resyncDur: obs.NewHistogram(resyncBuckets()...),
+		cfg:         cfg,
+		sessions:    make(map[*Session]struct{}),
+		resyncDur:   obs.NewHistogram(resyncBuckets()...),
+		inlineLimit: inlineCostLimit,
 	}
 	for _, s := range servers {
 		d.replicas = append(d.replicas, &replica{srv: s})
@@ -247,6 +277,14 @@ type Session struct {
 	// mu serializes statements of this session (a session is one client).
 	mu   sync.Mutex
 	subs []*server.Session // index-aligned with d.replicas
+
+	// active is this session's view of the active (non-quarantined)
+	// replicas, in replica order, as of active-set number activeGen;
+	// results is the per-statement vote buffer, index-aligned with it.
+	// Owned by the session's goroutine (cs.mu); see refreshActive.
+	active    []member
+	activeGen uint64
+	results   []core.ReplicaResult
 
 	// inTxn and journal track the session's open transaction as redo for
 	// resync: BEGIN plus every successfully adjudicated state-changing
@@ -275,8 +313,53 @@ func (d *DiverseServer) newSessionLocked() *Session {
 	for _, r := range d.replicas {
 		cs.subs = append(cs.subs, r.srv.NewSession())
 	}
+	cs.rebuildActiveLocked()
 	d.sessions[cs] = struct{}{}
 	return cs
+}
+
+// member is one active replica as a client session reaches it.
+type member struct {
+	r   *replica
+	idx int             // position in d.replicas (and in a Stmt's per-replica slices)
+	sub *server.Session // this client's session on the replica
+}
+
+// refreshActive brings the session's view of the active set up to date.
+// Steady state is one atomic load: d.mu is taken only after a replica was
+// quarantined or rejoined. A quarantine raised by a sibling session after
+// the load is not seen until the next statement — the same window a
+// statement already in flight has always had. Caller holds cs.mu.
+func (cs *Session) refreshActive() {
+	if cs.activeGen == cs.d.setGen.Load() {
+		return
+	}
+	cs.d.mu.Lock()
+	cs.rebuildActiveLocked()
+	cs.d.mu.Unlock()
+}
+
+// rebuildActiveLocked recomputes active and results. Called with d.mu
+// held.
+func (cs *Session) rebuildActiveLocked() {
+	d := cs.d
+	cs.activeGen = d.setGen.Load()
+	cs.active, cs.results = cs.active[:0], cs.results[:0]
+	for i, r := range d.replicas {
+		if !r.quarantined {
+			cs.active = append(cs.active, member{r: r, idx: i, sub: cs.subs[i]})
+			cs.results = append(cs.results, core.ReplicaResult{Name: string(r.srv.Name())})
+		}
+	}
+}
+
+// setQuarantined moves a replica out of or back into the active set.
+// Called with d.mu held.
+func (d *DiverseServer) setQuarantined(r *replica, q bool) {
+	if r.quarantined != q {
+		r.quarantined = q
+		d.setGen.Add(1)
+	}
 }
 
 // OpenSession implements core.SessionExecutor.
@@ -297,16 +380,13 @@ func (d *DiverseServer) defaultSession() *Session {
 // has applied (a quarantined replica may have missed DDL, e.g. a view
 // wrapping a sequence call, and would misclassify queries over it).
 // Falls back to replica 0 when everything is quarantined — the caller
-// fails with ErrAllReplicasFailed anyway.
-func (d *DiverseServer) classifierServer() *server.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, r := range d.replicas {
-		if !r.quarantined {
-			return r.srv
-		}
+// fails with ErrAllReplicasFailed anyway. Caller holds cs.mu.
+func (cs *Session) classifierServer() *server.Server {
+	cs.refreshActive()
+	if len(cs.active) == 0 {
+		return cs.d.replicas[0].srv
 	}
-	return d.replicas[0].srv
+	return cs.active[0].r.srv
 }
 
 // Close rolls back the session's open transaction on every replica and
@@ -342,15 +422,21 @@ func (d *DiverseServer) ReplicaNames() []string {
 }
 
 // Metrics returns a snapshot of the counters. It is safe to call
-// concurrently with statement execution: every writer of d.metrics
-// (execAdjudicated, flushPendingResyncs, the crash/rephrase paths)
-// increments under d.mu, and this copy is taken under the same lock, so
-// the snapshot is internally consistent — all counters as of one moment
-// between (not within) metric updates.
+// concurrently with statement execution. The event counters are written
+// under d.mu (execAdjudicated, flushPendingResyncs, the crash/rephrase
+// paths) and copied under it, so they are consistent with each other —
+// as of one moment between (not within) updates. Statements and
+// Unanimous are atomics read in the opposite order to the one a statement
+// bumps them in, so a snapshot never shows more unanimous statements
+// than statements.
 func (d *DiverseServer) Metrics() Metrics {
+	unanimous := d.unanimous.Load()
+	statements := d.statements.Load()
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.metrics
+	m := d.metrics
+	d.mu.Unlock()
+	m.Statements, m.Unanimous = statements, unanimous
+	return m
 }
 
 // QuarantinedReplicas lists replicas currently out of service.
@@ -380,8 +466,9 @@ func (d *DiverseServer) Prepare(sql string) (core.Statement, error) {
 
 // Exec broadcasts one statement to every active replica within this
 // session, adjudicates the responses and returns the agreed result. The
-// reported latency is the slowest active replica's (replicas run in
-// parallel).
+// reported latency is the slowest active replica's simulated latency (a
+// deployment's replicas are separate machines working in parallel,
+// however this process schedules them).
 func (cs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -391,8 +478,52 @@ func (cs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 	// orders (spurious divergence) — and ReadOne would desynchronize
 	// sequence state entirely. Any replica can classify; they share the
 	// view/sequence schema.
-	query := isQuery(sql) && cs.d.classifierServer().ReadOnly(sql)
-	return cs.execBound(&boundStmt{sql: sql}, query)
+	head := strings.TrimSpace(sql)
+	query := hasKeyword(head, "SELECT") && cs.classifierServer().ReadOnly(sql)
+	return cs.execBound(&boundStmt{sql: sql, kind: kindOfText(head)}, query)
+}
+
+// stmtKind is what the redo journal needs to know about a statement.
+type stmtKind uint8
+
+const (
+	kindPlain stmtKind = iota // journaled while a transaction is open
+	kindBegin
+	kindEnd // COMMIT or ROLLBACK
+	kindSet // SET TRANSACTION
+)
+
+// kindOfText classifies statement text (leading white space trimmed) by
+// its first keyword.
+func kindOfText(sql string) stmtKind {
+	switch {
+	case hasKeyword(sql, "BEGIN"):
+		return kindBegin
+	case hasKeyword(sql, "COMMIT"), hasKeyword(sql, "ROLLBACK"):
+		return kindEnd
+	case hasKeyword(sql, "SET"):
+		return kindSet
+	}
+	return kindPlain
+}
+
+// kindOfParsed classifies a prepared statement from its parsed tree.
+func kindOfParsed(st ast.Statement) stmtKind {
+	switch st.(type) {
+	case *ast.Begin:
+		return kindBegin
+	case *ast.Commit, *ast.Rollback:
+		return kindEnd
+	case *ast.SetTxn:
+		return kindSet
+	}
+	return kindPlain
+}
+
+// hasKeyword reports whether sql starts with kw in any letter case. It
+// looks at len(kw) bytes and allocates nothing.
+func hasKeyword(sql, kw string) bool {
+	return len(sql) >= len(kw) && strings.EqualFold(sql[:len(kw)], kw)
 }
 
 // boundStmt is the unit the adjudication path executes: statement text
@@ -400,6 +531,7 @@ func (cs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 // plus the typed argument vector of this execution.
 type boundStmt struct {
 	sql  string
+	kind stmtKind
 	args []types.Value
 	// stmts/prepErrs are index-aligned with the replica set when the
 	// statement was prepared; nil for plain text execution. A replica
@@ -408,6 +540,11 @@ type boundStmt struct {
 	// outcome.
 	stmts    []*server.Stmt
 	prepErrs []error
+	// cost is what one replica last took to execute the statement: wall
+	// time of the first active replica, measured by broadcast on every
+	// execution. A prepared statement carries it from one execution to
+	// the next; text starts at zero (unknown) each time.
+	cost time.Duration
 }
 
 // execOn runs the statement on one replica (identified by its index in
@@ -464,9 +601,10 @@ func (cs *Session) execBound(b *boundStmt, query bool) (*engine.Result, time.Dur
 		// Journal bookkeeping (the exclusive statement lock is held): the
 		// redo a rejoining replica needs on top of a committed snapshot is
 		// exactly BEGIN plus the successfully adjudicated state-changing
-		// statements of every open transaction. Bound statements are
-		// journaled in their replayable encoded form.
-		cs.noteWrite(b.sql, b.entry(), err)
+		// statements of every open transaction.
+		if err == nil { // a failed statement changed no replica state
+			cs.noteWrite(b)
+		}
 	}
 	return res, lat, err
 }
@@ -479,11 +617,12 @@ func (cs *Session) execBound(b *boundStmt, query bool) (*engine.Result, time.Dur
 // like any other failure. Implements core.Statement.
 type Stmt struct {
 	cs       *Session
-	sql      string
 	np       int
 	isSelect bool
-	stmts    []*server.Stmt
-	prepErrs []error
+	// b is the statement as the adjudication path executes it; only its
+	// args and its remembered cost change between executions (under
+	// cs.mu).
+	b boundStmt
 }
 
 // Prepare implements core.PreparedExecutor.
@@ -510,27 +649,26 @@ func (cs *Session) PrepareStmt(sql string) (*Stmt, error) {
 	defer cs.mu.Unlock()
 	cs.d.execMu.RLock()
 	defer cs.d.execMu.RUnlock()
-	ps := &Stmt{
-		cs:       cs,
+	ps := &Stmt{cs: cs, np: -1, b: boundStmt{
 		sql:      sql,
-		np:       -1,
 		stmts:    make([]*server.Stmt, len(cs.subs)),
 		prepErrs: make([]error, len(cs.subs)),
-	}
+	}}
 	var firstErr error
 	for i, sub := range cs.subs {
 		st, err := sub.PrepareStmt(sql)
 		if err != nil {
-			ps.prepErrs[i] = err
+			ps.b.prepErrs[i] = err
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		ps.stmts[i] = st
+		ps.b.stmts[i] = st
 		if ps.np < 0 {
 			ps.np = st.NumParams()
 			_, ps.isSelect = st.Bound().(*ast.Select)
+			ps.b.kind = kindOfParsed(st.Bound())
 		}
 	}
 	if ps.np < 0 {
@@ -540,16 +678,16 @@ func (cs *Session) PrepareStmt(sql string) (*Stmt, error) {
 }
 
 // SQL returns the statement text as prepared.
-func (ps *Stmt) SQL() string { return ps.sql }
+func (ps *Stmt) SQL() string { return ps.b.sql }
 
 // NumParams reports how many arguments Exec expects.
 func (ps *Stmt) NumParams() int { return ps.np }
 
 // Close releases the per-replica statements.
 func (ps *Stmt) Close() error {
-	for _, st := range ps.stmts {
+	for _, st := range ps.b.stmts {
 		if st != nil {
-			_ = st.Close()
+			_ = st.Close() // server.Stmt.Close cannot fail
 		}
 	}
 	return nil
@@ -565,55 +703,49 @@ func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 		return nil, 0, fmt.Errorf("%w: statement wants %d parameters, %d bound",
 			engine.ErrBind, ps.np, len(args))
 	}
-	query := ps.isSelect && ps.readOnlyOnClassifier()
-	return cs.execBound(&boundStmt{
-		sql: ps.sql, args: args, stmts: ps.stmts, prepErrs: ps.prepErrs,
-	}, query)
+	ps.b.args = args
+	return cs.execBound(&ps.b, ps.isSelect && ps.readOnlyOnClassifier())
 }
 
 // readOnlyOnClassifier classifies the prepared statement on the first
 // active replica that accepted it (resolved per execution — view chains
 // can change). With no such replica the statement conservatively takes
-// the write path.
+// the write path. Caller holds cs.mu.
 func (ps *Stmt) readOnlyOnClassifier() bool {
-	d := ps.cs.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, r := range d.replicas {
-		if !r.quarantined && ps.stmts[i] != nil {
-			return ps.stmts[i].ReadOnly()
+	ps.cs.refreshActive()
+	for _, m := range ps.cs.active {
+		if st := ps.b.stmts[m.idx]; st != nil {
+			return st.ReadOnly()
 		}
 	}
 	return false
 }
 
-// noteWrite maintains the session's open-transaction redo journal. sql
-// classifies the statement; entry is the replayable (possibly bound)
-// journal form. Must be called with d.execMu held exclusively.
-func (cs *Session) noteWrite(sql, entry string, err error) {
-	if err != nil {
-		return // a failed statement changed no replica state
-	}
-	up := strings.ToUpper(strings.TrimSpace(sql))
-	switch {
-	case strings.HasPrefix(up, "BEGIN"):
+// noteWrite maintains the session's open-transaction redo journal after
+// a successfully adjudicated state-changing statement. The replayable
+// (possibly bound) entry is encoded only where it is kept: an autocommit
+// write leaves nothing to redo. Must be called with d.execMu held
+// exclusively.
+func (cs *Session) noteWrite(b *boundStmt) {
+	switch b.kind {
+	case kindBegin:
 		cs.inTxn = true
-		cs.journal = append(cs.journal[:0], entry)
-	case strings.HasPrefix(up, "COMMIT"), strings.HasPrefix(up, "ROLLBACK"):
+		cs.journal = append(cs.journal[:0], b.entry())
+	case kindEnd:
 		cs.inTxn = false
 		cs.journal = nil
-	case strings.HasPrefix(up, "SET"):
+	case kindSet:
 		// SET TRANSACTION outside a transaction sets the session
 		// default (replayed on resync via isoStmt); inside one it is
 		// transaction-scoped and replays with the journal.
 		if cs.inTxn {
-			cs.journal = append(cs.journal, entry)
+			cs.journal = append(cs.journal, b.entry())
 		} else {
-			cs.isoStmt = entry
+			cs.isoStmt = b.entry()
 		}
 	default:
 		if cs.inTxn {
-			cs.journal = append(cs.journal, entry)
+			cs.journal = append(cs.journal, b.entry())
 		}
 	}
 }
@@ -621,74 +753,63 @@ func (cs *Session) noteWrite(sql, entry string, err error) {
 // execAdjudicated runs one statement through broadcast + adjudication.
 // The caller holds cs.mu and d.execMu (shared for queries, exclusive for
 // state-changing statements).
+//
+// d.mu is not held while replicas execute or while their results are
+// compared: a unanimous statement — nearly all of them — takes it only
+// on the write path (to look for replicas waiting to rejoin) or when the
+// active set has changed under the session, and sibling read sessions
+// adjudicate side by side. Only a statement with something to record (a
+// crash, an outvoted or erroring replica, a performance outlier) takes
+// it again, for the containment bookkeeping.
 func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, time.Duration, error) {
 	d := cs.d
-	d.mu.Lock()
-	d.metrics.Statements++
-	stmtNo := d.metrics.Statements
+	stmtNo := d.statements.Add(1)
 	if !query {
 		// The exclusive statement lock is held: no statement is in
 		// flight on any replica, so quarantined replicas can rejoin now
 		// (committed snapshot + journal redo), in time to take part in
 		// this statement's broadcast.
+		d.mu.Lock()
 		d.flushPendingResyncs()
+		d.mu.Unlock()
 	}
-	var active []*replica
-	var activeIdx []int
-	var subs []*server.Session
-	for i, r := range d.replicas {
-		if !r.quarantined {
-			active = append(active, r)
-			activeIdx = append(activeIdx, i)
-			subs = append(subs, cs.subs[i])
-		}
-	}
-	readOne := d.cfg.Reads == ReadOne && query && !anyInTxn(subs)
-	d.mu.Unlock()
-
-	if len(active) == 0 {
+	cs.refreshActive()
+	if len(cs.active) == 0 {
 		return nil, 0, ErrAllReplicasFailed
 	}
-	if readOne {
-		return cs.execReadOne(active, activeIdx, subs, b, stmtNo)
+	if d.cfg.Reads == ReadOne && query && !cs.anyInTxn() {
+		return cs.execReadOne(b, stmtNo)
 	}
 
-	results := broadcast(active, activeIdx, subs, b)
+	results := cs.broadcast(b)
+	lat, slow := latencies(results, d.cfg.PerfThreshold)
+	verdict := core.Adjudicate(results, d.cfg.Compare)
+	if verdict.Unanimous && slow == 0 {
+		d.unanimous.Add(1)
+		return verdict.Agreed, lat, nil
+	}
 
+	active := cs.active
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	// Performance containment: flag replicas slower than the fastest by
-	// the configured threshold. (Their results still vote.)
-	if d.cfg.PerfThreshold > 0 {
-		fastest := time.Duration(-1)
-		for _, rr := range results {
-			if rr.Err == nil && (fastest < 0 || rr.Latency < fastest) {
-				fastest = rr.Latency
-			}
-		}
-		for _, rr := range results {
-			if rr.Err == nil && fastest >= 0 && rr.Latency-fastest >= d.cfg.PerfThreshold {
-				d.metrics.PerfOutliers++
-			}
-		}
-	}
-
-	verdict := core.Adjudicate(results, d.cfg.Compare)
+	// Performance containment: replicas slower than the fastest by the
+	// configured threshold are flagged. (Their results still vote.)
+	d.metrics.PerfOutliers += slow
 
 	// Crash handling: restart and resync crashed replicas.
 	for _, i := range verdict.CrashedIdx {
 		d.metrics.CrashesDetected++
-		d.recover(active[i], active, verdict)
+		d.recover(active[i].r, active, verdict)
 	}
 
 	if verdict.Agreed == nil && len(verdict.Errored) == len(results)-len(verdict.CrashedIdx) {
 		// Every live replica returned an error: treat the (agreeing)
 		// error as the statement's legitimate outcome.
 		if len(verdict.Errored) > 0 {
-			return nil, maxLatency(results), results[verdict.Errored[0]].Err
+			return nil, lat, results[verdict.Errored[0]].Err
 		}
-		return nil, maxLatency(results), ErrAllReplicasFailed
+		return nil, lat, ErrAllReplicasFailed
 	}
 
 	// Error containment. Errors and successes are votes like any other
@@ -703,44 +824,36 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 		case len(verdict.Errored) > len(verdict.AgreeIdx):
 			d.metrics.MaskedFailures += int64(len(verdict.AgreeIdx))
 			for _, i := range verdict.AgreeIdx {
-				d.suspect(active[i], active, verdict)
+				d.suspect(active[i].r, active, verdict)
 			}
-			return nil, maxLatency(results), results[verdict.Errored[0]].Err
+			return nil, lat, results[verdict.Errored[0]].Err
 		case len(verdict.Errored) == len(verdict.AgreeIdx) && len(verdict.Outliers) == 0:
 			d.metrics.DetectedSplits++
-			names := make([]string, 0, len(results))
-			for _, rr := range results {
-				names = append(names, rr.Name)
-			}
-			return nil, maxLatency(results), &DivergenceError{
-				Replicas: names,
+			return nil, lat, &DivergenceError{
+				Replicas: replicaNames(results),
 				Detail:   "one replica errored, the other succeeded: " + results[verdict.Errored[0]].Err.Error(),
 			}
 		default:
 			d.metrics.ReplicaErrors += int64(len(verdict.Errored))
 			for _, i := range verdict.Errored {
-				d.suspect(active[i], active, verdict)
+				d.suspect(active[i].r, active, verdict)
 			}
 		}
 	}
 
 	// Value containment: outvoted or split results.
 	if len(verdict.Outliers) > 0 {
-		recovered := d.tryRephrase(subs, results, verdict, b)
+		recovered := d.tryRephrase(active, verdict, b)
 		if !recovered {
 			if verdict.Majority {
 				d.metrics.MaskedFailures += int64(len(verdict.Outliers))
 				for _, i := range verdict.Outliers {
-					d.suspect(active[i], active, verdict)
+					d.suspect(active[i].r, active, verdict)
 				}
 			} else {
 				d.metrics.DetectedSplits++
-				names := make([]string, 0, len(results))
-				for _, rr := range results {
-					names = append(names, rr.Name)
-				}
-				return nil, maxLatency(results), &DivergenceError{
-					Replicas: names,
+				return nil, lat, &DivergenceError{
+					Replicas: replicaNames(results),
 					Detail:   core.Diff(results[verdict.AgreeIdx[0]].Res, results[verdict.Outliers[0]].Res, d.cfg.Compare),
 				}
 			}
@@ -748,33 +861,74 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 	}
 
 	if verdict.Unanimous {
-		d.metrics.Unanimous++
+		d.unanimous.Add(1)
 	}
-	return verdict.Agreed, maxLatency(results), nil
+	return verdict.Agreed, lat, nil
 }
 
-// broadcast runs the statement on every active replica concurrently,
-// through this session's per-replica sessions (prepared statements when
-// the boundStmt carries them).
-func broadcast(active []*replica, activeIdx []int, subs []*server.Session, b *boundStmt) []core.ReplicaResult {
-	results := make([]core.ReplicaResult, len(active))
-	var wg sync.WaitGroup
-	for i := range active {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, lat, err := b.execOn(activeIdx[i], subs[i])
-			results[i] = core.ReplicaResult{
-				Name:    string(active[i].srv.Name()),
-				Res:     res,
-				Err:     err,
-				Crashed: errors.Is(err, server.ErrCrashed),
-				Latency: lat,
+// inlineCostLimit is the one threshold of broadcast's cost rule: a
+// statement whose replicas each take longer than this is worth
+// overlapping. Handing a replica to a helper goroutine and collecting it
+// again costs the session about 15 us on the two-core machine the stack
+// benchmark runs on (a prepared point read on three replicas: 3 us
+// inline, 32 us through two helpers) — several times what a point read
+// or a keyed update costs on all replicas together. At the limit the two
+// hand-offs are a fifth of the 150 us of serial work they can overlap
+// away, and a smaller share of anything slower.
+const inlineCostLimit = 50 * time.Microsecond
+
+// broadcast executes the statement on every active replica, through this
+// session's per-replica sessions, and returns the votes in replica order
+// (index-aligned with cs.active whichever goroutine produced them).
+//
+// The session's own goroutine always executes a replica itself rather
+// than parking. While the statement is cheap it executes all of them,
+// one after the other. Once the statement's cost — what the first
+// replica took, remembered from the previous execution of a prepared
+// statement or measured a moment ago for text — exceeds the limit, the
+// replicas still to run go to helper goroutines, all but one, which the
+// session runs alongside them before collecting the helpers.
+func (cs *Session) broadcast(b *boundStmt) []core.ReplicaResult {
+	last := len(cs.active) - 1
+	for i := 0; i <= last; i++ {
+		if i < last && b.cost > cs.d.inlineLimit {
+			var wg sync.WaitGroup
+			wg.Add(last - i)
+			for j := i + 1; j <= last; j++ {
+				go func(j int) {
+					defer wg.Done()
+					cs.execReplica(j, b)
+				}(j)
 			}
-		}(i)
+			cs.execReplica(i, b)
+			wg.Wait()
+			break
+		}
+		cs.execReplica(i, b)
 	}
-	wg.Wait()
-	return results
+	return cs.results
+}
+
+// execReplica runs the statement on the i-th active replica and records
+// its vote. The first replica's execution is timed: that is the
+// statement's cost.
+func (cs *Session) execReplica(i int, b *boundStmt) {
+	if hook := cs.d.execHook; hook != nil {
+		hook(true)
+		defer hook(false)
+	}
+	m := cs.active[i]
+	var start time.Time
+	if i == 0 {
+		start = time.Now()
+	}
+	res, lat, err := b.execOn(m.idx, m.sub)
+	if i == 0 {
+		b.cost = time.Since(start)
+	}
+	vote := &cs.results[i]
+	vote.Res, vote.Err, vote.Latency = res, err, lat
+	vote.Crashed = errors.Is(err, server.ErrCrashed)
 }
 
 // tryRephrase re-executes the statement, rewritten into a logically
@@ -782,7 +936,7 @@ func broadcast(active []*replica, activeIdx []int, subs []*server.Session, b *bo
 // the rephrased query now agrees with the majority the divergence is
 // treated as transient. Bound statements are re-prepared in rephrased
 // form and executed with the same arguments.
-func (d *DiverseServer) tryRephrase(subs []*server.Session, results []core.ReplicaResult, verdict core.Verdict, b *boundStmt) bool {
+func (d *DiverseServer) tryRephrase(active []member, verdict core.Verdict, b *boundStmt) bool {
 	if !d.cfg.Rephrase || verdict.Agreed == nil {
 		return false
 	}
@@ -793,7 +947,7 @@ func (d *DiverseServer) tryRephrase(subs []*server.Session, results []core.Repli
 	agreedDigest := core.Digest(verdict.Agreed, d.cfg.Compare)
 	allRecovered := true
 	for _, i := range verdict.Outliers {
-		res, _, err := b.rephraseOn(subs[i], rephrased)
+		res, _, err := b.rephraseOn(active[i].sub, rephrased)
 		if err != nil || core.Digest(res, d.cfg.Compare) != agreedDigest {
 			allRecovered = false
 			break
@@ -808,7 +962,7 @@ func (d *DiverseServer) tryRephrase(subs []*server.Session, results []core.Repli
 // suspect records a replica misbehaviour and schedules it for
 // resynchronization from a healthy peer so that error propagation is
 // contained.
-func (d *DiverseServer) suspect(r *replica, active []*replica, verdict core.Verdict) {
+func (d *DiverseServer) suspect(r *replica, active []member, verdict core.Verdict) {
 	r.suspicions++
 	d.recover(r, active, verdict)
 }
@@ -820,9 +974,9 @@ func (d *DiverseServer) suspect(r *replica, active []*replica, verdict core.Verd
 // replica — at most one statement away, never a wait for a transaction
 // boundary. Suspicion raised on the shared query path thus cannot
 // mutate a replica out from under a sibling session's in-flight read.
-func (d *DiverseServer) recover(r *replica, active []*replica, verdict core.Verdict) {
+func (d *DiverseServer) recover(r *replica, active []member, verdict core.Verdict) {
 	if !d.cfg.AutoResync {
-		r.quarantined = true
+		d.setQuarantined(r, true)
 		return
 	}
 	if r.srv.Crashed() {
@@ -830,7 +984,7 @@ func (d *DiverseServer) recover(r *replica, active []*replica, verdict core.Verd
 	}
 	donorExists := false
 	for _, i := range verdict.AgreeIdx {
-		if active[i] != r {
+		if active[i].r != r {
 			donorExists = true
 			break
 		}
@@ -840,7 +994,7 @@ func (d *DiverseServer) recover(r *replica, active []*replica, verdict core.Verd
 		// state (it may still agree on subsequent statements).
 		return
 	}
-	r.quarantined = true
+	d.setQuarantined(r, true)
 	r.pendingResync = true
 	// Under a write-bearing workload the next state-changing statement
 	// completes the rejoin; under a read-only workload none may come, so
@@ -980,7 +1134,7 @@ func (d *DiverseServer) flushPendingResyncs() {
 			}
 		}
 		r.pendingResync = false
-		r.quarantined = false
+		d.setQuarantined(r, false)
 		d.metrics.Resyncs++
 		d.metrics.LastResyncSeq = snap.CommitSeq
 		d.resyncDur.Observe(time.Since(start))
@@ -1028,20 +1182,19 @@ func (d *DiverseServer) Restore(st *engine.State) {
 // execReadOne serves a query from a single rotating replica; crashed
 // replicas fail over to the next one. Results are NOT compared: this is
 // the performance end of the paper's trade-off dial.
-func (cs *Session) execReadOne(active []*replica, activeIdx []int, subs []*server.Session, b *boundStmt, stmtNo int64) (*engine.Result, time.Duration, error) {
+func (cs *Session) execReadOne(b *boundStmt, stmtNo int64) (*engine.Result, time.Duration, error) {
 	d := cs.d
-	n := len(active)
+	n := len(cs.active)
 	start := int(stmtNo) % n
 	for i := 0; i < n; i++ {
-		k := (start + i) % n
-		res, lat, err := b.execOn(activeIdx[k], subs[k])
+		m := cs.active[(start+i)%n]
+		res, lat, err := b.execOn(m.idx, m.sub)
 		if errors.Is(err, server.ErrCrashed) {
 			d.mu.Lock()
 			d.metrics.CrashesDetected++
-			autoResync := d.cfg.AutoResync
 			d.mu.Unlock()
-			if autoResync {
-				active[k].srv.Restart()
+			if d.cfg.AutoResync {
+				m.r.srv.Restart()
 			}
 			continue
 		}
@@ -1050,28 +1203,46 @@ func (cs *Session) execReadOne(active []*replica, activeIdx []int, subs []*serve
 	return nil, 0, ErrAllReplicasFailed
 }
 
-// anyInTxn reports whether any of the session's replica sessions has an
-// open transaction (queries inside transactions must see the
+// anyInTxn reports whether any of the session's active replica sessions
+// has an open transaction (queries inside transactions must see the
 // transaction's own writes, so they are always broadcast).
-func anyInTxn(subs []*server.Session) bool {
-	for _, sub := range subs {
-		if sub.InTxn() {
+func (cs *Session) anyInTxn() bool {
+	for _, m := range cs.active {
+		if m.sub.InTxn() {
 			return true
 		}
 	}
 	return false
 }
 
-func isQuery(sql string) bool {
-	return strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sql)), "SELECT")
-}
-
-func maxLatency(results []core.ReplicaResult) time.Duration {
-	var m time.Duration
+// latencies returns the statement's reported latency — the slowest
+// replica's — and, with a threshold set, how many successful replicas
+// were slower than the fastest successful one by at least that much.
+func latencies(results []core.ReplicaResult, threshold time.Duration) (slowest time.Duration, outliers int64) {
+	fastest := time.Duration(-1)
 	for _, r := range results {
-		if r.Latency > m {
-			m = r.Latency
+		if r.Latency > slowest {
+			slowest = r.Latency
+		}
+		if r.Err == nil && (fastest < 0 || r.Latency < fastest) {
+			fastest = r.Latency
 		}
 	}
-	return m
+	if threshold <= 0 || fastest < 0 || slowest-fastest < threshold {
+		return slowest, 0
+	}
+	for _, r := range results {
+		if r.Err == nil && r.Latency-fastest >= threshold {
+			outliers++
+		}
+	}
+	return slowest, outliers
+}
+
+func replicaNames(results []core.ReplicaResult) []string {
+	names := make([]string, len(results))
+	for i, r := range results {
+		names[i] = r.Name
+	}
+	return names
 }

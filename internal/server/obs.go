@@ -23,6 +23,9 @@ func (s *Server) MetricsCollectorAs(replica string) obs.Collector {
 		f.Gauge("divsql_server_up",
 			"1 when the server's engine is up, 0 after a crash until Restart.",
 			up, obs.L("replica", replica))
+		f.Count("divsql_server_panics_total",
+			"Engine panics contained and reported as crashes.",
+			s.panics.Load(), obs.L("replica", replica))
 		f.Gauge("divsql_server_faults_installed",
 			"Faults registered for this server.",
 			float64(s.FaultCount()), obs.L("replica", replica))

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"divsql/internal/core"
@@ -54,6 +55,10 @@ type Server struct {
 	crashed bool
 	stress  bool
 	def     *Session
+
+	// panics counts engine panics contained by Session.run (each one is
+	// reported to the client as a crash).
+	panics atomic.Uint64
 
 	// Statement log: opt-in (EnableLog) and ring-buffered, so long-lived
 	// servers and deep fuzzing runs pay neither the append allocation nor
@@ -388,7 +393,14 @@ func (st *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 // fingerprint, engine execution with the bound arguments, fault effects
 // and crash bookkeeping. fp may be nil for ad-hoc statements (computed
 // on demand, and only when the server carries faults at all).
-func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []types.Value) (*engine.Result, time.Duration, error) {
+//
+// A panic below this point is a bug in this server's engine, and it is
+// contained as what it amounts to — an engine crash: the server is marked
+// down (every session's open transaction aborts) and the statement fails
+// with ErrCrashed, so a replicated deployment outvotes, restarts and
+// resynchronizes this server instead of dying with it on whichever
+// goroutine happened to be executing the replica.
+func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []types.Value) (res *engine.Result, latency time.Duration, err error) {
 	s := c.srv
 	s.mu.Lock()
 	if s.crashed {
@@ -398,7 +410,14 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 	stress := s.stress
 	s.mu.Unlock()
 
-	latency := BaseLatency
+	latency = BaseLatency
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Add(1)
+			s.crash()
+			res, err = nil, fmt.Errorf("%w (engine panic: %v)", ErrCrashed, p)
+		}
+	}()
 	var matched *fault.Fault
 	if s.d != nil {
 		var f ast.Fingerprint
@@ -426,7 +445,6 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 		}
 	}
 
-	var res *engine.Result
 	var execErr error
 	if args == nil {
 		res, execErr = c.es.Exec(st)
@@ -455,7 +473,7 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 		res = fault.Apply(matched.Effect.Mutation, res)
 	}
 	if isStateChanging(st) {
-		s.logWrite(core.EncodeBound(sql, args))
+		s.logWrite(sql, args)
 	}
 	return res, latency, nil
 }
@@ -625,13 +643,15 @@ func (s *Server) DisableLog() {
 	s.logStart, s.logLen = 0, 0
 }
 
-// logWrite records one state-changing statement when logging is enabled.
-func (s *Server) logWrite(entry string) {
+// logWrite records one state-changing statement when logging is enabled
+// (the replayable entry is only encoded then).
+func (s *Server) logWrite(sql string, args []types.Value) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.logOn || len(s.logBuf) == 0 {
 		return
 	}
+	entry := core.EncodeBound(sql, args)
 	if s.logLen < len(s.logBuf) {
 		s.logBuf[(s.logStart+s.logLen)%len(s.logBuf)] = entry
 		s.logLen++
@@ -656,6 +676,10 @@ func (s *Server) Log() []string {
 	}
 	return out
 }
+
+// PlantEnginePanic arms or disarms a panic inside this server's engine on
+// its next SELECT or DML statement (engine.PlantPanic). Test-only.
+func (s *Server) PlantEnginePanic(on bool) { s.eng.PlantPanic(on) }
 
 // FaultCount reports how many faults are installed (used by tests).
 func (s *Server) FaultCount() int { return s.faults.Len() }

@@ -2,11 +2,14 @@ package server
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
+	"divsql/internal/obs"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/types"
 )
 
 func TestNewServersForAllNames(t *testing.T) {
@@ -249,5 +252,91 @@ func TestInTxnVisible(t *testing.T) {
 	}
 	if s.InTxn() {
 		t.Error("txn not closed")
+	}
+}
+
+// TestEnginePanicIsContainedAsCrash: a panic inside the engine — raised
+// by the planted hook with the engine's lock and table latches held —
+// must not unwind into the caller. The server reports a crash, counts
+// the panic, aborts every session's open transaction, releases every
+// lock (statements run again after Restart), and keeps committed state.
+func TestEnginePanicIsContainedAsCrash(t *testing.T) {
+	s, _ := New(dialect.PG, nil)
+	must := func(c *Session, sql string) {
+		t.Helper()
+		if _, _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	a, b := s.NewSession(), s.NewSession()
+	must(a, "CREATE TABLE T (A INT PRIMARY KEY)")
+	must(a, "INSERT INTO T VALUES (1)")
+	must(b, "BEGIN TRANSACTION")
+	must(b, "INSERT INTO T VALUES (2)")
+
+	for i, sql := range []string{"SELECT A FROM T", "INSERT INTO T VALUES (3)"} {
+		s.PlantEnginePanic(true)
+		_, _, err := a.Exec(sql)
+		s.PlantEnginePanic(false)
+		if !errors.Is(err, ErrCrashed) || !strings.Contains(err.Error(), "planted panic") {
+			t.Fatalf("%s: want a crash naming the panic, got %v", sql, err)
+		}
+		if !s.Crashed() {
+			t.Fatalf("%s: server not marked down", sql)
+		}
+		if _, _, err := b.Exec("SELECT A FROM T"); !errors.Is(err, ErrCrashed) {
+			t.Errorf("%s: sibling session on a crashed server: %v", sql, err)
+		}
+		if got := s.panics.Load(); got != uint64(i+1) {
+			t.Errorf("%s: %d panics counted, want %d", sql, got, i+1)
+		}
+		s.Restart()
+		if b.InTxn() {
+			t.Errorf("%s: the crash left the sibling's transaction open", sql)
+		}
+	}
+
+	// Locks and latches were released on the way out: reads and writes
+	// proceed, and only the committed row survived.
+	must(a, "INSERT INTO T VALUES (4)")
+	res, _, err := b.Exec("SELECT A FROM T ORDER BY A")
+	if err != nil || len(res.Rows) != 2 || res.Rows[0][0].I != 1 || res.Rows[1][0].I != 4 {
+		t.Fatalf("after restart: %v %v", res, err)
+	}
+
+	reg := obs.NewRegistry()
+	reg.Register(s.MetricsCollector())
+	if doc := reg.Render(); !strings.Contains(doc, `divsql_server_panics_total{replica="PG"} 2`) {
+		t.Errorf("scrape does not report the contained panics:\n%s", doc)
+	}
+}
+
+// TestLogOffEncodesNothing holds EnableLog's promise: with logging off (the
+// default) a bound write allocates exactly what it allocates with no
+// arguments to encode — the replayable entry is built only when kept.
+func TestLogOffEncodesNothing(t *testing.T) {
+	s, _ := New(dialect.PG, nil)
+	sess := s.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT, B VARCHAR(40))"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sess.PrepareStmt("UPDATE T SET B = $1 WHERE A = $2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []types.Value{types.NewString("a value long enough to notice"), types.NewInt(1)}
+	run := func() {
+		if _, _, err := st.Exec(args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := testing.AllocsPerRun(200, run)
+	s.EnableLog(8)
+	on := testing.AllocsPerRun(200, run)
+	if on <= off {
+		t.Errorf("logging on allocates %v per write, off %v: the entry should cost allocations only when kept", on, off)
+	}
+	if got := s.Log(); len(got) != 8 || !strings.Contains(got[0], "--BIND") {
+		t.Errorf("log: %q", got)
 	}
 }

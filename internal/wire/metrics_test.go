@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"divsql/internal/obs"
 	"divsql/internal/sql/types"
@@ -55,9 +57,22 @@ func TestMetricsFrameAndWireCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	doc, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	// A request is counted after its response is written (the latency
+	// window is read-to-write), by the session's worker; METRICS is
+	// answered by the connection's reader. The last EXEC may therefore
+	// still be uncounted when the first scrape renders: scrape until it
+	// shows.
+	var doc string
+	scrapes := 0
+	for scrapes < 200 {
+		if doc, err = c.Metrics(); err != nil {
+			t.Fatal(err)
+		}
+		scrapes++
+		if strings.Contains(doc, `divsql_wire_requests_total{frame="EXEC"} 2`) {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	for _, want := range []string{
 		`divsql_wire_requests_total{frame="EXEC"} 2`,
@@ -79,12 +94,13 @@ func TestMetricsFrameAndWireCollector(t *testing.T) {
 		t.Errorf("byte counters not moving: in=%d out=%d",
 			ws.metrics.bytesIn.Value(), ws.metrics.bytesOut.Value())
 	}
-	// A second METRICS call sees the first one counted.
+	// A further METRICS call sees the earlier ones counted (the reader
+	// counts each before it reads the next frame).
 	doc2, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(doc2, `divsql_wire_requests_total{frame="METRICS"} 1`) {
-		t.Errorf("second METRICS document missing first METRICS count\n%s", doc2)
+	if !strings.Contains(doc2, fmt.Sprintf(`divsql_wire_requests_total{frame="METRICS"} %d`, scrapes)) {
+		t.Errorf("METRICS document after %d scrapes does not count them\n%s", scrapes, doc2)
 	}
 }
