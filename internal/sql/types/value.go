@@ -104,15 +104,15 @@ func (v Value) AsInt() int64 {
 }
 
 // String renders the value the way the simulated servers print result
-// cells. NULL renders as the literal "NULL".
+// cells. NULL renders as the literal "NULL". It is AppendText as a
+// string; kinds whose text already exists as a string return it without
+// a copy.
 func (v Value) String() string {
 	switch v.K {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatInt(v.I, 10) // AppendInt's digits; small values are interned
 	case KindString, KindDate:
 		return v.S
 	case KindBool:
@@ -120,8 +120,29 @@ func (v Value) String() string {
 			return "TRUE"
 		}
 		return "FALSE"
+	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the String form to dst.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.K {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KindString, KindDate:
+		return append(dst, v.S...)
+	case KindBool:
+		if v.B {
+			return append(dst, "TRUE"...)
+		}
+		return append(dst, "FALSE"...)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
@@ -148,22 +169,28 @@ func (v Value) SQLLiteral() string {
 // matters precisely for the trailing-space values the PG bind rule
 // distinguishes.
 func (v Value) Encode() string {
+	var buf [64]byte
+	return string(v.AppendEncode(buf[:0]))
+}
+
+// AppendEncode appends the Encode form to dst.
+func (v Value) AppendEncode(dst []byte) []byte {
 	switch v.K {
 	case KindNull:
-		return "N"
+		return append(dst, 'N')
 	case KindInt:
-		return "I:" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, "I:"...), v.I, 10)
 	case KindFloat:
-		return "F:" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "F:"...), v.F, 'g', -1, 64)
 	case KindBool:
 		if v.B {
-			return "B:1"
+			return append(dst, "B:1"...)
 		}
-		return "B:0"
+		return append(dst, "B:0"...)
 	case KindDate:
-		return "D:" + escapePayload(v.S)
+		return appendEscaped(append(dst, "D:"...), v.S)
 	default:
-		return "S:" + escapePayload(v.S)
+		return appendEscaped(append(dst, "S:"...), v.S)
 	}
 }
 
@@ -200,11 +227,29 @@ func DecodeValue(s string) (Value, error) {
 	}
 }
 
-var payloadEscaper = strings.NewReplacer(
-	`\`, `\\`, "\t", `\t`, "\n", `\n`, "\r", `\r`, ",", `\c`, " ", `\s`,
-)
-
-func escapePayload(s string) string { return payloadEscaper.Replace(s) }
+// appendEscaped appends s with the payload's separator and whitespace
+// bytes backslash-escaped; unescapePayload is its inverse.
+func appendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\\':
+			dst = append(dst, '\\', '\\')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case ',':
+			dst = append(dst, '\\', 'c')
+		case ' ':
+			dst = append(dst, '\\', 's')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
 
 func unescapePayload(s string) string {
 	if !strings.Contains(s, `\`) {

@@ -1,6 +1,10 @@
 package types
 
 import (
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +225,103 @@ func TestTruthValRoundTrip(t *testing.T) {
 	for _, tr := range []Truth{True, False, Unknown} {
 		if got := TruthOf(tr.Val()); got != tr {
 			t.Errorf("TruthOf(%v.Val()) = %v", tr, got)
+		}
+	}
+}
+
+// refEncode and refString are Encode and String as they were before the
+// append forms existed: the bytes journals, divergence reports and BIND
+// frames already hold must not change.
+var refEscaper = strings.NewReplacer(
+	`\`, `\\`, "\t", `\t`, "\n", `\n`, "\r", `\r`, ",", `\c`, " ", `\s`,
+)
+
+func refEncode(v Value) string {
+	switch v.K {
+	case KindNull:
+		return "N"
+	case KindInt:
+		return "I:" + strconv.FormatInt(v.I, 10)
+	case KindFloat:
+		return "F:" + strconv.FormatFloat(v.F, 'g', -1, 64)
+	case KindBool:
+		if v.B {
+			return "B:1"
+		}
+		return "B:0"
+	case KindDate:
+		return "D:" + refEscaper.Replace(v.S)
+	default:
+		return "S:" + refEscaper.Replace(v.S)
+	}
+}
+
+func refString(v Value) string {
+	switch v.K {
+	case KindNull:
+		return "NULL"
+	case KindInt:
+		return strconv.FormatInt(v.I, 10)
+	case KindFloat:
+		return strconv.FormatFloat(v.F, 'g', -1, 64)
+	case KindString, KindDate:
+		return v.S
+	case KindBool:
+		if v.B {
+			return "TRUE"
+		}
+		return "FALSE"
+	default:
+		return "?"
+	}
+}
+
+func TestAppendFormsMatchStringForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := []Value{
+		Null(), NewInt(0), NewInt(99), NewInt(100), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
+		NewFloat(1e21), NewFloat(1e-7), NewFloat(math.MaxFloat64), NewFloat(math.SmallestNonzeroFloat64),
+		NewBool(true), NewBool(false), NewDate("2026-01-02"), NewDate("not a,date"),
+		NewString(""), NewString(`\`), NewString("a b\tc\nd\re,f\\g"), NewString(strings.Repeat("long, ", 40)),
+		{K: Kind(99), S: "x y"},
+	}
+	for i := 0; i < 5000; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			values = append(values, NewInt(rng.Int63()-rng.Int63()))
+		case 1:
+			values = append(values, NewFloat(math.Float64frombits(rng.Uint64())))
+		default:
+			const alphabet = "ab \t\n\r\\,:'"
+			b := make([]byte, rng.Intn(80))
+			for j := range b {
+				b[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+			values = append(values, NewString(string(b)))
+		}
+	}
+	prefix := []byte("kept:")
+	for _, v := range values {
+		if got, want := v.Encode(), refEncode(v); got != want {
+			t.Fatalf("Encode(%#v) = %q, want %q", v, got, want)
+		}
+		if got := string(v.AppendEncode(prefix[:len(prefix):len(prefix)])); got != "kept:"+refEncode(v) {
+			t.Fatalf("AppendEncode(%#v) = %q", v, got)
+		}
+		if got, want := v.String(), refString(v); got != want {
+			t.Fatalf("String(%#v) = %q, want %q", v, got, want)
+		}
+		if got := string(v.AppendText(prefix[:len(prefix):len(prefix)])); got != "kept:"+refString(v) {
+			t.Fatalf("AppendText(%#v) = %q", v, got)
+		}
+		if v.K > KindDate {
+			continue
+		}
+		back, err := DecodeValue(v.Encode())
+		same := back == v || (v.K == KindFloat && math.IsNaN(v.F) && math.IsNaN(back.F))
+		if err != nil || !same {
+			t.Fatalf("DecodeValue(Encode(%#v)) = %#v, %v", v, back, err)
 		}
 	}
 }

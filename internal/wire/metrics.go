@@ -25,22 +25,30 @@ import (
 // sqldriver/CLI client can introspect a deployment without a second
 // port. It is armed with Server.ServeMetrics.
 
-// frameKinds is the fixed label set of the request counters and latency
-// histograms. Unrecognized commands are counted under "other".
-var frameKinds = []string{
-	"EXEC", "PREPARE", "BIND", "CLOSE", "PING", "METRICS", "QUIT",
-	"BATCH", "SESSION", "DETACH", "SHARDS", "other",
-}
-
 // frameStats is one frame type's instruments.
 type frameStats struct {
 	reqs obs.Counter
 	lat  *obs.Histogram
 }
 
-// wireMetrics holds the server's live instruments.
+// rejectReason is why the server refused to read a frame and closed the
+// connection.
+type rejectReason uint8
+
+const (
+	rejectLineTooLong rejectReason = iota
+	rejectBatchTooLarge
+	numRejectReasons
+)
+
+var rejectNames = [numRejectReasons]string{"line_too_long", "batch_too_large"}
+
+// wireMetrics holds the server's live instruments. The frame label set
+// is fixed (frameNames); unrecognized commands are not counted.
 type wireMetrics struct {
-	frames     map[string]*frameStats
+	frames     [numFrameKinds]frameStats
+	rejected   [numRejectReasons]obs.Counter
+	panics     obs.Counter
 	connsOpen  obs.Gauge
 	connsTotal obs.Counter
 	bytesIn    obs.Counter
@@ -48,19 +56,16 @@ type wireMetrics struct {
 }
 
 func newWireMetrics() *wireMetrics {
-	m := &wireMetrics{frames: make(map[string]*frameStats, len(frameKinds))}
-	for _, k := range frameKinds {
-		m.frames[k] = &frameStats{lat: obs.NewHistogram(obs.DefBuckets()...)}
+	m := &wireMetrics{}
+	for k := range m.frames {
+		m.frames[k].lat = obs.NewHistogram(obs.DefBuckets()...)
 	}
 	return m
 }
 
 // record counts one serviced frame and its end-to-end latency.
-func (m *wireMetrics) record(frame string, d time.Duration) {
-	fs, ok := m.frames[frame]
-	if !ok {
-		fs = m.frames["other"]
-	}
+func (m *wireMetrics) record(kind frameKind, d time.Duration) {
+	fs := &m.frames[kind]
 	fs.reqs.Inc()
 	fs.lat.Observe(d)
 }
@@ -103,15 +108,22 @@ func (s *Server) metricsRegistry() *obs.Registry {
 func (s *Server) MetricsCollector() obs.Collector {
 	m := s.metrics
 	return obs.NewCollector("wire", func(f *obs.Feed) {
-		for _, k := range frameKinds {
-			fs := m.frames[k]
+		for k := range m.frames {
+			fs := &m.frames[k]
 			f.Count("divsql_wire_requests_total",
 				"Wire requests serviced, by frame type.", fs.reqs.Value(),
-				obs.L("frame", k))
+				obs.L("frame", frameNames[k]))
 			f.Histo("divsql_wire_request_duration_seconds",
 				"End-to-end request latency (read to flush), by frame type.",
-				fs.lat, obs.L("frame", k))
+				fs.lat, obs.L("frame", frameNames[k]))
 		}
+		for r := range m.rejected {
+			f.Count("divsql_wire_rejected_frames_total",
+				"Frames refused for exceeding a protocol limit (the connection is closed), by reason.",
+				m.rejected[r].Value(), obs.L("reason", rejectNames[r]))
+		}
+		f.Count("divsql_wire_panics_total",
+			"Panics recovered while serving a session frame (answered as ERR).", m.panics.Value())
 		f.Gauge("divsql_wire_open_connections",
 			"Currently open client connections.", float64(m.connsOpen.Value()))
 		f.Count("divsql_wire_connections_total",

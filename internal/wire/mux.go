@@ -7,10 +7,10 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,26 +18,26 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// muxResp is one decoded response delivered to a waiting caller.
-type muxResp struct {
-	res  *Result // EXEC/BIND/CLOSE/DETACH-style responses
-	line string  // single-line responses (STMT, SESS)
-	err  error
-}
-
 // Mux is a multiplexed client connection: any number of sessions, each
 // its own transaction scope, over one TCP connection. All methods are
 // safe for concurrent use.
 type Mux struct {
 	conn net.Conn
 
-	wmu     sync.Mutex // serializes request writes
+	wmu  sync.Mutex // serializes request writes
+	wbuf []byte     // request buffer, reused under wmu
+
 	mu      sync.Mutex // guards pending, nextTag, closed, readErr
-	pending map[string]chan muxResp
+	pending map[uint64]chan response
 	nextTag uint64
 	closed  bool
 	readErr error
 }
+
+// replyChans recycles the one-slot channels callers wait on: a channel
+// goes back once its single response has been received, so it is always
+// empty when taken out.
+var replyChans = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // DialMux connects a multiplexed client.
 func DialMux(addr string) (*Mux, error) {
@@ -45,117 +45,88 @@ func DialMux(addr string) (*Mux, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire dial: %w", err)
 	}
-	m := &Mux{conn: conn, pending: make(map[string]chan muxResp)}
+	m := &Mux{conn: conn, pending: make(map[uint64]chan response)}
 	go m.readLoop()
 	return m, nil
 }
 
 // register allocates a tag and its response channel.
-func (m *Mux) register() (string, chan muxResp, error) {
+func (m *Mux) register() (uint64, chan response, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return "", nil, errors.New("wire: mux is closed")
+		return 0, nil, errors.New("wire: mux is closed")
 	}
 	if m.readErr != nil {
-		return "", nil, m.readErr
+		return 0, nil, m.readErr
 	}
 	m.nextTag++
-	tag := fmt.Sprintf("@%d", m.nextTag)
-	ch := make(chan muxResp, 1)
-	m.pending[tag] = ch
-	return tag, ch, nil
+	ch := replyChans.Get().(chan response)
+	m.pending[m.nextTag] = ch
+	return m.nextTag, ch, nil
 }
 
-// roundTrip sends one tagged request line and waits for its response.
-func (m *Mux) roundTrip(line string) (muxResp, error) {
+// roundTrip sends one tagged request — verb and arg, with args when the
+// verb is BIND — and waits for its response.
+func (m *Mux) roundTrip(sid int, verb, arg string, args []types.Value) (response, error) {
 	tag, ch, err := m.register()
 	if err != nil {
-		return muxResp{}, err
+		return response{}, err
 	}
 	m.wmu.Lock()
-	_, err = fmt.Fprintf(m.conn, "%s %s\n", tag, line)
+	if verb == verbBind {
+		m.wbuf = appendBind(m.wbuf[:0], tag, sid, arg, args)
+	} else {
+		m.wbuf = appendRequest(m.wbuf[:0], tag, sid, verb, arg)
+	}
+	_, err = m.conn.Write(m.wbuf)
 	m.wmu.Unlock()
 	if err != nil {
+		// The channel is not recycled: the read loop may be failing this
+		// tag at the same moment.
 		m.mu.Lock()
 		delete(m.pending, tag)
 		m.mu.Unlock()
-		return muxResp{}, fmt.Errorf("wire send: %w", err)
+		return response{}, fmt.Errorf("wire send: %w", err)
 	}
-	return <-ch, nil
+	resp := <-ch
+	replyChans.Put(ch)
+	return resp, nil
+}
+
+// result is roundTrip for the frames answered in the EXEC format.
+func (m *Mux) result(sid int, verb, arg string, args []types.Value) (*Result, error) {
+	resp, err := m.roundTrip(sid, verb, arg, args)
+	if err != nil {
+		return nil, err
+	}
+	return resp.result()
 }
 
 // readLoop is the demultiplexer: it decodes complete responses and
 // delivers each to the caller waiting on its tag. A read error fails
 // every pending and future call.
 func (m *Mux) readLoop() {
-	rd := newMuxReader(m.conn)
+	rd := newLineReader(m.conn, 0)
 	for {
-		tag, resp, err := rd.next()
+		resp, err := readResponse(rd)
 		if err != nil {
 			m.mu.Lock()
 			m.readErr = err
 			for t, ch := range m.pending {
-				ch <- muxResp{err: err}
+				ch <- response{err: err}
 				delete(m.pending, t)
 			}
 			m.mu.Unlock()
 			return
 		}
 		m.mu.Lock()
-		ch, ok := m.pending[tag]
-		delete(m.pending, tag)
+		ch, ok := m.pending[resp.tag]
+		delete(m.pending, resp.tag)
 		m.mu.Unlock()
 		if ok {
 			ch <- resp
 		}
-	}
-}
-
-// muxReader decodes complete tagged responses off the socket.
-type muxReader struct {
-	rd *bufio.Reader
-}
-
-func newMuxReader(conn net.Conn) *muxReader {
-	return &muxReader{rd: bufio.NewReader(conn)}
-}
-
-// next reads one response: its tag, and either a decoded Result, an
-// application error, or a single-line response (STMT/SESS). The error
-// return is the transport failing — it ends the mux.
-func (r *muxReader) next() (string, muxResp, error) {
-	head, err := r.rd.ReadString('\n')
-	if err != nil {
-		return "", muxResp{}, fmt.Errorf("wire recv: %w", err)
-	}
-	head = strings.TrimRight(head, "\r\n")
-	var tag string
-	if strings.HasPrefix(head, "@") {
-		if i := strings.IndexByte(head, ' '); i > 1 {
-			tag, head = head[:i], head[i+1:]
-		}
-	}
-	switch {
-	case strings.HasPrefix(head, "ERR "):
-		return tag, muxResp{err: errors.New(strings.TrimPrefix(head, "ERR "))}, nil
-	case strings.HasPrefix(head, "OK "):
-		var ncols, nrows int
-		var latUS, affected int64
-		if _, err := fmt.Sscanf(head, "OK %d %d %d %d", &ncols, &nrows, &latUS, &affected); err != nil {
-			if _, err := fmt.Sscanf(head, "OK %d %d %d", &ncols, &nrows, &latUS); err != nil {
-				return tag, muxResp{}, fmt.Errorf("wire: malformed response %q", head)
-			}
-		}
-		res := &Result{Latency: time.Duration(latUS) * time.Microsecond, Affected: affected}
-		if err := readResultBody(r.rd, res, ncols, nrows); err != nil {
-			return tag, muxResp{}, err
-		}
-		return tag, muxResp{res: res}, nil
-	case strings.HasPrefix(head, "STMT ") || strings.HasPrefix(head, "SESS "):
-		return tag, muxResp{line: head}, nil
-	default:
-		return tag, muxResp{}, fmt.Errorf("wire: unexpected response %q", head)
 	}
 }
 
@@ -169,7 +140,8 @@ func (m *Mux) Close() error {
 	m.closed = true
 	m.mu.Unlock()
 	m.wmu.Lock()
-	_, _ = fmt.Fprint(m.conn, "QUIT\n")
+	m.wbuf = appendRequest(m.wbuf[:0], 0, 0, verbQuit, "")
+	_, _ = m.conn.Write(m.wbuf)
 	m.wmu.Unlock()
 	return m.conn.Close()
 }
@@ -178,15 +150,16 @@ func (m *Mux) Close() error {
 // prepared-statement table on the server, sharing this Mux's TCP
 // connection with every other session.
 func (m *Mux) Session() (*MuxSession, error) {
-	resp, err := m.roundTrip("SESSION")
+	resp, err := m.roundTrip(0, verbSession, "", nil)
 	if err != nil {
 		return nil, err
 	}
 	if resp.err != nil {
 		return nil, resp.err
 	}
-	var sid int
-	if _, err := fmt.Sscanf(resp.line, "SESS %d", &sid); err != nil {
+	id, ok := strings.CutPrefix(resp.line, "SESS ")
+	sid, err := strconv.Atoi(id)
+	if !ok || err != nil {
 		return nil, fmt.Errorf("wire: malformed SESSION response %q", resp.line)
 	}
 	return &MuxSession{m: m, sid: sid}, nil
@@ -205,12 +178,7 @@ type MuxSession struct {
 
 // Exec executes one statement in this session.
 func (s *MuxSession) Exec(sql string) (*Result, error) {
-	flat := strings.ReplaceAll(strings.ReplaceAll(sql, "\r", " "), "\n", " ")
-	resp, err := s.m.roundTrip(fmt.Sprintf("#%d EXEC %s", s.sid, flat))
-	if err != nil {
-		return nil, err
-	}
-	return resp.res, resp.err
+	return s.m.result(s.sid, verbExec, sql, nil)
 }
 
 // Close detaches the session server-side, rolling back its open
@@ -223,31 +191,26 @@ func (s *MuxSession) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	resp, err := s.m.roundTrip(fmt.Sprintf("DETACH %d", s.sid))
-	if err != nil {
-		return err
-	}
-	return resp.err
+	_, err := s.m.result(0, verbDetach, strconv.Itoa(s.sid), nil)
+	return err
 }
 
 // Prepare prepares a statement in this session.
 func (s *MuxSession) Prepare(sql string) (*MuxStmt, error) {
 	s.mu.Lock()
 	s.nextID++
-	name := fmt.Sprintf("m%d_%d", s.sid, s.nextID)
+	name := "m" + strconv.Itoa(s.sid) + "_" + strconv.Itoa(s.nextID)
 	s.mu.Unlock()
-	flat := strings.ReplaceAll(strings.ReplaceAll(sql, "\r", " "), "\n", " ")
-	resp, err := s.m.roundTrip(fmt.Sprintf("#%d PREPARE %s %s", s.sid, name, flat))
+	resp, err := s.m.roundTrip(s.sid, verbPrepare, name+" "+sql, nil)
 	if err != nil {
 		return nil, err
 	}
 	if resp.err != nil {
 		return nil, resp.err
 	}
-	var gotName string
-	var nparams int
-	if _, err := fmt.Sscanf(resp.line, "STMT %s %d", &gotName, &nparams); err != nil || gotName != name {
-		return nil, fmt.Errorf("wire: malformed PREPARE response %q", resp.line)
+	nparams, err := parseStmtLine(resp.line, name)
+	if err != nil {
+		return nil, err
 	}
 	return &MuxStmt{s: s, name: name, sql: sql, nparams: nparams}, nil
 }
@@ -276,19 +239,7 @@ func (st *MuxStmt) Exec(args ...types.Value) (*Result, error) {
 		return nil, errors.New("wire: statement is closed")
 	}
 	st.mu.Unlock()
-	enc := make([]string, len(args))
-	for i, v := range args {
-		enc[i] = v.Encode()
-	}
-	req := fmt.Sprintf("#%d BIND %s", st.s.sid, st.name)
-	if len(enc) > 0 {
-		req += " " + strings.Join(enc, "\t")
-	}
-	resp, err := st.s.m.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	return resp.res, resp.err
+	return st.s.m.result(st.s.sid, verbBind, st.name, args)
 }
 
 // Close deallocates the server-side statement.
@@ -300,9 +251,6 @@ func (st *MuxStmt) Close() error {
 	}
 	st.closed = true
 	st.mu.Unlock()
-	resp, err := st.s.m.roundTrip(fmt.Sprintf("#%d CLOSE %s", st.s.sid, st.name))
-	if err != nil {
-		return err
-	}
-	return resp.err
+	_, err := st.s.m.result(st.s.sid, verbClose, st.name, nil)
+	return err
 }

@@ -221,43 +221,42 @@ func TestOutOfOrderTaggedResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	rd := newMuxReader(conn)
+	rd := newLineReader(conn, 0)
 	send := func(s string) {
 		t.Helper()
 		if _, err := fmt.Fprint(conn, s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recv := func() (string, muxResp) {
+	recv := func() response {
 		t.Helper()
-		tag, resp, err := rd.next()
+		resp, err := readResponse(rd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tag, resp
+		return resp
 	}
-	send("@a SESSION\n")
-	_, resp := recv()
-	if resp.line != "SESS 1" {
-		t.Fatalf("SESSION response %q %v", resp.line, resp.err)
+	send("@9 SESSION\n")
+	if resp := recv(); resp.tag != 9 || resp.line != "SESS 1" {
+		t.Fatalf("SESSION response %+v", resp)
 	}
-	send("BATCH 3\n@t1 EXEC CREATE TABLE O (A INT)\n@t2 #1 EXEC SELECT 1 AS X\n@t3 EXEC INSERT INTO O VALUES (9)\n")
-	got := map[string]muxResp{}
+	send("BATCH 3\n@1 EXEC CREATE TABLE O (A INT)\n@2 #1 EXEC SELECT 1 AS X\n@3 EXEC INSERT INTO O VALUES (9)\n")
+	got := map[uint64]response{}
 	for i := 0; i < 3; i++ {
-		tag, resp := recv()
-		got[tag] = resp
+		resp := recv()
+		got[resp.tag] = resp
 	}
-	for _, tag := range []string{"@t1", "@t2", "@t3"} {
+	for tag := uint64(1); tag <= 3; tag++ {
 		resp, ok := got[tag]
 		if !ok || resp.err != nil {
-			t.Fatalf("response for %s: %+v (have %v)", tag, resp, got)
+			t.Fatalf("response for @%d: %+v (have %v)", tag, resp, got)
 		}
 	}
-	if got["@t2"].res.Rows[0][0].I != 1 {
-		t.Errorf("tagged select: %v", got["@t2"].res.Rows)
+	if got[2].res.Rows[0][0].I != 1 {
+		t.Errorf("tagged select: %v", got[2].res.Rows)
 	}
-	if got["@t3"].res.Affected != 1 {
-		t.Errorf("tagged insert affected: %d", got["@t3"].res.Affected)
+	if got[3].res.Affected != 1 {
+		t.Errorf("tagged insert affected: %d", got[3].res.Affected)
 	}
 }
 
@@ -284,13 +283,13 @@ func TestMidBatchDropRollsBackOnlyThatConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := newMuxReader(conn)
-	roundTrip := func(line string) muxResp {
+	rd := newLineReader(conn, 0)
+	roundTrip := func(line string) response {
 		t.Helper()
 		if _, err := fmt.Fprintf(conn, "@x %s\n", line); err != nil {
 			t.Fatal(err)
 		}
-		_, resp, err := rd.next()
+		resp, err := readResponse(rd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +305,7 @@ func TestMidBatchDropRollsBackOnlyThatConnection(t *testing.T) {
 	// Wait for all four responses so the writes definitely applied, then
 	// drop the connection without COMMIT.
 	for i := 0; i < 4; i++ {
-		if _, resp, err := rd.next(); err != nil || resp.err != nil {
+		if resp, err := readResponse(rd); err != nil || resp.err != nil {
 			t.Fatalf("batch response %d: %v %v", i, resp.err, err)
 		}
 	}
