@@ -6,7 +6,7 @@ GO  ?= go
 # Commit recorded in the benchmark artifact; CI passes the full SHA.
 SHA ?= $(shell git rev-parse --short HEAD)
 
-.PHONY: build test race smoke bench staticcheck stackbench-test
+.PHONY: build test race smoke bench staticcheck stackbench-test loc
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ race:
 # at 1 % size, so a signature change that breaks it fails here.
 stackbench-test:
 	cd bench && $(GO) test -race .
+
+# Line ledger: non-test Go lines outside bench/, per package and in
+# total (28 979 before PR 15). Deletion PRs quote it before and after.
+loc:
+	@git ls-files '*.go' ':!bench' ':!*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Fault-free differential smoke: the generated common dialect subset
 # must agree with the oracle on every server; any finding exits 1.

@@ -149,16 +149,16 @@ func BenchmarkReliabilityModel(b *testing.B) {
 func BenchmarkTPCCConfigurations(b *testing.B) {
 	configs := []struct {
 		name string
-		make func(b *testing.B) core.Executor
+		make func(b *testing.B) core.SessionExecutor
 	}{
-		{"single-OR", func(b *testing.B) core.Executor {
+		{"single-OR", func(b *testing.B) core.SessionExecutor {
 			s, err := server.New(dialect.OR, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return s
 		}},
-		{"replicated-PGx2", func(b *testing.B) core.Executor {
+		{"replicated-PGx2", func(b *testing.B) core.SessionExecutor {
 			s1, _ := server.New(dialect.PG, nil)
 			s2, _ := server.New(dialect.PG, nil)
 			g, err := replication.NewGroup(true, s1, s2)
@@ -167,7 +167,7 @@ func BenchmarkTPCCConfigurations(b *testing.B) {
 			}
 			return g
 		}},
-		{"diverse-PG+OR+MS", func(b *testing.B) core.Executor {
+		{"diverse-PG+OR+MS", func(b *testing.B) core.SessionExecutor {
 			s1, _ := server.New(dialect.PG, nil)
 			s2, _ := server.New(dialect.OR, nil)
 			s3, _ := server.New(dialect.MS, nil)
@@ -180,7 +180,7 @@ func BenchmarkTPCCConfigurations(b *testing.B) {
 	}
 	for _, cfgCase := range configs {
 		b.Run(cfgCase.name, func(b *testing.B) {
-			exec := cfgCase.make(b)
+			exec := cfgCase.make(b).OpenSession()
 			cfg := tpcc.DefaultConfig()
 			if err := tpcc.Setup(exec, cfg); err != nil {
 				b.Fatal(err)
@@ -247,7 +247,7 @@ func BenchmarkTPCCConcurrent(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := tpcc.Setup(srv, cfg); err != nil {
+					if err := tpcc.Setup(srv.NewSession(), cfg); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -320,7 +320,7 @@ func BenchmarkShardedTPCC(b *testing.B) {
 				if !ok {
 					b.Fatal("sharded DB has no executor")
 				}
-				if err := tpcc.Setup(exec, cfg); err != nil {
+				if err := tpcc.Setup(exec.OpenSession(), cfg); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
@@ -349,8 +349,9 @@ func indexLookupFixture(tb testing.TB, rows int) (sess *server.Session, pointSel
 	if err != nil {
 		tb.Fatal(err)
 	}
+	sess = srv.NewSession()
 	exec := func(sql string) {
-		if _, _, err := srv.Exec(sql); err != nil {
+		if _, _, err := sess.Exec(sql); err != nil {
 			tb.Fatalf("%s: %v", sql, err)
 		}
 	}
@@ -375,7 +376,7 @@ func indexLookupFixture(tb testing.TB, rows int) (sess *server.Session, pointSel
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return srv.NewSession(), pointStmt.(*ast.Select), rangeStmt.(*ast.Select)
+	return sess, pointStmt.(*ast.Select), rangeStmt.(*ast.Select)
 }
 
 // pointProbe looks one key up under the forced access path and checks
@@ -466,9 +467,10 @@ func TestIndexLookupSpeedup(t *testing.T) {
 // results that differ only in representation. The tolerant comparator
 // must report equality (no false alarms); the strict one must not.
 func BenchmarkComparatorNormalization(b *testing.B) {
-	srvA, _ := server.New(dialect.PG, nil)
-	srvB, _ := server.New(dialect.OR, nil)
-	for _, s := range []*server.Server{srvA, srvB} {
+	a, _ := server.New(dialect.PG, nil)
+	o, _ := server.New(dialect.OR, nil)
+	srvA, srvB := a.NewSession(), o.NewSession()
+	for _, s := range []*server.Session{srvA, srvB} {
 		if _, _, err := s.Exec("CREATE TABLE T (A FLOAT, S CHAR(10))"); err != nil {
 			b.Fatal(err)
 		}
@@ -513,10 +515,10 @@ func BenchmarkComparatorNormalization(b *testing.B) {
 // an injected wrong-result fault campaign.
 func BenchmarkMaskingAblation(b *testing.B) {
 	type outcome struct{ detected, masked, silentWrong int }
-	campaign := func(b *testing.B, mk func() core.Executor, n int) outcome {
+	campaign := func(b *testing.B, mk func() core.SessionExecutor, n int) outcome {
 		var out outcome
 		for i := 0; i < n; i++ {
-			exec := mk()
+			exec := mk().OpenSession()
 			mustB(b, exec, "CREATE TABLE R (N FLOAT)")
 			mustB(b, exec, "INSERT INTO R VALUES (1.00000007)")
 			res, _, err := exec.Exec("SELECT N * 16777216.0 AS P FROM R")
@@ -533,15 +535,15 @@ func BenchmarkMaskingAblation(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		mk   func() core.Executor
+		mk   func() core.SessionExecutor
 	}{
-		{"non-diverse-PGx2", func() core.Executor {
+		{"non-diverse-PGx2", func() core.SessionExecutor {
 			s1, _ := server.New(dialect.PG, nil)
 			s2, _ := server.New(dialect.PG, nil)
 			g, _ := replication.NewGroup(true, s1, s2)
 			return g
 		}},
-		{"diverse-pair-PG+OR", func() core.Executor {
+		{"diverse-pair-PG+OR", func() core.SessionExecutor {
 			s1, _ := server.New(dialect.PG, nil)
 			s2, _ := server.New(dialect.OR, nil)
 			cfg := middleware.DefaultConfig()
@@ -549,7 +551,7 @@ func BenchmarkMaskingAblation(b *testing.B) {
 			d, _ := middleware.New(cfg, s1, s2)
 			return d
 		}},
-		{"diverse-triple-PG+OR+IB", func() core.Executor {
+		{"diverse-triple-PG+OR+IB", func() core.SessionExecutor {
 			s1, _ := server.New(dialect.PG, nil)
 			s2, _ := server.New(dialect.OR, nil)
 			s3, _ := server.New(dialect.IB, nil)
@@ -579,17 +581,17 @@ func mustB(b *testing.B, exec core.Executor, sql string) {
 // cost discussion: "run-time cost of the synchronisation and
 // consistency enforcing mechanisms").
 func BenchmarkMiddlewareOverhead(b *testing.B) {
-	mkSingle := func() core.PreparedExecutor {
+	mkSingle := func() core.SessionExecutor {
 		s, _ := server.New(dialect.OR, nil)
 		return s
 	}
-	mkPair := func() core.PreparedExecutor {
+	mkPair := func() core.SessionExecutor {
 		s1, _ := server.New(dialect.PG, nil)
 		s2, _ := server.New(dialect.OR, nil)
 		d, _ := middleware.New(middleware.DefaultConfig(), s1, s2)
 		return d
 	}
-	mkTriple := func() core.PreparedExecutor {
+	mkTriple := func() core.SessionExecutor {
 		s1, _ := server.New(dialect.PG, nil)
 		s2, _ := server.New(dialect.OR, nil)
 		s3, _ := server.New(dialect.MS, nil)
@@ -598,12 +600,12 @@ func BenchmarkMiddlewareOverhead(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name string
-		mk   func() core.PreparedExecutor
+		mk   func() core.SessionExecutor
 	}{
 		{"single", mkSingle}, {"diverse-pair", mkPair}, {"diverse-triple", mkTriple},
 	} {
-		load := func(b *testing.B, key string) core.PreparedExecutor {
-			exec := tc.mk()
+		load := func(b *testing.B, key string) core.Session {
+			exec := tc.mk().OpenSession()
 			mustB(b, exec, "CREATE TABLE T (A INT"+key+", S VARCHAR(20))")
 			for i := 0; i < 64; i++ {
 				mustB(b, exec, fmt.Sprintf("INSERT INTO T VALUES (%d, 'row%d')", i, i))
@@ -646,7 +648,8 @@ func BenchmarkMiddlewareOverhead(b *testing.B) {
 // BenchmarkEngineSelect measures raw engine query throughput (substrate
 // sanity; not a paper artefact).
 func BenchmarkEngineSelect(b *testing.B) {
-	s, _ := server.New(dialect.PG, nil)
+	srv, _ := server.New(dialect.PG, nil)
+	s := srv.NewSession()
 	mustB(b, s, "CREATE TABLE T (A INT, B FLOAT, S VARCHAR(20))")
 	for i := 0; i < 256; i++ {
 		mustB(b, s, fmt.Sprintf("INSERT INTO T VALUES (%d, %d.5, 'v%d')", i, i, i))
@@ -694,10 +697,11 @@ func BenchmarkReadPolicyTradeoff(b *testing.B) {
 			s3, _ := server.New(dialect.MS, nil)
 			cfg := middleware.DefaultConfig()
 			cfg.Reads = tc.policy
-			d, err := middleware.New(cfg, s1, s2, s3)
+			ds, err := middleware.New(cfg, s1, s2, s3)
 			if err != nil {
 				b.Fatal(err)
 			}
+			d := ds.NewSession()
 			mustB(b, d, "CREATE TABLE T (A INT, S VARCHAR(20))")
 			for i := 0; i < 64; i++ {
 				mustB(b, d, fmt.Sprintf("INSERT INTO T VALUES (%d, 'r%d')", i, i))

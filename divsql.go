@@ -110,20 +110,23 @@ type Result struct {
 }
 
 // DB is a SQL endpoint: a single simulated server, a non-diverse
-// replication group, or a diverse fault-tolerant server.
+// replication group, a diverse fault-tolerant server or a sharded
+// deployment of those. Every statement runs in a session; Exec and
+// Prepare are a convenience over one session the DB opens for you.
 type DB interface {
-	// Exec executes one SQL statement on the endpoint's default session
-	// (a one-shot prepare-and-execute).
+	// Exec executes one SQL statement on the DB's own session (a
+	// one-shot prepare-and-execute).
 	Exec(sql string) (*Result, error)
-	// Prepare plans one statement on the endpoint's default session for
-	// repeated execution with typed arguments (? or $n placeholders).
+	// Prepare plans one statement on the DB's own session for repeated
+	// execution with typed arguments (? or $n placeholders).
 	Prepare(sql string) (Stmt, error)
 	// Session opens a client session: an independent transaction scope.
 	// Sessions of one endpoint execute concurrently (queries in
 	// parallel, writes serialized); each session is used by one client
 	// at a time, like a connection.
 	Session() (Session, error)
-	// Close releases the endpoint.
+	// Close releases the DB's own session (rolling back its open
+	// transaction).
 	Close() error
 }
 
@@ -165,11 +168,7 @@ func (cs *coreSession) Exec(sql string) (*Result, error) {
 }
 
 func (cs *coreSession) Prepare(sql string) (Stmt, error) {
-	pe, ok := cs.s.(core.PreparedExecutor)
-	if !ok {
-		return nil, errors.New("divsql: endpoint does not support prepared statements")
-	}
-	st, err := pe.Prepare(sql)
+	st, err := cs.s.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -205,8 +204,9 @@ type options struct {
 	compareNames bool
 }
 
-func defaultOptions() options {
-	return options{
+// resolve applies opts over the defaults.
+func resolve(opts []Option) options {
+	o := options{
 		withFaults:   true,
 		rephrase:     true,
 		autoResync:   true,
@@ -214,6 +214,10 @@ func defaultOptions() options {
 		autoRestart:  true,
 		compareNames: true,
 	}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // WithFaults controls whether the calibrated fault corpus is injected
@@ -237,64 +241,74 @@ func WithStress(on bool) Option { return func(o *options) { o.stress = on } }
 // replication baseline (default true).
 func WithAutoRestart(on bool) Option { return func(o *options) { o.autoRestart = on } }
 
-// newServer builds one simulated server per the options.
-func newServer(name ServerName, o options) (*server.Server, error) {
+// newServers builds one simulated server per name and the options.
+func newServers(o options, names ...ServerName) ([]*server.Server, error) {
 	var faults []fault.Fault
 	if o.withFaults {
 		faults = corpus.AllFaults()
 	}
-	srv, err := server.New(dialect.ServerName(name), faults)
-	if err != nil {
-		return nil, fmt.Errorf("open %s: %w", name, err)
+	servers := make([]*server.Server, 0, len(names))
+	for _, name := range names {
+		srv, err := server.New(dialect.ServerName(name), faults)
+		if err != nil {
+			return nil, fmt.Errorf("open %s: %w", name, err)
+		}
+		srv.SetStress(o.stress)
+		servers = append(servers, srv)
 	}
-	srv.SetStress(o.stress)
-	return srv, nil
+	return servers, nil
+}
+
+// newReplicaSet builds the diverse middleware over one server per name.
+func newReplicaSet(o options, wallClock bool, names ...ServerName) (*middleware.DiverseServer, error) {
+	servers, err := newServers(o, names...)
+	if err != nil {
+		return nil, err
+	}
+	cfg := middleware.DefaultConfig()
+	cfg.Rephrase = o.rephrase
+	cfg.AutoResync = o.autoResync
+	cfg.PerfThreshold = o.perfThresh
+	cfg.WallClock = wallClock
+	return middleware.New(cfg, servers...)
+}
+
+// ---------------------------------------------------------------------------
+// The one DB implementation
+
+// endpointDB is every DB this package returns: an endpoint, and the one
+// session on it that backs DB.Exec and DB.Prepare (embedded; opened when
+// the DB is, closed with it).
+type endpointDB struct {
+	coreSession
+	ep         core.SessionExecutor
+	collectors []obs.Collector
+	diverse    *middleware.DiverseServer // non-nil for OpenDiverse
+	router     *shard.Router             // non-nil for OpenSharded
+}
+
+func newDB(ep core.SessionExecutor, collectors []obs.Collector) *endpointDB {
+	return &endpointDB{coreSession: coreSession{s: ep.OpenSession()}, ep: ep, collectors: collectors}
+}
+
+func (db *endpointDB) Session() (Session, error) {
+	return &coreSession{s: db.ep.OpenSession()}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Single server
 
-type singleDB struct{ srv *server.Server }
-
 // Open returns a single simulated server.
 func Open(name ServerName, opts ...Option) (DB, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	srv, err := newServer(name, o)
+	servers, err := newServers(resolve(opts), name)
 	if err != nil {
 		return nil, err
 	}
-	return &singleDB{srv: srv}, nil
+	return newDB(servers[0], []obs.Collector{servers[0].MetricsCollector()}), nil
 }
-
-func (s *singleDB) Exec(sql string) (*Result, error) {
-	res, lat, err := s.srv.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res, lat), nil
-}
-
-func (s *singleDB) Prepare(sql string) (Stmt, error) {
-	st, err := s.srv.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &coreStmt{st: st}, nil
-}
-
-func (s *singleDB) Session() (Session, error) {
-	return &coreSession{s: s.srv.OpenSession()}, nil
-}
-
-func (s *singleDB) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // Diverse middleware
-
-type diverseDB struct{ d *middleware.DiverseServer }
 
 // OpenDiverse returns a fault-tolerant diverse server over the named
 // replicas (two replicas detect failures; three or more also mask them
@@ -308,50 +322,14 @@ func OpenDiverseWith(opts []Option, names ...ServerName) (DB, error) {
 	if len(names) == 0 {
 		return nil, errors.New("divsql: OpenDiverse needs at least one server name")
 	}
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	servers := make([]*server.Server, 0, len(names))
-	for _, n := range names {
-		srv, err := newServer(n, o)
-		if err != nil {
-			return nil, err
-		}
-		servers = append(servers, srv)
-	}
-	cfg := middleware.DefaultConfig()
-	cfg.Rephrase = o.rephrase
-	cfg.AutoResync = o.autoResync
-	cfg.PerfThreshold = o.perfThresh
-	d, err := middleware.New(cfg, servers...)
+	d, err := newReplicaSet(resolve(opts), false, names...)
 	if err != nil {
 		return nil, err
 	}
-	return &diverseDB{d: d}, nil
+	db := newDB(d, d.MetricsCollectors())
+	db.diverse = d
+	return db, nil
 }
-
-func (d *diverseDB) Exec(sql string) (*Result, error) {
-	res, lat, err := d.d.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res, lat), nil
-}
-
-func (d *diverseDB) Prepare(sql string) (Stmt, error) {
-	st, err := d.d.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &coreStmt{st: st}, nil
-}
-
-func (d *diverseDB) Session() (Session, error) {
-	return &coreSession{s: d.d.OpenSession()}, nil
-}
-
-func (d *diverseDB) Close() error { return nil }
 
 // DiverseMetrics is the middleware's event counters.
 type DiverseMetrics = middleware.Metrics
@@ -359,20 +337,15 @@ type DiverseMetrics = middleware.Metrics
 // Metrics returns the diverse middleware's counters; ok is false when
 // db is not a diverse server.
 func Metrics(db DB) (DiverseMetrics, bool) {
-	d, ok := db.(*diverseDB)
-	if !ok {
+	d, ok := db.(*endpointDB)
+	if !ok || d.diverse == nil {
 		return DiverseMetrics{}, false
 	}
-	return d.d.Metrics(), true
+	return d.diverse.Metrics(), true
 }
 
 // ---------------------------------------------------------------------------
 // Sharded deployment
-
-type shardedDB struct {
-	r    *shard.Router
-	sets []*middleware.DiverseServer
-}
 
 // ShardedConfig configures OpenSharded.
 type ShardedConfig struct {
@@ -407,77 +380,37 @@ func OpenShardedWith(cfg ShardedConfig, opts []Option, names ...ServerName) (DB,
 	if len(names) == 0 {
 		return nil, errors.New("divsql: OpenSharded needs at least one server name")
 	}
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	mcfg := middleware.DefaultConfig()
-	mcfg.Rephrase = o.rephrase
-	mcfg.AutoResync = o.autoResync
-	mcfg.PerfThreshold = o.perfThresh
-	mcfg.WallClock = cfg.WallClock
-	sets := make([]*middleware.DiverseServer, 0, cfg.Shards)
+	o := resolve(opts)
 	backends := make([]shard.Backend, 0, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		servers := make([]*server.Server, 0, len(names))
-		for _, n := range names {
-			srv, err := newServer(n, o)
-			if err != nil {
-				return nil, err
-			}
-			servers = append(servers, srv)
-		}
-		d, err := middleware.New(mcfg, servers...)
+		d, err := newReplicaSet(o, cfg.WallClock, names...)
 		if err != nil {
 			return nil, err
 		}
-		sets = append(sets, d)
 		backends = append(backends, d)
 	}
 	r, err := shard.New(shard.Config{BandColumns: cfg.BandColumns}, backends...)
 	if err != nil {
 		return nil, err
 	}
-	return &shardedDB{r: r, sets: sets}, nil
+	db := newDB(r, r.MetricsCollectors())
+	db.router = r
+	return db, nil
 }
-
-func (s *shardedDB) Exec(sql string) (*Result, error) {
-	res, lat, err := s.r.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res, lat), nil
-}
-
-func (s *shardedDB) Prepare(sql string) (Stmt, error) {
-	st, err := s.r.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &coreStmt{st: st}, nil
-}
-
-func (s *shardedDB) Session() (Session, error) {
-	return &coreSession{s: s.r.OpenSession()}, nil
-}
-
-func (s *shardedDB) Close() error { return nil }
 
 // ShardsDescription returns the per-shard replica and quarantine state
 // of a sharded DB (the text behind divsql-cli's \shards); ok is false
 // when db is not sharded.
 func ShardsDescription(db DB) (string, bool) {
-	s, ok := db.(*shardedDB)
-	if !ok {
+	s, ok := db.(*endpointDB)
+	if !ok || s.router == nil {
 		return "", false
 	}
-	return s.r.DescribeText(), true
+	return s.router.DescribeText(), true
 }
 
 // ---------------------------------------------------------------------------
 // Non-diverse replication baseline
-
-type replicatedDB struct{ g *replication.Group }
 
 // OpenReplicated returns the paper's baseline: n identical replicas of
 // one product under primary/backup replication with the fail-stop
@@ -486,46 +419,21 @@ func OpenReplicated(name ServerName, n int, opts ...Option) (DB, error) {
 	if n <= 0 {
 		return nil, errors.New("divsql: OpenReplicated needs n >= 1")
 	}
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
+	o := resolve(opts)
+	names := make([]ServerName, n)
+	for i := range names {
+		names[i] = name
 	}
-	servers := make([]*server.Server, 0, n)
-	for i := 0; i < n; i++ {
-		srv, err := newServer(name, o)
-		if err != nil {
-			return nil, err
-		}
-		servers = append(servers, srv)
+	servers, err := newServers(o, names...)
+	if err != nil {
+		return nil, err
 	}
 	g, err := replication.NewGroup(o.autoRestart, servers...)
 	if err != nil {
 		return nil, err
 	}
-	return &replicatedDB{g: g}, nil
+	return newDB(g, g.MetricsCollectors()), nil
 }
-
-func (r *replicatedDB) Exec(sql string) (*Result, error) {
-	res, lat, err := r.g.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res, lat), nil
-}
-
-func (r *replicatedDB) Prepare(sql string) (Stmt, error) {
-	st, err := r.g.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &coreStmt{st: st}, nil
-}
-
-func (r *replicatedDB) Session() (Session, error) {
-	return &coreSession{s: r.g.OpenSession()}, nil
-}
-
-func (r *replicatedDB) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // helpers
@@ -552,22 +460,15 @@ func convertResult(res *engine.Result, lat time.Duration) *Result {
 	return out
 }
 
-// Executor exposes the internal executor of a DB for advanced uses
-// (driving the TPC-C workload, serving over the wire protocol). All DBs
-// returned by this package implement it.
-func Executor(db DB) (core.Executor, bool) {
-	switch x := db.(type) {
-	case *singleDB:
-		return x.srv, true
-	case *diverseDB:
-		return x.d, true
-	case *shardedDB:
-		return x.r, true
-	case *replicatedDB:
-		return x.g, true
-	default:
+// Executor exposes the internal endpoint of a DB for advanced uses
+// (serving it over the wire protocol, opening core sessions to drive the
+// TPC-C workload). All DBs returned by this package have one.
+func Executor(db DB) (core.SessionExecutor, bool) {
+	x, ok := db.(*endpointDB)
+	if !ok {
 		return nil, false
 	}
+	return x.ep, true
 }
 
 // Collectors returns the DB's metric collectors for an obs.Registry —
@@ -576,16 +477,9 @@ func Executor(db DB) (core.Executor, bool) {
 // single server's own families. divsqld registers these behind its
 // -metrics HTTP endpoint and the wire METRICS frame.
 func Collectors(db DB) []obs.Collector {
-	switch x := db.(type) {
-	case *singleDB:
-		return []obs.Collector{x.srv.MetricsCollector()}
-	case *diverseDB:
-		return x.d.MetricsCollectors()
-	case *shardedDB:
-		return x.r.MetricsCollectors()
-	case *replicatedDB:
-		return x.g.MetricsCollectors()
-	default:
+	x, ok := db.(*endpointDB)
+	if !ok {
 		return nil
 	}
+	return x.collectors
 }

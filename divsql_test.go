@@ -2,9 +2,33 @@ package divsql
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"divsql/internal/engine"
+	"divsql/internal/middleware"
+	"divsql/internal/replication"
+	"divsql/internal/server"
+	"divsql/internal/shard"
 )
+
+// TestNoSessionlessExec: an endpoint opens sessions and nothing else. A
+// statement verb on an endpoint type means a default session has crept
+// back in behind it.
+func TestNoSessionlessExec(t *testing.T) {
+	for _, ep := range []any{
+		(*engine.Engine)(nil), (*server.Server)(nil), (*middleware.DiverseServer)(nil),
+		(*shard.Router)(nil), (*replication.Group)(nil),
+	} {
+		typ := reflect.TypeOf(ep)
+		for _, verb := range []string{"Exec", "Prepare"} {
+			if _, has := typ.MethodByName(verb); has {
+				t.Errorf("%v has a sessionless %s", typ, verb)
+			}
+		}
+	}
+}
 
 func TestOpenSingle(t *testing.T) {
 	for _, name := range AllServers() {

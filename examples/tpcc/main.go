@@ -37,11 +37,14 @@ func run(txns int) error {
 		if err != nil {
 			return err
 		}
-		exec, ok := divsql.Executor(db)
+		ep, ok := divsql.Executor(db)
 		if !ok {
 			return fmt.Errorf("%s: no executor", c.name)
 		}
-		if err := runOne(c.name, exec, txns); err != nil {
+		sess := ep.OpenSession()
+		err = runOne(c.name, sess, txns)
+		_ = sess.Close()
+		if err != nil {
 			return err
 		}
 		if m, ok := divsql.Metrics(db); ok {

@@ -109,33 +109,32 @@ type ExecOutcome struct {
 	Latency time.Duration
 }
 
-// Executor runs SQL and reports results with simulated latency. It is
-// implemented by single simulated servers, by the diverse middleware and
-// by the non-diverse replication baseline, so workloads (e.g. the TPC-C
-// harness) can drive any configuration. Exec is the one-shot verb of
-// the execution contract; the planned, typed-argument verb is
-// PreparedExecutor/Statement (prepared.go), which every endpoint and
-// session in this module also implements.
+// The execution contract has two sides. An endpoint — a single server,
+// the replication group, the diverse middleware, the shard router — is a
+// SessionExecutor: all it does is open sessions. A Session is what a
+// client sends SQL to, and it cannot tell which endpoint it came from.
+// Executor and PreparedExecutor name a session's verbs for callers that
+// do not own its lifetime (workload drivers, replay).
+
+// Executor runs SQL text and reports results with simulated latency.
 type Executor interface {
 	// Exec executes one SQL statement.
 	Exec(sql string) (*engine.Result, time.Duration, error)
 }
 
-// Session is a session-scoped executor: one client's transaction scope on
-// an endpoint. Sessions of one endpoint execute concurrently (read-only
-// statements in parallel, writes serialized below); a session itself is
-// used by one client at a time, like a database connection.
+// Session is one client's transaction scope on an endpoint. Sessions of
+// one endpoint execute concurrently (read-only statements in parallel,
+// writes serialized below); a session itself is used by one client at a
+// time, like a database connection.
 type Session interface {
-	Executor
+	PreparedExecutor
 	// Close rolls back any open transaction and releases the session.
 	Close() error
 }
 
-// SessionExecutor is an Executor that can open per-client sessions. The
-// plain Exec remains as a default-session convenience: every endpoint in
-// this module implements both.
+// SessionExecutor is an endpoint: it opens per-client sessions, and
+// every statement runs in one.
 type SessionExecutor interface {
-	Executor
 	// OpenSession opens a new session on the endpoint.
 	OpenSession() Session
 }

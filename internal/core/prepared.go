@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -30,9 +29,8 @@ type Statement interface {
 }
 
 // PreparedExecutor is an executor offering the prepare/bind/execute
-// path. Every session (and every endpoint, through its default session)
-// in this module implements it; Exec(sql) remains as a one-shot
-// prepare-and-execute convenience over the same machinery.
+// path; Exec(sql) is a one-shot prepare-and-execute over the same
+// machinery. Every Session is one.
 type PreparedExecutor interface {
 	Executor
 	// Prepare parses and validates one statement for later execution.
@@ -81,7 +79,9 @@ func DecodeBound(entry string) (sql string, args []types.Value, bound bool) {
 		return entry, nil, false
 	}
 	for _, tok := range strings.Split(entry[i+len(bindMarker):], ",") {
-		v, err := types.DecodeValue(strings.TrimSpace(tok))
+		// Trim what Value.Encode escapes and a transport may add; other
+		// whitespace (\v, U+00A0) is payload.
+		v, err := types.DecodeValue(strings.Trim(tok, " \t\r\n"))
 		if err != nil {
 			return entry, nil, false
 		}
@@ -90,20 +90,16 @@ func DecodeBound(entry string) (sql string, args []types.Value, bound bool) {
 	return entry[:i], args, true
 }
 
-// ExecEntry executes a possibly-bound encoded entry on an executor,
+// ExecEntry executes a possibly-bound encoded entry on a session,
 // taking the prepare/bind path when the entry carries arguments. This is
 // the single replay primitive behind journal redo, shrink probes and
 // report replays.
-func ExecEntry(exec Executor, entry string) (*engine.Result, time.Duration, error) {
+func ExecEntry(exec PreparedExecutor, entry string) (*engine.Result, time.Duration, error) {
 	sql, args, bound := DecodeBound(entry)
 	if !bound {
 		return exec.Exec(entry)
 	}
-	pe, ok := exec.(PreparedExecutor)
-	if !ok {
-		return nil, 0, fmt.Errorf("executor %T cannot replay a bound statement", exec)
-	}
-	st, err := pe.Prepare(sql)
+	st, err := exec.Prepare(sql)
 	if err != nil {
 		return nil, 0, err
 	}

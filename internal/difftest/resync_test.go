@@ -120,7 +120,8 @@ func TestErrorClassSwapDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	orc := server.NewOracle()
-	_, _, oerr := orc.Exec(sql)
+	sess := orc.NewSession()
+	_, _, oerr := sess.Exec(sql)
 	if oerr == nil {
 		t.Fatal("oracle must reject the drop of a missing table")
 	}
@@ -149,7 +150,8 @@ func TestErrorClassCorpusDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	orc := server.NewOracle()
-	_, _, oerr := orc.Exec(sql)
+	sess := orc.NewSession()
+	_, _, oerr := sess.Exec(sql)
 	oo := server.StmtOutcome{SQL: sql, Err: oerr}
 
 	total, swaps := 0, 0

@@ -22,7 +22,7 @@ func TestExecBindRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.DefaultSession()
+	s := sessionOf(e)
 	if _, err := s.ExecBind(ins, []types.Value{types.NewInt(7), types.NewString("x")}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestExecBindCountMismatch(t *testing.T) {
 	e := NewOracle()
 	mustExecBindT(t, e, "CREATE TABLE T (A INT)")
 	st, _ := parser.Parse("INSERT INTO T VALUES ($1)")
-	s := e.DefaultSession()
+	s := sessionOf(e)
 	if _, err := s.ExecBind(st, nil); !errors.Is(err, ErrBind) {
 		t.Errorf("missing arg: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestParamsRejectedInDDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.DefaultSession().ExecBind(st, []types.Value{types.NewInt(1)}); !errors.Is(err, ErrBind) {
+	if _, err := sessionOf(e).ExecBind(st, []types.Value{types.NewInt(1)}); !errors.Is(err, ErrBind) {
 		t.Errorf("param in DDL must be a bind error, got %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestUnboundParamErrorsAtEval(t *testing.T) {
 	mustExecBindT(t, e, "CREATE TABLE T (A INT)")
 	mustExecBindT(t, e, "INSERT INTO T VALUES (1)")
 	st, _ := parser.Parse("SELECT A FROM T WHERE A = $1")
-	if _, err := e.Exec(st); !errors.Is(err, ErrBind) {
+	if _, err := sessionOf(e).Exec(st); !errors.Is(err, ErrBind) {
 		t.Errorf("unbound param: %v", err)
 	}
 }

@@ -241,10 +241,8 @@ type Engine struct {
 	pathExecs     [3]atomic.Uint64
 	interpSelects atomic.Uint64
 
-	// sessions registers every live session (including the lazily created
-	// default session def, which backs the sessionless compatibility API).
+	// sessions registers every live session.
 	sessions map[*Session]struct{}
-	def      *Session
 }
 
 // state is the catalog + data of one engine: the live plane, or a
@@ -810,40 +808,6 @@ func (e *Session) execDropSequence(ds *ast.DropSequence) (*Result, error) {
 	})
 	e.bumpSchema()
 	return &Result{Kind: ResultDDL}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Sessionless compatibility API
-//
-// Transactions (BEGIN/COMMIT/ROLLBACK with an undo log) are per-session
-// state and live on Session — see session.go. The methods below keep the
-// original single-session surface working by delegating to a lazily
-// created default session.
-
-// Exec executes one parsed statement on the engine's default session.
-func (e *Engine) Exec(st ast.Statement) (*Result, error) {
-	return e.DefaultSession().Exec(st)
-}
-
-// InTxn reports whether the default session has an open transaction.
-func (e *Engine) InTxn() bool { return e.DefaultSession().InTxn() }
-
-// Abort rolls back the default session's open transaction (used on
-// connection aborts of the sessionless API).
-func (e *Engine) Abort() { e.DefaultSession().Abort() }
-
-// EndStatement finalizes autocommit bookkeeping of the default session.
-// Session.Exec already autocommits; the method remains for callers of the
-// original single-session API.
-func (e *Engine) EndStatement() {
-	s := e.DefaultSession()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !s.inTxn {
-		s.txMu.Lock()
-		s.undo = nil
-		s.txMu.Unlock()
-	}
 }
 
 // TableNames lists the base tables (sorted order is the caller's concern).

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"divsql/internal/sql/parser"
@@ -19,14 +20,24 @@ func mustExec(t *testing.T, e *Engine, sql string) *Result {
 	return res
 }
 
+// testSessions holds the one session per test engine that execSQL runs
+// on, so a BEGIN ... COMMIT sequence spans calls.
+var testSessions sync.Map // *Engine -> *Session
+
+func sessionOf(e *Engine) *Session {
+	if s, ok := testSessions.Load(e); ok {
+		return s.(*Session)
+	}
+	s, _ := testSessions.LoadOrStore(e, e.NewSession())
+	return s.(*Session)
+}
+
 func execSQL(e *Engine, sql string) (*Result, error) {
 	st, err := parser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Exec(st)
-	e.EndStatement()
-	return res, err
+	return sessionOf(e).Exec(st)
 }
 
 func mustFail(t *testing.T, e *Engine, sql string) error {

@@ -133,18 +133,6 @@ func (e *Engine) NewSession() *Session {
 	return s
 }
 
-// DefaultSession returns the lazily created session backing the engine's
-// sessionless compatibility API (Engine.Exec and friends).
-func (e *Engine) DefaultSession() *Session {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.def == nil {
-		e.def = &Session{eng: e}
-		e.sessions[e.def] = struct{}{}
-	}
-	return e.def
-}
-
 // Engine returns the engine the session executes on.
 func (s *Session) Engine() *Engine { return s.eng }
 
@@ -160,9 +148,6 @@ func (s *Session) Close() error {
 	s.abortLocked()
 	s.closed = true
 	delete(e.sessions, s)
-	if e.def == s {
-		e.def = nil
-	}
 	return nil
 }
 
@@ -506,8 +491,8 @@ func (s *Session) execCommitLight() (*Result, error) {
 	return &Result{Kind: ResultDDL}, nil
 }
 
-// execCommit commits under the exclusive lock (the DDL-bearing path, or
-// the sessionless compatibility API's dispatch). The exclusive lock
+// execCommit commits under the exclusive lock (the DDL-bearing path).
+// The exclusive lock
 // excludes concurrent view builds, but the clear-before-bump order is
 // kept in lockstep with execCommitLight (see there for why it matters).
 func (s *Session) execCommit() (*Result, error) {

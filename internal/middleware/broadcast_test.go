@@ -161,12 +161,13 @@ func TestBroadcastVotesAreIndexAligned(t *testing.T) {
 	}
 	run := func(limit time.Duration) []outcome {
 		d := newDiverse(t, sideFaults(), dialect.PG, dialect.OR, dialect.MS)
+		sess := d.NewSession()
 		d.inlineLimit = limit
-		mustExec(t, d, "CREATE TABLE T (A INT PRIMARY KEY, B INT)")
-		mustExec(t, d, "CREATE TABLE W (A INT PRIMARY KEY, B INT)")
-		mustExec(t, d, "CREATE TABLE E (A INT PRIMARY KEY, B INT)")
+		mustExec(t, sess, "CREATE TABLE T (A INT PRIMARY KEY, B INT)")
+		mustExec(t, sess, "CREATE TABLE W (A INT PRIMARY KEY, B INT)")
+		mustExec(t, sess, "CREATE TABLE E (A INT PRIMARY KEY, B INT)")
 		for _, tbl := range []string{"T", "W", "E"} {
-			mustExec(t, d, "INSERT INTO "+tbl+" VALUES (1, 10)")
+			mustExec(t, sess, "INSERT INTO "+tbl+" VALUES (1, 10)")
 		}
 		cs := d.NewSession()
 		defer cs.Close()
@@ -279,9 +280,10 @@ func (p *overlapProbe) hook(entering bool) {
 // to its helpers).
 func TestBroadcastCostRule(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE K (A INT PRIMARY KEY, B INT)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE K (A INT PRIMARY KEY, B INT)")
 	for i := 0; i < 300; i++ {
-		mustExec(t, d, fmt.Sprintf("INSERT INTO K VALUES (%d, %d)", i, i%7))
+		mustExec(t, sess, fmt.Sprintf("INSERT INTO K VALUES (%d, %d)", i, i%7))
 	}
 	cs := d.NewSession()
 	defer cs.Close()
@@ -388,12 +390,13 @@ func TestConcurrentReadersWriterAndCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess := d.NewSession()
 			d.inlineLimit = side.limit
 			const rows = 64
-			mustExec(t, d, "CREATE TABLE R (A INT PRIMARY KEY, B INT)")
-			mustExec(t, d, "CREATE TABLE L (N INT PRIMARY KEY)")
+			mustExec(t, sess, "CREATE TABLE R (A INT PRIMARY KEY, B INT)")
+			mustExec(t, sess, "CREATE TABLE L (N INT PRIMARY KEY)")
 			for i := 0; i < rows; i++ {
-				mustExec(t, d, fmt.Sprintf("INSERT INTO R VALUES (%d, %d)", i, i*3))
+				mustExec(t, sess, fmt.Sprintf("INSERT INTO R VALUES (%d, %d)", i, i*3))
 			}
 
 			const (
@@ -461,7 +464,7 @@ func TestConcurrentReadersWriterAndCrash(t *testing.T) {
 			if q := d.QuarantinedReplicas(); len(q) != 0 {
 				t.Errorf("still quarantined after the panic was disarmed: %v", q)
 			}
-			res, _, err := d.Exec("SELECT COUNT(*) AS N FROM L")
+			res, _, err := sess.Exec("SELECT COUNT(*) AS N FROM L")
 			if err != nil || res.Rows[0][0].I != writes {
 				t.Fatalf("writer's rows: %v %v", res, err)
 			}
@@ -483,11 +486,12 @@ func TestReplicaPanicIsContainedAsCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT PRIMARY KEY)")
-	mustExec(t, d, "INSERT INTO T VALUES (1)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT PRIMARY KEY)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1)")
 
 	servers[0].PlantEnginePanic(true) // replica 0 runs on the session's goroutine
-	res, _, err := d.Exec("SELECT A FROM T")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("read across a panicking replica: %v %v", res, err)
 	}
@@ -498,11 +502,11 @@ func TestReplicaPanicIsContainedAsCrash(t *testing.T) {
 		t.Errorf("quarantined: %v", q)
 	}
 	servers[0].PlantEnginePanic(false)
-	mustExec(t, d, "INSERT INTO T VALUES (2)")
+	mustExec(t, sess, "INSERT INTO T VALUES (2)")
 	if m := d.Metrics(); m.Resyncs != 1 || len(d.QuarantinedReplicas()) != 0 {
 		t.Errorf("after the rejoin write: %+v, quarantined %v", m, d.QuarantinedReplicas())
 	}
-	res, _, err = d.Exec("SELECT A FROM T ORDER BY A")
+	res, _, err = sess.Exec("SELECT A FROM T ORDER BY A")
 	if err != nil || len(res.Rows) != 2 {
 		t.Fatalf("after recovery: %v %v", res, err)
 	}
@@ -512,7 +516,7 @@ func TestReplicaPanicIsContainedAsCrash(t *testing.T) {
 	for _, s := range servers {
 		s.PlantEnginePanic(true)
 	}
-	if _, _, err := d.Exec("SELECT A FROM T"); !errors.Is(err, ErrAllReplicasFailed) {
+	if _, _, err := sess.Exec("SELECT A FROM T"); !errors.Is(err, ErrAllReplicasFailed) {
 		t.Errorf("every replica panicking: %v", err)
 	}
 	for _, s := range servers {

@@ -24,11 +24,12 @@ func TestResyncPreservesSessionIsolationLevel(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious internal failure"},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.IB)
-	mustExec(t, d, "CREATE TABLE POISON (A INT)")
-	mustExec(t, d, "CREATE TABLE CLEAN (A INT)")
-	mustExec(t, d, "CREATE TABLE T (A INT)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE POISON (A INT)")
+	mustExec(t, sess, "CREATE TABLE CLEAN (A INT)")
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
 	for i := 1; i <= 3; i++ {
-		mustExec(t, d, "INSERT INTO T VALUES (1)")
+		mustExec(t, sess, "INSERT INTO T VALUES (1)")
 	}
 
 	// The session declares its level before the fault trips; the
@@ -42,11 +43,11 @@ func TestResyncPreservesSessionIsolationLevel(t *testing.T) {
 	// Quarantine OR, then rejoin it via the next clean write. The
 	// rebuilt sessions are re-established from committed snapshot plus
 	// journal redo, prefixed by each session's recorded SET TRANSACTION.
-	mustExec(t, d, "INSERT INTO POISON VALUES (1)")
+	mustExec(t, sess, "INSERT INTO POISON VALUES (1)")
 	if len(d.QuarantinedReplicas()) != 1 {
 		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
 	}
-	mustExec(t, d, "INSERT INTO CLEAN VALUES (1)")
+	mustExec(t, sess, "INSERT INTO CLEAN VALUES (1)")
 	if len(d.QuarantinedReplicas()) != 0 {
 		t.Fatalf("replica did not rejoin: %v", d.QuarantinedReplicas())
 	}
@@ -67,7 +68,7 @@ func TestResyncPreservesSessionIsolationLevel(t *testing.T) {
 	if first != 3 {
 		t.Fatalf("first read: %d rows, want 3", first)
 	}
-	mustExec(t, d, "INSERT INTO T VALUES (99)") // commits on all replicas
+	mustExec(t, sess, "INSERT INTO T VALUES (99)") // commits on all replicas
 
 	res, _, err = s.Exec("SELECT COUNT(*) AS N FROM T")
 	if err != nil {

@@ -17,7 +17,8 @@ import (
 // copy go through d.mu, and the collectors only use locked snapshots.
 func TestMetricsConcurrentWithExec(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE RACE_T (A INT PRIMARY KEY, B INT)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE RACE_T (A INT PRIMARY KEY, B INT)")
 
 	reg := obs.NewRegistry()
 	reg.Register(d.MetricsCollectors()...)
@@ -79,8 +80,9 @@ func TestMetricsConcurrentWithExec(t *testing.T) {
 // and stays exposition-valid with replica labels present.
 func TestMetricsCollectorFamilies(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR)
-	mustExec(t, d, "CREATE TABLE MT (A INT)")
-	mustExec(t, d, "INSERT INTO MT VALUES (1)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE MT (A INT)")
+	mustExec(t, sess, "INSERT INTO MT VALUES (1)")
 
 	reg := obs.NewRegistry()
 	reg.Register(d.MetricsCollectors()...)

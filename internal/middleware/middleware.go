@@ -189,15 +189,14 @@ type replica struct {
 // DiverseServer is the fault-tolerant diverse SQL server.
 type DiverseServer struct {
 	// mu guards the replicas' health state, the event counters in
-	// metrics, the session registry and the default session. It is the
-	// innermost lock and is never held while a replica executes or while
-	// results are adjudicated.
+	// metrics and the session registry. It is the innermost lock and is
+	// never held while a replica executes or while results are
+	// adjudicated.
 	mu       sync.Mutex
 	cfg      Config
 	replicas []*replica
 	metrics  Metrics // Statements and Unanimous are the atomics below
 	sessions map[*Session]struct{}
-	def      *Session
 
 	// statements and unanimous are the two counters every statement
 	// bumps; kept out of mu so that an uneventful statement takes it at
@@ -238,13 +237,10 @@ type DiverseServer struct {
 }
 
 var (
-	_ core.Executor         = (*DiverseServer)(nil)
-	_ core.SessionExecutor  = (*DiverseServer)(nil)
-	_ core.PreparedExecutor = (*DiverseServer)(nil)
-	_ core.Session          = (*Session)(nil)
-	_ core.PreparedExecutor = (*Session)(nil)
-	_ core.Statement        = (*Stmt)(nil)
-	_ core.Snapshotter      = (*DiverseServer)(nil)
+	_ core.SessionExecutor = (*DiverseServer)(nil)
+	_ core.Session         = (*Session)(nil)
+	_ core.Statement       = (*Stmt)(nil)
+	_ core.Snapshotter     = (*DiverseServer)(nil)
 )
 
 // New assembles a diverse server from replicas. The replica set may mix
@@ -305,10 +301,6 @@ type Session struct {
 func (d *DiverseServer) NewSession() *Session {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.newSessionLocked()
-}
-
-func (d *DiverseServer) newSessionLocked() *Session {
 	cs := &Session{d: d}
 	for _, r := range d.replicas {
 		cs.subs = append(cs.subs, r.srv.NewSession())
@@ -365,16 +357,6 @@ func (d *DiverseServer) setQuarantined(r *replica, q bool) {
 // OpenSession implements core.SessionExecutor.
 func (d *DiverseServer) OpenSession() core.Session { return d.NewSession() }
 
-// defaultSession backs the sessionless Exec convenience.
-func (d *DiverseServer) defaultSession() *Session {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.def == nil {
-		d.def = d.newSessionLocked()
-	}
-	return d.def
-}
-
 // classifierServer picks the replica that classifies statements: the
 // first non-quarantined one, whose catalog reflects what the active set
 // has applied (a quarantined replica may have missed DDL, e.g. a view
@@ -397,9 +379,6 @@ func (cs *Session) Close() error {
 	d := cs.d
 	d.mu.Lock()
 	delete(d.sessions, cs)
-	if d.def == cs {
-		d.def = nil
-	}
 	d.mu.Unlock()
 	var first error
 	for _, sub := range cs.subs {
@@ -450,18 +429,6 @@ func (d *DiverseServer) QuarantinedReplicas() []string {
 		}
 	}
 	return out
-}
-
-// Exec executes one statement on the default session (the sessionless
-// convenience API).
-func (d *DiverseServer) Exec(sql string) (*engine.Result, time.Duration, error) {
-	return d.defaultSession().Exec(sql)
-}
-
-// Prepare prepares a statement on the default session (implements
-// core.PreparedExecutor).
-func (d *DiverseServer) Prepare(sql string) (core.Statement, error) {
-	return d.defaultSession().Prepare(sql)
 }
 
 // Exec broadcasts one statement to every active replica within this
@@ -625,7 +592,7 @@ type Stmt struct {
 	b boundStmt
 }
 
-// Prepare implements core.PreparedExecutor.
+// Prepare implements core.Session.
 func (cs *Session) Prepare(sql string) (core.Statement, error) {
 	st, err := cs.PrepareStmt(sql)
 	if err != nil {

@@ -38,9 +38,9 @@ func newDiverse(t *testing.T, faults []fault.Fault, names ...dialect.ServerName)
 	return d
 }
 
-func mustExec(t *testing.T, d *DiverseServer, sql string) {
+func mustExec(t *testing.T, s *Session, sql string) {
 	t.Helper()
-	if _, _, err := d.Exec(sql); err != nil {
+	if _, _, err := s.Exec(sql); err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
 }
@@ -53,9 +53,10 @@ func TestNewRequiresReplicas(t *testing.T) {
 
 func TestUnanimousPath(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (1)")
-	res, _, err := d.Exec("SELECT A FROM T")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1)")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil || res.Rows[0][0].I != 1 {
 		t.Fatalf("select: %v %v", res, err)
 	}
@@ -73,9 +74,10 @@ func TestMajorityMasksWrongResult(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutOffByOne},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (10)")
-	res, _, err := d.Exec("SELECT A FROM T")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (10)")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +90,13 @@ func TestMajorityMasksWrongResult(t *testing.T) {
 	}
 	// The outvoted replica rejoins at the next state-changing statement
 	// (resync never interleaves with in-flight reads on the shared path).
-	mustExec(t, d, "INSERT INTO T VALUES (20)")
+	mustExec(t, sess, "INSERT INTO T VALUES (20)")
 	if m := d.Metrics(); m.Resyncs == 0 {
 		t.Errorf("outvoted replica not resynced: %+v", m)
 	}
 	// After resync the faulty replica is back in agreement for
 	// non-triggering statements.
-	res, _, err = d.Exec("SELECT A + 1 AS B FROM T WHERE A = 10")
+	res, _, err = sess.Exec("SELECT A + 1 AS B FROM T WHERE A = 10")
 	if err != nil || res.Rows[0][0].I != 11 {
 		t.Errorf("after resync: %v %v", res, err)
 	}
@@ -113,9 +115,10 @@ func TestPairDetectsWithoutMasking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (5)")
-	_, _, err = d.Exec("SELECT A FROM T")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (5)")
+	_, _, err = sess.Exec("SELECT A FROM T")
 	var div *DivergenceError
 	if !errors.As(err, &div) {
 		t.Fatalf("want divergence, got %v", err)
@@ -133,11 +136,12 @@ func TestCrashRecovery(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectCrash},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (1)")
-	mustExec(t, d, "INSERT INTO T VALUES (2)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1)")
+	mustExec(t, sess, "INSERT INTO T VALUES (2)")
 	// Crashes OR; the other two answer.
-	res, _, err := d.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
+	res, _, err := sess.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
 	if err != nil || len(res.Rows) != 2 {
 		t.Fatalf("grouped select: %v %v", res, err)
 	}
@@ -150,7 +154,7 @@ func TestCrashRecovery(t *testing.T) {
 	if len(d.QuarantinedReplicas()) != 1 {
 		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
 	}
-	mustExec(t, d, "INSERT INTO T VALUES (3)")
+	mustExec(t, sess, "INSERT INTO T VALUES (3)")
 	if m := d.Metrics(); m.Resyncs == 0 {
 		t.Errorf("metrics after rejoin write: %+v", m)
 	}
@@ -158,7 +162,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("quarantined: %v", d.QuarantinedReplicas())
 	}
 	// The restarted replica serves again, in full agreement.
-	res, _, err = d.Exec("SELECT A FROM T ORDER BY A")
+	res, _, err = sess.Exec("SELECT A FROM T ORDER BY A")
 	if err != nil || len(res.Rows) != 3 {
 		t.Fatalf("after recovery: %v %v", res, err)
 	}
@@ -174,10 +178,11 @@ func TestErrorMajorityWins(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectSuppressError},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT PRIMARY KEY)")
-	mustExec(t, d, "INSERT INTO T VALUES (1)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT PRIMARY KEY)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1)")
 	// Duplicate key: OR and MS error (correctly); PG wrongly accepts.
-	_, _, err := d.Exec("INSERT INTO T VALUES (1)")
+	_, _, err := sess.Exec("INSERT INTO T VALUES (1)")
 	if err == nil || !strings.Contains(err.Error(), "constraint") {
 		t.Fatalf("majority error must win: %v", err)
 	}
@@ -188,11 +193,12 @@ func TestErrorMajorityWins(t *testing.T) {
 
 func TestLegitimateErrorsPassThrough(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	if _, _, err := d.Exec("SELECT NOPE FROM T"); err == nil {
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	if _, _, err := sess.Exec("SELECT NOPE FROM T"); err == nil {
 		t.Error("unknown column must error")
 	}
-	if _, _, err := d.Exec("INSERT INTO MISSING VALUES (1)"); err == nil {
+	if _, _, err := sess.Exec("INSERT INTO MISSING VALUES (1)"); err == nil {
 		t.Error("missing table must error")
 	}
 	m := d.Metrics()
@@ -213,17 +219,18 @@ func TestResyncCompletesInsideOpenTransaction(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious"},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (1)")
-	mustExec(t, d, "BEGIN TRANSACTION")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1)")
+	mustExec(t, sess, "BEGIN TRANSACTION")
 	// MS errors inside the transaction and is quarantined.
-	mustExec(t, d, "UPDATE T SET A = 2")
+	mustExec(t, sess, "UPDATE T SET A = 2")
 	if len(d.QuarantinedReplicas()) != 1 {
 		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
 	}
 	// The next write rejoins MS while the transaction is STILL OPEN on
 	// the donors: committed snapshot + journal redo, no boundary wait.
-	mustExec(t, d, "INSERT INTO T VALUES (5)")
+	mustExec(t, sess, "INSERT INTO T VALUES (5)")
 	m := d.Metrics()
 	if m.Resyncs == 0 {
 		t.Fatalf("no resync inside open transaction: %+v", m)
@@ -231,10 +238,10 @@ func TestResyncCompletesInsideOpenTransaction(t *testing.T) {
 	if m.JournalReplays == 0 {
 		t.Errorf("open-transaction redo not shipped: %+v", m)
 	}
-	mustExec(t, d, "ROLLBACK")
+	mustExec(t, sess, "ROLLBACK")
 	// Rolled back everywhere: all replicas agree on A = 1 and the insert
 	// of 5 is gone.
-	res, _, err := d.Exec("SELECT A FROM T")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
 		t.Fatalf("after rollback: %v %v", res, err)
 	}
@@ -262,12 +269,13 @@ func TestRephrasePreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := srv.NewSession()
 	setup := []string{
 		"CREATE TABLE T (A INT, B VARCHAR(5))",
 		"INSERT INTO T VALUES (1, 'x'), (2, 'y'), (3, NULL), (NULL, 'z')",
 	}
 	for _, s := range setup {
-		if _, _, err := srv.Exec(s); err != nil {
+		if _, _, err := sess.Exec(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +288,7 @@ func TestRephrasePreservesSemantics(t *testing.T) {
 		"SELECT A FROM T WHERE NOT (A BETWEEN 2 AND 3)",
 	}
 	for _, q := range queries {
-		orig, _, err := srv.Exec(q)
+		orig, _, err := sess.Exec(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -289,7 +297,7 @@ func TestRephrasePreservesSemantics(t *testing.T) {
 			t.Errorf("no rewriting for %q", q)
 			continue
 		}
-		re, _, err := srv.Exec(rq)
+		re, _, err := sess.Exec(rq)
 		if err != nil {
 			t.Fatalf("rephrased %q: %v", rq, err)
 		}
@@ -312,8 +320,9 @@ func TestAllReplicasDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	if _, _, err := d.Exec("SELECT A FROM T"); err == nil {
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	if _, _, err := sess.Exec("SELECT A FROM T"); err == nil {
 		t.Error("want failure when every replica crashes")
 	}
 }
@@ -339,14 +348,15 @@ func TestReadOnePolicySkipsComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (5)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (5)")
 	// Reads rotate across replicas without comparison: over several
 	// queries both the correct (OR) and the wrong (PG) value surface —
 	// the dependability cost of the performance end of the dial.
 	sawWrong, sawRight := false, false
 	for i := 0; i < 6; i++ {
-		res, _, err := d.Exec("SELECT A FROM T")
+		res, _, err := sess.Exec("SELECT A FROM T")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,10 +388,11 @@ func TestReadOneFailsOverOnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (1)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1)")
 	for i := 0; i < 4; i++ {
-		res, _, err := d.Exec("SELECT A FROM T")
+		res, _, err := sess.Exec("SELECT A FROM T")
 		if err != nil || res.Rows[0][0].I != 1 {
 			t.Fatalf("read %d: %v %v", i, res, err)
 		}
@@ -398,14 +409,15 @@ func TestReadOneBroadcastsInsideTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "BEGIN TRANSACTION")
-	mustExec(t, d, "INSERT INTO T VALUES (9)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "BEGIN TRANSACTION")
+	mustExec(t, sess, "INSERT INTO T VALUES (9)")
 	// Inside the transaction the query must see the uncommitted write on
 	// EVERY replica, so it is broadcast rather than read-one.
-	res, _, err := d.Exec("SELECT A FROM T")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 9 {
 		t.Fatalf("txn read: %v %v", res, err)
 	}
-	mustExec(t, d, "COMMIT")
+	mustExec(t, sess, "COMMIT")
 }

@@ -15,9 +15,9 @@ import (
 
 func TestPreparedAdjudicatedAgreement(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	mustExec(t, d, "CREATE TABLE T (A INT, S VARCHAR(10))")
 	sess := d.NewSession()
 	defer sess.Close()
+	mustExec(t, sess, "CREATE TABLE T (A INT, S VARCHAR(10))")
 	ins, err := sess.PrepareStmt("INSERT INTO T VALUES (?, ?)")
 	if err != nil {
 		t.Fatal(err)
@@ -45,9 +45,9 @@ func TestPreparedBindCoercionIsAdjudicated(t *testing.T) {
 	// the majority outvotes OR and the divergence is masked, exactly like
 	// any wrong-result failure.
 	d := newDiverse(t, nil, dialect.PG, dialect.IB, dialect.OR)
-	mustExec(t, d, "CREATE TABLE T (S VARCHAR(10))")
 	sess := d.NewSession()
 	defer sess.Close()
+	mustExec(t, sess, "CREATE TABLE T (S VARCHAR(10))")
 	ins, err := sess.PrepareStmt("INSERT INTO T VALUES ($1)")
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,9 @@ func TestPreparedJournalReplayOnResync(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious internal failure"},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.IB)
-	mustExec(t, d, "CREATE TABLE POISON (A INT)")
-	mustExec(t, d, "CREATE TABLE H (A INT, S VARCHAR(10))")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE POISON (A INT)")
+	mustExec(t, sess, "CREATE TABLE H (A INT, S VARCHAR(10))")
 
 	holder := d.NewSession()
 	defer holder.Close()
@@ -97,18 +98,18 @@ func TestPreparedJournalReplayOnResync(t *testing.T) {
 	// Quarantine OR, then trigger the rejoin with a clean write. The
 	// journal replay must re-establish holder's open transaction —
 	// including the bound insert — on OR.
-	mustExec(t, d, "INSERT INTO POISON VALUES (1)")
+	mustExec(t, sess, "INSERT INTO POISON VALUES (1)")
 	if len(d.QuarantinedReplicas()) != 1 {
 		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
 	}
-	mustExec(t, d, "INSERT INTO POISON VALUES (2)") // PG/IB apply; OR rejoins first
+	mustExec(t, sess, "INSERT INTO POISON VALUES (2)") // PG/IB apply; OR rejoins first
 	if m := d.Metrics(); m.Resyncs == 0 || m.JournalReplays == 0 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	if _, _, err := holder.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := d.Exec("SELECT S FROM H WHERE A = 1")
+	res, _, err := sess.Exec("SELECT S FROM H WHERE A = 1")
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "bound" {
 		t.Fatalf("replayed transaction: %+v %v", res, err)
 	}
@@ -148,12 +149,13 @@ func TestIdleRejoinUnderReadOnlyLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, d, "CREATE TABLE T (A INT)")
-	mustExec(t, d, "INSERT INTO T VALUES (5)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (5)")
 
 	// OR returns a wrong (mutated) result on the grouped read, is
 	// outvoted and quarantined.
-	if _, _, err := d.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A"); err != nil {
+	if _, _, err := sess.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A"); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.QuarantinedReplicas()) != 1 {
@@ -164,7 +166,7 @@ func TestIdleRejoinUnderReadOnlyLoad(t *testing.T) {
 	// window must still close.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(d.QuarantinedReplicas()) > 0 && time.Now().Before(deadline) {
-		if _, _, err := d.Exec("SELECT A FROM T"); err != nil {
+		if _, _, err := sess.Exec("SELECT A FROM T"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +178,7 @@ func TestIdleRejoinUnderReadOnlyLoad(t *testing.T) {
 		t.Errorf("rejoin must be attributed to the idle path: %+v", m)
 	}
 	// The rejoined replica serves agreeing reads again.
-	res, _, err := d.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
+	res, _, err := sess.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("post-rejoin read: %+v %v", res, err)
 	}
@@ -196,8 +198,9 @@ func TestPrepareDoesNotRaceJournalReplay(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious internal failure"},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.IB)
-	mustExec(t, d, "CREATE TABLE POISON (A INT)")
-	mustExec(t, d, "CREATE TABLE H (A INT)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE POISON (A INT)")
+	mustExec(t, sess, "CREATE TABLE H (A INT)")
 
 	holder := d.NewSession()
 	defer holder.Close()
@@ -242,9 +245,9 @@ func TestPrepareDoesNotRaceJournalReplay(t *testing.T) {
 
 func TestPreparedArgCountMismatch(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR)
-	mustExec(t, d, "CREATE TABLE T (A INT)")
 	sess := d.NewSession()
 	defer sess.Close()
+	mustExec(t, sess, "CREATE TABLE T (A INT)")
 	ps, err := sess.PrepareStmt("SELECT A FROM T WHERE A = ?")
 	if err != nil {
 		t.Fatal(err)

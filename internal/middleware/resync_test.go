@@ -22,11 +22,12 @@ func TestResyncWhileDonorsHoldOpenTransactions(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious internal failure"},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.IB)
-	mustExec(t, d, "CREATE TABLE POISON (A INT)")
-	mustExec(t, d, "CREATE TABLE CLEAN (A INT)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE POISON (A INT)")
+	mustExec(t, sess, "CREATE TABLE CLEAN (A INT)")
 	const holders = 3
 	for h := 0; h < holders; h++ {
-		mustExec(t, d, fmt.Sprintf("CREATE TABLE H%d (A INT)", h))
+		mustExec(t, sess, fmt.Sprintf("CREATE TABLE H%d (A INT)", h))
 	}
 
 	// Holder sessions open transactions and keep them open.
@@ -48,7 +49,7 @@ func TestResyncWhileDonorsHoldOpenTransactions(t *testing.T) {
 
 	// OR errors on the poison insert and is quarantined; the donors all
 	// sit mid-transaction.
-	mustExec(t, d, "INSERT INTO POISON VALUES (1)")
+	mustExec(t, sess, "INSERT INTO POISON VALUES (1)")
 	if len(d.QuarantinedReplicas()) != 1 {
 		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
 	}
@@ -56,7 +57,7 @@ func TestResyncWhileDonorsHoldOpenTransactions(t *testing.T) {
 	// The next clean write rejoins OR even though every holder still has
 	// its transaction open — the old design would have waited for a
 	// global transaction boundary that never comes here.
-	mustExec(t, d, "INSERT INTO CLEAN VALUES (1)")
+	mustExec(t, sess, "INSERT INTO CLEAN VALUES (1)")
 	m := d.Metrics()
 	if m.Resyncs == 0 {
 		t.Fatalf("resync did not complete under open transactions: %+v", m)
@@ -82,7 +83,7 @@ func TestResyncWhileDonorsHoldOpenTransactions(t *testing.T) {
 				t.Fatalf("holder %d: %q: %v", h, sql, err)
 			}
 		}
-		res, _, err := d.Exec(fmt.Sprintf("SELECT COUNT(*) AS N FROM H%d", h))
+		res, _, err := sess.Exec(fmt.Sprintf("SELECT COUNT(*) AS N FROM H%d", h))
 		if err != nil {
 			t.Fatalf("post-commit count on H%d: %v", h, err)
 		}
@@ -112,11 +113,12 @@ func TestResyncUnderSustainedConcurrentLoad(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious internal failure"},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.IB)
-	mustExec(t, d, "CREATE TABLE POISON (A INT)")
-	mustExec(t, d, "INSERT INTO POISON VALUES (0)")
+	sess := d.NewSession()
+	mustExec(t, sess, "CREATE TABLE POISON (A INT)")
+	mustExec(t, sess, "INSERT INTO POISON VALUES (0)")
 	const writers = 4
 	for w := 0; w < writers; w++ {
-		mustExec(t, d, fmt.Sprintf("CREATE TABLE W%d (A INT)", w))
+		mustExec(t, sess, fmt.Sprintf("CREATE TABLE W%d (A INT)", w))
 	}
 
 	var wg sync.WaitGroup
@@ -164,7 +166,7 @@ func TestResyncUnderSustainedConcurrentLoad(t *testing.T) {
 	wg.Wait()
 
 	// Stop poisoning; one more write flushes any pending rejoin.
-	mustExec(t, d, "INSERT INTO POISON VALUES (99)")
+	mustExec(t, sess, "INSERT INTO POISON VALUES (99)")
 	m := d.Metrics()
 	if m.Resyncs == 0 {
 		t.Fatalf("no resync completed under load: %+v", m)
@@ -178,7 +180,7 @@ func TestResyncUnderSustainedConcurrentLoad(t *testing.T) {
 	// Full agreement across the healed replica set.
 	for w := 0; w < writers; w++ {
 		before := d.Metrics().Unanimous
-		res, _, err := d.Exec(fmt.Sprintf("SELECT COUNT(*) AS N FROM W%d", w))
+		res, _, err := sess.Exec(fmt.Sprintf("SELECT COUNT(*) AS N FROM W%d", w))
 		if err != nil {
 			t.Fatalf("final count W%d: %v", w, err)
 		}

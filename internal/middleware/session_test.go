@@ -56,10 +56,11 @@ func TestConcurrentSessionsWithFaultInjection(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutOffByOne},
 	}}
 	d := newDiverse(t, faults, dialect.PG, dialect.OR, dialect.MS)
+	sess := d.NewSession()
 	const sessions = 4
 	const rounds = 10
 	for i := 0; i < sessions; i++ {
-		mustExec(t, d, fmt.Sprintf("CREATE TABLE C%d (X INT)", i))
+		mustExec(t, sess, fmt.Sprintf("CREATE TABLE C%d (X INT)", i))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {

@@ -18,6 +18,7 @@ func TestCardinalityCapRespected(t *testing.T) {
 	opts.TableNames = []string{"TRIG1", "TRIG2", "TRIG3"}
 	g := New(opts)
 	e := engine.NewOracle()
+	sess := e.NewSession()
 	inserts, aged := 0, 0
 	for i := 0; i < 12000; i++ {
 		st := g.Next()
@@ -27,7 +28,7 @@ func TestCardinalityCapRespected(t *testing.T) {
 		case *ast.Delete:
 			aged++
 		}
-		if _, err := e.Exec(st); err != nil {
+		if _, err := sess.Exec(st); err != nil {
 			continue
 		}
 		for _, tn := range e.TableNames() {
@@ -62,6 +63,7 @@ func TestCardinalityCapAcrossRollbacks(t *testing.T) {
 	opts.WeightInsert = 40
 	g := New(opts)
 	e := engine.NewOracle()
+	sess := e.NewSession()
 	rollbacks := 0
 	insertsAfterRollback := 0
 	for i := 0; i < 8000; i++ {
@@ -72,7 +74,7 @@ func TestCardinalityCapAcrossRollbacks(t *testing.T) {
 		if _, ok := st.(*ast.Insert); ok && rollbacks > 0 {
 			insertsAfterRollback++
 		}
-		if _, err := e.Exec(st); err != nil {
+		if _, err := sess.Exec(st); err != nil {
 			continue
 		}
 		for _, tn := range e.TableNames() {

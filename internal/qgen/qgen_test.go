@@ -73,11 +73,12 @@ func TestGeneratedStatementsRoundTrip(t *testing.T) {
 func TestStreamExecutesOnOracle(t *testing.T) {
 	g := New(CommonProfile(11))
 	orc := server.NewOracle()
+	sess := orc.NewSession()
 	const n = 3000
 	failures := 0
 	for i := 0; i < n; i++ {
 		sql := g.NextSQL()
-		_, _, err := orc.Exec(sql)
+		_, _, err := sess.Exec(sql)
 		if err != nil {
 			failures++
 			low := strings.ToLower(err.Error())
@@ -198,6 +199,7 @@ func TestSequenceAdvancingSelectsEmitted(t *testing.T) {
 	opts.Sequences = true
 	g := New(opts)
 	orc := server.NewOracle()
+	sess := orc.NewSession()
 	seen := 0
 	for i := 0; i < 4000; i++ {
 		st := g.Next()
@@ -208,7 +210,7 @@ func TestSequenceAdvancingSelectsEmitted(t *testing.T) {
 			}
 			seen++
 		}
-		_, _, _ = orc.Exec(sql) // keep oracle schema in lockstep
+		_, _, _ = sess.Exec(sql) // keep oracle schema in lockstep
 	}
 	if seen == 0 {
 		t.Fatal("no sequence-advancing SELECT generated in 4000 statements")

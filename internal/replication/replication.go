@@ -50,16 +50,12 @@ type Group struct {
 	primary  int
 	metrics  Metrics
 	restarts bool
-	def      *Session
 }
 
 var (
-	_ core.Executor         = (*Group)(nil)
-	_ core.SessionExecutor  = (*Group)(nil)
-	_ core.PreparedExecutor = (*Group)(nil)
-	_ core.Session          = (*Session)(nil)
-	_ core.PreparedExecutor = (*Session)(nil)
-	_ core.Statement        = (*Stmt)(nil)
+	_ core.SessionExecutor = (*Group)(nil)
+	_ core.Session         = (*Session)(nil)
+	_ core.Statement       = (*Stmt)(nil)
 )
 
 // NewGroup builds a replication group; servers[0] starts as primary.
@@ -82,12 +78,6 @@ type Session struct {
 
 // NewSession opens a client session on every group member.
 func (g *Group) NewSession() *Session {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.newSessionLocked()
-}
-
-func (g *Group) newSessionLocked() *Session {
 	gs := &Session{g: g}
 	for _, s := range g.servers {
 		gs.subs = append(gs.subs, s.NewSession())
@@ -109,15 +99,6 @@ func (gs *Session) Close() error {
 	return first
 }
 
-func (g *Group) defaultSession() *Session {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.def == nil {
-		g.def = g.newSessionLocked()
-	}
-	return g.def
-}
-
 // Primary returns the current primary's name.
 func (g *Group) Primary() string {
 	g.mu.Lock()
@@ -132,17 +113,6 @@ func (g *Group) Metrics() Metrics {
 	return g.metrics
 }
 
-// Exec executes the statement on the default session.
-func (g *Group) Exec(sql string) (*engine.Result, time.Duration, error) {
-	return g.defaultSession().Exec(sql)
-}
-
-// Prepare prepares a statement on the default session (implements
-// core.PreparedExecutor).
-func (g *Group) Prepare(sql string) (core.Statement, error) {
-	return g.defaultSession().Prepare(sql)
-}
-
 // Stmt is a prepared statement of one group session: one prepared
 // statement per member, executed on the primary and propagated to the
 // backups. Implements core.Statement.
@@ -154,7 +124,7 @@ type Stmt struct {
 	prepErrs []error
 }
 
-// Prepare implements core.PreparedExecutor. It fails only when every
+// Prepare implements core.Session. It fails only when every
 // member rejects the text (under the fail-stop assumption a member's
 // prepare error is its legitimate outcome, surfaced if it is primary).
 func (gs *Session) Prepare(sql string) (core.Statement, error) {

@@ -35,17 +35,18 @@ func TestEmptyGroupRejected(t *testing.T) {
 
 func TestUpdatesPropagateToBackups(t *testing.T) {
 	g := newGroup(t, nil, 3, true)
-	if _, _, err := g.Exec("CREATE TABLE T (A INT)"); err != nil {
+	sess := g.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Exec("INSERT INTO T VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
 	m := g.Metrics()
 	if m.Propagated != 4 { // 2 backups x 2 updates
 		t.Errorf("propagated %d", m.Propagated)
 	}
-	res, _, err := g.Exec("SELECT A FROM T")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("select: %v %v", res, err)
 	}
@@ -59,17 +60,18 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectCrash},
 	}}
 	g := newGroup(t, faults, 2, true)
-	if _, _, err := g.Exec("CREATE TABLE T (A INT)"); err != nil {
+	sess := g.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Exec("INSERT INTO T VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
 	// Crashes the primary; the statement is retried on the promoted
 	// backup — which carries the same fault (identical replicas!) and
 	// crashes too; with auto-restart both recover in turn until the
 	// retry budget runs out.
-	_, _, err := g.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
+	_, _, err := sess.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
 	if err == nil {
 		t.Fatal("identical replicas share the fault; the statement cannot succeed")
 	}
@@ -77,7 +79,7 @@ func TestFailoverOnPrimaryCrash(t *testing.T) {
 		t.Error("no failover recorded")
 	}
 	// Non-triggering statements still work after recovery.
-	res, _, err := g.Exec("SELECT A FROM T")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("after failover: %v %v", res, err)
 	}
@@ -91,10 +93,11 @@ func TestGroupDownWithoutRestart(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectCrash},
 	}}
 	g := newGroup(t, faults, 2, false)
-	if _, _, err := g.Exec("CREATE TABLE T (A INT)"); err != nil {
+	sess := g.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Exec("SELECT A FROM T"); !errors.Is(err, ErrGroupDown) {
+	if _, _, err := sess.Exec("SELECT A FROM T"); !errors.Is(err, ErrGroupDown) {
 		t.Errorf("want group down, got %v", err)
 	}
 }
@@ -110,13 +113,14 @@ func TestIncorrectResultsPassUnchecked(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutOffByOne},
 	}}
 	g := newGroup(t, faults, 2, true)
-	if _, _, err := g.Exec("CREATE TABLE T (A INT)"); err != nil {
+	sess := g.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Exec("INSERT INTO T VALUES (10)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (10)"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := g.Exec("SELECT A FROM T")
+	res, _, err := sess.Exec("SELECT A FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +142,14 @@ func TestIncorrectUpdatePropagates(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectSuppressError},
 	}}
 	g := newGroup(t, faults, 2, true)
-	if _, _, err := g.Exec("CREATE TABLE T (A INT PRIMARY KEY)"); err != nil {
+	sess := g.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Exec("INSERT INTO T VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Exec("INSERT INTO T VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (1)"); err != nil {
 		t.Fatal("duplicate accepted silently on the primary (fault), so no error must surface")
 	}
 	if g.Metrics().UncheckedOK == 0 {

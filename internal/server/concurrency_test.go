@@ -17,10 +17,11 @@ func TestConcurrentSessionsDisjointTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sSess := s.NewSession()
 	const sessions = 8
 	const rounds = 20
 	for i := 0; i < sessions; i++ {
-		if _, _, err := s.Exec(fmt.Sprintf("CREATE TABLE W%d (X INT)", i)); err != nil {
+		if _, _, err := sSess.Exec(fmt.Sprintf("CREATE TABLE W%d (X INT)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func TestConcurrentSessionsDisjointTables(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 0; i < sessions; i++ {
-		res, _, err := s.Exec(fmt.Sprintf("SELECT COUNT(*) AS N FROM W%d", i))
+		res, _, err := sSess.Exec(fmt.Sprintf("SELECT COUNT(*) AS N FROM W%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,8 +160,9 @@ func TestPrepareOnCrashedServer(t *testing.T) {
 
 func TestLogRingBuffer(t *testing.T) {
 	s, _ := New(dialect.PG, nil)
+	sess := s.NewSession()
 	// Disabled by default: no capture, no allocation.
-	if _, _, err := s.Exec("CREATE TABLE T (A INT)"); err != nil {
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Log(); got != nil {
@@ -169,12 +170,12 @@ func TestLogRingBuffer(t *testing.T) {
 	}
 	s.EnableLog(3)
 	for i := 0; i < 5; i++ {
-		if _, _, err := s.Exec(fmt.Sprintf("INSERT INTO T VALUES (%d)", i)); err != nil {
+		if _, _, err := sess.Exec(fmt.Sprintf("INSERT INTO T VALUES (%d)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// SELECTs never log.
-	if _, _, err := s.Exec("SELECT A FROM T"); err != nil {
+	if _, _, err := sess.Exec("SELECT A FROM T"); err != nil {
 		t.Fatal(err)
 	}
 	got := s.Log()
@@ -188,7 +189,7 @@ func TestLogRingBuffer(t *testing.T) {
 		}
 	}
 	// Bound statements log in their replayable encoded form.
-	st, err := s.defaultSession().PrepareStmt("INSERT INTO T VALUES (?)")
+	st, err := sess.PrepareStmt("INSERT INTO T VALUES (?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestLogRingBuffer(t *testing.T) {
 		t.Errorf("bound log entry: %q", last)
 	}
 	s.DisableLog()
-	if _, _, err := s.Exec("INSERT INTO T VALUES (100)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (100)"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Log() != nil {

@@ -9,8 +9,7 @@
 // Clients attach through sessions (NewSession): each session carries its
 // own transaction scope, and sessions execute concurrently — parsing and
 // dialect checks run fully in parallel, while the shared engine lets
-// read-only statements overlap and serializes writes. The sessionless
-// Server.Exec remains as a default-session convenience. An engine crash
+// read-only statements overlap and serializes writes. An engine crash
 // takes every session's open transaction down with it.
 package server
 
@@ -51,10 +50,9 @@ type Server struct {
 	eng    *engine.Engine
 	faults *fault.Registry
 
-	mu      sync.Mutex // guards crashed, stress, log fields, def
+	mu      sync.Mutex // guards crashed, stress, log fields
 	crashed bool
 	stress  bool
-	def     *Session
 
 	// panics counts engine panics contained by Session.run (each one is
 	// reported to the client as a crash).
@@ -93,13 +91,10 @@ type Session struct {
 const maxSessionPlans = 512
 
 var (
-	_ core.Executor         = (*Server)(nil)
-	_ core.SessionExecutor  = (*Server)(nil)
-	_ core.PreparedExecutor = (*Server)(nil)
-	_ core.Session          = (*Session)(nil)
-	_ core.PreparedExecutor = (*Session)(nil)
-	_ core.Statement        = (*Stmt)(nil)
-	_ core.Snapshotter      = (*Server)(nil)
+	_ core.SessionExecutor = (*Server)(nil)
+	_ core.Session         = (*Session)(nil)
+	_ core.Statement       = (*Stmt)(nil)
+	_ core.Snapshotter     = (*Server)(nil)
 )
 
 // New builds a server of the given name carrying the provided faults
@@ -171,33 +166,6 @@ func (s *Server) NewSession() *Session {
 
 // OpenSession implements core.SessionExecutor.
 func (s *Server) OpenSession() core.Session { return s.NewSession() }
-
-// defaultSession returns the session backing the sessionless API.
-func (s *Server) defaultSession() *Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.def == nil {
-		s.def = &Session{srv: s, es: s.eng.DefaultSession()}
-	}
-	return s.def
-}
-
-// Exec executes one SQL statement on the server's default session,
-// returning the result and the simulated latency.
-func (s *Server) Exec(sql string) (*engine.Result, time.Duration, error) {
-	return s.defaultSession().Exec(sql)
-}
-
-// Prepare prepares a statement on the server's default session
-// (implements core.PreparedExecutor).
-func (s *Server) Prepare(sql string) (core.Statement, error) {
-	return s.defaultSession().Prepare(sql)
-}
-
-// ExecArgs is one-shot prepare-bind-execute on the default session.
-func (s *Server) ExecArgs(sql string, args ...types.Value) (*engine.Result, time.Duration, error) {
-	return s.defaultSession().ExecArgs(sql, args...)
-}
 
 // crash halts the engine: every session's open transaction is rolled
 // back (committed state survives) and all subsequent statements fail
@@ -312,7 +280,7 @@ func (c *Session) PrepareStmt(sql string) (*Stmt, error) {
 	return &Stmt{sess: c, p: p}, nil
 }
 
-// Prepare implements core.PreparedExecutor.
+// Prepare implements core.Session.
 func (c *Session) Prepare(sql string) (core.Statement, error) {
 	st, err := c.PrepareStmt(sql)
 	if err != nil {
@@ -542,40 +510,14 @@ func isStateChanging(st ast.Statement) bool {
 	}
 }
 
-// ExecScript executes a whole script on the default session, stopping at
-// a crash (remaining statements cannot be submitted to a dead server).
-// It returns one outcome per submitted statement.
-func (s *Server) ExecScript(script string) ([]StmtOutcome, error) {
-	stmts, err := parser.SplitScript(script)
-	if err != nil {
-		return nil, err
-	}
-	outcomes := make([]StmtOutcome, 0, len(stmts))
-	for _, stmt := range stmts {
-		res, lat, err := s.Exec(stmt)
-		out := StmtOutcome{SQL: stmt, Res: res, Err: err, Latency: lat}
-		if errors.Is(err, ErrCrashed) {
-			out.Crashed = true
-			outcomes = append(outcomes, out)
-			break
-		}
-		outcomes = append(outcomes, out)
-	}
-	return outcomes, nil
-}
-
-// StmtOutcome is the observable outcome of one script statement.
+// StmtOutcome is the observable outcome of one statement of a replayed
+// stream (study.RunSource).
 type StmtOutcome struct {
 	SQL     string
 	Res     *engine.Result
 	Err     error
 	Crashed bool
 	Latency time.Duration
-}
-
-// InTxn reports whether the default session has a transaction open.
-func (s *Server) InTxn() bool {
-	return s.defaultSession().InTxn()
 }
 
 // InTxnAny reports whether any session has a transaction open (used by

@@ -26,14 +26,15 @@ func TestNewServersForAllNames(t *testing.T) {
 
 func TestExecBasics(t *testing.T) {
 	s, _ := New(dialect.PG, nil)
+	sess := s.NewSession()
 	s.EnableLog(0)
-	if _, _, err := s.Exec("CREATE TABLE T (A INT)"); err != nil {
+	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Exec("INSERT INTO T VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	res, lat, err := s.Exec("SELECT A FROM T")
+	res, lat, err := sess.Exec("SELECT A FROM T")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("select: %v %v", res, err)
 	}
@@ -47,24 +48,27 @@ func TestExecBasics(t *testing.T) {
 
 func TestDialectGatesAtServer(t *testing.T) {
 	pg, _ := New(dialect.PG, nil)
-	if _, _, err := pg.Exec("CREATE VIEW V AS SELECT 1 AS X UNION SELECT 2 AS X"); err == nil {
+	pgSess := pg.NewSession()
+	if _, _, err := pgSess.Exec("CREATE VIEW V AS SELECT 1 AS X UNION SELECT 2 AS X"); err == nil {
 		t.Error("PG must reject UNION views")
 	}
 	ib, _ := New(dialect.IB, nil)
-	if _, _, err := ib.Exec("CREATE TABLE T (A INT)"); err != nil {
+	ibSess := ib.NewSession()
+	if _, _, err := ibSess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ib.Exec("CREATE CLUSTERED INDEX IX ON T (A)"); err == nil {
+	if _, _, err := ibSess.Exec("CREATE CLUSTERED INDEX IX ON T (A)"); err == nil {
 		t.Error("IB must reject clustered indexes")
 	}
 	ms, _ := New(dialect.MS, nil)
-	if _, _, err := ms.Exec("CREATE SEQUENCE SQ"); err == nil {
+	msSess := ms.NewSession()
+	if _, _, err := msSess.Exec("CREATE SEQUENCE SQ"); err == nil {
 		t.Error("MS must reject sequences")
 	}
-	if _, _, err := ms.Exec("SELECT 1 AS X LIMIT 1"); err == nil {
+	if _, _, err := msSess.Exec("SELECT 1 AS X LIMIT 1"); err == nil {
 		t.Error("MS must reject LIMIT syntax")
 	}
-	if _, _, err := ms.Exec("SELECT TOP 1 1 AS X"); err != nil {
+	if _, _, err := msSess.Exec("SELECT TOP 1 1 AS X"); err != nil {
 		t.Errorf("MS must accept TOP: %v", err)
 	}
 }
@@ -77,23 +81,24 @@ func TestCrashAndRestart(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectCrash},
 	}}
 	s, _ := New(dialect.OR, faults)
-	if _, _, err := s.Exec("CREATE TABLE BOOM (A INT)"); err != nil {
+	sess := s.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE BOOM (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Exec("CREATE TABLE SAFE (A INT)"); err != nil {
+	if _, _, err := sess.Exec("CREATE TABLE SAFE (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Exec("INSERT INTO SAFE VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO SAFE VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := s.Exec("SELECT A FROM BOOM")
+	_, _, err := sess.Exec("SELECT A FROM BOOM")
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("want crash, got %v", err)
 	}
 	if !s.Crashed() {
 		t.Error("server must be down")
 	}
-	if _, _, err := s.Exec("SELECT 1 AS X"); !errors.Is(err, ErrCrashed) {
+	if _, _, err := sess.Exec("SELECT 1 AS X"); !errors.Is(err, ErrCrashed) {
 		t.Error("down server must reject statements")
 	}
 	s.Restart()
@@ -103,11 +108,11 @@ func TestCrashAndRestart(t *testing.T) {
 	// Committed state survives the crash; the fault itself is permanent,
 	// so the crashing query would crash the server again (a Bohrbug) —
 	// state is checked through an unaffected table.
-	res, _, err := s.Exec("SELECT COUNT(*) AS N FROM SAFE")
+	res, _, err := sess.Exec("SELECT COUNT(*) AS N FROM SAFE")
 	if err != nil || res.Rows[0][0].I != 1 {
 		t.Errorf("state after restart: %v %v", res, err)
 	}
-	if _, _, err := s.Exec("SELECT A FROM BOOM"); !errors.Is(err, ErrCrashed) {
+	if _, _, err := sess.Exec("SELECT A FROM BOOM"); !errors.Is(err, ErrCrashed) {
 		t.Error("permanent fault must crash the server again")
 	}
 }
@@ -126,34 +131,35 @@ func TestFaultEffects(t *testing.T) {
 			Effect: fault.Effect{Kind: fault.EffectAbortConnection, Message: "closed"}},
 	}
 	s, _ := New(dialect.IB, faults)
+	sess := s.NewSession()
 	for _, tbl := range []string{"E1", "L1", "M1", "S1", "A1"} {
-		if _, _, err := s.Exec("CREATE TABLE " + tbl + " (A INT PRIMARY KEY)"); err != nil {
+		if _, _, err := sess.Exec("CREATE TABLE " + tbl + " (A INT PRIMARY KEY)"); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Exec("INSERT INTO " + tbl + " VALUES (7)"); err != nil {
+		if _, _, err := sess.Exec("INSERT INTO " + tbl + " VALUES (7)"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.Exec("SELECT A FROM E1"); err == nil || err.Error() != "spurious" {
+	if _, _, err := sess.Exec("SELECT A FROM E1"); err == nil || err.Error() != "spurious" {
 		t.Errorf("error effect: %v", err)
 	}
-	_, lat, err := s.Exec("SELECT A FROM L1")
+	_, lat, err := sess.Exec("SELECT A FROM L1")
 	if err != nil || lat < 5000*BaseLatency {
 		t.Errorf("latency effect: %v %v", lat, err)
 	}
-	res, _, err := s.Exec("SELECT A FROM M1")
+	res, _, err := sess.Exec("SELECT A FROM M1")
 	if err != nil || res.Rows[0][0].I != 8 {
 		t.Errorf("mutate effect: %v %v", res, err)
 	}
 	// Duplicate key suppressed: reported OK, nothing inserted.
-	if _, _, err := s.Exec("INSERT INTO S1 VALUES (7)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO S1 VALUES (7)"); err != nil {
 		t.Errorf("suppress effect: %v", err)
 	}
-	res, _, _ = s.Exec("SELECT COUNT(*) AS N FROM S1")
+	res, _, _ = sess.Exec("SELECT COUNT(*) AS N FROM S1")
 	if res.Rows[0][0].I != 1 {
 		t.Errorf("suppressed insert must not apply: %v", res.Rows[0][0])
 	}
-	if _, _, err := s.Exec("SELECT A FROM A1"); !errors.Is(err, ErrConnAborted) {
+	if _, _, err := sess.Exec("SELECT A FROM A1"); !errors.Is(err, ErrConnAborted) {
 		t.Errorf("abort effect: %v", err)
 	}
 	if s.Crashed() {
@@ -169,51 +175,37 @@ func TestStressOnlyFaults(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutDropLastRow},
 	}}
 	s, _ := New(dialect.MS, faults)
-	if _, _, err := s.Exec("CREATE TABLE H1 (A INT)"); err != nil {
+	sess := s.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE H1 (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Exec("INSERT INTO H1 VALUES (1)"); err != nil {
+	if _, _, err := sess.Exec("INSERT INTO H1 VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, _ := s.Exec("SELECT A FROM H1")
+	res, _, _ := sess.Exec("SELECT A FROM H1")
 	if len(res.Rows) != 1 {
 		t.Error("heisenbug fired on a quiet server")
 	}
 	s.SetStress(true)
-	res, _, _ = s.Exec("SELECT A FROM H1")
+	res, _, _ = sess.Exec("SELECT A FROM H1")
 	if len(res.Rows) != 0 {
 		t.Error("heisenbug must fire under stress")
 	}
 }
 
-func TestExecScriptStopsAtCrash(t *testing.T) {
-	faults := []fault.Fault{{
-		BugID:   "crash",
-		Server:  dialect.PG,
-		Trigger: fault.Trigger{Table: "C1", Flag: ast.FlagInsert},
-		Effect:  fault.Effect{Kind: fault.EffectCrash},
-	}}
-	s, _ := New(dialect.PG, faults)
-	out, err := s.ExecScript("CREATE TABLE C1 (A INT); INSERT INTO C1 VALUES (1); SELECT A FROM C1;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || !out[1].Crashed {
-		t.Errorf("script outcomes: %+v", out)
-	}
-}
-
 func TestSnapshotRestoreAcrossServers(t *testing.T) {
 	a, _ := New(dialect.PG, nil)
+	aSess := a.NewSession()
 	b, _ := New(dialect.OR, nil)
-	if _, _, err := a.Exec("CREATE TABLE T (A INT)"); err != nil {
+	bSess := b.NewSession()
+	if _, _, err := aSess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Exec("INSERT INTO T VALUES (42)"); err != nil {
+	if _, _, err := aSess.Exec("INSERT INTO T VALUES (42)"); err != nil {
 		t.Fatal(err)
 	}
 	b.Restore(a.Snapshot())
-	res, _, err := b.Exec("SELECT A FROM T")
+	res, _, err := bSess.Exec("SELECT A FROM T")
 	if err != nil || res.Rows[0][0].I != 42 {
 		t.Errorf("state transfer: %v %v", res, err)
 	}
@@ -221,6 +213,7 @@ func TestSnapshotRestoreAcrossServers(t *testing.T) {
 
 func TestOracleAcceptsAllDialectSpellings(t *testing.T) {
 	o := NewOracle()
+	sess := o.NewSession()
 	for _, sql := range []string{
 		"CREATE TABLE T1 (A DATETIME)",
 		"CREATE TABLE T2 (A NUMBER, B VARCHAR2(5))",
@@ -230,7 +223,7 @@ func TestOracleAcceptsAllDialectSpellings(t *testing.T) {
 		"SELECT ISNULL(NULL, 1) AS C",
 		"SELECT GEN_UUID('x') AS U",
 	} {
-		if _, _, err := o.Exec(sql); err != nil {
+		if _, _, err := sess.Exec(sql); err != nil {
 			t.Errorf("oracle rejects %q: %v", sql, err)
 		}
 	}
@@ -238,19 +231,20 @@ func TestOracleAcceptsAllDialectSpellings(t *testing.T) {
 
 func TestInTxnVisible(t *testing.T) {
 	s, _ := New(dialect.PG, nil)
-	if s.InTxn() {
+	sess := s.NewSession()
+	if sess.InTxn() {
 		t.Error("fresh server in txn")
 	}
-	if _, _, err := s.Exec("BEGIN TRANSACTION"); err != nil {
+	if _, _, err := sess.Exec("BEGIN TRANSACTION"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.InTxn() {
+	if !sess.InTxn() {
 		t.Error("txn not visible")
 	}
-	if _, _, err := s.Exec("COMMIT"); err != nil {
+	if _, _, err := sess.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	if s.InTxn() {
+	if sess.InTxn() {
 		t.Error("txn not closed")
 	}
 }

@@ -26,7 +26,6 @@ type Stmt struct {
 }
 
 // Prepare parses the statement once and prepares it on every shard.
-// Implements core.PreparedExecutor.
 func (s *Session) Prepare(sql string) (core.Statement, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -36,11 +35,7 @@ func (s *Session) Prepare(sql string) (core.Statement, error) {
 	}
 	ps := &Stmt{s: s, sql: sql, st: st, np: ast.NumParams(st)}
 	for shard, sub := range s.subs {
-		pe, ok := sub.(core.PreparedExecutor)
-		if !ok {
-			return nil, fmt.Errorf("shard %d: backend session does not support prepared statements", shard)
-		}
-		p, err := pe.Prepare(sql)
+		p, err := sub.Prepare(sql)
 		if err != nil {
 			for _, prev := range ps.per {
 				_ = prev.Close()

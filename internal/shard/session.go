@@ -15,8 +15,7 @@ import (
 
 // Session is one client's transaction scope across the shard fleet: one
 // backend session per shard, opened eagerly (backend sessions are
-// cheap), joined to a transaction lazily. Implements core.Session and
-// core.PreparedExecutor.
+// cheap), joined to a transaction lazily. Implements core.Session.
 type Session struct {
 	r  *Router
 	mu sync.Mutex // a session is one client; serialize its statements
@@ -44,34 +43,6 @@ func (r *Router) NewSession() *Session {
 	r.nextHome++
 	r.mu.Unlock()
 	return s
-}
-
-// defaultSession backs the sessionless Exec/Prepare convenience.
-func (r *Router) defaultSession() *Session {
-	r.mu.RLock()
-	def := r.def
-	r.mu.RUnlock()
-	if def != nil {
-		return def
-	}
-	s := r.NewSession() // takes r.mu itself
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.def == nil {
-		r.def = s
-	}
-	return r.def
-}
-
-// Exec executes one statement on the default session.
-func (r *Router) Exec(sql string) (*engine.Result, time.Duration, error) {
-	return r.defaultSession().Exec(sql)
-}
-
-// Prepare prepares one statement on the default session. Implements
-// core.PreparedExecutor.
-func (r *Router) Prepare(sql string) (core.Statement, error) {
-	return r.defaultSession().Prepare(sql)
 }
 
 // Close rolls back the session's open transaction (on the shards it

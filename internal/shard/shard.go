@@ -7,8 +7,7 @@
 // One DiverseServer is one adjudication loop: every write takes the
 // set's exclusive statement lock, so a single replica set cannot scale
 // past the loop's capacity no matter how many clients connect. The
-// Router multiplies that unit. It implements the same
-// core.SessionExecutor / core.PreparedExecutor contracts as the
+// Router multiplies that unit. It is a core.SessionExecutor like the
 // middleware itself, so every existing workload driver (tpcc, difftest,
 // the wire server, sqldriver) can front a sharded deployment unchanged.
 //
@@ -66,13 +65,10 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// Backend is what one shard fronts: an endpoint offering sessions and
-// prepared statements. *middleware.DiverseServer implements it; so does
-// *server.Server, which tests use for single-replica shards.
-type Backend interface {
-	core.SessionExecutor
-	core.PreparedExecutor
-}
+// Backend is what one shard fronts: any endpoint.
+// *middleware.DiverseServer is one; so is *server.Server, which tests
+// use for single-replica shards.
+type Backend = core.SessionExecutor
 
 // Config selects the partitioning mode.
 type Config struct {
@@ -104,16 +100,15 @@ type tableInfo struct {
 	view    bool   // views always scatter on read
 }
 
-// Router routes statements across shards. It implements core.Executor,
-// core.SessionExecutor and core.PreparedExecutor.
+// Router routes statements across shards. It implements
+// core.SessionExecutor.
 type Router struct {
 	cfg      Config
 	backends []Backend
 	names    []string
 
-	mu      sync.RWMutex // guards catalog and def
+	mu      sync.RWMutex // guards catalog
 	catalog map[string]*tableInfo
-	def     *Session
 
 	nextHome uint64 // round-robin home-shard assignment (under mu)
 

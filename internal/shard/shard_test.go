@@ -42,9 +42,9 @@ func bandCfg() Config {
 	return Config{BandColumns: map[string]string{"T": "W", "R": ""}}
 }
 
-func exec(t *testing.T, r *Router, sql string) *engine.Result {
+func exec(t *testing.T, s *Session, sql string) *engine.Result {
 	t.Helper()
-	res, _, err := r.Exec(sql)
+	res, _, err := s.Exec(sql)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -59,11 +59,12 @@ func TestNewRequiresShards(t *testing.T) {
 
 func TestNamespaceRoutingIsolatesNamespaces(t *testing.T) {
 	r, srvs := newServerRouter(t, Config{}, 4)
+	sess := r.NewSession()
 	// Each namespace's tables must land wholly on one shard.
 	for ns := 0; ns < 8; ns++ {
-		exec(t, r, fmt.Sprintf("CREATE TABLE S%d_T (A INT)", ns))
-		exec(t, r, fmt.Sprintf("INSERT INTO S%d_T VALUES (%d)", ns, ns))
-		res := exec(t, r, fmt.Sprintf("SELECT A FROM S%d_T", ns))
+		exec(t, sess, fmt.Sprintf("CREATE TABLE S%d_T (A INT)", ns))
+		exec(t, sess, fmt.Sprintf("INSERT INTO S%d_T VALUES (%d)", ns, ns))
+		res := exec(t, sess, fmt.Sprintf("SELECT A FROM S%d_T", ns))
 		if len(res.Rows) != 1 || res.Rows[0][0].I != int64(ns) {
 			t.Fatalf("namespace %d: %v", ns, res.Rows)
 		}
@@ -72,7 +73,7 @@ func TestNamespaceRoutingIsolatesNamespaces(t *testing.T) {
 	for ns := 0; ns < 8; ns++ {
 		owners := 0
 		for _, s := range srvs {
-			if _, _, err := s.Exec(fmt.Sprintf("SELECT A FROM S%d_T", ns)); err == nil {
+			if _, _, err := s.NewSession().Exec(fmt.Sprintf("SELECT A FROM S%d_T", ns)); err == nil {
 				owners++
 			}
 		}
@@ -84,6 +85,7 @@ func TestNamespaceRoutingIsolatesNamespaces(t *testing.T) {
 
 func TestNamespaceCrossShardRejected(t *testing.T) {
 	r, _ := newServerRouter(t, Config{}, 2)
+	sess := r.NewSession()
 	// Find two namespaces hashing to different shards.
 	a, b := "", ""
 	for i := 0; i < 32 && b == ""; i++ {
@@ -99,29 +101,30 @@ func TestNamespaceCrossShardRejected(t *testing.T) {
 	if b == "" {
 		t.Fatal("no namespace pair split across 2 shards in 32 tries")
 	}
-	exec(t, r, "CREATE TABLE "+a+"T (A INT)")
-	exec(t, r, "CREATE TABLE "+b+"T (A INT)")
-	_, _, err := r.Exec("SELECT * FROM " + a + "T, " + b + "T")
+	exec(t, sess, "CREATE TABLE "+a+"T (A INT)")
+	exec(t, sess, "CREATE TABLE "+b+"T (A INT)")
+	_, _, err := sess.Exec("SELECT * FROM " + a + "T, " + b + "T")
 	if err == nil || !strings.Contains(err.Error(), "cross-shard") {
 		t.Fatalf("cross-namespace join: %v", err)
 	}
 }
 
-func setupBanded(t *testing.T, r *Router, rows int) {
+func setupBanded(t *testing.T, s *Session, rows int) {
 	t.Helper()
-	exec(t, r, "CREATE TABLE T (W INT, A INT)")
-	exec(t, r, "CREATE TABLE R (K INT, V INT)")
+	exec(t, s, "CREATE TABLE T (W INT, A INT)")
+	exec(t, s, "CREATE TABLE R (K INT, V INT)")
 	for i := 0; i < rows; i++ {
-		exec(t, r, fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", i, i*10))
+		exec(t, s, fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", i, i*10))
 	}
 }
 
 func TestBandRoutingPartitionsRows(t *testing.T) {
 	r, srvs := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 9)
+	sess := r.NewSession()
+	setupBanded(t, sess, 9)
 	// DDL broadcast: the table exists on every shard; rows split by W%3.
 	for i, s := range srvs {
-		res, _, err := s.Exec("SELECT W FROM T")
+		res, _, err := s.NewSession().Exec("SELECT W FROM T")
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -135,7 +138,7 @@ func TestBandRoutingPartitionsRows(t *testing.T) {
 		}
 	}
 	// A band-equality read routes to one shard and sees only that band.
-	res := exec(t, r, "SELECT A FROM T WHERE W = 4")
+	res := exec(t, sess, "SELECT A FROM T WHERE W = 4")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 40 {
 		t.Fatalf("band read: %v", res.Rows)
 	}
@@ -143,8 +146,9 @@ func TestBandRoutingPartitionsRows(t *testing.T) {
 
 func TestScatterMergeOrderLimitDistinct(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 9)
-	res := exec(t, r, "SELECT A FROM T ORDER BY A DESC LIMIT 4")
+	sess := r.NewSession()
+	setupBanded(t, sess, 9)
+	res := exec(t, sess, "SELECT A FROM T ORDER BY A DESC LIMIT 4")
 	want := []int64{80, 70, 60, 50}
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows: %v", res.Rows)
@@ -154,8 +158,8 @@ func TestScatterMergeOrderLimitDistinct(t *testing.T) {
 			t.Fatalf("row %d = %v, want %d", i, res.Rows[i][0], w)
 		}
 	}
-	exec(t, r, "INSERT INTO T VALUES (9, 10)") // duplicate A=10 on another shard
-	res = exec(t, r, "SELECT DISTINCT A FROM T WHERE A = 10")
+	exec(t, sess, "INSERT INTO T VALUES (9, 10)") // duplicate A=10 on another shard
+	res = exec(t, sess, "SELECT DISTINCT A FROM T WHERE A = 10")
 	if len(res.Rows) != 1 {
 		t.Fatalf("DISTINCT across shards kept %d rows", len(res.Rows))
 	}
@@ -163,18 +167,19 @@ func TestScatterMergeOrderLimitDistinct(t *testing.T) {
 
 func TestScatterAggregates(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 9)
-	res := exec(t, r, "SELECT COUNT(*) AS N, SUM(A) AS S, MIN(A) AS LO, MAX(A) AS HI FROM T")
+	sess := r.NewSession()
+	setupBanded(t, sess, 9)
+	res := exec(t, sess, "SELECT COUNT(*) AS N, SUM(A) AS S, MIN(A) AS LO, MAX(A) AS HI FROM T")
 	row := res.Rows[0]
 	if row[0].I != 9 || row[1].I != 360 || row[2].I != 0 || row[3].I != 80 {
 		t.Fatalf("aggregates: %v", row)
 	}
-	if _, _, err := r.Exec("SELECT W, COUNT(*) FROM T GROUP BY W"); err == nil ||
+	if _, _, err := sess.Exec("SELECT W, COUNT(*) FROM T GROUP BY W"); err == nil ||
 		!strings.Contains(err.Error(), "GROUP BY") {
 		t.Fatalf("cross-shard GROUP BY: %v", err)
 	}
 	// With a band predicate GROUP BY routes to one shard and works.
-	res = exec(t, r, "SELECT W, COUNT(*) AS N FROM T WHERE W = 3 GROUP BY W")
+	res = exec(t, sess, "SELECT W, COUNT(*) AS N FROM T WHERE W = 3 GROUP BY W")
 	if len(res.Rows) != 1 || res.Rows[0][1].I != 1 {
 		t.Fatalf("single-shard GROUP BY: %v", res.Rows)
 	}
@@ -184,21 +189,22 @@ func TestScatterSkipsNoShardsWhenEmpty(t *testing.T) {
 	// Edge case: shards holding no rows for the table contribute empty
 	// fragments — the merge must not invent rows or NULLed aggregates.
 	r, _ := newServerRouter(t, bandCfg(), 4)
-	exec(t, r, "CREATE TABLE T (W INT, A INT)")
-	exec(t, r, "INSERT INTO T VALUES (1, 7)") // only shard 1 has a row
-	res := exec(t, r, "SELECT A FROM T")
+	sess := r.NewSession()
+	exec(t, sess, "CREATE TABLE T (W INT, A INT)")
+	exec(t, sess, "INSERT INTO T VALUES (1, 7)") // only shard 1 has a row
+	res := exec(t, sess, "SELECT A FROM T")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
 		t.Fatalf("scatter over mostly-empty shards: %v", res.Rows)
 	}
-	res = exec(t, r, "SELECT COUNT(*) AS N, SUM(A) AS S, MIN(A) AS LO FROM T")
+	res = exec(t, sess, "SELECT COUNT(*) AS N, SUM(A) AS S, MIN(A) AS LO FROM T")
 	row := res.Rows[0]
 	if row[0].I != 1 || row[1].I != 7 || row[2].I != 7 {
 		t.Fatalf("aggregates over empty fragments: %v", row)
 	}
 	// Entirely empty table: COUNT sums the per-shard zeros; SUM is NULL
 	// everywhere and stays NULL.
-	exec(t, r, "DELETE FROM T")
-	res = exec(t, r, "SELECT COUNT(*) AS N, SUM(A) AS S FROM T")
+	exec(t, sess, "DELETE FROM T")
+	res = exec(t, sess, "SELECT COUNT(*) AS N, SUM(A) AS S FROM T")
 	row = res.Rows[0]
 	if row[0].I != 0 || !row[1].IsNull() {
 		t.Fatalf("aggregates over empty table: %v", row)
@@ -207,20 +213,21 @@ func TestScatterSkipsNoShardsWhenEmpty(t *testing.T) {
 
 func TestReplicatedTableBroadcastsWrites(t *testing.T) {
 	r, srvs := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 0)
-	res := exec(t, r, "INSERT INTO R VALUES (1, 100)")
+	sess := r.NewSession()
+	setupBanded(t, sess, 0)
+	res := exec(t, sess, "INSERT INTO R VALUES (1, 100)")
 	// Replicated writes apply everywhere but report one logical row.
 	if res.Affected != 3 {
 		t.Logf("replicated insert affected=%d (sums shard counts)", res.Affected)
 	}
 	for i, s := range srvs {
-		rr, _, err := s.Exec("SELECT V FROM R WHERE K = 1")
+		rr, _, err := s.NewSession().Exec("SELECT V FROM R WHERE K = 1")
 		if err != nil || len(rr.Rows) != 1 {
 			t.Fatalf("shard %d replica of R: %v %v", i, rr, err)
 		}
 	}
 	// Reads of a replicated table pin to one shard (no fan-out needed).
-	rr := exec(t, r, "SELECT V FROM R WHERE K = 1")
+	rr := exec(t, sess, "SELECT V FROM R WHERE K = 1")
 	if len(rr.Rows) != 1 || rr.Rows[0][0].I != 100 {
 		t.Fatalf("replicated read: %v", rr.Rows)
 	}
@@ -228,12 +235,13 @@ func TestReplicatedTableBroadcastsWrites(t *testing.T) {
 
 func TestBandFreeWriteBroadcastsAndSumsAffected(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 9)
-	res := exec(t, r, "UPDATE T SET A = A + 1")
+	sess := r.NewSession()
+	setupBanded(t, sess, 9)
+	res := exec(t, sess, "UPDATE T SET A = A + 1")
 	if res.Affected != 9 {
 		t.Fatalf("band-free UPDATE affected %d, want 9", res.Affected)
 	}
-	res = exec(t, r, "DELETE FROM T WHERE A > 100")
+	res = exec(t, sess, "DELETE FROM T WHERE A > 100")
 	if res.Affected != 0 {
 		t.Fatalf("delete affected %d", res.Affected)
 	}
@@ -241,7 +249,8 @@ func TestBandFreeWriteBroadcastsAndSumsAffected(t *testing.T) {
 
 func TestTransactionLazyJoinAndRollback(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 3)
+	sess := r.NewSession()
+	setupBanded(t, sess, 3)
 	s := r.NewSession()
 	defer s.Close()
 	mustOK := func(sql string) *engine.Result {
@@ -265,7 +274,7 @@ func TestTransactionLazyJoinAndRollback(t *testing.T) {
 	}
 	mustOK("ROLLBACK")
 	// Both shards rolled back; another session sees neither row.
-	if res := exec(t, r, "SELECT COUNT(*) AS N FROM T WHERE A >= 60"); res.Rows[0][0].I != 0 {
+	if res := exec(t, sess, "SELECT COUNT(*) AS N FROM T WHERE A >= 60"); res.Rows[0][0].I != 0 {
 		t.Fatalf("rollback left rows: %v", res.Rows)
 	}
 	// COMMIT path.
@@ -273,7 +282,7 @@ func TestTransactionLazyJoinAndRollback(t *testing.T) {
 	mustOK("INSERT INTO T VALUES (6, 60)")
 	mustOK("INSERT INTO T VALUES (7, 70)")
 	mustOK("COMMIT")
-	if res := exec(t, r, "SELECT COUNT(*) AS N FROM T WHERE A >= 60"); res.Rows[0][0].I != 2 {
+	if res := exec(t, sess, "SELECT COUNT(*) AS N FROM T WHERE A >= 60"); res.Rows[0][0].I != 2 {
 		t.Fatalf("commit lost rows: %v", res.Rows)
 	}
 	// COMMIT without a transaction forwards the engine's authentic error.
@@ -284,7 +293,8 @@ func TestTransactionLazyJoinAndRollback(t *testing.T) {
 
 func TestTransactionIsolationAcrossSessions(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 2)
-	setupBanded(t, r, 2)
+	sess := r.NewSession()
+	setupBanded(t, sess, 2)
 	s1, s2 := r.NewSession(), r.NewSession()
 	defer s1.Close()
 	defer s2.Close()
@@ -310,8 +320,9 @@ func TestTransactionIsolationAcrossSessions(t *testing.T) {
 
 func TestPreparedRoutesByArguments(t *testing.T) {
 	r, srvs := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 0)
-	ins, err := r.Prepare("INSERT INTO T VALUES (?, ?)")
+	sess := r.NewSession()
+	setupBanded(t, sess, 0)
+	ins, err := sess.Prepare("INSERT INTO T VALUES (?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +333,12 @@ func TestPreparedRoutesByArguments(t *testing.T) {
 		}
 	}
 	for i, s := range srvs {
-		res, _, err := s.Exec("SELECT W FROM T")
+		res, _, err := s.NewSession().Exec("SELECT W FROM T")
 		if err != nil || len(res.Rows) != 2 {
 			t.Fatalf("shard %d: %v %v", i, res, err)
 		}
 	}
-	sel, err := r.Prepare("SELECT A FROM T WHERE W = ?")
+	sel, err := sess.Prepare("SELECT A FROM T WHERE W = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +355,14 @@ func TestPreparedRoutesByArguments(t *testing.T) {
 
 func TestMultiRowInsertSpanningShardsRejected(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 2)
-	setupBanded(t, r, 0)
-	if _, _, err := r.Exec("INSERT INTO T VALUES (0, 1), (1, 2)"); err == nil ||
+	sess := r.NewSession()
+	setupBanded(t, sess, 0)
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (0, 1), (1, 2)"); err == nil ||
 		!strings.Contains(err.Error(), "spans shards") {
 		t.Fatalf("spanning insert: %v", err)
 	}
 	// Same-band multi-row inserts are fine.
-	exec(t, r, "INSERT INTO T VALUES (0, 1), (2, 2)")
+	exec(t, sess, "INSERT INTO T VALUES (0, 1), (2, 2)")
 }
 
 func TestCountDistinctCrossShardRejected(t *testing.T) {
@@ -359,20 +371,21 @@ func TestCountDistinctCrossShardRejected(t *testing.T) {
 	// exist on several shards, so the sum over-counts. The router must
 	// reject the scatter instead of returning a silently wrong count.
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 0)
-	exec(t, r, "INSERT INTO T VALUES (0, 5)")
-	exec(t, r, "INSERT INTO T VALUES (1, 5)") // same A on another shard
+	sess := r.NewSession()
+	setupBanded(t, sess, 0)
+	exec(t, sess, "INSERT INTO T VALUES (0, 5)")
+	exec(t, sess, "INSERT INTO T VALUES (1, 5)") // same A on another shard
 	for _, q := range []string{
 		"SELECT COUNT(DISTINCT A) AS N FROM T",
 		"SELECT SUM(DISTINCT A) AS S FROM T",
 	} {
-		if _, _, err := r.Exec(q); err == nil ||
+		if _, _, err := sess.Exec(q); err == nil ||
 			!strings.Contains(err.Error(), "not supported") {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
 	// Pinned to one shard the engine computes it normally.
-	res := exec(t, r, "SELECT COUNT(DISTINCT A) AS N FROM T WHERE W = 0")
+	res := exec(t, sess, "SELECT COUNT(DISTINCT A) AS N FROM T WHERE W = 0")
 	if res.Rows[0][0].I != 1 {
 		t.Fatalf("single-shard COUNT(DISTINCT): %v", res.Rows)
 	}
@@ -383,8 +396,9 @@ func TestUnionAggregateCrossShardRejected(t *testing.T) {
 	// local value per shard; merging the branches as a plain deduped row
 	// set would keep up to N spurious rows. Reject instead.
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 6)
-	if _, _, err := r.Exec("SELECT A FROM T UNION SELECT MAX(A) FROM T"); err == nil ||
+	sess := r.NewSession()
+	setupBanded(t, sess, 6)
+	if _, _, err := sess.Exec("SELECT A FROM T UNION SELECT MAX(A) FROM T"); err == nil ||
 		!strings.Contains(err.Error(), "not supported") {
 		t.Fatalf("UNION with aggregate branch: %v", err)
 	}
@@ -396,35 +410,36 @@ func TestBandedSubqueryMultiShardRejected(t *testing.T) {
 	// subquery against its local fragment only, so shards filter by
 	// different values and the merged outcome is silently wrong.
 	r, _ := newServerRouter(t, bandCfg(), 3)
-	setupBanded(t, r, 6)
+	sess := r.NewSession()
+	setupBanded(t, sess, 6)
 	for _, q := range []string{
 		"SELECT A FROM T WHERE A > (SELECT MAX(A) FROM T)",
 		"SELECT A FROM T WHERE A IN (SELECT A FROM T WHERE A > 40)",
 		"UPDATE T SET A = 0 WHERE A > (SELECT MAX(A) FROM T)",
 		"DELETE FROM T WHERE EXISTS (SELECT 1 FROM T WHERE A > 40)",
 	} {
-		if _, _, err := r.Exec(q); err == nil ||
+		if _, _, err := sess.Exec(q); err == nil ||
 			!strings.Contains(err.Error(), "subquery over banded table") {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
 	// INSERT ... SELECT from a banded source into a replicated table
 	// would feed each replica its local fragment only.
-	if _, _, err := r.Exec("INSERT INTO R SELECT W, A FROM T"); err == nil ||
+	if _, _, err := sess.Exec("INSERT INTO R SELECT W, A FROM T"); err == nil ||
 		!strings.Contains(err.Error(), "banded table") {
 		t.Fatalf("INSERT..SELECT into replicated: %v", err)
 	}
 	// A subquery over a replicated table is safe to scatter — every
 	// shard evaluates it against the full data.
-	exec(t, r, "INSERT INTO R VALUES (1, 25)")
-	res := exec(t, r, "SELECT A FROM T WHERE A IN (SELECT V FROM R)")
+	exec(t, sess, "INSERT INTO R VALUES (1, 25)")
+	res := exec(t, sess, "SELECT A FROM T WHERE A IN (SELECT V FROM R)")
 	if len(res.Rows) != 0 {
 		// A=25 does not exist; the point is the route is accepted.
 		t.Fatalf("replicated subquery scatter: %v", res.Rows)
 	}
 	// Pinned to one shard the subquery runs where the band predicate put
 	// the statement, which is what the caller asked for.
-	res = exec(t, r, "SELECT A FROM T WHERE W = 2 AND A IN (SELECT A FROM T WHERE W = 2)")
+	res = exec(t, sess, "SELECT A FROM T WHERE W = 2 AND A IN (SELECT A FROM T WHERE W = 2)")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 20 {
 		t.Fatalf("pinned subquery: %v", res.Rows)
 	}
@@ -474,7 +489,8 @@ func TestFailedCommitDoesNotPoisonShardSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec(t, r, "CREATE TABLE T (W INT, A INT)")
+	sess := r.NewSession()
+	exec(t, sess, "CREATE TABLE T (W INT, A INT)")
 	s := r.NewSession()
 	defer s.Close()
 	for _, q := range []string{
@@ -497,7 +513,7 @@ func TestFailedCommitDoesNotPoisonShardSession(t *testing.T) {
 	if _, _, err := s.Exec("INSERT INTO T VALUES (1, 99)"); err != nil {
 		t.Fatal(err)
 	}
-	res := exec(t, r, "SELECT A FROM T WHERE W = 1 ORDER BY A")
+	res := exec(t, sess, "SELECT A FROM T WHERE W = 1 ORDER BY A")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 99 {
 		// Row 70's transaction failed to commit and must be gone; row 99
 		// autocommitted after it and must be present.
@@ -539,18 +555,19 @@ func TestQuarantinedReplicaInsideOneShardDuringCrossShardRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec(t, r, "CREATE TABLE T (W INT, A INT)")
-	exec(t, r, "INSERT INTO T VALUES (0, 10)")
-	exec(t, r, "INSERT INTO T VALUES (1, 20)")
+	sess := r.NewSession()
+	exec(t, sess, "CREATE TABLE T (W INT, A INT)")
+	exec(t, sess, "INSERT INTO T VALUES (0, 10)")
+	exec(t, sess, "INSERT INTO T VALUES (1, 20)")
 	// Trigger the fault inside shard 0 until PG is outvoted into
 	// quarantine, then run the cross-shard read of record.
 	for i := 0; i < 3 && len(shard0.QuarantinedReplicas()) == 0; i++ {
-		exec(t, r, "SELECT A FROM T ORDER BY A")
+		exec(t, sess, "SELECT A FROM T ORDER BY A")
 	}
 	if got := shard0.QuarantinedReplicas(); len(got) != 1 || got[0] != "PG" {
 		t.Fatalf("shard0 quarantine: %v", got)
 	}
-	res := exec(t, r, "SELECT A FROM T ORDER BY A")
+	res := exec(t, sess, "SELECT A FROM T ORDER BY A")
 	if len(res.Rows) != 2 || res.Rows[0][0].I != 10 || res.Rows[1][0].I != 20 {
 		t.Fatalf("cross-shard read with quarantined replica: %v", res.Rows)
 	}
@@ -592,8 +609,9 @@ func TestShardLabeledCollectorsDoNotCollide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec(t, r, "CREATE TABLE A_T (A INT)")
-	exec(t, r, "INSERT INTO A_T VALUES (1)")
+	sess := r.NewSession()
+	exec(t, sess, "CREATE TABLE A_T (A INT)")
+	exec(t, sess, "INSERT INTO A_T VALUES (1)")
 	reg := obs.NewRegistry()
 	reg.Register(r.MetricsCollectors()...)
 	out := reg.Render()
@@ -616,18 +634,19 @@ func TestShardLabeledCollectorsDoNotCollide(t *testing.T) {
 
 func TestRoutedStatementsCounterCovers(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 2)
-	setupBanded(t, r, 4)
+	sess := r.NewSession()
+	setupBanded(t, sess, 4)
 	m := &r.metrics
 	if m.statements.Load() == 0 || m.single.Load() == 0 || m.broadcast.Load() == 0 {
 		t.Fatalf("counters: statements=%d single=%d broadcast=%d",
 			m.statements.Load(), m.single.Load(), m.broadcast.Load())
 	}
 	before := m.scatter.Load()
-	exec(t, r, "SELECT COUNT(*) AS N FROM T")
+	exec(t, sess, "SELECT COUNT(*) AS N FROM T")
 	if m.scatter.Load() != before+1 {
 		t.Errorf("scatter counter did not advance")
 	}
-	if _, _, err := r.Exec("INSERT INTO T VALUES (0, 1), (1, 2)"); err == nil {
+	if _, _, err := sess.Exec("INSERT INTO T VALUES (0, 1), (1, 2)"); err == nil {
 		t.Fatal("expected rejection")
 	}
 	if m.rejected.Load() == 0 {

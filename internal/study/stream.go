@@ -55,14 +55,16 @@ func Drain(src Source) []string {
 	}
 }
 
-// RunSource executes every statement from src on exec in order, stopping
-// after a crash (remaining statements cannot be submitted to a dead
-// server). It returns one outcome per submitted statement. exec may be a
-// single server, a session, the diverse middleware — anything satisfying
-// core.Executor. Entries in the bound form (core.EncodeBound) replay
-// through the executor's prepare/bind path, so parameterized divergence
+// RunSource executes every statement from src in order in one fresh
+// session of ep, stopping after a crash (remaining statements cannot be
+// submitted to a dead server). It returns one outcome per submitted
+// statement. ep is any endpoint — a single server, the diverse
+// middleware. Entries in the bound form (core.EncodeBound) replay
+// through the session's prepare/bind path, so parameterized divergence
 // reports shrink and replay like any other stream.
-func RunSource(exec core.Executor, src Source) []server.StmtOutcome {
+func RunSource(ep core.SessionExecutor, src Source) []server.StmtOutcome {
+	exec := ep.OpenSession()
+	defer exec.Close()
 	var outcomes []server.StmtOutcome
 	for {
 		sql, ok := src.Next()
@@ -84,7 +86,7 @@ func RunSource(exec core.Executor, src Source) []server.StmtOutcome {
 // the pristine oracle, then classifies the deviation observationally.
 // This is the study's single executor/comparator path: corpus bug
 // scripts and generated divergence-hunting workloads both go through it.
-func RunPair(srv, orc core.Executor, src Source) (core.Classification, []server.StmtOutcome, []server.StmtOutcome) {
+func RunPair(srv, orc core.SessionExecutor, src Source) (core.Classification, []server.StmtOutcome, []server.StmtOutcome) {
 	stmts := Drain(src)
 	sOut := RunSource(srv, SliceSource(stmts))
 	oOut := RunSource(orc, SliceSource(stmts))

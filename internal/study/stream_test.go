@@ -5,40 +5,31 @@ import (
 
 	"divsql/internal/corpus"
 	"divsql/internal/dialect"
+	"divsql/internal/fault"
 	"divsql/internal/server"
+	"divsql/internal/sql/ast"
 )
 
-func TestScriptSourceMatchesExecScript(t *testing.T) {
-	// The stream path must be observationally identical to the legacy
-	// whole-script path for every corpus script on its own server.
-	for _, bug := range corpus.All()[:20] {
-		srvA, err := server.New(bug.Server, bug.Faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := srvA.ExecScript(bug.Script)
-		if err != nil {
-			t.Fatalf("%s: %v", bug.ID, err)
-		}
-		srvB, err := server.New(bug.Server, bug.Faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := ScriptSource(bug.Script)
-		if err != nil {
-			t.Fatalf("%s: %v", bug.ID, err)
-		}
-		streamed := RunSource(srvB, src)
-		if len(streamed) != len(legacy) {
-			t.Fatalf("%s: stream ran %d statements, script path %d", bug.ID, len(streamed), len(legacy))
-		}
-		for i := range streamed {
-			if (streamed[i].Err != nil) != (legacy[i].Err != nil) ||
-				streamed[i].Crashed != legacy[i].Crashed {
-				t.Errorf("%s stmt %d: stream (%v,%v) vs script (%v,%v)",
-					bug.ID, i, streamed[i].Err, streamed[i].Crashed, legacy[i].Err, legacy[i].Crashed)
-			}
-		}
+// A crash ends the stream: the remaining statements cannot be submitted
+// to a dead server, and the crashing statement is the last outcome.
+func TestRunSourceStopsAtCrash(t *testing.T) {
+	faults := []fault.Fault{{
+		BugID:   "crash",
+		Server:  dialect.PG,
+		Trigger: fault.Trigger{Table: "C1", Flag: ast.FlagInsert},
+		Effect:  fault.Effect{Kind: fault.EffectCrash},
+	}}
+	srv, err := server.New(dialect.PG, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := ScriptSource("CREATE TABLE C1 (A INT); INSERT INTO C1 VALUES (1); SELECT A FROM C1;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := RunSource(srv, src)
+	if len(out) != 2 || out[0].Err != nil || !out[1].Crashed {
+		t.Errorf("stream outcomes: %+v", out)
 	}
 }
 

@@ -26,8 +26,9 @@ func TestRunConcurrentSingleServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := srv.NewSession()
 	cfg := concurrentConfig()
-	if err := Setup(srv, cfg); err != nil {
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
 	m, err := RunConcurrent(srv, cfg, ConcurrentOptions{Terminals: 4, TxPerTerminal: 25})
@@ -40,7 +41,7 @@ func TestRunConcurrentSingleServer(t *testing.T) {
 	if m.Errors != 0 {
 		t.Errorf("errors under disjoint terminals: %d", m.Errors)
 	}
-	if err := CheckConsistency(srv); err != nil {
+	if err := CheckConsistency(sess); err != nil {
 		t.Errorf("invariants violated after concurrent run: %v", err)
 	}
 }
@@ -61,8 +62,9 @@ func TestRunConcurrentDiverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := d.NewSession()
 	cfg := concurrentConfig()
-	if err := Setup(d, cfg); err != nil {
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
 	m, err := RunConcurrent(d, cfg, ConcurrentOptions{Terminals: 4, TxPerTerminal: 15, Mix: ReadHeavyMix()})
@@ -72,7 +74,7 @@ func TestRunConcurrentDiverse(t *testing.T) {
 	if m.Divergences != 0 || m.Errors != 0 {
 		t.Errorf("divergences=%d errors=%d on fault-free replicas", m.Divergences, m.Errors)
 	}
-	if err := CheckConsistency(d); err != nil {
+	if err := CheckConsistency(sess); err != nil {
 		t.Errorf("invariants violated: %v", err)
 	}
 	if q := d.QuarantinedReplicas(); len(q) != 0 {

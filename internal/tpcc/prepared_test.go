@@ -29,7 +29,8 @@ func TestPreparedTerminalsConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Setup(srv, cfg); err != nil {
+		sess := srv.NewSession()
+		if err := Setup(sess, cfg); err != nil {
 			t.Fatal(err)
 		}
 		m, err := RunConcurrent(srv, cfg, ConcurrentOptions{
@@ -41,13 +42,15 @@ func TestPreparedTerminalsConsistent(t *testing.T) {
 		if m.Errors > 0 {
 			t.Fatalf("prepared=%v: %d errors", prepared, m.Errors)
 		}
-		if err := CheckConsistency(srv); err != nil {
+		if err := CheckConsistency(sess); err != nil {
 			t.Fatalf("prepared=%v: %v", prepared, err)
 		}
 		return srv
 	}
 	inline := run(false)
+	inlineSess := inline.NewSession()
 	prepared := run(true)
+	preparedSess := prepared.NewSession()
 	// Same transaction stream → same aggregate state on both servers.
 	for _, q := range []string{
 		"SELECT COUNT(*) AS N FROM ORDERS",
@@ -55,11 +58,11 @@ func TestPreparedTerminalsConsistent(t *testing.T) {
 		"SELECT SUM(D_NEXT_O_ID) AS S FROM DISTRICT",
 		"SELECT SUM(C_PAYMENT_CNT) AS S FROM CUSTOMER",
 	} {
-		ri, _, err := inline.Exec(q)
+		ri, _, err := inlineSess.Exec(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, _, err := prepared.Exec(q)
+		rp, _, err := preparedSess.Exec(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,13 +80,13 @@ func TestPreparedTerminalsCacheTemplates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Setup(srv, cfg); err != nil {
+	sess := srv.NewSession()
+	defer sess.Close()
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
 	d := NewTerminalDriver(cfg, DefaultMix(), 1)
 	d.SetPrepared(true)
-	sess := srv.NewSession()
-	defer sess.Close()
 	if _, err := d.run(sess, 100, false); err != nil {
 		t.Fatal(err)
 	}

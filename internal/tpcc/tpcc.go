@@ -225,10 +225,12 @@ type Driver struct {
 }
 
 // SetPrepared switches the driver's execution mode (effective once the
-// driver attaches to an executor supporting core.PreparedExecutor).
+// driver attaches to an executor that can prepare — every session can).
 func (d *Driver) SetPrepared(on bool) { d.prepared = on }
 
 // attach binds the driver to its executor's prepared path when enabled.
+// Run takes a bare core.Executor, so this is the one place that asks
+// whether it can also prepare.
 func (d *Driver) attach(exec core.Executor) {
 	d.pe, d.cache = nil, nil
 	if !d.prepared {
@@ -310,7 +312,7 @@ const isolationStmt = "SET TRANSACTION ISOLATION LEVEL READ COMMITTED"
 // ConcurrentOptions configures a multi-terminal run.
 type ConcurrentOptions struct {
 	// Terminals is the number of concurrent client terminals; each runs
-	// in its own session when the executor supports sessions.
+	// in its own session.
 	Terminals int
 	// TxPerTerminal is the number of transactions each terminal issues.
 	TxPerTerminal int
@@ -327,14 +329,12 @@ type ConcurrentOptions struct {
 	Prepared bool
 }
 
-// RunConcurrent drives the mix from opts.Terminals concurrent terminals.
-// When the executor supports sessions (core.SessionExecutor), each
-// terminal runs in its own session — its own transaction scope — which
-// is what makes concurrent transactional terminals sound; otherwise all
-// terminals share the executor. Terminals are pinned to warehouses
-// (wrapping when there are more terminals than warehouses), keeping
-// writers disjoint.
-func RunConcurrent(exec core.Executor, cfg Config, opts ConcurrentOptions) (Metrics, error) {
+// RunConcurrent drives the mix from opts.Terminals concurrent terminals,
+// each in its own session of the endpoint — its own transaction scope,
+// which is what makes concurrent transactional terminals sound.
+// Terminals are pinned to warehouses (wrapping when there are more
+// terminals than warehouses), keeping writers disjoint.
+func RunConcurrent(ep core.SessionExecutor, cfg Config, opts ConcurrentOptions) (Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, err
 	}
@@ -351,29 +351,25 @@ func RunConcurrent(exec core.Executor, cfg Config, opts ConcurrentOptions) (Metr
 		wg.Add(1)
 		go func(term int) {
 			defer wg.Done()
-			texec := exec
-			if se, ok := exec.(core.SessionExecutor); ok {
-				sess := se.OpenSession()
-				defer func() { _ = sess.Close() }()
-				texec = sess
-				// Terminals declare their isolation level up front: READ
-				// COMMITTED is the level TPC-C's disjoint-writer contract
-				// needs, and declaring it (rather than relying on the
-				// default) keeps the workload honest about what it assumes.
-				// Level support is part of the common dialect subset, so a
-				// failure here is fatal rather than a counted tx error.
-				if _, _, err := texec.Exec(isolationStmt); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("tpcc terminal %d: %w", term, err)
-					}
-					mu.Unlock()
-					return
+			sess := ep.OpenSession()
+			defer func() { _ = sess.Close() }()
+			// Terminals declare their isolation level up front: READ
+			// COMMITTED is the level TPC-C's disjoint-writer contract
+			// needs, and declaring it (rather than relying on the
+			// default) keeps the workload honest about what it assumes.
+			// Level support is part of the common dialect subset, so a
+			// failure here is fatal rather than a counted tx error.
+			if _, _, err := sess.Exec(isolationStmt); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("tpcc terminal %d: %w", term, err)
 				}
+				mu.Unlock()
+				return
 			}
 			d := NewTerminalDriver(cfg, opts.Mix, term)
 			d.SetPrepared(opts.Prepared)
-			m, err := d.run(texec, opts.TxPerTerminal, opts.SimulateLatency)
+			m, err := d.run(sess, opts.TxPerTerminal, opts.SimulateLatency)
 			mu.Lock()
 			defer mu.Unlock()
 			merged.merge(m)

@@ -29,12 +29,13 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSetupAndRunSingle(t *testing.T) {
 	srv := singleServer(t, dialect.OR)
+	sess := srv.NewSession()
 	cfg := DefaultConfig()
-	if err := Setup(srv, cfg); err != nil {
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
 	drv := NewDriver(cfg)
-	m, err := drv.Run(srv, 200)
+	m, err := drv.Run(sess, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSetupAndRunSingle(t *testing.T) {
 	if m.Errors != 0 {
 		t.Errorf("fault-free single server must not error: %+v", m)
 	}
-	if err := CheckConsistency(srv); err != nil {
+	if err := CheckConsistency(sess); err != nil {
 		t.Errorf("consistency: %v", err)
 	}
 	// The mix must include every transaction type at this volume.
@@ -60,12 +61,13 @@ func TestWorkloadPortableAcrossDialects(t *testing.T) {
 	// restricted to the common dialect subset.
 	for _, name := range dialect.AllServers {
 		srv := singleServer(t, name)
+		sess := srv.NewSession()
 		cfg := DefaultConfig()
-		if err := Setup(srv, cfg); err != nil {
+		if err := Setup(sess, cfg); err != nil {
 			t.Fatalf("%s: setup: %v", name, err)
 		}
 		drv := NewDriver(cfg)
-		m, err := drv.Run(srv, 60)
+		m, err := drv.Run(sess, 60)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -81,11 +83,12 @@ func TestWorkloadPortableAcrossDialects(t *testing.T) {
 func TestDeterministicDriver(t *testing.T) {
 	run := func() Metrics {
 		srv := singleServer(t, dialect.OR)
+		sess := srv.NewSession()
 		cfg := DefaultConfig()
-		if err := Setup(srv, cfg); err != nil {
+		if err := Setup(sess, cfg); err != nil {
 			t.Fatal(err)
 		}
-		m, err := NewDriver(cfg).Run(srv, 100)
+		m, err := NewDriver(cfg).Run(sess, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,18 +115,19 @@ func TestRunOnDiverseMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := d.NewSession()
 	cfg := DefaultConfig()
-	if err := Setup(d, cfg); err != nil {
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewDriver(cfg).Run(d, 150)
+	m, err := NewDriver(cfg).Run(sess, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Errors != 0 {
 		t.Errorf("diverse middleware surfaced %d errors to the client", m.Errors)
 	}
-	if err := CheckConsistency(d); err != nil {
+	if err := CheckConsistency(sess); err != nil {
 		t.Errorf("consistency through middleware: %v", err)
 	}
 }
@@ -134,36 +138,38 @@ func TestRunOnReplicationGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := g.NewSession()
 	cfg := DefaultConfig()
-	if err := Setup(g, cfg); err != nil {
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewDriver(cfg).Run(g, 100)
+	m, err := NewDriver(cfg).Run(sess, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Errors != 0 {
 		t.Errorf("replicated group errors: %+v", m)
 	}
-	if err := CheckConsistency(g); err != nil {
+	if err := CheckConsistency(sess); err != nil {
 		t.Errorf("consistency: %v", err)
 	}
 }
 
 func TestConsistencyDetectsCorruption(t *testing.T) {
 	srv := singleServer(t, dialect.OR)
+	sess := srv.NewSession()
 	cfg := DefaultConfig()
-	if err := Setup(srv, cfg); err != nil {
+	if err := Setup(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDriver(cfg).Run(srv, 50); err != nil {
+	if _, err := NewDriver(cfg).Run(sess, 50); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt an invariant directly.
-	if _, _, err := srv.Exec("UPDATE WAREHOUSE SET W_YTD = W_YTD + 1 WHERE W_ID = 1"); err != nil {
+	if _, _, err := sess.Exec("UPDATE WAREHOUSE SET W_YTD = W_YTD + 1 WHERE W_ID = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckConsistency(srv); err == nil {
+	if err := CheckConsistency(sess); err == nil {
 		t.Error("corruption not detected")
 	}
 }

@@ -178,7 +178,7 @@ func BenchmarkMuxPointRead(b *testing.B) {
 			first := muxPointRead(b)
 			stmts := []*MuxStmt{first}
 			for len(stmts) < sessions {
-				s, err := first.s.m.Session()
+				s, err := first.s.mux.Session()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"divsql/internal/sql/types"
@@ -23,13 +24,101 @@ type Result struct {
 	Affected int64
 }
 
-// Client is a connection to a wire server.
+// Session is one client session on a wire server: its own transaction
+// scope and prepared-statement table. Exec and Prepare calls of one
+// session execute in order; on a Mux they interleave on the wire with
+// other sessions'.
+//
+// A session's requests travel on one of two transports, and exactly one
+// of cli and mux is set. A Client is the synchronous transport: untagged
+// bytes, and the calling goroutine reads its own response. A Mux is the
+// multiplexed one: tagged requests from many sessions, demultiplexed by
+// a reader goroutine. They are two pointers, not an interface, because
+// a call through an interface makes every BIND's argument slice escape
+// to the heap — an allocation per execution.
+type Session struct {
+	cli *Client
+	mux *Mux
+	sid int
+	// prefix starts the session's statement names: "s" on a Client,
+	// "m<sid>_" on a Mux (the bytes the golden transcripts pin).
+	prefix string
+	nextID atomic.Int64
+	closed atomic.Bool
+}
+
+// MuxSession is a Session opened with Mux.Session.
+type MuxSession = Session
+
+// Exec executes one statement in this session. SQL containing newlines
+// is flattened to spaces.
+func (s *Session) Exec(sql string) (*Result, error) {
+	return s.result(verbExec, sql, nil)
+}
+
+// roundTrip sends one request of the session — verb and arg, with args
+// when the verb is BIND — and returns its response. The error is the
+// transport's; an ERR response is in the response.
+func (s *Session) roundTrip(verb, arg string, args []types.Value) (response, error) {
+	if s.mux != nil {
+		return s.mux.roundTrip(s.sid, verb, arg, args)
+	}
+	return s.cli.roundTrip(verb, arg, args)
+}
+
+// result is a round trip for the frames answered in the EXEC format.
+func (s *Session) result(verb, arg string, args []types.Value) (*Result, error) {
+	resp, err := s.roundTrip(verb, arg, args)
+	if err != nil {
+		return nil, err
+	}
+	return resp.result()
+}
+
+// Broken reports whether the session's transport has failed: nothing
+// sent on it will be answered. Its caller should discard the session
+// and dial again.
+func (s *Session) Broken() bool {
+	if s.mux != nil {
+		return s.mux.Broken()
+	}
+	return s.cli.failed.Load()
+}
+
+// Close ends the session, rolling back its open transaction
+// server-side. A Mux stays up for its other sessions: the session is
+// released with a DETACH frame on the connection's root session. A
+// Client's session is its connection, which closes with it.
+func (s *Session) Close() error {
+	if s.closed.Swap(true) {
+		return nil
+	}
+	if s.mux != nil {
+		resp, err := s.mux.roundTrip(0, verbDetach, strconv.Itoa(s.sid), nil)
+		if err == nil {
+			_, err = resp.result()
+		}
+		return err
+	}
+	c := s.cli
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_ = c.send(appendRequest(c.wbuf[:0], 0, 0, verbQuit, ""))
+	c.failed.Store(true)
+	return c.conn.Close()
+}
+
+// Client is a connection to a wire server carrying one session: the
+// synchronous transport and, embedded, the session that runs on it
+// (whose cli points back here).
 type Client struct {
-	mu     sync.Mutex
+	Session
+
+	mu     sync.Mutex // serializes round trips
 	conn   net.Conn
 	rd     *lineReader
-	wbuf   []byte // request buffer, reused under mu
-	nextID int
+	wbuf   []byte      // request buffer, reused under mu
+	failed atomic.Bool // a send or a read failed; the stream is unusable
 }
 
 // Dial connects to a wire server.
@@ -38,42 +127,39 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire dial: %w", err)
 	}
-	return &Client{conn: conn, rd: newLineReader(conn, 0)}, nil
+	c := &Client{conn: conn, rd: newLineReader(conn, 0)}
+	c.cli, c.prefix = c, "s"
+	return c, nil
 }
 
 // send writes the request buffer in one Write. Caller holds c.mu.
 func (c *Client) send(req []byte) error {
 	c.wbuf = req
 	if _, err := c.conn.Write(req); err != nil {
+		c.failed.Store(true)
 		return fmt.Errorf("wire send: %w", err)
 	}
 	return nil
 }
 
-// roundTrip sends one encoded request and decodes its response. Caller
-// holds c.mu.
-func (c *Client) roundTrip(req []byte) (response, error) {
-	if err := c.send(req); err != nil {
-		return response{}, err
-	}
-	return readResponse(c.rd)
-}
-
-// result is roundTrip for the frames answered in the EXEC format.
-func (c *Client) result(req []byte) (*Result, error) {
-	resp, err := c.roundTrip(req)
+// recv decodes one response. Caller holds c.mu.
+func (c *Client) recv() (response, error) {
+	resp, err := readResponse(c.rd)
 	if err != nil {
-		return nil, err
+		c.failed.Store(true)
 	}
-	return resp.result()
+	return resp, err
 }
 
-// Exec sends one statement and decodes the response. SQL containing
-// newlines is flattened to spaces.
-func (c *Client) Exec(sql string) (*Result, error) {
+// roundTrip sends one request and reads its response: the connection is
+// its one session, so requests travel untagged and unprefixed.
+func (c *Client) roundTrip(verb, arg string, args []types.Value) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.result(appendRequest(c.wbuf[:0], 0, 0, verbExec, sql))
+	if err := c.send(appendFrame(c.wbuf[:0], 0, 0, verb, arg, args)); err != nil {
+		return response{}, err
+	}
+	return c.recv()
 }
 
 // ExecBatch pipelines a burst of statements: one BATCH envelope carries
@@ -110,7 +196,7 @@ func (c *Client) ExecBatch(sqls []string) ([]*Result, []error) {
 		return failRest(err)
 	}
 	for range sqls {
-		resp, err := readResponse(c.rd)
+		resp, err := c.recv()
 		if err == nil && (resp.tag < 1 || resp.tag > uint64(len(sqls))) {
 			err = fmt.Errorf("wire: unmatched batch response tag %d", resp.tag)
 		}
@@ -171,47 +257,39 @@ func (c *Client) sizedDoc(verb, kind string) (string, error) {
 	return string(doc), nil
 }
 
-// Stmt is a client-side handle on a server-side prepared statement.
+// Stmt is a client-side handle on a server-side prepared statement of
+// one Session.
 type Stmt struct {
-	c       *Client
+	s       *Session
 	name    string
 	sql     string
 	nparams int
-	closed  bool
+	closed  atomic.Bool
 }
 
-// parseStmtLine reads the parameter count off a "STMT <name> <nparams>"
-// response to the PREPARE of name.
-func parseStmtLine(line, name string) (int, error) {
-	if rest, ok := strings.CutPrefix(line, "STMT "+name+" "); ok {
-		if n, err := strconv.Atoi(rest); err == nil {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: malformed PREPARE response %q", line)
-}
+// MuxStmt is a Stmt prepared on a MuxSession.
+type MuxStmt = Stmt
 
 // Prepare sends a PREPARE frame and returns a handle on the server-side
 // statement. The SQL may contain ? or $n placeholders; the arguments of
 // each execution travel typed in BIND frames — nothing is interpolated
 // into the statement text on either side.
-func (c *Client) Prepare(sql string) (*Stmt, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextID++
-	name := "s" + strconv.Itoa(c.nextID)
-	resp, err := c.roundTrip(appendRequest(c.wbuf[:0], 0, 0, verbPrepare, name+" "+sql))
+func (s *Session) Prepare(sql string) (*Stmt, error) {
+	name := s.prefix + strconv.FormatInt(s.nextID.Add(1), 10)
+	resp, err := s.roundTrip(verbPrepare, name+" "+sql, nil)
 	if err != nil {
 		return nil, err
 	}
 	if resp.err != nil {
 		return nil, resp.err
 	}
-	nparams, err := parseStmtLine(resp.line, name)
-	if err != nil {
-		return nil, err
+	// The response is "STMT <name> <nparams>".
+	rest, ok := strings.CutPrefix(resp.line, "STMT "+name+" ")
+	nparams, err := strconv.Atoi(rest)
+	if !ok || err != nil {
+		return nil, fmt.Errorf("wire: malformed PREPARE response %q", resp.line)
 	}
-	return &Stmt{c: c, name: name, sql: sql, nparams: nparams}, nil
+	return &Stmt{s: s, name: name, sql: sql, nparams: nparams}, nil
 }
 
 // SQL returns the statement text as prepared.
@@ -223,32 +301,17 @@ func (st *Stmt) NumParams() int { return st.nparams }
 // Exec executes the prepared statement with the given typed arguments
 // via a BIND frame and decodes the response.
 func (st *Stmt) Exec(args ...types.Value) (*Result, error) {
-	c := st.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st.closed {
+	if st.closed.Load() {
 		return nil, errors.New("wire: statement is closed")
 	}
-	return c.result(appendBind(c.wbuf[:0], 0, 0, st.name, args))
+	return st.s.result(verbBind, st.name, args)
 }
 
 // Close deallocates the server-side statement.
 func (st *Stmt) Close() error {
-	c := st.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st.closed {
+	if st.closed.Swap(true) {
 		return nil
 	}
-	st.closed = true
-	_, err := c.result(appendRequest(c.wbuf[:0], 0, 0, verbClose, st.name))
+	_, err := st.s.result(verbClose, st.name, nil)
 	return err
-}
-
-// Close closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_ = c.send(appendRequest(c.wbuf[:0], 0, 0, verbQuit, ""))
-	return c.conn.Close()
 }

@@ -1,14 +1,14 @@
 // Package wire implements a small line-oriented TCP protocol through
-// which any core.Executor — a single simulated server, a non-diverse
-// replication group, or the diverse middleware — can serve network
-// clients. This is the "middleware for data replication with diverse SQL
-// servers" deployment shape the paper's conclusions call for.
+// which any endpoint (core.SessionExecutor) — a single simulated server,
+// a non-diverse replication group, the diverse middleware, the shard
+// router — can serve network clients. This is the "middleware for data
+// replication with diverse SQL servers" deployment shape the paper's
+// conclusions call for.
 //
-// When the executor supports sessions (core.SessionExecutor — every
-// endpoint in this module does), each TCP connection gets its own
-// session: transactions are scoped to the connection, concurrent
-// connections execute in parallel, and a dropped connection rolls back
-// only its own open transaction.
+// Each TCP connection gets its own session of the endpoint: transactions
+// are scoped to the connection, concurrent connections execute in
+// parallel, and a dropped connection rolls back only its own open
+// transaction.
 //
 // Protocol (text, one request per line):
 //
@@ -92,7 +92,10 @@
 // # Limits and known losses
 //
 // A request line longer than 1 MiB, or a BATCH of more than 65 536
-// frames, is answered "ERR ..." and the connection is closed.
+// frames, is answered "ERR ..." and the connection is closed. A SESSION
+// that would be the connection's 1 025th, or a PREPARE that would be its
+// session's 4 097th live statement, is answered "ERR ..." and the
+// connection carries on.
 //
 // Result cells travel untyped: the client turns a cell that reads as a
 // number into one, so the strings '007', 'Infinity' and '\N' come back
@@ -129,6 +132,12 @@ const (
 	maxRequestLine = 1 << 20
 	// maxBatch bounds the frames of one BATCH envelope.
 	maxBatch = 1 << 16
+	// maxConnSessions bounds one connection's sessions, the root
+	// included: each costs a worker goroutine and a session on every
+	// shard and replica behind the endpoint.
+	maxConnSessions = 1024
+	// maxSessionStmts bounds one session's live prepared statements.
+	maxSessionStmts = 4096
 	// maxRetainedLine is the largest long-line buffer a reader keeps
 	// between lines.
 	maxRetainedLine = 64 << 10
@@ -323,6 +332,15 @@ func appendBind(dst []byte, tag uint64, sid int, name string, args []types.Value
 		dst = v.AppendEncode(dst)
 	}
 	return append(dst, '\n')
+}
+
+// appendFrame appends one session request: a BIND with its typed
+// arguments, any other verb with its argument.
+func appendFrame(dst []byte, tag uint64, sid int, verb, arg string, args []types.Value) []byte {
+	if verb == verbBind {
+		return appendBind(dst, tag, sid, arg, args)
+	}
+	return appendRequest(dst, tag, sid, verb, arg)
 }
 
 // ---------------------------------------------------------------------------

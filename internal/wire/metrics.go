@@ -31,17 +31,22 @@ type frameStats struct {
 	lat  *obs.Histogram
 }
 
-// rejectReason is why the server refused to read a frame and closed the
-// connection.
+// rejectReason is which protocol limit a refused frame exceeded. The
+// first two close the connection (the rest of the frame cannot be
+// skipped); the others leave it usable.
 type rejectReason uint8
 
 const (
 	rejectLineTooLong rejectReason = iota
 	rejectBatchTooLarge
+	rejectTooManySessions
+	rejectTooManyStmts
 	numRejectReasons
 )
 
-var rejectNames = [numRejectReasons]string{"line_too_long", "batch_too_large"}
+var rejectNames = [numRejectReasons]string{
+	"line_too_long", "batch_too_large", "too_many_sessions", "too_many_statements",
+}
 
 // wireMetrics holds the server's live instruments. The frame label set
 // is fixed (frameNames); unrecognized commands are not counted.
@@ -119,11 +124,11 @@ func (s *Server) MetricsCollector() obs.Collector {
 		}
 		for r := range m.rejected {
 			f.Count("divsql_wire_rejected_frames_total",
-				"Frames refused for exceeding a protocol limit (the connection is closed), by reason.",
+				"Frames refused for exceeding a protocol limit, by reason.",
 				m.rejected[r].Value(), obs.L("reason", rejectNames[r]))
 		}
 		f.Count("divsql_wire_panics_total",
-			"Panics recovered while serving a session frame (answered as ERR).", m.panics.Value())
+			"Panics recovered while serving a frame (answered as ERR).", m.panics.Value())
 		f.Gauge("divsql_wire_open_connections",
 			"Currently open client connections.", float64(m.connsOpen.Value()))
 		f.Count("divsql_wire_connections_total",

@@ -67,18 +67,15 @@ func (m *Mux) register() (uint64, chan response, error) {
 }
 
 // roundTrip sends one tagged request — verb and arg, with args when the
-// verb is BIND — and waits for its response.
+// verb is BIND — and waits for the reader goroutine to deliver its
+// response.
 func (m *Mux) roundTrip(sid int, verb, arg string, args []types.Value) (response, error) {
 	tag, ch, err := m.register()
 	if err != nil {
 		return response{}, err
 	}
 	m.wmu.Lock()
-	if verb == verbBind {
-		m.wbuf = appendBind(m.wbuf[:0], tag, sid, arg, args)
-	} else {
-		m.wbuf = appendRequest(m.wbuf[:0], tag, sid, verb, arg)
-	}
+	m.wbuf = appendFrame(m.wbuf[:0], tag, sid, verb, arg, args)
 	_, err = m.conn.Write(m.wbuf)
 	m.wmu.Unlock()
 	if err != nil {
@@ -94,13 +91,12 @@ func (m *Mux) roundTrip(sid int, verb, arg string, args []types.Value) (response
 	return resp, nil
 }
 
-// result is roundTrip for the frames answered in the EXEC format.
-func (m *Mux) result(sid int, verb, arg string, args []types.Value) (*Result, error) {
-	resp, err := m.roundTrip(sid, verb, arg, args)
-	if err != nil {
-		return nil, err
-	}
-	return resp.result()
+// Broken reports a Mux that was closed or whose reader has failed: no
+// session on it will be answered again.
+func (m *Mux) Broken() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.closed || m.readErr != nil
 }
 
 // readLoop is the demultiplexer: it decodes complete responses and
@@ -149,7 +145,7 @@ func (m *Mux) Close() error {
 // Session opens one multiplexed session: its own transaction scope and
 // prepared-statement table on the server, sharing this Mux's TCP
 // connection with every other session.
-func (m *Mux) Session() (*MuxSession, error) {
+func (m *Mux) Session() (*Session, error) {
 	resp, err := m.roundTrip(0, verbSession, "", nil)
 	if err != nil {
 		return nil, err
@@ -162,95 +158,5 @@ func (m *Mux) Session() (*MuxSession, error) {
 	if !ok || err != nil {
 		return nil, fmt.Errorf("wire: malformed SESSION response %q", resp.line)
 	}
-	return &MuxSession{m: m, sid: sid}, nil
-}
-
-// MuxSession is one session of a Mux. Its Exec/Prepare calls may
-// interleave with other sessions' on the wire; within the session they
-// execute in order.
-type MuxSession struct {
-	m      *Mux
-	sid    int
-	mu     sync.Mutex
-	nextID int
-	closed bool
-}
-
-// Exec executes one statement in this session.
-func (s *MuxSession) Exec(sql string) (*Result, error) {
-	return s.m.result(s.sid, verbExec, sql, nil)
-}
-
-// Close detaches the session server-side, rolling back its open
-// transaction. The Mux connection stays up for the other sessions.
-func (s *MuxSession) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	_, err := s.m.result(0, verbDetach, strconv.Itoa(s.sid), nil)
-	return err
-}
-
-// Prepare prepares a statement in this session.
-func (s *MuxSession) Prepare(sql string) (*MuxStmt, error) {
-	s.mu.Lock()
-	s.nextID++
-	name := "m" + strconv.Itoa(s.sid) + "_" + strconv.Itoa(s.nextID)
-	s.mu.Unlock()
-	resp, err := s.m.roundTrip(s.sid, verbPrepare, name+" "+sql, nil)
-	if err != nil {
-		return nil, err
-	}
-	if resp.err != nil {
-		return nil, resp.err
-	}
-	nparams, err := parseStmtLine(resp.line, name)
-	if err != nil {
-		return nil, err
-	}
-	return &MuxStmt{s: s, name: name, sql: sql, nparams: nparams}, nil
-}
-
-// MuxStmt is a prepared statement of one MuxSession.
-type MuxStmt struct {
-	s       *MuxSession
-	name    string
-	sql     string
-	nparams int
-	mu      sync.Mutex
-	closed  bool
-}
-
-// SQL returns the statement text as prepared.
-func (st *MuxStmt) SQL() string { return st.sql }
-
-// NumParams reports how many arguments Exec expects.
-func (st *MuxStmt) NumParams() int { return st.nparams }
-
-// Exec executes the prepared statement with typed arguments.
-func (st *MuxStmt) Exec(args ...types.Value) (*Result, error) {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return nil, errors.New("wire: statement is closed")
-	}
-	st.mu.Unlock()
-	return st.s.m.result(st.s.sid, verbBind, st.name, args)
-}
-
-// Close deallocates the server-side statement.
-func (st *MuxStmt) Close() error {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return nil
-	}
-	st.closed = true
-	st.mu.Unlock()
-	_, err := st.s.m.result(st.s.sid, verbClose, st.name, nil)
-	return err
+	return &Session{mux: m, sid: sid, prefix: "m" + strconv.Itoa(sid) + "_"}, nil
 }

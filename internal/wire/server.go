@@ -14,9 +14,9 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// Server serves an Executor over TCP.
+// Server serves an endpoint over TCP.
 type Server struct {
-	exec    core.Executor
+	ep      core.SessionExecutor
 	metrics *wireMetrics
 
 	mu         sync.Mutex
@@ -44,9 +44,10 @@ func (s *Server) shardsFunc() func() string {
 	return s.shardsFn
 }
 
-// NewServer wraps an executor.
-func NewServer(exec core.Executor) *Server {
-	return &Server{exec: exec, conns: make(map[net.Conn]bool), metrics: newWireMetrics()}
+// NewServer wraps an endpoint: every session of every connection is one
+// session of ep.
+func NewServer(ep core.SessionExecutor) *Server {
+	return &Server{ep: ep, conns: make(map[net.Conn]bool), metrics: newWireMetrics()}
 }
 
 // Listen starts accepting connections on addr ("host:port"; port 0
@@ -103,13 +104,11 @@ type wireConn struct {
 	wg       sync.WaitGroup
 }
 
-// wireSession is one multiplexed session: its executor (a core.Session
-// when the endpoint supports them), its prepared-statement table and
-// its frame queue.
+// wireSession is one multiplexed session: its session on the endpoint,
+// its prepared-statement table and its frame queue.
 type wireSession struct {
 	id    int
-	exec  core.Executor
-	sess  core.Session // closed on teardown; nil for sessionless endpoints
+	sess  core.Session // closed on teardown
 	stmts map[string]core.Statement
 	ch    chan wireReq
 
@@ -125,19 +124,17 @@ type wireReq struct {
 	start   time.Time
 }
 
-// newSession opens one multiplexed session and starts its worker.
+// newSession opens one multiplexed session and starts its worker. The
+// endpoint's session is opened first, so a panic in OpenSession (which
+// the caller contains) leaves no half-made session behind.
 func (wc *wireConn) newSession() *wireSession {
 	ws := &wireSession{
+		sess:  wc.s.ep.OpenSession(),
 		id:    wc.nextSID,
-		exec:  wc.s.exec,
 		stmts: make(map[string]core.Statement),
 		ch:    make(chan wireReq, 64), // frames a client may pipeline to one session before the reader blocks
 	}
 	wc.nextSID++
-	if se, ok := wc.s.exec.(core.SessionExecutor); ok {
-		ws.sess = se.OpenSession()
-		ws.exec = ws.sess
-	}
 	wc.sessions[ws.id] = ws
 	wc.wg.Add(1)
 	go wc.worker(ws)
@@ -162,11 +159,12 @@ func (wc *wireConn) reply(tag string, parts ...string) {
 	wc.write(b)
 }
 
-// reject answers a frame the server will not read further, counts it,
-// and leaves the caller to close the connection.
-func (wc *wireConn) reject(reason rejectReason, msg string) {
+// reject answers a frame over one of the protocol's limits and counts
+// it. Whether the connection survives is the caller's call: it does
+// unless the rest of the frame cannot be skipped.
+func (wc *wireConn) reject(tag string, reason rejectReason, msg string) {
 	wc.s.metrics.rejected[reason].Inc()
-	wc.reply("", "ERR ", msg, "\n")
+	wc.reply(tag, "ERR ", msg, "\n")
 }
 
 // worker drains one session's frame queue. Exiting — channel closed on
@@ -179,9 +177,7 @@ func (wc *wireConn) worker(ws *wireSession) {
 		for _, st := range ws.stmts {
 			_ = st.Close()
 		}
-		if ws.sess != nil {
-			_ = ws.sess.Close()
-		}
+		_ = ws.sess.Close()
 	}()
 	for req := range ws.ch {
 		wc.write(wc.serve(ws, req))
@@ -210,12 +206,12 @@ func (wc *wireConn) serve(ws *wireSession, req wireReq) (out []byte) {
 	out = appendTag(ws.out[:0], req.tag)
 	switch req.kind {
 	case frameExec:
-		res, lat, err := ws.exec.Exec(req.payload)
+		res, lat, err := ws.sess.Exec(req.payload)
 		out = appendResult(out, res, lat, err)
 	case frameBind:
 		out = ws.bind(out, req.payload)
 	case framePrepare:
-		out = ws.prepare(out, req.payload)
+		out = wc.prepare(ws, out, req.payload)
 	case frameClose:
 		name := strings.TrimSpace(req.payload)
 		if st, ok := ws.stmts[name]; ok {
@@ -230,22 +226,25 @@ func (wc *wireConn) serve(ws *wireSession, req wireReq) (out []byte) {
 	return out
 }
 
-// prepare services one PREPARE frame: "<name> <sql>".
-func (ws *wireSession) prepare(out []byte, req string) []byte {
+// prepare services one PREPARE frame: "<name> <sql>". A session holds at
+// most maxSessionStmts live statements; re-preparing a name replaces its
+// statement and is always allowed.
+func (wc *wireConn) prepare(ws *wireSession, out []byte, req string) []byte {
 	name, sql, ok := strings.Cut(req, " ")
 	if !ok || name == "" || strings.TrimSpace(sql) == "" {
 		return appendErr(out, "malformed PREPARE (want: PREPARE <name> <sql>)")
 	}
-	pe, can := ws.exec.(core.PreparedExecutor)
-	if !can {
-		return appendErr(out, "endpoint does not support prepared statements")
+	old, dup := ws.stmts[name]
+	if !dup && len(ws.stmts) >= maxSessionStmts {
+		wc.s.metrics.rejected[rejectTooManyStmts].Inc()
+		return appendErr(out, "session exceeds "+strconv.Itoa(maxSessionStmts)+" prepared statements (CLOSE some)")
 	}
-	st, err := pe.Prepare(sql)
+	st, err := ws.sess.Prepare(sql)
 	if err != nil {
 		return appendErr(out, err.Error())
 	}
-	if old, dup := ws.stmts[name]; dup {
-		_ = old.Close() // re-preparing a name replaces the statement
+	if dup {
+		_ = old.Close()
 	}
 	ws.stmts[name] = st
 	out = append(out, "STMT "...)
@@ -304,7 +303,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	// sid 0 is the connection's root session: untagged unprefixed frames
 	// behave exactly as before multiplexing existed.
-	wc.newSession()
+	if !wc.contain("", func() { wc.newSession() }) {
+		return
+	}
 	// Teardown closes every session the connection opened — each worker
 	// drains its queue, then rolls back its own open transaction. A
 	// connection dropped mid-batch therefore aborts exactly its own
@@ -332,7 +333,7 @@ func (wc *wireConn) readRequest(rd *lineReader) (string, bool) {
 	line, err := rd.readLine()
 	if err != nil {
 		if errors.Is(err, errLineTooLong) {
-			wc.reject(rejectLineTooLong, "request line exceeds "+strconv.Itoa(maxRequestLine)+" bytes")
+			wc.reject("", rejectLineTooLong, "request line exceeds "+strconv.Itoa(maxRequestLine)+" bytes")
 		}
 		return "", false
 	}
@@ -402,7 +403,7 @@ func (wc *wireConn) dispatch(line string, batch *lineReader) bool {
 		return true
 	case frameBatch:
 		if n > maxBatch {
-			wc.reject(rejectBatchTooLarge, "BATCH exceeds "+strconv.Itoa(maxBatch)+" frames")
+			wc.reject("", rejectBatchTooLarge, "BATCH exceeds "+strconv.Itoa(maxBatch)+" frames")
 			return false
 		}
 		wc.s.metrics.record(frameBatch, 0)
@@ -416,7 +417,22 @@ func (wc *wireConn) dispatch(line string, batch *lineReader) bool {
 	case frameOther:
 		wc.reply(tag, "ERR unknown command\n")
 		return true
+	default:
+		wc.contain(tag, func() { wc.control(tag, kind) })
+	}
+	wc.s.metrics.record(kind, time.Since(start))
+	return kind != frameQuit
+}
+
+// control answers a frame that is served here, on the reader goroutine.
+func (wc *wireConn) control(tag string, kind frameKind) {
+	switch kind {
 	case frameSession:
+		if len(wc.sessions) >= maxConnSessions {
+			wc.reject(tag, rejectTooManySessions,
+				"connection exceeds "+strconv.Itoa(maxConnSessions)+" sessions (DETACH some)")
+			return
+		}
 		ns := wc.newSession()
 		wc.reply(tag, "SESS ", strconv.Itoa(ns.id), "\n")
 	case framePing:
@@ -436,8 +452,23 @@ func (wc *wireConn) dispatch(line string, batch *lineReader) bool {
 			wc.reply(tag, "ERR not a sharded deployment\n")
 		}
 	}
-	wc.s.metrics.record(kind, time.Since(start))
-	return kind != frameQuit
+}
+
+// contain runs fn, which serves a frame on the reader goroutine. A panic
+// in it — the endpoint's OpenSession, a metrics collector, the shard
+// status renderer — is answered as an error and counted, as serve does
+// for a worker's; the connection and its sessions carry on. It reports
+// whether fn returned.
+func (wc *wireConn) contain(tag string, fn func()) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			wc.s.metrics.panics.Inc()
+			wc.ctl = appendErr(appendTag(wc.ctl[:0], tag), fmt.Sprint("internal error: ", r))
+			wc.write(wc.ctl)
+		}
+	}()
+	fn()
+	return true
 }
 
 // Close stops the listener, closes open connections and waits for the

@@ -70,15 +70,16 @@ var (
 	endpoints   = map[string]core.SessionExecutor{}
 )
 
-// Open resolves the DSN to its (shared) endpoint and opens one session
-// on it: the connection. "wire:" DSNs skip the endpoint cache — each
-// connection dials the remote divsqld, which owns the shared state.
+// Open opens one session — the connection — with the DSN's dialer: on
+// the (shared, cached) in-process endpoint, over a TCP connection of its
+// own ("wire:"), or over the address's shared multiplexed connection
+// ("wiremux:"). The remote divsqld owns the shared state in the last two.
 func (d *Driver) Open(dsn string) (driver.Conn, error) {
 	if addr, ok := strings.CutPrefix(dsn, "wire:"); ok {
-		return openWireConn(addr)
+		return dialWire(addr)
 	}
 	if addr, ok := strings.CutPrefix(dsn, "wiremux:"); ok {
-		return openWireMuxConn(addr)
+		return dialWireMux(addr)
 	}
 	ep, err := endpointFor(dsn)
 	if err != nil {
@@ -102,13 +103,9 @@ func endpointFor(dsn string) (core.SessionExecutor, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec, ok := divsql.Executor(db)
+	ep, ok := divsql.Executor(db)
 	if !ok {
 		return nil, fmt.Errorf("sqldriver: endpoint %q exposes no executor", dsn)
-	}
-	ep, ok := exec.(core.SessionExecutor)
-	if !ok {
-		return nil, fmt.Errorf("sqldriver: endpoint %q does not support sessions", dsn)
 	}
 	endpoints[dsn] = ep
 	return ep, nil
@@ -144,24 +141,36 @@ func openDSN(dsn string) (divsql.DB, error) {
 	}
 }
 
-// conn is one database/sql connection: one session of the shared
-// endpoint, carrying the connection's transaction scope.
+// conn is one database/sql connection: one session of an endpoint,
+// in-process or across the wire, carrying the connection's transaction
+// scope.
 type conn struct {
 	sess core.Session
+	// broken reports a session whose transport has failed (wire modes;
+	// nil in-process, where a session cannot lose its endpoint).
+	broken func() bool
 }
 
-var _ driver.Conn = (*conn)(nil)
+var (
+	_ driver.Conn        = (*conn)(nil)
+	_ driver.ConnBeginTx = (*conn)(nil)
+	_ driver.Validator   = (*conn)(nil)
+)
+
+// IsValid implements driver.Validator: database/sql discards the
+// connection once its transport has failed, so the pool's next statement
+// dials afresh instead of failing on a dead socket forever. The
+// statement that met the failure reports it as it is — never
+// driver.ErrBadConn, which would have database/sql silently run it
+// again when it may already have executed.
+func (c *conn) IsValid() bool { return c.broken == nil || !c.broken() }
 
 // Prepare prepares the statement server-side: the endpoint session
 // parses, dialect-checks and plans the text once (? and $n placeholders
 // both work), and every execution ships typed arguments through the
 // engine's bind path. Nothing is ever interpolated into SQL text.
 func (c *conn) Prepare(query string) (driver.Stmt, error) {
-	pe, ok := c.sess.(core.PreparedExecutor)
-	if !ok {
-		return nil, fmt.Errorf("sqldriver: endpoint does not support prepared statements")
-	}
-	st, err := pe.Prepare(query)
+	st, err := c.sess.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
@@ -174,17 +183,13 @@ func (c *conn) Close() error { return c.sess.Close() }
 
 // Begin starts a transaction on this connection's session.
 func (c *conn) Begin() (driver.Tx, error) {
-	if _, _, err := c.sess.Exec("BEGIN TRANSACTION"); err != nil {
-		return nil, err
-	}
-	return &tx{conn: c}, nil
+	return c.BeginTx(context.TODO(), driver.TxOptions{})
 }
-
-var _ driver.ConnBeginTx = (*conn)(nil)
 
 // BeginTx starts a transaction at the requested isolation level. The
 // level is issued as the transaction's first statement (SET TRANSACTION
-// ISOLATION LEVEL ...), so it scopes to this transaction and leaves the
+// ISOLATION LEVEL ...) — ordinary statement text, so the wire protocol
+// needs no frame for it — and scopes to this transaction, leaving the
 // session default untouched. A level the endpoint's dialect rejects
 // fails here, before any work runs inside the transaction.
 func (c *conn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, error) {

@@ -14,9 +14,13 @@ var openSeq atomic.Int64
 func open(t *testing.T, dsn string) *sql.DB {
 	t.Helper()
 	Register()
-	// A unique '#label' per call gives every test a fresh endpoint
-	// instance; within the test, all pooled connections share it.
-	db, err := sql.Open(DriverName, fmt.Sprintf("%s#%s-%d", dsn, t.Name(), openSeq.Add(1)))
+	// A unique '#label' per call gives every test a fresh in-process
+	// endpoint instance; within the test, all pooled connections share
+	// it. A wire DSN names a server the test started for itself.
+	if !strings.HasPrefix(dsn, "wire") {
+		dsn = fmt.Sprintf("%s#%s-%d", dsn, t.Name(), openSeq.Add(1))
+	}
+	db, err := sql.Open(DriverName, dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +116,25 @@ func TestTransactionsThroughDatabaseSQL(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("commit left %d rows", n)
+	}
+}
+
+// BOOLEAN is PG's alone, so the bool leg of the typed bind round trip
+// (TestSessionContract has the others) runs on a single PG server.
+func TestBoolRoundTripsThroughBind(t *testing.T) {
+	db := open(t, "single:PG")
+	if _, err := db.Exec("CREATE TABLE T (B BOOLEAN)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO T VALUES (?), (?)", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	var b sql.NullBool
+	if err := db.QueryRow("SELECT B FROM T WHERE B IS NOT NULL").Scan(&b); err != nil || !b.Bool {
+		t.Errorf("bool round trip: %+v %v", b, err)
+	}
+	if err := db.QueryRow("SELECT B FROM T WHERE B IS NULL").Scan(&b); err != nil || b.Valid {
+		t.Errorf("NULL bool round trip: %+v %v", b, err)
 	}
 }
 

@@ -1,14 +1,17 @@
 package sqldriver
 
 import (
-	"context"
 	"database/sql/driver"
 	"sync"
+	"time"
 
+	"divsql/internal/core"
+	"divsql/internal/engine"
+	"divsql/internal/sql/types"
 	"divsql/internal/wire"
 )
 
-// This file is the driver's network modes.
+// This file is the driver's network dialers.
 //
 // A "wire:host:port" DSN attaches to a running divsqld over the wire
 // protocol instead of an in-process endpoint. Each database/sql
@@ -23,114 +26,73 @@ import (
 // identical; the deployment holds N sockets open instead of
 // N×pool-size.
 //
-// OK frames carry the affected-row count, so Result.RowsAffected works
-// in both modes (a pre-affected-count server reports 0).
+// Either way the connection is the same conn over a core.Session: the
+// wire session adapted by wireSession below.
 
-// openWireConn dials one connection to a divsqld at addr.
-func openWireConn(addr string) (driver.Conn, error) {
+// wireSession adapts a wire client session to core.Session — the one
+// place a wire response becomes an engine result again. OK frames carry
+// the affected-row count, so Result.RowsAffected works across the wire
+// (a pre-affected-count server reports 0).
+type wireSession struct {
+	s *wire.Session
+	// release, when set, runs after Close: a "wiremux:" session drops
+	// its reference on the shared Mux.
+	release func()
+}
+
+func fromWire(res *wire.Result, err error) (*engine.Result, time.Duration, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	out := &engine.Result{Kind: engine.ResultCount, Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}
+	if len(res.Columns) > 0 {
+		out.Kind = engine.ResultRows
+	}
+	return out, res.Latency, nil
+}
+
+func (w *wireSession) Exec(sql string) (*engine.Result, time.Duration, error) {
+	return fromWire(w.s.Exec(sql))
+}
+
+func (w *wireSession) Prepare(sql string) (core.Statement, error) {
+	st, err := w.s.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return wireStmt{st}, nil
+}
+
+// Close ends the server-side session, rolling back its open transaction:
+// a "wire:" session closes its TCP connection, a "wiremux:" one detaches
+// and leaves the shared connection to the pool's other sessions.
+func (w *wireSession) Close() error {
+	err := w.s.Close()
+	if w.release != nil {
+		w.release()
+	}
+	return err
+}
+
+// wireStmt is a wire statement handle as a core.Statement.
+type wireStmt struct{ *wire.Stmt }
+
+func (st wireStmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
+	return fromWire(st.Stmt.Exec(args...))
+}
+
+func newWireConn(s *wire.Session, release func()) *conn {
+	return &conn{sess: &wireSession{s: s, release: release}, broken: s.Broken}
+}
+
+// dialWire dials one connection to a divsqld at addr.
+func dialWire(addr string) (driver.Conn, error) {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &wireConn{c: c}, nil
+	return newWireConn(&c.Session, nil), nil
 }
-
-type wireConn struct{ c *wire.Client }
-
-var _ driver.Conn = (*wireConn)(nil)
-
-// Prepare prepares the statement server-side over a PREPARE frame;
-// executions ship typed arguments in BIND frames, so nothing is
-// interpolated into SQL text on either side.
-func (w *wireConn) Prepare(query string) (driver.Stmt, error) {
-	st, err := w.c.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	return &wireStmt{st: st}, nil
-}
-
-// Close closes the TCP connection; the server rolls back the
-// connection's open transaction with its session.
-func (w *wireConn) Close() error { return w.c.Close() }
-
-// Begin starts a transaction on the connection's server-side session.
-func (w *wireConn) Begin() (driver.Tx, error) {
-	if _, err := w.c.Exec("BEGIN TRANSACTION"); err != nil {
-		return nil, err
-	}
-	return &wireTx{c: w.c}, nil
-}
-
-var _ driver.ConnBeginTx = (*wireConn)(nil)
-
-// BeginTx starts a transaction at the requested isolation level; the
-// level travels as ordinary statement text (SET TRANSACTION as the
-// transaction's first statement), so the wire protocol needs no new
-// frames.
-func (w *wireConn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, error) {
-	iso, err := isoStatement(opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.c.Exec("BEGIN TRANSACTION"); err != nil {
-		return nil, err
-	}
-	if iso != "" {
-		if _, err := w.c.Exec(iso); err != nil {
-			_, _ = w.c.Exec("ROLLBACK")
-			return nil, err
-		}
-	}
-	return &wireTx{c: w.c}, nil
-}
-
-type wireTx struct{ c *wire.Client }
-
-func (t *wireTx) Commit() error {
-	_, err := t.c.Exec("COMMIT")
-	return err
-}
-
-func (t *wireTx) Rollback() error {
-	_, err := t.c.Exec("ROLLBACK")
-	return err
-}
-
-// wireStmt adapts a wire prepared-statement handle to driver.Stmt.
-type wireStmt struct{ st *wire.Stmt }
-
-var _ driver.Stmt = (*wireStmt)(nil)
-
-func (s *wireStmt) Close() error  { return s.st.Close() }
-func (s *wireStmt) NumInput() int { return s.st.NumParams() }
-
-func (s *wireStmt) Exec(args []driver.Value) (driver.Result, error) {
-	vals, err := toTypesValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.st.Exec(vals...)
-	if err != nil {
-		return nil, err
-	}
-	return result{affected: res.Affected}, nil
-}
-
-func (s *wireStmt) Query(args []driver.Value) (driver.Rows, error) {
-	vals, err := toTypesValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.st.Exec(vals...)
-	if err != nil {
-		return nil, err
-	}
-	return &rows{cols: res.Columns, data: res.Rows}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Multiplexed wire mode
 
 // muxes caches one multiplexed connection per address: every
 // database/sql connection of a "wiremux:" pool is one session of the
@@ -164,12 +126,14 @@ func releaseMux(addr string, e *muxEntry) {
 	}
 }
 
-// openWireMuxConn opens one multiplexed session to the divsqld at addr,
-// dialing the shared Mux on first use.
-func openWireMuxConn(addr string) (driver.Conn, error) {
+// dialWireMux opens one multiplexed session to the divsqld at addr. The
+// shared Mux is dialed on first use, and again when the cached one's
+// reader has failed (the server went away): its remaining sessions
+// drain out through releaseMux while new ones go to the new connection.
+func dialWireMux(addr string) (driver.Conn, error) {
 	muxesMu.Lock()
 	e, ok := muxes[addr]
-	if !ok {
+	if !ok || e.m.Broken() {
 		m, err := wire.DialMux(addr)
 		if err != nil {
 			muxesMu.Unlock()
@@ -182,112 +146,10 @@ func openWireMuxConn(addr string) (driver.Conn, error) {
 	muxesMu.Unlock()
 	sess, err := e.m.Session()
 	if err != nil {
-		// The shared Mux may have died (server restart); forget it so the
-		// next open re-dials, and drop this open's reference.
-		muxesMu.Lock()
-		if muxes[addr] == e {
-			delete(muxes, addr)
-		}
-		muxesMu.Unlock()
 		releaseMux(addr, e)
 		return nil, err
 	}
-	return &wireMuxConn{s: sess, addr: addr, e: e}, nil
-}
-
-type wireMuxConn struct {
-	s    *wire.MuxSession
-	addr string
-	e    *muxEntry
-}
-
-var (
-	_ driver.Conn        = (*wireMuxConn)(nil)
-	_ driver.ConnBeginTx = (*wireMuxConn)(nil)
-)
-
-func (w *wireMuxConn) Prepare(query string) (driver.Stmt, error) {
-	st, err := w.s.Prepare(query)
-	if err != nil {
-		return nil, err
-	}
-	return &wireMuxStmt{st: st}, nil
-}
-
-// Close detaches the server-side session (rolling back its open
-// transaction) and drops the session's reference on the shared Mux; the
-// TCP connection stays up while other pool connections still hold it.
-func (w *wireMuxConn) Close() error {
-	err := w.s.Close()
-	releaseMux(w.addr, w.e)
-	return err
-}
-
-func (w *wireMuxConn) Begin() (driver.Tx, error) {
-	if _, err := w.s.Exec("BEGIN TRANSACTION"); err != nil {
-		return nil, err
-	}
-	return &wireMuxTx{s: w.s}, nil
-}
-
-func (w *wireMuxConn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, error) {
-	iso, err := isoStatement(opts)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.s.Exec("BEGIN TRANSACTION"); err != nil {
-		return nil, err
-	}
-	if iso != "" {
-		if _, err := w.s.Exec(iso); err != nil {
-			_, _ = w.s.Exec("ROLLBACK")
-			return nil, err
-		}
-	}
-	return &wireMuxTx{s: w.s}, nil
-}
-
-type wireMuxTx struct{ s *wire.MuxSession }
-
-func (t *wireMuxTx) Commit() error {
-	_, err := t.s.Exec("COMMIT")
-	return err
-}
-
-func (t *wireMuxTx) Rollback() error {
-	_, err := t.s.Exec("ROLLBACK")
-	return err
-}
-
-type wireMuxStmt struct{ st *wire.MuxStmt }
-
-var _ driver.Stmt = (*wireMuxStmt)(nil)
-
-func (s *wireMuxStmt) Close() error  { return s.st.Close() }
-func (s *wireMuxStmt) NumInput() int { return s.st.NumParams() }
-
-func (s *wireMuxStmt) Exec(args []driver.Value) (driver.Result, error) {
-	vals, err := toTypesValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.st.Exec(vals...)
-	if err != nil {
-		return nil, err
-	}
-	return result{affected: res.Affected}, nil
-}
-
-func (s *wireMuxStmt) Query(args []driver.Value) (driver.Rows, error) {
-	vals, err := toTypesValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.st.Exec(vals...)
-	if err != nil {
-		return nil, err
-	}
-	return &rows{cols: res.Columns, data: res.Rows}, nil
+	return newWireConn(sess, func() { releaseMux(addr, e) }), nil
 }
 
 // Metrics scrapes the server's metrics over the wire METRICS frame,

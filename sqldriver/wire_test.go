@@ -2,70 +2,11 @@ package sqldriver
 
 import (
 	"database/sql"
-	"fmt"
-	"sync"
 	"testing"
 
 	"divsql"
 	"divsql/internal/wire"
 )
-
-func startWireServer(t *testing.T) string {
-	t.Helper()
-	db, err := divsql.Open(divsql.PG, divsql.WithFaults(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, ok := divsql.Executor(db)
-	if !ok {
-		t.Fatal("no executor")
-	}
-	ws := wire.NewServer(exec)
-	addr, err := ws.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ws.Close() })
-	return addr
-}
-
-// TestWireRowsAffected is the affected-count round trip of the network
-// mode: the count crosses the wire in the OK head and surfaces through
-// database/sql's Result for INSERT, UPDATE and DELETE.
-func TestWireRowsAffected(t *testing.T) {
-	Register()
-	addr := startWireServer(t)
-	db, err := sql.Open(DriverName, "wire:"+addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE T (A INT)"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Exec("INSERT INTO T VALUES (1), (2), (3)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := res.RowsAffected(); n != 3 {
-		t.Errorf("INSERT RowsAffected = %d, want 3", n)
-	}
-	res, err = db.Exec("UPDATE T SET A = A * 10 WHERE A >= 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := res.RowsAffected(); n != 2 {
-		t.Errorf("UPDATE RowsAffected = %d, want 2", n)
-	}
-	// The placeholder path (PREPARE/BIND frames) carries the count too.
-	res, err = db.Exec("DELETE FROM T WHERE A > ?", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := res.RowsAffected(); n != 2 {
-		t.Errorf("DELETE RowsAffected = %d, want 2", n)
-	}
-}
 
 // TestWireMuxCloseReleasesSharedConn: the per-address Mux is reference-
 // counted by its open sessions — closing the pool must close and drop
@@ -108,80 +49,51 @@ func TestWireMuxCloseReleasesSharedConn(t *testing.T) {
 	}
 }
 
-// TestWireMuxPool drives a database/sql pool over one multiplexed TCP
-// connection: concurrent transactions stay isolated and the affected
-// counts survive the shared socket.
-func TestWireMuxPool(t *testing.T) {
+// TestWirePoolRecoversFromServerRestart: a pool whose connection died
+// with its divsqld must answer again once the server is back. The
+// statement that meets the dead transport fails with the transport's
+// error (it may have run: no silent retry); database/sql then discards
+// the connection (driver.Validator), and the "wiremux:" dialer replaces
+// the shared Mux whose reader failed.
+func TestWirePoolRecoversFromServerRestart(t *testing.T) {
 	Register()
-	addr := startWireServer(t)
-	db, err := sql.Open(DriverName, "wiremux:"+addr)
+	db, err := divsql.Open(divsql.PG, divsql.WithFaults(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	db.SetMaxOpenConns(8)
-	if _, err := db.Exec("CREATE TABLE P (W INT, V INT)"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Exec("INSERT INTO P VALUES (0, 0)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := res.RowsAffected(); n != 1 {
-		t.Errorf("mux INSERT RowsAffected = %d, want 1", n)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 6)
-	for w := 0; w < len(errs); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				tx, err := db.Begin()
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if _, err := tx.Exec(fmt.Sprintf("INSERT INTO P VALUES (%d, %d)", w+1, i)); err != nil {
-					errs[w] = err
-					_ = tx.Rollback()
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					errs[w] = err
-					return
-				}
+	ep, _ := divsql.Executor(db)
+	for _, mode := range []string{"wire:", "wiremux:"} {
+		t.Run(mode, func(t *testing.T) {
+			ws := wire.NewServer(ep)
+			addr, err := ws.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	var n int
-	if err := db.QueryRow("SELECT COUNT(*) AS N FROM P").Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 61 {
-		t.Errorf("rows after concurrent mux transactions: %d, want 61", n)
-	}
-	// Uncommitted work in one pooled session is invisible to another.
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Exec("INSERT INTO P VALUES (99, 99)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.QueryRow("SELECT COUNT(*) AS N FROM P WHERE W = 99").Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("uncommitted row visible across mux sessions")
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
+			pool, err := sql.Open(DriverName, mode+addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			pool.SetMaxOpenConns(1)
+			if _, err := pool.Exec("SELECT 1 AS X"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ws.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ws = wire.NewServer(ep)
+			if _, err := ws.Listen(addr); err != nil {
+				t.Fatal(err)
+			}
+			defer ws.Close()
+			var errs []error
+			for attempt := 1; attempt <= 3; attempt++ {
+				if _, err = pool.Exec("SELECT 1 AS X"); err == nil {
+					return
+				}
+				errs = append(errs, err)
+			}
+			t.Fatalf("pool still failing three attempts after the restart: %v", errs)
+		})
 	}
 }
