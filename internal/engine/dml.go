@@ -296,6 +296,14 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 	}
 	keysets = append(keysets, t.Uniques...)
 	for _, key := range keysets {
+		// An UPDATE that leaves this key as it was cannot create a
+		// duplicate: the old row's key was unique, and a row this same
+		// statement rewrote INTO that key earlier was itself checked
+		// against the old row and refused. Only a key that moves is
+		// scanned for.
+		if skipIdx >= 0 && sameKey(t.Rows[skipIdx], row, key) {
+			continue
+		}
 		allSet := true
 		allInt := true
 		for _, ci := range key {
@@ -336,17 +344,7 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 			}
 		}
 		for ri, existing := range t.Rows {
-			if ri == skipIdx {
-				continue
-			}
-			same := true
-			for _, ci := range key {
-				if !types.Identical(existing[ci], row[ci]) {
-					same = false
-					break
-				}
-			}
-			if same {
+			if ri != skipIdx && sameKey(existing, row, key) {
 				return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
 			}
 		}
@@ -362,6 +360,17 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 		}
 	}
 	return nil
+}
+
+// sameKey reports whether two rows carry identical values in the key
+// columns.
+func sameKey(a, b []types.Value, key []int) bool {
+	for _, ci := range key {
+		if !types.Identical(a[ci], b[ci]) {
+			return false
+		}
+	}
+	return true
 }
 
 func tableScopeCols(t *Table) []scopeCol {

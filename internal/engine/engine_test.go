@@ -509,6 +509,50 @@ func TestUniqueIndexEnforced(t *testing.T) {
 	}
 }
 
+// TestUpdateKeyConstraints pins what an UPDATE checks for PK/UNIQUE
+// keys: a key the statement leaves as it was is not re-verified (no
+// table scan), a key that moves still is — mid-statement included.
+func TestUpdateKeyConstraints(t *testing.T) {
+	e := NewOracle()
+	mustExec(t, e, "CREATE TABLE T (ID INT PRIMARY KEY, U INT UNIQUE, V INT)")
+	mustExec(t, e, "INSERT INTO T VALUES (1, 10, 0)")
+	mustExec(t, e, "INSERT INTO T VALUES (2, 20, 0)")
+	mustExec(t, e, "INSERT INTO T VALUES (3, NULL, 0)")
+	mustExec(t, e, "INSERT INTO T VALUES (4, NULL, 0)")
+	image := func() string {
+		return strings.Join(rowStrings(mustExec(t, e, "SELECT ID, U, V FROM T ORDER BY ID")), ";")
+	}
+
+	if res := mustExec(t, e, "UPDATE T SET ID = ID"); res.Affected != 4 {
+		t.Errorf("SET pk = pk affected %d, want 4", res.Affected)
+	}
+	// Non-key assignment on a table with a UNIQUE column, NULL keys among
+	// the rows.
+	if res := mustExec(t, e, "UPDATE T SET V = V + 1"); res.Affected != 4 {
+		t.Errorf("non-key update affected %d, want 4", res.Affected)
+	}
+	// NULLs never collide: assigning NULL over NULL, and over a value.
+	mustExec(t, e, "UPDATE T SET U = NULL WHERE ID >= 2")
+
+	before := image()
+	// Row 1 moves onto row 2's key before row 2 itself has moved.
+	if err := mustFail(t, e, "UPDATE T SET ID = ID + 1"); !errors.Is(err, ErrConstraint) {
+		t.Errorf("SET pk = pk + 1: want ErrConstraint, got %v", err)
+	}
+	// A UNIQUE value that moves onto a taken one is refused; onto a free
+	// one it is not.
+	if err := mustFail(t, e, "UPDATE T SET U = 10 WHERE ID = 2"); !errors.Is(err, ErrConstraint) {
+		t.Errorf("UNIQUE collision: want ErrConstraint, got %v", err)
+	}
+	if got := image(); got != before {
+		t.Errorf("refused updates changed the table:\n got %s\nwant %s", got, before)
+	}
+	mustExec(t, e, "UPDATE T SET U = 20 WHERE ID = 2")
+	// Moving onto a key this statement already vacated: 3->2, then 4->3.
+	mustExec(t, e, "DELETE FROM T WHERE ID < 3")
+	mustExec(t, e, "UPDATE T SET ID = ID - 1")
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	e := NewOracle()
 	seed(t, e)
