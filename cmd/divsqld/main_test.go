@@ -66,7 +66,36 @@ func TestDivsqldMetricsSmoke(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 
+	// A Delivery-shaped statement: MS's reproduced quirk rejects the
+	// unaliased SUM, and the middleware rephrases MS back into agreement
+	// instead of quarantining and resyncing it.
+	bump, err := db.Prepare("UPDATE ACCOUNTS SET BAL = BAL + (SELECT SUM(BAL) FROM ACCOUNTS WHERE ID > ?) WHERE ID = ?")
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	if _, err := bump.Exec(2, 1); err != nil {
+		t.Fatalf("delivery-shaped update: %v", err)
+	}
+	bump.Close()
+	var bal int
+	if err := db.QueryRow("SELECT BAL FROM ACCOUNTS WHERE ID = 1").Scan(&bal); err != nil || bal != 800 {
+		t.Fatalf("after the delivery-shaped update: bal = %d (%v), want 800", bal, err)
+	}
+
 	doc := scrape(t, d.metricsAddr)
+	if n := sampleValue(t, doc, "divsql_middleware_replica_errors_total"); n < 1 {
+		t.Errorf("divsql_middleware_replica_errors_total = %v, want >= 1", n)
+	}
+	if n := sampleValue(t, doc, "divsql_middleware_rephrase_recovered_total"); n < 1 {
+		t.Errorf("divsql_middleware_rephrase_recovered_total = %v, want >= 1", n)
+	}
+	if n := sampleValue(t, doc, "divsql_middleware_resyncs_total"); n != 0 {
+		t.Errorf("divsql_middleware_resyncs_total = %v, want 0", n)
+	}
+	// sampleValue sums the per-replica samples: none may be 1.
+	if n := sampleValue(t, doc, "divsql_middleware_replica_quarantined"); n != 0 {
+		t.Errorf("divsql_middleware_replica_quarantined sums to %v, want every replica at 0", n)
+	}
 	for _, family := range []string{
 		"divsql_middleware_statements_total",
 		"divsql_middleware_unanimous_total",

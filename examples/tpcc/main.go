@@ -48,8 +48,8 @@ func run(txns int) error {
 			return err
 		}
 		if m, ok := divsql.Metrics(db); ok {
-			fmt.Printf("  middleware: masked=%d detected-splits=%d resyncs=%d rephrase-recovered=%d\n",
-				m.MaskedFailures, m.DetectedSplits, m.Resyncs, m.RephraseRecovered)
+			fmt.Printf("  middleware: replica-errors=%d rephrase-recovered=%d masked=%d detected-splits=%d resyncs=%d\n",
+				m.ReplicaErrors, m.RephraseRecovered, m.MaskedFailures, m.DetectedSplits, m.Resyncs)
 		}
 		db.Close()
 		fmt.Println()

@@ -2,8 +2,10 @@
 // paper motivates: diverse modular redundancy over off-the-shelf servers.
 // Every statement is broadcast to all replicas; the normalized results
 // are adjudicated (detection with two replicas, masking by majority with
-// three or more); failed or outvoted replicas are quarantined, restarted
-// and resynchronized by state transfer from a healthy replica.
+// three or more). A replica that rejects what the majority ran, or answers
+// a query differently, is asked again in rephrased form (Rephrase); one
+// that still disagrees, or crashed, is quarantined, restarted and
+// resynchronized by state transfer from a healthy replica.
 //
 // Clients attach through sessions (NewSession): each client session maps
 // to one session per replica, so transactions stay per-client and the
@@ -20,7 +22,8 @@
 // once the statement's measured cost says the overlap is worth a
 // goroutine hand-off (Session.broadcast). Locks nest cs.mu → execMu →
 // d.mu; d.mu is held only to read or change replica health and the
-// event counters, never across replica execution or adjudication.
+// event counters, never across a broadcast or its adjudication (only the
+// rephrased retry of a replica found at odds with the rest runs under it).
 //
 // Resynchronization never waits for a global transaction boundary. A
 // quarantined replica rejoins at the start of the next state-changing
@@ -156,7 +159,7 @@ type Metrics struct {
 	ReplicaErrors     int64 // error messages outvoted by healthy replicas
 	CrashesDetected   int64
 	PerfOutliers      int64
-	RephraseRecovered int64
+	RephraseRecovered int64 // error-voting replicas, and queries with outliers, repaired by rephrasing
 	Resyncs           int64
 	// JournalReplays counts redo statements shipped on top of committed
 	// snapshots during resync (the open-transaction journals replayed
@@ -512,6 +515,11 @@ type boundStmt struct {
 	// execution. A prepared statement carries it from one execution to
 	// the next; text starts at zero (unknown) each time.
 	cost time.Duration
+	// altSQL is the statement rephrased, worked out when a replica first
+	// needs it (b.sql itself when no rule rewrites it); altStmts are the
+	// handles a prepared statement's replicas prepared from it since.
+	altSQL   string
+	altStmts []*server.Stmt
 }
 
 // execOn runs the statement on one replica (identified by its index in
@@ -526,18 +534,43 @@ func (b *boundStmt) execOn(idx int, sub *server.Session) (*engine.Result, time.D
 	return b.stmts[idx].Exec(b.args...)
 }
 
-// rephraseOn runs a rephrased form of the statement on one replica,
+// rephraseOn runs the rephrased form of the statement on one replica,
 // keeping the original execution mode (text, or prepare+bind with the
-// same arguments).
-func (b *boundStmt) rephraseOn(sub *server.Session, rephrased string) (*engine.Result, time.Duration, error) {
+// same arguments), and reports whether there is such a form and the
+// replica executed it. A prepared statement that hits a product quirk on
+// every execution is rephrased once and prepared once per replica.
+func (b *boundStmt) rephraseOn(idx int, sub *server.Session) (*engine.Result, bool) {
+	if b.altSQL == "" {
+		b.altSQL, _ = Rephrase(b.sql)
+	}
+	if b.altSQL == b.sql {
+		return nil, false
+	}
 	if b.stmts == nil {
-		return sub.Exec(rephrased)
+		res, _, err := sub.Exec(b.altSQL)
+		return res, err == nil
 	}
-	ps, err := sub.PrepareStmt(rephrased)
-	if err != nil {
-		return nil, 0, err
+	if b.altStmts == nil {
+		b.altStmts = make([]*server.Stmt, len(b.stmts))
 	}
-	return ps.Exec(b.args...)
+	if b.altStmts[idx] == nil {
+		st, err := sub.PrepareStmt(b.altSQL)
+		if err != nil {
+			return nil, false
+		}
+		b.altStmts[idx] = st
+	}
+	res, _, err := b.altStmts[idx].Exec(b.args...)
+	return res, err == nil
+}
+
+// close releases the per-replica statements.
+func (b *boundStmt) close() {
+	for _, st := range append(append([]*server.Stmt(nil), b.stmts...), b.altStmts...) {
+		if st != nil {
+			_ = st.Close() // server.Stmt.Close cannot fail
+		}
+	}
 }
 
 // entry renders the statement in its replayable journal form.
@@ -652,11 +685,7 @@ func (ps *Stmt) NumParams() int { return ps.np }
 
 // Close releases the per-replica statements.
 func (ps *Stmt) Close() error {
-	for _, st := range ps.b.stmts {
-		if st != nil {
-			_ = st.Close() // server.Stmt.Close cannot fail
-		}
-	}
+	ps.b.close()
 	return nil
 }
 
@@ -801,17 +830,25 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 				Detail:   "one replica errored, the other succeeded: " + results[verdict.Errored[0]].Err.Error(),
 			}
 		default:
+			// A statement that fails changes nothing on its replica, so
+			// the rephrased form can still be applied there, write or
+			// query; a replica that then agrees never was out of step.
 			d.metrics.ReplicaErrors += int64(len(verdict.Errored))
 			for _, i := range verdict.Errored {
-				d.suspect(active[i].r, active, verdict)
+				if d.repair(b, active[i], verdict.Agreed) {
+					d.metrics.RephraseRecovered++
+				} else {
+					d.suspect(active[i].r, active, verdict)
+				}
 			}
 		}
 	}
 
 	// Value containment: outvoted or split results.
 	if len(verdict.Outliers) > 0 {
-		recovered := d.tryRephrase(active, verdict, b)
-		if !recovered {
+		// Only a query's outliers are asked again: an outvoted write has
+		// been applied, and any second form of it would apply it twice.
+		if !query || !d.tryRephrase(active, verdict, b) {
 			if verdict.Majority {
 				d.metrics.MaskedFailures += int64(len(verdict.Outliers))
 				for _, i := range verdict.Outliers {
@@ -898,32 +935,47 @@ func (cs *Session) execReplica(i int, b *boundStmt) {
 	vote.Crashed = errors.Is(err, server.ErrCrashed)
 }
 
-// tryRephrase re-executes the statement, rewritten into a logically
-// equivalent form, on the outlier replicas (within the same session); if
-// the rephrased query now agrees with the majority the divergence is
-// treated as transient. Bound statements are re-prepared in rephrased
-// form and executed with the same arguments.
+// repair re-executes the statement in rephrased form on a replica that
+// failed it, within the same session and transaction, and reports whether
+// the replica now returns want — or, with nothing to hold it to (journal
+// replay), executes it at all. Error votes, query outliers and resync
+// redo all retry through it.
+func (d *DiverseServer) repair(b *boundStmt, m member, want *engine.Result) bool {
+	if !d.cfg.Rephrase {
+		return false
+	}
+	res, ok := b.rephraseOn(m.idx, m.sub)
+	return ok && (want == nil || core.Equal(res, want, d.cfg.Compare))
+}
+
+// tryRephrase re-executes a query on its outlier replicas in rephrased
+// form; if they all now agree with the majority the divergence is treated
+// as transient.
 func (d *DiverseServer) tryRephrase(active []member, verdict core.Verdict, b *boundStmt) bool {
-	if !d.cfg.Rephrase || verdict.Agreed == nil {
-		return false
-	}
-	rephrased, changed := Rephrase(b.sql)
-	if !changed {
-		return false
-	}
-	agreedDigest := core.Digest(verdict.Agreed, d.cfg.Compare)
-	allRecovered := true
 	for _, i := range verdict.Outliers {
-		res, _, err := b.rephraseOn(active[i].sub, rephrased)
-		if err != nil || core.Digest(res, d.cfg.Compare) != agreedDigest {
-			allRecovered = false
-			break
+		if !d.repair(b, active[i], verdict.Agreed) {
+			return false
 		}
 	}
-	if allRecovered {
-		d.metrics.RephraseRecovered++
+	d.metrics.RephraseRecovered++
+	return true
+}
+
+// replay executes one journal entry on a rejoining replica's session,
+// rephrased when the replica rejects it as written. A bound entry goes
+// through prepare/bind as a statement prepared on a replica set of one
+// (index 0).
+func (d *DiverseServer) replay(sub *server.Session, entry string) {
+	sql, args, bound := core.DecodeBound(entry)
+	b := boundStmt{sql: sql, args: args}
+	if bound {
+		st, err := sub.PrepareStmt(sql)
+		b.stmts, b.prepErrs = []*server.Stmt{st}, []error{err}
+		defer b.close()
 	}
-	return allRecovered
+	if _, _, err := b.execOn(0, sub); err != nil {
+		d.repair(&b, member{sub: sub}, nil)
+	}
 }
 
 // suspect records a replica misbehaviour and schedules it for
@@ -1061,9 +1113,10 @@ func (d *DiverseServer) anyPendingResync() bool {
 // copy-on-write at this instant (open transactions rewound on the
 // clone), and the redo above the snapshot — every client session's
 // open-transaction journal — is replayed into the rejoining replica's
-// per-client sessions. A journal statement that re-triggers the
-// replica's own fault simply fails there again and will be outvoted on
-// the next adjudication; containment, not repair, is the contract.
+// per-client sessions. A journal statement the replica rejects as
+// written is replayed rephrased, as it ran live: dropping it would commit
+// the transaction without it and rejoin the replica diverged. What no
+// rule rewrites fails there again and is outvoted at the next statement.
 func (d *DiverseServer) flushPendingResyncs() {
 	for idx, r := range d.replicas {
 		if !r.pendingResync {
@@ -1088,15 +1141,13 @@ func (d *DiverseServer) flushPendingResyncs() {
 				// journal below may open a transaction that inherits it.
 				// A replica whose dialect rejects the level fails here
 				// exactly as it did live.
-				_, _, _ = core.ExecEntry(cs.subs[idx], cs.isoStmt)
+				d.replay(cs.subs[idx], cs.isoStmt)
 			}
 			if !cs.inTxn {
 				continue
 			}
 			for _, entry := range cs.journal {
-				// Bound journal entries replay through the replica's
-				// prepare/bind path (core.ExecEntry decodes the args).
-				_, _, _ = core.ExecEntry(cs.subs[idx], entry)
+				d.replay(cs.subs[idx], entry)
 				d.metrics.JournalReplays++
 			}
 		}

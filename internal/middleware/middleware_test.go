@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"divsql/internal/core"
 	"divsql/internal/dialect"
+	"divsql/internal/engine"
 	"divsql/internal/fault"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
@@ -265,11 +267,7 @@ func TestRephraseInList(t *testing.T) {
 }
 
 func TestRephrasePreservesSemantics(t *testing.T) {
-	srv, err := server.New(dialect.PG, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := srv.NewSession()
+	sess := server.NewOracle().NewSession()
 	setup := []string{
 		"CREATE TABLE T (A INT, B VARCHAR(5))",
 		"INSERT INTO T VALUES (1, 'x'), (2, 'y'), (3, NULL), (NULL, 'z')",
@@ -286,23 +284,46 @@ func TestRephrasePreservesSemantics(t *testing.T) {
 		"SELECT A FROM T WHERE A = 1 OR A = 3 ORDER BY A",
 		"SELECT A FROM T WHERE A NOT IN (1, 2) ORDER BY A",
 		"SELECT A FROM T WHERE NOT (A BETWEEN 2 AND 3)",
+		// IN over a UNION: a hit in either branch, and NULLs on either side.
+		"SELECT A FROM T WHERE A IN (SELECT A FROM T WHERE A < 2 UNION SELECT A FROM T WHERE A > 2) ORDER BY A",
+		"SELECT B FROM T WHERE A NOT IN ((SELECT A FROM T WHERE A = 1) UNION (SELECT A FROM T WHERE B = 'y')) ORDER BY B",
+		"SELECT B FROM T WHERE A NOT IN ((SELECT A FROM T WHERE A = 1) UNION ALL (SELECT A FROM T WHERE B = 'z'))",
+		"SELECT B FROM T WHERE NOT (A IN (SELECT 1 UNION SELECT A FROM T WHERE B = 'z')) OR B = 'z'",
+		// Subqueries in UPDATE SET and under DELETE's WHERE.
+		"UPDATE T SET A = A + (SELECT SUM(A) FROM T WHERE A BETWEEN 1 AND 2) WHERE B IN ('x', 'z')",
+		"UPDATE T SET A = (SELECT AVG(A) FROM T X WHERE X.A IN (SELECT 1 UNION SELECT 3)) WHERE A = 2 OR A IS NULL",
+		"DELETE FROM T WHERE A > (SELECT AVG(A) FROM T) AND EXISTS (SELECT SUM(A) FROM T)",
 	}
-	for _, q := range queries {
-		orig, _, err := sess.Exec(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+	// run executes q inside a transaction that is rolled back, returning
+	// its result and the table as q left it.
+	run := func(q string) (*engine.Result, *engine.Result) {
+		t.Helper()
+		mustOracle := func(s string) *engine.Result {
+			res, _, err := sess.Exec(s)
+			if err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+			return res
 		}
+		mustOracle("BEGIN TRANSACTION")
+		res, after := mustOracle(q), mustOracle("SELECT A, B FROM T")
+		mustOracle("ROLLBACK")
+		return res, after
+	}
+	opts := core.DefaultCompareOptions()
+	for _, q := range queries {
 		rq, changed := Rephrase(q)
 		if !changed {
 			t.Errorf("no rewriting for %q", q)
 			continue
 		}
-		re, _, err := sess.Exec(rq)
-		if err != nil {
-			t.Fatalf("rephrased %q: %v", rq, err)
+		orig, origAfter := run(q)
+		re, reAfter := run(rq)
+		if !core.Equal(orig, re, opts) {
+			t.Errorf("%q vs %q: %s", q, rq, core.Diff(orig, re, opts))
 		}
-		if len(orig.Rows) != len(re.Rows) {
-			t.Errorf("%q vs %q: %d rows vs %d", q, rq, len(orig.Rows), len(re.Rows))
+		if !core.Equal(origAfter, reAfter, opts) {
+			t.Errorf("%q vs %q leave T different: %s", q, rq, core.Diff(origAfter, reAfter, opts))
 		}
 	}
 }

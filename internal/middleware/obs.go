@@ -75,7 +75,7 @@ func (d *DiverseServer) MetricsCollector() obs.Collector {
 		f.Count("divsql_middleware_perf_outliers_total",
 			"Replicas flagged as performance outliers.", uint64(m.PerfOutliers))
 		f.Count("divsql_middleware_rephrase_recovered_total",
-			"Splits recovered by dialect rephrasing.", uint64(m.RephraseRecovered))
+			"Replica failures repaired by rephrasing the statement.", uint64(m.RephraseRecovered))
 		f.Count("divsql_middleware_resyncs_total",
 			"Snapshot resyncs of quarantined replicas.", uint64(m.Resyncs))
 		f.Count("divsql_middleware_journal_replays_total",
