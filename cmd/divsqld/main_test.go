@@ -100,6 +100,7 @@ func TestDivsqldMetricsSmoke(t *testing.T) {
 		"divsql_middleware_statements_total",
 		"divsql_middleware_unanimous_total",
 		"divsql_engine_plan_cache_hits_total",
+		"divsql_sql_resolves_total",
 		"divsql_engine_table_rows",
 		"divsql_wire_requests_total",
 		"divsql_wire_request_duration_seconds_bucket",
@@ -124,6 +125,9 @@ func TestDivsqldMetricsSmoke(t *testing.T) {
 	}
 	if n := sampleValue(t, doc, "divsql_engine_plan_cache_hits_total"); n < 1 {
 		t.Errorf("divsql_engine_plan_cache_hits_total = %v, want >= 1", n)
+	}
+	if n := sampleValue(t, doc, "divsql_sql_parses_total"); n < 1 {
+		t.Errorf("divsql_sql_parses_total = %v, want >= 1", n)
 	}
 	if n := sampleValue(t, doc, `divsql_wire_requests_total{frame="EXEC"}`); n < 1 {
 		t.Errorf(`divsql_wire_requests_total{frame="EXEC"} = %v, want >= 1`, n)

@@ -8,8 +8,9 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// Statement is a prepared statement: parsed, dialect-checked and planned
-// once, executable any number of times with typed arguments. It is the
+// Statement is a prepared statement: resolved (Resolve) and
+// dialect-checked once, executable any number of times with typed
+// arguments. It is the
 // second verb of the execution contract next to Exec(sql) — the paper's
 // subjects all expose it, and how each binds and coerces the arguments
 // is a fault surface of its own (see engine.BindRules).
@@ -23,8 +24,8 @@ type Statement interface {
 	NumParams() int
 	// Exec executes the statement with the given arguments.
 	Exec(args ...types.Value) (*engine.Result, time.Duration, error)
-	// Close releases the statement. Closing is idempotent; the session's
-	// plan cache may keep the underlying plan for later re-preparation.
+	// Close releases the statement: it does not execute again. Closing is
+	// idempotent.
 	Close() error
 }
 

@@ -558,16 +558,20 @@ func (h *hunt) runStream(stream int) {
 		entry := core.EncodeBound(sql, args)
 		history = append(history, entry)
 
+		// One handle for all five servers: the statement is parsed here,
+		// not once per endpoint. Text the parser refuses goes to each
+		// server as text, for the syntax error each reports.
+		p, perr := core.Resolve(sql)
 		var wg sync.WaitGroup
 		exec := func(slot int, e *server.Session) {
 			defer wg.Done()
 			var res *engine.Result
 			var lat time.Duration
 			var err error
-			if args == nil {
+			if perr != nil {
 				res, lat, err = e.Exec(sql)
 			} else {
-				res, lat, err = e.ExecArgs(sql, args...)
+				res, lat, err = e.Run(p, args)
 			}
 			outs[slot] = server.StmtOutcome{
 				SQL: entry, Res: res, Err: err, Latency: lat,

@@ -7,7 +7,6 @@ import (
 
 	"divsql/internal/core"
 	"divsql/internal/dialect"
-	"divsql/internal/engine"
 	"divsql/internal/metamorph"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
@@ -160,23 +159,17 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 	defer sess.Close()
 	for i, entry := range stmts {
 		sql, args, _ := core.DecodeBound(entry)
-		st, perr := parser.Parse(sql)
-		var res *engine.Result
-		var err error
-		if len(args) == 0 {
-			res, _, err = sess.Exec(sql)
-		} else {
-			res, _, err = sess.ExecArgs(sql, args...)
+		p, perr := core.Resolve(sql)
+		if perr != nil {
+			continue
 		}
+		res, _, err := sess.Run(p, args)
 		if errors.Is(err, server.ErrCrashed) {
 			srv.Restart()
 			continue
 		}
-		if perr != nil || err != nil || st == nil {
-			continue
-		}
-		sel, isSel := st.(*ast.Select)
-		if !isSel || ast.FingerprintOf(st).String() != key.fp || srv.SelectAdvancesSequences(sel) {
+		sel := p.Select
+		if err != nil || sel == nil || p.Fingerprint.String() != key.fp || srv.SelectAdvancesSequences(sel) {
 			continue
 		}
 		switch key.src {

@@ -17,19 +17,15 @@ import (
 // and executing it under the engine read lock without repeating any of
 // that per statement.
 //
-// Compilations are shared through a two-tier cache on the Engine:
-//
-//   - planMemo, keyed by *ast.Select pointer identity: a prepared
-//     statement re-executes the same parsed tree, so re-execution skips
-//     even rendering the statement text.
-//   - planCache (plan.Cache), keyed by rendered statement text: inline
-//     statements and other sessions executing the same text reuse the
-//     compilation.
-//
-// Both tiers validate entries against the engine's schema-version stamp;
-// a stale entry is evicted on probe and recompiles transparently (DDL —
-// including DDL rolled back inside a transaction — never serves a plan
-// compiled against a schema generation that is no longer current).
+// Compilations are shared through one cache on the Engine: planMemo,
+// keyed by the *ast.Select's address. core.Resolve interns statement
+// text, so while a text is interned every session, layer and replica
+// that executes it — inline or prepared — hands the engine the same
+// tree, and the address identifies the text without rendering it. An
+// entry is validated against the engine's schema-version stamp; a stale
+// one recompiles transparently (DDL — including DDL rolled back inside a
+// transaction — never serves a plan compiled against a schema generation
+// that is no longer current).
 //
 // Correctness contract with the interpreter (select.go): the compiled
 // path must be observationally identical — same rows in the same order,
@@ -42,7 +38,7 @@ import (
 // evaluation provably cannot error (whereSafeForSkip), because skipping
 // a row that would have errored would change observable behaviour.
 
-// memoEntry is one pointer-keyed memo tier entry.
+// memoEntry is one planMemo entry.
 type memoEntry struct {
 	version uint64
 	cs      *compiledSelect
@@ -471,39 +467,31 @@ func (s *Session) runCompiled(cs *compiledSelect) (*Result, error) {
 	return res, nil
 }
 
-// execSelectRLocked is the read-lock SELECT fast path: probe the memo
-// tier by AST pointer, then the shared cache by rendered text, compile
-// on miss, and execute. Caller holds the engine read lock and has set
-// s.bind.
+// execSelectRLocked is the read-lock SELECT fast path: probe the memo by
+// the tree's address, compile on a miss or a stale stamp, and execute.
+// Caller holds the engine read lock and has set s.bind.
 func (s *Session) execSelectRLocked(sel *ast.Select) (*Result, error) {
 	e := s.eng
 	ver := s.planVersion()
-	if v, ok := e.planMemo.Load(sel); ok {
-		me := v.(*memoEntry)
-		if me.version == ver {
+	v, known := e.planMemo.Load(sel)
+	if known {
+		if me := v.(*memoEntry); me.version == ver {
 			e.memoHits.Add(1)
 			return s.dispatchCompiled(me.cs, true)
 		}
-		e.planMemo.Delete(sel)
+		e.memoStale.Add(1)
 	}
-	key := ast.Render(sel)
-	var cs *compiledSelect
-	hit := false
-	if v, ok := e.planCache.Get(key, ver); ok {
-		cs = v.(*compiledSelect)
-		hit = true
-	} else {
-		cs = s.compileSelect(sel, plan.ForceAuto)
-		e.planCache.Put(key, ver, cs)
-	}
-	if e.planMemoLen.Load() >= planMemoCap {
-		e.planMemo.Clear()
-		e.planMemoLen.Store(0)
-	}
-	if _, loaded := e.planMemo.LoadOrStore(sel, &memoEntry{version: ver, cs: cs}); !loaded {
+	e.memoMisses.Add(1)
+	cs := s.compileSelect(sel, plan.ForceAuto)
+	if !known {
+		if e.planMemoLen.Load() >= planMemoCap {
+			e.planMemo.Clear()
+			e.planMemoLen.Store(0)
+		}
 		e.planMemoLen.Add(1)
 	}
-	return s.dispatchCompiled(cs, hit)
+	e.planMemo.Store(sel, &memoEntry{version: ver, cs: cs})
+	return s.dispatchCompiled(cs, false)
 }
 
 // dispatchCompiled records the plan taken and runs the compiled form or
@@ -527,7 +515,7 @@ func (s *Session) dispatchCompiled(cs *compiledSelect, cacheHit bool) (*Result, 
 func (s *Session) LastPlan() plan.Info { return s.lastPlan }
 
 // ExecSelectVariant executes a pure SELECT under a forced access-path
-// variant, compiling fresh and bypassing both cache tiers (a forced
+// variant, compiling fresh and bypassing the plan memo (a forced
 // plan must never leak into normal execution). This is the hook behind
 // the forced-variant differential oracle: the same statement runs once
 // per variant and any result disagreement convicts the engine.
@@ -578,11 +566,11 @@ func (s *Session) ExecSelectVariant(sel *ast.Select, force plan.Force, args []ty
 	return res, err
 }
 
-// PlanCacheStats returns the shared compiled-plan cache counters, with
-// memo-tier hits folded in (a memo hit is a cache hit that skipped even
-// rendering the statement text).
+// PlanCacheStats returns the shared compiled-plan cache counters.
 func (e *Engine) PlanCacheStats() plan.CacheStats {
-	st := e.planCache.Stats()
-	st.Hits += e.memoHits.Load()
-	return st
+	return plan.CacheStats{
+		Hits:          e.memoHits.Load(),
+		Misses:        e.memoMisses.Load(),
+		Invalidations: e.memoStale.Load(),
+	}
 }

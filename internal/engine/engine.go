@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
@@ -220,19 +219,20 @@ type Engine struct {
 	// the pre-transaction stamp through the undo log without reusing the
 	// epochs minted inside the aborted transaction. Compiled plans are
 	// validated by stamp equality, so a plan compiled against a schema
-	// generation that was rolled back can never validate again — see
-	// plan.Cache.
+	// generation that was rolled back can never validate again.
 	schemaEpoch   uint64
 	schemaVersion uint64
 
-	// planMemo and planCache are the two tiers of the shared compiled-plan
-	// cache — see compiled.go. planMemo is keyed by AST pointer identity
-	// (prepared statements re-execute the same *ast.Select), planCache by
-	// rendered statement text (inline and cross-session reuse).
-	planMemo    sync.Map      // *ast.Select -> *memoEntry
-	planMemoLen atomic.Int64  // approximate planMemo size, for the cap
-	memoHits    atomic.Uint64 // memo-tier hits, folded into PlanCacheStats
-	planCache   *plan.Cache
+	// planMemo is the shared compiled-plan cache, keyed by the address of
+	// the interned *ast.Select — see compiled.go. The three counters are
+	// what PlanCacheStats reports: hits, misses (compilations), and
+	// entries found compiled against a schema generation no longer
+	// current.
+	planMemo    sync.Map     // *ast.Select -> *memoEntry
+	planMemoLen atomic.Int64 // approximate planMemo size, for the cap
+	memoHits    atomic.Uint64
+	memoMisses  atomic.Uint64
+	memoStale   atomic.Uint64
 
 	// pathExecs counts compiled SELECT executions by access path (indexed
 	// by plan.AccessPath); interpSelects counts dispatches that fell back
@@ -400,20 +400,15 @@ func New(cfg Config) *Engine {
 		cfg.Funcs = AllBuiltins()
 	}
 	return &Engine{
-		cfg:       cfg,
-		st:        newState(),
-		sessions:  make(map[*Session]struct{}),
-		planCache: plan.NewCache(planCacheCap),
+		cfg:      cfg,
+		st:       newState(),
+		sessions: make(map[*Session]struct{}),
 	}
 }
 
-// planCacheCap bounds the shared text-keyed plan cache; planMemoCap
-// bounds the pointer-keyed memo tier. Both are dropped wholesale at
-// capacity — the workloads that matter re-fill them within one batch.
-const (
-	planCacheCap = 4096
-	planMemoCap  = 4096
-)
+// planMemoCap bounds the plan memo, which is dropped wholesale at
+// capacity — the workloads that matter re-fill it within one batch.
+const planMemoCap = 4096
 
 func newState() state {
 	return state{

@@ -1,84 +1,12 @@
 package plan
 
-import "sync"
-
-// Cache is the shared compiled-plan cache: statement text → compiled
-// plan, stamped with the schema generation it was compiled against. One
-// Cache serves every session of an engine, so an inline statement on
-// one connection reuses the compilation a prepared statement on another
-// connection paid for.
-//
-// Invalidation is by generation equality, not ordering: every DDL mints
-// a fresh, never-reused schema epoch, and a transaction rollback
-// restores the pre-transaction stamp. An entry is served only while its
-// stamp equals the current one — a stale entry (including one compiled
-// against a schema generation that was later rolled back) is evicted on
-// the next probe and recompiles transparently.
-//
-// Values are stored as `any`: the engine caches its own compiled
-// representation, and holding it opaquely here keeps the analyzer
-// package free of an import cycle with the engine. The cache is a
-// leaf lock — callers hold the engine lock; nothing is called out to
-// while c.mu is held.
-type Cache struct {
-	mu            sync.Mutex
-	cap           int
-	m             map[string]cacheEntry
-	hits          uint64
-	misses        uint64
-	invalidations uint64
-}
-
-type cacheEntry struct {
-	version uint64
-	v       any
-}
-
-// NewCache returns a cache bounded to cap entries (dropped wholesale at
-// capacity; the hot working set re-fills within one batch).
-func NewCache(cap int) *Cache {
-	return &Cache{cap: cap, m: make(map[string]cacheEntry)}
-}
-
-// Get returns the cached value for key if one exists and was compiled
-// against the given schema version. A version mismatch evicts the entry
-// and counts as an invalidation (plus a miss).
-func (c *Cache) Get(key string, version uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	if e.version != version {
-		delete(c.m, key)
-		c.invalidations++
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	return e.v, true
-}
-
-// Put stores a compiled value under key for the given schema version.
-func (c *Cache) Put(key string, version uint64, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		c.m = make(map[string]cacheEntry, c.cap/4)
-	}
-	c.m[key] = cacheEntry{version: version, v: v}
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// CacheStats is a point-in-time counter snapshot.
+// CacheStats is a point-in-time snapshot of an engine's compiled-plan
+// cache counters. Invalidation is by generation equality, not ordering:
+// every DDL mints a fresh, never-reused schema epoch, and a transaction
+// rollback restores the pre-transaction stamp. An entry is served only
+// while its stamp equals the current one — a stale entry (including one
+// compiled against a schema generation that was later rolled back)
+// counts as an invalidation plus a miss and recompiles transparently.
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
@@ -92,11 +20,4 @@ func (s CacheStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// Stats returns the cache's counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations}
 }

@@ -133,9 +133,6 @@ func (e *Engine) NewSession() *Session {
 	return s
 }
 
-// Engine returns the engine the session executes on.
-func (s *Session) Engine() *Engine { return s.eng }
-
 // Close rolls back any open transaction and unregisters the session. A
 // closed session rejects further statements.
 func (s *Session) Close() error {

@@ -5,16 +5,32 @@ import (
 	"sync"
 	"testing"
 
+	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
 )
 
-// sessExec parses and executes one statement on a session.
-func sessExec(t *testing.T, s *Session, sql string) *Result {
+// internedStmt gives every caller the same tree for one text, as
+// core.Resolve does above the engine (this package cannot import core):
+// the plan memo is keyed by the tree's address.
+func internedStmt(t *testing.T, sql string) ast.Statement {
 	t.Helper()
+	if st, ok := testInterned.Load(sql); ok {
+		return st.(ast.Statement)
+	}
 	st, err := parser.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
+	shared, _ := testInterned.LoadOrStore(sql, st)
+	return shared.(ast.Statement)
+}
+
+var testInterned sync.Map // text -> ast.Statement
+
+// sessExec parses and executes one statement on a session.
+func sessExec(t *testing.T, s *Session, sql string) *Result {
+	t.Helper()
+	st := internedStmt(t, sql)
 	res, err := s.Exec(st)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)

@@ -14,6 +14,7 @@ import (
 	"divsql/internal/dialect"
 	"divsql/internal/engine"
 	"divsql/internal/fault"
+	"divsql/internal/server"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
@@ -88,7 +89,7 @@ func runSideStream(t *testing.T, limit time.Duration) []step {
 		record(sql, res, err)
 	}
 	prepared := func(sql string, args ...types.Value) {
-		st, err := cs.PrepareStmt(sql)
+		st, err := cs.Prepare(sql)
 		if err != nil {
 			record(sql, nil, err)
 			return
@@ -180,7 +181,11 @@ func TestBroadcastVotesAreIndexAligned(t *testing.T) {
 			"SELECT B FROM E WHERE A = 1",
 			"SELECT A, COUNT(*) AS N FROM T GROUP BY A",
 		} {
-			results := cs.broadcast(&boundStmt{sql: sql})
+			p, err := core.Resolve(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := cs.broadcast(&boundStmt{p: p})
 			o := outcome{verdict: core.Adjudicate(results, d.cfg.Compare)}
 			o.agreed = core.Digest(o.verdict.Agreed, d.cfg.Compare)
 			o.verdict.Agreed = nil
@@ -290,10 +295,7 @@ func TestBroadcastCostRule(t *testing.T) {
 	probe := &overlapProbe{owner: goroutineID()}
 	d.execHook = probe.hook
 
-	point, err := cs.PrepareStmt("SELECT B FROM K WHERE A = $1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	point := mustPrepare(t, cs, "SELECT B FROM K WHERE A = $1")
 	exec := func(st *Stmt, args ...types.Value) {
 		t.Helper()
 		if _, _, err := st.Exec(args...); err != nil {
@@ -332,10 +334,7 @@ func TestBroadcastCostRule(t *testing.T) {
 	}
 
 	// 300 x 300 row pairs per replica: milliseconds, far above the limit.
-	join, err := cs.PrepareStmt("SELECT COUNT(*) AS N FROM K X, K Y WHERE X.B + Y.B = $1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	join := mustPrepare(t, cs, "SELECT COUNT(*) AS N FROM K X, K Y WHERE X.B + Y.B = $1")
 	exec(join, types.NewInt(3))
 	if join.b.cost <= inlineCostLimit {
 		t.Fatalf("the join cost %v per replica; the test needs it above %v", join.b.cost, inlineCostLimit)
@@ -412,7 +411,7 @@ func TestConcurrentReadersWriterAndCrash(t *testing.T) {
 					defer wg.Done()
 					cs := d.NewSession()
 					defer cs.Close()
-					st, err := cs.PrepareStmt("SELECT B FROM R WHERE A = $1")
+					st, err := cs.Prepare("SELECT B FROM R WHERE A = $1")
 					if err != nil {
 						t.Errorf("reader %d: prepare: %v", r, err)
 						return
@@ -472,6 +471,56 @@ func TestConcurrentReadersWriterAndCrash(t *testing.T) {
 				t.Errorf("the replica set is not unanimous again after recovery")
 			}
 		})
+	}
+}
+
+// A statement prepared while a replica is down must not keep that
+// replica's crash: when a handle held one prepared statement per replica,
+// the ErrCrashed a downed replica answered Prepare with was voted again at
+// every execution — a crash detected, the replica quarantined and fully
+// resynced, each time, for the life of the handle. That is how a reader
+// starting late in TestConcurrentReadersWriterAndCrash left OR
+// quarantined after the last write, once in some forty runs. The handle
+// now holds nothing per replica.
+func TestPreparedWhileReplicaDownForgetsTheCrash(t *testing.T) {
+	servers := newServers(t, nil, dialect.PG, dialect.OR, dialect.MS)
+	cfg := DefaultConfig()
+	cfg.IdleRejoin = false
+	d, err := New(cfg, servers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := d.NewSession()
+	defer sess.Close()
+	mustExec(t, sess, "CREATE TABLE T (A INT PRIMARY KEY, B INT)")
+	mustExec(t, sess, "INSERT INTO T VALUES (1, 10)")
+
+	// OR goes down behind the middleware's back, and stays down.
+	servers[1].PlantEnginePanic(true)
+	if _, _, err := servers[1].NewSession().Exec("SELECT B FROM T"); !errors.Is(err, server.ErrCrashed) {
+		t.Fatalf("planted panic: %v", err)
+	}
+	servers[1].PlantEnginePanic(false)
+	st, err := sess.Prepare("SELECT B FROM T WHERE A = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		t.Helper()
+		res, _, err := st.Exec(types.NewInt(1))
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 10 {
+			t.Fatalf("read: %v %v", res, err)
+		}
+	}
+	read() // the crash is found, OR restarted and quarantined
+	if m := d.Metrics(); m.CrashesDetected != 1 || len(d.QuarantinedReplicas()) != 1 {
+		t.Fatalf("first execution: %+v, quarantined %v", m, d.QuarantinedReplicas())
+	}
+	mustExec(t, sess, "INSERT INTO T VALUES (2, 20)") // OR rejoins
+	read()
+	read()
+	if m := d.Metrics(); m.CrashesDetected != 1 || m.Resyncs != 1 || len(d.QuarantinedReplicas()) != 0 {
+		t.Errorf("after the rejoin: %+v, quarantined %v", m, d.QuarantinedReplicas())
 	}
 }
 

@@ -55,7 +55,6 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/obs"
 	"divsql/internal/server"
-	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
 
@@ -290,14 +289,20 @@ type Session struct {
 	// statement since. Guarded by d.execMu held exclusively (the write
 	// path), which is also when resync replays them.
 	inTxn   bool
-	journal []string
+	journal []redo
 	// isoStmt is the session's last successful SET TRANSACTION issued
-	// outside a transaction (the session-default isolation level), in
-	// replayable form. A rejoining replica replays it before the
-	// journal so the rebuilt per-client sessions carry the same
-	// isolation defaults as their live siblings. Guarded by d.execMu
-	// held exclusively, like the journal.
-	isoStmt string
+	// outside a transaction (the session-default isolation level). A
+	// rejoining replica replays it before the journal so the rebuilt
+	// per-client sessions carry the same isolation defaults as their live
+	// siblings. Guarded by d.execMu held exclusively, like the journal.
+	isoStmt *core.Parsed
+}
+
+// redo is one journaled statement: the handle it ran by and a copy of
+// the arguments it ran with.
+type redo struct {
+	p    *core.Parsed
+	args []types.Value
 }
 
 // NewSession opens a client session across every replica.
@@ -316,7 +321,6 @@ func (d *DiverseServer) NewSession() *Session {
 // member is one active replica as a client session reaches it.
 type member struct {
 	r   *replica
-	idx int             // position in d.replicas (and in a Stmt's per-replica slices)
 	sub *server.Session // this client's session on the replica
 }
 
@@ -342,7 +346,7 @@ func (cs *Session) rebuildActiveLocked() {
 	cs.active, cs.results = cs.active[:0], cs.results[:0]
 	for i, r := range d.replicas {
 		if !r.quarantined {
-			cs.active = append(cs.active, member{r: r, idx: i, sub: cs.subs[i]})
+			cs.active = append(cs.active, member{r: r, sub: cs.subs[i]})
 			cs.results = append(cs.results, core.ReplicaResult{Name: string(r.srv.Name())})
 		}
 	}
@@ -440,147 +444,63 @@ func (d *DiverseServer) QuarantinedReplicas() []string {
 // deployment's replicas are separate machines working in parallel,
 // however this process schedules them).
 func (cs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
+	p, err := core.Resolve(sql)
+	if err != nil {
+		return nil, server.BaseLatency, err
+	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	// A statement counts as a query only if it is genuinely read-only:
-	// a SELECT that advances a sequence mutates replica state and must
-	// go down the write path, or replicas would apply it in different
-	// orders (spurious divergence) — and ReadOne would desynchronize
-	// sequence state entirely. Any replica can classify; they share the
-	// view/sequence schema.
-	head := strings.TrimSpace(sql)
-	query := hasKeyword(head, "SELECT") && cs.classifierServer().ReadOnly(sql)
-	return cs.execBound(&boundStmt{sql: sql, kind: kindOfText(head)}, query)
+	return cs.exec(&boundStmt{p: p})
 }
 
-// stmtKind is what the redo journal needs to know about a statement.
-type stmtKind uint8
-
-const (
-	kindPlain stmtKind = iota // journaled while a transaction is open
-	kindBegin
-	kindEnd // COMMIT or ROLLBACK
-	kindSet // SET TRANSACTION
-)
-
-// kindOfText classifies statement text (leading white space trimmed) by
-// its first keyword.
-func kindOfText(sql string) stmtKind {
-	switch {
-	case hasKeyword(sql, "BEGIN"):
-		return kindBegin
-	case hasKeyword(sql, "COMMIT"), hasKeyword(sql, "ROLLBACK"):
-		return kindEnd
-	case hasKeyword(sql, "SET"):
-		return kindSet
-	}
-	return kindPlain
-}
-
-// kindOfParsed classifies a prepared statement from its parsed tree.
-func kindOfParsed(st ast.Statement) stmtKind {
-	switch st.(type) {
-	case *ast.Begin:
-		return kindBegin
-	case *ast.Commit, *ast.Rollback:
-		return kindEnd
-	case *ast.SetTxn:
-		return kindSet
-	}
-	return kindPlain
-}
-
-// hasKeyword reports whether sql starts with kw in any letter case. It
-// looks at len(kw) bytes and allocates nothing.
-func hasKeyword(sql, kw string) bool {
-	return len(sql) >= len(kw) && strings.EqualFold(sql[:len(kw)], kw)
-}
-
-// boundStmt is the unit the adjudication path executes: statement text
-// and, when it came through Prepare, the per-replica prepared statements
-// plus the typed argument vector of this execution.
+// boundStmt is the unit the adjudication path executes: the statement's
+// handle — the one every replica runs — and the typed argument vector of
+// this execution (nil for text).
 type boundStmt struct {
-	sql  string
-	kind stmtKind
+	p    *core.Parsed
 	args []types.Value
-	// stmts/prepErrs are index-aligned with the replica set when the
-	// statement was prepared; nil for plain text execution. A replica
-	// whose prepare failed votes with that error at execution time, so
-	// divergent prepare-time acceptance is adjudicated like any other
-	// outcome.
-	stmts    []*server.Stmt
-	prepErrs []error
 	// cost is what one replica last took to execute the statement: wall
 	// time of the first active replica, measured by broadcast on every
 	// execution. A prepared statement carries it from one execution to
 	// the next; text starts at zero (unknown) each time.
 	cost time.Duration
-	// altSQL is the statement rephrased, worked out when a replica first
-	// needs it (b.sql itself when no rule rewrites it); altStmts are the
-	// handles a prepared statement's replicas prepared from it since.
-	altSQL   string
-	altStmts []*server.Stmt
-}
-
-// execOn runs the statement on one replica (identified by its index in
-// the full replica set) through the given per-replica session.
-func (b *boundStmt) execOn(idx int, sub *server.Session) (*engine.Result, time.Duration, error) {
-	if b.stmts == nil {
-		return sub.Exec(b.sql)
-	}
-	if err := b.prepErrs[idx]; err != nil {
-		return nil, server.BaseLatency, err
-	}
-	return b.stmts[idx].Exec(b.args...)
+	// alt is the statement rephrased, resolved when a replica first needs
+	// it: p itself when no rule rewrites it.
+	alt *core.Parsed
 }
 
 // rephraseOn runs the rephrased form of the statement on one replica,
-// keeping the original execution mode (text, or prepare+bind with the
-// same arguments), and reports whether there is such a form and the
-// replica executed it. A prepared statement that hits a product quirk on
-// every execution is rephrased once and prepared once per replica.
-func (b *boundStmt) rephraseOn(idx int, sub *server.Session) (*engine.Result, bool) {
-	if b.altSQL == "" {
-		b.altSQL, _ = Rephrase(b.sql)
+// with the same arguments, and reports whether there is such a form and
+// the replica executed it. A prepared statement that hits a product quirk
+// on every execution is rephrased once.
+func (b *boundStmt) rephraseOn(sub *server.Session) (*engine.Result, bool) {
+	if b.alt == nil {
+		b.alt = b.p
+		if sql, changed := Rephrase(b.p.Text); changed {
+			if alt, err := core.Resolve(sql); err == nil {
+				b.alt = alt
+			}
+		}
 	}
-	if b.altSQL == b.sql {
+	if b.alt == b.p {
 		return nil, false
 	}
-	if b.stmts == nil {
-		res, _, err := sub.Exec(b.altSQL)
-		return res, err == nil
-	}
-	if b.altStmts == nil {
-		b.altStmts = make([]*server.Stmt, len(b.stmts))
-	}
-	if b.altStmts[idx] == nil {
-		st, err := sub.PrepareStmt(b.altSQL)
-		if err != nil {
-			return nil, false
-		}
-		b.altStmts[idx] = st
-	}
-	res, _, err := b.altStmts[idx].Exec(b.args...)
+	res, _, err := sub.Run(b.alt, b.args)
 	return res, err == nil
 }
 
-// close releases the per-replica statements.
-func (b *boundStmt) close() {
-	for _, st := range append(append([]*server.Stmt(nil), b.stmts...), b.altStmts...) {
-		if st != nil {
-			_ = st.Close() // server.Stmt.Close cannot fail
-		}
-	}
-}
-
-// entry renders the statement in its replayable journal form.
-func (b *boundStmt) entry() string { return core.EncodeBound(b.sql, b.args) }
-
-// execBound is the shared body of Exec and Stmt.Exec: lock-mode
-// selection, broadcast adjudication and journal bookkeeping. The caller
-// holds cs.mu.
-func (cs *Session) execBound(b *boundStmt, query bool) (*engine.Result, time.Duration, error) {
+// exec is the one body of Exec and Stmt.Exec: lock-mode selection,
+// broadcast adjudication and journal bookkeeping. The caller holds cs.mu.
+func (cs *Session) exec(b *boundStmt) (*engine.Result, time.Duration, error) {
 	d := cs.d
+	// A statement counts as a query only if it is genuinely read-only:
+	// a SELECT that advances a sequence mutates replica state and must
+	// go down the write path, or replicas would apply it in different
+	// orders (spurious divergence) — and ReadOne would desynchronize
+	// sequence state entirely. Any active replica can classify; they
+	// share the view/sequence schema, which can change between
+	// executions.
+	query := b.p.Select != nil && !cs.classifierServer().SelectAdvancesSequences(b.p.Select)
 	if query {
 		d.execMu.RLock()
 		defer d.execMu.RUnlock()
@@ -609,83 +529,53 @@ func (cs *Session) execBound(b *boundStmt, query bool) (*engine.Result, time.Dur
 	return res, lat, err
 }
 
-// Stmt is a prepared statement of one middleware session: one prepared
-// statement per replica, executed under the session's broadcast +
-// adjudication. A replica that rejected the text at prepare time votes
-// with its error on every execution — cross-replica divergence in
-// prepare-time acceptance or bind-time coercion is contained exactly
-// like any other failure. Implements core.Statement.
+// Stmt is a prepared statement of one middleware session: the handle
+// every replica executes under the session's broadcast + adjudication. A
+// replica whose dialect rejects the statement votes with that error on
+// every execution — cross-replica divergence in acceptance or bind-time
+// coercion is contained exactly like any other failure. Implements
+// core.Statement.
 type Stmt struct {
-	cs       *Session
-	np       int
-	isSelect bool
+	cs     *Session
+	closed bool
 	// b is the statement as the adjudication path executes it; only its
-	// args and its remembered cost change between executions (under
-	// cs.mu).
+	// args, its remembered cost and its rephrased form change between
+	// executions (under cs.mu).
 	b boundStmt
 }
 
-// Prepare implements core.Session.
+// Prepare resolves the statement and asks every replica whether it would
+// prepare it (server.Accepts); it fails only when every replica rejects
+// the text. Implements core.Session.
 func (cs *Session) Prepare(sql string) (core.Statement, error) {
-	st, err := cs.PrepareStmt(sql)
+	p, err := core.Resolve(sql)
 	if err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-// PrepareStmt prepares the statement on every replica session (each
-// parses and dialect-checks once, through its per-session plan cache).
-// It fails only when every replica rejects the text.
-//
-// The shared statement lock is held: resync journal replay (which runs
-// under the exclusive lock, triggered by another session's write or the
-// idle-rejoin poller) prepares bound entries into THIS session's
-// per-replica sessions, and the plan caches it touches are
-// single-client state — preparing concurrently with a replay would be
-// a data race.
-func (cs *Session) PrepareStmt(sql string) (*Stmt, error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.d.execMu.RLock()
-	defer cs.d.execMu.RUnlock()
-	ps := &Stmt{cs: cs, np: -1, b: boundStmt{
-		sql:      sql,
-		stmts:    make([]*server.Stmt, len(cs.subs)),
-		prepErrs: make([]error, len(cs.subs)),
-	}}
-	var firstErr error
-	for i, sub := range cs.subs {
-		st, err := sub.PrepareStmt(sql)
-		if err != nil {
-			ps.b.prepErrs[i] = err
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	for _, r := range cs.d.replicas {
+		rerr := r.srv.Accepts(p)
+		if rerr == nil {
+			return &Stmt{cs: cs, b: boundStmt{p: p}}, nil
 		}
-		ps.b.stmts[i] = st
-		if ps.np < 0 {
-			ps.np = st.NumParams()
-			_, ps.isSelect = st.Bound().(*ast.Select)
-			ps.b.kind = kindOfParsed(st.Bound())
+		if err == nil {
+			err = rerr
 		}
 	}
-	if ps.np < 0 {
-		return nil, firstErr
-	}
-	return ps, nil
+	return nil, err
 }
 
 // SQL returns the statement text as prepared.
-func (ps *Stmt) SQL() string { return ps.b.sql }
+func (ps *Stmt) SQL() string { return ps.b.p.Text }
 
 // NumParams reports how many arguments Exec expects.
-func (ps *Stmt) NumParams() int { return ps.np }
+func (ps *Stmt) NumParams() int { return ps.b.p.NumParams }
 
-// Close releases the per-replica statements.
+// Close releases the statement: it holds nothing on the replicas, and
+// does not execute again.
 func (ps *Stmt) Close() error {
-	ps.b.close()
+	ps.cs.mu.Lock()
+	defer ps.cs.mu.Unlock()
+	ps.closed = true
 	return nil
 }
 
@@ -695,53 +585,41 @@ func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 	cs := ps.cs
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if len(args) != ps.np {
-		return nil, 0, fmt.Errorf("%w: statement wants %d parameters, %d bound",
-			engine.ErrBind, ps.np, len(args))
+	if ps.closed {
+		return nil, 0, errors.New("statement is closed")
+	}
+	if err := ps.b.p.CheckArgs(len(args)); err != nil {
+		return nil, 0, err
 	}
 	ps.b.args = args
-	return cs.execBound(&ps.b, ps.isSelect && ps.readOnlyOnClassifier())
-}
-
-// readOnlyOnClassifier classifies the prepared statement on the first
-// active replica that accepted it (resolved per execution — view chains
-// can change). With no such replica the statement conservatively takes
-// the write path. Caller holds cs.mu.
-func (ps *Stmt) readOnlyOnClassifier() bool {
-	ps.cs.refreshActive()
-	for _, m := range ps.cs.active {
-		if st := ps.b.stmts[m.idx]; st != nil {
-			return st.ReadOnly()
-		}
-	}
-	return false
+	return cs.exec(&ps.b)
 }
 
 // noteWrite maintains the session's open-transaction redo journal after
-// a successfully adjudicated state-changing statement. The replayable
-// (possibly bound) entry is encoded only where it is kept: an autocommit
+// a successfully adjudicated state-changing statement. An autocommit
 // write leaves nothing to redo. Must be called with d.execMu held
 // exclusively.
 func (cs *Session) noteWrite(b *boundStmt) {
-	switch b.kind {
-	case kindBegin:
+	switch b.p.Class {
+	case core.StmtBegin:
 		cs.inTxn = true
-		cs.journal = append(cs.journal[:0], b.entry())
-	case kindEnd:
+		cs.journal = append(cs.journal[:0], redo{p: b.p})
+	case core.StmtEnd:
 		cs.inTxn = false
 		cs.journal = nil
-	case kindSet:
+	case core.StmtSetTxn:
 		// SET TRANSACTION outside a transaction sets the session
 		// default (replayed on resync via isoStmt); inside one it is
 		// transaction-scoped and replays with the journal.
 		if cs.inTxn {
-			cs.journal = append(cs.journal, b.entry())
+			cs.journal = append(cs.journal, redo{p: b.p})
 		} else {
-			cs.isoStmt = b.entry()
+			cs.isoStmt = b.p
 		}
 	default:
 		if cs.inTxn {
-			cs.journal = append(cs.journal, b.entry())
+			// The caller owns args and may reuse the vector.
+			cs.journal = append(cs.journal, redo{p: b.p, args: append([]types.Value(nil), b.args...)})
 		}
 	}
 }
@@ -926,7 +804,7 @@ func (cs *Session) execReplica(i int, b *boundStmt) {
 	if i == 0 {
 		start = time.Now()
 	}
-	res, lat, err := b.execOn(m.idx, m.sub)
+	res, lat, err := m.sub.Run(b.p, b.args)
 	if i == 0 {
 		b.cost = time.Since(start)
 	}
@@ -944,7 +822,7 @@ func (d *DiverseServer) repair(b *boundStmt, m member, want *engine.Result) bool
 	if !d.cfg.Rephrase {
 		return false
 	}
-	res, ok := b.rephraseOn(m.idx, m.sub)
+	res, ok := b.rephraseOn(m.sub)
 	return ok && (want == nil || core.Equal(res, want, d.cfg.Compare))
 }
 
@@ -961,19 +839,11 @@ func (d *DiverseServer) tryRephrase(active []member, verdict core.Verdict, b *bo
 	return true
 }
 
-// replay executes one journal entry on a rejoining replica's session,
-// rephrased when the replica rejects it as written. A bound entry goes
-// through prepare/bind as a statement prepared on a replica set of one
-// (index 0).
-func (d *DiverseServer) replay(sub *server.Session, entry string) {
-	sql, args, bound := core.DecodeBound(entry)
-	b := boundStmt{sql: sql, args: args}
-	if bound {
-		st, err := sub.PrepareStmt(sql)
-		b.stmts, b.prepErrs = []*server.Stmt{st}, []error{err}
-		defer b.close()
-	}
-	if _, _, err := b.execOn(0, sub); err != nil {
+// replay executes one journaled statement on a rejoining replica's
+// session, rephrased when the replica rejects it as written.
+func (d *DiverseServer) replay(sub *server.Session, e redo) {
+	b := boundStmt{p: e.p, args: e.args}
+	if _, _, err := sub.Run(b.p, b.args); err != nil {
 		d.repair(&b, member{sub: sub}, nil)
 	}
 }
@@ -1136,12 +1006,12 @@ func (d *DiverseServer) flushPendingResyncs() {
 		snap := donor.srv.Snapshot()
 		r.srv.Restore(snap)
 		for cs := range d.sessions {
-			if cs.isoStmt != "" {
+			if cs.isoStmt != nil {
 				// Restore the session-default isolation level first: the
 				// journal below may open a transaction that inherits it.
 				// A replica whose dialect rejects the level fails here
 				// exactly as it did live.
-				d.replay(cs.subs[idx], cs.isoStmt)
+				d.replay(cs.subs[idx], redo{p: cs.isoStmt})
 			}
 			if !cs.inTxn {
 				continue
@@ -1206,7 +1076,7 @@ func (cs *Session) execReadOne(b *boundStmt, stmtNo int64) (*engine.Result, time
 	start := int(stmtNo) % n
 	for i := 0; i < n; i++ {
 		m := cs.active[(start+i)%n]
-		res, lat, err := b.execOn(m.idx, m.sub)
+		res, lat, err := m.sub.Run(b.p, b.args)
 		if errors.Is(err, server.ErrCrashed) {
 			d.mu.Lock()
 			d.metrics.CrashesDetected++

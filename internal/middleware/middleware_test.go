@@ -47,6 +47,17 @@ func mustExec(t *testing.T, s *Session, sql string) {
 	}
 }
 
+// mustPrepare prepares sql and returns the statement by its concrete
+// type, for tests that look inside it.
+func mustPrepare(t *testing.T, s *Session, sql string) *Stmt {
+	t.Helper()
+	st, err := s.Prepare(sql)
+	if err != nil {
+		t.Fatalf("prepare %q: %v", sql, err)
+	}
+	return st.(*Stmt)
+}
+
 func TestNewRequiresReplicas(t *testing.T) {
 	if _, err := New(DefaultConfig()); !errors.Is(err, ErrNoReplicas) {
 		t.Errorf("got %v", err)

@@ -18,7 +18,7 @@ func TestPreparedAdjudicatedAgreement(t *testing.T) {
 	sess := d.NewSession()
 	defer sess.Close()
 	mustExec(t, sess, "CREATE TABLE T (A INT, S VARCHAR(10))")
-	ins, err := sess.PrepareStmt("INSERT INTO T VALUES (?, ?)")
+	ins, err := sess.Prepare("INSERT INTO T VALUES (?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestPreparedAdjudicatedAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sel, err := sess.PrepareStmt("SELECT A FROM T WHERE A >= $1 ORDER BY A")
+	sel, err := sess.Prepare("SELECT A FROM T WHERE A >= $1 ORDER BY A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPreparedBindCoercionIsAdjudicated(t *testing.T) {
 	sess := d.NewSession()
 	defer sess.Close()
 	mustExec(t, sess, "CREATE TABLE T (S VARCHAR(10))")
-	ins, err := sess.PrepareStmt("INSERT INTO T VALUES ($1)")
+	ins, err := sess.Prepare("INSERT INTO T VALUES ($1)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPreparedJournalReplayOnResync(t *testing.T) {
 	if _, _, err := holder.Exec("BEGIN TRANSACTION"); err != nil {
 		t.Fatal(err)
 	}
-	ins, err := holder.PrepareStmt("INSERT INTO H VALUES ($1, $2)")
+	ins, err := holder.Prepare("INSERT INTO H VALUES ($1, $2)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPreparedDialectRejectionVotes(t *testing.T) {
 	d := newDiverse(t, nil, dialect.PG, dialect.OR, dialect.MS)
 	sess := d.NewSession()
 	defer sess.Close()
-	ps, err := sess.PrepareStmt("CREATE SEQUENCE SQ1")
+	ps, err := sess.Prepare("CREATE SEQUENCE SQ1")
 	if err != nil {
 		t.Fatal(err) // two of three accepted: prepare succeeds
 	}
@@ -207,7 +207,7 @@ func TestPrepareDoesNotRaceJournalReplay(t *testing.T) {
 	if _, _, err := holder.Exec("BEGIN TRANSACTION"); err != nil {
 		t.Fatal(err)
 	}
-	ins, err := holder.PrepareStmt("INSERT INTO H VALUES ($1)")
+	ins, err := holder.Prepare("INSERT INTO H VALUES ($1)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPrepareDoesNotRaceJournalReplay(t *testing.T) {
 	// Meanwhile the holder keeps preparing fresh texts (distinct plans,
 	// so every call writes its per-replica plan caches).
 	for i := 0; i < 60; i++ {
-		st, err := holder.PrepareStmt(fmt.Sprintf("SELECT A FROM H WHERE A = %d", i))
+		st, err := holder.Prepare(fmt.Sprintf("SELECT A FROM H WHERE A = %d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestPreparedArgCountMismatch(t *testing.T) {
 	sess := d.NewSession()
 	defer sess.Close()
 	mustExec(t, sess, "CREATE TABLE T (A INT)")
-	ps, err := sess.PrepareStmt("SELECT A FROM T WHERE A = ?")
+	ps, err := sess.Prepare("SELECT A FROM T WHERE A = ?")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestRephraseQuirkRules(t *testing.T) {
 			for i, q := range []string{tc.sql, rq} {
 				sess := server.NewOracle().NewSession()
 				rephraseFixture(t, sess)
-				res, _, err := sess.ExecArgs(q, tc.args...)
+				res, _, err := core.ExecEntry(sess, core.EncodeBound(q, tc.args))
 				if err != nil {
 					t.Fatalf("oracle, %q: %v", q, err)
 				}
@@ -122,10 +122,10 @@ func TestRephraseQuirkRules(t *testing.T) {
 			}
 			sess := srv.NewSession()
 			rephraseFixture(t, sess)
-			if _, _, err := sess.ExecArgs(tc.sql, tc.args...); err == nil {
+			if _, _, err := core.ExecEntry(sess, core.EncodeBound(tc.sql, tc.args)); err == nil {
 				t.Errorf("%s accepted the statement as written", tc.rejects)
 			}
-			if _, _, err := sess.ExecArgs(rq, tc.args...); err != nil {
+			if _, _, err := core.ExecEntry(sess, core.EncodeBound(rq, tc.args)); err != nil {
 				t.Errorf("%s rejects the rephrased form too: %v", tc.rejects, err)
 			}
 		})
@@ -215,22 +215,19 @@ func TestErrorVoterRepairedInPlace(t *testing.T) {
 	sess := d.NewSession()
 	defer sess.Close()
 	deliverySchema(t, sess)
-	ps, err := sess.PrepareStmt(deliveryShaped)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := mustPrepare(t, sess, deliveryShaped)
 	defer ps.Close()
-	var handle *server.Stmt
+	var alt *core.Parsed
 	for i := 1; i <= 3; i++ {
 		res, _, err := ps.Exec(types.NewInt(7), types.NewInt(1))
 		if err != nil || res.Affected != 1 {
 			t.Fatalf("execution %d: %+v %v", i, res, err)
 		}
 		if i == 1 {
-			handle = ps.b.altStmts[2]
+			alt = ps.b.alt
 		}
-		if handle == nil || ps.b.altStmts[2] != handle || ps.b.altStmts[0] != nil {
-			t.Fatalf("execution %d: rephrased handles %v, want MS's alone, prepared once", i, ps.b.altStmts)
+		if alt == nil || alt == ps.b.p || ps.b.alt != alt {
+			t.Fatalf("execution %d: rephrased handle %p (first %p, as written %p), want one rephrasing", i, ps.b.alt, alt, ps.b.p)
 		}
 		if q := d.QuarantinedReplicas(); len(q) != 0 {
 			t.Fatalf("execution %d: quarantined %v", i, q)
@@ -318,7 +315,7 @@ func TestJournalReplayRephrases(t *testing.T) {
 
 		mustExec(t, sess, "BEGIN TRANSACTION")
 		if prepared {
-			ps, err := sess.PrepareStmt(deliveryShaped)
+			ps, err := sess.Prepare(deliveryShaped)
 			if err != nil {
 				t.Fatal(err)
 			}

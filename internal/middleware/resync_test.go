@@ -192,3 +192,52 @@ func TestResyncUnderSustainedConcurrentLoad(t *testing.T) {
 		}
 	}
 }
+
+// A statement is what it parses as, not what its first bytes spell: a
+// BEGIN behind a comment opens a transaction on every replica, so it must
+// open the session's redo journal too. A replica that rejoins inside that
+// transaction is handed the transaction's writes and agrees with the
+// others after COMMIT; classified by its leading bytes, the BEGIN was a
+// plain statement, the journal stayed empty and the rejoined replica
+// committed without the transaction's earlier writes.
+func TestCommentedBeginOpensTheJournal(t *testing.T) {
+	for _, begin := range []string{"-- note\nBEGIN TRANSACTION", "/* c */ BEGIN TRANSACTION"} {
+		t.Run(begin, func(t *testing.T) {
+			faults := []fault.Fault{{
+				BugID:   "err",
+				Server:  dialect.MS,
+				Trigger: fault.Trigger{Table: "PROBE", Flag: ast.FlagSelect},
+				Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious"},
+			}}
+			servers := newServers(t, faults, dialect.PG, dialect.OR, dialect.MS)
+			cfg := DefaultConfig()
+			cfg.IdleRejoin = false
+			d, err := New(cfg, servers...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := d.NewSession()
+			defer sess.Close()
+			mustExec(t, sess, "CREATE TABLE T (A INT)")
+			mustExec(t, sess, "CREATE TABLE PROBE (A INT)")
+			mustExec(t, sess, begin)
+			mustExec(t, sess, "INSERT INTO T VALUES (1)")
+			mustExec(t, sess, "/* also a query */ SELECT A FROM PROBE") // MS errors: quarantined mid-transaction
+			if q := d.QuarantinedReplicas(); len(q) != 1 || q[0] != "MS" {
+				t.Fatalf("quarantined: %v", q)
+			}
+			mustExec(t, sess, "INSERT INTO T VALUES (2)") // MS rejoins: snapshot + the open transaction's redo
+			if m := d.Metrics(); m.Resyncs != 1 || m.JournalReplays < 2 {
+				t.Fatalf("rejoin inside the transaction: %+v", m)
+			}
+			mustExec(t, sess, "COMMIT")
+			if q := d.QuarantinedReplicas(); len(q) != 0 {
+				t.Errorf("quarantined after COMMIT: %v", q)
+			}
+			sameImages(t, servers)
+			if rows := servers[2].Snapshot().Tables["T"].Rows; len(rows) != 2 {
+				t.Errorf("MS holds %d rows of the committed transaction, want 2", len(rows))
+			}
+		})
+	}
+}

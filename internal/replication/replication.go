@@ -19,7 +19,6 @@ package replication
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"time"
 
@@ -113,120 +112,78 @@ func (g *Group) Metrics() Metrics {
 	return g.metrics
 }
 
-// Stmt is a prepared statement of one group session: one prepared
-// statement per member, executed on the primary and propagated to the
-// backups. Implements core.Statement.
+// Stmt is a prepared statement of one group session. Implements
+// core.Statement.
 type Stmt struct {
-	gs       *Session
-	sql      string
-	np       int
-	subs     []*server.Stmt // index-aligned with g.servers
-	prepErrs []error
+	gs     *Session
+	p      *core.Parsed
+	closed bool
 }
 
 // Prepare implements core.Session. It fails only when every
 // member rejects the text (under the fail-stop assumption a member's
 // prepare error is its legitimate outcome, surfaced if it is primary).
 func (gs *Session) Prepare(sql string) (core.Statement, error) {
-	ps := &Stmt{
-		gs:       gs,
-		sql:      sql,
-		np:       -1,
-		subs:     make([]*server.Stmt, len(gs.subs)),
-		prepErrs: make([]error, len(gs.subs)),
+	p, err := core.Resolve(sql)
+	if err != nil {
+		return nil, err
 	}
-	var firstErr error
-	for i, sub := range gs.subs {
-		st, err := sub.PrepareStmt(sql)
-		if err != nil {
-			ps.prepErrs[i] = err
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	for _, s := range gs.g.servers {
+		serr := s.Accepts(p)
+		if serr == nil {
+			return &Stmt{gs: gs, p: p}, nil
 		}
-		ps.subs[i] = st
-		if ps.np < 0 {
-			ps.np = st.NumParams()
+		if err == nil {
+			err = serr
 		}
 	}
-	if ps.np < 0 {
-		return nil, firstErr
-	}
-	return ps, nil
+	return nil, err
 }
 
 // SQL returns the statement text as prepared.
-func (ps *Stmt) SQL() string { return ps.sql }
+func (ps *Stmt) SQL() string { return ps.p.Text }
 
 // NumParams reports how many arguments Exec expects.
-func (ps *Stmt) NumParams() int { return ps.np }
+func (ps *Stmt) NumParams() int { return ps.p.NumParams }
 
-// Close releases the per-member statements.
+// Close releases the statement: it holds nothing on the members, and
+// does not execute again.
 func (ps *Stmt) Close() error {
-	for _, st := range ps.subs {
-		if st != nil {
-			_ = st.Close()
-		}
-	}
+	ps.closed = true
 	return nil
 }
 
-// Exec executes the bound statement on the primary and propagates
-// state-changing statements (with the same arguments) to the backups —
-// the same unchecked pass-through as the text path.
+// Exec executes the bound statement like Session.Exec executes text.
 func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
-	gs := ps.gs
-	g := gs.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.metrics.Statements++
-
-	for attempts := 0; attempts < len(g.servers)+1; attempts++ {
-		var res *engine.Result
-		var lat time.Duration
-		var err error
-		if perr := ps.prepErrs[g.primary]; perr != nil {
-			err = perr
-		} else {
-			res, lat, err = ps.subs[g.primary].Exec(args...)
-		}
-		if errors.Is(err, server.ErrCrashed) {
-			if !g.failover() {
-				return nil, lat, ErrGroupDown
-			}
-			continue
-		}
-		if err != nil {
-			return nil, lat, err
-		}
-		if isStateChanging(ps.sql) {
-			for i := range g.servers {
-				if i == g.primary || g.servers[i].Crashed() || ps.subs[i] == nil {
-					continue
-				}
-				_, _, _ = ps.subs[i].Exec(args...)
-				g.metrics.Propagated++
-			}
-		}
-		g.metrics.UncheckedOK++
-		return res, lat, nil
+	if ps.closed {
+		return nil, 0, errors.New("statement is closed")
 	}
-	return nil, 0, ErrGroupDown
+	if err := ps.p.CheckArgs(len(args)); err != nil {
+		return nil, server.BaseLatency, err
+	}
+	return ps.gs.run(ps.p, args)
 }
 
 // Exec executes the statement on the primary and, for state-changing
 // statements, propagates it to the backups. Only crash failures trigger
 // recovery; results are returned unchecked.
 func (gs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
+	p, err := core.Resolve(sql)
+	if err != nil {
+		return nil, server.BaseLatency, err
+	}
+	return gs.run(p, nil)
+}
+
+// run is the one body of Exec and Stmt.Exec.
+func (gs *Session) run(p *core.Parsed, args []types.Value) (*engine.Result, time.Duration, error) {
 	g := gs.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.metrics.Statements++
 
 	for attempts := 0; attempts < len(g.servers)+1; attempts++ {
-		prim := gs.subs[g.primary]
-		res, lat, err := prim.Exec(sql)
+		res, lat, err := gs.subs[g.primary].Run(p, args)
 		if errors.Is(err, server.ErrCrashed) {
 			if !g.failover() {
 				return nil, lat, ErrGroupDown
@@ -239,8 +196,8 @@ func (gs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 			// as a server failure.
 			return nil, lat, err
 		}
-		if isStateChanging(sql) {
-			g.propagate(gs, sql)
+		if p.Select == nil {
+			g.propagate(gs, p, args)
 		}
 		g.metrics.UncheckedOK++
 		return res, lat, nil
@@ -286,17 +243,12 @@ func (g *Group) failover() bool {
 // they crash (fail-stop assumption); wrong results cannot occur here
 // because backups' outputs are never read — which is precisely how
 // incorrect updates spread silently.
-func (g *Group) propagate(gs *Session, sql string) {
+func (g *Group) propagate(gs *Session, p *core.Parsed, args []types.Value) {
 	for i, s := range g.servers {
 		if i == g.primary || s.Crashed() {
 			continue
 		}
-		_, _, _ = gs.subs[i].Exec(sql)
+		_, _, _ = gs.subs[i].Run(p, args)
 		g.metrics.Propagated++
 	}
-}
-
-func isStateChanging(sql string) bool {
-	up := strings.ToUpper(strings.TrimSpace(sql))
-	return !strings.HasPrefix(up, "SELECT")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"divsql/internal/core"
 	"divsql/internal/dialect"
 	"divsql/internal/sql/types"
 )
@@ -16,7 +17,7 @@ func TestPrepareExecRoundTrip(t *testing.T) {
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT, S VARCHAR(10))"); err != nil {
 		t.Fatal(err)
 	}
-	ins, err := sess.PrepareStmt("INSERT INTO T VALUES (?, ?)")
+	ins, err := sess.Prepare("INSERT INTO T VALUES (?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestPrepareExecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sel, err := sess.PrepareStmt("SELECT S FROM T WHERE A = $1")
+	sel, err := sess.Prepare("SELECT S FROM T WHERE A = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,32 +39,29 @@ func TestPrepareExecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanCacheReusesPlans(t *testing.T) {
+// Preparing a text resolves it through core.Resolve: one handle per
+// text, whichever session or server prepares it.
+func TestPrepareSharesHandle(t *testing.T) {
 	s, _ := New(dialect.OR, nil)
 	sess := s.NewSession()
 	defer sess.Close()
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	st1, err := sess.PrepareStmt("SELECT A FROM T WHERE A > ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := sess.PrepareStmt("SELECT A FROM T WHERE A > ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.p != st2.p {
-		t.Error("same text must resolve to the same cached plan")
+	handle := func(c *Session) *core.Parsed {
+		st, err := c.Prepare("SELECT A FROM T WHERE A > ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.(*Stmt).p
 	}
 	other := s.NewSession()
 	defer other.Close()
-	st3, err := other.PrepareStmt("SELECT A FROM T WHERE A > ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.p == st1.p {
-		t.Error("plan cache is per session")
+	pg, _ := New(dialect.PG, nil)
+	elsewhere := pg.NewSession()
+	defer elsewhere.Close()
+	if h := handle(sess); h != handle(sess) || h != handle(other) || h != handle(elsewhere) {
+		t.Error("same text must resolve to the same handle on every session and server")
 	}
 }
 
@@ -71,22 +69,22 @@ func TestPrepareErrors(t *testing.T) {
 	s, _ := New(dialect.MS, nil)
 	sess := s.NewSession()
 	defer sess.Close()
-	if _, err := sess.PrepareStmt("SELEC nonsense"); err == nil {
+	if _, err := sess.Prepare("SELEC nonsense"); err == nil {
 		t.Error("syntax error must fail at prepare time")
 	}
 	// Dialect gates apply at prepare time, like on a real server.
-	if _, err := sess.PrepareStmt("CREATE SEQUENCE SQ1"); err == nil {
+	if _, err := sess.Prepare("CREATE SEQUENCE SQ1"); err == nil {
 		t.Error("MS has no sequences; prepare must reject")
 	}
 	// Parameters in DDL are rejected at prepare time.
-	if _, err := sess.PrepareStmt("CREATE TABLE P (A INT DEFAULT $1)"); err == nil {
+	if _, err := sess.Prepare("CREATE TABLE P (A INT DEFAULT $1)"); err == nil {
 		t.Error("param in DDL must fail at prepare time")
 	}
 	// Arg-count mismatch is a bind error at execution time.
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.PrepareStmt("SELECT A FROM T WHERE A = ?")
+	st, err := sess.Prepare("SELECT A FROM T WHERE A = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestDialectBindCoercionDiffers(t *testing.T) {
 		if _, _, err := sess.Exec("CREATE TABLE T (S VARCHAR(10))"); err != nil {
 			t.Fatal(err)
 		}
-		st, err := sess.PrepareStmt("INSERT INTO T VALUES ($1)")
+		st, err := sess.Prepare("INSERT INTO T VALUES ($1)")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +139,12 @@ func TestPrepareOnCrashedServer(t *testing.T) {
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.PrepareStmt("SELECT A FROM T")
+	st, err := sess.Prepare("SELECT A FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.crash()
-	if _, err := sess.PrepareStmt("SELECT A FROM T"); !errors.Is(err, ErrCrashed) {
+	if _, err := sess.Prepare("SELECT A FROM T"); !errors.Is(err, ErrCrashed) {
 		t.Errorf("prepare on crashed server: %v", err)
 	}
 	if _, _, err := st.Exec(); !errors.Is(err, ErrCrashed) {
@@ -189,7 +187,7 @@ func TestLogRingBuffer(t *testing.T) {
 		}
 	}
 	// Bound statements log in their replayable encoded form.
-	st, err := sess.PrepareStmt("INSERT INTO T VALUES (?)")
+	st, err := sess.Prepare("INSERT INTO T VALUES (?)")
 	if err != nil {
 		t.Fatal(err)
 	}

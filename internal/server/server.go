@@ -26,7 +26,6 @@ import (
 	engplan "divsql/internal/engine/plan"
 	"divsql/internal/fault"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/sql/types"
 )
 
@@ -78,17 +77,7 @@ const DefaultLogCapacity = 1024
 type Session struct {
 	srv *Server
 	es  *engine.Session
-
-	// plans is the session's parse-once plan cache: Prepare resolves a
-	// statement text to its parsed, dialect-checked plan exactly once.
-	// Owned by the session's single client, so no lock. Bounded: at
-	// maxSessionPlans the cache is dropped wholesale (re-preparing is
-	// just a reparse).
-	plans map[string]*plan
 }
-
-// maxSessionPlans bounds the per-session plan cache.
-const maxSessionPlans = 512
 
 var (
 	_ core.SessionExecutor = (*Server)(nil)
@@ -189,9 +178,6 @@ func (c *Session) Abort() { c.es.Abort() }
 // InTxn reports whether this session has an open transaction.
 func (c *Session) InTxn() bool { return c.es.InTxn() }
 
-// Server returns the server the session is attached to.
-func (c *Session) Server() *Server { return c.srv }
-
 // LastPlan describes how the session's most recent SELECT executed on
 // the engine (access path, compiled vs interpreter, plan-cache hit).
 func (c *Session) LastPlan() engplan.Info { return c.es.LastPlan() }
@@ -210,136 +196,64 @@ func (c *Session) ExecVariant(sel *ast.Select, force engplan.Force, args ...type
 func (s *Server) PlanCacheStats() engplan.CacheStats { return s.eng.PlanCacheStats() }
 
 // Exec executes one SQL statement in this session, returning the result
-// and the simulated latency. It is a one-shot prepare-and-execute: the
-// statement is parsed and dialect-checked, then runs through the same
-// execution path as a prepared statement (with no arguments bound).
+// and the simulated latency: core.Resolve, then Run with nothing bound.
 func (c *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
-	s := c.srv
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
-		return nil, 0, ErrCrashed
-	}
-	s.mu.Unlock()
-
-	st, err := parser.Parse(sql)
+	p, err := core.Resolve(sql)
 	if err != nil {
-		return nil, BaseLatency, fmt.Errorf("syntax error: %w", err)
-	}
-	if err := s.checkDialect(st); err != nil {
+		if c.srv.Crashed() {
+			return nil, 0, ErrCrashed
+		}
 		return nil, BaseLatency, err
 	}
-	return c.run(sql, st, nil, nil)
-}
-
-// ExecArgs is one-shot prepare-bind-execute: the statement is planned
-// through the session's plan cache (so repeated texts parse once) and
-// executed with the given arguments.
-func (c *Session) ExecArgs(sql string, args ...types.Value) (*engine.Result, time.Duration, error) {
-	st, err := c.PrepareStmt(sql)
-	if err != nil {
-		return nil, BaseLatency, err
-	}
-	return st.Exec(args...)
-}
-
-// plan is one parse-once execution plan, cached per session by statement
-// text: the parsed tree, its fingerprint (fault matching) and its
-// parameter count.
-type plan struct {
-	sql string
-	st  ast.Statement
-	fp  ast.Fingerprint
-	np  int
+	return c.Run(p, nil)
 }
 
 // Stmt is a prepared statement of one session. It implements
 // core.Statement.
 type Stmt struct {
 	sess   *Session
-	p      *plan
+	p      *core.Parsed
 	closed bool
 }
 
-// PrepareStmt parses, dialect-checks and plans one statement for
-// repeated execution. Plans are cached per session by statement text, so
-// re-preparing a text this session has already planned costs a map
-// lookup — the parse leaves the hot path.
-func (c *Session) PrepareStmt(sql string) (*Stmt, error) {
-	s := c.srv
-	s.mu.Lock()
-	crashed := s.crashed
-	s.mu.Unlock()
-	if crashed {
+// Prepare resolves one statement for repeated execution and reports now
+// what would stop every execution: a syntax error, a construct this
+// server's dialect does not offer, placeholders in a statement that
+// cannot bind. Implements core.Session.
+func (c *Session) Prepare(sql string) (core.Statement, error) {
+	if c.srv.Crashed() {
 		return nil, ErrCrashed
 	}
-	p, err := c.plan(sql)
+	p, err := core.Resolve(sql)
+	if err == nil {
+		err = c.srv.Accepts(p)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &Stmt{sess: c, p: p}, nil
 }
 
-// Prepare implements core.Session.
-func (c *Session) Prepare(sql string) (core.Statement, error) {
-	st, err := c.PrepareStmt(sql)
-	if err != nil {
-		return nil, err
+// Accepts reports why this server would refuse to prepare the statement
+// (nil when it would not): its dialect gate, then the statement's own
+// bindability.
+func (s *Server) Accepts(p *core.Parsed) error {
+	if err := s.checkDialect(p.AST); err != nil {
+		return err
 	}
-	return st, nil
-}
-
-func (c *Session) plan(sql string) (*plan, error) {
-	if p, ok := c.plans[sql]; ok {
-		return p, nil
-	}
-	st, err := parser.Parse(sql)
-	if err != nil {
-		return nil, fmt.Errorf("syntax error: %w", err)
-	}
-	if err := c.srv.checkDialect(st); err != nil {
-		return nil, err
-	}
-	np := ast.NumParams(st)
-	if err := engine.CheckBindable(st, np); err != nil {
-		return nil, err // parameters in a statement class that cannot bind
-	}
-	p := &plan{sql: sql, st: st, fp: ast.FingerprintOf(st), np: np}
-	if len(c.plans) >= maxSessionPlans {
-		c.plans = nil
-	}
-	if c.plans == nil {
-		c.plans = make(map[string]*plan)
-	}
-	c.plans[sql] = p
-	return p, nil
+	return p.BindErr
 }
 
 // SQL returns the statement text as prepared.
-func (st *Stmt) SQL() string { return st.p.sql }
+func (st *Stmt) SQL() string { return st.p.Text }
 
 // NumParams reports how many arguments Exec expects.
-func (st *Stmt) NumParams() int { return st.p.np }
+func (st *Stmt) NumParams() int { return st.p.NumParams }
 
-// Close releases the statement (the session keeps the cached plan).
+// Close releases the statement.
 func (st *Stmt) Close() error {
 	st.closed = true
 	return nil
-}
-
-// Bound returns the prepared statement's parsed tree (read-only; used by
-// the middleware to classify the statement without reparsing).
-func (st *Stmt) Bound() ast.Statement { return st.p.st }
-
-// ReadOnly reports whether executing the statement is a pure query: a
-// SELECT that does not (directly or through views) advance a sequence.
-// Resolved per call — view chains can change between executions.
-func (st *Stmt) ReadOnly() bool {
-	sel, ok := st.p.st.(*ast.Select)
-	if !ok {
-		return false
-	}
-	return !st.sess.srv.eng.SelectAdvancesSequences(sel)
 }
 
 // Exec executes the prepared statement with the given arguments. The
@@ -350,17 +264,20 @@ func (st *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 	if st.closed {
 		return nil, 0, errors.New("statement is closed")
 	}
-	if len(args) != st.p.np {
-		return nil, BaseLatency, fmt.Errorf("%w: statement wants %d parameters, %d bound",
-			engine.ErrBind, st.p.np, len(args))
+	if err := st.p.CheckArgs(len(args)); err != nil {
+		return nil, BaseLatency, err
 	}
-	return st.sess.run(st.p.sql, st.p.st, &st.p.fp, args)
+	return st.sess.Run(st.p, args)
 }
 
-// run executes one planned statement: fault matching on the (cached)
-// fingerprint, engine execution with the bound arguments, fault effects
-// and crash bookkeeping. fp may be nil for ad-hoc statements (computed
-// on demand, and only when the server carries faults at all).
+// Run executes one resolved statement, with args bound to its
+// placeholders (nil: nothing bound, as inline text executes). It is the
+// one execution body below the text contract — Exec and Stmt.Exec end
+// here, and the layers that hold this server by its concrete type (the
+// middleware's replicas, the differential harness's five servers) hand
+// it the handle they resolved once for all of them. The dialect gate,
+// fault matching on the handle's fingerprint, engine execution, fault
+// effects and crash bookkeeping happen here.
 //
 // A panic below this point is a bug in this server's engine, and it is
 // contained as what it amounts to — an engine crash: the server is marked
@@ -368,7 +285,7 @@ func (st *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 // with ErrCrashed, so a replicated deployment outvotes, restarts and
 // resynchronizes this server instead of dying with it on whichever
 // goroutine happened to be executing the replica.
-func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []types.Value) (res *engine.Result, latency time.Duration, err error) {
+func (c *Session) Run(p *core.Parsed, args []types.Value) (res *engine.Result, latency time.Duration, err error) {
 	s := c.srv
 	s.mu.Lock()
 	if s.crashed {
@@ -377,6 +294,9 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 	}
 	stress := s.stress
 	s.mu.Unlock()
+	if err := s.checkDialect(p.AST); err != nil {
+		return nil, BaseLatency, err
+	}
 
 	latency = BaseLatency
 	defer func() {
@@ -388,13 +308,7 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 	}()
 	var matched *fault.Fault
 	if s.d != nil {
-		var f ast.Fingerprint
-		if fp != nil {
-			f = *fp
-		} else {
-			f = ast.FingerprintOf(st)
-		}
-		matched = s.faults.Match(f, stress)
+		matched = s.faults.Match(p.Fingerprint, stress)
 	}
 	if matched != nil {
 		switch matched.Effect.Kind {
@@ -415,9 +329,9 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 
 	var execErr error
 	if args == nil {
-		res, execErr = c.es.Exec(st)
+		res, execErr = c.es.Exec(p.AST)
 	} else {
-		res, execErr = c.es.ExecBound(st, args)
+		res, execErr = c.es.ExecBound(p.AST, args)
 	}
 	// Re-check the crash flag: another session may have crashed the
 	// server while this statement was in flight. The outcome of such a
@@ -440,30 +354,16 @@ func (c *Session) run(sql string, st ast.Statement, fp *ast.Fingerprint, args []
 	if matched != nil && matched.Effect.Kind == fault.EffectMutateResult {
 		res = fault.Apply(matched.Effect.Mutation, res)
 	}
-	if isStateChanging(st) {
-		s.logWrite(sql, args)
+	if p.Select == nil {
+		s.logWrite(p.Text, args)
 	}
 	return res, latency, nil
 }
 
-// ReadOnly reports whether sql is a pure query on this server: a SELECT
-// that does not (directly or through views) advance a sequence. A parse
-// failure classifies as not read-only — the conservative direction for
-// callers deciding lock modes or read policies.
-func (s *Server) ReadOnly(sql string) bool {
-	st, err := parser.Parse(sql)
-	if err != nil {
-		return false
-	}
-	sel, ok := st.(*ast.Select)
-	if !ok {
-		return false
-	}
-	return !s.eng.SelectAdvancesSequences(sel)
-}
-
-// SelectAdvancesSequences is ReadOnly for callers that already hold the
-// parsed query (saves the re-parse on hot adjudication paths).
+// SelectAdvancesSequences reports whether the query would mutate state on
+// this server: it advances a sequence, directly or through views. A
+// statement is read-only when it is a SELECT (core.Parsed.Select) that
+// does not.
 func (s *Server) SelectAdvancesSequences(sel *ast.Select) bool {
 	return s.eng.SelectAdvancesSequences(sel)
 }
@@ -501,15 +401,6 @@ func (s *Server) checkDialect(st ast.Statement) error {
 	return nil
 }
 
-func isStateChanging(st ast.Statement) bool {
-	switch st.(type) {
-	case *ast.Select:
-		return false
-	default:
-		return true
-	}
-}
-
 // StmtOutcome is the observable outcome of one statement of a replayed
 // stream (study.RunSource).
 type StmtOutcome struct {
@@ -519,10 +410,6 @@ type StmtOutcome struct {
 	Crashed bool
 	Latency time.Duration
 }
-
-// InTxnAny reports whether any session has a transaction open (used by
-// the middleware to gate state transfers on transaction boundaries).
-func (s *Server) InTxnAny() bool { return s.eng.AnyInTxn() }
 
 // Snapshot captures a consistent image of the engine's COMMITTED state
 // at this instant for state transfer. It never waits for transaction

@@ -314,7 +314,7 @@ func TestLogOffEncodesNothing(t *testing.T) {
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT, B VARCHAR(40))"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := sess.PrepareStmt("UPDATE T SET B = $1 WHERE A = $2")
+	st, err := sess.Prepare("UPDATE T SET B = $1 WHERE A = $2")
 	if err != nil {
 		t.Fatal(err)
 	}

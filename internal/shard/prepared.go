@@ -7,8 +7,6 @@ import (
 	"divsql/internal/core"
 	"divsql/internal/engine"
 	"divsql/internal/server"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/sql/types"
 )
 
@@ -19,21 +17,19 @@ import (
 // core.Statement.
 type Stmt struct {
 	s   *Session
-	sql string
-	st  ast.Statement
-	np  int
+	p   *core.Parsed
 	per []core.Statement // index-aligned with shards
 }
 
-// Prepare parses the statement once and prepares it on every shard.
+// Prepare resolves the statement and prepares it on every shard.
 func (s *Session) Prepare(sql string) (core.Statement, error) {
+	p, err := core.Resolve(sql)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, err := parser.Parse(sql)
-	if err != nil {
-		return nil, fmt.Errorf("syntax error: %w", err)
-	}
-	ps := &Stmt{s: s, sql: sql, st: st, np: ast.NumParams(st)}
+	ps := &Stmt{s: s, p: p}
 	for shard, sub := range s.subs {
 		p, err := sub.Prepare(sql)
 		if err != nil {
@@ -48,10 +44,10 @@ func (s *Session) Prepare(sql string) (core.Statement, error) {
 }
 
 // SQL returns the statement text as prepared.
-func (ps *Stmt) SQL() string { return ps.sql }
+func (ps *Stmt) SQL() string { return ps.p.Text }
 
 // NumParams reports how many arguments Exec expects.
-func (ps *Stmt) NumParams() int { return ps.np }
+func (ps *Stmt) NumParams() int { return ps.p.NumParams }
 
 // Exec routes this execution by its argument vector (band predicates
 // over placeholders resolve against args) and runs the owning shard's
@@ -59,11 +55,10 @@ func (ps *Stmt) NumParams() int { return ps.np }
 func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
 	ps.s.mu.Lock()
 	defer ps.s.mu.Unlock()
-	if len(args) != ps.np {
-		return nil, server.BaseLatency, fmt.Errorf("%w: statement wants %d parameters, %d bound",
-			engine.ErrBind, ps.np, len(args))
+	if err := ps.p.CheckArgs(len(args)); err != nil {
+		return nil, server.BaseLatency, err
 	}
-	return ps.s.dispatch(ps.st, &stmtExec{st: ps, args: args}, args)
+	return ps.s.dispatch(ps.p, &stmtExec{st: ps, args: args}, args)
 }
 
 // Close releases the per-shard statements.

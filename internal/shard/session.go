@@ -9,7 +9,6 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/sql/types"
 )
 
@@ -61,15 +60,15 @@ func (s *Session) Close() error {
 
 // Exec routes and executes one SQL statement.
 func (s *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := parser.Parse(sql)
+	p, err := core.Resolve(sql)
 	if err != nil {
 		// The router cannot classify what it cannot parse; the shards
 		// share one parser, so the statement would fail there identically.
-		return nil, server.BaseLatency, fmt.Errorf("syntax error: %w", err)
+		return nil, server.BaseLatency, err
 	}
-	return s.dispatch(st, inlineExec(sql), nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dispatch(p, inlineExec(sql), nil)
 }
 
 // shardExec runs one already-routed statement on one shard — inline
@@ -84,11 +83,13 @@ func (q inlineExec) run(s *Session, shard int) (*engine.Result, time.Duration, e
 	return s.subs[shard].Exec(string(q))
 }
 
-// dispatch routes st and executes it through ex. Caller holds s.mu.
-func (s *Session) dispatch(st ast.Statement, ex shardExec, args []types.Value) (*engine.Result, time.Duration, error) {
+// dispatch routes the statement and executes it through ex. Caller holds
+// s.mu.
+func (s *Session) dispatch(p *core.Parsed, ex shardExec, args []types.Value) (*engine.Result, time.Duration, error) {
 	r := s.r
 	r.metrics.statements.Add(1)
-	rt, err := r.analyze(st, args, s.home)
+	st := p.AST
+	rt, err := r.analyze(p, args, s.home)
 	if err != nil {
 		r.metrics.rejected.Add(1)
 		return nil, server.BaseLatency, err
@@ -109,8 +110,7 @@ func (s *Session) dispatch(st ast.Statement, ex shardExec, args []types.Value) (
 		return s.execBroadcast(st, ex, true)
 	case routeScatter:
 		r.metrics.scatter.Add(1)
-		sel, _ := st.(*ast.Select)
-		return s.execScatter(sel, ex)
+		return s.execScatter(p.Select, ex)
 	default:
 		return nil, 0, fmt.Errorf("shard: unroutable statement %T", st)
 	}
@@ -320,7 +320,7 @@ func exSQL(ex shardExec) string {
 	case inlineExec:
 		return string(x)
 	case *stmtExec:
-		return x.st.sql
+		return x.st.p.Text
 	}
 	return "BEGIN TRANSACTION"
 }

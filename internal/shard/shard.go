@@ -56,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 
@@ -180,28 +179,28 @@ type route struct {
 	shard int // routeSingle only
 }
 
-// analyze classifies one parsed statement. args carries the execution's
-// typed arguments when the statement came through the prepared path
-// (band predicates over placeholders resolve per execution); home is
-// the session's home shard for statements with no table references.
-func (r *Router) analyze(st ast.Statement, args []types.Value, home int) (route, error) {
-	switch st.(type) {
-	case *ast.Begin, *ast.Commit, *ast.Rollback:
+// analyze classifies one resolved statement. args carries the
+// execution's typed arguments when the statement came through the
+// prepared path (band predicates over placeholders resolve per
+// execution); home is the session's home shard for statements with no
+// table references.
+func (r *Router) analyze(p *core.Parsed, args []types.Value, home int) (route, error) {
+	switch p.Class {
+	case core.StmtBegin, core.StmtEnd:
 		return route{kind: routeTxn}, nil
-	case *ast.SetTxn:
+	case core.StmtSetTxn:
 		return route{kind: routeSetTxn}, nil
 	}
 	if r.banded() {
-		return r.analyzeBand(st, args, home)
+		return r.analyzeBand(p, args, home)
 	}
-	return r.analyzeNamespace(st, home)
+	return r.analyzeNamespace(p.Refs, home)
 }
 
 // analyzeNamespace routes by namespace hash: all referenced names must
 // agree on one shard. Statements without table references run on the
 // session's home shard.
-func (r *Router) analyzeNamespace(st ast.Statement, home int) (route, error) {
-	names := referencedNames(st)
+func (r *Router) analyzeNamespace(names []string, home int) (route, error) {
 	if len(names) == 0 {
 		return route{kind: routeSingle, shard: home}, nil
 	}
@@ -221,37 +220,13 @@ func (r *Router) analyzeNamespace(st ast.Statement, home int) (route, error) {
 	return route{kind: routeSingle, shard: shard}, nil
 }
 
-// referencedNames lists every table/view/sequence name a statement
-// touches, including created and dropped object names ast.Tables does
-// not cover.
-func referencedNames(st ast.Statement) []string {
-	set := ast.Tables(st)
-	switch x := st.(type) {
-	case *ast.CreateSequence:
-		set[strings.ToUpper(x.Name)] = true
-	case *ast.DropSequence:
-		set[strings.ToUpper(x.Name)] = true
-	case *ast.DropIndex:
-		// An index name routes like a table name: qgen namespaces them
-		// identically, so the index lands with its table.
-		set[strings.ToUpper(x.Name)] = true
-	case *ast.CreateIndex:
-		set[strings.ToUpper(x.Name)] = true
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // analyzeBand routes in PK-band mode.
-func (r *Router) analyzeBand(st ast.Statement, args []types.Value, home int) (route, error) {
+func (r *Router) analyzeBand(p *core.Parsed, args []types.Value, home int) (route, error) {
 	var (
 		rt  route
 		err error
 	)
+	st := p.AST
 	switch x := st.(type) {
 	case *ast.CreateTable, *ast.CreateView, *ast.CreateIndex, *ast.CreateSequence,
 		*ast.DropTable, *ast.DropView, *ast.DropIndex, *ast.DropSequence:
@@ -264,7 +239,7 @@ func (r *Router) analyzeBand(st ast.Statement, args []types.Value, home int) (ro
 	case *ast.Delete:
 		rt, err = r.analyzeFiltered(strings.ToUpper(x.Table), x.Where, args, false, home)
 	case *ast.Select:
-		rt, err = r.analyzeSelect(x, args, home)
+		rt, err = r.analyzeSelect(x, p.Refs, args, home)
 	default:
 		return route{}, fmt.Errorf("shard: cannot route %T", st)
 	}
@@ -401,8 +376,7 @@ func (r *Router) analyzeFiltered(table string, where ast.Expr, args []types.Valu
 }
 
 // analyzeSelect routes a SELECT in band mode.
-func (r *Router) analyzeSelect(sel *ast.Select, args []types.Value, home int) (route, error) {
-	refs := referencedNames(sel)
+func (r *Router) analyzeSelect(sel *ast.Select, refs []string, args []types.Value, home int) (route, error) {
 	if len(refs) == 0 {
 		return route{kind: routeSingle, shard: home}, nil
 	}

@@ -61,7 +61,7 @@ func TestFingerprintFlags(t *testing.T) {
 		t.Errorf("tables: %v", fp.Tables)
 	}
 	if !fp.UsesFunc("avg") {
-		t.Errorf("funcs: %v", fp.Funcs)
+		t.Errorf("funcs: %v", fp.funcs)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestFingerprintDDL(t *testing.T) {
 	ci := &CreateIndex{Name: "ix", Table: "t", Clustered: true}
 	fp = FingerprintOf(ci)
 	if !fp.Has(FlagClusteredIdx) || !fp.Has(FlagCreateIndex) {
-		t.Errorf("index flags: %v", fp.Flags)
+		t.Errorf("index flags: %v", fp)
 	}
 
 	cv := &CreateView{Name: "v", Select: &Select{
@@ -90,7 +90,30 @@ func TestFingerprintDDL(t *testing.T) {
 	}}
 	fp = FingerprintOf(cv)
 	if !fp.Has(FlagViewDistinct) || !fp.Has(FlagViewUnion) {
-		t.Errorf("view flags: %v", fp.Flags)
+		t.Errorf("view flags: %v", fp)
+	}
+}
+
+// A fingerprint is kept for as long as its statement's text is interned,
+// so it is a bit set and two short sorted lists: names and functions are
+// listed once however often the statement uses them, and the digest does
+// not depend on the order of use.
+func TestFingerprintIsCompactAndOrdered(t *testing.T) {
+	fn := func(name string) Expr { return &FuncCall{Name: name, Args: []Expr{&ColumnRef{Column: "a"}}} }
+	s := &Select{
+		Items: []SelectItem{{Expr: fn("upper")}, {Expr: fn("ABS")}, {Expr: fn("Upper")}},
+		From:  []FromItem{{Table: TableRef{Name: "u"}}, {Table: TableRef{Name: "T"}}, {Table: TableRef{Name: "t"}}},
+		Where: &Like{X: &ColumnRef{Column: "a"}, Pattern: &Literal{Val: types.NewString("x%")}},
+	}
+	fp := FingerprintOf(s)
+	if got, want := fp.String(), "LIKE|SELECT @ T,U"; got != want {
+		t.Errorf("digest %q, want %q", got, want)
+	}
+	if len(fp.Tables) != 2 || len(fp.funcs) != 2 || !fp.UsesFunc("abs") || !fp.UsesFunc("UPPER") || fp.UsesFunc("LOWER") {
+		t.Errorf("tables %v funcs %v", fp.Tables, fp.funcs)
+	}
+	if len(flagBit) != len(flagList) || len(flagList) > 64 {
+		t.Errorf("%d flags listed, %d distinct: each needs its own bit of a uint64", len(flagList), len(flagBit))
 	}
 }
 

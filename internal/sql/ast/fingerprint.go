@@ -1,6 +1,8 @@
 package ast
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,39 +61,60 @@ const (
 	FlagParam Flag = "PARAM"
 )
 
-// Fingerprint summarizes the syntactic shape of one statement.
+// flagList gives every flag its bit in Fingerprint.flags.
+var flagList = [...]Flag{
+	FlagSelect, FlagInsert, FlagUpdate, FlagDelete, FlagCreateTable, FlagCreateView,
+	FlagCreateIndex, FlagDropTable, FlagDropView, FlagDistinct, FlagUnion, FlagLeftJoin,
+	FlagFullJoin, FlagJoin, FlagGroupBy, FlagHaving, FlagOrderBy, FlagSubquery,
+	FlagInSubquery, FlagNotIn, FlagExists, FlagAggregate, FlagAvg, FlagSum, FlagMod,
+	FlagArith, FlagLike, FlagBetween, FlagCase, FlagCast, FlagDefault, FlagCheck,
+	FlagPrimaryKey, FlagClusteredIdx, FlagLimit, FlagViewUnion, FlagViewDistinct,
+	FlagTransaction, FlagIsolation, FlagParam,
+}
+
+var flagBit = func() map[Flag]uint64 {
+	m := make(map[Flag]uint64, len(flagList))
+	for i, f := range flagList {
+		m[f] = 1 << i
+	}
+	return m
+}()
+
+// Fingerprint summarizes the syntactic shape of one statement. It is a
+// small value — a bit set and two short sorted lists — because every
+// interned statement keeps one (core.Parsed) for as long as its text
+// stays interned.
 type Fingerprint struct {
-	Tables map[string]bool
-	Flags  map[Flag]bool
-	Funcs  map[string]bool // upper-cased function names used
+	// Tables lists, sorted, the upper-cased names of the tables and views
+	// the statement references (ast.Tables).
+	Tables []string
+	flags  uint64   // flagBit of every flag carried
+	funcs  []string // upper-cased function names called, sorted
 }
 
 // Has reports whether the fingerprint carries the flag.
-func (fp Fingerprint) Has(f Flag) bool { return fp.Flags[f] }
+func (fp Fingerprint) Has(f Flag) bool { return fp.flags&flagBit[f] != 0 }
 
 // UsesTable reports whether the statement references the named table.
 func (fp Fingerprint) UsesTable(name string) bool {
-	return fp.Tables[strings.ToUpper(name)]
+	return slices.Contains(fp.Tables, strings.ToUpper(name))
 }
 
 // UsesFunc reports whether the statement calls the named function.
 func (fp Fingerprint) UsesFunc(name string) bool {
-	return fp.Funcs[strings.ToUpper(name)]
+	return slices.Contains(fp.funcs, strings.ToUpper(name))
 }
 
 // String renders a stable, human-readable digest (for logs and tests).
 func (fp Fingerprint) String() string {
-	flags := make([]string, 0, len(fp.Flags))
-	for f := range fp.Flags {
-		flags = append(flags, string(f))
+	flags := make([]string, 0, bits.OnesCount64(fp.flags))
+	for i, f := range flagList {
+		if fp.flags&(1<<i) != 0 {
+			flags = append(flags, string(f))
+		}
 	}
 	sort.Strings(flags)
-	tables := make([]string, 0, len(fp.Tables))
-	for t := range fp.Tables {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	return strings.Join(flags, "|") + " @ " + strings.Join(tables, ",")
+	return strings.Join(flags, "|") + " @ " + strings.Join(fp.Tables, ",")
 }
 
 var aggregateFuncs = map[string]bool{
@@ -100,12 +123,18 @@ var aggregateFuncs = map[string]bool{
 
 // FingerprintOf computes the fingerprint of a statement.
 func FingerprintOf(st Statement) Fingerprint {
-	fp := Fingerprint{
-		Tables: Tables(st),
-		Flags:  make(map[Flag]bool),
-		Funcs:  make(map[string]bool),
+	var fp Fingerprint
+	for t := range Tables(st) {
+		fp.Tables = append(fp.Tables, t)
 	}
-	set := func(f Flag) { fp.Flags[f] = true }
+	sort.Strings(fp.Tables)
+	set := func(f Flag) {
+		b, ok := flagBit[f]
+		if !ok {
+			panic("ast: flag " + string(f) + " is not in flagList")
+		}
+		fp.flags |= b
+	}
 
 	exprFlags := func(e Expr) {
 		WalkExprs(e, func(e Expr) {
@@ -119,8 +148,10 @@ func FingerprintOf(st Statement) Fingerprint {
 					set(FlagMod)
 				}
 			case *FuncCall:
-				fp.Funcs[strings.ToUpper(x.Name)] = true
 				up := strings.ToUpper(x.Name)
+				if i, found := slices.BinarySearch(fp.funcs, up); !found {
+					fp.funcs = slices.Insert(fp.funcs, i, up)
+				}
 				if aggregateFuncs[up] {
 					set(FlagAggregate)
 				}

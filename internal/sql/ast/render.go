@@ -3,6 +3,8 @@ package ast
 import (
 	"strconv"
 	"strings"
+
+	"divsql/internal/sql/lexer"
 )
 
 // Render serializes a statement back to SQL text. The output is accepted
@@ -15,11 +17,34 @@ func Render(st Statement) string {
 	return b.String()
 }
 
+// writeIdent writes an identifier the way the lexer reads it back as the
+// same identifier: bare when it is a plain word that is not a keyword,
+// delimited otherwise (a name that was written delimited because it
+// holds a space, starts with a digit, is empty or spells a keyword).
+func writeIdent(b *strings.Builder, name string) {
+	if lexer.PlainIdent(name) {
+		b.WriteString(name)
+	} else if !strings.Contains(name, `"`) {
+		b.WriteString(`"` + name + `"`)
+	} else {
+		b.WriteString("[" + name + "]")
+	}
+}
+
+func writeIdents(b *strings.Builder, names []string) {
+	for i, n := range names {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeIdent(b, n)
+	}
+}
+
 func renderStmt(b *strings.Builder, st Statement) {
 	switch x := st.(type) {
 	case *CreateTable:
 		b.WriteString("CREATE TABLE ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 		b.WriteString(" (")
 		for i, c := range x.Columns {
 			if i > 0 {
@@ -34,10 +59,10 @@ func renderStmt(b *strings.Builder, st Statement) {
 		b.WriteString(")")
 	case *CreateView:
 		b.WriteString("CREATE VIEW ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 		if len(x.Columns) > 0 {
 			b.WriteString(" (")
-			b.WriteString(strings.Join(x.Columns, ", "))
+			writeIdents(b, x.Columns)
 			b.WriteString(")")
 		}
 		b.WriteString(" AS ")
@@ -51,37 +76,37 @@ func renderStmt(b *strings.Builder, st Statement) {
 			b.WriteString("CLUSTERED ")
 		}
 		b.WriteString("INDEX ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 		b.WriteString(" ON ")
-		b.WriteString(x.Table)
+		writeIdent(b, x.Table)
 		b.WriteString(" (")
-		b.WriteString(strings.Join(x.Columns, ", "))
+		writeIdents(b, x.Columns)
 		b.WriteString(")")
 	case *CreateSequence:
 		b.WriteString("CREATE SEQUENCE ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 		if x.Start != 0 {
 			b.WriteString(" START WITH ")
 			b.WriteString(strconv.FormatInt(x.Start, 10))
 		}
 	case *DropTable:
 		b.WriteString("DROP TABLE ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 	case *DropView:
 		b.WriteString("DROP VIEW ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 	case *DropIndex:
 		b.WriteString("DROP INDEX ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 	case *DropSequence:
 		b.WriteString("DROP SEQUENCE ")
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 	case *Insert:
 		b.WriteString("INSERT INTO ")
-		b.WriteString(x.Table)
+		writeIdent(b, x.Table)
 		if len(x.Columns) > 0 {
 			b.WriteString(" (")
-			b.WriteString(strings.Join(x.Columns, ", "))
+			writeIdents(b, x.Columns)
 			b.WriteString(")")
 		}
 		if x.Select != nil {
@@ -105,7 +130,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 		}
 	case *Update:
 		b.WriteString("UPDATE ")
-		b.WriteString(x.Table)
+		writeIdent(b, x.Table)
 		b.WriteString(" SET ")
 		for i, sc := range x.Sets {
 			if i > 0 {
@@ -121,7 +146,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 		}
 	case *Delete:
 		b.WriteString("DELETE FROM ")
-		b.WriteString(x.Table)
+		writeIdent(b, x.Table)
 		if x.Where != nil {
 			b.WriteString(" WHERE ")
 			renderExpr(b, x.Where)
@@ -141,7 +166,7 @@ func renderStmt(b *strings.Builder, st Statement) {
 }
 
 func renderColumnDef(b *strings.Builder, c ColumnDef) {
-	b.WriteString(c.Name)
+	writeIdent(b, c.Name)
 	b.WriteString(" ")
 	renderType(b, c.Type)
 	if c.Default != nil {
@@ -167,17 +192,17 @@ func renderColumnDef(b *strings.Builder, c ColumnDef) {
 func renderTableConstraint(b *strings.Builder, tc TableConstraint) {
 	if tc.Name != "" {
 		b.WriteString("CONSTRAINT ")
-		b.WriteString(tc.Name)
+		writeIdent(b, tc.Name)
 		b.WriteString(" ")
 	}
 	switch {
 	case len(tc.PrimaryKey) > 0:
 		b.WriteString("PRIMARY KEY (")
-		b.WriteString(strings.Join(tc.PrimaryKey, ", "))
+		writeIdents(b, tc.PrimaryKey)
 		b.WriteString(")")
 	case len(tc.Unique) > 0:
 		b.WriteString("UNIQUE (")
-		b.WriteString(strings.Join(tc.Unique, ", "))
+		writeIdents(b, tc.Unique)
 		b.WriteString(")")
 	case tc.Check != nil:
 		b.WriteString("CHECK (")
@@ -187,7 +212,11 @@ func renderTableConstraint(b *strings.Builder, tc TableConstraint) {
 }
 
 func renderType(b *strings.Builder, t TypeName) {
-	b.WriteString(t.Name)
+	if t.Name == "DOUBLE PRECISION" { // the one two-word type name
+		b.WriteString(t.Name)
+	} else {
+		writeIdent(b, t.Name)
+	}
 	if len(t.Args) > 0 {
 		b.WriteString("(")
 		for i, a := range t.Args {
@@ -219,7 +248,7 @@ func renderSelect(b *strings.Builder, s *Select) {
 		}
 		switch {
 		case it.Star && it.StarTable != "":
-			b.WriteString(it.StarTable)
+			writeIdent(b, it.StarTable)
 			b.WriteString(".*")
 		case it.Star:
 			b.WriteString("*")
@@ -227,7 +256,7 @@ func renderSelect(b *strings.Builder, s *Select) {
 			renderExpr(b, it.Expr)
 			if it.Alias != "" {
 				b.WriteString(" AS ")
-				b.WriteString(it.Alias)
+				writeIdent(b, it.Alias)
 			}
 		}
 	}
@@ -302,11 +331,11 @@ func renderTableRef(b *strings.Builder, t TableRef) {
 		renderSelect(b, t.Subquery)
 		b.WriteString(")")
 	} else {
-		b.WriteString(t.Name)
+		writeIdent(b, t.Name)
 	}
 	if t.Alias != "" {
 		b.WriteString(" ")
-		b.WriteString(t.Alias)
+		writeIdent(b, t.Alias)
 	}
 }
 
@@ -321,10 +350,10 @@ func renderExpr(b *strings.Builder, e Expr) {
 		b.WriteString(strconv.Itoa(x.N))
 	case *ColumnRef:
 		if x.Table != "" {
-			b.WriteString(x.Table)
+			writeIdent(b, x.Table)
 			b.WriteString(".")
 		}
-		b.WriteString(x.Column)
+		writeIdent(b, x.Column)
 	case *Binary:
 		b.WriteString("(")
 		renderExpr(b, x.L)
@@ -342,7 +371,7 @@ func renderExpr(b *strings.Builder, e Expr) {
 		renderExpr(b, x.X)
 		b.WriteString(")")
 	case *FuncCall:
-		b.WriteString(x.Name)
+		writeIdent(b, x.Name)
 		b.WriteString("(")
 		if x.Star {
 			b.WriteString("*")

@@ -103,6 +103,20 @@ func isIdentPart(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// PlainIdent reports whether name, written bare, lexes as one identifier
+// token with that text: an identifier word that is not a keyword.
+func PlainIdent(name string) bool {
+	if name == "" || !isIdentStart(name[0]) {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if !isIdentPart(name[i]) {
+			return false
+		}
+	}
+	return !keywords[strings.ToUpper(name)]
+}
+
 func (lx *Lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]

@@ -1161,9 +1161,15 @@ func (p *Parser) parseInTail(l ast.Expr, not bool) (ast.Expr, error) {
 		return nil, err
 	}
 	in := &ast.In{X: l, Not: not}
-	if p.atKw("SELECT") || p.at(lexer.TokLParen, "") {
-		// Subquery, possibly parenthesized and possibly a UNION of
-		// parenthesized selects: ((SELECT ...) UNION (SELECT ...)).
+	// Past any opening parentheses, SELECT makes it a subquery, possibly
+	// parenthesized and possibly a UNION of parenthesized selects:
+	// ((SELECT ...) UNION (SELECT ...)). Anything else is a list whose
+	// first value happens to be parenthesized.
+	first := p.pos
+	for p.toks[first].Kind == lexer.TokLParen {
+		first++
+	}
+	if t := p.toks[first]; t.Kind == lexer.TokKeyword && t.Text == "SELECT" {
 		sel, err := p.parseParenableSelect()
 		if err != nil {
 			return nil, err
