@@ -26,10 +26,10 @@
 // observable while they run instead of silent until exit.
 //
 // -planvariants arms the DQP-lite self-check oracle: every SELECT the
-// oracle answers is re-executed on the oracle under forced full-scan
-// and index-preferred plans, and any result disagreement is reported as
-// a divergence against the oracle itself — a direct differential test
-// of the engine's analyzer-compiled, index-backed execution path.
+// oracle answers is re-executed on the oracle with every access path
+// forced to a full scan, and any disagreement with the normal execution
+// is reported as a divergence against the oracle itself — a direct
+// differential test of the engine's index-backed execution.
 //
 // -tlp, -norec and -cert arm the metamorphic self-check oracles
 // (internal/metamorph): every answered SELECT is rewritten into queries
@@ -120,7 +120,7 @@ func main() {
 	sequences := flag.Bool("sequences", false, "exercise sequence-advancing SELECTs (PG/OR server set)")
 	isolation := flag.Bool("isolation", false, "emit SET TRANSACTION ISOLATION LEVEL statements: read views and per-dialect level acceptance enter adjudication (fault-free runs draw only universally accepted levels)")
 	params := flag.Bool("params", false, "parameterized mode: a weighted share of statements executes through prepare/bind with typed argument vectors, covering the servers' bind-time coercion rules")
-	planVariants := flag.Bool("planvariants", false, "DQP-lite self-check: re-run every answered SELECT on the oracle under forced full-scan and index plans and fail on any disagreement")
+	planVariants := flag.Bool("planvariants", false, "DQP-lite self-check: re-run every answered SELECT on the oracle as a forced full scan and fail on any disagreement")
 	tlp := flag.Bool("tlp", false, "metamorphic self-check: ternary-logic partitioning (WHERE p / NOT p / p IS NULL must reassemble the unfiltered result)")
 	norec := flag.Bool("norec", false, "metamorphic self-check: non-optimizing re-execution (forced full-scan predicate count must match the optimized cardinality)")
 	cert := flag.Bool("cert", false, "metamorphic self-check: cardinality restriction (an appended conjunct can never grow the result)")

@@ -101,13 +101,12 @@ type Config struct {
 	MaxRowsPerTable int
 	// PlanVariants enables the DQP-lite self-check oracle: every
 	// deterministic SELECT the oracle answered without error is re-run on
-	// the oracle under each forced access-path variant (full scan,
-	// index-preferred) and the results compared against the normal
-	// execution. Access-path choice may only change which rows the engine
-	// skipped, never the result, so any disagreement convicts the
-	// compiled/index execution path itself; it is recorded as a
-	// divergence against the oracle. Off by default (it re-executes every
-	// SELECT up to twice); fault-free gates turn it on.
+	// the oracle with every access path forced to a full scan and the
+	// result compared against the normal execution's. Access-path choice
+	// may only change which rows the engine skipped, never the result, so
+	// any disagreement convicts the index execution path itself; it is
+	// recorded as a divergence against the oracle. Off by default (it
+	// executes every SELECT twice); fault-free gates turn it on.
 	PlanVariants bool
 	// Telemetry receives live counters while the run executes (nil: the
 	// process-global SharedTelemetry). Consumers are divfuzz's periodic
@@ -802,9 +801,9 @@ func classifyPair(st ast.Statement, so, oo server.StmtOutcome) core.Classificati
 	return core.Classification{Status: core.StatusNoFailure}
 }
 
-// variantForces are the forced access paths the DQP-lite oracle replays
-// each answered SELECT under.
-var variantForces = []engplan.Force{engplan.ForceFullScan, engplan.ForceIndex}
+// variantForces are the forced plans the DQP-lite oracle replays each
+// answered SELECT under, against its memoised normal execution.
+var variantForces = []engplan.Force{engplan.ForceFullScan}
 
 // checkPlanVariants re-executes one answered SELECT on the oracle under
 // each forced access-path variant and adjudicates the results against

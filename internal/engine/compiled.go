@@ -5,97 +5,225 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
 
-// This file is the execution side of the analyzer (internal/engine/plan):
-// compiling an eligible SELECT once into a compiledSelect — references
-// resolved to ordinals, projection pre-expanded, access path chosen —
-// and executing it under the engine read lock without repeating any of
-// that per statement.
+// This file is the compile side of the engine's one SELECT executor.
+// Every query expression — whatever its shape, wherever it sits in its
+// statement — is lowered once by compileSelect into a compiledSelect,
+// and runSelect (select.go) is the only code that turns one into rows.
 //
-// Compilations are shared through one cache on the Engine: planMemo,
-// keyed by the *ast.Select's address. core.Resolve interns statement
-// text, so while a text is interned every session, layer and replica
-// that executes it — inline or prepared — hands the engine the same
-// tree, and the address identifies the text without rendering it. An
-// entry is validated against the engine's schema-version stamp; a stale
-// one recompiles transparently (DDL — including DDL rolled back inside a
-// transaction — never serves a plan compiled against a schema generation
-// that is no longer current).
+// What compilation hoists out of execution: source resolution (base
+// table, view body, derived table, join chain), the scope those sources
+// produce, reference validation, * expansion, output names, sort-key
+// resolution, the nested selects of every expression (compiled against
+// the static scope they are met in and owned by the enclosing plan) and,
+// for a core whose FROM is exactly one base table, the access path
+// (package plan). What it must not change is anything observable: a
+// static error is recorded on the step that would have raised it and
+// replayed when execution reaches that step, so errors keep their
+// precedence — source construction → reference validation → WHERE →
+// projection shape → projection → sort → limit — and a nested select's
+// errors surface only when, and each time, it is evaluated.
 //
-// Correctness contract with the interpreter (select.go): the compiled
-// path must be observationally identical — same rows in the same order,
-// same column names, and the same errors raised at the same precedence.
-// It mirrors the interpreter's phases exactly: reference validation
-// (compile time, replayed as compileErr), WHERE filtering over the full
-// predicate in table order, projection-shape errors (projErr) after
-// filtering, projection, hidden-column ORDER BY, LIMIT. Index use only
-// narrows which rows the WHERE is evaluated on — and only when that
-// evaluation provably cannot error (whereSafeForSkip), because skipping
-// a row that would have errored would change observable behaviour.
+// Plans are immutable once built and shared through the engine's memos,
+// keyed by the statement's address: core.Resolve interns statement text,
+// so while a text is interned every session, layer and replica that
+// executes it — inline or prepared — hands the engine the same tree. An
+// entry is validated against the schema-version stamp of the read plane
+// it runs on; a stale one recompiles transparently (DDL — including DDL
+// rolled back inside a transaction — never serves a plan compiled
+// against a schema generation that is no longer current). A forced
+// compile (ExecSelectVariant) neither reads nor writes a memo.
+//
+// Index use only narrows which rows a WHERE is evaluated on — and only
+// when that evaluation provably cannot error (whereSafeForSkip), because
+// skipping a row that would have errored would change observable
+// behaviour.
 
-// memoEntry is one planMemo entry.
-type memoEntry struct {
+// planMemoCap bounds each plan memo, which is dropped wholesale at
+// capacity — the workloads that matter re-fill it within one batch.
+const planMemoCap = 4096
+
+// memo is one schema-stamped memo of compiled plans of type P.
+type memo[P any] struct {
+	m sync.Map     // ast.Statement -> *memoEntry[P]
+	n atomic.Int64 // approximate size, for the cap
+}
+
+type memoEntry[P any] struct {
 	version uint64
-	cs      *compiledSelect
+	plan    *P
 }
 
-// compiledSelect is one statement's compilation: either a full compiled
-// execution (p non-nil) or a cached decision to stay on the interpreter
-// (p nil — ineligible shapes such as joins, DISTINCT, UNION, GROUP BY,
-// views and derived tables).
-type compiledSelect struct {
-	p   *plan.SelectPlan
-	sel *ast.Select
-
-	// cols is the FROM relation's scope (the table's columns under the
-	// correlation name in effect), resolved once.
-	cols []scopeCol
-	// grouped marks a global aggregate (no GROUP BY by eligibility);
-	// projection is delegated to projectGrouped per execution.
-	grouped bool
-	// outCols/projs are the pre-expanded projection: visible output
-	// names and all projection expressions (visible first, then hidden
-	// ORDER BY keys). Unused when grouped.
-	outCols []string
-	projs   []projExpr
-	// keyCol mirrors evalSelectHiddenOrder: per ORDER BY key, >= 0 is a
-	// hidden trailing column offset, < 0 encodes a 1-based output
-	// position as -(pos).
-	keyCol []int
-
-	// compileErr replays a reference-validation error (raised before any
-	// row work, as the interpreter does); projErr replays a projection-
-	// shape error (raised after WHERE filtering, as the interpreter
-	// does).
-	compileErr error
-	projErr    error
-}
-
-// sessionCatalog adapts the session's active read plane (read view,
-// own-writes overlay, or live state) to the analyzer's Catalog
-// interface. The caller holds the engine lock.
-type sessionCatalog struct{ s *Session }
-
-// TableMeta resolves one base table: columns, primary key, and the
-// secondary keysets usable for access paths — declared indexes (sorted
-// by index name, so access-path choice is deterministic) and unique
-// constraints.
-func (c sessionCatalog) TableMeta(name string) (plan.TableMeta, bool) {
-	t, ok := c.s.lookupTable(name)
-	if !ok {
-		return plan.TableMeta{}, false
+// load returns the statement's plan when it was compiled against schema
+// generation ver (nil otherwise), and whether the statement has an entry
+// at all.
+func (c *memo[P]) load(st ast.Statement, ver uint64) (p *P, known bool) {
+	v, known := c.m.Load(st)
+	if known {
+		if me := v.(*memoEntry[P]); me.version == ver {
+			return me.plan, true
+		}
 	}
+	return nil, known
+}
+
+// store publishes a plan; known is load's second result.
+func (c *memo[P]) store(st ast.Statement, known bool, ver uint64, p *P) {
+	if !known {
+		if c.n.Load() >= planMemoCap {
+			c.drop()
+		}
+		c.n.Add(1)
+	}
+	c.m.Store(st, &memoEntry[P]{version: ver, plan: p})
+}
+
+// drop empties the memo, reporting how many plans it held.
+func (c *memo[P]) drop() uint64 {
+	c.m.Clear()
+	return uint64(c.n.Swap(0))
+}
+
+// publishSchema makes the live schema generation the committed one.
+// When the generation moved, the memoised plans are stale — generations
+// are never reused — so the memos are emptied rather than left to hold
+// dead plans until their caps (a statement the memo forgot too early
+// only recompiles). Caller holds the exclusive engine lock.
+func (e *Engine) publishSchema() {
+	if e.committedSchema != e.schemaVersion {
+		e.committedSchema = e.schemaVersion
+		e.memoStale.Add(e.planMemo.drop() + e.dmlMemo.drop())
+	}
+}
+
+// planBody is what the plan of any statement kind carries: the nested
+// selects of its own expressions, each compiled against the scope it is
+// met in, and every single-base-table core compiled under it, nested
+// ones included, in compile order (plan.Info.Cores).
+type planBody struct {
+	subs  map[*ast.Select]*compiledSelect
+	paths []plan.Core
+}
+
+// compiledSelect is one query expression lowered to the pipeline
+// source tree → filter → project|group → distinct (per core) → union →
+// sort → limit.
+type compiledSelect struct {
+	planBody
+	sel *ast.Select
+	// cores are the SELECT and its UNION branches, in order.
+	cores []core
+	// hidden counts the trailing columns of cores[0]'s rows that are not
+	// output: the sort keys a plain SELECT computes in its source scope,
+	// stripped after the sort.
+	hidden int32
+	// fails marks a plan no execution of which can succeed: some step on
+	// the way to its output carries a static error, so its output shape
+	// is never needed (and may be unknown).
+	fails bool
+	keys  []sortKey
+	// sortErr is a positional key of a plain SELECT out of range, raised
+	// before sorting; outScope is the output row's scope, for the keys a
+	// DISTINCT/UNION result evaluates against it.
+	sortErr  error
+	outScope []scopeCol
+}
+
+// outCols are the visible output names of a plan that does not fail.
+func (cs *compiledSelect) outCols() []string {
+	names := cs.cores[0].names
+	return names[:len(names)-int(cs.hidden)]
+}
+
+// sortKey is one resolved ORDER BY key.
+type sortKey struct {
+	col  int      // row ordinal; -1: evaluate expr against the output row
+	expr ast.Expr // DISTINCT/UNION results only
+	// err is a key of a DISTINCT/UNION result that does not resolve; it
+	// is raised when a comparison first needs the key, as every release
+	// has done (a sort of fewer than two rows, or one decided by earlier
+	// keys, never does).
+	err  error
+	desc bool
+}
+
+// core is one SELECT of a query expression, before UNION/ORDER/LIMIT.
+type core struct {
+	sel *ast.Select
+	// from is the source tree, flattened in the order execution opens it,
+	// and cols the scope it produces (each source's columns are a window
+	// of it).
+	from []fromStep
+	cols []scopeCol
+	// p is the access plan when the FROM is exactly one base table.
+	p *plan.SelectPlan
+	// broken marks a source tree that ends at a source which cannot open:
+	// execution raises that source's error once everything before it ran.
+	// compileErr replays a reference-validation error, raised once the
+	// sources are open and before any row work; projErr a projection-shape
+	// error, raised after filtering (and grouping); unionErr a branch's
+	// column-count mismatch, raised after it ran. Compilation stops at the
+	// first: execution cannot get past it.
+	broken                        bool
+	compileErr, projErr, unionErr error
+	// names are the output names, hidden sort keys last; projs the
+	// expanded projection of a core that is not grouped, items the
+	// projection items of one that is.
+	names    []string
+	projs    []projExpr
+	items    []ast.SelectItem
+	grouped  bool
+	distinct bool
+	// unionAll tells how the branch attaches to what precedes it.
+	unionAll bool
+}
+
+func (c *core) fails() bool {
+	return c.broken || c.compileErr != nil || c.projErr != nil || c.unionErr != nil
+}
+
+// fromStep is one FROM reference: the first of a comma-separated FROM
+// entry (join nil; entries combine by cross product) or the right side
+// of a join onto what its entry has produced so far.
+type fromStep struct {
+	source
+	join *ast.Join
+}
+
+// source is one FROM reference. A base table is resolved by name per
+// execution, on the session's active read plane: a plan is shared across
+// views and sessions, and Restore and snapshot installs replace the
+// *Table header behind an unchanged name.
+type source struct {
+	name string          // base table or view
+	sub  *compiledSelect // derived table, or the body of a view
+	view bool
+	cols []scopeCol
+	// err is raised when the source is opened (unknown name) or, for a
+	// view, once its body ran (column list mismatch).
+	err error
+}
+
+func (src *source) fails() bool { return src.err != nil || (src.sub != nil && src.sub.fails) }
+
+// tableMeta is the analyzer's image of one base table: columns, primary
+// key, and the secondary keysets usable for access paths — declared
+// indexes (sorted by index name, so access-path choice is deterministic)
+// and unique constraints.
+func tableMeta(t *Table, idxs map[string]*Index) plan.TableMeta {
 	m := plan.TableMeta{Name: t.Name, PK: t.PKCols}
 	m.Cols = make([]plan.ColMeta, len(t.Cols))
 	for i, col := range t.Cols {
 		m.Cols[i] = plan.ColMeta{Name: col.Name, Kind: col.Kind}
 	}
-	idxs := c.s.catalogIndexes()
 	var names []string
 	for n, ix := range idxs {
 		if ix.Table == t.Name {
@@ -107,156 +235,424 @@ func (c sessionCatalog) TableMeta(name string) (plan.TableMeta, bool) {
 		m.Indexes = append(m.Indexes, idxs[n].Cols)
 	}
 	m.Indexes = append(m.Indexes, t.Uniques...)
-	return m, true
+	return m
 }
 
-// compileSelect lowers one SELECT into its compiled form, performing the
-// interpreter's plan-time validation once. Ineligible statements return
-// a compiledSelect with p == nil (the cached interpreter-fallback
-// decision). Caller holds the engine lock.
-func (s *Session) compileSelect(sel *ast.Select, force plan.Force) *compiledSelect {
-	if sel.Union != nil || sel.Distinct || len(sel.GroupBy) > 0 || sel.Having != nil {
-		return &compiledSelect{sel: sel}
+// compileSelect lowers one query expression. outer is the scope the
+// expression is met in (nil at top level): the static image of the
+// enclosing query's scope, or the live scope itself when a select is
+// compiled where it is evaluated — only its columns are read. Under
+// ForceFullScan every core of the statement skips the access-path rule.
+// distinct is sel.Distinct, except that the LeftJoinDistinctViewDup quirk
+// drops a view body's. Caller holds the engine lock.
+func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force, distinct bool) *compiledSelect {
+	cs := &compiledSelect{sel: sel}
+	// ORDER BY keys may reference source columns that are not projected;
+	// a plain SELECT computes the non-positional ones as hidden trailing
+	// columns in its source scope. A DISTINCT/UNION result resolves its
+	// keys against the output columns, as SQL requires.
+	hiddenSort := sel.Union == nil && !distinct && len(sel.OrderBy) > 0
+	items := sel.Items
+	if hiddenSort {
+		items = append([]ast.SelectItem(nil), sel.Items...)
+		for _, o := range sel.OrderBy {
+			if _, positional := orderPosition(o); !positional {
+				items = append(items, ast.SelectItem{Expr: o.Expr, Alias: "__SORT__"})
+			}
+		}
+		cs.hidden = int32(len(items) - len(sel.Items))
 	}
-	p, ok := plan.Analyze(sel, sessionCatalog{s}, force)
+	n := 1
+	for u := sel.Union; u != nil; u = u.Union {
+		n++
+	}
+	cs.cores = make([]core, n)
+	first := &cs.cores[0]
+	s.compileCore(cs, first, sel, items, outer, force, distinct)
+	cs.fails = first.fails()
+	for i, prev, u := 1, sel, sel.Union; u != nil; i, prev, u = i+1, u, u.Union {
+		c := &cs.cores[i]
+		s.compileCore(cs, c, u, u.Items, outer, force, u.Distinct)
+		c.unionAll = prev.UnionAll
+		if !first.fails() && !c.fails() && len(c.names) != len(first.names) {
+			c.unionErr = errors.New("UNION branches have different column counts")
+		}
+		cs.fails = cs.fails || c.fails()
+	}
+	if first.fails() || len(sel.OrderBy) == 0 {
+		return cs
+	}
+	outCols := cs.outCols()
+	visible := len(outCols)
+	next := visible
+	for _, o := range sel.OrderBy {
+		k := sortKey{desc: o.Desc}
+		if pos, positional := orderPosition(o); positional {
+			k.col = int(pos) - 1
+			if pos < 1 || pos > int64(visible) {
+				k.err = fmt.Errorf("ORDER BY position %d out of range", pos)
+			}
+		} else if hiddenSort {
+			k.col = next
+			next++
+		} else if cr, ok := o.Expr.(*ast.ColumnRef); ok {
+			// Column references match output columns by name, ignoring
+			// any table qualifier (the source tables are gone by then).
+			k.col = -1
+			for i, c := range outCols {
+				if up(c) == up(cr.Column) {
+					k.col = i
+					break
+				}
+			}
+			if k.col < 0 {
+				k.err = fmt.Errorf("ORDER BY column %s must appear in the select list", refName(cr))
+			}
+		} else {
+			k.col, k.expr = -1, o.Expr
+			if cs.outScope == nil {
+				cs.outScope = scopeCols("", outCols)
+			}
+			s.compileSubs(&cs.planBody, &scope{cols: cs.outScope, parent: outer}, force, o.Expr)
+		}
+		if hiddenSort && k.err != nil && cs.sortErr == nil {
+			cs.sortErr, cs.fails = k.err, true
+		}
+		cs.keys = append(cs.keys, k)
+	}
+	return cs
+}
+
+// orderPosition reports whether an ORDER BY key is positional (ORDER BY
+// 2) and its 1-based position.
+func orderPosition(o ast.OrderItem) (int64, bool) {
+	if lit, ok := o.Expr.(*ast.Literal); ok && lit.Val.K == types.KindInt {
+		return lit.Val.I, true
+	}
+	return 0, false
+}
+
+// compileCore lowers one SELECT of the query expression cs: sources,
+// reference validation, nested selects, access path, projection shape.
+// It stops at the first static error — execution cannot get past it.
+func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, items []ast.SelectItem, outer *scope, force plan.Force, distinct bool) {
+	c.sel, c.distinct = sel, distinct
+	if c.broken = !s.compileFrom(cs, c, outer, force); c.broken {
+		return
+	}
+	probe := &scope{cols: c.cols, parent: outer}
+	// Column references must resolve against the FROM scope (or an
+	// enclosing one) even when no rows exist; checked in this order.
+	exprs := make([]ast.Expr, 0, len(items)+2+len(sel.GroupBy))
+	for _, it := range items {
+		if !it.Star {
+			exprs = append(exprs, it.Expr)
+		}
+	}
+	exprs = append(append(exprs, sel.Where, sel.Having), sel.GroupBy...)
+	for _, x := range exprs {
+		if c.compileErr = s.validateRefs(x, probe); c.compileErr != nil {
+			return
+		}
+	}
+	if len(c.from) == 1 && c.from[0].sub == nil {
+		t, _ := s.lookupTable(c.from[0].name)
+		c.p = s.visitPlan(t, up(sel.From[0].Table.Alias), sel.Where, probe, ast.NumParams(sel), force)
+		cs.paths = append(cs.paths, plan.Core{Table: c.p.Table, Path: c.p.Path})
+	}
+	s.compileSubs(&cs.planBody, probe, force, exprs...)
+	// An aggregate in an item or in HAVING groups the core; one inside a
+	// subquery aggregates the subquery's rows, not this core's.
+	c.grouped = len(sel.GroupBy) > 0 || sel.Having != nil
+	for _, it := range items {
+		c.grouped = c.grouped || hasOwnAggregate(it.Expr)
+	}
+	if !c.grouped {
+		c.names, c.projs, c.projErr = s.expandItems(items, c.cols)
+		return
+	}
+	c.items = items
+	for _, it := range items {
+		var name string
+		if it.Star {
+			c.projErr = errors.New("cannot use * with GROUP BY or aggregates")
+		} else {
+			name, c.projErr = s.outputName(it)
+		}
+		if c.projErr != nil {
+			return
+		}
+		c.names = append(c.names, name)
+	}
+}
+
+// visitPlan plans the row visit of one base table — a SELECT core's or
+// an UPDATE/DELETE's — under the predicate that filters it. Index
+// skipping is only sound when evaluating the predicate can never error:
+// it is evaluated on every row otherwise, so one that can fail keeps
+// full-iteration semantics (and the analyzer is not asked).
+func (s *Session) visitPlan(t *Table, alias string, where ast.Expr, probe *scope, maxParam int, force plan.Force) *plan.SelectPlan {
+	if where == nil || force == plan.ForceFullScan || !whereSafeForSkip(where, probe) {
+		return &plan.SelectPlan{Table: t.Name, Alias: alias, MaxParam: maxParam}
+	}
+	return plan.Analyze(tableMeta(t, s.catalogIndexes()), alias, where, maxParam, force)
+}
+
+// compileFrom resolves the core's FROM clause into its source tree, in
+// the order execution opens it, and the scope the tree produces. It
+// reports false at the first source that cannot open; the tree then
+// ends there.
+func (s *Session) compileFrom(cs *compiledSelect, c *core, outer *scope, force plan.Force) bool {
+	add := func(tr ast.TableRef, j *ast.Join, skipViewDistinct bool) bool {
+		c.from = append(c.from, fromStep{source: s.compileRef(&cs.planBody, tr, outer, force, skipViewDistinct), join: j})
+		src := &c.from[len(c.from)-1].source
+		c.cols = append(c.cols, src.cols...)
+		return !src.fails()
+	}
+	for i := range c.sel.From {
+		fi := &c.sel.From[i]
+		entry := len(c.cols)
+		if !add(fi.Table, nil, false) {
+			return false
+		}
+		for k := range fi.Joins {
+			j := &fi.Joins[k]
+			if !add(j.Right, j, j.Type == ast.JoinLeft && s.eng.cfg.Quirks.LeftJoinDistinctViewDup) {
+				return false
+			}
+			s.compileSubs(&cs.planBody, &scope{cols: c.cols[entry:], parent: outer}, force, j.On)
+		}
+	}
+	// One allocation holds the scope: each source's columns are its window.
+	at := 0
+	for i := range c.from {
+		n := len(c.from[i].cols)
+		c.from[i].cols = c.cols[at : at+n : at+n]
+		at += n
+	}
+	return true
+}
+
+// compileRef resolves one FROM reference: base table, view, or derived
+// table. skipViewDistinct implements the LeftJoinDistinctViewDup quirk:
+// the DISTINCT of a view definition is dropped when the view is expanded
+// on the right of a LEFT OUTER JOIN.
+func (s *Session) compileRef(b *planBody, tr ast.TableRef, outer *scope, force plan.Force, skipViewDistinct bool) source {
+	if tr.Subquery != nil {
+		sub := s.compileSelect(tr.Subquery, outer, force, tr.Subquery.Distinct)
+		b.paths = append(b.paths, sub.paths...)
+		if sub.fails {
+			return source{sub: sub}
+		}
+		return source{sub: sub, cols: scopeCols(up(tr.Alias), sub.outCols())}
+	}
+	name := up(tr.Name)
+	qual := name
+	if tr.Alias != "" {
+		qual = up(tr.Alias)
+	}
+	if t, ok := s.lookupTable(name); ok {
+		return source{name: name, cols: tableScopeCols(qual, t)}
+	}
+	v, ok := s.lookupView(name)
 	if !ok {
-		return &compiledSelect{sel: sel}
+		return source{name: name, err: fmt.Errorf("%w: %s", ErrTableNotFound, name)}
 	}
-	t, _ := s.lookupTable(p.Table)
-	qual := p.Alias
-	if qual == "" {
-		qual = p.Table
+	sub := s.compileSelect(v.Select, nil, force, v.Select.Distinct && !skipViewDistinct)
+	b.paths = append(b.paths, sub.paths...)
+	src := source{name: name, sub: sub, view: true}
+	if sub.fails {
+		return src
 	}
+	names := sub.outCols()
+	if len(v.Columns) > 0 {
+		if len(v.Columns) != len(names) {
+			src.err = fmt.Errorf("view %s column list does not match definition", name)
+		}
+		names = v.Columns
+	}
+	src.cols = scopeCols(qual, names)
+	return src
+}
+
+// scopeCols names a result's columns under one qualifier.
+func scopeCols(qual string, names []string) []scopeCol {
+	cols := make([]scopeCol, len(names))
+	for i, n := range names {
+		cols[i] = scopeCol{qual: qual, name: up(n)}
+	}
+	return cols
+}
+
+// tableScopeCols is the scope of one base table under a qualifier.
+func tableScopeCols(qual string, t *Table) []scopeCol {
 	cols := make([]scopeCol, len(t.Cols))
 	for i, c := range t.Cols {
 		cols[i] = scopeCol{qual: qual, name: c.Name}
 	}
-
-	// Mirror evalSelectHiddenOrder: non-positional ORDER BY keys become
-	// hidden trailing projection items, stripped again after the sort.
-	items := sel.Items
-	var keyCol []int
-	if len(sel.OrderBy) > 0 {
-		items = append([]ast.SelectItem(nil), sel.Items...)
-		keyCol = make([]int, len(sel.OrderBy))
-		hidden := 0
-		for k, o := range sel.OrderBy {
-			if lit, ok := o.Expr.(*ast.Literal); ok && lit.Val.K == types.KindInt {
-				keyCol[k] = -int(lit.Val.I)
-				continue
-			}
-			items = append(items, ast.SelectItem{Expr: o.Expr, Alias: "__SORT__"})
-			keyCol[k] = hidden
-			hidden++
-		}
-	}
-	cp := *sel
-	cp.Items = items
-	grouped := selectHasAggregate(&cp)
-	if grouped && len(sel.OrderBy) > 0 {
-		// Aggregates combined with hidden sort keys re-enter grouped
-		// projection in a shape the target workloads never use; stay on
-		// the interpreter.
-		return &compiledSelect{sel: sel}
-	}
-
-	cs := &compiledSelect{p: p, sel: sel, cols: cols, grouped: grouped, keyCol: keyCol}
-
-	// Index skipping is only sound when evaluating the WHERE clause can
-	// never error: the interpreter evaluates it on every row, so a
-	// predicate that can fail (division by zero, scalar subqueries, type
-	// errors) must keep full-iteration semantics.
-	if p.Path != plan.FullScan && !whereSafeForSkip(sel.Where) {
-		p.Path = plan.FullScan
-		p.KeyCols, p.KeyVals, p.Lo, p.Hi = nil, nil, nil, nil
-	}
-
-	// Plan-time validation, in the interpreter's order: projection items
-	// (including hidden ORDER BY keys), then WHERE. Errors replay on
-	// every execution until schema change recompiles.
-	for _, it := range cp.Items {
-		if !it.Star {
-			if err := s.validateRefs(it.Expr, cols, nil); err != nil {
-				cs.compileErr = err
-				return cs
-			}
-		}
-	}
-	if err := s.validateRefs(sel.Where, cols, nil); err != nil {
-		cs.compileErr = err
-		return cs
-	}
-	if grouped {
-		// projectGrouped computes output names and aggregates per
-		// execution (its errors already follow filtering, as required).
-		return cs
-	}
-	outNames, projs, err := s.expandItems(&cp, &relation{cols: cols})
-	if err != nil {
-		cs.projErr = err
-		return cs
-	}
-	hidden := len(cp.Items) - len(sel.Items)
-	cs.outCols = outNames[:len(outNames)-hidden]
-	cs.projs = projs
-	return cs
+	return cols
 }
 
-// whereSafeForSkip reports whether evaluating the expression can never
-// return an error, assuming every referenced parameter is bound
-// (candidateRows checks arity separately) and every column reference
-// validated. Comparisons are safe because compareTruth swallows
-// comparison errors as Unknown; arithmetic, functions, subqueries and
-// CAST are not.
-func whereSafeForSkip(x ast.Expr) bool {
+// compileSubs compiles the selects nested directly in the expressions —
+// scalar subqueries, EXISTS, IN (SELECT …) — against the scope they are
+// evaluated in, into the plan that owns them. Their errors are theirs:
+// they surface when, and each time, the subquery is evaluated.
+func (s *Session) compileSubs(b *planBody, sc *scope, force plan.Force, exprs ...ast.Expr) {
+	visit := func(n ast.Expr) bool {
+		var sub *ast.Select
+		switch v := n.(type) {
+		case *ast.Subquery:
+			sub = v.Select
+		case *ast.Exists:
+			sub = v.Select
+		case *ast.In:
+			sub = v.Select
+		}
+		if sub != nil {
+			cs := s.compileSelect(sub, sc, force, sub.Distinct)
+			if b.subs == nil {
+				b.subs = make(map[*ast.Select]*compiledSelect)
+			}
+			b.subs[sub] = cs
+			b.paths = append(b.paths, cs.paths...)
+		}
+		return true
+	}
+	for _, x := range exprs {
+		walkOwn(x, visit)
+	}
+}
+
+// walkOwn calls fn for x and every expression below it at the same
+// query level, operands left to right, descending where fn returns true.
+// Subqueries are opaque: they establish scopes of their own.
+func walkOwn(x ast.Expr, fn func(ast.Expr) bool) {
+	if x == nil || !fn(x) {
+		return
+	}
 	switch n := x.(type) {
-	case nil:
-		return true
-	case *ast.Literal, *ast.Param, *ast.ColumnRef:
-		return true
 	case *ast.Binary:
-		switch n.Op {
-		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe,
-			ast.OpAnd, ast.OpOr, ast.OpConcat:
-			return whereSafeForSkip(n.L) && whereSafeForSkip(n.R)
-		}
-		return false // arithmetic: division by zero, non-numeric operands
+		walkOwn(n.L, fn)
+		walkOwn(n.R, fn)
 	case *ast.Unary:
-		switch n.Op {
-		case "NOT", "+":
-			return whereSafeForSkip(n.X)
+		walkOwn(n.X, fn)
+	case *ast.FuncCall:
+		for _, a := range n.Args {
+			walkOwn(a, fn)
 		}
-		return false // unary minus errors on non-numeric operands
-	case *ast.Between:
-		return whereSafeForSkip(n.X) && whereSafeForSkip(n.Lo) && whereSafeForSkip(n.Hi)
-	case *ast.IsNull:
-		return whereSafeForSkip(n.X)
-	case *ast.Like:
-		return whereSafeForSkip(n.X) && whereSafeForSkip(n.Pattern)
 	case *ast.In:
-		if n.Select != nil {
+		walkOwn(n.X, fn)
+		for _, a := range n.List {
+			walkOwn(a, fn)
+		}
+	case *ast.Between:
+		walkOwn(n.X, fn)
+		walkOwn(n.Lo, fn)
+		walkOwn(n.Hi, fn)
+	case *ast.Like:
+		walkOwn(n.X, fn)
+		walkOwn(n.Pattern, fn)
+	case *ast.IsNull:
+		walkOwn(n.X, fn)
+	case *ast.Case:
+		walkOwn(n.Operand, fn)
+		for _, w := range n.Whens {
+			walkOwn(w.Cond, fn)
+			walkOwn(w.Then, fn)
+		}
+		walkOwn(n.Else, fn)
+	case *ast.Cast:
+		walkOwn(n.X, fn)
+	}
+}
+
+// hasOwnAggregate reports whether x aggregates over the rows of the
+// select it belongs to.
+func hasOwnAggregate(x ast.Expr) bool {
+	found := false
+	walkOwn(x, func(n ast.Expr) bool {
+		if fc, ok := n.(*ast.FuncCall); ok && isAggregateName(fc.Name) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+func isAggregateName(name string) bool {
+	switch strings.ToUpper(name) {
+	case "AVG", "SUM", "COUNT", "MIN", "MAX":
+		return true
+	default:
+		return false
+	}
+}
+
+// validateRefs checks that every column reference of x outside nested
+// subqueries resolves in the probe scope or one enclosing it, returning
+// the first that does not. An ambiguous reference is not a validation
+// error: it is raised when evaluated.
+func (s *Session) validateRefs(x ast.Expr, probe *scope) error {
+	var err error
+	walkOwn(x, func(n ast.Expr) bool {
+		if err != nil {
 			return false
 		}
-		if !whereSafeForSkip(n.X) {
-			return false
-		}
-		for _, it := range n.List {
-			if !whereSafeForSkip(it) {
-				return false
+		switch v := n.(type) {
+		case *ast.ColumnRef:
+			if _, ok, lerr := probe.lookup(v.Table, v.Column); lerr == nil && !ok {
+				err = fmt.Errorf("unknown column %s", refName(v))
+			}
+		case *ast.FuncCall:
+			if b, ok := s.eng.cfg.Funcs[strings.ToUpper(v.Name)]; ok && b.SeqFunc {
+				return false // first argument is a sequence name, not a column
 			}
 		}
 		return true
-	default:
-		return false // FuncCall, Case, Cast, Exists, Subquery
-	}
+	})
+	return err
+}
+
+// whereSafeForSkip reports whether evaluating the expression in the
+// probed scope can never return an error, assuming every referenced
+// parameter is bound (candidateRows checks arity separately).
+// Comparisons are safe because compareTruth swallows comparison errors
+// as Unknown; arithmetic, functions, subqueries and CAST are not, nor is
+// a column reference that is unknown or ambiguous.
+func whereSafeForSkip(x ast.Expr, probe *scope) bool {
+	safe := true
+	walkOwn(x, func(n ast.Expr) bool {
+		switch v := n.(type) {
+		case *ast.Literal, *ast.Param, *ast.Between, *ast.IsNull, *ast.Like:
+		case *ast.ColumnRef:
+			_, ok, err := probe.lookup(v.Table, v.Column)
+			safe = safe && ok && err == nil
+		case *ast.Binary:
+			switch v.Op {
+			case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe,
+				ast.OpAnd, ast.OpOr, ast.OpConcat:
+			default:
+				safe = false // arithmetic: division by zero, non-numeric operands
+			}
+		case *ast.Unary:
+			// Unary minus errors on non-numeric operands.
+			safe = safe && (v.Op == "NOT" || v.Op == "+")
+		case *ast.In:
+			safe = safe && v.Select == nil
+		default:
+			safe = false // FuncCall, Case, Cast, Exists, Subquery
+		}
+		return safe
+	})
+	return safe
 }
 
 // candidateRows evaluates the plan's key expressions and consults the
 // table's lazy index. It returns (positions, true) when the index
 // answered — positions are a superset of the WHERE-true rows, in table
 // order, possibly empty — or (nil, false) when only a full scan is
-// sound (unbound parameters, non-INT key values that could still match
-// through loose coercion, poisoned index).
+// sound (no access path, unbound parameters, non-INT key values that
+// could still match through loose coercion, poisoned index).
 func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 	if p.MaxParam > len(s.bind) {
 		// Bind-arity errors must surface identically on every access
@@ -267,23 +663,11 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 	case plan.PointLookup:
 		keys := make([]int64, len(p.KeyVals))
 		for i, kv := range p.KeyVals {
-			v, err := s.evalExpr(kv, nil)
-			if err != nil {
-				return nil, false
+			v, null, ok := s.keyValue(kv)
+			if !ok || null {
+				return []int{}, ok
 			}
-			switch v.K {
-			case types.KindInt:
-				keys[i] = v.I
-			case types.KindNull:
-				// Equality with NULL is Unknown on every row: provably
-				// empty.
-				return []int{}, true
-			default:
-				// A float or string key can still match an INT column
-				// through types.Compare's loose coercion; only a scan is
-				// sound.
-				return nil, false
-			}
+			keys[i] = v
 		}
 		ix := t.ic.eqIndex(t, p.KeyCols)
 		if ix == nil {
@@ -291,234 +675,161 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 		}
 		return ix.lookup(keys), true
 	case plan.RangeScan:
+		// Bounds become inclusive; a strict one at the end of the INT
+		// range admits nothing.
 		var lo, hi int64
-		haveLo, haveHi := false, false
 		if p.Lo != nil {
-			v, err := s.evalExpr(p.Lo.Val, nil)
-			if err != nil {
-				return nil, false
+			v, null, ok := s.keyValue(p.Lo.Val)
+			if !ok || null || (p.Lo.Strict && v == math.MaxInt64) {
+				return []int{}, ok
 			}
-			switch v.K {
-			case types.KindInt:
-				lo, haveLo = v.I, true
-				if p.Lo.Strict {
-					if lo == math.MaxInt64 {
-						return []int{}, true
-					}
-					lo++
-				}
-			case types.KindNull:
-				return []int{}, true
-			default:
-				return nil, false
+			lo = v
+			if p.Lo.Strict {
+				lo++
 			}
 		}
 		if p.Hi != nil {
-			v, err := s.evalExpr(p.Hi.Val, nil)
-			if err != nil {
-				return nil, false
+			strict := p.Hi.Strict || plantedRangeBoundDefect.Load()
+			v, null, ok := s.keyValue(p.Hi.Val)
+			if !ok || null || (strict && v == math.MinInt64) {
+				return []int{}, ok
 			}
-			switch v.K {
-			case types.KindInt:
-				hi, haveHi = v.I, true
-				if p.Hi.Strict || plantedRangeBoundDefect.Load() {
-					if hi == math.MinInt64 {
-						return []int{}, true
-					}
-					hi--
-				}
-			case types.KindNull:
-				return []int{}, true
-			default:
-				return nil, false
+			hi = v
+			if strict {
+				hi--
 			}
 		}
 		ix := t.ic.rangeIndex(t, p.RangeCol)
 		if ix == nil {
 			return nil, false
 		}
-		return ix.between(lo, hi, haveLo, haveHi), true
+		return ix.between(lo, hi, p.Lo != nil, p.Hi != nil), true
 	}
 	return nil, false
 }
 
-// filterCompiled evaluates the full WHERE predicate — over index
-// candidates when the plan has a usable access path, over every row
-// otherwise — returning the matching rows in table order.
-func (s *Session) filterCompiled(cs *compiledSelect, t *Table) ([][]types.Value, error) {
-	where := cs.sel.Where
-	sc := scope{cols: cs.cols}
-	if cs.p.Path != plan.FullScan {
-		if cands, indexed := s.candidateRows(cs.p, t); indexed {
-			var filtered [][]types.Value
-			for _, ri := range cands {
-				row := t.Rows[ri]
-				sc.vals = row
-				v, err := s.evalExpr(where, &sc)
-				if err != nil {
-					return nil, err
-				}
-				if types.TruthOf(v) == types.True {
-					filtered = append(filtered, row)
-				}
-			}
-			return filtered, nil
-		}
-	}
-	if where == nil {
-		// Safe to share: result rows are built fresh by projection, and
-		// the slice is only read under the lock held for this statement.
-		return t.Rows, nil
-	}
-	var filtered [][]types.Value
-	for _, row := range t.Rows {
-		sc.vals = row
-		v, err := s.evalExpr(where, &sc)
-		if err != nil {
-			return nil, err
-		}
-		if types.TruthOf(v) == types.True {
-			filtered = append(filtered, row)
-		}
-	}
-	return filtered, nil
-}
-
-// runCompiled executes a compiled SELECT. Caller holds the engine lock
-// (at least read mode) and has set s.bind.
-func (s *Session) runCompiled(cs *compiledSelect) (*Result, error) {
-	if cs.compileErr != nil {
-		return nil, cs.compileErr
-	}
-	// Resolve the table by name per execution, on the session's active
-	// read plane: a compiled plan is shared across views and sessions,
-	// and Restore and snapshot installs replace the *Table header
-	// behind an unchanged name.
-	t, ok := s.lookupTable(cs.p.Table)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, cs.p.Table)
-	}
-	filtered, err := s.filterCompiled(cs, t)
+// keyValue evaluates one key expression of an access plan. An INT
+// probes; NULL proves the visit empty (a comparison with NULL is Unknown
+// on every row); for anything else ok is false and only a scan is sound
+// — a float or string key can still match an INT column through
+// types.Compare's loose coercion, and an error must surface from the
+// scan.
+func (s *Session) keyValue(x ast.Expr) (v int64, null, ok bool) {
+	val, err := s.evalExpr(x, nil)
 	if err != nil {
-		return nil, err
+		return 0, false, false
 	}
-	sel := cs.sel
-	if cs.grouped {
-		res, err := s.projectGrouped(sel, &relation{cols: cs.cols, rows: filtered}, nil)
-		if err != nil {
-			return nil, err
-		}
-		applyLimit(sel, res)
-		return res, nil
-	}
-	if cs.projErr != nil {
-		return nil, cs.projErr
-	}
-	res := &Result{Kind: ResultRows, Columns: append([]string(nil), cs.outCols...)}
-	sc := scope{cols: cs.cols}
-	for _, row := range filtered {
-		sc.vals = row
-		out := make([]types.Value, len(cs.projs))
-		for i, px := range cs.projs {
-			if px.star >= 0 {
-				out[i] = row[px.star]
-				continue
-			}
-			v, err := s.evalExpr(px.expr, &sc)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	if len(sel.OrderBy) > 0 {
-		visible := len(cs.outCols)
-		keyIdx := make([]int, len(cs.keyCol))
-		for k, kc := range cs.keyCol {
-			if kc >= 0 {
-				keyIdx[k] = visible + kc
-			} else {
-				pos := -kc - 1
-				if pos < 0 || pos >= visible {
-					return nil, fmt.Errorf("ORDER BY position %d out of range", -kc)
-				}
-				keyIdx[k] = pos
-			}
-		}
-		sort.SliceStable(res.Rows, func(i, j int) bool {
-			for k, item := range sel.OrderBy {
-				c := compareForSort(res.Rows[i][keyIdx[k]], res.Rows[j][keyIdx[k]])
-				if c == 0 {
-					continue
-				}
-				if item.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		for i, row := range res.Rows {
-			res.Rows[i] = row[:visible]
-		}
-	}
-	applyLimit(sel, res)
-	return res, nil
+	return val.I, val.K == types.KindNull, val.K == types.KindInt || val.K == types.KindNull
 }
 
-// execSelectRLocked is the read-lock SELECT fast path: probe the memo by
-// the tree's address, compile on a miss or a stale stamp, and execute.
-// Caller holds the engine read lock and has set s.bind.
-func (s *Session) execSelectRLocked(sel *ast.Select) (*Result, error) {
+// dmlPlan is the plan of one UPDATE or DELETE: the access path of its
+// row visit over the target table — chosen by the rules, and behind the
+// gates, a SELECT core's is — and the nested selects of its WHERE and
+// SET expressions.
+type dmlPlan struct {
+	planBody
+	p *plan.SelectPlan
+}
+
+// planDML returns the memoised plan of an UPDATE/DELETE over t,
+// compiling it on a miss, and installs its nested selects for the
+// statement's duration (execLatched clears them). Caller holds t's
+// latch on the live plane.
+func (s *Session) planDML(st ast.Statement, t *Table, cols []scopeCol, where ast.Expr, sets []ast.SetClause) *dmlPlan {
+	e := s.eng
+	dp, known := e.dmlMemo.load(st, e.schemaVersion)
+	hit := dp != nil
+	if !hit {
+		probe := &scope{cols: cols}
+		dp = &dmlPlan{p: s.visitPlan(t, "", where, probe, ast.NumParams(st), plan.ForceAuto)}
+		dp.paths = []plan.Core{{Table: t.Name, Path: dp.p.Path}}
+		s.compileSubs(&dp.planBody, probe, plan.ForceAuto, where)
+		for _, set := range sets {
+			s.compileSubs(&dp.planBody, probe, plan.ForceAuto, set.Value)
+		}
+		e.dmlMemo.store(st, known, e.schemaVersion, dp)
+	}
+	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.Path, CacheHit: hit, Cores: dp.paths}
+	s.subs = dp.subs
+	return dp
+}
+
+// execSelectRLocked is the read-lock SELECT path: probe the memo by the
+// tree's address, compile on a miss or a stale stamp, and execute. A
+// forced plan is compiled fresh, the statement and everything nested in
+// it, and neither reads nor writes the memo: it must never leak into
+// normal execution. Caller holds the engine read lock, has chosen the
+// read plane and has set s.bind.
+func (s *Session) execSelectRLocked(sel *ast.Select, force plan.Force) (*Result, error) {
+	if force != plan.ForceAuto {
+		return s.runTop(s.compileSelect(sel, nil, force, sel.Distinct), false)
+	}
 	e := s.eng
 	ver := s.planVersion()
-	v, known := e.planMemo.Load(sel)
+	cs, known := e.planMemo.load(sel, ver)
+	if cs != nil {
+		e.memoHits.Add(1)
+		return s.runTop(cs, true)
+	}
 	if known {
-		if me := v.(*memoEntry); me.version == ver {
-			e.memoHits.Add(1)
-			return s.dispatchCompiled(me.cs, true)
-		}
 		e.memoStale.Add(1)
 	}
 	e.memoMisses.Add(1)
-	cs := s.compileSelect(sel, plan.ForceAuto)
-	if !known {
-		if e.planMemoLen.Load() >= planMemoCap {
-			e.planMemo.Clear()
-			e.planMemoLen.Store(0)
-		}
-		e.planMemoLen.Add(1)
-	}
-	e.planMemo.Store(sel, &memoEntry{version: ver, cs: cs})
-	return s.dispatchCompiled(cs, false)
+	cs = s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+	e.planMemo.store(sel, known, ver, cs)
+	return s.runTop(cs, false)
 }
 
-// dispatchCompiled records the plan taken and runs the compiled form or
-// the interpreter fallback.
-func (s *Session) dispatchCompiled(cs *compiledSelect, cacheHit bool) (*Result, error) {
-	if cs.p == nil {
-		s.eng.interpSelects.Add(1)
-		s.lastPlan = plan.Info{CacheHit: cacheHit}
-		return s.exec(cs.sel)
+// runTop runs a statement-level SELECT: it records the plan taken —
+// counted once, under its core's path when the statement is a single
+// base-table core and as a full scan otherwise — and names the result's
+// columns.
+func (s *Session) runTop(cs *compiledSelect, cacheHit bool) (*Result, error) {
+	s.lastPlan = plan.Info{CacheHit: cacheHit, Cores: cs.paths}
+	if p := cs.cores[0].p; p != nil && len(cs.cores) == 1 {
+		s.lastPlan.Table, s.lastPlan.Path = p.Table, p.Path
 	}
-	if p := int(cs.p.Path); p >= 0 && p < len(s.eng.pathExecs) {
-		s.eng.pathExecs[p].Add(1)
+	s.eng.pathExecs[s.lastPlan.Path].Add(1)
+	rows, err := s.runSelect(cs, nil)
+	if err != nil {
+		return nil, err
 	}
-	s.lastPlan = plan.Info{Table: cs.p.Table, Path: cs.p.Path, Compiled: true, CacheHit: cacheHit}
-	return s.runCompiled(cs)
+	return cs.result(rows), nil
 }
 
-// LastPlan describes how the session's most recent SELECT executed: the
-// access path, whether the compiled path ran, and whether the plan came
-// out of the shared cache.
+// result names the rows a statement-level SELECT produced (the names
+// are copied: the plan is shared, the result is the caller's).
+func (cs *compiledSelect) result(rows [][]types.Value) *Result {
+	return &Result{Kind: ResultRows, Columns: append([]string(nil), cs.outCols()...), Rows: rows}
+}
+
+// subquery runs a select met during evaluation in scope sc — a nested
+// select of an expression, an INSERT's source, a view definition under
+// validation, a sequence-advancing statement: through the plan the
+// running statement compiled for it, or, where no plan owns it (a CHECK
+// or DEFAULT expression, an INSERT's source and values, statements that
+// must not publish to the memo), compiled here and counted as the miss
+// it is.
+func (s *Session) subquery(sel *ast.Select, sc *scope) (*compiledSelect, [][]types.Value, error) {
+	cs := s.subs[sel]
+	if cs == nil {
+		s.eng.memoMisses.Add(1)
+		cs = s.compileSelect(sel, sc, plan.ForceAuto, sel.Distinct)
+	}
+	rows, err := s.runSelect(cs, sc)
+	return cs, rows, err
+}
+
+// LastPlan describes how the session's most recent SELECT, UPDATE or
+// DELETE reached its rows: the access path of the statement and of every
+// core nested in it, and whether the plan came out of the shared memo.
 func (s *Session) LastPlan() plan.Info { return s.lastPlan }
 
 // ExecSelectVariant executes a pure SELECT under a forced access-path
-// variant, compiling fresh and bypassing the plan memo (a forced
-// plan must never leak into normal execution). This is the hook behind
-// the forced-variant differential oracle: the same statement runs once
-// per variant and any result disagreement convicts the engine.
+// variant, on the read plane a normal execution would use. This is the
+// hook behind the forced-variant differential oracle: the same statement
+// runs normally and forced, and any result disagreement convicts the
+// engine.
 func (s *Session) ExecSelectVariant(sel *ast.Select, force plan.Force, args []types.Value) (*Result, error) {
 	e := s.eng
 	e.mu.RLock()
@@ -529,44 +840,12 @@ func (s *Session) ExecSelectVariant(sel *ast.Select, force plan.Force, args []ty
 	if e.selectAdvancesSequences(sel) {
 		return nil, errors.New("variant execution requires a pure SELECT")
 	}
-	// Variant execution reads the committed view like any pure SELECT
-	// (the live plane is no longer stable under the read lock alone);
-	// inside a transaction that has written, read through the own-writes
-	// path so variants agree with the primary execution.
-	if s.inTxn && (s.didDDL || s.touchesRefs(sel)) {
-		refs := e.statementRefsLocked(sel)
-		release := e.latchTables(refs)
-		defer release()
-		var overlay map[string]*Table
-		for _, n := range refs {
-			t, ok := e.st.tables[n]
-			if !ok {
-				continue
-			}
-			if e.othersInTxnOn(n, s) {
-				if overlay == nil {
-					overlay = make(map[string]*Table, len(refs))
-				}
-				overlay[n] = e.committedTable(t, s)
-			}
-		}
-		s.ownTabs = overlay
-		defer func() { s.ownTabs = nil }()
-	} else if s.inTxn && s.level == LevelRepeatableRead && s.pinned != nil {
-		s.curRead = s.pinned
-		defer func() { s.curRead = nil }()
-	} else {
-		s.curRead = e.currentView()
-		defer func() { s.curRead = nil }()
-	}
-	s.bind = e.cfg.Bind.Apply(args)
-	cs := s.compileSelect(sel, force)
-	res, err := s.dispatchCompiled(cs, false)
-	s.bind = nil
-	return res, err
+	return s.execSelectRead(sel, e.cfg.Bind.Apply(args), force)
 }
 
-// PlanCacheStats returns the shared compiled-plan cache counters.
+// PlanCacheStats returns the shared SELECT plan memo's counters. A miss
+// is a compilation no memo entry served: a statement's first execution
+// under a schema generation, or a select compiled where it is evaluated.
 func (e *Engine) PlanCacheStats() plan.CacheStats {
 	return plan.CacheStats{
 		Hits:          e.memoHits.Load(),

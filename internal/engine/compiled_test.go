@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,41 +10,76 @@ import (
 	"divsql/internal/sql/parser"
 )
 
-func seedIndexed(t *testing.T, s *Session) {
+func seedIndexed(t testing.TB, s *Session) {
 	t.Helper()
 	sessExec(t, s, "CREATE TABLE KV (ID INT PRIMARY KEY, A INT, S VARCHAR(10))")
 	sessExec(t, s, "CREATE INDEX KVA ON KV (A)")
 	sessExec(t, s, "INSERT INTO KV VALUES (1, 10, 'a'), (2, 20, 'b'), (3, 20, 'c'), (4, NULL, 'd')")
 }
 
-// Access-path choice must be visible through LastPlan, and the shapes
-// the TPC-C hot loop leans on must all run compiled.
+// seedShapes adds what the shapes beyond one base table read: a second
+// indexed table, an unindexed one, a view over KV and one over a join.
+func seedShapes(t testing.TB, s *Session) {
+	t.Helper()
+	seedIndexed(t, s)
+	sessExec(t, s, "CREATE TABLE OL (W INT, D INT, O INT, N INT, AMT INT, PRIMARY KEY (W, D, O, N))")
+	sessExec(t, s, "INSERT INTO OL VALUES (1, 1, 7, 1, 5), (1, 1, 7, 2, 6), (1, 1, 8, 1, 9), (1, 2, 7, 1, 100)")
+	sessExec(t, s, "CREATE TABLE U (X INT, Y INT)")
+	sessExec(t, s, "INSERT INTO U VALUES (1, 20), (2, 20), (3, NULL), (9, 10)")
+	sessExec(t, s, "CREATE VIEW KV20 AS SELECT ID, S FROM KV WHERE A = 20")
+	sessExec(t, s, "CREATE VIEW KVU AS SELECT KV.ID, U.Y FROM KV INNER JOIN U ON KV.ID = U.X")
+}
+
+// deliveryUpdate is TPC-C Delivery's balance update: the scalar subquery
+// in its SET reads ORDER_LINE by a primary-key prefix.
+const deliveryUpdate = "UPDATE KV SET A = A + (SELECT SUM(AMT) FROM OL WHERE W = 1 AND D = 1 AND O = 7) WHERE ID = 2"
+
+// Access-path choice must be visible through LastPlan for every core of
+// a statement, wherever the core sits: the analyzer's rules fire for a
+// single base table at top level, under GROUP BY or DISTINCT, in a UNION
+// branch, in a subquery, in a view body and in a derived table — and
+// for the row visit of an UPDATE/DELETE — while the inputs of a join are
+// read whole.
 func TestCompiledAccessPathSelection(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
-	seedIndexed(t, s)
+	seedShapes(t, s)
+	core := func(table string, path plan.AccessPath) plan.Core { return plan.Core{Table: table, Path: path} }
 	for _, tc := range []struct {
-		sql      string
-		compiled bool
-		path     plan.AccessPath
+		sql   string
+		path  plan.AccessPath // of the statement: its core's when it is one base-table core
+		cores []plan.Core
 	}{
-		{"SELECT S FROM KV WHERE ID = 2", true, plan.PointLookup},
-		{"SELECT ID FROM KV WHERE A = 20", true, plan.PointLookup},
-		{"SELECT ID FROM KV WHERE ID > 1 AND ID < 4", true, plan.RangeScan},
-		{"SELECT ID FROM KV WHERE A BETWEEN 10 AND 20", true, plan.RangeScan},
-		{"SELECT ID FROM KV WHERE S = 'a'", true, plan.FullScan},
-		{"SELECT MAX(A) AS M FROM KV", true, plan.FullScan},
-		{"SELECT ID FROM KV WHERE ID = 1 ORDER BY 1", true, plan.PointLookup},
-		{"SELECT ID, A FROM KV GROUP BY ID, A", false, plan.FullScan},
-		{"SELECT DISTINCT A FROM KV", false, plan.FullScan},
+		{"SELECT S FROM KV WHERE ID = 2", plan.PointLookup, []plan.Core{core("KV", plan.PointLookup)}},
+		{"SELECT ID FROM KV WHERE A = 20", plan.PointLookup, []plan.Core{core("KV", plan.PointLookup)}},
+		{"SELECT ID FROM KV WHERE ID > 1 AND ID < 4", plan.RangeScan, []plan.Core{core("KV", plan.RangeScan)}},
+		{"SELECT ID FROM KV WHERE A BETWEEN 10 AND 20", plan.RangeScan, []plan.Core{core("KV", plan.RangeScan)}},
+		{"SELECT ID FROM KV WHERE S = 'a'", plan.FullScan, []plan.Core{core("KV", plan.FullScan)}},
+		{"SELECT MAX(A) AS M FROM KV", plan.FullScan, []plan.Core{core("KV", plan.FullScan)}},
+		{"SELECT ID FROM KV WHERE ID = 1 ORDER BY 1", plan.PointLookup, []plan.Core{core("KV", plan.PointLookup)}},
+		{"SELECT A, COUNT(*) AS C FROM KV WHERE A = 20 GROUP BY A", plan.PointLookup, []plan.Core{core("KV", plan.PointLookup)}},
+		{"SELECT DISTINCT A FROM KV WHERE ID >= 2", plan.RangeScan, []plan.Core{core("KV", plan.RangeScan)}},
+		{"SELECT ID FROM KV WHERE S = 'a' UNION SELECT ID FROM KV WHERE A = 20", plan.FullScan,
+			[]plan.Core{core("KV", plan.FullScan), core("KV", plan.PointLookup)}},
+		{"SELECT X FROM U WHERE X IN (SELECT ID FROM KV WHERE A = 20)", plan.FullScan,
+			[]plan.Core{core("U", plan.FullScan), core("KV", plan.PointLookup)}},
+		{"SELECT X FROM U WHERE EXISTS (SELECT 1 FROM KV WHERE ID = 2 AND A = U.Y)", plan.FullScan,
+			[]plan.Core{core("U", plan.FullScan), core("KV", plan.PointLookup)}},
+		{"SELECT ID FROM KV20", plan.FullScan, []plan.Core{core("KV", plan.PointLookup)}},
+		{"SELECT Q.ID FROM (SELECT ID FROM KV WHERE ID BETWEEN 2 AND 3) Q", plan.FullScan, []plan.Core{core("KV", plan.RangeScan)}},
+		// The inputs of a join are scanned whole; no core, no path.
+		{"SELECT KV.ID FROM KV INNER JOIN U ON KV.ID = U.X WHERE KV.ID = 2", plan.FullScan, nil},
+		{deliveryUpdate, plan.PointLookup, []plan.Core{core("KV", plan.PointLookup), core("OL", plan.PointLookup)}},
+		{"DELETE FROM U WHERE X = 99", plan.FullScan, []plan.Core{core("U", plan.FullScan)}},
+		{"DELETE FROM KV WHERE ID > 100", plan.RangeScan, []plan.Core{core("KV", plan.RangeScan)}},
 	} {
 		sessExec(t, s, tc.sql)
 		p := s.LastPlan()
-		if p.Compiled != tc.compiled {
-			t.Errorf("%q: compiled = %v, want %v", tc.sql, p.Compiled, tc.compiled)
-		}
-		if tc.compiled && p.Path != tc.path {
+		if p.Path != tc.path {
 			t.Errorf("%q: path = %v, want %v", tc.sql, p.Path, tc.path)
+		}
+		if !reflect.DeepEqual(p.Cores, tc.cores) {
+			t.Errorf("%q: cores = %v, want %v", tc.sql, p.Cores, tc.cores)
 		}
 	}
 }
@@ -143,25 +179,50 @@ func TestRolledBackDDLRollsBackSchemaStamp(t *testing.T) {
 	}
 }
 
-// The forced plan variants must be result-identical to the analyzer's
-// own choice on every query shape — the engine-test mirror of the
-// difftest DQP-lite gate.
+// variantShapes are the query shapes the forced-variant oracle must hold
+// to one answer: single-table access paths, and every shape whose
+// indexed core sits somewhere else in the statement.
+var variantShapes = []string{
+	"SELECT ID, A, S FROM KV WHERE ID = 2",
+	"SELECT ID FROM KV WHERE A = 20",
+	"SELECT ID FROM KV WHERE A = 20 AND S = 'b'",
+	"SELECT ID FROM KV WHERE ID BETWEEN 2 AND 3",
+	"SELECT ID FROM KV WHERE ID >= 2",
+	"SELECT ID FROM KV WHERE A = 99",
+	"SELECT ID FROM KV WHERE A IS NULL",
+	"SELECT ID FROM KV WHERE ID = 1 OR A = 20",
+	"SELECT COUNT(*) AS C FROM KV WHERE A = 20",
+	"SELECT ID FROM KV WHERE ID = 2 ORDER BY 1 DESC",
+	"SELECT A, COUNT(*) AS C FROM KV WHERE A = 20 GROUP BY A",
+	"SELECT A, SUM(ID) AS T FROM KV WHERE ID > 1 GROUP BY A HAVING COUNT(*) > 1 ORDER BY SUM(ID)",
+	"SELECT DISTINCT A FROM KV WHERE ID >= 2 ORDER BY A",
+	"SELECT ID FROM KV WHERE S = 'a' UNION SELECT ID FROM KV WHERE A = 20 ORDER BY 1",
+	"SELECT ID FROM KV WHERE A = 20 UNION ALL SELECT X FROM U WHERE Y = 20",
+	"SELECT X FROM U WHERE X IN (SELECT ID FROM KV WHERE A = 20)",
+	"SELECT X FROM U WHERE X NOT IN (SELECT ID FROM KV WHERE ID = 1)",
+	"SELECT X FROM U WHERE EXISTS (SELECT 1 FROM KV WHERE ID = 2 AND A = U.Y)",
+	"SELECT X, (SELECT S FROM KV WHERE ID = 3) AS S3 FROM U WHERE X < 3",
+	"SELECT SUM(AMT) AS T FROM OL WHERE W = 1 AND D = 1 AND O = 7",
+	"SELECT ID, S FROM KV20 ORDER BY ID",
+	"SELECT Q.ID FROM (SELECT ID FROM KV WHERE ID BETWEEN 2 AND 3) Q WHERE Q.ID > 2",
+	"SELECT KV.ID, U.X FROM KV INNER JOIN U ON KV.ID = U.X WHERE KV.ID = 2",
+	"SELECT KV.ID, U.X FROM KV LEFT OUTER JOIN U ON KV.A = U.Y ORDER BY KV.ID, U.X",
+	"SELECT KV.ID, U.X FROM KV RIGHT OUTER JOIN U ON KV.A = U.Y ORDER BY U.X, KV.ID",
+	"SELECT KV.ID, U.X FROM KV FULL OUTER JOIN U ON KV.ID = U.X ORDER BY 1, 2",
+	"SELECT KV.ID, U.X FROM KV CROSS JOIN U WHERE KV.ID = 1 AND U.X = 9",
+	"SELECT KV.ID, U.X FROM KV, U WHERE KV.ID = U.X",
+	"SELECT K.ID, V.S FROM KV K LEFT OUTER JOIN KV20 V ON K.ID = V.ID ORDER BY 1",
+	"SELECT ID, Y FROM KVU WHERE ID > 1",
+}
+
+// The forced full scan must be result-identical to the analyzer's own
+// choice on every query shape — the engine-test mirror of the difftest
+// DQP-lite gate.
 func TestForcedVariantEquivalence(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
-	seedIndexed(t, s)
-	for _, sql := range []string{
-		"SELECT ID, A, S FROM KV WHERE ID = 2",
-		"SELECT ID FROM KV WHERE A = 20",
-		"SELECT ID FROM KV WHERE A = 20 AND S = 'b'",
-		"SELECT ID FROM KV WHERE ID BETWEEN 2 AND 3",
-		"SELECT ID FROM KV WHERE ID >= 2",
-		"SELECT ID FROM KV WHERE A = 99",
-		"SELECT ID FROM KV WHERE A IS NULL",
-		"SELECT ID FROM KV WHERE ID = 1 OR A = 20",
-		"SELECT COUNT(*) AS C FROM KV WHERE A = 20",
-		"SELECT ID FROM KV WHERE ID = 2 ORDER BY 1 DESC",
-	} {
+	seedShapes(t, s)
+	for _, sql := range variantShapes {
 		st, err := parser.Parse(sql)
 		if err != nil {
 			t.Fatalf("parse %q: %v", sql, err)
@@ -171,20 +232,228 @@ func TestForcedVariantEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		for _, force := range []plan.Force{plan.ForceFullScan, plan.ForceIndex} {
+		for _, force := range []plan.Force{plan.ForceFullScan, plan.ForceAuto} {
 			got, err := s.ExecSelectVariant(sel, force, nil)
 			if err != nil {
 				t.Fatalf("%q under %v: %v", sql, force, err)
 			}
-			if !reflect.DeepEqual(rowStrings(got), rowStrings(auto)) {
+			if !reflect.DeepEqual(rowStrings(got), rowStrings(auto)) || !reflect.DeepEqual(got.Columns, auto.Columns) {
 				t.Errorf("%q: %v variant disagrees: %v vs %v", sql, force, rowStrings(got), rowStrings(auto))
+			}
+			if force == plan.ForceFullScan {
+				for _, c := range s.LastPlan().Cores {
+					if c.Path != plan.FullScan {
+						t.Errorf("%q: forced full scan left core %v on %v", sql, c.Table, c.Path)
+					}
+				}
 			}
 		}
 	}
 }
 
+// The shape that never reached the analyzer: Delivery's SUM over
+// ORDER_LINE by a primary-key prefix, nested in an UPDATE's SET. Run as
+// a statement of its own it is a point lookup, forced it is a full scan,
+// and both return the sum the UPDATE applies.
+func TestDeliverySubqueryReachesTheAnalyzer(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	seedShapes(t, s)
+	st, _ := parser.Parse("SELECT SUM(AMT) AS T FROM OL WHERE W = 1 AND D = 1 AND O = 7")
+	sel := st.(*ast.Select)
+	sums := map[plan.AccessPath]string{}
+	for force, want := range map[plan.Force]plan.AccessPath{plan.ForceAuto: plan.PointLookup, plan.ForceFullScan: plan.FullScan} {
+		res, err := s.ExecSelectVariant(sel, force, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := s.LastPlan(); p.Path != want {
+			t.Errorf("%v execution took %v, want %v", force, p.Path, want)
+		}
+		sums[want] = rowStrings(res)[0]
+	}
+	if sums[plan.PointLookup] != "11" || sums[plan.FullScan] != "11" {
+		t.Fatalf("sums disagree: %v", sums)
+	}
+	sessExec(t, s, deliveryUpdate)
+	if got := rowStrings(sessExec(t, s, "SELECT A FROM KV WHERE ID = 2")); got[0] != "31" {
+		t.Fatalf("UPDATE applied %v, want 20 + 11", got)
+	}
+}
+
+// A correlated subquery is compiled with its statement — once, however
+// many outer rows evaluate it — and a re-execution compiles nothing.
+func TestCorrelatedSubqueryCompiledOncePerStatement(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	seedShapes(t, s)
+	for _, sql := range []string{
+		"SELECT X FROM U WHERE EXISTS (SELECT 1 FROM KV WHERE KV.A = U.Y)",
+		"SELECT X, (SELECT COUNT(*) FROM KV WHERE KV.A = U.Y) AS N FROM U",
+		"SELECT X FROM U WHERE X IN (SELECT ID FROM KV WHERE KV.A = U.Y) OR X = 9",
+	} {
+		before := e.PlanCacheStats()
+		if n := len(sessExec(t, s, sql).Rows); n == 0 {
+			t.Fatalf("%q: no outer rows", sql)
+		}
+		sessExec(t, s, sql)
+		after := e.PlanCacheStats()
+		if got := after.Misses - before.Misses; got != 1 {
+			t.Errorf("%q: %d compilations over two executions of 4 outer rows, want 1", sql, got)
+		}
+		if got := after.Hits - before.Hits; got != 1 {
+			t.Errorf("%q: %d memo hits, want 1", sql, got)
+		}
+	}
+}
+
+// Errors a plan records at compile time are replayed where execution
+// would have raised them: the first unresolved column in evaluation
+// order, after the sources opened and before any row work; a nested
+// select's only when it is evaluated; projection-shape errors after
+// filtering and grouping; an unresolvable key of a DISTINCT/UNION sort
+// only when a comparison needs it.
+func TestStaticErrorPrecedence(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	seedShapes(t, s)
+	for sql, want := range map[string]string{
+		"SELECT NOPE1 / NOPE2 FROM KV":                                      "unknown column NOPE1",
+		"SELECT ID FROM KV WHERE NOPE2 = 1 ORDER BY NOPE1":                  "unknown column NOPE1",
+		"SELECT ID FROM KV WHERE NOPE1 = 1 GROUP BY NOPE2 HAVING NOPE3 = 1": "unknown column NOPE1",
+		"SELECT ID FROM KV WHERE 1/0 = 1 AND EXISTS (SELECT NOPE1 FROM U)":  "division by zero",
+		"SELECT ID FROM KV WHERE ID = 1 AND EXISTS (SELECT NOPE1 FROM U)":   "unknown column NOPE1",
+		"SELECT ID FROM KV WHERE ID = 99 AND EXISTS (SELECT NOPE1 FROM U)":  "",
+		"SELECT Q.X FROM (SELECT 1/0 AS X FROM U) Q, NOSUCHTABLE":           "division by zero",
+		"SELECT Q.X FROM NOSUCHTABLE, (SELECT 1/0 AS X FROM U) Q":           "table or view not found: NOSUCHTABLE",
+		"SELECT ID FROM KV WHERE 1/0 = 1 UNION SELECT X, Y FROM U":          "division by zero",
+		"SELECT ID FROM KV UNION SELECT X, Y FROM U":                        "UNION branches have different column counts",
+		"SELECT NOSUCH.* FROM KV WHERE 1/0 = 1":                             "division by zero",
+		"SELECT NOSUCH.* FROM KV":                                           "unknown table qualifier NOSUCH.*",
+		"SELECT *, COUNT(*) FROM KV GROUP BY 1/(ID-1)":                      "division by zero",
+		"SELECT *, COUNT(*) FROM KV GROUP BY ID":                            "cannot use * with GROUP BY or aggregates",
+		"SELECT DISTINCT A FROM KV WHERE ID = 1 ORDER BY 7":                 "",
+		"SELECT DISTINCT A FROM KV ORDER BY A, 7":                           "",
+		"SELECT DISTINCT A, ID FROM KV ORDER BY A, 7":                       "ORDER BY position 7 out of range",
+		"SELECT DISTINCT A FROM KV ORDER BY ID":                             "ORDER BY column ID must appear in the select list",
+	} {
+		_, err := gexec(s, sql)
+		if got := fmt.Sprint(err); (want == "") != (err == nil) || (err != nil && got != want) {
+			t.Errorf("%q: err = %v, want %q", sql, err, want)
+		}
+	}
+}
+
+var orderByZeroShapes = []string{
+	"SELECT ID FROM KV ORDER BY 0",
+	"SELECT ID, S FROM KV ORDER BY 0, S",
+	"SELECT A, COUNT(*) AS C FROM KV GROUP BY A ORDER BY 0",
+	"SELECT DISTINCT A FROM KV ORDER BY 0",
+	"SELECT ID FROM KV UNION SELECT X FROM U ORDER BY 0",
+	"SELECT X FROM U WHERE X IN (SELECT ID FROM KV ORDER BY 0)",
+}
+
+// ORDER BY 0 is out of range like any other position no output column
+// has, in every form of the one sort: it used to read as "the first
+// hidden sort key" and panic (or sort by the wrong column).
+func TestOrderByPositionOutOfRange(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	seedShapes(t, s)
+	for _, sql := range orderByZeroShapes {
+		_, err := gexec(s, sql)
+		if err == nil || err.Error() != "ORDER BY position 0 out of range" {
+			t.Errorf("%q: err = %v, want ORDER BY position 0 out of range", sql, err)
+		}
+	}
+	if _, err := gexec(s, "SELECT ID, A FROM KV ORDER BY 3"); err == nil || err.Error() != "ORDER BY position 3 out of range" {
+		t.Errorf("ORDER BY 3 of 2: err = %v", err)
+	}
+}
+
+// dmlWheres are the predicates TestDMLSelectsWhatSelectSelects holds the
+// three row visits to one answer on.
+var dmlWheres = []string{
+	"A = 1 AND B = 10",                   // PK point
+	"A = 1",                              // PK prefix
+	"C = 20",                             // secondary index
+	"C BETWEEN 15 AND 25",                // range
+	"A > 1 AND A <= 3",                   // range on the PK's leading column
+	"C = '20'",                           // non-INT key literal
+	"A = 1.0",                            // non-INT key literal
+	"C = NULL",                           // NULL key
+	"1/(B-20) > 0 AND A = 1",             // can fail on a row the index would skip
+	"A = (SELECT A FROM T WHERE C = 20)", // scalar subquery returning two rows
+	"A = (SELECT MAX(A) FROM T WHERE C = 20)",
+	"A = $1",               // unbound parameter
+	"NOSUCH = 1 AND A = 9", // unknown column beside an indexable conjunct
+}
+
+// seedKeyed creates T: a composite primary key, a secondary index, a
+// NULL key — and, when poisoned, ill-typed values stored verbatim in
+// every key column (the SkipDefaultTypeCheck quirk), so each lookup
+// index over them is unusable and every visit scans.
+func seedKeyed(t testing.TB, s *Session, poisoned bool) {
+	t.Helper()
+	sessExec(t, s, "CREATE TABLE T (A INT DEFAULT '1x', B INT DEFAULT '2x', C INT DEFAULT '3x', M INT, PRIMARY KEY (A, B))")
+	sessExec(t, s, "CREATE INDEX TC ON T (C)")
+	sessExec(t, s, "INSERT INTO T (A, B, C) VALUES (1, 10, 20), (1, 11, 21), (2, 20, 20), (2, 21, NULL), (3, 30, 30)")
+	if poisoned {
+		sessExec(t, s, "INSERT INTO T (M) VALUES (0)")
+	}
+}
+
+// UPDATE and DELETE select their rows the way SELECT does: for every
+// WHERE clause the three agree on error-or-not, on the error and on the
+// row set, whether or not the table's indexes are usable. The DML row
+// visit used to narrow by index without asking whether the predicate
+// can fail, so `1/(B-20) > 0 AND A = 1` reported 0 rows affected where
+// SELECT raises division by zero — and the outcome depended on physical
+// index state.
+func TestDMLSelectsWhatSelectSelects(t *testing.T) {
+	for _, poisoned := range []bool{false, true} {
+		e := New(Config{Quirks: Quirks{SkipDefaultTypeCheck: true}})
+		s := e.NewSession()
+		seedKeyed(t, s, poisoned)
+		rowSet := func(sql string) []string { return rowStrings(sessExec(t, s, sql)) }
+		for _, where := range dmlWheres {
+			want, wantErr := gexec(s, "SELECT A, B FROM T WHERE "+where)
+			check := func(kind string, err error, got []string) {
+				t.Helper()
+				switch {
+				case (err == nil) != (wantErr == nil), err != nil && err.Error() != wantErr.Error():
+					t.Errorf("poisoned=%v WHERE %s: %s err = %v, SELECT err = %v", poisoned, where, kind, err, wantErr)
+				case err == nil && !reflect.DeepEqual(got, rowStrings(want)):
+					t.Errorf("poisoned=%v WHERE %s: %s hit %v, SELECT returns %v", poisoned, where, kind, got, rowStrings(want))
+				}
+			}
+
+			sessExec(t, s, "BEGIN")
+			_, err := gexec(s, "UPDATE T SET M = 7 WHERE "+where)
+			check("UPDATE", err, rowSet("SELECT A, B FROM T WHERE M = 7"))
+			sessExec(t, s, "ROLLBACK")
+
+			all := rowSet("SELECT A, B FROM T")
+			sessExec(t, s, "BEGIN")
+			_, err = gexec(s, "DELETE FROM T WHERE "+where)
+			left := map[string]bool{}
+			for _, r := range rowSet("SELECT A, B FROM T") {
+				left[r] = true
+			}
+			gone := []string{}
+			for _, r := range all {
+				if !left[r] {
+					gone = append(gone, r)
+				}
+			}
+			check("DELETE", err, gone)
+			sessExec(t, s, "ROLLBACK")
+		}
+	}
+}
+
 // An ill-typed value in an indexed INT column (the raw-default quirk)
-// must poison the index, not corrupt results: the interpreter's loose
+// must poison the index, not corrupt results: the evaluator's loose
 // numeric-string comparison matches the string row, so index skipping
 // would drop it.
 func TestPoisonedIndexKeepsLooseCoercionMatches(t *testing.T) {
@@ -196,8 +465,8 @@ func TestPoisonedIndexKeepsLooseCoercionMatches(t *testing.T) {
 	sessExec(t, s, "INSERT INTO P (ID, A) VALUES (2, 7), (3, 8)")
 
 	res := sessExec(t, s, "SELECT ID FROM P WHERE A = 7")
-	if p := s.LastPlan(); !p.Compiled {
-		t.Fatal("poisoned-index query left the compiled path entirely")
+	if p := s.LastPlan(); p.Path != plan.PointLookup {
+		t.Fatalf("poisoned-index query planned %v, want the point lookup it falls back from", p.Path)
 	}
 	if got := rowStrings(res); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Fatalf("loose-coercion match lost under the index path: %v", got)
@@ -214,7 +483,7 @@ func TestPoisonedIndexKeepsLooseCoercionMatches(t *testing.T) {
 
 // Bind-arity errors must surface identically on every access path: a
 // plan whose parameters are not covered by the bound vector cannot skip
-// rows (the interpreter would raise the unbound-parameter error on the
+// rows (a full scan raises the unbound-parameter error on the
 // first row it evaluates).
 func TestVariantExecutionRejectsNonPureSelects(t *testing.T) {
 	e := NewOracle()

@@ -7,105 +7,6 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// dmlEqCandidates narrows an UPDATE/DELETE row visit through the lazy
-// index machinery, under the same contract as the compiled SELECT path
-// (plan.Analyze + candidateRows): the top-level AND conjuncts of the
-// form `col = value` (INT column of t, literal or parameter value)
-// select an equality index, and the probe returns a superset of the
-// WHERE-true positions in table order — narrowing only skips rows that
-// provably cannot satisfy an indexed conjunct. The second result is
-// false when only a full scan is sound (no usable conjuncts, non-INT
-// key value that could still match through loose coercion, poisoned
-// index).
-func (s *Session) dmlEqCandidates(t *Table, where ast.Expr) ([]int, bool) {
-	if where == nil {
-		return nil, false
-	}
-	var cols []int
-	var vals []ast.Expr
-	stack := []ast.Expr{where}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		b, ok := x.(*ast.Binary)
-		if !ok {
-			continue
-		}
-		switch b.Op {
-		case ast.OpAnd:
-			stack = append(stack, b.L, b.R)
-			continue
-		case ast.OpEq:
-		default:
-			continue
-		}
-		cr, val := b.L, b.R
-		if _, ok := cr.(*ast.ColumnRef); !ok {
-			cr, val = b.R, b.L
-		}
-		ref, ok := cr.(*ast.ColumnRef)
-		if !ok {
-			continue
-		}
-		switch val.(type) {
-		case *ast.Literal, *ast.Param:
-		default:
-			continue
-		}
-		if q := up(ref.Table); q != "" && q != t.Name {
-			continue
-		}
-		ci := t.colIndex(ref.Column)
-		if ci < 0 || t.Cols[ci].Kind != types.KindInt {
-			continue
-		}
-		dup := false
-		for _, c := range cols {
-			if c == ci {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		cols = append(cols, ci)
-		vals = append(vals, val)
-	}
-	if len(cols) == 0 {
-		return nil, false
-	}
-	// Canonical column order keys the index cache consistently across
-	// textual conjunct orderings.
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-	keys := make([]int64, len(cols))
-	for i, vx := range vals {
-		v, err := s.evalExpr(vx, nil)
-		if err != nil {
-			return nil, false
-		}
-		switch v.K {
-		case types.KindInt:
-			keys[i] = v.I
-		case types.KindNull:
-			// Equality with NULL is Unknown on every row: provably empty.
-			return []int{}, true
-		default:
-			return nil, false
-		}
-	}
-	ix := t.ic.eqIndex(t, cols)
-	if ix == nil {
-		return nil, false
-	}
-	return ix.lookup(keys), true
-}
-
 func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 	t, ok := e.eng.st.tables[up(ins.Table)]
 	if !ok {
@@ -118,11 +19,11 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 
 	var sourceRows [][]types.Value
 	if ins.Select != nil {
-		res, err := e.evalSelect(ins.Select, nil)
+		_, rows, err := e.subquery(ins.Select, nil)
 		if err != nil {
 			return nil, err
 		}
-		sourceRows = res.Rows
+		sourceRows = rows
 	} else {
 		for _, exprRow := range ins.Rows {
 			row := make([]types.Value, 0, len(exprRow))
@@ -350,7 +251,7 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 		}
 	}
 	for _, chk := range t.Checks {
-		sc := &scope{cols: tableScopeCols(t), vals: row}
+		sc := &scope{cols: tableScopeCols(t.Name, t), vals: row}
 		v, err := e.evalExpr(chk, sc)
 		if err != nil {
 			return err
@@ -371,14 +272,6 @@ func sameKey(a, b []types.Value, key []int) bool {
 		}
 	}
 	return true
-}
-
-func tableScopeCols(t *Table) []scopeCol {
-	cols := make([]scopeCol, len(t.Cols))
-	for i, c := range t.Cols {
-		cols[i] = scopeCol{qual: t.Name, name: c.Name}
-	}
-	return cols
 }
 
 // findDuplicate returns the index of a row that collides with another on
@@ -421,7 +314,8 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 		}
 		setIdx[i] = ci
 	}
-	cols := tableScopeCols(t)
+	cols := tableScopeCols(t.Name, t)
+	dp := e.planDML(upd, t, cols, upd.Where, upd.Sets)
 	var affected int64
 	type change struct {
 		old, new []types.Value
@@ -497,12 +391,13 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 		affected++
 		return nil
 	}
-	// Candidate narrowing makes point UPDATEs O(matched), not O(table):
+	// Candidate narrowing — by the rules, and behind the gates, of a
+	// SELECT's row visit — makes point UPDATEs O(matched), not O(table):
 	// positions are computed from the pre-statement index (in-place
 	// replacements never move a position), each visited at most once
 	// with its pre-statement row image — exactly the rows and values the
 	// full scan would have visited and found WHERE-true.
-	if cands, narrowed := e.dmlEqCandidates(t, upd.Where); narrowed {
+	if cands, narrowed := e.candidateRows(dp.p, t); narrowed {
 		for _, ri := range cands {
 			if err := updateRow(ri, t.Rows[ri]); err != nil {
 				undoPartial()
@@ -562,13 +457,14 @@ func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, del.Table)
 	}
-	cols := tableScopeCols(t)
+	cols := tableScopeCols(t.Name, t)
+	dp := e.planDML(del, t, cols, del.Where, nil)
 	kept := t.Rows[:0:0]
 	var removed [][]types.Value
 	var affected int64
 	oldRows := t.Rows
 	sc := &scope{cols: cols}
-	if cands, narrowed := e.dmlEqCandidates(t, del.Where); narrowed {
+	if cands, narrowed := e.candidateRows(dp.p, t); narrowed {
 		// Candidate narrowing: rows outside the candidate set provably
 		// fail an equality conjunct and are kept without evaluating the
 		// predicate. An empty WHERE-true set short-circuits before any

@@ -223,23 +223,23 @@ type Engine struct {
 	schemaEpoch   uint64
 	schemaVersion uint64
 
-	// planMemo is the shared compiled-plan cache, keyed by the address of
-	// the interned *ast.Select — see compiled.go. The three counters are
-	// what PlanCacheStats reports: hits, misses (compilations), and
-	// entries found compiled against a schema generation no longer
-	// current.
-	planMemo    sync.Map     // *ast.Select -> *memoEntry
-	planMemoLen atomic.Int64 // approximate planMemo size, for the cap
-	memoHits    atomic.Uint64
-	memoMisses  atomic.Uint64
-	memoStale   atomic.Uint64
+	// planMemo is the shared plan memo of pure SELECT statements and
+	// dmlMemo that of UPDATE/DELETE statements, each keyed by the address
+	// of the interned statement — see compiled.go. They are bounded
+	// apart, so one-off DML texts never evict a hot SELECT's plan. The
+	// three counters are what PlanCacheStats reports of planMemo: hits,
+	// misses (compilations), and entries found compiled against a schema
+	// generation no longer current.
+	planMemo   memo[compiledSelect]
+	dmlMemo    memo[dmlPlan]
+	memoHits   atomic.Uint64
+	memoMisses atomic.Uint64
+	memoStale  atomic.Uint64
 
-	// pathExecs counts compiled SELECT executions by access path (indexed
-	// by plan.AccessPath); interpSelects counts dispatches that fell back
-	// to the interpreter (ineligible shapes). Atomic so the read-lock
-	// SELECT fast path records without extra synchronization.
-	pathExecs     [3]atomic.Uint64
-	interpSelects atomic.Uint64
+	// pathExecs counts statement-level SELECT executions by access path
+	// (indexed by plan.AccessPath). Atomic so the read-lock SELECT path
+	// records without extra synchronization.
+	pathExecs [3]atomic.Uint64
 
 	// sessions registers every live session.
 	sessions map[*Session]struct{}
@@ -406,10 +406,6 @@ func New(cfg Config) *Engine {
 	}
 }
 
-// planMemoCap bounds the plan memo, which is dropped wholesale at
-// capacity — the workloads that matter re-fill it within one batch.
-const planMemoCap = 4096
-
 func newState() state {
 	return state{
 		tables: make(map[string]*Table),
@@ -478,11 +474,11 @@ func (e *Session) exec(st ast.Statement) (*Result, error) {
 	case *ast.SetTxn:
 		return e.execSetTxn(x)
 	case *ast.Select:
-		res, err := e.evalSelect(x, nil)
+		cs, rows, err := e.subquery(x, nil)
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		return cs.result(rows), nil
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", st)
 	}
@@ -537,7 +533,7 @@ func (e *Engine) bumpSchemaLocked() {
 	// Engine-level mutators run outside any transaction, so the new
 	// generation is committed immediately; invalidate every cached read
 	// view (the whole state may have been replaced).
-	e.committedSchema = e.schemaVersion
+	e.publishSchema()
 	e.viewGen.Add(1)
 }
 
@@ -656,7 +652,7 @@ func (e *Session) execCreateView(cv *ast.CreateView) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateObject, name)
 	}
 	// Validate the definition by executing it once against current state.
-	if _, err := e.evalSelect(cv.Select, nil); err != nil {
+	if _, _, err := e.subquery(cv.Select, nil); err != nil {
 		return nil, fmt.Errorf("invalid view definition: %w", err)
 	}
 	cols := make([]string, len(cv.Columns))

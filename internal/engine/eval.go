@@ -15,7 +15,9 @@ import (
 var ErrDivideByZero = errors.New("division by zero")
 
 // scope resolves column references during evaluation. Scopes nest so that
-// correlated subqueries can see the columns of enclosing queries.
+// correlated subqueries can see the columns of enclosing queries. A scope
+// without values is a probe: compilation resolves references against the
+// columns an expression will see.
 type scope struct {
 	cols   []scopeCol
 	vals   []types.Value
@@ -44,6 +46,9 @@ func (sc *scope) lookup(qual, name string) (types.Value, bool, error) {
 			found = i
 		}
 		if found >= 0 {
+			if s.vals == nil {
+				return types.Value{}, true, nil
+			}
 			return s.vals[found], true, nil
 		}
 	}
@@ -83,30 +88,30 @@ func (e *Session) evalExpr(x ast.Expr, sc *scope) (types.Value, error) {
 	case *ast.In:
 		return e.evalIn(n, sc)
 	case *ast.Exists:
-		res, err := e.evalSelect(n.Select, sc)
+		_, rows, err := e.subquery(n.Select, sc)
 		if err != nil {
 			return types.Value{}, err
 		}
-		has := len(res.Rows) > 0
+		has := len(rows) > 0
 		if n.Not {
 			has = !has
 		}
 		return types.NewBool(has), nil
 	case *ast.Subquery:
-		res, err := e.evalSelect(n.Select, sc)
+		_, rows, err := e.subquery(n.Select, sc)
 		if err != nil {
 			return types.Value{}, err
 		}
-		if len(res.Rows) == 0 {
+		if len(rows) == 0 {
 			return types.Null(), nil
 		}
-		if len(res.Rows) > 1 {
+		if len(rows) > 1 {
 			return types.Value{}, errors.New("scalar subquery returned more than one row")
 		}
-		if len(res.Rows[0]) != 1 {
+		if len(rows[0]) != 1 {
 			return types.Value{}, errors.New("scalar subquery must return one column")
 		}
-		return res.Rows[0][0], nil
+		return rows[0][0], nil
 	case *ast.Between:
 		v, err := e.evalExpr(n.X, sc)
 		if err != nil {
@@ -438,14 +443,14 @@ func (e *Session) evalIn(n *ast.In, sc *scope) (types.Value, error) {
 				return types.Value{}, errors.New("internal error: could not resolve column in subquery parse tree")
 			}
 		}
-		res, err := e.evalSelect(n.Select, sc)
+		cs, rows, err := e.subquery(n.Select, sc)
 		if err != nil {
 			return types.Value{}, err
 		}
-		if len(res.Columns) != 1 {
+		if len(cs.outCols()) != 1 {
 			return types.Value{}, errors.New("IN subquery must return one column")
 		}
-		for _, row := range res.Rows {
+		for _, row := range rows {
 			candidates = append(candidates, row[0])
 		}
 	} else {

@@ -94,15 +94,6 @@ func (e *Engine) ReadViewStats() ReadViewStats {
 	}
 }
 
-// PathExecs returns compiled SELECT executions by access path, plus the
-// interpreter-fallback dispatch count.
-func (e *Engine) PathExecs() (byPath [3]uint64, interpreted uint64) {
-	for i := range e.pathExecs {
-		byPath[i] = e.pathExecs[i].Load()
-	}
-	return byPath, e.interpSelects.Load()
-}
-
 // MetricsCollector returns the engine's obs collector. The replica label
 // distinguishes engines in a diverse/replicated deployment; pass "" for
 // a single-server deployment to omit per-replica labeling entirely.
@@ -122,14 +113,11 @@ func (e *Engine) MetricsCollector(replica string) obs.Collector {
 		f.Gauge("divsql_engine_plan_cache_hit_rate",
 			"Plan-cache hit rate over the process lifetime.", cs.HitRate(), labels...)
 
-		byPath, interp := e.PathExecs()
-		for p, n := range byPath {
+		for p := range e.pathExecs {
 			f.Count("divsql_engine_compiled_exec_total",
-				"Compiled SELECT executions by access path.", n,
+				"SELECT statements executed, by the access path of a single base-table statement (full-scan: every other shape too).", e.pathExecs[p].Load(),
 				append(labels[:len(labels):len(labels)], obs.L("path", plan.AccessPath(p).String()))...)
 		}
-		f.Count("divsql_engine_interpreted_selects_total",
-			"SELECT dispatches that fell back to the interpreter.", interp, labels...)
 
 		st := e.StatsSnapshot()
 		f.Gauge("divsql_engine_sessions",

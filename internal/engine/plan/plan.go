@@ -1,8 +1,9 @@
-// Package plan is the engine's analyzer: it lowers a parsed SELECT into
-// a compiled access plan through a pipeline of small, atomic rules, in
-// the spirit of rule-based analyzers like go-mysql-server's. The
-// package is pure — it sees the catalog only through the Catalog
-// interface and never touches engine state — so the rules are
+// Package plan is the engine's analyzer: it picks the access path of
+// one base table's row visit — a SELECT core whose FROM is exactly that
+// table, or the target of an UPDATE/DELETE — through a pipeline of
+// small, atomic rules, in the spirit of rule-based analyzers like
+// go-mysql-server's. The package is pure — it sees one table's catalog
+// image (TableMeta) and never touches engine state — so the rules are
 // independently testable and the engine keeps the execution monopoly.
 //
 // The contract with the executor is deliberately narrow: a plan names
@@ -49,32 +50,26 @@ func (p AccessPath) String() string {
 }
 
 // Force overrides the analyzer's access-path choice, the hook behind
-// multi-plan differential execution: the same statement runs once per
-// forced variant and any result disagreement is an engine bug.
+// multi-plan differential execution: the same statement runs once
+// normally and once forced, and any result disagreement is an engine
+// bug.
 type Force int
 
 // Force modes.
 const (
 	// ForceAuto lets the analyzer choose.
 	ForceAuto Force = iota
-	// ForceFullScan pins the plan to the full-scan fallback.
+	// ForceFullScan skips the access-path rule: every core of the
+	// statement visits all of its rows.
 	ForceFullScan
-	// ForceIndex demands an index-backed path when one is available
-	// (identical to auto, which always prefers an index; the distinct
-	// value keeps variant runs self-describing).
-	ForceIndex
 )
 
 // String names the force mode (for variant-disagreement reports).
 func (f Force) String() string {
-	switch f {
-	case ForceFullScan:
+	if f == ForceFullScan {
 		return "force-full-scan"
-	case ForceIndex:
-		return "force-index"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // ColMeta describes one column as the analyzer sees it.
@@ -93,12 +88,6 @@ type TableMeta struct {
 	Indexes [][]int
 }
 
-// Catalog resolves table names for the analyzer. Implementations must
-// upper-case-normalize names the way the engine catalog does.
-type Catalog interface {
-	TableMeta(name string) (TableMeta, bool)
-}
-
 // Bound is one end of a range-scan interval. Val must be an *ast.Literal
 // or *ast.Param (classifyPredicates admits nothing else); Strict marks
 // an exclusive bound (< or >).
@@ -107,7 +96,7 @@ type Bound struct {
 	Strict bool
 }
 
-// SelectPlan is the compiled access plan of one single-table SELECT.
+// SelectPlan is the access plan of one base table's row visit.
 type SelectPlan struct {
 	Table string // resolved (upper-cased) base-table name
 	Alias string // correlation name in effect, "" when none
@@ -128,52 +117,26 @@ type SelectPlan struct {
 	MaxParam int
 }
 
-// Analyze lowers a SELECT into an access plan by running the rule
-// pipeline: resolveSource → classifyPredicates → chooseAccessPath. The
-// second result is false when the statement has no single-base-table
-// source (joins, derived tables, views, compound queries) — such
-// statements stay on the interpreter.
-func Analyze(sel *ast.Select, cat Catalog, force Force) (*SelectPlan, bool) {
-	p, ok := resolveSource(sel, cat)
-	if !ok {
-		return nil, false
+// Analyze plans the row visit of one base table by running rules 2 and
+// 3, classifyPredicates → chooseAccessPath, over the predicate that
+// filters it. Rule 1, source resolution, is the engine's: it calls here
+// only for a SELECT core whose FROM is exactly one base table — wherever
+// the core sits in its statement — and for the target of an
+// UPDATE/DELETE; every other source is read whole. alias is the
+// correlation name in effect ("" when none) and maxParam the highest
+// parameter ordinal of the statement the predicate belongs to.
+func Analyze(meta TableMeta, alias string, where ast.Expr, maxParam int, force Force) *SelectPlan {
+	p := &SelectPlan{Table: meta.Name, Alias: alias, MaxParam: maxParam}
+	if force != ForceFullScan {
+		chooseAccessPath(p, meta, classifyPredicates(where, p, meta))
 	}
-	meta, _ := cat.TableMeta(p.Table)
-	eqs, ranges := classifyPredicates(sel.Where, p, meta)
-	chooseAccessPath(p, meta, eqs, ranges)
-	if force == ForceFullScan {
-		p.Path = FullScan
-		p.KeyCols, p.KeyVals, p.Lo, p.Hi = nil, nil, nil, nil
-	}
-	p.MaxParam = ast.NumParams(sel)
-	return p, true
+	return p
 }
 
-// resolveSource (rule 1) pins the plan to exactly one base table: one
-// FROM item, no joins, no derived table, and a name the catalog knows.
-func resolveSource(sel *ast.Select, cat Catalog) (*SelectPlan, bool) {
-	if len(sel.From) != 1 || len(sel.From[0].Joins) != 0 {
-		return nil, false
-	}
-	tr := sel.From[0].Table
-	if tr.Subquery != nil || tr.Name == "" {
-		return nil, false
-	}
-	name := strings.ToUpper(tr.Name)
-	if _, ok := cat.TableMeta(name); !ok {
-		return nil, false
-	}
-	return &SelectPlan{Table: name, Alias: strings.ToUpper(tr.Alias)}, true
-}
-
-// eqConjunct is one equality conjunct usable for a point lookup.
-type eqConjunct struct {
-	col int
-	val ast.Expr
-}
-
-// rangeBounds accumulates the usable bounds on one column.
-type rangeBounds struct {
+// colPredicates are the conjuncts an index over one column can serve:
+// the first equality value and the first bound of each side.
+type colPredicates struct {
+	eq     ast.Expr
 	lo, hi *Bound
 }
 
@@ -184,28 +147,26 @@ type rangeBounds struct {
 // parameter. Everything else is ignored here — the executor re-applies
 // the full predicate — so classification only has to be sound, never
 // complete.
-func classifyPredicates(where ast.Expr, p *SelectPlan, meta TableMeta) (map[int]ast.Expr, map[int]*rangeBounds) {
-	eqs := make(map[int]ast.Expr)
-	ranges := make(map[int]*rangeBounds)
-	for _, c := range conjuncts(where, nil) {
+func classifyPredicates(where ast.Expr, p *SelectPlan, meta TableMeta) []colPredicates {
+	preds := make([]colPredicates, len(meta.Cols))
+	for _, c := range conjuncts(where, make([]ast.Expr, 0, 4)) {
 		switch x := c.(type) {
 		case *ast.Binary:
 			col, val, op, ok := comparisonLeaf(x, p, meta)
 			if !ok {
 				continue
 			}
+			b := &preds[col]
 			switch op {
 			case ast.OpEq:
-				if _, dup := eqs[col]; !dup {
-					eqs[col] = val
+				if b.eq == nil {
+					b.eq = val
 				}
 			case ast.OpGt, ast.OpGe:
-				b := boundsFor(ranges, col)
 				if b.lo == nil {
 					b.lo = &Bound{Val: val, Strict: op == ast.OpGt}
 				}
 			case ast.OpLt, ast.OpLe:
-				b := boundsFor(ranges, col)
 				if b.hi == nil {
 					b.hi = &Bound{Val: val, Strict: op == ast.OpLt}
 				}
@@ -218,7 +179,7 @@ func classifyPredicates(where ast.Expr, p *SelectPlan, meta TableMeta) (map[int]
 			if !ok || !valueLeaf(x.Lo) || !valueLeaf(x.Hi) {
 				continue
 			}
-			b := boundsFor(ranges, col)
+			b := &preds[col]
 			if b.lo == nil {
 				b.lo = &Bound{Val: x.Lo}
 			}
@@ -227,7 +188,7 @@ func classifyPredicates(where ast.Expr, p *SelectPlan, meta TableMeta) (map[int]
 			}
 		}
 	}
-	return eqs, ranges
+	return preds
 }
 
 // conjuncts flattens the top-level AND tree into its leaves.
@@ -313,15 +274,6 @@ func valueLeaf(e ast.Expr) bool {
 	}
 }
 
-func boundsFor(m map[int]*rangeBounds, col int) *rangeBounds {
-	b := m[col]
-	if b == nil {
-		b = &rangeBounds{}
-		m[col] = b
-	}
-	return b
-}
-
 // chooseAccessPath (rule 3) selects the cheapest applicable path:
 // the longest equality-covered prefix of the primary key or a secondary
 // keyset becomes a point lookup; failing that, usable bounds on the
@@ -329,7 +281,7 @@ func boundsFor(m map[int]*rangeBounds, col int) *rangeBounds {
 // stays a full scan. Preference order is PK first, then the secondary
 // keysets in catalog order (the engine feeds them sorted by name, so
 // the choice is deterministic).
-func chooseAccessPath(p *SelectPlan, meta TableMeta, eqs map[int]ast.Expr, ranges map[int]*rangeBounds) {
+func chooseAccessPath(p *SelectPlan, meta TableMeta, preds []colPredicates) {
 	keysets := make([][]int, 0, 1+len(meta.Indexes))
 	if len(meta.PK) > 0 {
 		keysets = append(keysets, meta.PK)
@@ -340,7 +292,7 @@ func chooseAccessPath(p *SelectPlan, meta TableMeta, eqs map[int]ast.Expr, range
 	for _, ks := range keysets {
 		n := 0
 		for _, c := range ks {
-			if _, ok := eqs[c]; !ok {
+			if preds[c].eq == nil {
 				break
 			}
 			n++
@@ -354,13 +306,13 @@ func chooseAccessPath(p *SelectPlan, meta TableMeta, eqs map[int]ast.Expr, range
 		p.KeyCols = append([]int(nil), bestCols...)
 		p.KeyVals = make([]ast.Expr, len(bestCols))
 		for i, c := range bestCols {
-			p.KeyVals[i] = eqs[c]
+			p.KeyVals[i] = preds[c].eq
 		}
 		return
 	}
 
 	for _, ks := range keysets {
-		if b, ok := ranges[ks[0]]; ok && (b.lo != nil || b.hi != nil) {
+		if b := preds[ks[0]]; b.lo != nil || b.hi != nil {
 			p.Path = RangeScan
 			p.RangeCol = ks[0]
 			p.Lo, p.Hi = b.lo, b.hi
@@ -370,13 +322,22 @@ func chooseAccessPath(p *SelectPlan, meta TableMeta, eqs map[int]ast.Expr, range
 	p.Path = FullScan
 }
 
-// Info describes how one SELECT actually executed: the access path
-// taken, whether a compiled plan ran (as opposed to the interpreter
-// fallback) and whether it came out of the shared cache. Exposed via
+// Info describes how one statement's rows were reached. Table and Path
+// are those of a statement that is a single base-table core (a SELECT
+// over one table, an UPDATE or a DELETE) and zero — full scan —
+// otherwise; Cores lists every single-base-table core the statement
+// compiled to, nested ones included, in compile order; CacheHit reports
+// whether the plan came out of the shared memo. Exposed via
 // Session.LastPlan for tests and the forced-variant difftest oracle.
 type Info struct {
 	Table    string
 	Path     AccessPath
-	Compiled bool
 	CacheHit bool
+	Cores    []Core
+}
+
+// Core is one single-base-table core of a compiled statement.
+type Core struct {
+	Table string
+	Path  AccessPath
 }

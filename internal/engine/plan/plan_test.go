@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"divsql/internal/sql/ast"
@@ -8,32 +9,26 @@ import (
 	"divsql/internal/sql/types"
 )
 
-type fakeCat map[string]TableMeta
-
-func (c fakeCat) TableMeta(n string) (TableMeta, bool) {
-	m, ok := c[n]
-	return m, ok
-}
-
-// testCat: T(ID pk, A, B int; S string) with a composite index (A, B)
+// testMeta: T(ID pk, A, B int; S string) with a composite index (A, B)
 // and a single-column index (B).
-func testCat() fakeCat {
-	return fakeCat{
-		"T": {
-			Name: "T",
-			Cols: []ColMeta{
-				{Name: "ID", Kind: types.KindInt},
-				{Name: "A", Kind: types.KindInt},
-				{Name: "B", Kind: types.KindInt},
-				{Name: "S", Kind: types.KindString},
-			},
-			PK:      []int{0},
-			Indexes: [][]int{{1, 2}, {2}},
+func testMeta() TableMeta {
+	return TableMeta{
+		Name: "T",
+		Cols: []ColMeta{
+			{Name: "ID", Kind: types.KindInt},
+			{Name: "A", Kind: types.KindInt},
+			{Name: "B", Kind: types.KindInt},
+			{Name: "S", Kind: types.KindString},
 		},
+		PK:      []int{0},
+		Indexes: [][]int{{1, 2}, {2}},
 	}
 }
 
-func analyze(t *testing.T, sql string, force Force) (*SelectPlan, bool) {
+// mustAnalyze plans the row visit of a single-table SELECT over T the
+// way the engine asks for it: the table's meta, the correlation name in
+// effect, the WHERE clause and the statement's parameter count.
+func mustAnalyze(t *testing.T, sql string, force Force) *SelectPlan {
 	t.Helper()
 	st, err := parser.Parse(sql)
 	if err != nil {
@@ -43,16 +38,7 @@ func analyze(t *testing.T, sql string, force Force) (*SelectPlan, bool) {
 	if !ok {
 		t.Fatalf("%q is not a SELECT", sql)
 	}
-	return Analyze(sel, testCat(), force)
-}
-
-func mustAnalyze(t *testing.T, sql string, force Force) *SelectPlan {
-	t.Helper()
-	p, ok := analyze(t, sql, force)
-	if !ok {
-		t.Fatalf("Analyze(%q) rejected a single-base-table select", sql)
-	}
-	return p
+	return Analyze(testMeta(), strings.ToUpper(sel.From[0].Table.Alias), sel.Where, ast.NumParams(sel), force)
 }
 
 func TestPointLookupOnPrimaryKey(t *testing.T) {
@@ -124,17 +110,6 @@ func TestNonIntAndDisjunctiveWheresFullScan(t *testing.T) {
 		p := mustAnalyze(t, sql, ForceAuto)
 		if p.Path != FullScan {
 			t.Errorf("%q: path = %v, want full-scan", sql, p.Path)
-		}
-	}
-}
-
-func TestAnalyzeRejectsNonSingleTableSources(t *testing.T) {
-	for _, sql := range []string{
-		"SELECT X.A FROM T X INNER JOIN T Y ON X.ID = Y.ID",
-		"SELECT A FROM NOPE WHERE ID = 1",
-	} {
-		if _, ok := analyze(t, sql, ForceAuto); ok {
-			t.Errorf("%q: Analyze accepted a non-single-base-table source", sql)
 		}
 	}
 }

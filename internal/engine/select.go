@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -16,121 +15,229 @@ type relation struct {
 	rows [][]types.Value
 }
 
-// evalSelect evaluates a (possibly compound) query expression. outer is
-// the enclosing scope for correlated subqueries (nil at top level).
-//
-// ORDER BY keys may reference source columns that are not projected; for
-// simple (non-DISTINCT, non-UNION) queries they are computed as hidden
-// trailing columns in the source scope and stripped after sorting. For
-// DISTINCT/UNION results, SQL requires the keys to appear in the output,
-// so they are resolved against the output columns.
-func (e *Session) evalSelect(s *ast.Select, outer *scope) (*Result, error) {
-	simple := s.Union == nil && !s.Distinct
-	if simple && len(s.OrderBy) > 0 {
-		res, err := e.evalSelectHiddenOrder(s, outer)
-		if err != nil {
-			return nil, err
-		}
-		applyLimit(s, res)
-		return res, nil
-	}
+// This file is the execution side of the engine's one SELECT executor:
+// runSelect and the operators it drives. Every read of rows — a
+// statement-level SELECT, normal or forced, a subquery, EXISTS or
+// IN (SELECT …) of any expression, an INSERT's source, a view definition
+// under validation, a view body or derived table in a FROM clause —
+// compiles (compiled.go) and then comes through here.
 
-	res, err := e.evalSelectCore(s, outer)
+// runSelect executes a compiled query expression: cores → union → sort →
+// limit. outer is the scope the expression is evaluated in, for
+// correlated references (nil at top level). The nested selects its
+// expressions evaluate are found through s.subs while it runs. Caller
+// holds the engine lock (at least read mode) and has set s.bind.
+func (s *Session) runSelect(cs *compiledSelect, outer *scope) ([][]types.Value, error) {
+	saved := s.subs
+	s.subs = cs.subs
+	rows, err := s.runCores(cs, outer)
+	if err == nil && len(cs.keys) > 0 {
+		if err = cs.sortErr; err == nil {
+			err = s.sortRows(cs, rows, outer)
+		}
+		for i := 0; cs.hidden > 0 && i < len(rows); i++ {
+			rows[i] = rows[i][:len(rows[i])-int(cs.hidden)]
+		}
+	}
+	s.subs = saved
 	if err != nil {
 		return nil, err
 	}
-	for u := s.Union; u != nil; u = u.Union {
-		branch, err := e.evalSelectCore(u, outer)
+	if sel := cs.sel; sel.LimitSyn != ast.LimitNone && int64(len(rows)) > sel.Limit {
+		rows = rows[:sel.Limit]
+	}
+	return rows, nil
+}
+
+// runCores runs the SELECT and its UNION branches, merging each branch
+// into the result as it completes.
+func (s *Session) runCores(cs *compiledSelect, outer *scope) ([][]types.Value, error) {
+	var rows [][]types.Value
+	for i := range cs.cores {
+		c := &cs.cores[i]
+		branch, err := s.runCore(c, outer)
 		if err != nil {
 			return nil, err
 		}
-		if len(branch.Columns) != len(res.Columns) {
-			return nil, errors.New("UNION branches have different column counts")
-		}
-		res.Rows = append(res.Rows, branch.Rows...)
-		if !unionAllAt(s, u) {
-			res.Rows = dedupeRows(res.Rows)
-		}
-	}
-	if len(s.OrderBy) > 0 {
-		if err := orderRows(e, res, s.OrderBy, outer); err != nil {
-			return nil, err
-		}
-	}
-	applyLimit(s, res)
-	return res, nil
-}
-
-func applyLimit(s *ast.Select, res *Result) {
-	if s.LimitSyn != ast.LimitNone && int64(len(res.Rows)) > s.Limit {
-		res.Rows = res.Rows[:s.Limit]
-	}
-}
-
-// evalSelectHiddenOrder evaluates a simple SELECT, computing non-
-// positional ORDER BY keys as hidden trailing columns in the source
-// scope, sorting, then stripping the hidden columns.
-func (e *Session) evalSelectHiddenOrder(s *ast.Select, outer *scope) (*Result, error) {
-	cp := *s
-	cp.Items = append([]ast.SelectItem(nil), s.Items...)
-	// keyCol[k] >= 0 identifies the hidden column (offset from the end);
-	// keyCol[k] < 0 encodes a 1-based output position as -(pos).
-	keyCol := make([]int, len(s.OrderBy))
-	hidden := 0
-	for k, o := range s.OrderBy {
-		if lit, ok := o.Expr.(*ast.Literal); ok && lit.Val.K == types.KindInt {
-			keyCol[k] = -int(lit.Val.I)
+		if i == 0 {
+			rows = branch
 			continue
 		}
-		cp.Items = append(cp.Items, ast.SelectItem{Expr: o.Expr, Alias: "__SORT__"})
-		keyCol[k] = hidden
-		hidden++
-	}
-	res, err := e.evalSelectCore(&cp, outer)
-	if err != nil {
-		return nil, err
-	}
-	visible := len(res.Columns) - hidden
-	keyIdx := make([]int, len(keyCol))
-	for k, kc := range keyCol {
-		if kc >= 0 {
-			keyIdx[k] = visible + kc
-		} else {
-			pos := -kc - 1
-			if pos < 0 || pos >= visible {
-				return nil, fmt.Errorf("ORDER BY position %d out of range", -kc)
-			}
-			keyIdx[k] = pos
+		if c.unionErr != nil {
+			return nil, c.unionErr
+		}
+		rows = append(rows, branch...)
+		if !c.unionAll {
+			rows = dedupeRows(rows)
 		}
 	}
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		for k, item := range s.OrderBy {
-			c := compareForSort(res.Rows[i][keyIdx[k]], res.Rows[j][keyIdx[k]])
-			if c == 0 {
-				continue
+	return rows, nil
+}
+
+// runCore runs one SELECT: open the sources, filter, project or group,
+// deduplicate.
+func (s *Session) runCore(c *core, outer *scope) ([][]types.Value, error) {
+	// all is what the sources produce; when an index answered, cands
+	// names the positions in it that can satisfy the predicate.
+	var all [][]types.Value
+	var cands []int
+	indexed := false
+	if c.p != nil {
+		t, ok := s.lookupTable(c.p.Table)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrTableNotFound, c.p.Table)
+		}
+		all = t.Rows
+		cands, indexed = s.candidateRows(c.p, t)
+	} else {
+		rel, err := s.openFrom(c, outer)
+		if err != nil {
+			return nil, err
+		}
+		if c.compileErr != nil {
+			return nil, c.compileErr
+		}
+		all = rel.rows
+	}
+	// The full predicate decides every row it is asked about, in source
+	// order; an index only spares it rows that cannot satisfy it. With no
+	// predicate the source's rows are shared: projection builds result
+	// rows fresh, and the slice is only read under the statement's lock.
+	sc := scope{cols: c.cols, parent: outer}
+	rows := all
+	if where := c.sel.Where; where != nil {
+		n := len(all)
+		if indexed {
+			n = len(cands)
+		}
+		rows = nil
+		for i := 0; i < n; i++ {
+			row := all[i]
+			if indexed {
+				row = all[cands[i]]
 			}
-			if item.Desc {
-				return c > 0
+			sc.vals = row
+			v, err := s.evalExpr(where, &sc)
+			if err != nil {
+				return nil, err
 			}
-			return c < 0
+			if types.TruthOf(v) == types.True {
+				rows = append(rows, row)
+			}
+		}
+	}
+	var err error
+	if c.grouped {
+		rows, err = s.projectGrouped(c, rows, outer)
+	} else {
+		rows, err = s.projectRows(c, rows, &sc)
+	}
+	if err == nil && c.distinct {
+		rows = dedupeRows(rows)
+	}
+	return rows, err
+}
+
+// openFrom opens the core's source tree in FROM order: each entry's
+// sources left to right through its join chain, entries combined by
+// cross product. A FROM-less core reads one empty row.
+func (s *Session) openFrom(c *core, outer *scope) (*relation, error) {
+	if len(c.from) == 0 {
+		return &relation{rows: [][]types.Value{{}}}, nil
+	}
+	// rel is the product of the entries completed so far, left the entry
+	// in progress.
+	var rel, left *relation
+	for i := range c.from {
+		step := &c.from[i]
+		if step.join == nil && left != nil {
+			rel, left = crossEntries(rel, left), nil
+		}
+		r, err := s.openSource(&step.source, outer)
+		if err != nil {
+			return nil, err
+		}
+		if step.join == nil {
+			left = r
+		} else if left, err = s.joinRelations(left, r, *step.join, outer); err != nil {
+			return nil, err
+		}
+	}
+	return crossEntries(rel, left), nil
+}
+
+func crossEntries(rel, entry *relation) *relation {
+	if rel == nil {
+		return entry
+	}
+	return crossProduct(rel, entry)
+}
+
+// openSource reads one FROM reference whole: a base table's rows on the
+// session's read plane, or the rows a derived table or view body
+// produces (a view body sees no enclosing scope).
+func (s *Session) openSource(src *source, outer *scope) (*relation, error) {
+	rel := &relation{cols: src.cols}
+	switch {
+	case src.sub == nil:
+		// A name compile time did not know (src.err) is still unknown:
+		// plans are stamped with their schema generation.
+		t, ok := s.lookupTable(src.name)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrTableNotFound, src.name)
+		}
+		rel.rows = t.Rows
+	case src.view:
+		rows, err := s.runSelect(src.sub, nil)
+		if err != nil {
+			return nil, fmt.Errorf("expanding view %s: %w", src.name, err)
+		}
+		if src.err != nil {
+			return nil, src.err
+		}
+		rel.rows = rows
+	default:
+		rows, err := s.runSelect(src.sub, outer)
+		if err != nil {
+			return nil, err
+		}
+		rel.rows = rows
+	}
+	return rel, nil
+}
+
+// sortRows orders the result by the plan's resolved keys, stably. The
+// first key error ends the sort's work.
+func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *scope) error {
+	sc := scope{cols: cs.outScope, parent: outer}
+	var sortErr error
+	keyOf := func(k *sortKey, row []types.Value) (v types.Value) {
+		switch {
+		case sortErr != nil:
+		case k.err != nil:
+			sortErr = k.err
+		case k.col >= 0:
+			v = row[k.col]
+		default:
+			sc.vals = row
+			v, sortErr = s.evalExpr(k.expr, &sc)
+		}
+		return v
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		for k := range cs.keys {
+			key := &cs.keys[k]
+			a, b := keyOf(key, rows[i]), keyOf(key, rows[j])
+			if sortErr != nil {
+				return false
+			}
+			if c := compareForSort(a, b); c != 0 {
+				return (c > 0) == key.desc
+			}
 		}
 		return false
 	})
-	res.Columns = res.Columns[:visible]
-	for i, row := range res.Rows {
-		res.Rows[i] = row[:visible]
-	}
-	return res, nil
-}
-
-// unionAllAt reports whether the branch u was attached with UNION ALL.
-func unionAllAt(first *ast.Select, u *ast.Select) bool {
-	for cur := first; cur != nil; cur = cur.Union {
-		if cur.Union == u {
-			return cur.UnionAll
-		}
-	}
-	return false
+	return sortErr
 }
 
 func dedupeRows(rows [][]types.Value) [][]types.Value {
@@ -158,64 +265,6 @@ func rowKey(row []types.Value) string {
 	return b.String()
 }
 
-func orderRows(e *Session, res *Result, order []ast.OrderItem, outer *scope) error {
-	outCols := make([]scopeCol, len(res.Columns))
-	for i, c := range res.Columns {
-		outCols[i] = scopeCol{name: up(c)}
-	}
-	keyOf := func(row []types.Value, item ast.OrderItem) (types.Value, error) {
-		// Positional: ORDER BY 2.
-		if lit, ok := item.Expr.(*ast.Literal); ok && lit.Val.K == types.KindInt {
-			idx := int(lit.Val.I) - 1
-			if idx < 0 || idx >= len(row) {
-				return types.Value{}, fmt.Errorf("ORDER BY position %d out of range", lit.Val.I)
-			}
-			return row[idx], nil
-		}
-		// Column references match output columns by name, ignoring any
-		// table qualifier (the source tables are gone at this point).
-		if cr, ok := item.Expr.(*ast.ColumnRef); ok {
-			name := up(cr.Column)
-			for i, c := range outCols {
-				if c.name == name {
-					return row[i], nil
-				}
-			}
-			return types.Value{}, fmt.Errorf("ORDER BY column %s must appear in the select list", refName(cr))
-		}
-		sc := &scope{cols: outCols, vals: row, parent: outer}
-		return e.evalExpr(item.Expr, sc)
-	}
-	var sortErr error
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		if sortErr != nil {
-			return false
-		}
-		for _, item := range order {
-			a, err := keyOf(res.Rows[i], item)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			b, err := keyOf(res.Rows[j], item)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			c := compareForSort(a, b)
-			if c == 0 {
-				continue
-			}
-			if item.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return sortErr
-}
-
 // compareForSort orders values with NULLs first, mixed kinds by kind.
 func compareForSort(a, b types.Value) int {
 	if a.IsNull() || b.IsNull() {
@@ -235,253 +284,6 @@ func compareForSort(a, b types.Value) int {
 		return int(a.K) - int(b.K)
 	}
 	return strings.Compare(a.String(), b.String())
-}
-
-// ---------------------------------------------------------------------------
-// Core SELECT (one branch, before UNION/ORDER/LIMIT)
-
-func (e *Session) evalSelectCore(s *ast.Select, outer *scope) (*Result, error) {
-	rel, err := e.buildFrom(s, outer)
-	if err != nil {
-		return nil, err
-	}
-	// Plan-time validation: column references must resolve against the
-	// FROM relation (or an enclosing scope) even when no rows exist.
-	for _, it := range s.Items {
-		if !it.Star {
-			if err := e.validateRefs(it.Expr, rel.cols, outer); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, x := range []ast.Expr{s.Where, s.Having} {
-		if err := e.validateRefs(x, rel.cols, outer); err != nil {
-			return nil, err
-		}
-	}
-	for _, g := range s.GroupBy {
-		if err := e.validateRefs(g, rel.cols, outer); err != nil {
-			return nil, err
-		}
-	}
-	if s.Where != nil {
-		filtered := rel.rows[:0:0]
-		for _, row := range rel.rows {
-			sc := &scope{cols: rel.cols, vals: row, parent: outer}
-			v, err := e.evalExpr(s.Where, sc)
-			if err != nil {
-				return nil, err
-			}
-			if types.TruthOf(v) == types.True {
-				filtered = append(filtered, row)
-			}
-		}
-		rel.rows = filtered
-	}
-
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || selectHasAggregate(s)
-	var res *Result
-	if grouped {
-		res, err = e.projectGrouped(s, rel, outer)
-	} else {
-		res, err = e.projectRows(s, rel, outer)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.Distinct {
-		res.Rows = dedupeRows(res.Rows)
-	}
-	return res, nil
-}
-
-// selectHasAggregate reports whether the select's own items or HAVING
-// aggregate over its rows. Subqueries are opaque: an aggregate inside a
-// scalar subquery item aggregates the subquery's rows, not this
-// select's, so descending into it (as the generic expression walker
-// does) would wrongly collapse a row-wise outer query to one grouped
-// row.
-func selectHasAggregate(s *ast.Select) bool {
-	for _, it := range s.Items {
-		if hasOwnAggregate(it.Expr) {
-			return true
-		}
-	}
-	return hasOwnAggregate(s.Having)
-}
-
-// hasOwnAggregate walks one expression without entering subqueries.
-func hasOwnAggregate(x ast.Expr) bool {
-	switch n := x.(type) {
-	case *ast.FuncCall:
-		if isAggregateName(n.Name) {
-			return true
-		}
-		for _, a := range n.Args {
-			if hasOwnAggregate(a) {
-				return true
-			}
-		}
-	case *ast.Binary:
-		return hasOwnAggregate(n.L) || hasOwnAggregate(n.R)
-	case *ast.Unary:
-		return hasOwnAggregate(n.X)
-	case *ast.In:
-		// n.Select is a subquery scope of its own.
-		if hasOwnAggregate(n.X) {
-			return true
-		}
-		for _, a := range n.List {
-			if hasOwnAggregate(a) {
-				return true
-			}
-		}
-	case *ast.Between:
-		return hasOwnAggregate(n.X) || hasOwnAggregate(n.Lo) || hasOwnAggregate(n.Hi)
-	case *ast.Like:
-		return hasOwnAggregate(n.X) || hasOwnAggregate(n.Pattern)
-	case *ast.IsNull:
-		return hasOwnAggregate(n.X)
-	case *ast.Case:
-		if hasOwnAggregate(n.Operand) || hasOwnAggregate(n.Else) {
-			return true
-		}
-		for _, w := range n.Whens {
-			if hasOwnAggregate(w.Cond) || hasOwnAggregate(w.Then) {
-				return true
-			}
-		}
-	case *ast.Cast:
-		return hasOwnAggregate(n.X)
-	}
-	return false
-}
-
-func isAggregateName(name string) bool {
-	switch strings.ToUpper(name) {
-	case "AVG", "SUM", "COUNT", "MIN", "MAX":
-		return true
-	default:
-		return false
-	}
-}
-
-// validateRefs checks that every column reference outside nested
-// subqueries resolves against the relation columns or an enclosing
-// scope. Subqueries are skipped: they establish their own FROM scopes
-// and are validated when evaluated.
-func (e *Session) validateRefs(x ast.Expr, cols []scopeCol, outer *scope) error {
-	var walk func(ast.Expr) error
-	walk = func(n ast.Expr) error {
-		switch v := n.(type) {
-		case nil:
-			return nil
-		case *ast.ColumnRef:
-			probe := &scope{cols: cols, vals: make([]types.Value, len(cols)), parent: outer}
-			if _, ok, err := probe.lookup(v.Table, v.Column); err == nil && !ok {
-				return fmt.Errorf("unknown column %s", refName(v))
-			}
-			return nil
-		case *ast.Binary:
-			if err := walk(v.L); err != nil {
-				return err
-			}
-			return walk(v.R)
-		case *ast.Unary:
-			return walk(v.X)
-		case *ast.FuncCall:
-			if b, ok := e.eng.cfg.Funcs[strings.ToUpper(v.Name)]; ok && b.SeqFunc {
-				return nil // first argument is a sequence name, not a column
-			}
-			for _, a := range v.Args {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *ast.Between:
-			for _, a := range []ast.Expr{v.X, v.Lo, v.Hi} {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *ast.Like:
-			if err := walk(v.X); err != nil {
-				return err
-			}
-			return walk(v.Pattern)
-		case *ast.IsNull:
-			return walk(v.X)
-		case *ast.Case:
-			if err := walk(v.Operand); err != nil {
-				return err
-			}
-			for _, w := range v.Whens {
-				if err := walk(w.Cond); err != nil {
-					return err
-				}
-				if err := walk(w.Then); err != nil {
-					return err
-				}
-			}
-			return walk(v.Else)
-		case *ast.Cast:
-			return walk(v.X)
-		case *ast.In:
-			if err := walk(v.X); err != nil {
-				return err
-			}
-			for _, a := range v.List {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-			return nil // subquery validated on evaluation
-		default:
-			return nil // Exists/Subquery/Literal
-		}
-	}
-	return walk(x)
-}
-
-// buildFrom constructs the source relation of a SELECT.
-func (e *Session) buildFrom(s *ast.Select, outer *scope) (*relation, error) {
-	if len(s.From) == 0 {
-		return &relation{rows: [][]types.Value{{}}}, nil
-	}
-	var rel *relation
-	for _, fi := range s.From {
-		r, err := e.buildFromItem(fi, outer)
-		if err != nil {
-			return nil, err
-		}
-		if rel == nil {
-			rel = r
-		} else {
-			rel = crossProduct(rel, r)
-		}
-	}
-	return rel, nil
-}
-
-func (e *Session) buildFromItem(fi ast.FromItem, outer *scope) (*relation, error) {
-	left, err := e.tableRefRelation(fi.Table, outer, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, j := range fi.Joins {
-		skipDistinct := j.Type == ast.JoinLeft && e.eng.cfg.Quirks.LeftJoinDistinctViewDup
-		right, err := e.tableRefRelation(j.Right, outer, skipDistinct)
-		if err != nil {
-			return nil, err
-		}
-		left, err = e.joinRelations(left, right, j, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return left, nil
 }
 
 func crossProduct(a, b *relation) *relation {
@@ -550,87 +352,30 @@ func (e *Session) joinRelations(a, b *relation, j ast.Join, outer *scope) (*rela
 	return out, nil
 }
 
-// tableRefRelation resolves a FROM reference: base table, view, or
-// derived table. skipViewDistinct implements the LeftJoinDistinctViewDup
-// quirk: the DISTINCT of a view definition is dropped when the view is
-// expanded on the right of a LEFT OUTER JOIN.
-func (e *Session) tableRefRelation(tr ast.TableRef, outer *scope, skipViewDistinct bool) (*relation, error) {
-	if tr.Subquery != nil {
-		res, err := e.evalSelect(tr.Subquery, outer)
-		if err != nil {
-			return nil, err
-		}
-		return resultToRelation(res, up(tr.Alias)), nil
+// projectRows evaluates the core's projection over the filtered rows;
+// sc is the core's scope.
+func (s *Session) projectRows(c *core, rows [][]types.Value, sc *scope) ([][]types.Value, error) {
+	if c.projErr != nil {
+		return nil, c.projErr
 	}
-	name := up(tr.Name)
-	qual := name
-	if tr.Alias != "" {
-		qual = up(tr.Alias)
-	}
-	if t, ok := e.lookupTable(name); ok {
-		rel := &relation{cols: make([]scopeCol, len(t.Cols))}
-		for i, c := range t.Cols {
-			rel.cols[i] = scopeCol{qual: qual, name: c.Name}
-		}
-		rel.rows = append(rel.rows, t.Rows...)
-		return rel, nil
-	}
-	if v, ok := e.lookupView(name); ok {
-		sel := v.Select
-		if skipViewDistinct && sel.Distinct {
-			cp := *sel
-			cp.Distinct = false
-			sel = &cp
-		}
-		res, err := e.evalSelect(sel, nil)
-		if err != nil {
-			return nil, fmt.Errorf("expanding view %s: %w", name, err)
-		}
-		if len(v.Columns) > 0 {
-			if len(v.Columns) != len(res.Columns) {
-				return nil, fmt.Errorf("view %s column list does not match definition", name)
-			}
-			res.Columns = append([]string(nil), v.Columns...)
-		}
-		return resultToRelation(res, qual), nil
-	}
-	return nil, fmt.Errorf("%w: %s", ErrTableNotFound, name)
-}
-
-func resultToRelation(res *Result, qual string) *relation {
-	rel := &relation{cols: make([]scopeCol, len(res.Columns)), rows: res.Rows}
-	for i, c := range res.Columns {
-		rel.cols[i] = scopeCol{qual: qual, name: up(c)}
-	}
-	return rel
-}
-
-// ---------------------------------------------------------------------------
-// Projection
-
-func (e *Session) projectRows(s *ast.Select, rel *relation, outer *scope) (*Result, error) {
-	cols, exprs, err := e.expandItems(s, rel)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Kind: ResultRows, Columns: cols}
-	for _, row := range rel.rows {
-		sc := &scope{cols: rel.cols, vals: row, parent: outer}
-		out := make([]types.Value, len(exprs))
-		for i, ex := range exprs {
-			if ex.star >= 0 {
-				out[i] = row[ex.star]
+	var out [][]types.Value
+	for _, row := range rows {
+		sc.vals = row
+		vals := make([]types.Value, len(c.projs))
+		for i, px := range c.projs {
+			if px.star >= 0 {
+				vals[i] = row[px.star]
 				continue
 			}
-			v, err := e.evalExpr(ex.expr, sc)
+			v, err := s.evalExpr(px.expr, sc)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			vals[i] = v
 		}
-		res.Rows = append(res.Rows, out)
+		out = append(out, vals)
 	}
-	return res, nil
+	return out, nil
 }
 
 type projExpr struct {
@@ -640,20 +385,20 @@ type projExpr struct {
 
 // expandItems resolves the SELECT list into output column names and
 // projection expressions, expanding * and tbl.*.
-func (e *Session) expandItems(s *ast.Select, rel *relation) ([]string, []projExpr, error) {
+func (e *Session) expandItems(items []ast.SelectItem, from []scopeCol) ([]string, []projExpr, error) {
 	var cols []string
 	var exprs []projExpr
-	for _, it := range s.Items {
+	for _, it := range items {
 		switch {
 		case it.Star && it.StarTable == "":
-			for i, c := range rel.cols {
+			for i, c := range from {
 				cols = append(cols, c.name)
 				exprs = append(exprs, projExpr{star: i})
 			}
 		case it.Star:
 			q := up(it.StarTable)
 			found := false
-			for i, c := range rel.cols {
+			for i, c := range from {
 				if c.qual == q {
 					cols = append(cols, c.name)
 					exprs = append(exprs, projExpr{star: i})
@@ -713,16 +458,17 @@ func renderExprName(x ast.Expr) string {
 // ---------------------------------------------------------------------------
 // Grouped projection (GROUP BY / aggregates)
 
-func (e *Session) projectGrouped(s *ast.Select, rel *relation, outer *scope) (*Result, error) {
+func (e *Session) projectGrouped(c *core, rows [][]types.Value, outer *scope) ([][]types.Value, error) {
 	type group struct {
 		key  string
 		rows [][]types.Value
 	}
+	s := c.sel
 	var groups []*group
 	if len(s.GroupBy) > 0 {
 		index := make(map[string]*group)
-		for _, row := range rel.rows {
-			sc := &scope{cols: rel.cols, vals: row, parent: outer}
+		for _, row := range rows {
+			sc := &scope{cols: c.cols, vals: row, parent: outer}
 			var kb strings.Builder
 			for _, gexpr := range s.GroupBy {
 				v, err := e.evalExpr(gexpr, sc)
@@ -745,24 +491,15 @@ func (e *Session) projectGrouped(s *ast.Select, rel *relation, outer *scope) (*R
 		}
 	} else {
 		// Global aggregate: one group over all rows (possibly empty).
-		groups = append(groups, &group{rows: rel.rows})
+		groups = append(groups, &group{rows: rows})
 	}
-
-	cols := make([]string, 0, len(s.Items))
-	for _, it := range s.Items {
-		if it.Star {
-			return nil, errors.New("cannot use * with GROUP BY or aggregates")
-		}
-		name, err := e.outputName(it)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, name)
+	if c.projErr != nil {
+		return nil, c.projErr
 	}
-	res := &Result{Kind: ResultRows, Columns: cols}
+	var out [][]types.Value
 	for _, g := range groups {
 		if s.Having != nil {
-			hv, err := e.evalGroupExpr(s.Having, g.rows, rel.cols, outer)
+			hv, err := e.evalGroupExpr(s.Having, g.rows, c.cols, outer)
 			if err != nil {
 				return nil, err
 			}
@@ -770,17 +507,17 @@ func (e *Session) projectGrouped(s *ast.Select, rel *relation, outer *scope) (*R
 				continue
 			}
 		}
-		out := make([]types.Value, len(s.Items))
-		for i, it := range s.Items {
-			v, err := e.evalGroupExpr(it.Expr, g.rows, rel.cols, outer)
+		vals := make([]types.Value, len(c.items))
+		for i, it := range c.items {
+			v, err := e.evalGroupExpr(it.Expr, g.rows, c.cols, outer)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			vals[i] = v
 		}
-		res.Rows = append(res.Rows, out)
+		out = append(out, vals)
 	}
-	return res, nil
+	return out, nil
 }
 
 // evalGroupExpr evaluates an expression in grouped context: aggregate

@@ -84,8 +84,12 @@ type Session struct {
 	// suffices.
 	bind []types.Value
 
-	// lastPlan records how the most recent SELECT executed (access path,
-	// compiled vs interpreter, cache hit) — see Session.LastPlan.
+	// subs are the nested selects the running plan compiled for its own
+	// expressions (compiled.go); evaluation finds a subquery's plan here.
+	subs map[*ast.Select]*compiledSelect
+
+	// lastPlan records how the most recent SELECT, UPDATE or DELETE
+	// reached its rows — see Session.LastPlan.
 	lastPlan plan.Info
 }
 
@@ -173,10 +177,11 @@ func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, err
 		}
 		if !e.selectAdvancesSequences(x) {
 			defer e.mu.RUnlock()
-			return s.execSelectRead(x, bind)
+			return s.execSelectRead(x, bind, plan.ForceAuto)
 		}
 		// A sequence-advancing SELECT mutates state: fall through to
-		// the latched write path (it stays on the interpreter).
+		// the latched write path (it compiles per execution and never
+		// publishes to the memo).
 		defer e.mu.RUnlock()
 		s.lastPlan = plan.Info{}
 		return s.execLatched(st, bind)
@@ -251,7 +256,7 @@ func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, err
 		// a committed DDL transaction, or a rollback (which restored
 		// the previous stamp) the live schema version is the committed
 		// one.
-		e.committedSchema = e.schemaVersion
+		e.publishSchema()
 	}
 	return res, err
 }
@@ -288,6 +293,7 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 	s.bind = nil
 	s.dmlOwn = false
 	s.ownTabs = nil
+	s.subs = nil
 	if !s.inTxn {
 		if err == nil {
 			// Advance the commit mark while the latches are held, so a
@@ -302,15 +308,16 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 	return res, err
 }
 
-// execSelectRead runs a pure SELECT on the appropriate read plane.
-// Caller holds the engine read lock.
-func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value) (*Result, error) {
+// execSelectRead runs a pure SELECT, normally or under a forced plan
+// variant, on the appropriate read plane. Caller holds the engine read
+// lock.
+func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value, force plan.Force) (*Result, error) {
 	e := s.eng
 	e.checkPlantedPanic()
 	if s.inTxn {
 		s.txnStmts++
 		if s.didDDL || s.touchesRefs(sel) {
-			return s.execSelectOwn(sel, bind)
+			return s.execSelectOwn(sel, bind, force)
 		}
 		if s.level == LevelRepeatableRead {
 			if s.pinned == nil {
@@ -324,7 +331,7 @@ func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value) (*Result, 
 		s.curRead = e.currentView()
 	}
 	s.bind = bind
-	res, err := s.execSelectRLocked(sel)
+	res, err := s.execSelectRLocked(sel, force)
 	s.bind = nil
 	s.curRead = nil
 	return res, err
@@ -350,7 +357,7 @@ func (s *Session) touchesRefs(sel *ast.Select) bool {
 // transactions' uncommitted changes rewound per table, so the session
 // sees exactly the committed state plus its own writes. Caller holds
 // the engine read lock.
-func (s *Session) execSelectOwn(sel *ast.Select, bind []types.Value) (*Result, error) {
+func (s *Session) execSelectOwn(sel *ast.Select, bind []types.Value, force plan.Force) (*Result, error) {
 	e := s.eng
 	refs := e.statementRefsLocked(sel)
 	release := e.latchTables(refs)
@@ -370,7 +377,7 @@ func (s *Session) execSelectOwn(sel *ast.Select, bind []types.Value) (*Result, e
 	}
 	s.ownTabs = overlay
 	s.bind = bind
-	res, err := s.execSelectRLocked(sel)
+	res, err := s.execSelectRLocked(sel, force)
 	s.bind = nil
 	s.ownTabs = nil
 	return res, err
@@ -399,7 +406,7 @@ func (e *Engine) SelectAdvancesSequences(sel *ast.Select) bool {
 // the one of callers choosing a lock mode per execution of a prepared
 // statement.
 func (e *Engine) selectAdvancesSequences(sel *ast.Select) bool {
-	if v, ok := e.planMemo.Load(sel); ok && v.(*memoEntry).version == e.schemaVersion {
+	if cs, _ := e.planMemo.load(sel, e.schemaVersion); cs != nil {
 		return false
 	}
 	return e.selectAdvances(sel, nil)

@@ -12,7 +12,7 @@ import (
 // internedStmt gives every caller the same tree for one text, as
 // core.Resolve does above the engine (this package cannot import core):
 // the plan memo is keyed by the tree's address.
-func internedStmt(t *testing.T, sql string) ast.Statement {
+func internedStmt(t testing.TB, sql string) ast.Statement {
 	t.Helper()
 	if st, ok := testInterned.Load(sql); ok {
 		return st.(ast.Statement)
@@ -28,7 +28,7 @@ func internedStmt(t *testing.T, sql string) ast.Statement {
 var testInterned sync.Map // text -> ast.Statement
 
 // sessExec parses and executes one statement on a session.
-func sessExec(t *testing.T, s *Session, sql string) *Result {
+func sessExec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
 	st := internedStmt(t, sql)
 	res, err := s.Exec(st)

@@ -178,15 +178,16 @@ func (c *Session) Abort() { c.es.Abort() }
 // InTxn reports whether this session has an open transaction.
 func (c *Session) InTxn() bool { return c.es.InTxn() }
 
-// LastPlan describes how the session's most recent SELECT executed on
-// the engine (access path, compiled vs interpreter, plan-cache hit).
+// LastPlan describes how the session's most recent SELECT, UPDATE or
+// DELETE reached its rows on the engine (the access path of the
+// statement and of every core nested in it, plan-cache hit).
 func (c *Session) LastPlan() engplan.Info { return c.es.LastPlan() }
 
 // ExecVariant executes an already parsed pure SELECT under a forced
-// access-path variant, bypassing the engine's plan caches and this
-// server's fault layer. It is the probe of the forced-variant
+// access-path variant, bypassing this server's fault layer (and, when
+// forced, the engine's plan memo). It is the probe of the forced-variant
 // differential oracle (difftest's DQP-lite gate): the caller runs the
-// same statement once per variant and compares the results.
+// same statement normally and forced and compares the results.
 func (c *Session) ExecVariant(sel *ast.Select, force engplan.Force, args ...types.Value) (*engine.Result, error) {
 	return c.es.ExecSelectVariant(sel, force, args)
 }
