@@ -340,6 +340,30 @@ func BenchmarkShardedTPCC(b *testing.B) {
 	}
 }
 
+// bulkLoad creates a table and fills it with rows 1..rows, in batches:
+// tuple renders row id's VALUES tuple.
+func bulkLoad(tb testing.TB, sess *server.Session, create, table string, rows int, tuple func(id int) string) {
+	tb.Helper()
+	exec := func(sql string) {
+		if _, _, err := sess.Exec(sql); err != nil {
+			tb.Fatalf("%.80s: %v", sql, err)
+		}
+	}
+	exec(create)
+	const batch = 200
+	for lo := 1; lo <= rows; lo += batch {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO " + table + " VALUES ")
+		for id := lo; id < lo+batch && id <= rows; id++ {
+			if id > lo {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(tuple(id))
+		}
+		exec(sb.String())
+	}
+}
+
 // indexLookupFixture loads a keyed table of the given size on a PG server
 // and returns a session on it plus the pre-parsed point and range probes
 // of BenchmarkIndexLookup and TestIndexLookupSpeedup.
@@ -350,24 +374,8 @@ func indexLookupFixture(tb testing.TB, rows int) (sess *server.Session, pointSel
 		tb.Fatal(err)
 	}
 	sess = srv.NewSession()
-	exec := func(sql string) {
-		if _, _, err := sess.Exec(sql); err != nil {
-			tb.Fatalf("%s: %v", sql, err)
-		}
-	}
-	exec("CREATE TABLE KV (ID INT PRIMARY KEY, V INT, S VARCHAR(16))")
-	const batch = 200
-	for lo := 1; lo <= rows; lo += batch {
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO KV (ID, V, S) VALUES ")
-		for id := lo; id < lo+batch && id <= rows; id++ {
-			if id > lo {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, %d, 'v%d')", id, id*7, id)
-		}
-		exec(sb.String())
-	}
+	bulkLoad(tb, sess, "CREATE TABLE KV (ID INT PRIMARY KEY, V INT, S VARCHAR(16))", "KV", rows,
+		func(id int) string { return fmt.Sprintf("(%d, %d, 'v%d')", id, id*7, id) })
 	pointStmt, err := parser.Parse("SELECT V FROM KV WHERE ID = $1")
 	if err != nil {
 		tb.Fatal(err)
@@ -460,6 +468,50 @@ func TestIndexLookupSpeedup(t *testing.T) {
 		t.Errorf("%d point probes at %d rows: indexed %v, full scan %v — less than 10x apart", probes, rows, indexed, full)
 	}
 	t.Logf("indexed %v, full scan %v (%.0fx)", indexed, full, float64(full)/float64(indexed))
+}
+
+// BenchmarkJoin prices the join's algorithm: the same equality join of
+// two n-row tables — every left key matches one right row, in scrambled
+// order — under the compiled plan (hash join: one probe per left row)
+// and under ForceFullScan (nested loop: ON evaluated on all n*n pairs).
+// Both allocate per output row, not per pair (TestJoinAllocs in
+// internal/engine holds that); the time ratio grows with n.
+func BenchmarkJoin(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		srv, err := server.New(dialect.PG, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess := srv.NewSession()
+		bulkLoad(b, sess, "CREATE TABLE JA (ID INT PRIMARY KEY, K INT)", "JA", n,
+			func(id int) string { return fmt.Sprintf("(%d, %d)", id, id) })
+		bulkLoad(b, sess, "CREATE TABLE JB (ID INT PRIMARY KEY, K INT)", "JB", n,
+			func(id int) string { return fmt.Sprintf("(%d, %d)", id, (id*7919)%n+1) })
+		st, err := parser.Parse("SELECT JA.ID, JB.ID FROM JA INNER JOIN JB ON JA.K = JB.K")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			force engplan.Force
+		}{
+			{"hash", engplan.ForceAuto},
+			{"nested-loop", engplan.ForceFullScan},
+		} {
+			b.Run(fmt.Sprintf("%dx%d/%s", n, n, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := sess.ExecVariant(st.(*ast.Select), tc.force)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Rows) != n {
+						b.Fatalf("join returned %d rows, want %d", len(res.Rows), n)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkComparatorNormalization is the A1 ablation: the

@@ -809,22 +809,25 @@ var variantForces = []engplan.Force{engplan.ForceFullScan}
 // each forced access-path variant and adjudicates the results against
 // the normal execution's. The comparison uses the same options as
 // server-vs-oracle adjudication (order-insensitive unless the statement
-// ordered its rows).
+// ordered its rows). The normal execution is the last thing the session
+// ran: a verdict names its plan — access paths and join algorithms — the
+// one the forced variant contradicts.
 func checkPlanVariants(oSess *server.Session, sel *ast.Select, args []types.Value, oo server.StmtOutcome) core.Classification {
 	opts := core.DefaultCompareOptions()
 	opts.OrderSensitive = len(sel.OrderBy) > 0
+	normal := oSess.LastPlan()
 	for _, force := range variantForces {
 		res, err := oSess.ExecVariant(sel, force, args...)
 		if err != nil {
 			return core.Classification{
 				Status: core.StatusFailure, Type: core.IncorrectResult,
-				Detail: fmt.Sprintf("plan variant %v failed where normal execution succeeded: %v", force, err),
+				Detail: fmt.Sprintf("plan variant %v failed where normal execution (%v) succeeded: %v", force, normal, err),
 			}
 		}
 		if d := core.Diff(res, oo.Res, opts); d != "" {
 			return core.Classification{
 				Status: core.StatusFailure, Type: core.IncorrectResult,
-				Detail: fmt.Sprintf("plan variant %v disagrees with normal execution: %s", force, d),
+				Detail: fmt.Sprintf("plan variant %v disagrees with normal execution (%v): %s", force, normal, d),
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
+	"divsql/internal/core"
 	"divsql/internal/dialect"
 	"divsql/internal/engine"
 	"divsql/internal/metamorph"
@@ -36,9 +38,9 @@ var plantedStream = []string{
 // server and the oracle, asserts the differential vote is blind (all
 // pairs no-failure), and returns the oracles' findings on the oracle
 // endpoint's base result.
-func runPlanted(t *testing.T, probe string) []metamorph.Finding {
+func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Finding {
 	t.Helper()
-	stream := append(append([]string(nil), plantedStream...), probe)
+	stream := append(append([]string(nil), fixture...), probe)
 
 	orc := server.NewOracle()
 	oOut := study.RunSource(orc, study.SliceSource(stream))
@@ -91,7 +93,7 @@ func TestPlantedRangeBoundDefect(t *testing.T) {
 	engine.PlantRangeBoundDefect(true)
 	defer engine.PlantRangeBoundDefect(false)
 
-	findings := runPlanted(t, "SELECT C1 AS X1 FROM TPLANT WHERE C1 <= 3")
+	findings := runPlanted(t, plantedStream, "SELECT C1 AS X1 FROM TPLANT WHERE C1 <= 3")
 	if !foundBy(findings, metamorph.NoREC) {
 		t.Errorf("NoREC did not catch the planted range-bound defect; findings: %v", findings)
 	}
@@ -109,9 +111,70 @@ func TestPlantedNotNullDefect(t *testing.T) {
 	engine.PlantNotNullDefect(true)
 	defer engine.PlantNotNullDefect(false)
 
-	findings := runPlanted(t, "SELECT C1 AS X1 FROM TPLANT WHERE (C2 > 15)")
+	findings := runPlanted(t, plantedStream, "SELECT C1 AS X1 FROM TPLANT WHERE (C2 > 15)")
 	if !foundBy(findings, metamorph.TLP) {
 		t.Errorf("TLP did not catch the planted NOT-NULL defect; findings: %v", findings)
+	}
+}
+
+// joinStream is the hash-join defect's fixture: the right input's NULL
+// key sits before a row the left side matches.
+var joinStream = []string{
+	"CREATE TABLE JL (K INT, V INT)",
+	"CREATE TABLE JR (K INT, W INT)",
+	"INSERT INTO JL (K, V) VALUES (1, 10), (2, 20), (NULL, 30)",
+	"INSERT INTO JR (K, W) VALUES (1, 100), (NULL, 200), (2, 300)",
+}
+
+// joinProbe has no WHERE: TLP, NoREC and CERT have nothing to partition,
+// recount or restrict, so the join is theirs to miss.
+const joinProbe = "SELECT JL.V AS X1, JR.W AS X2 FROM JL INNER JOIN JR ON JL.K = JR.K"
+
+// runPlantedJoin runs joinStream plus joinProbe on every server and the
+// oracle and asserts every arm but one is blind — the differential vote
+// (all five share the engine) and the three metamorphic oracles — then
+// returns the planvariants arm's verdict on the oracle endpoint.
+func runPlantedJoin(t *testing.T) core.Classification {
+	t.Helper()
+	if findings := runPlanted(t, joinStream, joinProbe); len(findings) > 0 {
+		t.Errorf("a metamorphic oracle convicted the join: %v", findings)
+	}
+	orc := server.NewOracle()
+	sess := orc.NewSession()
+	defer sess.Close()
+	for _, sql := range joinStream {
+		if _, _, err := sess.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	p, err := core.Resolve(joinProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := sess.Run(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkPlanVariants(sess, p.Select, nil, server.StmtOutcome{SQL: joinProbe, Res: res})
+}
+
+// TestPlantedHashJoinNullKeyDefect plants the hash join's truncated
+// build (a NULL key on the right input ends it, so the rows after it
+// match nothing). The join still answers, plausibly and identically on
+// all five endpoints; only running the same statement again with every
+// narrowing rule skipped — the planvariants arm, which since the join
+// has an algorithm compares hash join against nested loop — sees the
+// missing row, and its verdict names the plan it contradicts.
+func TestPlantedHashJoinNullKeyDefect(t *testing.T) {
+	engine.PlantHashJoinNullKeyDefect(true)
+	defer engine.PlantHashJoinNullKeyDefect(false)
+
+	cls := runPlantedJoin(t)
+	if !cls.IsFailure() {
+		t.Fatal("planvariants did not catch the planted hash-join defect")
+	}
+	if !strings.Contains(cls.Detail, "joins hash") {
+		t.Errorf("verdict does not name the join's algorithm: %s", cls.Detail)
 	}
 }
 
@@ -124,8 +187,11 @@ func TestPlantedDefectsOffAreClean(t *testing.T) {
 		"SELECT C1 AS X1 FROM TPLANT WHERE C1 <= 3",
 		"SELECT C1 AS X1 FROM TPLANT WHERE (C2 > 15)",
 	} {
-		if findings := runPlanted(t, probe); len(findings) > 0 {
+		if findings := runPlanted(t, plantedStream, probe); len(findings) > 0 {
 			t.Errorf("oracles convicted a clean engine on %q: %v", probe, findings)
 		}
+	}
+	if cls := runPlantedJoin(t); cls.IsFailure() {
+		t.Errorf("planvariants convicted a clean engine on %q: %s", joinProbe, cls.Detail)
 	}
 }

@@ -111,6 +111,13 @@ func (e *Engine) publishSchema() {
 type planBody struct {
 	subs  map[*ast.Select]*compiledSelect
 	paths []plan.Core
+	joins []plan.JoinAlgo // likewise, of every join with an ON (plan.Info.Joins)
+}
+
+// adopt lists a nested plan's cores and joins under the plan that owns it.
+func (b *planBody) adopt(sub *compiledSelect) {
+	b.paths = append(b.paths, sub.paths...)
+	b.joins = append(b.joins, sub.joins...)
 }
 
 // compiledSelect is one query expression lowered to the pipeline
@@ -192,11 +199,18 @@ func (c *core) fails() bool {
 
 // fromStep is one FROM reference: the first of a comma-separated FROM
 // entry (join nil; entries combine by cross product) or the right side
-// of a join onto what its entry has produced so far.
+// of a join onto what its entry has produced so far. key, when set, is
+// the column pair the join may hash on (hashKey).
 type fromStep struct {
 	source
 	join *ast.Join
+	key  *joinKey
 }
+
+// joinKey is a hash join's key: left and right index the rows of the
+// join's two inputs; maxParam is the highest parameter ordinal of the
+// select, for the bind-arity gate candidateRows applies too.
+type joinKey struct{ left, right, maxParam int }
 
 // source is one FROM reference. A base table is resolved by name per
 // execution, on the session's active read plane: a plan is shared across
@@ -417,10 +431,19 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, outer *scope, force p
 		}
 		for k := range fi.Joins {
 			j := &fi.Joins[k]
+			nleft := len(c.cols) - entry
 			if !add(j.Right, j, j.Type == ast.JoinLeft && s.eng.cfg.Quirks.LeftJoinDistinctViewDup) {
 				return false
 			}
-			s.compileSubs(&cs.planBody, &scope{cols: c.cols[entry:], parent: outer}, force, j.On)
+			probe := &scope{cols: c.cols[entry:], parent: outer}
+			s.compileSubs(&cs.planBody, probe, force, j.On)
+			if j.Type != ast.JoinCross && j.On != nil {
+				algo := plan.NestedLoop
+				if key := hashKey(c.sel, j.On, probe, nleft, force); key != nil {
+					c.from[len(c.from)-1].key, algo = key, plan.HashJoin
+				}
+				cs.joins = append(cs.joins, algo)
+			}
 		}
 	}
 	// One allocation holds the scope: each source's columns are its window.
@@ -433,6 +456,25 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, outer *scope, force p
 	return true
 }
 
+// hashKey is the key a join may hash on — plan.EquiJoinKey's, in the
+// scope ON is evaluated in (probe; its first nleft columns are the left
+// input's) — or nil, every pair is visited: under ForceFullScan ("skip
+// every narrowing rule") and, the gate visitPlan applies to an access
+// path, when evaluating ON can fail on a pair the key would leave out.
+func hashKey(sel *ast.Select, on ast.Expr, probe *scope, nleft int, force plan.Force) *joinKey {
+	if force == plan.ForceFullScan || !whereSafeForSkip(on, probe) {
+		return nil
+	}
+	l, r, ok := plan.EquiJoinKey(on, func(cr *ast.ColumnRef) int {
+		i, _ := probe.ordinal(up(cr.Table), up(cr.Column))
+		return i
+	}, nleft)
+	if !ok {
+		return nil
+	}
+	return &joinKey{left: l, right: r, maxParam: ast.NumParams(sel)}
+}
+
 // compileRef resolves one FROM reference: base table, view, or derived
 // table. skipViewDistinct implements the LeftJoinDistinctViewDup quirk:
 // the DISTINCT of a view definition is dropped when the view is expanded
@@ -440,7 +482,7 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, outer *scope, force p
 func (s *Session) compileRef(b *planBody, tr ast.TableRef, outer *scope, force plan.Force, skipViewDistinct bool) source {
 	if tr.Subquery != nil {
 		sub := s.compileSelect(tr.Subquery, outer, force, tr.Subquery.Distinct)
-		b.paths = append(b.paths, sub.paths...)
+		b.adopt(sub)
 		if sub.fails {
 			return source{sub: sub}
 		}
@@ -459,7 +501,7 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, outer *scope, force p
 		return source{name: name, err: fmt.Errorf("%w: %s", ErrTableNotFound, name)}
 	}
 	sub := s.compileSelect(v.Select, nil, force, v.Select.Distinct && !skipViewDistinct)
-	b.paths = append(b.paths, sub.paths...)
+	b.adopt(sub)
 	src := source{name: name, sub: sub, view: true}
 	if sub.fails {
 		return src
@@ -514,7 +556,7 @@ func (s *Session) compileSubs(b *planBody, sc *scope, force plan.Force, exprs ..
 				b.subs = make(map[*ast.Select]*compiledSelect)
 			}
 			b.subs[sub] = cs
-			b.paths = append(b.paths, cs.paths...)
+			b.adopt(cs)
 		}
 		return true
 	}
@@ -749,7 +791,7 @@ func (s *Session) planDML(st ast.Statement, t *Table, cols []scopeCol, where ast
 		}
 		e.dmlMemo.store(st, known, e.schemaVersion, dp)
 	}
-	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.Path, CacheHit: hit, Cores: dp.paths}
+	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.Path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
 	s.subs = dp.subs
 	return dp
 }
@@ -785,7 +827,7 @@ func (s *Session) execSelectRLocked(sel *ast.Select, force plan.Force) (*Result,
 // base-table core and as a full scan otherwise — and names the result's
 // columns.
 func (s *Session) runTop(cs *compiledSelect, cacheHit bool) (*Result, error) {
-	s.lastPlan = plan.Info{CacheHit: cacheHit, Cores: cs.paths}
+	s.lastPlan = plan.Info{CacheHit: cacheHit, Cores: cs.paths, Joins: cs.joins}
 	if p := cs.cores[0].p; p != nil && len(cs.cores) == 1 {
 		s.lastPlan.Table, s.lastPlan.Path = p.Table, p.Path
 	}

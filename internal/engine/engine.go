@@ -240,6 +240,10 @@ type Engine struct {
 	// (indexed by plan.AccessPath). Atomic so the read-lock SELECT path
 	// records without extra synchronization.
 	pathExecs [3]atomic.Uint64
+	// joinExecs counts executed joins with an ON predicate by the
+	// algorithm that ran (indexed by plan.JoinAlgo): a hash join that fell
+	// back at run time counts as a nested loop.
+	joinExecs [2]atomic.Uint64
 
 	// sessions registers every live session.
 	sessions map[*Session]struct{}

@@ -29,27 +29,37 @@ type scopeCol struct {
 	name string // upper-cased column name
 }
 
+// ordinal is the position of the one column of this scope — not of those
+// enclosing it — that the upper-cased reference names: -1 when it names
+// none, an error when it names several.
+func (sc *scope) ordinal(qual, name string) (int, error) {
+	found := -1
+	for i, c := range sc.cols {
+		if c.name != name {
+			continue
+		}
+		if qual != "" && c.qual != qual {
+			continue
+		}
+		if found >= 0 {
+			return -1, fmt.Errorf("ambiguous column reference %s", name)
+		}
+		found = i
+	}
+	return found, nil
+}
+
 func (sc *scope) lookup(qual, name string) (types.Value, bool, error) {
 	qual, name = up(qual), up(name)
 	for s := sc; s != nil; s = s.parent {
-		found := -1
-		for i, c := range s.cols {
-			if c.name != name {
-				continue
-			}
-			if qual != "" && c.qual != qual {
-				continue
-			}
-			if found >= 0 {
-				return types.Value{}, false, fmt.Errorf("ambiguous column reference %s", name)
-			}
-			found = i
-		}
-		if found >= 0 {
-			if s.vals == nil {
-				return types.Value{}, true, nil
-			}
-			return s.vals[found], true, nil
+		switch i, err := s.ordinal(qual, name); {
+		case err != nil:
+			return types.Value{}, false, err
+		case i < 0:
+		case s.vals == nil:
+			return types.Value{}, true, nil
+		default:
+			return s.vals[i], true, nil
 		}
 	}
 	return types.Value{}, false, nil

@@ -14,13 +14,16 @@ import (
 )
 
 // FuzzSelectVariants: a pure SELECT answers the same with and without
-// its access paths. Over a small fixed schema — indexed, unindexed and
-// NULL-bearing tables, a table whose indexes are poisoned, a view over a
-// table and one over a join — the memoised normal execution and the
-// forced full scan must agree on the error, the columns and the rows
-// (order-sensitive iff the statement orders them), and neither may
-// panic. Seeded from the regress/ corpus and this package's query
-// shapes, the ORDER BY 0 and can-fail-predicate cases included.
+// its access paths and join algorithms. Over a small fixed schema —
+// indexed, unindexed and NULL-bearing tables, a table whose indexes are
+// poisoned, a view over a table and one over a join, join inputs with
+// duplicate, NULL, FLOAT and string keys and INTs beyond 2^53 — the
+// memoised normal execution and the forced full scan (every core scans,
+// every join pairs all rows) must agree on the error, the columns and
+// the rows (order-sensitive iff the statement orders them), and neither
+// may panic. Seeded from the regress/ corpus and this package's query
+// shapes: the ORDER BY 0 and can-fail-predicate cases, the
+// join-semantics table and joins over the views and the poisoned table.
 func FuzzSelectVariants(f *testing.F) {
 	files, err := filepath.Glob("../../regress/cases/*.json")
 	if err != nil || len(files) == 0 {
@@ -50,11 +53,18 @@ func FuzzSelectVariants(f *testing.F) {
 	for _, where := range dmlWheres {
 		f.Add("SELECT A, B FROM T WHERE " + where)
 	}
+	for _, tc := range joinCases {
+		f.Add(tc.sql)
+	}
+	for _, sql := range joinFuzzShapes {
+		f.Add(sql)
+	}
 
 	e := New(Config{Quirks: Quirks{SkipDefaultTypeCheck: true}})
 	s := e.NewSession()
 	seedShapes(f, s)
 	seedKeyed(f, s, true)
+	seedJoin(f, s)
 
 	f.Fuzz(func(t *testing.T, sql string) {
 		st, err := parser.Parse(sql)

@@ -119,6 +119,12 @@ func (e *Engine) MetricsCollector(replica string) obs.Collector {
 				append(labels[:len(labels):len(labels)], obs.L("path", plan.AccessPath(p).String()))...)
 		}
 
+		for a := range e.joinExecs {
+			f.Count("divsql_engine_join_execs_total",
+				"Joins with an ON predicate executed, by the algorithm that ran (a hash join that fell back at run time counts as nested-loop).", e.joinExecs[a].Load(),
+				append(labels[:len(labels):len(labels)], obs.L("algo", plan.JoinAlgo(a).String()))...)
+		}
+
 		st := e.StatsSnapshot()
 		f.Gauge("divsql_engine_sessions",
 			"Live engine sessions.", float64(st.Sessions), labels...)

@@ -133,6 +133,59 @@ func Analyze(meta TableMeta, alias string, where ast.Expr, maxParam int, force F
 	return p
 }
 
+// JoinAlgo names how a join pairs its inputs.
+type JoinAlgo int
+
+// Join algorithms.
+const (
+	// NestedLoop evaluates ON for every pair (the fallback, and what
+	// ForceFullScan forces).
+	NestedLoop JoinAlgo = iota
+	// HashJoin buckets the right input by an INT key column and evaluates
+	// ON only for the pairs whose keys are equal.
+	HashJoin
+)
+
+// String names the algorithm (for plan introspection and metric labels).
+func (a JoinAlgo) String() string {
+	if a == HashJoin {
+		return "hash"
+	}
+	return "nested-loop"
+}
+
+// EquiJoinKey is the join rule: it picks the key a join may hash on from
+// the top-level AND conjuncts of its ON predicate — the first `col = col`
+// whose sides are one column left of the join and one right of it.
+// ordinal resolves a reference in the scope ON is evaluated in — the
+// join's own, whose first nleft columns are the left input's — and
+// answers -1 for a reference that is not exactly one column of it
+// (unknown, ambiguous, or an enclosing query's). left indexes the left
+// input's rows, right the right input's. Like an access path, the key
+// only ever names candidate pairs: the executor evaluates the whole ON
+// on each, and asks only when that evaluation cannot fail.
+func EquiJoinKey(on ast.Expr, ordinal func(*ast.ColumnRef) int, nleft int) (left, right int, ok bool) {
+	for _, c := range conjuncts(on, make([]ast.Expr, 0, 4)) {
+		b, isBin := c.(*ast.Binary)
+		if !isBin || b.Op != ast.OpEq {
+			continue
+		}
+		l, lok := b.L.(*ast.ColumnRef)
+		r, rok := b.R.(*ast.ColumnRef)
+		if !lok || !rok {
+			continue
+		}
+		lo, ro := ordinal(l), ordinal(r)
+		if lo > ro {
+			lo, ro = ro, lo
+		}
+		if lo >= 0 && lo < nleft && ro >= nleft {
+			return lo, ro - nleft, true
+		}
+	}
+	return 0, 0, false
+}
+
 // colPredicates are the conjuncts an index over one column can serve:
 // the first equality value and the first bound of each side.
 type colPredicates struct {
@@ -326,14 +379,33 @@ func chooseAccessPath(p *SelectPlan, meta TableMeta, preds []colPredicates) {
 // are those of a statement that is a single base-table core (a SELECT
 // over one table, an UPDATE or a DELETE) and zero — full scan —
 // otherwise; Cores lists every single-base-table core the statement
-// compiled to, nested ones included, in compile order; CacheHit reports
-// whether the plan came out of the shared memo. Exposed via
-// Session.LastPlan for tests and the forced-variant difftest oracle.
+// compiled to, and Joins the algorithm chosen for every join with an ON
+// predicate, nested ones included, in compile order (a hash join still
+// falls back to the nested loop at run time on key values it cannot
+// hash); CacheHit reports whether the plan came out of the shared memo.
+// Exposed via Session.LastPlan for tests and the forced-variant difftest
+// oracle.
 type Info struct {
 	Table    string
 	Path     AccessPath
 	CacheHit bool
 	Cores    []Core
+	Joins    []JoinAlgo
+}
+
+// String renders the plan on one line, for divergence reports:
+// "cores KV:point-lookup U:full-scan; joins hash nested-loop".
+func (i Info) String() string {
+	var b strings.Builder
+	b.WriteString("cores")
+	for _, c := range i.Cores {
+		b.WriteString(" " + c.Table + ":" + c.Path.String())
+	}
+	b.WriteString("; joins")
+	for _, j := range i.Joins {
+		b.WriteString(" " + j.String())
+	}
+	return b.String()
 }
 
 // Core is one single-base-table core of a compiled statement.

@@ -150,3 +150,53 @@ func TestDuplicateEqualityFirstWins(t *testing.T) {
 		t.Fatalf("first equality must win, got %+v", p.KeyVals[0])
 	}
 }
+
+// The join rule: the first top-level conjunct equating one column left
+// of the join with one right of it is the key, either way round;
+// anything the ordinal function does not place in the join's own scope,
+// an equality under OR, and an equality within one side are not.
+func TestEquiJoinKey(t *testing.T) {
+	// The join's scope: L(K, V) then R(K, Z); O.X belongs to an enclosing
+	// query.
+	cols := map[string]int{"L.K": 0, "L.V": 1, "R.K": 2, "R.Z": 3}
+	ordinal := func(cr *ast.ColumnRef) int {
+		if i, ok := cols[strings.ToUpper(cr.Table+"."+cr.Column)]; ok {
+			return i
+		}
+		return -1
+	}
+	for _, tc := range []struct {
+		on          string
+		left, right int
+		ok          bool
+	}{
+		{"L.K = R.K", 0, 0, true},
+		{"R.Z = L.V", 1, 1, true},
+		{"R.Z > 0 AND (L.V = R.K AND L.K = R.K)", 1, 0, true},
+		{"L.K = L.V AND R.K = R.Z AND L.K = R.Z", 0, 1, true},
+		{"L.K = R.K OR L.V = R.Z", 0, 0, false},
+		{"NOT (L.K = R.K)", 0, 0, false},
+		{"L.K < R.K", 0, 0, false},
+		{"L.K = R.K + 0", 0, 0, false},
+		{"L.K = 1 AND R.K = 1", 0, 0, false},
+		{"O.X = R.K", 0, 0, false},
+		{"K = R.K", 0, 0, false},
+	} {
+		st, err := parser.Parse("SELECT 1 FROM L INNER JOIN R ON " + tc.on)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.on, err)
+		}
+		on := st.(*ast.Select).From[0].Joins[0].On
+		l, r, ok := EquiJoinKey(on, ordinal, 2)
+		if ok != tc.ok || (ok && (l != tc.left || r != tc.right)) {
+			t.Errorf("ON %s: key = (%d, %d, %v), want (%d, %d, %v)", tc.on, l, r, ok, tc.left, tc.right, tc.ok)
+		}
+	}
+}
+
+func TestInfoString(t *testing.T) {
+	i := Info{Cores: []Core{{Table: "KV", Path: PointLookup}, {Table: "U"}}, Joins: []JoinAlgo{HashJoin, NestedLoop}}
+	if got, want := i.String(), "cores KV:point-lookup U:full-scan; joins hash nested-loop"; got != want {
+		t.Errorf("Info.String() = %q, want %q", got, want)
+	}
+}

@@ -21,6 +21,13 @@ var (
 	// TRUE instead of UNKNOWN, breaking three-valued logic. TLP's NOT(p)
 	// partition then double-counts every row on which p is UNKNOWN.
 	plantedNotNullDefect atomic.Bool
+	// plantedHashJoinNullKeyDefect makes the hash join's build stop at the
+	// first NULL key of its right input — candidateRows' "a NULL key
+	// proves the visit empty" rule, wrongly carried over to a join input —
+	// so the right rows after it match nothing. The nested loop is
+	// untouched: only a second execution under ForceFullScan of the same
+	// join (the planvariants arm) sees the missing rows.
+	plantedHashJoinNullKeyDefect atomic.Bool
 )
 
 // PlantRangeBoundDefect arms or disarms the RangeScan inclusive-upper
@@ -30,6 +37,10 @@ func PlantRangeBoundDefect(on bool) { plantedRangeBoundDefect.Store(on) }
 // PlantNotNullDefect arms or disarms the NOT-of-NULL three-valued-logic
 // defect. Test-only.
 func PlantNotNullDefect(on bool) { plantedNotNullDefect.Store(on) }
+
+// PlantHashJoinNullKeyDefect arms or disarms the hash join's truncated
+// build. Test-only.
+func PlantHashJoinNullKeyDefect(on bool) { plantedHashJoinNullKeyDefect.Store(on) }
 
 // PlantPanic arms or disarms a panic at the start of this engine's SELECT
 // and DML executions, raised with the engine's locks and table latches

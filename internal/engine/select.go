@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
@@ -159,7 +161,7 @@ func (s *Session) openFrom(c *core, outer *scope) (*relation, error) {
 		}
 		if step.join == nil {
 			left = r
-		} else if left, err = s.joinRelations(left, r, *step.join, outer); err != nil {
+		} else if left, err = s.joinRelations(left, r, step, outer); err != nil {
 			return nil, err
 		}
 	}
@@ -300,37 +302,48 @@ func crossProduct(a, b *relation) *relation {
 	return out
 }
 
-func (e *Session) joinRelations(a, b *relation, j ast.Join, outer *scope) (*relation, error) {
-	out := &relation{cols: append(append([]scopeCol(nil), a.cols...), b.cols...)}
+// joinRelations joins b onto a under the step's ON predicate, which is
+// evaluated against one scratch row and one scope per join; a result row
+// is allocated only for a match. When the step has a hash key and every
+// key value is hashable (hashRight), ON — the whole of it — is evaluated
+// only on the bucket a left row's key selects. The pairs left out have
+// unequal or NULL keys: ON is not true on them and (whereSafeForSkip)
+// cannot fail on them, so rows, their order, null-extension and errors
+// are those of the every-pair loop that runs otherwise.
+func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *scope) (*relation, error) {
+	j := step.join
 	if j.Type == ast.JoinCross || j.On == nil {
 		return crossProduct(a, b), nil
 	}
-	matchOn := func(ra, rb []types.Value) (bool, error) {
-		row := make([]types.Value, 0, len(ra)+len(rb))
-		row = append(row, ra...)
-		row = append(row, rb...)
-		sc := &scope{cols: out.cols, vals: row, parent: outer}
-		v, err := e.evalExpr(j.On, sc)
-		if err != nil {
-			return false, err
+	out := &relation{cols: append(append([]scopeCol(nil), a.cols...), b.cols...)}
+	buckets, algo := s.hashRight(step.key, a, b)
+	s.eng.joinExecs[algo].Add(1)
+	var all []int // every right row: what a left row pairs with, unhashed
+	if algo == plan.NestedLoop {
+		all = make([]int, len(b.rows))
+		for i := range all {
+			all[i] = i
 		}
-		return types.TruthOf(v) == types.True, nil
 	}
+	scratch := make([]types.Value, len(out.cols))
+	sc := scope{cols: out.cols, vals: scratch, parent: outer}
 	rightMatched := make([]bool, len(b.rows))
 	for _, ra := range a.rows {
+		copy(scratch, ra)
+		cand := all // nil when hashed: a NULL key pairs with nothing
+		if algo == plan.HashJoin && ra[step.key.left].K == types.KindInt {
+			cand = buckets[ra[step.key.left].I]
+		}
 		matched := false
-		for bi, rb := range b.rows {
-			ok, err := matchOn(ra, rb)
+		for _, bi := range cand {
+			copy(scratch[len(a.cols):], b.rows[bi])
+			v, err := s.evalExpr(j.On, &sc)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				matched = true
-				rightMatched[bi] = true
-				row := make([]types.Value, 0, len(ra)+len(rb))
-				row = append(row, ra...)
-				row = append(row, rb...)
-				out.rows = append(out.rows, row)
+			if types.TruthOf(v) == types.True {
+				matched, rightMatched[bi] = true, true
+				out.rows = append(out.rows, slices.Clone(scratch))
 			}
 		}
 		if !matched && (j.Type == ast.JoinLeft || j.Type == ast.JoinFull) {
@@ -350,6 +363,38 @@ func (e *Session) joinRelations(a, b *relation, j ast.Join, outer *scope) (*rela
 		}
 	}
 	return out, nil
+}
+
+// hashRight buckets the positions of the right input's rows by join key,
+// in right-row order. It answers NestedLoop — every pair is visited —
+// where candidateRows refuses an index too: no key, a parameter of the
+// statement unbound (only full iteration reaches its error), or a key
+// value on either side that is neither INT nor NULL (it can still equal
+// an INT through types.Compare's loose coercion). NULL keys are left
+// out: they equal nothing.
+func (s *Session) hashRight(key *joinKey, a, b *relation) (map[int64][]int, plan.JoinAlgo) {
+	if key == nil || key.maxParam > len(s.bind) {
+		return nil, plan.NestedLoop
+	}
+	for _, ra := range a.rows {
+		if k := ra[key.left].K; k != types.KindInt && k != types.KindNull {
+			return nil, plan.NestedLoop
+		}
+	}
+	buckets := make(map[int64][]int, len(b.rows))
+	for bi, rb := range b.rows {
+		switch k := rb[key.right]; k.K {
+		case types.KindInt:
+			buckets[k.I] = append(buckets[k.I], bi)
+		case types.KindNull:
+			if plantedHashJoinNullKeyDefect.Load() {
+				return buckets, plan.HashJoin
+			}
+		default:
+			return nil, plan.NestedLoop
+		}
+	}
+	return buckets, plan.HashJoin
 }
 
 // projectRows evaluates the core's projection over the filtered rows;
@@ -467,11 +512,12 @@ func (e *Session) projectGrouped(c *core, rows [][]types.Value, outer *scope) ([
 	var groups []*group
 	if len(s.GroupBy) > 0 {
 		index := make(map[string]*group)
+		sc := scope{cols: c.cols, parent: outer}
 		for _, row := range rows {
-			sc := &scope{cols: c.cols, vals: row, parent: outer}
+			sc.vals = row
 			var kb strings.Builder
 			for _, gexpr := range s.GroupBy {
-				v, err := e.evalExpr(gexpr, sc)
+				v, err := e.evalExpr(gexpr, &sc)
 				if err != nil {
 					return nil, err
 				}
@@ -568,10 +614,14 @@ func (e *Session) evalAggregate(fc *ast.FuncCall, groupRows [][]types.Value, col
 		return types.Value{}, fmt.Errorf("%s takes exactly one argument", name)
 	}
 	var vals []types.Value
-	seen := make(map[string]bool)
+	var seen map[string]bool
+	if fc.Distinct {
+		seen = make(map[string]bool)
+	}
+	sc := scope{cols: cols, parent: outer}
 	for _, row := range groupRows {
-		sc := &scope{cols: cols, vals: row, parent: outer}
-		v, err := e.evalExpr(fc.Args[0], sc)
+		sc.vals = row
+		v, err := e.evalExpr(fc.Args[0], &sc)
 		if err != nil {
 			return types.Value{}, err
 		}

@@ -6,6 +6,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -290,11 +291,17 @@ func (e *CompareError) Error() string {
 }
 
 // Compare orders two non-NULL values. It returns a negative, zero or
-// positive integer in the usual way. Numeric values compare numerically
-// across INT/FLOAT; strings and dates compare lexically (dates are stored
-// normalized so lexical order is chronological). Comparing NULL or
-// incompatible kinds returns a *CompareError.
+// positive integer in the usual way. Two INTs compare exactly, as int64
+// (through float64, INTs beyond 2^53 would collapse — and disagree with
+// the int64-keyed indexes and hash join); otherwise numeric values
+// compare numerically across INT/FLOAT; strings and dates compare
+// lexically (dates are stored normalized so lexical order is
+// chronological). Comparing NULL or incompatible kinds returns a
+// *CompareError.
 func Compare(a, b Value) (int, error) {
+	if a.K == KindInt && b.K == KindInt {
+		return cmp.Compare(a.I, b.I), nil
+	}
 	if a.IsNull() || b.IsNull() {
 		return 0, &CompareError{Left: a.K, Right: b.K}
 	}

@@ -62,6 +62,31 @@ func TestCompareNumericCrossKind(t *testing.T) {
 	}
 }
 
+// Two INTs compare as int64: float64 has 53 bits of mantissa, so through
+// it 2^53 and 2^53+1 — and every pair of neighbours beyond — were equal.
+func TestCompareIntsExactly(t *testing.T) {
+	const big = int64(1) << 53
+	for _, tc := range []struct {
+		a, b int64
+		want int
+	}{
+		{big, big + 1, -1},
+		{big + 1, big, 1},
+		{big + 1, big + 1, 0},
+		{-big - 1, -big, -1},
+		{math.MaxInt64, math.MaxInt64 - 1, 1},
+		{math.MinInt64, math.MaxInt64, -1},
+		{3, 3, 0},
+	} {
+		if c, err := Compare(NewInt(tc.a), NewInt(tc.b)); err != nil || c != tc.want {
+			t.Errorf("Compare(%d, %d) = %d, %v; want %d", tc.a, tc.b, c, err, tc.want)
+		}
+	}
+	if Equal(NewInt(big), NewInt(big+1)) || !Identical(NewInt(big+1), NewInt(big+1)) {
+		t.Error("Equal/Identical disagree with Compare beyond 2^53")
+	}
+}
+
 func TestCompareStringNumberCoercion(t *testing.T) {
 	c, err := Compare(NewFloat(9), NewString("9.00"))
 	if err != nil || c != 0 {
