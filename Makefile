@@ -3,8 +3,6 @@
 SHELL := /bin/bash -o pipefail
 
 GO  ?= go
-# Commit recorded in the benchmark artifact; CI passes the full SHA.
-SHA ?= $(shell git rev-parse --short HEAD)
 
 .PHONY: build test race smoke bench staticcheck stackbench-test loc
 
@@ -26,6 +24,7 @@ stackbench-test:
 # Line ledger: non-test Go lines outside bench/, per package and in
 # total (28 979 before PR 15, 28 721 before PR 17, 28 549 before PR 18,
 # 28 418 before PR 19).
+# 28 623 before expressions were lowered at plan time.
 # Deletion PRs quote it before and after.
 loc:
 	@git ls-files '*.go' ':!bench' ':!*_test.go' | xargs wc -l | \
@@ -45,32 +44,11 @@ smoke:
 	$(GO) run ./cmd/divfuzz -seed 19 -n 2000 -streams 2 -tlp -norec -cert -params -planvariants -isolation -faults=false
 	$(GO) run ./cmd/divfuzz -seed 23 -n 2000 -streams 4 -shards 2
 
-# One-iteration benchmark sweep converted to the machine-readable
-# artifact BENCH_<sha>.json at the repo root, so the performance
-# trajectory accumulates across commits. -benchtime=1x keeps it cheap;
-# run `go test -bench . -benchmem ./...` for statistically tight
-# numbers. ./internal/wire runs for a time instead: its cases take
-# microseconds or less, and one iteration of those measures the timer.
-WIRE_PKG := divsql/internal/wire
+# The root and wire micro-benchmarks, time-based, five runs each, with
+# allocations: compare two trees with stock tooling (benchstat). The
+# ledger end to end is the stack benchmark, bench/ (BENCHMARK.json).
 bench:
-	$(GO) test -bench . -benchtime=1x -run '^$$' $$($(GO) list ./... | grep -vx $(WIRE_PKG)) | tee bench.txt
-	$(GO) test -bench . -benchtime=200ms -run '^$$' $(WIRE_PKG) | tee -a bench.txt
-	$(GO) run ./cmd/benchjson -sha "$(SHA)" < bench.txt > "BENCH_$(SHA).json"
-	rm -f bench.txt
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 . ./internal/wire
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1.1 ./...
-
-# Warn-only perf regression check: diff a fresh artifact against the
-# newest committed BENCH_*.json (by commit date). Usage:
-#   make bench bench-delta
-.PHONY: bench-delta
-bench-delta:
-	@new="BENCH_$(SHA).json"; prev=""; newest=0; \
-	for f in $$(git ls-files 'BENCH_*.json'); do \
-		[ "$$f" = "$$new" ] && continue; \
-		ts=$$(git log -1 --format=%ct -- "$$f"); \
-		if [ "$$ts" -gt "$$newest" ]; then newest=$$ts; prev=$$f; fi; \
-	done; \
-	if [ -z "$$prev" ]; then echo "bench-delta: no committed baseline"; exit 0; fi; \
-	$(GO) run ./cmd/benchdelta -old "$$prev" -new "$$new" $(BENCHDELTA_FLAGS)

@@ -1,11 +1,13 @@
-// Benchmark harness: one benchmark per experiment of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index). Each benchmark
-// regenerates the corresponding table/figure artefact; run with
+// Benchmark harness: the experiments of the paper's evaluation that cost
+// more than formatting (the tables themselves are printed by
+// cmd/faultstudy and pinned by internal/study's tests) and the
+// micro-benchmarks that isolate what the stack benchmark (bench/) cannot.
+// Run with
 //
-//	go test -bench=. -benchmem
+//	make bench
 //
-// The table benchmarks print their artefact once so a bench run leaves a
-// full reproduction transcript.
+// BenchmarkReliabilityModel prints its artefact once, so a bench run
+// leaves the Section 6 transcript.
 package divsql
 
 import (
@@ -67,57 +69,6 @@ func BenchmarkStudyRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTable1 regenerates Table 1 (experiment T1).
-func BenchmarkTable1(b *testing.B) {
-	res := studyResult(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = res.BuildTable1().Render()
-	}
-	printOnce(b, "t1", out)
-}
-
-// BenchmarkTable2 regenerates Table 2 (experiment T2).
-func BenchmarkTable2(b *testing.B) {
-	res := studyResult(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = res.BuildTable2().Render()
-	}
-	printOnce(b, "t2", out)
-}
-
-// BenchmarkTable3 regenerates Table 3 (experiment T3).
-func BenchmarkTable3(b *testing.B) {
-	res := studyResult(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = res.BuildTable3().Render()
-	}
-	printOnce(b, "t3", out)
-}
-
-// BenchmarkTable4 regenerates Table 4 (experiment T4).
-func BenchmarkTable4(b *testing.B) {
-	res := studyResult(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = res.BuildTable4().Render()
-	}
-	printOnce(b, "t4", out)
-}
-
-// BenchmarkHeadlineStats regenerates the Section 7 headline statistics
-// (experiment S1).
-func BenchmarkHeadlineStats(b *testing.B) {
-	res := studyResult(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = res.BuildHeadline().Render()
-	}
-	printOnce(b, "s1", out)
 }
 
 // BenchmarkReliabilityModel regenerates the Section 6 reliability-gain

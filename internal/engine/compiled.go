@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,16 +21,17 @@ import (
 //
 // What compilation hoists out of execution: source resolution (base
 // table, view body, derived table, join chain), the scope those sources
-// produce, reference validation, * expansion, output names, sort-key
-// resolution, the nested selects of every expression (compiled against
-// the static scope they are met in and owned by the enclosing plan) and,
-// for a core whose FROM is exactly one base table, the access path
-// (package plan). What it must not change is anything observable: a
-// static error is recorded on the step that would have raised it and
-// replayed when execution reaches that step, so errors keep their
-// precedence — source construction → reference validation → WHERE →
-// projection shape → projection → sort → limit — and a nested select's
-// errors surface only when, and each time, it is evaluated.
+// produce, every expression lowered to its resolved form (lower.go:
+// references, nested selects — each compiled against the scope it is met
+// in and held by the node that evaluates it — builtins, casts), *
+// expansion, output names, sort-key resolution and, for a core whose
+// FROM is exactly one base table, the access path (package plan). What
+// it must not change is anything observable: a static error is recorded
+// on the step that would have raised it and replayed when execution
+// reaches that step, so errors keep their precedence — source
+// construction → unknown references → WHERE → projection shape →
+// projection → sort → limit — and a nested select's errors surface only
+// when, and each time, it is evaluated.
 //
 // Plans are immutable once built and shared through the engine's memos,
 // keyed by the statement's address: core.Resolve interns statement text,
@@ -43,9 +44,9 @@ import (
 // compile (ExecSelectVariant) neither reads nor writes a memo.
 //
 // Index use only narrows which rows a WHERE is evaluated on — and only
-// when that evaluation provably cannot error (whereSafeForSkip), because
-// skipping a row that would have errored would change observable
-// behaviour.
+// when that evaluation provably cannot error (its lowered form cannot
+// fail), because skipping a row that would have errored would change
+// observable behaviour.
 
 // planMemoCap bounds each plan memo, which is dropped wholesale at
 // capacity — the workloads that matter re-fill it within one batch.
@@ -104,18 +105,16 @@ func (e *Engine) publishSchema() {
 	}
 }
 
-// planBody is what the plan of any statement kind carries: the nested
-// selects of its own expressions, each compiled against the scope it is
-// met in, and every single-base-table core compiled under it, nested
-// ones included, in compile order (plan.Info.Cores).
+// planBody lists what the plan of any statement kind compiled under it:
+// every single-base-table core, nested ones included, in compile order
+// (plan.Info.Cores).
 type planBody struct {
-	subs  map[*ast.Select]*compiledSelect
 	paths []plan.Core
 	joins []plan.JoinAlgo // likewise, of every join with an ON (plan.Info.Joins)
 }
 
 // adopt lists a nested plan's cores and joins under the plan that owns it.
-func (b *planBody) adopt(sub *compiledSelect) {
+func (b *planBody) adopt(sub *planBody) {
 	b.paths = append(b.paths, sub.paths...)
 	b.joins = append(b.joins, sub.joins...)
 }
@@ -138,10 +137,8 @@ type compiledSelect struct {
 	fails bool
 	keys  []sortKey
 	// sortErr is a positional key of a plain SELECT out of range, raised
-	// before sorting; outScope is the output row's scope, for the keys a
-	// DISTINCT/UNION result evaluates against it.
-	sortErr  error
-	outScope []scopeCol
+	// before sorting.
+	sortErr error
 }
 
 // outCols are the visible output names of a plan that does not fail.
@@ -150,45 +147,42 @@ func (cs *compiledSelect) outCols() []string {
 	return names[:len(names)-int(cs.hidden)]
 }
 
-// sortKey is one resolved ORDER BY key.
+// sortKey is one resolved ORDER BY key, read from the rows sorted. A
+// key of a DISTINCT/UNION result that does not resolve is its error,
+// raised when a comparison first needs the key, as every release has
+// done (a sort of fewer than two rows, or one decided by earlier keys,
+// never does).
 type sortKey struct {
-	col  int      // row ordinal; -1: evaluate expr against the output row
-	expr ast.Expr // DISTINCT/UNION results only
-	// err is a key of a DISTINCT/UNION result that does not resolve; it
-	// is raised when a comparison first needs the key, as every release
-	// has done (a sort of fewer than two rows, or one decided by earlier
-	// keys, never does).
-	err  error
+	expr rexpr
 	desc bool
 }
 
 // core is one SELECT of a query expression, before UNION/ORDER/LIMIT.
 type core struct {
-	sel *ast.Select
 	// from is the source tree, flattened in the order execution opens it,
-	// and cols the scope it produces (each source's columns are a window
-	// of it).
-	from []fromStep
-	cols []scopeCol
+	// and width the columns of the rows it produces.
+	from  []fromStep
+	width int
 	// p is the access plan when the FROM is exactly one base table.
 	p *plan.SelectPlan
 	// broken marks a source tree that ends at a source which cannot open:
 	// execution raises that source's error once everything before it ran.
-	// compileErr replays a reference-validation error, raised once the
-	// sources are open and before any row work; projErr a projection-shape
-	// error, raised after filtering (and grouping); unionErr a branch's
-	// column-count mismatch, raised after it ran. Compilation stops at the
-	// first: execution cannot get past it.
+	// compileErr replays the first reference that resolves nowhere, raised
+	// once the sources are open and before any row work; projErr a
+	// projection-shape error, raised after filtering (and grouping);
+	// unionErr a branch's column-count mismatch, raised after it ran.
+	// Compilation stops at the first: execution cannot get past it.
 	broken                        bool
 	compileErr, projErr, unionErr error
-	// names are the output names, hidden sort keys last; projs the
-	// expanded projection of a core that is not grouped, items the
-	// projection items of one that is.
-	names    []string
-	projs    []projExpr
-	items    []ast.SelectItem
-	grouped  bool
-	distinct bool
+	// where, having and groupBy are the core's lowered clauses; names the
+	// output names, hidden sort keys last, and projs the projection, *
+	// expanded — over the group when grouped is set.
+	where, having rexpr
+	groupBy       []rexpr
+	names         []string
+	projs         []rexpr
+	grouped       bool
+	distinct      bool
 	// unionAll tells how the branch attaches to what precedes it.
 	unionAll bool
 }
@@ -199,11 +193,12 @@ func (c *core) fails() bool {
 
 // fromStep is one FROM reference: the first of a comma-separated FROM
 // entry (join nil; entries combine by cross product) or the right side
-// of a join onto what its entry has produced so far. key, when set, is
-// the column pair the join may hash on (hashKey).
+// of a join onto what its entry has produced so far, under the lowered
+// ON. key, when set, is the column pair the join may hash on (hashKey).
 type fromStep struct {
 	source
 	join *ast.Join
+	on   rexpr
 	key  *joinKey
 }
 
@@ -217,10 +212,10 @@ type joinKey struct{ left, right, maxParam int }
 // views and sessions, and Restore and snapshot installs replace the
 // *Table header behind an unchanged name.
 type source struct {
-	name string          // base table or view
-	sub  *compiledSelect // derived table, or the body of a view
-	view bool
-	cols []scopeCol
+	name  string          // base table or view
+	sub   *compiledSelect // derived table, or the body of a view
+	view  bool
+	width int // columns per row
 	// err is raised when the source is opened (unknown name) or, for a
 	// view, once its body ran (column list mismatch).
 	err error
@@ -253,10 +248,9 @@ func tableMeta(t *Table, idxs map[string]*Index) plan.TableMeta {
 }
 
 // compileSelect lowers one query expression. outer is the scope the
-// expression is met in (nil at top level): the static image of the
-// enclosing query's scope, or the live scope itself when a select is
-// compiled where it is evaluated — only its columns are read. Under
-// ForceFullScan every core of the statement skips the access-path rule.
+// expression is met in (nil at top level): the enclosing query's, for
+// its correlated references. Under ForceFullScan every core of the
+// statement skips the access-path rule.
 // distinct is sel.Distinct, except that the LeftJoinDistinctViewDup quirk
 // drops a view body's. Caller holds the engine lock.
 func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force, distinct bool) *compiledSelect {
@@ -299,38 +293,40 @@ func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force,
 	outCols := cs.outCols()
 	visible := len(outCols)
 	next := visible
+	var outScope *scope // the output row's, for the keys evaluated against it
 	for _, o := range sel.OrderBy {
 		k := sortKey{desc: o.Desc}
-		if pos, positional := orderPosition(o); positional {
-			k.col = int(pos) - 1
-			if pos < 1 || pos > int64(visible) {
-				k.err = fmt.Errorf("ORDER BY position %d out of range", pos)
-			}
-		} else if hiddenSort {
-			k.col = next
+		var err error
+		cr, isRef := o.Expr.(*ast.ColumnRef)
+		switch pos, positional := orderPosition(o); {
+		case positional && (pos < 1 || pos > int64(visible)):
+			err = fmt.Errorf("ORDER BY position %d out of range", pos)
+		case positional:
+			k.expr = column(0, int(pos)-1)
+		case hiddenSort:
+			k.expr = column(0, next)
 			next++
-		} else if cr, ok := o.Expr.(*ast.ColumnRef); ok {
-			// Column references match output columns by name, ignoring
-			// any table qualifier (the source tables are gone by then).
-			k.col = -1
-			for i, c := range outCols {
-				if up(c) == up(cr.Column) {
-					k.col = i
-					break
-				}
+		case isRef:
+			// Column references match output columns by name, ignoring any
+			// table qualifier (the source tables are gone by then).
+			if i := slices.IndexFunc(outCols, func(c string) bool { return up(c) == up(cr.Column) }); i >= 0 {
+				k.expr = column(0, i)
+			} else {
+				err = fmt.Errorf("ORDER BY column %s must appear in the select list", refName(cr))
 			}
-			if k.col < 0 {
-				k.err = fmt.Errorf("ORDER BY column %s must appear in the select list", refName(cr))
+		default:
+			if outScope == nil {
+				outScope = &scope{cols: scopeCols(nil, "", outCols), parent: outer}
 			}
-		} else {
-			k.col, k.expr = -1, o.Expr
-			if cs.outScope == nil {
-				cs.outScope = scopeCols("", outCols)
-			}
-			s.compileSubs(&cs.planBody, &scope{cols: cs.outScope, parent: outer}, force, o.Expr)
+			l := lowering{s: s, force: force, owned: true}
+			k.expr = l.lower(o.Expr, outScope, false)
+			cs.adopt(&l.body)
 		}
-		if hiddenSort && k.err != nil && cs.sortErr == nil {
-			cs.sortErr, cs.fails = k.err, true
+		if err != nil {
+			k.expr = &errX{err}
+			if hiddenSort && cs.sortErr == nil {
+				cs.sortErr, cs.fails = err, true
+			}
 		}
 		cs.keys = append(cs.keys, k)
 	}
@@ -347,126 +343,110 @@ func orderPosition(o ast.OrderItem) (int64, bool) {
 }
 
 // compileCore lowers one SELECT of the query expression cs: sources,
-// reference validation, nested selects, access path, projection shape.
-// It stops at the first static error — execution cannot get past it.
+// expressions, access path, projection shape. It stops at the first
+// static error — execution cannot get past it.
 func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, items []ast.SelectItem, outer *scope, force plan.Force, distinct bool) {
-	c.sel, c.distinct = sel, distinct
-	if c.broken = !s.compileFrom(cs, c, outer, force); c.broken {
+	c.distinct = distinct
+	cols, ok := s.compileFrom(cs, c, sel, outer, force)
+	if c.broken = !ok; c.broken {
 		return
 	}
-	probe := &scope{cols: c.cols, parent: outer}
-	// Column references must resolve against the FROM scope (or an
-	// enclosing one) even when no rows exist; checked in this order.
-	exprs := make([]ast.Expr, 0, len(items)+2+len(sel.GroupBy))
-	for _, it := range items {
+	c.width = len(cols)
+	// Lowered in evaluation order — items, WHERE, HAVING, GROUP BY — so the
+	// first reference that resolves nowhere is the one raised. The cores
+	// and joins nested in them are listed after the core's own path.
+	sc := &scope{cols: cols, parent: outer}
+	l := lowering{s: s, force: force, owned: true}
+	exprs := make([]rexpr, len(items))
+	for i, it := range items {
 		if !it.Star {
-			exprs = append(exprs, it.Expr)
+			exprs[i] = l.lower(it.Expr, sc, true)
 		}
 	}
-	exprs = append(append(exprs, sel.Where, sel.Having), sel.GroupBy...)
-	for _, x := range exprs {
-		if c.compileErr = s.validateRefs(x, probe); c.compileErr != nil {
-			return
-		}
+	// An aggregate in an item or in HAVING groups the core; one inside a
+	// subquery aggregates the subquery's rows, not this core's.
+	c.grouped = l.aggs || len(sel.GroupBy) > 0 || sel.Having != nil
+	c.where = l.lower(sel.Where, sc, false)
+	c.having = l.lower(sel.Having, sc, true)
+	c.groupBy = l.lowerAll(sel.GroupBy, sc)
+	if c.compileErr = l.unknown; c.compileErr != nil {
+		return
 	}
 	if len(c.from) == 1 && c.from[0].sub == nil {
 		t, _ := s.lookupTable(c.from[0].name)
-		c.p = s.visitPlan(t, up(sel.From[0].Table.Alias), sel.Where, probe, ast.NumParams(sel), force)
+		c.p = s.visitPlan(t, up(sel.From[0].Table.Alias), sel.Where, c.where, ast.NumParams(sel), force)
 		cs.paths = append(cs.paths, plan.Core{Table: c.p.Table, Path: c.p.Path})
 	}
-	s.compileSubs(&cs.planBody, probe, force, exprs...)
-	// An aggregate in an item or in HAVING groups the core; one inside a
-	// subquery aggregates the subquery's rows, not this core's.
-	c.grouped = len(sel.GroupBy) > 0 || sel.Having != nil
-	for _, it := range items {
-		c.grouped = c.grouped || hasOwnAggregate(it.Expr)
-	}
-	if !c.grouped {
-		c.names, c.projs, c.projErr = s.expandItems(items, c.cols)
-		return
-	}
-	c.items = items
-	for _, it := range items {
-		var name string
-		if it.Star {
-			c.projErr = errors.New("cannot use * with GROUP BY or aggregates")
-		} else {
-			name, c.projErr = s.outputName(it)
-		}
-		if c.projErr != nil {
-			return
-		}
-		c.names = append(c.names, name)
-	}
+	cs.adopt(&l.body)
+	c.names, c.projs, c.projErr = s.expandItems(items, exprs, cols, c.grouped)
 }
 
 // visitPlan plans the row visit of one base table — a SELECT core's or
-// an UPDATE/DELETE's — under the predicate that filters it. Index
-// skipping is only sound when evaluating the predicate can never error:
-// it is evaluated on every row otherwise, so one that can fail keeps
-// full-iteration semantics (and the analyzer is not asked).
-func (s *Session) visitPlan(t *Table, alias string, where ast.Expr, probe *scope, maxParam int, force plan.Force) *plan.SelectPlan {
-	if where == nil || force == plan.ForceFullScan || !whereSafeForSkip(where, probe) {
+// an UPDATE/DELETE's — under the predicate that filters it, lowered as
+// lw. Index skipping is only sound when evaluating the predicate can
+// never error: it is evaluated on every row otherwise, so one that can
+// fail keeps full-iteration semantics (and the analyzer is not asked).
+func (s *Session) visitPlan(t *Table, alias string, where ast.Expr, lw rexpr, maxParam int, force plan.Force) *plan.SelectPlan {
+	if lw == nil || force == plan.ForceFullScan || lw.canFail() {
 		return &plan.SelectPlan{Table: t.Name, Alias: alias, MaxParam: maxParam}
 	}
 	return plan.Analyze(tableMeta(t, s.catalogIndexes()), alias, where, maxParam, force)
 }
 
-// compileFrom resolves the core's FROM clause into its source tree, in
-// the order execution opens it, and the scope the tree produces. It
-// reports false at the first source that cannot open; the tree then
-// ends there.
-func (s *Session) compileFrom(cs *compiledSelect, c *core, outer *scope, force plan.Force) bool {
+// compileFrom resolves the FROM clause of sel into the core's source
+// tree, in the order execution opens it, and returns the scope the tree
+// produces. It reports false at the first source that cannot open; the
+// tree then ends there.
+func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, outer *scope, force plan.Force) (cols []scopeCol, ok bool) {
 	add := func(tr ast.TableRef, j *ast.Join, skipViewDistinct bool) bool {
-		c.from = append(c.from, fromStep{source: s.compileRef(&cs.planBody, tr, outer, force, skipViewDistinct), join: j})
-		src := &c.from[len(c.from)-1].source
-		c.cols = append(c.cols, src.cols...)
+		var src source
+		src, cols = s.compileRef(&cs.planBody, tr, cols, outer, force, skipViewDistinct)
+		c.from = append(c.from, fromStep{source: src, join: j})
 		return !src.fails()
 	}
-	for i := range c.sel.From {
-		fi := &c.sel.From[i]
-		entry := len(c.cols)
+	for i := range sel.From {
+		fi := &sel.From[i]
+		entry := len(cols)
 		if !add(fi.Table, nil, false) {
-			return false
+			return nil, false
 		}
 		for k := range fi.Joins {
 			j := &fi.Joins[k]
-			nleft := len(c.cols) - entry
+			nleft := len(cols) - entry
 			if !add(j.Right, j, j.Type == ast.JoinLeft && s.eng.cfg.Quirks.LeftJoinDistinctViewDup) {
-				return false
+				return nil, false
 			}
-			probe := &scope{cols: c.cols[entry:], parent: outer}
-			s.compileSubs(&cs.planBody, probe, force, j.On)
+			// ON reads the entry's columns so far, not an earlier entry's;
+			// its unknown references raise per pair, when evaluated.
+			sc := &scope{cols: cols[entry:], parent: outer}
+			l := lowering{s: s, force: force, owned: true}
+			step := &c.from[len(c.from)-1]
+			step.on = l.lower(j.On, sc, false)
+			cs.adopt(&l.body)
 			if j.Type != ast.JoinCross && j.On != nil {
 				algo := plan.NestedLoop
-				if key := hashKey(c.sel, j.On, probe, nleft, force); key != nil {
-					c.from[len(c.from)-1].key, algo = key, plan.HashJoin
+				if step.key = hashKey(sel, j.On, step.on, sc, nleft, force); step.key != nil {
+					algo = plan.HashJoin
 				}
 				cs.joins = append(cs.joins, algo)
 			}
 		}
 	}
-	// One allocation holds the scope: each source's columns are its window.
-	at := 0
-	for i := range c.from {
-		n := len(c.from[i].cols)
-		c.from[i].cols = c.cols[at : at+n : at+n]
-		at += n
-	}
-	return true
+	return cols, true
 }
 
 // hashKey is the key a join may hash on — plan.EquiJoinKey's, in the
-// scope ON is evaluated in (probe; its first nleft columns are the left
+// scope ON is evaluated in (sc; its first nleft columns are the left
 // input's) — or nil, every pair is visited: under ForceFullScan ("skip
 // every narrowing rule") and, the gate visitPlan applies to an access
-// path, when evaluating ON can fail on a pair the key would leave out.
-func hashKey(sel *ast.Select, on ast.Expr, probe *scope, nleft int, force plan.Force) *joinKey {
-	if force == plan.ForceFullScan || !whereSafeForSkip(on, probe) {
+// path, when evaluating ON (lowered as lw) can fail on a pair the key
+// would leave out.
+func hashKey(sel *ast.Select, on ast.Expr, lw rexpr, sc *scope, nleft int, force plan.Force) *joinKey {
+	if force == plan.ForceFullScan || lw.canFail() {
 		return nil
 	}
 	l, r, ok := plan.EquiJoinKey(on, func(cr *ast.ColumnRef) int {
-		i, _ := probe.ordinal(up(cr.Table), up(cr.Column))
+		i, _ := sc.ordinal(up(cr.Table), up(cr.Column))
 		return i
 	}, nleft)
 	if !ok {
@@ -475,18 +455,20 @@ func hashKey(sel *ast.Select, on ast.Expr, probe *scope, nleft int, force plan.F
 	return &joinKey{left: l, right: r, maxParam: ast.NumParams(sel)}
 }
 
-// compileRef resolves one FROM reference: base table, view, or derived
-// table. skipViewDistinct implements the LeftJoinDistinctViewDup quirk:
-// the DISTINCT of a view definition is dropped when the view is expanded
-// on the right of a LEFT OUTER JOIN.
-func (s *Session) compileRef(b *planBody, tr ast.TableRef, outer *scope, force plan.Force, skipViewDistinct bool) source {
+// compileRef resolves one FROM reference — base table, view, or derived
+// table — and appends the columns it adds to the scope cols.
+// skipViewDistinct implements the LeftJoinDistinctViewDup quirk: the
+// DISTINCT of a view definition is dropped when the view is expanded on
+// the right of a LEFT OUTER JOIN.
+func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, outer *scope, force plan.Force, skipViewDistinct bool) (source, []scopeCol) {
 	if tr.Subquery != nil {
 		sub := s.compileSelect(tr.Subquery, outer, force, tr.Subquery.Distinct)
-		b.adopt(sub)
+		b.adopt(&sub.planBody)
 		if sub.fails {
-			return source{sub: sub}
+			return source{sub: sub}, cols
 		}
-		return source{sub: sub, cols: scopeCols(up(tr.Alias), sub.outCols())}
+		names := sub.outCols()
+		return source{sub: sub, width: len(names)}, scopeCols(cols, up(tr.Alias), names)
 	}
 	name := up(tr.Name)
 	qual := name
@@ -494,17 +476,17 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, outer *scope, force p
 		qual = up(tr.Alias)
 	}
 	if t, ok := s.lookupTable(name); ok {
-		return source{name: name, cols: tableScopeCols(qual, t)}
+		return source{name: name, width: len(t.Cols)}, tableScopeCols(cols, qual, t)
 	}
 	v, ok := s.lookupView(name)
 	if !ok {
-		return source{name: name, err: fmt.Errorf("%w: %s", ErrTableNotFound, name)}
+		return source{name: name, err: fmt.Errorf("%w: %s", ErrTableNotFound, name)}, cols
 	}
 	sub := s.compileSelect(v.Select, nil, force, v.Select.Distinct && !skipViewDistinct)
-	b.adopt(sub)
+	b.adopt(&sub.planBody)
 	src := source{name: name, sub: sub, view: true}
 	if sub.fails {
-		return src
+		return src, cols
 	}
 	names := sub.outCols()
 	if len(v.Columns) > 0 {
@@ -513,180 +495,26 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, outer *scope, force p
 		}
 		names = v.Columns
 	}
-	src.cols = scopeCols(qual, names)
-	return src
+	src.width = len(names)
+	return src, scopeCols(cols, qual, names)
 }
 
-// scopeCols names a result's columns under one qualifier.
-func scopeCols(qual string, names []string) []scopeCol {
-	cols := make([]scopeCol, len(names))
-	for i, n := range names {
-		cols[i] = scopeCol{qual: qual, name: up(n)}
+// scopeCols appends a result's columns, named under one qualifier.
+func scopeCols(cols []scopeCol, qual string, names []string) []scopeCol {
+	cols = append(make([]scopeCol, 0, len(cols)+len(names)), cols...)
+	for _, n := range names {
+		cols = append(cols, scopeCol{qual: qual, name: up(n)})
 	}
 	return cols
 }
 
-// tableScopeCols is the scope of one base table under a qualifier.
-func tableScopeCols(qual string, t *Table) []scopeCol {
-	cols := make([]scopeCol, len(t.Cols))
-	for i, c := range t.Cols {
-		cols[i] = scopeCol{qual: qual, name: c.Name}
+// tableScopeCols appends one base table's columns under a qualifier.
+func tableScopeCols(cols []scopeCol, qual string, t *Table) []scopeCol {
+	cols = append(make([]scopeCol, 0, len(cols)+len(t.Cols)), cols...)
+	for _, c := range t.Cols {
+		cols = append(cols, scopeCol{qual: qual, name: c.Name})
 	}
 	return cols
-}
-
-// compileSubs compiles the selects nested directly in the expressions —
-// scalar subqueries, EXISTS, IN (SELECT …) — against the scope they are
-// evaluated in, into the plan that owns them. Their errors are theirs:
-// they surface when, and each time, the subquery is evaluated.
-func (s *Session) compileSubs(b *planBody, sc *scope, force plan.Force, exprs ...ast.Expr) {
-	visit := func(n ast.Expr) bool {
-		var sub *ast.Select
-		switch v := n.(type) {
-		case *ast.Subquery:
-			sub = v.Select
-		case *ast.Exists:
-			sub = v.Select
-		case *ast.In:
-			sub = v.Select
-		}
-		if sub != nil {
-			cs := s.compileSelect(sub, sc, force, sub.Distinct)
-			if b.subs == nil {
-				b.subs = make(map[*ast.Select]*compiledSelect)
-			}
-			b.subs[sub] = cs
-			b.adopt(cs)
-		}
-		return true
-	}
-	for _, x := range exprs {
-		walkOwn(x, visit)
-	}
-}
-
-// walkOwn calls fn for x and every expression below it at the same
-// query level, operands left to right, descending where fn returns true.
-// Subqueries are opaque: they establish scopes of their own.
-func walkOwn(x ast.Expr, fn func(ast.Expr) bool) {
-	if x == nil || !fn(x) {
-		return
-	}
-	switch n := x.(type) {
-	case *ast.Binary:
-		walkOwn(n.L, fn)
-		walkOwn(n.R, fn)
-	case *ast.Unary:
-		walkOwn(n.X, fn)
-	case *ast.FuncCall:
-		for _, a := range n.Args {
-			walkOwn(a, fn)
-		}
-	case *ast.In:
-		walkOwn(n.X, fn)
-		for _, a := range n.List {
-			walkOwn(a, fn)
-		}
-	case *ast.Between:
-		walkOwn(n.X, fn)
-		walkOwn(n.Lo, fn)
-		walkOwn(n.Hi, fn)
-	case *ast.Like:
-		walkOwn(n.X, fn)
-		walkOwn(n.Pattern, fn)
-	case *ast.IsNull:
-		walkOwn(n.X, fn)
-	case *ast.Case:
-		walkOwn(n.Operand, fn)
-		for _, w := range n.Whens {
-			walkOwn(w.Cond, fn)
-			walkOwn(w.Then, fn)
-		}
-		walkOwn(n.Else, fn)
-	case *ast.Cast:
-		walkOwn(n.X, fn)
-	}
-}
-
-// hasOwnAggregate reports whether x aggregates over the rows of the
-// select it belongs to.
-func hasOwnAggregate(x ast.Expr) bool {
-	found := false
-	walkOwn(x, func(n ast.Expr) bool {
-		if fc, ok := n.(*ast.FuncCall); ok && isAggregateName(fc.Name) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func isAggregateName(name string) bool {
-	switch strings.ToUpper(name) {
-	case "AVG", "SUM", "COUNT", "MIN", "MAX":
-		return true
-	default:
-		return false
-	}
-}
-
-// validateRefs checks that every column reference of x outside nested
-// subqueries resolves in the probe scope or one enclosing it, returning
-// the first that does not. An ambiguous reference is not a validation
-// error: it is raised when evaluated.
-func (s *Session) validateRefs(x ast.Expr, probe *scope) error {
-	var err error
-	walkOwn(x, func(n ast.Expr) bool {
-		if err != nil {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.ColumnRef:
-			if _, ok, lerr := probe.lookup(v.Table, v.Column); lerr == nil && !ok {
-				err = fmt.Errorf("unknown column %s", refName(v))
-			}
-		case *ast.FuncCall:
-			if b, ok := s.eng.cfg.Funcs[strings.ToUpper(v.Name)]; ok && b.SeqFunc {
-				return false // first argument is a sequence name, not a column
-			}
-		}
-		return true
-	})
-	return err
-}
-
-// whereSafeForSkip reports whether evaluating the expression in the
-// probed scope can never return an error, assuming every referenced
-// parameter is bound (candidateRows checks arity separately).
-// Comparisons are safe because compareTruth swallows comparison errors
-// as Unknown; arithmetic, functions, subqueries and CAST are not, nor is
-// a column reference that is unknown or ambiguous.
-func whereSafeForSkip(x ast.Expr, probe *scope) bool {
-	safe := true
-	walkOwn(x, func(n ast.Expr) bool {
-		switch v := n.(type) {
-		case *ast.Literal, *ast.Param, *ast.Between, *ast.IsNull, *ast.Like:
-		case *ast.ColumnRef:
-			_, ok, err := probe.lookup(v.Table, v.Column)
-			safe = safe && ok && err == nil
-		case *ast.Binary:
-			switch v.Op {
-			case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe,
-				ast.OpAnd, ast.OpOr, ast.OpConcat:
-			default:
-				safe = false // arithmetic: division by zero, non-numeric operands
-			}
-		case *ast.Unary:
-			// Unary minus errors on non-numeric operands.
-			safe = safe && (v.Op == "NOT" || v.Op == "+")
-		case *ast.In:
-			safe = safe && v.Select == nil
-		default:
-			safe = false // FuncCall, Case, Cast, Exists, Subquery
-		}
-		return safe
-	})
-	return safe
 }
 
 // candidateRows evaluates the plan's key expressions and consults the
@@ -750,49 +578,56 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 	return nil, false
 }
 
-// keyValue evaluates one key expression of an access plan. An INT
+// keyValue evaluates one key expression of an access plan — a literal or
+// a parameter, which lowers with no scope and no allocation. An INT
 // probes; NULL proves the visit empty (a comparison with NULL is Unknown
 // on every row); for anything else ok is false and only a scan is sound
 // — a float or string key can still match an INT column through
 // types.Compare's loose coercion, and an error must surface from the
 // scan.
 func (s *Session) keyValue(x ast.Expr) (v int64, null, ok bool) {
-	val, err := s.evalExpr(x, nil)
+	var l lowering
+	val, err := s.eval(l.lower(x, nil, false), nil)
 	if err != nil {
 		return 0, false, false
 	}
 	return val.I, val.K == types.KindNull, val.K == types.KindInt || val.K == types.KindNull
 }
 
-// dmlPlan is the plan of one UPDATE or DELETE: the access path of its
-// row visit over the target table — chosen by the rules, and behind the
-// gates, a SELECT core's is — and the nested selects of its WHERE and
-// SET expressions.
+// dmlPlan is the plan of one UPDATE or DELETE: its WHERE and SET values
+// lowered in the target table's scope, and the access path of its row
+// visit — chosen by the rules, and behind the gates, a SELECT core's is.
+// err is the first reference of WHERE, then of the SET values, that
+// resolves nowhere: raised, as a SELECT core raises it, before any row
+// work.
 type dmlPlan struct {
 	planBody
-	p *plan.SelectPlan
+	p     *plan.SelectPlan
+	where rexpr
+	sets  []rexpr
+	err   error
 }
 
 // planDML returns the memoised plan of an UPDATE/DELETE over t,
-// compiling it on a miss, and installs its nested selects for the
-// statement's duration (execLatched clears them). Caller holds t's
-// latch on the live plane.
-func (s *Session) planDML(st ast.Statement, t *Table, cols []scopeCol, where ast.Expr, sets []ast.SetClause) *dmlPlan {
+// compiling it on a miss. Caller holds t's latch on the live plane.
+func (s *Session) planDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
 	e := s.eng
 	dp, known := e.dmlMemo.load(st, e.schemaVersion)
 	hit := dp != nil
 	if !hit {
-		probe := &scope{cols: cols}
-		dp = &dmlPlan{p: s.visitPlan(t, "", where, probe, ast.NumParams(st), plan.ForceAuto)}
-		dp.paths = []plan.Core{{Table: t.Name, Path: dp.p.Path}}
-		s.compileSubs(&dp.planBody, probe, plan.ForceAuto, where)
-		for _, set := range sets {
-			s.compileSubs(&dp.planBody, probe, plan.ForceAuto, set.Value)
+		l := lowering{s: s, owned: true}
+		sc := &scope{cols: tableScopeCols(nil, t.Name, t)}
+		dp = &dmlPlan{where: l.lower(where, sc, false), sets: make([]rexpr, len(sets))}
+		for i, set := range sets {
+			dp.sets[i] = l.lower(set.Value, sc, false)
 		}
+		dp.err = l.unknown
+		dp.p = s.visitPlan(t, "", where, dp.where, ast.NumParams(st), plan.ForceAuto)
+		dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.Path}}, l.body.paths...)
+		dp.joins = l.body.joins
 		e.dmlMemo.store(st, known, e.schemaVersion, dp)
 	}
 	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.Path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
-	s.subs = dp.subs
 	return dp
 }
 
@@ -845,20 +680,14 @@ func (cs *compiledSelect) result(rows [][]types.Value) *Result {
 	return &Result{Kind: ResultRows, Columns: append([]string(nil), cs.outCols()...), Rows: rows}
 }
 
-// subquery runs a select met during evaluation in scope sc — a nested
-// select of an expression, an INSERT's source, a view definition under
-// validation, a sequence-advancing statement: through the plan the
-// running statement compiled for it, or, where no plan owns it (a CHECK
-// or DEFAULT expression, an INSERT's source and values, statements that
-// must not publish to the memo), compiled here and counted as the miss
-// it is.
-func (s *Session) subquery(sel *ast.Select, sc *scope) (*compiledSelect, [][]types.Value, error) {
-	cs := s.subs[sel]
-	if cs == nil {
-		s.eng.memoMisses.Add(1)
-		cs = s.compileSelect(sel, sc, plan.ForceAuto, sel.Distinct)
-	}
-	rows, err := s.runSelect(cs, sc)
+// runUnowned compiles and runs a select no memoised plan owns — an
+// INSERT's source, a view definition under validation, a
+// sequence-advancing statement, none of which may publish to the memo —
+// counting the compile as the miss it is.
+func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value, error) {
+	s.eng.memoMisses.Add(1)
+	cs := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+	rows, err := s.runSelect(cs, nil)
 	return cs, rows, err
 }
 

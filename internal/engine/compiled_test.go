@@ -387,6 +387,7 @@ var dmlWheres = []string{
 	"A = (SELECT MAX(A) FROM T WHERE C = 20)",
 	"A = $1",               // unbound parameter
 	"NOSUCH = 1 AND A = 9", // unknown column beside an indexable conjunct
+	"1 = 0 AND Z = 1",      // unknown column no row reaches
 }
 
 // seedKeyed creates T: a composite primary key, a secondary index, a
@@ -409,12 +410,33 @@ func seedKeyed(t testing.TB, s *Session, poisoned bool) {
 // visit used to narrow by index without asking whether the predicate
 // can fail, so `1/(B-20) > 0 AND A = 1` reported 0 rows affected where
 // SELECT raises division by zero — and the outcome depended on physical
-// index state.
+// index state. Likewise a reference that resolves nowhere: DML used to
+// raise it only when a row reached it, so `WHERE 1 = 0 AND Z = 1`, or
+// any WHERE or SET value over an empty table, succeeded with 0 rows.
 func TestDMLSelectsWhatSelectSelects(t *testing.T) {
 	for _, poisoned := range []bool{false, true} {
 		e := New(Config{Quirks: Quirks{SkipDefaultTypeCheck: true}})
 		s := e.NewSession()
 		seedKeyed(t, s, poisoned)
+		sessExec(t, s, "CREATE TABLE E (A INT)")
+		// Raised after the target table and the SET columns are checked,
+		// before any row work: WHERE's first, then the SET values'.
+		for sql, want := range map[string]string{
+			"UPDATE T SET M = Z WHERE A = 7":     "unknown column Z",
+			"UPDATE T SET M = Z WHERE Z2 = 1":    "unknown column Z2",
+			"UPDATE T SET M = 1, B = Z":          "unknown column Z",
+			"UPDATE E SET A = Z":                 "unknown column Z",
+			"DELETE FROM E WHERE Z = 1":          "unknown column Z",
+			"SELECT A FROM E WHERE Z = 1":        "unknown column Z",
+			"UPDATE T SET NOCOL = Z":             "unknown column NOCOL in table T",
+			"UPDATE NOTAB SET A = Z":             "table or view not found: NOTAB",
+			"DELETE FROM NOTAB WHERE Z = 1":      "table or view not found: NOTAB",
+			"UPDATE T SET M = (SELECT Z FROM E)": "unknown column Z",
+		} {
+			if _, err := gexec(s, sql); err == nil || err.Error() != want {
+				t.Errorf("poisoned=%v %q: err = %v, want %q", poisoned, sql, err, want)
+			}
+		}
 		rowSet := func(sql string) []string { return rowStrings(sessExec(t, s, sql)) }
 		for _, where := range dmlWheres {
 			want, wantErr := gexec(s, "SELECT A, B FROM T WHERE "+where)

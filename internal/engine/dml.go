@@ -19,16 +19,19 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 
 	var sourceRows [][]types.Value
 	if ins.Select != nil {
-		_, rows, err := e.subquery(ins.Select, nil)
+		_, rows, err := e.runUnowned(ins.Select)
 		if err != nil {
 			return nil, err
 		}
 		sourceRows = rows
 	} else {
+		// Each value is lowered where it is evaluated: it reads no row, and
+		// a reference is an error only when its row is reached.
+		l := lowering{s: e}
 		for _, exprRow := range ins.Rows {
 			row := make([]types.Value, 0, len(exprRow))
 			for _, ex := range exprRow {
-				v, err := e.evalExpr(ex, nil)
+				v, err := e.eval(l.lower(ex, nil, false), nil)
 				if err != nil {
 					return nil, err
 				}
@@ -38,6 +41,7 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		}
 	}
 
+	checks := e.lowerChecks(t)
 	inserted := 0
 	// Statement atomicity: a failure on any row unwinds the rows this
 	// statement already appended. Without this, a mid-statement error
@@ -60,7 +64,7 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 			undoPartial()
 			return nil, err
 		}
-		if err := e.checkConstraints(t, row, -1); err != nil {
+		if err := e.checkConstraints(t, row, -1, checks); err != nil {
 			undoPartial()
 			return nil, err
 		}
@@ -72,14 +76,14 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		// Undo by row identity, not by position: other sessions'
 		// statements may land between this insert and a rollback, so
 		// truncating the tail could remove their rows instead of ours.
-		added := make([][]types.Value, inserted)
-		copy(added, t.Rows[len(t.Rows)-inserted:])
-		tname := t.Name
-		e.logUndoTable(tname, func(dst *state, _ bool) {
-			if dt, ok := dst.tables[tname]; ok {
-				dt.removeRowsByIdentity(added)
-			}
-		})
+		if e.inTxn {
+			added, tname := append([][]types.Value(nil), t.Rows[len(t.Rows)-inserted:]...), t.Name
+			e.logUndoTable(tname, func(dst *state, _ bool) {
+				if dt, ok := dst.tables[tname]; ok {
+					dt.removeRowsByIdentity(added)
+				}
+			})
+		}
 	}
 	return &Result{Kind: ResultCount, Affected: int64(inserted)}, nil
 }
@@ -160,7 +164,8 @@ func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.
 		}
 		switch {
 		case col.Default != nil:
-			dv, err := e.evalConst(col.Default)
+			l := lowering{s: e}
+			dv, err := e.eval(l.lower(col.Default, nil, false), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -188,15 +193,29 @@ func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.
 	return row, nil
 }
 
-// checkConstraints verifies PK/UNIQUE/CHECK for a candidate row. skipIdx
-// excludes one row position (the row being updated), -1 for inserts.
-func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) error {
-	keysets := make([][]int, 0, 1+len(t.Uniques))
-	if len(t.PKCols) > 0 {
-		keysets = append(keysets, t.PKCols)
+// lowerChecks lowers a table's CHECK constraints, in the table's scope,
+// once for the statement that checks its rows against them.
+func (e *Session) lowerChecks(t *Table) []rexpr {
+	if len(t.Checks) == 0 {
+		return nil
 	}
-	keysets = append(keysets, t.Uniques...)
-	for _, key := range keysets {
+	l := lowering{s: e}
+	return l.lowerAll(t.Checks, &scope{cols: tableScopeCols(nil, t.Name, t)})
+}
+
+// checkConstraints verifies PK/UNIQUE and the lowered CHECKs for a
+// candidate row. skipIdx excludes one row position (the row being
+// updated), -1 for inserts.
+func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int, checks []rexpr) error {
+	// The primary key (k = -1), then each unique keyset.
+	for k := -1; k < len(t.Uniques); k++ {
+		key := t.PKCols
+		if k >= 0 {
+			key = t.Uniques[k]
+		}
+		if len(key) == 0 {
+			continue
+		}
 		// An UPDATE that leaves this key as it was cannot create a
 		// duplicate: the old row's key was unique, and a row this same
 		// statement rewrote INTO that key earlier was itself checked
@@ -250,9 +269,12 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int) err
 			}
 		}
 	}
-	for _, chk := range t.Checks {
-		sc := &scope{cols: tableScopeCols(t.Name, t), vals: row}
-		v, err := e.evalExpr(chk, sc)
+	if len(checks) == 0 {
+		return nil
+	}
+	en := env{row: row}
+	for _, chk := range checks {
+		v, err := e.eval(chk, &en)
 		if err != nil {
 			return err
 		}
@@ -314,8 +336,11 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 		}
 		setIdx[i] = ci
 	}
-	cols := tableScopeCols(t.Name, t)
-	dp := e.planDML(upd, t, cols, upd.Where, upd.Sets)
+	dp := e.planDML(upd, t, upd.Where, upd.Sets)
+	if dp.err != nil {
+		return nil, dp.err
+	}
+	checks := e.lowerChecks(t)
 	var affected int64
 	type change struct {
 		old, new []types.Value
@@ -337,16 +362,16 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 			t.bumpCols(setIdx)
 		}
 	}
-	// One scope reused across the scan (vals swapped per row): the
-	// evaluator never retains a scope past the call, and the allocation
+	// One env reused across the scan (its row swapped per row): the
+	// evaluator never retains an env past the call, and the allocation
 	// would otherwise dominate the statement on long tables.
-	sc := &scope{cols: cols}
+	en := &env{}
 	// updateRow applies the statement to one row position; the caller
 	// runs undoPartial on error.
 	updateRow := func(ri int, row []types.Value) error {
-		if upd.Where != nil {
-			sc.vals = row
-			v, err := e.evalExpr(upd.Where, sc)
+		en.row = row
+		if dp.where != nil {
+			v, err := e.eval(dp.where, en)
 			if err != nil {
 				return err
 			}
@@ -355,9 +380,8 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 			}
 		}
 		newRow := append([]types.Value(nil), row...)
-		for i, scl := range upd.Sets {
-			sc.vals = row
-			v, err := e.evalExpr(scl.Value, sc)
+		for i, x := range dp.sets {
+			v, err := e.eval(x, en)
 			if err != nil {
 				return err
 			}
@@ -370,7 +394,7 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 			}
 			newRow[setIdx[i]] = cv
 		}
-		if err := e.checkConstraints(t, newRow, ri); err != nil {
+		if err := e.checkConstraints(t, newRow, ri, checks); err != nil {
 			return err
 		}
 		if len(changes) == 0 && t.rowsShared {
@@ -397,22 +421,22 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 	// replacements never move a position), each visited at most once
 	// with its pre-statement row image — exactly the rows and values the
 	// full scan would have visited and found WHERE-true.
-	if cands, narrowed := e.candidateRows(dp.p, t); narrowed {
-		for _, ri := range cands {
-			if err := updateRow(ri, t.Rows[ri]); err != nil {
-				undoPartial()
-				return nil, err
-			}
+	cands, narrowed := e.candidateRows(dp.p, t)
+	n := len(t.Rows)
+	if narrowed {
+		n = len(cands)
+	}
+	for i := 0; i < n; i++ {
+		ri := i
+		if narrowed {
+			ri = cands[i]
 		}
-	} else {
-		for ri, row := range t.Rows {
-			if err := updateRow(ri, row); err != nil {
-				undoPartial()
-				return nil, err
-			}
+		if err := updateRow(ri, t.Rows[ri]); err != nil {
+			undoPartial()
+			return nil, err
 		}
 	}
-	if len(changes) > 0 {
+	if len(changes) > 0 && e.inTxn {
 		// Undo by row identity: find the replacement row wherever it now
 		// sits and swap the original back. Positional restore would panic
 		// or clobber other sessions' rows if the table shifted between
@@ -457,63 +481,54 @@ func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, del.Table)
 	}
-	cols := tableScopeCols(t.Name, t)
-	dp := e.planDML(del, t, cols, del.Where, nil)
-	kept := t.Rows[:0:0]
-	var removed [][]types.Value
-	var affected int64
-	oldRows := t.Rows
-	sc := &scope{cols: cols}
-	if cands, narrowed := e.candidateRows(dp.p, t); narrowed {
-		// Candidate narrowing: rows outside the candidate set provably
-		// fail an equality conjunct and are kept without evaluating the
-		// predicate. An empty WHERE-true set short-circuits before any
-		// row movement.
-		del2 := make(map[int]bool, len(cands))
-		for _, ri := range cands {
-			sc.vals = t.Rows[ri]
-			v, err := e.evalExpr(del.Where, sc)
+	dp := e.planDML(del, t, del.Where, nil)
+	if dp.err != nil {
+		return nil, dp.err
+	}
+	// The positions WHERE is true on, in table order: among the
+	// candidates an index names — rows outside them provably fail an
+	// equality conjunct — or among all. None leaves the table untouched.
+	cands, narrowed := e.candidateRows(dp.p, t)
+	n := len(t.Rows)
+	if narrowed {
+		n = len(cands)
+	}
+	var gone []int
+	en := &env{}
+	for i := 0; i < n; i++ {
+		ri := i
+		if narrowed {
+			ri = cands[i]
+		}
+		if dp.where != nil {
+			en.row = t.Rows[ri]
+			v, err := e.eval(dp.where, en)
 			if err != nil {
 				return nil, err
 			}
-			if types.TruthOf(v) == types.True {
-				del2[ri] = true
+			if types.TruthOf(v) != types.True {
+				continue
 			}
 		}
-		if len(del2) == 0 {
-			return &Result{Kind: ResultCount, Affected: 0}, nil
-		}
-		for ri, row := range t.Rows {
-			if del2[ri] {
-				removed = append(removed, row)
-				affected++
-			} else {
-				kept = append(kept, row)
-			}
-		}
-	} else {
-		for _, row := range t.Rows {
-			d := true
-			if del.Where != nil {
-				sc.vals = row
-				v, err := e.evalExpr(del.Where, sc)
-				if err != nil {
-					return nil, err
-				}
-				d = types.TruthOf(v) == types.True
-			}
-			if d {
-				removed = append(removed, row)
-				affected++
-			} else {
-				kept = append(kept, row)
-			}
+		gone = append(gone, ri)
+	}
+	if len(gone) == 0 {
+		return &Result{Kind: ResultCount}, nil
+	}
+	oldRows := t.Rows
+	kept := make([][]types.Value, 0, len(t.Rows)-len(gone))
+	removed := make([][]types.Value, 0, len(gone))
+	for ri, row := range t.Rows {
+		if len(removed) < len(gone) && gone[len(removed)] == ri {
+			removed = append(removed, row)
+		} else {
+			kept = append(kept, row)
 		}
 	}
-	if affected > 0 {
-		t.Rows = kept
-		t.rowsShared = false
-		t.touchBase()
+	t.Rows = kept
+	t.rowsShared = false
+	t.touchBase()
+	if e.inTxn {
 		tname := t.Name
 		e.logUndoTable(tname, func(dst *state, toSnap bool) {
 			t, ok := dst.tables[tname]
@@ -552,5 +567,5 @@ func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
 			t.touchBase()
 		})
 	}
-	return &Result{Kind: ResultCount, Affected: affected}, nil
+	return &Result{Kind: ResultCount, Affected: int64(len(gone))}, nil
 }

@@ -478,7 +478,7 @@ func (e *Session) exec(st ast.Statement) (*Result, error) {
 	case *ast.SetTxn:
 		return e.execSetTxn(x)
 	case *ast.Select:
-		cs, rows, err := e.subquery(x, nil)
+		cs, rows, err := e.runUnowned(x)
 		if err != nil {
 			return nil, err
 		}
@@ -570,7 +570,8 @@ func (e *Session) execCreateTable(ct *ast.CreateTable) (*Result, error) {
 		}
 		col := Column{Name: cn, Kind: kind, NotNull: cd.NotNull || cd.PrimaryKey, Default: cd.Default}
 		if cd.Default != nil {
-			dv, err := e.evalConst(cd.Default)
+			l := lowering{s: e}
+			dv, err := e.eval(l.lower(cd.Default, nil, false), nil)
 			if err != nil {
 				return nil, fmt.Errorf("invalid DEFAULT for %s: %w", cn, err)
 			}
@@ -656,7 +657,7 @@ func (e *Session) execCreateView(cv *ast.CreateView) (*Result, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateObject, name)
 	}
 	// Validate the definition by executing it once against current state.
-	if _, _, err := e.subquery(cv.Select, nil); err != nil {
+	if _, _, err := e.runUnowned(cv.Select); err != nil {
 		return nil, fmt.Errorf("invalid view definition: %w", err)
 	}
 	cols := make([]string, len(cv.Columns))

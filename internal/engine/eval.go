@@ -14,192 +14,116 @@ import (
 // ErrDivideByZero is returned by / and % with a zero divisor.
 var ErrDivideByZero = errors.New("division by zero")
 
-// scope resolves column references during evaluation. Scopes nest so that
-// correlated subqueries can see the columns of enclosing queries. A scope
-// without values is a probe: compilation resolves references against the
-// columns an expression will see.
-type scope struct {
-	cols   []scopeCol
-	vals   []types.Value
-	parent *scope
+// env is the run-time image of a scope chain: the row the expressions of
+// one scope read and the env of the scope enclosing it. A grouped core
+// evaluates its items and HAVING over an env whose row is the group's
+// first (all NULLs for a global aggregate over no rows) and whose group
+// holds every row of it, for the aggregates.
+type env struct {
+	row     []types.Value
+	outer   *env
+	group   [][]types.Value
+	grouped bool
 }
 
-type scopeCol struct {
-	qual string // upper-cased table alias or name ("" when anonymous)
-	name string // upper-cased column name
-}
-
-// ordinal is the position of the one column of this scope — not of those
-// enclosing it — that the upper-cased reference names: -1 when it names
-// none, an error when it names several.
-func (sc *scope) ordinal(qual, name string) (int, error) {
-	found := -1
-	for i, c := range sc.cols {
-		if c.name != name {
-			continue
-		}
-		if qual != "" && c.qual != qual {
-			continue
-		}
-		if found >= 0 {
-			return -1, fmt.Errorf("ambiguous column reference %s", name)
-		}
-		found = i
-	}
-	return found, nil
-}
-
-func (sc *scope) lookup(qual, name string) (types.Value, bool, error) {
-	qual, name = up(qual), up(name)
-	for s := sc; s != nil; s = s.parent {
-		switch i, err := s.ordinal(qual, name); {
-		case err != nil:
-			return types.Value{}, false, err
-		case i < 0:
-		case s.vals == nil:
-			return types.Value{}, true, nil
-		default:
-			return s.vals[i], true, nil
-		}
-	}
-	return types.Value{}, false, nil
-}
-
-// evalConst evaluates an expression with no row context (DEFAULT values,
-// literal-only expressions).
-func (e *Session) evalConst(x ast.Expr) (types.Value, error) {
-	return e.evalExpr(x, nil)
-}
-
-func (e *Session) evalExpr(x ast.Expr, sc *scope) (types.Value, error) {
+// eval is the engine's one scalar evaluator: it runs an expression lower
+// resolved over the env chain en (nil for an expression that reads no
+// row).
+func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 	switch n := x.(type) {
-	case *ast.Literal:
+	case litX:
 		return n.Val, nil
-	case *ast.Param:
-		if n.N < 1 || n.N > len(e.bind) {
+	case paramX:
+		if n.N < 1 || n.N > len(s.bind) {
 			return types.Value{}, fmt.Errorf("%w: no value bound for parameter $%d", ErrBind, n.N)
 		}
-		return e.bind[n.N-1], nil
-	case *ast.ColumnRef:
-		v, ok, err := sc.lookupRef(n)
-		if err != nil {
+		return s.bind[n.N-1], nil
+	case *colX:
+		for d := n.depth; d > 0; d-- {
+			en = en.outer
+		}
+		return en.row[n.i], nil
+	case *errX:
+		return types.Value{}, n.err
+	case *binX:
+		return s.evalBinary(n, en)
+	case *unX:
+		return s.evalUnary(n, en)
+	case *funcX:
+		args := make([]types.Value, len(n.args))
+		for i, a := range n.args {
+			v, err := s.eval(a, en)
+			if err != nil {
+				return types.Value{}, err
+			}
+			args[i] = v
+		}
+		return n.fn(&FuncContext{Sess: s}, args)
+	case *aggX:
+		return s.evalAggregate(n, en)
+	case *inX:
+		return s.evalIn(n, en)
+	case *selectX:
+		rows, err := s.runSelect(n.sub, en)
+		switch {
+		case err != nil:
 			return types.Value{}, err
-		}
-		if !ok {
-			return types.Value{}, fmt.Errorf("unknown column %s", refName(n))
-		}
-		return v, nil
-	case *ast.Binary:
-		return e.evalBinary(n, sc)
-	case *ast.Unary:
-		return e.evalUnary(n, sc)
-	case *ast.FuncCall:
-		return e.evalFunc(n, sc)
-	case *ast.In:
-		return e.evalIn(n, sc)
-	case *ast.Exists:
-		_, rows, err := e.subquery(n.Select, sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		has := len(rows) > 0
-		if n.Not {
-			has = !has
-		}
-		return types.NewBool(has), nil
-	case *ast.Subquery:
-		_, rows, err := e.subquery(n.Select, sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if len(rows) == 0 {
+		case n.exists:
+			return types.NewBool((len(rows) > 0) != n.not), nil
+		case len(rows) == 0:
 			return types.Null(), nil
-		}
-		if len(rows) > 1 {
+		case len(rows) > 1:
 			return types.Value{}, errors.New("scalar subquery returned more than one row")
-		}
-		if len(rows[0]) != 1 {
+		case len(rows[0]) != 1:
 			return types.Value{}, errors.New("scalar subquery must return one column")
 		}
 		return rows[0][0], nil
-	case *ast.Between:
-		v, err := e.evalExpr(n.X, sc)
+	case *betweenX:
+		v, err := s.eval(n.x, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		lo, err := e.evalExpr(n.Lo, sc)
+		lo, err := s.eval(n.lo, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		hi, err := e.evalExpr(n.Hi, sc)
+		hi, err := s.eval(n.hi, en)
 		if err != nil {
 			return types.Value{}, err
 		}
 		geLo := compareTruth(v, lo, func(c int) bool { return c >= 0 })
 		leHi := compareTruth(v, hi, func(c int) bool { return c <= 0 })
 		t := geLo.And(leHi)
-		if n.Not {
+		if n.not {
 			t = t.Not()
 		}
 		return t.Val(), nil
-	case *ast.Like:
-		v, err := e.evalExpr(n.X, sc)
+	case *likeX:
+		v, err := s.eval(n.x, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		pat, err := e.evalExpr(n.Pattern, sc)
+		pat, err := s.eval(n.pat, en)
 		if err != nil {
 			return types.Value{}, err
 		}
 		if v.IsNull() || pat.IsNull() {
 			return types.Null(), nil
 		}
-		m := likeMatch(v.String(), pat.String())
-		if n.Not {
-			m = !m
-		}
-		return types.NewBool(m), nil
-	case *ast.IsNull:
-		v, err := e.evalExpr(n.X, sc)
+		return types.NewBool(likeMatch(v.String(), pat.String()) != n.not), nil
+	case *caseX:
+		return s.evalCase(n, en)
+	case *castX:
+		v, err := s.eval(n.x, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		isNull := v.IsNull()
-		if n.Not {
-			isNull = !isNull
+		if n.err != nil {
+			return types.Value{}, n.err
 		}
-		return types.NewBool(isNull), nil
-	case *ast.Case:
-		return e.evalCase(n, sc)
-	case *ast.Cast:
-		v, err := e.evalExpr(n.X, sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		kind, err := e.eng.cfg.ResolveType(n.To)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return coerce(v, kind)
-	case nil:
-		return types.Null(), nil
-	default:
-		return types.Value{}, fmt.Errorf("unsupported expression %T", x)
+		return coerce(v, n.kind)
 	}
-}
-
-func (sc *scope) lookupRef(n *ast.ColumnRef) (types.Value, bool, error) {
-	if sc == nil {
-		return types.Value{}, false, nil
-	}
-	return sc.lookup(n.Table, n.Column)
-}
-
-func refName(n *ast.ColumnRef) string {
-	if n.Table != "" {
-		return n.Table + "." + n.Column
-	}
-	return n.Column
+	return types.Value{}, fmt.Errorf("unresolved expression %T", x)
 }
 
 func compareTruth(a, b types.Value, ok func(int) bool) types.Truth {
@@ -232,48 +156,36 @@ func compareCoercing(a, b types.Value) (int, error) {
 	return types.Compare(a, b)
 }
 
-func (e *Session) evalBinary(n *ast.Binary, sc *scope) (types.Value, error) {
-	switch n.Op {
-	case ast.OpAnd:
-		l, err := e.evalExpr(n.L, sc)
-		if err != nil {
-			return types.Value{}, err
-		}
+func (s *Session) evalBinary(n *binX, en *env) (types.Value, error) {
+	l, err := s.eval(n.l, en)
+	if err != nil {
+		return types.Value{}, err
+	}
+	if n.op == ast.OpAnd || n.op == ast.OpOr {
+		// The left operand decides unless it is Unknown — except over a
+		// group, where both operands are always evaluated.
 		lt := types.TruthOf(l)
-		if lt == types.False {
-			return types.NewBool(false), nil
+		decided := lt == types.False
+		if n.op == ast.OpOr {
+			decided = lt == types.True
 		}
-		r, err := e.evalExpr(n.R, sc)
+		if decided && !(n.strict && en.grouped) {
+			return lt.Val(), nil
+		}
+		r, err := s.eval(n.r, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		return lt.And(types.TruthOf(r)).Val(), nil
-	case ast.OpOr:
-		l, err := e.evalExpr(n.L, sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		lt := types.TruthOf(l)
-		if lt == types.True {
-			return types.NewBool(true), nil
-		}
-		r, err := e.evalExpr(n.R, sc)
-		if err != nil {
-			return types.Value{}, err
+		if n.op == ast.OpAnd {
+			return lt.And(types.TruthOf(r)).Val(), nil
 		}
 		return lt.Or(types.TruthOf(r)).Val(), nil
 	}
-
-	l, err := e.evalExpr(n.L, sc)
+	r, err := s.eval(n.r, en)
 	if err != nil {
 		return types.Value{}, err
 	}
-	r, err := e.evalExpr(n.R, sc)
-	if err != nil {
-		return types.Value{}, err
-	}
-
-	switch n.Op {
+	switch n.op {
 	case ast.OpEq:
 		return compareTruth(l, r, func(c int) bool { return c == 0 }).Val(), nil
 	case ast.OpNe:
@@ -292,9 +204,9 @@ func (e *Session) evalBinary(n *ast.Binary, sc *scope) (types.Value, error) {
 		}
 		return types.NewString(l.String() + r.String()), nil
 	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
-		return e.arith(n.Op, l, r)
+		return s.arith(n.op, l, r)
 	default:
-		return types.Value{}, fmt.Errorf("unsupported operator %s", n.Op)
+		return types.Value{}, fmt.Errorf("unsupported operator %s", n.op)
 	}
 }
 
@@ -403,12 +315,12 @@ func abs64(i int64) int64 {
 	return i
 }
 
-func (e *Session) evalUnary(n *ast.Unary, sc *scope) (types.Value, error) {
-	v, err := e.evalExpr(n.X, sc)
+func (s *Session) evalUnary(n *unX, en *env) (types.Value, error) {
+	v, err := s.eval(n.x, en)
 	if err != nil {
 		return types.Value{}, err
 	}
-	switch n.Op {
+	switch n.op {
 	case "-":
 		if v.IsNull() {
 			return v, nil
@@ -428,132 +340,181 @@ func (e *Session) evalUnary(n *ast.Unary, sc *scope) (types.Value, error) {
 			return types.True.Val(), nil
 		}
 		return types.TruthOf(v).Not().Val(), nil
+	case "IS NULL", "IS NOT NULL":
+		return types.NewBool(v.IsNull() == (n.op == "IS NULL")), nil
 	default:
-		return types.Value{}, fmt.Errorf("unsupported unary operator %s", n.Op)
+		return types.Value{}, fmt.Errorf("unsupported unary operator %s", n.op)
 	}
 }
 
-func (e *Session) evalIn(n *ast.In, sc *scope) (types.Value, error) {
-	v, err := e.evalExpr(n.X, sc)
+// evalIn evaluates every candidate — the list's, or the subquery's rows —
+// before it answers, so an error anywhere in the list surfaces.
+func (s *Session) evalIn(n *inX, en *env) (types.Value, error) {
+	v, err := s.eval(n.x, en)
 	if err != nil {
 		return types.Value{}, err
 	}
-	var candidates []types.Value
-	if n.Select != nil {
-		if n.Select.Union != nil {
-			if e.eng.cfg.Quirks.ParenUnionSubqueryError {
-				// Quirk (PG bug 43): the parser chokes on UNION branches
-				// inside an IN subquery.
-				return types.Value{}, errors.New("parse error: unexpected UNION in subquery")
-			}
-			if e.eng.cfg.Quirks.ParenUnionSubqueryMisparse {
-				// Quirk (bug 43 on MS): an incorrect parse tree is built
-				// for the UNION subquery and a spurious resolution error
-				// surfaces when the tree is evaluated.
-				return types.Value{}, errors.New("internal error: could not resolve column in subquery parse tree")
-			}
+	found, sawNull := false, false
+	match := func(c types.Value) {
+		switch {
+		case c.IsNull():
+			sawNull = true
+		case !found && !v.IsNull():
+			cmp, err := compareCoercing(v, c)
+			found = err == nil && cmp == 0
 		}
-		cs, rows, err := e.subquery(n.Select, sc)
+	}
+	if n.sub != nil {
+		if n.err != nil {
+			return types.Value{}, n.err
+		}
+		rows, err := s.runSelect(n.sub, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		if len(cs.outCols()) != 1 {
+		if len(n.sub.outCols()) != 1 {
 			return types.Value{}, errors.New("IN subquery must return one column")
 		}
 		for _, row := range rows {
-			candidates = append(candidates, row[0])
+			match(row[0])
 		}
 	} else {
-		for _, item := range n.List {
-			iv, err := e.evalExpr(item, sc)
+		for _, item := range n.list {
+			c, err := s.eval(item, en)
 			if err != nil {
 				return types.Value{}, err
 			}
-			candidates = append(candidates, iv)
+			match(c)
 		}
 	}
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
+		return types.Null(), nil
+	case found:
+		return types.NewBool(!n.not), nil
+	case sawNull:
 		return types.Null(), nil
 	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
-		}
-		if cmp, err := compareCoercing(v, c); err == nil && cmp == 0 {
-			if n.Not {
-				return types.NewBool(false), nil
-			}
-			return types.NewBool(true), nil
-		}
-	}
-	if sawNull {
-		return types.Null(), nil
-	}
-	return types.NewBool(n.Not), nil
+	return types.NewBool(n.not), nil
 }
 
-func (e *Session) evalCase(n *ast.Case, sc *scope) (types.Value, error) {
-	if n.Operand != nil {
-		op, err := e.evalExpr(n.Operand, sc)
+func (s *Session) evalCase(n *caseX, en *env) (types.Value, error) {
+	var op types.Value
+	if n.operand != nil {
+		var err error
+		if op, err = s.eval(n.operand, en); err != nil {
+			return types.Value{}, err
+		}
+	}
+	for _, w := range n.whens {
+		c, err := s.eval(w.cond, en)
 		if err != nil {
 			return types.Value{}, err
 		}
-		for _, w := range n.Whens {
-			wv, err := e.evalExpr(w.Cond, sc)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if types.Equal(op, wv) {
-				return e.evalExpr(w.Then, sc)
-			}
-		}
-	} else {
-		for _, w := range n.Whens {
-			cv, err := e.evalExpr(w.Cond, sc)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if types.TruthOf(cv) == types.True {
-				return e.evalExpr(w.Then, sc)
-			}
+		if n.operand != nil && types.Equal(op, c) || n.operand == nil && types.TruthOf(c) == types.True {
+			return s.eval(w.then, en)
 		}
 	}
-	if n.Else != nil {
-		return e.evalExpr(n.Else, sc)
+	if n.els != nil {
+		return s.eval(n.els, en)
 	}
 	return types.Null(), nil
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards.
-func likeMatch(s, pattern string) bool {
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
-	if p == "" {
-		return s == ""
+// evalAggregate folds the aggregate's argument over the rows of the group
+// en holds, each read through an env of its own under the core's outer.
+func (s *Session) evalAggregate(n *aggX, en *env) (types.Value, error) {
+	if n.star {
+		return types.NewInt(int64(len(en.group))), nil
 	}
-	switch p[0] {
-	case '%':
-		for i := 0; i <= len(s); i++ {
-			if likeRec(s[i:], p[1:]) {
-				return true
+	var vals []types.Value
+	var seen map[string]bool
+	if n.distinct {
+		seen = make(map[string]bool)
+	}
+	row := env{outer: en.outer}
+	for _, r := range en.group {
+		row.row = r
+		v, err := s.eval(n.arg, &row)
+		if err != nil {
+			return types.Value{}, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		if n.distinct {
+			k := v.String() + "\x1f" + v.K.String()
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		vals = append(vals, v)
+	}
+	switch {
+	case n.name == "COUNT":
+		return types.NewInt(int64(len(vals))), nil
+	case len(vals) == 0:
+		return types.Null(), nil
+	case n.name == "MIN" || n.name == "MAX":
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c, err := types.Compare(v, best)
+			if err != nil {
+				return types.Value{}, err
+			}
+			if (n.name == "MIN" && c < 0) || (n.name == "MAX" && c > 0) {
+				best = v
 			}
 		}
-		return false
-	case '_':
-		if s == "" {
-			return false
-		}
-		return likeRec(s[1:], p[1:])
-	default:
-		if s == "" || s[0] != p[0] {
-			return false
-		}
-		return likeRec(s[1:], p[1:])
+		return best, nil
 	}
+	// SUM, AVG
+	allInt, sum, isum := true, 0.0, int64(0)
+	for _, v := range vals {
+		nv, err := numericOperand(v)
+		if err != nil {
+			return types.Value{}, err
+		}
+		allInt = allInt && nv.K == types.KindInt
+		sum += nv.AsFloat()
+		isum += nv.AsInt()
+	}
+	switch {
+	case n.name == "AVG":
+		return types.NewFloat(sum / float64(len(vals))), nil
+	case allInt:
+		return types.NewInt(isum), nil
+	}
+	return types.NewFloat(sum), nil
+}
+
+// likeMatch implements SQL LIKE over bytes: % matches any run, _ any one
+// byte. Only the last % met is ever backtracked to — it can absorb
+// whatever an earlier one would have — so the match is iterative and
+// O(len(s)·len(p)).
+func likeMatch(s, p string) bool {
+	si, pi := 0, 0
+	star, mark := -1, 0 // the pattern position after the last %, and the s position it resumes from
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			pi++
+			star, mark = pi, si
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star
+		default:
+			return false
+		}
+	}
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
 }
 
 // coerce converts a value to a column kind, returning an error when the

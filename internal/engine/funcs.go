@@ -5,67 +5,8 @@ import (
 	"math"
 	"strings"
 
-	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
-
-// evalFunc evaluates a non-aggregate function call. Aggregates reaching
-// this point are being used outside a grouping context, which is an
-// error.
-func (e *Session) evalFunc(fc *ast.FuncCall, sc *scope) (types.Value, error) {
-	name := strings.ToUpper(fc.Name)
-	if isAggregateName(name) {
-		return types.Value{}, fmt.Errorf("invalid use of aggregate function %s", name)
-	}
-	b, ok := e.eng.cfg.Funcs[name]
-	if !ok {
-		return types.Value{}, fmt.Errorf("unknown function %s", name)
-	}
-	if b.SeqFunc {
-		return e.evalSeqFunc(name, fc, sc)
-	}
-	if len(fc.Args) < b.MinArgs || (b.MaxArgs >= 0 && len(fc.Args) > b.MaxArgs) {
-		return types.Value{}, fmt.Errorf("wrong number of arguments to %s", name)
-	}
-	args := make([]types.Value, len(fc.Args))
-	for i, a := range fc.Args {
-		v, err := e.evalExpr(a, sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		args[i] = v
-	}
-	return b.Fn(&FuncContext{Sess: e}, args)
-}
-
-// evalSeqFunc handles sequence-advancing functions, whose first argument
-// is a sequence name written as a bare identifier or string.
-func (e *Session) evalSeqFunc(name string, fc *ast.FuncCall, sc *scope) (types.Value, error) {
-	if len(fc.Args) < 1 {
-		return types.Value{}, fmt.Errorf("%s requires a sequence name", name)
-	}
-	var seqName string
-	switch a := fc.Args[0].(type) {
-	case *ast.ColumnRef:
-		seqName = a.Column
-	case *ast.Literal:
-		if a.Val.K == types.KindString {
-			seqName = a.Val.S
-		}
-	}
-	if seqName == "" {
-		return types.Value{}, fmt.Errorf("%s requires a sequence name", name)
-	}
-	incr := int64(1)
-	if len(fc.Args) >= 2 {
-		v, err := e.evalExpr(fc.Args[1], sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		incr = v.AsInt()
-	}
-	return e.SequenceNext(seqName, incr)
-}
 
 // SequenceNext advances a sequence by incr and returns the new value.
 // The cursor is guarded by the engine's seqMu: sequences advance from

@@ -23,7 +23,8 @@ import (
 // the rows (order-sensitive iff the statement orders them), and neither
 // may panic. Seeded from the regress/ corpus and this package's query
 // shapes: the ORDER BY 0 and can-fail-predicate cases, the
-// join-semantics table and joins over the views and the poisoned table.
+// join-semantics table, joins over the views and the poisoned table, and
+// the grouped and correlated evaluation contexts.
 func FuzzSelectVariants(f *testing.F) {
 	files, err := filepath.Glob("../../regress/cases/*.json")
 	if err != nil || len(files) == 0 {
@@ -58,6 +59,9 @@ func FuzzSelectVariants(f *testing.F) {
 	}
 	for _, sql := range joinFuzzShapes {
 		f.Add(sql)
+	}
+	for _, tc := range evalContextCases {
+		f.Add(tc.sql)
 	}
 
 	e := New(Config{Quirks: Quirks{SkipDefaultTypeCheck: true}})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,10 +12,11 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// relation is an intermediate result during query evaluation.
+// relation is an intermediate result during query evaluation: rows of
+// width values each.
 type relation struct {
-	cols []scopeCol
-	rows [][]types.Value
+	width int
+	rows  [][]types.Value
 }
 
 // This file is the execution side of the engine's one SELECT executor:
@@ -25,13 +27,10 @@ type relation struct {
 // compiles (compiled.go) and then comes through here.
 
 // runSelect executes a compiled query expression: cores → union → sort →
-// limit. outer is the scope the expression is evaluated in, for
-// correlated references (nil at top level). The nested selects its
-// expressions evaluate are found through s.subs while it runs. Caller
-// holds the engine lock (at least read mode) and has set s.bind.
-func (s *Session) runSelect(cs *compiledSelect, outer *scope) ([][]types.Value, error) {
-	saved := s.subs
-	s.subs = cs.subs
+// limit. outer is the env the expression is evaluated in, for correlated
+// references (nil at top level). Caller holds the engine lock (at least
+// read mode) and has set s.bind.
+func (s *Session) runSelect(cs *compiledSelect, outer *env) ([][]types.Value, error) {
 	rows, err := s.runCores(cs, outer)
 	if err == nil && len(cs.keys) > 0 {
 		if err = cs.sortErr; err == nil {
@@ -41,7 +40,6 @@ func (s *Session) runSelect(cs *compiledSelect, outer *scope) ([][]types.Value, 
 			rows[i] = rows[i][:len(rows[i])-int(cs.hidden)]
 		}
 	}
-	s.subs = saved
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +51,7 @@ func (s *Session) runSelect(cs *compiledSelect, outer *scope) ([][]types.Value, 
 
 // runCores runs the SELECT and its UNION branches, merging each branch
 // into the result as it completes.
-func (s *Session) runCores(cs *compiledSelect, outer *scope) ([][]types.Value, error) {
+func (s *Session) runCores(cs *compiledSelect, outer *env) ([][]types.Value, error) {
 	var rows [][]types.Value
 	for i := range cs.cores {
 		c := &cs.cores[i]
@@ -78,7 +76,7 @@ func (s *Session) runCores(cs *compiledSelect, outer *scope) ([][]types.Value, e
 
 // runCore runs one SELECT: open the sources, filter, project or group,
 // deduplicate.
-func (s *Session) runCore(c *core, outer *scope) ([][]types.Value, error) {
+func (s *Session) runCore(c *core, outer *env) ([][]types.Value, error) {
 	// all is what the sources produce; when an index answered, cands
 	// names the positions in it that can satisfy the predicate.
 	var all [][]types.Value
@@ -105,9 +103,9 @@ func (s *Session) runCore(c *core, outer *scope) ([][]types.Value, error) {
 	// order; an index only spares it rows that cannot satisfy it. With no
 	// predicate the source's rows are shared: projection builds result
 	// rows fresh, and the slice is only read under the statement's lock.
-	sc := scope{cols: c.cols, parent: outer}
+	en := env{outer: outer}
 	rows := all
-	if where := c.sel.Where; where != nil {
+	if c.where != nil {
 		n := len(all)
 		if indexed {
 			n = len(cands)
@@ -118,8 +116,8 @@ func (s *Session) runCore(c *core, outer *scope) ([][]types.Value, error) {
 			if indexed {
 				row = all[cands[i]]
 			}
-			sc.vals = row
-			v, err := s.evalExpr(where, &sc)
+			en.row = row
+			v, err := s.eval(c.where, &en)
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +130,7 @@ func (s *Session) runCore(c *core, outer *scope) ([][]types.Value, error) {
 	if c.grouped {
 		rows, err = s.projectGrouped(c, rows, outer)
 	} else {
-		rows, err = s.projectRows(c, rows, &sc)
+		rows, err = s.projectRows(c, rows, &en)
 	}
 	if err == nil && c.distinct {
 		rows = dedupeRows(rows)
@@ -143,7 +141,7 @@ func (s *Session) runCore(c *core, outer *scope) ([][]types.Value, error) {
 // openFrom opens the core's source tree in FROM order: each entry's
 // sources left to right through its join chain, entries combined by
 // cross product. A FROM-less core reads one empty row.
-func (s *Session) openFrom(c *core, outer *scope) (*relation, error) {
+func (s *Session) openFrom(c *core, outer *env) (*relation, error) {
 	if len(c.from) == 0 {
 		return &relation{rows: [][]types.Value{{}}}, nil
 	}
@@ -178,8 +176,8 @@ func crossEntries(rel, entry *relation) *relation {
 // openSource reads one FROM reference whole: a base table's rows on the
 // session's read plane, or the rows a derived table or view body
 // produces (a view body sees no enclosing scope).
-func (s *Session) openSource(src *source, outer *scope) (*relation, error) {
-	rel := &relation{cols: src.cols}
+func (s *Session) openSource(src *source, outer *env) (*relation, error) {
+	rel := &relation{width: src.width}
 	switch {
 	case src.sub == nil:
 		// A name compile time did not know (src.err) is still unknown:
@@ -210,19 +208,13 @@ func (s *Session) openSource(src *source, outer *scope) (*relation, error) {
 
 // sortRows orders the result by the plan's resolved keys, stably. The
 // first key error ends the sort's work.
-func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *scope) error {
-	sc := scope{cols: cs.outScope, parent: outer}
+func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *env) error {
+	en := env{outer: outer}
 	var sortErr error
 	keyOf := func(k *sortKey, row []types.Value) (v types.Value) {
-		switch {
-		case sortErr != nil:
-		case k.err != nil:
-			sortErr = k.err
-		case k.col >= 0:
-			v = row[k.col]
-		default:
-			sc.vals = row
-			v, sortErr = s.evalExpr(k.expr, &sc)
+		if sortErr == nil {
+			en.row = row
+			v, sortErr = s.eval(k.expr, &en)
 		}
 		return v
 	}
@@ -289,7 +281,7 @@ func compareForSort(a, b types.Value) int {
 }
 
 func crossProduct(a, b *relation) *relation {
-	out := &relation{cols: append(append([]scopeCol(nil), a.cols...), b.cols...)}
+	out := &relation{width: a.width + b.width}
 	out.rows = make([][]types.Value, 0, len(a.rows)*len(b.rows))
 	for _, ra := range a.rows {
 		for _, rb := range b.rows {
@@ -303,19 +295,19 @@ func crossProduct(a, b *relation) *relation {
 }
 
 // joinRelations joins b onto a under the step's ON predicate, which is
-// evaluated against one scratch row and one scope per join; a result row
+// evaluated against one scratch row and one env per join; a result row
 // is allocated only for a match. When the step has a hash key and every
 // key value is hashable (hashRight), ON — the whole of it — is evaluated
 // only on the bucket a left row's key selects. The pairs left out have
-// unequal or NULL keys: ON is not true on them and (whereSafeForSkip)
+// unequal or NULL keys: ON is not true on them and (hashKey's gate)
 // cannot fail on them, so rows, their order, null-extension and errors
 // are those of the every-pair loop that runs otherwise.
-func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *scope) (*relation, error) {
+func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *env) (*relation, error) {
 	j := step.join
 	if j.Type == ast.JoinCross || j.On == nil {
 		return crossProduct(a, b), nil
 	}
-	out := &relation{cols: append(append([]scopeCol(nil), a.cols...), b.cols...)}
+	out := &relation{width: a.width + b.width}
 	buckets, algo := s.hashRight(step.key, a, b)
 	s.eng.joinExecs[algo].Add(1)
 	var all []int // every right row: what a left row pairs with, unhashed
@@ -325,8 +317,8 @@ func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *scope) (*
 			all[i] = i
 		}
 	}
-	scratch := make([]types.Value, len(out.cols))
-	sc := scope{cols: out.cols, vals: scratch, parent: outer}
+	scratch := make([]types.Value, out.width)
+	en := env{row: scratch, outer: outer}
 	rightMatched := make([]bool, len(b.rows))
 	for _, ra := range a.rows {
 		copy(scratch, ra)
@@ -336,8 +328,8 @@ func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *scope) (*
 		}
 		matched := false
 		for _, bi := range cand {
-			copy(scratch[len(a.cols):], b.rows[bi])
-			v, err := s.evalExpr(j.On, &sc)
+			copy(scratch[a.width:], b.rows[bi])
+			v, err := s.eval(step.on, &en)
 			if err != nil {
 				return nil, err
 			}
@@ -347,7 +339,7 @@ func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *scope) (*
 			}
 		}
 		if !matched && (j.Type == ast.JoinLeft || j.Type == ast.JoinFull) {
-			row := make([]types.Value, len(out.cols))
+			row := make([]types.Value, out.width)
 			copy(row, ra)
 			out.rows = append(out.rows, row)
 		}
@@ -357,8 +349,8 @@ func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *scope) (*
 			if rightMatched[bi] {
 				continue
 			}
-			row := make([]types.Value, len(out.cols))
-			copy(row[len(a.cols):], rb)
+			row := make([]types.Value, out.width)
+			copy(row[a.width:], rb)
 			out.rows = append(out.rows, row)
 		}
 	}
@@ -398,21 +390,17 @@ func (s *Session) hashRight(key *joinKey, a, b *relation) (map[int64][]int, plan
 }
 
 // projectRows evaluates the core's projection over the filtered rows;
-// sc is the core's scope.
-func (s *Session) projectRows(c *core, rows [][]types.Value, sc *scope) ([][]types.Value, error) {
+// en is the core's env.
+func (s *Session) projectRows(c *core, rows [][]types.Value, en *env) ([][]types.Value, error) {
 	if c.projErr != nil {
 		return nil, c.projErr
 	}
 	var out [][]types.Value
 	for _, row := range rows {
-		sc.vals = row
+		en.row = row
 		vals := make([]types.Value, len(c.projs))
-		for i, px := range c.projs {
-			if px.star >= 0 {
-				vals[i] = row[px.star]
-				continue
-			}
-			v, err := s.evalExpr(px.expr, sc)
+		for i, x := range c.projs {
+			v, err := s.eval(x, en)
 			if err != nil {
 				return nil, err
 			}
@@ -423,30 +411,28 @@ func (s *Session) projectRows(c *core, rows [][]types.Value, sc *scope) ([][]typ
 	return out, nil
 }
 
-type projExpr struct {
-	expr ast.Expr
-	star int // >=0: direct column index from a * expansion
-}
-
-// expandItems resolves the SELECT list into output column names and
-// projection expressions, expanding * and tbl.*.
-func (e *Session) expandItems(items []ast.SelectItem, from []scopeCol) ([]string, []projExpr, error) {
-	var cols []string
-	var exprs []projExpr
-	for _, it := range items {
+// expandItems resolves the SELECT list — each item lowered in exprs —
+// into output column names and projection expressions, expanding * and
+// tbl.* into the columns they name (no * groups).
+func (e *Session) expandItems(items []ast.SelectItem, exprs []rexpr, from []scopeCol, grouped bool) ([]string, []rexpr, error) {
+	cols := make([]string, 0, len(items))
+	projs := make([]rexpr, 0, len(items))
+	for i, it := range items {
 		switch {
+		case it.Star && grouped:
+			return nil, nil, errors.New("cannot use * with GROUP BY or aggregates")
 		case it.Star && it.StarTable == "":
-			for i, c := range from {
+			for j, c := range from {
 				cols = append(cols, c.name)
-				exprs = append(exprs, projExpr{star: i})
+				projs = append(projs, column(0, j))
 			}
 		case it.Star:
 			q := up(it.StarTable)
 			found := false
-			for i, c := range from {
+			for j, c := range from {
 				if c.qual == q {
 					cols = append(cols, c.name)
-					exprs = append(exprs, projExpr{star: i})
+					projs = append(projs, column(0, j))
 					found = true
 				}
 			}
@@ -459,10 +445,10 @@ func (e *Session) expandItems(items []ast.SelectItem, from []scopeCol) ([]string
 				return nil, nil, err
 			}
 			cols = append(cols, name)
-			exprs = append(exprs, projExpr{expr: it.Expr, star: -1})
+			projs = append(projs, exprs[i])
 		}
 	}
-	return cols, exprs, nil
+	return cols, projs, nil
 }
 
 // outputName determines the result column name for a projection item,
@@ -503,49 +489,51 @@ func renderExprName(x ast.Expr) string {
 // ---------------------------------------------------------------------------
 // Grouped projection (GROUP BY / aggregates)
 
-func (e *Session) projectGrouped(c *core, rows [][]types.Value, outer *scope) ([][]types.Value, error) {
-	type group struct {
-		key  string
-		rows [][]types.Value
-	}
-	s := c.sel
+// projectGrouped groups the filtered rows by the GROUP BY values — one
+// group over all of them (possibly none) for a global aggregate — and
+// evaluates HAVING and the projection over each group.
+func (s *Session) projectGrouped(c *core, rows [][]types.Value, outer *env) ([][]types.Value, error) {
+	type group struct{ rows [][]types.Value }
 	var groups []*group
-	if len(s.GroupBy) > 0 {
+	if len(c.groupBy) > 0 {
 		index := make(map[string]*group)
-		sc := scope{cols: c.cols, parent: outer}
+		en := env{outer: outer}
+		key := make([]types.Value, len(c.groupBy))
 		for _, row := range rows {
-			sc.vals = row
-			var kb strings.Builder
-			for _, gexpr := range s.GroupBy {
-				v, err := e.evalExpr(gexpr, &sc)
+			en.row = row
+			for i, gx := range c.groupBy {
+				v, err := s.eval(gx, &en)
 				if err != nil {
 					return nil, err
 				}
-				kb.WriteString(v.String())
-				kb.WriteByte('\x1f')
-				kb.WriteByte(byte('0' + int(v.K)))
-				kb.WriteByte('\x1e')
+				key[i] = v
 			}
-			k := kb.String()
+			k := rowKey(key)
 			g, ok := index[k]
 			if !ok {
-				g = &group{key: k}
+				g = &group{}
 				index[k] = g
 				groups = append(groups, g)
 			}
 			g.rows = append(g.rows, row)
 		}
 	} else {
-		// Global aggregate: one group over all rows (possibly empty).
 		groups = append(groups, &group{rows: rows})
 	}
 	if c.projErr != nil {
 		return nil, c.projErr
 	}
 	var out [][]types.Value
+	en := env{outer: outer, grouped: true}
 	for _, g := range groups {
-		if s.Having != nil {
-			hv, err := e.evalGroupExpr(s.Having, g.rows, c.cols, outer)
+		en.group = g.rows
+		if len(g.rows) > 0 {
+			en.row = g.rows[0]
+		} else {
+			en.row = make([]types.Value, c.width)
+		}
+		if c.having != nil {
+			hv, err := s.eval(c.having, &en)
 			if err != nil {
 				return nil, err
 			}
@@ -553,9 +541,9 @@ func (e *Session) projectGrouped(c *core, rows [][]types.Value, outer *scope) ([
 				continue
 			}
 		}
-		vals := make([]types.Value, len(c.items))
-		for i, it := range c.items {
-			v, err := e.evalGroupExpr(it.Expr, g.rows, c.cols, outer)
+		vals := make([]types.Value, len(c.projs))
+		for i, x := range c.projs {
+			v, err := s.eval(x, &en)
 			if err != nil {
 				return nil, err
 			}
@@ -564,123 +552,4 @@ func (e *Session) projectGrouped(c *core, rows [][]types.Value, outer *scope) ([
 		out = append(out, vals)
 	}
 	return out, nil
-}
-
-// evalGroupExpr evaluates an expression in grouped context: aggregate
-// calls accumulate over the group's rows; other leaves resolve against
-// the group's first row.
-func (e *Session) evalGroupExpr(x ast.Expr, groupRows [][]types.Value, cols []scopeCol, outer *scope) (types.Value, error) {
-	if fc, ok := x.(*ast.FuncCall); ok && isAggregateName(fc.Name) {
-		return e.evalAggregate(fc, groupRows, cols, outer)
-	}
-	switch n := x.(type) {
-	case *ast.Binary:
-		l, err := e.evalGroupExpr(n.L, groupRows, cols, outer)
-		if err != nil {
-			return types.Value{}, err
-		}
-		r, err := e.evalGroupExpr(n.R, groupRows, cols, outer)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return e.evalBinary(&ast.Binary{Op: n.Op, L: &ast.Literal{Val: l}, R: &ast.Literal{Val: r}}, nil)
-	case *ast.Unary:
-		v, err := e.evalGroupExpr(n.X, groupRows, cols, outer)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return e.evalUnary(&ast.Unary{Op: n.Op, X: &ast.Literal{Val: v}}, nil)
-	default:
-		var row []types.Value
-		if len(groupRows) > 0 {
-			row = groupRows[0]
-		} else {
-			row = make([]types.Value, len(cols))
-		}
-		sc := &scope{cols: cols, vals: row, parent: outer}
-		return e.evalExpr(x, sc)
-	}
-}
-
-func (e *Session) evalAggregate(fc *ast.FuncCall, groupRows [][]types.Value, cols []scopeCol, outer *scope) (types.Value, error) {
-	name := strings.ToUpper(fc.Name)
-	if fc.Star {
-		if name != "COUNT" {
-			return types.Value{}, fmt.Errorf("%s(*) is not valid", name)
-		}
-		return types.NewInt(int64(len(groupRows))), nil
-	}
-	if len(fc.Args) != 1 {
-		return types.Value{}, fmt.Errorf("%s takes exactly one argument", name)
-	}
-	var vals []types.Value
-	var seen map[string]bool
-	if fc.Distinct {
-		seen = make(map[string]bool)
-	}
-	sc := scope{cols: cols, parent: outer}
-	for _, row := range groupRows {
-		sc.vals = row
-		v, err := e.evalExpr(fc.Args[0], &sc)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if fc.Distinct {
-			k := v.String() + "\x1f" + v.K.String()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
-	}
-	switch name {
-	case "COUNT":
-		return types.NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return types.Null(), nil
-		}
-		allInt := true
-		sum := 0.0
-		var isum int64
-		for _, v := range vals {
-			nv, err := numericOperand(v)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if nv.K != types.KindInt {
-				allInt = false
-			}
-			sum += nv.AsFloat()
-			isum += nv.AsInt()
-		}
-		if name == "SUM" {
-			if allInt {
-				return types.NewInt(isum), nil
-			}
-			return types.NewFloat(sum), nil
-		}
-		return types.NewFloat(sum / float64(len(vals))), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return types.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := types.Compare(v, best)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	default:
-		return types.Value{}, fmt.Errorf("unknown aggregate %s", name)
-	}
 }

@@ -84,10 +84,6 @@ type Session struct {
 	// suffices.
 	bind []types.Value
 
-	// subs are the nested selects the running plan compiled for its own
-	// expressions (compiled.go); evaluation finds a subquery's plan here.
-	subs map[*ast.Select]*compiledSelect
-
 	// lastPlan records how the most recent SELECT, UPDATE or DELETE
 	// reached its rows — see Session.LastPlan.
 	lastPlan plan.Info
@@ -293,7 +289,6 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 	s.bind = nil
 	s.dmlOwn = false
 	s.ownTabs = nil
-	s.subs = nil
 	if !s.inTxn {
 		if err == nil {
 			// Advance the commit mark while the latches are held, so a
