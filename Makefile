@@ -24,7 +24,8 @@ stackbench-test:
 # Line ledger: non-test Go lines outside bench/, per package and in
 # total (28 979 before PR 15, 28 721 before PR 17, 28 549 before PR 18,
 # 28 418 before PR 19).
-# 28 623 before expressions were lowered at plan time.
+# 28 623 before expressions were lowered at plan time, 28 353 before
+# the server-vs-oracle verdict was written once.
 # Deletion PRs quote it before and after.
 loc:
 	@git ls-files '*.go' ':!bench' ':!*_test.go' | xargs wc -l | \

@@ -2,7 +2,13 @@ package divsql
 
 import (
 	"errors"
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,6 +33,74 @@ func TestNoSessionlessExec(t *testing.T) {
 				t.Errorf("%v has a sessionless %s", typ, verb)
 			}
 		}
+	}
+}
+
+// TestNoPrivateParses: statement text is parsed in one place, core.Resolve,
+// and every layer shares the handle it returns. The only other callers of
+// the SQL parser are the two that build new text from a private tree
+// (dialect translation, the middleware's rephrasing); a layer that wants
+// a tree reads its handle's.
+func TestNoPrivateParses(t *testing.T) {
+	const sqlParser = "divsql/internal/sql/parser"
+	allowed := map[string]bool{
+		"internal/core/parsed.go":         true,
+		"internal/translate/translate.go": true,
+		"internal/middleware/rephrase.go": true,
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch path {
+			case "bench", "internal/sql/parser":
+				return filepath.SkipDir
+			}
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || allowed[filepath.ToSlash(path)] {
+			return nil
+		}
+		f, err := goparser.ParseFile(fset, path, nil, goparser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == sqlParser {
+				local = "parser"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local && (sel.Sel.Name == "Parse" || sel.Sel.Name == "ParseScript") {
+				t.Errorf("%s: private parse %s.%s; resolve the text with core.Resolve and read its handle",
+					fset.Position(call.Pos()), local, sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // representation of floating point numbers, padding of characters in
 // character strings".
 type CompareOptions struct {
-	// OrderSensitive compares rows in order (set when the query had an
-	// ORDER BY); otherwise rows are compared as multisets.
+	// OrderSensitive compares rows in order (CompareFor sets it when the
+	// query had an ORDER BY); otherwise rows are compared as multisets.
 	OrderSensitive bool
 	// FloatSigDigits is the number of significant digits at which
 	// floating-point cells are considered equal (0 means exact).
@@ -37,6 +37,15 @@ func DefaultCompareOptions() CompareOptions {
 		TrimStrings:        true,
 		CompareColumnNames: true,
 	}
+}
+
+// CompareFor returns the options one statement's results are compared
+// under: the defaults, order-sensitive exactly when the statement is a
+// SELECT with an ORDER BY. p may be nil (text that does not parse).
+func CompareFor(p *Parsed) CompareOptions {
+	opts := DefaultCompareOptions()
+	opts.OrderSensitive = p != nil && p.Select != nil && len(p.Select.OrderBy) > 0
+	return opts
 }
 
 // StrictCompareOptions disables every normalization (used by the

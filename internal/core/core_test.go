@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"divsql/internal/engine"
 	"divsql/internal/sql/types"
@@ -209,12 +208,5 @@ func TestClassificationStrings(t *testing.T) {
 	c := Classification{Status: StatusFailure}
 	if !c.IsFailure() {
 		t.Error("IsFailure")
-	}
-}
-
-func TestExecOutcomeZeroValue(t *testing.T) {
-	var o ExecOutcome
-	if o.Err != nil || o.Crashed || o.Latency != time.Duration(0) {
-		t.Error("zero outcome must be clean")
 	}
 }

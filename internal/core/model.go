@@ -101,14 +101,6 @@ type Classification struct {
 // IsFailure reports whether the run failed.
 func (c Classification) IsFailure() bool { return c.Status == StatusFailure }
 
-// ExecOutcome is the observable outcome of executing one statement.
-type ExecOutcome struct {
-	Result  *engine.Result
-	Err     error
-	Crashed bool
-	Latency time.Duration
-}
-
 // The execution contract has two sides. An endpoint — a single server,
 // the replication group, the diverse middleware, the shard router — is a
 // SessionExecutor: all it does is open sessions. A Session is what a

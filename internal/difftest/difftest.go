@@ -45,7 +45,6 @@ import (
 	"divsql/internal/qgen"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/sql/types"
 	"divsql/internal/study"
 )
@@ -544,7 +543,7 @@ func (h *hunt) runStream(stream int) {
 	}()
 
 	history := make([]string, 0, h.cfg.N)
-	outs := make([]server.StmtOutcome, len(sess)+1)
+	outs := make([]study.Outcome, len(sess)+1)
 	pendingResync := make([]bool, len(sess))
 	for i := 0; i < h.cfg.N; i++ {
 		st := gen.Next()
@@ -572,8 +571,8 @@ func (h *hunt) runStream(stream int) {
 			} else {
 				res, lat, err = e.Run(p, args)
 			}
-			outs[slot] = server.StmtOutcome{
-				SQL: entry, Res: res, Err: err, Latency: lat,
+			outs[slot] = study.Outcome{
+				SQL: entry, P: p, Res: res, Err: err, Latency: lat,
 				Crashed: errors.Is(err, server.ErrCrashed),
 			}
 		}
@@ -585,7 +584,13 @@ func (h *hunt) runStream(stream int) {
 		wg.Wait()
 
 		oo := outs[len(sess)]
-		fp := ast.FingerprintOf(st).String()
+		var fpv ast.Fingerprint
+		if p != nil {
+			fpv = p.Fingerprint
+		} else {
+			fpv = ast.FingerprintOf(st)
+		}
+		fp := fpv.String()
 		breadth := cov.GeneratedFingerprints()
 		cov.Observe(st, fp, oo.Err)
 		h.tel.statements.Add(1)
@@ -604,7 +609,7 @@ func (h *hunt) runStream(stream int) {
 				// hunt continues; the crash itself is the divergence.
 				h.servers[j].Restart()
 			}
-			cls := classifyPair(st, so, oo)
+			cls := study.ClassifyStmt(so, oo)
 			if cls.IsFailure() {
 				cov.ObserveDivergence(st, fp)
 				h.record(h.servers[j].Name(), fp, srcDifferential, entry, cls, history, stream, i)
@@ -617,9 +622,9 @@ func (h *hunt) runStream(stream int) {
 		// under each forced access-path variant and compare against the
 		// normal execution (see Config.PlanVariants).
 		if h.cfg.PlanVariants && oo.Err == nil && !seqAdvances {
-			if sel, isSel := st.(*ast.Select); isSel {
+			if p != nil && p.Select != nil {
 				cov.ObserveOracleCheck(srcPlanVariants, fp)
-				if cls := checkPlanVariants(oSess, sel, args, oo); cls.IsFailure() {
+				if cls := checkPlanVariants(oSess, p, args, oo.Res); cls.IsFailure() {
 					isNew := cov.ObserveDivergence(st, fp)
 					cov.ObserveOracleDivergence(srcPlanVariants, isNew)
 					h.record(h.orc.Name(), fp, srcPlanVariants, entry, cls, history, stream, i)
@@ -689,7 +694,7 @@ func (h *hunt) runStream(stream int) {
 // transactions lost), dropped connections (transaction rolled back on
 // one side only), error mismatches on writes and diverging sequence-
 // advancing SELECTs (counter desync) do not.
-func stateDiverging(st ast.Statement, so, oo server.StmtOutcome, cls core.Classification, seqAdvances bool) bool {
+func stateDiverging(st ast.Statement, so, oo study.Outcome, cls core.Classification, seqAdvances bool) bool {
 	if cls.Type == core.EngineCrash {
 		return true
 	}
@@ -738,69 +743,6 @@ func (h *hunt) perServerPending(name dialect.ServerName) int {
 	return n
 }
 
-// classifyPair adjudicates one statement's outcome on a server against
-// the oracle's, following the study's observational classification.
-func classifyPair(st ast.Statement, so, oo server.StmtOutcome) core.Classification {
-	sel, isSel := st.(*ast.Select)
-	switch {
-	case so.Crashed:
-		return core.Classification{
-			Status: core.StatusFailure, Type: core.EngineCrash, SelfEvident: true,
-			Detail: "engine crashed on: " + so.SQL,
-		}
-	case so.Err != nil && oo.Err == nil:
-		typ := core.IncorrectResult
-		if errors.Is(so.Err, server.ErrConnAborted) {
-			typ = core.OtherFailure
-		}
-		return core.Classification{
-			Status: core.StatusFailure, Type: typ, SelfEvident: true,
-			Detail: so.Err.Error(),
-		}
-	case so.Err == nil && oo.Err != nil:
-		if isSel {
-			return core.Classification{
-				Status: core.StatusFailure, Type: core.IncorrectResult,
-				Detail: "query succeeded where it should have failed",
-			}
-		}
-		return core.Classification{
-			Status: core.StatusFailure, Type: core.OtherFailure,
-			Detail: "invalid statement accepted: " + oo.Err.Error(),
-		}
-	case so.Err != nil && oo.Err != nil:
-		// Both endpoints rejected the statement — but a fault can swap
-		// one error for another. Compare normalized error classes, not
-		// error presence: a "spurious deadlock" where a constraint
-		// violation belongs is an incorrect result even though the
-		// statement "failed" on both sides. Wording differences within a
-		// class are representational and tolerated, exactly like float
-		// formatting in correct results.
-		if sc, oc := core.ErrorClass(so.Err), core.ErrorClass(oo.Err); sc != oc {
-			return core.Classification{
-				Status: core.StatusFailure, Type: core.IncorrectResult,
-				Detail: fmt.Sprintf("error class mismatch: server %s (%q) vs oracle %s (%q)",
-					sc, so.Err.Error(), oc, oo.Err.Error()),
-			}
-		}
-	case so.Err == nil && oo.Err == nil:
-		if isSel {
-			opts := core.DefaultCompareOptions()
-			opts.OrderSensitive = len(sel.OrderBy) > 0
-			if d := core.Diff(so.Res, oo.Res, opts); d != "" {
-				return core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: d}
-			}
-		}
-		if so.Latency-oo.Latency >= study.PerfThreshold {
-			return core.Classification{
-				Status: core.StatusFailure, Type: core.Performance, SelfEvident: true,
-				Detail: "execution time exceeded acceptance threshold",
-			}
-		}
-	}
-	return core.Classification{Status: core.StatusNoFailure}
-}
-
 // variantForces are the forced plans the DQP-lite oracle replays each
 // answered SELECT under, against its memoised normal execution.
 var variantForces = []engplan.Force{engplan.ForceFullScan}
@@ -808,23 +750,21 @@ var variantForces = []engplan.Force{engplan.ForceFullScan}
 // checkPlanVariants re-executes one answered SELECT on the oracle under
 // each forced access-path variant and adjudicates the results against
 // the normal execution's. The comparison uses the same options as
-// server-vs-oracle adjudication (order-insensitive unless the statement
-// ordered its rows). The normal execution is the last thing the session
-// ran: a verdict names its plan — access paths and join algorithms — the
-// one the forced variant contradicts.
-func checkPlanVariants(oSess *server.Session, sel *ast.Select, args []types.Value, oo server.StmtOutcome) core.Classification {
-	opts := core.DefaultCompareOptions()
-	opts.OrderSensitive = len(sel.OrderBy) > 0
+// server-vs-oracle adjudication (core.CompareFor). The normal execution is
+// the last thing the session ran: a verdict names its plan — access paths
+// and join algorithms — the one the forced variant contradicts.
+func checkPlanVariants(oSess *server.Session, p *core.Parsed, args []types.Value, normalRes *engine.Result) core.Classification {
+	opts := core.CompareFor(p)
 	normal := oSess.LastPlan()
 	for _, force := range variantForces {
-		res, err := oSess.ExecVariant(sel, force, args...)
+		res, err := oSess.ExecVariant(p.Select, force, args...)
 		if err != nil {
 			return core.Classification{
 				Status: core.StatusFailure, Type: core.IncorrectResult,
 				Detail: fmt.Sprintf("plan variant %v failed where normal execution (%v) succeeded: %v", force, normal, err),
 			}
 		}
-		if d := core.Diff(res, oo.Res, opts); d != "" {
+		if d := core.Diff(res, normalRes, opts); d != "" {
 			return core.Classification{
 				Status: core.StatusFailure, Type: core.IncorrectResult,
 				Detail: fmt.Sprintf("plan variant %v disagrees with normal execution (%v): %s", force, normal, d),
@@ -832,13 +772,4 @@ func checkPlanVariants(oSess *server.Session, sel *ast.Select, args []types.Valu
 		}
 	}
 	return core.Classification{Status: core.StatusNoFailure}
-}
-
-// classifySQL is classifyPair for replayed statements (text only).
-func classifySQL(sql string, so, oo server.StmtOutcome) core.Classification {
-	st, err := parser.Parse(sql)
-	if err != nil {
-		st = nil
-	}
-	return classifyPair(st, so, oo)
 }

@@ -9,8 +9,6 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/metamorph"
 	"divsql/internal/server"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/study"
 )
 
@@ -43,7 +41,7 @@ func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Findin
 	stream := append(append([]string(nil), fixture...), probe)
 
 	orc := server.NewOracle()
-	oOut := study.RunSource(orc, study.SliceSource(stream))
+	oOut := study.RunSource(orc, stream)
 	last := len(stream) - 1
 	if oOut[last].Err != nil {
 		t.Fatalf("probe failed on oracle: %v", oOut[last].Err)
@@ -53,9 +51,9 @@ func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Findin
 		if err != nil {
 			t.Fatal(err)
 		}
-		sOut := study.RunSource(srv, study.SliceSource(stream))
+		sOut := study.RunSource(srv, stream)
 		for i := range stream {
-			if cls := classifySQL(sOut[i].SQL, sOut[i], oOut[i]); cls.IsFailure() {
+			if cls := study.ClassifyStmt(sOut[i], oOut[i]); cls.IsFailure() {
 				t.Fatalf("differential adjudication saw the planted defect on %s stmt %d (%s): %s — the blind spot demonstration is void",
 					name, i, stream[i], cls.Detail)
 			}
@@ -66,11 +64,7 @@ func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Findin
 	// same oracle endpoint that just agreed with everyone.
 	sess := orc.NewSession()
 	defer sess.Close()
-	st, err := parser.Parse(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, findings := metamorph.Check(sess, st.(*ast.Select), nil, oOut[last].Res, metamorph.Oracles)
+	_, findings := metamorph.Check(sess, oOut[last].P.Select, nil, oOut[last].Res, metamorph.Oracles)
 	return findings
 }
 
@@ -155,7 +149,7 @@ func runPlantedJoin(t *testing.T) core.Classification {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return checkPlanVariants(sess, p.Select, nil, server.StmtOutcome{SQL: joinProbe, Res: res})
+	return checkPlanVariants(sess, p, nil, res)
 }
 
 // TestPlantedHashJoinNullKeyDefect plants the hash join's truncated

@@ -12,7 +12,6 @@ import (
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 )
 
 // RegressCase is the on-disk form of one replayable regression case: a
@@ -69,8 +68,8 @@ func trimFaults(faults []fault.Fault, srv dialect.ServerName, stream []string) [
 	tables := map[string]bool{}
 	for _, entry := range stream {
 		sql, _, _ := core.DecodeBound(entry)
-		if st, err := parser.Parse(sql); err == nil {
-			for t := range ast.Tables(st) {
+		if p, err := core.Resolve(sql); err == nil {
+			for t := range ast.Tables(p.AST) {
 				tables[t] = true
 			}
 		}

@@ -6,8 +6,8 @@ import (
 
 	"divsql/internal/core"
 	"divsql/internal/dialect"
+	"divsql/internal/engine"
 	"divsql/internal/fault"
-	"divsql/internal/server"
 )
 
 // Report is a self-contained, replayable reproduction of one
@@ -42,9 +42,8 @@ type Report struct {
 	OracleBehavior string
 }
 
-// resultSummary renders a compact row/affected summary of an outcome.
-func resultSummary(out server.StmtOutcome) string {
-	res := out.Res
+// resultSummary renders a compact row/affected summary of a result.
+func resultSummary(res *engine.Result) string {
 	if res == nil {
 		return "ok"
 	}

@@ -1,18 +1,13 @@
 package difftest
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
-	"divsql/internal/core"
-	"divsql/internal/corpus"
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
 	"divsql/internal/qgen"
-	"divsql/internal/server"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 )
 
 // A seeded fault whose trigger table belongs to one stream's pool share
@@ -107,78 +102,5 @@ func TestSequenceStreamFaultFree(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Error("sequence profile emitted no sequence-advancing SELECT")
-	}
-}
-
-// An error-for-error swap — the server rejects a statement the oracle
-// also rejects, but with a different error class — is a divergence now.
-// Same-class rewording stays representational and is tolerated.
-func TestErrorClassSwapDetected(t *testing.T) {
-	sql := "DROP TABLE MISSING"
-	st, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orc := server.NewOracle()
-	sess := orc.NewSession()
-	_, _, oerr := sess.Exec(sql)
-	if oerr == nil {
-		t.Fatal("oracle must reject the drop of a missing table")
-	}
-	oo := server.StmtOutcome{SQL: sql, Err: oerr}
-
-	swapped := server.StmtOutcome{SQL: sql, Err: errors.New("spurious internal failure")}
-	if cls := classifyPair(st, swapped, oo); !cls.IsFailure() {
-		t.Error("error class swap not detected")
-	} else if cls.Type != core.IncorrectResult {
-		t.Errorf("swap classified as %s", cls.Type)
-	}
-
-	reworded := server.StmtOutcome{SQL: sql, Err: errors.New("relation MISSING does not exist")}
-	if cls := classifyPair(st, reworded, oo); cls.IsFailure() {
-		t.Errorf("same-class rewording flagged: %s", cls.Detail)
-	}
-}
-
-// Corpus-driven: for every injected error-message fault in the corpus,
-// the harness flags it against a legitimate oracle error exactly when
-// the normalized classes differ — and identical errors never diverge.
-func TestErrorClassCorpusDriven(t *testing.T) {
-	sql := "DROP TABLE MISSING"
-	st, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orc := server.NewOracle()
-	sess := orc.NewSession()
-	_, _, oerr := sess.Exec(sql)
-	oo := server.StmtOutcome{SQL: sql, Err: oerr}
-
-	total, swaps := 0, 0
-	for _, f := range corpus.AllFaults() {
-		if f.Effect.Kind != fault.EffectError {
-			continue
-		}
-		total++
-		serr := errors.New(f.Effect.Message)
-		so := server.StmtOutcome{SQL: sql, Err: serr}
-		mismatch := core.ErrorClass(serr) != core.ErrorClass(oerr)
-		if got := classifyPair(st, so, oo).IsFailure(); got != mismatch {
-			t.Errorf("fault %s (%q): flagged=%v, class mismatch=%v", f.BugID, f.Effect.Message, got, mismatch)
-		}
-		if mismatch {
-			swaps++
-		}
-		// The same error on both sides always agrees.
-		same := server.StmtOutcome{SQL: sql, Err: errors.New(f.Effect.Message)}
-		if classifyPair(st, so, same).IsFailure() {
-			t.Errorf("identical errors diverged for fault %s", f.BugID)
-		}
-	}
-	if total == 0 {
-		t.Fatal("corpus has no error-message faults")
-	}
-	if swaps == 0 {
-		t.Error("corpus error faults never swap classes; the comparison is untested")
 	}
 }

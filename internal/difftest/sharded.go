@@ -17,12 +17,12 @@ import (
 
 	"divsql/internal/core"
 	"divsql/internal/dialect"
-	"divsql/internal/engine"
 	"divsql/internal/middleware"
 	"divsql/internal/qgen"
 	"divsql/internal/server"
 	"divsql/internal/shard"
 	"divsql/internal/sql/ast"
+	"divsql/internal/study"
 )
 
 // ShardedConfig parameterizes one sharded smoke run.
@@ -42,7 +42,8 @@ type ShardedConfig struct {
 }
 
 // ShardedDivergence is one statement whose outcome through the sharded
-// deployment differed from the oracle's.
+// deployment differed from the oracle's (study.ClassifyStmt: the
+// deployment's outcome is the server's).
 type ShardedDivergence struct {
 	Stream, Index int
 	SQL           string
@@ -124,15 +125,17 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			oSess := orc.NewSession()
 			defer oSess.Close()
 			for i := 0; i < cfg.N; i++ {
-				st := gen.Next()
-				sql := ast.Render(st)
-				sres, _, serr := rSess.Exec(sql)
-				ores, _, oerr := oSess.Exec(sql)
+				sql := ast.Render(gen.Next())
+				p, _ := core.Resolve(sql) // unparseable text has no handle; both sides report the error
+				so := study.Outcome{SQL: sql, P: p}
+				oo := so
+				so.Res, so.Latency, so.Err = rSess.Exec(sql)
+				oo.Res, oo.Latency, oo.Err = oSess.Exec(sql)
 				tel.statements.Add(1)
 				tel.execs.Add(2)
-				if detail := shardedDiff(st, sres, serr, ores, oerr); detail != "" {
+				if cls := study.ClassifyStmt(so, oo); cls.IsFailure() {
 					mu.Lock()
-					divs = append(divs, ShardedDivergence{Stream: stream, Index: i, SQL: sql, Detail: detail})
+					divs = append(divs, ShardedDivergence{Stream: stream, Index: i, SQL: sql, Detail: cls.Detail})
 					mu.Unlock()
 				}
 			}
@@ -149,33 +152,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		res.PerShard = append(res.PerShard, st.Statements)
 	}
 	return res, nil
-}
-
-// shardedDiff adjudicates one statement's sharded outcome against the
-// oracle's: error presence, normalized error class, and (for queries)
-// the representation-tolerant result comparison. Latency is not judged —
-// the sharded path pays adjudication across a whole replica set per
-// statement, which is a deployment property, not a divergence.
-func shardedDiff(st ast.Statement, sres *engine.Result, serr error, ores *engine.Result, oerr error) string {
-	switch {
-	case serr != nil && oerr == nil:
-		return "sharded execution failed where the oracle succeeded: " + serr.Error()
-	case serr == nil && oerr != nil:
-		return "sharded execution succeeded where the oracle failed: " + oerr.Error()
-	case serr != nil && oerr != nil:
-		if sc, oc := core.ErrorClass(serr), core.ErrorClass(oerr); sc != oc {
-			return fmt.Sprintf("error class mismatch: sharded %s (%q) vs oracle %s (%q)", sc, serr, oc, oerr)
-		}
-	default:
-		if sel, isSel := st.(*ast.Select); isSel {
-			opts := core.DefaultCompareOptions()
-			opts.OrderSensitive = len(sel.OrderBy) > 0
-			if d := core.Diff(sres, ores, opts); d != "" {
-				return d
-			}
-		}
-	}
-	return ""
 }
 
 // RenderSharded formats a sharded smoke result for the console.

@@ -10,7 +10,6 @@ import (
 	"divsql/internal/metamorph"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/study"
 )
 
@@ -125,9 +124,8 @@ func (s *shrinker) reproduces(stmts []string) bool {
 		return idx >= 0
 	}
 	s.orc.Reset()
-	sOut := study.RunSource(s.srv, study.SliceSource(stmts))
-	oOut := study.RunSource(s.orc, study.SliceSource(stmts))
-	return divergesWith(s.key, sOut, oOut) >= 0
+	_, _, found := divergesWith(s.key, study.RunSource(s.srv, stmts), study.RunSource(s.orc, stmts))
+	return found
 }
 
 // selfCheckEndpoint builds the endpoint a self-check verdict convicted:
@@ -174,14 +172,14 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 		}
 		switch key.src {
 		case srcPlanVariants:
-			if cls := checkPlanVariants(sess, sel, args, server.StmtOutcome{SQL: entry, Res: res}); cls.IsFailure() {
-				return i, cls, resultSummary(server.StmtOutcome{Res: res})
+			if cls := checkPlanVariants(sess, p, args, res); cls.IsFailure() {
+				return i, cls, resultSummary(res)
 			}
 		default:
 			_, findings := metamorph.Check(sess, sel, args, res, []metamorph.Oracle{metamorph.Oracle(key.src)})
 			if len(findings) > 0 {
 				cls := core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: findings[0].Detail}
-				return i, cls, resultSummary(server.StmtOutcome{Res: res})
+				return i, cls, resultSummary(res)
 			}
 		}
 	}
@@ -189,26 +187,20 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 }
 
 // divergesWith scans paired outcomes for a divergence whose triggering
-// statement carries the key's fingerprint; it returns the statement
-// index or -1.
-func divergesWith(key dedupKey, sOut, oOut []server.StmtOutcome) int {
+// statement carries the key's fingerprint; it returns the statement's
+// index and verdict, found false when there is none.
+func divergesWith(key dedupKey, sOut, oOut []study.Outcome) (idx int, cls core.Classification, found bool) {
 	for i := range sOut {
 		if i >= len(oOut) {
 			break
 		}
-		cls := classifySQL(sOut[i].SQL, sOut[i], oOut[i])
-		if !cls.IsFailure() {
-			continue
-		}
-		st, err := parser.Parse(sOut[i].SQL)
-		if err != nil {
-			continue
-		}
-		if ast.FingerprintOf(st).String() == key.fp {
-			return i
+		if p := sOut[i].P; p != nil && p.Fingerprint.String() == key.fp {
+			if c := study.ClassifyStmt(sOut[i], oOut[i]); c.IsFailure() {
+				return i, c, true
+			}
 		}
 	}
-	return -1
+	return -1, core.Classification{}, false
 }
 
 // dependencySlice keeps the statements whose table sets transitively
@@ -220,8 +212,11 @@ func dependencySlice(history []string) []string {
 		return history
 	}
 	parsed := make([]ast.Statement, len(history))
-	for i, sql := range history {
-		parsed[i], _ = parser.Parse(sql)
+	for i, entry := range history {
+		sql, _, _ := core.DecodeBound(entry)
+		if p, err := core.Resolve(sql); err == nil {
+			parsed[i] = p.AST
+		}
 	}
 	needed := map[string]bool{}
 	last := parsed[len(history)-1]
@@ -310,14 +305,12 @@ func Replay(r *Report) (bool, error) {
 		return false, err
 	}
 	srv.SetStress(r.Stress)
-	orc := server.NewOracle()
-	sOut := study.RunSource(srv, study.SliceSource(r.Stream))
-	oOut := study.RunSource(orc, study.SliceSource(r.Stream))
-	return divergesWith(key, sOut, oOut) >= 0, nil
+	_, _, found := divergesWith(key, study.RunSource(srv, r.Stream), study.RunSource(server.NewOracle(), r.Stream))
+	return found, nil
 }
 
 // behaviorOf summarizes one endpoint's outcome on the trigger statement.
-func behaviorOf(out server.StmtOutcome) string {
+func behaviorOf(out study.Outcome) string {
 	switch {
 	case out.Crashed:
 		return "engine crash"
@@ -326,7 +319,7 @@ func behaviorOf(out server.StmtOutcome) string {
 	case out.Res == nil:
 		return "no result"
 	default:
-		return resultSummary(out)
+		return resultSummary(out.Res)
 	}
 }
 
@@ -344,18 +337,15 @@ func buildReport(cfg Config, key dedupKey, stream []string) *Report {
 		Stream:      append([]string(nil), stream...),
 		Behavior:    make(map[dialect.ServerName]string),
 	}
-	orc := server.NewOracle()
-	oOut := study.RunSource(orc, study.SliceSource(stream))
+	oOut := study.RunSource(server.NewOracle(), stream)
 
 	// Locate the trigger on the divergent server first, then record what
 	// every server does on that same statement.
 	r.TriggerIndex = len(stream) - 1
 	if srv, err := server.New(key.server, cfg.Faults); err == nil {
 		srv.SetStress(cfg.Stress)
-		sOut := study.RunSource(srv, study.SliceSource(stream))
-		if idx := divergesWith(key, sOut, oOut); idx >= 0 {
-			r.TriggerIndex = idx
-			r.Class = classifySQL(sOut[idx].SQL, sOut[idx], oOut[idx])
+		if idx, cls, found := divergesWith(key, study.RunSource(srv, stream), oOut); found {
+			r.TriggerIndex, r.Class = idx, cls
 		}
 	}
 	r.Trigger = stream[r.TriggerIndex]
@@ -368,7 +358,7 @@ func buildReport(cfg Config, key dedupKey, stream []string) *Report {
 			continue
 		}
 		srv.SetStress(cfg.Stress)
-		sOut := study.RunSource(srv, study.SliceSource(stream))
+		sOut := study.RunSource(srv, stream)
 		switch {
 		case r.TriggerIndex < len(sOut):
 			r.Behavior[name] = behaviorOf(sOut[r.TriggerIndex])

@@ -652,3 +652,31 @@ func TestValueCoercion(t *testing.T) {
 	}
 	mustFail(t, e, "INSERT INTO T VALUES ('xy', 1, 'a')")
 }
+
+// TestRowIdentityCannotBeForged: DISTINCT, UNION and GROUP BY tell rows
+// apart by every cell's kind and value, whatever bytes a string holds.
+// The two rows below agree once their cells are run together with the
+// separator and kind bytes a naive row key would join them by.
+func TestRowIdentityCannotBeForged(t *testing.T) {
+	e := NewOracle()
+	mustExec(t, e, "CREATE TABLE T (A VARCHAR(20), B VARCHAR(20))")
+	ins, err := parser.Parse("INSERT INTO T VALUES ($1, $2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][2]string{{"x\x1f3\x1ey", "z"}, {"x", "y\x1f3\x1ez"}} {
+		if _, err := sessionOf(e).ExecBind(ins, []types.Value{types.NewString(row[0]), types.NewString(row[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT A, B FROM T",
+		"SELECT DISTINCT A, B FROM T",
+		"SELECT A, B FROM T UNION SELECT A, B FROM T",
+		"SELECT A, B, COUNT(*) AS N FROM T GROUP BY A, B",
+	} {
+		if res := mustExec(t, e, sql); len(res.Rows) != 2 {
+			t.Errorf("%s: %d rows, want 2", sql, len(res.Rows))
+		}
+	}
+}

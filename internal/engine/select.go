@@ -68,7 +68,7 @@ func (s *Session) runCores(cs *compiledSelect, outer *env) ([][]types.Value, err
 		}
 		rows = append(rows, branch...)
 		if !c.unionAll {
-			rows = dedupeRows(rows)
+			rows = types.DistinctRows(rows)
 		}
 	}
 	return rows, nil
@@ -133,7 +133,7 @@ func (s *Session) runCore(c *core, outer *env) ([][]types.Value, error) {
 		rows, err = s.projectRows(c, rows, &en)
 	}
 	if err == nil && c.distinct {
-		rows = dedupeRows(rows)
+		rows = types.DistinctRows(rows)
 	}
 	return rows, err
 }
@@ -225,59 +225,13 @@ func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *env)
 			if sortErr != nil {
 				return false
 			}
-			if c := compareForSort(a, b); c != 0 {
+			if c := types.CompareNullsFirst(a, b); c != 0 {
 				return (c > 0) == key.desc
 			}
 		}
 		return false
 	})
 	return sortErr
-}
-
-func dedupeRows(rows [][]types.Value) [][]types.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0:0]
-	for _, r := range rows {
-		k := rowKey(r)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-func rowKey(row []types.Value) string {
-	var b strings.Builder
-	for _, v := range row {
-		b.WriteString(v.String())
-		b.WriteByte('\x1f')
-		b.WriteByte(byte('0' + int(v.K)))
-		b.WriteByte('\x1e')
-	}
-	return b.String()
-}
-
-// compareForSort orders values with NULLs first, mixed kinds by kind.
-func compareForSort(a, b types.Value) int {
-	if a.IsNull() || b.IsNull() {
-		switch {
-		case a.IsNull() && b.IsNull():
-			return 0
-		case a.IsNull():
-			return -1
-		default:
-			return 1
-		}
-	}
-	if c, err := types.Compare(a, b); err == nil {
-		return c
-	}
-	if a.K != b.K {
-		return int(a.K) - int(b.K)
-	}
-	return strings.Compare(a.String(), b.String())
 }
 
 func crossProduct(a, b *relation) *relation {
@@ -499,6 +453,7 @@ func (s *Session) projectGrouped(c *core, rows [][]types.Value, outer *env) ([][
 		index := make(map[string]*group)
 		en := env{outer: outer}
 		key := make([]types.Value, len(c.groupBy))
+		var k []byte
 		for _, row := range rows {
 			en.row = row
 			for i, gx := range c.groupBy {
@@ -508,11 +463,11 @@ func (s *Session) projectGrouped(c *core, rows [][]types.Value, outer *env) ([][
 				}
 				key[i] = v
 			}
-			k := rowKey(key)
-			g, ok := index[k]
+			k = types.AppendRowKey(k[:0], key)
+			g, ok := index[string(k)]
 			if !ok {
 				g = &group{}
-				index[k] = g
+				index[string(k)] = g
 				groups = append(groups, g)
 			}
 			g.rows = append(g.rows, row)

@@ -78,7 +78,7 @@ func runSideStream(t *testing.T, limit time.Duration) []step {
 
 	var steps []step
 	record := func(stmt string, res *engine.Result, err error) {
-		s := step{stmt: stmt, result: core.Digest(res, d.cfg.Compare), metrics: d.Metrics(), quarantined: d.QuarantinedReplicas()}
+		s := step{stmt: stmt, result: core.Digest(res, core.DefaultCompareOptions()), metrics: d.Metrics(), quarantined: d.QuarantinedReplicas()}
 		if err != nil {
 			s.err = err.Error()
 		}
@@ -186,8 +186,8 @@ func TestBroadcastVotesAreIndexAligned(t *testing.T) {
 				t.Fatal(err)
 			}
 			results := cs.broadcast(&boundStmt{p: p})
-			o := outcome{verdict: core.Adjudicate(results, d.cfg.Compare)}
-			o.agreed = core.Digest(o.verdict.Agreed, d.cfg.Compare)
+			o := outcome{verdict: core.Adjudicate(results, core.CompareFor(p))}
+			o.agreed = core.Digest(o.verdict.Agreed, core.CompareFor(p))
 			o.verdict.Agreed = nil
 			for _, r := range results {
 				o.names = append(o.names, r.Name)

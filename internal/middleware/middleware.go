@@ -102,10 +102,12 @@ const (
 )
 
 // Config tunes the middleware.
+//
+// Results are compared under the paper's representation-tolerant rule,
+// statement by statement (core.CompareFor): rows in order exactly when
+// the query has an ORDER BY, so a replica that orders them differently
+// is outvoted or splits the vote like any other wrong answer.
 type Config struct {
-	// Compare configures result normalization (defaults to the paper's
-	// representation-tolerant comparison).
-	Compare core.CompareOptions
 	// Reads selects the query execution policy (default ReadCompareAll).
 	Reads ReadPolicy
 	// Rephrase retries disagreeing replicas with a logically equivalent
@@ -139,7 +141,6 @@ type Config struct {
 // DefaultConfig returns the recommended configuration.
 func DefaultConfig() Config {
 	return Config{
-		Compare:       core.DefaultCompareOptions(),
 		Reads:         ReadCompareAll,
 		Rephrase:      true,
 		AutoResync:    true,
@@ -251,9 +252,6 @@ var (
 func New(cfg Config, servers ...*server.Server) (*DiverseServer, error) {
 	if len(servers) == 0 {
 		return nil, ErrNoReplicas
-	}
-	if cfg.Compare.FloatSigDigits == 0 && !cfg.Compare.OrderSensitive {
-		cfg.Compare = core.DefaultCompareOptions()
 	}
 	d := &DiverseServer{
 		cfg:         cfg,
@@ -657,7 +655,8 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 
 	results := cs.broadcast(b)
 	lat, slow := latencies(results, d.cfg.PerfThreshold)
-	verdict := core.Adjudicate(results, d.cfg.Compare)
+	opts := core.CompareFor(b.p)
+	verdict := core.Adjudicate(results, opts)
 	if verdict.Unanimous && slow == 0 {
 		d.unanimous.Add(1)
 		return verdict.Agreed, lat, nil
@@ -736,7 +735,7 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 				d.metrics.DetectedSplits++
 				return nil, lat, &DivergenceError{
 					Replicas: replicaNames(results),
-					Detail:   core.Diff(results[verdict.AgreeIdx[0]].Res, results[verdict.Outliers[0]].Res, d.cfg.Compare),
+					Detail:   core.Diff(results[verdict.AgreeIdx[0]].Res, results[verdict.Outliers[0]].Res, opts),
 				}
 			}
 		}
@@ -823,7 +822,7 @@ func (d *DiverseServer) repair(b *boundStmt, m member, want *engine.Result) bool
 		return false
 	}
 	res, ok := b.rephraseOn(m.sub)
-	return ok && (want == nil || core.Equal(res, want, d.cfg.Compare))
+	return ok && (want == nil || core.Equal(res, want, core.CompareFor(b.p)))
 }
 
 // tryRephrase re-executes a query on its outlier replicas in rephrased

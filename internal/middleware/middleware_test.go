@@ -141,6 +141,35 @@ func TestPairDetectsWithoutMasking(t *testing.T) {
 	}
 }
 
+// TestOrderOnlyDivergenceDetected: the replicas return the same rows in
+// different orders for an ORDER BY over MOD of negative numbers (each
+// product's MOD sign rule). The client asked for an order, so that is a
+// divergence: the PG+OR+MS triple (three orders, no majority) and the
+// PG+MS pair must both report a split, not a unanimous answer.
+func TestOrderOnlyDivergenceDetected(t *testing.T) {
+	for _, names := range [][]dialect.ServerName{
+		{dialect.PG, dialect.OR, dialect.MS},
+		{dialect.PG, dialect.MS},
+	} {
+		d := newDiverse(t, nil, names...)
+		sess := d.NewSession()
+		mustExec(t, sess, "CREATE TABLE T (A INT)")
+		mustExec(t, sess, "INSERT INTO T VALUES (-4), (-2), (1), (3)")
+		if _, _, err := sess.Exec("SELECT A FROM T WHERE A > 0 ORDER BY A"); err != nil {
+			t.Fatalf("%v: an order the replicas agree on: %v", names, err)
+		}
+		_, _, err := sess.Exec("SELECT A FROM T ORDER BY MOD(A, 3)")
+		var div *DivergenceError
+		if !errors.As(err, &div) {
+			t.Errorf("%v: want a divergence, got %v", names, err)
+		}
+		if m := d.Metrics(); m.DetectedSplits != 1 || m.Unanimous != m.Statements-1 {
+			t.Errorf("%v: metrics %+v", names, m)
+		}
+		sess.Close()
+	}
+}
+
 func TestCrashRecovery(t *testing.T) {
 	faults := []fault.Fault{{
 		BugID:   "crash",

@@ -363,26 +363,6 @@ func (g *Generator) NextSQL() string {
 	return core.EncodeBound(ast.Render(st), g.lastArgs)
 }
 
-// Stream is a bounded statement source over a generator. It satisfies
-// the study's statement-stream interface (Next() (string, bool)), so
-// generated workloads run through the same executor path as the corpus.
-type Stream struct {
-	G         *Generator
-	Remaining int
-}
-
-// NewStream bounds a generator to n statements.
-func NewStream(g *Generator, n int) *Stream { return &Stream{G: g, Remaining: n} }
-
-// Next implements the statement-stream contract.
-func (s *Stream) Next() (string, bool) {
-	if s.Remaining <= 0 {
-		return "", false
-	}
-	s.Remaining--
-	return s.G.NextSQL(), true
-}
-
 // pickClass draws a statement class from the adaptive Weights plane
 // (weight order matches Classes).
 func (g *Generator) pickClass() Class {

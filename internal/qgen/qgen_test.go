@@ -155,20 +155,6 @@ func TestPoolTablesAreExercised(t *testing.T) {
 	}
 }
 
-// The bounded Stream adapter must deliver exactly n statements and then
-// stop (it feeds the study's executor path).
-func TestStreamAdapter(t *testing.T) {
-	s := NewStream(New(CommonProfile(1)), 5)
-	for i := 0; i < 5; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("stream ended early at %d", i)
-		}
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("stream did not end after n statements")
-	}
-}
-
 // Transactions must stay balanced: no COMMIT/ROLLBACK without BEGIN and
 // no nested BEGIN (the servers would reject them identically, but the
 // stream should not waste its budget on rejected statements).

@@ -402,16 +402,6 @@ func (s *Server) checkDialect(st ast.Statement) error {
 	return nil
 }
 
-// StmtOutcome is the observable outcome of one statement of a replayed
-// stream (study.RunSource).
-type StmtOutcome struct {
-	SQL     string
-	Res     *engine.Result
-	Err     error
-	Crashed bool
-	Latency time.Duration
-}
-
 // Snapshot captures a consistent image of the engine's COMMITTED state
 // at this instant for state transfer. It never waits for transaction
 // boundaries: the engine rewinds open transactions on a copy-on-write

@@ -67,7 +67,7 @@ func mergeScatter(sel *ast.Select, results []*engine.Result) (*engine.Result, er
 	// Each shard deduplicated its own fragment; equal rows from
 	// different shards must collapse again.
 	if sel.Distinct || (sel.Union != nil && !sel.UnionAll) {
-		out.Rows = dedupeRows(out.Rows)
+		out.Rows = types.DistinctRows(out.Rows)
 	}
 	if len(sel.OrderBy) > 0 {
 		if err := orderMerged(out, sel.OrderBy); err != nil {
@@ -239,7 +239,7 @@ func orderMerged(res *engine.Result, order []ast.OrderItem) error {
 	}
 	sort.SliceStable(res.Rows, func(i, j int) bool {
 		for k, item := range order {
-			c := compareForSort(res.Rows[i][keyIdx[k]], res.Rows[j][keyIdx[k]])
+			c := types.CompareNullsFirst(res.Rows[i][keyIdx[k]], res.Rows[j][keyIdx[k]])
 			if c == 0 {
 				continue
 			}
@@ -251,47 +251,4 @@ func orderMerged(res *engine.Result, order []ast.OrderItem) error {
 		return false
 	})
 	return nil
-}
-
-// compareForSort mirrors the engine's ORDER BY comparator: NULLs first,
-// mixed kinds by kind, then value order.
-func compareForSort(a, b types.Value) int {
-	if a.IsNull() || b.IsNull() {
-		switch {
-		case a.IsNull() && b.IsNull():
-			return 0
-		case a.IsNull():
-			return -1
-		default:
-			return 1
-		}
-	}
-	if c, err := types.Compare(a, b); err == nil {
-		return c
-	}
-	if a.K != b.K {
-		return int(a.K) - int(b.K)
-	}
-	return strings.Compare(a.String(), b.String())
-}
-
-// dedupeRows removes duplicate rows, keeping first occurrences
-// (mirrors the engine's UNION/DISTINCT dedup).
-func dedupeRows(rows [][]types.Value) [][]types.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0:0]
-	for _, row := range rows {
-		var b strings.Builder
-		for _, v := range row {
-			b.WriteString(v.Encode())
-			b.WriteByte('\x1f')
-		}
-		k := b.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, row)
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"divsql/internal/dialect"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 )
 
 // FailureFingerprint returns the syntactic fingerprint of the statement
@@ -18,15 +17,14 @@ func (r *Run) FailureFingerprint() (ast.Fingerprint, bool) {
 	if r == nil || !r.Class.IsFailure() {
 		return ast.Fingerprint{}, false
 	}
-	_, idx := ClassifyIndexed(r.Stmts, r.OracleStmts)
-	if idx < 0 || idx >= len(r.Stmts) {
+	if r.Deviation < 0 || r.Deviation >= len(r.Stmts) {
 		return ast.Fingerprint{}, false
 	}
-	st, err := parser.Parse(r.Stmts[idx].SQL)
-	if err != nil {
+	p := r.Stmts[r.Deviation].P
+	if p == nil {
 		return ast.Fingerprint{}, false
 	}
-	return ast.FingerprintOf(st), true
+	return p.Fingerprint, true
 }
 
 // FailureGroup is one deduplicated failure of one server: all failing

@@ -8,6 +8,7 @@ import (
 	"divsql/internal/fault"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/parser"
 )
 
 // A crash ends the stream: the remaining statements cannot be submitted
@@ -23,13 +24,12 @@ func TestRunSourceStopsAtCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := ScriptSource("CREATE TABLE C1 (A INT); INSERT INTO C1 VALUES (1); SELECT A FROM C1;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RunSource(srv, src)
+	out := RunSource(srv, []string{"CREATE TABLE C1 (A INT)", "INSERT INTO C1 VALUES (1)", "SELECT A FROM C1"})
 	if len(out) != 2 || out[0].Err != nil || !out[1].Crashed {
 		t.Errorf("stream outcomes: %+v", out)
+	}
+	if out[1].P == nil || out[1].P.Text != "INSERT INTO C1 VALUES (1)" {
+		t.Errorf("outcome does not carry its statement's handle: %+v", out[1].P)
 	}
 }
 
@@ -38,8 +38,10 @@ func TestRunPairClassifiesLikeStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spot-check a handful of bugs: re-running through RunPair must give
-	// the same classification the full study recorded.
+	// Spot-check a handful of bugs: replaying the script on a fresh
+	// server/oracle pair and folding the per-statement verdicts must give
+	// the same classification, and name the same statement, as the full
+	// study recorded.
 	checked := 0
 	for _, bug := range corpus.All() {
 		if checked >= 10 {
@@ -53,13 +55,14 @@ func TestRunPairClassifiesLikeStudy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := ScriptSource(bug.Script)
+		stmts, err := parser.SplitScript(bug.Script)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cls, _, _ := RunPair(srv, server.NewOracle(), src)
-		if cls.Status != run.Class.Status || cls.Type != run.Class.Type {
-			t.Errorf("%s: RunPair %v/%v, study %v/%v", bug.ID, cls.Status, cls.Type, run.Class.Status, run.Class.Type)
+		cls, at := Classify(RunSource(srv, stmts), RunSource(server.NewOracle(), stmts))
+		if cls.Status != run.Class.Status || cls.Type != run.Class.Type || at != run.Deviation {
+			t.Errorf("%s: replay %v/%v at %d, study %v/%v at %d",
+				bug.ID, cls.Status, cls.Type, at, run.Class.Status, run.Class.Type, run.Deviation)
 		}
 		checked++
 	}

@@ -7,7 +7,6 @@ package study
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"divsql/internal/core"
@@ -15,6 +14,7 @@ import (
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
 	"divsql/internal/server"
+	"divsql/internal/sql/parser"
 	"divsql/internal/translate"
 )
 
@@ -29,9 +29,13 @@ type Run struct {
 	Class  core.Classification
 	// Stmts are the per-statement outcomes (empty when the script could
 	// not be translated). Used for pairwise detectability analysis.
-	Stmts []server.StmtOutcome
+	Stmts []Outcome
 	// OracleStmts are the oracle's outcomes on the same script.
-	OracleStmts []server.StmtOutcome
+	OracleStmts []Outcome
+	// Deviation is the index in Stmts of the statement Class names: the
+	// one on which the run first deviated from the oracle (-1 when the
+	// run did not fail).
+	Deviation int
 }
 
 // Study runs the bug corpus across the simulated servers.
@@ -98,7 +102,7 @@ func (s *Study) Run() (*Result, error) {
 // produce the CannotRun/FurtherWork classifications. srv and orc are
 // reset to pristine state before the replay.
 func (s *Study) runOne(bug *corpus.Bug, target dialect.ServerName, srv, orc *server.Server) (*Run, error) {
-	run := &Run{Bug: bug.ID, Server: target}
+	run := &Run{Bug: bug.ID, Server: target, Deviation: -1}
 	script := bug.Script
 	if target != bug.Server {
 		translated, err := translate.Script(script, bug.Server, target)
@@ -120,116 +124,124 @@ func (s *Study) runOne(bug *corpus.Bug, target dialect.ServerName, srv, orc *ser
 	srv.Reset()
 	orc.Reset()
 
-	src, err := ScriptSource(script)
+	stmts, err := parser.SplitScript(script)
 	if err != nil {
 		return nil, fmt.Errorf("script: %w", err)
 	}
-	run.Class, run.Stmts, run.OracleStmts = RunPair(srv, orc, src)
+	run.Stmts = RunSource(srv, stmts)
+	run.OracleStmts = RunSource(orc, stmts)
+	run.Class, run.Deviation = Classify(run.Stmts, run.OracleStmts)
 	return run, nil
 }
 
-// Classify derives the paper's classification of one run purely from the
-// observable behaviour of the server compared with the oracle:
+// ClassifyStmt is the paper's observational verdict on one statement:
+// the server's outcome against the pristine oracle's, read off the
+// statement's handle (never its text). It is the one per-statement rule
+// every harness applies — the study, the differential hunt, its shrinker
+// and replay, and the sharded smoke.
 //
 //   - an engine crash is an Engine Crash failure (self-evident);
 //   - an error message where the oracle succeeds is self-evident — an
 //     Incorrect Result failure, or Other for connection aborts;
-//   - visibly wrong query output with no error is a non-self-evident
-//     Incorrect Result failure (this includes query output produced by
-//     statements the oracle rejects);
-//   - silently accepting a non-query statement the oracle rejects,
-//     without any later output deviation, is a non-self-evident Other
-//     failure;
-//   - a correct run that exceeds the oracle's time by PerfThreshold is a
-//     Performance failure (self-evident).
-func Classify(sOut, oOut []server.StmtOutcome) core.Classification {
-	cls, _ := ClassifyIndexed(sOut, oOut)
-	return cls
+//   - an error where the oracle also errs is an Incorrect Result when the
+//     two errors fall in different classes (core.ErrorClass): a spurious
+//     deadlock where a constraint violation belongs; rewording within a
+//     class is representational and tolerated;
+//   - a query answering where the oracle errs, or returning rows that
+//     differ from the oracle's (in order only when it has an ORDER BY), is
+//     a non-self-evident Incorrect Result;
+//   - any other statement accepted where the oracle rejects it is a
+//     non-self-evident Other failure;
+//   - a correct statement that exceeds the oracle's time by PerfThreshold
+//     is a Performance failure (self-evident).
+func ClassifyStmt(so, oo Outcome) core.Classification {
+	switch {
+	case so.Crashed:
+		return core.Classification{
+			Status: core.StatusFailure, Type: core.EngineCrash, SelfEvident: true,
+			Detail: "engine crashed on: " + so.SQL,
+		}
+	case so.Err != nil && oo.Err == nil:
+		typ := core.IncorrectResult
+		if errors.Is(so.Err, server.ErrConnAborted) {
+			typ = core.OtherFailure
+		}
+		return core.Classification{
+			Status: core.StatusFailure, Type: typ, SelfEvident: true,
+			Detail: so.Err.Error(),
+		}
+	case so.Err == nil && oo.Err != nil:
+		if so.query() {
+			return core.Classification{
+				Status: core.StatusFailure, Type: core.IncorrectResult,
+				Detail: "query succeeded where it should have failed",
+			}
+		}
+		return core.Classification{
+			Status: core.StatusFailure, Type: core.OtherFailure,
+			Detail: "invalid statement accepted: " + oo.Err.Error(),
+		}
+	case so.Err != nil:
+		if sc, oc := core.ErrorClass(so.Err), core.ErrorClass(oo.Err); sc != oc {
+			return core.Classification{
+				Status: core.StatusFailure, Type: core.IncorrectResult,
+				Detail: fmt.Sprintf("error class mismatch: server %s (%q) vs oracle %s (%q)",
+					sc, so.Err.Error(), oc, oo.Err.Error()),
+			}
+		}
+	default:
+		if so.query() {
+			if d := core.Diff(so.Res, oo.Res, core.CompareFor(so.P)); d != "" {
+				return core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: d}
+			}
+		}
+		if so.Latency-oo.Latency >= PerfThreshold {
+			return core.Classification{
+				Status: core.StatusFailure, Type: core.Performance, SelfEvident: true,
+				Detail: "execution time exceeded acceptance threshold",
+			}
+		}
+	}
+	return core.Classification{Status: core.StatusNoFailure}
 }
 
-// ClassifyIndexed is Classify plus the index of the statement on which
-// the run first deviated from the oracle (-1 when no failure). The index
-// is what fingerprint-based failure deduplication keys on.
-func ClassifyIndexed(sOut, oOut []server.StmtOutcome) (core.Classification, int) {
-	var dataEvent, acceptEvent, perfEvent bool
-	var dataDetail, acceptDetail string
-	dataIdx, acceptIdx, perfIdx := -1, -1, -1
+// Classify folds the per-statement verdicts of one run into the run's
+// classification and the index of the statement it names (-1 when the
+// run did not fail). A self-evident error or crash ends the run's
+// judgement where it happens; otherwise the first wrong output outranks
+// the first silently accepted statement, which outranks the first slow
+// one.
+func Classify(sOut, oOut []Outcome) (core.Classification, int) {
+	cls, at := core.Classification{Status: core.StatusNoFailure}, -1
 	for i, so := range sOut {
-		if so.Crashed {
-			return core.Classification{
-				Status: core.StatusFailure, Type: core.EngineCrash, SelfEvident: true,
-				Detail: "engine crashed on: " + so.SQL,
-			}, i
-		}
-		if i >= len(oOut) {
+		var oo Outcome
+		if i < len(oOut) {
+			oo = oOut[i]
+		} else if !so.Crashed {
 			break
 		}
-		oo := oOut[i]
+		c := ClassifyStmt(so, oo)
 		switch {
-		case so.Err != nil && oo.Err == nil:
-			typ := core.IncorrectResult
-			if errors.Is(so.Err, server.ErrConnAborted) {
-				typ = core.OtherFailure
-			}
-			return core.Classification{
-				Status: core.StatusFailure, Type: typ, SelfEvident: true,
-				Detail: so.Err.Error(),
-			}, i
-		case so.Err == nil && oo.Err != nil:
-			if isSelect(so.SQL) {
-				if !dataEvent {
-					dataIdx = i
-					dataDetail = "query succeeded where it should have failed"
-				}
-				dataEvent = true
-			} else {
-				if !acceptEvent {
-					acceptIdx = i
-					acceptDetail = "invalid statement accepted: " + oo.Err.Error()
-				}
-				acceptEvent = true
-			}
-		case so.Err == nil && oo.Err == nil:
-			if isSelect(so.SQL) {
-				opts := core.DefaultCompareOptions()
-				opts.OrderSensitive = hasOrderBy(so.SQL)
-				if d := core.Diff(so.Res, oo.Res, opts); d != "" {
-					if !dataEvent {
-						dataIdx = i
-						dataDetail = d
-					}
-					dataEvent = true
-				}
-			}
-			if so.Latency-oo.Latency >= PerfThreshold {
-				if !perfEvent {
-					perfIdx = i
-				}
-				perfEvent = true
-			}
+		case !c.IsFailure():
+		case c.SelfEvident && c.Type != core.Performance:
+			return c, i
+		case at < 0 || silentRank(c.Type) < silentRank(cls.Type):
+			cls, at = c, i
 		}
 	}
-	switch {
-	case dataEvent:
-		return core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: dataDetail}, dataIdx
-	case acceptEvent:
-		return core.Classification{Status: core.StatusFailure, Type: core.OtherFailure, Detail: acceptDetail}, acceptIdx
-	case perfEvent:
-		return core.Classification{
-			Status: core.StatusFailure, Type: core.Performance, SelfEvident: true,
-			Detail: "execution time exceeded acceptance threshold",
-		}, perfIdx
+	return cls, at
+}
+
+// silentRank orders the deviations that do not end a run's judgement.
+func silentRank(t core.FailureType) int {
+	switch t {
+	case core.IncorrectResult:
+		return 0
+	case core.OtherFailure:
+		return 1
 	default:
-		return core.Classification{Status: core.StatusNoFailure}, -1
+		return 2
 	}
-}
-
-func isSelect(sql string) bool {
-	return strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sql)), "SELECT")
-}
-
-func hasOrderBy(sql string) bool {
-	return strings.Contains(strings.ToUpper(sql), "ORDER BY")
 }
 
 // identicalFailure reports whether two failing runs produced
@@ -239,21 +251,13 @@ func identicalFailure(a, b *Run) bool {
 	if len(a.Stmts) != len(b.Stmts) {
 		return false
 	}
-	opts := core.DefaultCompareOptions()
 	for i := range a.Stmts {
 		sa, sb := a.Stmts[i], b.Stmts[i]
 		if (sa.Err != nil) != (sb.Err != nil) {
 			return false
 		}
-		if sa.Err != nil {
-			continue
-		}
-		if isSelect(sa.SQL) {
-			o := opts
-			o.OrderSensitive = hasOrderBy(sa.SQL)
-			if !core.Equal(sa.Res, sb.Res, o) {
-				return false
-			}
+		if sa.Err == nil && sa.query() && !core.Equal(sa.Res, sb.Res, core.CompareFor(sa.P)) {
+			return false
 		}
 	}
 	return true

@@ -7,7 +7,6 @@ import (
 
 	"divsql/internal/dialect"
 	"divsql/internal/qgen"
-	"divsql/internal/sql/parser"
 )
 
 // ServerYield is one server's bug-finding economics over a workload:
@@ -67,10 +66,8 @@ func (r *Result) BuildYield() []ServerYield {
 				continue
 			}
 			y.FailingRuns++
-			if _, idx := ClassifyIndexed(run.Stmts, run.OracleStmts); idx >= 0 && idx < len(run.Stmts) {
-				if st, err := parser.Parse(run.Stmts[idx].SQL); err == nil {
-					y.ByClass[qgen.ClassOf(st)]++
-				}
+			if i := run.Deviation; i >= 0 && i < len(run.Stmts) && run.Stmts[i].P != nil {
+				y.ByClass[qgen.ClassOf(run.Stmts[i].P.AST)]++
 			}
 		}
 		y.DistinctFingerprints = len(groups[s])
