@@ -509,6 +509,78 @@ func (h *hunt) streamScope(opts qgen.Options) func(string) bool {
 	}
 }
 
+// stmt is one generated statement as every endpoint of a stream runs
+// it: its handle (nil when the text does not parse), the text for the
+// syntax error each endpoint then reports, and its bound arguments.
+type stmt struct {
+	sql, entry string
+	p          *core.Parsed
+	args       []types.Value
+}
+
+// runOn executes the statement in one endpoint session.
+func (x stmt) runOn(e *server.Session) study.Outcome {
+	var res *engine.Result
+	var lat time.Duration
+	var err error
+	if x.p == nil {
+		res, lat, err = e.Exec(x.sql)
+	} else {
+		res, lat, err = e.Run(x.p, x.args)
+	}
+	return study.Outcome{
+		SQL: x.entry, P: x.p, Res: res, Err: err, Latency: lat,
+		Crashed: errors.Is(err, server.ErrCrashed),
+	}
+}
+
+// lockstep runs a stream's statements on its server sessions, one
+// long-lived worker goroutine per session: a worker's stack grows to
+// what execution needs once per stream, not once per statement. run
+// hands every worker the statement, executes it on the oracle session
+// in the calling goroutine meanwhile, and returns when every outcome is
+// in; outs[i] is server session i's, outs[len(sess)] the oracle's.
+type lockstep struct {
+	oracle *server.Session
+	outs   []study.Outcome
+	feeds  []chan stmt
+	step   sync.WaitGroup // outcomes of the statement in flight
+	exit   sync.WaitGroup // live workers
+}
+
+func newLockstep(sess []*server.Session, oracle *server.Session) *lockstep {
+	ls := &lockstep{oracle: oracle, outs: make([]study.Outcome, len(sess)+1), feeds: make([]chan stmt, len(sess))}
+	ls.exit.Add(len(sess))
+	for i, e := range sess {
+		ls.feeds[i] = make(chan stmt)
+		go func(feed <-chan stmt, out *study.Outcome) {
+			defer ls.exit.Done()
+			for x := range feed {
+				*out = x.runOn(e)
+				ls.step.Done()
+			}
+		}(ls.feeds[i], &ls.outs[i])
+	}
+	return ls
+}
+
+func (ls *lockstep) run(x stmt) {
+	ls.step.Add(len(ls.feeds))
+	for _, feed := range ls.feeds {
+		feed <- x
+	}
+	ls.outs[len(ls.feeds)] = x.runOn(ls.oracle)
+	ls.step.Wait()
+}
+
+// close stops the workers and waits for them to exit.
+func (ls *lockstep) close() {
+	for _, feed := range ls.feeds {
+		close(feed)
+	}
+	ls.exit.Wait()
+}
+
 // runStream drives one client stream in lockstep across every endpoint:
 // the statement is executed on the oracle and all servers (each through
 // this stream's own session, concurrently), then each server's outcome
@@ -526,6 +598,9 @@ func (h *hunt) runStream(stream int) {
 		sess[i] = srv.NewSession()
 		defer sess[i].Close()
 	}
+	ls := newLockstep(sess, oSess)
+	defer ls.close()
+	outs := ls.outs
 
 	// Per-stream coverage: the feedback controller reads only this
 	// stream's own observations, so an adaptive single-stream run stays
@@ -543,7 +618,6 @@ func (h *hunt) runStream(stream int) {
 	}()
 
 	history := make([]string, 0, h.cfg.N)
-	outs := make([]study.Outcome, len(sess)+1)
 	pendingResync := make([]bool, len(sess))
 	for i := 0; i < h.cfg.N; i++ {
 		st := gen.Next()
@@ -559,29 +633,8 @@ func (h *hunt) runStream(stream int) {
 		// One handle for all five servers: the statement is parsed here,
 		// not once per endpoint. Text the parser refuses goes to each
 		// server as text, for the syntax error each reports.
-		p, perr := core.Resolve(sql)
-		var wg sync.WaitGroup
-		exec := func(slot int, e *server.Session) {
-			defer wg.Done()
-			var res *engine.Result
-			var lat time.Duration
-			var err error
-			if perr != nil {
-				res, lat, err = e.Exec(sql)
-			} else {
-				res, lat, err = e.Run(p, args)
-			}
-			outs[slot] = study.Outcome{
-				SQL: entry, P: p, Res: res, Err: err, Latency: lat,
-				Crashed: errors.Is(err, server.ErrCrashed),
-			}
-		}
-		wg.Add(len(sess) + 1)
-		go exec(len(sess), oSess)
-		for j := range sess {
-			go exec(j, sess[j])
-		}
-		wg.Wait()
+		p, _ := core.Resolve(sql)
+		ls.run(stmt{sql: sql, entry: entry, p: p, args: args})
 
 		oo := outs[len(sess)]
 		var fpv ast.Fingerprint

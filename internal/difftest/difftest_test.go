@@ -1,7 +1,9 @@
 package difftest
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
@@ -55,6 +57,30 @@ func TestRunDeterminism(t *testing.T) {
 	for i := range ka {
 		if ka[i] != kb[i] {
 			t.Errorf("divergence %d differs:\n  a: %s\n  b: %s", i, ka[i], kb[i])
+		}
+	}
+}
+
+// A stream's endpoint workers live exactly as long as the stream: once
+// Run returns, every goroutine it started has exited, with one stream
+// or several, faults and crash restarts included.
+func TestHuntWorkers(t *testing.T) {
+	for _, streams := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		cfg := CalibratedConfig(3, 300)
+		cfg.Streams = streams
+		cfg.Shrink = false
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		// A worker that has signalled its exit may still be unwinding.
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after != before {
+			t.Errorf("%d streams: %d goroutines before Run, %d after", streams, before, after)
 		}
 	}
 }

@@ -622,7 +622,7 @@ func (e *Session) execCreateTable(ct *ast.CreateTable) (*Result, error) {
 			t.Checks = append(t.Checks, tc.Check)
 		}
 	}
-	t.ic = newIndexCache()
+	t.ic = &indexCache{}
 	e.eng.st.tables[name] = t
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.tables, name) })
 	e.bumpSchema()
@@ -739,7 +739,10 @@ func (e *Session) execDropTable(dt *ast.DropTable) (*Result, error) {
 		delete(e.eng.st.tables, name)
 		// On a snapshot clone the table header is copied: a later live
 		// rollback re-adds (and then mutates) the original, which must
-		// not reach through into a published immutable image.
+		// not reach through into a published immutable image. The clones
+		// share its Rows array, so the original copies before its first
+		// in-place write.
+		t.rowsShared = true
 		e.logUndoCatalog(func(dst *state, toSnap bool) {
 			if toSnap {
 				dst.tables[name] = t.cloneHeader()

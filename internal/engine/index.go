@@ -53,18 +53,14 @@ import (
 // of one table share a lineage cache (Table.capIC). The cache has its
 // own mutex because concurrent SELECT sessions build and consult
 // indexes while holding only the engine read lock; published index
-// values are immutable, so the mutex guards only the cache map.
+// values are immutable, so the mutex guards only the cache map. The zero
+// value is an empty cache: a cache is made per table per clone or
+// capture, most are never probed, so each map is made by its first
+// build.
 type indexCache struct {
 	mu     sync.Mutex
 	hash   map[string]*hashIndex // colset key -> equality index
 	sorted map[int]*sortedIndex  // column ordinal -> range index
-}
-
-func newIndexCache() *indexCache {
-	return &indexCache{
-		hash:   make(map[string]*hashIndex),
-		sorted: make(map[int]*sortedIndex),
-	}
 }
 
 // indexTailMax is the append-tail size below which probes scan the
@@ -185,25 +181,36 @@ func (ic *indexCache) eqIndex(t *Table, cols []int) *hashIndex {
 		default:
 			// The probing table is shorter than the published coverage
 			// (an older capture sharing the lineage): serve the segment
-			// prefix ending exactly at its row count, without
-			// republishing — the longer index stays current.
-			ix = hashPrefix(ix, base, len(t.Rows))
+			// prefix ending exactly at its row count, or a build of its
+			// own when no boundary lands there — never republished: the
+			// longer index stays current.
+			if ix = hashPrefix(ix, base, len(t.Rows)); ix == nil {
+				ix = buildHashIndex(t, cols, base)
+			}
 		}
 	} else {
 		ix = nil
 	}
 	if ix == nil {
-		seg := buildHashSeg(t, cols, 0, len(t.Rows))
-		ix = &hashIndex{
-			base: base, colVers: colVersOf(t, cols), n: len(t.Rows),
-			poisoned: seg.poisoned, segs: []*hashSeg{seg},
+		ix = buildHashIndex(t, cols, base)
+		if ic.hash == nil {
+			ic.hash = make(map[string]*hashIndex)
 		}
 		ic.hash[key] = ix
 	}
-	if ix == nil || ix.poisoned {
+	if ix.poisoned {
 		return nil
 	}
 	return ix
+}
+
+// buildHashIndex indexes every row of the table in one segment.
+func buildHashIndex(t *Table, cols []int, base uint64) *hashIndex {
+	seg := buildHashSeg(t, cols, 0, len(t.Rows))
+	return &hashIndex{
+		base: base, colVers: colVersOf(t, cols), n: len(t.Rows),
+		poisoned: seg.poisoned, segs: []*hashSeg{seg},
+	}
 }
 
 // colVersOf snapshots the versions of the given columns (nil when no
@@ -349,20 +356,31 @@ func (ic *indexCache) rangeIndex(t *Table, col int) *sortedIndex {
 			ic.sorted[col] = nix
 			ix = nix
 		default:
-			ix = sortedPrefix(ix, base, len(t.Rows))
+			// An older capture, as in eqIndex: never republished.
+			if ix = sortedPrefix(ix, base, len(t.Rows)); ix == nil {
+				ix = buildSortedIndex(t, col, base, ver)
+			}
 		}
 	} else {
 		ix = nil
 	}
 	if ix == nil {
-		seg := buildSortedSeg(t, col, 0, len(t.Rows))
-		ix = &sortedIndex{base: base, colVer: ver, n: len(t.Rows), poisoned: seg.poisoned, segs: []*sortedSeg{seg}}
+		ix = buildSortedIndex(t, col, base, ver)
+		if ic.sorted == nil {
+			ic.sorted = make(map[int]*sortedIndex)
+		}
 		ic.sorted[col] = ix
 	}
 	if ix.poisoned {
 		return nil
 	}
 	return ix
+}
+
+// buildSortedIndex indexes every row of the table in one sorted run.
+func buildSortedIndex(t *Table, col int, base, ver uint64) *sortedIndex {
+	seg := buildSortedSeg(t, col, 0, len(t.Rows))
+	return &sortedIndex{base: base, colVer: ver, n: len(t.Rows), poisoned: seg.poisoned, segs: []*sortedSeg{seg}}
 }
 
 // sortedPrefix is hashPrefix for range indexes.

@@ -296,12 +296,13 @@ func TestJoinAllocs(t *testing.T) {
 		force plan.Force
 		max   float64
 	}{
-		// 16 joined rows + 16 projected rows + 16 buckets and the map + the
-		// growth of two row slices + the statement's fixed cost.
-		{plan.ForceAuto, 90},
+		// 16 buckets and the map + the growth of the match list + one slab
+		// of joined rows and one of projected rows + the statement's fixed
+		// cost: no allocation per result row.
+		{plan.ForceAuto, 45},
 		// No buckets; the plan is compiled per execution (a forced plan
-		// bypasses the memo), which is what the allowance is for.
-		{plan.ForceFullScan, 110},
+		// bypasses the memo).
+		{plan.ForceFullScan, 45},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			res, err := s.ExecSelectVariant(sel, tc.force, nil)
@@ -313,6 +314,35 @@ func TestJoinAllocs(t *testing.T) {
 		if allocs > tc.max {
 			t.Errorf("%v: %.0f allocations per 16x16 join, want <= %.0f (O(output + right rows), not O(pairs))", tc.force, allocs, tc.max)
 		}
+	}
+}
+
+// A projection allocates per core, not per row: its result rows are
+// carved from one slab, so 64 rows cost what 8 do.
+func TestProjectionAllocs(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	allocs := map[int]float64{}
+	for _, n := range []int{8, 64} {
+		table := fmt.Sprintf("P%d", n)
+		sessExec(t, s, fmt.Sprintf("CREATE TABLE %s (A INT)", table))
+		for i := 0; i < n; i++ {
+			sessExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES (%d)", table, i))
+		}
+		st, err := parser.Parse(fmt.Sprintf("SELECT A, A + 1 FROM %s", table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[n] = testing.AllocsPerRun(20, func() {
+			res, err := s.Exec(st)
+			if err != nil || len(res.Rows) != n {
+				t.Fatalf("%d rows, err %v", len(res.Rows), err)
+			}
+		})
+		t.Logf("%d rows: %.0f allocations", n, allocs[n])
+	}
+	if d := allocs[64] - allocs[8]; d > 2 || d < -2 {
+		t.Errorf("64 rows allocate %.0f, 8 rows %.0f: want equal within 2 (O(1) per core, not per row)", allocs[64], allocs[8])
 	}
 }
 

@@ -193,7 +193,7 @@ func captureTable(t *Table) *Table {
 		PKCols:  t.PKCols,
 		Uniques: append([][]int(nil), t.Uniques...),
 		Checks:  t.Checks,
-		ic:      newIndexCache(),
+		ic:      &indexCache{},
 		colVer:  append([]uint64(nil), t.colVer...),
 	}
 }

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"divsql/internal/engine/plan"
+	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
 )
 
@@ -239,4 +242,67 @@ func TestCommittedReadsNeverRewind(t *testing.T) {
 	if got := sexec(t, r, "SELECT V FROM T").Rows[0][0].I; got != commits {
 		t.Fatalf("final read: %d, want %d", got, commits)
 	}
+}
+
+// Captures of one table share an index lineage while rows are only
+// appended. An older capture — pinned by a REPEATABLE READ transaction —
+// that probes after a newer one extended the lineage past a segment
+// boundary at its own row count is served from an index of its own: the
+// published one keeps the newer, longer coverage. Both answers are the
+// full scan's.
+func TestOlderCaptureKeepsLineageCoverage(t *testing.T) {
+	e := NewOracle()
+	w := e.NewSession()
+	sexec(t, w, "CREATE TABLE T (K INT PRIMARY KEY, V INT)")
+	const pinnedRows, appended = 4, indexTailMax + 8
+	for k := 1; k <= pinnedRows; k++ {
+		sexec(t, w, fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", k, 10*k))
+	}
+	pinned := e.NewSession()
+	sexec(t, pinned, "SET TRANSACTION ISOLATION LEVEL REPEATABLE READ")
+	sexec(t, pinned, "BEGIN TRANSACTION")
+	queries := []string{"SELECT K, V FROM T WHERE K = 2", "SELECT K, V FROM T WHERE K > 1 AND K < 40"}
+	for _, q := range queries {
+		sexec(t, pinned, q)
+	}
+	for k := pinnedRows + 1; k <= pinnedRows+appended; k++ {
+		sexec(t, w, fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", k, 10*k))
+	}
+	latest := e.NewSession()
+	lineage := e.st.tables["T"].capIC
+	coverage := func() (point, rng int) {
+		lineage.mu.Lock()
+		defer lineage.mu.Unlock()
+		if ix := lineage.hash[colsetKey([]int{0})]; ix != nil {
+			point = ix.n
+		}
+		if ix := lineage.sorted[0]; ix != nil {
+			rng = ix.n
+		}
+		return point, rng
+	}
+	const want = pinnedRows + appended
+	for _, s := range []*Session{latest, pinned} {
+		for _, q := range queries {
+			res := sexec(t, s, q)
+			sel, err := parser.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := s.ExecSelectVariant(sel.(*ast.Select), plan.ForceFullScan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, scan := rowStrings(res), rowStrings(full); !slices.Equal(got, scan) {
+				t.Errorf("%q: %v, full scan %v", q, got, scan)
+			}
+		}
+		if point, rng := coverage(); point != want || rng != want {
+			t.Errorf("published coverage %d (point) / %d (range) rows, want %d", point, rng, want)
+		}
+	}
+	if got := len(sexec(t, pinned, queries[1]).Rows); got != pinnedRows-1 {
+		t.Errorf("pinned range read: %d rows, want %d (its capture's)", got, pinnedRows-1)
+	}
+	sexec(t, pinned, "COMMIT")
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -236,26 +235,39 @@ func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *env)
 
 func crossProduct(a, b *relation) *relation {
 	out := &relation{width: a.width + b.width}
-	out.rows = make([][]types.Value, 0, len(a.rows)*len(b.rows))
+	out.rows = slabRows(len(a.rows)*len(b.rows), out.width)
+	i := 0
 	for _, ra := range a.rows {
 		for _, rb := range b.rows {
-			row := make([]types.Value, 0, len(ra)+len(rb))
-			row = append(row, ra...)
-			row = append(row, rb...)
-			out.rows = append(out.rows, row)
+			row := out.rows[i]
+			copy(row[copy(row, ra):], rb)
+			i++
 		}
 	}
 	return out
 }
 
+// slabRows returns n zeroed result rows of width w carved from one
+// allocation instead of n. Each row is capacity-clipped: stripping
+// hidden sort keys from one or appending to it never reaches the next.
+func slabRows(n, w int) [][]types.Value {
+	rows := make([][]types.Value, n)
+	slab := make([]types.Value, n*w)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
 // joinRelations joins b onto a under the step's ON predicate, which is
-// evaluated against one scratch row and one env per join; a result row
-// is allocated only for a match. When the step has a hash key and every
-// key value is hashable (hashRight), ON — the whole of it — is evaluated
-// only on the bucket a left row's key selects. The pairs left out have
-// unequal or NULL keys: ON is not true on them and (hashKey's gate)
-// cannot fail on them, so rows, their order, null-extension and errors
-// are those of the every-pair loop that runs otherwise.
+// evaluated against one scratch row and one env per join; a match is
+// recorded as a pair of input positions, and the result rows are built
+// from one slab once the pairs are known. When the step has a hash key
+// and every key value is hashable (hashRight), ON — the whole of it — is
+// evaluated only on the bucket a left row's key selects. The pairs left
+// out have unequal or NULL keys: ON is not true on them and (hashKey's
+// gate) cannot fail on them, so rows, their order, null-extension and
+// errors are those of the every-pair loop that runs otherwise.
 func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *env) (*relation, error) {
 	j := step.join
 	if j.Type == ast.JoinCross || j.On == nil {
@@ -274,7 +286,10 @@ func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *env) (*re
 	scratch := make([]types.Value, out.width)
 	en := env{row: scratch, outer: outer}
 	rightMatched := make([]bool, len(b.rows))
-	for _, ra := range a.rows {
+	// The output as (left, right) positions, -1 for a null-extended side:
+	// pointer-free while it grows, and it sizes the slab exactly.
+	var pairs [][2]int
+	for ai, ra := range a.rows {
 		copy(scratch, ra)
 		cand := all // nil when hashed: a NULL key pairs with nothing
 		if algo == plan.HashJoin && ra[step.key.left].K == types.KindInt {
@@ -289,23 +304,30 @@ func (s *Session) joinRelations(a, b *relation, step *fromStep, outer *env) (*re
 			}
 			if types.TruthOf(v) == types.True {
 				matched, rightMatched[bi] = true, true
-				out.rows = append(out.rows, slices.Clone(scratch))
+				pairs = append(pairs, [2]int{ai, bi})
 			}
 		}
 		if !matched && (j.Type == ast.JoinLeft || j.Type == ast.JoinFull) {
-			row := make([]types.Value, out.width)
-			copy(row, ra)
-			out.rows = append(out.rows, row)
+			pairs = append(pairs, [2]int{ai, -1})
 		}
 	}
 	if j.Type == ast.JoinRight || j.Type == ast.JoinFull {
-		for bi, rb := range b.rows {
-			if rightMatched[bi] {
-				continue
+		for bi := range b.rows {
+			if !rightMatched[bi] {
+				pairs = append(pairs, [2]int{-1, bi})
 			}
-			row := make([]types.Value, out.width)
-			copy(row[a.width:], rb)
-			out.rows = append(out.rows, row)
+		}
+	}
+	if len(pairs) == 0 {
+		return out, nil
+	}
+	out.rows = slabRows(len(pairs), out.width)
+	for i, p := range pairs {
+		if p[0] >= 0 {
+			copy(out.rows[i], a.rows[p[0]])
+		}
+		if p[1] >= 0 {
+			copy(out.rows[i][a.width:], b.rows[p[1]])
 		}
 	}
 	return out, nil
@@ -344,23 +366,24 @@ func (s *Session) hashRight(key *joinKey, a, b *relation) (map[int64][]int, plan
 }
 
 // projectRows evaluates the core's projection over the filtered rows;
-// en is the core's env.
+// en is the core's env. The result rows come from one slab.
 func (s *Session) projectRows(c *core, rows [][]types.Value, en *env) ([][]types.Value, error) {
 	if c.projErr != nil {
 		return nil, c.projErr
 	}
-	var out [][]types.Value
-	for _, row := range rows {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	out := slabRows(len(rows), len(c.projs))
+	for r, row := range rows {
 		en.row = row
-		vals := make([]types.Value, len(c.projs))
 		for i, x := range c.projs {
 			v, err := s.eval(x, en)
 			if err != nil {
 				return nil, err
 			}
-			vals[i] = v
+			out[r][i] = v
 		}
-		out = append(out, vals)
 	}
 	return out, nil
 }

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sort"
-
-	"divsql/internal/sql/types"
-)
+import "sort"
 
 // This file implements the copy-on-write consistent-snapshot subsystem.
 //
@@ -19,11 +15,14 @@ import (
 // Snapshot removes the wait. It produces a consistent image of the
 // COMMITTED state at the instant of the call, with no quiescence:
 //
-//  1. Clone the catalog headers copy-on-write under the read lock. Maps,
-//     Table headers and row-slice headers are copied; the row storage
-//     ([]types.Value) is shared, because rows are immutable once written
-//     (UPDATE replaces the row slice, it never mutates one in place).
-//     The clone is O(catalog + row count), not O(data).
+//  1. Clone the catalog headers copy-on-write under the read lock. Maps
+//     and Table headers are copied; the row storage is shared — the row
+//     value slices, because rows are immutable once written (UPDATE
+//     replaces the row slice, it never mutates one in place), and the
+//     Rows array, which both sides treat as shared (Table.rowsShared):
+//     the first in-place replacement on either side copies it, and an
+//     append past the clone's clipped capacity reallocates. The clone
+//     is O(catalog), not O(row count).
 //  2. Rewind every open transaction on the clone: undo records are
 //     functions over an abstract *state, so the same records that
 //     implement ROLLBACK on the live plane peel the uncommitted changes
@@ -51,25 +50,30 @@ type State struct {
 	CommitSeq uint64
 }
 
-// cloneHeader copies a table's mutable headers — the struct, the outer
-// Rows and Uniques slices — while sharing the immutable storage: column
-// definitions, check expressions, inner keyset slices and the row value
-// slices themselves.
+// cloneHeader copies a table's mutable headers — the struct and the
+// Uniques slice — while sharing the immutable storage: column
+// definitions, check expressions, inner keyset slices, the row value
+// slices and the Rows array itself. The shared array is
+// capacity-clipped, so an append on the clone reallocates, and the
+// clone is marked rowsShared, so its first in-place row replacement
+// copies first. The source must not write the array in place either: a
+// live source is marked rowsShared by its caller, under its latch.
 func (t *Table) cloneHeader() *Table {
 	// Field-by-field: Table embeds a latch and an atomic mutation
 	// counter, neither of which may be copied. The clone starts with a
 	// fresh latch, mutSeq 0 and its own index cache (two engines
 	// invalidating each other's indexes would be a race).
-	ct := &Table{
-		Name:    t.Name,
-		Cols:    t.Cols,
-		Rows:    append([][]types.Value(nil), t.Rows...),
-		PKCols:  t.PKCols,
-		Uniques: append([][]int(nil), t.Uniques...),
-		Checks:  t.Checks,
-		ic:      newIndexCache(),
+	n := len(t.Rows)
+	return &Table{
+		Name:       t.Name,
+		Cols:       t.Cols,
+		Rows:       t.Rows[:n:n],
+		rowsShared: true,
+		PKCols:     t.PKCols,
+		Uniques:    append([][]int(nil), t.Uniques...),
+		Checks:     t.Checks,
+		ic:         &indexCache{},
 	}
-	return ct
 }
 
 // cloneForSnapshot copies the state's headers copy-on-write. Views and
@@ -127,6 +131,11 @@ func (e *Engine) Snapshot() *State {
 	e.seqMu.Lock()
 	cl := e.st.cloneForSnapshot()
 	e.seqMu.Unlock()
+	// The clone shares every live Rows array: the live side's next
+	// in-place replacement must copy it first.
+	for _, t := range e.st.tables {
+		t.rowsShared = true
+	}
 	for s := range e.sessions {
 		s.txMu.Lock()
 		if s.inTxn {

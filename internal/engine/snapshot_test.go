@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -454,4 +456,85 @@ func TestSnapshotLatchOrderingUnderMultiTableDML(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// A snapshot shares the donor's Rows arrays and so does every engine it
+// is restored into: each side's writes must stay its own. Every stage
+// starts from one donor and one snapshot restored into two engines, then
+// writes on each engine in turn — the clones first, then the donor — and
+// after each writer checks that the snapshot and every other engine
+// still hold exactly what they held before. Rows are read straight from
+// the catalog: a SELECT would capture a read view, which marks the table
+// shared on its own. Five single-row INSERTs leave the donor's array
+// with spare capacity for an append to land in.
+func TestSnapshotRowsCopyOnWrite(t *testing.T) {
+	writes := []func(tag int) string{
+		func(tag int) string { return fmt.Sprintf("UPDATE T SET V = %d WHERE K = 2", 100*tag) },
+		func(tag int) string { return fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", 10+tag, tag) },
+		func(int) string { return "DELETE FROM T WHERE K = 3" },
+	}
+	for _, write := range writes {
+		for _, txn := range []bool{false, true} {
+			stmts := func(tag int) []string { return []string{write(tag)} }
+			if txn {
+				// Roll the write back, then update in place: the write that
+				// would land in a shared array if the rollback forgot it.
+				stmts = func(tag int) []string {
+					return []string{"BEGIN TRANSACTION", write(tag), "ROLLBACK", writes[0](tag)}
+				}
+			}
+			t.Run(fmt.Sprintf("%s/txn=%v", strings.Fields(write(1))[0], txn), func(t *testing.T) {
+				build := func() *Engine {
+					e := New(Config{})
+					s := e.NewSession()
+					sessExec(t, s, "CREATE TABLE T (K INT, V INT)")
+					for k := 1; k <= 5; k++ {
+						sessExec(t, s, fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", k, k))
+					}
+					return e
+				}
+				donor := build()
+				snap := donor.Snapshot()
+				image := tableRows(snap.Tables["T"])
+				all := func(string) bool { return true }
+				engines := []*Engine{New(Config{}), New(Config{}), donor}
+				engines[0].RestoreScoped(snap, all)
+				engines[1].RestoreScoped(snap, all)
+				for i, e := range engines {
+					before := make([][]string, len(engines))
+					for j, o := range engines {
+						before[j] = liveRows(o)
+					}
+					ref := build()
+					es, rs := e.NewSession(), ref.NewSession()
+					for _, sql := range stmts(i + 1) {
+						sessExec(t, es, sql)
+						sessExec(t, rs, sql)
+					}
+					if got, want := liveRows(e), liveRows(ref); !slices.Equal(got, want) {
+						t.Errorf("engine %d wrote %v, want %v", i, got, want)
+					}
+					if got := tableRows(snap.Tables["T"]); !slices.Equal(got, image) {
+						t.Errorf("engine %d's writes reached the snapshot: %v, want %v", i, got, image)
+					}
+					for j, o := range engines {
+						if got := liveRows(o); j != i && !slices.Equal(got, before[j]) {
+							t.Errorf("engine %d's writes reached engine %d: %v, want %v", i, j, got, before[j])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// liveRows reads table T's rows from the engine's catalog.
+func liveRows(e *Engine) []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return tableRows(e.st.tables["T"])
+}
+
+func tableRows(t *Table) []string {
+	return rowStrings(&Result{Rows: t.Rows})
 }
