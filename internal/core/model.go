@@ -130,17 +130,3 @@ type SessionExecutor interface {
 	// OpenSession opens a new session on the endpoint.
 	OpenSession() Session
 }
-
-// Snapshotter is an endpoint that can serve and install consistent
-// images of its committed state. Snapshot must not wait for transaction
-// boundaries: it returns the committed state at the instant of the call
-// (uncommitted transactions excluded) while the endpoint keeps
-// executing. This is the state-transfer primitive behind replica resync
-// under load and the differential harness's oracle realignment.
-type Snapshotter interface {
-	// Snapshot returns an immutable committed-state image.
-	Snapshot() *engine.State
-	// Restore replaces the endpoint's state with a snapshot, discarding
-	// open transactions (their undo refers to the replaced state).
-	Restore(*engine.State)
-}

@@ -162,9 +162,10 @@ type Config struct {
 //
 // The live state is one copy shared by every session; a session's open
 // transaction is represented by its undo log. The committed image is
-// derived on demand — wholesale by Snapshot (snapshot.go), per table by
-// the read-view machinery — by rewinding open transactions' undo
-// records on copy-on-write clones.
+// derived on demand by two routines (readview.go) — committedCatalog
+// for the catalog, committedTable per table — which rewind open
+// transactions' undo records on copy-on-write clones. Snapshot
+// (snapshot.go), read views and own-writes reads are built on them.
 type Engine struct {
 	mu  sync.RWMutex
 	cfg Config
@@ -280,8 +281,8 @@ type Table struct {
 	// also validates read-view captures (readview.go). Mutated under
 	// the table latch or the engine write lock; atomic so view builds
 	// can sample it under the read lock alone. ic is non-nil on every
-	// engine-resident table (execCreateTable, cloneHeader and
-	// captureTable allocate it).
+	// engine-resident table (execCreateTable and cloneHeader allocate
+	// it).
 	mutSeq atomic.Uint64
 	ic     *indexCache
 
@@ -293,12 +294,13 @@ type Table struct {
 	// rebuilds. Mutated like mutSeq (table latch or engine write lock).
 	baseSeq atomic.Uint64
 
-	// rowsShared marks that a read view captured the live Rows slice
-	// header (readview.go materialize, clean path). While set, the first
-	// in-place row replacement must install a fresh backing array so the
-	// capture stays a stable committed image; mutations that already
-	// install a fresh slice (delete, insert-undo) just clear it. Guarded
-	// by the table latch or the exclusive engine lock, like Rows itself.
+	// rowsShared marks that a header clone (cloneHeader: a read-view
+	// capture, a committed image or a snapshot) shares the live Rows
+	// array. While set, the first in-place row replacement must install
+	// a fresh backing array so the clone stays a stable committed image;
+	// mutations that already install a fresh slice (delete, insert-undo)
+	// just clear it. Guarded by the table latch or the exclusive engine
+	// lock, like Rows itself.
 	rowsShared bool
 
 	// capIC is the index-cache lineage shared by successive clean view
@@ -818,25 +820,6 @@ func (e *Engine) TableNames() []string {
 		names = append(names, n)
 	}
 	return names
-}
-
-// ViewNames lists the views.
-func (e *Engine) ViewNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.st.views))
-	for n := range e.st.views {
-		names = append(names, n)
-	}
-	return names
-}
-
-// HasView reports whether a view with the given name exists.
-func (e *Engine) HasView(name string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.st.views[up(name)]
-	return ok
 }
 
 // HasTable reports whether a base table with the given name exists.

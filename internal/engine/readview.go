@@ -2,12 +2,12 @@ package engine
 
 import (
 	"errors"
+	"maps"
 	"sort"
 	"sync"
 	"time"
 
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/types"
 )
 
 // This file implements MVCC read views: per-statement (READ COMMITTED)
@@ -15,26 +15,27 @@ import (
 // that pure SELECTs execute against without blocking on — or being
 // blocked by — concurrent writers.
 //
-// The machinery reuses the copy-on-write committed-image idea from
-// snapshot.go, but avoids snapshot.go's eager full-state clone:
+// Two routines compute every committed image in the engine — read
+// views here, Snapshot (snapshot.go) and the own-writes reads of
+// lookupTable:
 //
-//   - A readView is built by copying only the CATALOG maps and rewinding
-//     open transactions' catalog/sequence undo records on the copies.
-//     Table DATA is untouched at build time; each table is wrapped in a
-//     viewTable that materializes its committed row image lazily, on
-//     first access through the view.
-//   - Materialization is O(1) in the common case: rows are immutable
-//     once written and every row mutation installs a fresh outer Rows
-//     slice (or appends beyond the captured length), so when the table
-//     has not changed since the view was built and no open transaction
-//     holds uncommitted changes to it, capturing the live Rows slice
-//     header under the table latch yields a stable committed image
-//     without copying a single row.
-//   - Only when an open transaction holds uncommitted changes to the
-//     table (or the table changed since the view was built) does
-//     materialization clone the row-header slice and rewind the other
-//     sessions' table-scoped undo records on the clone — the same
+//   - committedCatalog copies the CATALOG maps and rewinds open
+//     transactions' catalog/sequence undo records on the copies. A
+//     readView is built from it without touching table data; each table
+//     is wrapped in a viewTable that materializes its committed row
+//     image lazily, on first access through the view.
+//   - committedTable takes one table's image: the table itself when no
+//     other open transaction has a record on it, else a copy-on-write
+//     header clone (cloneHeader) with those records rewound — the same
 //     records that implement ROLLBACK.
+//
+// Materialization is O(1) in the common case: rows are immutable once
+// written and every row mutation installs a fresh outer Rows slice (or
+// appends beyond the captured length), so when the table has not
+// changed since the view was built and no open transaction holds
+// uncommitted changes to it, capturing the live Rows slice header under
+// the table latch yields a stable committed image without copying a
+// single row. That check runs before committedTable.
 //
 // Write serialization is narrowed from the engine-wide lock to
 // per-table latches: DML runs under the engine READ lock plus the
@@ -54,7 +55,8 @@ import (
 // transaction itself has written (or that follow in-transaction DDL)
 // fall back to a latched read of the live plane with the OTHER
 // sessions' uncommitted changes rewound, so a transaction always sees
-// its own writes.
+// its own writes — and, on those tables, every commit that landed since
+// its view was pinned.
 
 // IsoLevel is the engine's isolation-level lattice. The engine
 // implements two behaviours; the four SQL level names collapse onto
@@ -121,11 +123,8 @@ type viewTable struct {
 
 	mu sync.Mutex
 	// mat is the lazily materialized committed image (nil until first
-	// access); clean marks an O(1) capture whose row image equals the
-	// live table at mutSeqAtBuild, making the viewTable reusable by the
-	// next view build while the table stays unchanged.
-	mat   *Table
-	clean bool
+	// access).
+	mat *Table
 }
 
 // premat wraps a table that was fully materialized during the view
@@ -146,67 +145,49 @@ func (vt *viewTable) materialize(e *Engine) *Table {
 	}
 	t := vt.live
 	e.lockLatch(t)
-	if !vt.dirty && t.mutSeq.Load() == vt.mutSeqAtBuild {
-		// Unchanged since build and no uncommitted changes: capture the
-		// live slice headers. Writers never mutate Rows below the
-		// captured length in place (see dml.go's copy-on-write
-		// contract), so the capture is a stable committed image.
-		mat := captureTable(t)
-		// Captures of one table share an index-cache lineage while its
-		// baseSeq is unchanged (appends only): each new capture inherits
-		// the previous captures' lookup indexes and extends them over
-		// the appended rows instead of rebuilding (see index.go).
-		mat.baseSeq.Store(t.baseSeq.Load())
-		if t.capIC != nil && t.capICBase == t.baseSeq.Load() {
-			mat.ic = t.capIC
-		} else {
-			t.capIC, t.capICBase = mat.ic, t.baseSeq.Load()
-		}
-		vt.mat = mat
-		vt.clean = true
-		t.rowsShared = true
-		e.matCleans.Add(1)
-	} else {
+	defer t.latch.Unlock()
+	if vt.dirty || t.mutSeq.Load() != vt.mutSeqAtBuild {
 		// The table moved on (or carried uncommitted changes at build
-		// time): clone the row headers and rewind every open
-		// transaction's table-scoped undo records, yielding the
-		// committed image as of now. Per-statement staleness checks
-		// make the slightly newer image harmless (READ COMMITTED
+		// time): its committed image as of now. Per-statement staleness
+		// checks make the slightly newer image harmless (READ COMMITTED
 		// semantics; see ISOLATION.md).
-		vt.mat = e.committedTable(t, nil)
-		e.matRewinds.Add(1)
+		if img := e.committedTable(t, nil); img != t {
+			vt.mat = img
+			e.matRewinds.Add(1)
+			return img
+		}
 	}
-	t.latch.Unlock()
-	return vt.mat
+	// No uncommitted changes: capture the live slice headers. Writers
+	// never mutate Rows below the captured length in place (see dml.go's
+	// copy-on-write contract), so the capture is a stable committed image.
+	mat := t.cloneHeader()
+	t.rowsShared = true
+	// Captures of one table share an index-cache lineage while its
+	// baseSeq is unchanged (appends only): each new capture inherits the
+	// previous captures' lookup indexes and extends them over the
+	// appended rows instead of rebuilding (see index.go). The capture
+	// carries the column versions those indexes are validated against.
+	mat.colVer = append([]uint64(nil), t.colVer...)
+	mat.baseSeq.Store(t.baseSeq.Load())
+	if t.capIC != nil && t.capICBase == t.baseSeq.Load() {
+		mat.ic = t.capIC
+	} else {
+		t.capIC, t.capICBase = mat.ic, t.baseSeq.Load()
+	}
+	vt.mat = mat
+	e.matCleans.Add(1)
+	return mat
 }
 
-// captureTable snapshots a table's slice headers without copying rows.
-// Caller holds the table latch; the capture stays valid because every
-// later row mutation installs a fresh Rows slice or appends beyond the
-// captured length, and Uniques is copied because index-creation undo
-// shifts it in place.
-func captureTable(t *Table) *Table {
-	return &Table{
-		Name:    t.Name,
-		Cols:    t.Cols,
-		Rows:    t.Rows,
-		PKCols:  t.PKCols,
-		Uniques: append([][]int(nil), t.Uniques...),
-		Checks:  t.Checks,
-		ic:      &indexCache{},
-		colVer:  append([]uint64(nil), t.colVer...),
-	}
-}
-
-// committedTable clones the table and rewinds the table-scoped undo
-// records of every open transaction except the given session's,
-// producing the image of the committed state plus (when except is a
-// session) that session's own uncommitted changes. Caller holds the
+// committedTable returns the image of the live table t that holds its
+// committed rows plus, when except is a session, that session's own
+// uncommitted changes. When no other open transaction has a record on
+// t, the image is t itself. Otherwise it is a copy-on-write clone
+// (cloneHeader) with those records rewound, and the live table is
+// marked rowsShared. The undo logs are scanned once. Caller holds the
 // engine read lock and the table's latch.
 func (e *Engine) committedTable(t *Table, except *Session) *Table {
-	ct := captureTable(t)
-	ct.Rows = append([][]types.Value(nil), t.Rows...)
-	dst := &state{tables: map[string]*Table{t.Name: ct}}
+	var dst *state
 	for s := range e.sessions {
 		if s == except {
 			continue
@@ -215,12 +196,20 @@ func (e *Engine) committedTable(t *Table, except *Session) *Table {
 		if s.inTxn {
 			for i := len(s.undo) - 1; i >= 0; i-- {
 				r := s.undo[i]
-				if r.kind == kindTable && r.table == t.Name {
-					r.fn(dst, true)
+				if r.kind != kindTable || r.table != t.Name {
+					continue
 				}
+				if dst == nil {
+					dst = &state{tables: map[string]*Table{t.Name: t.cloneHeader()}}
+					t.rowsShared = true
+				}
+				r.fn(dst, true)
 			}
 		}
 		s.txMu.Unlock()
+	}
+	if dst == nil {
+		return t
 	}
 	return dst.tables[t.Name]
 }
@@ -247,74 +236,24 @@ func (e *Engine) currentView() *readView {
 	return v
 }
 
-// buildView constructs a committed read view: copy the catalog maps,
-// rewind open transactions' catalog and sequence records on the copies
-// (pass 1), then rewind table records for tables that were re-installed
-// by pass 1 (pass 2) and mark every other table carrying uncommitted
-// changes dirty. The two-pass order makes the result independent of
-// session iteration order: catalog rewinds (which can replace a table
-// wholesale) land before any row rewind targets them. Caller holds the
+// buildView constructs a committed read view over the committed catalog:
+// tables a catalog rewind re-installed are already private images, every
+// other table gets a lazily materialized viewTable. Caller holds the
 // engine read lock and viewMu.
 func (e *Engine) buildView(seq, gen uint64) *readView {
+	cat, dirty := e.committedCatalog()
 	v := &readView{
 		eng:    e,
 		seq:    seq,
 		gen:    gen,
 		schema: e.committedSchema,
-		views:  make(map[string]*View, len(e.st.views)),
-		indexs: make(map[string]*Index, len(e.st.indexs)),
-		seqs:   make(map[string]*Sequence, len(e.st.seqs)),
+		tables: make(map[string]*viewTable, len(cat.tables)),
+		views:  cat.views,
+		indexs: cat.indexs,
+		seqs:   cat.seqs,
 	}
-	tabs := make(map[string]*Table, len(e.st.tables))
-	for n, t := range e.st.tables {
-		tabs[n] = t
-	}
-	for n, vw := range e.st.views {
-		v.views[n] = vw
-	}
-	for n, ix := range e.st.indexs {
-		v.indexs[n] = ix
-	}
-	e.seqMu.Lock()
-	for n, sq := range e.st.seqs {
-		cp := *sq
-		v.seqs[n] = &cp
-	}
-	e.seqMu.Unlock()
-
-	dst := &state{tables: tabs, views: v.views, indexs: v.indexs, seqs: v.seqs}
-	dirty := make(map[string]bool)
-	var tableRecs []undoRec
-	for s := range e.sessions {
-		s.txMu.Lock()
-		if s.inTxn {
-			for i := len(s.undo) - 1; i >= 0; i-- {
-				r := s.undo[i]
-				switch r.kind {
-				case kindCatalog, kindSeq:
-					r.fn(dst, true)
-				case kindTable:
-					tableRecs = append(tableRecs, r)
-				}
-			}
-		}
-		s.txMu.Unlock()
-	}
-	for _, r := range tableRecs {
-		if cur, ok := tabs[r.table]; ok && cur == e.st.tables[r.table] {
-			// Still the live table instance: rewind lazily under the
-			// table latch at first access.
-			dirty[r.table] = true
-			continue
-		}
-		// The table was re-installed (or replaced) by a catalog rewind:
-		// it is already a private clone, rewind the rows now.
-		r.fn(dst, true)
-	}
-
 	prev := e.curView.Load()
-	v.tables = make(map[string]*viewTable, len(tabs))
-	for n, t := range tabs {
+	for n, t := range cat.tables {
 		if t != e.st.tables[n] {
 			v.tables[n] = premat(t)
 			continue
@@ -332,6 +271,62 @@ func (e *Engine) buildView(seq, gen uint64) *readView {
 		v.tables[n] = &viewTable{live: t, mutSeqAtBuild: ms, dirty: dirty[n]}
 	}
 	return v
+}
+
+// committedCatalog rewinds the catalog to its committed state: it copies
+// the catalog maps (sequences by value — they advance in place), rewinds
+// every open transaction's catalog and sequence records on the copies,
+// then rewinds the row records of tables a catalog record re-installed
+// (those are private clones already). Every other table in the result is
+// the live instance; dirty names the ones an open transaction holds
+// uncommitted row changes to, for the caller to image (committedTable).
+// Catalog rewinds land before any row rewind targets them, so the result
+// does not depend on session iteration order. Caller holds the engine
+// read lock.
+func (e *Engine) committedCatalog() (cat *state, dirty map[string]bool) {
+	cat = &state{
+		tables: maps.Clone(e.st.tables),
+		views:  maps.Clone(e.st.views),
+		indexs: maps.Clone(e.st.indexs),
+		seqs:   make(map[string]*Sequence, len(e.st.seqs)),
+	}
+	e.seqMu.Lock()
+	for n, sq := range e.st.seqs {
+		cp := *sq
+		cat.seqs[n] = &cp
+	}
+	e.seqMu.Unlock()
+
+	var tableRecs []undoRec
+	for s := range e.sessions {
+		s.txMu.Lock()
+		if s.inTxn {
+			for i := len(s.undo) - 1; i >= 0; i-- {
+				r := s.undo[i]
+				switch r.kind {
+				case kindCatalog, kindSeq:
+					r.fn(cat, true)
+				case kindTable:
+					tableRecs = append(tableRecs, r)
+				}
+			}
+		}
+		s.txMu.Unlock()
+	}
+	for _, r := range tableRecs {
+		if cur, ok := cat.tables[r.table]; ok && cur == e.st.tables[r.table] {
+			// Still the live table instance: the caller images it.
+			if dirty == nil {
+				dirty = make(map[string]bool)
+			}
+			dirty[r.table] = true
+			continue
+		}
+		// The table was re-installed (or replaced) by a catalog rewind:
+		// it is already a private clone, rewind the rows now.
+		r.fn(cat, true)
+	}
+	return cat, dirty
 }
 
 // ---------------------------------------------------------------------------
@@ -444,22 +439,16 @@ func (e *Engine) addCheckRefs(set map[string]bool, target string) {
 // Read-plane resolution
 
 // lookupTable resolves a base table on the session's active read plane:
-// the own-writes overlay (live minus other transactions' uncommitted
-// changes), the active read view's materialized image, or the live
-// state. During a latched write statement (dmlOwn), statement-internal
-// reads of tables another transaction is writing build the
-// committed+own-writes image lazily and cache it in ownTabs for the
-// rest of the statement, so DML sources and subqueries never observe
-// other sessions' uncommitted rows; the statement holds the latch of
-// every table it can read (statementRefsLocked), which is the
-// precondition committedTable requires. Caller holds the engine lock in
-// at least read mode.
+// the active read view's materialized image, or the live state. While a
+// statement reads its own writes (readOwnWrites: a latched write
+// statement, or a pure SELECT over tables its transaction wrote), every
+// table resolves to its committed+own-writes image (committedTable),
+// built on first touch and cached in ownTabs for the rest of the
+// statement, so the statement never observes other sessions'
+// uncommitted rows. The statement holds the latch of every table it can
+// read (statementRefsLocked), which is the precondition committedTable
+// requires. Caller holds the engine lock in at least read mode.
 func (s *Session) lookupTable(name string) (*Table, bool) {
-	if s.ownTabs != nil {
-		if t, ok := s.ownTabs[name]; ok {
-			return t, true
-		}
-	}
 	if s.curRead != nil {
 		vt := s.curRead.table(name)
 		if vt == nil {
@@ -468,23 +457,23 @@ func (s *Session) lookupTable(name string) (*Table, bool) {
 		return vt.materialize(s.eng), true
 	}
 	t, ok := s.eng.st.tables[name]
-	if ok && s.dmlOwn {
-		// The result is cacheable for the statement's duration either
-		// way: a clean table cannot become dirty while this statement
-		// holds its latch (logging an undo record for it requires the
-		// latch), and a dirty image frozen at first read is the
-		// per-statement committed image the contract promises.
-		ct := t
-		if s.eng.othersInTxnOn(name, s) {
-			ct = s.eng.committedTable(t, s)
-		}
-		if s.ownTabs == nil {
-			s.ownTabs = make(map[string]*Table, 1)
-		}
-		s.ownTabs[name] = ct
-		return ct, true
+	if !ok || !s.readOwnWrites {
+		return t, ok
 	}
-	return t, ok
+	// The image is cacheable for the statement's duration either way: a
+	// clean table cannot become dirty while this statement holds its
+	// latch (logging an undo record for it requires the latch), and a
+	// dirty image frozen at first read is the per-statement committed
+	// image the contract promises.
+	if img, ok := s.ownTabs[name]; ok {
+		return img, true
+	}
+	img := s.eng.committedTable(t, s)
+	if s.ownTabs == nil {
+		s.ownTabs = make(map[string]*Table, 1)
+	}
+	s.ownTabs[name] = img
+	return img, true
 }
 
 // lookupView resolves a view on the session's active read plane.
@@ -501,7 +490,7 @@ func (s *Session) lookupView(name string) (*View, bool) {
 // plane (the own-writes path reads the live catalog: the transaction
 // must see its own DDL).
 func (s *Session) catalogIndexes() map[string]*Index {
-	if s.ownTabs == nil && s.curRead != nil {
+	if s.curRead != nil {
 		return s.curRead.indexs
 	}
 	return s.eng.st.indexs
@@ -514,32 +503,6 @@ func (s *Session) planVersion() uint64 {
 		return s.curRead.schema
 	}
 	return s.eng.schemaVersion
-}
-
-// othersInTxnOn reports whether any open transaction other than s holds
-// uncommitted changes to the named table. Caller holds the engine read
-// lock.
-func (e *Engine) othersInTxnOn(name string, except *Session) bool {
-	for s := range e.sessions {
-		if s == except {
-			continue
-		}
-		s.txMu.Lock()
-		found := false
-		if s.inTxn {
-			for _, r := range s.undo {
-				if r.kind == kindTable && r.table == name {
-					found = true
-					break
-				}
-			}
-		}
-		s.txMu.Unlock()
-		if found {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

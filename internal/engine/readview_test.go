@@ -95,6 +95,42 @@ func TestReadViewStableAcrossConcurrentCommits(t *testing.T) {
 	}
 }
 
+// The documented exception to REPEATABLE READ: once the transaction
+// writes a table, its reads of that table go to the own-writes path —
+// committed state as of now plus its own writes — not to the pinned
+// view, so commits that landed after the pin appear (a phantom). Tables
+// it has not written stay pinned.
+func TestRepeatableReadSeesCommitsOnTablesItWrote(t *testing.T) {
+	e := NewOracle()
+	a, b := e.NewSession(), e.NewSession()
+	for _, tbl := range []string{"T", "U"} {
+		sexec(t, a, "CREATE TABLE "+tbl+" (A INT)")
+		for i := 1; i <= 3; i++ {
+			sexec(t, a, fmt.Sprintf("INSERT INTO %s VALUES (%d)", tbl, i))
+		}
+	}
+	sexec(t, a, "SET TRANSACTION ISOLATION LEVEL REPEATABLE READ")
+	sexec(t, a, "BEGIN TRANSACTION")
+	for _, tbl := range []string{"T", "U"} {
+		if got := count(t, a, tbl); got != 3 {
+			t.Fatalf("first read of %s: %d rows, want 3", tbl, got)
+		}
+	}
+	sexec(t, b, "INSERT INTO T VALUES (4)")
+	sexec(t, b, "INSERT INTO U VALUES (4)")
+	if got := count(t, a, "T"); got != 3 {
+		t.Fatalf("pinned read saw b's commit: %d rows, want 3", got)
+	}
+	sexec(t, a, "INSERT INTO T VALUES (5)")
+	if got := count(t, a, "T"); got != 5 {
+		t.Fatalf("read of a written table: %d rows, want 5 (committed now plus own insert)", got)
+	}
+	if got := count(t, a, "U"); got != 3 {
+		t.Fatalf("read of an unwritten table left the pinned view: %d rows, want 3", got)
+	}
+	sexec(t, a, "COMMIT")
+}
+
 // ROLLBACK of a transaction containing DDL (CREATE TABLE, DROP TABLE)
 // must neither disturb an open read view in another session nor leave
 // any trace in the committed catalog.
@@ -187,6 +223,57 @@ func TestDMLInternalReadsSkipUncommitted(t *testing.T) {
 		t.Fatalf("own-writes image lost in INSERT..SELECT: %v", own.Rows)
 	}
 	sexec(t, b, "ROLLBACK")
+}
+
+// A pure SELECT of a transaction over a table it has written reads the
+// live plane with every other open transaction's changes to that table
+// rewound: committed rows plus its own, never another session's
+// uncommitted rows. What the other session commits becomes visible to
+// the next statement; what it rolls back leaves no trace.
+func TestOwnWritesReadSkipsOthersUncommitted(t *testing.T) {
+	for _, end := range []string{"COMMIT", "ROLLBACK"} {
+		t.Run(end, func(t *testing.T) {
+			e := NewOracle()
+			a, b := e.NewSession(), e.NewSession()
+			sexec(t, a, "CREATE TABLE T (K INT, V INT)")
+			for k := 1; k <= 4; k++ {
+				sexec(t, a, fmt.Sprintf("INSERT INTO T VALUES (%d, 0)", k))
+			}
+			read := func() []string {
+				t.Helper()
+				return rowStrings(sexec(t, a, "SELECT K, V FROM T ORDER BY K, V"))
+			}
+
+			sexec(t, a, "BEGIN TRANSACTION")
+			sexec(t, a, "INSERT INTO T VALUES (10, 1)")
+			sexec(t, a, "UPDATE T SET V = 1 WHERE K = 1")
+			sexec(t, b, "BEGIN TRANSACTION")
+			sexec(t, b, "INSERT INTO T VALUES (20, 2)")
+			sexec(t, b, "UPDATE T SET V = 2 WHERE K = 2")
+			sexec(t, b, "DELETE FROM T WHERE K = 3")
+
+			own := []string{"1|1", "2|0", "3|0", "4|0", "10|1"}
+			if got := read(); !slices.Equal(got, own) {
+				t.Fatalf("own-writes read with b open: %v, want %v", got, own)
+			}
+			if got := len(sexec(t, a, "SELECT K FROM T WHERE K = 20").Rows); got != 0 {
+				t.Fatalf("point read resolved b's uncommitted row")
+			}
+
+			sexec(t, b, end)
+			want := own
+			if end == "COMMIT" {
+				want = []string{"1|1", "2|2", "4|0", "10|1", "20|2"}
+			}
+			if got := read(); !slices.Equal(got, want) {
+				t.Fatalf("own-writes read after b's %s: %v, want %v", end, got, want)
+			}
+			sexec(t, a, "COMMIT")
+			if got := read(); !slices.Equal(got, want) {
+				t.Fatalf("committed read after both ends: %v, want %v", got, want)
+			}
+		})
+	}
 }
 
 // A committed value must never travel backwards: the commit-mark bump

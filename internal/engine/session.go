@@ -44,7 +44,7 @@ type Session struct {
 
 	// touched names the tables this transaction has latched for
 	// writing; a pure SELECT over any of them reads through the
-	// own-writes overlay instead of the committed view. didDDL marks a
+	// own-writes images instead of the committed view. didDDL marks a
 	// transaction that executed DDL: its later queries read the live
 	// plane (schema changes are not versioned into read views) and its
 	// COMMIT takes the exclusive lock to publish the schema. Owner-only
@@ -65,18 +65,18 @@ type Session struct {
 	pinned   *readView
 
 	// curRead is the read view the currently executing statement
-	// resolves tables against (nil = live plane); ownTabs overlays
-	// per-table committed+own-writes images for in-transaction reads of
-	// touched tables. dmlOwn marks a latched write statement in
-	// progress: its internal reads (INSERT ... SELECT sources, WHERE/SET
-	// subqueries, sequence-advancing SELECTs) populate ownTabs lazily on
-	// first touch of a table another transaction is writing, so they too
-	// observe committed state plus own writes — never another session's
-	// uncommitted rows. Set and cleared around each statement by the
-	// owning goroutine.
-	curRead *readView
-	ownTabs map[string]*Table
-	dmlOwn  bool
+	// resolves tables against (nil = live plane). readOwnWrites marks a
+	// statement that holds the latches of every table it can read and
+	// reads committed state plus its own transaction's writes: a latched
+	// write statement (INSERT ... SELECT sources, WHERE/SET subqueries,
+	// sequence-advancing SELECTs) or a pure SELECT over tables its
+	// transaction wrote. lookupTable then resolves each table to its
+	// committed+own-writes image, cached in ownTabs for the statement —
+	// never another session's uncommitted rows. Set and cleared around
+	// each statement by the owning goroutine.
+	curRead       *readView
+	ownTabs       map[string]*Table
+	readOwnWrites bool
 
 	// bind is the argument vector of the currently executing bound
 	// statement (ExecBind); Param nodes resolve against it. A session
@@ -115,13 +115,13 @@ type undoRec struct {
 
 // undoFn is one undo record's body: the inverse of one mutation,
 // applicable to an arbitrary state plane. dst is the live state during
-// ROLLBACK and a copy-on-write clone during Snapshot's committed-image
-// rewind (or a read view's); toSnap distinguishes the two so records
-// that re-install dropped objects can copy mutable structures instead
-// of sharing them with the live plane. Records resolve tables and
-// sequences by name within dst and rows by slice identity (identities
-// are preserved by the snapshot's header clone), so the same record is
-// correct on any plane.
+// ROLLBACK and a copy-on-write clone during a committed-image rewind
+// (committedCatalog, committedTable); toSnap distinguishes the two so
+// records that re-install dropped objects can copy mutable structures
+// instead of sharing them with the live plane. Records resolve tables
+// and sequences by name within dst and rows by slice identity
+// (identities are preserved by the header clone), so the same record
+// is correct on any plane.
 type undoFn func(dst *state, toSnap bool)
 
 // NewSession opens a session on the engine.
@@ -277,18 +277,10 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 	}
 	// Reads performed by the statement itself (INSERT ... SELECT,
 	// subqueries in WHERE/SET/CHECK, sequence-advancing SELECTs) must
-	// not see other sessions' uncommitted rows: dmlOwn makes
-	// lookupTable serve such tables as committed+own-writes images,
-	// built lazily so plain DML (no internal reads, or no concurrent
-	// writers on the tables it reads) pays nothing. Every table the
-	// statement can read is in refs, so its latch is held — the
-	// precondition for building the image.
-	s.dmlOwn = true
-	s.bind = bind
+	// not see other sessions' uncommitted rows: see readOwnWrites.
+	s.readOwnWrites, s.bind = true, bind
 	res, err := s.exec(st)
-	s.bind = nil
-	s.dmlOwn = false
-	s.ownTabs = nil
+	s.endOwnWrites()
 	if !s.inTxn {
 		if err == nil {
 			// Advance the commit mark while the latches are held, so a
@@ -348,34 +340,23 @@ func (s *Session) touchesRefs(sel *ast.Select) bool {
 
 // execSelectOwn runs an in-transaction SELECT over tables the
 // transaction itself has written (or after in-transaction DDL): it
-// latches the referenced tables and reads the live plane, with other
-// transactions' uncommitted changes rewound per table, so the session
-// sees exactly the committed state plus its own writes. Caller holds
-// the engine read lock.
+// latches the referenced tables and reads them with readOwnWrites set,
+// so the session sees exactly the committed state plus its own writes.
+// Caller holds the engine read lock.
 func (s *Session) execSelectOwn(sel *ast.Select, bind []types.Value, force plan.Force) (*Result, error) {
-	e := s.eng
-	refs := e.statementRefsLocked(sel)
-	release := e.latchTables(refs)
+	release := s.eng.latchTables(s.eng.statementRefsLocked(sel))
 	defer release()
-	var overlay map[string]*Table
-	for _, n := range refs {
-		t, ok := e.st.tables[n]
-		if !ok {
-			continue
-		}
-		if e.othersInTxnOn(n, s) {
-			if overlay == nil {
-				overlay = make(map[string]*Table, len(refs))
-			}
-			overlay[n] = e.committedTable(t, s)
-		}
-	}
-	s.ownTabs = overlay
-	s.bind = bind
+	s.readOwnWrites, s.bind = true, bind
 	res, err := s.execSelectRLocked(sel, force)
-	s.bind = nil
-	s.ownTabs = nil
+	s.endOwnWrites()
 	return res, err
+}
+
+// endOwnWrites ends a statement that ran with readOwnWrites set: it
+// drops the bind vector and the statement's cached table images.
+func (s *Session) endOwnWrites() {
+	s.readOwnWrites, s.bind = false, nil
+	clear(s.ownTabs)
 }
 
 // SelectAdvancesSequences reports whether evaluating the query would
@@ -590,22 +571,6 @@ func (e *Engine) AbortAll() {
 	for s := range e.sessions {
 		s.abortLocked()
 	}
-}
-
-// AnyInTxn reports whether any session has an open transaction (used to
-// gate state transfers on transaction boundaries).
-func (e *Engine) AnyInTxn() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for s := range e.sessions {
-		s.txMu.Lock()
-		open := s.inTxn
-		s.txMu.Unlock()
-		if open {
-			return true
-		}
-	}
-	return false
 }
 
 // SessionCount reports the number of live sessions (for tests and

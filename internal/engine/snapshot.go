@@ -13,25 +13,28 @@ import "sort"
 // sustained transactional load.
 //
 // Snapshot removes the wait. It produces a consistent image of the
-// COMMITTED state at the instant of the call, with no quiescence:
+// COMMITTED state at the instant of the call, with no quiescence, from
+// the same two routines that build read views (readview.go):
 //
-//  1. Clone the catalog headers copy-on-write under the read lock. Maps
-//     and Table headers are copied; the row storage is shared — the row
-//     value slices, because rows are immutable once written (UPDATE
-//     replaces the row slice, it never mutates one in place), and the
-//     Rows array, which both sides treat as shared (Table.rowsShared):
-//     the first in-place replacement on either side copies it, and an
-//     append past the clone's clipped capacity reallocates. The clone
-//     is O(catalog), not O(row count).
-//  2. Rewind every open transaction on the clone: undo records are
-//     functions over an abstract *state, so the same records that
-//     implement ROLLBACK on the live plane peel the uncommitted changes
-//     off the clone. Records target tables by name and rows by slice
-//     identity; identities are preserved by the header clone, so the
-//     rewind lands exactly on the transaction's own changes.
+//  1. committedCatalog copies the catalog maps and rewinds every open
+//     transaction's catalog and sequence records on the copies.
+//  2. One image per live table: a header clone (cloneHeader), with the
+//     open transactions' row records rewound where a table has any
+//     (committedTable). Row storage is shared — the row value slices, because rows are
+//     immutable once written (UPDATE replaces the row slice, it never
+//     mutates one in place), and the Rows array, which both sides treat
+//     as shared (Table.rowsShared): the first in-place replacement on
+//     either side copies it, and an append past the clone's clipped
+//     capacity reallocates. The image is O(catalog), not O(row count).
+//
+// Undo records are functions over an abstract *state, so the same
+// records that implement ROLLBACK on the live plane peel the uncommitted
+// changes off the clones. Records target tables by name and rows by
+// slice identity; identities are preserved by the header clone, so the
+// rewind lands exactly on the transaction's own changes.
 //
 // The result is immutable: nothing in the engine retains a reference to
-// the clone's headers, and the shared row storage is never written in
+// the image's headers, and the shared row storage is never written in
 // place. Restore installs a snapshot by cloning headers again, so one
 // State can be restored into any number of engines (and the donor keeps
 // executing throughout).
@@ -53,16 +56,17 @@ type State struct {
 // cloneHeader copies a table's mutable headers — the struct and the
 // Uniques slice — while sharing the immutable storage: column
 // definitions, check expressions, inner keyset slices, the row value
-// slices and the Rows array itself. The shared array is
-// capacity-clipped, so an append on the clone reallocates, and the
-// clone is marked rowsShared, so its first in-place row replacement
-// copies first. The source must not write the array in place either: a
-// live source is marked rowsShared by its caller, under its latch.
+// slices and the Rows array itself. It is the only way a Table header
+// is copied. The shared array is capacity-clipped, so an append on the
+// clone reallocates, and the clone is marked rowsShared, so its first
+// in-place row replacement copies first. The source must not write the
+// array in place either: a live source is marked rowsShared by its
+// caller, under its latch.
 func (t *Table) cloneHeader() *Table {
 	// Field-by-field: Table embeds a latch and an atomic mutation
 	// counter, neither of which may be copied. The clone starts with a
-	// fresh latch, mutSeq 0 and its own index cache (two engines
-	// invalidating each other's indexes would be a race).
+	// fresh latch, mutSeq 0, no column versions and its own index cache
+	// (two engines invalidating each other's indexes would be a race).
 	n := len(t.Rows)
 	return &Table{
 		Name:       t.Name,
@@ -76,37 +80,16 @@ func (t *Table) cloneHeader() *Table {
 	}
 }
 
-// cloneForSnapshot copies the state's headers copy-on-write. Views and
-// indexes are immutable structs and are shared; sequences mutate in
-// place (Next) and are copied; tables get cloneHeader.
-func (s *state) cloneForSnapshot() *state {
-	cl := &state{
-		tables: make(map[string]*Table, len(s.tables)),
-		views:  make(map[string]*View, len(s.views)),
-		indexs: make(map[string]*Index, len(s.indexs)),
-		seqs:   make(map[string]*Sequence, len(s.seqs)),
-	}
-	for n, t := range s.tables {
-		cl.tables[n] = t.cloneHeader()
-	}
-	for n, v := range s.views {
-		cl.views[n] = v
-	}
-	for n, ix := range s.indexs {
-		cl.indexs[n] = ix
-	}
-	for n, sq := range s.seqs {
-		cp := *sq
-		cl.seqs[n] = &cp
-	}
-	return cl
-}
-
 // Snapshot returns a consistent image of the committed state at this
-// instant. It never waits for transaction boundaries: open transactions
-// are rewound on a copy-on-write clone while the live state — including
-// those transactions — keeps executing. Concurrent readers proceed
+// instant: the committed catalog, and one committed image per live
+// table. It never waits for transaction boundaries — open transactions
+// are rewound on copy-on-write clones while the live state, including
+// those transactions, keeps executing — and concurrent readers proceed
 // throughout (Snapshot holds only the read lock).
+//
+// Snapshot builds no read view and takes no viewMu or viewTable lock:
+// materialization takes a viewTable's lock before the table latch, so a
+// Snapshot holding every latch must never wait for one.
 func (e *Engine) Snapshot() *State {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -114,7 +97,7 @@ func (e *Engine) Snapshot() *State {
 	// read lock plus per-table latches, and COMMIT bumps the sequence
 	// under commitMu. Acquiring every table latch plus commitMu (in the
 	// standard latch-then-commitMu order) excludes both, so the stamp
-	// matches the cloned content exactly.
+	// matches the image exactly.
 	names := make([]string, 0, len(e.st.tables))
 	for n := range e.st.tables {
 		names = append(names, n)
@@ -128,28 +111,23 @@ func (e *Engine) Snapshot() *State {
 	defer release()
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
-	e.seqMu.Lock()
-	cl := e.st.cloneForSnapshot()
-	e.seqMu.Unlock()
-	// The clone shares every live Rows array: the live side's next
-	// in-place replacement must copy it first.
-	for _, t := range e.st.tables {
-		t.rowsShared = true
-	}
-	for s := range e.sessions {
-		s.txMu.Lock()
-		if s.inTxn {
-			for i := len(s.undo) - 1; i >= 0; i-- {
-				s.undo[i].fn(cl, true)
-			}
+	cat, dirty := e.committedCatalog()
+	for n, t := range cat.tables {
+		switch {
+		case t != e.st.tables[n]:
+			// Re-installed by a catalog rewind: already a private image.
+		case dirty[n]:
+			cat.tables[n] = e.committedTable(t, nil)
+		default:
+			cat.tables[n] = t.cloneHeader()
+			t.rowsShared = true
 		}
-		s.txMu.Unlock()
 	}
 	return &State{
-		Tables:    cl.tables,
-		Views:     cl.views,
-		Indexs:    cl.indexs,
-		Seqs:      cl.seqs,
+		Tables:    cat.tables,
+		Views:     cat.views,
+		Indexs:    cat.indexs,
+		Seqs:      cat.seqs,
 		CommitSeq: e.commitSeq.Load(),
 	}
 }
@@ -159,18 +137,16 @@ func (e *Engine) CommitSeq() uint64 {
 	return e.commitSeq.Load()
 }
 
-// Restore replaces the engine state with a snapshot. The snapshot stays
-// immutable: headers are cloned on installation, so the same State can
-// be restored into several engines (or twice into one). Transactions
-// open on any session are discarded, not rolled back: their undo records
-// refer to the replaced state.
+// Restore replaces the engine state with a snapshot: every object is
+// restored, and transactions open on any session are discarded, not
+// rolled back — their undo records refer to the replaced state. The
+// snapshot stays immutable: headers are cloned on installation, so the
+// same State can be restored into several engines (or twice into one).
 func (e *Engine) Restore(st *State) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	src := state{tables: st.Tables, views: st.Views, indexs: st.Indexs, seqs: st.Seqs}
-	e.st = *src.cloneForSnapshot()
+	e.restoreLocked(st, func(string) bool { return true })
 	e.discardAllTxnsLocked()
-	e.bumpSchemaLocked()
 }
 
 // RestoreScoped replaces only the engine objects selected by keep with
@@ -187,6 +163,13 @@ func (e *Engine) Restore(st *State) {
 func (e *Engine) RestoreScoped(st *State, keep func(name string) bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.restoreLocked(st, keep)
+}
+
+// restoreLocked is the body of Restore and RestoreScoped. Views and
+// indexes are immutable and shared; sequences advance in place and are
+// copied; tables get cloneHeader. Caller holds the exclusive lock.
+func (e *Engine) restoreLocked(st *State, keep func(name string) bool) {
 	for n := range e.st.tables {
 		if keep(n) {
 			delete(e.st.tables, n)

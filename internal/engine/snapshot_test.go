@@ -68,7 +68,7 @@ func TestSnapshotExcludesOpenTransaction(t *testing.T) {
 	sessExec(t, s2, "DELETE FROM T WHERE A = 2")
 	sessExec(t, s2, "CREATE TABLE U (B INT)")
 
-	if !e.AnyInTxn() {
+	if !s2.InTxn() {
 		t.Fatal("transaction must be open")
 	}
 	snap := e.Snapshot()
@@ -467,6 +467,15 @@ func TestSnapshotLatchOrderingUnderMultiTableDML(t *testing.T) {
 // the catalog: a SELECT would capture a read view, which marks the table
 // shared on its own. Five single-row INSERTs leave the donor's array
 // with spare capacity for an append to land in.
+//
+// The donor also carries two open transactions on T, so its committed
+// images are rewound clones rather than captures: one creates a unique
+// index (a record that rewinds no rows), one inserts a row. Its dirty
+// read-view image and the inserting session's own-writes image must
+// read the same through every write, the rollbacks inside the stages
+// and the two transactions' own rollbacks at the end; the own-writes
+// image rewinds only the index, so it shares the live array until one
+// side writes.
 func TestSnapshotRowsCopyOnWrite(t *testing.T) {
 	writes := []func(tag int) string{
 		func(tag int) string { return fmt.Sprintf("UPDATE T SET V = %d WHERE K = 2", 100*tag) },
@@ -484,18 +493,50 @@ func TestSnapshotRowsCopyOnWrite(t *testing.T) {
 				}
 			}
 			t.Run(fmt.Sprintf("%s/txn=%v", strings.Fields(write(1))[0], txn), func(t *testing.T) {
-				build := func() *Engine {
-					e := New(Config{})
+				// build returns a fresh engine; with open set, T also
+				// carries the two open transactions, indexer first.
+				build := func(open bool) (e *Engine, indexer, inserter *Session) {
+					e = New(Config{})
 					s := e.NewSession()
 					sessExec(t, s, "CREATE TABLE T (K INT, V INT)")
 					for k := 1; k <= 5; k++ {
 						sessExec(t, s, fmt.Sprintf("INSERT INTO T VALUES (%d, %d)", k, k))
 					}
-					return e
+					if open {
+						indexer, inserter = e.NewSession(), e.NewSession()
+						sessExec(t, indexer, "BEGIN TRANSACTION")
+						sessExec(t, indexer, "CREATE UNIQUE INDEX UX ON T (K)")
+						sessExec(t, inserter, "BEGIN TRANSACTION")
+						sessExec(t, inserter, "INSERT INTO T VALUES (50, 50)")
+					}
+					return e, indexer, inserter
 				}
-				donor := build()
+				donor, indexer, inserter := build(true)
 				snap := donor.Snapshot()
 				image := tableRows(snap.Tables["T"])
+				if want := []string{"1|1", "2|2", "3|3", "4|4", "5|5"}; !slices.Equal(image, want) {
+					t.Fatalf("snapshot of the donor: %v, want its committed rows %v", image, want)
+				}
+				view, own := committedImages(donor, inserter)
+				ownImage := append(slices.Clone(image), "50|50")
+				if got := tableRows(view); !slices.Equal(got, image) {
+					t.Fatalf("read-view image: %v, want %v", got, image)
+				}
+				if got := tableRows(own); !slices.Equal(got, ownImage) {
+					t.Fatalf("own-writes image: %v, want %v", got, ownImage)
+				}
+				if live := donor.st.tables["T"]; view == live || own == live || &own.Rows[0] != &live.Rows[0] {
+					t.Fatal("images must be clones, and the own-writes image must share the live row array")
+				}
+				imagesIntact := func(when string) {
+					t.Helper()
+					if got := tableRows(view); !slices.Equal(got, image) {
+						t.Errorf("%s reached the read-view image: %v, want %v", when, got, image)
+					}
+					if got := tableRows(own); !slices.Equal(got, ownImage) {
+						t.Errorf("%s reached the own-writes image: %v, want %v", when, got, ownImage)
+					}
+				}
 				all := func(string) bool { return true }
 				engines := []*Engine{New(Config{}), New(Config{}), donor}
 				engines[0].RestoreScoped(snap, all)
@@ -505,7 +546,7 @@ func TestSnapshotRowsCopyOnWrite(t *testing.T) {
 					for j, o := range engines {
 						before[j] = liveRows(o)
 					}
-					ref := build()
+					ref, _, _ := build(e == donor)
 					es, rs := e.NewSession(), ref.NewSession()
 					for _, sql := range stmts(i + 1) {
 						sessExec(t, es, sql)
@@ -522,9 +563,46 @@ func TestSnapshotRowsCopyOnWrite(t *testing.T) {
 							t.Errorf("engine %d's writes reached engine %d: %v, want %v", i, j, got, before[j])
 						}
 					}
+					imagesIntact(fmt.Sprintf("engine %d's writes", i))
+				}
+				sessExec(t, inserter, "ROLLBACK")
+				sessExec(t, indexer, "ROLLBACK")
+				imagesIntact("the open transactions' rollbacks")
+				if got := tableRows(snap.Tables["T"]); !slices.Equal(got, image) {
+					t.Errorf("the open transactions' rollbacks reached the snapshot: %v, want %v", got, image)
 				}
 			})
 		}
+	}
+}
+
+// committedImages returns two committed images of table T: the one a
+// read view materializes, and the own-writes image a statement of the
+// given session resolves.
+func committedImages(e *Engine, own *Session) (view, ownImg *Table) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	view = e.currentView().table("T").materialize(e)
+	release := e.latchTables([]string{"T"})
+	defer release()
+	own.readOwnWrites = true
+	defer own.endOwnWrites()
+	ownImg, _ = own.lookupTable("T")
+	return view, ownImg
+}
+
+// Snapshot copies headers, never rows: the image of 25 clean one-row
+// tables allocates the catalog maps, the latch list, and one header and
+// one index cache per table.
+func TestSnapshotAllocs(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	for i := 0; i < 25; i++ {
+		sessExec(t, s, fmt.Sprintf("CREATE TABLE T%02d (A INT)", i))
+		sessExec(t, s, fmt.Sprintf("INSERT INTO T%02d VALUES (1)", i))
+	}
+	if got := testing.AllocsPerRun(50, func() { e.Snapshot() }); got > 62 {
+		t.Errorf("Snapshot of 25 clean tables: %v allocations, want at most 62", got)
 	}
 }
 

@@ -243,7 +243,6 @@ var (
 	_ core.SessionExecutor = (*DiverseServer)(nil)
 	_ core.Session         = (*Session)(nil)
 	_ core.Statement       = (*Stmt)(nil)
-	_ core.Snapshotter     = (*DiverseServer)(nil)
 )
 
 // New assembles a diverse server from replicas. The replica set may mix
@@ -1025,44 +1024,6 @@ func (d *DiverseServer) flushPendingResyncs() {
 		d.metrics.Resyncs++
 		d.metrics.LastResyncSeq = snap.CommitSeq
 		d.resyncDur.Observe(time.Since(start))
-	}
-}
-
-// Snapshot returns a committed-state image of the first healthy replica
-// (the diverse server's own consistent snapshot, usable to seed another
-// endpoint). It shares the statement lock, so the image aligns with a
-// statement boundary of the global write order. Implements
-// core.Snapshotter.
-func (d *DiverseServer) Snapshot() *engine.State {
-	d.execMu.RLock()
-	defer d.execMu.RUnlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, r := range d.replicas {
-		if !r.quarantined && !r.srv.Crashed() {
-			return r.srv.Snapshot()
-		}
-	}
-	return d.replicas[0].srv.Snapshot()
-}
-
-// Restore installs a snapshot on every replica, discarding open
-// transactions. It takes the statement lock exclusively (no statement
-// may be mid-broadcast) and resets every client session's transaction
-// tracking to match the replicas' post-restore state — stale journals
-// would otherwise be replayed into the next rejoining replica as
-// phantom transactions no donor has. Implements core.Snapshotter.
-func (d *DiverseServer) Restore(st *engine.State) {
-	d.execMu.Lock()
-	defer d.execMu.Unlock()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, r := range d.replicas {
-		r.srv.Restore(st)
-	}
-	for cs := range d.sessions {
-		cs.inTxn = false
-		cs.journal = nil
 	}
 }
 

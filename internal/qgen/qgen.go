@@ -242,14 +242,13 @@ type Generator struct {
 	indexes []struct{ name, table string }
 	seqs    []string
 
-	pool    []string // unused pool names
-	tableN  int      // synthetic name counters
-	viewN   int
-	indexN  int
-	seqN    int
-	inTxn   bool
-	snap    *schemaSnapshot // schema state as of BEGIN (rollback target)
-	emitted int
+	pool   []string // unused pool names
+	tableN int      // synthetic name counters
+	viewN  int
+	indexN int
+	seqN   int
+	inTxn  bool
+	snap   *schemaSnapshot // schema state as of BEGIN (rollback target)
 	// lastArgs is the argument vector of the most recent Next() when the
 	// statement was paramized (nil for inline statements).
 	lastArgs []types.Value
@@ -303,9 +302,6 @@ func New(opts Options) *Generator {
 	}
 }
 
-// Emitted reports how many statements the generator has produced.
-func (g *Generator) Emitted() int { return g.emitted }
-
 // Next produces the next statement of the stream. In Params mode the
 // statement may carry $n placeholders; LastArgs then holds the typed
 // argument vector of this statement (nil otherwise).
@@ -320,7 +316,6 @@ func (g *Generator) Next() ast.Statement {
 func (g *Generator) LastArgs() []types.Value { return g.lastArgs }
 
 func (g *Generator) nextStmt() ast.Statement {
-	g.emitted++
 	// Bootstrap: nothing is queryable until tables exist and hold rows.
 	if len(g.tables) < g.opts.MinTables {
 		return g.genCreateTable()

@@ -155,54 +155,3 @@ func TestPrepareOnCrashedServer(t *testing.T) {
 		t.Errorf("prepared statement must survive a restart: %v", err)
 	}
 }
-
-func TestLogRingBuffer(t *testing.T) {
-	s, _ := New(dialect.PG, nil)
-	sess := s.NewSession()
-	// Disabled by default: no capture, no allocation.
-	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Log(); got != nil {
-		t.Fatalf("log disabled but captured %v", got)
-	}
-	s.EnableLog(3)
-	for i := 0; i < 5; i++ {
-		if _, _, err := sess.Exec(fmt.Sprintf("INSERT INTO T VALUES (%d)", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// SELECTs never log.
-	if _, _, err := sess.Exec("SELECT A FROM T"); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Log()
-	want := []string{"INSERT INTO T VALUES (2)", "INSERT INTO T VALUES (3)", "INSERT INTO T VALUES (4)"}
-	if len(got) != len(want) {
-		t.Fatalf("ring kept %d entries: %v", len(got), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("log[%d] = %q want %q", i, got[i], want[i])
-		}
-	}
-	// Bound statements log in their replayable encoded form.
-	st, err := sess.Prepare("INSERT INTO T VALUES (?)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.Exec(types.NewInt(9)); err != nil {
-		t.Fatal(err)
-	}
-	got = s.Log()
-	if last := got[len(got)-1]; last != "INSERT INTO T VALUES (?) --BIND I:9" {
-		t.Errorf("bound log entry: %q", last)
-	}
-	s.DisableLog()
-	if _, _, err := sess.Exec("INSERT INTO T VALUES (100)"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Log() != nil {
-		t.Error("disable must stop and clear capture")
-	}
-}

@@ -49,27 +49,14 @@ type Server struct {
 	eng    *engine.Engine
 	faults *fault.Registry
 
-	mu      sync.Mutex // guards crashed, stress, log fields
+	mu      sync.Mutex // guards crashed, stress
 	crashed bool
 	stress  bool
 
 	// panics counts engine panics contained by Session.run (each one is
 	// reported to the client as a crash).
 	panics atomic.Uint64
-
-	// Statement log: opt-in (EnableLog) and ring-buffered, so long-lived
-	// servers and deep fuzzing runs pay neither the append allocation nor
-	// the unbounded growth. logBuf is a fixed-capacity ring; logStart is
-	// the index of the oldest entry; logLen the number of live entries.
-	logOn    bool
-	logBuf   []string
-	logStart int
-	logLen   int
 }
-
-// DefaultLogCapacity is the ring capacity EnableLog uses when given a
-// non-positive capacity.
-const DefaultLogCapacity = 1024
 
 // Session is one client session of a server: its own transaction scope
 // over the shared engine. Obtain one with NewSession; a session is used
@@ -83,7 +70,6 @@ var (
 	_ core.SessionExecutor = (*Server)(nil)
 	_ core.Session         = (*Session)(nil)
 	_ core.Statement       = (*Stmt)(nil)
-	_ core.Snapshotter     = (*Server)(nil)
 )
 
 // New builds a server of the given name carrying the provided faults
@@ -355,9 +341,6 @@ func (c *Session) Run(p *core.Parsed, args []types.Value) (res *engine.Result, l
 	if matched != nil && matched.Effect.Kind == fault.EffectMutateResult {
 		res = fault.Apply(matched.Effect.Mutation, res)
 	}
-	if p.Select == nil {
-		s.logWrite(p.Text, args)
-	}
 	return res, latency, nil
 }
 
@@ -428,73 +411,13 @@ func (s *Server) RestoreScoped(st *engine.State, keep func(name string) bool) {
 	s.eng.RestoreScoped(st, keep)
 }
 
-// Reset drops all state (fresh install). Log capture stays in whatever
-// mode it was; captured entries are discarded.
+// Reset drops all state (fresh install) and brings a crashed server
+// back up.
 func (s *Server) Reset() {
 	s.eng.Reset()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logStart, s.logLen = 0, 0
 	s.crashed = false
-}
-
-// EnableLog turns on capture of successfully executed state-changing
-// statements into a fixed-capacity ring buffer (the newest capacity
-// entries are kept). Logging is off by default: with no consumer it
-// would only cost an allocation per write on long hunts. A non-positive
-// capacity selects DefaultLogCapacity.
-func (s *Server) EnableLog(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultLogCapacity
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logOn = true
-	s.logBuf = make([]string, capacity)
-	s.logStart, s.logLen = 0, 0
-}
-
-// DisableLog turns off statement capture and releases the ring.
-func (s *Server) DisableLog() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logOn = false
-	s.logBuf = nil
-	s.logStart, s.logLen = 0, 0
-}
-
-// logWrite records one state-changing statement when logging is enabled
-// (the replayable entry is only encoded then).
-func (s *Server) logWrite(sql string, args []types.Value) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.logOn || len(s.logBuf) == 0 {
-		return
-	}
-	entry := core.EncodeBound(sql, args)
-	if s.logLen < len(s.logBuf) {
-		s.logBuf[(s.logStart+s.logLen)%len(s.logBuf)] = entry
-		s.logLen++
-		return
-	}
-	s.logBuf[s.logStart] = entry
-	s.logStart = (s.logStart + 1) % len(s.logBuf)
-}
-
-// Log returns the captured state-changing statements, oldest first (at
-// most the ring capacity; nil when logging is disabled). Bound
-// statements appear in the replayable core.EncodeBound form.
-func (s *Server) Log() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.logOn || s.logLen == 0 {
-		return nil
-	}
-	out := make([]string, 0, s.logLen)
-	for i := 0; i < s.logLen; i++ {
-		out = append(out, s.logBuf[(s.logStart+i)%len(s.logBuf)])
-	}
-	return out
 }
 
 // PlantEnginePanic arms or disarms a panic inside this server's engine on

@@ -9,7 +9,6 @@ import (
 	"divsql/internal/fault"
 	"divsql/internal/obs"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/types"
 )
 
 func TestNewServersForAllNames(t *testing.T) {
@@ -27,7 +26,6 @@ func TestNewServersForAllNames(t *testing.T) {
 func TestExecBasics(t *testing.T) {
 	s, _ := New(dialect.PG, nil)
 	sess := s.NewSession()
-	s.EnableLog(0)
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +38,6 @@ func TestExecBasics(t *testing.T) {
 	}
 	if lat < BaseLatency {
 		t.Errorf("latency %v below base", lat)
-	}
-	if got := len(s.Log()); got != 2 {
-		t.Errorf("statement log has %d entries, want 2 (SELECT excluded)", got)
 	}
 }
 
@@ -302,35 +297,5 @@ func TestEnginePanicIsContainedAsCrash(t *testing.T) {
 	reg.Register(s.MetricsCollector())
 	if doc := reg.Render(); !strings.Contains(doc, `divsql_server_panics_total{replica="PG"} 2`) {
 		t.Errorf("scrape does not report the contained panics:\n%s", doc)
-	}
-}
-
-// TestLogOffEncodesNothing holds EnableLog's promise: with logging off (the
-// default) a bound write allocates exactly what it allocates with no
-// arguments to encode — the replayable entry is built only when kept.
-func TestLogOffEncodesNothing(t *testing.T) {
-	s, _ := New(dialect.PG, nil)
-	sess := s.NewSession()
-	if _, _, err := sess.Exec("CREATE TABLE T (A INT, B VARCHAR(40))"); err != nil {
-		t.Fatal(err)
-	}
-	st, err := sess.Prepare("UPDATE T SET B = $1 WHERE A = $2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	args := []types.Value{types.NewString("a value long enough to notice"), types.NewInt(1)}
-	run := func() {
-		if _, _, err := st.Exec(args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	off := testing.AllocsPerRun(200, run)
-	s.EnableLog(8)
-	on := testing.AllocsPerRun(200, run)
-	if on <= off {
-		t.Errorf("logging on allocates %v per write, off %v: the entry should cost allocations only when kept", on, off)
-	}
-	if got := s.Log(); len(got) != 8 || !strings.Contains(got[0], "--BIND") {
-		t.Errorf("log: %q", got)
 	}
 }

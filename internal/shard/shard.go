@@ -134,9 +134,6 @@ func New(cfg Config, backends ...Backend) (*Router, error) {
 	return r, nil
 }
 
-// NumShards reports the shard count.
-func (r *Router) NumShards() int { return len(r.backends) }
-
 // banded reports whether the router runs in PK-band mode.
 func (r *Router) banded() bool { return len(r.cfg.BandColumns) > 0 }
 
