@@ -421,6 +421,55 @@ func TestIndexLookupSpeedup(t *testing.T) {
 	t.Logf("indexed %v, full scan %v (%.0fx)", indexed, full, float64(full)/float64(indexed))
 }
 
+// BenchmarkIndexMaintenance prices lookup-index build and rebuild alone,
+// on TPC-C NEW_ORDER's pattern through one engine session: every step
+// INSERTs an order, whose primary-key duplicate check probes the live
+// table's index (a tail scan or an extension), and every tenth step
+// DELETEs the ten oldest orders, then reads the newest back by its key.
+// The DELETE moves row positions, so that point SELECT rebuilds the
+// read view's index and the next INSERT the live table's. Deleting ten
+// where NEW_ORDER's Delivery deletes one per district keeps the table
+// at its preloaded 400 rows, so the cost per step does not grow with
+// b.N. The ROADMAP item "An index that survives a DELETE" reads it.
+func BenchmarkIndexMaintenance(b *testing.B) {
+	srv, err := server.New(dialect.PG, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := srv.NewSession()
+	const rows = 400
+	bulkLoad(b, sess, "CREATE TABLE NO (D INT, O INT, PRIMARY KEY (D, O))", "NO", rows,
+		func(id int) string { return fmt.Sprintf("(%d, %d)", id%10+1, id) })
+	prepare := func(sql string) core.Statement {
+		st, err := sess.Prepare(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	ins := prepare("INSERT INTO NO VALUES ($1, $2)")
+	del := prepare("DELETE FROM NO WHERE O <= $1")
+	sel := prepare("SELECT O FROM NO WHERE D = $1 AND O = $2")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := int64(rows + 1 + i)
+		d := types.NewInt(o%10 + 1)
+		if _, _, err := ins.Exec(d, types.NewInt(o)); err != nil {
+			b.Fatal(err)
+		}
+		if i%10 != 9 {
+			continue
+		}
+		if _, _, err := del.Exec(types.NewInt(o - rows)); err != nil {
+			b.Fatal(err)
+		}
+		if res, _, err := sel.Exec(d, types.NewInt(o)); err != nil || len(res.Rows) != 1 {
+			b.Fatalf("point read of order %d: %v", o, err)
+		}
+	}
+}
+
 // BenchmarkJoin prices the join's algorithm: the same equality join of
 // two n-row tables — every left key matches one right row, in scrambled
 // order — under the compiled plan (hash join: one probe per left row)

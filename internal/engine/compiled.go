@@ -531,19 +531,20 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 	}
 	switch p.Path {
 	case plan.PointLookup:
-		keys := make([]int64, len(p.KeyVals))
-		for i, kv := range p.KeyVals {
+		var kb [8]int64
+		keys := kb[:0]
+		for _, kv := range p.KeyVals {
 			v, null, ok := s.keyValue(kv)
 			if !ok || null {
 				return []int{}, ok
 			}
-			keys[i] = v
+			keys = append(keys, v)
 		}
-		ix := t.ic.eqIndex(t, p.KeyCols)
+		ix, n := t.ic.eqIndex(t, p.KeyCols)
 		if ix == nil {
 			return nil, false
 		}
-		return ix.lookup(keys), true
+		return ix.lookup(t.Rows[:n], keys), true
 	case plan.RangeScan:
 		// Bounds become inclusive; a strict one at the end of the INT
 		// range admits nothing.
@@ -569,11 +570,11 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 				hi--
 			}
 		}
-		ix := t.ic.rangeIndex(t, p.RangeCol)
+		ix, n := t.ic.rangeIndex(t, p.RangeCol)
 		if ix == nil {
 			return nil, false
 		}
-		return ix.between(lo, hi, p.Lo != nil, p.Hi != nil), true
+		return ix.between(t.Rows[:n], lo, hi, p.Lo != nil, p.Hi != nil), true
 	}
 	return nil, false
 }

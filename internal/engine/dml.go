@@ -250,15 +250,14 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int, che
 		// stale (rows already replaced in place are invalidated only at
 		// statement end), so a probe could see replaced key values.
 		if allInt && skipIdx == -1 {
-			if ix := t.ic.eqIndex(t, key); ix != nil {
-				keys := make([]int64, len(key))
-				for i, ci := range key {
-					keys[i] = row[ci].I
+			if ix, n := t.ic.eqIndex(t, key); ix != nil {
+				var kb [8]int64
+				keys := kb[:0]
+				for _, ci := range key {
+					keys = append(keys, row[ci].I)
 				}
-				for _, ri := range ix.lookup(keys) {
-					if ri != skipIdx {
-						return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
-					}
+				if len(ix.lookup(t.Rows[:n], keys)) > 0 {
+					return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
 				}
 				continue
 			}
@@ -297,28 +296,26 @@ func sameKey(a, b []types.Value, key []int) bool {
 }
 
 // findDuplicate returns the index of a row that collides with another on
-// the given key columns, or -1.
+// the given key columns, or -1. Rows are keyed by their key cells'
+// injective encoding (types.AppendRowKey), so no cell content can forge
+// a collision between distinct rows.
 func (t *Table) findDuplicate(key []int) int {
-	seen := make(map[string]bool, len(t.Rows))
+	seen := make(map[string]struct{}, len(t.Rows))
+	cells := make([]types.Value, len(key))
+	var kb []byte
+rows:
 	for ri, row := range t.Rows {
-		allSet := true
-		var kb []byte
-		for _, ci := range key {
+		for i, ci := range key {
 			if row[ci].IsNull() {
-				allSet = false
-				break
+				continue rows
 			}
-			kb = append(kb, row[ci].String()...)
-			kb = append(kb, 0x1f)
+			cells[i] = row[ci]
 		}
-		if !allSet {
-			continue
-		}
-		k := string(kb)
-		if seen[k] {
+		kb = types.AppendRowKey(kb[:0], cells)
+		if _, dup := seen[string(kb)]; dup {
 			return ri
 		}
-		seen[k] = true
+		seen[string(kb)] = struct{}{}
 	}
 	return -1
 }

@@ -509,6 +509,21 @@ func TestUniqueIndexEnforced(t *testing.T) {
 	}
 }
 
+// CREATE UNIQUE INDEX keys each row by its cells' injective encoding:
+// two distinct rows whose cells would join to one text around a
+// separator byte are not duplicates, and once the index exists an
+// INSERT that does duplicate a row is still refused.
+func TestUniqueIndexKeysCannotBeForged(t *testing.T) {
+	e := NewOracle()
+	mustExec(t, e, "CREATE TABLE T (A VARCHAR(5), B VARCHAR(5))")
+	mustExec(t, e, "INSERT INTO T VALUES ('x\x1f', 'y')")
+	mustExec(t, e, "INSERT INTO T VALUES ('x', '\x1fy')")
+	mustExec(t, e, "CREATE UNIQUE INDEX U ON T (A, B)")
+	if err := mustFail(t, e, "INSERT INTO T VALUES ('x', '\x1fy')"); !errors.Is(err, ErrConstraint) {
+		t.Errorf("duplicate row under the unique index: %v", err)
+	}
+}
+
 // TestUpdateKeyConstraints pins what an UPDATE checks for PK/UNIQUE
 // keys: a key the statement leaves as it was is not re-verified (no
 // table scan), a key that moves still is — mid-statement included.

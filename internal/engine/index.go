@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,15 +27,32 @@ import (
 //
 // Indexes are built from immutable row-range segments. Extension never
 // mutates a published index: it publishes a new index value whose
-// segment list appends a tail segment, so a session still holding the
+// segment list ends in a new segment, so a session still holding the
 // previous value (or a shorter read-view capture of the same table —
 // captures of one table share an index-cache lineage, see
 // Table.capIC) keeps a consistent view without any locking beyond the
-// build itself. Appended segments merge tiered (a segment merges into
-// its predecessor until the predecessor covers more than twice its
-// rows), so the list stays logarithmic in the table size and every row
-// takes part in O(log n) merges over the table's lifetime — the
-// amortized maintenance bound that keeps a steady insert load linear.
+// build itself. Segments merge tiered (the new segment absorbs each
+// predecessor covering no more than twice its rows), so the list stays
+// logarithmic in the table size and every row takes part in O(log n)
+// merges over the table's lifetime — the amortized maintenance bound
+// that keeps a steady insert load linear. A merge is a build over the
+// merged row range: an equal baseSeq and equal key colVers mean the
+// same keys sit at the same positions, so rebuilding from the rows is
+// exact.
+//
+// Tail by count: a small appended tail is not indexed at all. eqIndex
+// and rangeIndex return the published index with the row count they
+// vetted, and lookup and between scan the rows past the last covered
+// segment themselves — a probe makes no index value of its own.
+//
+// Segments are pointer-free, so the collector never scans them, and a
+// segment is one slab whatever its row count: a rebuild allocates the
+// index value and that slab. A hash segment is a flat open-addressed
+// table from key-tuple hash to the head of a chain of row offsets,
+// threaded through one next word per row and built back to front so
+// each chain ascends. lookup checks every chained row's key cells
+// against the probe, so a hash collision costs time, never a wrong
+// candidate.
 //
 // Correctness contract: an index only accelerates candidate discovery.
 // The executor re-evaluates the complete WHERE predicate on every
@@ -53,164 +71,149 @@ import (
 // of one table share a lineage cache (Table.capIC). The cache has its
 // own mutex because concurrent SELECT sessions build and consult
 // indexes while holding only the engine read lock; published index
-// values are immutable, so the mutex guards only the cache map. The zero
-// value is an empty cache: a cache is made per table per clone or
-// capture, most are never probed, so each map is made by its first
-// build.
+// values are immutable, so the mutex guards only the two lists. The
+// zero value is an empty cache.
 type indexCache struct {
 	mu     sync.Mutex
-	hash   map[string]*hashIndex // colset key -> equality index
-	sorted map[int]*sortedIndex  // column ordinal -> range index
+	hash   []*index // equality indexes, one per key column list
+	sorted []*index // range indexes, one per column
 }
 
 // indexTailMax is the append-tail size below which probes scan the
 // unindexed tail linearly instead of extending the published index.
-// Extending on every probe would allocate a one-row segment (and its
-// map) per insert; deferring until the tail reaches this many rows
-// batches that maintenance while keeping the scan cost bounded.
+// Extending on every probe would build a one-row segment per insert;
+// deferring until the tail reaches this many rows batches that
+// maintenance while keeping the scan cost bounded.
 const indexTailMax = 32
 
-// hashIndex maps encoded key tuples to row positions for one column
-// set, as an immutable list of row-range segments covering rows [0, n).
-// Exact while the table's baseSeq equals base, every key column's
-// colVer equals the recorded colVers entry, and the table holds at
-// least n rows. A probe-local instance may additionally carry a small
-// unindexed tail (rows [tailStart, n)), scanned linearly on lookup;
-// published instances never do.
-type hashIndex struct {
-	base     uint64
-	colVers  []uint64 // key columns' versions at build, parallel to the colset
-	n        int
-	poisoned bool
-	segs     []*hashSeg
-
-	tail      [][]types.Value
-	tailStart int
-	tailCols  []int
+// index is one published lookup index: an immutable list of row-range
+// segments covering rows [0, n), exact while the table's baseSeq equals
+// base, every key column's colVer equals the recorded colVers entry,
+// and the table holds at least n rows. An equality index is keyed by
+// cols (held, not copied: plans and table keysets never change theirs);
+// a range index (cols nil) by col.
+type index struct {
+	cols    []int
+	col     int
+	base    uint64
+	colVers []uint64 // key columns' versions at build (nil: all zero)
+	n       int
+	segs    []seg
+	one     [1]seg // segs' backing while there is one segment
 }
 
-// hashSeg is one immutable row-range segment: rows [start, end) of the
-// table at build time, keyed by encoded tuple, positions ascending.
-type hashSeg struct {
+// seg is one immutable segment: rows [start, end) of the table at build
+// time. When one of them holds a non-INT, non-NULL key the segment is
+// poisoned, and its content incomplete and moot. A hash segment fills
+// slots and next, a sorted one ents.
+type seg struct {
 	start, end int
 	poisoned   bool
-	m          map[string][]int
+	// slots holds two words per slot (a power-of-two count, at most
+	// half full): the key hash's high half, and the chain head's row
+	// offset + 1, 0 marking an empty slot. next holds, per row offset,
+	// the next chained row's offset + 1, 0 ending the chain. Both are
+	// views of one slab.
+	slots, next []uint32
+	ents        []sortEnt // keys ascending
 }
 
-// sortedIndex holds one column's INT keys as an immutable list of
-// per-row-range sorted runs. Coverage, validity and the probe-local
-// tail as for hashIndex.
-type sortedIndex struct {
-	base     uint64
-	colVer   uint64 // the key column's version at build
-	n        int
-	poisoned bool
-	segs     []*sortedSeg
-
-	tail      [][]types.Value
-	tailStart int
-	tailCol   int
+// sortEnt is one sorted-segment entry: a row's key and position.
+type sortEnt struct {
+	key int64
+	pos int
 }
 
-// sortedSeg is one immutable sorted run over rows [start, end).
-type sortedSeg struct {
-	start, end int
-	poisoned   bool
-	keys       []int64
-	pos        []int
-}
-
-// colsetKey encodes a column ordinal set as a map key.
-func colsetKey(cols []int) string {
-	b := make([]byte, 0, 2*len(cols))
-	for _, c := range cols {
-		b = binary.AppendVarint(b, int64(c))
-	}
-	return string(b)
-}
-
-// encodeIntKeys appends the fixed-width encoding of a key tuple.
-func encodeIntKeys(dst []byte, keys []int64) []byte {
-	for _, k := range keys {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(k))
-	}
-	return dst
-}
-
-// eqIndex returns the equality index over cols, building or extending
-// it as needed; nil when a covered row poisons the column set. Callers
+// eqIndex returns the equality index over cols and the row count n it
+// answers for: lookup is handed the table's first n rows and scans
+// those past the last segment itself (fewer than indexTailMax, vetted
+// INT or NULL). nil when a covered row poisons the column set. Callers
 // hold the engine lock (either mode); the cache mutex serializes
 // concurrent builders, so one session builds and the rest reuse.
-func (ic *indexCache) eqIndex(t *Table, cols []int) *hashIndex {
-	key := colsetKey(cols)
-	base := t.baseSeq.Load()
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	ix := ic.hash[key]
-	if ix != nil && ix.base == base && colVersMatch(t, cols, ix.colVers) {
-		switch {
-		case ix.n == len(t.Rows):
-			// Exact coverage.
-		case ix.n < len(t.Rows):
-			// Rows were appended since the index was published. A small
-			// tail is served by a probe-local instance that scans it
-			// linearly — publishing would cost a segment allocation per
-			// insert. Once the tail reaches indexTailMax (or holds a
-			// poisoning value the linear scan cannot honor), extend for
-			// real with a tail segment and merge tiered.
-			if len(t.Rows)-ix.n < indexTailMax && intTail(t.Rows[ix.n:len(t.Rows)], cols) {
-				ix = &hashIndex{
-					base: base, colVers: ix.colVers, n: len(t.Rows), poisoned: ix.poisoned, segs: ix.segs,
-					tail: t.Rows[ix.n:len(t.Rows):len(t.Rows)], tailStart: ix.n, tailCols: cols,
-				}
-				break
-			}
-			seg := buildHashSeg(t, cols, ix.n, len(t.Rows))
-			segs := append(ix.segs[:len(ix.segs):len(ix.segs)], seg)
-			for len(segs) >= 2 {
-				a, b := segs[len(segs)-2], segs[len(segs)-1]
-				if a.end-a.start > 2*(b.end-b.start) {
-					break
-				}
-				segs = append(segs[:len(segs)-2:len(segs)-2], mergeHashSegs(a, b))
-			}
-			nix := &hashIndex{base: base, colVers: ix.colVers, n: len(t.Rows), segs: segs}
-			nix.poisoned = ix.poisoned || seg.poisoned
-			ic.hash[key] = nix
-			ix = nix
-		default:
-			// The probing table is shorter than the published coverage
-			// (an older capture sharing the lineage): serve the segment
-			// prefix ending exactly at its row count, or a build of its
-			// own when no boundary lands there — never republished: the
-			// longer index stays current.
-			if ix = hashPrefix(ix, base, len(t.Rows)); ix == nil {
-				ix = buildHashIndex(t, cols, base)
-			}
-		}
-	} else {
-		ix = nil
-	}
-	if ix == nil {
-		ix = buildHashIndex(t, cols, base)
-		if ic.hash == nil {
-			ic.hash = make(map[string]*hashIndex)
-		}
-		ic.hash[key] = ix
-	}
-	if ix.poisoned {
-		return nil
-	}
-	return ix
+func (ic *indexCache) eqIndex(t *Table, cols []int) (*index, int) {
+	return ic.get(&ic.hash, t, cols, -1)
 }
 
-// buildHashIndex indexes every row of the table in one segment.
-func buildHashIndex(t *Table, cols []int, base uint64) *hashIndex {
-	seg := buildHashSeg(t, cols, 0, len(t.Rows))
-	return &hashIndex{
-		base: base, colVers: colVersOf(t, cols), n: len(t.Rows),
-		poisoned: seg.poisoned, segs: []*hashSeg{seg},
+// rangeIndex returns the sorted index over one column, as eqIndex.
+func (ic *indexCache) rangeIndex(t *Table, col int) (*index, int) {
+	return ic.get(&ic.sorted, t, nil, col)
+}
+
+// get finds the index keyed by cols (or col) in list and brings it up
+// to date for t: rebuilt when stale, extended when its unindexed tail
+// reached indexTailMax or holds a poisoning value the tail scan cannot
+// honor, served as it is otherwise.
+func (ic *indexCache) get(list *[]*index, t *Table, cols []int, col int) (*index, int) {
+	key := cols
+	if cols == nil {
+		key = []int{col}
 	}
+	base, n := t.baseSeq.Load(), len(t.Rows)
+	ic.mu.Lock()
+	defer ic.mu.Unlock()
+	i := slices.IndexFunc(*list, func(ix *index) bool { return ix.col == col && slices.Equal(ix.cols, cols) })
+	var ix *index
+	if i >= 0 {
+		ix = (*list)[i]
+	}
+	switch {
+	case ix == nil || ix.base != base || !colVersMatch(t, key, ix.colVers):
+		ix = buildIndex(nil, t, cols, col, key, base)
+		if i < 0 {
+			*list = append(*list, ix)
+		} else {
+			(*list)[i] = ix
+		}
+	case n < ix.n:
+		// The probing table is shorter than the published coverage (an
+		// older capture sharing the lineage): serve the segment prefix
+		// ending exactly at its row count, or a build of its own when no
+		// boundary lands there — never republished: the longer index
+		// stays current.
+		if !slices.ContainsFunc(ix.segs, func(s seg) bool { return s.end == n }) {
+			ix = buildIndex(nil, t, cols, col, key, base)
+		}
+	case n-ix.n >= indexTailMax || !intTail(t.Rows[ix.n:n], key):
+		ix = buildIndex(ix, t, cols, col, key, base)
+		(*list)[i] = ix
+	}
+	for j := range ix.segs {
+		if s := &ix.segs[j]; s.end <= n && s.poisoned {
+			return nil, 0
+		}
+	}
+	return ix, n
+}
+
+// buildIndex returns a new index over all of t's rows: prev's segments
+// (nil: none) but the ones the new segment absorbs tiered, then that
+// segment, built over the remaining rows.
+func buildIndex(prev *index, t *Table, cols []int, col int, key []int, base uint64) *index {
+	n := len(t.Rows)
+	ix := &index{cols: cols, col: col, base: base, n: n}
+	start, keep := 0, 0
+	if prev == nil {
+		ix.colVers = colVersOf(t, key)
+	} else {
+		ix.colVers, start, keep = prev.colVers, prev.n, len(prev.segs)
+		for keep > 0 && prev.segs[keep-1].end-prev.segs[keep-1].start <= 2*(n-start) {
+			keep--
+			start = prev.segs[keep].start
+		}
+	}
+	var s seg
+	if cols == nil {
+		s = buildSortedSeg(t.Rows, col, start, n)
+	} else {
+		s = buildHashSeg(t.Rows, cols, start, n)
+	}
+	if keep == 0 {
+		ix.one[0] = s
+		ix.segs = ix.one[:]
+	} else {
+		ix.segs = append(prev.segs[:keep:keep], s)
+	}
+	return ix
 }
 
 // colVersOf snapshots the versions of the given columns (nil when no
@@ -259,267 +262,165 @@ func intTail(rows [][]types.Value, cols []int) bool {
 	return true
 }
 
-// hashPrefix returns an index over the segment prefix covering exactly
-// n rows, or nil when no segment boundary lands on n.
-func hashPrefix(ix *hashIndex, base uint64, n int) *hashIndex {
-	for i, seg := range ix.segs {
-		if seg.end != n {
-			continue
-		}
-		pre := &hashIndex{base: base, colVers: ix.colVers, n: n, segs: ix.segs[: i+1 : i+1]}
-		for _, s := range pre.segs {
-			pre.poisoned = pre.poisoned || s.poisoned
-		}
-		return pre
-	}
-	return nil
+// keyHash folds one INT key cell into a key-tuple hash (murmur3's
+// finalizer: a bijection of the 64-bit state, so distinct single keys
+// never share a hash).
+func keyHash(h uint64, k int64) uint64 {
+	h ^= uint64(k)
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
-// mergeHashSegs combines two adjacent segments into a fresh one. Both
-// inputs stay untouched (published prefix indexes may still hold them);
-// a's positions precede b's, so appending keeps per-key table order.
-func mergeHashSegs(a, b *hashSeg) *hashSeg {
-	seg := &hashSeg{
-		start:    a.start,
-		end:      b.end,
-		poisoned: a.poisoned || b.poisoned,
-		m:        make(map[string][]int, len(a.m)+len(b.m)),
+// slot returns the slot chaining hash h: the first along its linear
+// probe sequence that is empty or carries h's high half.
+func (s *seg) slot(h uint64) uint64 {
+	mask := uint64(len(s.slots)/2 - 1)
+	i := h & mask
+	for s.slots[2*i+1] != 0 && s.slots[2*i] != uint32(h>>32) {
+		i = (i + 1) & mask
 	}
-	for k, ps := range a.m {
-		seg.m[k] = ps[:len(ps):len(ps)]
-	}
-	for k, ps := range b.m {
-		seg.m[k] = append(seg.m[k], ps...)
-	}
-	return seg
+	return i
 }
 
-// buildHashSeg indexes rows [start, end) of the table.
-func buildHashSeg(t *Table, cols []int, start, end int) *hashSeg {
-	seg := &hashSeg{start: start, end: end, m: make(map[string][]int, end-start)}
-	kb := make([]byte, 0, 8*len(cols))
-build:
-	for ri := start; ri < end; ri++ {
-		row := t.Rows[ri]
-		kb = kb[:0]
+// buildHashSeg chains rows [start, end) by key-tuple hash.
+func buildHashSeg(rows [][]types.Value, cols []int, start, end int) seg {
+	size := 1
+	for size < 2*(end-start) {
+		size <<= 1
+	}
+	slab := make([]uint32, 2*size+end-start)
+	s := seg{start: start, end: end, slots: slab[:2*size], next: slab[2*size:]}
+rows:
+	for ri := end - 1; ri >= start; ri-- {
+		var h uint64
 		for _, ci := range cols {
-			v := row[ci]
-			switch v.K {
+			switch v := &rows[ri][ci]; v.K {
 			case types.KindInt:
-				kb = binary.BigEndian.AppendUint64(kb, uint64(v.I))
+				h = keyHash(h, v.I)
 			case types.KindNull:
 				// NULL keys never satisfy an equality conjunct (the
 				// comparison is Unknown), so the row is simply not indexed.
-				continue build
+				continue rows
 			default:
-				seg.poisoned = true
-				break build
+				s.poisoned = true
+				return s
 			}
 		}
-		seg.m[string(kb)] = append(seg.m[string(kb)], ri)
+		i := s.slot(h)
+		s.next[ri-start] = s.slots[2*i+1]
+		s.slots[2*i], s.slots[2*i+1] = uint32(h>>32), uint32(ri-start+1)
 	}
-	return seg
+	return s
 }
 
-// rangeIndex returns the sorted index over one column, building or
-// extending it as needed; nil when a covered row poisons the column.
-// Locking as for eqIndex.
-func (ic *indexCache) rangeIndex(t *Table, col int) *sortedIndex {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	base := t.baseSeq.Load()
-	ver := t.colVerOf(col)
-	ix := ic.sorted[col]
-	if ix != nil && ix.base == base && ix.colVer == ver {
-		switch {
-		case ix.n == len(t.Rows):
-		case ix.n < len(t.Rows):
-			// Small appended tails are served probe-locally, as in eqIndex.
-			if len(t.Rows)-ix.n < indexTailMax && intTail(t.Rows[ix.n:len(t.Rows)], []int{col}) {
-				ix = &sortedIndex{
-					base: base, colVer: ver, n: len(t.Rows), poisoned: ix.poisoned, segs: ix.segs,
-					tail: t.Rows[ix.n:len(t.Rows):len(t.Rows)], tailStart: ix.n, tailCol: col,
-				}
-				break
-			}
-			seg := buildSortedSeg(t, col, ix.n, len(t.Rows))
-			segs := append(ix.segs[:len(ix.segs):len(ix.segs)], seg)
-			for len(segs) >= 2 {
-				a, b := segs[len(segs)-2], segs[len(segs)-1]
-				if a.end-a.start > 2*(b.end-b.start) {
-					break
-				}
-				segs = append(segs[:len(segs)-2:len(segs)-2], mergeSortedSegs(a, b))
-			}
-			nix := &sortedIndex{base: base, colVer: ver, n: len(t.Rows), segs: segs}
-			nix.poisoned = ix.poisoned || seg.poisoned
-			ic.sorted[col] = nix
-			ix = nix
-		default:
-			// An older capture, as in eqIndex: never republished.
-			if ix = sortedPrefix(ix, base, len(t.Rows)); ix == nil {
-				ix = buildSortedIndex(t, col, base, ver)
-			}
-		}
-	} else {
-		ix = nil
-	}
-	if ix == nil {
-		ix = buildSortedIndex(t, col, base, ver)
-		if ic.sorted == nil {
-			ic.sorted = make(map[int]*sortedIndex)
-		}
-		ic.sorted[col] = ix
-	}
-	if ix.poisoned {
-		return nil
-	}
-	return ix
-}
-
-// buildSortedIndex indexes every row of the table in one sorted run.
-func buildSortedIndex(t *Table, col int, base, ver uint64) *sortedIndex {
-	seg := buildSortedSeg(t, col, 0, len(t.Rows))
-	return &sortedIndex{base: base, colVer: ver, n: len(t.Rows), poisoned: seg.poisoned, segs: []*sortedSeg{seg}}
-}
-
-// sortedPrefix is hashPrefix for range indexes.
-func sortedPrefix(ix *sortedIndex, base uint64, n int) *sortedIndex {
-	for i, seg := range ix.segs {
-		if seg.end != n {
-			continue
-		}
-		pre := &sortedIndex{base: base, colVer: ix.colVer, n: n, segs: ix.segs[: i+1 : i+1]}
-		for _, s := range pre.segs {
-			pre.poisoned = pre.poisoned || s.poisoned
-		}
-		return pre
-	}
-	return nil
-}
-
-// buildSortedSeg builds one sorted run over rows [start, end).
-func buildSortedSeg(t *Table, col, start, end int) *sortedSeg {
-	seg := &sortedSeg{start: start, end: end}
+// buildSortedSeg sorts rows [start, end) by one column's key.
+func buildSortedSeg(rows [][]types.Value, col, start, end int) seg {
+	s := seg{start: start, end: end, ents: make([]sortEnt, 0, end-start)}
 	for ri := start; ri < end; ri++ {
-		v := t.Rows[ri][col]
-		switch v.K {
+		switch v := &rows[ri][col]; v.K {
 		case types.KindInt:
-			seg.keys = append(seg.keys, v.I)
-			seg.pos = append(seg.pos, ri)
+			s.ents = append(s.ents, sortEnt{v.I, ri})
 		case types.KindNull:
 			// Range conjuncts on NULL are Unknown: the row cannot match.
 		default:
-			seg.poisoned = true
-			return seg
+			s.poisoned = true
+			return s
 		}
 	}
-	if len(seg.keys) > 1 {
-		ord := make([]int, len(seg.keys))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return seg.keys[ord[a]] < seg.keys[ord[b]] })
-		keys := make([]int64, len(ord))
-		pos := make([]int, len(ord))
-		for i, o := range ord {
-			keys[i] = seg.keys[o]
-			pos[i] = seg.pos[o]
-		}
-		seg.keys, seg.pos = keys, pos
-	}
-	return seg
+	slices.SortFunc(s.ents, func(a, b sortEnt) int { return cmp.Compare(a.key, b.key) })
+	return s
 }
 
-// mergeSortedSegs merges two adjacent sorted runs into one covering
-// [a.start, b.end). Inputs are immutable (they may still be referenced
-// by published indexes); the merged run gets fresh key/pos slices. A
-// poisoned input poisons the result, whose key content is then moot
-// because probes short-circuit on the poisoned flag.
-func mergeSortedSegs(a, b *sortedSeg) *sortedSeg {
-	seg := &sortedSeg{start: a.start, end: b.end, poisoned: a.poisoned || b.poisoned}
-	if seg.poisoned {
-		return seg
-	}
-	seg.keys = make([]int64, 0, len(a.keys)+len(b.keys))
-	seg.pos = make([]int, 0, len(a.pos)+len(b.pos))
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		if a.keys[i] <= b.keys[j] {
-			seg.keys = append(seg.keys, a.keys[i])
-			seg.pos = append(seg.pos, a.pos[i])
-			i++
-		} else {
-			seg.keys = append(seg.keys, b.keys[j])
-			seg.pos = append(seg.pos, b.pos[j])
-			j++
+// keyMatch reports whether a row's key cells are INT and equal keys.
+func keyMatch(row []types.Value, cols []int, keys []int64) bool {
+	for j, ci := range cols {
+		if v := &row[ci]; v.K != types.KindInt || v.I != keys[j] {
+			return false
 		}
 	}
-	seg.keys = append(seg.keys, a.keys[i:]...)
-	seg.pos = append(seg.pos, a.pos[i:]...)
-	seg.keys = append(seg.keys, b.keys[j:]...)
-	seg.pos = append(seg.pos, b.pos[j:]...)
-	return seg
+	return true
 }
 
-// lookup returns the row positions matching one encoded key tuple, in
-// table order (segments cover ascending row ranges; positions ascend
-// within each segment).
-func (ix *hashIndex) lookup(keys []int64) []int {
-	kb := encodeIntKeys(make([]byte, 0, 8*len(keys)), keys)
-	k := string(kb)
-	if len(ix.segs) == 1 && len(ix.tail) == 0 {
-		return ix.segs[0].m[k]
+// lookup returns the positions among rows (the probing table's first n,
+// as eqIndex returned it) whose key cells equal keys, in table order:
+// segments cover ascending row ranges and each chain ascends, and the
+// rows past the last segment ending at or below n are scanned. Only the
+// result allocates.
+func (ix *index) lookup(rows [][]types.Value, keys []int64) []int {
+	var h uint64
+	for _, k := range keys {
+		h = keyHash(h, k)
 	}
-	var out []int
-	for _, seg := range ix.segs {
-		out = append(out, seg.m[k]...)
-	}
-	for i, row := range ix.tail {
-		match := true
-		for j, ci := range ix.tailCols {
-			// intTail vetted the tail: values are INT or NULL, and NULL
-			// never satisfies an equality conjunct.
-			if v := row[ci]; v.K != types.KindInt || v.I != keys[j] {
-				match = false
-				break
+	var buf [16]int
+	out, scan := buf[:0], 0
+	for i := range ix.segs {
+		s := &ix.segs[i]
+		if s.end > len(rows) {
+			break
+		}
+		scan = s.end
+		for o := s.slots[2*s.slot(h)+1]; o != 0; o = s.next[o-1] {
+			if ri := s.start + int(o) - 1; keyMatch(rows[ri], ix.cols, keys) {
+				out = append(out, ri)
 			}
 		}
-		if match {
-			out = append(out, ix.tailStart+i)
+	}
+	for ri := scan; ri < len(rows); ri++ {
+		if keyMatch(rows[ri], ix.cols, keys) {
+			out = append(out, ri)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append([]int(nil), out...)
 }
 
-// between returns the row positions whose key lies in the inclusive
-// range [lo, hi] (either bound optional), re-sorted into table order so
-// index-backed execution emits rows exactly as a full scan would.
-func (ix *sortedIndex) between(lo, hi int64, haveLo, haveHi bool) []int {
-	var out []int
-	for _, seg := range ix.segs {
-		i := 0
-		if haveLo {
-			i = sort.Search(len(seg.keys), func(k int) bool { return seg.keys[k] >= lo })
-		}
-		j := len(seg.keys)
-		if haveHi {
-			j = sort.Search(len(seg.keys), func(k int) bool { return seg.keys[k] > hi })
-		}
-		if i < j {
-			out = append(out, seg.pos[i:j]...)
+// span returns the range of a sorted segment's entries whose key lies
+// in [lo, hi] (either bound optional).
+func (s *seg) span(lo, hi int64, haveLo, haveHi bool) (int, int) {
+	i, j := 0, len(s.ents)
+	if haveLo {
+		i = sort.Search(j, func(k int) bool { return s.ents[k].key >= lo })
+	}
+	if haveHi {
+		j = sort.Search(j, func(k int) bool { return s.ents[k].key > hi })
+	}
+	return i, max(i, j)
+}
+
+// between returns the positions among rows (as for lookup) whose key
+// lies in the inclusive range [lo, hi] (either bound optional), sorted
+// into table order so index-backed execution emits rows exactly as a
+// full scan would. Only the result allocates.
+func (ix *index) between(rows [][]types.Value, lo, hi int64, haveLo, haveHi bool) []int {
+	size, scan := 0, 0
+	for i := range ix.segs {
+		if s := &ix.segs[i]; s.end <= len(rows) {
+			a, b := s.span(lo, hi, haveLo, haveHi)
+			size, scan = size+b-a, s.end
 		}
 	}
-	for i, row := range ix.tail {
-		v := row[ix.tailCol]
+	out := make([]int, 0, size+len(rows)-scan)
+	for i := range ix.segs {
+		if s := &ix.segs[i]; s.end <= len(rows) {
+			a, b := s.span(lo, hi, haveLo, haveHi)
+			for _, e := range s.ents[a:b] {
+				out = append(out, e.pos)
+			}
+		}
+	}
+	for ri := scan; ri < len(rows); ri++ {
+		v := &rows[ri][ix.col]
 		if v.K != types.KindInt {
 			continue // NULL: a range conjunct on NULL is Unknown
 		}
 		if (haveLo && v.I < lo) || (haveHi && v.I > hi) {
 			continue
 		}
-		out = append(out, ix.tailStart+i)
+		out = append(out, ri)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }

@@ -360,11 +360,11 @@ func TestOlderCaptureKeepsLineageCoverage(t *testing.T) {
 	coverage := func() (point, rng int) {
 		lineage.mu.Lock()
 		defer lineage.mu.Unlock()
-		if ix := lineage.hash[colsetKey([]int{0})]; ix != nil {
-			point = ix.n
+		if len(lineage.hash) > 0 {
+			point = lineage.hash[0].n
 		}
-		if ix := lineage.sorted[0]; ix != nil {
-			rng = ix.n
+		if len(lineage.sorted) > 0 {
+			rng = lineage.sorted[0].n
 		}
 		return point, rng
 	}
