@@ -27,8 +27,7 @@ import (
 	"divsql/internal/reliability"
 	"divsql/internal/replication"
 	"divsql/internal/server"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 	"divsql/internal/study"
 	"divsql/internal/tpcc"
@@ -316,9 +315,9 @@ func bulkLoad(tb testing.TB, sess *server.Session, create, table string, rows in
 }
 
 // indexLookupFixture loads a keyed table of the given size on a PG server
-// and returns a session on it plus the pre-parsed point and range probes
+// and returns a session on it plus the resolved point and range probes
 // of BenchmarkIndexLookup and TestIndexLookupSpeedup.
-func indexLookupFixture(tb testing.TB, rows int) (sess *server.Session, pointSel, rangeSel *ast.Select) {
+func indexLookupFixture(tb testing.TB, rows int) (sess *server.Session, pointSel, rangeSel *stmt.Parsed) {
 	tb.Helper()
 	srv, err := server.New(dialect.PG, nil)
 	if err != nil {
@@ -327,20 +326,20 @@ func indexLookupFixture(tb testing.TB, rows int) (sess *server.Session, pointSel
 	sess = srv.NewSession()
 	bulkLoad(tb, sess, "CREATE TABLE KV (ID INT PRIMARY KEY, V INT, S VARCHAR(16))", "KV", rows,
 		func(id int) string { return fmt.Sprintf("(%d, %d, 'v%d')", id, id*7, id) })
-	pointStmt, err := parser.Parse("SELECT V FROM KV WHERE ID = $1")
+	pointSel, err = stmt.Resolve("SELECT V FROM KV WHERE ID = $1")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rangeStmt, err := parser.Parse("SELECT V FROM KV WHERE ID BETWEEN $1 AND $2")
+	rangeSel, err = stmt.Resolve("SELECT V FROM KV WHERE ID BETWEEN $1 AND $2")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sess, pointStmt.(*ast.Select), rangeStmt.(*ast.Select)
+	return sess, pointSel, rangeSel
 }
 
 // pointProbe looks one key up under the forced access path and checks
 // the answer.
-func pointProbe(tb testing.TB, sess *server.Session, sel *ast.Select, force engplan.Force, k int64) {
+func pointProbe(tb testing.TB, sess *server.Session, sel *stmt.Parsed, force engplan.Force, k int64) {
 	res, err := sess.ExecVariant(sel, force, types.NewInt(k))
 	if err != nil {
 		tb.Fatal(err)
@@ -487,7 +486,7 @@ func BenchmarkJoin(b *testing.B) {
 			func(id int) string { return fmt.Sprintf("(%d, %d)", id, id) })
 		bulkLoad(b, sess, "CREATE TABLE JB (ID INT PRIMARY KEY, K INT)", "JB", n,
 			func(id int) string { return fmt.Sprintf("(%d, %d)", id, (id*7919)%n+1) })
-		st, err := parser.Parse("SELECT JA.ID, JB.ID FROM JA INNER JOIN JB ON JA.K = JB.K")
+		p, err := stmt.Resolve("SELECT JA.ID, JB.ID FROM JA INNER JOIN JB ON JA.K = JB.K")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -501,7 +500,7 @@ func BenchmarkJoin(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%d/%s", n, n, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := sess.ExecVariant(st.(*ast.Select), tc.force)
+					res, err := sess.ExecVariant(p, tc.force)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -39,9 +39,9 @@ import (
 	"syscall"
 
 	"divsql"
-	"divsql/internal/core"
 	"divsql/internal/difftest"
 	"divsql/internal/obs"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/wire"
 )
 
@@ -128,7 +128,7 @@ func start(listen, mode, serverList string, n, shards int, metricsAddr string) (
 	// can rely on the family set.
 	reg := obs.NewRegistry()
 	reg.Register(obs.ProcessCollector())
-	reg.Register(core.ResolverCollector())
+	reg.Register(stmt.ResolverCollector())
 	reg.Register(divsql.Collectors(db)...)
 	reg.Register(srv.MetricsCollector())
 	reg.Register(difftest.SharedTelemetry().MetricsCollector())

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestNoSessionlessExec(t *testing.T) {
 	}
 }
 
-// TestNoPrivateParses: statement text is parsed in one place, core.Resolve,
+// TestNoPrivateParses: statement text is parsed in one place, stmt.Resolve,
 // and every layer shares the handle it returns. The only other callers of
 // the SQL parser are the two that build new text from a private tree
 // (dialect translation, the middleware's rephrasing); a layer that wants
@@ -44,7 +45,7 @@ func TestNoSessionlessExec(t *testing.T) {
 func TestNoPrivateParses(t *testing.T) {
 	const sqlParser = "divsql/internal/sql/parser"
 	allowed := map[string]bool{
-		"internal/core/parsed.go":         true,
+		"internal/sql/stmt/parsed.go":     true,
 		"internal/translate/translate.go": true,
 		"internal/middleware/rephrase.go": true,
 	}
@@ -66,42 +67,71 @@ func TestNoPrivateParses(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || allowed[filepath.ToSlash(path)] {
 			return nil
 		}
-		f, err := goparser.ParseFile(fset, path, nil, goparser.SkipObjectResolution)
-		if err != nil {
-			return err
+		for _, call := range callsInto(t, fset, path, sqlParser, "Parse", "ParseScript") {
+			t.Errorf("%s: private parse %s; resolve the text with stmt.Resolve and read its handle", fset.Position(call.Pos()), call.Sel.Name)
 		}
-		local := ""
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == sqlParser {
-				local = "parser"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		if local == "" {
-			return nil
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local && (sel.Sel.Name == "Parse" || sel.Sel.Name == "ParseScript") {
-				t.Errorf("%s: private parse %s.%s; resolve the text with core.Resolve and read its handle",
-					fset.Position(call.Pos()), local, sel.Sel.Name)
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEngineReadsTablesFromTheHandle: the engine learns which tables a
+// statement reads from its handle's sorted list (and the schema facts),
+// never by walking the tree again per execution.
+func TestEngineReadsTablesFromTheHandle(t *testing.T) {
+	files, err := filepath.Glob("internal/engine/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, call := range callsInto(t, fset, path, "divsql/internal/sql/ast", "Tables") {
+			t.Errorf("%s: ast.Tables in the engine; read the handle's Fingerprint.Tables", fset.Position(call.Pos()))
+		}
+	}
+}
+
+// callsInto returns the calls a Go file makes to the named functions of
+// the package at importPath.
+func callsInto(t *testing.T, fset *token.FileSet, path, importPath string, funcs ...string) []*ast.SelectorExpr {
+	t.Helper()
+	f, err := goparser.ParseFile(fset, path, nil, goparser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := ""
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
+			local = p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+		}
+	}
+	if local == "" {
+		return nil
+	}
+	var calls []*ast.SelectorExpr
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && x.Name == local && slices.Contains(funcs, sel.Sel.Name) {
+			calls = append(calls, sel)
+		}
+		return true
+	})
+	return calls
 }
 
 func TestOpenSingle(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"divsql/internal/engine"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -42,7 +43,7 @@ func DefaultCompareOptions() CompareOptions {
 // CompareFor returns the options one statement's results are compared
 // under: the defaults, order-sensitive exactly when the statement is a
 // SELECT with an ORDER BY. p may be nil (text that does not parse).
-func CompareFor(p *Parsed) CompareOptions {
+func CompareFor(p *stmt.Parsed) CompareOptions {
 	opts := DefaultCompareOptions()
 	opts.OrderSensitive = p != nil && p.Select != nil && len(p.Select.OrderBy) > 0
 	return opts

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"divsql/internal/engine"
+	"divsql/internal/sql/stmt"
 )
 
 // ErrClass is a normalized error category. The paper's comparison
@@ -47,7 +48,7 @@ func ErrorClass(err error) ErrClass {
 		return ClassConstraint
 	case errors.Is(err, engine.ErrType):
 		return ClassType
-	case errors.Is(err, engine.ErrBind):
+	case errors.Is(err, stmt.ErrBind):
 		return ClassBind
 	case errors.Is(err, engine.ErrNoTransaction):
 		return ClassNoTransaction

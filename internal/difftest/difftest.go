@@ -45,6 +45,7 @@ import (
 	"divsql/internal/qgen"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 	"divsql/internal/study"
 )
@@ -418,9 +419,9 @@ func (h *hunt) metaOracles() []metamorph.Oracle {
 // endpoint's answered SELECT, feeding the coverage/telemetry planes and
 // recording every violated relation as an oracle-tagged divergence.
 func (h *hunt) checkMetamorphic(cov *Coverage, ex metamorph.Executor, name dialect.ServerName,
-	st ast.Statement, sel *ast.Select, args []types.Value, base *engine.Result,
+	st ast.Statement, p *stmt.Parsed, args []types.Value, base *engine.Result,
 	armed []metamorph.Oracle, fp, entry string, history []string, stream, i int) {
-	checked, findings := metamorph.Check(ex, sel, args, base, armed)
+	checked, findings := metamorph.Check(ex, p, args, base, armed)
 	for _, o := range checked {
 		cov.ObserveOracleCheck(string(o), fp)
 	}
@@ -509,17 +510,17 @@ func (h *hunt) streamScope(opts qgen.Options) func(string) bool {
 	}
 }
 
-// stmt is one generated statement as every endpoint of a stream runs
+// genStmt is one generated statement as every endpoint of a stream runs
 // it: its handle (nil when the text does not parse), the text for the
 // syntax error each endpoint then reports, and its bound arguments.
-type stmt struct {
+type genStmt struct {
 	sql, entry string
-	p          *core.Parsed
+	p          *stmt.Parsed
 	args       []types.Value
 }
 
 // runOn executes the statement in one endpoint session.
-func (x stmt) runOn(e *server.Session) study.Outcome {
+func (x genStmt) runOn(e *server.Session) study.Outcome {
 	var res *engine.Result
 	var lat time.Duration
 	var err error
@@ -543,17 +544,17 @@ func (x stmt) runOn(e *server.Session) study.Outcome {
 type lockstep struct {
 	oracle *server.Session
 	outs   []study.Outcome
-	feeds  []chan stmt
+	feeds  []chan genStmt
 	step   sync.WaitGroup // outcomes of the statement in flight
 	exit   sync.WaitGroup // live workers
 }
 
 func newLockstep(sess []*server.Session, oracle *server.Session) *lockstep {
-	ls := &lockstep{oracle: oracle, outs: make([]study.Outcome, len(sess)+1), feeds: make([]chan stmt, len(sess))}
+	ls := &lockstep{oracle: oracle, outs: make([]study.Outcome, len(sess)+1), feeds: make([]chan genStmt, len(sess))}
 	ls.exit.Add(len(sess))
 	for i, e := range sess {
-		ls.feeds[i] = make(chan stmt)
-		go func(feed <-chan stmt, out *study.Outcome) {
+		ls.feeds[i] = make(chan genStmt)
+		go func(feed <-chan genStmt, out *study.Outcome) {
 			defer ls.exit.Done()
 			for x := range feed {
 				*out = x.runOn(e)
@@ -564,7 +565,7 @@ func newLockstep(sess []*server.Session, oracle *server.Session) *lockstep {
 	return ls
 }
 
-func (ls *lockstep) run(x stmt) {
+func (ls *lockstep) run(x genStmt) {
 	ls.step.Add(len(ls.feeds))
 	for _, feed := range ls.feeds {
 		feed <- x
@@ -633,8 +634,8 @@ func (h *hunt) runStream(stream int) {
 		// One handle for all five servers: the statement is parsed here,
 		// not once per endpoint. Text the parser refuses goes to each
 		// server as text, for the syntax error each reports.
-		p, _ := core.Resolve(sql)
-		ls.run(stmt{sql: sql, entry: entry, p: p, args: args})
+		p, _ := stmt.Resolve(sql)
+		ls.run(genStmt{sql: sql, entry: entry, p: p, args: args})
 
 		oo := outs[len(sess)]
 		var fpv ast.Fingerprint
@@ -649,12 +650,9 @@ func (h *hunt) runStream(stream int) {
 		h.tel.statements.Add(1)
 		h.tel.execs.Add(uint64(len(sess) + 1))
 		h.tel.genFPs.Add(uint64(cov.GeneratedFingerprints() - breadth))
-		seqAdvances := false
-		if sel, isSel := st.(*ast.Select); isSel {
-			// A sequence-advancing SELECT mutates state: if it diverged,
-			// the sequence counters are desynchronized too.
-			seqAdvances = h.orc.SelectAdvancesSequences(sel)
-		}
+		// A sequence-advancing SELECT mutates state: if it diverged, the
+		// sequence counters are desynchronized too.
+		seqAdvances := p != nil && p.Select != nil && h.orc.SelectAdvancesSequences(p)
 		for j := range sess {
 			so := outs[j]
 			if so.Crashed {
@@ -692,13 +690,13 @@ func (h *hunt) runStream(stream int) {
 		// server whose own execution succeeded is checked against its own
 		// base result, whose fault-layer effects the rewrites bypass.
 		if armed := h.metaOracles(); len(armed) > 0 && !seqAdvances {
-			if sel, isSel := st.(*ast.Select); isSel {
+			if p != nil && p.Select != nil {
 				if oo.Err == nil {
-					h.checkMetamorphic(cov, oSess, h.orc.Name(), st, sel, args, oo.Res, armed, fp, entry, history, stream, i)
+					h.checkMetamorphic(cov, oSess, h.orc.Name(), st, p, args, oo.Res, armed, fp, entry, history, stream, i)
 				}
 				for j := range sess {
 					if outs[j].Err == nil && !outs[j].Crashed {
-						h.checkMetamorphic(cov, sess[j], h.servers[j].Name(), st, sel, args, outs[j].Res, armed, fp, entry, history, stream, i)
+						h.checkMetamorphic(cov, sess[j], h.servers[j].Name(), st, p, args, outs[j].Res, armed, fp, entry, history, stream, i)
 					}
 				}
 			}
@@ -806,11 +804,11 @@ var variantForces = []engplan.Force{engplan.ForceFullScan}
 // server-vs-oracle adjudication (core.CompareFor). The normal execution is
 // the last thing the session ran: a verdict names its plan — access paths
 // and join algorithms — the one the forced variant contradicts.
-func checkPlanVariants(oSess *server.Session, p *core.Parsed, args []types.Value, normalRes *engine.Result) core.Classification {
+func checkPlanVariants(oSess *server.Session, p *stmt.Parsed, args []types.Value, normalRes *engine.Result) core.Classification {
 	opts := core.CompareFor(p)
 	normal := oSess.LastPlan()
 	for _, force := range variantForces {
-		res, err := oSess.ExecVariant(p.Select, force, args...)
+		res, err := oSess.ExecVariant(p, force, args...)
 		if err != nil {
 			return core.Classification{
 				Status: core.StatusFailure, Type: core.IncorrectResult,

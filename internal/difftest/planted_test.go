@@ -9,6 +9,7 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/metamorph"
 	"divsql/internal/server"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/study"
 )
 
@@ -64,7 +65,7 @@ func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Findin
 	// same oracle endpoint that just agreed with everyone.
 	sess := orc.NewSession()
 	defer sess.Close()
-	_, findings := metamorph.Check(sess, oOut[last].P.Select, nil, oOut[last].Res, metamorph.Oracles)
+	_, findings := metamorph.Check(sess, oOut[last].P, nil, oOut[last].Res, metamorph.Oracles)
 	return findings
 }
 
@@ -141,7 +142,7 @@ func runPlantedJoin(t *testing.T) core.Classification {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	p, err := core.Resolve(joinProbe)
+	p, err := stmt.Resolve(joinProbe)
 	if err != nil {
 		t.Fatal(err)
 	}

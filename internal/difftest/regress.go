@@ -12,6 +12,7 @@ import (
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 )
 
 // RegressCase is the on-disk form of one replayable regression case: a
@@ -68,7 +69,7 @@ func trimFaults(faults []fault.Fault, srv dialect.ServerName, stream []string) [
 	tables := map[string]bool{}
 	for _, entry := range stream {
 		sql, _, _ := core.DecodeBound(entry)
-		if p, err := core.Resolve(sql); err == nil {
+		if p, err := stmt.Resolve(sql); err == nil {
 			for t := range ast.Tables(p.AST) {
 				tables[t] = true
 			}

@@ -15,13 +15,13 @@ import (
 	"sync"
 	"time"
 
-	"divsql/internal/core"
 	"divsql/internal/dialect"
 	"divsql/internal/middleware"
 	"divsql/internal/qgen"
 	"divsql/internal/server"
 	"divsql/internal/shard"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/study"
 )
 
@@ -126,7 +126,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			defer oSess.Close()
 			for i := 0; i < cfg.N; i++ {
 				sql := ast.Render(gen.Next())
-				p, _ := core.Resolve(sql) // unparseable text has no handle; both sides report the error
+				p, _ := stmt.Resolve(sql) // unparseable text has no handle; both sides report the error
 				so := study.Outcome{SQL: sql, P: p}
 				oo := so
 				so.Res, so.Latency, so.Err = rSess.Exec(sql)

@@ -10,6 +10,7 @@ import (
 	"divsql/internal/metamorph"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/study"
 )
 
@@ -157,7 +158,7 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 	defer sess.Close()
 	for i, entry := range stmts {
 		sql, args, _ := core.DecodeBound(entry)
-		p, perr := core.Resolve(sql)
+		p, perr := stmt.Resolve(sql)
 		if perr != nil {
 			continue
 		}
@@ -166,8 +167,7 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 			srv.Restart()
 			continue
 		}
-		sel := p.Select
-		if err != nil || sel == nil || p.Fingerprint.String() != key.fp || srv.SelectAdvancesSequences(sel) {
+		if err != nil || p.Select == nil || p.Fingerprint.String() != key.fp || srv.SelectAdvancesSequences(p) {
 			continue
 		}
 		switch key.src {
@@ -176,7 +176,7 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 				return i, cls, resultSummary(res)
 			}
 		default:
-			_, findings := metamorph.Check(sess, sel, args, res, []metamorph.Oracle{metamorph.Oracle(key.src)})
+			_, findings := metamorph.Check(sess, p, args, res, []metamorph.Oracle{metamorph.Oracle(key.src)})
 			if len(findings) > 0 {
 				cls := core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: findings[0].Detail}
 				return i, cls, resultSummary(res)
@@ -214,7 +214,7 @@ func dependencySlice(history []string) []string {
 	parsed := make([]ast.Statement, len(history))
 	for i, entry := range history {
 		sql, _, _ := core.DecodeBound(entry)
-		if p, err := core.Resolve(sql); err == nil {
+		if p, err := stmt.Resolve(sql); err == nil {
 			parsed[i] = p.AST
 		}
 	}

@@ -1,19 +1,11 @@
 package engine
 
 import (
-	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 
-	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
-
-// ErrBind wraps bind-time failures of the prepare/bind/execute path:
-// argument-count mismatches, references to unbound parameter ordinals,
-// and parameters in statements that cannot carry them (DDL).
-var ErrBind = errors.New("bind error")
 
 // BindRules are a server's bind-time type coercion rules: how typed
 // client arguments are normalized into the server's value system before
@@ -103,45 +95,4 @@ func (r BindRules) applyOne(v types.Value) types.Value {
 		}
 	}
 	return v
-}
-
-// ExecBind executes one parsed statement with bound arguments: the
-// session's bind vector (normalized by the engine's BindRules) is
-// visible to every Param node evaluated during the statement. The
-// argument count must match the statement's parameter count exactly;
-// statements outside DML/queries reject parameters altogether (a view
-// definition or DEFAULT expression holding a Param would dangle once the
-// binding is gone).
-func (s *Session) ExecBind(st ast.Statement, args []types.Value) (*Result, error) {
-	if err := CheckBindable(st, len(args)); err != nil {
-		return nil, err
-	}
-	return s.ExecBound(st, args)
-}
-
-// ExecBound is ExecBind without the parameter-count validation, for
-// callers that planned the statement and checked the count up front (the
-// server's prepared-statement path). The BindRules still apply.
-func (s *Session) ExecBound(st ast.Statement, args []types.Value) (*Result, error) {
-	return s.execLocked(st, s.eng.cfg.Bind.Apply(args))
-}
-
-// CheckBindable validates that a statement can execute with nargs bound
-// arguments: the count must match the statement's parameter count, and
-// only DML and queries may carry parameters at all (a view definition or
-// DEFAULT expression holding a Param would dangle once the binding is
-// gone).
-func CheckBindable(st ast.Statement, nargs int) error {
-	np := ast.NumParams(st)
-	if np != nargs {
-		return fmt.Errorf("%w: statement wants %d parameters, %d bound", ErrBind, np, nargs)
-	}
-	if np > 0 {
-		switch st.(type) {
-		case *ast.Insert, *ast.Update, *ast.Delete, *ast.Select:
-		default:
-			return fmt.Errorf("%w: parameters are not allowed in this statement", ErrBind)
-		}
-	}
-	return nil
 }

@@ -4,55 +4,42 @@ import (
 	"errors"
 	"testing"
 
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
-func mustExecBindT(t *testing.T, e *Engine, sql string) {
-	t.Helper()
-	if _, err := execSQL(e, sql); err != nil {
-		t.Fatalf("%s: %v", sql, err)
-	}
-}
-
 func TestExecBindRoundTrip(t *testing.T) {
 	e := NewOracle()
-	mustExecBindT(t, e, "CREATE TABLE T (A INT, S VARCHAR(10))")
-	ins, err := parser.Parse("INSERT INTO T VALUES ($1, $2)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustExec(t, e, "CREATE TABLE T (A INT, S VARCHAR(10))")
 	s := sessionOf(e)
-	if _, err := s.ExecBind(ins, []types.Value{types.NewInt(7), types.NewString("x")}); err != nil {
+	if _, err := s.Exec(resolve(t, "INSERT INTO T VALUES ($1, $2)"), []types.Value{types.NewInt(7), types.NewString("x")}); err != nil {
 		t.Fatal(err)
 	}
-	sel, _ := parser.Parse("SELECT S FROM T WHERE A = ?")
-	res, err := s.ExecBind(sel, []types.Value{types.NewInt(7)})
+	res, err := s.Exec(resolve(t, "SELECT S FROM T WHERE A = ?"), []types.Value{types.NewInt(7)})
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "x" {
 		t.Fatalf("bound select: %+v %v", res, err)
 	}
 }
 
+// The argument count is checked on the handle, by whoever binds
+// (stmt.Parsed.CheckArgs); executed short anyway, a statement fails at
+// the first placeholder it evaluates with no value bound.
 func TestExecBindCountMismatch(t *testing.T) {
 	e := NewOracle()
-	mustExecBindT(t, e, "CREATE TABLE T (A INT)")
-	st, _ := parser.Parse("INSERT INTO T VALUES ($1)")
-	s := sessionOf(e)
-	if _, err := s.ExecBind(st, nil); !errors.Is(err, ErrBind) {
-		t.Errorf("missing arg: %v", err)
+	mustExec(t, e, "CREATE TABLE T (A INT)")
+	p := resolve(t, "INSERT INTO T VALUES ($1)")
+	for _, n := range []int{0, 2} {
+		if err := p.CheckArgs(n); !errors.Is(err, stmt.ErrBind) {
+			t.Errorf("%d args for 1 placeholder: %v", n, err)
+		}
 	}
-	if _, err := s.ExecBind(st, []types.Value{types.NewInt(1), types.NewInt(2)}); !errors.Is(err, ErrBind) {
-		t.Errorf("extra arg: %v", err)
+	if _, err := sessionOf(e).Exec(p, nil); !errors.Is(err, stmt.ErrBind) {
+		t.Errorf("missing arg: %v", err)
 	}
 }
 
 func TestParamsRejectedInDDL(t *testing.T) {
-	e := NewOracle()
-	st, err := parser.Parse("CREATE TABLE T (A INT DEFAULT $1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sessionOf(e).ExecBind(st, []types.Value{types.NewInt(1)}); !errors.Is(err, ErrBind) {
+	if err := resolve(t, "CREATE TABLE T (A INT DEFAULT $1)").BindErr; !errors.Is(err, stmt.ErrBind) {
 		t.Errorf("param in DDL must be a bind error, got %v", err)
 	}
 }
@@ -61,10 +48,9 @@ func TestUnboundParamErrorsAtEval(t *testing.T) {
 	// The ad-hoc Exec path carries no arguments: evaluating a Param must
 	// fail with a bind error rather than panic or yield NULL.
 	e := NewOracle()
-	mustExecBindT(t, e, "CREATE TABLE T (A INT)")
-	mustExecBindT(t, e, "INSERT INTO T VALUES (1)")
-	st, _ := parser.Parse("SELECT A FROM T WHERE A = $1")
-	if _, err := sessionOf(e).Exec(st); !errors.Is(err, ErrBind) {
+	mustExec(t, e, "CREATE TABLE T (A INT)")
+	mustExec(t, e, "INSERT INTO T VALUES (1)")
+	if _, err := sessionOf(e).Exec(resolve(t, "SELECT A FROM T WHERE A = $1"), nil); !errors.Is(err, stmt.ErrBind) {
 		t.Errorf("unbound param: %v", err)
 	}
 }

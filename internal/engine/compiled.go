@@ -11,6 +11,7 @@ import (
 
 	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -34,7 +35,7 @@ import (
 // when, and each time, it is evaluated.
 //
 // Plans are immutable once built and shared through the engine's memos,
-// keyed by the statement's address: core.Resolve interns statement text,
+// keyed by the statement's address: stmt.Resolve interns statement text,
 // so while a text is interned every session, layer and replica that
 // executes it — inline or prepared — hands the engine the same tree. An
 // entry is validated against the schema-version stamp of the read plane
@@ -702,17 +703,17 @@ func (s *Session) LastPlan() plan.Info { return s.lastPlan }
 // hook behind the forced-variant differential oracle: the same statement
 // runs normally and forced, and any result disagreement convicts the
 // engine.
-func (s *Session) ExecSelectVariant(sel *ast.Select, force plan.Force, args []types.Value) (*Result, error) {
+func (s *Session) ExecSelectVariant(p *stmt.Parsed, force plan.Force, args []types.Value) (*Result, error) {
 	e := s.eng
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if e.selectAdvancesSequences(sel) {
+	if p.Select == nil || e.selectAdvancesSequences(p) {
 		return nil, errors.New("variant execution requires a pure SELECT")
 	}
-	return s.execSelectRead(sel, e.cfg.Bind.Apply(args), force)
+	return s.execSelectRead(p, e.cfg.Bind.Apply(args), force)
 }
 
 // PlanCacheStats returns the shared SELECT plan memo's counters. A miss

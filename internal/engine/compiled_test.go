@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"divsql/internal/engine/plan"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 )
 
 func seedIndexed(t testing.TB, s *Session) {
@@ -223,17 +221,13 @@ func TestForcedVariantEquivalence(t *testing.T) {
 	s := e.NewSession()
 	seedShapes(t, s)
 	for _, sql := range variantShapes {
-		st, err := parser.Parse(sql)
-		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
-		}
-		sel := st.(*ast.Select)
-		auto, err := s.Exec(st)
+		p := resolve(t, sql)
+		auto, err := s.Exec(p, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
 		for _, force := range []plan.Force{plan.ForceFullScan, plan.ForceAuto} {
-			got, err := s.ExecSelectVariant(sel, force, nil)
+			got, err := s.ExecSelectVariant(p, force, nil)
 			if err != nil {
 				t.Fatalf("%q under %v: %v", sql, force, err)
 			}
@@ -259,11 +253,10 @@ func TestDeliverySubqueryReachesTheAnalyzer(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
 	seedShapes(t, s)
-	st, _ := parser.Parse("SELECT SUM(AMT) AS T FROM OL WHERE W = 1 AND D = 1 AND O = 7")
-	sel := st.(*ast.Select)
+	p := resolve(t, "SELECT SUM(AMT) AS T FROM OL WHERE W = 1 AND D = 1 AND O = 7")
 	sums := map[plan.AccessPath]string{}
 	for force, want := range map[plan.Force]plan.AccessPath{plan.ForceAuto: plan.PointLookup, plan.ForceFullScan: plan.FullScan} {
-		res, err := s.ExecSelectVariant(sel, force, nil)
+		res, err := s.ExecSelectVariant(p, force, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,8 +486,7 @@ func TestPoisonedIndexKeepsLooseCoercionMatches(t *testing.T) {
 	if got := rowStrings(res); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Fatalf("loose-coercion match lost under the index path: %v", got)
 	}
-	st, _ := parser.Parse("SELECT ID FROM P WHERE A = 7")
-	full, err := s.ExecSelectVariant(st.(*ast.Select), plan.ForceFullScan, nil)
+	full, err := s.ExecSelectVariant(resolve(t, "SELECT ID FROM P WHERE A = 7"), plan.ForceFullScan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,11 +504,7 @@ func TestVariantExecutionRejectsNonPureSelects(t *testing.T) {
 	s := e.NewSession()
 	seedIndexed(t, s)
 	sessExec(t, s, "CREATE SEQUENCE SQ")
-	st, err := parser.Parse("SELECT NEXTVAL(SQ) AS N FROM KV WHERE ID = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecSelectVariant(st.(*ast.Select), plan.ForceFullScan, nil); err == nil {
+	if _, err := s.ExecSelectVariant(resolve(t, "SELECT NEXTVAL(SQ) AS N FROM KV WHERE ID = 1"), plan.ForceFullScan, nil); err == nil {
 		t.Fatal("sequence-advancing SELECT accepted for variant re-execution")
 	}
 }

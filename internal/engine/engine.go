@@ -9,11 +9,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -202,6 +204,9 @@ type Engine struct {
 	viewMu  sync.Mutex
 	viewGen atomic.Uint64
 
+	// curFacts caches the current schema generation's facts (facts).
+	curFacts atomic.Pointer[schemaFacts]
+
 	// plantedPanic is the test-only defect of PlantPanic (planted.go).
 	plantedPanic atomic.Bool
 
@@ -268,6 +273,9 @@ type Table struct {
 	PKCols  []int
 	Uniques [][]int
 	Checks  []ast.Expr
+	// reads lists, sorted, the tables and views the CHECK and DEFAULT
+	// expressions read (from the CREATE TABLE statement's handle).
+	reads []string
 
 	// latch serializes row mutations of this table: DML acquires the
 	// latches of every table its statement can touch, in sorted name
@@ -380,6 +388,9 @@ type View struct {
 	Name    string
 	Columns []string
 	Select  *ast.Select
+	// reads and funcs list, sorted, what the definition reads and calls
+	// (from the CREATE VIEW statement's handle).
+	reads, funcs []string
 }
 
 // Index is secondary-index metadata; UNIQUE indexes are enforced.
@@ -445,14 +456,14 @@ func ResolveTypePermissive(tn ast.TypeName) (types.Kind, error) {
 	}
 }
 
-// exec dispatches one parsed statement. The caller (Session.Exec) holds
-// the engine lock in the appropriate mode.
-func (e *Session) exec(st ast.Statement) (*Result, error) {
-	switch x := st.(type) {
+// exec dispatches one statement. The caller (Session.Exec) holds the
+// engine lock in the appropriate mode.
+func (e *Session) exec(p *stmt.Parsed) (*Result, error) {
+	switch x := p.AST.(type) {
 	case *ast.CreateTable:
-		return e.execCreateTable(x)
+		return e.execCreateTable(x, readsOf(p, x.Name))
 	case *ast.CreateView:
-		return e.execCreateView(x)
+		return e.execCreateView(x, readsOf(p, x.Name), p.Fingerprint.Funcs)
 	case *ast.CreateIndex:
 		return e.execCreateIndex(x)
 	case *ast.CreateSequence:
@@ -486,8 +497,17 @@ func (e *Session) exec(st ast.Statement) (*Result, error) {
 		}
 		return cs.result(rows), nil
 	default:
-		return nil, fmt.Errorf("unsupported statement %T", st)
+		return nil, fmt.Errorf("unsupported statement %T", p.AST)
 	}
+}
+
+// readsOf lists what a CREATE TABLE's DEFAULT and CHECK expressions or a
+// CREATE VIEW's definition read: the handle's tables but the created one
+// (which every INSERT and UPDATE of a table latches anyway, and which a
+// view definition, validated before the view exists, cannot read).
+func readsOf(p *stmt.Parsed, name string) []string {
+	name = up(name)
+	return slices.DeleteFunc(slices.Clone(p.Fingerprint.Tables), func(n string) bool { return n == name })
 }
 
 func up(s string) string { return strings.ToUpper(s) }
@@ -550,7 +570,7 @@ func (e *Engine) SchemaVersion() uint64 {
 	return e.schemaVersion
 }
 
-func (e *Session) execCreateTable(ct *ast.CreateTable) (*Result, error) {
+func (e *Session) execCreateTable(ct *ast.CreateTable, reads []string) (*Result, error) {
 	name := up(ct.Name)
 	if e.objectExists(name) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateObject, name)
@@ -558,7 +578,7 @@ func (e *Session) execCreateTable(ct *ast.CreateTable) (*Result, error) {
 	if len(ct.Columns) == 0 {
 		return nil, fmt.Errorf("table %s has no columns", name)
 	}
-	t := &Table{Name: name}
+	t := &Table{Name: name, reads: reads}
 	seen := make(map[string]bool, len(ct.Columns))
 	for _, cd := range ct.Columns {
 		cn := up(cd.Name)
@@ -653,7 +673,7 @@ func (t *Table) colIndex(name string) int {
 	return -1
 }
 
-func (e *Session) execCreateView(cv *ast.CreateView) (*Result, error) {
+func (e *Session) execCreateView(cv *ast.CreateView, reads, funcs []string) (*Result, error) {
 	name := up(cv.Name)
 	if e.objectExists(name) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateObject, name)
@@ -666,7 +686,7 @@ func (e *Session) execCreateView(cv *ast.CreateView) (*Result, error) {
 	for i, c := range cv.Columns {
 		cols[i] = up(c)
 	}
-	e.eng.st.views[name] = &View{Name: name, Columns: cols, Select: cv.Select}
+	e.eng.st.views[name] = &View{Name: name, Columns: cols, Select: cv.Select, reads: reads, funcs: funcs}
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.views, name) })
 	e.bumpSchema()
 	return &Result{Kind: ResultDDL}, nil
@@ -811,15 +831,11 @@ func (e *Session) execDropSequence(ds *ast.DropSequence) (*Result, error) {
 	return &Result{Kind: ResultDDL}, nil
 }
 
-// TableNames lists the base tables (sorted order is the caller's concern).
+// TableNames lists the base tables, sorted.
 func (e *Engine) TableNames() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.st.tables))
-	for n := range e.st.tables {
-		names = append(names, n)
-	}
-	return names
+	return slices.Clone(e.facts().tables)
 }
 
 // HasTable reports whether a base table with the given name exists.

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -33,11 +33,23 @@ func sessionOf(e *Engine) *Session {
 }
 
 func execSQL(e *Engine, sql string) (*Result, error) {
-	st, err := parser.Parse(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		return nil, err
 	}
-	return sessionOf(e).Exec(st)
+	return sessionOf(e).Exec(p, nil)
+}
+
+// resolve returns the shared handle of a statement text, as every layer
+// above the engine does (stmt.Resolve): the plan memo is keyed by the
+// handle's tree.
+func resolve(t testing.TB, sql string) *stmt.Parsed {
+	t.Helper()
+	p, err := stmt.Resolve(sql)
+	if err != nil {
+		t.Fatalf("%q: %v", sql, err)
+	}
+	return p
 }
 
 func mustFail(t *testing.T, e *Engine, sql string) error {
@@ -675,12 +687,9 @@ func TestValueCoercion(t *testing.T) {
 func TestRowIdentityCannotBeForged(t *testing.T) {
 	e := NewOracle()
 	mustExec(t, e, "CREATE TABLE T (A VARCHAR(20), B VARCHAR(20))")
-	ins, err := parser.Parse("INSERT INTO T VALUES ($1, $2)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins := resolve(t, "INSERT INTO T VALUES ($1, $2)")
 	for _, row := range [][2]string{{"x\x1f3\x1ey", "z"}, {"x", "y\x1f3\x1ez"}} {
-		if _, err := sessionOf(e).ExecBind(ins, []types.Value{types.NewString(row[0]), types.NewString(row[1])}); err != nil {
+		if _, err := sessionOf(e).Exec(ins, []types.Value{types.NewString(row[0]), types.NewString(row[1])}); err != nil {
 			t.Fatal(err)
 		}
 	}

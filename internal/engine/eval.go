@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -35,7 +36,7 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 		return n.Val, nil
 	case paramX:
 		if n.N < 1 || n.N > len(s.bind) {
-			return types.Value{}, fmt.Errorf("%w: no value bound for parameter $%d", ErrBind, n.N)
+			return types.Value{}, fmt.Errorf("%w: no value bound for parameter $%d", stmt.ErrBind, n.N)
 		}
 		return s.bind[n.N-1], nil
 	case *colX:

@@ -10,7 +10,7 @@ import (
 
 	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 )
 
 // FuzzSelectVariants: a pure SELECT answers the same with and without
@@ -71,16 +71,12 @@ func FuzzSelectVariants(f *testing.F) {
 	seedJoin(f, s)
 
 	f.Fuzz(func(t *testing.T, sql string) {
-		st, err := parser.Parse(sql)
-		if err != nil {
+		p, err := stmt.Resolve(sql)
+		if err != nil || p.Select == nil || e.SelectAdvancesSequences(p) || fromSources(p.Select) > 4 {
 			return
 		}
-		sel, ok := st.(*ast.Select)
-		if !ok || e.SelectAdvancesSequences(sel) || fromSources(sel) > 4 {
-			return
-		}
-		normal, nerr := s.Exec(sel)
-		forced, ferr := s.ExecSelectVariant(sel, plan.ForceFullScan, nil)
+		normal, nerr := s.Exec(p, nil)
+		forced, ferr := s.ExecSelectVariant(p, plan.ForceFullScan, nil)
 		if (nerr == nil) != (ferr == nil) || (nerr != nil && nerr.Error() != ferr.Error()) {
 			t.Fatalf("%q: normal err = %v, forced full scan err = %v", sql, nerr, ferr)
 		}
@@ -91,7 +87,7 @@ func FuzzSelectVariants(f *testing.F) {
 			t.Fatalf("%q: columns %q vs forced %q", sql, normal.Columns, forced.Columns)
 		}
 		nr, fr := rowStrings(normal), rowStrings(forced)
-		if len(sel.OrderBy) == 0 {
+		if len(p.Select.OrderBy) == 0 {
 			sort.Strings(nr)
 			sort.Strings(fr)
 		}

@@ -8,8 +8,7 @@ import (
 	"testing"
 
 	"divsql/internal/engine/plan"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -336,17 +335,17 @@ func TestIndexLineageConcurrentProbes(t *testing.T) {
 						fmt.Sprintf("SELECT K FROM T WHERE K >= %d AND K < %d", k, k+40),
 						fmt.Sprintf("SELECT K FROM T WHERE V = %d", k%7),
 					} {
-						st, err := parser.Parse(sql)
+						p, err := stmt.Resolve(sql)
 						if err != nil {
 							t.Errorf("parse %q: %v", sql, err)
 							return
 						}
-						res, err := s.Exec(st)
+						res, err := s.Exec(p, nil)
 						if err != nil {
 							t.Errorf("%q: %v", sql, err)
 							return
 						}
-						full, err := s.ExecSelectVariant(st.(*ast.Select), plan.ForceFullScan, nil)
+						full, err := s.ExecSelectVariant(p, plan.ForceFullScan, nil)
 						if err != nil {
 							t.Errorf("%q forced: %v", sql, err)
 							return

@@ -8,8 +8,6 @@ import (
 
 	"divsql/internal/engine/plan"
 	"divsql/internal/obs"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 	"divsql/internal/sql/types"
 )
 
@@ -166,19 +164,16 @@ func TestJoinSemantics(t *testing.T) {
 	s := e.NewSession()
 	seedJoin(t, s)
 	for _, tc := range joinCases {
-		st, err := parser.Parse(tc.sql)
-		if err != nil {
-			t.Fatalf("%s: parse %q: %v", tc.name, tc.sql, err)
-		}
-		sel := st.(*ast.Select)
+		p := resolve(t, tc.sql)
 		for _, force := range []plan.Force{plan.ForceAuto, plan.ForceFullScan} {
 			var res *Result
+			var err error
 			// Twice on the normal path: compiled, then from the memo.
 			for run := 0; run < 2; run++ {
 				if force == plan.ForceAuto {
-					res, err = s.ExecBound(st, tc.args)
+					res, err = s.Exec(p, tc.args)
 				} else {
-					res, err = s.ExecSelectVariant(sel, force, tc.args)
+					res, err = s.ExecSelectVariant(p, force, tc.args)
 				}
 			}
 			switch {
@@ -241,12 +236,9 @@ func TestJoinAlgorithmChoiceAndCounters(t *testing.T) {
 		{"SELECT Q.V FROM (SELECT L.V, R.K FROM L INNER JOIN R ON L.K = R.K) Q INNER JOIN EMPTY ON Q.K = EMPTY.K", []plan.JoinAlgo{H, H}, 2, 0},
 		{"SELECT V FROM L WHERE EXISTS (SELECT 1 FROM R INNER JOIN EMPTY ON R.K = EMPTY.K AND R.Z = L.K)", []plan.JoinAlgo{H}, 5, 0},
 	} {
-		st, err := parser.Parse(tc.sql)
-		if err != nil {
-			t.Fatalf("parse %q: %v", tc.sql, err)
-		}
+		p := resolve(t, tc.sql)
 		h0, n0 := execs()
-		if _, err := s.Exec(st); err != nil {
+		if _, err := s.Exec(p, nil); err != nil {
 			t.Fatalf("%q: %v", tc.sql, err)
 		}
 		if got := s.LastPlan().Joins; !reflect.DeepEqual(got, tc.joins) {
@@ -256,7 +248,7 @@ func TestJoinAlgorithmChoiceAndCounters(t *testing.T) {
 			t.Errorf("%q: counted %d hash + %d nested-loop executions, want %d + %d", tc.sql, h-h0, n-n0, tc.hash, tc.nested)
 		}
 		h0, n0 = execs()
-		if _, err := s.ExecSelectVariant(st.(*ast.Select), plan.ForceFullScan, nil); err != nil {
+		if _, err := s.ExecSelectVariant(p, plan.ForceFullScan, nil); err != nil {
 			t.Fatalf("%q forced: %v", tc.sql, err)
 		}
 		for _, a := range s.LastPlan().Joins {
@@ -287,11 +279,7 @@ func TestJoinAllocs(t *testing.T) {
 		sessExec(t, s, fmt.Sprintf("INSERT INTO JA VALUES (%d, %d)", i, i))
 		sessExec(t, s, fmt.Sprintf("INSERT INTO JB VALUES (%d, %d)", 17-i, i))
 	}
-	st, err := parser.Parse("SELECT JA.V, JB.V FROM JA INNER JOIN JB ON JA.K = JB.K AND JB.V > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := st.(*ast.Select)
+	sel := resolve(t, "SELECT JA.V, JB.V FROM JA INNER JOIN JB ON JA.K = JB.K AND JB.V > 0")
 	for _, tc := range []struct {
 		force plan.Force
 		max   float64
@@ -329,12 +317,9 @@ func TestProjectionAllocs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			sessExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES (%d)", table, i))
 		}
-		st, err := parser.Parse(fmt.Sprintf("SELECT A, A + 1 FROM %s", table))
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := resolve(t, fmt.Sprintf("SELECT A, A + 1 FROM %s", table))
 		allocs[n] = testing.AllocsPerRun(20, func() {
-			res, err := s.Exec(st)
+			res, err := s.Exec(p, nil)
 			if err != nil || len(res.Rows) != n {
 				t.Fatalf("%d rows, err %v", len(res.Rows), err)
 			}
@@ -364,12 +349,9 @@ func TestIntComparisonIsExactOnEveryPath(t *testing.T) {
 		"SELECT ID FROM BIG WHERE B IN (9007199254740993)":                         {"9007199254740993"},
 		"SELECT ID FROM BIG WHERE B BETWEEN 9007199254740993 AND 9007199254740993": {"9007199254740993"},
 	} {
-		st, err := parser.Parse(sql)
-		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
-		}
+		p := resolve(t, sql)
 		for _, force := range []plan.Force{plan.ForceAuto, plan.ForceFullScan} {
-			res, err := s.ExecSelectVariant(st.(*ast.Select), force, nil)
+			res, err := s.ExecSelectVariant(p, force, nil)
 			if err != nil {
 				t.Fatalf("%q (%v): %v", sql, force, err)
 			}

@@ -7,7 +7,7 @@ import (
 
 	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -113,20 +113,15 @@ func TestOneOffStatementAllocs(t *testing.T) {
 	sessExec(t, s, "CREATE TABLE FIVE (A INT, B INT, C VARCHAR(5), D FLOAT, E INT CHECK (E > 0))")
 
 	const runs = 50
-	parse := func(sql string) ast.Statement {
-		st, err := parser.Parse(sql)
-		if err != nil {
-			t.Fatalf("parse %q: %v", sql, err)
-		}
-		return st
-	}
-	sel := parse("SELECT JA.V, COUNT(*) AS N, SUM(JB.V) + 1 AS T FROM JA INNER JOIN JB ON JA.K = JB.K " +
-		"WHERE EXISTS (SELECT 1 FROM JB X WHERE X.K = JA.V + 1) GROUP BY JA.V HAVING COUNT(*) > 0").(*ast.Select)
-	updates := make([]ast.Statement, runs+1)
+	sel := resolve(t, "SELECT JA.V, COUNT(*) AS N, SUM(JB.V) + 1 AS T FROM JA INNER JOIN JB ON JA.K = JB.K "+
+		"WHERE EXISTS (SELECT 1 FROM JB X WHERE X.K = JA.V + 1) GROUP BY JA.V HAVING COUNT(*) > 0")
+	// One text, and so one tree, per execution: each UPDATE is a one-off
+	// to the plan memo.
+	updates := make([]*stmt.Parsed, runs+1)
 	for i := range updates {
-		updates[i] = parse("UPDATE PK SET V = 5, W = 'x' WHERE ID = 7")
+		updates[i] = resolve(t, fmt.Sprintf("UPDATE PK SET V = 5, W = 'x' WHERE ID = 7 -- one-off %d", i))
 	}
-	insert := parse("INSERT INTO FIVE VALUES (1, 2, 'x', 4.5, 5)")
+	insert := resolve(t, "INSERT INTO FIVE VALUES (1, 2, 'x', 4.5, 5)")
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -140,13 +135,13 @@ func TestOneOffStatementAllocs(t *testing.T) {
 			return err
 		}},
 		{"fresh literal UPDATE", 30, func() error {
-			st := updates[0]
+			p := updates[0]
 			updates = updates[1:]
-			_, err := s.Exec(st)
+			_, err := s.Exec(p, nil)
 			return err
 		}},
 		{"5-column literal INSERT", 17, func() error {
-			_, err := s.Exec(insert)
+			_, err := s.Exec(insert, nil)
 			return err
 		}},
 	} {

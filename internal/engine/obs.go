@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"divsql/internal/engine/plan"
 	"divsql/internal/obs"
 )
@@ -56,15 +54,13 @@ func (e *Engine) StatsSnapshot() Stats {
 		s.txMu.Unlock()
 	}
 	st.TableRows = make([]TableRows, 0, len(e.st.tables))
-	for n, t := range e.st.tables {
+	for _, n := range e.facts().tables {
+		t := e.st.tables[n]
 		e.lockLatch(t)
 		rows := len(t.Rows)
 		t.latch.Unlock()
 		st.TableRows = append(st.TableRows, TableRows{Name: n, Rows: rows})
 	}
-	sort.Slice(st.TableRows, func(i, j int) bool {
-		return st.TableRows[i].Name < st.TableRows[j].Name
-	})
 	return st
 }
 

@@ -3,11 +3,12 @@ package engine
 import (
 	"errors"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 )
 
 // This file implements MVCC read views: per-statement (READ COMMITTED)
@@ -40,7 +41,7 @@ import (
 // Write serialization is narrowed from the engine-wide lock to
 // per-table latches: DML runs under the engine READ lock plus the
 // latches of every table the statement can touch (target, subqueries,
-// CHECK expressions, views — see statementRefsLocked), acquired in
+// CHECK and DEFAULT expressions, views — see latchSet), acquired in
 // sorted name order so concurrent writers can never deadlock. DDL,
 // ROLLBACK and state transfers still take the exclusive lock: they
 // mutate the catalog maps that every other path reads locklessly.
@@ -345,94 +346,130 @@ func (e *Engine) lockLatch(t *Table) {
 }
 
 // latchTables acquires the latches of the named tables in sorted name
-// order (names must be sorted and deduplicated; missing tables are
-// skipped — the statement will fail resolving them) and returns the
-// release function. Caller holds the engine read lock, which keeps the
-// table map and the *Table instances stable.
-func (e *Engine) latchTables(names []string) func() {
-	held := make([]*Table, 0, len(names))
+// order (names must be sorted and deduplicated; names of no table are
+// skipped — views, and what the statement will fail resolving).
+// unlatchTables(names) releases them. Caller holds the engine read lock
+// throughout, which keeps the table map and the *Table instances stable
+// between the two calls.
+func (e *Engine) latchTables(names []string) {
 	for _, n := range names {
 		if t, ok := e.st.tables[n]; ok {
 			e.lockLatch(t)
-			held = append(held, t)
-		}
-	}
-	return func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i].latch.Unlock()
 		}
 	}
 }
 
-// statementRefsLocked computes the full set of base tables a statement
-// can touch: the tables named by the statement (including inside
-// subqueries anywhere in its expressions), the tables referenced by the
-// target table's CHECK expressions (constraint checking evaluates
-// them), and the transitive expansion of every referenced view. The
-// result is sorted — the deadlock-free latch acquisition order. Caller
-// holds the engine lock in at least read mode.
-func (e *Engine) statementRefsLocked(st ast.Statement) []string {
-	set := ast.Tables(st)
-	switch x := st.(type) {
+// unlatchTables releases the latches latchTables(names) acquired.
+func (e *Engine) unlatchTables(names []string) {
+	for i := len(names) - 1; i >= 0; i-- {
+		if t, ok := e.st.tables[names[i]]; ok {
+			t.latch.Unlock()
+		}
+	}
+}
+
+// latchSet returns, sorted, every name whose table the statement can
+// touch: the tables and views it names (in any subquery), everything the
+// views among them read, transitively, and for an INSERT or UPDATE what
+// the target's CHECK and DEFAULT expressions read (constraint checking
+// and default filling evaluate them). Usually that is the handle's own
+// table list, returned as is. Caller holds the engine lock in at least
+// read mode.
+func (e *Engine) latchSet(p *stmt.Parsed) []string {
+	f := e.facts()
+	var extra []string // never appended to in place: it may be the facts' own slice
+	switch x := p.AST.(type) {
 	case *ast.Insert:
-		e.addCheckRefs(set, up(x.Table))
+		extra = f.reads[up(x.Table)]
 	case *ast.Update:
-		e.addCheckRefs(set, up(x.Table))
+		extra = f.reads[up(x.Table)]
 	}
-	// Transitive view expansion: a statement reading a view reads the
-	// view's base tables.
-	work := make([]string, 0, len(set))
-	for n := range set {
-		work = append(work, n)
+	for _, n := range p.Fingerprint.Tables {
+		extra = slices.Concat(extra, f.views[n].reads)
 	}
+	if len(extra) == 0 {
+		return p.Fingerprint.Tables
+	}
+	set := slices.Concat(extra, p.Fingerprint.Tables)
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// schemaFacts is what latching, Snapshot and sequence classification
+// need to know of one schema generation, derived once per generation
+// (facts) so that no statement walks a tree or builds a set to learn it.
+type schemaFacts struct {
+	version uint64               // the schemaVersion the facts describe
+	tables  []string             // every base table, sorted: the latch order
+	views   map[string]viewFacts // every view
+	reads   map[string][]string  // table -> what its CHECK and DEFAULT expressions read, views closed over, sorted
+}
+
+// viewFacts is what one view reads and whether reading it advances a
+// sequence.
+type viewFacts struct {
+	reads    []string // every name the view reads, through nested views too, sorted
+	advances bool     // it calls a SeqFunc builtin, or a view it reads does
+}
+
+// facts returns the current schema generation's facts, deriving them if
+// the stamp moved since. Every catalog change moves the stamp (DDL, its
+// undo, Restore, RestoreScoped, Reset). Caller holds the engine lock in
+// at least read mode, which keeps the stamp and the catalog still; two
+// readers deriving at once derive the same facts.
+func (e *Engine) facts() *schemaFacts {
+	if f := e.curFacts.Load(); f != nil && f.version == e.schemaVersion {
+		return f
+	}
+	f := &schemaFacts{
+		version: e.schemaVersion,
+		tables:  slices.Sorted(maps.Keys(e.st.tables)),
+		views:   make(map[string]viewFacts, len(e.st.views)),
+		reads:   make(map[string][]string),
+	}
+	for n, v := range e.st.views {
+		reads, advances := e.closeOverViews(v.reads)
+		f.views[n] = viewFacts{reads: reads, advances: advances || e.callsSeqFunc(v.funcs)}
+	}
+	for n, t := range e.st.tables {
+		if len(t.reads) > 0 {
+			f.reads[n], _ = e.closeOverViews(t.reads)
+		}
+	}
+	e.curFacts.Store(f)
+	return f
+}
+
+// closeOverViews returns, sorted, names plus everything the views among
+// them read, transitively, and whether any of those views calls a
+// SeqFunc builtin.
+func (e *Engine) closeOverViews(names []string) (closed []string, advances bool) {
+	seen := make(map[string]bool, len(names))
+	work := slices.Clone(names)
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		v, ok := e.st.views[n]
-		if !ok {
+		if seen[n] {
 			continue
 		}
-		for dep := range ast.Tables(v.Select) {
-			if !set[dep] {
-				set[dep] = true
-				work = append(work, dep)
-			}
+		seen[n] = true
+		if v, ok := e.st.views[n]; ok {
+			advances = advances || e.callsSeqFunc(v.funcs)
+			work = append(work, v.reads...)
 		}
 	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(seen)), advances
 }
 
-// addCheckRefs adds the tables referenced from inside the target
-// table's CHECK expressions (scalar subqueries in CHECK read other
-// tables during constraint evaluation).
-func (e *Engine) addCheckRefs(set map[string]bool, target string) {
-	t, ok := e.st.tables[target]
-	if !ok {
-		return
+// callsSeqFunc reports whether any of the named functions (upper case)
+// is one of this engine's sequence-advancing builtins.
+func (e *Engine) callsSeqFunc(funcs []string) bool {
+	for _, fn := range funcs {
+		if e.cfg.Funcs[fn].SeqFunc {
+			return true
+		}
 	}
-	for _, chk := range t.Checks {
-		ast.WalkExprs(chk, func(x ast.Expr) {
-			var sel *ast.Select
-			switch n := x.(type) {
-			case *ast.Subquery:
-				sel = n.Select
-			case *ast.Exists:
-				sel = n.Select
-			case *ast.In:
-				sel = n.Select
-			}
-			if sel != nil {
-				for dep := range ast.Tables(sel) {
-					set[dep] = true
-				}
-			}
-		})
-	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +483,7 @@ func (e *Engine) addCheckRefs(set map[string]bool, target string) {
 // built on first touch and cached in ownTabs for the rest of the
 // statement, so the statement never observes other sessions'
 // uncommitted rows. The statement holds the latch of every table it can
-// read (statementRefsLocked), which is the precondition committedTable
+// read (latchSet), which is the precondition committedTable
 // requires. Caller holds the engine lock in at least read mode.
 func (s *Session) lookupTable(name string) (*Table, bool) {
 	if s.curRead != nil {

@@ -7,18 +7,17 @@ import (
 	"testing"
 
 	"divsql/internal/engine/plan"
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 )
 
 // gexec is sexec for goroutines: it reports failures instead of
 // calling t.Fatalf, which must not run off the test goroutine.
 func gexec(s *Session, sql string) (*Result, error) {
-	st, err := parser.Parse(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
-		return nil, fmt.Errorf("parse %q: %v", sql, err)
+		return nil, fmt.Errorf("%q: %v", sql, err)
 	}
-	return s.Exec(st)
+	return s.Exec(p, nil)
 }
 
 func count(t *testing.T, s *Session, table string) int64 {
@@ -372,11 +371,7 @@ func TestOlderCaptureKeepsLineageCoverage(t *testing.T) {
 	for _, s := range []*Session{latest, pinned} {
 		for _, q := range queries {
 			res := sexec(t, s, q)
-			sel, err := parser.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := s.ExecSelectVariant(sel.(*ast.Select), plan.ForceFullScan, nil)
+			full, err := s.ExecSelectVariant(resolve(t, q), plan.ForceFullScan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"errors"
-	"strings"
 	"sync"
 
 	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -78,8 +78,8 @@ type Session struct {
 	ownTabs       map[string]*Table
 	readOwnWrites bool
 
-	// bind is the argument vector of the currently executing bound
-	// statement (ExecBind); Param nodes resolve against it. A session
+	// bind is the argument vector of the currently executing statement
+	// (Exec); Param nodes resolve against it. A session
 	// executes one statement at a time (one client), so a plain field
 	// suffices.
 	bind []types.Value
@@ -151,36 +151,32 @@ func (s *Session) Close() error {
 // ErrSessionClosed is returned by statements on a closed session.
 var ErrSessionClosed = errors.New("session is closed")
 
-// Exec executes one parsed statement in this session. Pure queries run
-// against a committed read view under the engine's read lock (parallel
-// with writers); DML runs under the read lock plus per-table latches;
-// DDL, ROLLBACK and DDL-publishing COMMITs take the write lock.
-// Statements carrying Param nodes go through ExecBind instead.
-func (s *Session) Exec(st ast.Statement) (*Result, error) {
-	return s.execLocked(st, nil)
-}
-
-// execLocked is the shared body of Exec and ExecBind: it picks the lock
-// mode, installs the bind vector and dispatches the statement.
-func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, error) {
+// Exec executes one statement handle in this session, with args bound
+// to its placeholders (nil: nothing bound) once the engine's BindRules
+// have normalized them; a placeholder with no value bound fails when it
+// is evaluated, and checking the count up front is the caller's
+// (stmt.Parsed.CheckArgs). Pure queries run against a committed read
+// view under the engine's read lock (parallel with writers); DML runs
+// under the read lock plus per-table latches; DDL, ROLLBACK and
+// DDL-publishing COMMITs take the write lock.
+func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 	e := s.eng
-	switch x := st.(type) {
+	bind := e.cfg.Bind.Apply(args)
+	switch x := p.AST.(type) {
 	case *ast.Select:
 		e.mu.RLock()
+		defer e.mu.RUnlock()
 		if s.closed {
-			e.mu.RUnlock()
 			return nil, ErrSessionClosed
 		}
-		if !e.selectAdvancesSequences(x) {
-			defer e.mu.RUnlock()
-			return s.execSelectRead(x, bind, plan.ForceAuto)
+		if !e.selectAdvancesSequences(p) {
+			return s.execSelectRead(p, bind, plan.ForceAuto)
 		}
-		// A sequence-advancing SELECT mutates state: fall through to
-		// the latched write path (it compiles per execution and never
+		// A sequence-advancing SELECT mutates state: it takes the
+		// latched write path (it compiles per execution and never
 		// publishes to the memo).
-		defer e.mu.RUnlock()
 		s.lastPlan = plan.Info{}
-		return s.execLatched(st, bind)
+		return s.execLatched(p, bind)
 
 	case *ast.Insert, *ast.Update, *ast.Delete:
 		e.mu.RLock()
@@ -188,7 +184,7 @@ func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, err
 		if s.closed {
 			return nil, ErrSessionClosed
 		}
-		return s.execLatched(st, bind)
+		return s.execLatched(p, bind)
 
 	case *ast.Begin:
 		e.mu.RLock()
@@ -232,14 +228,14 @@ func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, err
 		s.txnStmts++
 	}
 	s.bind = bind
-	res, err := s.exec(st)
+	res, err := s.exec(p)
 	s.bind = nil
 	if !s.inTxn {
 		// Autocommit: outside an explicit transaction every statement
 		// commits on completion, so the undo entries are discarded and
 		// the commit high-water mark advances past the statement.
 		if err == nil {
-			switch st.(type) {
+			switch p.AST.(type) {
 			case *ast.Begin, *ast.Commit, *ast.Rollback, *ast.SetTxn:
 				// BEGIN opens a transaction; COMMIT advanced the mark in
 				// execCommit; ROLLBACK and SET TRANSACTION commit nothing.
@@ -260,11 +256,11 @@ func (s *Session) execLocked(st ast.Statement, bind []types.Value) (*Result, err
 // execLatched runs a state-changing non-DDL statement under the engine
 // read lock plus the sorted per-table latches of every table the
 // statement can touch. Caller holds the read lock.
-func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, error) {
+func (s *Session) execLatched(p *stmt.Parsed, bind []types.Value) (*Result, error) {
 	e := s.eng
-	refs := e.statementRefsLocked(st)
-	release := e.latchTables(refs)
-	defer release()
+	refs := e.latchSet(p)
+	e.latchTables(refs)
+	defer e.unlatchTables(refs)
 	e.checkPlantedPanic()
 	if s.inTxn {
 		s.txnStmts++
@@ -279,7 +275,7 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 	// subqueries in WHERE/SET/CHECK, sequence-advancing SELECTs) must
 	// not see other sessions' uncommitted rows: see readOwnWrites.
 	s.readOwnWrites, s.bind = true, bind
-	res, err := s.exec(st)
+	res, err := s.exec(p)
 	s.endOwnWrites()
 	if !s.inTxn {
 		if err == nil {
@@ -298,13 +294,13 @@ func (s *Session) execLatched(st ast.Statement, bind []types.Value) (*Result, er
 // execSelectRead runs a pure SELECT, normally or under a forced plan
 // variant, on the appropriate read plane. Caller holds the engine read
 // lock.
-func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value, force plan.Force) (*Result, error) {
+func (s *Session) execSelectRead(p *stmt.Parsed, bind []types.Value, force plan.Force) (*Result, error) {
 	e := s.eng
 	e.checkPlantedPanic()
 	if s.inTxn {
 		s.txnStmts++
-		if s.didDDL || s.touchesRefs(sel) {
-			return s.execSelectOwn(sel, bind, force)
+		if s.didDDL || s.touchesRefs(p) {
+			return s.execSelectOwn(p, bind, force)
 		}
 		if s.level == LevelRepeatableRead {
 			if s.pinned == nil {
@@ -318,7 +314,7 @@ func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value, force plan
 		s.curRead = e.currentView()
 	}
 	s.bind = bind
-	res, err := s.execSelectRLocked(sel, force)
+	res, err := s.execSelectRLocked(p.Select, force)
 	s.bind = nil
 	s.curRead = nil
 	return res, err
@@ -326,11 +322,11 @@ func (s *Session) execSelectRead(sel *ast.Select, bind []types.Value, force plan
 
 // touchesRefs reports whether the query reads any table this
 // transaction has written.
-func (s *Session) touchesRefs(sel *ast.Select) bool {
+func (s *Session) touchesRefs(p *stmt.Parsed) bool {
 	if len(s.touched) == 0 {
 		return false
 	}
-	for _, n := range s.eng.statementRefsLocked(sel) {
+	for _, n := range s.eng.latchSet(p) {
 		if _, ok := s.touched[n]; ok {
 			return true
 		}
@@ -343,11 +339,12 @@ func (s *Session) touchesRefs(sel *ast.Select) bool {
 // latches the referenced tables and reads them with readOwnWrites set,
 // so the session sees exactly the committed state plus its own writes.
 // Caller holds the engine read lock.
-func (s *Session) execSelectOwn(sel *ast.Select, bind []types.Value, force plan.Force) (*Result, error) {
-	release := s.eng.latchTables(s.eng.statementRefsLocked(sel))
-	defer release()
+func (s *Session) execSelectOwn(p *stmt.Parsed, bind []types.Value, force plan.Force) (*Result, error) {
+	refs := s.eng.latchSet(p)
+	s.eng.latchTables(refs)
+	defer s.eng.unlatchTables(refs)
 	s.readOwnWrites, s.bind = true, bind
-	res, err := s.execSelectRLocked(sel, force)
+	res, err := s.execSelectRLocked(p.Select, force)
 	s.endOwnWrites()
 	return res, err
 }
@@ -364,52 +361,24 @@ func (s *Session) endOwnWrites() {
 // or reads a view whose definition (transitively) does. Such a SELECT
 // must be treated as a write by every layer (the engine's lock mode,
 // the middleware's cross-session ordering and read policies).
-func (e *Engine) SelectAdvancesSequences(sel *ast.Select) bool {
+func (e *Engine) SelectAdvancesSequences(p *stmt.Parsed) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.selectAdvancesSequences(sel)
+	return e.selectAdvancesSequences(p)
 }
 
 // selectAdvancesSequences is SelectAdvancesSequences with the engine
-// lock already held (in at least read mode). The view chain is resolved
-// at classification time — views can be dropped and recreated, so a
-// flag stored at CREATE VIEW would go stale.
-//
-// A plan-memo hit proves the statement is a pure SELECT: only
-// non-advancing selects reach the memo, and an unchanged schema stamp
-// means the view chain it was classified against still stands. This
-// skips the classification walk on the hot path — the engine's own and
-// the one of callers choosing a lock mode per execution of a prepared
-// statement.
-func (e *Engine) selectAdvancesSequences(sel *ast.Select) bool {
-	if cs, _ := e.planMemo.load(sel, e.schemaVersion); cs != nil {
-		return false
-	}
-	return e.selectAdvances(sel, nil)
-}
-
-func (e *Engine) selectAdvances(sel *ast.Select, visited map[string]bool) bool {
-	advances := false
-	ast.WalkSelectExprs(sel, func(x ast.Expr) {
-		if fc, ok := x.(*ast.FuncCall); ok {
-			if b, known := e.cfg.Funcs[strings.ToUpper(fc.Name)]; known && b.SeqFunc {
-				advances = true
-			}
-		}
-	})
-	if advances {
+// lock already held (in at least read mode): the handle's function list
+// against this engine's SeqFunc builtins, then its views against the
+// current schema's facts — views can be dropped and recreated, so the
+// answer is the current generation's, never one stored at CREATE VIEW.
+func (e *Engine) selectAdvancesSequences(p *stmt.Parsed) bool {
+	if e.callsSeqFunc(p.Fingerprint.Funcs) {
 		return true
 	}
-	for name := range ast.Tables(sel) {
-		v, ok := e.st.views[name]
-		if !ok || visited[name] {
-			continue
-		}
-		if visited == nil {
-			visited = make(map[string]bool)
-		}
-		visited[name] = true
-		if e.selectAdvances(v.Select, visited) {
+	f := e.facts()
+	for _, n := range p.Fingerprint.Tables {
+		if f.views[n].advances {
 			return true
 		}
 	}

@@ -4,18 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 )
 
 func sexec(t *testing.T, s *Session, sql string) *Result {
 	t.Helper()
-	st, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	res, err := s.Exec(st)
+	res, err := s.Exec(resolve(t, sql), nil)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -24,11 +17,7 @@ func sexec(t *testing.T, s *Session, sql string) *Result {
 
 func sexecErr(t *testing.T, s *Session, sql string) error {
 	t.Helper()
-	st, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	_, err = s.Exec(st)
+	_, err := s.Exec(resolve(t, sql), nil)
 	return err
 }
 
@@ -73,8 +62,7 @@ func TestSessionCloseRollsBack(t *testing.T) {
 	if n, _ := e.TableRowCount("T"); n != 0 {
 		t.Fatalf("close did not roll back: %d rows", n)
 	}
-	st, _ := parser.Parse("SELECT X FROM T")
-	if _, err := a.Exec(st); err != ErrSessionClosed {
+	if _, err := a.Exec(resolve(t, "SELECT X FROM T"), nil); err != ErrSessionClosed {
 		t.Fatalf("closed session accepted a statement: %v", err)
 	}
 	if e.SessionCount() != 0 {
@@ -164,19 +152,11 @@ func TestSequenceSelectsClassifiedAsWrites(t *testing.T) {
 	sexec(t, s, "CREATE VIEW VQ AS SELECT NEXTVAL('SQ') AS V")
 
 	for _, q := range []string{"SELECT NEXTVAL('SQ') AS V", "SELECT V FROM VQ"} {
-		st, err := parser.Parse(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel, ok := st.(*ast.Select)
-		if !ok {
-			t.Fatalf("%q did not parse to a SELECT", q)
-		}
-		if !e.SelectAdvancesSequences(sel) {
+		if !e.SelectAdvancesSequences(resolve(t, q)) {
 			t.Errorf("%q must be classified as sequence-advancing", q)
 		}
 	}
-	if e.SelectAdvancesSequences(mustSelect(t, "SELECT 1 AS X")) {
+	if e.SelectAdvancesSequences(resolve(t, "SELECT 1 AS X")) {
 		t.Error("plain SELECT misclassified as sequence-advancing")
 	}
 
@@ -252,23 +232,14 @@ func TestViewSeqClassificationStaysFresh(t *testing.T) {
 	sexec(t, s, "CREATE SEQUENCE SQ")
 	sexec(t, s, "CREATE VIEW V1 AS SELECT 1 AS V")
 	sexec(t, s, "CREATE VIEW V2 AS SELECT V FROM V1")
-	if e.SelectAdvancesSequences(mustSelect(t, "SELECT V FROM V2")) {
+	if e.SelectAdvancesSequences(resolve(t, "SELECT V FROM V2")) {
 		t.Fatal("plain view chain misclassified")
 	}
 	sexec(t, s, "DROP VIEW V2")
 	sexec(t, s, "DROP VIEW V1")
 	sexec(t, s, "CREATE VIEW V1 AS SELECT NEXTVAL('SQ') AS V")
 	sexec(t, s, "CREATE VIEW V2 AS SELECT V FROM V1")
-	if !e.SelectAdvancesSequences(mustSelect(t, "SELECT V FROM V2")) {
+	if !e.SelectAdvancesSequences(resolve(t, "SELECT V FROM V2")) {
 		t.Fatal("recreated sequence-advancing view chain not detected")
 	}
-}
-
-func mustSelect(t *testing.T, q string) *ast.Select {
-	t.Helper()
-	st, err := parser.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.(*ast.Select)
 }

@@ -1,7 +1,5 @@
 package engine
 
-import "sort"
-
 // This file implements the copy-on-write consistent-snapshot subsystem.
 //
 // The engine's live state is READ UNCOMMITTED: writes become visible to
@@ -76,6 +74,7 @@ func (t *Table) cloneHeader() *Table {
 		PKCols:     t.PKCols,
 		Uniques:    append([][]int(nil), t.Uniques...),
 		Checks:     t.Checks,
+		reads:      t.reads,
 		ic:         &indexCache{},
 	}
 }
@@ -98,17 +97,12 @@ func (e *Engine) Snapshot() *State {
 	// under commitMu. Acquiring every table latch plus commitMu (in the
 	// standard latch-then-commitMu order) excludes both, so the stamp
 	// matches the image exactly.
-	names := make([]string, 0, len(e.st.tables))
-	for n := range e.st.tables {
-		names = append(names, n)
-	}
-	// latchTables requires sorted names: every latch holder acquires in
-	// the same global order, so Snapshot can never form a lock-order
-	// cycle with concurrent DML (or another Snapshot). Map iteration
-	// order is random — sorting here is load-bearing, not cosmetic.
-	sort.Strings(names)
-	release := e.latchTables(names)
-	defer release()
+	// The schema facts list every table sorted: every latch holder
+	// acquires in the same global order, so Snapshot can never form a
+	// lock-order cycle with concurrent DML (or another Snapshot).
+	names := e.facts().tables
+	e.latchTables(names)
+	defer e.unlatchTables(names)
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	cat, dirty := e.committedCatalog()

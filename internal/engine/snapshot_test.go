@@ -6,34 +6,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
 )
 
-// internedStmt gives every caller the same tree for one text, as
-// core.Resolve does above the engine (this package cannot import core):
-// the plan memo is keyed by the tree's address.
-func internedStmt(t testing.TB, sql string) ast.Statement {
-	t.Helper()
-	if st, ok := testInterned.Load(sql); ok {
-		return st.(ast.Statement)
-	}
-	st, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse %q: %v", sql, err)
-	}
-	shared, _ := testInterned.LoadOrStore(sql, st)
-	return shared.(ast.Statement)
-}
-
-var testInterned sync.Map // text -> ast.Statement
-
-// sessExec parses and executes one statement on a session.
+// sessExec resolves and executes one statement on a session.
 func sessExec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
-	st := internedStmt(t, sql)
-	res, err := s.Exec(st)
+	res, err := s.Exec(resolve(t, sql), nil)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -278,11 +256,7 @@ func TestSnapshotConsistentUnderLoad(t *testing.T) {
 			s := e.NewSession()
 			defer s.Close()
 			exec := func(sql string) bool {
-				st, err := parser.Parse(sql)
-				if err == nil {
-					_, err = s.Exec(st)
-				}
-				if err != nil {
+				if _, err := gexec(s, sql); err != nil {
 					t.Errorf("writer %d: %q: %v", w, sql, err)
 					return false
 				}
@@ -360,11 +334,7 @@ func TestFailedStatementIsAtomic(t *testing.T) {
 	sessExec(t, s, "CREATE TABLE T (A INT PRIMARY KEY)")
 	sessExec(t, s, "BEGIN TRANSACTION")
 
-	st, err := parser.Parse("INSERT INTO T VALUES (1), (1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(st); err == nil {
+	if _, err := gexec(s, "INSERT INTO T VALUES (1), (1)"); err == nil {
 		t.Fatal("duplicate-key insert must fail")
 	}
 	if n, _ := e.TableRowCount("T"); n != 0 {
@@ -377,24 +347,13 @@ func TestFailedStatementIsAtomic(t *testing.T) {
 	sessExec(t, s, "INSERT INTO T VALUES (1), (2)")
 	// Updating every row to the same key fails on the second row; the
 	// first row's applied update must be reverted.
-	st, err = parser.Parse("UPDATE T SET A = 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(st); err == nil {
+	if _, err := gexec(s, "UPDATE T SET A = 3"); err == nil {
 		t.Fatal("conflicting update must fail")
 	}
 	// Read through the writing session: other sessions see the committed
 	// (empty) state now that reads are view-isolated, but the transaction
 	// itself must see its inserts with the partial update reverted.
-	sel, err := parser.Parse("SELECT A FROM T ORDER BY A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Exec(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sessExec(t, s, "SELECT A FROM T ORDER BY A")
 	if got := rowStrings(res); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Errorf("failed UPDATE left partial effects: %v", got)
 	}
@@ -583,8 +542,8 @@ func committedImages(e *Engine, own *Session) (view, ownImg *Table) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	view = e.currentView().table("T").materialize(e)
-	release := e.latchTables([]string{"T"})
-	defer release()
+	e.latchTables([]string{"T"})
+	defer e.unlatchTables([]string{"T"})
 	own.readOwnWrites = true
 	defer own.endOwnWrites()
 	ownImg, _ = own.lookupTable("T")
@@ -592,8 +551,8 @@ func committedImages(e *Engine, own *Session) (view, ownImg *Table) {
 }
 
 // Snapshot copies headers, never rows: the image of 25 clean one-row
-// tables allocates the catalog maps, the latch list, and one header and
-// one index cache per table.
+// tables allocates the catalog maps and one header and one index cache
+// per table; the latch order is the schema facts' table list.
 func TestSnapshotAllocs(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
@@ -601,8 +560,8 @@ func TestSnapshotAllocs(t *testing.T) {
 		sessExec(t, s, fmt.Sprintf("CREATE TABLE T%02d (A INT)", i))
 		sessExec(t, s, fmt.Sprintf("INSERT INTO T%02d VALUES (1)", i))
 	}
-	if got := testing.AllocsPerRun(50, func() { e.Snapshot() }); got > 62 {
-		t.Errorf("Snapshot of 25 clean tables: %v allocations, want at most 62", got)
+	if got := testing.AllocsPerRun(50, func() { e.Snapshot() }); got > 59 {
+		t.Errorf("Snapshot of 25 clean tables: %v allocations, want at most 59", got)
 	}
 }
 

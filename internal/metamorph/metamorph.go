@@ -39,6 +39,7 @@ import (
 	"divsql/internal/engine"
 	engplan "divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -55,13 +56,16 @@ const (
 // Oracles lists every oracle in deterministic order.
 var Oracles = []Oracle{TLP, NoREC, CERT}
 
-// Executor re-runs one parsed SELECT under a forced access path,
+// Executor re-runs one SELECT's handle under a forced access path,
 // bypassing plan caches and any fault layer. *server.Session satisfies
 // it (ExecVariant), as does any engine-session wrapper with the same
 // contract.
 type Executor interface {
-	ExecVariant(sel *ast.Select, force engplan.Force, args ...types.Value) (*engine.Result, error)
+	ExecVariant(p *stmt.Parsed, force engplan.Force, args ...types.Value) (*engine.Result, error)
 }
+
+// runner executes one rewrite of the checked SELECT with its arguments.
+type runner func(rw *ast.Select, force engplan.Force) (*engine.Result, error)
 
 // Finding is one violated metamorphic relation.
 type Finding struct {
@@ -77,9 +81,18 @@ type Finding struct {
 // legitimately surface row-evaluation errors (e.g. a division the
 // original predicate filtered out), and an execution error is never
 // evidence about the base result's correctness.
-func Check(ex Executor, sel *ast.Select, args []types.Value, base *engine.Result, armed []Oracle) (checked []Oracle, findings []Finding) {
+func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result, armed []Oracle) (checked []Oracle, findings []Finding) {
+	sel := p.Select
 	if base == nil || !structurallyPlain(sel) {
 		return nil, nil
+	}
+	// A rewrite runs as p's handle with the rewritten tree: it reads a
+	// subset of p's tables and calls a subset of p's functions, so p's
+	// lists (all an engine reads of a handle but the tree) cover it.
+	run := func(rw *ast.Select, force engplan.Force) (*engine.Result, error) {
+		q := *p
+		q.AST, q.Select = rw, rw
+		return ex.ExecVariant(&q, force, args...)
 	}
 	allAgg, anyAgg := aggregateItems(sel)
 	for _, o := range armed {
@@ -91,17 +104,17 @@ func Check(ex Executor, sel *ast.Select, args []types.Value, base *engine.Result
 			case sel.Where == nil:
 				// No predicate to partition.
 			case allAgg:
-				ok, f = checkTLPAgg(ex, sel, args, base)
+				ok, f = checkTLPAgg(run, sel, base)
 			case !anyAgg:
-				ok, f = checkTLPRows(ex, sel, args, base)
+				ok, f = checkTLPRows(run, sel, base)
 			}
 		case NoREC:
 			if sel.Where != nil && !anyAgg {
-				ok, f = checkNoREC(ex, sel, args, base)
+				ok, f = checkNoREC(run, sel, base)
 			}
 		case CERT:
 			if sel.Where != nil && !anyAgg {
-				ok, f = checkCERT(ex, sel, args, base)
+				ok, f = checkCERT(run, sel, base)
 			}
 		}
 		if ok {
@@ -234,17 +247,17 @@ func rewrite(sel *ast.Select, where ast.Expr) *ast.Select {
 // checkTLPRows asserts the row-multiset TLP relation: the base result
 // (the TRUE partition, as actually served) plus the NOT-p and p-IS-NULL
 // partitions must union to the unpartitioned query.
-func checkTLPRows(ex Executor, sel *ast.Select, args []types.Value, base *engine.Result) (bool, *Finding) {
+func checkTLPRows(run runner, sel *ast.Select, base *engine.Result) (bool, *Finding) {
 	_, pFalse, pNull := Partitions(sel.Where)
-	q0, err := ex.ExecVariant(rewrite(sel, nil), engplan.ForceAuto, args...)
+	q0, err := run(rewrite(sel, nil), engplan.ForceAuto)
 	if err != nil {
 		return false, nil
 	}
-	rf, err := ex.ExecVariant(rewrite(sel, pFalse), engplan.ForceAuto, args...)
+	rf, err := run(rewrite(sel, pFalse), engplan.ForceAuto)
 	if err != nil {
 		return false, nil
 	}
-	rn, err := ex.ExecVariant(rewrite(sel, pNull), engplan.ForceAuto, args...)
+	rn, err := run(rewrite(sel, pNull), engplan.ForceAuto)
 	if err != nil {
 		return false, nil
 	}
@@ -267,17 +280,17 @@ func checkTLPRows(ex Executor, sel *ast.Select, args []types.Value, base *engine
 // lists: each aggregate over the unpartitioned query must equal the sum
 // of the same aggregate over the three partitions (the base result
 // supplying the TRUE partition's value).
-func checkTLPAgg(ex Executor, sel *ast.Select, args []types.Value, base *engine.Result) (bool, *Finding) {
+func checkTLPAgg(run runner, sel *ast.Select, base *engine.Result) (bool, *Finding) {
 	_, pFalse, pNull := Partitions(sel.Where)
-	q0, err := ex.ExecVariant(rewrite(sel, nil), engplan.ForceAuto, args...)
+	q0, err := run(rewrite(sel, nil), engplan.ForceAuto)
 	if err != nil {
 		return false, nil
 	}
-	rf, err := ex.ExecVariant(rewrite(sel, pFalse), engplan.ForceAuto, args...)
+	rf, err := run(rewrite(sel, pFalse), engplan.ForceAuto)
 	if err != nil {
 		return false, nil
 	}
-	rn, err := ex.ExecVariant(rewrite(sel, pNull), engplan.ForceAuto, args...)
+	rn, err := run(rewrite(sel, pNull), engplan.ForceAuto)
 	if err != nil {
 		return false, nil
 	}
@@ -368,7 +381,7 @@ func maxAbs(a, b float64) float64 {
 // unoptimizable form — CASE WHEN p THEN 1 ELSE 0 END over the same FROM,
 // forced to a full scan and counted client-side — must agree with the
 // optimized query's cardinality.
-func checkNoREC(ex Executor, sel *ast.Select, args []types.Value, base *engine.Result) (bool, *Finding) {
+func checkNoREC(run runner, sel *ast.Select, base *engine.Result) (bool, *Finding) {
 	probe := &ast.Select{
 		Items: []ast.SelectItem{{Expr: &ast.Case{
 			Whens: []ast.WhenClause{{Cond: sel.Where, Then: intLit(1)}},
@@ -376,7 +389,7 @@ func checkNoREC(ex Executor, sel *ast.Select, args []types.Value, base *engine.R
 		}, Alias: "NR"}},
 		From: sel.From,
 	}
-	res, err := ex.ExecVariant(probe, engplan.ForceFullScan, args...)
+	res, err := run(probe, engplan.ForceFullScan)
 	if err != nil {
 		return false, nil
 	}
@@ -401,18 +414,18 @@ func checkNoREC(ex Executor, sel *ast.Select, args []types.Value, base *engine.R
 // Both run under a forced full scan: the restricted rewrite must not
 // inherit the original's access path, or a defect shared by both sides
 // cancels out of the comparison.
-func checkCERT(ex Executor, sel *ast.Select, args []types.Value, base *engine.Result) (bool, *Finding) {
+func checkCERT(run runner, sel *ast.Select, base *engine.Result) (bool, *Finding) {
 	p := sel.Where
 	restricted := []ast.Expr{&ast.Binary{Op: ast.OpAnd, L: p, R: p}}
 	if c := firstColumnRef(p); c != nil {
 		restricted = append(restricted, &ast.Binary{
 			Op: ast.OpAnd, L: p,
-			R:  &ast.IsNull{X: &ast.ColumnRef{Table: c.Table, Column: c.Column}, Not: true},
+			R: &ast.IsNull{X: &ast.ColumnRef{Table: c.Table, Column: c.Column}, Not: true},
 		})
 	}
 	applied := false
 	for _, rp := range restricted {
-		res, err := ex.ExecVariant(rewrite(sel, rp), engplan.ForceFullScan, args...)
+		res, err := run(rewrite(sel, rp), engplan.ForceFullScan)
 		if err != nil {
 			continue
 		}

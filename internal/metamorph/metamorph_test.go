@@ -8,6 +8,7 @@ import (
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 )
 
 // TestPartitionsRoundTripProperty is the rendering-stability property
@@ -109,11 +110,11 @@ func TestCheckCleanEngineIsSilent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		st, err := parser.Parse(q)
+		p, err := stmt.Resolve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checked, findings := metamorph.Check(sess, st.(*ast.Select), nil, res, metamorph.Oracles)
+		checked, findings := metamorph.Check(sess, p, nil, res, metamorph.Oracles)
 		for _, f := range findings {
 			t.Errorf("%s convicted a clean engine on %q: %s", f.Oracle, q, f.Detail)
 		}

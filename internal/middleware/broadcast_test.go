@@ -16,6 +16,7 @@ import (
 	"divsql/internal/fault"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -181,7 +182,7 @@ func TestBroadcastVotesAreIndexAligned(t *testing.T) {
 			"SELECT B FROM E WHERE A = 1",
 			"SELECT A, COUNT(*) AS N FROM T GROUP BY A",
 		} {
-			p, err := core.Resolve(sql)
+			p, err := stmt.Resolve(sql)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,6 +55,7 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/obs"
 	"divsql/internal/server"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -292,13 +293,13 @@ type Session struct {
 	// rejoining replica replays it before the journal so the rebuilt
 	// per-client sessions carry the same isolation defaults as their live
 	// siblings. Guarded by d.execMu held exclusively, like the journal.
-	isoStmt *core.Parsed
+	isoStmt *stmt.Parsed
 }
 
 // redo is one journaled statement: the handle it ran by and a copy of
 // the arguments it ran with.
 type redo struct {
-	p    *core.Parsed
+	p    *stmt.Parsed
 	args []types.Value
 }
 
@@ -441,7 +442,7 @@ func (d *DiverseServer) QuarantinedReplicas() []string {
 // deployment's replicas are separate machines working in parallel,
 // however this process schedules them).
 func (cs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		return nil, server.BaseLatency, err
 	}
@@ -454,7 +455,7 @@ func (cs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 // handle — the one every replica runs — and the typed argument vector of
 // this execution (nil for text).
 type boundStmt struct {
-	p    *core.Parsed
+	p    *stmt.Parsed
 	args []types.Value
 	// cost is what one replica last took to execute the statement: wall
 	// time of the first active replica, measured by broadcast on every
@@ -463,7 +464,7 @@ type boundStmt struct {
 	cost time.Duration
 	// alt is the statement rephrased, resolved when a replica first needs
 	// it: p itself when no rule rewrites it.
-	alt *core.Parsed
+	alt *stmt.Parsed
 }
 
 // rephraseOn runs the rephrased form of the statement on one replica,
@@ -474,7 +475,7 @@ func (b *boundStmt) rephraseOn(sub *server.Session) (*engine.Result, bool) {
 	if b.alt == nil {
 		b.alt = b.p
 		if sql, changed := Rephrase(b.p.Text); changed {
-			if alt, err := core.Resolve(sql); err == nil {
+			if alt, err := stmt.Resolve(sql); err == nil {
 				b.alt = alt
 			}
 		}
@@ -497,7 +498,7 @@ func (cs *Session) exec(b *boundStmt) (*engine.Result, time.Duration, error) {
 	// sequence state entirely. Any active replica can classify; they
 	// share the view/sequence schema, which can change between
 	// executions.
-	query := b.p.Select != nil && !cs.classifierServer().SelectAdvancesSequences(b.p.Select)
+	query := b.p.Select != nil && !cs.classifierServer().SelectAdvancesSequences(b.p)
 	if query {
 		d.execMu.RLock()
 		defer d.execMu.RUnlock()
@@ -545,7 +546,7 @@ type Stmt struct {
 // prepare it (server.Accepts); it fails only when every replica rejects
 // the text. Implements core.Session.
 func (cs *Session) Prepare(sql string) (core.Statement, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -598,13 +599,13 @@ func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 // exclusively.
 func (cs *Session) noteWrite(b *boundStmt) {
 	switch b.p.Class {
-	case core.StmtBegin:
+	case stmt.ClassBegin:
 		cs.inTxn = true
 		cs.journal = append(cs.journal[:0], redo{p: b.p})
-	case core.StmtEnd:
+	case stmt.ClassEnd:
 		cs.inTxn = false
 		cs.journal = nil
-	case core.StmtSetTxn:
+	case stmt.ClassSetTxn:
 		// SET TRANSACTION outside a transaction sets the session
 		// default (replayed on resync via isoStmt); inside one it is
 		// transaction-scoped and replays with the journal.

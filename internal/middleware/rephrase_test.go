@@ -12,6 +12,7 @@ import (
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 	"divsql/internal/tpcc"
 )
@@ -217,7 +218,7 @@ func TestErrorVoterRepairedInPlace(t *testing.T) {
 	deliverySchema(t, sess)
 	ps := mustPrepare(t, sess, deliveryShaped)
 	defer ps.Close()
-	var alt *core.Parsed
+	var alt *stmt.Parsed
 	for i := 1; i <= 3; i++ {
 		res, _, err := ps.Exec(types.NewInt(7), types.NewInt(1))
 		if err != nil || res.Affected != 1 {

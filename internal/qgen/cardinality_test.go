@@ -5,6 +5,7 @@ import (
 
 	"divsql/internal/engine"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 )
 
 // Replaying a capped stream on a live engine must never leave any
@@ -28,7 +29,11 @@ func TestCardinalityCapRespected(t *testing.T) {
 		case *ast.Delete:
 			aged++
 		}
-		if _, err := sess.Exec(st); err != nil {
+		p, err := stmt.Resolve(ast.Render(st))
+		if err != nil {
+			t.Fatalf("statement %d does not parse: %v", i, err)
+		}
+		if _, err := sess.Exec(p, nil); err != nil {
 			continue
 		}
 		for _, tn := range e.TableNames() {
@@ -74,7 +79,11 @@ func TestCardinalityCapAcrossRollbacks(t *testing.T) {
 		if _, ok := st.(*ast.Insert); ok && rollbacks > 0 {
 			insertsAfterRollback++
 		}
-		if _, err := sess.Exec(st); err != nil {
+		p, err := stmt.Resolve(ast.Render(st))
+		if err != nil {
+			t.Fatalf("statement %d does not parse: %v", i, err)
+		}
+		if _, err := sess.Exec(p, nil); err != nil {
 			continue
 		}
 		for _, tn := range e.TableNames() {

@@ -7,6 +7,7 @@ import (
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 )
 
 // Same seed, same options: byte-identical statement streams.
@@ -190,8 +191,12 @@ func TestSequenceAdvancingSelectsEmitted(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		st := g.Next()
 		sql := ast.Render(st)
-		if sel, ok := st.(*ast.Select); ok && strings.Contains(sql, "NEXTVAL(") {
-			if !orc.SelectAdvancesSequences(sel) {
+		if _, ok := st.(*ast.Select); ok && strings.Contains(sql, "NEXTVAL(") {
+			p, err := stmt.Resolve(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !orc.SelectAdvancesSequences(p) {
 				t.Fatalf("sequence-advancing SELECT classified read-only: %q", sql)
 			}
 			seen++

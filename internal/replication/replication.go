@@ -25,6 +25,7 @@ import (
 	"divsql/internal/core"
 	"divsql/internal/engine"
 	"divsql/internal/server"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -116,7 +117,7 @@ func (g *Group) Metrics() Metrics {
 // core.Statement.
 type Stmt struct {
 	gs     *Session
-	p      *core.Parsed
+	p      *stmt.Parsed
 	closed bool
 }
 
@@ -124,7 +125,7 @@ type Stmt struct {
 // member rejects the text (under the fail-stop assumption a member's
 // prepare error is its legitimate outcome, surfaced if it is primary).
 func (gs *Session) Prepare(sql string) (core.Statement, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +169,7 @@ func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 // statements, propagates it to the backups. Only crash failures trigger
 // recovery; results are returned unchecked.
 func (gs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		return nil, server.BaseLatency, err
 	}
@@ -176,7 +177,7 @@ func (gs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 }
 
 // run is the one body of Exec and Stmt.Exec.
-func (gs *Session) run(p *core.Parsed, args []types.Value) (*engine.Result, time.Duration, error) {
+func (gs *Session) run(p *stmt.Parsed, args []types.Value) (*engine.Result, time.Duration, error) {
 	g := gs.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -243,7 +244,7 @@ func (g *Group) failover() bool {
 // they crash (fail-stop assumption); wrong results cannot occur here
 // because backups' outputs are never read — which is precisely how
 // incorrect updates spread silently.
-func (g *Group) propagate(gs *Session, p *core.Parsed, args []types.Value) {
+func (g *Group) propagate(gs *Session, p *stmt.Parsed, args []types.Value) {
 	for i, s := range g.servers {
 		if i == g.primary || s.Crashed() {
 			continue

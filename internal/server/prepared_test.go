@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"divsql/internal/core"
 	"divsql/internal/dialect"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -39,7 +39,7 @@ func TestPrepareExecRoundTrip(t *testing.T) {
 	}
 }
 
-// Preparing a text resolves it through core.Resolve: one handle per
+// Preparing a text resolves it through stmt.Resolve: one handle per
 // text, whichever session or server prepares it.
 func TestPrepareSharesHandle(t *testing.T) {
 	s, _ := New(dialect.OR, nil)
@@ -48,7 +48,7 @@ func TestPrepareSharesHandle(t *testing.T) {
 	if _, _, err := sess.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	handle := func(c *Session) *core.Parsed {
+	handle := func(c *Session) *stmt.Parsed {
 		st, err := c.Prepare("SELECT A FROM T WHERE A > ?")
 		if err != nil {
 			t.Fatal(err)

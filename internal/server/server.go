@@ -26,6 +26,7 @@ import (
 	engplan "divsql/internal/engine/plan"
 	"divsql/internal/fault"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -169,13 +170,13 @@ func (c *Session) InTxn() bool { return c.es.InTxn() }
 // statement and of every core nested in it, plan-cache hit).
 func (c *Session) LastPlan() engplan.Info { return c.es.LastPlan() }
 
-// ExecVariant executes an already parsed pure SELECT under a forced
-// access-path variant, bypassing this server's fault layer (and, when
-// forced, the engine's plan memo). It is the probe of the forced-variant
+// ExecVariant executes a pure SELECT's handle under a forced access-path
+// variant, bypassing this server's fault layer (and, when forced, the
+// engine's plan memo). It is the probe of the forced-variant
 // differential oracle (difftest's DQP-lite gate): the caller runs the
 // same statement normally and forced and compares the results.
-func (c *Session) ExecVariant(sel *ast.Select, force engplan.Force, args ...types.Value) (*engine.Result, error) {
-	return c.es.ExecSelectVariant(sel, force, args)
+func (c *Session) ExecVariant(p *stmt.Parsed, force engplan.Force, args ...types.Value) (*engine.Result, error) {
+	return c.es.ExecSelectVariant(p, force, args)
 }
 
 // PlanCacheStats returns the engine's shared compiled-plan cache
@@ -183,9 +184,9 @@ func (c *Session) ExecVariant(sel *ast.Select, force engplan.Force, args ...type
 func (s *Server) PlanCacheStats() engplan.CacheStats { return s.eng.PlanCacheStats() }
 
 // Exec executes one SQL statement in this session, returning the result
-// and the simulated latency: core.Resolve, then Run with nothing bound.
+// and the simulated latency: stmt.Resolve, then Run with nothing bound.
 func (c *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		if c.srv.Crashed() {
 			return nil, 0, ErrCrashed
@@ -199,7 +200,7 @@ func (c *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 // core.Statement.
 type Stmt struct {
 	sess   *Session
-	p      *core.Parsed
+	p      *stmt.Parsed
 	closed bool
 }
 
@@ -211,7 +212,7 @@ func (c *Session) Prepare(sql string) (core.Statement, error) {
 	if c.srv.Crashed() {
 		return nil, ErrCrashed
 	}
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err == nil {
 		err = c.srv.Accepts(p)
 	}
@@ -224,7 +225,7 @@ func (c *Session) Prepare(sql string) (core.Statement, error) {
 // Accepts reports why this server would refuse to prepare the statement
 // (nil when it would not): its dialect gate, then the statement's own
 // bindability.
-func (s *Server) Accepts(p *core.Parsed) error {
+func (s *Server) Accepts(p *stmt.Parsed) error {
 	if err := s.checkDialect(p.AST); err != nil {
 		return err
 	}
@@ -272,7 +273,7 @@ func (st *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 // with ErrCrashed, so a replicated deployment outvotes, restarts and
 // resynchronizes this server instead of dying with it on whichever
 // goroutine happened to be executing the replica.
-func (c *Session) Run(p *core.Parsed, args []types.Value) (res *engine.Result, latency time.Duration, err error) {
+func (c *Session) Run(p *stmt.Parsed, args []types.Value) (res *engine.Result, latency time.Duration, err error) {
 	s := c.srv
 	s.mu.Lock()
 	if s.crashed {
@@ -314,12 +315,7 @@ func (c *Session) Run(p *core.Parsed, args []types.Value) (res *engine.Result, l
 		}
 	}
 
-	var execErr error
-	if args == nil {
-		res, execErr = c.es.Exec(p.AST)
-	} else {
-		res, execErr = c.es.ExecBound(p.AST, args)
-	}
+	res, execErr := c.es.Exec(p, args)
 	// Re-check the crash flag: another session may have crashed the
 	// server while this statement was in flight. The outcome of such a
 	// statement is ambiguous (as on a real server that dies mid-request);
@@ -346,10 +342,10 @@ func (c *Session) Run(p *core.Parsed, args []types.Value) (res *engine.Result, l
 
 // SelectAdvancesSequences reports whether the query would mutate state on
 // this server: it advances a sequence, directly or through views. A
-// statement is read-only when it is a SELECT (core.Parsed.Select) that
+// statement is read-only when it is a SELECT (stmt.Parsed.Select) that
 // does not.
-func (s *Server) SelectAdvancesSequences(sel *ast.Select) bool {
-	return s.eng.SelectAdvancesSequences(sel)
+func (s *Server) SelectAdvancesSequences(p *stmt.Parsed) bool {
+	return s.eng.SelectAdvancesSequences(p)
 }
 
 // checkDialect rejects constructs the server's dialect does not offer

@@ -7,6 +7,7 @@ import (
 	"divsql/internal/core"
 	"divsql/internal/engine"
 	"divsql/internal/server"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -17,13 +18,13 @@ import (
 // core.Statement.
 type Stmt struct {
 	s   *Session
-	p   *core.Parsed
+	p   *stmt.Parsed
 	per []core.Statement // index-aligned with shards
 }
 
 // Prepare resolves the statement and prepares it on every shard.
 func (s *Session) Prepare(sql string) (core.Statement, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		return nil, err
 	}

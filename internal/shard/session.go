@@ -9,6 +9,7 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -60,7 +61,7 @@ func (s *Session) Close() error {
 
 // Exec routes and executes one SQL statement.
 func (s *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		// The router cannot classify what it cannot parse; the shards
 		// share one parser, so the statement would fail there identically.
@@ -85,7 +86,7 @@ func (q inlineExec) run(s *Session, shard int) (*engine.Result, time.Duration, e
 
 // dispatch routes the statement and executes it through ex. Caller holds
 // s.mu.
-func (s *Session) dispatch(p *core.Parsed, ex shardExec, args []types.Value) (*engine.Result, time.Duration, error) {
+func (s *Session) dispatch(p *stmt.Parsed, ex shardExec, args []types.Value) (*engine.Result, time.Duration, error) {
 	r := s.r
 	r.metrics.statements.Add(1)
 	st := p.AST

@@ -61,6 +61,7 @@ import (
 
 	"divsql/internal/core"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -181,11 +182,11 @@ type route struct {
 // prepared path (band predicates over placeholders resolve per
 // execution); home is the session's home shard for statements with no
 // table references.
-func (r *Router) analyze(p *core.Parsed, args []types.Value, home int) (route, error) {
+func (r *Router) analyze(p *stmt.Parsed, args []types.Value, home int) (route, error) {
 	switch p.Class {
-	case core.StmtBegin, core.StmtEnd:
+	case stmt.ClassBegin, stmt.ClassEnd:
 		return route{kind: routeTxn}, nil
-	case core.StmtSetTxn:
+	case stmt.ClassSetTxn:
 		return route{kind: routeSetTxn}, nil
 	}
 	if r.banded() {
@@ -218,7 +219,7 @@ func (r *Router) analyzeNamespace(names []string, home int) (route, error) {
 }
 
 // analyzeBand routes in PK-band mode.
-func (r *Router) analyzeBand(p *core.Parsed, args []types.Value, home int) (route, error) {
+func (r *Router) analyzeBand(p *stmt.Parsed, args []types.Value, home int) (route, error) {
 	var (
 		rt  route
 		err error

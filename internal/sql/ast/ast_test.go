@@ -61,7 +61,7 @@ func TestFingerprintFlags(t *testing.T) {
 		t.Errorf("tables: %v", fp.Tables)
 	}
 	if !fp.UsesFunc("avg") {
-		t.Errorf("funcs: %v", fp.funcs)
+		t.Errorf("funcs: %v", fp.Funcs)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestFingerprintIsCompactAndOrdered(t *testing.T) {
 	if got, want := fp.String(), "LIKE|SELECT @ T,U"; got != want {
 		t.Errorf("digest %q, want %q", got, want)
 	}
-	if len(fp.Tables) != 2 || len(fp.funcs) != 2 || !fp.UsesFunc("abs") || !fp.UsesFunc("UPPER") || fp.UsesFunc("LOWER") {
-		t.Errorf("tables %v funcs %v", fp.Tables, fp.funcs)
+	if len(fp.Tables) != 2 || len(fp.Funcs) != 2 || !fp.UsesFunc("abs") || !fp.UsesFunc("UPPER") || fp.UsesFunc("LOWER") {
+		t.Errorf("tables %v funcs %v", fp.Tables, fp.Funcs)
 	}
 	if len(flagBit) != len(flagList) || len(flagList) > 64 {
 		t.Errorf("%d flags listed, %d distinct: each needs its own bit of a uint64", len(flagList), len(flagBit))

@@ -82,14 +82,17 @@ var flagBit = func() map[Flag]uint64 {
 
 // Fingerprint summarizes the syntactic shape of one statement. It is a
 // small value — a bit set and two short sorted lists — because every
-// interned statement keeps one (core.Parsed) for as long as its text
+// interned statement keeps one (stmt.Parsed) for as long as its text
 // stays interned.
 type Fingerprint struct {
 	// Tables lists, sorted, the upper-cased names of the tables and views
 	// the statement references (ast.Tables).
 	Tables []string
-	flags  uint64   // flagBit of every flag carried
-	funcs  []string // upper-cased function names called, sorted
+	// Funcs lists, sorted, the upper-cased names of the functions a
+	// query, a DML statement or a view definition calls, nested queries
+	// included.
+	Funcs []string
+	flags uint64 // flagBit of every flag carried
 }
 
 // Has reports whether the fingerprint carries the flag.
@@ -102,7 +105,7 @@ func (fp Fingerprint) UsesTable(name string) bool {
 
 // UsesFunc reports whether the statement calls the named function.
 func (fp Fingerprint) UsesFunc(name string) bool {
-	return slices.Contains(fp.funcs, strings.ToUpper(name))
+	return slices.Contains(fp.Funcs, strings.ToUpper(name))
 }
 
 // String renders a stable, human-readable digest (for logs and tests).
@@ -149,8 +152,8 @@ func FingerprintOf(st Statement) Fingerprint {
 				}
 			case *FuncCall:
 				up := strings.ToUpper(x.Name)
-				if i, found := slices.BinarySearch(fp.funcs, up); !found {
-					fp.funcs = slices.Insert(fp.funcs, i, up)
+				if i, found := slices.BinarySearch(fp.Funcs, up); !found {
+					fp.Funcs = slices.Insert(fp.Funcs, i, up)
 				}
 				if aggregateFuncs[up] {
 					set(FlagAggregate)

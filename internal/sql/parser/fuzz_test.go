@@ -6,10 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
-	"divsql/internal/core"
 	"divsql/internal/corpus"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 )
 
 // FuzzParseRenderFixpoint: whatever text the parser accepts renders to
@@ -18,7 +18,7 @@ import (
 // trip. qgen ships generated trees as rendered text and Rephrase ships
 // rewritten ones, so a render the parser reads differently would change
 // a statement between the layer that built it and the servers. And the
-// shared handle every layer executes by (core.Resolve) says of a text
+// shared handle every layer executes by (stmt.Resolve) says of a text
 // what a fresh parse of it says. Seeded from the regress/ corpus and
 // every statement of the bug corpus.
 func FuzzParseRenderFixpoint(f *testing.F) {
@@ -56,7 +56,7 @@ func FuzzParseRenderFixpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		st1, err := parser.Parse(sql)
 		if err != nil {
-			if p, rerr := core.Resolve(sql); rerr == nil {
+			if p, rerr := stmt.Resolve(sql); rerr == nil {
 				t.Fatalf("Resolve accepts %q (as %q), Parse rejects it: %v", sql, p.Text, err)
 			}
 			return
@@ -74,13 +74,13 @@ func FuzzParseRenderFixpoint(f *testing.F) {
 			t.Fatalf("fingerprint changed across render:\n  src: %q\n  fp1: %s\n  fp2: %s", sql, fp1, fp2)
 		}
 
-		p, err := core.Resolve(sql)
+		p, err := stmt.Resolve(sql)
 		if err != nil {
 			t.Fatalf("Parse accepts %q, Resolve rejects it: %v", sql, err)
 		}
 		_, isSelect := st1.(*ast.Select)
 		if p.Text != sql || p.Fingerprint.String() != fp1 || p.NumParams != ast.NumParams(st1) ||
-			(p.Class == core.StmtSelect) != isSelect || (p.Select != nil) != isSelect || ast.Render(p.AST) != r1 {
+			(p.Class == stmt.ClassSelect) != isSelect || (p.Select != nil) != isSelect || ast.Render(p.AST) != r1 {
 			t.Fatalf("Resolve(%q) = %+v, a fresh parse renders %q with fingerprint %s", sql, p, r1, fp1)
 		}
 	})

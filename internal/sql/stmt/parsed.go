@@ -1,6 +1,10 @@
-package core
+// Package stmt holds the statement handle: one statement text resolved
+// once, with everything derived from its tree alone, shared by every
+// layer from the wire down to the engines that execute it.
+package stmt
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,40 +12,46 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"divsql/internal/engine"
 	"divsql/internal/obs"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/parser"
 )
 
-// StmtClass is what the layers above the engine need to know about a
+// ErrBind wraps bind-time failures of the prepare/bind/execute path:
+// argument-count mismatches, references to unbound parameter ordinals,
+// and parameters in statements that cannot carry them (DDL).
+var ErrBind = errors.New("bind error")
+
+// Class is what the layers above the engine need to know about a
 // statement's kind without looking at its tree: whether it can be a
 // query, and how it moves a session's transaction state.
-type StmtClass uint8
+type Class uint8
 
 // Statement classes.
 const (
-	StmtOther  StmtClass = iota // DML and DDL
-	StmtSelect                  // Parsed.Select is set
-	StmtBegin
-	StmtEnd    // COMMIT or ROLLBACK
-	StmtSetTxn // SET TRANSACTION ISOLATION LEVEL
+	ClassOther  Class = iota // DML and DDL
+	ClassSelect              // Parsed.Select is set
+	ClassBegin
+	ClassEnd    // COMMIT or ROLLBACK
+	ClassSetTxn // SET TRANSACTION ISOLATION LEVEL
 )
 
 // Parsed is one statement text resolved once: its tree and everything
-// the layers derive from the tree alone. It is immutable — one Parsed
-// (and its AST, which CREATE VIEW also retains in every replica's
-// catalog) is shared by every session, shard and replica that executes
-// the text, concurrently — so nothing below may write to it; a layer
-// that rewrites a statement (middleware.Rephrase) parses a private copy.
-// What depends on a schema is not here: whether a SELECT advances a
-// sequence is asked of an engine (SelectAdvancesSequences), per
-// execution.
+// derived from the tree alone. It is immutable — one Parsed (and its
+// AST, which CREATE VIEW also retains in every replica's catalog) is
+// shared by every session, shard, replica and engine that executes the
+// text, concurrently — so nothing may write to it; a layer that rewrites
+// a statement (middleware.Rephrase) parses a private copy.
+//
+// What depends on a schema is not here: an engine combines the sorted
+// table and function lists (Fingerprint.Tables, Fingerprint.Funcs) with
+// facts it derives once per schema generation into the tables a
+// statement latches and whether a SELECT advances a sequence.
 type Parsed struct {
 	Text        string
 	AST         ast.Statement
 	Select      *ast.Select // AST when the statement is a SELECT, else nil
-	Class       StmtClass
+	Class       Class
 	Fingerprint ast.Fingerprint
 	NumParams   int
 	// Refs lists, sorted, every table, view, sequence and index name the
@@ -50,7 +60,9 @@ type Parsed struct {
 	// an index.
 	Refs []string
 	// BindErr is why the statement cannot be prepared, if it cannot:
-	// placeholders outside DML and queries.
+	// placeholders outside DML and queries (a view definition or DEFAULT
+	// expression holding a parameter would dangle once the binding is
+	// gone).
 	BindErr error
 }
 
@@ -60,7 +72,7 @@ func (p *Parsed) CheckArgs(n int) error {
 	if n == p.NumParams {
 		return nil
 	}
-	return fmt.Errorf("%w: statement wants %d parameters, %d bound", engine.ErrBind, p.NumParams, n)
+	return fmt.Errorf("%w: statement wants %d parameters, %d bound", ErrBind, p.NumParams, n)
 }
 
 // maxInterned bounds one generation of the intern table. The table keeps
@@ -122,16 +134,20 @@ func newParsed(sql string, st ast.Statement) *Parsed {
 	p := &Parsed{Text: sql, AST: st, Fingerprint: ast.FingerprintOf(st), NumParams: ast.NumParams(st)}
 	switch x := st.(type) {
 	case *ast.Select:
-		p.Class, p.Select = StmtSelect, x
+		p.Class, p.Select = ClassSelect, x
 	case *ast.Begin:
-		p.Class = StmtBegin
+		p.Class = ClassBegin
 	case *ast.Commit, *ast.Rollback:
-		p.Class = StmtEnd
+		p.Class = ClassEnd
 	case *ast.SetTxn:
-		p.Class = StmtSetTxn
+		p.Class = ClassSetTxn
 	}
 	if p.NumParams > 0 {
-		p.BindErr = engine.CheckBindable(st, p.NumParams)
+		switch st.(type) {
+		case *ast.Insert, *ast.Update, *ast.Delete, *ast.Select:
+		default:
+			p.BindErr = fmt.Errorf("%w: parameters are not allowed in this statement", ErrBind)
+		}
 	}
 	// Names ast.Tables does not cover. An index name routes like a table
 	// name: qgen namespaces them identically, so the index lands with its
@@ -162,7 +178,7 @@ func newParsed(sql string, st ast.Statement) *Parsed {
 func ResolverCollector() obs.Collector {
 	return obs.NewCollector("resolver", func(f *obs.Feed) {
 		f.Count("divsql_sql_resolves_total",
-			"Statement texts resolved to a shared handle (core.Resolve calls).", resolves.Load())
+			"Statement texts resolved to a shared handle (stmt.Resolve calls).", resolves.Load())
 		f.Count("divsql_sql_parses_total",
 			"Resolves that had to parse: the text was not interned.", parses.Load())
 	})

@@ -1,4 +1,4 @@
-package core
+package stmt
 
 import (
 	"errors"
@@ -7,27 +7,25 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"divsql/internal/engine"
 )
 
 func TestResolveDerivesTheHandle(t *testing.T) {
 	for _, tc := range []struct {
 		sql    string
-		class  StmtClass
+		class  Class
 		params int
 		refs   []string
 		bind   bool // BindErr expected
 	}{
-		{"SELECT a FROM t1, t2 WHERE a IN (SELECT b FROM t3 WHERE c = $2) AND d = $1", StmtSelect, 2, []string{"T1", "T2", "T3"}, false},
-		{"-- note\nBEGIN TRANSACTION", StmtBegin, 0, nil, false},
-		{"/* c */ COMMIT", StmtEnd, 0, nil, false},
-		{"ROLLBACK", StmtEnd, 0, nil, false},
-		{"SET TRANSACTION ISOLATION LEVEL SERIALIZABLE", StmtSetTxn, 0, nil, false},
-		{"INSERT INTO t VALUES (?, ?)", StmtOther, 2, []string{"T"}, false},
-		{"CREATE INDEX ix ON t (a)", StmtOther, 0, []string{"IX", "T"}, false},
-		{"DROP SEQUENCE sq", StmtOther, 0, []string{"SQ"}, false},
-		{"CREATE TABLE p (a INT DEFAULT $1)", StmtOther, 1, []string{"P"}, true},
+		{"SELECT a FROM t1, t2 WHERE a IN (SELECT b FROM t3 WHERE c = $2) AND d = $1", ClassSelect, 2, []string{"T1", "T2", "T3"}, false},
+		{"-- note\nBEGIN TRANSACTION", ClassBegin, 0, nil, false},
+		{"/* c */ COMMIT", ClassEnd, 0, nil, false},
+		{"ROLLBACK", ClassEnd, 0, nil, false},
+		{"SET TRANSACTION ISOLATION LEVEL SERIALIZABLE", ClassSetTxn, 0, nil, false},
+		{"INSERT INTO t VALUES (?, ?)", ClassOther, 2, []string{"T"}, false},
+		{"CREATE INDEX ix ON t (a)", ClassOther, 0, []string{"IX", "T"}, false},
+		{"DROP SEQUENCE sq", ClassOther, 0, []string{"SQ"}, false},
+		{"CREATE TABLE p (a INT DEFAULT $1)", ClassOther, 1, []string{"P"}, true},
 	} {
 		p, err := Resolve(tc.sql)
 		if err != nil {
@@ -36,10 +34,10 @@ func TestResolveDerivesTheHandle(t *testing.T) {
 		if p.Text != tc.sql || p.Class != tc.class || p.NumParams != tc.params || !slices.Equal(p.Refs, tc.refs) {
 			t.Errorf("%q resolved to class %d, %d params, refs %v", tc.sql, p.Class, p.NumParams, p.Refs)
 		}
-		if (p.Select != nil) != (tc.class == StmtSelect) || (p.Select != nil && p.Select != p.AST) {
+		if (p.Select != nil) != (tc.class == ClassSelect) || (p.Select != nil && p.Select != p.AST) {
 			t.Errorf("%q: Select %v", tc.sql, p.Select)
 		}
-		if (p.BindErr != nil) != tc.bind || (tc.bind && !errors.Is(p.BindErr, engine.ErrBind)) {
+		if (p.BindErr != nil) != tc.bind || (tc.bind && !errors.Is(p.BindErr, ErrBind)) {
 			t.Errorf("%q: BindErr %v", tc.sql, p.BindErr)
 		}
 		if again, _ := Resolve(tc.sql); again != p {

@@ -10,6 +10,7 @@ import (
 	"divsql/internal/engine"
 	"divsql/internal/fault"
 	"divsql/internal/server"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -27,7 +28,7 @@ func affected(n int64) *engine.Result { return &engine.Result{Affected: n} }
 // RunSource and the hunt record it.
 func outcomeOf(t *testing.T, sql string, o Outcome) Outcome {
 	t.Helper()
-	p, err := core.Resolve(sql)
+	p, err := stmt.Resolve(sql)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}

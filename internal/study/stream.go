@@ -7,6 +7,7 @@ import (
 	"divsql/internal/core"
 	"divsql/internal/engine"
 	"divsql/internal/server"
+	"divsql/internal/sql/stmt"
 )
 
 // Outcome is the observable outcome of one statement on one endpoint:
@@ -16,7 +17,7 @@ type Outcome struct {
 	// core.EncodeBound form).
 	SQL string
 	// P is the statement's handle; nil when the text does not parse.
-	P       *core.Parsed
+	P       *stmt.Parsed
 	Res     *engine.Result
 	Err     error
 	Crashed bool
@@ -40,7 +41,7 @@ func RunSource(ep core.SessionExecutor, stmts []string) []Outcome {
 	outcomes := make([]Outcome, 0, len(stmts))
 	for _, entry := range stmts {
 		sql, _, _ := core.DecodeBound(entry)
-		p, _ := core.Resolve(sql) // text that does not parse has no handle; the endpoint reports the error
+		p, _ := stmt.Resolve(sql) // text that does not parse has no handle; the endpoint reports the error
 		res, lat, err := core.ExecEntry(exec, entry)
 		out := Outcome{SQL: entry, P: p, Res: res, Err: err, Latency: lat, Crashed: errors.Is(err, server.ErrCrashed)}
 		outcomes = append(outcomes, out)

@@ -18,6 +18,7 @@ import (
 	"divsql/internal/server"
 	"divsql/internal/shard"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 	"divsql/internal/wire"
 )
@@ -109,7 +110,7 @@ func TestParsesPerStatement(t *testing.T) {
 			}
 			defer c.Close()
 			reg := obs.NewRegistry()
-			reg.Register(core.ResolverCollector())
+			reg.Register(stmt.ResolverCollector())
 
 			// Texts nothing else in this process resolves, however often the
 			// test runs: namespaces and comments carry the run's tag. Four
@@ -173,7 +174,7 @@ func TestParsesPerStatement(t *testing.T) {
 	}
 }
 
-// TestSharedHandleConcurrent: one *core.Parsed is executed at the same
+// TestSharedHandleConcurrent: one *stmt.Parsed is executed at the same
 // time by several sessions on servers of all three dialects and through
 // two shards (run under -race). Nothing below the handle may write to it.
 func TestSharedHandleConcurrent(t *testing.T) {
@@ -221,10 +222,10 @@ func TestSharedHandleConcurrent(t *testing.T) {
 	}
 
 	type snapshot struct{ text, fp string }
-	handles := make([]*core.Parsed, len(shared))
+	handles := make([]*stmt.Parsed, len(shared))
 	before := make([]snapshot, len(shared))
 	for i, sh := range shared {
-		p, err := core.Resolve(sh.sql)
+		p, err := stmt.Resolve(sh.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestSharedHandleConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i, p := range handles {
-		if q, err := core.Resolve(p.Text); err != nil || q != p {
+		if q, err := stmt.Resolve(p.Text); err != nil || q != p {
 			t.Errorf("%q no longer resolves to its handle (%v)", p.Text, err)
 		}
 		if got := (snapshot{ast.Render(p.AST), ast.FingerprintOf(p.AST).String()}); got != before[i] || p.Fingerprint.String() != before[i].fp {
@@ -301,7 +302,7 @@ func TestExecutionLeavesHandlesUnchanged(t *testing.T) {
 	checked := 0
 	for _, entry := range entries {
 		sql, args, _ := core.DecodeBound(entry)
-		p, err := core.Resolve(sql)
+		p, err := stmt.Resolve(sql)
 		if err != nil {
 			continue
 		}
