@@ -204,7 +204,7 @@ type Engine struct {
 	viewMu  sync.Mutex
 	viewGen atomic.Uint64
 
-	// curFacts caches the current schema generation's facts (facts).
+	// curFacts caches the live catalog's facts (facts, setSchemaVersion).
 	curFacts atomic.Pointer[schemaFacts]
 
 	// plantedPanic is the test-only defect of PlantPanic (planted.go).
@@ -526,26 +526,24 @@ func (e *Session) objectExists(name string) bool {
 // ---------------------------------------------------------------------------
 // DDL
 
-// bumpSchema allocates a fresh schema generation after a successful DDL
-// statement and stamps it as the current version, invalidating every
-// compiled plan. Inside a transaction the undo log restores the previous
-// stamp on rollback — reverse-order application lands a multi-DDL
-// transaction back on its pre-transaction stamp — while the epochs
-// minted inside the aborted transaction are never reused, so a plan
-// compiled mid-transaction can never validate after the rollback. The
-// undo must not run on snapshot rewinds (toSnap): those operate on a
-// copy-on-write clone and must never write engine fields.
+// bumpSchema stamps a fresh schema generation after a successful DDL
+// statement, invalidating every compiled plan. Inside a transaction the
+// undo restores the previous stamp (a rolled-back multi-DDL transaction
+// lands on its starting stamp); the epochs minted inside it are never
+// reused, so a plan compiled there never validates again. Snapshot
+// rewinds (toSnap) run on a copy-on-write clone and must not write
+// engine fields.
 func (e *Session) bumpSchema() {
 	eng := e.eng
 	old := eng.schemaVersion
 	eng.schemaEpoch++
-	eng.schemaVersion = eng.schemaEpoch
+	eng.setSchemaVersion(eng.schemaEpoch)
 	if e.inTxn {
 		e.didDDL = true
 	}
 	e.logUndoCatalog(func(_ *state, toSnap bool) {
 		if !toSnap {
-			eng.schemaVersion = old
+			eng.setSchemaVersion(old)
 		}
 	})
 }
@@ -555,12 +553,19 @@ func (e *Session) bumpSchema() {
 // no transaction to undo into.
 func (e *Engine) bumpSchemaLocked() {
 	e.schemaEpoch++
-	e.schemaVersion = e.schemaEpoch
-	// Engine-level mutators run outside any transaction, so the new
-	// generation is committed immediately; invalidate every cached read
-	// view (the whole state may have been replaced).
+	e.setSchemaVersion(e.schemaEpoch)
+	// Outside any transaction the new generation is committed at once;
+	// every cached read view is void (the state may have been replaced).
 	e.publishSchema()
 	e.viewGen.Add(1)
+}
+
+// setSchemaVersion is every write of the stamp (under the exclusive
+// lock). It drops the schema facts: a stamp does not name a catalog, as
+// a rollback puts its starting stamp back over other sessions' DDL.
+func (e *Engine) setSchemaVersion(v uint64) {
+	e.schemaVersion = v
+	e.curFacts.Store(nil)
 }
 
 // SchemaVersion returns the current schema generation stamp.

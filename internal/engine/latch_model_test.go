@@ -54,12 +54,13 @@ var lsStatements = []string{
 // schema facts equal what the tree walk they replace derives, for every
 // generated and hand-written statement, across DDL churn: a view deep in
 // a chain dropped and recreated with and without NEXTVAL, DDL rolled
-// back inside a transaction, and RestoreScoped rewinding the schema.
+// back inside two interleaved transactions, and RestoreScoped rewinding
+// the schema.
 func TestLatchSetMatchesTreeWalk(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			e := engine.NewOracle()
-			gs, hs := e.NewSession(), e.NewSession()
+			gs, hs, ds := e.NewSession(), e.NewSession(), e.NewSession()
 			checked, viaFacts, advancing := 0, 0, 0
 			check := func(p *stmt.Parsed) {
 				switch p.AST.(type) {
@@ -126,11 +127,17 @@ func TestLatchSetMatchesTreeWalk(t *testing.T) {
 					hand()
 					run(hs, "CREATE VIEW LS_V3 AS SELECT X FROM LS_VS")
 					run(hs, "CREATE VIEW LS_V4 AS SELECT X FROM LS_V3 UNION SELECT X FROM LS_V2")
-				case 1: // DDL inside a transaction, rolled back
+				case 1: // DDL inside two interleaved transactions, rolled back
+					run(ds, "BEGIN TRANSACTION")
+					run(ds, "CREATE VIEW LS_VY AS SELECT X FROM LS_U")
 					run(hs, "BEGIN TRANSACTION")
 					run(hs, "CREATE VIEW LS_VX AS SELECT X FROM LS_V3")
 					run(hs, "DROP VIEW LS_V2")
 					run(hs, "CREATE VIEW LS_V2 AS SELECT Y AS X FROM LS_W")
+					// The stamp from before both transactions, whose
+					// facts the hand-written statements just derived, is
+					// back; the catalog holds hs's DDL.
+					run(ds, "ROLLBACK")
 					hand()
 					run(hs, "ROLLBACK")
 				case 2: // the hand-written schema rewound to its first image

@@ -377,32 +377,31 @@ func (e *Engine) unlatchTables(names []string) {
 // read mode.
 func (e *Engine) latchSet(p *stmt.Parsed) []string {
 	f := e.facts()
-	var extra []string // never appended to in place: it may be the facts' own slice
+	var set []string // starts nil, so it never aliases the facts' slices
 	switch x := p.AST.(type) {
 	case *ast.Insert:
-		extra = f.reads[up(x.Table)]
+		set = append(set, f.reads[up(x.Table)]...)
 	case *ast.Update:
-		extra = f.reads[up(x.Table)]
+		set = append(set, f.reads[up(x.Table)]...)
 	}
 	for _, n := range p.Fingerprint.Tables {
-		extra = slices.Concat(extra, f.views[n].reads)
+		set = append(set, f.views[n].reads...)
 	}
-	if len(extra) == 0 {
+	if len(set) == 0 {
 		return p.Fingerprint.Tables
 	}
-	set := slices.Concat(extra, p.Fingerprint.Tables)
+	set = append(set, p.Fingerprint.Tables...)
 	slices.Sort(set)
 	return slices.Compact(set)
 }
 
 // schemaFacts is what latching, Snapshot and sequence classification
-// need to know of one schema generation, derived once per generation
+// need to know of the live catalog, derived once per catalog change
 // (facts) so that no statement walks a tree or builds a set to learn it.
 type schemaFacts struct {
-	version uint64               // the schemaVersion the facts describe
-	tables  []string             // every base table, sorted: the latch order
-	views   map[string]viewFacts // every view
-	reads   map[string][]string  // table -> what its CHECK and DEFAULT expressions read, views closed over, sorted
+	tables []string             // every base table, sorted: the latch order
+	views  map[string]viewFacts // every view
+	reads  map[string][]string  // table -> what its CHECK and DEFAULT expressions read, views closed over, sorted
 }
 
 // viewFacts is what one view reads and whether reading it advances a
@@ -412,20 +411,18 @@ type viewFacts struct {
 	advances bool     // it calls a SeqFunc builtin, or a view it reads does
 }
 
-// facts returns the current schema generation's facts, deriving them if
-// the stamp moved since. Every catalog change moves the stamp (DDL, its
-// undo, Restore, RestoreScoped, Reset). Caller holds the engine lock in
-// at least read mode, which keeps the stamp and the catalog still; two
-// readers deriving at once derive the same facts.
+// facts returns the live catalog's facts, deriving them after a change
+// (DDL, its undo, Restore, RestoreScoped, Reset: setSchemaVersion drops
+// them). Caller holds the engine lock in at least read mode, which keeps
+// the catalog still; two readers deriving at once derive the same facts.
 func (e *Engine) facts() *schemaFacts {
-	if f := e.curFacts.Load(); f != nil && f.version == e.schemaVersion {
+	if f := e.curFacts.Load(); f != nil {
 		return f
 	}
 	f := &schemaFacts{
-		version: e.schemaVersion,
-		tables:  slices.Sorted(maps.Keys(e.st.tables)),
-		views:   make(map[string]viewFacts, len(e.st.views)),
-		reads:   make(map[string][]string),
+		tables: slices.Sorted(maps.Keys(e.st.tables)),
+		views:  make(map[string]viewFacts, len(e.st.views)),
+		reads:  make(map[string][]string),
 	}
 	for n, v := range e.st.views {
 		reads, advances := e.closeOverViews(v.reads)

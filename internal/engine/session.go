@@ -368,10 +368,8 @@ func (e *Engine) SelectAdvancesSequences(p *stmt.Parsed) bool {
 }
 
 // selectAdvancesSequences is SelectAdvancesSequences with the engine
-// lock already held (in at least read mode): the handle's function list
-// against this engine's SeqFunc builtins, then its views against the
-// current schema's facts — views can be dropped and recreated, so the
-// answer is the current generation's, never one stored at CREATE VIEW.
+// lock held (at least read mode). Views are asked of the live catalog's
+// facts, not at CREATE VIEW: they can be dropped and recreated.
 func (e *Engine) selectAdvancesSequences(p *stmt.Parsed) bool {
 	if e.callsSeqFunc(p.Fingerprint.Funcs) {
 		return true
