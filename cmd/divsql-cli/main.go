@@ -26,11 +26,15 @@ func main() {
 }
 
 func run(addr string) error {
-	client, err := wire.Dial(addr)
+	mux, err := wire.DialMux(addr)
 	if err != nil {
 		return err
 	}
-	defer client.Close()
+	defer mux.Close()
+	client, err := mux.Session()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("connected to %s; one statement per line; \\metrics for server metrics; \\shards for shard layout; \\q to quit\n", addr)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -48,7 +52,7 @@ func run(addr string) error {
 		case line == `\metrics`:
 			// Scrape the server's metrics registry over the METRICS
 			// frame (requires divsqld started with -metrics).
-			doc, err := client.Metrics()
+			doc, err := mux.Metrics()
 			if err != nil {
 				fmt.Println("ERROR:", err)
 				continue
@@ -59,7 +63,7 @@ func run(addr string) error {
 			// Shard layout over the SHARDS frame: per-shard statement
 			// counts, replica rosters and quarantine state (requires
 			// divsqld started with -shards > 1).
-			doc, err := client.Shards()
+			doc, err := mux.Shards()
 			if err != nil {
 				fmt.Println("ERROR:", err)
 				continue

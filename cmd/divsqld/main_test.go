@@ -172,7 +172,7 @@ func TestDivsqldSharded(t *testing.T) {
 	defer d.close()
 
 	sqldriver.Register()
-	db, err := sql.Open("divsql", "wiremux:"+d.wireAddr)
+	db, err := sql.Open("divsql", "wire:"+d.wireAddr)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -193,12 +193,12 @@ func TestDivsqldSharded(t *testing.T) {
 		t.Fatalf("NS2_T row = %d, want 2", got)
 	}
 
-	c, err := wire.Dial(d.wireAddr)
+	m, err := wire.DialMux(d.wireAddr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer c.Close()
-	layout, err := c.Shards()
+	defer m.Close()
+	layout, err := m.Shards()
 	if err != nil {
 		t.Fatalf("SHARDS frame: %v", err)
 	}

@@ -195,24 +195,20 @@ func (s *coreStmt) Close() error   { return s.st.Close() }
 type Option func(*options)
 
 type options struct {
-	withFaults   bool
-	rephrase     bool
-	autoResync   bool
-	stress       bool
-	perfThresh   time.Duration
-	autoRestart  bool
-	compareNames bool
+	withFaults  bool
+	rephrase    bool
+	autoResync  bool
+	stress      bool
+	autoRestart bool
 }
 
 // resolve applies opts over the defaults.
 func resolve(opts []Option) options {
 	o := options{
-		withFaults:   true,
-		rephrase:     true,
-		autoResync:   true,
-		perfThresh:   time.Second,
-		autoRestart:  true,
-		compareNames: true,
+		withFaults:  true,
+		rephrase:    true,
+		autoResync:  true,
+		autoRestart: true,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -268,7 +264,6 @@ func newReplicaSet(o options, wallClock bool, names ...ServerName) (*middleware.
 	cfg := middleware.DefaultConfig()
 	cfg.Rephrase = o.rephrase
 	cfg.AutoResync = o.autoResync
-	cfg.PerfThreshold = o.perfThresh
 	cfg.WallClock = wallClock
 	return middleware.New(cfg, servers...)
 }

@@ -40,11 +40,15 @@ func run() error {
 	defer srv.Close()
 	fmt.Println("diverse pair (PG+OR) serving on", addr)
 
-	client, err := wire.Dial(addr)
+	mux, err := wire.DialMux(addr)
 	if err != nil {
 		return err
 	}
-	defer client.Close()
+	defer mux.Close()
+	client, err := mux.Session()
+	if err != nil {
+		return err
+	}
 
 	setup := []string{
 		"CREATE TABLE RATES (N FLOAT)",

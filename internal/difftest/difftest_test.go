@@ -66,7 +66,9 @@ func TestRunDeterminism(t *testing.T) {
 // or several, faults and crash restarts included.
 func TestHuntWorkers(t *testing.T) {
 	for _, streams := range []int{1, 4} {
-		before := runtime.NumGoroutine()
+		// A goroutine of an earlier test may still be unwinding: count
+		// only once the number has stopped moving.
+		before := settledGoroutines()
 		cfg := CalibratedConfig(3, 300)
 		cfg.Streams = streams
 		cfg.Shrink = false
@@ -83,6 +85,21 @@ func TestHuntWorkers(t *testing.T) {
 			t.Errorf("%d streams: %d goroutines before Run, %d after", streams, before, after)
 		}
 	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once five consecutive
+// samples a millisecond apart agree, or after five seconds.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // The calibrated configuration must surface at least one deduplicated

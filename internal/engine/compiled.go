@@ -94,14 +94,25 @@ func (c *memo[P]) drop() uint64 {
 	return uint64(c.n.Swap(0))
 }
 
-// publishSchema makes the live schema generation the committed one.
-// When the generation moved, the memoised plans are stale — generations
-// are never reused — so the memos are emptied rather than left to hold
-// dead plans until their caps (a statement the memo forgot too early
-// only recompiles). Caller holds the exclusive engine lock.
+// publishSchema stamps the committed catalog: with the live schema
+// generation when the two catalogs are one, with a fresh epoch while an
+// open transaction holds uncommitted DDL (the live stamp names its
+// catalog, which the read views do not see). When the stamp moved, the
+// memoised plans are stale — generations are never reused — so the
+// memos are emptied rather than left to hold dead plans until their
+// caps (a statement the memo forgot too early only recompiles). Caller
+// holds the exclusive engine lock.
 func (e *Engine) publishSchema() {
-	if e.committedSchema != e.schemaVersion {
-		e.committedSchema = e.schemaVersion
+	v := e.schemaVersion
+	for s := range e.sessions {
+		if s.didDDL {
+			e.schemaEpoch++
+			v = e.schemaEpoch
+			break
+		}
+	}
+	if e.committedSchema != v {
+		e.committedSchema = v
 		e.memoStale.Add(e.planMemo.drop() + e.dmlMemo.drop())
 	}
 }

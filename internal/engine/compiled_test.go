@@ -177,6 +177,56 @@ func TestRolledBackDDLRollsBackSchemaStamp(t *testing.T) {
 	}
 }
 
+// A memoised plan is validated by the stamp of the read plane it runs
+// on, so no stamp may name two catalogs. Session B drops T and creates
+// it again with its columns swapped while A's DDL transaction ends —
+// committed, rolled back, or aborted by closing the session: B's reads
+// see its own catalog and C's read view the committed one, whichever of
+// them compiles the shared plan first.
+func TestPlanMemoFollowsReadPlane(t *testing.T) {
+	for _, end := range []string{"COMMIT", "ROLLBACK", "close"} {
+		for _, viewFirst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/viewFirst=%v", end, viewFirst), func(t *testing.T) {
+				e := NewOracle()
+				a, b, c := e.NewSession(), e.NewSession(), e.NewSession()
+				sessExec(t, a, "CREATE TABLE T (A INT, B INT)")
+				sessExec(t, a, "INSERT INTO T VALUES (1, 2)")
+				sessExec(t, a, "BEGIN TRANSACTION")
+				sessExec(t, a, "CREATE TABLE X (Z INT)")
+				sessExec(t, b, "BEGIN TRANSACTION")
+				sessExec(t, b, "DROP TABLE T")
+				sessExec(t, b, "CREATE TABLE T (B INT, A INT)")
+				sessExec(t, b, "INSERT INTO T VALUES (20, 10)")
+				if end == "close" {
+					_ = a.Close()
+				} else {
+					sessExec(t, a, end)
+				}
+
+				type read struct {
+					who  string
+					s    *Session
+					want string
+				}
+				reads := []read{{"own writes", b, "10"}, {"read view", c, "1"}}
+				if viewFirst {
+					reads[0], reads[1] = reads[1], reads[0]
+				}
+				reads = append(reads, reads...) // the second round is served by the memo
+				for _, r := range reads {
+					if got := rowStrings(sessExec(t, r.s, "SELECT A FROM T")); len(got) != 1 || got[0] != r.want {
+						t.Fatalf("%s reads A = %v, want %s", r.who, got, r.want)
+					}
+				}
+				sessExec(t, b, "COMMIT")
+				if got := rowStrings(sessExec(t, c, "SELECT A FROM T")); len(got) != 1 || got[0] != "10" {
+					t.Fatalf("read view after B's COMMIT reads A = %v, want 10", got)
+				}
+			})
+		}
+	}
+}
+
 // variantShapes are the query shapes the forced-variant oracle must hold
 // to one answer: single-table access paths, and every shape whose
 // indexed core sits somewhere else in the statement.

@@ -222,10 +222,12 @@ type Engine struct {
 	// schemaEpoch is a monotonic allocator of schema generations and
 	// schemaVersion the current stamp. Every DDL (and every state
 	// transfer) allocates a fresh epoch; a transaction rollback restores
-	// the pre-transaction stamp through the undo log without reusing the
-	// epochs minted inside the aborted transaction. Compiled plans are
-	// validated by stamp equality, so a plan compiled against a schema
-	// generation that was rolled back can never validate again.
+	// the pre-transaction stamp through the undo log (a fresh one when
+	// another session's DDL stamped since) without reusing the epochs
+	// minted inside the aborted transaction. Compiled plans are
+	// validated by stamp equality, so no stamp names two catalogs, and a
+	// plan compiled against a schema generation that was rolled back can
+	// never validate again.
 	schemaEpoch   uint64
 	schemaVersion uint64
 
@@ -528,22 +530,31 @@ func (e *Session) objectExists(name string) bool {
 
 // bumpSchema stamps a fresh schema generation after a successful DDL
 // statement, invalidating every compiled plan. Inside a transaction the
-// undo restores the previous stamp (a rolled-back multi-DDL transaction
-// lands on its starting stamp); the epochs minted inside it are never
-// reused, so a plan compiled there never validates again. Snapshot
-// rewinds (toSnap) run on a copy-on-write clone and must not write
-// engine fields.
+// undo restores the previous stamp while the stamp is still the one
+// this DDL minted (a rolled-back multi-DDL transaction lands on its
+// starting stamp); once another session's DDL has stamped since, the
+// catalog the undo leaves was never stamped, so it gets a fresh epoch.
+// The epochs minted inside a rolled-back transaction are never reused,
+// so a plan compiled there never validates again. Snapshot rewinds
+// (toSnap) run on a copy-on-write clone and must not write engine
+// fields.
 func (e *Session) bumpSchema() {
 	eng := e.eng
 	old := eng.schemaVersion
 	eng.schemaEpoch++
-	eng.setSchemaVersion(eng.schemaEpoch)
+	minted := eng.schemaEpoch
+	eng.setSchemaVersion(minted)
 	if e.inTxn {
 		e.didDDL = true
 	}
 	e.logUndoCatalog(func(_ *state, toSnap bool) {
-		if !toSnap {
+		switch {
+		case toSnap:
+		case eng.schemaVersion == minted:
 			eng.setSchemaVersion(old)
+		default:
+			eng.schemaEpoch++
+			eng.setSchemaVersion(eng.schemaEpoch)
 		}
 	})
 }
@@ -561,8 +572,8 @@ func (e *Engine) bumpSchemaLocked() {
 }
 
 // setSchemaVersion is every write of the stamp (under the exclusive
-// lock). It drops the schema facts: a stamp does not name a catalog, as
-// a rollback puts its starting stamp back over other sessions' DDL.
+// lock), and every catalog change writes it: it drops the schema facts
+// derived from the catalog the old stamp named.
 func (e *Engine) setSchemaVersion(v uint64) {
 	e.schemaVersion = v
 	e.curFacts.Store(nil)

@@ -55,6 +55,8 @@ func FuzzDecodeValue(f *testing.F) {
 	for _, v := range []Value{
 		Null(), NewInt(math.MinInt64), NewFloat(math.Inf(-1)), NewFloat(math.NaN()), NewFloat(5e-324),
 		NewBool(true), NewDate("2026-01-02"), NewString(""), NewString(" a,b\tc\nd\re\\f "), NewString("N"), NewString("é\u00a0"),
+		NewBool(false), NewFloat(2.5), NewInt(math.MaxInt64), NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(1)),
+		NewString(`\N`), NewDate("9999-12-31"),
 	} {
 		f.Add(v.Encode())
 	}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"divsql/internal/dialect"
 	"divsql/internal/engine"
@@ -13,12 +12,9 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// The pipelining benchmarks quantify what the BATCH envelope buys: a
-// per-round-trip client pays one socket round trip per statement, a
-// pipelined client pays one per burst. The guard test below holds the
-// ratio above 2x so a regression in the batch path fails CI.
-
-func benchWireClient(tb testing.TB) *Client {
+// benchWireSession is one Mux session on a PG server holding an empty
+// table W.
+func benchWireSession(tb testing.TB) *Session {
 	tb.Helper()
 	srv, err := server.New(dialect.PG, nil)
 	if err != nil {
@@ -30,11 +26,7 @@ func benchWireClient(tb testing.TB) *Client {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = ws.Close() })
-	c, err := Dial(addr)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { _ = c.Close() })
+	c := dialSession(tb, addr)
 	if _, err := c.Exec("CREATE TABLE W (A INT)"); err != nil {
 		tb.Fatal(err)
 	}
@@ -42,80 +34,13 @@ func benchWireClient(tb testing.TB) *Client {
 }
 
 func BenchmarkWireRoundTrip(b *testing.B) {
-	c := benchWireClient(b)
+	c := benchWireSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Exec("INSERT INTO W VALUES (1)"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkWirePipelined(b *testing.B) {
-	c := benchWireClient(b)
-	// Bursts of 128 statements per BATCH envelope.
-	const burst = 128
-	sqls := make([]string, burst)
-	for i := range sqls {
-		sqls[i] = "INSERT INTO W VALUES (1)"
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	for done < b.N {
-		n := burst
-		if rem := b.N - done; rem < n {
-			n = rem
-		}
-		_, errs := c.ExecBatch(sqls[:n])
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		done += n
-	}
-}
-
-func TestBatchPipeliningSpeedup(t *testing.T) {
-	// Acceptance bar: a pipelined burst must beat the same statements
-	// executed as individual round trips by more than 2x. Timing tests
-	// are noisy, so take the best of three attempts before judging.
-	if raceEnabled {
-		t.Skip("race instrumentation inflates per-statement cost, drowning the round-trip saving this guard measures")
-	}
-	const n = 400
-	sqls := make([]string, n)
-	for i := range sqls {
-		sqls[i] = "SELECT 1 AS X"
-	}
-	best := 0.0
-	for attempt := 0; attempt < 3 && best <= 2.0; attempt++ {
-		c := benchWireClient(t)
-		start := time.Now()
-		for _, sql := range sqls {
-			if _, err := c.Exec(sql); err != nil {
-				t.Fatal(err)
-			}
-		}
-		serial := time.Since(start)
-		start = time.Now()
-		_, errs := c.ExecBatch(sqls)
-		pipelined := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		ratio := float64(serial) / float64(pipelined)
-		t.Logf("attempt %d: serial %v, pipelined %v, %.1fx", attempt, serial, pipelined, ratio)
-		if ratio > best {
-			best = ratio
-		}
-	}
-	if best <= 2.0 {
-		t.Errorf("batch pipelining speedup %.2fx, want > 2x", best)
 	}
 }
 

@@ -5,10 +5,10 @@
 // replication with diverse SQL servers" deployment shape the paper's
 // conclusions call for.
 //
-// Each TCP connection gets its own session of the endpoint: transactions
-// are scoped to the connection, concurrent connections execute in
-// parallel, and a dropped connection rolls back only its own open
-// transaction.
+// A client opens sessions over one connection, each its own session of
+// the endpoint: transactions are scoped to the session, concurrent
+// sessions execute in parallel, and a dropped connection rolls back only
+// its own sessions' open transactions.
 //
 // Protocol (text, one request per line):
 //
@@ -46,22 +46,17 @@
 // send many requests without waiting (pipelining) and match responses
 // that complete out of order.
 //
-//	C: BATCH <n>\n             (the next n lines are one pipelined batch)
 //	C: @1 EXEC <sql>\n
 //	C: @2 EXEC <sql>\n ...
 //	S: @1 OK ...\n...\n.\n @2 OK ...   (per-session order; tags identify)
 //
-// BATCH itself produces no response line; it groups n requests so the
-// server reads and dispatches them back to back. Pipelining works
-// without BATCH too — the envelope exists so one client flush carries
-// one burst end to end.
-//
 // # Session multiplexing
 //
-// By default a connection is one session (its transaction scope; a
-// dropped connection rolls back only its own open transaction). A
-// client can open further sessions over the same TCP connection and
-// route frames to them with a "#<sid> " prefix (after the tag, if any):
+// Every connection starts with one session, its root (sid 0), which
+// serves unprefixed frames — a connection is one session to a peer that
+// never asks for more, such as a human with nc. A client opens further
+// sessions over the same TCP connection and routes frames to them with
+// a "#<sid> " prefix (after the tag, if any):
 //
 //	C: SESSION\n               S: SESS <sid>\n
 //	C: #<sid> EXEC <sql>\n     S: the session's response
@@ -91,11 +86,12 @@
 //
 // # Limits and known losses
 //
-// A request line longer than 1 MiB, or a BATCH of more than 65 536
-// frames, is answered "ERR ..." and the connection is closed. A SESSION
-// that would be the connection's 1 025th, or a PREPARE that would be its
-// session's 4 097th live statement, is answered "ERR ..." and the
-// connection carries on.
+// A request line longer than 1 MiB is answered "ERR ..." and the
+// connection is closed. A SESSION that would be the connection's
+// 1 025th, or a PREPARE that would be its session's 4 097th live
+// statement, is answered "ERR ..." and the connection carries on. The
+// client reads a sized document by the bytes that arrive, whatever
+// size its head announces.
 //
 // Result cells travel untyped: the client turns a cell that reads as a
 // number into one, so the strings '007', 'Infinity' and '\N' come back
@@ -103,8 +99,8 @@
 // flattened to spaces. BIND arguments are typed and lossless.
 package wire
 
-// This file is the protocol's codec, written once for the server, Client
-// and Mux: append-style encoders into caller-owned buffers (one Write
+// This file is the protocol's codec, written once for the server and
+// the Mux: append-style encoders into caller-owned buffers (one Write
 // per request or response) and slice-based decoders over a line reader.
 // Nothing here formats through fmt or splits into []string; the
 // allocations left on a round trip are the values handed to the caller.
@@ -130,8 +126,6 @@ const (
 	// maxRequestLine bounds one request line on the server; a peer that
 	// never sends a newline cannot grow the heap past it.
 	maxRequestLine = 1 << 20
-	// maxBatch bounds the frames of one BATCH envelope.
-	maxBatch = 1 << 16
 	// maxConnSessions bounds one connection's sessions, the root
 	// included: each costs a worker goroutine and a session on every
 	// shard and replica behind the endpoint.
@@ -163,7 +157,6 @@ const (
 	framePing
 	frameMetrics
 	frameQuit
-	frameBatch
 	frameSession
 	frameDetach
 	frameShards
@@ -174,10 +167,10 @@ const (
 // frameNames is the metrics label of each kind.
 var frameNames = [numFrameKinds]string{
 	"EXEC", "PREPARE", "BIND", "CLOSE", "PING", "METRICS", "QUIT",
-	"BATCH", "SESSION", "DETACH", "SHARDS", "other",
+	"SESSION", "DETACH", "SHARDS", "other",
 }
 
-// Request verbs as the clients write them: a verb that takes an argument
+// Request verbs as the Mux writes them: a verb that takes an argument
 // carries its separating space.
 const (
 	verbExec    = "EXEC "
@@ -209,8 +202,6 @@ func parseFrame(line string) (frameKind, string) {
 			return frameClose, arg
 		case "DETACH":
 			return frameDetach, arg
-		case "BATCH":
-			return frameBatch, arg
 		}
 		return frameOther, line
 	}
@@ -428,11 +419,19 @@ func appendResult(dst []byte, res *engine.Result, lat time.Duration, err error) 
 // ---------------------------------------------------------------------------
 // Responses (client side)
 
+// The kinds of the sized-document responses, "<kind> <nbytes>\n"
+// followed by the payload and ".\n".
+const (
+	docMetrics = "MET"
+	docShards  = "SHARDS"
+)
+
 // response is one decoded server response.
 type response struct {
 	tag  uint64  // 0: untagged, or not a tag a client of this package issues
 	res  *Result // an OK response
-	line string  // a one-line STMT or SESS response
+	line string  // a one-line STMT or SESS response, or a sized document's kind
+	doc  string  // a sized document's payload
 	err  error   // an ERR response: the application's error
 }
 
@@ -472,10 +471,39 @@ func readResponse(rd *lineReader) (response, error) {
 		resp.err = errors.New(string(head[len("ERR "):]))
 	case bytes.HasPrefix(head, []byte("STMT ")), bytes.HasPrefix(head, []byte("SESS ")):
 		resp.line = string(head)
+	case bytes.HasPrefix(head, []byte(docMetrics+" ")), bytes.HasPrefix(head, []byte(docShards+" ")):
+		kind, size, _ := bytes.Cut(head, []byte(" "))
+		n, ok := parseUint(size)
+		if !ok {
+			return resp, fmt.Errorf("wire: malformed response %q", head)
+		}
+		resp.line = string(kind)
+		if resp.doc, err = readDoc(rd, int64(n)); err != nil {
+			return resp, err
+		}
 	default:
 		return resp, fmt.Errorf("wire: malformed response %q", head)
 	}
 	return resp, nil
+}
+
+// readDoc reads a sized document's payload and its terminator line. The
+// payload is read by the bytes that arrive, not by the size its head
+// announces: a head claiming more than the peer sends costs what was
+// sent.
+func readDoc(rd *lineReader, n int64) (string, error) {
+	var doc strings.Builder
+	if _, err := io.CopyN(&doc, rd.rd, n); err != nil {
+		return "", fmt.Errorf("wire recv: %w", err)
+	}
+	term, err := rd.readLine()
+	if err != nil {
+		return "", fmt.Errorf("wire recv: %w", err)
+	}
+	if string(term) != "." {
+		return "", fmt.Errorf("wire: missing terminator, got %q", term)
+	}
+	return doc.String(), nil
 }
 
 // parseUint parses an unsigned decimal of at most 18 digits.

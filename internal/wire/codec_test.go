@@ -227,38 +227,16 @@ func TestOKHeadVariants(t *testing.T) {
 // used to split the header line into extra fields; it is flattened like
 // a cell.
 func TestResultHeaderFraming(t *testing.T) {
-	addr := startStub(t)
-	check := func(who string, res *Result, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", who, err)
-		}
-		if len(res.Columns) != 2 || res.Columns[0] != "'A B'" || res.Columns[1] != "C D E" {
-			t.Errorf("%s: columns %q", who, res.Columns)
-		}
-		if len(res.Rows) != 1 || len(res.Rows[0]) != 2 || res.Rows[0][0].S != "a b" || res.Rows[0][1].I != 1 {
-			t.Errorf("%s: rows %v", who, res.Rows)
-		}
-	}
-	c, err := Dial(addr)
+	res, err := dialSession(t, startStub(t)).Exec("SELECT TABHEAD")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	res, err := c.Exec("SELECT TABHEAD")
-	check("Client", res, err)
-
-	m, err := DialMux(addr)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Columns) != 2 || res.Columns[0] != "'A B'" || res.Columns[1] != "C D E" {
+		t.Errorf("columns %q", res.Columns)
 	}
-	defer m.Close()
-	s, err := m.Session()
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Rows) != 1 || len(res.Rows[0]) != 2 || res.Rows[0][0].S != "a b" || res.Rows[0][1].I != 1 {
+		t.Errorf("rows %v", res.Rows)
 	}
-	res, err = s.Exec("SELECT TABHEAD")
-	check("Mux", res, err)
 }
 
 func TestAppendRequestFlattensAndPrefixes(t *testing.T) {

@@ -14,15 +14,26 @@ import (
 // not panic, and what it allocates is bounded by the input — a head
 // claiming a billion rows reserves a constant, never its claim.
 func FuzzReadResponse(f *testing.F) {
-	for _, name := range []string{"server", "client", "mux"} {
+	for _, name := range []string{"server", "mux"} {
 		seeds := goldenSeeds(f, name, "S ")
 		for _, s := range seeds {
 			f.Add([]byte(s))
+			if name == "server" && !strings.HasPrefix(s, "@") {
+				// The Mux reads every response tagged.
+				f.Add([]byte("@1 " + s))
+			}
 		}
 		f.Add([]byte(strings.Join(seeds, "")))
 	}
 	f.Add([]byte("OK 1000000000 1000000000 0 0\nA\n"))
 	f.Add([]byte("@18446744073709551615 OK 1 1 0\n\n\\N\t\t\n.\n"))
+	// Sized documents: empty, multi-line, short of their size, lying
+	// about it, and malformed.
+	f.Add([]byte("@1 MET 0\n.\n"))
+	f.Add([]byte("@2 MET 12\n# TYPE x\nx 1.\n@3 SHARDS 11\n2 shard(s)\n.\n"))
+	f.Add([]byte("@4 SHARDS 30\n2 shard(s)\n.\n"))
+	f.Add([]byte("@5 MET 99999999999\n# HELP divsql_wire_requests_total\n"))
+	f.Add([]byte("@6 MET -1\n.\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -76,12 +87,12 @@ func FuzzServerFrames(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Add([]byte(strings.Join(seeds, "")))
-	for _, name := range []string{"client", "mux"} {
-		f.Add([]byte(strings.Join(goldenSeeds(f, name, "C "), "")))
-	}
+	f.Add([]byte(strings.Join(goldenSeeds(f, "mux", "C "), "")))
 	f.Add([]byte("EXEC PANIC\n#0 EXEC PANIC\nPING\n"))
-	f.Add([]byte("BATCH 99999999\n"))
-	f.Add([]byte("SESSION\n#1 PREPARE a SELECT ?\nBATCH 2\n@1 #1 BIND a S:\\\n@2 #1 BIND a \tI:\nDETACH 1\n"))
+	f.Add([]byte("BATCH 99999999\n")) // a retired verb, answered as unknown
+	f.Add([]byte("SESSION\n#1 PREPARE a SELECT ?\n@1 #1 BIND a S:\\\n@2 #1 BIND a \tI:\nDETACH 1\n"))
+	f.Add([]byte("@1 METRICS\n@2 SHARDS\nSESSION\n@3 #1 METRICS\n@4 #1 EXEC INSERT\n"))
+	f.Add([]byte(strings.Repeat("@1 EXEC INSERT\n", 100)))
 	ws := NewServer(stubExec{})
 	f.Cleanup(func() { _ = ws.Close() })
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -170,8 +170,7 @@ var serverScript = []goldenStep{
 	{"BIND p2 I:1\n", 1},
 	{"@t1 EXEC SELECT ROWS\n", 1},
 	{"@t2 EXEC FAIL\n", 1},
-	{"BATCH 3\n@1 EXEC INSERT\n@2 EXEC FAIL\n@3 EXEC SELECT ROWS\n", 3},
-	{"BATCH 0\n", 0},
+	{"@1 EXEC INSERT\n@2 EXEC FAIL\n@3 EXEC SELECT ROWS\n", 3},
 	{"SESSION\n", 1},
 	{"@s SESSION\n", 1},
 	{"#1 EXEC INSERT\n", 1},
@@ -421,71 +420,14 @@ var goldenArgs = []types.Value{
 	types.NewInt(-42), types.NewString("a b\tc\nd,e\\f"),
 }
 
-// TestGoldenClientTranscript drives Client through a recording proxy:
-// the request bytes it produces are pinned, and what it decodes from the
-// server's bytes is checked.
-func TestGoldenClientTranscript(t *testing.T) {
-	p := startProxy(t, startStub(t))
-	c, err := Dial(p.ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Exec("SELECT\r\nROWS")
-	if err != nil || len(res.Rows) != 2 || res.Rows[0][0].I != 1 || res.Rows[0][1].S != "x" ||
-		!res.Rows[1][1].IsNull() || res.Latency != stubLatency || strings.Join(res.Columns, ",") != "A,S" {
-		t.Fatalf("rows: %+v %v", res, err)
-	}
-	res, err = c.Exec("INSERT")
-	if err != nil || res.Affected != 3 || len(res.Columns) != 0 || len(res.Rows) != 0 {
-		t.Fatalf("insert: %+v %v", res, err)
-	}
-	_, err = c.Exec("FAIL")
-	mustErr(t, "FAIL", err, "boom line two")
-	st, err := c.Prepare("SELECT ?\n?")
-	if err != nil || st.NumParams() != 2 {
-		t.Fatalf("prepare: %+v %v", st, err)
-	}
-	res, err = st.Exec(goldenArgs...)
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != -42 || res.Rows[0][1].S != "a b c d,e\\f" {
-		t.Fatalf("bind: %+v %v", res, err)
-	}
-	res, err = st.Exec(types.Null(), types.NewFloat(2.5))
-	if err != nil || !res.Rows[0][0].IsNull() || res.Rows[0][1].F != 2.5 {
-		t.Fatalf("bind 2: %+v %v", res, err)
-	}
-	if _, err = st.Exec(types.NewBool(false), types.NewDate("2026-01-02")); err != nil {
-		t.Fatal(err)
-	}
-	st0, err := c.Prepare("SELECT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err = st0.Exec(); err != nil || res.Affected != 1 {
-		t.Fatalf("bind 0: %+v %v", res, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Prepare("BAD ?")
-	mustErr(t, "bad prepare", err, "stub: cannot prepare")
-	results, errs := c.ExecBatch([]string{"INSERT", "FAIL", "SELECT\nROWS"})
-	if errs[0] != nil || results[0].Affected != 3 || errs[1] == nil || errs[2] != nil || len(results[2].Rows) != 2 {
-		t.Fatalf("batch: %+v %v", results, errs)
-	}
-	_, err = c.Metrics()
-	mustErr(t, "metrics", err, "metrics not enabled")
-	_, err = c.Shards()
-	mustErr(t, "shards", err, "not a sharded deployment")
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "client", p.transcript(t))
-}
-
-// TestGoldenMuxTranscript is the same for Mux, its sessions and their
-// statements; calls are sequential so tags and bytes are deterministic.
+// TestGoldenMuxTranscript drives a Mux, its sessions and their
+// statements through a recording proxy: the request bytes it produces
+// are pinned, and what it decodes from the server's bytes is checked.
+// Calls are sequential so tags and bytes are deterministic.
 func TestGoldenMuxTranscript(t *testing.T) {
-	p := startProxy(t, startStub(t))
+	addr, ws := startStubServer(t)
+	ws.ServeShards(func() string { return "2 shard(s)\nshard0: ok\n" })
+	p := startProxy(t, addr)
 	m, err := DialMux(p.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -536,6 +478,11 @@ func TestGoldenMuxTranscript(t *testing.T) {
 	mustErr(t, "detached", err, "unknown session 2")
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
+	}
+	_, err = m.Metrics()
+	mustErr(t, "metrics", err, "metrics not enabled")
+	if doc, err := m.Shards(); err != nil || doc != "2 shard(s)\nshard0: ok\n" {
+		t.Fatalf("shards: %q %v", doc, err)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

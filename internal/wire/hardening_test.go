@@ -46,12 +46,7 @@ func expectRejected(t *testing.T, conn net.Conn, want string) {
 
 func expectServes(t *testing.T, addr string) {
 	t.Helper()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if res, err := c.Exec("SELECT ROWS"); err != nil || len(res.Rows) != 2 {
+	if res, err := dialSession(t, addr).Exec("SELECT ROWS"); err != nil || len(res.Rows) != 2 {
 		t.Fatalf("fresh connection: %+v %v", res, err)
 	}
 }
@@ -69,17 +64,13 @@ func TestOversizedRequestLine(t *testing.T) {
 	expectRejected(t, conn, "ERR request line exceeds 1048576 bytes\n")
 	expectServes(t, addr)
 
-	// The longest line under the bound is served.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec("FAIL" + strings.Repeat(" ", maxRequestLine-len("EXEC FAIL\n"))); err == nil || err.Error() != "boom line two" {
+	// The longest line under the bound is served: a fresh session's
+	// first frame, tagged after its SESSION frame.
+	c := dialSession(t, addr)
+	if _, err := c.Exec("FAIL" + strings.Repeat(" ", maxRequestLine-len("@2 #1 EXEC FAIL\n"))); err == nil || err.Error() != "boom line two" {
 		t.Fatalf("line at the bound: %v", err)
 	}
-	if doc := renderMetrics(ws); !strings.Contains(doc, `divsql_wire_rejected_frames_total{reason="line_too_long"} 1`) ||
-		!strings.Contains(doc, `divsql_wire_rejected_frames_total{reason="batch_too_large"} 0`) {
+	if doc := renderMetrics(ws); !strings.Contains(doc, `divsql_wire_rejected_frames_total{reason="line_too_long"} 1`) {
 		t.Errorf("rejected counters:\n%s", doc)
 	}
 }
@@ -116,28 +107,6 @@ func TestNewlineFreeStreamIsBounded(t *testing.T) {
 	// bound in total; the stream is sixty-four times it.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*maxRequestLine {
 		t.Errorf("process allocated %d bytes while the peer streamed %d", grew, sent)
-	}
-	expectServes(t, addr)
-}
-
-func TestOversizedBatch(t *testing.T) {
-	addr, ws := startStubServer(t)
-	conn := dialRaw(t, addr)
-	if _, err := io.WriteString(conn, "BATCH "+strconv.Itoa(maxBatch+1)+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	expectRejected(t, conn, "ERR BATCH exceeds 65536 frames\n")
-	if got := ws.metrics.rejected[rejectBatchTooLarge].Value(); got != 1 {
-		t.Errorf("batch_too_large = %d", got)
-	}
-
-	// The largest allowed envelope is read as one.
-	conn = dialRaw(t, addr)
-	if _, err := io.WriteString(conn, "BATCH "+strconv.Itoa(maxBatch)+"\n@1 EXEC INSERT\n"); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := readRawResponse(bufio.NewReader(conn)); err != nil || resp != "@1 OK 0 0 7 3\n.\n" {
-		t.Fatalf("frame inside a full-size BATCH: %q %v", resp, err)
 	}
 	expectServes(t, addr)
 }
@@ -287,12 +256,9 @@ func TestSessionsPerConnectionAreBounded(t *testing.T) {
 // frees a slot, and re-preparing a held name is always allowed.
 func TestStatementsPerSessionAreBounded(t *testing.T) {
 	addr, ws := startStubServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 	stmts := make([]*Stmt, maxSessionStmts)
+	var err error
 	for i := range stmts {
 		if stmts[i], err = c.Prepare("SELECT ?"); err != nil {
 			t.Fatalf("statement %d: %v", i, err)
@@ -307,7 +273,7 @@ func TestStatementsPerSessionAreBounded(t *testing.T) {
 	if res, err := stmts[0].Exec(types.NewInt(1)); err != nil || len(res.Rows) != 1 {
 		t.Fatalf("held statement after the refusal: %+v %v", res, err)
 	}
-	// Re-preparing a held name ("s1") replaces it in place.
+	// Re-preparing a held name ("m1_1") replaces it in place.
 	c.nextID.Store(0)
 	if _, err := c.Prepare("SELECT ? ?"); err != nil {
 		t.Fatalf("re-prepare at the cap: %v", err)
@@ -359,10 +325,9 @@ func TestPanicOnReaderGoroutineIsContained(t *testing.T) {
 	if res, err := s.Exec("INSERT"); err != nil || res.Affected != 3 {
 		t.Errorf("new session: %+v %v", res, err)
 	}
-	for _, verb := range []string{verbMetrics, verbShards} {
-		resp, err := m.roundTrip(0, verb, "", nil)
-		if err != nil || resp.err == nil || !strings.HasPrefix(resp.err.Error(), "internal error: stub: ") {
-			t.Errorf("%s over a panicking renderer: %+v %v", verb, resp, err)
+	for verb, doc := range map[string]func() (string, error){verbMetrics: m.Metrics, verbShards: m.Shards} {
+		if _, err := doc(); err == nil || !strings.HasPrefix(err.Error(), "internal error: stub: ") {
+			t.Errorf("%s over a panicking renderer: %v", verb, err)
 		}
 	}
 	<-done

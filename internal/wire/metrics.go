@@ -32,20 +32,19 @@ type frameStats struct {
 }
 
 // rejectReason is which protocol limit a refused frame exceeded. The
-// first two close the connection (the rest of the frame cannot be
-// skipped); the others leave it usable.
+// first closes the connection (the rest of the line cannot be skipped);
+// the others leave it usable.
 type rejectReason uint8
 
 const (
 	rejectLineTooLong rejectReason = iota
-	rejectBatchTooLarge
 	rejectTooManySessions
 	rejectTooManyStmts
 	numRejectReasons
 )
 
 var rejectNames = [numRejectReasons]string{
-	"line_too_long", "batch_too_large", "too_many_sessions", "too_many_statements",
+	"line_too_long", "too_many_sessions", "too_many_statements",
 }
 
 // wireMetrics holds the server's live instruments. The frame label set

@@ -12,12 +12,8 @@ import (
 
 func TestMetricsFrameDisabledByDefault(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Metrics(); err == nil || !strings.Contains(err.Error(), "not enabled") {
+	c := dialSession(t, addr)
+	if _, err := c.mux.Metrics(); err == nil || !strings.Contains(err.Error(), "not enabled") {
 		t.Fatalf("want 'metrics not enabled' error, got %v", err)
 	}
 	// The connection survives the error response.
@@ -32,11 +28,7 @@ func TestMetricsFrameAndWireCollector(t *testing.T) {
 	reg.Register(ws.MetricsCollector())
 	ws.ServeMetrics(reg)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 
 	if _, err := c.Exec("CREATE TABLE T (A INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
@@ -65,7 +57,7 @@ func TestMetricsFrameAndWireCollector(t *testing.T) {
 	var doc string
 	scrapes := 0
 	for scrapes < 200 {
-		if doc, err = c.Metrics(); err != nil {
+		if doc, err = c.mux.Metrics(); err != nil {
 			t.Fatal(err)
 		}
 		scrapes++
@@ -96,7 +88,7 @@ func TestMetricsFrameAndWireCollector(t *testing.T) {
 	}
 	// A further METRICS call sees the earlier ones counted (the reader
 	// counts each before it reads the next frame).
-	doc2, err := c.Metrics()
+	doc2, err := c.mux.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
-// Client-side session multiplexing: a Mux is one TCP connection
-// carrying many concurrent sessions. Every request travels tagged; a
-// demultiplexing reader goroutine matches responses (which complete out
-// of order across sessions) back to their callers. This is how a pool
-// of application threads shares a handful of connections instead of one
+// The client: a Mux is one TCP connection carrying any number of
+// concurrent sessions. Every request travels tagged; a demultiplexing
+// reader goroutine matches responses (which complete out of order
+// across sessions) back to their callers. This is how a pool of
+// application threads shares a handful of connections instead of one
 // connection each.
 package wire
 
@@ -159,4 +159,30 @@ func (m *Mux) Session() (*Session, error) {
 		return nil, fmt.Errorf("wire: malformed SESSION response %q", resp.line)
 	}
 	return &Session{mux: m, sid: sid, prefix: "m" + strconv.Itoa(sid) + "_"}, nil
+}
+
+// Metrics sends a METRICS frame and returns the server's rendered
+// Prometheus exposition document. It fails when the server has no
+// metrics registry armed (ServeMetrics was not called).
+func (m *Mux) Metrics() (string, error) { return m.sizedDoc(verbMetrics, docMetrics) }
+
+// Shards sends a SHARDS frame and returns the server's shard status
+// text. It fails when the deployment is not sharded (ServeShards was
+// not called).
+func (m *Mux) Shards() (string, error) { return m.sizedDoc(verbShards, docShards) }
+
+// sizedDoc sends an introspection frame on the connection's root
+// session and returns the document of its "<kind> <nbytes>" response.
+func (m *Mux) sizedDoc(verb, kind string) (string, error) {
+	resp, err := m.roundTrip(0, verb, "", nil)
+	if err != nil {
+		return "", err
+	}
+	if resp.err != nil {
+		return "", resp.err
+	}
+	if resp.line != kind {
+		return "", fmt.Errorf("wire: unexpected response to %s", verb)
+	}
+	return resp.doc, nil
 }

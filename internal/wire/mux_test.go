@@ -1,13 +1,17 @@
 package wire
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"divsql/internal/obs"
 	"divsql/internal/sql/types"
 )
 
@@ -15,11 +19,7 @@ func TestAffectedRowsRoundTrip(t *testing.T) {
 	// Satellite: the wire protocol carries the affected-row count of
 	// INSERT/UPDATE/DELETE end to end.
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 	if _, err := c.Exec("CREATE TABLE T (A INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -59,40 +59,6 @@ func TestAffectedRowsRoundTrip(t *testing.T) {
 	// Queries report zero.
 	if res, err = c.Exec("SELECT A FROM T"); err != nil || res.Affected != 0 {
 		t.Errorf("SELECT affected = %d (%v), want 0", res.Affected, err)
-	}
-}
-
-func TestExecBatchPipelines(t *testing.T) {
-	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sqls := []string{
-		"CREATE TABLE B (A INT)",
-		"INSERT INTO B VALUES (1)",
-		"SELECT A FROM B",
-		"SELECT * FROM NO_SUCH_TABLE", // mid-batch error must not stop the rest
-		"INSERT INTO B VALUES (2)",
-	}
-	results, errs := c.ExecBatch(sqls)
-	if errs[0] != nil || errs[1] != nil || errs[2] != nil || errs[4] != nil {
-		t.Fatalf("batch errors: %v", errs)
-	}
-	if errs[3] == nil {
-		t.Error("bad statement in batch did not error")
-	}
-	if len(results[2].Rows) != 1 || results[2].Rows[0][0].I != 1 {
-		t.Errorf("batch SELECT: %v", results[2].Rows)
-	}
-	if results[4].Affected != 1 {
-		t.Errorf("batch INSERT affected = %d", results[4].Affected)
-	}
-	// The connection still works for ordinary frames after a batch.
-	res, err := c.Exec("SELECT COUNT(*) AS N FROM B")
-	if err != nil || res.Rows[0][0].I != 2 {
-		t.Fatalf("after batch: %v %v", res, err)
 	}
 }
 
@@ -240,7 +206,7 @@ func TestOutOfOrderTaggedResponses(t *testing.T) {
 	if resp := recv(); resp.tag != 9 || resp.line != "SESS 1" {
 		t.Fatalf("SESSION response %+v", resp)
 	}
-	send("BATCH 3\n@1 EXEC CREATE TABLE O (A INT)\n@2 #1 EXEC SELECT 1 AS X\n@3 EXEC INSERT INTO O VALUES (9)\n")
+	send("@1 EXEC CREATE TABLE O (A INT)\n@2 #1 EXEC SELECT 1 AS X\n@3 EXEC INSERT INTO O VALUES (9)\n")
 	got := map[uint64]response{}
 	for i := 0; i < 3; i++ {
 		resp := recv()
@@ -260,102 +226,124 @@ func TestOutOfOrderTaggedResponses(t *testing.T) {
 	}
 }
 
-func TestMidBatchDropRollsBackOnlyThatConnection(t *testing.T) {
-	// Satellite edge case: a connection dropped mid-batch, inside an open
-	// transaction, rolls back exactly its own sessions' transactions —
-	// a second connection's committed data is untouched.
-	addr, ws := startServer(t)
-	c1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if _, err := c1.Exec("CREATE TABLE D (A INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Exec("INSERT INTO D VALUES (100)"); err != nil {
-		t.Fatal(err)
-	}
-
-	// c2 opens a transaction on its root session AND on a multiplexed
-	// session, writes through both, then drops mid-batch without COMMIT.
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := newLineReader(conn, 0)
-	roundTrip := func(line string) response {
-		t.Helper()
-		if _, err := fmt.Fprintf(conn, "@x %s\n", line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readResponse(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.err != nil {
-			t.Fatalf("%s: %v", line, resp.err)
-		}
-		return resp
-	}
-	roundTrip("SESSION") // sid 1
-	if _, err := fmt.Fprint(conn, "BATCH 4\n@1 EXEC BEGIN TRANSACTION\n@2 EXEC INSERT INTO D VALUES (1)\n@3 #1 EXEC BEGIN TRANSACTION\n@4 #1 EXEC INSERT INTO D VALUES (2)\n"); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for all four responses so the writes definitely applied, then
-	// drop the connection without COMMIT.
-	for i := 0; i < 4; i++ {
-		if resp, err := readResponse(rd); err != nil || resp.err != nil {
-			t.Fatalf("batch response %d: %v %v", i, resp.err, err)
-		}
-	}
-	_ = conn.Close()
-
-	// The server notices the drop and rolls back both of c2's sessions.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		res, err := c1.Exec("SELECT COUNT(*) AS N FROM D")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[0][0].I == 1 {
-			break // only the committed row survives
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("uncommitted rows survived the drop: %v", res.Rows)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// c1's own session was untouched: it can still run a transaction.
-	if _, err := c1.Exec("BEGIN TRANSACTION"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Exec("INSERT INTO D VALUES (200)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Exec("COMMIT"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c1.Exec("SELECT COUNT(*) AS N FROM D")
-	if err != nil || res.Rows[0][0].I != 2 {
-		t.Fatalf("after drop: %v %v", res, err)
-	}
-	_ = ws
-}
-
 func TestShardsFrame(t *testing.T) {
 	addr, ws := startServer(t)
-	c, err := Dial(addr)
+	m, err := DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Shards(); err == nil || !strings.Contains(err.Error(), "not a sharded") {
+	defer m.Close()
+	if _, err := m.Shards(); err == nil || !strings.Contains(err.Error(), "not a sharded") {
 		t.Fatalf("unarmed SHARDS: %v", err)
 	}
 	ws.ServeShards(func() string { return "2 shard(s)\nshard0: ok\n" })
-	doc, err := c.Shards()
-	if err != nil || !strings.Contains(doc, "shard0") {
+	doc, err := m.Shards()
+	if err != nil || doc != "2 shard(s)\nshard0: ok\n" {
 		t.Fatalf("SHARDS: %q %v", doc, err)
+	}
+}
+
+// TestIntrospectionInterleavesWithSessions: METRICS and SHARDS frames
+// share one Mux with sessions executing concurrently, and every response
+// — a sized document or a statement's result — reaches its caller by
+// its tag.
+func TestIntrospectionInterleavesWithSessions(t *testing.T) {
+	addr, ws := startStubServer(t)
+	reg := obs.NewRegistry()
+	reg.Register(ws.MetricsCollector())
+	ws.ServeMetrics(reg)
+	const layout = "2 shard(s)\nshard0: ok\nshard1: ok\n"
+	ws.ServeShards(func() string { return layout })
+	m, err := DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	const workers, rounds = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, workers+1)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := m.Session()
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer s.Close()
+			for i := 0; i < rounds; i++ {
+				if res, err := s.Exec("SELECT ROWS"); err != nil || len(res.Rows) != 2 || res.Rows[0][1].S != "x" {
+					errs <- fmt.Errorf("session read: %+v %v", res, err)
+					return
+				}
+				if res, err := s.Exec("INSERT"); err != nil || res.Affected != 3 {
+					errs <- fmt.Errorf("session write: %+v %v", res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			doc, err := m.Metrics()
+			if err != nil || !strings.Contains(doc, "divsql_wire_requests_total") || !strings.HasSuffix(doc, "\n") {
+				errs <- fmt.Errorf("METRICS: %v (%d bytes)", err, len(doc))
+				return
+			}
+			if doc, err = m.Shards(); err != nil || doc != layout {
+				errs <- fmt.Errorf("SHARDS: %q %v", doc, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestSizedDocLengthIsNotTrusted: a MET head announcing ~100 GB, then a
+// little payload and a hung-up peer, fails the call with the bytes that
+// came costing what they are — the announced size is never allocated.
+func TestSizedDocLengthIsNotTrusted(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const payload = 64 << 10
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+			return
+		}
+		_, _ = io.WriteString(conn, "@1 MET 99999999999\n"+strings.Repeat("#", payload))
+	}()
+	m, err := DialMux(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	doc, err := m.Metrics()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a truncated document was accepted (%d bytes)", len(doc))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*payload {
+		t.Errorf("reading %d payload bytes under a 99999999999-byte head allocated %d", payload, grew)
+	}
+	if !m.Broken() {
+		t.Error("the Mux carries on after a truncated response")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"divsql/internal/sql/types"
 )
 
-func dialPrepared(t *testing.T, name string) *Client {
+func dialPrepared(t *testing.T, name string) *Session {
 	t.Helper()
 	srv, err := server.New(dialect.ServerName(name), nil)
 	if err != nil {
@@ -21,12 +21,7 @@ func dialPrepared(t *testing.T, name string) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ws.Close() })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	return dialSession(t, addr)
 }
 
 func TestWirePrepareBindRoundTrip(t *testing.T) {

@@ -3,7 +3,5 @@
 package wire
 
 // raceEnabled reports whether this test binary was built with the race
-// detector; timing-ratio guards skip under it (instrumentation inflates
-// per-statement CPU cost, which shrinks the round-trip saving the
-// guards measure).
+// detector; allocation gates skip under it (instrumentation allocates).
 const raceEnabled = true

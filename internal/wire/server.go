@@ -308,8 +308,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	// Teardown closes every session the connection opened — each worker
 	// drains its queue, then rolls back its own open transaction. A
-	// connection dropped mid-batch therefore aborts exactly its own
-	// sessions' transactions.
+	// dropped connection therefore aborts exactly its own sessions'
+	// transactions.
 	defer func() {
 		for _, ws := range wc.sessions {
 			close(ws.ch)
@@ -319,7 +319,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	rd := newLineReader(wc.conn, maxRequestLine)
 	for {
 		line, ok := wc.readRequest(rd)
-		if !ok || !wc.dispatch(line, rd) {
+		if !ok || !wc.dispatch(line) {
 			return
 		}
 	}
@@ -341,10 +341,9 @@ func (wc *wireConn) readRequest(rd *lineReader) (string, bool) {
 }
 
 // dispatch services one request line: session frames are queued to
-// their session's worker, control frames are answered inline. batch is
-// the connection's reader when the line may open a BATCH envelope — a
-// line inside one may not. It returns false when the connection is done.
-func (wc *wireConn) dispatch(line string, batch *lineReader) bool {
+// their session's worker, control frames are answered inline. It
+// returns false when the connection is done.
+func (wc *wireConn) dispatch(line string) bool {
 	start := time.Now()
 	var tag string
 	if strings.HasPrefix(line, "@") {
@@ -369,18 +368,8 @@ func (wc *wireConn) dispatch(line string, batch *lineReader) bool {
 			return true
 		}
 		ws, line = target, line[i+1:]
-		batch = nil
 	}
 	kind, arg := parseFrame(line)
-	var n int
-	if kind == frameBatch {
-		// BATCH is an envelope, not a request: it carries no tag and
-		// does not nest.
-		var err error
-		if n, err = strconv.Atoi(strings.TrimSpace(arg)); err != nil || n < 0 || tag != "" || batch == nil {
-			kind = frameOther
-		}
-	}
 	switch kind {
 	case frameExec, framePrepare, frameBind, frameClose:
 		ws.ch <- wireReq{tag: tag, kind: kind, payload: arg, start: start}
@@ -399,19 +388,6 @@ func (wc *wireConn) dispatch(line string, batch *lineReader) bool {
 			// the worker finish its queue and answer the DETACH itself.
 			delete(wc.sessions, sid)
 			target.ch <- wireReq{tag: tag, kind: frameDetach, start: start}
-		}
-		return true
-	case frameBatch:
-		if n > maxBatch {
-			wc.reject("", rejectBatchTooLarge, "BATCH exceeds "+strconv.Itoa(maxBatch)+" frames")
-			return false
-		}
-		wc.s.metrics.record(frameBatch, 0)
-		for i := 0; i < n; i++ {
-			bline, ok := wc.readRequest(batch)
-			if !ok || !wc.dispatch(bline, nil) {
-				return false
-			}
 		}
 		return true
 	case frameOther:
@@ -440,14 +416,14 @@ func (wc *wireConn) control(tag string, kind frameKind) {
 	case frameMetrics:
 		if reg := wc.s.metricsRegistry(); reg != nil {
 			doc := reg.Render()
-			wc.reply(tag, "MET ", strconv.Itoa(len(doc)), "\n", doc, ".\n")
+			wc.reply(tag, docMetrics, " ", strconv.Itoa(len(doc)), "\n", doc, ".\n")
 		} else {
 			wc.reply(tag, "ERR metrics not enabled\n")
 		}
 	case frameShards:
 		if fn := wc.s.shardsFunc(); fn != nil {
 			doc := fn()
-			wc.reply(tag, "SHARDS ", strconv.Itoa(len(doc)), "\n", doc, ".\n")
+			wc.reply(tag, docShards, " ", strconv.Itoa(len(doc)), "\n", doc, ".\n")
 		} else {
 			wc.reply(tag, "ERR not a sharded deployment\n")
 		}

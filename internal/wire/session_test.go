@@ -11,18 +11,9 @@ import (
 // not open, close or disturb a transaction on the other.
 func TestConnectionsHaveIndependentTransactions(t *testing.T) {
 	addr, _ := startServer(t)
-	a, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a, b := dialSession(t, addr), dialSession(t, addr)
 
-	mustC := func(c *Client, q string) {
+	mustC := func(c *Session, q string) {
 		t.Helper()
 		if _, err := c.Exec(q); err != nil {
 			t.Fatalf("%q: %v", q, err)
@@ -54,20 +45,18 @@ func TestConnectionsHaveIndependentTransactions(t *testing.T) {
 }
 
 // TestDroppedConnectionRollsBackOnlyItsOwnTransaction: a client that
-// disconnects mid-transaction loses that transaction — and nothing else.
+// disconnects mid-transaction loses the open transactions of every
+// session on its connection — and nothing else.
 func TestDroppedConnectionRollsBackOnlyItsOwnTransaction(t *testing.T) {
 	addr, _ := startServer(t)
-	a, err := Dial(addr)
+	a1 := dialSession(t, addr)
+	a2, err := a1.mux.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := dialSession(t, addr)
 
-	mustC := func(c *Client, q string) {
+	mustC := func(c *Session, q string) {
 		t.Helper()
 		if _, err := c.Exec(q); err != nil {
 			t.Fatalf("%q: %v", q, err)
@@ -80,11 +69,14 @@ func TestDroppedConnectionRollsBackOnlyItsOwnTransaction(t *testing.T) {
 	mustC(b, "BEGIN TRANSACTION")
 	mustC(b, "INSERT INTO TB VALUES (7)")
 
-	mustC(a, "BEGIN TRANSACTION")
-	mustC(a, "INSERT INTO TA VALUES (1)")
-	// Drop a's connection abruptly: the server must roll back a's open
-	// transaction (its session closes) without touching b's.
-	_ = a.Close()
+	mustC(a1, "BEGIN TRANSACTION")
+	mustC(a1, "INSERT INTO TA VALUES (1)")
+	mustC(a2, "BEGIN TRANSACTION")
+	mustC(a2, "INSERT INTO TA VALUES (2)")
+	// Drop a's connection abruptly, without QUIT: the server must roll
+	// back both of a's open transactions (its sessions close) without
+	// touching b's.
+	_ = a1.mux.conn.Close()
 
 	// b's own transaction is unaffected by a's disconnect: commit it.
 	mustC(b, "COMMIT")
@@ -113,5 +105,12 @@ func TestDroppedConnectionRollsBackOnlyItsOwnTransaction(t *testing.T) {
 	}
 	if res.Rows[0][0].I != 1 {
 		t.Errorf("b's committed row lost: %d", res.Rows[0][0].I)
+	}
+	// b's session was untouched: it still runs transactions.
+	mustC(b, "BEGIN TRANSACTION")
+	mustC(b, "INSERT INTO TA VALUES (3)")
+	mustC(b, "COMMIT")
+	if res, err := b.Exec("SELECT COUNT(*) AS N FROM TA"); err != nil || res.Rows[0][0].I != 1 {
+		t.Fatalf("after the drop: %v %v", res, err)
 	}
 }

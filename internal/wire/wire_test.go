@@ -24,13 +24,25 @@ func startServer(t *testing.T) (string, *Server) {
 	return addr, ws
 }
 
+// dialSession dials a Mux to addr and opens one session on it; the Mux
+// closes when the test ends.
+func dialSession(tb testing.TB, addr string) *Session {
+	tb.Helper()
+	m, err := DialMux(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = m.Close() })
+	s, err := m.Session()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestExecRoundTrip(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 
 	if _, err := c.Exec("CREATE TABLE T (A INT, S VARCHAR(10))"); err != nil {
 		t.Fatal(err)
@@ -61,11 +73,7 @@ func TestExecRoundTrip(t *testing.T) {
 
 func TestErrorsPropagate(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 	if _, err := c.Exec("SELECT A FROM MISSING"); err == nil {
 		t.Error("server error must reach the client")
 	}
@@ -77,11 +85,7 @@ func TestErrorsPropagate(t *testing.T) {
 
 func TestMultilineSQLFlattened(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 	if _, err := c.Exec("CREATE TABLE M\n(A INT,\n B INT)"); err != nil {
 		t.Fatalf("multiline SQL: %v", err)
 	}
@@ -89,14 +93,9 @@ func TestMultilineSQLFlattened(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	addr, _ := startServer(t)
-	setup, err := Dial(addr)
-	if err != nil {
+	if _, err := dialSession(t, addr).Exec("CREATE TABLE C (A INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := setup.Exec("CREATE TABLE C (A INT)"); err != nil {
-		t.Fatal(err)
-	}
-	_ = setup.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -104,12 +103,17 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			m, err := DialMux(addr)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer m.Close()
+			c, err := m.Session()
+			if err != nil {
+				errs <- err
+				return
+			}
 			for j := 0; j < 10; j++ {
 				if _, err := c.Exec("SELECT COUNT(*) AS N FROM C"); err != nil {
 					errs <- err
@@ -127,11 +131,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestTabsInValuesSanitized(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 	if _, err := c.Exec("CREATE TABLE TB (S VARCHAR(20))"); err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,7 @@ func TestTabsInValuesSanitized(t *testing.T) {
 
 func TestServerCloseUnblocksClients(t *testing.T) {
 	addr, ws := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialSession(t, addr)
 	if err := ws.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -104,11 +104,15 @@ func TestParsesPerStatement(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c, err := wire.Dial(addr)
+			m, err := wire.DialMux(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
+			defer m.Close()
+			c, err := m.Session()
+			if err != nil {
+				t.Fatal(err)
+			}
 			reg := obs.NewRegistry()
 			reg.Register(stmt.ResolverCollector())
 

@@ -55,8 +55,6 @@ var contractTargets = []struct {
 	{"diverse", func(*testing.T) string { return "diverse:PG,OR,MS" }},
 	{"wire/server", func(t *testing.T) string { return "wire:" + startWireServer(t) }},
 	{"wire/router", func(t *testing.T) string { return "wire:" + startWireRouter(t) }},
-	{"wiremux/server", func(t *testing.T) string { return "wiremux:" + startWireServer(t) }},
-	{"wiremux/router", func(t *testing.T) string { return "wiremux:" + startWireRouter(t) }},
 }
 
 func mustExecDB(t *testing.T, db *sql.DB, q string, args ...any) sql.Result {

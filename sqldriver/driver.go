@@ -9,9 +9,9 @@
 //	single:PG                 one simulated server
 //	diverse:PG,OR,MS          diverse fault-tolerant server
 //	replicated:PG,3           non-diverse primary/backup group
-//	wire:127.0.0.1:5433       attach to a running divsqld over TCP
-//	wiremux:127.0.0.1:5433    same, multiplexing the pool's connections
-//	                          over one shared TCP connection
+//	wire:127.0.0.1:5433       attach to a running divsqld over TCP, the
+//	                          pool's connections multiplexed over one
+//	                          shared TCP connection
 //
 // Register-and-open:
 //
@@ -71,15 +71,12 @@ var (
 )
 
 // Open opens one session — the connection — with the DSN's dialer: on
-// the (shared, cached) in-process endpoint, over a TCP connection of its
-// own ("wire:"), or over the address's shared multiplexed connection
-// ("wiremux:"). The remote divsqld owns the shared state in the last two.
+// the (shared, cached) in-process endpoint, or over the address's shared
+// multiplexed connection ("wire:"), where the remote divsqld owns the
+// shared state.
 func (d *Driver) Open(dsn string) (driver.Conn, error) {
 	if addr, ok := strings.CutPrefix(dsn, "wire:"); ok {
 		return dialWire(addr)
-	}
-	if addr, ok := strings.CutPrefix(dsn, "wiremux:"); ok {
-		return dialWireMux(addr)
 	}
 	ep, err := endpointFor(dsn)
 	if err != nil {

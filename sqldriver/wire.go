@@ -11,23 +11,18 @@ import (
 	"divsql/internal/wire"
 )
 
-// This file is the driver's network dialers.
+// This file is the driver's network dialer.
 //
 // A "wire:host:port" DSN attaches to a running divsqld over the wire
-// protocol instead of an in-process endpoint. Each database/sql
-// connection dials its own TCP connection — one server-side session —
-// so the pool semantics match the in-process modes: shared data,
-// per-connection transactions, parallel reads.
+// protocol instead of an in-process endpoint. All connections of the
+// pool share one multiplexed TCP connection per address (a wire.Mux),
+// each database/sql connection one server-side session on it, so the
+// pool semantics match the in-process modes: shared data,
+// per-connection transactions, parallel reads. The deployment holds one
+// socket per address, not one per pooled connection.
 //
-// A "wiremux:host:port" DSN multiplexes instead: all connections of the
-// pool share one TCP connection per address, each mapping to one
-// server-side session over the wire protocol's session-multiplexing
-// frames. The pool's transaction and visibility semantics are
-// identical; the deployment holds N sockets open instead of
-// N×pool-size.
-//
-// Either way the connection is the same conn over a core.Session: the
-// wire session adapted by wireSession below.
+// The connection is the same conn as in-process, over a core.Session:
+// the wire session adapted by wireSession below.
 
 // wireSession adapts a wire client session to core.Session — the one
 // place a wire response becomes an engine result again. OK frames carry
@@ -35,8 +30,8 @@ import (
 // (a pre-affected-count server reports 0).
 type wireSession struct {
 	s *wire.Session
-	// release, when set, runs after Close: a "wiremux:" session drops
-	// its reference on the shared Mux.
+	// release runs after Close: it drops the session's reference on the
+	// shared Mux.
 	release func()
 }
 
@@ -64,13 +59,11 @@ func (w *wireSession) Prepare(sql string) (core.Statement, error) {
 }
 
 // Close ends the server-side session, rolling back its open transaction:
-// a "wire:" session closes its TCP connection, a "wiremux:" one detaches
-// and leaves the shared connection to the pool's other sessions.
+// it detaches and leaves the shared connection to the pool's other
+// sessions.
 func (w *wireSession) Close() error {
 	err := w.s.Close()
-	if w.release != nil {
-		w.release()
-	}
+	w.release()
 	return err
 }
 
@@ -81,21 +74,8 @@ func (st wireStmt) Exec(args ...types.Value) (*engine.Result, time.Duration, err
 	return fromWire(st.Stmt.Exec(args...))
 }
 
-func newWireConn(s *wire.Session, release func()) *conn {
-	return &conn{sess: &wireSession{s: s, release: release}, broken: s.Broken}
-}
-
-// dialWire dials one connection to a divsqld at addr.
-func dialWire(addr string) (driver.Conn, error) {
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return newWireConn(&c.Session, nil), nil
-}
-
 // muxes caches one multiplexed connection per address: every
-// database/sql connection of a "wiremux:" pool is one session of the
+// database/sql connection of a "wire:" pool is one session of the
 // shared Mux. Entries are reference-counted by their open sessions —
 // when the pool closes its last connection the Mux (and its TCP
 // connection and readLoop goroutine) is closed and dropped, so a closed
@@ -126,11 +106,11 @@ func releaseMux(addr string, e *muxEntry) {
 	}
 }
 
-// dialWireMux opens one multiplexed session to the divsqld at addr. The
+// dialWire opens one multiplexed session to the divsqld at addr. The
 // shared Mux is dialed on first use, and again when the cached one's
 // reader has failed (the server went away): its remaining sessions
 // drain out through releaseMux while new ones go to the new connection.
-func dialWireMux(addr string) (driver.Conn, error) {
+func dialWire(addr string) (driver.Conn, error) {
 	muxesMu.Lock()
 	e, ok := muxes[addr]
 	if !ok || e.m.Broken() {
@@ -149,17 +129,18 @@ func dialWireMux(addr string) (driver.Conn, error) {
 		releaseMux(addr, e)
 		return nil, err
 	}
-	return newWireConn(sess, func() { releaseMux(addr, e) }), nil
+	ws := &wireSession{s: sess, release: func() { releaseMux(addr, e) }}
+	return &conn{sess: ws, broken: sess.Broken}, nil
 }
 
 // Metrics scrapes the server's metrics over the wire METRICS frame,
 // returning the Prometheus exposition document. It dials its own
 // connection, so it works alongside any database/sql pool state.
 func Metrics(addr string) (string, error) {
-	c, err := wire.Dial(addr)
+	m, err := wire.DialMux(addr)
 	if err != nil {
 		return "", err
 	}
-	defer c.Close()
-	return c.Metrics()
+	defer m.Close()
+	return m.Metrics()
 }

@@ -15,7 +15,7 @@ import (
 func TestWireMuxCloseReleasesSharedConn(t *testing.T) {
 	Register()
 	addr := startWireServer(t)
-	db, err := sql.Open(DriverName, "wiremux:"+addr)
+	db, err := sql.Open(DriverName, "wire:"+addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWireMuxCloseReleasesSharedConn(t *testing.T) {
 		t.Errorf("shared mux for %s still cached after pool close", addr)
 	}
 	// A fresh pool re-dials and sees the server's state.
-	db2, err := sql.Open(DriverName, "wiremux:"+addr)
+	db2, err := sql.Open(DriverName, "wire:"+addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestWireMuxCloseReleasesSharedConn(t *testing.T) {
 // with its divsqld must answer again once the server is back. The
 // statement that meets the dead transport fails with the transport's
 // error (it may have run: no silent retry); database/sql then discards
-// the connection (driver.Validator), and the "wiremux:" dialer replaces
-// the shared Mux whose reader failed.
+// the connection (driver.Validator), and the dialer replaces the shared
+// Mux whose reader failed.
 func TestWirePoolRecoversFromServerRestart(t *testing.T) {
 	Register()
 	db, err := divsql.Open(divsql.PG, divsql.WithFaults(false))
@@ -62,38 +62,34 @@ func TestWirePoolRecoversFromServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep, _ := divsql.Executor(db)
-	for _, mode := range []string{"wire:", "wiremux:"} {
-		t.Run(mode, func(t *testing.T) {
-			ws := wire.NewServer(ep)
-			addr, err := ws.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool, err := sql.Open(DriverName, mode+addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pool.Close()
-			pool.SetMaxOpenConns(1)
-			if _, err := pool.Exec("SELECT 1 AS X"); err != nil {
-				t.Fatal(err)
-			}
-			if err := ws.Close(); err != nil {
-				t.Fatal(err)
-			}
-			ws = wire.NewServer(ep)
-			if _, err := ws.Listen(addr); err != nil {
-				t.Fatal(err)
-			}
-			defer ws.Close()
-			var errs []error
-			for attempt := 1; attempt <= 3; attempt++ {
-				if _, err = pool.Exec("SELECT 1 AS X"); err == nil {
-					return
-				}
-				errs = append(errs, err)
-			}
-			t.Fatalf("pool still failing three attempts after the restart: %v", errs)
-		})
+	ws := wire.NewServer(ep)
+	addr, err := ws.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	pool, err := sql.Open(DriverName, "wire:"+addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	pool.SetMaxOpenConns(1)
+	if _, err := pool.Exec("SELECT 1 AS X"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws = wire.NewServer(ep)
+	if _, err := ws.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	var errs []error
+	for attempt := 1; attempt <= 3; attempt++ {
+		if _, err = pool.Exec("SELECT 1 AS X"); err == nil {
+			return
+		}
+		errs = append(errs, err)
+	}
+	t.Fatalf("pool still failing three attempts after the restart: %v", errs)
 }
