@@ -226,6 +226,72 @@ func TestOutOfOrderTaggedResponses(t *testing.T) {
 	}
 }
 
+func TestMidBatchDropRollsBackOnlyThatConnection(t *testing.T) {
+	// A connection dropped in the middle of a pipelined batch of frames,
+	// inside open transactions, rolls back exactly its own sessions'
+	// transactions — a second connection's committed data is untouched.
+	addr, _ := startServer(t)
+	c1 := dialSession(t, addr)
+	if _, err := c1.Exec("CREATE TABLE D (A INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Exec("INSERT INTO D VALUES (100)"); err != nil {
+		t.Fatal(err)
+	}
+
+	// c2 opens a transaction on its root session AND on a multiplexed
+	// session, writes through both in one pipelined write, then drops
+	// without COMMIT.
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := newLineReader(conn, 0)
+	if _, err := fmt.Fprint(conn, "@9 SESSION\n"); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readResponse(rd); err != nil || resp.line != "SESS 1" {
+		t.Fatalf("SESSION response %+v %v", resp, err)
+	}
+	if _, err := fmt.Fprint(conn, "@1 EXEC BEGIN TRANSACTION\n@2 EXEC INSERT INTO D VALUES (1)\n@3 #1 EXEC BEGIN TRANSACTION\n@4 #1 EXEC INSERT INTO D VALUES (2)\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for all four responses so the writes definitely applied, then
+	// drop the connection without COMMIT.
+	for i := 0; i < 4; i++ {
+		if resp, err := readResponse(rd); err != nil || resp.err != nil {
+			t.Fatalf("batch response %d: %v %v", i, resp.err, err)
+		}
+	}
+	_ = conn.Close()
+
+	// The server notices the drop and rolls back both of c2's sessions.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		res, err := c1.Exec("SELECT COUNT(*) AS N FROM D")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].I == 1 {
+			break // only the committed row survives
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("uncommitted rows survived the drop: %v", res.Rows)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// c1's own session was untouched: it can still run a transaction.
+	for _, q := range []string{"BEGIN TRANSACTION", "INSERT INTO D VALUES (200)", "COMMIT"} {
+		if _, err := c1.Exec(q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+	}
+	res, err := c1.Exec("SELECT COUNT(*) AS N FROM D")
+	if err != nil || res.Rows[0][0].I != 2 {
+		t.Fatalf("after drop: %v %v", res, err)
+	}
+}
+
 func TestShardsFrame(t *testing.T) {
 	addr, ws := startServer(t)
 	m, err := DialMux(addr)

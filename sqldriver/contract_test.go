@@ -43,6 +43,29 @@ func startWireRouter(t *testing.T) string {
 	return serve(t, db, err)
 }
 
+// sharedMux returns a "wire:" DSN for addr whose Mux already carries a
+// live session of another pool: the companion pool pins one connection
+// until the test ends, so the pool under test shares the reference-
+// counted connection instead of owning it.
+func sharedMux(t *testing.T, addr string) string {
+	companion, err := sql.Open(DriverName, "wire:"+addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := companion.Conn(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PingContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = c.Close()
+		_ = companion.Close()
+	})
+	return "wire:" + addr
+}
+
 // contractTargets is every way a database/sql pool reaches an endpoint.
 // A client cannot tell them apart — that is the contract — so every row
 // of TestSessionContract runs on all of them.
@@ -55,6 +78,10 @@ var contractTargets = []struct {
 	{"diverse", func(*testing.T) string { return "diverse:PG,OR,MS" }},
 	{"wire/server", func(t *testing.T) string { return "wire:" + startWireServer(t) }},
 	{"wire/router", func(t *testing.T) string { return "wire:" + startWireRouter(t) }},
+	// The "wiremux" rows run the same DSN over a Mux shared with
+	// another pool's open session.
+	{"wiremux/server", func(t *testing.T) string { return sharedMux(t, startWireServer(t)) }},
+	{"wiremux/router", func(t *testing.T) string { return sharedMux(t, startWireRouter(t)) }},
 }
 
 func mustExecDB(t *testing.T, db *sql.DB, q string, args ...any) sql.Result {
