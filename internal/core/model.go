@@ -25,12 +25,18 @@ const (
 	// IncorrectResult is an incorrect output without an engine crash —
 	// either a silently wrong result set or a spurious error message.
 	IncorrectResult
-	// Performance is a correct output with an unacceptable time penalty.
+	// Performance is a correct output with an unacceptable time penalty:
+	// slower than the reference answer by at least PerfThreshold.
 	Performance
 	// OtherFailure covers the remaining failures (aborted connections,
 	// silent acceptance of invalid statements, state corruption).
 	OtherFailure
 )
+
+// PerfThreshold is the extra latency beyond which a correct answer is a
+// performance failure: relative to the oracle in the fault study, to the
+// fastest replica in the middleware.
+const PerfThreshold = time.Second
 
 // String returns the paper's name for the failure type.
 func (f FailureType) String() string {

@@ -619,7 +619,7 @@ func (h *hunt) runStream(stream int) {
 	}()
 
 	history := make([]string, 0, h.cfg.N)
-	pendingResync := make([]bool, len(sess))
+	stale := make([]bool, len(sess))
 	for i := 0; i < h.cfg.N; i++ {
 		st := gen.Next()
 		args := gen.LastArgs()
@@ -665,7 +665,7 @@ func (h *hunt) runStream(stream int) {
 				cov.ObserveDivergence(st, fp)
 				h.record(h.servers[j].Name(), fp, srcDifferential, entry, cls, history, stream, i)
 				if stateDiverging(st, so, oo, cls, seqAdvances) {
-					pendingResync[j] = true
+					stale[j] = true
 				}
 			}
 		}
@@ -713,8 +713,8 @@ func (h *hunt) runStream(stream int) {
 		// adjudication are untouched.
 		if !oSess.InTxn() {
 			var snap *engine.State
-			for j := range pendingResync {
-				if !pendingResync[j] {
+			for j := range stale {
+				if !stale[j] {
 					continue
 				}
 				if snap == nil {
@@ -725,7 +725,7 @@ func (h *hunt) runStream(stream int) {
 				// clear it before installing the oracle image.
 				sess[j].Abort()
 				h.servers[j].RestoreScoped(snap, scope)
-				pendingResync[j] = false
+				stale[j] = false
 			}
 		}
 		// Between batches, retune the generator's Weights plane from this

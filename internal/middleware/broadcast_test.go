@@ -384,9 +384,7 @@ func TestConcurrentReadersWriterAndCrash(t *testing.T) {
 	for _, side := range broadcastSides {
 		t.Run(side.name, func(t *testing.T) {
 			servers := newServers(t, nil, dialect.PG, dialect.OR, dialect.MS)
-			cfg := DefaultConfig()
-			cfg.IdleRejoin = false // rejoin on the writer's next statement: deterministic
-			d, err := New(cfg, servers...)
+			d, err := New(DefaultConfig(), servers...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,9 +483,7 @@ func TestConcurrentReadersWriterAndCrash(t *testing.T) {
 // now holds nothing per replica.
 func TestPreparedWhileReplicaDownForgetsTheCrash(t *testing.T) {
 	servers := newServers(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	cfg := DefaultConfig()
-	cfg.IdleRejoin = false
-	d, err := New(cfg, servers...)
+	d, err := New(DefaultConfig(), servers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,9 +526,7 @@ func TestPreparedWhileReplicaDownForgetsTheCrash(t *testing.T) {
 // quarantined and resynced — and never unwinds the client's goroutine.
 func TestReplicaPanicIsContainedAsCrash(t *testing.T) {
 	servers := newServers(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	cfg := DefaultConfig()
-	cfg.IdleRejoin = false
-	d, err := New(cfg, servers...)
+	d, err := New(DefaultConfig(), servers...)
 	if err != nil {
 		t.Fatal(err)
 	}

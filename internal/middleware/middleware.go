@@ -22,19 +22,22 @@
 // once the statement's measured cost says the overlap is worth a
 // goroutine hand-off (Session.broadcast). Locks nest cs.mu → execMu →
 // d.mu; d.mu is held only to read or change replica health and the
-// event counters, never across a broadcast or its adjudication (only the
-// rephrased retry of a replica found at odds with the rest runs under it).
+// event counters, never across a broadcast or its adjudication (only a
+// resync and the rephrased retry of a replica found at odds with the rest
+// run under it).
 //
 // Resynchronization never waits for a global transaction boundary. A
-// quarantined replica rejoins at the start of the next state-changing
-// statement: the donor serves a copy-on-write snapshot of its COMMITTED
-// state (engine.Snapshot — open transactions are rewound on the clone
-// while the donor keeps executing), and the redo above the snapshot's
-// high-water mark — each client session's in-flight transaction journal
-// — is replayed into the replica's per-client sessions, re-establishing
-// the open transactions the committed image necessarily excludes. Donor
-// sessions can therefore sit mid-transaction under sustained load and
-// the replica still completes its rejoin.
+// quarantined replica rejoins at the start of the next statement,
+// whichever it is: while one waits, even a query takes the statement lock
+// exclusively, so no other statement is in flight. The donor serves a
+// copy-on-write snapshot of its COMMITTED state (engine.Snapshot — open
+// transactions are rewound on the clone while the donor keeps
+// executing), and the redo above the snapshot's high-water mark — each
+// client session's in-flight transaction journal — is replayed into the
+// replica's per-client sessions, re-establishing the open transactions
+// the committed image necessarily excludes. Donor sessions can therefore
+// sit mid-transaction under sustained load and the replica still
+// completes its rejoin.
 //
 // Unlike the crash-only data-replication solutions the paper criticizes
 // (see internal/replication for that baseline), this middleware detects
@@ -116,22 +119,12 @@ type Config struct {
 	// approach of reference [9]); it masks Heisenbug-like divergences.
 	Rephrase bool
 	// AutoResync restores quarantined or crashed replicas from a healthy
-	// replica's state and returns them to service.
+	// replica's state and returns them to service at the next statement.
 	AutoResync bool
-	// IdleRejoin bounds the quarantine window under read-only workloads:
-	// a background poller grabs the exclusive statement lock whenever no
-	// statement is pending and flushes pending resyncs, so a quarantined
-	// replica does not wait for the next write statement. Requires
-	// AutoResync.
-	IdleRejoin bool
-	// PerfThreshold flags a replica as a performance outlier when it is
-	// slower than the fastest replica by at least this much. Zero
-	// disables performance monitoring.
-	PerfThreshold time.Duration
 	// WallClock makes the adjudication loop spend the adjudicated
 	// latency in real time, holding the statement lock for the duration
-	// (exclusive for writes, shared for queries). By default the
-	// replicas' simulated latencies are reported but not slept, which is
+	// (in the mode the statement took it). By default the replicas'
+	// simulated latencies are reported but not slept, which is
 	// right for tests; with WallClock each replica set behaves like a
 	// networked deployment whose adjudication loop is a real capacity
 	// bottleneck — the regime the shard router's scaling benchmarks
@@ -142,11 +135,9 @@ type Config struct {
 // DefaultConfig returns the recommended configuration.
 func DefaultConfig() Config {
 	return Config{
-		Reads:         ReadCompareAll,
-		Rephrase:      true,
-		AutoResync:    true,
-		IdleRejoin:    true,
-		PerfThreshold: time.Second,
+		Reads:      ReadCompareAll,
+		Rephrase:   true,
+		AutoResync: true,
 	}
 }
 
@@ -159,35 +150,24 @@ type Metrics struct {
 	DetectedSplits    int64 // divergences detected but not maskable
 	ReplicaErrors     int64 // error messages outvoted by healthy replicas
 	CrashesDetected   int64
-	PerfOutliers      int64
+	PerfOutliers      int64 // replicas slower than the fastest by core.PerfThreshold
 	RephraseRecovered int64 // error-voting replicas, and queries with outliers, repaired by rephrasing
 	Resyncs           int64
 	// JournalReplays counts redo statements shipped on top of committed
 	// snapshots during resync (the open-transaction journals replayed
 	// into a rejoining replica).
 	JournalReplays int64
-	// IdleRejoins counts resyncs completed by the idle-time rejoin path:
-	// the statement write-lock grabbed in a gap between statements, so a
-	// replica quarantined under a read-only workload does not wait for
-	// the next write.
-	IdleRejoins int64
 	// LastResyncSeq is the donor commit high-water mark of the most
 	// recent snapshot resync.
 	LastResyncSeq uint64
 }
 
-// replica wraps one diverse server with its health state.
+// replica wraps one diverse server with its health state. With
+// AutoResync a quarantined replica waits to rejoin (flushPendingResyncs).
 type replica struct {
 	srv         *server.Server
 	quarantined bool
-	// pendingResync marks a quarantined replica that rejoins at the
-	// start of the next state-changing statement, when the exclusive
-	// statement lock guarantees no statement is in flight anywhere. The
-	// donor does NOT have to be at a transaction boundary: the snapshot
-	// carries committed state only and the open transactions are redone
-	// from the session journals.
-	pendingResync bool
-	suspicions    int
+	suspicions  int
 }
 
 // DiverseServer is the fault-tolerant diverse SQL server.
@@ -195,7 +175,8 @@ type DiverseServer struct {
 	// mu guards the replicas' health state, the event counters in
 	// metrics and the session registry. It is the innermost lock and is
 	// never held while a replica executes or while results are
-	// adjudicated.
+	// adjudicated, except by a resync (execMu held exclusively) and the
+	// rephrased retry of a replica at odds with the rest.
 	mu       sync.Mutex
 	cfg      Config
 	replicas []*replica
@@ -227,12 +208,6 @@ type DiverseServer struct {
 	// read-only sessions proceed in parallel. Session transaction
 	// journals are written and read only while it is held exclusively.
 	execMu sync.RWMutex
-
-	// idleRejoinArmed marks a live idle-rejoin poller: a background
-	// goroutine that tries to grab execMu exclusively between statements
-	// so quarantined replicas rejoin without waiting for the next write
-	// (bounding the quarantine window under read-only workloads).
-	idleRejoinArmed bool
 
 	// resyncDur records wall-clock duration of each snapshot resync
 	// (capture + restore + journal replay). The histogram itself is
@@ -489,6 +464,12 @@ func (b *boundStmt) rephraseOn(sub *server.Session) (*engine.Result, bool) {
 
 // exec is the one body of Exec and Stmt.Exec: lock-mode selection,
 // broadcast adjudication and journal bookkeeping. The caller holds cs.mu.
+//
+// A quarantined replica rejoins at the next statement, whichever it is:
+// while one waits, a query too takes the statement lock exclusively, and
+// execAdjudicated resyncs the replica before broadcasting. Under faulted
+// read-only traffic the quarantine window is thus exactly one statement,
+// paid for by that one query not running beside its siblings.
 func (cs *Session) exec(b *boundStmt) (*engine.Result, time.Duration, error) {
 	d := cs.d
 	// A statement counts as a query only if it is genuinely read-only:
@@ -499,15 +480,17 @@ func (cs *Session) exec(b *boundStmt) (*engine.Result, time.Duration, error) {
 	// share the view/sequence schema, which can change between
 	// executions.
 	query := b.p.Select != nil && !cs.classifierServer().SelectAdvancesSequences(b.p)
-	if query {
-		d.execMu.RLock()
-		defer d.execMu.RUnlock()
-	} else {
+	// Classifying a query has refreshed the session's active set.
+	exclusive := !query || cs.resyncPending()
+	if exclusive {
 		d.execMu.Lock()
 		defer d.execMu.Unlock()
+	} else {
+		d.execMu.RLock()
+		defer d.execMu.RUnlock()
 	}
 
-	res, lat, err := cs.execAdjudicated(b, query)
+	res, lat, err := cs.execAdjudicated(b, query, exclusive)
 	if d.cfg.WallClock && lat > 0 {
 		// Model a networked replica set: the statement's adjudicated
 		// latency passes in real time while the statement lock is held,
@@ -623,29 +606,30 @@ func (cs *Session) noteWrite(b *boundStmt) {
 }
 
 // execAdjudicated runs one statement through broadcast + adjudication.
-// The caller holds cs.mu and d.execMu (shared for queries, exclusive for
-// state-changing statements).
+// The caller holds cs.mu and d.execMu: exclusively for state-changing
+// statements and while a replica waits to rejoin, shared otherwise.
 //
 // d.mu is not held while replicas execute or while their results are
 // compared: a unanimous statement — nearly all of them — takes it only
-// on the write path (to look for replicas waiting to rejoin) or when the
-// active set has changed under the session, and sibling read sessions
-// adjudicate side by side. Only a statement with something to record (a
-// crash, an outvoted or erroring replica, a performance outlier) takes
-// it again, for the containment bookkeeping.
-func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, time.Duration, error) {
+// when the active set has changed under the session, and sibling read
+// sessions adjudicate side by side. Only a statement with something to
+// record (a crash, an outvoted or erroring replica, a performance
+// outlier, a replica to rejoin) takes it again, for the containment
+// bookkeeping.
+func (cs *Session) execAdjudicated(b *boundStmt, query, exclusive bool) (*engine.Result, time.Duration, error) {
 	d := cs.d
 	stmtNo := d.statements.Add(1)
-	if !query {
-		// The exclusive statement lock is held: no statement is in
-		// flight on any replica, so quarantined replicas can rejoin now
-		// (committed snapshot + journal redo), in time to take part in
-		// this statement's broadcast.
+	cs.refreshActive()
+	if exclusive && cs.resyncPending() {
+		// No statement is in flight on any replica — sibling reads have
+		// drained — so quarantined replicas can rejoin now (committed
+		// snapshot + journal redo), in time to take part in this
+		// statement's broadcast.
 		d.mu.Lock()
 		d.flushPendingResyncs()
 		d.mu.Unlock()
+		cs.refreshActive()
 	}
-	cs.refreshActive()
 	if len(cs.active) == 0 {
 		return nil, 0, ErrAllReplicasFailed
 	}
@@ -654,7 +638,7 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 	}
 
 	results := cs.broadcast(b)
-	lat, slow := latencies(results, d.cfg.PerfThreshold)
+	lat, slow := latencies(results)
 	opts := core.CompareFor(b.p)
 	verdict := core.Adjudicate(results, opts)
 	if verdict.Unanimous && slow == 0 {
@@ -666,14 +650,14 @@ func (cs *Session) execAdjudicated(b *boundStmt, query bool) (*engine.Result, ti
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	// Performance containment: replicas slower than the fastest by the
-	// configured threshold are flagged. (Their results still vote.)
+	// Performance containment: replicas slower than the fastest by
+	// core.PerfThreshold are flagged. (Their results still vote.)
 	d.metrics.PerfOutliers += slow
 
 	// Crash handling: restart and resync crashed replicas.
 	for _, i := range verdict.CrashedIdx {
 		d.metrics.CrashesDetected++
-		d.recover(active[i].r, active, verdict)
+		d.recover(active[i].r, agreeingPeer(active[i].r, active, verdict))
 	}
 
 	if verdict.Agreed == nil && len(verdict.Errored) == len(results)-len(verdict.CrashedIdx) {
@@ -852,17 +836,29 @@ func (d *DiverseServer) replay(sub *server.Session, e redo) {
 // contained.
 func (d *DiverseServer) suspect(r *replica, active []member, verdict core.Verdict) {
 	r.suspicions++
-	d.recover(r, active, verdict)
+	d.recover(r, agreeingPeer(r, active, verdict))
 }
 
-// recover restarts a crashed replica and quarantines it for resync when
-// a healthy donor exists. The resync itself happens at the start of the
-// next state-changing statement (flushPendingResyncs), when the
-// exclusive statement lock guarantees no statement is mid-flight on any
-// replica — at most one statement away, never a wait for a transaction
-// boundary. Suspicion raised on the shared query path thus cannot
-// mutate a replica out from under a sibling session's in-flight read.
-func (d *DiverseServer) recover(r *replica, active []member, verdict core.Verdict) {
+// agreeingPeer reports whether a replica other than r voted with the
+// verdict's agreed outcome: a healthy donor to resync r from.
+func agreeingPeer(r *replica, active []member, verdict core.Verdict) bool {
+	for _, i := range verdict.AgreeIdx {
+		if active[i].r != r {
+			return true
+		}
+	}
+	return false
+}
+
+// recover restarts a crashed replica and, when a healthy donor exists,
+// quarantines it for resync. The resync itself happens at the start of
+// the next statement (flushPendingResyncs), which runs under the
+// exclusive statement lock while a replica waits, so no statement is
+// mid-flight on any replica — one statement away, never a wait for a
+// transaction boundary. Suspicion raised on the shared query path thus
+// cannot mutate a replica out from under a sibling session's in-flight
+// read. Called with d.mu held.
+func (d *DiverseServer) recover(r *replica, donor bool) {
 	if !d.cfg.AutoResync {
 		d.setQuarantined(r, true)
 		return
@@ -870,113 +866,24 @@ func (d *DiverseServer) recover(r *replica, active []member, verdict core.Verdic
 	if r.srv.Crashed() {
 		r.srv.Restart()
 	}
-	donorExists := false
-	for _, i := range verdict.AgreeIdx {
-		if active[i].r != r {
-			donorExists = true
-			break
-		}
+	if donor {
+		d.setQuarantined(r, true)
 	}
-	if !donorExists {
-		// No healthy donor: keep the replica in service with its own
-		// state (it may still agree on subsequent statements).
-		return
-	}
-	d.setQuarantined(r, true)
-	r.pendingResync = true
-	// Under a write-bearing workload the next state-changing statement
-	// completes the rejoin; under a read-only workload none may come, so
-	// an idle-time poller grabs the statement lock in a gap between
-	// statements and bounds the quarantine window.
-	d.armIdleRejoin()
+	// Without a healthy donor the replica stays in service with its own
+	// state (it may still agree on subsequent statements).
 }
 
-// idleRejoinInterval is the poll period of the idle-time rejoin;
-// idleRejoinMaxTries bounds the poller's lifetime (it re-arms on the
-// next quarantine), so a replica with no available donor cannot pin a
-// goroutine forever.
-const (
-	idleRejoinInterval = time.Millisecond
-	idleRejoinMaxTries = 4000
-)
-
-// idleRejoinEscalate is the number of consecutive TryLock misses after
-// which the poller acquires the statement lock blockingly: under
-// sustained read-only load no idle gap ever appears, and a brief
-// writer-preference acquisition (current readers drain, new ones wait
-// one statement's worth) is what actually bounds the quarantine window.
-const idleRejoinEscalate = 20
-
-// armIdleRejoin starts the idle-time rejoin poller unless one is already
-// live. Called with d.mu held.
-func (d *DiverseServer) armIdleRejoin() {
-	if !d.cfg.AutoResync || !d.cfg.IdleRejoin || d.idleRejoinArmed {
-		return
-	}
-	d.idleRejoinArmed = true
-	go d.idleRejoinLoop()
-}
-
-// idleRejoinLoop waits for a gap in the statement stream: when no
-// statement is pending anywhere, TryLock acquires the exclusive
-// statement lock immediately — the same invariant the write path relies
-// on, reached without waiting for a write — and the pending resyncs
-// flush. When the read stream never pauses, the poller escalates to a
-// blocking acquisition, pausing reads for one resync like an ordinary
-// write statement would.
-func (d *DiverseServer) idleRejoinLoop() {
-	misses := 0
-	for i := 0; i < idleRejoinMaxTries; i++ {
-		time.Sleep(idleRejoinInterval)
-		locked := d.execMu.TryLock()
-		if !locked && misses+1 < idleRejoinEscalate {
-			misses++
-			d.mu.Lock()
-			pending := d.anyPendingResync()
-			if !pending {
-				d.idleRejoinArmed = false
-				d.mu.Unlock()
-				return // the write path beat us to it
-			}
-			d.mu.Unlock()
-			continue
-		}
-		if !locked {
-			d.execMu.Lock()
-		}
-		misses = 0
-		d.mu.Lock()
-		before := d.metrics.Resyncs
-		d.flushPendingResyncs()
-		d.metrics.IdleRejoins += d.metrics.Resyncs - before
-		pending := d.anyPendingResync()
-		if !pending {
-			d.idleRejoinArmed = false
-		}
-		d.mu.Unlock()
-		d.execMu.Unlock()
-		if !pending {
-			return
-		}
-	}
-	d.mu.Lock()
-	d.idleRejoinArmed = false
-	d.mu.Unlock()
-}
-
-// anyPendingResync reports whether any replica still waits for resync.
-// Called with d.mu held.
-func (d *DiverseServer) anyPendingResync() bool {
-	for _, r := range d.replicas {
-		if r.pendingResync {
-			return true
-		}
-	}
-	return false
+// resyncPending reports whether a replica waits to rejoin: one is
+// quarantined and AutoResync brings it back. It reads the session's view
+// of the active set, so it costs no lock; the caller holds cs.mu and has
+// refreshed that view.
+func (cs *Session) resyncPending() bool {
+	return cs.d.cfg.AutoResync && len(cs.active) < len(cs.d.replicas)
 }
 
 // flushPendingResyncs rejoins quarantined replicas from any healthy
-// donor. Called with d.mu held and d.execMu held exclusively.
+// donor. Called with d.mu held, d.execMu held exclusively and AutoResync
+// on.
 //
 // The donor does not have to be idle: its committed state is captured
 // copy-on-write at this instant (open transactions rewound on the
@@ -988,16 +895,10 @@ func (d *DiverseServer) anyPendingResync() bool {
 // rule rewrites fails there again and is outvoted at the next statement.
 func (d *DiverseServer) flushPendingResyncs() {
 	for idx, r := range d.replicas {
-		if !r.pendingResync {
+		if !r.quarantined {
 			continue
 		}
-		var donor *replica
-		for _, cand := range d.replicas {
-			if cand != r && !cand.quarantined && !cand.srv.Crashed() {
-				donor = cand
-				break
-			}
-		}
+		donor := d.liveDonor(r)
 		if donor == nil {
 			continue // try again on a later statement
 		}
@@ -1020,7 +921,6 @@ func (d *DiverseServer) flushPendingResyncs() {
 				d.metrics.JournalReplays++
 			}
 		}
-		r.pendingResync = false
 		d.setQuarantined(r, false)
 		d.metrics.Resyncs++
 		d.metrics.LastResyncSeq = snap.CommitSeq
@@ -1030,7 +930,10 @@ func (d *DiverseServer) flushPendingResyncs() {
 
 // execReadOne serves a query from a single rotating replica; crashed
 // replicas fail over to the next one. Results are NOT compared: this is
-// the performance end of the paper's trade-off dial.
+// the performance end of the paper's trade-off dial. A crash is contained
+// as on the broadcast path: it rolled back every session's open
+// transaction on the replica, so the replica is quarantined and rejoins,
+// journals replayed, from any other live replica.
 func (cs *Session) execReadOne(b *boundStmt, stmtNo int64) (*engine.Result, time.Duration, error) {
 	d := cs.d
 	n := len(cs.active)
@@ -1041,15 +944,24 @@ func (cs *Session) execReadOne(b *boundStmt, stmtNo int64) (*engine.Result, time
 		if errors.Is(err, server.ErrCrashed) {
 			d.mu.Lock()
 			d.metrics.CrashesDetected++
+			d.recover(m.r, d.liveDonor(m.r) != nil)
 			d.mu.Unlock()
-			if d.cfg.AutoResync {
-				m.r.srv.Restart()
-			}
 			continue
 		}
 		return res, lat, err
 	}
 	return nil, 0, ErrAllReplicasFailed
+}
+
+// liveDonor returns a replica other than r that is in service and not
+// crashed, or nil. Called with d.mu held.
+func (d *DiverseServer) liveDonor(r *replica) *replica {
+	for _, cand := range d.replicas {
+		if cand != r && !cand.quarantined && !cand.srv.Crashed() {
+			return cand
+		}
+	}
+	return nil
 }
 
 // anyInTxn reports whether any of the session's active replica sessions
@@ -1065,9 +977,9 @@ func (cs *Session) anyInTxn() bool {
 }
 
 // latencies returns the statement's reported latency — the slowest
-// replica's — and, with a threshold set, how many successful replicas
-// were slower than the fastest successful one by at least that much.
-func latencies(results []core.ReplicaResult, threshold time.Duration) (slowest time.Duration, outliers int64) {
+// replica's — and how many successful replicas were slower than the
+// fastest successful one by at least core.PerfThreshold.
+func latencies(results []core.ReplicaResult) (slowest time.Duration, outliers int64) {
 	fastest := time.Duration(-1)
 	for _, r := range results {
 		if r.Latency > slowest {
@@ -1077,11 +989,11 @@ func latencies(results []core.ReplicaResult, threshold time.Duration) (slowest t
 			fastest = r.Latency
 		}
 	}
-	if threshold <= 0 || fastest < 0 || slowest-fastest < threshold {
+	if fastest < 0 || slowest-fastest < core.PerfThreshold {
 		return slowest, 0
 	}
 	for _, r := range results {
-		if r.Err == nil && r.Latency-fastest >= threshold {
+		if r.Err == nil && r.Latency-fastest >= core.PerfThreshold {
 			outliers++
 		}
 	}

@@ -28,12 +28,7 @@ func newServers(t *testing.T, faults []fault.Fault, names ...dialect.ServerName)
 
 func newDiverse(t *testing.T, faults []fault.Fault, names ...dialect.ServerName) *DiverseServer {
 	t.Helper()
-	cfg := DefaultConfig()
-	// The legacy tests assert exact quarantine windows (quarantined until
-	// the next write); the asynchronous idle-time rejoin would race those
-	// assertions. It has its own acceptance test.
-	cfg.IdleRejoin = false
-	d, err := New(cfg, newServers(t, faults, names...)...)
+	d, err := New(DefaultConfig(), newServers(t, faults, names...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +96,8 @@ func TestMajorityMasksWrongResult(t *testing.T) {
 	if m.MaskedFailures == 0 {
 		t.Errorf("masking not recorded: %+v", m)
 	}
-	// The outvoted replica rejoins at the next state-changing statement
-	// (resync never interleaves with in-flight reads on the shared path).
+	// The outvoted replica rejoins at the next statement (resync never
+	// interleaves with in-flight reads on the shared path).
 	mustExec(t, sess, "INSERT INTO T VALUES (20)")
 	if m := d.Metrics(); m.Resyncs == 0 {
 		t.Errorf("outvoted replica not resynced: %+v", m)
@@ -191,8 +186,8 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("metrics: %+v", m)
 	}
 	// The crashed replica is restarted and quarantined; it rejoins at the
-	// start of the next state-changing statement, when the exclusive
-	// statement lock guarantees nothing is in flight on any replica.
+	// start of the next statement, when the exclusive statement lock
+	// guarantees nothing is in flight on any replica.
 	if len(d.QuarantinedReplicas()) != 1 {
 		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
 	}
@@ -251,8 +246,8 @@ func TestLegitimateErrorsPassThrough(t *testing.T) {
 
 // Resync no longer waits for a transaction boundary: a replica
 // quarantined while the donor sits mid-transaction rejoins on the very
-// next state-changing statement, fed a committed snapshot plus the open
-// transaction's redo journal.
+// next statement, fed a committed snapshot plus the open transaction's
+// redo journal.
 func TestResyncCompletesInsideOpenTransaction(t *testing.T) {
 	faults := []fault.Fault{{
 		BugID:   "err",
@@ -461,6 +456,63 @@ func TestReadOneFailsOverOnCrash(t *testing.T) {
 	if d.Metrics().CrashesDetected == 0 {
 		t.Error("crash failover not recorded")
 	}
+}
+
+// A ReadOne read that crashes a replica has rolled back every session's
+// open transaction there (the crash aborts them all): the replica must be
+// quarantined and rejoin with the sibling's journal replayed, not stay in
+// service out of step and later leak that transaction's uncommitted rows
+// to reads it serves alone.
+func TestReadOneCrashResyncsReplica(t *testing.T) {
+	faults := []fault.Fault{{
+		BugID:   "crash",
+		Server:  dialect.OR,
+		Trigger: fault.Trigger{Table: "P", Flag: ast.FlagSelect},
+		Effect:  fault.Effect{Kind: fault.EffectCrash},
+	}}
+	cfg := DefaultConfig()
+	cfg.Reads = ReadOne
+	servers := newServers(t, faults, dialect.PG, dialect.OR, dialect.MS)
+	d, err := New(cfg, servers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := d.NewSession(), d.NewSession()
+	defer a.Close()
+	defer b.Close()
+	mustExec(t, a, "CREATE TABLE T (A INT)")
+	mustExec(t, a, "CREATE TABLE P (A INT)")
+	mustExec(t, b, "BEGIN TRANSACTION")
+	mustExec(t, b, "INSERT INTO T VALUES (1)")
+	for i := 0; i < 6; i++ {
+		mustExec(t, a, "SELECT A FROM P") // crashes OR when the rotation picks it
+	}
+	if m := d.Metrics(); m.CrashesDetected == 0 {
+		t.Fatalf("the rotation never reached OR: %+v", m)
+	}
+	// On an OR left in service this write autocommits (its transaction
+	// was rolled back) and is unanimous all the same.
+	mustExec(t, b, "INSERT INTO T VALUES (2)")
+	counts := map[int64]int{}
+	for i := 0; i < 9; i++ {
+		res, _, err := a.Exec("SELECT COUNT(*) AS N FROM T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[res.Rows[0][0].I]++
+	}
+	if counts[0] != 9 {
+		t.Errorf("reads of T's committed rows answered %v, want {0: 9}", counts)
+	}
+	// Each crash is contained by one rejoin replaying b's BEGIN + INSERT.
+	if m := d.Metrics(); m.Resyncs != m.CrashesDetected || m.JournalReplays != 2*m.Resyncs {
+		t.Errorf("OR not resynced with b's transaction replayed: %+v", m)
+	}
+	mustExec(t, b, "COMMIT")
+	if q := d.QuarantinedReplicas(); len(q) != 0 {
+		t.Errorf("quarantined after COMMIT: %v", q)
+	}
+	sameImages(t, servers)
 }
 
 func TestReadOneBroadcastsInsideTransactions(t *testing.T) {

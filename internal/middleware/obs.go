@@ -80,8 +80,6 @@ func (d *DiverseServer) MetricsCollector() obs.Collector {
 			"Snapshot resyncs of quarantined replicas.", uint64(m.Resyncs))
 		f.Count("divsql_middleware_journal_replays_total",
 			"Journal statements replayed on top of resync snapshots.", uint64(m.JournalReplays))
-		f.Count("divsql_middleware_idle_rejoins_total",
-			"Resyncs completed by the idle-time rejoin path.", uint64(m.IdleRejoins))
 		f.Gauge("divsql_middleware_last_resync_seq",
 			"Donor commit high-water mark of the most recent resync.", float64(m.LastResyncSeq))
 		f.Histo("divsql_middleware_resync_duration_seconds",

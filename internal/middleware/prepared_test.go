@@ -3,7 +3,9 @@ package middleware
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,54 +136,142 @@ func TestPreparedDialectRejectionVotes(t *testing.T) {
 }
 
 func TestIdleRejoinUnderReadOnlyLoad(t *testing.T) {
-	// Acceptance for the ROADMAP item: a replica quarantined under a
-	// sustained read-only workload rejoins without any write statement —
-	// the idle-time poller grabs the statement lock between reads.
+	// A replica quarantined under a read-only workload rejoins without
+	// any write statement: the next statement, a query too, takes the
+	// statement lock exclusively and resyncs it first.
 	faults := []fault.Fault{{
 		BugID:   "wrongread",
 		Server:  dialect.OR,
 		Trigger: fault.Trigger{Table: "T", Flag: ast.FlagGroupBy},
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutOffByOne},
 	}}
-	cfg := DefaultConfig()
-	cfg.Rephrase = false
-	d, err := New(cfg, newServers(t, faults, dialect.PG, dialect.IB, dialect.OR)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := d.NewSession()
-	mustExec(t, sess, "CREATE TABLE T (A INT)")
-	mustExec(t, sess, "INSERT INTO T VALUES (5)")
-
-	// OR returns a wrong (mutated) result on the grouped read, is
-	// outvoted and quarantined.
-	if _, _, err := sess.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A"); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.QuarantinedReplicas()) != 1 {
-		t.Fatalf("quarantined: %v", d.QuarantinedReplicas())
-	}
-
-	// Sustained read-only load only; no writes ever. The quarantine
-	// window must still close.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(d.QuarantinedReplicas()) > 0 && time.Now().Before(deadline) {
-		if _, _, err := sess.Exec("SELECT A FROM T"); err != nil {
+	newRejoining := func() *DiverseServer {
+		cfg := DefaultConfig()
+		cfg.Rephrase = false
+		d, err := New(cfg, newServers(t, faults, dialect.PG, dialect.IB, dialect.OR)...)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return d
 	}
-	if q := d.QuarantinedReplicas(); len(q) != 0 {
-		t.Fatalf("replica still quarantined after read-only window: %v", q)
-	}
-	m := d.Metrics()
-	if m.IdleRejoins == 0 || m.Resyncs == 0 {
-		t.Errorf("rejoin must be attributed to the idle path: %+v", m)
-	}
-	// The rejoined replica serves agreeing reads again.
-	res, _, err := sess.Exec("SELECT A, COUNT(*) AS N FROM T GROUP BY A")
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("post-rejoin read: %+v %v", res, err)
-	}
+	const grouped = "SELECT A, COUNT(*) AS N FROM T GROUP BY A"
+
+	t.Run("sequential", func(t *testing.T) {
+		d := newRejoining()
+		sess := d.NewSession()
+		defer sess.Close()
+		mustExec(t, sess, "CREATE TABLE T (A INT)")
+		mustExec(t, sess, "INSERT INTO T VALUES (5)")
+
+		// OR returns a wrong (mutated) result on the grouped read, is
+		// outvoted and quarantined.
+		mustExec(t, sess, grouped)
+		if q := d.QuarantinedReplicas(); len(q) != 1 || q[0] != "OR" {
+			t.Fatalf("quarantined: %v", q)
+		}
+		if m := d.Metrics(); m.Resyncs != 0 {
+			t.Fatalf("resynced before the next statement: %+v", m)
+		}
+
+		// Exactly one read later the quarantine window has closed.
+		res, _, err := sess.Exec("SELECT A FROM T")
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 5 {
+			t.Fatalf("read after the quarantine: %+v %v", res, err)
+		}
+		if q := d.QuarantinedReplicas(); len(q) != 0 {
+			t.Fatalf("replica still quarantined after one read: %v", q)
+		}
+		if m := d.Metrics(); m.Resyncs != 1 {
+			t.Errorf("resyncs = %d, want 1: %+v", m.Resyncs, m)
+		}
+	})
+
+	t.Run("concurrent readers", func(t *testing.T) {
+		d := newRejoining()
+		setup := d.NewSession()
+		mustExec(t, setup, "CREATE TABLE T (A INT)")
+		mustExec(t, setup, "INSERT INTO T VALUES (5)")
+		setup.Close()
+
+		// Every replica execution notes the resync count on entry and on
+		// exit: a resync between the two rewrote a replica under an
+		// in-flight read. Each execution is held in flight a moment after
+		// entry, and the reader that gets the replica quarantined sends
+		// its next statement only once a sibling's read is in flight.
+		var (
+			mu                   sync.Mutex
+			entered              = map[string]int64{}
+			inflight, overlapped int
+		)
+		d.execHook = func(entering bool) {
+			id, n := goroutineID(), d.Metrics().Resyncs
+			mu.Lock()
+			if entering {
+				entered[id] = n
+				inflight++
+			} else {
+				inflight--
+				if entered[id] != n {
+					overlapped++
+				}
+			}
+			mu.Unlock()
+			if entering {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		siblingInFlight := func() {
+			for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+				mu.Lock()
+				busy := inflight > 0
+				mu.Unlock()
+				if busy {
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+
+		const (
+			readers = 4
+			reads   = 100
+		)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				cs := d.NewSession()
+				defer cs.Close()
+				for i := 0; i < reads; i++ {
+					q := "SELECT A FROM T"
+					if r == 0 && i == reads/2 {
+						q = grouped // OR is outvoted on this one read
+					}
+					res, _, err := cs.Exec(q)
+					if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 5 {
+						t.Errorf("reader %d, read %d (%s): %+v %v", r, i, q, res, err)
+						return
+					}
+					if q == grouped {
+						siblingInFlight()
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+
+		m := d.Metrics()
+		if m.MaskedFailures != 1 || m.Resyncs != 1 || m.DetectedSplits != 0 {
+			t.Errorf("want one masked failure, one resync, no split: %+v", m)
+		}
+		if q := d.QuarantinedReplicas(); len(q) != 0 {
+			t.Errorf("still quarantined: %v", q)
+		}
+		if overlapped != 0 {
+			t.Errorf("%d replica executions spanned a resync", overlapped)
+		}
+	})
 }
 
 // Prepare on one session must not race resync journal replay triggered

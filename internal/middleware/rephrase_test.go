@@ -253,9 +253,7 @@ func TestErrorVoterRepairedInPlace(t *testing.T) {
 // second execution would report the majority's count.
 func TestOutvotedWriteIsNotReapplied(t *testing.T) {
 	servers := newServers(t, nil, dialect.PG, dialect.OR, dialect.MS)
-	cfg := DefaultConfig()
-	cfg.IdleRejoin = false
-	d, err := New(cfg, servers...)
+	d, err := New(DefaultConfig(), servers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +302,7 @@ func TestJournalReplayRephrases(t *testing.T) {
 	}}
 	for _, prepared := range []bool{true, false} {
 		servers := newServers(t, faults, dialect.PG, dialect.OR, dialect.MS)
-		cfg := DefaultConfig()
-		cfg.IdleRejoin = false
-		d, err := New(cfg, servers...)
+		d, err := New(DefaultConfig(), servers...)
 		if err != nil {
 			t.Fatal(err)
 		}

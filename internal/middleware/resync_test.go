@@ -210,9 +210,7 @@ func TestCommentedBeginOpensTheJournal(t *testing.T) {
 				Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious"},
 			}}
 			servers := newServers(t, faults, dialect.PG, dialect.OR, dialect.MS)
-			cfg := DefaultConfig()
-			cfg.IdleRejoin = false
-			d, err := New(cfg, servers...)
+			d, err := New(DefaultConfig(), servers...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -558,7 +558,6 @@ func TestQuarantinedReplicaInsideOneShardDuringCrossShardRead(t *testing.T) {
 		}
 		cfg := middleware.DefaultConfig()
 		cfg.AutoResync = false // keep the outvoted replica quarantined
-		cfg.IdleRejoin = false
 		d, err := middleware.New(cfg, srvs...)
 		if err != nil {
 			t.Fatal(err)

@@ -85,8 +85,8 @@ func TestClassifyStmt(t *testing.T) {
 		{"ORDER BY inside a literal", quoted, Outcome{Res: intRows(2, 1)}, Outcome{Res: intRows(1, 2)}, none, false},
 		{"comment before a query, wrong rows", noted, Outcome{Res: intRows(3)}, Outcome{Res: intRows(1)}, core.IncorrectResult, false},
 		{"comment before a query, answered where the oracle errs", noted, Outcome{Res: intRows(1)}, Outcome{Err: unknown}, core.IncorrectResult, false},
-		{"slow", query, Outcome{Res: intRows(1), Latency: PerfThreshold}, Outcome{Res: intRows(1)}, core.Performance, true},
-		{"slower, within the threshold", query, Outcome{Res: intRows(1), Latency: PerfThreshold - 1}, Outcome{Res: intRows(1)}, none, false},
+		{"slow", query, Outcome{Res: intRows(1), Latency: core.PerfThreshold}, Outcome{Res: intRows(1)}, core.Performance, true},
+		{"slower, within the threshold", query, Outcome{Res: intRows(1), Latency: core.PerfThreshold - 1}, Outcome{Res: intRows(1)}, none, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cls := ClassifyStmt(outcomeOf(t, c.sql, c.so), outcomeOf(t, c.sql, c.oo))
@@ -111,7 +111,7 @@ func TestClassifyFoldPriority(t *testing.T) {
 	const query, write = "SELECT A FROM T", "INSERT INTO T VALUES (1)"
 	unknown := errors.New("unknown column A")
 	sOut := []Outcome{
-		outcomeOf(t, query, Outcome{Res: intRows(1), Latency: PerfThreshold}),
+		outcomeOf(t, query, Outcome{Res: intRows(1), Latency: core.PerfThreshold}),
 		outcomeOf(t, write, Outcome{Res: affected(1)}),
 		outcomeOf(t, query, Outcome{Res: intRows(2)}),
 		outcomeOf(t, query, Outcome{Err: unknown}),

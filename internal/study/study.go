@@ -7,7 +7,6 @@ package study
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"divsql/internal/core"
 	"divsql/internal/corpus"
@@ -17,10 +16,6 @@ import (
 	"divsql/internal/sql/parser"
 	"divsql/internal/translate"
 )
-
-// PerfThreshold is the extra latency (relative to the oracle) beyond
-// which a run is classified as a performance failure.
-const PerfThreshold = time.Second
 
 // Run is the full record of one (bug, server) execution.
 type Run struct {
@@ -152,7 +147,7 @@ func (s *Study) runOne(bug *corpus.Bug, target dialect.ServerName, srv, orc *ser
 //     a non-self-evident Incorrect Result;
 //   - any other statement accepted where the oracle rejects it is a
 //     non-self-evident Other failure;
-//   - a correct statement that exceeds the oracle's time by PerfThreshold
+//   - a correct statement that exceeds the oracle's time by core.PerfThreshold
 //     is a Performance failure (self-evident).
 func ClassifyStmt(so, oo Outcome) core.Classification {
 	switch {
@@ -195,7 +190,7 @@ func ClassifyStmt(so, oo Outcome) core.Classification {
 				return core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: d}
 			}
 		}
-		if so.Latency-oo.Latency >= PerfThreshold {
+		if so.Latency-oo.Latency >= core.PerfThreshold {
 			return core.Classification{
 				Status: core.StatusFailure, Type: core.Performance, SelfEvident: true,
 				Detail: "execution time exceeded acceptance threshold",
