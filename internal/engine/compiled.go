@@ -610,37 +610,55 @@ func (s *Session) keyValue(x ast.Expr) (v int64, null, ok bool) {
 // dmlPlan is the plan of one UPDATE or DELETE: its WHERE and SET values
 // lowered in the target table's scope, and the access path of its row
 // visit — chosen by the rules, and behind the gates, a SELECT core's is.
-// err is the first reference of WHERE, then of the SET values, that
-// resolves nowhere: raised, as a SELECT core raises it, before any row
-// work.
+// err is an UPDATE's first unknown SET column, else the first reference
+// of WHERE, then of the SET values, that resolves nowhere: raised, as a
+// SELECT core raises it, before any row work.
 type dmlPlan struct {
 	planBody
 	p     *plan.SelectPlan
 	where rexpr
 	sets  []rexpr
+	cols  []int // the SET columns' ordinals, index-aligned with sets
 	err   error
 }
 
 // planDML returns the memoised plan of an UPDATE/DELETE over t,
-// compiling it on a miss. Caller holds t's latch on the live plane.
+// compiling it on a miss. An unknown SET column is the plan's error,
+// ahead of any in WHERE or SET expressions; such a plan has nothing
+// else. Caller holds t's latch on the live plane.
 func (s *Session) planDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
 	e := s.eng
 	dp, known := e.dmlMemo.load(st, e.schemaVersion)
 	hit := dp != nil
 	if !hit {
-		l := lowering{s: s, owned: true}
-		sc := &scope{cols: tableScopeCols(nil, t.Name, t)}
-		dp = &dmlPlan{where: l.lower(where, sc, false), sets: make([]rexpr, len(sets))}
-		for i, set := range sets {
-			dp.sets[i] = l.lower(set.Value, sc, false)
-		}
-		dp.err = l.unknown
-		dp.p = s.visitPlan(t, "", where, dp.where, ast.NumParams(st), plan.ForceAuto)
-		dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.Path}}, l.body.paths...)
-		dp.joins = l.body.joins
+		dp = s.compileDML(st, t, where, sets)
 		e.dmlMemo.store(st, known, e.schemaVersion, dp)
 	}
+	if dp.p == nil {
+		return dp
+	}
 	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.Path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
+	return dp
+}
+
+// compileDML compiles an UPDATE/DELETE over t (planDML).
+func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
+	dp := &dmlPlan{cols: make([]int, len(sets))}
+	for i, set := range sets {
+		if dp.cols[i] = t.colIndex(set.Column); dp.cols[i] < 0 {
+			return &dmlPlan{err: fmt.Errorf("unknown column %s in table %s", set.Column, t.Name)}
+		}
+	}
+	l := lowering{s: s, owned: true}
+	sc := &scope{cols: tableScopeCols(nil, t.Name, t)}
+	dp.where, dp.sets = l.lower(where, sc, false), make([]rexpr, len(sets))
+	for i, set := range sets {
+		dp.sets[i] = l.lower(set.Value, sc, false)
+	}
+	dp.err = l.unknown
+	dp.p = s.visitPlan(t, "", where, dp.where, ast.NumParams(st), plan.ForceAuto)
+	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.Path}}, l.body.paths...)
+	dp.joins = l.body.joins
 	return dp
 }
 

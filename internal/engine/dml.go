@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
@@ -12,33 +13,42 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, ins.Table)
 	}
-	targets, err := insertTargets(t, ins.Columns)
+	targets, err := e.insertTargets(t, ins.Columns)
 	if err != nil {
 		return nil, err
 	}
 
-	var sourceRows [][]types.Value
+	// Every source row is evaluated before any row is built, so an
+	// evaluation error anywhere precedes a count or constraint error. A
+	// VALUES list is evaluated into the session's scratch, its rows back
+	// to back; only the stored rows are allocated.
+	var selRows [][]types.Value
+	vals := e.insVals[:0]
+	defer func() { e.insVals = reuse(vals, scratchKeep) }()
+	n := len(ins.Rows)
 	if ins.Select != nil {
 		_, rows, err := e.runUnowned(ins.Select)
 		if err != nil {
 			return nil, err
 		}
-		sourceRows = rows
+		selRows, n = rows, len(rows)
 	} else {
 		// Each value is lowered where it is evaluated: it reads no row, and
 		// a reference is an error only when its row is reached.
 		l := lowering{s: e}
 		for _, exprRow := range ins.Rows {
-			row := make([]types.Value, 0, len(exprRow))
 			for _, ex := range exprRow {
 				v, err := e.eval(l.lower(ex, nil, false), nil)
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, v)
+				vals = append(vals, v)
 			}
-			sourceRows = append(sourceRows, row)
 		}
+	}
+	width := len(targets)
+	if targets == nil {
+		width = len(t.Cols)
 	}
 
 	checks := e.lowerChecks(t)
@@ -49,15 +59,21 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 	// them and Snapshot's committed-image rewind would leak them.
 	undoPartial := func() {
 		if inserted > 0 {
-			partial := make([][]types.Value, inserted)
-			copy(partial, t.Rows[len(t.Rows)-inserted:])
-			t.removeRowsByIdentity(partial)
+			t.removeRowsByIdentity(t.Rows[len(t.Rows)-inserted:])
 		}
 	}
-	for _, src := range sourceRows {
-		if len(src) != len(targets) {
+	off := 0
+	for i := 0; i < n; i++ {
+		var src []types.Value
+		if ins.Select != nil {
+			src = selRows[i]
+		} else {
+			src = vals[off : off+len(ins.Rows[i])]
+			off += len(src)
+		}
+		if len(src) != width {
 			undoPartial()
-			return nil, fmt.Errorf("INSERT has %d values for %d columns", len(src), len(targets))
+			return nil, fmt.Errorf("INSERT has %d values for %d columns", len(src), width)
 		}
 		row, err := e.buildRow(t, targets, src)
 		if err != nil {
@@ -72,18 +88,21 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		inserted++
 	}
 	if inserted > 0 {
-		t.touch()
 		// Undo by row identity, not by position: other sessions'
 		// statements may land between this insert and a rollback, so
 		// truncating the tail could remove their rows instead of ours.
+		// The record is logged before the mutation stamp moves (see
+		// buildView).
 		if e.inTxn {
-			added, tname := append([][]types.Value(nil), t.Rows[len(t.Rows)-inserted:]...), t.Name
-			e.logUndoTable(tname, func(dst *state, _ bool) {
-				if dt, ok := dst.tables[tname]; ok {
-					dt.removeRowsByIdentity(added)
-				}
-			})
+			rec := undoRec{kind: kindTable, op: opInsert, table: t.Name}
+			if added := t.Rows[len(t.Rows)-inserted:]; inserted == 1 {
+				rec.row = added[0]
+			} else {
+				rec.rows = slices.Clone(added)
+			}
+			e.logUndoRec(rec)
 		}
+		t.touch()
 	}
 	return &Result{Kind: ResultCount, Affected: int64(inserted)}, nil
 }
@@ -91,12 +110,16 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 // removeRowsByIdentity deletes the given row slices from the table,
 // matching by slice identity rather than value, so a rollback removes
 // exactly the transaction's own rows even when statements from other
-// sessions interleaved after the insert.
+// sessions interleaved after the insert. rows may alias the table's
+// tail.
 func (t *Table) removeRowsByIdentity(rows [][]types.Value) {
-	drop := make(map[*types.Value]bool, len(rows))
-	for _, r := range rows {
-		if len(r) > 0 {
-			drop[&r[0]] = true
+	var drop map[*types.Value]bool
+	if len(rows) > 1 {
+		drop = make(map[*types.Value]bool, len(rows))
+		for _, r := range rows {
+			if len(r) > 0 {
+				drop[&r[0]] = true
+			}
 		}
 	}
 	// Rebuild into a fresh backing array: read views capture the live
@@ -104,7 +127,7 @@ func (t *Table) removeRowsByIdentity(rows [][]types.Value) {
 	// beneath a published capture.
 	kept := make([][]types.Value, 0, len(t.Rows))
 	for _, r := range t.Rows {
-		if len(r) > 0 && drop[&r[0]] {
+		if drop == nil && len(rows) == 1 && sameRow(r, rows[0]) || len(r) > 0 && drop[&r[0]] {
 			continue
 		}
 		kept = append(kept, r)
@@ -119,47 +142,46 @@ func sameRow(a, b []types.Value) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// insertTargets maps the INSERT column list to column indexes (all
-// columns, in order, when the list is empty).
-func insertTargets(t *Table, cols []string) ([]int, error) {
+// insertTargets maps the INSERT column list to column indexes, into the
+// session's scratch; nil stands for all columns in order (an empty
+// list).
+func (e *Session) insertTargets(t *Table, cols []string) ([]int, error) {
 	if len(cols) == 0 {
-		idx := make([]int, len(t.Cols))
-		for i := range t.Cols {
-			idx[i] = i
-		}
-		return idx, nil
+		return nil, nil
 	}
-	idx := make([]int, 0, len(cols))
-	seen := make(map[int]bool, len(cols))
+	idx := e.insCols[:0]
 	for _, c := range cols {
 		i := t.colIndex(c)
 		if i < 0 {
 			return nil, fmt.Errorf("unknown column %s in table %s", c, t.Name)
 		}
-		if seen[i] {
+		if slices.Contains(idx, i) {
 			return nil, fmt.Errorf("column %s specified twice", c)
 		}
-		seen[i] = true
 		idx = append(idx, i)
 	}
+	e.insCols = idx
 	return idx, nil
 }
 
-// buildRow produces a full storage row from target column values,
-// applying defaults, coercion and NOT NULL checks.
+// buildRow produces a full storage row from target column values
+// (targets nil: src holds every column in order), applying defaults,
+// coercion and NOT NULL checks. The row is the only allocation.
 func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.Value, error) {
 	row := make([]types.Value, len(t.Cols))
-	provided := make([]bool, len(t.Cols))
-	for i, ci := range targets {
-		v, err := coerce(src[i], t.Cols[ci].Kind)
+	for i, v := range src {
+		ci := i
+		if targets != nil {
+			ci = targets[i]
+		}
+		v, err := coerce(v, t.Cols[ci].Kind)
 		if err != nil {
 			return nil, fmt.Errorf("column %s: %w", t.Cols[ci].Name, err)
 		}
 		row[ci] = v
-		provided[ci] = true
 	}
 	for ci, col := range t.Cols {
-		if provided[ci] {
+		if targets == nil || slices.Contains(targets, ci) {
 			continue
 		}
 		switch {
@@ -325,24 +347,15 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, upd.Table)
 	}
-	setIdx := make([]int, len(upd.Sets))
-	for i, sc := range upd.Sets {
-		ci := t.colIndex(sc.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("unknown column %s in table %s", sc.Column, t.Name)
-		}
-		setIdx[i] = ci
-	}
 	dp := e.planDML(upd, t, upd.Where, upd.Sets)
 	if dp.err != nil {
 		return nil, dp.err
 	}
+	setIdx := dp.cols
 	checks := e.lowerChecks(t)
 	var affected int64
-	type change struct {
-		old, new []types.Value
-	}
-	var changes []change
+	changes := e.changes[:0]
+	defer func() { e.changes = reuse(changes, scratchKeep) }()
 	// Statement atomicity: a failure on any row swaps back the rows this
 	// statement already replaced (see execInsert for why partial effects
 	// must not survive an error).
@@ -359,10 +372,12 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 			t.bumpCols(setIdx)
 		}
 	}
-	// One env reused across the scan (its row swapped per row): the
-	// evaluator never retains an env past the call, and the allocation
-	// would otherwise dominate the statement on long tables.
-	en := &env{}
+	// One env reused across the scan (its row swapped per row), the
+	// session's: the evaluator never retains an env past the call, and
+	// the allocation would otherwise dominate the statement on long
+	// tables.
+	en := &e.dmlEnv
+	*en = env{}
 	// updateRow applies the statement to one row position; the caller
 	// runs undoPartial on error.
 	updateRow := func(ri int, row []types.Value) error {
@@ -403,7 +418,7 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 			t.Rows = append([][]types.Value(nil), t.Rows...)
 			t.rowsShared = false
 		}
-		changes = append(changes, change{old: row, new: newRow})
+		changes = append(changes, rowChange{old: row, new: newRow})
 		t.Rows[ri] = newRow
 		// Per-replacement version bump: only the SET columns' indexes
 		// invalidate (positions never move), and a subquery evaluated for
@@ -434,43 +449,62 @@ func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
 		}
 	}
 	if len(changes) > 0 && e.inTxn {
-		// Undo by row identity: find the replacement row wherever it now
-		// sits and swap the original back. Positional restore would panic
-		// or clobber other sessions' rows if the table shifted between
-		// the update and the rollback; identity restore is a no-op for a
-		// row another session deleted meanwhile. One position map keeps
-		// the rollback linear in the table size.
-		saved, tname := changes, t.Name
-		e.logUndoTable(tname, func(dst *state, _ bool) {
-			t, ok := dst.tables[tname]
-			if !ok {
-				return
+		// Undo by row identity (unreplaceRows): the replacement is found
+		// wherever it now sits and the original swapped back. The record
+		// is logged before the statement's last stamp move (see
+		// buildView).
+		rec := undoRec{kind: kindTable, op: opUpdate, table: t.Name, cols: setIdx}
+		if len(changes) == 1 {
+			rec.old, rec.row = changes[0].old, changes[0].new
+		} else {
+			rec.rows = make([][]types.Value, 0, 2*len(changes))
+			for _, ch := range changes {
+				rec.rows = append(rec.rows, ch.old, ch.new)
 			}
-			// Copy-on-write for the same reason as the forward path: the
-			// swaps below must not reach into a captured row image.
-			if t.rowsShared {
-				t.Rows = append([][]types.Value(nil), t.Rows...)
-				t.rowsShared = false
-			}
-			pos := make(map[*types.Value]int, len(t.Rows))
-			for ri, r := range t.Rows {
-				if len(r) > 0 {
-					pos[&r[0]] = ri
-				}
-			}
-			for i := len(saved) - 1; i >= 0; i-- {
-				ch := saved[i]
-				if len(ch.new) == 0 {
-					continue
-				}
-				if ri, ok := pos[&ch.new[0]]; ok {
-					t.Rows[ri] = ch.old
-				}
-			}
-			t.bumpCols(setIdx)
-		})
+		}
+		e.logUndoRec(rec)
+		t.touch()
 	}
 	return &Result{Kind: ResultCount, Affected: affected}, nil
+}
+
+// unreplaceRows is an UPDATE's undo: for each (old, new) pair of the
+// flattened pairs, last first, it finds the replacement row by identity
+// wherever it now sits and swaps the original back. Positional restore
+// would panic or clobber other sessions' rows if the table shifted
+// between the update and the rollback; identity restore is a no-op for
+// a row another session deleted meanwhile. cols are the SET ordinals.
+func (t *Table) unreplaceRows(pairs [][]types.Value, cols []int) {
+	// Copy-on-write for the same reason as the forward path: the swaps
+	// below must not reach into a captured row image.
+	if t.rowsShared {
+		t.Rows = append([][]types.Value(nil), t.Rows...)
+		t.rowsShared = false
+	}
+	if len(pairs) == 2 {
+		for ri, r := range t.Rows {
+			if sameRow(r, pairs[1]) {
+				t.Rows[ri] = pairs[0]
+				break
+			}
+		}
+	} else {
+		// One position map keeps a many-row rewind linear in the table.
+		pos := make(map[*types.Value]int, len(t.Rows))
+		for ri, r := range t.Rows {
+			if len(r) > 0 {
+				pos[&r[0]] = ri
+			}
+		}
+		for i := len(pairs) - 2; i >= 0; i -= 2 {
+			if nw := pairs[i+1]; len(nw) > 0 {
+				if ri, ok := pos[&nw[0]]; ok {
+					t.Rows[ri] = pairs[i]
+				}
+			}
+		}
+	}
+	t.bumpCols(cols)
 }
 
 func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
@@ -491,7 +525,8 @@ func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
 		n = len(cands)
 	}
 	var gone []int
-	en := &env{}
+	en := &e.dmlEnv
+	*en = env{}
 	for i := 0; i < n; i++ {
 		ri := i
 		if narrowed {
@@ -523,46 +558,47 @@ func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
 		}
 	}
 	t.Rows = kept
-	t.rowsShared = false
-	t.touchBase()
+	// Inside a transaction the undo record holds kept too, to tell
+	// whether the table is untouched when it runs: the array stays
+	// shared, so another session's in-place replacement copies first
+	// instead of writing into it (which would make the record restore
+	// the pre-delete rows over that session's committed change).
+	t.rowsShared = e.inTxn
 	if e.inTxn {
-		tname := t.Name
-		e.logUndoTable(tname, func(dst *state, toSnap bool) {
-			t, ok := dst.tables[tname]
-			if !ok {
-				return
-			}
-			// When the table is untouched since the delete (every kept row
-			// still in place), restore the original row list — exact order
-			// and all. Otherwise other sessions' statements interleaved:
-			// re-append the removed rows instead, so a stale row list
-			// cannot erase their committed changes. A snapshot clone gets
-			// a fresh backing array: oldRows aliases the live table's
-			// storage, which a later live rollback would hand back to the
-			// (mutable) live plane.
-			untouched := len(t.Rows) == len(kept)
-			if untouched {
-				for i := range kept {
-					if !sameRow(t.Rows[i], kept[i]) {
-						untouched = false
-						break
-					}
-				}
-			}
-			switch {
-			case untouched && toSnap:
-				t.Rows = append([][]types.Value(nil), oldRows...)
-			case untouched:
-				t.Rows = oldRows
-				// oldRows may alias an array a read view captured before
-				// the delete; mark it shared so the next in-place
-				// replacement copies first.
-				t.rowsShared = true
-			default:
-				t.Rows = append(t.Rows, removed...)
-			}
-			t.touchBase()
-		})
+		e.logUndoRec(undoRec{kind: kindTable, op: opDelete, table: t.Name, rows: removed, pre: oldRows, post: kept})
 	}
+	t.touchBase()
 	return &Result{Kind: ResultCount, Affected: int64(len(gone))}, nil
+}
+
+// undelete is a DELETE's undo. When the table is untouched since the
+// delete (every row of post still in place), it restores the original
+// row list, pre — exact order and all. Otherwise other sessions'
+// statements interleaved: it re-appends the removed rows instead, so a
+// stale row list cannot erase their committed changes. A snapshot clone
+// gets a fresh backing array: pre aliases the live table's storage,
+// which a later live rollback would hand back to the (mutable) live
+// plane.
+func (t *Table) undelete(removed, pre, post [][]types.Value, toSnap bool) {
+	untouched := len(t.Rows) == len(post)
+	if untouched {
+		for i := range post {
+			if !sameRow(t.Rows[i], post[i]) {
+				untouched = false
+				break
+			}
+		}
+	}
+	switch {
+	case untouched && toSnap:
+		t.Rows = append([][]types.Value(nil), pre...)
+	case untouched:
+		t.Rows = pre
+		// pre may alias an array a read view captured before the delete;
+		// mark it shared so the next in-place replacement copies first.
+		t.rowsShared = true
+	default:
+		t.Rows = append(t.Rows, removed...)
+	}
+	t.touchBase()
 }

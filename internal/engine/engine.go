@@ -203,6 +203,11 @@ type Engine struct {
 	curView atomic.Pointer[readView]
 	viewMu  sync.Mutex
 	viewGen atomic.Uint64
+	// viewStamps and viewDirty are buildView's scratch (guarded by
+	// viewMu): the tables' sampled mutation stamps, in the facts' table
+	// order, and the tables open transactions hold row records on.
+	viewStamps []uint64
+	viewDirty  []string
 
 	// curFacts caches the live catalog's facts (facts, setSchemaVersion).
 	curFacts atomic.Pointer[schemaFacts]
@@ -259,7 +264,7 @@ type Engine struct {
 
 // state is the catalog + data of one engine: the live plane, or a
 // copy-on-write clone of it being rewound into a committed snapshot.
-// Undo records (undoFn) apply to either.
+// Undo records (undoRec.apply) apply to either.
 type state struct {
 	tables map[string]*Table
 	views  map[string]*View
@@ -308,9 +313,11 @@ type Table struct {
 	// capture, a committed image or a snapshot) shares the live Rows
 	// array. While set, the first in-place row replacement must install
 	// a fresh backing array so the clone stays a stable committed image;
-	// mutations that already install a fresh slice (delete, insert-undo)
-	// just clear it. Guarded by the table latch or the exclusive engine
-	// lock, like Rows itself.
+	// mutations that already install a fresh slice (an autocommit delete,
+	// insert-undo) just clear it. A delete inside a transaction sets it:
+	// its undo record holds the array it left, to tell whether the table
+	// was written since. Guarded by the table latch or the exclusive
+	// engine lock, like Rows itself.
 	rowsShared bool
 
 	// capIC is the index-cache lineage shared by successive clean view

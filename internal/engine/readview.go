@@ -22,13 +22,15 @@ import (
 //
 //   - committedCatalog copies the CATALOG maps and rewinds open
 //     transactions' catalog/sequence undo records on the copies. A
-//     readView is built from it without touching table data; each table
-//     is wrapped in a viewTable that materializes its committed row
-//     image lazily, on first access through the view.
+//     readView is built without touching table data — from the live
+//     catalog itself while no open transaction holds a catalog record,
+//     else from committedCatalog; each table is wrapped in a viewTable
+//     that materializes its committed row image lazily, on first access
+//     through the view.
 //   - committedTable takes one table's image: the table itself when no
 //     other open transaction has a record on it, else a copy-on-write
 //     header clone (cloneHeader) with those records rewound — the same
-//     records that implement ROLLBACK.
+//     records (undoRec.apply) that implement ROLLBACK.
 //
 // Materialization is O(1) in the common case: rows are immutable once
 // written and every row mutation installs a fresh outer Rows slice (or
@@ -104,10 +106,11 @@ type readView struct {
 	// plans are shared safely across views and with the live plane.
 	schema uint64
 
+	// views and indexs are the committed catalog's; a view whose stamp
+	// equals its predecessor's shares them (buildView).
 	tables map[string]*viewTable
 	views  map[string]*View
 	indexs map[string]*Index
-	seqs   map[string]*Sequence
 }
 
 // viewTable wraps one base table in a read view. All fields except mat
@@ -196,7 +199,7 @@ func (e *Engine) committedTable(t *Table, except *Session) *Table {
 		s.txMu.Lock()
 		if s.inTxn {
 			for i := len(s.undo) - 1; i >= 0; i-- {
-				r := s.undo[i]
+				r := &s.undo[i]
 				if r.kind != kindTable || r.table != t.Name {
 					continue
 				}
@@ -204,7 +207,7 @@ func (e *Engine) committedTable(t *Table, except *Session) *Table {
 					dst = &state{tables: map[string]*Table{t.Name: t.cloneHeader()}}
 					t.rowsShared = true
 				}
-				r.fn(dst, true)
+				r.apply(dst, true)
 			}
 		}
 		s.txMu.Unlock()
@@ -237,30 +240,57 @@ func (e *Engine) currentView() *readView {
 	return v
 }
 
-// buildView constructs a committed read view over the committed catalog:
-// tables a catalog rewind re-installed are already private images, every
-// other table gets a lazily materialized viewTable. Caller holds the
-// engine read lock and viewMu.
+// buildView constructs a committed read view: tables a catalog rewind
+// re-installed are already private images, every other table gets a
+// lazily materialized viewTable. Caller holds the engine read lock and
+// viewMu.
+//
+// The catalog is copied only when it must be. With no catalog record in
+// any open transaction the live catalog is the committed one: the view
+// walks the live table map (stable under the read lock) and shares the
+// previous view's views and indexes while the committed schema stamp is
+// unchanged — equal stamps name identical catalogs, and Restore,
+// RestoreScoped and Reset move it. Otherwise committedCatalog rewinds
+// copies. Sequence records never matter: a view carries no sequences
+// (a SELECT that advances one runs on the live plane).
+//
+// Each table's mutation stamp is sampled before the undo logs are
+// scanned, and writers log a row record before their statement's last
+// stamp move: so a table whose record the scan missed has moved past its
+// sampled stamp, and materialize images it (committedTable) instead of
+// capturing its live rows.
 func (e *Engine) buildView(seq, gen uint64) *readView {
-	cat, dirty := e.committedCatalog()
-	v := &readView{
-		eng:    e,
-		seq:    seq,
-		gen:    gen,
-		schema: e.committedSchema,
-		tables: make(map[string]*viewTable, len(cat.tables)),
-		views:  cat.views,
-		indexs: cat.indexs,
-		seqs:   cat.seqs,
+	names := e.facts().tables
+	stamps := e.viewStamps[:0]
+	for _, n := range names {
+		stamps = append(stamps, e.st.tables[n].mutSeq.Load())
 	}
+	e.viewStamps = stamps
+	dirty, catalog := e.openRecords(e.viewDirty[:0])
+	e.viewDirty = dirty
+
 	prev := e.curView.Load()
-	for n, t := range cat.tables {
+	v := &readView{eng: e, seq: seq, gen: gen, schema: e.committedSchema}
+	tables := e.st.tables
+	switch {
+	case catalog:
+		var cat *state
+		cat, dirty = e.committedCatalog(false)
+		tables, v.views, v.indexs = cat.tables, cat.views, cat.indexs
+	case prev != nil && prev.schema == v.schema:
+		v.views, v.indexs = prev.views, prev.indexs
+	default:
+		v.views, v.indexs = maps.Clone(e.st.views), maps.Clone(e.st.indexs)
+	}
+	v.tables = make(map[string]*viewTable, len(tables))
+	for n, t := range tables {
 		if t != e.st.tables[n] {
 			v.tables[n] = premat(t)
 			continue
 		}
-		ms := t.mutSeq.Load()
-		if prev != nil && !dirty[n] {
+		i, _ := slices.BinarySearch(names, n)
+		ms, isDirty := stamps[i], slices.Contains(dirty, n)
+		if prev != nil && !isDirty {
 			// Reuse the previous view's wrapper (and its materialized
 			// image and lazy indexes) while the table is unchanged.
 			if pv := prev.tables[n]; pv != nil && pv.live == t && !pv.dirty && pv.mutSeqAtBuild == ms {
@@ -269,63 +299,88 @@ func (e *Engine) buildView(seq, gen uint64) *readView {
 				continue
 			}
 		}
-		v.tables[n] = &viewTable{live: t, mutSeqAtBuild: ms, dirty: dirty[n]}
+		v.tables[n] = &viewTable{live: t, mutSeqAtBuild: ms, dirty: isDirty}
 	}
 	return v
 }
 
-// committedCatalog rewinds the catalog to its committed state: it copies
-// the catalog maps (sequences by value — they advance in place), rewinds
-// every open transaction's catalog and sequence records on the copies,
-// then rewinds the row records of tables a catalog record re-installed
-// (those are private clones already). Every other table in the result is
-// the live instance; dirty names the ones an open transaction holds
-// uncommitted row changes to, for the caller to image (committedTable).
-// Catalog rewinds land before any row rewind targets them, so the result
-// does not depend on session iteration order. Caller holds the engine
-// read lock.
-func (e *Engine) committedCatalog() (cat *state, dirty map[string]bool) {
-	cat = &state{
-		tables: maps.Clone(e.st.tables),
-		views:  maps.Clone(e.st.views),
-		indexs: maps.Clone(e.st.indexs),
-		seqs:   make(map[string]*Sequence, len(e.st.seqs)),
-	}
-	e.seqMu.Lock()
-	for n, sq := range e.st.seqs {
-		cp := *sq
-		cat.seqs[n] = &cp
-	}
-	e.seqMu.Unlock()
-
-	var tableRecs []undoRec
+// openRecords appends to dirty the tables open transactions hold row
+// records on (each once), and reports whether any holds a catalog
+// record. Caller holds the engine read lock.
+func (e *Engine) openRecords(dirty []string) (_ []string, catalog bool) {
 	for s := range e.sessions {
 		s.txMu.Lock()
 		if s.inTxn {
-			for i := len(s.undo) - 1; i >= 0; i-- {
-				r := s.undo[i]
-				switch r.kind {
-				case kindCatalog, kindSeq:
-					r.fn(cat, true)
+			for i := range s.undo {
+				switch r := &s.undo[i]; r.kind {
+				case kindCatalog:
+					catalog = true
 				case kindTable:
-					tableRecs = append(tableRecs, r)
+					if !slices.Contains(dirty, r.table) {
+						dirty = append(dirty, r.table)
+					}
 				}
 			}
 		}
 		s.txMu.Unlock()
 	}
-	for _, r := range tableRecs {
+	return dirty, catalog
+}
+
+// committedCatalog rewinds the catalog to its committed state: it copies
+// the catalog maps (and, with seqs, the sequences by value — they advance
+// in place), rewinds every open transaction's catalog (and sequence)
+// records on the copies, then rewinds the row records of tables a
+// catalog record re-installed (those are private clones already). Every
+// other table in the result is the live instance; dirty names, once
+// each, the ones an open transaction holds uncommitted row changes to,
+// for the caller to image (committedTable). Catalog rewinds land before
+// any row rewind targets them, so the result does not depend on session
+// iteration order. Caller holds the engine read lock.
+func (e *Engine) committedCatalog(seqs bool) (cat *state, dirty []string) {
+	cat = &state{
+		tables: maps.Clone(e.st.tables),
+		views:  maps.Clone(e.st.views),
+		indexs: maps.Clone(e.st.indexs),
+		seqs:   map[string]*Sequence{},
+	}
+	if seqs {
+		e.seqMu.Lock()
+		for n, sq := range e.st.seqs {
+			cp := *sq
+			cat.seqs[n] = &cp
+		}
+		e.seqMu.Unlock()
+	}
+
+	var tableRecs []undoRec // copies: the owner may clear its log once txMu is released
+	for s := range e.sessions {
+		s.txMu.Lock()
+		if s.inTxn {
+			for i := len(s.undo) - 1; i >= 0; i-- {
+				r := &s.undo[i]
+				switch {
+				case r.kind == kindCatalog, r.kind == kindSeq && seqs:
+					r.apply(cat, true)
+				case r.kind == kindTable:
+					tableRecs = append(tableRecs, *r)
+				}
+			}
+		}
+		s.txMu.Unlock()
+	}
+	for i := range tableRecs {
+		r := &tableRecs[i]
 		if cur, ok := cat.tables[r.table]; ok && cur == e.st.tables[r.table] {
 			// Still the live table instance: the caller images it.
-			if dirty == nil {
-				dirty = make(map[string]bool)
+			if !slices.Contains(dirty, r.table) {
+				dirty = append(dirty, r.table)
 			}
-			dirty[r.table] = true
 			continue
 		}
 		// The table was re-installed (or replaced) by a catalog rewind:
 		// it is already a private clone, rewind the rows now.
-		r.fn(cat, true)
+		r.apply(cat, true)
 	}
 	return cat, dirty
 }

@@ -21,14 +21,18 @@ import (
 // engine read lock (see readview.go) — lock-free with respect to
 // writers. DML runs under the read lock plus per-table latches acquired
 // in sorted name order; DDL, ROLLBACK and state transfers take the
-// exclusive lock. Transactions use an undo log over the shared state;
-// undo entries target rows by identity, so a rollback removes or
-// restores exactly the transaction's own rows even when other sessions'
-// statements interleaved. Concurrent transactions are isolated as long
-// as they touch disjoint rows (write-write races on the same row remain
-// the application's concern), which is the contract the workload layers
-// (warehouse-pinned TPC-C terminals, wire clients on their own tables)
-// follow.
+// exclusive lock. Transactions use an undo log over the shared state:
+// typed records (undoRec), row writes held as data, that target rows by
+// identity, so a rollback removes or restores exactly the transaction's
+// own rows even when other sessions' statements interleaved — a DELETE
+// that rolls back keeps another session's committed changes to the rows
+// it kept, because the array it left stays copy-on-write. Concurrent
+// transactions are isolated as long as they touch disjoint rows
+// (write-write races on the same row remain the application's concern),
+// which is the contract the workload layers (warehouse-pinned TPC-C
+// terminals, wire clients on their own tables) follow. The log and the
+// write path's scratch are kept across statements and transactions, so
+// a write allocates little beyond the rows it stores.
 type Session struct {
 	eng    *Engine
 	closed bool
@@ -84,6 +88,18 @@ type Session struct {
 	// suffices.
 	bind []types.Value
 
+	// Write-path scratch, reused by every statement of the session (one
+	// statement at a time, and no write statement runs inside another):
+	// insVals holds an INSERT's evaluated VALUES rows back to back,
+	// insCols its explicit column list resolved, dmlEnv the row env of
+	// an UPDATE's or DELETE's scan and changes an UPDATE's replaced
+	// rows. Nothing outlives the statement; an undo record copies what
+	// it keeps.
+	insVals []types.Value
+	insCols []int
+	dmlEnv  env
+	changes []rowChange
+
 	// lastPlan records how the most recent SELECT, UPDATE or DELETE
 	// reached its rows — see Session.LastPlan.
 	lastPlan plan.Info
@@ -106,23 +122,78 @@ const (
 	kindSeq
 )
 
-// undoRec is one typed undo record: the inverse of one mutation.
+// rowOp says which row write a kindTable record inverts; opFn marks a
+// record whose body is its fn.
+type rowOp uint8
+
+const (
+	opFn     rowOp = iota
+	opInsert       // remove the added rows: row, or rows
+	opUpdate       // swap each replacement back: old <- row, or rows' (old, new) pairs; cols are the SET ordinals
+	opDelete       // put back rows, removed from pre to leave post
+)
+
+// undoRec is one typed undo record: the inverse of one mutation. Row
+// writes (INSERT, UPDATE, DELETE) are data — a one-row record holds its
+// row inline, so logging it allocates nothing once the session's log
+// has grown — and apply interprets them. DDL and sequence records carry
+// their body as a closure (fn).
 type undoRec struct {
 	kind  recKind
+	op    rowOp
 	table string // kindTable only: the table the record targets
-	fn    undoFn
+
+	row, old  []types.Value   // a one-row INSERT's row; a one-row UPDATE's replacement and original
+	rows      [][]types.Value // a multi-row INSERT's rows; a multi-row UPDATE's (old, new) pairs, flattened; a DELETE's removed rows
+	pre, post [][]types.Value // DELETE: the table's Rows before and after it
+	cols      []int           // UPDATE: the SET ordinals (the plan's, shared and immutable)
+
+	fn undoFn
 }
 
-// undoFn is one undo record's body: the inverse of one mutation,
-// applicable to an arbitrary state plane. dst is the live state during
-// ROLLBACK and a copy-on-write clone during a committed-image rewind
-// (committedCatalog, committedTable); toSnap distinguishes the two so
-// records that re-install dropped objects can copy mutable structures
-// instead of sharing them with the live plane. Records resolve tables
-// and sequences by name within dst and rows by slice identity
-// (identities are preserved by the header clone), so the same record
-// is correct on any plane.
+// rowChange is one row an UPDATE replaced.
+type rowChange struct{ old, new []types.Value }
+
+// undoFn is a DDL or sequence record's body: the inverse of one
+// mutation, applicable to an arbitrary state plane. dst is the live
+// state during ROLLBACK and a copy-on-write clone during a
+// committed-image rewind (committedCatalog, committedTable); toSnap
+// distinguishes the two so records that re-install dropped objects can
+// copy mutable structures instead of sharing them with the live plane.
 type undoFn func(dst *state, toSnap bool)
+
+// apply rewinds the record on dst, with dst and toSnap as for undoFn.
+// Records resolve tables and sequences by name within dst and rows by
+// slice identity (identities are preserved by the header clone), so the
+// same record is correct on any plane.
+func (r *undoRec) apply(dst *state, toSnap bool) {
+	if r.op == opFn {
+		r.fn(dst, toSnap)
+		return
+	}
+	t, ok := dst.tables[r.table]
+	if !ok {
+		return
+	}
+	switch r.op {
+	case opInsert:
+		rows := r.rows
+		if rows == nil {
+			one := [1][]types.Value{r.row}
+			rows = one[:]
+		}
+		t.removeRowsByIdentity(rows)
+	case opUpdate:
+		pairs := r.rows
+		if pairs == nil {
+			one := [2][]types.Value{r.old, r.row}
+			pairs = one[:]
+		}
+		t.unreplaceRows(pairs, r.cols)
+	case opDelete:
+		t.undelete(r.rows, r.pre, r.post, toSnap)
+	}
+}
 
 // NewSession opens a session on the engine.
 func (e *Engine) NewSession() *Session {
@@ -388,8 +459,8 @@ func (e *Engine) selectAdvancesSequences(p *stmt.Parsed) bool {
 //
 // A session implements transactions with an undo log: every mutation
 // registers its inverse; ROLLBACK applies the inverses in reverse order.
-// Outside a transaction statements auto-commit (Session.Exec discards the
-// undo log after each statement).
+// Outside a transaction statements auto-commit and log nothing; at
+// transaction end the log is emptied for the next one.
 
 func (s *Session) execBegin() (*Result, error) {
 	if s.inTxn {
@@ -397,9 +468,9 @@ func (s *Session) execBegin() (*Result, error) {
 	}
 	s.txMu.Lock()
 	s.inTxn = true
-	s.undo = s.undo[:0]
+	s.undo = reuse(s.undo, undoKeep)
 	s.txMu.Unlock()
-	s.touched = nil
+	s.clearTouched()
 	s.didDDL = false
 	s.txnStmts = 0
 	s.pinned = nil
@@ -467,37 +538,76 @@ func (s *Session) execRollback() (*Result, error) {
 // and the schema stamp in place).
 func (s *Session) rollbackLocked() {
 	for i := len(s.undo) - 1; i >= 0; i-- {
-		s.undo[i].fn(&s.eng.st, false)
+		s.undo[i].apply(&s.eng.st, false)
 	}
 	s.clearTxnState()
 }
 
 // clearTxnState resets the session's transaction bookkeeping (under
 // txMu, so concurrent view builds never observe a half-cleared log).
+// The undo log and the touched set keep their storage for the next
+// transaction.
 func (s *Session) clearTxnState() {
 	s.txMu.Lock()
 	s.inTxn = false
-	s.undo = nil
+	s.undo = reuse(s.undo, undoKeep)
 	s.txMu.Unlock()
-	s.touched = nil
+	s.clearTouched()
 	s.didDDL = false
 	s.txnStmts = 0
 	s.pinned = nil
 	s.level = s.defLevel
 }
 
-// logUndo appends a typed undo record when a transaction is open.
-// Appends happen under txMu: the read-view builder and per-table
-// rewinds iterate this log from other goroutines.
+// Past these sizes a transaction's undo log, touched set or an INSERT's
+// VALUES scratch is dropped at its end rather than kept for the next:
+// one bulk statement must not pin its high-water mark to the session.
+const (
+	undoKeep    = 128  // undo records
+	touchedKeep = 64   // touched tables
+	scratchKeep = 1024 // values, rows
+)
+
+// reuse returns buf emptied for the next use: its elements zeroed, so
+// it retains nothing they referenced, or nil once it has grown past
+// keep elements.
+func reuse[T any](buf []T, keep int) []T {
+	if cap(buf) > keep {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
+}
+
+// clearTouched empties the touched set, keeping it unless it grew past
+// touchedKeep.
+func (s *Session) clearTouched() {
+	if len(s.touched) > touchedKeep {
+		s.touched = nil
+	} else {
+		clear(s.touched)
+	}
+}
+
+// logUndo appends a closure-bodied undo record when a transaction is
+// open.
 func (s *Session) logUndo(kind recKind, table string, fn undoFn) {
+	s.logUndoRec(undoRec{kind: kind, table: table, fn: fn})
+}
+
+// logUndoRec appends an undo record when a transaction is open. Appends
+// happen under txMu: the read-view builder and per-table rewinds
+// iterate this log from other goroutines.
+func (s *Session) logUndoRec(r undoRec) {
 	if s.inTxn {
 		s.txMu.Lock()
-		s.undo = append(s.undo, undoRec{kind: kind, table: table, fn: fn})
+		s.undo = append(s.undo, r)
 		s.txMu.Unlock()
 	}
 }
 
-// logUndoTable logs a row-plane undo record for one table.
+// logUndoTable logs a closure-bodied row-plane record for one table
+// (the CREATE INDEX keyset record; row writes log typed records).
 func (s *Session) logUndoTable(table string, fn undoFn) { s.logUndo(kindTable, table, fn) }
 
 // logUndoCatalog logs a catalog-plane undo record.

@@ -1,5 +1,7 @@
 package engine
 
+import "slices"
+
 // This file implements the copy-on-write consistent-snapshot subsystem.
 //
 // The engine's live state is READ UNCOMMITTED: writes become visible to
@@ -25,7 +27,7 @@ package engine
 //     either side copies it, and an append past the clone's clipped
 //     capacity reallocates. The image is O(catalog), not O(row count).
 //
-// Undo records are functions over an abstract *state, so the same
+// Undo records apply to an abstract *state (undoRec.apply), so the same
 // records that implement ROLLBACK on the live plane peel the uncommitted
 // changes off the clones. Records target tables by name and rows by
 // slice identity; identities are preserved by the header clone, so the
@@ -105,12 +107,12 @@ func (e *Engine) Snapshot() *State {
 	defer e.unlatchTables(names)
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
-	cat, dirty := e.committedCatalog()
+	cat, dirty := e.committedCatalog(true)
 	for n, t := range cat.tables {
 		switch {
 		case t != e.st.tables[n]:
 			// Re-installed by a catalog rewind: already a private image.
-		case dirty[n]:
+		case slices.Contains(dirty, n):
 			cat.tables[n] = e.committedTable(t, nil)
 		default:
 			cat.tables[n] = t.cloneHeader()

@@ -263,6 +263,10 @@ type Session struct {
 	// path), which is also when resync replays them.
 	inTxn   bool
 	journal []redo
+	// argArena backs the journal's argument copies, carved back to back
+	// (carveArgs). It and the journal are emptied, not dropped, at BEGIN
+	// and at transaction end (resetJournal). Guarded like the journal.
+	argArena []types.Value
 	// isoStmt is the session's last successful SET TRANSACTION issued
 	// outside a transaction (the session-default isolation level). A
 	// rejoining replica replays it before the journal so the rebuilt
@@ -584,10 +588,11 @@ func (cs *Session) noteWrite(b *boundStmt) {
 	switch b.p.Class {
 	case stmt.ClassBegin:
 		cs.inTxn = true
-		cs.journal = append(cs.journal[:0], redo{p: b.p})
+		cs.resetJournal()
+		cs.journal = append(cs.journal, redo{p: b.p})
 	case stmt.ClassEnd:
 		cs.inTxn = false
-		cs.journal = nil
+		cs.resetJournal()
 	case stmt.ClassSetTxn:
 		// SET TRANSACTION outside a transaction sets the session
 		// default (replayed on resync via isoStmt); inside one it is
@@ -600,9 +605,44 @@ func (cs *Session) noteWrite(b *boundStmt) {
 	default:
 		if cs.inTxn {
 			// The caller owns args and may reuse the vector.
-			cs.journal = append(cs.journal, redo{p: b.p, args: append([]types.Value(nil), b.args...)})
+			cs.journal = append(cs.journal, redo{p: b.p, args: cs.carveArgs(b.args)})
 		}
 	}
+}
+
+// Past these capacities the journal and its argument arena are dropped
+// at transaction end rather than kept for the next transaction: one long
+// transaction must not pin its high-water mark to the session.
+const (
+	journalKeep  = 64
+	argArenaKeep = 256
+)
+
+// resetJournal empties the journal and its argument arena, zeroing what
+// they referenced, and keeps their arrays unless they grew past
+// journalKeep and argArenaKeep.
+func (cs *Session) resetJournal() {
+	clear(cs.journal)
+	clear(cs.argArena)
+	cs.journal, cs.argArena = cs.journal[:0], cs.argArena[:0]
+	if cap(cs.journal) > journalKeep {
+		cs.journal = nil
+	}
+	if cap(cs.argArena) > argArenaKeep {
+		cs.argArena = nil
+	}
+}
+
+// carveArgs copies args into the session's argument arena and returns
+// the copy, capacity-clipped. An arena that grows moves to a new array;
+// copies carved earlier keep the old one, which is never written again.
+func (cs *Session) carveArgs(args []types.Value) []types.Value {
+	if len(args) == 0 {
+		return nil
+	}
+	n := len(cs.argArena)
+	cs.argArena = append(cs.argArena, args...)
+	return cs.argArena[n:len(cs.argArena):len(cs.argArena)]
 }
 
 // execAdjudicated runs one statement through broadcast + adjudication.
