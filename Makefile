@@ -45,6 +45,7 @@ smoke:
 	$(GO) run ./cmd/divfuzz -seed 17 -n 2000 -streams 2 -tlp -norec -cert -faults=false
 	$(GO) run ./cmd/divfuzz -seed 19 -n 2000 -streams 2 -tlp -norec -cert -params -planvariants -isolation -faults=false
 	$(GO) run ./cmd/divfuzz -seed 23 -n 2000 -streams 4 -shards 2
+	$(GO) run ./cmd/divfuzz -seed 29 -n 2000 -streams 4 -shards 2
 
 # The root and wire micro-benchmarks, time-based, five runs each, with
 # allocations: compare two trees with stock tooling (benchstat). The

@@ -15,10 +15,13 @@
 // -shards N (N > 1) switches to the sharded smoke configuration: the
 // streams run fault-free through the shard router (internal/shard) over
 // N diverse replica sets and are adjudicated in lockstep against the
-// oracle. Routing, per-shard adjudication and the router's session
-// layer must be semantically invisible, so any divergence is a router
-// or middleware bug and the exit status is 1. Fault flags do not
-// combine with -shards.
+// oracle. The router replicates every table, so writes broadcast to
+// every shard, reads pin to the session's home shard and transactions
+// commit or roll back across the shards they reached. Routing,
+// per-shard adjudication and the router's session layer must be
+// semantically invisible, so any divergence is a router or middleware
+// bug and the exit status is 1. The run prints its route mix. Fault
+// flags do not combine with -shards.
 //
 // -metrics-every N prints a one-line hunt telemetry summary to stderr
 // every N seconds — statements/s, coverage breadth, distinct divergence

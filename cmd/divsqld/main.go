@@ -11,10 +11,14 @@
 //	divsqld -listen :5433 -mode diverse -shards 4
 //	divsqld -listen :5433 -metrics :9090
 //
-// -shards N (with -mode diverse) scales out horizontally: N independent
-// diverse replica sets behind a shard router partitioning tables by
-// name prefix (see internal/shard). The wire SHARDS frame — divsql-cli
-// \shards — reports per-shard replica and quarantine state.
+// -shards N (with -mode diverse) runs N independent diverse replica
+// sets behind a shard router. divsqld passes the router no band map, so
+// it replicates every table to every shard: reads run on the session's
+// home shard and so spread over the N sets, but every write runs on all
+// N sets in one global order — N times the write work, and no added
+// write capacity (see internal/shard; divsql.OpenSharded with
+// BandColumns partitions rows instead). The wire SHARDS frame —
+// divsql-cli \shards — reports per-shard replica and quarantine state.
 //
 // -metrics serves a Prometheus text /metrics endpoint covering every
 // subsystem: middleware adjudication (statements, masked failures,

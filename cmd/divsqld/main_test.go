@@ -161,7 +161,8 @@ func TestDivsqldStartErrors(t *testing.T) {
 }
 
 // TestDivsqldSharded starts the daemon with -shards 2 and checks that
-// statements route, prefix namespaces isolate, the SHARDS wire frame
+// statements route, a join across tables of different name prefixes
+// answers as an unsharded server does, the SHARDS wire frame
 // (divsql-cli \shards) reports the layout, and /metrics carries
 // shard-qualified families from both shards without label collisions.
 func TestDivsqldSharded(t *testing.T) {
@@ -170,27 +171,63 @@ func TestDivsqldSharded(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	defer d.close()
+	plain, err := start("127.0.0.1:0", "diverse", "PG,OR", 0, 1, "")
+	if err != nil {
+		t.Fatalf("start unsharded: %v", err)
+	}
+	defer plain.close()
 
 	sqldriver.Register()
-	db, err := sql.Open("divsql", "wire:"+d.wireAddr)
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	open := func(addr string) *sql.DB {
+		t.Helper()
+		db, err := sql.Open("divsql", "wire:"+addr)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := db.Exec(fmt.Sprintf("CREATE TABLE NS%d_T (A INT)", i)); err != nil {
+				t.Fatalf("create %d: %v", i, err)
+			}
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO NS%d_T VALUES (%d), (%d)", i, i, i+4)); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+		return db
 	}
+	db, plainDB := open(d.wireAddr), open(plain.wireAddr)
 	defer db.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := db.Exec(fmt.Sprintf("CREATE TABLE NS%d_T (A INT)", i)); err != nil {
-			t.Fatalf("create %d: %v", i, err)
-		}
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO NS%d_T VALUES (%d)", i, i)); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
+	defer plainDB.Close()
 	var got int
-	if err := db.QueryRow("SELECT A FROM NS2_T").Scan(&got); err != nil {
+	if err := db.QueryRow("SELECT A FROM NS2_T WHERE A < 4").Scan(&got); err != nil {
 		t.Fatalf("select: %v", err)
 	}
 	if got != 2 {
 		t.Fatalf("NS2_T row = %d, want 2", got)
+	}
+	// Each shard holds every table, so a join across prefixes runs on
+	// one shard and sees all of both tables.
+	join := func(db *sql.DB) string {
+		t.Helper()
+		rows, err := db.Query("SELECT X.A, Y.A FROM NS0_T X, NS1_T Y WHERE X.A < Y.A ORDER BY X.A, Y.A")
+		if err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		defer rows.Close()
+		var out []string
+		for rows.Next() {
+			var x, y int
+			if err := rows.Scan(&x, &y); err != nil {
+				t.Fatalf("join scan: %v", err)
+			}
+			out = append(out, fmt.Sprintf("(%d,%d)", x, y))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("join rows: %v", err)
+		}
+		return strings.Join(out, " ")
+	}
+	if got, want := join(db), join(plainDB); got != want || want == "" {
+		t.Errorf("cross-prefix join through the router = %q, unsharded = %q", got, want)
 	}
 
 	m, err := wire.DialMux(d.wireAddr)

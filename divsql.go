@@ -347,10 +347,11 @@ type ShardedConfig struct {
 	// Shards is the number of independent diverse replica sets.
 	Shards int
 	// BandColumns maps TABLE name (upper case) to its partitioning
-	// column; non-empty selects PK-band partitioning (every table on
-	// every shard, rows split by band value; tables absent from the map
-	// replicate everywhere). Empty selects namespace partitioning
-	// (every table wholly on the shard owning its name prefix).
+	// column: every shard holds a mapped table and its rows split by
+	// band value. Tables absent from the map (every table when it is
+	// empty) are replicated to every shard: writes broadcast to every
+	// shard in one global order (N times the write work), reads run on
+	// the session's home shard.
 	BandColumns map[string]string
 	// WallClock makes each replica set's adjudication loop spend the
 	// adjudicated latency in real time (see middleware.Config.WallClock)

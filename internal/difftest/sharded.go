@@ -2,10 +2,13 @@ package difftest
 
 // The sharded smoke: a fault-free lockstep run of generated streams
 // through the shard router (internal/shard) over diverse replica sets,
-// adjudicated statement by statement against the pristine oracle. Each
-// stream works in its own name prefix, so namespace routing places the
-// whole stream on one shard and the run exercises routing, per-shard
-// adjudication and the router's session layer concurrently. Fault-free,
+// adjudicated statement by statement against the pristine oracle. The
+// router runs without a band map, so every table is replicated: writes
+// broadcast to every shard in ascending order, reads run on the
+// session's home shard, and a transaction joins every shard its writes
+// reach and commits or rolls back across them. Each stream works in its
+// own name prefix, so the shared oracle stays exact under concurrent
+// streams. Fault-free,
 // the deployment is just a scaled-out implementation of the same SQL
 // semantics, so any divergence convicts the router or the middleware —
 // the sharded analogue of the fault-free differential gate.
@@ -58,6 +61,9 @@ type ShardedResult struct {
 	// executed, from the router's own counters — evidence the run
 	// actually spread across shards.
 	PerShard []uint64
+	// Routes is the router's route mix: a generator that stops reaching
+	// a routing path shows up here.
+	Routes shard.RouteCounts
 	// Divergences lists every statement that disagreed with the oracle.
 	Divergences []ShardedDivergence
 	// Elapsed is the wall-clock run time.
@@ -118,7 +124,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			opts := qgen.CommonProfile(cfg.Seed)
 			opts.Seed = cfg.Seed + int64(stream)*1_000_003
 			opts.NamePrefix = fmt.Sprintf("S%d_", stream)
-			opts.TableNames = nil // only prefixed names keep the stream on one shard
+			opts.TableNames = nil // only prefixed names keep the streams' tables disjoint
 			gen := qgen.New(opts)
 			rSess := r.NewSession()
 			defer rSess.Close()
@@ -145,6 +151,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 
 	res := &ShardedResult{
 		Statements:  cfg.N * cfg.Streams,
+		Routes:      r.Routes(),
 		Divergences: divs,
 		Elapsed:     time.Since(start),
 	}
@@ -161,6 +168,9 @@ func (res *ShardedResult) RenderSharded() string {
 	for i, n := range res.PerShard {
 		out += fmt.Sprintf("  shard%d: %d statement(s)\n", i, n)
 	}
+	rt := res.Routes
+	out += fmt.Sprintf("  routes: %d single, %d broadcast, %d scatter, %d rejected\n",
+		rt.Single, rt.Broadcast, rt.Scatter, rt.Rejected)
 	if len(res.Divergences) == 0 {
 		out += "  no divergences\n"
 		return out

@@ -120,6 +120,22 @@ func (r *Router) Status() []ShardStatus {
 	return out
 }
 
+// RouteCounts snapshots the router's routing decisions.
+type RouteCounts struct {
+	Single, Broadcast, Scatter, Rejected uint64
+}
+
+// Routes reads the routing-decision counters.
+func (r *Router) Routes() RouteCounts {
+	m := &r.metrics
+	return RouteCounts{
+		Single:    m.single.Load(),
+		Broadcast: m.broadcast.Load(),
+		Scatter:   m.scatter.Load(),
+		Rejected:  m.rejected.Load(),
+	}
+}
+
 // DescribeText renders Status for the CLI's \shards command.
 func (r *Router) DescribeText() string {
 	var b strings.Builder

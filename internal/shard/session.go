@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,8 +25,9 @@ type Session struct {
 	home int            // shard for statements with no routable reference
 
 	inTxn    bool
-	beginSQL string       // the client's BEGIN text, replayed on lazy joins
-	touched  map[int]bool // shards the open transaction has reached
+	beginSQL string // the client's BEGIN text, replayed on lazy joins
+	touched  []int  // shards the open transaction has reached
+	ordered  bool   // the open transaction ran a broadcast: it ends under r.order
 }
 
 // OpenSession opens a session on every shard. Implements
@@ -34,14 +36,11 @@ func (r *Router) OpenSession() core.Session { return r.NewSession() }
 
 // NewSession opens a session with its concrete type.
 func (r *Router) NewSession() *Session {
-	s := &Session{r: r, touched: make(map[int]bool)}
+	s := &Session{r: r}
 	for _, b := range r.backends {
 		s.subs = append(s.subs, b.OpenSession())
 	}
-	r.mu.Lock()
-	s.home = int(r.nextHome % uint64(len(r.backends)))
-	r.nextHome++
-	r.mu.Unlock()
+	s.home = int((r.nextHome.Add(1) - 1) % uint64(len(r.backends)))
 	return s
 }
 
@@ -50,6 +49,10 @@ func (r *Router) NewSession() *Session {
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.inTxn && s.ordered {
+		s.r.order.Lock()
+		defer s.r.order.Unlock()
+	}
 	var first error
 	for _, sub := range s.subs {
 		if err := sub.Close(); err != nil && first == nil {
@@ -97,20 +100,20 @@ func (s *Session) dispatch(p *stmt.Parsed, ex shardExec, args []types.Value) (*e
 	}
 	switch rt.kind {
 	case routeTxn:
-		return s.execTxnControl(st, ex)
-	case routeSetTxn:
-		return s.execBroadcast(st, ex, false)
+		return s.execTxnControl(p, ex)
 	case routeSingle:
 		r.metrics.single.Add(1)
-		res, lat, err := s.execOn(rt.shard, ex)
-		if err == nil {
-			r.noteDDL(st)
+		if rt.shared {
+			r.order.RLock()
+			defer r.order.RUnlock()
 		}
-		return res, lat, err
+		return s.execOn(rt.shard, ex)
 	case routeBroadcast:
-		return s.execBroadcast(st, ex, true)
+		return s.execBroadcast(p, ex, rt.sum)
 	case routeScatter:
 		r.metrics.scatter.Add(1)
+		r.order.RLock()
+		defer r.order.RUnlock()
 		return s.execScatter(p.Select, ex)
 	default:
 		return nil, 0, fmt.Errorf("shard: unroutable statement %T", st)
@@ -130,13 +133,13 @@ func (s *Session) execOn(shard int, ex shardExec) (*engine.Result, time.Duration
 // joinTxn lazily propagates the session's open BEGIN to a shard the
 // transaction is reaching for the first time.
 func (s *Session) joinTxn(shard int) error {
-	if !s.inTxn || s.touched[shard] {
+	if !s.inTxn || slices.Contains(s.touched, shard) {
 		return nil
 	}
 	if _, _, err := s.subs[shard].Exec(s.beginSQL); err != nil {
 		return fmt.Errorf("shard %d: propagating %s: %w", shard, s.beginSQL, err)
 	}
-	s.touched[shard] = true
+	s.touched = append(s.touched, shard)
 	return nil
 }
 
@@ -146,27 +149,32 @@ func (s *Session) joinTxn(shard int) error {
 // transaction is open, and shards join it on first contact (joinTxn).
 // The synthesized result matches the engine's (*Result{Kind:
 // ResultDDL}, base latency), so lockstep comparisons against an
-// unsharded oracle agree. A second BEGIN routes to a joined shard (or
-// home) so the engine's own "transaction already in progress" error
+// unsharded oracle agree. A second BEGIN runs on the home shard (joining
+// it) so the engine's own "transaction already in progress" error
 // surfaces. COMMIT/ROLLBACK visit exactly the joined shards in
 // ascending order.
-func (s *Session) execTxnControl(st ast.Statement, ex shardExec) (*engine.Result, time.Duration, error) {
-	switch st.(type) {
+func (s *Session) execTxnControl(p *stmt.Parsed, ex shardExec) (*engine.Result, time.Duration, error) {
+	switch p.AST.(type) {
 	case *ast.Begin:
 		if s.inTxn {
-			return s.execOn(s.firstTouched(), ex)
+			return s.execOn(s.home, ex)
 		}
 		s.inTxn = true
-		s.beginSQL = exSQL(ex)
+		s.beginSQL = p.Text
 		return &engine.Result{Kind: engine.ResultDDL}, server.BaseLatency, nil
 	default: // Commit, Rollback
 		if !s.inTxn {
 			// No transaction: forward for the engine's authentic outcome.
 			return ex.run(s, s.home)
 		}
-		targets := s.touchedAscending()
-		s.inTxn = false
-		s.touched = make(map[int]bool)
+		targets := s.touched
+		slices.Sort(targets)
+		if s.ordered {
+			s.r.order.Lock()
+			defer s.r.order.Unlock()
+		}
+		// No shard joins while the transaction ends: targets stays intact.
+		s.inTxn, s.ordered, s.touched = false, false, targets[:0]
 		if len(targets) == 0 {
 			// Opened but never touched a shard: nothing to finish.
 			return &engine.Result{Kind: engine.ResultDDL}, server.BaseLatency, nil
@@ -190,7 +198,7 @@ func (s *Session) execTxnControl(st ast.Statement, ex shardExec) (*engine.Result
 				// open would have later autocommit-style statements
 				// silently execute inside it. Best-effort ROLLBACK puts
 				// the backend session in a known state either way.
-				if _, isCommit := st.(*ast.Commit); isCommit {
+				if _, isCommit := p.AST.(*ast.Commit); isCommit {
 					_, _, _ = s.subs[shard].Exec("ROLLBACK")
 				}
 				continue
@@ -204,14 +212,25 @@ func (s *Session) execTxnControl(st ast.Statement, ex shardExec) (*engine.Result
 	}
 }
 
-// execBroadcast runs a statement on every shard in ascending order,
-// summing affected counts and reporting the slowest shard's latency
-// (shards execute back to back, but each models an independent replica
-// set — the deployment's wall-clock cost is the slowest one's).
-func (s *Session) execBroadcast(st ast.Statement, ex shardExec, write bool) (*engine.Result, time.Duration, error) {
+// execBroadcast runs a statement on every shard in ascending order and
+// reports the slowest shard's latency (shards execute back to back, but
+// each models an independent replica set — the deployment's wall-clock
+// cost is the slowest one's). With sum, each shard wrote its own
+// fragment and the affected counts add up; otherwise every shard ran
+// the statement on an identical copy and must answer alike, and the
+// answer is reported once. Anything but SET TRANSACTION holds r.order.
+func (s *Session) execBroadcast(p *stmt.Parsed, ex shardExec, sum bool) (*engine.Result, time.Duration, error) {
 	s.r.metrics.broadcast.Add(1)
+	if p.Class != stmt.ClassSetTxn {
+		s.r.order.Lock()
+		defer s.r.order.Unlock()
+		if s.inTxn {
+			s.ordered = true
+		}
+	}
 	var (
-		res      *engine.Result
+		ref      *engine.Result // the first shard's answer
+		refShard int
 		affected int64
 		maxLat   time.Duration
 	)
@@ -228,20 +247,29 @@ func (s *Session) execBroadcast(st ast.Statement, ex shardExec, write bool) (*en
 			// harness bug and is surfaced, not masked.
 			return nil, maxLat, fmt.Errorf("shard %d: %w", shard, err)
 		}
-		res = rr
-		if rr != nil {
-			affected += rr.Affected
+		if rr == nil {
+			continue
 		}
+		if ref == nil {
+			ref, refShard = rr, shard
+		} else if !sum && !core.Equal(ref, rr, core.CompareOptions{}) {
+			// Copies that agree before a statement agree after it; a
+			// shard that answers differently has diverged, which is
+			// surfaced like an error past shard 0.
+			if rr.Kind != engine.ResultRows {
+				return nil, maxLat, fmt.Errorf("shard %d: replicated write affected %d rows, shard %d affected %d", shard, rr.Affected, refShard, ref.Affected)
+			}
+			return nil, maxLat, fmt.Errorf("shard %d: replicated query answered differently from shard %d: %s", shard, refShard, core.Diff(ref, rr, core.CompareOptions{}))
+		}
+		affected += rr.Affected
 	}
-	if write && res != nil {
-		cp := *res
+	if sum && ref != nil {
+		cp := *ref
 		cp.Affected = affected
-		res = &cp
+		ref = &cp
 	}
-	if st != nil {
-		s.r.noteDDL(st)
-	}
-	return res, maxLat, nil
+	s.r.noteDDL(p)
+	return ref, maxLat, nil
 }
 
 // execScatter fans a cross-shard SELECT out to every shard in parallel
@@ -250,7 +278,7 @@ func (s *Session) execBroadcast(st ast.Statement, ex shardExec, write bool) (*en
 // shard), then the reads overlap.
 func (s *Session) execScatter(sel *ast.Select, ex shardExec) (*engine.Result, time.Duration, error) {
 	n := len(s.subs)
-	for shard := 0; shard < n; shard++ {
+	for shard := range n {
 		if err := s.joinTxn(shard); err != nil {
 			return nil, server.BaseLatency, err
 		}
@@ -259,7 +287,7 @@ func (s *Session) execScatter(sel *ast.Select, ex shardExec) (*engine.Result, ti
 	lats := make([]time.Duration, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for shard := 0; shard < n; shard++ {
+	for shard := range n {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
@@ -268,60 +296,12 @@ func (s *Session) execScatter(sel *ast.Select, ex shardExec) (*engine.Result, ti
 		}(shard)
 	}
 	wg.Wait()
-	var maxLat time.Duration
-	for _, lat := range lats {
-		if lat > maxLat {
-			maxLat = lat
-		}
-	}
+	maxLat := slices.Max(lats)
 	for shard, err := range errs {
 		if err != nil {
 			return nil, maxLat, fmt.Errorf("shard %d: %w", shard, err)
 		}
 	}
 	res, err := mergeScatter(sel, results)
-	if err != nil {
-		return nil, maxLat, err
-	}
-	return res, maxLat, nil
-}
-
-// firstTouched returns the lowest shard already joined to the open
-// transaction, or the session's home shard when none is.
-func (s *Session) firstTouched() int {
-	best := -1
-	for shard := range s.touched {
-		if best < 0 || shard < best {
-			best = shard
-		}
-	}
-	if best < 0 {
-		return s.home
-	}
-	return best
-}
-
-// touchedAscending lists the joined shards in ascending order.
-func (s *Session) touchedAscending() []int {
-	out := make([]int, 0, len(s.touched))
-	for shard := range s.touched {
-		out = append(out, shard)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; the list is tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// exSQL recovers the statement text of an executor for BEGIN replay.
-func exSQL(ex shardExec) string {
-	switch x := ex.(type) {
-	case inlineExec:
-		return string(x)
-	case *stmtExec:
-		return x.st.p.Text
-	}
-	return "BEGIN TRANSACTION"
+	return res, maxLat, err
 }

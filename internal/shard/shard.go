@@ -11,28 +11,30 @@
 // middleware itself, so every existing workload driver (tpcc, difftest,
 // the wire server, sqldriver) can front a sharded deployment unchanged.
 //
-// # Partitioning modes
+// # Placement
 //
-// Namespace mode (the default): every table belongs to exactly one
-// shard, chosen by hashing the table's namespace (by default the prefix
-// up to and including the first '_', e.g. "S3_QT7" -> "S3_"; a name
-// without '_' is its own namespace). A statement whose referenced
-// tables all live on one shard routes there; a statement spanning
-// namespaces on different shards is rejected deterministically —
-// namespace partitioning is for workloads with disjoint table
-// universes, such as difftest's per-stream namespaces.
+// One rule places every table. A table named in Config.BandColumns is
+// partitioned: every shard holds the table, and its rows split by the
+// value of its band column (tpcc: the *W_ID column), shard = band % N.
+// Every other table — every table when the map is empty — is
+// replicated: every shard holds all of its rows.
 //
-// PK-band mode (Config.BandColumns non-empty): every table exists on
-// every shard and rows partition by the value of the table's band
-// column (tpcc: the *W_ID column), shard = band % N. DDL broadcasts to
-// every shard in ascending order; DML with an equality predicate or
-// VALUES entry on the band column routes to the owning shard;
-// band-free writes broadcast (affected counts summed); band-free
-// SELECTs scatter-gather: fan out to every shard in parallel, each
-// shard adjudicating its fragment across its own replicas, then merge
+// DDL broadcasts to every shard in ascending order. DML with an
+// equality predicate or VALUES entry on the band column routes to the
+// owning shard; band-free writes to a banded table broadcast (affected
+// counts summed over the fragments); band-free SELECTs over a banded
+// table scatter-gather: fan out to every shard in parallel, each shard
+// adjudicating its fragment across its own replicas, then merge
 // (concatenate, re-sort by ORDER BY, recombine COUNT/SUM/MIN/MAX
-// aggregates). Tables absent from BandColumns (tpcc's ITEM) are
-// replicated: writes broadcast, reads pin to the session's home shard.
+// aggregates). Writes to a replicated table broadcast and report the
+// count once; reads that touch only replicated tables pin to the
+// session's home shard. A view is banded when it reads a banded table
+// or a banded view, and then scatters on read; any other view routes
+// like a replicated table. Sequences are replicated too: a statement
+// that advances one (it calls NEXTVAL or reads a view that does)
+// broadcasts, a SELECT included, and answers once; over a banded table
+// it is rejected, and so is a banded table whose DEFAULT or CHECK would
+// advance one.
 //
 // # Ordering rules (deadlock and determinism)
 //
@@ -41,6 +43,13 @@
 //     order — the cross-shard analogue of the engine's sorted
 //     table-latch order, so two sessions can never deadlock across
 //     shards.
+//   - State-changing broadcasts, and the end (COMMIT, ROLLBACK, Close)
+//     of a transaction that ran one, hold the router's order lock: every
+//     shard applies replicated writes and their undoing in one global
+//     order, so conflicting writes leave the copies alike. Scatters and
+//     single-shard reads of a replicated table hold it shared, so they
+//     see a broadcast on every shard or on none. It cannot deadlock:
+//     every lock below the router is released when its statement ends.
 //   - Scatter-gather reads fan out concurrently and merge in ascending
 //     shard order, so the merged row order is deterministic for a given
 //     per-shard order.
@@ -56,10 +65,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"divsql/internal/core"
+	"divsql/internal/engine"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
@@ -70,35 +82,33 @@ import (
 // use for single-replica shards.
 type Backend = core.SessionExecutor
 
-// Config selects the partitioning mode.
+// Config is the deployment's placement map.
 type Config struct {
 	// BandColumns maps TABLE name (upper case) to its band column name.
-	// Non-empty selects PK-band mode; tables absent from the map are
-	// replicated to every shard (writes broadcast, reads pinned).
-	// Empty selects namespace mode.
+	// Tables absent from the map (every table when it is empty) are
+	// replicated to every shard: writes broadcast, reads pin to the
+	// session's home shard.
 	BandColumns map[string]string
-	// NamespaceOf computes a table's namespace in namespace mode. Nil
-	// uses PrefixNamespace.
-	NamespaceOf func(table string) string
 }
 
-// PrefixNamespace is the default namespace function: the prefix up to
-// and including the first '_' ("S3_QT7" -> "S3_"); a name without '_'
-// is its own namespace.
-func PrefixNamespace(table string) string {
-	if i := strings.IndexByte(table, '_'); i >= 0 {
-		return table[:i+1]
-	}
-	return table
-}
-
-// tableInfo is the router's catalog entry for one table it has seen DDL
-// for (PK-band mode only; namespace routing is a pure hash).
+// tableInfo is the router's catalog entry for a banded table, or for a
+// view that is banded or whose reading advances a sequence.
 type tableInfo struct {
-	bandCol string // upper case; "" for replicated tables
-	bandIdx int    // band column position in CREATE TABLE order; -1 unknown
-	view    bool   // views always scatter on read
+	bandIdx  int  // band column position in CREATE TABLE order; -1 unknown
+	banded   bool // a banded view: scatters on read
+	advances bool // a view whose reading advances a sequence
 }
+
+// seqFuncs names the builtins that advance a sequence.
+var seqFuncs = func() map[string]bool {
+	m := map[string]bool{}
+	for name, b := range engine.AllBuiltins() {
+		if b.SeqFunc {
+			m[name] = true
+		}
+	}
+	return m
+}()
 
 // Router routes statements across shards. It implements
 // core.SessionExecutor.
@@ -110,7 +120,9 @@ type Router struct {
 	mu      sync.RWMutex // guards catalog
 	catalog map[string]*tableInfo
 
-	nextHome uint64 // round-robin home-shard assignment (under mu)
+	order sync.RWMutex // see "Ordering rules"
+
+	nextHome atomic.Uint64 // round-robin home-shard assignment
 
 	metrics routerMetrics
 }
@@ -119,9 +131,6 @@ type Router struct {
 func New(cfg Config, backends ...Backend) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("shard: router needs at least one shard")
-	}
-	if cfg.NamespaceOf == nil {
-		cfg.NamespaceOf = PrefixNamespace
 	}
 	r := &Router{
 		cfg:      cfg,
@@ -133,16 +142,6 @@ func New(cfg Config, backends ...Backend) (*Router, error) {
 	}
 	r.metrics.perShard = make([]shardCounters, len(backends))
 	return r, nil
-}
-
-// banded reports whether the router runs in PK-band mode.
-func (r *Router) banded() bool { return len(r.cfg.BandColumns) > 0 }
-
-// shardOfNamespace hashes a table name's namespace onto a shard.
-func (r *Router) shardOfNamespace(table string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(r.cfg.NamespaceOf(strings.ToUpper(table))))
-	return int(h.Sum32() % uint32(len(r.backends)))
 }
 
 // shardOfBand maps a band value onto a shard: integers partition by
@@ -169,105 +168,94 @@ const (
 	routeScatter                        // read fan-out + merge
 	routeBroadcast                      // write on every shard, ascending
 	routeTxn                            // BEGIN/COMMIT/ROLLBACK
-	routeSetTxn                         // session-level isolation default
 )
 
 type route struct {
 	kind  routeKind
 	shard int // routeSingle only
+	// sum marks a broadcast write over a banded table: each shard
+	// writes its own fragment, so the affected counts add up. Any other
+	// broadcast applies one write to identical copies and reports its
+	// count once.
+	sum    bool
+	shared bool // a single-shard read of a replicated table: holds order shared
 }
 
 // analyze classifies one resolved statement. args carries the
 // execution's typed arguments when the statement came through the
 // prepared path (band predicates over placeholders resolve per
-// execution); home is the session's home shard for statements with no
-// table references.
+// execution); home is the session's home shard, where a SELECT that
+// reads only replicated tables, or no table, runs.
 func (r *Router) analyze(p *stmt.Parsed, args []types.Value, home int) (route, error) {
 	switch p.Class {
 	case stmt.ClassBegin, stmt.ClassEnd:
 		return route{kind: routeTxn}, nil
-	case stmt.ClassSetTxn:
-		return route{kind: routeSetTxn}, nil
+	case stmt.ClassSetTxn: // a session-level default every shard keeps
+		return route{kind: routeBroadcast}, nil
 	}
-	if r.banded() {
-		return r.analyzeBand(p, args, home)
-	}
-	return r.analyzeNamespace(p.Refs, home)
-}
-
-// analyzeNamespace routes by namespace hash: all referenced names must
-// agree on one shard. Statements without table references run on the
-// session's home shard.
-func (r *Router) analyzeNamespace(names []string, home int) (route, error) {
-	if len(names) == 0 {
-		return route{kind: routeSingle, shard: home}, nil
-	}
-	shard, first := -1, ""
-	for _, name := range names {
-		s := r.shardOfNamespace(name)
-		if shard < 0 {
-			shard, first = s, name
-			continue
-		}
-		if s != shard {
-			return route{}, fmt.Errorf(
-				"shard: cross-shard statement under namespace partitioning (%s on shard %d, %s on shard %d)",
-				first, shard, name, s)
-		}
-	}
-	return route{kind: routeSingle, shard: shard}, nil
-}
-
-// analyzeBand routes in PK-band mode.
-func (r *Router) analyzeBand(p *stmt.Parsed, args []types.Value, home int) (route, error) {
-	var (
-		rt  route
-		err error
-	)
+	var rt route
+	var err error
 	st := p.AST
 	switch x := st.(type) {
-	case *ast.CreateTable, *ast.CreateView, *ast.CreateIndex, *ast.CreateSequence,
+	case *ast.CreateTable:
+		if r.bandColumnOf(x.Name) != "" && r.writesAdvanceSequence(x) {
+			return route{}, fmt.Errorf("shard: banded table %s with a DEFAULT or CHECK advancing a sequence cannot be routed (every shard holds the sequence)", strings.ToUpper(x.Name))
+		}
+		return route{kind: routeBroadcast}, nil
+	case *ast.CreateView, *ast.CreateIndex, *ast.CreateSequence,
 		*ast.DropTable, *ast.DropView, *ast.DropIndex, *ast.DropSequence:
-		_ = x
 		return route{kind: routeBroadcast}, nil
 	case *ast.Insert:
-		rt, err = r.analyzeInsert(x, args)
+		rt, err = r.analyzeInsert(x, p.Fingerprint.Tables, args)
 	case *ast.Update:
-		rt, err = r.analyzeFiltered(strings.ToUpper(x.Table), x.Where, args, false, home)
+		rt, err = r.analyzeWrite(strings.ToUpper(x.Table), x.Where, args)
 	case *ast.Delete:
-		rt, err = r.analyzeFiltered(strings.ToUpper(x.Table), x.Where, args, false, home)
+		rt, err = r.analyzeWrite(strings.ToUpper(x.Table), x.Where, args)
 	case *ast.Select:
-		rt, err = r.analyzeSelect(x, p.Refs, args, home)
+		rt, err = r.analyzeSelect(x, p.Fingerprint.Tables, args, home)
 	default:
 		return route{}, fmt.Errorf("shard: cannot route %T", st)
 	}
-	if err == nil && rt.kind != routeSingle {
-		// The statement is about to run on more than one shard (scatter
-		// or broadcast): a subquery over a banded table would evaluate
-		// against each shard's local fragment only — shards would filter
-		// by different values and the merged outcome would be silently
-		// wrong. The co-partitioning assumption covers joins, not
-		// global-aggregate subqueries, so reject deterministically.
-		if serr := r.bandedSubqueryErr(st); serr != nil {
-			return route{}, serr
-		}
+	if err != nil {
+		return route{}, err
 	}
-	return rt, err
+	tables := p.Fingerprint.Tables
+	if r.advancesSequence(p) {
+		// Every shard holds the sequence: advance each copy alike.
+		if i := slices.IndexFunc(tables, r.bandedRef); i >= 0 {
+			return route{}, fmt.Errorf("shard: statement advancing a sequence over banded table %s cannot be routed (every shard holds the sequence)", tables[i])
+		}
+		rt = route{kind: routeBroadcast}
+	}
+	if rt.kind == routeSingle {
+		// Its subqueries run on one shard, which is what the band
+		// predicate asked for.
+		rt.shared = slices.ContainsFunc(tables, func(t string) bool { return !r.bandedRef(t) })
+		return rt, nil
+	}
+	// The statement is about to run on more than one shard (scatter or
+	// broadcast): a subquery over a banded table would evaluate against
+	// each shard's local fragment only — shards would filter by
+	// different values and the merged outcome would be silently wrong.
+	// The co-partitioning assumption covers joins, not global-aggregate
+	// subqueries, so reject deterministically.
+	if t := subqueryRef(st, r.bandedRef); t != "" {
+		return route{}, fmt.Errorf("shard: multi-shard statement with a subquery over banded table %s cannot be routed (add a band predicate)", t)
+	}
+	return rt, nil
 }
 
-// bandedSubqueryErr reports an error when any subquery expression in the
-// statement references a banded table. Pinned (single-shard) statements
-// are not checked here: their subqueries run on one shard, which is what
-// the band predicate asked for.
-func (r *Router) bandedSubqueryErr(st ast.Statement) error {
-	var offender string
+// subqueryRef returns the first table or view that a subquery
+// expression of the statement reads and pred accepts, or "".
+func subqueryRef(st ast.Statement, pred func(name string) bool) string {
+	var found string
 	check := func(sub *ast.Select) {
-		if sub == nil || offender != "" {
+		if sub == nil || found != "" {
 			return
 		}
 		for t := range ast.Tables(sub) {
-			if r.bandColumnOf(t) != "" {
-				offender = t
+			if pred(t) {
+				found = t
 				return
 			}
 		}
@@ -282,10 +270,40 @@ func (r *Router) bandedSubqueryErr(st ast.Statement) error {
 			check(x.Select)
 		}
 	})
-	if offender != "" {
-		return fmt.Errorf("shard: multi-shard statement with a subquery over banded table %s cannot be routed (add a band predicate)", offender)
+	return found
+}
+
+// advancesSequence reports whether executing the statement advances a
+// sequence: it calls a sequence function or reads a view that does.
+func (r *Router) advancesSequence(p *stmt.Parsed) bool {
+	for _, fn := range p.Fingerprint.Funcs {
+		if seqFuncs[fn] {
+			return true
+		}
 	}
-	return nil
+	return slices.ContainsFunc(p.Fingerprint.Tables, r.advancingView)
+}
+
+// advancingView reports whether reading the named view (upper case)
+// advances a sequence.
+func (r *Router) advancingView(name string) bool {
+	r.mu.RLock()
+	ti := r.catalog[name]
+	r.mu.RUnlock()
+	return ti != nil && ti.advances
+}
+
+// writesAdvanceSequence reports whether a table's DEFAULT or CHECK
+// calls a sequence function, or reads a view that does: then every
+// write to the table advances a sequence.
+func (r *Router) writesAdvanceSequence(ct *ast.CreateTable) bool {
+	adv := subqueryRef(ct, r.advancingView) != ""
+	ast.WalkStatementExprs(ct, func(e ast.Expr) {
+		if f, ok := e.(*ast.FuncCall); ok && seqFuncs[strings.ToUpper(f.Name)] {
+			adv = true
+		}
+	})
+	return adv
 }
 
 // bandColumnOf reports the band column of a table ("" = replicated).
@@ -293,20 +311,29 @@ func (r *Router) bandColumnOf(table string) string {
 	return r.cfg.BandColumns[strings.ToUpper(table)]
 }
 
-// analyzeInsert routes an INSERT by the band value in its VALUES rows.
-func (r *Router) analyzeInsert(ins *ast.Insert, args []types.Value) (route, error) {
+// bandedRef reports whether a referenced name (upper case) is a banded
+// table or a banded view: each shard holds a fragment of its rows.
+func (r *Router) bandedRef(name string) bool {
+	if r.bandColumnOf(name) != "" {
+		return true
+	}
+	r.mu.RLock()
+	ti := r.catalog[name]
+	r.mu.RUnlock()
+	return ti != nil && ti.banded
+}
+
+// analyzeInsert routes an INSERT (tables: every table it names) by the
+// band value in its VALUES rows.
+func (r *Router) analyzeInsert(ins *ast.Insert, tables []string, args []types.Value) (route, error) {
 	table := strings.ToUpper(ins.Table)
 	band := r.bandColumnOf(table)
 	if band == "" {
 		// Replicated table: the row must exist on every shard. A source
 		// SELECT over a banded table would feed each replica its local
 		// fragment only, silently diverging the replicas.
-		if ins.Select != nil {
-			for t := range ast.Tables(ins.Select) {
-				if r.bandColumnOf(t) != "" {
-					return route{}, fmt.Errorf("shard: INSERT ... SELECT from banded table %s into replicated table %s cannot be routed", t, table)
-				}
-			}
+		if i := slices.IndexFunc(tables, r.bandedRef); ins.Select != nil && i >= 0 {
+			return route{}, fmt.Errorf("shard: INSERT ... SELECT from banded table %s into replicated table %s cannot be routed", tables[i], table)
 		}
 		return route{kind: routeBroadcast}, nil
 	}
@@ -315,12 +342,7 @@ func (r *Router) analyzeInsert(ins *ast.Insert, args []types.Value) (route, erro
 	}
 	idx := -1
 	if len(ins.Columns) > 0 {
-		for i, c := range ins.Columns {
-			if strings.EqualFold(c, band) {
-				idx = i
-				break
-			}
-		}
+		idx = slices.IndexFunc(ins.Columns, func(c string) bool { return strings.EqualFold(c, band) })
 	} else {
 		r.mu.RLock()
 		if ti := r.catalog[table]; ti != nil {
@@ -352,52 +374,38 @@ func (r *Router) analyzeInsert(ins *ast.Insert, args []types.Value) (route, erro
 	return route{kind: routeSingle, shard: shard}, nil
 }
 
-// analyzeFiltered routes an UPDATE/DELETE (read=false) or a FROM-based
-// statement by band-equality predicates in its WHERE clause. A banded
-// table without a band predicate broadcasts (writes) or scatters
-// (reads); a replicated table broadcasts writes and pins reads to home.
-func (r *Router) analyzeFiltered(table string, where ast.Expr, args []types.Value, read bool, home int) (route, error) {
+// analyzeWrite routes an UPDATE/DELETE by band-equality predicates in
+// its WHERE clause. A write without one broadcasts: over a banded
+// table's fragments, or to every copy of a replicated table.
+func (r *Router) analyzeWrite(table string, where ast.Expr, args []types.Value) (route, error) {
 	band := r.bandColumnOf(table)
 	if band == "" {
-		if read {
-			return route{kind: routeSingle, shard: home}, nil
-		}
 		return route{kind: routeBroadcast}, nil
 	}
 	if shard, ok := r.bandShardFromWhere(where, band, args); ok {
 		return route{kind: routeSingle, shard: shard}, nil
 	}
-	if read {
-		return route{kind: routeScatter}, nil
-	}
-	return route{kind: routeBroadcast}, nil
+	return route{kind: routeBroadcast, sum: true}, nil
 }
 
-// analyzeSelect routes a SELECT in band mode.
+// analyzeSelect routes a SELECT.
 func (r *Router) analyzeSelect(sel *ast.Select, refs []string, args []types.Value, home int) (route, error) {
-	if len(refs) == 0 {
-		return route{kind: routeSingle, shard: home}, nil
-	}
-	// Collect the band columns of the referenced banded tables; a view
-	// reference forces a scatter (its expansion is unknown here, but
-	// every shard holds the view over its own rows).
+	// Collect the band columns of the referenced banded tables; a banded
+	// view forces a scatter (its expansion is unknown here, but every
+	// shard holds the view over its own fragment).
 	bands := map[string]bool{}
-	anyBanded, anyView := false, false
+	anyView := false
 	r.mu.RLock()
 	for _, t := range refs {
-		if ti := r.catalog[t]; ti != nil && ti.view {
+		if b := r.bandColumnOf(t); b != "" {
+			bands[strings.ToUpper(b)] = true
+		} else if ti := r.catalog[t]; ti != nil && ti.banded {
 			anyView = true
 		}
 	}
 	r.mu.RUnlock()
-	for _, t := range refs {
-		if b := r.bandColumnOf(t); b != "" {
-			bands[strings.ToUpper(b)] = true
-			anyBanded = true
-		}
-	}
-	if !anyBanded && !anyView {
-		// Replicated tables only: every shard has the full data.
+	if len(bands) == 0 && !anyView {
+		// Replicated tables only, or none: every shard has the full data.
 		return route{kind: routeSingle, shard: home}, nil
 	}
 	// A band-equality predicate on any referenced banded table pins the
@@ -476,34 +484,38 @@ func resolveValue(e ast.Expr, args []types.Value) (types.Value, bool) {
 }
 
 // noteDDL updates the catalog after a successful DDL execution.
-func (r *Router) noteDDL(st ast.Statement) {
-	if !r.banded() {
+func (r *Router) noteDDL(p *stmt.Parsed) {
+	var name string
+	ti := &tableInfo{bandIdx: -1}
+	switch x := p.AST.(type) {
+	case *ast.CreateTable:
+		name = strings.ToUpper(x.Name)
+		band := r.bandColumnOf(name)
+		if band == "" {
+			return
+		}
+		ti.bandIdx = slices.IndexFunc(x.Columns, func(c ast.ColumnDef) bool { return strings.EqualFold(c.Name, band) })
+	case *ast.CreateView:
+		// The handle's refs are the view's name and every table and view
+		// its definition reads.
+		name = strings.ToUpper(x.Name)
+		ti.advances = r.advancesSequence(p)
+		for _, t := range p.Fingerprint.Tables {
+			ti.banded = ti.banded || t != name && r.bandedRef(t)
+		}
+		if !ti.banded && !ti.advances {
+			return
+		}
+	case *ast.DropTable, *ast.DropView:
+		name, ti = p.Fingerprint.Tables[0], nil // the dropped name
+	default:
 		return
 	}
-	switch x := st.(type) {
-	case *ast.CreateTable:
-		table := strings.ToUpper(x.Name)
-		ti := &tableInfo{bandCol: r.bandColumnOf(table), bandIdx: -1}
-		for i, c := range x.Columns {
-			if strings.EqualFold(c.Name, ti.bandCol) {
-				ti.bandIdx = i
-				break
-			}
-		}
-		r.mu.Lock()
-		r.catalog[table] = ti
-		r.mu.Unlock()
-	case *ast.CreateView:
-		r.mu.Lock()
-		r.catalog[strings.ToUpper(x.Name)] = &tableInfo{view: true, bandIdx: -1}
-		r.mu.Unlock()
-	case *ast.DropTable:
-		r.mu.Lock()
-		delete(r.catalog, strings.ToUpper(x.Name))
-		r.mu.Unlock()
-	case *ast.DropView:
-		r.mu.Lock()
-		delete(r.catalog, strings.ToUpper(x.Name))
-		r.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ti == nil {
+		delete(r.catalog, name)
+		return
 	}
+	r.catalog[name] = ti
 }

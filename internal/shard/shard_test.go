@@ -57,58 +57,6 @@ func TestNewRequiresShards(t *testing.T) {
 	}
 }
 
-func TestNamespaceRoutingIsolatesNamespaces(t *testing.T) {
-	r, srvs := newServerRouter(t, Config{}, 4)
-	sess := r.NewSession()
-	// Each namespace's tables must land wholly on one shard.
-	for ns := 0; ns < 8; ns++ {
-		exec(t, sess, fmt.Sprintf("CREATE TABLE S%d_T (A INT)", ns))
-		exec(t, sess, fmt.Sprintf("INSERT INTO S%d_T VALUES (%d)", ns, ns))
-		res := exec(t, sess, fmt.Sprintf("SELECT A FROM S%d_T", ns))
-		if len(res.Rows) != 1 || res.Rows[0][0].I != int64(ns) {
-			t.Fatalf("namespace %d: %v", ns, res.Rows)
-		}
-	}
-	// Every table lives on exactly one backend.
-	for ns := 0; ns < 8; ns++ {
-		owners := 0
-		for _, s := range srvs {
-			if _, _, err := s.NewSession().Exec(fmt.Sprintf("SELECT A FROM S%d_T", ns)); err == nil {
-				owners++
-			}
-		}
-		if owners != 1 {
-			t.Errorf("namespace %d on %d shards, want 1", ns, owners)
-		}
-	}
-}
-
-func TestNamespaceCrossShardRejected(t *testing.T) {
-	r, _ := newServerRouter(t, Config{}, 2)
-	sess := r.NewSession()
-	// Find two namespaces hashing to different shards.
-	a, b := "", ""
-	for i := 0; i < 32 && b == ""; i++ {
-		ns := fmt.Sprintf("N%d_", i)
-		if a == "" {
-			a = ns
-			continue
-		}
-		if r.shardOfNamespace(ns) != r.shardOfNamespace(a) {
-			b = ns
-		}
-	}
-	if b == "" {
-		t.Fatal("no namespace pair split across 2 shards in 32 tries")
-	}
-	exec(t, sess, "CREATE TABLE "+a+"T (A INT)")
-	exec(t, sess, "CREATE TABLE "+b+"T (A INT)")
-	_, _, err := sess.Exec("SELECT * FROM " + a + "T, " + b + "T")
-	if err == nil || !strings.Contains(err.Error(), "cross-shard") {
-		t.Fatalf("cross-namespace join: %v", err)
-	}
-}
-
 func setupBanded(t *testing.T, s *Session, rows int) {
 	t.Helper()
 	exec(t, s, "CREATE TABLE T (W INT, A INT)")
@@ -238,8 +186,12 @@ func TestReplicatedTableBroadcastsWrites(t *testing.T) {
 	setupBanded(t, sess, 0)
 	res := exec(t, sess, "INSERT INTO R VALUES (1, 100)")
 	// Replicated writes apply everywhere but report one logical row.
-	if res.Affected != 3 {
-		t.Logf("replicated insert affected=%d (sums shard counts)", res.Affected)
+	if res.Affected != 1 {
+		t.Fatalf("replicated INSERT affected %d rows, want 1", res.Affected)
+	}
+	exec(t, sess, "INSERT INTO R VALUES (2, 200), (3, 300)")
+	if res := exec(t, sess, "UPDATE R SET V = V + 1 WHERE K > 1"); res.Affected != 2 {
+		t.Fatalf("replicated UPDATE affected %d rows, want 2", res.Affected)
 	}
 	for i, s := range srvs {
 		rr, _, err := s.NewSession().Exec("SELECT V FROM R WHERE K = 1")
@@ -251,6 +203,243 @@ func TestReplicatedTableBroadcastsWrites(t *testing.T) {
 	rr := exec(t, sess, "SELECT V FROM R WHERE K = 1")
 	if len(rr.Rows) != 1 || rr.Rows[0][0].I != 100 {
 		t.Fatalf("replicated read: %v", rr.Rows)
+	}
+}
+
+// TestReplicatedWriteCountMismatchSurfaces: copies of a replicated table
+// that report different counts for one write have diverged, and the
+// write says so instead of answering with either count.
+func TestReplicatedWriteCountMismatchSurfaces(t *testing.T) {
+	r, srvs := newServerRouter(t, bandCfg(), 2)
+	sess := r.NewSession()
+	setupBanded(t, sess, 0)
+	exec(t, sess, "INSERT INTO R VALUES (1, 100)")
+	if _, _, err := srvs[1].NewSession().Exec("DELETE FROM R"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Exec("UPDATE R SET V = 0"); err == nil ||
+		!strings.Contains(err.Error(), "shard 1: replicated write affected 0 rows") {
+		t.Fatalf("diverged replicated UPDATE: %v", err)
+	}
+}
+
+// TestViewOverReplicatedTablesIsReplicated: a view reading only
+// replicated tables answers from one shard's full copy; a view reading a
+// banded table, or a banded view, scatters over the fragments.
+func TestViewOverReplicatedTablesIsReplicated(t *testing.T) {
+	r, _ := newServerRouter(t, bandCfg(), 2)
+	sess := r.NewSession()
+	setupBanded(t, sess, 4)
+	exec(t, sess, "INSERT INTO R VALUES (1, 10), (2, 20)")
+	exec(t, sess, "CREATE VIEW RV AS SELECT K FROM R")
+	exec(t, sess, "CREATE VIEW TV AS SELECT A FROM T WHERE A > 0")
+	exec(t, sess, "CREATE VIEW TTV AS SELECT A FROM TV")
+	for q, want := range map[string]int{
+		"SELECT K FROM RV":  2,
+		"SELECT A FROM TV":  3,
+		"SELECT A FROM TTV": 3,
+	} {
+		if res := exec(t, sess, q); len(res.Rows) != want {
+			t.Errorf("%s: %d rows, want %d", q, len(res.Rows), want)
+		}
+	}
+}
+
+// slowBackend holds one statement text on its way into the shard for a
+// while, and signals once it has arrived: the window in which another
+// session's statement could overtake it on this shard.
+type slowBackend struct {
+	*server.Server
+	sql     string
+	arrived chan struct{}
+}
+
+func (b *slowBackend) OpenSession() core.Session {
+	return &slowSession{Session: b.Server.OpenSession(), b: b}
+}
+
+type slowSession struct {
+	core.Session
+	b *slowBackend
+}
+
+func (s *slowSession) Exec(sql string) (*engine.Result, time.Duration, error) {
+	if sql == s.b.sql {
+		close(s.b.arrived)
+		time.Sleep(100 * time.Millisecond)
+	}
+	return s.Session.Exec(sql)
+}
+
+// shardCopies renders one query's answer on every shard's own copy.
+func shardCopies(t *testing.T, srvs []*server.Server, sql string) []string {
+	t.Helper()
+	var out []string
+	for i, s := range srvs {
+		res, _, err := s.NewSession().Exec(sql)
+		if err != nil {
+			t.Fatalf("shard %d: %s: %v", i, sql, err)
+		}
+		out = append(out, fmt.Sprint(res.Rows))
+	}
+	return out
+}
+
+// TestReplicatedWritesApplyInOneOrder: two sessions on different home
+// shards write one replicated row concurrently. Both report one row
+// whatever order they run in, so only a single global order of
+// replicated writes, and of the rollbacks that undo them, keeps the
+// copies alike: the second session's write may not overtake the first
+// session's statement on shard 1 while that is still on its way there.
+func TestReplicatedWritesApplyInOneOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    []string // the first session's statements; the last is held on shard 1
+	}{
+		{"autocommit", []string{"UPDATE R SET V = 1"}},
+		{"rollback", []string{"BEGIN TRANSACTION", "INSERT INTO R VALUES (2, 1)", "ROLLBACK"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s0, err := server.New(dialect.PG, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1, err := server.New(dialect.PG, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := tc.a[len(tc.a)-1]
+			slow := &slowBackend{Server: s1, sql: held, arrived: make(chan struct{})}
+			r, err := New(Config{}, s0, slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := r.NewSession(), r.NewSession()
+			defer a.Close()
+			defer b.Close()
+			if a.home == b.home {
+				t.Fatalf("sessions share home shard %d", a.home)
+			}
+			exec(t, a, "CREATE TABLE R (K INT, V INT)")
+			exec(t, a, "INSERT INTO R VALUES (1, 0)")
+			for _, q := range tc.a[:len(tc.a)-1] {
+				exec(t, a, q)
+			}
+			done := make(chan error)
+			go func() {
+				_, _, err := a.Exec(held)
+				done <- err
+			}()
+			<-slow.arrived // applied on shard 0, held before shard 1
+			exec(t, b, "UPDATE R SET V = 2")
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if got := shardCopies(t, []*server.Server{s0, s1}, "SELECT V FROM R"); got[0] != got[1] {
+				t.Fatalf("replicated copies diverged: shard 0 %s, shard 1 %s", got[0], got[1])
+			}
+			ra, rb := exec(t, a, "SELECT V FROM R"), exec(t, b, "SELECT V FROM R")
+			if fmt.Sprint(ra.Rows) != fmt.Sprint(rb.Rows) {
+				t.Fatalf("home shards answer differently: %v vs %v", ra.Rows, rb.Rows)
+			}
+		})
+	}
+}
+
+// TestReplicatedReadsSeeBroadcastsWhole: a read of a replicated table
+// sees a broadcast write on every shard or on none, so two sessions on
+// different home shards, reading one after the other while the write is
+// on its way, cannot see it undone again.
+func TestReplicatedReadsSeeBroadcastsWhole(t *testing.T) {
+	s0, err := server.New(dialect.PG, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := server.New(dialect.PG, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := &slowBackend{Server: s1, sql: "UPDATE R SET V = 1", arrived: make(chan struct{})}
+	r, err := New(Config{}, s0, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, r1, r0 := r.NewSession(), r.NewSession(), r.NewSession()
+	if r0.home != 0 || r1.home != 1 {
+		t.Fatalf("reader homes %d, %d", r0.home, r1.home)
+	}
+	exec(t, w, "CREATE TABLE R (K INT, V INT)")
+	exec(t, w, "INSERT INTO R VALUES (1, 0)")
+	done := make(chan error)
+	go func() {
+		_, _, err := w.Exec("UPDATE R SET V = 1")
+		done <- err
+	}()
+	<-slow.arrived // applied on shard 0, held before shard 1
+	first := exec(t, r0, "SELECT V FROM R").Rows[0][0].I
+	second := exec(t, r1, "SELECT V FROM R").Rows[0][0].I
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if first > second {
+		t.Fatalf("home shard 0 read %d, then home shard 1 read %d", first, second)
+	}
+}
+
+// TestSequencesAdvanceOnEveryShard: a sequence is replicated like a
+// table, so every statement that advances one — a SELECT calling
+// NEXTVAL, a read of a view that calls it, an INSERT whose DEFAULT does
+// — advances every shard's copy alike, whichever home shard the session
+// has. Over a banded table such a statement is rejected, and so is a
+// banded table whose DEFAULT would advance one on every write.
+func TestSequencesAdvanceOnEveryShard(t *testing.T) {
+	r, srvs := newServerRouter(t, Config{BandColumns: map[string]string{"T": "W", "TD": "W"}}, 2)
+	a, b := r.NewSession(), r.NewSession()
+	defer a.Close()
+	defer b.Close()
+	if a.home == b.home {
+		t.Fatalf("sessions share home shard %d", a.home)
+	}
+	setupBanded(t, a, 2)
+	for _, q := range []string{
+		"CREATE SEQUENCE S",
+		"CREATE VIEW SV AS SELECT NEXTVAL(S) AS N FROM R WHERE K = 1",
+		"INSERT INTO R VALUES (1, 0)",
+	} {
+		exec(t, a, q)
+	}
+	var got []int64
+	for _, q := range []struct {
+		s   *Session
+		sql string
+	}{
+		{a, "SELECT NEXTVAL(S) AS N"},
+		{b, "SELECT NEXTVAL(S) AS N"},
+		{a, "SELECT N FROM SV"},
+		{b, "SELECT N FROM SV"},
+	} {
+		got = append(got, exec(t, q.s, q.sql).Rows[0][0].I)
+	}
+	if fmt.Sprint(got) != "[1 2 3 4]" {
+		t.Fatalf("NEXTVAL from two home shards answered %v, want [1 2 3 4]", got)
+	}
+	exec(t, b, "INSERT INTO R VALUES (NEXTVAL(S), 9)")
+	exec(t, a, "CREATE TABLE RD (A INT DEFAULT (NEXTVAL('S')), B INT)")
+	exec(t, a, "INSERT INTO RD (B) VALUES (1)")
+	for _, q := range []string{
+		"INSERT INTO T VALUES (1, NEXTVAL(S))",
+		"SELECT NEXTVAL(S) AS N FROM T WHERE W = 1",
+		"CREATE TABLE TD (W INT, A INT DEFAULT (NEXTVAL('S')))",
+		"CREATE TABLE TD (W INT, A INT DEFAULT (SELECT N FROM SV))",
+	} {
+		if _, _, err := a.Exec(q); err == nil || !strings.Contains(err.Error(), "advancing a sequence") {
+			t.Errorf("%s: %v, want rejected", q, err)
+		}
+	}
+	for _, q := range []string{"SELECT K FROM R ORDER BY K", "SELECT A FROM RD", "SELECT NEXTVAL(S) AS N"} {
+		if got := shardCopies(t, srvs, q); got[0] != got[1] {
+			t.Errorf("%s: shard 0 %s, shard 1 %s", q, got[0], got[1])
+		}
 	}
 }
 
@@ -433,8 +622,10 @@ func TestBandedSubqueryMultiShardRejected(t *testing.T) {
 	r, _ := newServerRouter(t, bandCfg(), 3)
 	sess := r.NewSession()
 	setupBanded(t, sess, 6)
+	exec(t, sess, "CREATE VIEW TV AS SELECT A FROM T")
 	for _, q := range []string{
 		"SELECT A FROM T WHERE A > (SELECT MAX(A) FROM T)",
+		"SELECT A FROM T WHERE A IN (SELECT A FROM TV)",
 		"SELECT A FROM T WHERE A IN (SELECT A FROM T WHERE A > 40)",
 		"UPDATE T SET A = 0 WHERE A > (SELECT MAX(A) FROM T)",
 		"DELETE FROM T WHERE EXISTS (SELECT 1 FROM T WHERE A > 40)",

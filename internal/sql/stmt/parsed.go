@@ -6,9 +6,6 @@ package stmt
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -54,11 +51,6 @@ type Parsed struct {
 	Class       Class
 	Fingerprint ast.Fingerprint
 	NumParams   int
-	// Refs lists, sorted, every table, view, sequence and index name the
-	// statement references, creates or drops (upper case). It is
-	// Fingerprint.Tables itself unless the statement names a sequence or
-	// an index.
-	Refs []string
 	// BindErr is why the statement cannot be prepared, if it cannot:
 	// placeholders outside DML and queries (a view definition or DEFAULT
 	// expression holding a parameter would dangle once the binding is
@@ -148,25 +140,6 @@ func newParsed(sql string, st ast.Statement) *Parsed {
 		default:
 			p.BindErr = fmt.Errorf("%w: parameters are not allowed in this statement", ErrBind)
 		}
-	}
-	// Names ast.Tables does not cover. An index name routes like a table
-	// name: qgen namespaces them identically, so the index lands with its
-	// table.
-	var extra string
-	switch x := st.(type) {
-	case *ast.CreateSequence:
-		extra = x.Name
-	case *ast.DropSequence:
-		extra = x.Name
-	case *ast.CreateIndex:
-		extra = x.Name
-	case *ast.DropIndex:
-		extra = x.Name
-	}
-	p.Refs = p.Fingerprint.Tables
-	if extra = strings.ToUpper(extra); extra != "" && !p.Fingerprint.UsesTable(extra) {
-		p.Refs = append(slices.Clone(p.Refs), extra)
-		sort.Strings(p.Refs)
 	}
 	return p
 }

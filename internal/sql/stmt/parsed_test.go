@@ -14,7 +14,7 @@ func TestResolveDerivesTheHandle(t *testing.T) {
 		sql    string
 		class  Class
 		params int
-		refs   []string
+		tables []string
 		bind   bool // BindErr expected
 	}{
 		{"SELECT a FROM t1, t2 WHERE a IN (SELECT b FROM t3 WHERE c = $2) AND d = $1", ClassSelect, 2, []string{"T1", "T2", "T3"}, false},
@@ -23,16 +23,16 @@ func TestResolveDerivesTheHandle(t *testing.T) {
 		{"ROLLBACK", ClassEnd, 0, nil, false},
 		{"SET TRANSACTION ISOLATION LEVEL SERIALIZABLE", ClassSetTxn, 0, nil, false},
 		{"INSERT INTO t VALUES (?, ?)", ClassOther, 2, []string{"T"}, false},
-		{"CREATE INDEX ix ON t (a)", ClassOther, 0, []string{"IX", "T"}, false},
-		{"DROP SEQUENCE sq", ClassOther, 0, []string{"SQ"}, false},
+		{"CREATE INDEX ix ON t (a)", ClassOther, 0, []string{"T"}, false},
+		{"DROP SEQUENCE sq", ClassOther, 0, nil, false},
 		{"CREATE TABLE p (a INT DEFAULT $1)", ClassOther, 1, []string{"P"}, true},
 	} {
 		p, err := Resolve(tc.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.sql, err)
 		}
-		if p.Text != tc.sql || p.Class != tc.class || p.NumParams != tc.params || !slices.Equal(p.Refs, tc.refs) {
-			t.Errorf("%q resolved to class %d, %d params, refs %v", tc.sql, p.Class, p.NumParams, p.Refs)
+		if p.Text != tc.sql || p.Class != tc.class || p.NumParams != tc.params || !slices.Equal(p.Fingerprint.Tables, tc.tables) {
+			t.Errorf("%q resolved to class %d, %d params, tables %v", tc.sql, p.Class, p.NumParams, p.Fingerprint.Tables)
 		}
 		if (p.Select != nil) != (tc.class == ClassSelect) || (p.Select != nil && p.Select != p.AST) {
 			t.Errorf("%q: Select %v", tc.sql, p.Select)

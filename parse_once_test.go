@@ -117,8 +117,8 @@ func TestParsesPerStatement(t *testing.T) {
 			reg.Register(stmt.ResolverCollector())
 
 			// Texts nothing else in this process resolves, however often the
-			// test runs: namespaces and comments carry the run's tag. Four
-			// namespaces land on both shards.
+			// test runs: table names and comments carry the run's tag. Every
+			// table is replicated, so writes reach both shards.
 			tag := fmt.Sprintf("%s%d", strings.ToUpper(mode[:1]), parseOnceRuns.Add(1))
 			var stmts []string
 			for ns := 0; ns < 4; ns++ {
