@@ -101,6 +101,7 @@ func TestDivsqldMetricsSmoke(t *testing.T) {
 		"divsql_middleware_unanimous_total",
 		"divsql_engine_plan_cache_hits_total",
 		"divsql_sql_resolves_total",
+		"divsql_sql_shapes_total",
 		"divsql_engine_table_rows",
 		"divsql_wire_requests_total",
 		"divsql_wire_request_duration_seconds_bucket",

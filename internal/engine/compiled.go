@@ -35,14 +35,24 @@ import (
 // when, and each time, it is evaluated.
 //
 // Plans are immutable once built and shared through the engine's memos,
-// keyed by the statement's address: stmt.Resolve interns statement text,
-// so while a text is interned every session, layer and replica that
-// executes it — inline or prepared — hands the engine the same tree. An
+// keyed by the handle's shape (stmt.Parsed.Shape): the tree of the first
+// interned text that differs from the executing one only in the values
+// of lifted literals — operands of a WHERE or JOIN ON predicate at any
+// depth and UPDATE SET values, outside function arguments. Lowering turns
+// each literal of the handle's Lits into a slot (slotX) that reads the
+// executing handle's value, and an access path's keys are lowered the
+// same way, so every text of a shape — inline or prepared, on every
+// session, layer and replica — runs one plan. Every other literal is
+// part of the shape, because compilation reads it: a select list names
+// the result's columns, ORDER BY and GROUP BY may be positional, a
+// function's argument may name a sequence. A lifted literal is the
+// text's value, not a client's argument: it never passes BindRules. An
 // entry is validated against the schema-version stamp of the read plane
 // it runs on; a stale one recompiles transparently (DDL — including DDL
 // rolled back inside a transaction — never serves a plan compiled
 // against a schema generation that is no longer current). A forced
-// compile (ExecSelectVariant) neither reads nor writes a memo.
+// compile (ExecSelectVariant) compiles the handle's own tree and neither
+// reads nor writes a memo.
 //
 // Index use only narrows which rows a WHERE is evaluated on — and only
 // when that evaluation provably cannot error (its lowered form cannot
@@ -176,7 +186,7 @@ type core struct {
 	from  []fromStep
 	width int
 	// p is the access plan when the FROM is exactly one base table.
-	p *plan.SelectPlan
+	p *visit
 	// broken marks a source tree that ends at a source which cannot open:
 	// execution raises that source's error once everything before it ran.
 	// compileErr replays the first reference that resolves nowhere, raised
@@ -386,23 +396,50 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	}
 	if len(c.from) == 1 && c.from[0].sub == nil {
 		t, _ := s.lookupTable(c.from[0].name)
-		c.p = s.visitPlan(t, up(sel.From[0].Table.Alias), sel.Where, c.where, ast.NumParams(sel), force)
+		c.p = s.visitPlan(&l, t, up(sel.From[0].Table.Alias), sel.Where, c.where, ast.NumParams(sel), force)
 		cs.paths = append(cs.paths, plan.Core{Table: c.p.Table, Path: c.p.Path})
 	}
 	cs.adopt(&l.body)
 	c.names, c.projs, c.projErr = s.expandItems(items, exprs, cols, c.grouped)
 }
 
+// visit is the access plan of one base table's row visit, with the
+// values it probes by lowered where the predicate was: a lifted literal
+// among them reads the executing handle's value.
+type visit struct {
+	plan.SelectPlan
+	// keys are PointLookup's KeyVals, or RangeScan's Lo and Hi values (nil
+	// for an open end), lowered; kb holds them for up to four key columns.
+	keys []rexpr
+	kb   [4]rexpr
+}
+
 // visitPlan plans the row visit of one base table — a SELECT core's or
-// an UPDATE/DELETE's — under the predicate that filters it, lowered as
-// lw. Index skipping is only sound when evaluating the predicate can
+// an UPDATE/DELETE's — under the predicate that filters it, lowered by l
+// as lw. Index skipping is only sound when evaluating the predicate can
 // never error: it is evaluated on every row otherwise, so one that can
 // fail keeps full-iteration semantics (and the analyzer is not asked).
-func (s *Session) visitPlan(t *Table, alias string, where ast.Expr, lw rexpr, maxParam int, force plan.Force) *plan.SelectPlan {
+func (s *Session) visitPlan(l *lowering, t *Table, alias string, where ast.Expr, lw rexpr, maxParam int, force plan.Force) *visit {
 	if lw == nil || force == plan.ForceFullScan || lw.canFail() {
-		return &plan.SelectPlan{Table: t.Name, Alias: alias, MaxParam: maxParam}
+		return &visit{SelectPlan: plan.SelectPlan{Table: t.Name, Alias: alias, MaxParam: maxParam}}
 	}
-	return plan.Analyze(tableMeta(t, s.catalogIndexes()), alias, where, maxParam, force)
+	v := &visit{SelectPlan: plan.Analyze(tableMeta(t, s.catalogIndexes()), alias, where, maxParam, force)}
+	v.keys = v.kb[:0]
+	switch v.Path {
+	case plan.PointLookup:
+		for _, x := range v.KeyVals {
+			v.keys = append(v.keys, l.lower(x, nil, false))
+		}
+	case plan.RangeScan:
+		for _, b := range []*plan.Bound{v.Lo, v.Hi} {
+			var x rexpr
+			if b != nil {
+				x = l.lower(b.Val, nil, false)
+			}
+			v.keys = append(v.keys, x)
+		}
+	}
+	return v
 }
 
 // compileFrom resolves the FROM clause of sel into the core's source
@@ -535,7 +572,7 @@ func tableScopeCols(cols []scopeCol, qual string, t *Table) []scopeCol {
 // order, possibly empty — or (nil, false) when only a full scan is
 // sound (no access path, unbound parameters, non-INT key values that
 // could still match through loose coercion, poisoned index).
-func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
+func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
 	if p.MaxParam > len(s.bind) {
 		// Bind-arity errors must surface identically on every access
 		// path; only full iteration reaches the Param evaluation.
@@ -545,7 +582,7 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 	case plan.PointLookup:
 		var kb [8]int64
 		keys := kb[:0]
-		for _, kv := range p.KeyVals {
+		for _, kv := range p.keys {
 			v, null, ok := s.keyValue(kv)
 			if !ok || null {
 				return []int{}, ok
@@ -562,7 +599,7 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 		// range admits nothing.
 		var lo, hi int64
 		if p.Lo != nil {
-			v, null, ok := s.keyValue(p.Lo.Val)
+			v, null, ok := s.keyValue(p.keys[0])
 			if !ok || null || (p.Lo.Strict && v == math.MaxInt64) {
 				return []int{}, ok
 			}
@@ -573,7 +610,7 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 		}
 		if p.Hi != nil {
 			strict := p.Hi.Strict || plantedRangeBoundDefect.Load()
-			v, null, ok := s.keyValue(p.Hi.Val)
+			v, null, ok := s.keyValue(p.keys[1])
 			if !ok || null || (strict && v == math.MinInt64) {
 				return []int{}, ok
 			}
@@ -591,16 +628,14 @@ func (s *Session) candidateRows(p *plan.SelectPlan, t *Table) ([]int, bool) {
 	return nil, false
 }
 
-// keyValue evaluates one key expression of an access plan — a literal or
-// a parameter, which lowers with no scope and no allocation. An INT
-// probes; NULL proves the visit empty (a comparison with NULL is Unknown
-// on every row); for anything else ok is false and only a scan is sound
-// — a float or string key can still match an INT column through
-// types.Compare's loose coercion, and an error must surface from the
-// scan.
-func (s *Session) keyValue(x ast.Expr) (v int64, null, ok bool) {
-	var l lowering
-	val, err := s.eval(l.lower(x, nil, false), nil)
+// keyValue evaluates one key expression of an access plan — a literal, a
+// lifted literal's slot or a parameter. An INT probes; NULL proves the
+// visit empty (a comparison with NULL is Unknown on every row); for
+// anything else ok is false and only a scan is sound — a float or string
+// key can still match an INT column through types.Compare's loose
+// coercion, and an error must surface from the scan.
+func (s *Session) keyValue(x rexpr) (v int64, null, ok bool) {
+	val, err := s.eval(x, nil)
 	if err != nil {
 		return 0, false, false
 	}
@@ -615,24 +650,24 @@ func (s *Session) keyValue(x ast.Expr) (v int64, null, ok bool) {
 // SELECT core raises it, before any row work.
 type dmlPlan struct {
 	planBody
-	p     *plan.SelectPlan
+	p     *visit
 	where rexpr
 	sets  []rexpr
 	cols  []int // the SET columns' ordinals, index-aligned with sets
 	err   error
 }
 
-// planDML returns the memoised plan of an UPDATE/DELETE over t,
-// compiling it on a miss. An unknown SET column is the plan's error,
-// ahead of any in WHERE or SET expressions; such a plan has nothing
-// else. Caller holds t's latch on the live plane.
-func (s *Session) planDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
+// planDML returns the memoised plan of the shape of an UPDATE/DELETE st
+// over t, compiling st on a miss. An unknown SET column is the plan's
+// error, ahead of any in WHERE or SET expressions; such a plan has
+// nothing else. Caller holds t's latch on the live plane.
+func (s *Session) planDML(shape, st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
 	e := s.eng
-	dp, known := e.dmlMemo.load(st, e.schemaVersion)
+	dp, known := e.dmlMemo.load(shape, e.schemaVersion)
 	hit := dp != nil
 	if !hit {
 		dp = s.compileDML(st, t, where, sets)
-		e.dmlMemo.store(st, known, e.schemaVersion, dp)
+		e.dmlMemo.store(shape, known, e.schemaVersion, dp)
 	}
 	if dp.p == nil {
 		return dp
@@ -656,25 +691,27 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 		dp.sets[i] = l.lower(set.Value, sc, false)
 	}
 	dp.err = l.unknown
-	dp.p = s.visitPlan(t, "", where, dp.where, ast.NumParams(st), plan.ForceAuto)
+	dp.p = s.visitPlan(&l, t, "", where, dp.where, ast.NumParams(st), plan.ForceAuto)
 	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.Path}}, l.body.paths...)
 	dp.joins = l.body.joins
 	return dp
 }
 
 // execSelectRLocked is the read-lock SELECT path: probe the memo by the
-// tree's address, compile on a miss or a stale stamp, and execute. A
-// forced plan is compiled fresh, the statement and everything nested in
-// it, and neither reads nor writes the memo: it must never leak into
-// normal execution. Caller holds the engine read lock, has chosen the
-// read plane and has set s.bind.
-func (s *Session) execSelectRLocked(sel *ast.Select, force plan.Force) (*Result, error) {
+// handle's shape, compile the handle's tree on a miss or a stale stamp,
+// and execute. A forced plan is compiled fresh from the handle's tree,
+// the statement and everything nested in it, and neither reads nor
+// writes the memo: it must never leak into normal execution. Caller
+// holds the engine read lock, has chosen the read plane and has set
+// s.bind and s.lits.
+func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, error) {
+	sel := p.Select
 	if force != plan.ForceAuto {
 		return s.runTop(s.compileSelect(sel, nil, force, sel.Distinct), false)
 	}
 	e := s.eng
 	ver := s.planVersion()
-	cs, known := e.planMemo.load(sel, ver)
+	cs, known := e.planMemo.load(p.Shape, ver)
 	if cs != nil {
 		e.memoHits.Add(1)
 		return s.runTop(cs, true)
@@ -684,7 +721,7 @@ func (s *Session) execSelectRLocked(sel *ast.Select, force plan.Force) (*Result,
 	}
 	e.memoMisses.Add(1)
 	cs = s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
-	e.planMemo.store(sel, known, ver, cs)
+	e.planMemo.store(p.Shape, known, ver, cs)
 	return s.runTop(cs, false)
 }
 

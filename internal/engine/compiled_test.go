@@ -3,9 +3,11 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"divsql/internal/engine/plan"
+	"divsql/internal/sql/stmt"
 )
 
 func seedIndexed(t testing.TB, s *Session) {
@@ -100,6 +102,48 @@ func TestPlanCacheSharedAcrossSessions(t *testing.T) {
 	}
 	if st := e.PlanCacheStats(); st.Hits == 0 {
 		t.Fatalf("cache stats recorded no hits: %+v", st)
+	}
+}
+
+// Sessions running texts of one shape at once share its plans, each
+// reading its own literals: every session updates its own row of KV
+// through one UPDATE plan and reads it back through one SELECT plan.
+func TestShapePlansSharedByConcurrentSessions(t *testing.T) {
+	e := NewOracle()
+	seedIndexed(t, e.NewSession())
+	var wg sync.WaitGroup
+	for id := 1; id <= 4; id++ {
+		s := e.NewSession()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				v := 100*id + i
+				for _, sql := range []string{
+					fmt.Sprintf("UPDATE KV SET A = %d WHERE ID = %d", v, id),
+					fmt.Sprintf("SELECT ID, A FROM KV WHERE ID = %d", id),
+				} {
+					p, err := stmt.Resolve(sql)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					res, err := s.Exec(p, nil)
+					switch {
+					case err != nil:
+						t.Errorf("%s: %v", sql, err)
+						return
+					case res.Kind == ResultRows && (len(res.Rows) != 1 || res.Rows[0][0].I != int64(id) || res.Rows[0][1].I != int64(v)):
+						t.Errorf("%s: %v, want [[%d %d]]", sql, res.Rows, id, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := e.PlanCacheStats(); st.Misses > 4 {
+		t.Errorf("%d SELECT compiles for one shape, want at most one per session", st.Misses)
 	}
 }
 

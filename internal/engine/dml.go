@@ -342,12 +342,12 @@ rows:
 	return -1
 }
 
-func (e *Session) execUpdate(upd *ast.Update) (*Result, error) {
+func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, error) {
 	t, ok := e.eng.st.tables[up(upd.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, upd.Table)
 	}
-	dp := e.planDML(upd, t, upd.Where, upd.Sets)
+	dp := e.planDML(shape, upd, t, upd.Where, upd.Sets)
 	if dp.err != nil {
 		return nil, dp.err
 	}
@@ -507,12 +507,12 @@ func (t *Table) unreplaceRows(pairs [][]types.Value, cols []int) {
 	t.bumpCols(cols)
 }
 
-func (e *Session) execDelete(del *ast.Delete) (*Result, error) {
+func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, error) {
 	t, ok := e.eng.st.tables[up(del.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, del.Table)
 	}
-	dp := e.planDML(del, t, del.Where, nil)
+	dp := e.planDML(shape, del, t, del.Where, nil)
 	if dp.err != nil {
 		return nil, dp.err
 	}

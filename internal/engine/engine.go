@@ -237,9 +237,9 @@ type Engine struct {
 	schemaVersion uint64
 
 	// planMemo is the shared plan memo of pure SELECT statements and
-	// dmlMemo that of UPDATE/DELETE statements, each keyed by the address
-	// of the interned statement — see compiled.go. They are bounded
-	// apart, so one-off DML texts never evict a hot SELECT's plan. The
+	// dmlMemo that of UPDATE/DELETE statements, each keyed by the
+	// statement's shape — see compiled.go. They are bounded apart, so
+	// one-off DML shapes never evict a hot SELECT's plan. The
 	// three counters are what PlanCacheStats reports of planMemo: hits,
 	// misses (compilations), and entries found compiled against a schema
 	// generation no longer current.
@@ -488,9 +488,9 @@ func (e *Session) exec(p *stmt.Parsed) (*Result, error) {
 	case *ast.Insert:
 		return e.execInsert(x)
 	case *ast.Update:
-		return e.execUpdate(x)
+		return e.execUpdate(x, p.Shape)
 	case *ast.Delete:
-		return e.execDelete(x)
+		return e.execDelete(x, p.Shape)
 	case *ast.Begin:
 		return e.execBegin()
 	case *ast.Commit:

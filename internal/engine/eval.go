@@ -34,6 +34,8 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 	switch n := x.(type) {
 	case litX:
 		return n.Val, nil
+	case slotX:
+		return s.lits[n].Val, nil
 	case paramX:
 		if n.N < 1 || n.N > len(s.bind) {
 			return types.Value{}, fmt.Errorf("%w: no value bound for parameter $%d", stmt.ErrBind, n.N)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"divsql/internal/engine/plan"
@@ -69,6 +70,10 @@ func (f fallible) canFail() bool { return bool(f) }
 type (
 	litX   struct{ *ast.Literal } // its value
 	paramX struct{ *ast.Param }   // bind slot N
+	// slotX is lifted literal i of the executing handle
+	// (stmt.Parsed.Lits): a plan compiled for a shape reads the value of
+	// whichever text of the shape runs it.
+	slotX int
 	// colX reads ordinal i of the row depth levels up the env chain.
 	colX struct{ depth, i int }
 	// errX raises a static error when evaluated.
@@ -137,6 +142,7 @@ type (
 
 func (litX) canFail() bool     { return false }
 func (paramX) canFail() bool   { return false }
+func (slotX) canFail() bool    { return false }
 func (*colX) canFail() bool    { return false }
 func (*errX) canFail() bool    { return true }
 func (*funcX) canFail() bool   { return true }
@@ -191,6 +197,9 @@ func (l *lowering) lower(x ast.Expr, sc *scope, top bool) rexpr {
 	case nil:
 		return nil
 	case *ast.Literal:
+		if i := slices.Index(l.s.lits, n); i >= 0 {
+			return slotX(i)
+		}
 		return litX{n}
 	case *ast.Param:
 		return paramX{n}

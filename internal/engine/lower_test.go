@@ -115,11 +115,14 @@ func TestOneOffStatementAllocs(t *testing.T) {
 	const runs = 50
 	sel := resolve(t, "SELECT JA.V, COUNT(*) AS N, SUM(JB.V) + 1 AS T FROM JA INNER JOIN JB ON JA.K = JB.K "+
 		"WHERE EXISTS (SELECT 1 FROM JB X WHERE X.K = JA.V + 1) GROUP BY JA.V HAVING COUNT(*) > 0")
-	// One text, and so one tree, per execution: each UPDATE is a one-off
-	// to the plan memo.
+	// One shape per execution — a function's argument is not lifted — so
+	// each fresh UPDATE is a one-off to the plan memo; the literal
+	// variants differ only in lifted literals and share one plan.
 	updates := make([]*stmt.Parsed, runs+1)
+	variants := make([]*stmt.Parsed, runs+1)
 	for i := range updates {
-		updates[i] = resolve(t, fmt.Sprintf("UPDATE PK SET V = 5, W = 'x' WHERE ID = 7 -- one-off %d", i))
+		updates[i] = resolve(t, fmt.Sprintf("UPDATE PK SET V = ABS(%d), W = 'x' WHERE ID = 7", i))
+		variants[i] = resolve(t, fmt.Sprintf("UPDATE PK SET V = %d, W = 'x' WHERE ID = %d", i, []int{1, 7, 9}[i%3]))
 	}
 	insert := resolve(t, "INSERT INTO FIVE VALUES (1, 2, 'x', 4.5, 5)")
 	for _, tc := range []struct {
@@ -137,6 +140,12 @@ func TestOneOffStatementAllocs(t *testing.T) {
 		{"fresh literal UPDATE", 30, func() error {
 			p := updates[0]
 			updates = updates[1:]
+			_, err := s.Exec(p, nil)
+			return err
+		}},
+		{"literal-variant UPDATE", 4, func() error {
+			p := variants[0]
+			variants = variants[1:]
 			_, err := s.Exec(p, nil)
 			return err
 		}},
@@ -162,7 +171,7 @@ func TestOneOffStatementAllocs(t *testing.T) {
 
 	// The leaves lower to nodes that need no allocation: a literal and a
 	// parameter are their AST nodes, a near column a shared node.
-	var l lowering
+	l := lowering{s: s}
 	sc := &scope{cols: []scopeCol{{name: "A"}, {name: "B"}}}
 	leaves := []ast.Expr{&ast.Literal{Val: types.NewInt(1)}, &ast.Param{N: 1}, &ast.ColumnRef{Column: "B"}}
 	if n := testing.AllocsPerRun(runs, func() {

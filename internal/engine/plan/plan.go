@@ -125,10 +125,10 @@ type SelectPlan struct {
 // UPDATE/DELETE; every other source is read whole. alias is the
 // correlation name in effect ("" when none) and maxParam the highest
 // parameter ordinal of the statement the predicate belongs to.
-func Analyze(meta TableMeta, alias string, where ast.Expr, maxParam int, force Force) *SelectPlan {
-	p := &SelectPlan{Table: meta.Name, Alias: alias, MaxParam: maxParam}
+func Analyze(meta TableMeta, alias string, where ast.Expr, maxParam int, force Force) SelectPlan {
+	p := SelectPlan{Table: meta.Name, Alias: alias, MaxParam: maxParam}
 	if force != ForceFullScan {
-		chooseAccessPath(p, meta, classifyPredicates(where, p, meta))
+		chooseAccessPath(&p, meta, classifyPredicates(where, &p, meta))
 	}
 	return p
 }

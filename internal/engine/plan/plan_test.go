@@ -38,7 +38,8 @@ func mustAnalyze(t *testing.T, sql string, force Force) *SelectPlan {
 	if !ok {
 		t.Fatalf("%q is not a SELECT", sql)
 	}
-	return Analyze(testMeta(), strings.ToUpper(sel.From[0].Table.Alias), sel.Where, ast.NumParams(sel), force)
+	p := Analyze(testMeta(), strings.ToUpper(sel.From[0].Table.Alias), sel.Where, ast.NumParams(sel), force)
+	return &p
 }
 
 func TestPointLookupOnPrimaryKey(t *testing.T) {

@@ -83,10 +83,12 @@ type Session struct {
 	readOwnWrites bool
 
 	// bind is the argument vector of the currently executing statement
-	// (Exec); Param nodes resolve against it. A session
-	// executes one statement at a time (one client), so a plain field
-	// suffices.
+	// (Exec); Param nodes resolve against it. lits are its handle's
+	// lifted literals (stmt.Parsed.Lits): a literal among them lowers to
+	// a slot of the vector, and the slot reads it. A session executes one
+	// statement at a time (one client), so plain fields suffice.
 	bind []types.Value
+	lits []*ast.Literal
 
 	// Write-path scratch, reused by every statement of the session (one
 	// statement at a time, and no write statement runs inside another):
@@ -298,9 +300,9 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 	if s.inTxn {
 		s.txnStmts++
 	}
-	s.bind = bind
+	s.bind, s.lits = bind, p.Lits
 	res, err := s.exec(p)
-	s.bind = nil
+	s.bind, s.lits = nil, nil
 	if !s.inTxn {
 		// Autocommit: outside an explicit transaction every statement
 		// commits on completion, so the undo entries are discarded and
@@ -345,7 +347,7 @@ func (s *Session) execLatched(p *stmt.Parsed, bind []types.Value) (*Result, erro
 	// Reads performed by the statement itself (INSERT ... SELECT,
 	// subqueries in WHERE/SET/CHECK, sequence-advancing SELECTs) must
 	// not see other sessions' uncommitted rows: see readOwnWrites.
-	s.readOwnWrites, s.bind = true, bind
+	s.readOwnWrites, s.bind, s.lits = true, bind, p.Lits
 	res, err := s.exec(p)
 	s.endOwnWrites()
 	if !s.inTxn {
@@ -384,9 +386,9 @@ func (s *Session) execSelectRead(p *stmt.Parsed, bind []types.Value, force plan.
 	} else {
 		s.curRead = e.currentView()
 	}
-	s.bind = bind
-	res, err := s.execSelectRLocked(p.Select, force)
-	s.bind = nil
+	s.bind, s.lits = bind, p.Lits
+	res, err := s.execSelectRLocked(p, force)
+	s.bind, s.lits = nil, nil
 	s.curRead = nil
 	return res, err
 }
@@ -414,16 +416,17 @@ func (s *Session) execSelectOwn(p *stmt.Parsed, bind []types.Value, force plan.F
 	refs := s.eng.latchSet(p)
 	s.eng.latchTables(refs)
 	defer s.eng.unlatchTables(refs)
-	s.readOwnWrites, s.bind = true, bind
-	res, err := s.execSelectRLocked(p.Select, force)
+	s.readOwnWrites, s.bind, s.lits = true, bind, p.Lits
+	res, err := s.execSelectRLocked(p, force)
 	s.endOwnWrites()
 	return res, err
 }
 
 // endOwnWrites ends a statement that ran with readOwnWrites set: it
-// drops the bind vector and the statement's cached table images.
+// drops the bind and literal vectors and the statement's cached table
+// images.
 func (s *Session) endOwnWrites() {
-	s.readOwnWrites, s.bind = false, nil
+	s.readOwnWrites, s.bind, s.lits = false, nil, nil
 	clear(s.ownTabs)
 }
 

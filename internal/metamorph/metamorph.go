@@ -86,13 +86,8 @@ func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result,
 	if base == nil || !structurallyPlain(sel) {
 		return nil, nil
 	}
-	// A rewrite runs as p's handle with the rewritten tree: it reads a
-	// subset of p's tables and calls a subset of p's functions, so p's
-	// lists (all an engine reads of a handle but the tree) cover it.
 	run := func(rw *ast.Select, force engplan.Force) (*engine.Result, error) {
-		q := *p
-		q.AST, q.Select = rw, rw
-		return ex.ExecVariant(&q, force, args...)
+		return ex.ExecVariant(p.Rewritten(rw), force, args...)
 	}
 	allAgg, anyAgg := aggregateItems(sel)
 	for _, o := range armed {

@@ -3,6 +3,7 @@ package metamorph_test
 import (
 	"testing"
 
+	engplan "divsql/internal/engine/plan"
 	"divsql/internal/metamorph"
 	"divsql/internal/qgen"
 	"divsql/internal/server"
@@ -126,5 +127,38 @@ func TestCheckCleanEngineIsSilent(t *testing.T) {
 		if !applied[o] {
 			t.Errorf("oracle %s never applied to any probe query", o)
 		}
+	}
+}
+
+// TestUnforcedRewriteRunsItsOwnPlan: a rewrite of an answered SELECT,
+// executed unforced as TLP's partitions are, returns the rewrite's rows
+// on an endpoint whose plan memo holds the original's plan — the
+// original's would answer for the rewrite if the two shared a shape.
+func TestUnforcedRewriteRunsItsOwnPlan(t *testing.T) {
+	sess := server.NewOracle().NewSession()
+	defer sess.Close()
+	for _, s := range []string{
+		"CREATE TABLE RW1 (C1 INT PRIMARY KEY, C2 INT)",
+		"INSERT INTO RW1 (C1, C2) VALUES (1, 10), (2, NULL), (3, 30)",
+		"SELECT C1 FROM RW1 WHERE C2 > 15",
+	} {
+		if _, _, err := sess.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	p, err := stmt.Resolve("SELECT C1 FROM RW1 WHERE C2 > 15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := parser.Parse("SELECT C1 FROM RW1 WHERE NOT (C2 > 15)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.ExecVariant(p.Rewritten(rw), engplan.ForceAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
+		t.Errorf("unforced rewrite returned %v, want the one row C1 = 1", res.Rows)
 	}
 }

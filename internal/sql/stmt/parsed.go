@@ -56,6 +56,27 @@ type Parsed struct {
 	// expression holding a parameter would dangle once the binding is
 	// gone).
 	BindErr error
+	// Shape is, for a SELECT, UPDATE or DELETE, the tree of the first
+	// text that differs from this one only in the values of lifted
+	// literals (shape.go) — the key of every engine's plan memo — and Lits
+	// are this text's lifted literals, in the order the shape numbers
+	// them: a plan compiled for the shape reads each from the executing
+	// handle's Lits, never from the tree it was compiled from. Nil for
+	// every other statement.
+	Shape ast.Statement
+	Lits  []*ast.Literal
+}
+
+// Rewritten derives the handle of a rewrite of p's statement — a tree
+// that reads a subset of p's tables and calls a subset of p's functions,
+// so p's lists still cover it — with the rewrite's own shape and lifted
+// literals: executed, it runs its own plan, never p's.
+func (p *Parsed) Rewritten(st ast.Statement) *Parsed {
+	q := *p
+	q.AST = st
+	q.Select, _ = st.(*ast.Select)
+	q.Shape, q.Lits = shapeOf(st)
+	return &q
 }
 
 // CheckArgs reports, as a bind error, an argument vector of the wrong
@@ -73,33 +94,63 @@ func (p *Parsed) CheckArgs(n int) error {
 // back to the young. A text executed again before two generations of
 // other texts have passed thus keeps its handle — and with it every
 // engine's compiled plan — however many one-off literal texts flow
-// through; those are gone after two.
+// through; those are gone after two. The shape table is bounded the same
+// way.
 const maxInterned = 16384
 
-var interned = struct {
+// table is a map from text to T kept in two generations of at most
+// maxInterned entries each.
+type table[T any] struct {
 	sync.RWMutex
-	young, old map[string]*Parsed
-}{young: make(map[string]*Parsed)}
+	young, old map[string]T
+}
+
+func newTable[T any]() *table[T] {
+	return &table[T]{young: make(map[string]T)}
+}
+
+// lookup returns k's entry (the zero T when there is none) and whether it
+// is in the young generation.
+func (t *table[T]) lookup(k string) (v T, young bool) {
+	t.RLock()
+	defer t.RUnlock()
+	if v, young = t.young[k]; young {
+		return v, true
+	}
+	return t.old[k], false
+}
+
+// keep files v under k in the young generation, unless another caller
+// filed an entry there first, and returns the entry filed.
+func (t *table[T]) keep(k string, v T) T {
+	t.Lock()
+	defer t.Unlock()
+	if q, ok := t.young[k]; ok {
+		return q
+	}
+	if len(t.young) >= maxInterned {
+		t.old, t.young = t.young, make(map[string]T, maxInterned)
+	}
+	t.young[k] = v
+	return v
+}
+
+// interned is the intern table: text → handle.
+var interned = newTable[*Parsed]()
 
 // resolves counts Resolve calls, parses the ones that had to parse.
 var resolves, parses atomic.Uint64
 
 // Resolve returns the handle of a statement text, parsing it only if the
 // text is not interned: while it is, every caller gets the same *Parsed,
-// so a tree's address identifies its text to the caches below (the
-// engine's plan memo). Text that does not parse is reported as the
-// syntax error every endpoint reports, and is not remembered. A text two
-// goroutines see first at the same moment may be parsed by both; one
-// tree is kept and returned to both.
+// so a tree's address identifies its text. Text that does not parse is
+// reported as the syntax error every endpoint reports, and is not
+// remembered. A text two goroutines see first at the same moment may be
+// parsed by both; one tree is kept and returned to both.
 func Resolve(sql string) (*Parsed, error) {
 	resolves.Add(1)
-	interned.RLock()
-	p, isYoung := interned.young[sql]
-	if !isYoung {
-		p = interned.old[sql]
-	}
-	interned.RUnlock()
-	if isYoung {
+	p, young := interned.lookup(sql)
+	if young {
 		return p, nil
 	}
 	if p == nil {
@@ -110,20 +161,12 @@ func Resolve(sql string) (*Parsed, error) {
 		}
 		p = newParsed(sql, st)
 	}
-	interned.Lock()
-	defer interned.Unlock()
-	if q := interned.young[sql]; q != nil {
-		return q, nil
-	}
-	if len(interned.young) >= maxInterned {
-		interned.old, interned.young = interned.young, make(map[string]*Parsed, maxInterned)
-	}
-	interned.young[sql] = p
-	return p, nil
+	return interned.keep(sql, p), nil
 }
 
 func newParsed(sql string, st ast.Statement) *Parsed {
 	p := &Parsed{Text: sql, AST: st, Fingerprint: ast.FingerprintOf(st), NumParams: ast.NumParams(st)}
+	p.Shape, p.Lits = shapeOf(st)
 	switch x := st.(type) {
 	case *ast.Select:
 		p.Class, p.Select = ClassSelect, x
@@ -144,15 +187,17 @@ func newParsed(sql string, st ast.Statement) *Parsed {
 	return p
 }
 
-// ResolverCollector exports the resolver's two counters. Their ratio is
-// the parse cost of a deployment: a statement text crossing any number
+// ResolverCollector exports the resolver's counters. Resolves over parses
+// is the parse cost of a deployment: a statement text crossing any number
 // of layers, shards and replicas is parsed once, and not at all while it
-// stays interned.
+// stays interned. Parses over shapes is how many texts share each plan.
 func ResolverCollector() obs.Collector {
 	return obs.NewCollector("resolver", func(f *obs.Feed) {
 		f.Count("divsql_sql_resolves_total",
 			"Statement texts resolved to a shared handle (stmt.Resolve calls).", resolves.Load())
 		f.Count("divsql_sql_parses_total",
 			"Resolves that had to parse: the text was not interned.", parses.Load())
+		f.Count("divsql_sql_shapes_total",
+			"Statement shapes created: texts that differ only in lifted literal values share one, and one plan per engine.", shapesMade.Load())
 	})
 }

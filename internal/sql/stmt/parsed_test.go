@@ -111,4 +111,26 @@ func TestResolveConcurrentFirstSight(t *testing.T) {
 			}
 		}
 	}
+	// Texts of one new shape, resolved at once, share one shape.
+	for round := 0; round < 50; round++ {
+		got := make([]*Parsed, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				p, err := Resolve(fmt.Sprintf("SELECT A FROM FIRST_SIGHT_%d WHERE B = %d", round, g))
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = p
+			}(g)
+		}
+		wg.Wait()
+		for _, p := range got {
+			if p.Shape != got[0].Shape {
+				t.Fatalf("round %d: concurrent first sights of one shape made two", round)
+			}
+		}
+	}
 }
