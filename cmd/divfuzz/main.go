@@ -28,11 +28,13 @@
 // fingerprints, feedback retargets — so deep hunts (-n 100k+) are
 // observable while they run instead of silent until exit.
 //
-// -planvariants arms the DQP-lite self-check oracle: every SELECT the
-// oracle answers is re-executed on the oracle with every access path
-// forced to a full scan, and any disagreement with the normal execution
-// is reported as a divergence against the oracle itself — a direct
-// differential test of the engine's index-backed execution.
+// -planvariants arms the DQP-lite self-check oracle (metamorph.Plan):
+// every SELECT an endpoint answers — the oracle and every server — is
+// re-executed on that endpoint with every access path forced to a full
+// scan and every join to the nested loop, and any disagreement with the
+// normal execution is reported as a divergence against that endpoint —
+// a direct differential test of the engine's index-backed execution
+// under each dialect.
 //
 // -tlp, -norec and -cert arm the metamorphic self-check oracles
 // (internal/metamorph): every answered SELECT is rewritten into queries
@@ -100,6 +102,7 @@ import (
 	"time"
 
 	"divsql/internal/difftest"
+	"divsql/internal/metamorph"
 )
 
 // isFlagSet reports whether the named flag was passed explicitly.
@@ -123,7 +126,7 @@ func main() {
 	sequences := flag.Bool("sequences", false, "exercise sequence-advancing SELECTs (PG/OR server set)")
 	isolation := flag.Bool("isolation", false, "emit SET TRANSACTION ISOLATION LEVEL statements: read views and per-dialect level acceptance enter adjudication (fault-free runs draw only universally accepted levels)")
 	params := flag.Bool("params", false, "parameterized mode: a weighted share of statements executes through prepare/bind with typed argument vectors, covering the servers' bind-time coercion rules")
-	planVariants := flag.Bool("planvariants", false, "DQP-lite self-check: re-run every answered SELECT on the oracle as a forced full scan and fail on any disagreement")
+	planVariants := flag.Bool("planvariants", false, "DQP-lite self-check: re-run every answered SELECT on the endpoint that answered it as a forced full scan and fail on any disagreement")
 	tlp := flag.Bool("tlp", false, "metamorphic self-check: ternary-logic partitioning (WHERE p / NOT p / p IS NULL must reassemble the unfiltered result)")
 	norec := flag.Bool("norec", false, "metamorphic self-check: non-optimizing re-execution (forced full-scan predicate count must match the optimized cardinality)")
 	cert := flag.Bool("cert", false, "metamorphic self-check: cardinality restriction (an appended conjunct can never grow the result)")
@@ -179,10 +182,14 @@ func main() {
 	// CalibratedConfig turns isolation on by default; the flag can only
 	// add it to a fault-free run, not strip it from a calibrated one.
 	cfg.Isolation = cfg.Isolation || *isolation
-	cfg.PlanVariants = *planVariants
-	cfg.TLP = *tlp
-	cfg.NoREC = *norec
-	cfg.CERT = *cert
+	armed := map[metamorph.Oracle]bool{
+		metamorph.Plan: *planVariants, metamorph.TLP: *tlp, metamorph.NoREC: *norec, metamorph.CERT: *cert,
+	}
+	for _, o := range metamorph.Oracles {
+		if armed[o] {
+			cfg.Oracles = append(cfg.Oracles, o)
+		}
+	}
 	cfg.RegressDir = *regressOut
 	if *sequences {
 		cfg = cfg.WithSequences()

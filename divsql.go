@@ -195,21 +195,13 @@ func (s *coreStmt) Close() error   { return s.st.Close() }
 type Option func(*options)
 
 type options struct {
-	withFaults  bool
-	rephrase    bool
-	autoResync  bool
-	stress      bool
-	autoRestart bool
+	withFaults bool
+	rephrase   bool
 }
 
 // resolve applies opts over the defaults.
 func resolve(opts []Option) options {
-	o := options{
-		withFaults:  true,
-		rephrase:    true,
-		autoResync:  true,
-		autoRestart: true,
-	}
+	o := options{withFaults: true, rephrase: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -225,18 +217,6 @@ func WithFaults(on bool) Option { return func(o *options) { o.withFaults = on } 
 // middleware (default true).
 func WithRephrasing(on bool) Option { return func(o *options) { o.rephrase = on } }
 
-// WithAutoResync controls automatic restart + state transfer for
-// crashed or outvoted replicas (default true).
-func WithAutoResync(on bool) Option { return func(o *options) { o.autoResync = on } }
-
-// WithStress enables the stressful environment in which Heisenbug-class
-// faults can manifest.
-func WithStress(on bool) Option { return func(o *options) { o.stress = on } }
-
-// WithAutoRestart controls primary auto-restart in the non-diverse
-// replication baseline (default true).
-func WithAutoRestart(on bool) Option { return func(o *options) { o.autoRestart = on } }
-
 // newServers builds one simulated server per name and the options.
 func newServers(o options, names ...ServerName) ([]*server.Server, error) {
 	var faults []fault.Fault
@@ -249,7 +229,6 @@ func newServers(o options, names ...ServerName) ([]*server.Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("open %s: %w", name, err)
 		}
-		srv.SetStress(o.stress)
 		servers = append(servers, srv)
 	}
 	return servers, nil
@@ -263,7 +242,6 @@ func newReplicaSet(o options, wallClock bool, names ...ServerName) (*middleware.
 	}
 	cfg := middleware.DefaultConfig()
 	cfg.Rephrase = o.rephrase
-	cfg.AutoResync = o.autoResync
 	cfg.WallClock = wallClock
 	return middleware.New(cfg, servers...)
 }
@@ -424,7 +402,8 @@ func OpenReplicated(name ServerName, n int, opts ...Option) (DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := replication.NewGroup(o.autoRestart, servers...)
+	// Warm standby: a crashed primary restarts and rejoins as a backup.
+	g, err := replication.NewGroup(true, servers...)
 	if err != nil {
 		return nil, err
 	}

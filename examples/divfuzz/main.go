@@ -20,8 +20,9 @@
 // adds the same statements to fault-free gates, -params routes a
 // weighted share of statements through prepare/bind with typed
 // argument vectors (the servers' bind-time coercion surface),
-// -planvariants re-runs every answered SELECT under forced full-scan
-// and index plans as a self-check of the compiled execution path, and
+// -planvariants (the Plan self-check oracle) re-runs every answered
+// SELECT on its endpoint under forced full-scan and nested-loop plans
+// as a self-check of the compiled execution path, and
 // -metrics-every prints live hunt telemetry on long runs.
 //
 // The final stage arms the metamorphic self-check oracles (divfuzz
@@ -40,6 +41,7 @@ import (
 	"os"
 
 	"divsql/internal/difftest"
+	"divsql/internal/metamorph"
 )
 
 func main() {
@@ -109,7 +111,7 @@ func main() {
 	defer os.RemoveAll(regressDir)
 	meta := difftest.CalibratedConfig(1, 4000)
 	meta.Streams = 1
-	meta.TLP, meta.NoREC, meta.CERT = true, true, true
+	meta.Oracles = []metamorph.Oracle{metamorph.TLP, metamorph.NoREC, metamorph.CERT}
 	meta.MaxReportsPerServer = 4
 	meta.RegressDir = regressDir
 	mres, err := difftest.Run(meta)
@@ -129,7 +131,7 @@ func main() {
 	}
 	fmt.Printf("regress cases exported: %d\n", len(cases))
 	for _, c := range cases {
-		ok, err := difftest.ReplayCase(c)
+		ok, err := difftest.Replay(c)
 		if err != nil {
 			log.Fatal(err)
 		}

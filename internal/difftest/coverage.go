@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"divsql/internal/core"
+	"divsql/internal/metamorph"
 	"divsql/internal/qgen"
 	"divsql/internal/sql/ast"
 )
@@ -43,8 +44,8 @@ type Coverage struct {
 	// inline-literal versus prepared/bound execution (populated — for the
 	// param bucket — only by Params-mode runs).
 	ByBind map[qgen.BindMode]*BucketCoverage
-	// ByOracle buckets the self-check verdict sources — the DQP-lite
-	// planvariants gate and the metamorphic oracles (tlp, norec, cert).
+	// ByOracle buckets the self-check verdict sources, one per
+	// metamorph.Oracles entry (planvariants, tlp, norec, cert).
 	// Hits count relation evaluations (an oracle that applied to an
 	// answered SELECT and ran to a verdict), Fingerprints the breadth of
 	// statements so checked, and Divergent/NewFingerprints the verdicts
@@ -308,9 +309,9 @@ func (c *Coverage) Render() string {
 			row("b:"+string(bm), bc)
 		}
 	}
-	for _, src := range VerdictSources {
-		if bc, ok := c.ByOracle[src]; ok {
-			row("o:"+src, bc)
+	for _, o := range metamorph.Oracles {
+		if bc, ok := c.ByOracle[string(o)]; ok {
+			row("o:"+string(o), bc)
 		}
 	}
 	if len(c.Errors) > 0 {

@@ -39,7 +39,6 @@ import (
 	"divsql/internal/corpus"
 	"divsql/internal/dialect"
 	"divsql/internal/engine"
-	engplan "divsql/internal/engine/plan"
 	"divsql/internal/fault"
 	"divsql/internal/metamorph"
 	"divsql/internal/qgen"
@@ -99,15 +98,6 @@ type Config struct {
 	// cost ~flat as N grows, which is what makes deep runs (N ≥ 100k)
 	// affordable.
 	MaxRowsPerTable int
-	// PlanVariants enables the DQP-lite self-check oracle: every
-	// deterministic SELECT the oracle answered without error is re-run on
-	// the oracle with every access path forced to a full scan and the
-	// result compared against the normal execution's. Access-path choice
-	// may only change which rows the engine skipped, never the result, so
-	// any disagreement convicts the index execution path itself; it is
-	// recorded as a divergence against the oracle. Off by default (it
-	// executes every SELECT twice); fault-free gates turn it on.
-	PlanVariants bool
 	// Telemetry receives live counters while the run executes (nil: the
 	// process-global SharedTelemetry). Consumers are divfuzz's periodic
 	// -metrics-every summaries and divsqld's divsql_hunt_* collector.
@@ -130,23 +120,25 @@ type Config struct {
 	// regions; fault-free runs keep safe values and must stay
 	// divergence-free like any other common-subset stream.
 	Params bool
-	// TLP, NoREC and CERT arm the metamorphic self-check oracles
-	// (internal/metamorph): every answered deterministic SELECT is
+	// Oracles arms the self-check oracles (internal/metamorph): every
+	// answered deterministic SELECT is re-run forced (metamorph.Plan) or
 	// rewritten into queries whose results its own result logically
-	// constrains, and a violated relation is recorded as a divergence
-	// tagged with the oracle that found it. The checks run against the
-	// pristine oracle's session (a pure engine self-check, like
-	// PlanVariants) and against every server whose own execution
-	// succeeded — the server's base result carries its fault layer while
-	// the rewrites bypass it, so silent result corruption on a single
-	// endpoint becomes visible without any cross-server vote. Arming any
-	// of them also turns on the generator's PartitionSympathy so the
-	// stream leans into the oracles' applicability region.
-	TLP, NoREC, CERT bool
+	// constrains (TLP, NoREC, CERT), and a violated relation is recorded
+	// as a divergence tagged with the oracle that found it. The checks
+	// run against the pristine oracle's session (a pure engine
+	// self-check) and against every server whose own execution succeeded
+	// — the server's base result carries its fault layer while the
+	// re-runs bypass it, so silent result corruption on a single endpoint
+	// becomes visible without any cross-server vote. Each armed oracle
+	// executes every SELECT at least once more, so none is on by default;
+	// fault-free gates arm them. Arming a rewrite oracle (any but Plan)
+	// also turns on the generator's PartitionSympathy so the stream
+	// leans into their applicability region.
+	Oracles []metamorph.Oracle
 	// RegressDir, when non-empty, exports every shrunk report
 	// (differential or metamorphic) of the run as a replayable regression
 	// case under this directory, deduplicated across runs by verdict
-	// fingerprint (see RegressCase).
+	// fingerprint (see ExportCase).
 	RegressDir string
 }
 
@@ -225,11 +217,11 @@ type Divergence struct {
 	Server      dialect.ServerName
 	Fingerprint string
 	// Oracle is the verdict source that convicted the statement: ""
-	// for the differential server-vs-oracle vote, "planvariants" for
-	// the DQP-lite forced-plan gate, or a metamorphic oracle name
-	// ("tlp", "norec", "cert"). Distinct sources dedup separately — the
-	// same statement fingerprint convicted by two oracles is two
-	// records, because each names a different violated relation.
+	// for the differential server-vs-oracle vote, or a self-check
+	// oracle's name (metamorph.Oracles). Distinct sources dedup
+	// separately — the same statement fingerprint convicted by two
+	// oracles is two records, because each names a different violated
+	// relation.
 	Oracle string
 	Class  core.Classification
 	// SQL is the first triggering statement observed.
@@ -263,25 +255,15 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// srcDifferential and srcPlanVariants name the non-metamorphic verdict
-// sources in Divergence.Oracle / dedupKey.src terms; the metamorphic
-// sources are the metamorph.Oracle names.
-const (
-	srcDifferential = ""
-	srcPlanVariants = "planvariants"
-)
-
-// VerdictSources lists every verdict-source tag a divergence can carry,
-// in deterministic order (the differential vote is the untagged
-// default and is not listed).
-var VerdictSources = []string{
-	srcPlanVariants, string(metamorph.TLP), string(metamorph.NoREC), string(metamorph.CERT),
-}
+// srcDifferential names the differential vote in Divergence.Oracle /
+// dedupKey.src terms; the self-check sources are the metamorph.Oracle
+// names.
+const srcDifferential = ""
 
 type dedupKey struct {
 	server dialect.ServerName
 	fp     string
-	src    string // verdict source: srcDifferential, srcPlanVariants or an oracle name
+	src    string // verdict source: srcDifferential or an oracle name
 }
 
 // hunt is the shared state of one run.
@@ -399,29 +381,13 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// metaOracles lists the armed metamorphic oracles in deterministic
-// order.
-func (h *hunt) metaOracles() []metamorph.Oracle {
-	var armed []metamorph.Oracle
-	if h.cfg.TLP {
-		armed = append(armed, metamorph.TLP)
-	}
-	if h.cfg.NoREC {
-		armed = append(armed, metamorph.NoREC)
-	}
-	if h.cfg.CERT {
-		armed = append(armed, metamorph.CERT)
-	}
-	return armed
-}
-
-// checkMetamorphic runs the armed metamorphic oracles against one
+// checkMetamorphic runs the armed self-check oracles against one
 // endpoint's answered SELECT, feeding the coverage/telemetry planes and
 // recording every violated relation as an oracle-tagged divergence.
 func (h *hunt) checkMetamorphic(cov *Coverage, ex metamorph.Executor, name dialect.ServerName,
 	st ast.Statement, p *stmt.Parsed, args []types.Value, base *engine.Result,
-	armed []metamorph.Oracle, fp, entry string, history []string, stream, i int) {
-	checked, findings := metamorph.Check(ex, p, args, base, armed)
+	fp, entry string, history []string, stream, i int) {
+	checked, findings := metamorph.Check(ex, p, args, base, h.cfg.Oracles)
 	for _, o := range checked {
 		cov.ObserveOracleCheck(string(o), fp)
 	}
@@ -467,11 +433,13 @@ func (h *hunt) genOptionsFor(stream int) qgen.Options {
 			opts.IsolationLevels = qgen.AllIsolationLevels
 		}
 	}
-	if h.cfg.TLP || h.cfg.NoREC || h.cfg.CERT {
-		// Lean the stream into the metamorphic oracles' applicability
-		// region: near-universal WHEREs on simple selects plus the
-		// additive COUNT/SUM form.
-		opts.PartitionSympathy = true
+	for _, o := range h.cfg.Oracles {
+		if o != metamorph.Plan {
+			// Lean the stream into the rewrite oracles' applicability
+			// region: near-universal WHEREs on simple selects plus the
+			// additive COUNT/SUM form.
+			opts.PartitionSympathy = true
+		}
 	}
 	if h.cfg.Params {
 		opts.Params = true
@@ -669,35 +637,21 @@ func (h *hunt) runStream(stream int) {
 				}
 			}
 		}
-		// DQP-lite: re-run the oracle's answered deterministic SELECT
-		// under each forced access-path variant and compare against the
-		// normal execution (see Config.PlanVariants).
-		if h.cfg.PlanVariants && oo.Err == nil && !seqAdvances {
-			if p != nil && p.Select != nil {
-				cov.ObserveOracleCheck(srcPlanVariants, fp)
-				if cls := checkPlanVariants(oSess, p, args, oo.Res); cls.IsFailure() {
-					isNew := cov.ObserveDivergence(st, fp)
-					cov.ObserveOracleDivergence(srcPlanVariants, isNew)
-					h.record(h.orc.Name(), fp, srcPlanVariants, entry, cls, history, stream, i)
-				}
+		// Self-checks (Plan / TLP / NoREC / CERT): each armed, applicable
+		// oracle re-derives the answered SELECT's result from a forced
+		// re-run or rewrites of itself and convicts the endpoint on any
+		// violated relation — no second opinion involved. The pristine
+		// oracle's session is checked first (a pure engine self-check);
+		// then every server whose own execution succeeded is checked
+		// against its own base result, whose fault-layer effects the
+		// re-runs bypass.
+		if len(h.cfg.Oracles) > 0 && !seqAdvances && p != nil && p.Select != nil {
+			if oo.Err == nil {
+				h.checkMetamorphic(cov, oSess, h.orc.Name(), st, p, args, oo.Res, fp, entry, history, stream, i)
 			}
-		}
-		// Metamorphic self-checks (TLP / NoREC / CERT): each armed,
-		// applicable oracle re-derives the answered SELECT's result from
-		// rewrites of itself and convicts the endpoint on any violated
-		// relation — no second opinion involved. The pristine oracle's
-		// session is checked first (a pure engine self-check); then every
-		// server whose own execution succeeded is checked against its own
-		// base result, whose fault-layer effects the rewrites bypass.
-		if armed := h.metaOracles(); len(armed) > 0 && !seqAdvances {
-			if p != nil && p.Select != nil {
-				if oo.Err == nil {
-					h.checkMetamorphic(cov, oSess, h.orc.Name(), st, p, args, oo.Res, armed, fp, entry, history, stream, i)
-				}
-				for j := range sess {
-					if outs[j].Err == nil && !outs[j].Crashed {
-						h.checkMetamorphic(cov, sess[j], h.servers[j].Name(), st, p, args, outs[j].Res, armed, fp, entry, history, stream, i)
-					}
+			for j := range sess {
+				if outs[j].Err == nil && !outs[j].Crashed {
+					h.checkMetamorphic(cov, sess[j], h.servers[j].Name(), st, p, args, outs[j].Res, fp, entry, history, stream, i)
 				}
 			}
 		}
@@ -792,35 +746,4 @@ func (h *hunt) perServerPending(name dialect.ServerName) int {
 		}
 	}
 	return n
-}
-
-// variantForces are the forced plans the DQP-lite oracle replays each
-// answered SELECT under, against its memoised normal execution.
-var variantForces = []engplan.Force{engplan.ForceFullScan}
-
-// checkPlanVariants re-executes one answered SELECT on the oracle under
-// each forced access-path variant and adjudicates the results against
-// the normal execution's. The comparison uses the same options as
-// server-vs-oracle adjudication (core.CompareFor). The normal execution is
-// the last thing the session ran: a verdict names its plan — access paths
-// and join algorithms — the one the forced variant contradicts.
-func checkPlanVariants(oSess *server.Session, p *stmt.Parsed, args []types.Value, normalRes *engine.Result) core.Classification {
-	opts := core.CompareFor(p)
-	normal := oSess.LastPlan()
-	for _, force := range variantForces {
-		res, err := oSess.ExecVariant(p, force, args...)
-		if err != nil {
-			return core.Classification{
-				Status: core.StatusFailure, Type: core.IncorrectResult,
-				Detail: fmt.Sprintf("plan variant %v failed where normal execution (%v) succeeded: %v", force, normal, err),
-			}
-		}
-		if d := core.Diff(res, normalRes, opts); d != "" {
-			return core.Classification{
-				Status: core.StatusFailure, Type: core.IncorrectResult,
-				Detail: fmt.Sprintf("plan variant %v disagrees with normal execution (%v): %s", force, normal, d),
-			}
-		}
-	}
-	return core.Classification{Status: core.StatusNoFailure}
 }

@@ -6,7 +6,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"divsql/internal/metamorph"
 )
+
+// rewriteOracles are the oracles that rewrite the checked SELECT.
+var rewriteOracles = []metamorph.Oracle{metamorph.TLP, metamorph.NoREC, metamorph.CERT}
 
 // metamorphicKeys flattens a run's divergences into comparable strings.
 func metamorphicKeys(res *Result) []string {
@@ -18,16 +23,16 @@ func metamorphicKeys(res *Result) []string {
 }
 
 // TestFaultFreeMetamorphicGate is the in-tree twin of the CI smoke
-// steps: with no faults armed, the full oracle stack (TLP, NoREC, CERT
-// layered over planvariants, params and isolation) must stay
-// divergence-free at two seeds — any finding is a false positive in an
+// steps: with no faults armed, the full oracle stack (Plan, TLP, NoREC
+// and CERT, over params and isolation) must stay divergence-free at two
+// seeds — any finding is a false positive in an
 // oracle or a real engine bug, and either must fail loudly.
 func TestFaultFreeMetamorphicGate(t *testing.T) {
 	for _, seed := range []int64{17, 19} {
 		cfg := DefaultConfig(seed, 1500)
 		cfg.Shrink = false
-		cfg.TLP, cfg.NoREC, cfg.CERT = true, true, true
-		cfg.PlanVariants, cfg.Params, cfg.Isolation = true, true, true
+		cfg.Oracles = metamorph.Oracles
+		cfg.Params, cfg.Isolation = true, true
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -37,10 +42,10 @@ func TestFaultFreeMetamorphicGate(t *testing.T) {
 				seed, d.Server, d.Oracle, d.SQL, d.Class.Detail)
 		}
 		// The gate only means something if the oracles actually ran.
-		for _, src := range VerdictSources {
-			bc, ok := res.Coverage.ByOracle[src]
+		for _, o := range metamorph.Oracles {
+			bc, ok := res.Coverage.ByOracle[string(o)]
 			if !ok || bc.Hits == 0 {
-				t.Errorf("seed %d: verdict source %q never applied", seed, src)
+				t.Errorf("seed %d: verdict source %q never applied", seed, o)
 			}
 		}
 	}
@@ -56,7 +61,7 @@ func TestMetamorphicHuntDeterministicAndYields(t *testing.T) {
 	run := func() *Result {
 		cfg := CalibratedConfig(42, 2500)
 		cfg.Shrink = false
-		cfg.TLP, cfg.NoREC, cfg.CERT = true, true, true
+		cfg.Oracles = rewriteOracles
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +99,7 @@ func TestMetamorphicHuntDeterministicAndYields(t *testing.T) {
 func TestRegressExportLoadReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg := CalibratedConfig(42, 2000)
-	cfg.TLP, cfg.NoREC, cfg.CERT = true, true, true
+	cfg.Oracles = rewriteOracles
 	// The per-server shrink cap fills in record order and the
 	// differential vote records before the metamorphic ones on the same
 	// mutated statement, so leave enough room for oracle-tagged reports.
@@ -113,7 +118,7 @@ func TestRegressExportLoadReplay(t *testing.T) {
 	}
 	metamorphic := 0
 	for _, c := range cases {
-		if c.Oracle != srcDifferential && c.Oracle != srcPlanVariants {
+		if c.Oracle != srcDifferential && c.Oracle != string(metamorph.Plan) {
 			metamorphic++
 		}
 	}
@@ -124,7 +129,7 @@ func TestRegressExportLoadReplay(t *testing.T) {
 		if i >= 8 {
 			break // replay cost cap; the regress/ gate replays everything committed
 		}
-		ok, err := ReplayCase(c)
+		ok, err := Replay(c)
 		if err != nil {
 			t.Fatalf("case %s: %v", c.Name, err)
 		}

@@ -4,12 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"divsql/internal/core"
 	"divsql/internal/dialect"
 	"divsql/internal/engine"
 	"divsql/internal/metamorph"
 	"divsql/internal/server"
-	"divsql/internal/sql/stmt"
 	"divsql/internal/study"
 )
 
@@ -35,7 +33,7 @@ var plantedStream = []string{
 
 // runPlanted executes the fixture plus the probe statement on every
 // server and the oracle, asserts the differential vote is blind (all
-// pairs no-failure), and returns the oracles' findings on the oracle
+// pairs no-failure), and returns every oracle's findings on the oracle
 // endpoint's base result.
 func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Finding {
 	t.Helper()
@@ -62,10 +60,15 @@ func runPlanted(t *testing.T, fixture []string, probe string) []metamorph.Findin
 	}
 
 	// The differential vote saw nothing. Now the self-checks, against the
-	// same oracle endpoint that just agreed with everyone.
+	// same oracle endpoint that just agreed with everyone, on a session
+	// whose last statement is the probe (Plan's verdict names its plan).
 	sess := orc.NewSession()
 	defer sess.Close()
-	_, findings := metamorph.Check(sess, oOut[last].P, nil, oOut[last].Res, metamorph.Oracles)
+	res, _, err := sess.Run(oOut[last].P, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, findings := metamorph.Check(sess, oOut[last].P, nil, res, metamorph.Oracles)
 	return findings
 }
 
@@ -81,14 +84,17 @@ func foundBy(findings []metamorph.Finding, o metamorph.Oracle) bool {
 // TestPlantedRangeBoundDefect plants the inclusive-upper-bound
 // off-by-one in the index range scan (the compiled access path treats
 // `<=` as `<`). Every endpoint shares the defective scan, so the
-// differential vote is unanimous-and-wrong; NoREC's forced full-scan
-// re-evaluation and CERT's full-scan cardinality restriction both
-// convict it.
+// differential vote is unanimous-and-wrong; Plan's forced full scan,
+// NoREC's forced full-scan re-evaluation and CERT's full-scan
+// cardinality restriction all convict it.
 func TestPlantedRangeBoundDefect(t *testing.T) {
 	engine.PlantRangeBoundDefect(true)
 	defer engine.PlantRangeBoundDefect(false)
 
 	findings := runPlanted(t, plantedStream, "SELECT C1 AS X1 FROM TPLANT WHERE C1 <= 3")
+	if !foundBy(findings, metamorph.Plan) {
+		t.Errorf("Plan did not catch the planted range-bound defect; findings: %v", findings)
+	}
 	if !foundBy(findings, metamorph.NoREC) {
 		t.Errorf("NoREC did not catch the planted range-bound defect; findings: %v", findings)
 	}
@@ -125,68 +131,42 @@ var joinStream = []string{
 // recount or restrict, so the join is theirs to miss.
 const joinProbe = "SELECT JL.V AS X1, JR.W AS X2 FROM JL INNER JOIN JR ON JL.K = JR.K"
 
-// runPlantedJoin runs joinStream plus joinProbe on every server and the
-// oracle and asserts every arm but one is blind — the differential vote
-// (all five share the engine) and the three metamorphic oracles — then
-// returns the planvariants arm's verdict on the oracle endpoint.
-func runPlantedJoin(t *testing.T) core.Classification {
-	t.Helper()
-	if findings := runPlanted(t, joinStream, joinProbe); len(findings) > 0 {
-		t.Errorf("a metamorphic oracle convicted the join: %v", findings)
-	}
-	orc := server.NewOracle()
-	sess := orc.NewSession()
-	defer sess.Close()
-	for _, sql := range joinStream {
-		if _, _, err := sess.Exec(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-	}
-	p, err := stmt.Resolve(joinProbe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := sess.Run(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return checkPlanVariants(sess, p, nil, res)
-}
-
 // TestPlantedHashJoinNullKeyDefect plants the hash join's truncated
 // build (a NULL key on the right input ends it, so the rows after it
 // match nothing). The join still answers, plausibly and identically on
-// all five endpoints; only running the same statement again with every
-// narrowing rule skipped — the planvariants arm, which since the join
-// has an algorithm compares hash join against nested loop — sees the
-// missing row, and its verdict names the plan it contradicts.
+// all five endpoints; TLP, NoREC and CERT have no WHERE to work on, so
+// only Plan — running the same statement again with every narrowing
+// rule skipped, which since the join has an algorithm compares hash
+// join against nested loop — sees the missing row, and its verdict
+// names the plan it contradicts.
 func TestPlantedHashJoinNullKeyDefect(t *testing.T) {
 	engine.PlantHashJoinNullKeyDefect(true)
 	defer engine.PlantHashJoinNullKeyDefect(false)
 
-	cls := runPlantedJoin(t)
-	if !cls.IsFailure() {
-		t.Fatal("planvariants did not catch the planted hash-join defect")
+	findings := runPlanted(t, joinStream, joinProbe)
+	if len(findings) != 1 || findings[0].Oracle != metamorph.Plan {
+		t.Fatalf("want Plan alone to convict the planted hash-join defect; findings: %v", findings)
 	}
-	if !strings.Contains(cls.Detail, "joins hash") {
-		t.Errorf("verdict does not name the join's algorithm: %s", cls.Detail)
+	if !strings.Contains(findings[0].Detail, "joins hash") {
+		t.Errorf("verdict does not name the join's algorithm: %s", findings[0].Detail)
 	}
 }
 
-// TestPlantedDefectsOffAreClean guards the hooks themselves: with both
-// defects disarmed the same probes must pass every oracle, so the
+// TestPlantedDefectsOffAreClean guards the hooks themselves: with every
+// defect disarmed the same probes must pass every oracle, so the
 // sensitivity tests above prove detection of the defect, not a standing
 // false positive in the oracles.
 func TestPlantedDefectsOffAreClean(t *testing.T) {
-	for _, probe := range []string{
-		"SELECT C1 AS X1 FROM TPLANT WHERE C1 <= 3",
-		"SELECT C1 AS X1 FROM TPLANT WHERE (C2 > 15)",
+	for _, tc := range []struct {
+		fixture []string
+		probe   string
+	}{
+		{plantedStream, "SELECT C1 AS X1 FROM TPLANT WHERE C1 <= 3"},
+		{plantedStream, "SELECT C1 AS X1 FROM TPLANT WHERE (C2 > 15)"},
+		{joinStream, joinProbe},
 	} {
-		if findings := runPlanted(t, plantedStream, probe); len(findings) > 0 {
-			t.Errorf("oracles convicted a clean engine on %q: %v", probe, findings)
+		if findings := runPlanted(t, tc.fixture, tc.probe); len(findings) > 0 {
+			t.Errorf("oracles convicted a clean engine on %q: %v", tc.probe, findings)
 		}
-	}
-	if cls := runPlantedJoin(t); cls.IsFailure() {
-		t.Errorf("planvariants convicted a clean engine on %q: %s", joinProbe, cls.Detail)
 	}
 }

@@ -13,33 +13,43 @@ import (
 // Report is a self-contained, replayable reproduction of one
 // divergence: the minimal statement stream (schema DDL, data and the
 // trigger), the fault configuration, and every server's observed
-// behavior on the trigger statement. Feed it to Replay to confirm.
+// behavior on the trigger statement. Feed it to Replay to confirm. Its
+// JSON form is one case of the regression corpus (ExportCase,
+// LoadCases): the behavior summaries stay out of it, since Replay
+// re-derives the verdict from scratch.
 type Report struct {
-	// Server is the divergent server.
-	Server dialect.ServerName
-	// Fingerprint identifies the fault region (dedup key).
-	Fingerprint string
+	// Name is the report's corpus identity (also its case filename
+	// stem): server, verdict source and a stable hash of the
+	// fingerprint.
+	Name string `json:"name"`
+	// Server is the convicted endpoint (a server name, or the pristine
+	// oracle for self-check verdicts recorded against it).
+	Server dialect.ServerName `json:"server"`
 	// Oracle is the verdict source: "" for the differential
-	// server-vs-oracle vote, "planvariants" for the forced-plan gate, or
-	// a metamorphic oracle name ("tlp", "norec", "cert"). Replay uses it
-	// to re-run the same verdict source the original run convicted with.
-	Oracle string
+	// server-vs-oracle vote, or a self-check oracle's name
+	// (metamorph.Oracles). Replay uses it to re-run the same verdict
+	// source the original run convicted with.
+	Oracle string `json:"oracle,omitempty"`
+	// Fingerprint is the triggering statement's syntactic fingerprint
+	// (the dedup key): replay asserts the same statement shape convicts
+	// again.
+	Fingerprint string `json:"fingerprint"`
 	// Seed is the generator seed of the originating run.
-	Seed int64
-	// Faults and Stress reproduce the originating configuration.
-	Faults []fault.Fault
-	Stress bool
-	// Stream is the minimal statement sequence.
-	Stream []string
-	// Trigger is the diverging statement, at TriggerIndex in Stream.
-	Trigger      string
-	TriggerIndex int
+	Seed int64 `json:"seed"`
+	// Faults and Stress reproduce the originating configuration. Faults
+	// are trimmed to the ones the stream can trigger on Server.
+	Faults []fault.Fault `json:"faults,omitempty"`
+	Stress bool          `json:"stress,omitempty"`
+	// Stream is the minimal statement sequence (bound statements in their
+	// encoded form); the diverging statement sits at TriggerIndex.
+	Stream       []string `json:"stream"`
+	TriggerIndex int      `json:"trigger_index"`
 	// Class is the observational failure classification.
-	Class core.Classification
+	Class core.Classification `json:"class"`
 	// Behavior records each server's outcome on the trigger statement;
 	// OracleBehavior is the pristine reference outcome.
-	Behavior       map[dialect.ServerName]string
-	OracleBehavior string
+	Behavior       map[dialect.ServerName]string `json:"-"`
+	OracleBehavior string                        `json:"-"`
 }
 
 // resultSummary renders a compact row/affected summary of a result.

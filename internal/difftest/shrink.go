@@ -108,9 +108,9 @@ func (s *shrinker) elide(stmts []string) []string {
 // reproduces replays the candidate stream on a reset endpoint and
 // checks whether the shrinker's divergence key still fires: for the
 // differential key, a server-vs-oracle pair is adjudicated statement by
-// statement; for a self-check key (planvariants or a metamorphic
-// oracle), the convicted endpoint alone replays the stream and re-runs
-// the verdict source on each answered matching SELECT.
+// statement; for a self-check key (a metamorph oracle), the convicted
+// endpoint alone replays the stream and re-runs the verdict source on
+// each answered matching SELECT.
 func (s *shrinker) reproduces(stmts []string) bool {
 	s.replays++
 	if s.srv == nil {
@@ -131,9 +131,8 @@ func (s *shrinker) reproduces(stmts []string) bool {
 
 // selfCheckEndpoint builds the endpoint a self-check verdict convicted:
 // the pristine reference engine when the key names the oracle (the
-// planvariants gate and the oracle-side metamorphic checks record
-// against it), otherwise the named server under the run's fault and
-// stress configuration.
+// oracle-side self-checks record against it), otherwise the named
+// server under the run's fault and stress configuration.
 func selfCheckEndpoint(cfg Config, name dialect.ServerName) *server.Server {
 	if name == server.OracleName {
 		return server.NewOracle()
@@ -147,12 +146,11 @@ func selfCheckEndpoint(cfg Config, name dialect.ServerName) *server.Server {
 }
 
 // selfCheckScanOn replays the stream through one session of srv and
-// re-runs the key's verdict source (checkPlanVariants or the single
-// armed metamorph oracle) on every answered, non-sequence-advancing
-// SELECT carrying the key's fingerprint. It returns the first
-// convicting statement index, its classification, and the endpoint's
-// base-result summary; idx is -1 when nothing convicts. The caller owns
-// srv's Reset lifecycle.
+// re-runs the key's verdict source (one metamorph oracle) on every
+// answered, non-sequence-advancing SELECT carrying the key's
+// fingerprint. It returns the first convicting statement index, its
+// classification, and the endpoint's base-result summary; idx is -1
+// when nothing convicts. The caller owns srv's Reset lifecycle.
 func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, core.Classification, string) {
 	sess := srv.NewSession()
 	defer sess.Close()
@@ -170,17 +168,10 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 		if err != nil || p.Select == nil || p.Fingerprint.String() != key.fp || srv.SelectAdvancesSequences(p) {
 			continue
 		}
-		switch key.src {
-		case srcPlanVariants:
-			if cls := checkPlanVariants(sess, p, args, res); cls.IsFailure() {
-				return i, cls, resultSummary(res)
-			}
-		default:
-			_, findings := metamorph.Check(sess, p, args, res, []metamorph.Oracle{metamorph.Oracle(key.src)})
-			if len(findings) > 0 {
-				cls := core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: findings[0].Detail}
-				return i, cls, resultSummary(res)
-			}
+		_, findings := metamorph.Check(sess, p, args, res, []metamorph.Oracle{metamorph.Oracle(key.src)})
+		if len(findings) > 0 {
+			cls := core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: findings[0].Detail}
+			return i, cls, resultSummary(res)
 		}
 	}
 	return -1, core.Classification{}, ""
@@ -323,20 +314,30 @@ func behaviorOf(out study.Outcome) string {
 	}
 }
 
+// newReport starts the report of one key's minimal stream: its identity
+// and the originating configuration, faults trimmed to the ones the
+// stream can trigger on the convicted endpoint.
+func newReport(cfg Config, key dedupKey, stream []string) *Report {
+	r := &Report{
+		Server:      key.server,
+		Oracle:      key.src,
+		Fingerprint: key.fp,
+		Seed:        cfg.Seed,
+		Faults:      trimFaults(cfg.Faults, key.server, stream),
+		Stress:      cfg.Stress,
+		Stream:      append([]string(nil), stream...),
+		Behavior:    make(map[dialect.ServerName]string),
+	}
+	r.Name = caseName(r)
+	return r
+}
+
 // buildReport replays the minimal stream on every server plus the
 // oracle, recording each one's observed behavior on the trigger
 // statement — the report is self-contained: schema, data, statements
 // and per-server behavior.
 func buildReport(cfg Config, key dedupKey, stream []string) *Report {
-	r := &Report{
-		Server:      key.server,
-		Fingerprint: key.fp,
-		Seed:        cfg.Seed,
-		Faults:      cfg.Faults,
-		Stress:      cfg.Stress,
-		Stream:      append([]string(nil), stream...),
-		Behavior:    make(map[dialect.ServerName]string),
-	}
+	r := newReport(cfg, key, stream)
 	oOut := study.RunSource(server.NewOracle(), stream)
 
 	// Locate the trigger on the divergent server first, then record what
@@ -348,7 +349,6 @@ func buildReport(cfg Config, key dedupKey, stream []string) *Report {
 			r.TriggerIndex, r.Class = idx, cls
 		}
 	}
-	r.Trigger = stream[r.TriggerIndex]
 	if r.TriggerIndex < len(oOut) {
 		r.OracleBehavior = behaviorOf(oOut[r.TriggerIndex])
 	}
@@ -377,16 +377,7 @@ func buildReport(cfg Config, key dedupKey, stream []string) *Report {
 // cross-server vote is involved and no other server's behavior is
 // meaningful.
 func buildSelfCheckReport(cfg Config, key dedupKey, stream []string) *Report {
-	r := &Report{
-		Server:      key.server,
-		Fingerprint: key.fp,
-		Oracle:      key.src,
-		Seed:        cfg.Seed,
-		Faults:      cfg.Faults,
-		Stress:      cfg.Stress,
-		Stream:      append([]string(nil), stream...),
-		Behavior:    make(map[dialect.ServerName]string),
-	}
+	r := newReport(cfg, key, stream)
 	r.TriggerIndex = len(stream) - 1
 	if srv := selfCheckEndpoint(cfg, key.server); srv != nil {
 		if idx, cls, beh := selfCheckScanOn(srv, key, stream); idx >= 0 {
@@ -395,7 +386,6 @@ func buildSelfCheckReport(cfg Config, key dedupKey, stream []string) *Report {
 			r.Behavior[key.server] = beh
 		}
 	}
-	r.Trigger = stream[r.TriggerIndex]
 	r.OracleBehavior = "self-check relation violated (" + key.src + ")"
 	return r
 }

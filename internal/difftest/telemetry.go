@@ -27,8 +27,8 @@ type Telemetry struct {
 	retargets  atomic.Uint64 // adaptive feedback retargetings
 	active     atomic.Int64  // currently running streams
 
-	metaChecks   atomic.Uint64 // metamorphic oracle relations evaluated
-	metaFindings atomic.Uint64 // metamorphic oracle verdicts that convicted
+	metaChecks   atomic.Uint64 // self-check oracle relations evaluated (metamorph.Oracles)
+	metaFindings atomic.Uint64 // self-check oracle verdicts that convicted
 
 	mu       sync.Mutex
 	prevStmt uint64
@@ -115,9 +115,9 @@ func (t *Telemetry) MetricsCollector() obs.Collector {
 		f.Count("divsql_hunt_feedback_retargets_total",
 			"Adaptive feedback retargetings of generator weights.", t.retargets.Load())
 		f.Count("divsql_hunt_metamorphic_checks_total",
-			"Metamorphic oracle relations (TLP/NoREC/CERT) evaluated.", t.metaChecks.Load())
+			"Self-check oracle relations (Plan/TLP/NoREC/CERT) evaluated.", t.metaChecks.Load())
 		f.Count("divsql_hunt_metamorphic_findings_total",
-			"Metamorphic oracle verdicts that convicted an endpoint.", t.metaFindings.Load())
+			"Self-check oracle verdicts that convicted an endpoint.", t.metaFindings.Load())
 		f.Gauge("divsql_hunt_active_streams",
 			"Hunt streams currently running.", float64(t.active.Load()))
 	})

@@ -308,8 +308,8 @@ var variantShapes = []string{
 }
 
 // The forced full scan must be result-identical to the analyzer's own
-// choice on every query shape — the engine-test mirror of the difftest
-// DQP-lite gate.
+// choice on every query shape — the engine-test mirror of the
+// metamorph.Plan oracle.
 func TestForcedVariantEquivalence(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()

@@ -12,8 +12,7 @@
 // predicate over every candidate and emits candidates in table order,
 // so a plan can only skip rows that provably cannot satisfy an indexed
 // conjunct — access-path choice is invisible in results, which is
-// exactly what the forced-variant differential oracle (difftest's
-// DQP-lite gate) verifies.
+// exactly what the forced-variant oracle (metamorph.Plan) verifies.
 package plan
 
 import (

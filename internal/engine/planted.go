@@ -26,7 +26,7 @@ var (
 	// proves the visit empty" rule, wrongly carried over to a join input —
 	// so the right rows after it match nothing. The nested loop is
 	// untouched: only a second execution under ForceFullScan of the same
-	// join (the planvariants arm) sees the missing rows.
+	// join (the metamorph.Plan oracle) sees the missing rows.
 	plantedHashJoinNullKeyDefect atomic.Bool
 )
 

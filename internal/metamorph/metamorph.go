@@ -1,4 +1,4 @@
-// Package metamorph implements the metamorphic self-check oracles —
+// Package metamorph implements the self-check oracles — plan variants,
 // TLP, NoREC and CERT — that convict a single SQL endpoint of a wrong
 // answer without any second opinion. They close the blind spot the
 // paper's fault-diversity argument warns differential testing about:
@@ -6,12 +6,19 @@
 // (shared engine defect, common-mode fault), cross-server voting sees
 // nothing, but a violated metamorphic relation still does.
 //
-// Each oracle rewrites an already-answered SELECT into queries whose
-// results are logically constrained by the original's, re-executes the
-// rewrites through an Executor (a plan-cache- and fault-layer-bypassing
-// variant path, e.g. server.Session.ExecVariant), and reports a Finding
-// when the constraint is violated:
+// Each oracle re-executes an already-answered SELECT, or rewrites of
+// it whose results are logically constrained by the original's,
+// through an Executor (a plan-cache- and fault-layer-bypassing variant
+// path, e.g. server.Session.ExecVariant), and reports a Finding when
+// the constraint is violated:
 //
+//   - Plan (plan variants, DQP-lite): the statement itself re-runs with
+//     every access path forced to a full scan and every join to the
+//     nested loop. Access-path and join-algorithm choice may only change
+//     which rows the engine skipped, never the result, so the forced
+//     run must equal the base result under the comparator's options for
+//     the statement. It applies to every SELECT, grouped, limited and
+//     compound ones included.
 //   - TLP (ternary logic partitioning): WHERE p splits into p, NOT p and
 //     p IS NULL. The three partitions' row multisets must union back to
 //     the unpartitioned query, and COUNT/SUM aggregates must decompose
@@ -25,11 +32,12 @@
 //     only shrink the result, so a restricted rewrite returning more
 //     rows than the original convicts the original's access path.
 //
-// The original's own result is reused as TLP's TRUE partition and as
-// NoREC's and CERT's optimized cardinality: the relation then spans the
-// genuinely served answer (fault layer, plan cache, compiled access path
-// and all) against pristine re-evaluations, which is what makes silent
-// result corruption on a single endpoint visible.
+// The original's own result is reused as Plan's normal execution, as
+// TLP's TRUE partition and as NoREC's and CERT's optimized cardinality:
+// the relation then spans the genuinely served answer (fault layer,
+// plan cache, compiled access path and all) against pristine
+// re-evaluations, which is what makes silent result corruption on a
+// single endpoint visible.
 package metamorph
 
 import (
@@ -43,26 +51,30 @@ import (
 	"divsql/internal/sql/types"
 )
 
-// Oracle names one metamorphic self-check oracle.
+// Oracle names one self-check oracle.
 type Oracle string
 
 // The oracle suite.
 const (
+	Plan  Oracle = "planvariants"
 	TLP   Oracle = "tlp"
 	NoREC Oracle = "norec"
 	CERT  Oracle = "cert"
 )
 
 // Oracles lists every oracle in deterministic order.
-var Oracles = []Oracle{TLP, NoREC, CERT}
+var Oracles = []Oracle{Plan, TLP, NoREC, CERT}
 
 // Executor re-runs one SELECT's handle under a forced access path,
-// bypassing plan caches and any fault layer. *server.Session satisfies
-// it (ExecVariant), as does any engine-session wrapper with the same
-// contract.
+// bypassing plan caches and any fault layer, and describes the plan of
+// the session's most recent execution. *server.Session satisfies it.
 type Executor interface {
 	ExecVariant(p *stmt.Parsed, force engplan.Force, args ...types.Value) (*engine.Result, error)
+	LastPlan() engplan.Info
 }
+
+// variantForces are the forced plans Plan re-runs a SELECT under.
+var variantForces = []engplan.Force{engplan.ForceFullScan}
 
 // runner executes one rewrite of the checked SELECT with its arguments.
 type runner func(rw *ast.Select, force engplan.Force) (*engine.Result, error)
@@ -74,18 +86,23 @@ type Finding struct {
 }
 
 // Check runs every armed oracle that applies to the SELECT against the
-// endpoint's already-produced base result. checked lists the oracles
-// whose relation was actually evaluated (the coverage "hits" signal);
-// findings lists the violations. A rewrite that errors makes its oracle
-// inapplicable rather than a finding: removing or widening a WHERE can
-// legitimately surface row-evaluation errors (e.g. a division the
-// original predicate filtered out), and an execution error is never
-// evidence about the base result's correctness.
+// endpoint's already-produced base result, which must be the last
+// statement the executor ran. checked lists the oracles whose relation
+// was actually evaluated (the coverage "hits" signal); findings lists
+// the violations. A rewrite that errors makes its oracle inapplicable
+// rather than a finding: removing or widening a WHERE can legitimately
+// surface row-evaluation errors (e.g. a division the original predicate
+// filtered out), and an execution error is never evidence about the
+// base result's correctness. Plan is the exception: it re-runs the
+// statement itself, so its forced run failing is a finding.
 func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result, armed []Oracle) (checked []Oracle, findings []Finding) {
 	sel := p.Select
-	if base == nil || !structurallyPlain(sel) {
+	if base == nil {
 		return nil, nil
 	}
+	// The base execution's plan, read before any rewrite replaces it.
+	normal := ex.LastPlan()
+	plain := structurallyPlain(sel)
 	run := func(rw *ast.Select, force engplan.Force) (*engine.Result, error) {
 		return ex.ExecVariant(p.Rewritten(rw), force, args...)
 	}
@@ -93,8 +110,12 @@ func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result,
 	for _, o := range armed {
 		var f *Finding
 		ok := false
-		switch o {
-		case TLP:
+		switch {
+		case o == Plan:
+			ok, f = true, checkPlan(ex, p, args, base, normal)
+		case !plain:
+			// The rewrite oracles constrain only plain row multisets.
+		case o == TLP:
 			switch {
 			case sel.Where == nil:
 				// No predicate to partition.
@@ -103,11 +124,11 @@ func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result,
 			case !anyAgg:
 				ok, f = checkTLPRows(run, sel, base)
 			}
-		case NoREC:
+		case o == NoREC:
 			if sel.Where != nil && !anyAgg {
 				ok, f = checkNoREC(run, sel, base)
 			}
-		case CERT:
+		case o == CERT:
 			if sel.Where != nil && !anyAgg {
 				ok, f = checkCERT(run, sel, base)
 			}
@@ -122,7 +143,28 @@ func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result,
 	return checked, findings
 }
 
-// structurallyPlain gates the suite to SELECTs whose row multiset the
+// checkPlan asserts the Plan relation: the statement re-run under each
+// forced variant equals the base result under the options the
+// server-vs-oracle vote compares it with (core.CompareFor). A finding
+// names the base execution's plan — access paths and join algorithms —
+// the one the forced variant contradicts.
+func checkPlan(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result, normal engplan.Info) *Finding {
+	opts := core.CompareFor(p)
+	for _, force := range variantForces {
+		res, err := ex.ExecVariant(p, force, args...)
+		if err != nil {
+			return &Finding{Oracle: Plan, Detail: fmt.Sprintf(
+				"plan variant %v failed where normal execution (%v) succeeded: %v", force, normal, err)}
+		}
+		if d := core.Diff(res, base, opts); d != "" {
+			return &Finding{Oracle: Plan, Detail: fmt.Sprintf(
+				"plan variant %v disagrees with normal execution (%v): %s", force, normal, d)}
+		}
+	}
+	return nil
+}
+
+// structurallyPlain gates the rewrite oracles to SELECTs whose row multiset the
 // relations constrain exactly: no compound query, no row limit, no
 // DISTINCT, no grouping. ORDER BY is tolerated (the comparisons are
 // multiset comparisons); the rewrites drop it.

@@ -83,7 +83,7 @@ func TestPartitionsStripNot(t *testing.T) {
 	}
 }
 
-// TestCheckCleanEngineIsSilent runs all three oracles over a varied set
+// TestCheckCleanEngineIsSilent runs every oracle over a varied set
 // of answered SELECTs on a clean engine: zero findings, and every
 // oracle must report itself applicable (checked) at least once — a
 // guard against the suite silently checking nothing.

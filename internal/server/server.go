@@ -172,9 +172,9 @@ func (c *Session) LastPlan() engplan.Info { return c.es.LastPlan() }
 
 // ExecVariant executes a pure SELECT's handle under a forced access-path
 // variant, bypassing this server's fault layer (and, when forced, the
-// engine's plan memo). It is the probe of the forced-variant
-// differential oracle (difftest's DQP-lite gate): the caller runs the
-// same statement normally and forced and compares the results.
+// engine's plan memo). It is the probe of the self-check oracles
+// (internal/metamorph): Plan runs the same statement normally and
+// forced and compares the results.
 func (c *Session) ExecVariant(p *stmt.Parsed, force engplan.Force, args ...types.Value) (*engine.Result, error) {
 	return c.es.ExecSelectVariant(p, force, args)
 }

@@ -10,6 +10,7 @@
 //
 // Grow the corpus from any hunt with `divfuzz -regress-out regress/cases`
 // (export is deduplicated by verdict fingerprint: existing case files
-// are never rewritten). Cases are plain difftest.RegressCase JSON; see
-// CONTRIBUTING.md for the layout and curation notes.
+// are never rewritten). Each case is one difftest.Report in its JSON
+// form; see "The persistent regression corpus" in ARCHITECTURE.md for
+// the layout and curation notes.
 package regress
