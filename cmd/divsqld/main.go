@@ -137,8 +137,7 @@ func start(listen, mode, serverList string, n, shards int, metricsAddr string) (
 	reg.Register(srv.MetricsCollector())
 	reg.Register(difftest.SharedTelemetry().MetricsCollector())
 	srv.ServeMetrics(reg)
-	if txt, ok := divsql.ShardsDescription(db); ok {
-		_ = txt
+	if _, ok := divsql.ShardsDescription(db); ok {
 		srv.ServeShards(func() string {
 			doc, _ := divsql.ShardsDescription(db)
 			return doc

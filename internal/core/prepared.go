@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"time"
 
 	"divsql/internal/engine"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -36,6 +38,57 @@ type PreparedExecutor interface {
 	Executor
 	// Prepare parses and validates one statement for later execution.
 	Prepare(sql string) (Statement, error)
+}
+
+// Prepared is the one in-process Statement. A session's Prepare
+// resolves the text, applies its own accept gate and hands the handle
+// here with its execution body; the closed and argument-count checks,
+// SQL and NumParams are the same for every layer.
+type Prepared struct {
+	p       *stmt.Parsed
+	run     func(p *stmt.Parsed, args []types.Value) (*engine.Result, time.Duration, error)
+	release func() error
+	closed  bool
+}
+
+// NewPrepared returns the statement of handle p, executed by run.
+// release (nil: nothing to release) runs once, at the first Close.
+func NewPrepared(p *stmt.Parsed, run func(p *stmt.Parsed, args []types.Value) (*engine.Result, time.Duration, error), release func() error) *Prepared {
+	return &Prepared{p: p, run: run, release: release}
+}
+
+// Handle returns the statement's resolved handle.
+func (ps *Prepared) Handle() *stmt.Parsed { return ps.p }
+
+// SQL returns the statement text as prepared.
+func (ps *Prepared) SQL() string { return ps.p.Text }
+
+// NumParams reports how many arguments Exec expects.
+func (ps *Prepared) NumParams() int { return ps.p.NumParams }
+
+// Exec executes the statement with the given arguments. A closed
+// statement and an argument vector of the wrong length fail before
+// anything runs, with no latency.
+func (ps *Prepared) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
+	if ps.closed {
+		return nil, 0, errors.New("statement is closed")
+	}
+	if err := ps.p.CheckArgs(len(args)); err != nil {
+		return nil, 0, err
+	}
+	return ps.run(ps.p, args)
+}
+
+// Close releases the statement; only the first Close releases anything.
+func (ps *Prepared) Close() error {
+	if ps.closed {
+		return nil
+	}
+	ps.closed = true
+	if ps.release == nil {
+		return nil
+	}
+	return ps.release()
 }
 
 // ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 	if seq {
 		l.unknown = unknown // a sequence function's arguments resolve when evaluated
 	}
-	if isAggregateName(name) {
+	if ast.IsAggregate(name) {
 		l.aggs = true
 		switch {
 		case !top:
@@ -372,14 +372,6 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 		return &errX{fmt.Errorf("wrong number of arguments to %s", name)}
 	}
 	return &funcX{fn: b.Fn, args: args}
-}
-
-func isAggregateName(name string) bool {
-	switch name {
-	case "AVG", "SUM", "COUNT", "MIN", "MAX":
-		return true
-	}
-	return false
 }
 
 // nested compiles a select met in an expression, against the scope it is

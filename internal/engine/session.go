@@ -275,7 +275,7 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 		}
 		if !s.didDDL {
 			defer e.mu.RUnlock()
-			return s.execCommitLight()
+			return s.execCommit()
 		}
 		e.mu.RUnlock()
 		// A DDL-bearing transaction publishes its schema at COMMIT
@@ -481,10 +481,12 @@ func (s *Session) execBegin() (*Result, error) {
 	return &Result{Kind: ResultDDL}, nil
 }
 
-// execCommitLight commits a transaction that performed no DDL, under
-// the engine read lock only. The commit-mark bump and the undo-log
-// clear happen atomically with respect to Snapshot (commitMu), so a
-// snapshot's stamp always matches its content.
+// execCommit commits the session's transaction: under the engine read
+// lock for a transaction that performed no DDL, under the exclusive lock
+// for one that did (there commitMu is uncontended: Snapshot takes it
+// only while holding the read lock). The commit-mark bump and the
+// undo-log clear happen atomically with respect to Snapshot (commitMu),
+// so a snapshot's stamp always matches its content.
 //
 // View builds do NOT take commitMu, so the order of the two steps
 // matters: the undo log is cleared BEFORE the commit mark advances. A
@@ -497,7 +499,7 @@ func (s *Session) execBegin() (*Result, error) {
 // stale the moment the mark advances and is rebuilt on the next read
 // (benign under READ COMMITTED, and a pinned view built in the window
 // is still one consistent committed image).
-func (s *Session) execCommitLight() (*Result, error) {
+func (s *Session) execCommit() (*Result, error) {
 	if !s.inTxn {
 		return nil, ErrNoTransaction
 	}
@@ -509,22 +511,6 @@ func (s *Session) execCommitLight() (*Result, error) {
 		e.commitSeq.Add(1)
 	}
 	e.commitMu.Unlock()
-	return &Result{Kind: ResultDDL}, nil
-}
-
-// execCommit commits under the exclusive lock (the DDL-bearing path).
-// The exclusive lock
-// excludes concurrent view builds, but the clear-before-bump order is
-// kept in lockstep with execCommitLight (see there for why it matters).
-func (s *Session) execCommit() (*Result, error) {
-	if !s.inTxn {
-		return nil, ErrNoTransaction
-	}
-	bump := len(s.undo) > 0
-	s.clearTxnState()
-	if bump {
-		s.eng.commitSeq.Add(1)
-	}
 	return &Result{Kind: ResultDDL}, nil
 }
 

@@ -199,9 +199,6 @@ func aggregateItems(sel *ast.Select) (allAgg, anyAgg bool) {
 	return allAgg && anyAgg, anyAgg
 }
 
-// aggregateNames are the engine's aggregate functions.
-var aggregateNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
-
 // exprHasAggregate reports whether the expression calls an aggregate at
 // this query's level (it does not descend into subqueries).
 func exprHasAggregate(e ast.Expr) bool {
@@ -209,7 +206,7 @@ func exprHasAggregate(e ast.Expr) bool {
 	case nil:
 		return false
 	case *ast.FuncCall:
-		if aggregateNames[x.Name] {
+		if ast.IsAggregate(x.Name) {
 			return true
 		}
 		for _, a := range x.Args {

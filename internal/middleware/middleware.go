@@ -466,8 +466,9 @@ func (b *boundStmt) rephraseOn(sub *server.Session) (*engine.Result, bool) {
 	return res, err == nil
 }
 
-// exec is the one body of Exec and Stmt.Exec: lock-mode selection,
-// broadcast adjudication and journal bookkeeping. The caller holds cs.mu.
+// exec is the one body of Exec and of a prepared statement: lock-mode
+// selection, broadcast adjudication and journal bookkeeping. The caller
+// holds cs.mu.
 //
 // A quarantined replica rejoins at the next statement, whichever it is:
 // while one waits, a query too takes the statement lock exclusively, and
@@ -518,15 +519,13 @@ func (cs *Session) exec(b *boundStmt) (*engine.Result, time.Duration, error) {
 // every replica executes under the session's broadcast + adjudication. A
 // replica whose dialect rejects the statement votes with that error on
 // every execution — cross-replica divergence in acceptance or bind-time
-// coercion is contained exactly like any other failure. Implements
-// core.Statement.
+// coercion is contained exactly like any other failure.
 type Stmt struct {
-	cs     *Session
-	closed bool
+	*core.Prepared
 	// b is the statement as the adjudication path executes it; only its
 	// args, its remembered cost and its rephrased form change between
 	// executions (under cs.mu).
-	b boundStmt
+	b *boundStmt
 }
 
 // Prepare resolves the statement and asks every replica whether it would
@@ -540,44 +539,19 @@ func (cs *Session) Prepare(sql string) (core.Statement, error) {
 	for _, r := range cs.d.replicas {
 		rerr := r.srv.Accepts(p)
 		if rerr == nil {
-			return &Stmt{cs: cs, b: boundStmt{p: p}}, nil
+			b := &boundStmt{p: p}
+			return &Stmt{Prepared: core.NewPrepared(p, func(_ *stmt.Parsed, args []types.Value) (*engine.Result, time.Duration, error) {
+				cs.mu.Lock()
+				defer cs.mu.Unlock()
+				b.args = args
+				return cs.exec(b)
+			}, nil), b: b}, nil
 		}
 		if err == nil {
 			err = rerr
 		}
 	}
 	return nil, err
-}
-
-// SQL returns the statement text as prepared.
-func (ps *Stmt) SQL() string { return ps.b.p.Text }
-
-// NumParams reports how many arguments Exec expects.
-func (ps *Stmt) NumParams() int { return ps.b.p.NumParams }
-
-// Close releases the statement: it holds nothing on the replicas, and
-// does not execute again.
-func (ps *Stmt) Close() error {
-	ps.cs.mu.Lock()
-	defer ps.cs.mu.Unlock()
-	ps.closed = true
-	return nil
-}
-
-// Exec executes the prepared statement with the given arguments across
-// the replica set, adjudicating the bound results.
-func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
-	cs := ps.cs
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if ps.closed {
-		return nil, 0, errors.New("statement is closed")
-	}
-	if err := ps.b.p.CheckArgs(len(args)); err != nil {
-		return nil, 0, err
-	}
-	ps.b.args = args
-	return cs.exec(&ps.b)
 }
 
 // noteWrite maintains the session's open-transaction redo journal after

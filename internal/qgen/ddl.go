@@ -109,8 +109,7 @@ func (g *Generator) genCreateView() ast.Statement {
 	base := g.anyTable()
 	name := g.viewName()
 	// Project a contiguous, non-empty column subset under the base
-	// column names, optionally filtered. DISTINCT only when the profile
-	// allows it (quirk region on IB/MS under LEFT JOIN).
+	// column names, optionally filtered.
 	lo := g.rnd.Intn(len(base.cols))
 	hi := lo + 1 + g.rnd.Intn(len(base.cols)-lo)
 	view := &relation{name: name, isView: true, base: base.name}
@@ -120,9 +119,6 @@ func (g *Generator) genCreateView() ast.Statement {
 		items = append(items, ast.SelectItem{Expr: &ast.ColumnRef{Column: c.name}})
 	}
 	sel := &ast.Select{Items: items, From: []ast.FromItem{{Table: ast.TableRef{Name: base.name}}}}
-	if g.opts.DistinctViews && g.rnd.Intn(2) == 0 {
-		sel.Distinct = true
-	}
 	if g.rnd.Intn(3) == 0 {
 		sel.Where = g.predicate(scope{{"", base}}, 1)
 	}

@@ -10,10 +10,10 @@
 // simulated servers' known quirk regions: constructs on which a healthy
 // server legitimately differs from the oracle (float multiplication
 // precision, MOD of negative dividends, unaliased aggregates, DISTINCT
-// views under LEFT JOIN, vendor row-limit syntax, sequences) are held
-// behind feature toggles, so that with fault injection disabled a stream
-// produces zero oracle divergences and every divergence found under
-// injection is attributable to a fault.
+// views under LEFT JOIN, vendor row-limit syntax) are never generated,
+// and sequences are held behind a feature toggle, so that with fault
+// injection disabled a stream produces zero oracle divergences and every
+// divergence found under injection is attributable to a fault.
 //
 // The generator is steerable and deep-run-safe: its statement-class and
 // SELECT-shape distributions form an adaptive Weights plane that
@@ -52,17 +52,6 @@ type Options struct {
 
 	// Sequences enables CREATE SEQUENCE / NEXTVAL (not offered by MS).
 	Sequences bool
-	// RowLimit emits the given row-limiting syntax (dialect specific).
-	RowLimit ast.LimitSyntax
-	// Mod enables MOD/% expressions (quirk region on PG and OR for
-	// negative dividends).
-	Mod bool
-	// FloatMul enables multiplication with float operands (quirk region
-	// on PG and MS: 32-bit precision loss).
-	FloatMul bool
-	// DistinctViews enables DISTINCT in view definitions (quirk region on
-	// IB and MS under LEFT JOIN).
-	DistinctViews bool
 	// Params enables the bound statement mode: a weighted share of the
 	// generated DML/queries carries $n placeholders plus a typed
 	// argument vector (Generator.LastArgs) instead of inline literals,

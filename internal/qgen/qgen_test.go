@@ -44,13 +44,9 @@ func TestSeedDeterminism(t *testing.T) {
 // harness ships rendered text and dedups on fingerprints.
 func TestGeneratedStatementsRoundTrip(t *testing.T) {
 	opts := CommonProfile(7)
-	// Exercise the toggled features too: round-tripping must hold for
+	// Exercise the sequence toggle too: round-tripping must hold for
 	// every construct, not just the common profile.
 	opts.Sequences = true
-	opts.Mod = true
-	opts.FloatMul = true
-	opts.DistinctViews = true
-	opts.RowLimit = ast.LimitLimit
 	g := New(opts)
 	for i := 0; i < 5000; i++ {
 		st := g.Next()

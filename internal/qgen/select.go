@@ -71,11 +71,6 @@ func (g *Generator) scalar(s scope, depth int) ast.Expr {
 			},
 			func() ast.Expr { return &ast.Cast{X: ref, To: ast.TypeName{Name: "VARCHAR", Args: []int{12}}} },
 		}
-		if g.opts.Mod {
-			choices = append(choices, func() ast.Expr {
-				return &ast.FuncCall{Name: "MOD", Args: []ast.Expr{ref, &ast.Literal{Val: types.NewInt(int64(2 + g.rnd.Intn(7)))}}}
-			})
-		}
 		return choices[g.rnd.Intn(len(choices))]()
 	case types.KindFloat:
 		choices := []func() ast.Expr{
@@ -86,9 +81,6 @@ func (g *Generator) scalar(s scope, depth int) ast.Expr {
 			},
 			func() ast.Expr { return &ast.Binary{Op: ast.OpAdd, L: ref, R: lit()} },
 			func() ast.Expr { return &ast.Binary{Op: ast.OpSub, L: ref, R: lit()} },
-		}
-		if g.opts.FloatMul {
-			choices = append(choices, func() ast.Expr { return &ast.Binary{Op: ast.OpMul, L: ref, R: lit()} })
 		}
 		return choices[g.rnd.Intn(len(choices))]()
 	default:
@@ -322,20 +314,15 @@ func aliasItems(exprs []ast.Expr) []ast.SelectItem {
 	return items
 }
 
-// maybeOrderLimit attaches a positional ORDER BY (probability ~1/2) and
-// the profile's row-limit syntax when enabled. Positional keys are the
-// only ORDER BY form valid in every query shape the engine offers
-// (select-list aliases are not sort keys).
-func (g *Generator) maybeOrderLimit(sel *ast.Select, nItems int) {
+// maybeOrderBy attaches a positional ORDER BY (probability ~1/2).
+// Positional keys are the only ORDER BY form valid in every query shape
+// the engine offers (select-list aliases are not sort keys).
+func (g *Generator) maybeOrderBy(sel *ast.Select, nItems int) {
 	if nItems > 0 && g.rnd.Intn(2) == 0 {
 		sel.OrderBy = []ast.OrderItem{{
 			Expr: &ast.Literal{Val: types.NewInt(int64(1 + g.rnd.Intn(nItems)))},
 			Desc: g.rnd.Intn(3) == 0,
 		}}
-	}
-	if g.opts.RowLimit != ast.LimitNone && g.rnd.Intn(3) == 0 {
-		sel.Limit = int64(1 + g.rnd.Intn(10))
-		sel.LimitSyn = g.opts.RowLimit
 	}
 }
 
@@ -379,7 +366,7 @@ func (g *Generator) genSimpleSelect() ast.Statement {
 	if g.rnd.Intn(7) == 0 {
 		sel.Distinct = true
 	}
-	g.maybeOrderLimit(sel, len(exprs))
+	g.maybeOrderBy(sel, len(exprs))
 	return sel
 }
 
@@ -545,7 +532,7 @@ func (g *Generator) genRangeSelect() ast.Statement {
 		From:  []ast.FromItem{{Table: ast.TableRef{Name: t.name}}},
 		Where: where,
 	}
-	g.maybeOrderLimit(sel, len(exprs))
+	g.maybeOrderBy(sel, len(exprs))
 	return sel
 }
 
@@ -597,7 +584,7 @@ func (g *Generator) genJoinSelect() ast.Statement {
 	if g.rnd.Intn(2) == 0 {
 		sel.Where = g.predicate(s, 1)
 	}
-	g.maybeOrderLimit(sel, len(exprs))
+	g.maybeOrderBy(sel, len(exprs))
 	return sel
 }
 

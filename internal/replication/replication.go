@@ -55,7 +55,6 @@ type Group struct {
 var (
 	_ core.SessionExecutor = (*Group)(nil)
 	_ core.Session         = (*Session)(nil)
-	_ core.Statement       = (*Stmt)(nil)
 )
 
 // NewGroup builds a replication group; servers[0] starts as primary.
@@ -113,17 +112,10 @@ func (g *Group) Metrics() Metrics {
 	return g.metrics
 }
 
-// Stmt is a prepared statement of one group session. Implements
-// core.Statement.
-type Stmt struct {
-	gs     *Session
-	p      *stmt.Parsed
-	closed bool
-}
-
 // Prepare implements core.Session. It fails only when every
 // member rejects the text (under the fail-stop assumption a member's
 // prepare error is its legitimate outcome, surfaced if it is primary).
+// Its executions run like Exec's text.
 func (gs *Session) Prepare(sql string) (core.Statement, error) {
 	p, err := stmt.Resolve(sql)
 	if err != nil {
@@ -132,37 +124,13 @@ func (gs *Session) Prepare(sql string) (core.Statement, error) {
 	for _, s := range gs.g.servers {
 		serr := s.Accepts(p)
 		if serr == nil {
-			return &Stmt{gs: gs, p: p}, nil
+			return core.NewPrepared(p, gs.run, nil), nil
 		}
 		if err == nil {
 			err = serr
 		}
 	}
 	return nil, err
-}
-
-// SQL returns the statement text as prepared.
-func (ps *Stmt) SQL() string { return ps.p.Text }
-
-// NumParams reports how many arguments Exec expects.
-func (ps *Stmt) NumParams() int { return ps.p.NumParams }
-
-// Close releases the statement: it holds nothing on the members, and
-// does not execute again.
-func (ps *Stmt) Close() error {
-	ps.closed = true
-	return nil
-}
-
-// Exec executes the bound statement like Session.Exec executes text.
-func (ps *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
-	if ps.closed {
-		return nil, 0, errors.New("statement is closed")
-	}
-	if err := ps.p.CheckArgs(len(args)); err != nil {
-		return nil, server.BaseLatency, err
-	}
-	return ps.gs.run(ps.p, args)
 }
 
 // Exec executes the statement on the primary and, for state-changing
@@ -176,7 +144,7 @@ func (gs *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 	return gs.run(p, nil)
 }
 
-// run is the one body of Exec and Stmt.Exec.
+// run is the one body of Exec and of a prepared statement's executions.
 func (gs *Session) run(p *stmt.Parsed, args []types.Value) (*engine.Result, time.Duration, error) {
 	g := gs.g
 	g.mu.Lock()

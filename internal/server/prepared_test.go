@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"divsql/internal/core"
 	"divsql/internal/dialect"
 	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
@@ -53,7 +54,7 @@ func TestPrepareSharesHandle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.(*Stmt).p
+		return st.(*core.Prepared).Handle()
 	}
 	other := s.NewSession()
 	defer other.Close()

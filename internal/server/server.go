@@ -70,7 +70,6 @@ type Session struct {
 var (
 	_ core.SessionExecutor = (*Server)(nil)
 	_ core.Session         = (*Session)(nil)
-	_ core.Statement       = (*Stmt)(nil)
 )
 
 // New builds a server of the given name carrying the provided faults
@@ -196,18 +195,11 @@ func (c *Session) Exec(sql string) (*engine.Result, time.Duration, error) {
 	return c.Run(p, nil)
 }
 
-// Stmt is a prepared statement of one session. It implements
-// core.Statement.
-type Stmt struct {
-	sess   *Session
-	p      *stmt.Parsed
-	closed bool
-}
-
 // Prepare resolves one statement for repeated execution and reports now
 // what would stop every execution: a syntax error, a construct this
 // server's dialect does not offer, placeholders in a statement that
-// cannot bind. Implements core.Session.
+// cannot bind. Its executions run Run on the handle. Implements
+// core.Session.
 func (c *Session) Prepare(sql string) (core.Statement, error) {
 	if c.srv.Crashed() {
 		return nil, ErrCrashed
@@ -219,7 +211,7 @@ func (c *Session) Prepare(sql string) (core.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{sess: c, p: p}, nil
+	return core.NewPrepared(p, c.Run, nil), nil
 }
 
 // Accepts reports why this server would refuse to prepare the statement
@@ -232,38 +224,13 @@ func (s *Server) Accepts(p *stmt.Parsed) error {
 	return p.BindErr
 }
 
-// SQL returns the statement text as prepared.
-func (st *Stmt) SQL() string { return st.p.Text }
-
-// NumParams reports how many arguments Exec expects.
-func (st *Stmt) NumParams() int { return st.p.NumParams }
-
-// Close releases the statement.
-func (st *Stmt) Close() error {
-	st.closed = true
-	return nil
-}
-
-// Exec executes the prepared statement with the given arguments. The
-// argument count must match the statement's parameter count; the
-// server's bind-time coercion rules (engine.BindRules) then normalize
-// the values before the plan runs.
-func (st *Stmt) Exec(args ...types.Value) (*engine.Result, time.Duration, error) {
-	if st.closed {
-		return nil, 0, errors.New("statement is closed")
-	}
-	if err := st.p.CheckArgs(len(args)); err != nil {
-		return nil, BaseLatency, err
-	}
-	return st.sess.Run(st.p, args)
-}
-
 // Run executes one resolved statement, with args bound to its
 // placeholders (nil: nothing bound, as inline text executes). It is the
-// one execution body below the text contract — Exec and Stmt.Exec end
-// here, and the layers that hold this server by its concrete type (the
-// middleware's replicas, the differential harness's five servers) hand
-// it the handle they resolved once for all of them. The dialect gate,
+// one execution body below the text contract — Exec and every
+// execution of a prepared statement end here, and the layers that hold
+// this server by its concrete type (the middleware's replicas, the
+// differential harness's five servers) hand it the handle they
+// resolved once for all of them. The dialect gate,
 // fault matching on the handle's fingerprint, engine execution, fault
 // effects and crash bookkeeping happen here.
 //

@@ -127,11 +127,7 @@ func hasAggregate(sel *ast.Select) bool {
 			}
 			ast.WalkExprs(it.Expr, func(e ast.Expr) {
 				if fc, ok := e.(*ast.FuncCall); ok {
-					if fc.Distinct {
-						agg = true
-					}
-					switch strings.ToUpper(fc.Name) {
-					case "COUNT", "SUM", "MIN", "MAX", "AVG":
+					if fc.Distinct || ast.IsAggregate(strings.ToUpper(fc.Name)) {
 						agg = true
 					}
 				}

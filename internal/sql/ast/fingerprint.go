@@ -120,8 +120,14 @@ func (fp Fingerprint) String() string {
 	return strings.Join(flags, "|") + " @ " + strings.Join(fp.Tables, ",")
 }
 
-var aggregateFuncs = map[string]bool{
-	"AVG": true, "SUM": true, "COUNT": true, "MIN": true, "MAX": true,
+// IsAggregate reports whether the upper-cased function name is an
+// aggregate (FuncCall.Name is upper-cased by the parser).
+func IsAggregate(name string) bool {
+	switch name {
+	case "AVG", "SUM", "COUNT", "MIN", "MAX":
+		return true
+	}
+	return false
 }
 
 // FingerprintOf computes the fingerprint of a statement.
@@ -155,7 +161,7 @@ func FingerprintOf(st Statement) Fingerprint {
 				if i, found := slices.BinarySearch(fp.Funcs, up); !found {
 					fp.Funcs = slices.Insert(fp.Funcs, i, up)
 				}
-				if aggregateFuncs[up] {
+				if IsAggregate(up) {
 					set(FlagAggregate)
 				}
 				switch up {
