@@ -12,6 +12,7 @@ package divsql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,12 +22,14 @@ import (
 	"divsql/internal/corpus"
 	"divsql/internal/dialect"
 	"divsql/internal/difftest"
+	"divsql/internal/engine"
 	engplan "divsql/internal/engine/plan"
 	"divsql/internal/middleware"
 	"divsql/internal/obs"
 	"divsql/internal/reliability"
 	"divsql/internal/replication"
 	"divsql/internal/server"
+	"divsql/internal/sql/parser"
 	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 	"divsql/internal/study"
@@ -727,6 +730,66 @@ func BenchmarkTranslation(b *testing.B) {
 				}
 				_, _ = translate.Script(bug.Script, bug.Server, tgt)
 			}
+		}
+	}
+}
+
+// statementLog is an executor that records every statement text it runs.
+type statementLog struct {
+	core.Executor
+	texts []string
+}
+
+func (l *statementLog) Exec(sql string) (*engine.Result, time.Duration, error) {
+	l.texts = append(l.texts, sql)
+	return l.Executor.Exec(sql)
+}
+
+// parseTexts is BenchmarkParse's fixed input: every statement of the
+// first 64 corpus scripts, then the literal SQL of 40 TPC-C transactions
+// on a freshly set-up PG server (set-up statements left out).
+func parseTexts(b *testing.B) []string {
+	var texts []string
+	for _, bug := range corpus.All()[:64] {
+		stmts, err := parser.SplitScript(bug.Script)
+		if err != nil {
+			b.Fatal(err)
+		}
+		texts = append(texts, stmts...)
+	}
+	srv, err := server.New(dialect.PG, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	log := &statementLog{Executor: srv.NewSession()}
+	if err := tpcc.Setup(log, tpcc.DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	log.texts = log.texts[:0]
+	if _, err := tpcc.NewDriver(tpcc.DefaultConfig()).Run(log, 40); err != nil {
+		b.Fatal(err)
+	}
+	return append(texts, log.texts...)
+}
+
+// BenchmarkParse prices the parse alone: stmt.Resolve of a text that is
+// not interned (lexer, parser, fingerprint and shape) over corpus and
+// TPC-C statements, one statement per op. Each pass over the slice
+// appends a new comment to every text, so no Resolve finds it interned;
+// building that text is the one allocation per op that is not the
+// parse's.
+func BenchmarkParse(b *testing.B) {
+	texts := parseTexts(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var suffix string
+	for i := 0; i < b.N; i++ {
+		j := i % len(texts)
+		if j == 0 {
+			suffix = " -- " + strconv.Itoa(i)
+		}
+		if _, err := stmt.Resolve(texts[j] + suffix); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -50,13 +50,91 @@ func TestNoPrivateParses(t *testing.T) {
 		"internal/middleware/rephrase.go": true,
 	}
 	fset := token.NewFileSet()
+	for _, path := range nonTestSources(t, "internal/sql/parser") {
+		if allowed[path] {
+			continue
+		}
+		for _, call := range callsInto(t, fset, path, sqlParser, "Parse", "ParseScript") {
+			t.Errorf("%s: private parse %s; resolve the text with stmt.Resolve and read its handle", fset.Position(call.Pos()), call.Sel.Name)
+		}
+	}
+}
+
+// TestValuesBuiltByConstructors: a cell's payload word means what its
+// kind says (the INT, the FLOAT's bits, the BOOL's 0/1) because every
+// types.Value is built by a types constructor. A composite literal that
+// sets a Value's fields outside the types package could pair a kind with
+// a payload of another.
+func TestValuesBuiltByConstructors(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, path := range nonTestSources(t, "internal/sql/types") {
+		f, err := goparser.ParseFile(fset, path, nil, goparser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := importName(f, "divsql/internal/sql/types")
+		if local == "" {
+			continue
+		}
+		isValue := func(x ast.Expr) bool {
+			sel, ok := x.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			return ok && pkg.Name == local && sel.Sel.Name == "Value"
+		}
+		// check visits a literal whose type, when elided, is typ.
+		var check func(lit *ast.CompositeLit, typ ast.Expr)
+		visit := func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				check(lit, nil)
+				return false
+			}
+			return true
+		}
+		check = func(lit *ast.CompositeLit, typ ast.Expr) {
+			if lit.Type != nil {
+				typ = lit.Type
+			}
+			if isValue(typ) && len(lit.Elts) > 0 {
+				t.Errorf("%s: a types.Value literal sets its fields; build it with a types constructor", fset.Position(lit.Pos()))
+			}
+			var elem ast.Expr
+			switch x := typ.(type) {
+			case *ast.ArrayType:
+				elem = x.Elt
+			case *ast.MapType:
+				elem = x.Value
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					e = kv.Value
+				}
+				if c, ok := e.(*ast.CompositeLit); ok {
+					check(c, elem)
+				} else {
+					ast.Inspect(e, visit)
+				}
+			}
+		}
+		ast.Inspect(f, visit)
+	}
+}
+
+// nonTestSources lists the module's non-test Go files (slash-separated,
+// relative to the root) outside bench/ (a module of its own), hidden and
+// testdata directories and the skipped directories.
+func nonTestSources(t *testing.T, skip ...string) []string {
+	t.Helper()
+	var paths []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
+		path = filepath.ToSlash(path)
 		if d.IsDir() {
-			switch path {
-			case "bench", "internal/sql/parser":
+			if path == "bench" || slices.Contains(skip, path) {
 				return filepath.SkipDir
 			}
 			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
@@ -64,17 +142,15 @@ func TestNoPrivateParses(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || allowed[filepath.ToSlash(path)] {
-			return nil
-		}
-		for _, call := range callsInto(t, fset, path, sqlParser, "Parse", "ParseScript") {
-			t.Errorf("%s: private parse %s; resolve the text with stmt.Resolve and read its handle", fset.Position(call.Pos()), call.Sel.Name)
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			paths = append(paths, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return paths
 }
 
 // TestEngineReadsTablesFromTheHandle: the engine learns which tables a
@@ -104,15 +180,7 @@ func callsInto(t *testing.T, fset *token.FileSet, path, importPath string, funcs
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := ""
-	for _, imp := range f.Imports {
-		if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
-			local = p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-		}
-	}
+	local := importName(f, importPath)
 	if local == "" {
 		return nil
 	}
@@ -132,6 +200,20 @@ func callsInto(t *testing.T, fset *token.FileSet, path, importPath string, funcs
 		return true
 	})
 	return calls
+}
+
+// importName is the name a file refers to the package at importPath by,
+// or "" when the file does not import it.
+func importName(f *ast.File, importPath string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return p[strings.LastIndex(p, "/")+1:]
+		}
+	}
+	return ""
 }
 
 func TestOpenSingle(t *testing.T) {

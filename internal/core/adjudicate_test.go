@@ -99,11 +99,11 @@ func (g resultGen) represent(v types.Value) types.Value {
 			return types.NewFloat(float64(v.I))
 		}
 	case types.KindFloat:
-		if g.r.Intn(3) == 0 && v.F != 0 && !math.IsInf(v.F, 0) {
-			return types.NewFloat(v.F * (1 + 1e-13))
+		if g.r.Intn(3) == 0 && v.F() != 0 && !math.IsInf(v.F(), 0) {
+			return types.NewFloat(v.F() * (1 + 1e-13))
 		}
-		if g.r.Intn(3) == 0 && v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e9 && !math.Signbit(v.F) {
-			return types.NewInt(int64(v.F))
+		if g.r.Intn(3) == 0 && v.F() == math.Trunc(v.F()) && math.Abs(v.F()) < 1e9 && !math.Signbit(v.F()) {
+			return types.NewInt(int64(v.F()))
 		}
 	case types.KindString:
 		if g.r.Intn(3) == 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,7 +65,7 @@ func NormalizeCell(v types.Value, opts CompareOptions) string {
 	case types.KindString, types.KindDate:
 		return "s:" + cellText(v, opts)
 	case types.KindBool:
-		if v.B {
+		if v.B() {
 			return "b:1"
 		}
 		return "b:0"
@@ -80,16 +79,12 @@ func NormalizeCell(v types.Value, opts CompareOptions) string {
 // 3.0), and floats agree when they agree to that many digits.
 func appendNumber(dst []byte, v types.Value, opts CompareOptions) []byte {
 	if opts.FloatSigDigits > 0 {
-		f := v.F
-		if v.K == types.KindInt {
-			f = float64(v.I)
-		}
-		return strconv.AppendFloat(dst, f, 'e', opts.FloatSigDigits-1, 64)
+		return strconv.AppendFloat(dst, v.AsFloat(), 'e', opts.FloatSigDigits-1, 64)
 	}
 	if v.K == types.KindInt {
 		return strconv.AppendInt(dst, v.I, 10)
 	}
-	return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	return strconv.AppendFloat(dst, v.F(), 'g', -1, 64)
 }
 
 // cellText is the compared text of a string or date cell.
@@ -111,7 +106,7 @@ func sameCell(a, b types.Value, opts CompareOptions) bool {
 		if !b.IsNumeric() {
 			return false
 		}
-		if a.K == b.K && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) {
+		if a.K == b.K && a.I == b.I { // I holds the INT, or the FLOAT's bits
 			return true
 		}
 		var bufA, bufB [40]byte
@@ -119,7 +114,7 @@ func sameCell(a, b types.Value, opts CompareOptions) bool {
 	case types.KindString, types.KindDate:
 		return (b.K == types.KindString || b.K == types.KindDate) && cellText(a, opts) == cellText(b, opts)
 	case types.KindBool:
-		return b.K == types.KindBool && a.B == b.B
+		return b.K == types.KindBool && a.B() == b.B()
 	default:
 		return NormalizeCell(a, opts) == NormalizeCell(b, opts)
 	}

@@ -74,7 +74,7 @@ func FuzzDecodeBound(f *testing.F) {
 			t.Fatalf("EncodeBound(%q, %v) decodes to %q %v bound=%v", sql, args, gotSQL, gotArgs, bound)
 		}
 		for i := range args {
-			if a, b := args[i], gotArgs[i]; a != b && !(a.K == types.KindFloat && math.IsNaN(a.F) && math.IsNaN(b.F)) {
+			if a, b := args[i], gotArgs[i]; a != b && !(a.K == types.KindFloat && math.IsNaN(a.F()) && math.IsNaN(b.F())) {
 				t.Fatalf("argument %d of %q: %+v decodes to %+v", i, sql, a, b)
 			}
 		}

@@ -88,7 +88,7 @@ func (r BindRules) applyOne(v types.Value) types.Value {
 		}
 	case types.KindBool:
 		if r.BoolAsInt {
-			if v.B {
+			if v.B() {
 				return types.NewInt(1)
 			}
 			return types.NewInt(0)

@@ -272,7 +272,7 @@ func TestUpdateDelete(t *testing.T) {
 		t.Errorf("update affected %d", res.Affected)
 	}
 	res = mustExec(t, e, "SELECT PRICE FROM PRODUCT WHERE ID = 1")
-	if res.Rows[0][0].F != 5.0 {
+	if res.Rows[0][0].F() != 5.0 {
 		t.Errorf("update value: %v", res.Rows[0][0])
 	}
 	res = mustExec(t, e, "DELETE FROM PRODUCT WHERE PRICE > 4")
@@ -298,7 +298,7 @@ func TestTransactions(t *testing.T) {
 		t.Fatalf("rollback row count: %v", rowStrings(res))
 	}
 	res = mustExec(t, e, "SELECT PRICE FROM PRODUCT WHERE ID = 1")
-	if res.Rows[0][0].F != 2.5 {
+	if res.Rows[0][0].F() != 2.5 {
 		t.Errorf("rollback restored price: %v", res.Rows[0][0])
 	}
 	mustExec(t, e, "BEGIN TRANSACTION")
@@ -432,7 +432,7 @@ func TestFloatMulPrecisionQuirk(t *testing.T) {
 	res1 := mustExec(t, correct, q)
 	quirky := New(Config{Quirks: Quirks{FloatMulPrecisionLoss: true}})
 	res2 := mustExec(t, quirky, q)
-	if res1.Rows[0][0].F == res2.Rows[0][0].F {
+	if res1.Rows[0][0].F() == res2.Rows[0][0].F() {
 		t.Errorf("precision quirk should alter result: %v vs %v", res1.Rows[0][0], res2.Rows[0][0])
 	}
 }
@@ -468,7 +468,7 @@ func TestBlankAggregateAliasQuirk(t *testing.T) {
 	if res.Columns[0] != "" || res.Columns[1] != "" {
 		t.Errorf("blank alias quirk: %v", res.Columns)
 	}
-	if res.Rows[0][0].F != 3 || res.Rows[0][1].I != 6 {
+	if res.Rows[0][0].F() != 3 || res.Rows[0][1].I != 6 {
 		t.Errorf("values must stay correct: %v", rowStrings(res))
 	}
 }

@@ -335,7 +335,7 @@ func (s *Session) evalUnary(n *unX, en *env) (types.Value, error) {
 		if v.K == types.KindInt {
 			return types.NewInt(-v.I), nil
 		}
-		return types.NewFloat(-v.F), nil
+		return types.NewFloat(-v.F()), nil
 	case "+":
 		return v, nil
 	case "NOT":
@@ -520,6 +520,16 @@ func likeMatch(s, p string) bool {
 	return pi == len(p)
 }
 
+// floatToInt truncates f toward zero into an INTEGER. Outside
+// [-2^63, 2^63), NaN included, it fails instead: Go's int64(f) is
+// implementation-defined there.
+func floatToInt(f float64) (types.Value, error) {
+	if !(f >= -(1<<63) && f < 1<<63) {
+		return types.Value{}, fmt.Errorf("%w: %v out of range for INTEGER column", ErrType, f)
+	}
+	return types.NewInt(int64(f)), nil
+}
+
 // coerce converts a value to a column kind, returning an error when the
 // conversion is not allowed.
 func coerce(v types.Value, kind types.Kind) (types.Value, error) {
@@ -532,9 +542,9 @@ func coerce(v types.Value, kind types.Kind) (types.Value, error) {
 		case types.KindInt:
 			return v, nil
 		case types.KindFloat:
-			return types.NewInt(int64(v.F)), nil
+			return floatToInt(v.F())
 		case types.KindBool:
-			if v.B {
+			if v.B() {
 				return types.NewInt(1), nil
 			}
 			return types.NewInt(0), nil
@@ -544,7 +554,7 @@ func coerce(v types.Value, kind types.Kind) (types.Value, error) {
 				return types.NewInt(i), nil
 			}
 			if f, err := strconv.ParseFloat(s, 64); err == nil {
-				return types.NewInt(int64(f)), nil
+				return floatToInt(f)
 			}
 			return types.Value{}, fmt.Errorf("%w: cannot store '%s' in INTEGER column", ErrType, v.S)
 		}

@@ -1,9 +1,14 @@
 package engine
 
 import (
+	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"divsql/internal/sql/types"
 )
 
 // likeRec is the recursive matcher likeMatch replaced, kept as the
@@ -68,5 +73,73 @@ func TestLikeIsLinear(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("1000 matches of a 20-group pattern took %v", d)
+	}
+}
+
+// A FLOAT converts to INTEGER only inside [-2^63, 2^63): outside it (NaN
+// included) the conversion is a type error, not whatever int64(f) yields
+// on the platform. Each value goes through INSERT into an INT column and
+// through CAST, both as a FLOAT and as numeric text (the string path),
+// and, when finite, as a literal.
+func TestFloatToIntegerRange(t *testing.T) {
+	const two63 = 1 << 63
+	cases := []struct {
+		f    float64
+		want int64
+		ok   bool
+	}{
+		{1e300, 0, false},
+		{-1e300, 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+		{math.NaN(), 0, false},
+		{two63, 0, false},
+		{two63 - 1024, math.MaxInt64 - 1023, true},
+		{-two63, math.MinInt64, true},
+		{-2.75, -2, true},
+	}
+	e := NewOracle()
+	mustExec(t, e, "CREATE TABLE T (A INT)")
+	s := sessionOf(e)
+	for _, tc := range cases {
+		text := strconv.FormatFloat(tc.f, 'g', -1, 64)
+		args := []types.Value{types.NewFloat(tc.f), types.NewString(text)}
+		type path struct {
+			name, sql string
+			args      []types.Value
+		}
+		paths := []path{
+			{"INSERT float", "INSERT INTO T VALUES ($1)", args[:1]},
+			{"INSERT string", "INSERT INTO T VALUES ($1)", args[1:]},
+			{"CAST float", "SELECT CAST($1 AS INTEGER) AS C", args[:1]},
+			{"CAST string", "SELECT CAST($1 AS INTEGER) AS C", args[1:]},
+		}
+		if !math.IsInf(tc.f, 0) && !math.IsNaN(tc.f) {
+			lit := strconv.FormatFloat(tc.f, 'e', -1, 64)
+			paths = append(paths,
+				path{"INSERT literal", "INSERT INTO T VALUES (" + lit + ")", nil},
+				path{"INSERT string literal", "INSERT INTO T VALUES ('" + lit + "')", nil},
+				path{"CAST literal", "SELECT CAST(" + lit + " AS INTEGER) AS C", nil})
+		}
+		for _, p := range paths {
+			mustExec(t, e, "DELETE FROM T")
+			res, err := s.Exec(resolve(t, p.sql), p.args)
+			if !tc.ok {
+				if !errors.Is(err, ErrType) || !strings.Contains(err.Error(), "out of range for INTEGER") {
+					t.Errorf("%s %s: got %v, want an out-of-range type error", p.name, text, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s %s: %v", p.name, text, err)
+				continue
+			}
+			if strings.HasPrefix(p.sql, "INSERT") {
+				res = mustExec(t, e, "SELECT A FROM T")
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0] != types.NewInt(tc.want) {
+				t.Errorf("%s %s: got %v, want %d", p.name, text, res.Rows, tc.want)
+			}
+		}
 	}
 }

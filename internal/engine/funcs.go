@@ -112,7 +112,7 @@ func AllBuiltins() map[string]Builtin {
 		if v.K == types.KindInt {
 			return types.NewInt(abs64(v.I)), nil
 		}
-		return types.NewFloat(math.Abs(v.F)), nil
+		return types.NewFloat(math.Abs(v.F())), nil
 	}})
 	add(Builtin{Name: "SIGN", MinArgs: 1, MaxArgs: 1, Fn: func(_ *FuncContext, a []types.Value) (types.Value, error) {
 		if argNull(a) {

@@ -178,13 +178,13 @@ func siblingOf(t *testing.T, p *stmt.Parsed) (*stmt.Parsed, bool) {
 	for _, l := range p.Rewritten(st).Lits {
 		switch v := &l.Val; v.K {
 		case types.KindInt:
-			v.I ^= 1
+			*v = types.NewInt(v.I ^ 1)
 		case types.KindFloat:
-			v.F++
+			*v = types.NewFloat(v.F() + 1)
 		case types.KindString:
-			v.S += "x"
+			*v = types.NewString(v.S + "x")
 		case types.KindBool:
-			v.B = !v.B
+			*v = types.NewBool(!v.B())
 		}
 	}
 	q, err := stmt.Resolve(ast.Render(st))

@@ -29,7 +29,7 @@ func Apply(m Mutation, res *engine.Result) *engine.Result {
 				return types.NewInt(-v.I), true
 			}
 			if v.K == types.KindFloat {
-				return types.NewFloat(-v.F), true
+				return types.NewFloat(-v.F()), true
 			}
 			return v, false
 		})
@@ -43,7 +43,7 @@ func Apply(m Mutation, res *engine.Result) *engine.Result {
 				return types.NewInt(v.I + 1), true
 			}
 			if v.K == types.KindFloat {
-				return types.NewFloat(v.F + 1), true
+				return types.NewFloat(v.F() + 1), true
 			}
 			return v, false
 		})
@@ -58,7 +58,7 @@ func Apply(m Mutation, res *engine.Result) *engine.Result {
 			for i, v := range row {
 				switch v.K {
 				case types.KindFloat:
-					row[i] = types.NewFloat(v.F * 10)
+					row[i] = types.NewFloat(v.F() * 10)
 				case types.KindInt:
 					row[i] = types.NewInt(v.I * 10)
 				}

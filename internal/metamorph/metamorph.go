@@ -362,7 +362,7 @@ func additive(whole types.Value, parts []types.Value) (bool, string) {
 			sum += float64(p.I)
 		case types.KindFloat:
 			allNull, anyFloat = false, true
-			sum += p.F
+			sum += p.F()
 		default:
 			return false, fmt.Sprintf("non-numeric partition aggregate %s", p.String())
 		}
@@ -381,7 +381,7 @@ func additive(whole types.Value, parts []types.Value) (bool, string) {
 	case types.KindInt:
 		w = float64(whole.I)
 	case types.KindFloat:
-		w = whole.F
+		w = whole.F()
 	default:
 		return false, fmt.Sprintf("non-numeric aggregate %s", whole.String())
 	}

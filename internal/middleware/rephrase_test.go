@@ -242,7 +242,7 @@ func TestErrorVoterRepairedInPlace(t *testing.T) {
 	}
 	sameImages(t, servers)
 	res, _, err := sess.Exec("SELECT BAL FROM C ORDER BY ID")
-	if err != nil || res.Rows[0][0].F != 22 || res.Rows[1][0].F != 24 {
+	if err != nil || res.Rows[0][0].F() != 22 || res.Rows[1][0].F() != 24 {
 		t.Errorf("balances: %+v %v", res, err)
 	}
 }
@@ -338,7 +338,7 @@ func TestJournalReplayRephrases(t *testing.T) {
 		}
 		sameImages(t, servers)
 		res, _, err := sess.Exec("SELECT BAL FROM C WHERE ID = 1")
-		if err != nil || res.Rows[0][0].F != 14 {
+		if err != nil || res.Rows[0][0].F() != 14 {
 			t.Errorf("prepared=%v: balance %+v %v", prepared, res, err)
 		}
 		sess.Close()

@@ -42,12 +42,16 @@ func bindSeeds(f *testing.F) []string {
 	return out
 }
 
+// sameValue reports whether two values are the same cell: == compares a
+// FLOAT's bits (so -0 and +0 differ and a NaN equals itself), and any two
+// NaNs count as the same, whatever their payload bits.
 func sameValue(a, b Value) bool {
-	return a == b || a.K == KindFloat && b.K == KindFloat && math.IsNaN(a.F) && math.IsNaN(b.F)
+	return a == b || a.K == KindFloat && b.K == KindFloat && math.IsNaN(a.F()) && math.IsNaN(b.F())
 }
 
-// FuzzDecodeValue: arbitrary text never panics the decoder, and whatever
-// it accepts survives another trip through the encoder unchanged.
+// FuzzDecodeValue: arbitrary text never panics the decoder, a decoded
+// FLOAT is rebuilt by NewFloat from its F(), and whatever the decoder
+// accepts survives another trip through the encoder unchanged.
 func FuzzDecodeValue(f *testing.F) {
 	for _, s := range bindSeeds(f) {
 		f.Add(s)
@@ -64,6 +68,9 @@ func FuzzDecodeValue(f *testing.F) {
 		v, err := DecodeValue(s)
 		if err != nil {
 			return
+		}
+		if v.K == KindFloat && NewFloat(v.F()) != v {
+			t.Fatalf("DecodeValue(%q) = %#v, which NewFloat(F()) does not rebuild", s, v)
 		}
 		enc := v.Encode()
 		if strings.ContainsAny(enc, " \t\n\r,") {

@@ -8,12 +8,13 @@ package types
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // Kind enumerates the dynamic type of a Value.
-type Kind int
+type Kind uint8
 
 // Value kinds. KindNull is deliberately the zero value so that the zero
 // Value is SQL NULL.
@@ -47,12 +48,17 @@ func (k Kind) String() string {
 }
 
 // Value is a single SQL scalar. The zero value is NULL.
+//
+// A Value is 32 bytes: a string header, one payload word and the kind.
+// The payload word I holds an INT itself, a FLOAT's IEEE-754 bits (read
+// them with F) and a BOOL as 0 or 1 (read it with B); it is 0 for the
+// other kinds. Build values only through the constructors below, so the
+// word always matches the kind. S holds VARCHAR text and normalized
+// DATEs (YYYY-MM-DD).
 type Value struct {
-	K Kind
+	S string
 	I int64
-	F float64
-	S string // string payload; dates are stored normalized as YYYY-MM-DD
-	B bool
+	K Kind
 }
 
 // Null returns the SQL NULL value.
@@ -62,17 +68,28 @@ func Null() Value { return Value{} }
 func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
 
 // NewFloat returns a floating point value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(f))} }
 
 // NewString returns a string value.
 func NewString(s string) Value { return Value{K: KindString, S: s} }
 
 // NewBool returns a boolean value.
-func NewBool(b bool) Value { return Value{K: KindBool, B: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{K: KindBool, I: 1}
+	}
+	return Value{K: KindBool}
+}
 
 // NewDate returns a date value; the payload must already be normalized
 // (YYYY-MM-DD). Use ParseDate to normalize user input.
 func NewDate(s string) Value { return Value{K: KindDate, S: s} }
+
+// F returns a FLOAT's payload. It is meaningful only when K is KindFloat.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// B returns a BOOL's payload. It is meaningful only when K is KindBool.
+func (v Value) B() bool { return v.I != 0 }
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -86,7 +103,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt:
 		return float64(v.I)
 	case KindFloat:
-		return v.F
+		return v.F()
 	default:
 		return 0
 	}
@@ -98,7 +115,7 @@ func (v Value) AsInt() int64 {
 	case KindInt:
 		return v.I
 	case KindFloat:
-		return int64(v.F)
+		return int64(v.F())
 	default:
 		return 0
 	}
@@ -117,7 +134,7 @@ func (v Value) String() string {
 	case KindString, KindDate:
 		return v.S
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -134,11 +151,11 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.F(), 'g', -1, 64)
 	case KindString, KindDate:
 		return append(dst, v.S...)
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return append(dst, "TRUE"...)
 		}
 		return append(dst, "FALSE"...)
@@ -182,9 +199,9 @@ func (v Value) AppendEncode(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(append(dst, "I:"...), v.I, 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, "F:"...), v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "F:"...), v.F(), 'g', -1, 64)
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return append(dst, "B:1"...)
 		}
 		return append(dst, "B:0"...)
@@ -321,9 +338,9 @@ func Compare(a, b Value) (int, error) {
 	}
 	if a.K == KindBool && b.K == KindBool {
 		switch {
-		case a.B == b.B:
+		case a.B() == b.B():
 			return 0, nil
-		case !a.B:
+		case !a.B():
 			return -1, nil
 		default:
 			return 1, nil
@@ -400,7 +417,7 @@ func TruthOf(v Value) Truth {
 	case KindNull:
 		return Unknown
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return True
 		}
 		return False
@@ -410,7 +427,7 @@ func TruthOf(v Value) Truth {
 		}
 		return False
 	case KindFloat:
-		if v.F != 0 {
+		if v.F() != 0 {
 			return True
 		}
 		return False

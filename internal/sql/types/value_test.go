@@ -7,7 +7,34 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueLayout pins the cell at 32 bytes (string header, one payload
+// word, kind) and holds the payload word to its kinds: a FLOAT
+// round-trips bit for bit through its IEEE-754 bits, a BOOL through 0/1.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
+	}
+	if v := (Value{}); !v.IsNull() || v != Null() {
+		t.Fatalf("zero Value %#v is not NULL", v)
+	}
+	for _, f := range []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, math.SmallestNonzeroFloat64,
+	} {
+		v := NewFloat(f)
+		if v.K != KindFloat || math.Float64bits(v.F()) != math.Float64bits(f) {
+			t.Errorf("NewFloat(%v).F() = %v (bits %#x), want bits %#x", f, v.F(), math.Float64bits(v.F()), math.Float64bits(f))
+		}
+	}
+	for _, b := range []bool{false, true} {
+		if v := NewBool(b); v.K != KindBool || v.B() != b {
+			t.Errorf("NewBool(%v).B() = %v", b, v.B())
+		}
+	}
+}
 
 func TestValueConstructorsAndString(t *testing.T) {
 	cases := []struct {
@@ -268,9 +295,9 @@ func refEncode(v Value) string {
 	case KindInt:
 		return "I:" + strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return "F:" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return "F:" + strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return "B:1"
 		}
 		return "B:0"
@@ -288,11 +315,11 @@ func refString(v Value) string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString, KindDate:
 		return v.S
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -344,7 +371,7 @@ func TestAppendFormsMatchStringForms(t *testing.T) {
 			continue
 		}
 		back, err := DecodeValue(v.Encode())
-		same := back == v || (v.K == KindFloat && math.IsNaN(v.F) && math.IsNaN(back.F))
+		same := back == v || (v.K == KindFloat && math.IsNaN(v.F()) && math.IsNaN(back.F()))
 		if err != nil || !same {
 			t.Fatalf("DecodeValue(Encode(%#v)) = %#v, %v", v, back, err)
 		}

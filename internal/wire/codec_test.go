@@ -37,9 +37,10 @@ func refDecodeCell(cell string) types.Value {
 // refFlatten is the framing rule for cells and column names.
 var refFlatten = strings.NewReplacer("\t", " ", "\n", " ", "\r", " ")
 
-// sameValue is types.Identical with NaN equal to itself.
+// sameValue reports whether two values are the same cell: == compares a
+// FLOAT's bits (so -0 and +0 differ), and any two NaNs count as the same.
 func sameValue(a, b types.Value) bool {
-	if a.K == types.KindFloat && b.K == types.KindFloat && math.IsNaN(a.F) && math.IsNaN(b.F) {
+	if a.K == types.KindFloat && b.K == types.KindFloat && math.IsNaN(a.F()) && math.IsNaN(b.F()) {
 		return true
 	}
 	return a == b

@@ -387,9 +387,9 @@ func toDriverValue(v types.Value) driver.Value {
 	case types.KindInt:
 		return v.I
 	case types.KindFloat:
-		return v.F
+		return v.F()
 	case types.KindBool:
-		return v.B
+		return v.B()
 	default:
 		return v.S
 	}
