@@ -99,6 +99,10 @@ func buildFuncCatalog() []*FuncSpec {
 	}
 }
 
+// maxPadLength bounds what LPAD builds: a longer result is an error, not
+// an allocation the size of the request.
+const maxPadLength = 1 << 20
+
 // extensionBuiltins implements the catalogue functions that are not part
 // of the engine's core builtin set. All are deterministic so results can
 // be compared across servers.
@@ -124,16 +128,27 @@ func extensionBuiltins() map[string]engine.Builtin {
 				return types.Null(), nil
 			}
 			s := a[0].String()
-			n := int(a[1].AsInt())
+			n, err := engine.IntArg(a[1])
+			if err != nil {
+				return types.Value{}, err
+			}
+			if n <= 0 {
+				return types.NewString(""), nil
+			}
 			pad := " "
 			if len(a) == 3 && !a[2].IsNull() {
 				pad = a[2].String()
 			}
-			for len(s) < n && pad != "" {
-				s = pad + s
+			// Whole pads go in front until the text is long enough; the
+			// result is its last n bytes.
+			if short := n - int64(len(s)); short > 0 && pad != "" {
+				if n > maxPadLength {
+					return types.Value{}, fmt.Errorf("%w: LPAD length %d exceeds %d", engine.ErrType, n, maxPadLength)
+				}
+				s = strings.Repeat(pad, int((short+int64(len(pad))-1)/int64(len(pad)))) + s
 			}
-			if len(s) > n {
-				s = s[len(s)-n:]
+			if int64(len(s)) > n {
+				s = s[int64(len(s))-n:]
 			}
 			return types.NewString(s), nil
 		}}

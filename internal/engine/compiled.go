@@ -161,6 +161,32 @@ type compiledSelect struct {
 	// sortErr is a positional key of a plain SELECT out of range, raised
 	// before sorting.
 	sortErr error
+	// correlated marks a select that reads a scope enclosing it or calls
+	// a sequence function: each evaluation may answer differently. once
+	// is, for an uncorrelated select nested in another, its slot in
+	// Session.once (-1 otherwise): a pure SELECT runs it at most once per
+	// execution (runSelect).
+	correlated bool
+	once       int32
+}
+
+// compileFrame is one select being compiled: the scope it is met in,
+// and whether a reference inside it has resolved there or further out.
+type compileFrame struct {
+	outer      *scope
+	correlated bool
+}
+
+// onceResult is what an uncorrelated nested select produced in this
+// execution, rows in the arena; for IN, set chains them once a probe
+// asked (setState 1; -1: they cannot be chained, inSet).
+type onceResult struct {
+	done     bool
+	rows     [][]types.Value
+	err      error
+	set      hashTable
+	hasNull  bool
+	setState int8
 }
 
 // outCols are the visible output names of a plan that does not fail.
@@ -276,6 +302,42 @@ func tableMeta(t *Table, idxs map[string]*Index) plan.TableMeta {
 // distinct is sel.Distinct, except that the LeftJoinDistinctViewDup quirk
 // drops a view body's. Caller holds the engine lock.
 func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force, distinct bool) *compiledSelect {
+	if len(s.frames) == 0 {
+		s.onceN = 0
+	}
+	s.frames = append(s.frames, compileFrame{outer: outer})
+	cs := s.compileQuery(sel, outer, force, distinct)
+	f := s.frames[len(s.frames)-1]
+	s.frames = s.frames[:len(s.frames)-1]
+	cs.correlated, cs.once = f.correlated, -1
+	if len(s.frames) > 0 && !f.correlated {
+		cs.once = s.onceN
+		s.onceN++
+	}
+	return cs
+}
+
+// noteRef records a reference that resolved in scope sc: every select
+// being compiled that sc encloses is correlated.
+func (s *Session) noteRef(sc *scope) {
+	for i := range s.frames {
+		f := &s.frames[i]
+		for o := f.outer; o != nil && !f.correlated; o = o.parent {
+			f.correlated = o == sc
+		}
+	}
+}
+
+// noteSeqCall records a sequence function call: it advances state, so
+// every select being compiled is correlated.
+func (s *Session) noteSeqCall() {
+	for i := range s.frames {
+		s.frames[i].correlated = true
+	}
+}
+
+// compileQuery is compileSelect's body.
+func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, distinct bool) *compiledSelect {
 	cs := &compiledSelect{sel: sel}
 	// ORDER BY keys may reference source columns that are not projected;
 	// a plain SELECT computes the non-positional ones as hidden trailing
@@ -709,6 +771,12 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, 
 	if force != plan.ForceAuto {
 		return s.runTop(s.compileSelect(sel, nil, force, sel.Distinct), false)
 	}
+	// A pure SELECT reads one plane that nothing changes while it runs,
+	// and calls no sequence function: an uncorrelated nested select
+	// answers the same each time, so it runs once.
+	clear(s.once)
+	s.onceOn = true
+	defer func() { s.onceOn = false }()
 	e := s.eng
 	ver := s.planVersion()
 	cs, known := e.planMemo.load(p.Shape, ver)
@@ -735,7 +803,7 @@ func (s *Session) runTop(cs *compiledSelect, cacheHit bool) (*Result, error) {
 		s.lastPlan.Table, s.lastPlan.Path = p.Table, p.Path
 	}
 	s.eng.pathExecs[s.lastPlan.Path].Add(1)
-	rows, err := s.runSelect(cs, nil)
+	rows, err := s.runSelect(cs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -755,7 +823,7 @@ func (cs *compiledSelect) result(rows [][]types.Value) *Result {
 func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value, error) {
 	s.eng.memoMisses.Add(1)
 	cs := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
-	rows, err := s.runSelect(cs, nil)
+	rows, err := s.runSelect(cs, nil, nil)
 	return cs, rows, err
 }
 
@@ -771,6 +839,7 @@ func (s *Session) LastPlan() plan.Info { return s.lastPlan }
 // engine.
 func (s *Session) ExecSelectVariant(p *stmt.Parsed, force plan.Force, args []types.Value) (*Result, error) {
 	e := s.eng
+	s.startStatement()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if s.closed {

@@ -20,11 +20,10 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 
 	// Every source row is evaluated before any row is built, so an
 	// evaluation error anywhere precedes a count or constraint error. A
-	// VALUES list is evaluated into the session's scratch, its rows back
+	// VALUES list is evaluated into the statement's arena, its rows back
 	// to back; only the stored rows are allocated.
 	var selRows [][]types.Value
-	vals := e.insVals[:0]
-	defer func() { e.insVals = reuse(vals, scratchKeep) }()
+	var vals []types.Value
 	n := len(ins.Rows)
 	if ins.Select != nil {
 		_, rows, err := e.runUnowned(ins.Select)
@@ -36,6 +35,11 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		// Each value is lowered where it is evaluated: it reads no row, and
 		// a reference is an error only when its row is reached.
 		l := lowering{s: e}
+		total := 0
+		for _, exprRow := range ins.Rows {
+			total += len(exprRow)
+		}
+		vals = e.mem.values(total)[:0]
 		for _, exprRow := range ins.Rows {
 			for _, ex := range exprRow {
 				v, err := e.eval(l.lower(ex, nil, false), nil)
@@ -293,9 +297,10 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int, che
 	if len(checks) == 0 {
 		return nil
 	}
-	en := env{row: row}
+	en := e.mem.env(nil)
+	en.row = row
 	for _, chk := range checks {
-		v, err := e.eval(chk, &en)
+		v, err := e.eval(chk, en)
 		if err != nil {
 			return err
 		}
@@ -354,16 +359,16 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 	setIdx := dp.cols
 	checks := e.lowerChecks(t)
 	var affected int64
-	changes := e.changes[:0]
-	defer func() { e.changes = reuse(changes, scratchKeep) }()
+	// changes are the rows replaced, as (old, new) pairs flattened.
+	changes := e.mem.list(0)
 	// Statement atomicity: a failure on any row swaps back the rows this
 	// statement already replaced (see execInsert for why partial effects
 	// must not survive an error).
 	undoPartial := func() {
-		for i := len(changes) - 1; i >= 0; i-- {
+		for i := len(changes) - 2; i >= 0; i -= 2 {
 			for ri, r := range t.Rows {
-				if sameRow(r, changes[i].new) {
-					t.Rows[ri] = changes[i].old
+				if sameRow(r, changes[i+1]) {
+					t.Rows[ri] = changes[i]
 					break
 				}
 			}
@@ -372,12 +377,8 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 			t.bumpCols(setIdx)
 		}
 	}
-	// One env reused across the scan (its row swapped per row), the
-	// session's: the evaluator never retains an env past the call, and
-	// the allocation would otherwise dominate the statement on long
-	// tables.
-	en := &e.dmlEnv
-	*en = env{}
+	// One env reused across the scan, its row swapped per row.
+	en := e.mem.env(nil)
 	// updateRow applies the statement to one row position; the caller
 	// runs undoPartial on error.
 	updateRow := func(ri int, row []types.Value) error {
@@ -418,7 +419,7 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 			t.Rows = append([][]types.Value(nil), t.Rows...)
 			t.rowsShared = false
 		}
-		changes = append(changes, rowChange{old: row, new: newRow})
+		changes = e.mem.appendRow(changes, row, newRow)
 		t.Rows[ri] = newRow
 		// Per-replacement version bump: only the SET columns' indexes
 		// invalidate (positions never move), and a subquery evaluated for
@@ -454,13 +455,10 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 		// is logged before the statement's last stamp move (see
 		// buildView).
 		rec := undoRec{kind: kindTable, op: opUpdate, table: t.Name, cols: setIdx}
-		if len(changes) == 1 {
-			rec.old, rec.row = changes[0].old, changes[0].new
+		if len(changes) == 2 {
+			rec.old, rec.row = changes[0], changes[1]
 		} else {
-			rec.rows = make([][]types.Value, 0, 2*len(changes))
-			for _, ch := range changes {
-				rec.rows = append(rec.rows, ch.old, ch.new)
-			}
+			rec.rows = slices.Clone(changes)
 		}
 		e.logUndoRec(rec)
 		t.touch()
@@ -525,8 +523,7 @@ func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, err
 		n = len(cands)
 	}
 	var gone []int
-	en := &e.dmlEnv
-	*en = env{}
+	en := e.mem.env(nil)
 	for i := 0; i < n; i++ {
 		ri := i
 		if narrowed {
@@ -542,7 +539,7 @@ func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, err
 				continue
 			}
 		}
-		gone = append(gone, ri)
+		gone = append(grow(&e.mem.ints, gone, 1), ri)
 	}
 	if len(gone) == 0 {
 		return &Result{Kind: ResultCount}, nil

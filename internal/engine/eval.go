@@ -53,7 +53,7 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 	case *unX:
 		return s.evalUnary(n, en)
 	case *funcX:
-		args := make([]types.Value, len(n.args))
+		args := s.mem.values(len(n.args))
 		for i, a := range n.args {
 			v, err := s.eval(a, en)
 			if err != nil {
@@ -61,13 +61,13 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 			}
 			args[i] = v
 		}
-		return n.fn(&FuncContext{Sess: s}, args)
+		return n.fn(&s.fctx, args)
 	case *aggX:
 		return s.evalAggregate(n, en)
 	case *inX:
 		return s.evalIn(n, en)
 	case *selectX:
-		rows, err := s.runSelect(n.sub, en)
+		rows, err := s.runSelect(n.sub, en, &s.mem)
 		switch {
 		case err != nil:
 			return types.Value{}, err
@@ -371,15 +371,21 @@ func (s *Session) evalIn(n *inX, en *env) (types.Value, error) {
 		if n.err != nil {
 			return types.Value{}, n.err
 		}
-		rows, err := s.runSelect(n.sub, en)
+		rows, err := s.runSelect(n.sub, en, &s.mem)
 		if err != nil {
 			return types.Value{}, err
 		}
 		if len(n.sub.outCols()) != 1 {
 			return types.Value{}, errors.New("IN subquery must return one column")
 		}
-		for _, row := range rows {
-			match(row[0])
+		if r := s.inSet(n.sub, rows); r != nil && v.K == types.KindInt {
+			// Every value is an INT or NULL: v equals one exactly when
+			// its chain holds it.
+			found, sawNull = r.set.first(v, rows, 0) >= 0, r.hasNull
+		} else {
+			for _, row := range rows {
+				match(row[0])
+			}
 		}
 	} else {
 		for _, item := range n.list {
@@ -430,15 +436,15 @@ func (s *Session) evalAggregate(n *aggX, en *env) (types.Value, error) {
 	if n.star {
 		return types.NewInt(int64(len(en.group))), nil
 	}
-	var vals []types.Value
-	var seen map[string]bool
+	vals := s.mem.values(len(en.group))[:0]
+	var seen keySet
 	if n.distinct {
-		seen = make(map[string]bool)
+		seen = s.mem.newKeySet(len(en.group))
 	}
-	row := env{outer: en.outer}
+	row := s.mem.env(en.outer)
 	for _, r := range en.group {
 		row.row = r
-		v, err := s.eval(n.arg, &row)
+		v, err := s.eval(n.arg, row)
 		if err != nil {
 			return types.Value{}, err
 		}
@@ -446,11 +452,11 @@ func (s *Session) evalAggregate(n *aggX, en *env) (types.Value, error) {
 			continue
 		}
 		if n.distinct {
-			k := v.String() + "\x1f" + v.K.String()
-			if seen[k] {
+			// Values are distinct by their text and kind.
+			s.keyBuf = append(append(v.AppendText(s.keyBuf[:0]), 0x1f), v.K.String()...)
+			if _, added := seen.add(s.keyBuf); !added {
 				continue
 			}
-			seen[k] = true
 		}
 		vals = append(vals, v)
 	}
@@ -481,7 +487,7 @@ func (s *Session) evalAggregate(n *aggX, en *env) (types.Value, error) {
 		}
 		allInt = allInt && nv.K == types.KindInt
 		sum += nv.AsFloat()
-		isum += nv.AsInt()
+		isum += nv.AsInt() // read only when every value is an INT
 	}
 	switch {
 	case n.name == "AVG":
@@ -524,10 +530,27 @@ func likeMatch(s, p string) bool {
 // [-2^63, 2^63), NaN included, it fails instead: Go's int64(f) is
 // implementation-defined there.
 func floatToInt(f float64) (types.Value, error) {
-	if !(f >= -(1<<63) && f < 1<<63) {
+	if !inIntRange(f) {
 		return types.Value{}, fmt.Errorf("%w: %v out of range for INTEGER column", ErrType, f)
 	}
 	return types.NewInt(int64(f)), nil
+}
+
+func inIntRange(f float64) bool { return f >= -(1<<63) && f < 1<<63 }
+
+// IntArg reads a builtin's integer argument — a length, a position, a
+// digit count, an increment: an INT as it is, a FLOAT truncated toward
+// zero under floatToInt's range rule (ErrType outside it), any other
+// kind as 0.
+func IntArg(v types.Value) (int64, error) {
+	if v.K != types.KindFloat {
+		return v.AsInt(), nil
+	}
+	f := v.F()
+	if !inIntRange(f) {
+		return 0, fmt.Errorf("%w: %v out of range for an INTEGER argument", ErrType, f)
+	}
+	return int64(f), nil
 }
 
 // coerce converts a value to a column kind, returning an error when the

@@ -143,3 +143,34 @@ func TestFloatToIntegerRange(t *testing.T) {
 		}
 	}
 }
+
+// A builtin's integer argument given as a FLOAT truncates toward zero
+// inside int64's range and raises ErrType outside it, as CAST and INSERT
+// do: SUBSTR's start and length, ROUND's digits, NEXTVAL's increment.
+func TestIntegerArgumentsKeepTheRangeRule(t *testing.T) {
+	e := NewOracle()
+	mustExec(t, e, "CREATE SEQUENCE SQ START WITH 10")
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT SUBSTR('abcd', 2, 2.9) AS S", "bc"},
+		{"SELECT SUBSTR('abcd', 2.5) AS S", "bcd"},
+		{"SELECT SUBSTR('abcd', -1e18) AS S", "abcd"},
+		{"SELECT ROUND(2.25, 1.9) AS R", "2.3"},
+		{"SELECT NEXTVAL(SQ, 2.9) AS N", "10"},
+		{"SELECT NEXTVAL(SQ) AS N", "12"},
+	} {
+		if got := rowStrings(mustExec(t, e, tc.sql)); len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: got %q, want %s", tc.sql, got, tc.want)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT SUBSTR('abc', 2, 1e300) AS S",
+		"SELECT SUBSTR('abc', 1e300) AS S",
+		"SELECT SUBSTR('abc', -1e300, 1) AS S",
+		"SELECT ROUND(2.5, 1e300) AS R",
+		"SELECT NEXTVAL(SQ, 1e300) AS N",
+	} {
+		if _, err := execSQL(e, sql); !errors.Is(err, ErrType) || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: got %v, want an out-of-range type error", sql, err)
+		}
+	}
+}

@@ -76,22 +76,28 @@ func AllBuiltins() map[string]Builtin {
 			return types.Null(), nil
 		}
 		s := a[0].String()
-		start := int(a[1].AsInt())
+		start, err := IntArg(a[1])
+		if err != nil {
+			return types.Value{}, err
+		}
+		n := int64(len(s))
+		if len(a) == 3 {
+			if n, err = IntArg(a[2]); err != nil {
+				return types.Value{}, err
+			}
+		}
 		if start < 1 {
 			start = 1
 		}
-		if start > len(s) {
+		if start > int64(len(s)) {
 			return types.NewString(""), nil
 		}
 		rest := s[start-1:]
-		if len(a) == 3 {
-			n := int(a[2].AsInt())
-			if n < 0 {
-				n = 0
-			}
-			if n < len(rest) {
-				rest = rest[:n]
-			}
+		if n < 0 {
+			n = 0
+		}
+		if n < int64(len(rest)) {
+			rest = rest[:n]
 		}
 		return types.NewString(rest), nil
 	}})
@@ -160,9 +166,11 @@ func AllBuiltins() map[string]Builtin {
 		if err != nil {
 			return types.Value{}, err
 		}
-		digits := 0
+		var digits int64
 		if len(a) == 2 {
-			digits = int(a[1].AsInt())
+			if digits, err = IntArg(a[1]); err != nil {
+				return types.Value{}, err
+			}
 		}
 		scale := math.Pow(10, float64(digits))
 		return types.NewFloat(math.Round(v.AsFloat()*scale) / scale), nil

@@ -265,11 +265,12 @@ func TestJoinAlgorithmChoiceAndCounters(t *testing.T) {
 	}
 }
 
-// A join allocates for what it returns and for its hash table — result
-// rows, one bucket per right row at most — never per candidate pair: ON
-// is evaluated against one scratch row and one scope per join. 16x16
-// rows, unique keys: 256 pairs, 16 of them matches. The nested loop
-// visits all 256 and may not allocate for them either.
+// A join allocates for what it returns, never per candidate pair or per
+// match: ON is evaluated against one scratch row and one scope per join,
+// and the hash table, the match list and the joined rows come from the
+// session's arena. 16x16 rows, unique keys: 256 pairs, 16 of them
+// matches. The nested loop visits all 256 and may not allocate for them
+// either.
 func TestJoinAllocs(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
@@ -284,13 +285,11 @@ func TestJoinAllocs(t *testing.T) {
 		force plan.Force
 		max   float64
 	}{
-		// 16 buckets and the map + the growth of the match list + one slab
-		// of joined rows and one of projected rows + the statement's fixed
-		// cost: no allocation per result row.
-		{plan.ForceAuto, 45},
-		// No buckets; the plan is compiled per execution (a forced plan
+		// The result: its header, column names, row list and slab.
+		{plan.ForceAuto, 4},
+		// The result and the plan, compiled per execution (a forced plan
 		// bypasses the memo).
-		{plan.ForceFullScan, 45},
+		{plan.ForceFullScan, 19},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			res, err := s.ExecSelectVariant(sel, tc.force, nil)
@@ -300,7 +299,7 @@ func TestJoinAllocs(t *testing.T) {
 		})
 		t.Logf("%v: %.0f allocations for 256 pairs, 16 matches", tc.force, allocs)
 		if allocs > tc.max {
-			t.Errorf("%v: %.0f allocations per 16x16 join, want <= %.0f (O(output + right rows), not O(pairs))", tc.force, allocs, tc.max)
+			t.Errorf("%v: %.0f allocations per 16x16 join, want <= %.0f (the result and the plan, not O(pairs))", tc.force, allocs, tc.max)
 		}
 	}
 }

@@ -295,6 +295,7 @@ func (l *lowering) resolve(n *ast.ColumnRef, sc *scope) rexpr {
 		if i, err := sc.ordinal(qual, name); err != nil {
 			return &errX{err}
 		} else if i >= 0 {
+			l.s.noteRef(sc)
 			return column(depth, i)
 		}
 	}
@@ -359,12 +360,16 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 		if seqName == "" {
 			return &errX{fmt.Errorf("%s requires a sequence name", name)}
 		}
+		l.s.noteSeqCall()
 		// Its builtin is the advance of that sequence, by the second
 		// argument (1 without one); any further argument is never read.
 		return &funcX{args: args[1:min(len(args), 2)], fn: func(ctx *FuncContext, a []types.Value) (types.Value, error) {
 			incr := int64(1)
 			if len(a) > 0 {
-				incr = a[0].AsInt()
+				var err error
+				if incr, err = IntArg(a[0]); err != nil {
+					return types.Value{}, err
+				}
 			}
 			return ctx.Sess.SequenceNext(seqName, incr)
 		}}

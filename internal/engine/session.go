@@ -90,17 +90,27 @@ type Session struct {
 	bind []types.Value
 	lits []*ast.Literal
 
-	// Write-path scratch, reused by every statement of the session (one
-	// statement at a time, and no write statement runs inside another):
-	// insVals holds an INSERT's evaluated VALUES rows back to back,
-	// insCols its explicit column list resolved, dmlEnv the row env of
-	// an UPDATE's or DELETE's scan and changes an UPDATE's replaced
-	// rows. Nothing outlives the statement; an undo record copies what
-	// it keeps.
-	insVals []types.Value
+	// mem is the statement memory (arena.go), reclaimed when the next
+	// statement starts; once holds, per execution of a pure SELECT, what
+	// each uncorrelated nested select produced (onceOn: the rule
+	// applies). An undo record copies what it keeps of either.
+	mem    arena
+	once   []onceResult
+	onceOn bool
+	// insCols holds an INSERT's explicit column list resolved, reused by
+	// every INSERT of the session (no write statement runs inside
+	// another).
 	insCols []int
-	dmlEnv  env
-	changes []rowChange
+	// keyBuf encodes one row key at a time for grouping and DISTINCT;
+	// fctx is what every builtin call is handed.
+	keyBuf []byte
+	fctx   FuncContext
+
+	// frames are the selects being compiled, innermost last, for the
+	// correlated bit (lower.go); onceN numbers the uncorrelated nested
+	// selects of the statement-level select being compiled.
+	frames []compileFrame
+	onceN  int32
 
 	// lastPlan records how the most recent SELECT, UPDATE or DELETE
 	// reached its rows — see Session.LastPlan.
@@ -153,9 +163,6 @@ type undoRec struct {
 	fn undoFn
 }
 
-// rowChange is one row an UPDATE replaced.
-type rowChange struct{ old, new []types.Value }
-
 // undoFn is a DDL or sequence record's body: the inverse of one
 // mutation, applicable to an arbitrary state plane. dst is the live
 // state during ROLLBACK and a copy-on-write clone during a
@@ -202,6 +209,7 @@ func (e *Engine) NewSession() *Session {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := &Session{eng: e}
+	s.fctx.Sess = s
 	e.sessions[s] = struct{}{}
 	return s
 }
@@ -234,6 +242,7 @@ var ErrSessionClosed = errors.New("session is closed")
 // DDL-publishing COMMITs take the write lock.
 func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 	e := s.eng
+	s.startStatement()
 	bind := e.cfg.Bind.Apply(args)
 	switch x := p.AST.(type) {
 	case *ast.Select:
@@ -324,6 +333,16 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 		e.publishSchema()
 	}
 	return res, err
+}
+
+// startStatement reclaims what the session's previous statement held:
+// its arena (results excepted, none of which came from it), its
+// uncorrelated selects' outputs, and the compile frames of a statement
+// a panic cut short.
+func (s *Session) startStatement() {
+	s.mem.reset()
+	clear(s.once)
+	s.frames = s.frames[:0]
 }
 
 // execLatched runs a state-changing non-DDL statement under the engine
@@ -548,13 +567,13 @@ func (s *Session) clearTxnState() {
 	s.level = s.defLevel
 }
 
-// Past these sizes a transaction's undo log, touched set or an INSERT's
-// VALUES scratch is dropped at its end rather than kept for the next:
-// one bulk statement must not pin its high-water mark to the session.
+// Past these sizes a transaction's undo log or touched set is dropped
+// at its end rather than kept for the next: one bulk transaction must
+// not pin its high-water mark to the session. (Row memory follows the
+// arena's rule, arena.go.)
 const (
-	undoKeep    = 128  // undo records
-	touchedKeep = 64   // touched tables
-	scratchKeep = 1024 // values, rows
+	undoKeep    = 128 // undo records
+	touchedKeep = 64  // touched tables
 )
 
 // reuse returns buf emptied for the next use: its elements zeroed, so

@@ -8,6 +8,7 @@
 package fault
 
 import (
+	"slices"
 	"strings"
 
 	"divsql/internal/dialect"
@@ -76,19 +77,31 @@ type Trigger struct {
 // Matches reports whether a statement fingerprint falls in the failure
 // region under the given environment.
 func (t Trigger) Matches(fp ast.Fingerprint, stress bool) bool {
-	if t.UnderStressOnly && !stress {
-		return false
+	r := t.resolve()
+	return r.matches(fp, stress)
+}
+
+// region is a trigger resolved for matching: its names upper-cased and
+// its flag a bit, once, where it is checked against every statement.
+type region struct {
+	table, fn string
+	flag      uint64 // 0: any statement shape
+	stress    bool
+}
+
+func (t Trigger) resolve() region {
+	r := region{table: strings.ToUpper(t.Table), fn: strings.ToUpper(t.Func), stress: t.UnderStressOnly}
+	if t.Flag != "" {
+		r.flag = ast.FlagBit(t.Flag)
 	}
-	if t.Table != "" && !fp.UsesTable(t.Table) {
-		return false
-	}
-	if t.Flag != "" && !fp.Has(t.Flag) {
-		return false
-	}
-	if t.Func != "" && !fp.UsesFunc(t.Func) {
-		return false
-	}
-	return true
+	return r
+}
+
+func (r *region) matches(fp ast.Fingerprint, stress bool) bool {
+	return (!r.stress || stress) &&
+		(r.table == "" || slices.Contains(fp.Tables, r.table)) &&
+		fp.HasAll(r.flag) &&
+		(r.fn == "" || slices.Contains(fp.Funcs, r.fn))
 }
 
 // Effect is how an activated fault manifests.
@@ -114,9 +127,11 @@ type Fault struct {
 	Effect Effect
 }
 
-// Registry holds the faults of one server.
+// Registry holds the faults of one server, each with its trigger
+// resolved (regions, index-aligned with faults).
 type Registry struct {
-	faults []Fault
+	faults  []Fault
+	regions []region
 }
 
 // NewRegistry builds a registry from the faults belonging to server name.
@@ -126,6 +141,7 @@ func NewRegistry(name dialect.ServerName, all []Fault) *Registry {
 		if f.Server == name {
 			f.Trigger.Table = strings.ToUpper(f.Trigger.Table)
 			r.faults = append(r.faults, f)
+			r.regions = append(r.regions, f.Trigger.resolve())
 		}
 	}
 	return r
@@ -136,8 +152,8 @@ func (r *Registry) Len() int { return len(r.faults) }
 
 // Match returns the first fault triggered by the fingerprint, or nil.
 func (r *Registry) Match(fp ast.Fingerprint, stress bool) *Fault {
-	for i := range r.faults {
-		if r.faults[i].Trigger.Matches(fp, stress) {
+	for i := range r.regions {
+		if r.regions[i].matches(fp, stress) {
 			return &r.faults[i]
 		}
 	}

@@ -299,3 +299,36 @@ func TestEnginePanicIsContainedAsCrash(t *testing.T) {
 		t.Errorf("scrape does not report the contained panics:\n%s", doc)
 	}
 }
+
+// LPAD's length is an integer argument: a negative one gives the empty
+// string, a FLOAT beyond int64's range or a length past what the builtin
+// builds is a type error — never an engine crash, on any server that has
+// LPAD.
+func TestLPADLengthsDoNotCrash(t *testing.T) {
+	for _, name := range []dialect.ServerName{dialect.PG, dialect.OR, dialect.IB} {
+		s, _ := New(name, nil)
+		sess := s.NewSession()
+		for sql, want := range map[string]string{
+			"SELECT LPAD('ab', -1) AS P":      "",
+			"SELECT LPAD('ab', -1e300) AS P":  "error",
+			"SELECT LPAD('ab', 0) AS P":       "",
+			"SELECT LPAD('abc', 2) AS P":      "bc",
+			"SELECT LPAD('ab', 5, 'xy') AS P": "yxyab",
+			"SELECT LPAD('ab', 4.9) AS P":     "  ab",
+			"SELECT LPAD('ab', 1e300) AS P":   "error",
+			"SELECT LPAD('ab', 1e12) AS P":    "error",
+		} {
+			res, _, err := sess.Exec(sql)
+			switch {
+			case s.Crashed() || errors.Is(err, ErrCrashed):
+				t.Fatalf("%s %s: the server crashed: %v", name, sql, err)
+			case want == "error":
+				if err == nil || !strings.Contains(err.Error(), "type error") {
+					t.Errorf("%s %s: got %v, %v; want a type error", name, sql, res, err)
+				}
+			case err != nil || len(res.Rows) != 1 || res.Rows[0][0].String() != want:
+				t.Errorf("%s %s: got %v, %v; want %q", name, sql, res, err, want)
+			}
+		}
+	}
+}

@@ -98,6 +98,20 @@ type Fingerprint struct {
 // Has reports whether the fingerprint carries the flag.
 func (fp Fingerprint) Has(f Flag) bool { return fp.flags&flagBit[f] != 0 }
 
+// FlagBit is the flag's bit, for HasAll: a flag resolved once, where it
+// is checked against many fingerprints. An unknown flag is a bit no
+// fingerprint carries.
+func FlagBit(f Flag) uint64 {
+	if b, ok := flagBit[f]; ok {
+		return b
+	}
+	return 1 << len(flagList)
+}
+
+// HasAll reports whether the fingerprint carries every flag whose bit is
+// set in bits (FlagBit); no bits is no condition.
+func (fp Fingerprint) HasAll(bits uint64) bool { return fp.flags&bits == bits }
+
 // UsesTable reports whether the statement references the named table.
 func (fp Fingerprint) UsesTable(name string) bool {
 	return slices.Contains(fp.Tables, strings.ToUpper(name))

@@ -109,16 +109,15 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// AsInt converts a numeric value to int64 (floats truncate toward zero).
+// AsInt returns an INT's value, and 0 for any other kind. A FLOAT is not
+// truncated here: Go's int64(f) is implementation-defined outside
+// int64's range, and the engine converts one under a range rule of its
+// own (engine.IntArg).
 func (v Value) AsInt() int64 {
-	switch v.K {
-	case KindInt:
+	if v.K == KindInt {
 		return v.I
-	case KindFloat:
-		return int64(v.F())
-	default:
-		return 0
 	}
+	return 0
 }
 
 // String renders the value the way the simulated servers print result
