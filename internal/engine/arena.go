@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"hash/maphash"
 	"sync/atomic"
 
 	"divsql/internal/sql/types"
@@ -11,12 +10,11 @@ import (
 // buffer that cannot outlive the statement — join and cross-product
 // outputs with their pairs, matched flags and hash tables, filtered row
 // lists, the projections of nested selects (subqueries, derived tables,
-// view bodies), grouping, DISTINCT and sort scratch, builtin argument
-// vectors, evaluation envs, an INSERT's VALUES and an UPDATE's replaced
-// rows — is carved from the session's arena, which is reclaimed whole
-// when the session's next statement starts (Session.Exec,
-// Session.ExecSelectVariant). A
-// statement-level result, an INSERT ... SELECT's source rows, and
+// view bodies), grouping and sort scratch, builtin argument vectors,
+// evaluation envs, an INSERT's VALUES and an UPDATE's replaced rows — is
+// carved from the session's arena, which is reclaimed whole when the
+// session's next statement starts (Session.Exec,
+// Session.ExecSelectVariant). A statement-level result, an INSERT ... SELECT's source rows, and
 // anything stored in a table, an undo record or a read view never come
 // from it: those outlive the statement.
 
@@ -25,22 +23,24 @@ import (
 // either a statement's result or an intermediate takes the arena its
 // output belongs to.
 type arena struct {
-	vals  slab[types.Value]
-	rows  slab[[]types.Value]
-	ints  slab[int]
-	bytes slab[byte]
-	envs  slab[env]
+	vals slab[types.Value]
+	rows slab[[]types.Value]
+	ints slab[int]
+	envs slab[env]
 }
 
-// Past these element counts a slab's chunk is dropped at reset rather
-// than kept for the next statement: one large statement must not pin
-// its high-water mark to the session.
+// A slab keeps, at reset, its largest chunk within these element counts
+// and drops the rest: one large statement must not pin its high-water
+// mark to the session. Each is at least the most one statement took
+// from the slab on the bench workloads (hunt, seeds 1 and 3: under 4 096
+// values, 2 048 row headers, 4 096 ints and 128 envs; TPC-C and
+// pointread: under 128 of each), so the kept chunk can serve any of
+// their statements.
 const (
-	keepVals  = 4096 // 128 KiB
-	keepRows  = 2048
-	keepInts  = 4096
-	keepBytes = 8192
-	keepEnvs  = 256
+	keepVals = 4096 // 128 KiB
+	keepRows = 4096
+	keepInts = 8192
+	keepEnvs = 256
 	// minChunk is the first chunk's size; each further chunk of one
 	// statement doubles the last.
 	minChunk = 64
@@ -60,13 +60,38 @@ var poisonValue = types.NewString("\x00reclaimed by the statement arena\x00")
 // SQL arm it in an init.
 func PoisonReclaimed(on bool) { poisonReclaimed.Store(on) }
 
+// mark is a point in an arena's allocation order: rewind reclaims what
+// was taken after it.
+type mark struct{ vals, rows, ints, envs slabMark }
+
+// slabMark is a slab's position: its retired chunk count and how much
+// of the chunk it was carving had been handed out.
+type slabMark struct{ done, n int }
+
+func (a *arena) mark() mark {
+	return mark{a.vals.mark(), a.rows.mark(), a.ints.mark(), a.envs.mark()}
+}
+
+// rewind reclaims everything the arena handed out since m, which must
+// be a mark of this statement that no later rewind has passed. Every
+// evaluation whose arena memory dies with it — a nested select run per
+// row, a builtin's argument vector — rewinds to a mark taken before it
+// once its answer is read, so the statement holds one such run at a
+// time, not one per row.
+func (a *arena) rewind(m mark) {
+	poison := poisonReclaimed.Load()
+	a.vals.rewind(m.vals, poisonValue, poison)
+	a.rows.rewind(m.rows, nil, poison)
+	a.ints.rewind(m.ints, 0, false)
+	a.envs.rewind(m.envs, env{}, false)
+}
+
 // reset reclaims everything the arena handed out since the last reset.
 func (a *arena) reset() {
 	poison := poisonReclaimed.Load()
 	a.vals.reset(poisonValue, poison, keepVals)
 	a.rows.reset(nil, poison, keepRows)
 	a.ints.reset(0, false, keepInts)
-	a.bytes.reset(0, false, keepBytes)
 	a.envs.reset(env{}, false, keepEnvs)
 }
 
@@ -76,8 +101,9 @@ func (a *arena) reset() {
 type slab[T any] struct {
 	buf  []T
 	done [][]T
-	// dirty marks a chunk reset left filled with poison: what it hands
-	// out is cleared first.
+	// dirty marks a slab that poison mode has filled since it last held
+	// only zeroes past what it handed out: what take hands out is
+	// cleared first.
 	dirty bool
 }
 
@@ -88,7 +114,7 @@ func (p *slab[T]) take(n int) []T {
 		if p.buf != nil {
 			p.done = append(p.done, p.buf)
 		}
-		p.buf, p.dirty = make([]T, 0, max(n, 2*cap(p.buf), minChunk)), false
+		p.buf = make([]T, 0, max(n, 2*cap(p.buf), minChunk))
 	}
 	i := len(p.buf)
 	p.buf = p.buf[:i+n]
@@ -99,32 +125,73 @@ func (p *slab[T]) take(n int) []T {
 	return out
 }
 
-// reset reclaims what the slab handed out: each element is zeroed, or
-// set to fill in poison mode. The last chunk is kept for the next
-// statement unless it is larger than keep elements; earlier ones are
-// dropped, so a statement that needed more than one chunk leaves the
-// largest to the next.
-func (p *slab[T]) reset(fill T, poison bool, keep int) {
+func (p *slab[T]) mark() slabMark { return slabMark{len(p.done), len(p.buf)} }
+
+// rewind reclaims what the slab handed out since m. When chunks were
+// retired since, the chunk m was set in ends at m, the ones after it are
+// dropped, and the newest — the largest — is emptied for what comes
+// next, so a run repeated per row reuses it instead of growing anew.
+func (p *slab[T]) rewind(m slabMark, fill T, poison bool) {
+	if len(p.done) == m.done {
+		p.reclaim(p.buf[m.n:], fill, poison)
+		p.buf = p.buf[:m.n]
+		return
+	}
+	at := p.done[m.done]
+	p.reclaim(at[m.n:], fill, poison)
+	p.done[m.done] = at[:m.n]
+	for _, c := range p.done[m.done+1:] {
+		p.reclaim(c, fill, poison)
+	}
+	clear(p.done[m.done+1:])
+	p.done = p.done[:m.done+1]
+	p.reclaim(p.buf, fill, poison)
+	p.buf = p.buf[:0]
+}
+
+// reclaim zeroes c, or in poison mode fills it with fill and marks the
+// slab dirty, so what take hands out from it again is cleared first.
+func (p *slab[T]) reclaim(c []T, fill T, poison bool) {
 	if poison {
-		for _, c := range p.done {
+		fillAll(c, fill)
+		p.dirty = true
+		return
+	}
+	clear(c)
+}
+
+// reset reclaims what the slab handed out: each element is zeroed, or
+// set to fill in poison mode. The largest chunk no larger than keep
+// elements is kept for the next statement and the rest are dropped: a
+// statement that outgrew the cap leaves the next one a chunk near it
+// to grow from, not minChunk.
+func (p *slab[T]) reset(fill T, poison bool, keep int) {
+	if p.buf != nil {
+		p.done = append(p.done, p.buf)
+	}
+	var kept []T
+	for _, c := range p.done {
+		if poison {
 			fillAll(c, fill)
 		}
-		fillAll(p.buf, fill)
+		if cap(c) <= keep && cap(c) > cap(kept) {
+			kept = c
+		}
 	}
 	clear(p.done)
 	p.done = p.done[:0]
 	switch {
-	case cap(p.buf) > keep:
+	case kept == nil:
 		p.buf, p.dirty = nil, false
 	case poison:
-		p.buf, p.dirty = p.buf[:0], true
+		p.buf, p.dirty = kept[:0], true
 	case p.dirty:
 		// Poison from an earlier statement may lie past what this one used.
-		clear(p.buf[:cap(p.buf)])
-		p.buf, p.dirty = p.buf[:0], false
+		clear(kept[:cap(kept)])
+		p.buf, p.dirty = kept[:0], false
 	default:
-		clear(p.buf)
-		p.buf = p.buf[:0]
+		clear(kept)
+		p.buf = kept[:0]
 	}
 }
 
@@ -194,47 +261,4 @@ func (a *arena) table(n, w int) [][]types.Value {
 		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
-}
-
-// keySet numbers byte keys in first-seen order — the row keys of
-// grouping and DISTINCT — in an open-addressed table, all of it in the
-// arena.
-type keySet struct {
-	mem   *arena
-	keys  []byte // every key seen, back to back
-	ends  []int  // key i is keys[ends[i-1]:ends[i]]
-	slots []int  // 1 + the id of the key in the slot, 0 when empty
-	mask  int
-}
-
-// keySeed seeds the key hash; a key's id depends only on the order keys
-// are seen, never on where it hashed.
-var keySeed = maphash.MakeSeed()
-
-// newKeySet sizes a set for at most n distinct keys.
-func (a *arena) newKeySet(n int) keySet {
-	size := 8
-	for size < 2*n {
-		size *= 2
-	}
-	return keySet{mem: a, ends: a.ints.take(n)[:0], slots: a.ints.take(size), mask: size - 1}
-}
-
-// add returns the id of key, numbering it next when it is new.
-func (k *keySet) add(key []byte) (id int, added bool) {
-	i := int(maphash.Bytes(keySeed, key)) & k.mask
-	for ; k.slots[i] != 0; i = (i + 1) & k.mask {
-		id := k.slots[i] - 1
-		start := 0
-		if id > 0 {
-			start = k.ends[id-1]
-		}
-		if string(k.keys[start:k.ends[id]]) == string(key) {
-			return id, false
-		}
-	}
-	k.keys = append(grow(&k.mem.bytes, k.keys, len(key)), key...)
-	k.ends = append(grow(&k.mem.ints, k.ends, 1), len(k.keys))
-	k.slots[i] = len(k.ends)
-	return len(k.ends) - 1, true
 }

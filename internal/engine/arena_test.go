@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"divsql/internal/engine/plan"
 	"divsql/internal/sql/types"
 )
 
@@ -41,6 +44,80 @@ func TestArenaPoisonsReclaimedRows(t *testing.T) {
 	s.startStatement()
 	if c := cap(s.mem.vals.buf); c > keepVals {
 		t.Errorf("kept a %d-value chunk past the %d cap", c, keepVals)
+	}
+	// A statement that grew past the cap in doubling chunks leaves the
+	// largest one within it, not nothing.
+	for range 4 * keepVals / 100 {
+		s.mem.values(100)
+	}
+	s.startStatement()
+	if c := cap(s.mem.vals.buf); c <= keepVals/4 || c > keepVals {
+		t.Errorf("after a statement past the cap: kept a %d-value chunk, want (%d, %d]", c, keepVals/4, keepVals)
+	}
+}
+
+// held is how many elements the slab's chunks hold.
+func (p *slab[T]) held() int {
+	n := cap(p.buf)
+	for _, c := range p.done {
+		n += cap(c)
+	}
+	return n
+}
+
+// A nested select run per row, and a builtin's argument vector, give
+// their arena memory back once their answer is read: after an UPDATE,
+// a correlated SELECT and a forced SELECT, each running a subquery over
+// a table of n rows for each of n rows, the arena holds what one run
+// needs, not n runs. A subquery run once keeps its rows (in the once
+// arena) across those rewinds.
+func TestNestedRunsRewindTheArena(t *testing.T) {
+	const n = 1000
+	e := NewOracle()
+	s := e.NewSession()
+	sessExec(t, s, "CREATE TABLE IO (K INT)")
+	sessExec(t, s, "CREATE TABLE II (K INT)")
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("(%d)", i)
+	}
+	sessExec(t, s, "INSERT INTO IO VALUES "+strings.Join(vals, ", "))
+	sessExec(t, s, "INSERT INTO II VALUES "+strings.Join(vals, ", "))
+	for _, tc := range []struct {
+		sql   string
+		force plan.Force
+		rows  int
+	}{
+		{"UPDATE IO SET K = ABS(K) WHERE K IN (SELECT K FROM II)", plan.ForceAuto, -1},
+		{"SELECT K FROM IO WHERE EXISTS (SELECT K FROM II WHERE II.K + 0 = IO.K)", plan.ForceAuto, n},
+		{"SELECT K FROM IO WHERE COALESCE(K IN (SELECT ABS(K) FROM II), FALSE)", plan.ForceFullScan, n},
+		// Run once inside a builtin's arguments: its rows outlive the
+		// call's rewind, and every later row reads them intact.
+		{"SELECT K FROM IO WHERE COALESCE(K IN (SELECT ABS(K) FROM II), FALSE)", plan.ForceAuto, n},
+	} {
+		p := resolve(t, tc.sql)
+		var res *Result
+		var err error
+		if tc.rows < 0 {
+			res, err = s.Exec(p, nil)
+		} else {
+			res, err = s.ExecSelectVariant(p, tc.force, nil)
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", tc.sql, err)
+		}
+		if tc.rows < 0 && res.Affected != n || tc.rows >= 0 && len(res.Rows) != tc.rows {
+			t.Errorf("%q (%v): %d rows, %d affected, want %d", tc.sql, tc.force, len(res.Rows), res.Affected, max(tc.rows, n))
+		}
+		// Doubling chunks hold a few times the statement's largest live
+		// need — the inner result and, for the UPDATE, its replaced
+		// rows — linear in n; a run kept per outer row holds n*n.
+		if v, r := s.mem.vals.held(), s.mem.rows.held(); v > 16*n || r > 16*n {
+			t.Errorf("%q (%v): the arena holds %d values and %d row headers, want <= %d each", tc.sql, tc.force, v, r, 16*n)
+		}
+	}
+	if got := rowStrings(sessExec(t, s, "SELECT COUNT(*) FROM IO WHERE COALESCE(K IN (SELECT ABS(K) FROM II), FALSE)")); !reflect.DeepEqual(got, []string{fmt.Sprint(n)}) {
+		t.Errorf("a once-run subquery under a builtin: got %q, want [%d]", got, n)
 	}
 }
 

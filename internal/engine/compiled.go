@@ -178,8 +178,8 @@ type compileFrame struct {
 }
 
 // onceResult is what an uncorrelated nested select produced in this
-// execution, rows in the arena; for IN, set chains them once a probe
-// asked (setState 1; -1: they cannot be chained, inSet).
+// execution, rows in Session.onceMem; for IN, set chains them once a
+// probe asked (setState 1; -1: they cannot be chained, inSet).
 type onceResult struct {
 	done     bool
 	rows     [][]types.Value

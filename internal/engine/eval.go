@@ -53,34 +53,19 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 	case *unX:
 		return s.evalUnary(n, en)
 	case *funcX:
-		args := s.mem.values(len(n.args))
-		for i, a := range n.args {
-			v, err := s.eval(a, en)
-			if err != nil {
-				return types.Value{}, err
-			}
-			args[i] = v
-		}
-		return n.fn(&s.fctx, args)
+		m := s.mem.mark()
+		v, err := s.evalFunc(n, en)
+		s.mem.rewind(m)
+		return v, err
 	case *aggX:
 		return s.evalAggregate(n, en)
 	case *inX:
 		return s.evalIn(n, en)
 	case *selectX:
-		rows, err := s.runSelect(n.sub, en, &s.mem)
-		switch {
-		case err != nil:
-			return types.Value{}, err
-		case n.exists:
-			return types.NewBool((len(rows) > 0) != n.not), nil
-		case len(rows) == 0:
-			return types.Null(), nil
-		case len(rows) > 1:
-			return types.Value{}, errors.New("scalar subquery returned more than one row")
-		case len(rows[0]) != 1:
-			return types.Value{}, errors.New("scalar subquery must return one column")
-		}
-		return rows[0][0], nil
+		m := s.mem.mark()
+		v, err := s.evalSubquery(n, en)
+		s.mem.rewind(m)
+		return v, err
 	case *betweenX:
 		v, err := s.eval(n.x, en)
 		if err != nil {
@@ -127,6 +112,40 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 		return coerce(v, n.kind)
 	}
 	return types.Value{}, fmt.Errorf("unresolved expression %T", x)
+}
+
+// evalFunc calls a builtin. Its argument vector, and whatever evaluating
+// the arguments took from the arena, die with the call: eval rewinds the
+// arena past them.
+func (s *Session) evalFunc(n *funcX, en *env) (types.Value, error) {
+	args := s.mem.values(len(n.args))
+	for i, a := range n.args {
+		v, err := s.eval(a, en)
+		if err != nil {
+			return types.Value{}, err
+		}
+		args[i] = v
+	}
+	return n.fn(&s.fctx, args)
+}
+
+// evalSubquery answers EXISTS or a scalar subquery; eval rewinds the
+// arena past the rows the run took once the answer is read.
+func (s *Session) evalSubquery(n *selectX, en *env) (types.Value, error) {
+	rows, err := s.runSelect(n.sub, en, &s.mem)
+	switch {
+	case err != nil:
+		return types.Value{}, err
+	case n.exists:
+		return types.NewBool((len(rows) > 0) != n.not), nil
+	case len(rows) == 0:
+		return types.Null(), nil
+	case len(rows) > 1:
+		return types.Value{}, errors.New("scalar subquery returned more than one row")
+	case len(rows[0]) != 1:
+		return types.Value{}, errors.New("scalar subquery must return one column")
+	}
+	return rows[0][0], nil
 }
 
 func compareTruth(a, b types.Value, ok func(int) bool) types.Truth {
@@ -368,24 +387,11 @@ func (s *Session) evalIn(n *inX, en *env) (types.Value, error) {
 		}
 	}
 	if n.sub != nil {
-		if n.err != nil {
-			return types.Value{}, n.err
-		}
-		rows, err := s.runSelect(n.sub, en, &s.mem)
+		m := s.mem.mark()
+		err := s.matchSubquery(n, v, en, match)
+		s.mem.rewind(m)
 		if err != nil {
 			return types.Value{}, err
-		}
-		if len(n.sub.outCols()) != 1 {
-			return types.Value{}, errors.New("IN subquery must return one column")
-		}
-		if r := s.inSet(n.sub, rows); r != nil && v.K == types.KindInt {
-			// Every value is an INT or NULL: v equals one exactly when
-			// its chain holds it.
-			found, sawNull = r.set.first(v, rows, 0) >= 0, r.hasNull
-		} else {
-			for _, row := range rows {
-				match(row[0])
-			}
 		}
 	} else {
 		for _, item := range n.list {
@@ -405,6 +411,38 @@ func (s *Session) evalIn(n *inX, en *env) (types.Value, error) {
 		return types.Null(), nil
 	}
 	return types.NewBool(n.not), nil
+}
+
+// matchSubquery hands match every value the IN subquery produces — or,
+// when its rows are chained (inSet), only what decides: v itself if its
+// chain holds it, and a NULL if the rows hold one. evalIn rewinds the
+// arena past the rows once they are matched.
+func (s *Session) matchSubquery(n *inX, v types.Value, en *env, match func(types.Value)) error {
+	if n.err != nil {
+		return n.err
+	}
+	rows, err := s.runSelect(n.sub, en, &s.mem)
+	if err != nil {
+		return err
+	}
+	if len(n.sub.outCols()) != 1 {
+		return errors.New("IN subquery must return one column")
+	}
+	if r := s.inSet(n.sub, rows); r != nil && v.K == types.KindInt {
+		// Every value is an INT or NULL: v equals one exactly when its
+		// chain holds it.
+		if r.set.first(v, rows, 0) >= 0 {
+			match(v)
+		}
+		if r.hasNull {
+			match(types.Null())
+		}
+		return nil
+	}
+	for _, row := range rows {
+		match(row[0])
+	}
+	return nil
 }
 
 func (s *Session) evalCase(n *caseX, en *env) (types.Value, error) {
@@ -437,9 +475,9 @@ func (s *Session) evalAggregate(n *aggX, en *env) (types.Value, error) {
 		return types.NewInt(int64(len(en.group))), nil
 	}
 	vals := s.mem.values(len(en.group))[:0]
-	var seen keySet
+	var seen map[string]struct{}
 	if n.distinct {
-		seen = s.mem.newKeySet(len(en.group))
+		seen = make(map[string]struct{})
 	}
 	row := s.mem.env(en.outer)
 	for _, r := range en.group {
@@ -454,9 +492,10 @@ func (s *Session) evalAggregate(n *aggX, en *env) (types.Value, error) {
 		if n.distinct {
 			// Values are distinct by their text and kind.
 			s.keyBuf = append(append(v.AppendText(s.keyBuf[:0]), 0x1f), v.K.String()...)
-			if _, added := seen.add(s.keyBuf); !added {
+			if _, dup := seen[string(s.keyBuf)]; dup {
 				continue
 			}
+			seen[string(s.keyBuf)] = struct{}{}
 		}
 		vals = append(vals, v)
 	}

@@ -32,8 +32,9 @@ type relation struct {
 // limit. outer is the env the expression is evaluated in, for correlated
 // references (nil at top level). Within a pure SELECT an uncorrelated
 // nested select runs once per execution: its rows, or its error, are
-// what every later evaluation reads. Caller holds the engine lock (at
-// least read mode) and has set s.bind.
+// what every later evaluation reads, and its rows come from s.onceMem,
+// not out, so that rewinding out does not reclaim them. Caller holds
+// the engine lock (at least read mode) and has set s.bind.
 func (s *Session) runSelect(cs *compiledSelect, outer *env, out *arena) ([][]types.Value, error) {
 	if cs.once < 0 || !s.onceOn {
 		return s.runQuery(cs, outer, out)
@@ -44,22 +45,18 @@ func (s *Session) runSelect(cs *compiledSelect, outer *env, out *arena) ([][]typ
 	if r := &s.once[cs.once]; r.done {
 		return r.rows, r.err
 	}
-	rows, err := s.runQuery(cs, outer, out)
+	rows, err := s.runQuery(cs, outer, &s.onceMem)
 	s.once[cs.once] = onceResult{done: true, rows: rows, err: err}
 	return rows, err
 }
 
-// inScanMax is the most rows an IN subquery run once has for its values
-// to be scanned per probe rather than chained once (inSet).
-const inScanMax = 8
-
 // inSet is the IN set of a select that ran once in this execution — its
 // one-column rows chained by INT value, built at the first probe — or
-// nil: when the select is not run once, when its rows are few, or when a
-// value is neither INT nor NULL (it can equal an INT through
-// types.Compare's loose coercion, so every value is compared).
+// nil: when the select is not run once, or when a value is neither INT
+// nor NULL (it can equal an INT through types.Compare's loose coercion,
+// so every value is compared).
 func (s *Session) inSet(cs *compiledSelect, rows [][]types.Value) *onceResult {
-	if cs.once < 0 || !s.onceOn || len(rows) <= inScanMax {
+	if cs.once < 0 || !s.onceOn {
 		return nil
 	}
 	r := &s.once[cs.once]
@@ -75,7 +72,7 @@ func (s *Session) inSet(cs *compiledSelect, rows [][]types.Value) *onceResult {
 			}
 		}
 		if r.setState > 0 {
-			r.set = s.chainRows(rows, 0)
+			r.set = chainRows(&s.onceMem, rows, 0)
 		}
 	}
 	if r.setState < 0 {
@@ -123,7 +120,7 @@ func (s *Session) runCores(cs *compiledSelect, outer *env, out *arena) ([][]type
 		}
 		rows = out.appendRow(rows, branch...)
 		if !c.unionAll {
-			rows = s.distinct(rows)
+			rows = types.DistinctRows(rows)
 		}
 	}
 	return rows, nil
@@ -188,7 +185,7 @@ func (s *Session) runCore(c *core, outer *env, out *arena) ([][]types.Value, err
 		rows, err = s.projectRows(c, rows, en, out)
 	}
 	if err == nil && c.distinct {
-		rows = s.distinct(rows)
+		rows = types.DistinctRows(rows)
 	}
 	return rows, err
 }
@@ -451,17 +448,17 @@ scan:
 			return hashTable{}, plan.NestedLoop
 		}
 	}
-	return s.chainRows(b.rows[:n], key.right), plan.HashJoin
+	return chainRows(&s.mem, b.rows[:n], key.right), plan.HashJoin
 }
 
-// chainRows chains rows by their INT value at ordinal col, in row order;
-// a row holding anything else there is left out.
-func (s *Session) chainRows(rows [][]types.Value, col int) hashTable {
+// chainRows chains rows by their INT value at ordinal col, in row order,
+// in a table from mem; a row holding anything else there is left out.
+func chainRows(mem *arena, rows [][]types.Value, col int) hashTable {
 	size := 8
 	for size < 2*len(rows) {
 		size *= 2
 	}
-	h := hashTable{head: s.mem.ints.take(size), link: s.mem.ints.take(len(rows)), mask: size - 1}
+	h := hashTable{head: mem.ints.take(size), link: mem.ints.take(len(rows)), mask: size - 1}
 	// Back to front, so each chain runs in row order.
 	for r := len(rows) - 1; r >= 0; r-- {
 		k := rows[r][col]
@@ -498,21 +495,6 @@ func (s *Session) projectRows(c *core, rows [][]types.Value, en *env, out *arena
 		}
 	}
 	return res, nil
-}
-
-// distinct drops the rows whose key (types.AppendRowKey) an earlier row
-// has, in place, keeping first occurrences in order: the dedup of
-// DISTINCT and UNION.
-func (s *Session) distinct(rows [][]types.Value) [][]types.Value {
-	seen := s.mem.newKeySet(len(rows))
-	kept := rows[:0]
-	for _, r := range rows {
-		s.keyBuf = types.AppendRowKey(s.keyBuf[:0], r)
-		if _, added := seen.add(s.keyBuf); added {
-			kept = append(kept, r)
-		}
-	}
-	return kept
 }
 
 // expandItems resolves the SELECT list — each item lowered in exprs —
@@ -604,7 +586,7 @@ func (s *Session) projectGrouped(c *core, rows [][]types.Value, outer *env, out 
 	if len(c.groupBy) > 0 {
 		mem := &s.mem
 		ids := mem.ints.take(len(rows))
-		keys := mem.newKeySet(len(rows))
+		groups := make(map[string]int)
 		en := mem.env(outer)
 		key := mem.values(len(c.groupBy))
 		for r, row := range rows {
@@ -617,11 +599,16 @@ func (s *Session) projectGrouped(c *core, rows [][]types.Value, outer *env, out 
 				key[i] = v
 			}
 			s.keyBuf = types.AppendRowKey(s.keyBuf[:0], key)
-			ids[r], _ = keys.add(s.keyBuf)
+			id, ok := groups[string(s.keyBuf)]
+			if !ok {
+				id = len(groups)
+				groups[string(s.keyBuf)] = id
+			}
+			ids[r] = id
 		}
 		// A counting sort by group id: count, sum, then place the rows
 		// back to front, leaving each group's start behind.
-		starts = mem.ints.take(len(keys.ends))
+		starts = mem.ints.take(len(groups))
 		for _, id := range ids {
 			starts[id]++
 		}

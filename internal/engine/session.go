@@ -93,16 +93,18 @@ type Session struct {
 	// mem is the statement memory (arena.go), reclaimed when the next
 	// statement starts; once holds, per execution of a pure SELECT, what
 	// each uncorrelated nested select produced (onceOn: the rule
-	// applies). An undo record copies what it keeps of either.
-	mem    arena
-	once   []onceResult
-	onceOn bool
+	// applies), its rows and IN sets in onceMem, which no rewind of mem
+	// reaches. An undo record copies what it keeps of either arena.
+	mem     arena
+	once    []onceResult
+	onceMem arena
+	onceOn  bool
 	// insCols holds an INSERT's explicit column list resolved, reused by
 	// every INSERT of the session (no write statement runs inside
 	// another).
 	insCols []int
-	// keyBuf encodes one row key at a time for grouping and DISTINCT;
-	// fctx is what every builtin call is handed.
+	// keyBuf encodes one key at a time for grouping and DISTINCT
+	// aggregates; fctx is what every builtin call is handed.
 	keyBuf []byte
 	fctx   FuncContext
 
@@ -341,6 +343,7 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 // a panic cut short.
 func (s *Session) startStatement() {
 	s.mem.reset()
+	s.onceMem.reset()
 	clear(s.once)
 	s.frames = s.frames[:0]
 }

@@ -74,13 +74,6 @@ type Trigger struct {
 	UnderStressOnly bool
 }
 
-// Matches reports whether a statement fingerprint falls in the failure
-// region under the given environment.
-func (t Trigger) Matches(fp ast.Fingerprint, stress bool) bool {
-	r := t.resolve()
-	return r.matches(fp, stress)
-}
-
 // region is a trigger resolved for matching: its names upper-cased and
 // its flag a bit, once, where it is checked against every statement.
 type region struct {
@@ -97,6 +90,8 @@ func (t Trigger) resolve() region {
 	return r
 }
 
+// matches reports whether a statement fingerprint falls in the failure
+// region under the given environment.
 func (r *region) matches(fp ast.Fingerprint, stress bool) bool {
 	return (!r.stress || stress) &&
 		(r.table == "" || slices.Contains(fp.Tables, r.table)) &&
@@ -139,7 +134,6 @@ func NewRegistry(name dialect.ServerName, all []Fault) *Registry {
 	r := &Registry{}
 	for _, f := range all {
 		if f.Server == name {
-			f.Trigger.Table = strings.ToUpper(f.Trigger.Table)
 			r.faults = append(r.faults, f)
 			r.regions = append(r.regions, f.Trigger.resolve())
 		}

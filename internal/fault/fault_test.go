@@ -37,12 +37,15 @@ func TestTriggerMatching(t *testing.T) {
 		{Trigger{Func: "SUM"}, false},
 		{Trigger{UnderStressOnly: true}, false},
 	}
+	matches := func(trig Trigger, stress bool) bool {
+		return NewRegistry(dialect.PG, []Fault{{Server: dialect.PG, Trigger: trig}}).Match(fp, stress) != nil
+	}
 	for i, tc := range cases {
-		if got := tc.trig.Matches(fp, false); got != tc.want {
+		if got := matches(tc.trig, false); got != tc.want {
 			t.Errorf("case %d: %+v = %v want %v", i, tc.trig, got, tc.want)
 		}
 	}
-	if !(Trigger{UnderStressOnly: true}).Matches(fp, true) {
+	if !matches(Trigger{UnderStressOnly: true}, true) {
 		t.Error("stress-only trigger must match under stress")
 	}
 }

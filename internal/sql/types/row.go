@@ -13,11 +13,11 @@ func AppendRowKey(dst []byte, row []Value) []byte {
 	return dst
 }
 
-// DistinctRows removes duplicate rows (by AppendRowKey), keeping first
-// occurrences in order: the dedup of DISTINCT and UNION.
+// DistinctRows removes duplicate rows (by AppendRowKey) in place,
+// keeping first occurrences in order: the dedup of DISTINCT and UNION.
 func DistinctRows(rows [][]Value) [][]Value {
 	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0:0]
+	out := rows[:0]
 	var key []byte
 	for _, r := range rows {
 		key = AppendRowKey(key[:0], r)
