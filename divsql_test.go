@@ -38,16 +38,16 @@ func TestNoSessionlessExec(t *testing.T) {
 }
 
 // TestNoPrivateParses: statement text is parsed in one place, stmt.Resolve,
-// and every layer shares the handle it returns. The only other callers of
-// the SQL parser are the two that build new text from a private tree
-// (dialect translation, the middleware's rephrasing); a layer that wants
-// a tree reads its handle's.
+// and every layer shares the handle it returns. The only other caller of
+// the SQL parser is dialect translation, which builds new text from a
+// private tree; a layer that wants a tree reads its handle's, and one
+// that rewrites it (the middleware's rephrasing) derives the rewrite's
+// handle from it.
 func TestNoPrivateParses(t *testing.T) {
 	const sqlParser = "divsql/internal/sql/parser"
 	allowed := map[string]bool{
 		"internal/sql/stmt/parsed.go":     true,
 		"internal/translate/translate.go": true,
-		"internal/middleware/rephrase.go": true,
 	}
 	fset := token.NewFileSet()
 	for _, path := range nonTestSources(t, "internal/sql/parser") {

@@ -155,6 +155,10 @@ func TestIntegerArgumentsKeepTheRangeRule(t *testing.T) {
 		{"SELECT SUBSTR('abcd', 2.5) AS S", "bcd"},
 		{"SELECT SUBSTR('abcd', -1e18) AS S", "abcd"},
 		{"SELECT ROUND(2.25, 1.9) AS R", "2.3"},
+		// Digits or a value past float64's range: nothing to round.
+		{"SELECT ROUND(2.5, 400) AS R", "2.5"},
+		{"SELECT ROUND(2.5, -400) AS R", "0"},
+		{"SELECT ROUND(1e300, 10) AS R", "1e+300"},
 		{"SELECT NEXTVAL(SQ, 2.9) AS N", "10"},
 		{"SELECT NEXTVAL(SQ) AS N", "12"},
 	} {

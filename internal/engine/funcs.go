@@ -172,8 +172,15 @@ func AllBuiltins() map[string]Builtin {
 				return types.Value{}, err
 			}
 		}
-		scale := math.Pow(10, float64(digits))
-		return types.NewFloat(math.Round(v.AsFloat()*scale) / scale), nil
+		// A scale below float64's range is 0, and one above it, or a
+		// scaled value, is not finite: no digit there to round.
+		x, scale := v.AsFloat(), math.Pow(10, float64(digits))
+		if scale == 0 {
+			return types.NewFloat(0), nil
+		} else if y := x * scale; math.IsInf(y, 0) || math.IsNaN(y) {
+			return types.NewFloat(x), nil
+		}
+		return types.NewFloat(math.Round(x*scale) / scale), nil
 	}})
 	add(Builtin{Name: "POWER", MinArgs: 2, MaxArgs: 2, Fn: func(_ *FuncContext, a []types.Value) (types.Value, error) {
 		if argNull(a) {

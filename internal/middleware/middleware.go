@@ -115,8 +115,9 @@ type Config struct {
 	// Reads selects the query execution policy (default ReadCompareAll).
 	Reads ReadPolicy
 	// Rephrase retries disagreeing replicas with a logically equivalent
-	// rewriting of the query before quarantining them (the wrapper
-	// approach of reference [9]); it masks Heisenbug-like divergences.
+	// rewriting of the statement before quarantining them (the wrapper
+	// approach of reference [9]); it settles the reproduced product
+	// quirks a rewriting sidesteps.
 	Rephrase bool
 	// AutoResync restores quarantined or crashed replicas from a healthy
 	// replica's state and returns them to service at the next statement.
@@ -441,7 +442,7 @@ type boundStmt struct {
 	// execution. A prepared statement carries it from one execution to
 	// the next; text starts at zero (unknown) each time.
 	cost time.Duration
-	// alt is the statement rephrased, resolved when a replica first needs
+	// alt is the statement rephrased, derived when a replica first needs
 	// it: p itself when no rule rewrites it.
 	alt *stmt.Parsed
 }
@@ -452,12 +453,7 @@ type boundStmt struct {
 // on every execution is rephrased once.
 func (b *boundStmt) rephraseOn(sub *server.Session) (*engine.Result, bool) {
 	if b.alt == nil {
-		b.alt = b.p
-		if sql, changed := Rephrase(b.p.Text); changed {
-			if alt, err := stmt.Resolve(sql); err == nil {
-				b.alt = alt
-			}
-		}
+		b.alt = Rephrase(b.p)
 	}
 	if b.alt == b.p {
 		return nil, false

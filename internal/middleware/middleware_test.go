@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"divsql/internal/core"
 	"divsql/internal/dialect"
-	"divsql/internal/engine"
 	"divsql/internal/fault"
 	"divsql/internal/server"
 	"divsql/internal/sql/ast"
@@ -284,82 +282,6 @@ func TestResyncCompletesInsideOpenTransaction(t *testing.T) {
 	}
 	if len(d.QuarantinedReplicas()) != 0 {
 		t.Errorf("replica not reinstated: %v", d.QuarantinedReplicas())
-	}
-}
-
-func TestRephraseBetween(t *testing.T) {
-	out, changed := Rephrase("SELECT A FROM T WHERE A BETWEEN 1 AND 5")
-	if !changed || !strings.Contains(out, ">= 1") || !strings.Contains(out, "<= 5") {
-		t.Errorf("rephrase: %q", out)
-	}
-}
-
-func TestRephraseInList(t *testing.T) {
-	out, changed := Rephrase("SELECT A FROM T WHERE A IN (1, 2)")
-	if !changed || !strings.Contains(out, "OR") {
-		t.Errorf("rephrase: %q", out)
-	}
-}
-
-func TestRephrasePreservesSemantics(t *testing.T) {
-	sess := server.NewOracle().NewSession()
-	setup := []string{
-		"CREATE TABLE T (A INT, B VARCHAR(5))",
-		"INSERT INTO T VALUES (1, 'x'), (2, 'y'), (3, NULL), (NULL, 'z')",
-	}
-	for _, s := range setup {
-		if _, _, err := sess.Exec(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := []string{
-		"SELECT A FROM T WHERE A BETWEEN 1 AND 2 ORDER BY A",
-		"SELECT A FROM T WHERE A IN (1, 3) ORDER BY A",
-		"SELECT A FROM T WHERE A = 2 AND B = 'y'",
-		"SELECT A FROM T WHERE A = 1 OR A = 3 ORDER BY A",
-		"SELECT A FROM T WHERE A NOT IN (1, 2) ORDER BY A",
-		"SELECT A FROM T WHERE NOT (A BETWEEN 2 AND 3)",
-		// IN over a UNION: a hit in either branch, and NULLs on either side.
-		"SELECT A FROM T WHERE A IN (SELECT A FROM T WHERE A < 2 UNION SELECT A FROM T WHERE A > 2) ORDER BY A",
-		"SELECT B FROM T WHERE A NOT IN ((SELECT A FROM T WHERE A = 1) UNION (SELECT A FROM T WHERE B = 'y')) ORDER BY B",
-		"SELECT B FROM T WHERE A NOT IN ((SELECT A FROM T WHERE A = 1) UNION ALL (SELECT A FROM T WHERE B = 'z'))",
-		"SELECT B FROM T WHERE NOT (A IN (SELECT 1 UNION SELECT A FROM T WHERE B = 'z')) OR B = 'z'",
-		// Subqueries in UPDATE SET and under DELETE's WHERE.
-		"UPDATE T SET A = A + (SELECT SUM(A) FROM T WHERE A BETWEEN 1 AND 2) WHERE B IN ('x', 'z')",
-		"UPDATE T SET A = (SELECT AVG(A) FROM T X WHERE X.A IN (SELECT 1 UNION SELECT 3)) WHERE A = 2 OR A IS NULL",
-		"DELETE FROM T WHERE A > (SELECT AVG(A) FROM T) AND EXISTS (SELECT SUM(A) FROM T)",
-	}
-	// run executes q inside a transaction that is rolled back, returning
-	// its result and the table as q left it.
-	run := func(q string) (*engine.Result, *engine.Result) {
-		t.Helper()
-		mustOracle := func(s string) *engine.Result {
-			res, _, err := sess.Exec(s)
-			if err != nil {
-				t.Fatalf("%s: %v", s, err)
-			}
-			return res
-		}
-		mustOracle("BEGIN TRANSACTION")
-		res, after := mustOracle(q), mustOracle("SELECT A, B FROM T")
-		mustOracle("ROLLBACK")
-		return res, after
-	}
-	opts := core.DefaultCompareOptions()
-	for _, q := range queries {
-		rq, changed := Rephrase(q)
-		if !changed {
-			t.Errorf("no rewriting for %q", q)
-			continue
-		}
-		orig, origAfter := run(q)
-		re, reAfter := run(rq)
-		if !core.Equal(orig, re, opts) {
-			t.Errorf("%q vs %q: %s", q, rq, core.Diff(orig, re, opts))
-		}
-		if !core.Equal(origAfter, reAfter, opts) {
-			t.Errorf("%q vs %q leave T different: %s", q, rq, core.Diff(origAfter, reAfter, opts))
-		}
 	}
 }
 

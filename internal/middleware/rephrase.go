@@ -1,240 +1,220 @@
 package middleware
 
 import (
+	"slices"
 	"strconv"
 
 	"divsql/internal/sql/ast"
-	"divsql/internal/sql/parser"
+	"divsql/internal/sql/stmt"
 )
 
 // Rephrase rewrites a statement into a logically equivalent form, the
 // wrapper technique of the paper's reference [9] ("wrappers rephrasing
 // queries into alternative, logically equivalent sets of statements").
-// A rephrased statement exercises different code paths in a server, so a
-// replica that failed through a Heisenbug or a narrow failure region may
-// answer the rephrased form correctly.
-//
-// Rewritings applied (bottom-up, all semantics-preserving) to WHERE,
-// HAVING, ON and UPDATE SET expressions and the subqueries below them:
-//
-//   - x BETWEEN a AND b      ->  x >= a AND x <= b
-//   - x IN (v1, v2, ...)     ->  x = v1 OR x = v2 OR ...
-//   - a AND b / a OR b       ->  b AND a / b OR a (operand commutation)
-//   - a = b (literals last)  ->  b = a
-//   - x IN (A UNION B)       ->  x IN (A) OR x IN (B); NOT IN with AND.
-//     PG bug 43 on PG and MS: the parser already drops the parentheses
-//     around the branches and the engines' reproduction of the bug keys
-//     on the UNION under IN, so that is what the rewriting takes apart.
-//
-// and to every scalar, IN and EXISTS subquery wherever it sits, and the
-// source query of INSERT ... SELECT — the places nobody reads a column
-// name:
+// Its rules sidestep reproduced product quirks, so a replica that rejects
+// a statement as written may accept it rephrased:
 //
 //   - SELECT SUM(x) / AVG(x) ->  SELECT SUM(x) AS alias (bug 222476: MS
-//     rejects the unnamed column, IB blanks its name). A client-visible
-//     item keeps its name, and an unaliased one, named by its text, keeps
-//     that text.
+//     rejects the unnamed column, IB blanks its name), in every scalar,
+//     IN and EXISTS subquery and the source query of INSERT ... SELECT:
+//     the places nobody reads a column name. The items of the
+//     statement's own result and of a derived table, and anything inside
+//     an unaliased one (named by its text), stay as written.
+//   - x IN (A UNION B)       ->  x IN (A) OR x IN (B); NOT IN with AND
+//     (PG bug 43: the engines' reproduction keys on the UNION under IN).
+//     OR and AND stop at the first branch that settles them, so the split
+//     applies only where skipping a branch changes nothing (plainBranch).
 //
-// Placeholders keep their ordinals ($N in the rendered text), so a bound
-// statement's arguments line up with the rephrased form. It returns the
-// rewritten SQL and whether anything changed.
-func Rephrase(sql string) (string, bool) {
-	st, err := parser.Parse(sql)
-	if err != nil {
-		return sql, false
-	}
-	r := &rephraser{}
-	r.statement(st)
-	r.nameAggregates(st)
-	if !r.changed {
-		return sql, false
-	}
-	return ast.Render(st), true
-}
-
-type rephraser struct {
-	changed bool
-	aliases int // aggregate aliases handed out so far
-}
-
-func (r *rephraser) statement(st ast.Statement) {
-	switch x := st.(type) {
+// The tree is rewritten copy-on-write: p is never written, and the
+// rewrite shares every node no rule changed. Placeholders keep their
+// ordinals. It returns p itself when no rule applies.
+func Rephrase(p *stmt.Parsed) *stmt.Parsed {
+	r := rephraser{}
+	var st ast.Statement
+	switch x := p.AST.(type) {
 	case *ast.Select:
-		r.sel(x)
+		st = r.sel(x, true)
+	case *ast.Insert:
+		st = &ast.Insert{Table: x.Table, Columns: x.Columns, Rows: each(&r, x.Rows, r.exprs), Select: r.sel(x.Select, false)}
 	case *ast.Update:
-		for i := range x.Sets {
-			x.Sets[i].Value = r.expr(x.Sets[i].Value)
-		}
-		x.Where = r.expr(x.Where)
+		sets := each(&r, x.Sets, func(c ast.SetClause) ast.SetClause { c.Value = r.expr(c.Value); return c })
+		st = &ast.Update{Table: x.Table, Sets: sets, Where: r.expr(x.Where)}
 	case *ast.Delete:
-		x.Where = r.expr(x.Where)
-	case *ast.Insert:
-		r.sel(x.Select)
+		st = &ast.Delete{Table: x.Table, Where: r.expr(x.Where)}
 	}
+	if r.edits == 0 {
+		return p
+	}
+	return p.Rewritten(st)
 }
 
-func (r *rephraser) sel(s *ast.Select) {
-	for ; s != nil; s = s.Union {
-		s.Where = r.expr(s.Where)
-		s.Having = r.expr(s.Having)
-		for i := range s.From {
-			for j := range s.From[i].Joins {
-				s.From[i].Joins[j].On = r.expr(s.From[i].Joins[j].On)
-				r.sel(s.From[i].Joins[j].Right.Subquery)
+// rephraser rewrites a tree copy-on-write: a method returns its argument
+// itself unless a rule applied below it. edits counts the rules applied
+// and numbers the aliases handed out.
+type rephraser struct{ edits int }
+
+// each maps f over xs copy-on-write: xs itself when f rewrote nothing.
+// Once xs is cloned, n is -1 and every later result is stored.
+func each[T any](r *rephraser, xs []T, f func(T) T) []T {
+	n, out := r.edits, xs
+	for i, x := range xs {
+		if y := f(x); r.edits != n {
+			if n >= 0 {
+				out, n = slices.Clone(xs), -1
 			}
-			r.sel(s.From[i].Table.Subquery)
+			out[i] = y
 		}
 	}
+	return out
 }
 
-// subqueryOf returns the query under a scalar, IN or EXISTS subquery
-// expression (nil for anything else): the queries whose column names
-// nobody reads.
-func subqueryOf(e ast.Expr) *ast.Select {
-	switch x := e.(type) {
-	case *ast.In:
-		return x.Select
-	case *ast.Exists:
-		return x.Select
-	case *ast.Subquery:
-		return x.Select
-	}
-	return nil
-}
+func (r *rephraser) exprs(xs []ast.Expr) []ast.Expr { return each(r, xs, r.expr) }
 
-// nameAggregates applies the unaliased-aggregate rule throughout the
-// statement.
-func (r *rephraser) nameAggregates(st ast.Statement) {
-	asWritten := make(map[*ast.Select]bool)
-	switch x := st.(type) {
-	case *ast.Select:
-		for s := x; s != nil; s = s.Union {
-			for _, it := range s.Items {
-				if it.Alias == "" {
-					ast.WalkExprs(it.Expr, func(e ast.Expr) { asWritten[subqueryOf(e)] = true })
-				}
-			}
-		}
-	case *ast.Insert:
-		r.nameItems(x.Select)
-	}
-	ast.WalkStatementExprs(st, func(e ast.Expr) {
-		if s := subqueryOf(e); !asWritten[s] {
-			r.nameItems(s)
-		}
-	})
-}
-
-// nameItems gives the unaliased AVG/SUM items of a query (every UNION
-// branch of it) an alias no column carries.
-func (r *rephraser) nameItems(s *ast.Select) {
-	for ; s != nil; s = s.Union {
-		for i := range s.Items {
-			it := &s.Items[i]
-			if f, ok := it.Expr.(*ast.FuncCall); ok && it.Alias == "" && (f.Name == "AVG" || f.Name == "SUM") {
-				r.aliases++
-				it.Alias = "RPH_AGG" + strconv.Itoa(r.aliases)
-				r.changed = true
-			}
-		}
-	}
-}
-
-func (r *rephraser) expr(e ast.Expr) ast.Expr {
-	switch x := e.(type) {
-	case nil:
+// sel rewrites a query expression, every UNION branch of it. named says
+// whether its column names are read: then an unaliased item, named by
+// its text, is left as written.
+func (r *rephraser) sel(s *ast.Select, named bool) *ast.Select {
+	if s == nil {
 		return nil
-	case *ast.Between:
-		lo := &ast.Binary{Op: ast.OpGe, L: x.X, R: x.Lo}
-		hi := &ast.Binary{Op: ast.OpLe, L: x.X, R: x.Hi}
-		r.changed = true
-		var out ast.Expr = &ast.Binary{Op: ast.OpAnd, L: lo, R: hi}
-		if x.Not {
-			out = &ast.Unary{Op: "NOT", X: out}
+	}
+	n := r.edits
+	c := *s
+	c.Items = each(r, s.Items, func(it ast.SelectItem) ast.SelectItem {
+		if it.Alias != "" || !named {
+			it.Expr = r.expr(it.Expr)
 		}
-		return out
-	case *ast.In:
-		if x.Select != nil {
-			r.sel(x.Select)
-			return r.splitUnion(x)
+		if f, ok := it.Expr.(*ast.FuncCall); ok && it.Alias == "" && !named && (f.Name == "AVG" || f.Name == "SUM") {
+			r.edits++
+			it.Alias = "RPH_AGG" + strconv.Itoa(r.edits)
 		}
-		if len(x.List) > 0 && len(x.List) <= 8 {
-			var out ast.Expr
-			for _, item := range x.List {
-				eq := ast.Expr(&ast.Binary{Op: ast.OpEq, L: x.X, R: item})
-				if out == nil {
-					out = eq
-				} else {
-					out = &ast.Binary{Op: ast.OpOr, L: out, R: eq}
-				}
-			}
-			r.changed = true
-			if x.Not {
-				return &ast.Unary{Op: "NOT", X: out}
-			}
-			return out
-		}
-		return x
+		return it
+	})
+	c.From = each(r, s.From, func(f ast.FromItem) ast.FromItem {
+		f.Table.Subquery = r.sel(f.Table.Subquery, true)
+		f.Joins = each(r, f.Joins, func(j ast.Join) ast.Join {
+			j.Right.Subquery, j.On = r.sel(j.Right.Subquery, true), r.expr(j.On)
+			return j
+		})
+		return f
+	})
+	c.Where, c.GroupBy, c.Having = r.expr(s.Where), r.exprs(s.GroupBy), r.expr(s.Having)
+	c.OrderBy = each(r, s.OrderBy, func(o ast.OrderItem) ast.OrderItem { o.Expr = r.expr(o.Expr); return o })
+	if c.Union = r.sel(s.Union, named); r.edits == n {
+		return s
+	}
+	return &c
+}
+
+// expr builds the copy of a node from its rewritten children and keeps
+// it only if a rule applied below.
+func (r *rephraser) expr(e ast.Expr) ast.Expr {
+	n := r.edits
+	var c ast.Expr
+	switch x := e.(type) {
 	case *ast.Binary:
-		x.L = r.expr(x.L)
-		x.R = r.expr(x.R)
-		switch x.Op {
-		case ast.OpAnd, ast.OpOr:
-			// Commute: evaluation order differs, result does not
-			// (three-valued logic AND/OR are symmetric).
-			x.L, x.R = x.R, x.L
-			r.changed = true
-		case ast.OpEq:
-			if _, lit := x.L.(*ast.Literal); !lit {
-				if _, rlit := x.R.(*ast.Literal); rlit {
-					x.L, x.R = x.R, x.L
-					r.changed = true
-				}
-			}
-		}
-		return x
+		c = &ast.Binary{Op: x.Op, L: r.expr(x.L), R: r.expr(x.R)}
 	case *ast.Unary:
-		x.X = r.expr(x.X)
-		return x
-	default:
-		r.sel(subqueryOf(e))
+		c = &ast.Unary{Op: x.Op, X: r.expr(x.X)}
+	case *ast.FuncCall:
+		c = &ast.FuncCall{Name: x.Name, Args: r.exprs(x.Args), Star: x.Star, Distinct: x.Distinct}
+	case *ast.In:
+		in := &ast.In{X: r.expr(x.X), Not: x.Not, List: r.exprs(x.List), Select: r.sel(x.Select, false)}
+		if c = r.splitUnion(in); c == nil {
+			c = in
+		}
+	case *ast.Exists:
+		c = &ast.Exists{Not: x.Not, Select: r.sel(x.Select, false)}
+	case *ast.Subquery:
+		c = &ast.Subquery{Select: r.sel(x.Select, false)}
+	case *ast.Between:
+		c = &ast.Between{X: r.expr(x.X), Not: x.Not, Lo: r.expr(x.Lo), Hi: r.expr(x.Hi)}
+	case *ast.Like:
+		c = &ast.Like{X: r.expr(x.X), Not: x.Not, Pattern: r.expr(x.Pattern)}
+	case *ast.IsNull:
+		c = &ast.IsNull{X: r.expr(x.X), Not: x.Not}
+	case *ast.Case:
+		whens := each(r, x.Whens, func(w ast.WhenClause) ast.WhenClause { w.Cond, w.Then = r.expr(w.Cond), r.expr(w.Then); return w })
+		c = &ast.Case{Operand: r.expr(x.Operand), Whens: whens, Else: r.expr(x.Else)}
+	case *ast.Cast:
+		c = &ast.Cast{X: r.expr(x.X), To: x.To}
+	}
+	if r.edits == n {
 		return e
 	}
+	return c
 }
 
-// splitUnion distributes [NOT] IN over the branches of a UNION subquery:
-// membership in a union is membership in a branch, and OR/AND carry
-// UNKNOWN the way IN does. The tested expression is then evaluated once
-// per branch, which a function call may not be; a row limit applies to
-// the compound. Either keeps the statement as written.
+// splitUnion distributes [NOT] IN over the branches of a UNION subquery,
+// and returns nil where that does not apply: the tested expression must
+// be a column, a literal or a parameter — copied once per branch, so no
+// node sits in two places — and every branch plain.
 func (r *rephraser) splitUnion(in *ast.In) ast.Expr {
-	ok := in.Select.Union != nil
-	ast.WalkExprs(in.X, func(e ast.Expr) {
-		_, call := e.(*ast.FuncCall)
-		ok = ok && !call
-	})
-	for s := in.Select; s != nil; s = s.Union {
-		ok = ok && s.LimitSyn == ast.LimitNone
-	}
-	if !ok {
-		return in
+	if in.Select == nil || in.Select.Union == nil || leaf(in.X) == nil {
+		return nil
 	}
 	op := ast.OpOr
 	if in.Not {
 		op = ast.OpAnd
 	}
-	in.Select.OrderBy = nil // orders the compound; IN does not look at it
 	var out ast.Expr
-	for s := in.Select; s != nil; {
-		branch := s
-		s, branch.Union = s.Union, nil
-		member := ast.Expr(&ast.In{X: in.X, Not: in.Not, Select: branch})
-		if out == nil {
-			out = member
-		} else {
-			out = &ast.Binary{Op: op, L: out, R: member}
+	for s := in.Select; s != nil; s = s.Union {
+		if !plainBranch(s) {
+			return nil
+		}
+		branch := *s
+		branch.Union, branch.UnionAll = nil, false
+		member := ast.Expr(&ast.In{X: leaf(in.X), Not: in.Not, Select: &branch})
+		if out != nil {
+			member = &ast.Binary{Op: op, L: out, R: member}
+		}
+		out = member
+	}
+	r.edits++
+	return out
+}
+
+// leaf returns a copy of a column, a literal or a parameter, and nil for
+// any other expression.
+func leaf(e ast.Expr) ast.Expr {
+	switch x := e.(type) {
+	case *ast.ColumnRef:
+		return &ast.ColumnRef{Table: x.Table, Column: x.Column}
+	case *ast.Literal:
+		return &ast.Literal{Val: x.Val}
+	case *ast.Param:
+		return &ast.Param{N: x.N}
+	}
+	return nil
+}
+
+// plainBranch reports whether a UNION branch can neither fail nor advance
+// a sequence once its names resolve: one item, which like its WHERE and
+// every ON is plain, over base tables, without grouping, ordering or a
+// row limit.
+func plainBranch(s *ast.Select) bool {
+	ok := len(s.Items) == 1 && !s.Items[0].Star && plain(s.Items[0].Expr) && plain(s.Where) &&
+		s.GroupBy == nil && s.Having == nil && s.OrderBy == nil && s.LimitSyn == ast.LimitNone
+	for _, f := range s.From {
+		ok = ok && f.Table.Subquery == nil
+		for _, j := range f.Joins {
+			ok = ok && j.Right.Subquery == nil && plain(j.On)
 		}
 	}
-	r.changed = true
-	return out
+	return ok
+}
+
+// plain reports whether an expression is built from columns, literals,
+// parameters, comparisons, AND/OR/NOT and IS [NOT] NULL alone.
+func plain(e ast.Expr) bool {
+	switch x := e.(type) {
+	case nil, *ast.ColumnRef, *ast.Literal, *ast.Param:
+		return true
+	case *ast.Binary:
+		return x.Op >= ast.OpEq && x.Op <= ast.OpOr && plain(x.L) && plain(x.R)
+	case *ast.Unary:
+		return x.Op == "NOT" && plain(x.X)
+	case *ast.IsNull:
+		return plain(x.X)
+	}
+	return false
 }

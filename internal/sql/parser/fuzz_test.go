@@ -15,9 +15,9 @@ import (
 // FuzzParseRenderFixpoint: whatever text the parser accepts renders to
 // text it accepts again, that second tree renders to the same text, and
 // the statement's fingerprint — the fault-trigger key — survives the
-// trip. qgen ships generated trees as rendered text and Rephrase ships
-// rewritten ones, so a render the parser reads differently would change
-// a statement between the layer that built it and the servers. And the
+// trip. qgen ships generated trees as rendered text, so a render the
+// parser reads differently would change a statement between the layer
+// that built it and the servers. And the
 // shared handle every layer executes by (stmt.Resolve) says of a text
 // what a fresh parse of it says. Seeded from the regress/ corpus and
 // every statement of the bug corpus.

@@ -38,7 +38,8 @@ const (
 // AST, which CREATE VIEW also retains in every replica's catalog) is
 // shared by every session, shard, replica and engine that executes the
 // text, concurrently — so nothing may write to it; a layer that rewrites
-// a statement (middleware.Rephrase) parses a private copy.
+// a statement (middleware.Rephrase, the metamorphic oracles) copies the
+// nodes it changes and derives the rewrite's handle with Rewritten.
 //
 // What depends on a schema is not here: an engine combines the sorted
 // table and function lists (Fingerprint.Tables, Fingerprint.Funcs) with
@@ -67,15 +68,18 @@ type Parsed struct {
 	Lits  []*ast.Literal
 }
 
-// Rewritten derives the handle of a rewrite of p's statement — a tree
-// that reads a subset of p's tables and calls a subset of p's functions,
-// so p's lists still cover it — with the rewrite's own shape and lifted
-// literals: executed, it runs its own plan, never p's.
+// Rewritten derives the handle of a rewrite of p's statement with the
+// rewrite's own fingerprint, shape and lifted literals: fault matching
+// sees the rewrite, and executed, it runs its own plan, never p's. A
+// rewrite may share nodes with p's tree, and may hold one literal node
+// in two lifted positions; a plan finds a lifted literal's slot by its
+// node, so such a tree is its own shape and lifts nothing.
 func (p *Parsed) Rewritten(st ast.Statement) *Parsed {
 	q := *p
 	q.AST = st
 	q.Select, _ = st.(*ast.Select)
-	q.Shape, q.Lits = shapeOf(st)
+	q.Fingerprint = ast.FingerprintOf(st)
+	q.Shape, q.Lits = shapeOf(st, true)
 	return &q
 }
 
@@ -166,7 +170,7 @@ func Resolve(sql string) (*Parsed, error) {
 
 func newParsed(sql string, st ast.Statement) *Parsed {
 	p := &Parsed{Text: sql, AST: st, Fingerprint: ast.FingerprintOf(st), NumParams: ast.NumParams(st)}
-	p.Shape, p.Lits = shapeOf(st)
+	p.Shape, p.Lits = shapeOf(st, false)
 	switch x := st.(type) {
 	case *ast.Select:
 		p.Class, p.Select = ClassSelect, x

@@ -2,6 +2,7 @@ package stmt
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync/atomic"
 
 	"divsql/internal/sql/ast"
@@ -29,15 +30,16 @@ var (
 
 // shapeOf returns a statement's shape tree and its lifted literals, in
 // slot order. A statement that has no shape (INSERT, DDL, transaction
-// control) gets a nil tree.
-func shapeOf(st ast.Statement) (ast.Statement, []*ast.Literal) {
+// control) gets a nil tree. A rewritten tree that lifts one literal node
+// twice is its own shape (Parsed.Rewritten).
+func shapeOf(st ast.Statement, rewritten bool) (ast.Statement, []*ast.Literal) {
 	var lb [16]*ast.Literal
 	var kb [256]byte
 	sh := shaper{key: kb[:0], lits: lb[:0]}
 	switch {
 	case !sh.statement(st):
 		return nil, nil
-	case sh.opaque:
+	case sh.opaque, rewritten && liftsTwice(sh.lits):
 		return st, nil
 	}
 	var lits []*ast.Literal
@@ -56,6 +58,16 @@ func shapeOf(st ast.Statement) (ast.Statement, []*ast.Literal) {
 		shapesMade.Add(1)
 	}
 	return shape, lits
+}
+
+// liftsTwice reports whether one literal node sits in two positions.
+func liftsTwice(lits []*ast.Literal) bool {
+	for i, l := range lits {
+		if slices.Contains(lits[i+1:], l) {
+			return true
+		}
+	}
+	return false
 }
 
 // shaper serialises a statement's shape into key — an encoding every

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"divsql/internal/engine"
+	"divsql/internal/sql/ast"
 	"divsql/internal/sql/stmt"
+	"divsql/internal/sql/types"
 )
 
 func mustResolve(t *testing.T, sql string) *stmt.Parsed {
@@ -126,5 +128,38 @@ func TestRewrittenHasItsOwnShape(t *testing.T) {
 	}
 	if p.Rewritten(p.AST).Shape != p.Shape {
 		t.Error("the original's tree, rewritten, has another shape")
+	}
+}
+
+// A rewrite may hold one literal node in two lifted positions. A plan
+// finds a lifted literal's slot by its node, so such a rewrite is its own
+// shape and lifts nothing: shared, its plan would read both positions
+// from the first slot for every text of the same form run after it.
+func TestRewriteLiftingOneLiteralTwice(t *testing.T) {
+	s := engine.NewOracle().NewSession()
+	run := func(p *stmt.Parsed) string {
+		res, err := s.Exec(p, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", ast.Render(p.AST), err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	run(mustResolve(t, "CREATE TABLE ZQ (A INT, B INT)"))
+	run(mustResolve(t, "INSERT INTO ZQ VALUES (1, 0), (2, 7)"))
+	p := mustResolve(t, "SELECT A FROM ZQ WHERE A = 1")
+	one := &ast.Literal{Val: types.NewInt(1)}
+	rw := *p.Select
+	rw.Where = &ast.Binary{Op: ast.OpOr,
+		L: &ast.Binary{Op: ast.OpEq, L: &ast.ColumnRef{Column: "A"}, R: one},
+		R: &ast.Binary{Op: ast.OpEq, L: &ast.ColumnRef{Column: "B"}, R: one}}
+	q := p.Rewritten(&rw)
+	if q.Shape != q.AST || q.Lits != nil {
+		t.Errorf("the rewrite lifts %d literals into a shared shape", len(q.Lits))
+	}
+	if got := run(q); got != "[[1]]" {
+		t.Errorf("rewrite: %s, want [[1]]", got)
+	}
+	if got := run(mustResolve(t, "SELECT A FROM ZQ WHERE ((A = 1) OR (B = 7))")); got != "[[1] [2]]" {
+		t.Errorf("text of the rewrite's form: %s, want [[1] [2]]", got)
 	}
 }

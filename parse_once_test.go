@@ -78,16 +78,19 @@ func resolverCounts(t *testing.T, reg *obs.Registry) (parses, resolves int) {
 }
 
 // TestParsesPerStatement: K distinct inline statements cost exactly K
-// parses on the whole stack — not K per layer, shard or replica —
-// re-sending them costs none, and a prepared statement costs one however
+// parses on the whole stack — not K per layer, shard or replica, nor one
+// more for a statement a replica is asked again rephrased — re-sending
+// them costs none, and a prepared statement costs one however
 // often it runs. The same holds when a text-only wrapper sits between
 // router and replica sets, because text is interned, not handed down.
 func TestParsesPerStatement(t *testing.T) {
 	for _, mode := range []string{"direct", "wrapped"} {
 		t.Run(mode, func(t *testing.T) {
 			var backends []shard.Backend
+			var sets []*middleware.DiverseServer
 			for i := 0; i < 2; i++ {
 				d, _ := replicaSet(t)
+				sets = append(sets, d)
 				if mode == "wrapped" {
 					backends = append(backends, textOnly{d})
 				} else {
@@ -134,6 +137,12 @@ func TestParsesPerStatement(t *testing.T) {
 					fmt.Sprintf("DELETE FROM %s WHERE A = 4", tbl),
 					fmt.Sprintf("SELECT COUNT(*) AS N FROM %s", tbl), "COMMIT -- "+tag)
 			}
+			// TPC-C Delivery's balance update: MS rejects the unaliased SUM
+			// and is asked again rephrased, which parses nothing.
+			stmts = append(stmts,
+				fmt.Sprintf("CREATE TABLE PO%sOL (O INT, AMT FLOAT)", tag),
+				fmt.Sprintf("INSERT INTO PO%sOL VALUES (7, 1.5), (7, 2.5)", tag),
+				fmt.Sprintf("UPDATE PO%sN0_T SET B = B + (SELECT SUM(AMT) FROM PO%sOL WHERE O = 7) WHERE A = 1", tag, tag))
 			distinct := make(map[string]bool)
 			for _, s := range stmts {
 				distinct[s] = true
@@ -155,6 +164,11 @@ func TestParsesPerStatement(t *testing.T) {
 			}
 			if r1-r0 < 2*len(stmts) {
 				t.Errorf("%d statements were resolved %d times: router and replica set each resolve", len(stmts), r1-r0)
+			}
+			for i, d := range sets {
+				if m := d.Metrics(); m.RephraseRecovered != 1 {
+					t.Errorf("shard %d: %d statements rephrased, want the Delivery update", i, m.RephraseRecovered)
+				}
 			}
 			send("again") // the CREATEs and INSERTs now fail; they are not parsed to find that out
 			p2, _ := resolverCounts(t, reg)
@@ -273,11 +287,12 @@ func TestSharedHandleConcurrent(t *testing.T) {
 }
 
 // TestExecutionLeavesHandlesUnchanged is the immutability contract as a
-// property: over every statement of the regress/ corpus and a generated
-// stream (DDL, views, sequences, bound statements), a handle renders to
-// the same text and fingerprints the same after the oracle and servers of
-// three dialects have executed it — and, for what parses to a query,
-// after a replica set had it rephrased.
+// property: over every statement of the regress/ corpus, a generated
+// stream (DDL, views, sequences, bound statements) and statements the
+// rephrasing rewrites (the generator's common subset holds none), a
+// handle renders to the same text and fingerprints the same after the
+// oracle and servers of three dialects have executed it and
+// middleware.Rephrase has rewritten it, copy-on-write.
 func TestExecutionLeavesHandlesUnchanged(t *testing.T) {
 	var entries []string
 	cases, err := difftest.LoadCases("regress/cases")
@@ -287,6 +302,15 @@ func TestExecutionLeavesHandlesUnchanged(t *testing.T) {
 	for _, c := range cases {
 		entries = append(entries, c.Stream...)
 	}
+	rewrites := []string{
+		"UPDATE HU_T SET B = B + (SELECT SUM(V) FROM HU_U WHERE HU_U.A = HU_T.A) WHERE A = 1",
+		"SELECT A, (SELECT AVG(V) FROM HU_U) AS M FROM HU_T WHERE A NOT IN (SELECT A FROM HU_U WHERE V > 1 UNION SELECT B FROM HU_T)",
+		"DELETE FROM HU_T WHERE A IN (SELECT A FROM HU_U WHERE A IN (SELECT 1 UNION ALL SELECT $1) AND EXISTS (SELECT SUM(V) FROM HU_U))",
+		"INSERT INTO HU_T SELECT 9, SUM(A) FROM HU_U",
+	}
+	entries = append(entries, "CREATE TABLE HU_T (A INT, B INT)", "CREATE TABLE HU_U (A INT, V FLOAT)")
+	entries = append(entries, rewrites[:2]...)
+	entries = append(entries, core.EncodeBound(rewrites[2], []types.Value{types.NewInt(2)}), rewrites[3])
 	opts := qgen.CommonProfile(41)
 	opts.Sequences, opts.Params = true, true
 	gen := qgen.New(opts)
@@ -303,7 +327,7 @@ func TestExecutionLeavesHandlesUnchanged(t *testing.T) {
 		}
 		sessions = append(sessions, s.NewSession())
 	}
-	checked := 0
+	checked, rewritten := 0, 0
 	for _, entry := range entries {
 		sql, args, _ := core.DecodeBound(entry)
 		p, err := stmt.Resolve(sql)
@@ -314,7 +338,9 @@ func TestExecutionLeavesHandlesUnchanged(t *testing.T) {
 		for _, s := range sessions {
 			_, _, _ = s.Run(p, args)
 		}
-		_, _ = middleware.Rephrase(p.Text)
+		if middleware.Rephrase(p) != p {
+			rewritten++
+		}
 		if got := ast.Render(p.AST); got != text {
 			t.Fatalf("executing %q changed its tree:\n before %s\n after  %s", sql, text, got)
 		}
@@ -323,7 +349,7 @@ func TestExecutionLeavesHandlesUnchanged(t *testing.T) {
 		}
 		checked++
 	}
-	if checked < 1500 {
-		t.Fatalf("only %d statements checked", checked)
+	if checked < 1500 || rewritten < len(rewrites) {
+		t.Fatalf("only %d statements checked, %d of them rephrased", checked, rewritten)
 	}
 }
