@@ -734,6 +734,60 @@ func BenchmarkMiddlewareOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkResync prices a replica's rejoin. Donor and replica hold the
+// same TPC-C tables and run the same Payments; before each iteration
+// the replica alone runs one divergent transaction (a STOCK update).
+// The timed part is the state transfer (donor Snapshot, replica
+// Restore) and the next Payment on the replica, which the donor then
+// runs too, untimed. Only STOCK differs at the transfer, so the cost
+// scales with the tables that changed: the other eight keep their
+// headers, lookup indexes and the replica's compiled plans, and the
+// donor's unchanged tables hand out the same snapshot image each time.
+//
+// Two cores, go1.24, before → after state transfer copied only what
+// changed (medians of five alternating runs at -benchtime=2000x):
+// 255 → 137 µs/op, 121.6 → 12.0 KB/op, 224 → 110 allocs/op.
+func BenchmarkResync(b *testing.B) {
+	cfg := tpcc.Config{Warehouses: 2, DistrictsPerWH: 10, CustomersPerDistrict: 30, Items: 200, Seed: 1}
+	servers := make([]*server.Server, 2)
+	pays := make([]func(), 2)
+	for i := range servers {
+		srv, err := server.New(dialect.PG, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess := srv.NewSession()
+		if err := tpcc.Setup(sess, cfg); err != nil {
+			b.Fatal(err)
+		}
+		payments := tpcc.NewTerminalDriver(cfg, tpcc.Mix{Payment: 1}, 1)
+		servers[i], pays[i] = srv, func() {
+			if m, err := payments.Run(sess, 1); err != nil || m.Errors > 0 {
+				b.Fatalf("payment: %v (%d failed)", err, m.Errors)
+			}
+		}
+	}
+	donor, replica := servers[0], servers[1]
+	diverge, err := replica.NewSession().Prepare("UPDATE STOCK SET S_QUANTITY = S_QUANTITY + 1 WHERE S_W_ID = 1 AND S_I_ID = $1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, _, err := diverge.Exec(types.NewInt(int64(1 + i%cfg.Items))); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		replica.Restore(donor.Snapshot())
+		pays[1]()
+		b.StopTimer()
+		pays[0]()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkEngineSelect measures raw engine query throughput (substrate
 // sanity; not a paper artefact).
 func BenchmarkEngineSelect(b *testing.B) {

@@ -101,6 +101,9 @@ func (a *arena) reset() {
 type slab[T any] struct {
 	buf  []T
 	done [][]T
+	// spare is an emptied chunk a rewind took back: take carves from it
+	// once buf is full, before it makes a new chunk.
+	spare []T
 	// dirty marks a slab that poison mode has filled since it last held
 	// only zeroes past what it handed out: what take hands out is
 	// cleared first.
@@ -114,7 +117,11 @@ func (p *slab[T]) take(n int) []T {
 		if p.buf != nil {
 			p.done = append(p.done, p.buf)
 		}
-		p.buf = make([]T, 0, max(n, 2*cap(p.buf), minChunk))
+		if cap(p.spare) >= n {
+			p.buf, p.spare = p.spare, nil
+		} else {
+			p.buf = make([]T, 0, max(n, 2*cap(p.buf), minChunk))
+		}
 	}
 	i := len(p.buf)
 	p.buf = p.buf[:i+n]
@@ -128,9 +135,11 @@ func (p *slab[T]) take(n int) []T {
 func (p *slab[T]) mark() slabMark { return slabMark{len(p.done), len(p.buf)} }
 
 // rewind reclaims what the slab handed out since m. When chunks were
-// retired since, the chunk m was set in ends at m, the ones after it are
-// dropped, and the newest — the largest — is emptied for what comes
-// next, so a run repeated per row reuses it instead of growing anew.
+// retired since, the chunk m was set in is carved again from m, the ones
+// after it are dropped, and the largest of those is kept emptied as the
+// spare: a run repeated per row reuses it once the chunk of the mark
+// fills, instead of growing anew, and what the statement keeps between
+// runs (a list growing per row) fills the chunk of the mark first.
 func (p *slab[T]) rewind(m slabMark, fill T, poison bool) {
 	if len(p.done) == m.done {
 		p.reclaim(p.buf[m.n:], fill, poison)
@@ -139,14 +148,16 @@ func (p *slab[T]) rewind(m slabMark, fill T, poison bool) {
 	}
 	at := p.done[m.done]
 	p.reclaim(at[m.n:], fill, poison)
-	p.done[m.done] = at[:m.n]
+	p.done = append(p.done, p.buf)
 	for _, c := range p.done[m.done+1:] {
 		p.reclaim(c, fill, poison)
+		if cap(c) > cap(p.spare) {
+			p.spare = c[:0]
+		}
 	}
-	clear(p.done[m.done+1:])
-	p.done = p.done[:m.done+1]
-	p.reclaim(p.buf, fill, poison)
-	p.buf = p.buf[:0]
+	clear(p.done[m.done:])
+	p.done = p.done[:m.done]
+	p.buf = at[:m.n]
 }
 
 // reclaim zeroes c, or in poison mode fills it with fill and marks the
@@ -168,6 +179,9 @@ func (p *slab[T]) reclaim(c []T, fill T, poison bool) {
 func (p *slab[T]) reset(fill T, poison bool, keep int) {
 	if p.buf != nil {
 		p.done = append(p.done, p.buf)
+	}
+	if p.spare != nil {
+		p.done, p.spare = append(p.done, p.spare), nil
 	}
 	var kept []T
 	for _, c := range p.done {

@@ -337,6 +337,14 @@ type Table struct {
 	// all-zero (no column updated yet); guarded like Rows (table latch or
 	// exclusive engine lock), and captured by value into view captures.
 	colVer []uint64
+
+	// img is the image the last Snapshot took of this table, and imgStamp
+	// the table's mutSeq and the engine's schema stamp at that moment:
+	// while both still match, the table has not changed and a Snapshot
+	// hands img out again instead of cloning. A table retains at most one
+	// image. Guarded by the table latch.
+	img      *Table
+	imgStamp [2]uint64
 }
 
 // touch invalidates the table's lazily built indexes after a row
@@ -566,9 +574,9 @@ func (e *Session) bumpSchema() {
 	})
 }
 
-// bumpSchemaLocked is bumpSchema for engine-level mutators (Restore,
-// Reset) that hold the write lock but run outside any session; there is
-// no transaction to undo into.
+// bumpSchemaLocked is bumpSchema for engine-level mutators (a
+// catalog-changing restore, Reset) that hold the write lock but run
+// outside any session; there is no transaction to undo into.
 func (e *Engine) bumpSchemaLocked() {
 	e.schemaEpoch++
 	e.setSchemaVersion(e.schemaEpoch)

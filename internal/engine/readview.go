@@ -249,8 +249,8 @@ func (e *Engine) currentView() *readView {
 // any open transaction the live catalog is the committed one: the view
 // walks the live table map (stable under the read lock) and shares the
 // previous view's views and indexes while the committed schema stamp is
-// unchanged — equal stamps name identical catalogs, and Restore,
-// RestoreScoped and Reset move it. Otherwise committedCatalog rewinds
+// unchanged — equal stamps name identical catalogs, and Reset and a
+// Restore or RestoreScoped that changes the catalog move it. Otherwise committedCatalog rewinds
 // copies. Sequence records never matter: a view carries no sequences
 // (a SELECT that advances one runs on the live plane).
 //
@@ -467,9 +467,9 @@ type viewFacts struct {
 }
 
 // facts returns the live catalog's facts, deriving them after a change
-// (DDL, its undo, Restore, RestoreScoped, Reset: setSchemaVersion drops
-// them). Caller holds the engine lock in at least read mode, which keeps
-// the catalog still; two readers deriving at once derive the same facts.
+// (DDL, its undo, a catalog-changing restore, Reset: setSchemaVersion
+// drops them). Caller holds the engine lock in at least read mode, which
+// keeps the catalog still; two readers deriving at once derive the same facts.
 func (e *Engine) facts() *schemaFacts {
 	if f := e.curFacts.Load(); f != nil {
 		return f

@@ -1,6 +1,10 @@
 package engine
 
-import "slices"
+import (
+	"slices"
+
+	"divsql/internal/sql/types"
+)
 
 // This file implements the copy-on-write consistent-snapshot subsystem.
 //
@@ -34,10 +38,24 @@ import "slices"
 // rewind lands exactly on the transaction's own changes.
 //
 // The result is immutable: nothing in the engine retains a reference to
-// the image's headers, and the shared row storage is never written in
-// place. Restore installs a snapshot by cloning headers again, so one
-// State can be restored into any number of engines (and the donor keeps
-// executing throughout).
+// the image's headers but the live table the image was taken of (below),
+// and the shared row storage is never written in place. So one State can
+// be restored into any number of engines (and the donor keeps executing
+// throughout).
+//
+// State transfer copies only what changed, both ways:
+//
+//   - Snapshot hands out a clean table's previous image again while
+//     nothing has touched the table: the live Table keeps the image it
+//     last took (at most one per table) with the table's mutation stamp
+//     and the engine's schema stamp at that moment, and the image stays
+//     valid while both stamps still match.
+//   - Restore and RestoreScoped keep every in-scope object that already
+//     equals the image's copy — a table's definition and rows, cell by
+//     cell — with its header, latch, stamps and lookup indexes, and
+//     clone headers only for the tables that differ. The schema stamp
+//     moves only when an object is added, dropped or redefined; changed
+//     rows or sequence values void the cached read view alone.
 
 // State is an immutable, consistent image of an engine's committed
 // state, produced by Snapshot and consumed by Restore/RestoreScoped.
@@ -86,7 +104,8 @@ func (t *Table) cloneHeader() *Table {
 // table. It never waits for transaction boundaries — open transactions
 // are rewound on copy-on-write clones while the live state, including
 // those transactions, keeps executing — and concurrent readers proceed
-// throughout (Snapshot holds only the read lock).
+// throughout (Snapshot holds only the read lock). A table nothing has
+// touched since the last Snapshot gets that Snapshot's image again.
 //
 // Snapshot builds no read view and takes no viewMu or viewTable lock:
 // materialization takes a viewTable's lock before the table latch, so a
@@ -115,8 +134,11 @@ func (e *Engine) Snapshot() *State {
 		case slices.Contains(dirty, n):
 			cat.tables[n] = e.committedTable(t, nil)
 		default:
-			cat.tables[n] = t.cloneHeader()
-			t.rowsShared = true
+			if ms := t.mutSeq.Load(); t.img == nil || t.imgStamp != [2]uint64{ms, e.schemaVersion} {
+				t.img, t.imgStamp = t.cloneHeader(), [2]uint64{ms, e.schemaVersion}
+				t.rowsShared = true
+			}
+			cat.tables[n] = t.img
 		}
 	}
 	return &State{
@@ -141,8 +163,16 @@ func (e *Engine) CommitSeq() uint64 {
 func (e *Engine) Restore(st *State) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.restoreLocked(st, func(string) bool { return true })
+	schema, data := e.restoreLocked(st, func(string) bool { return true })
+	// A discarded transaction's DDL moved the stamps, and its row
+	// records are now committed rows a cached view may have rewound.
+	for s := range e.sessions {
+		s.txMu.Lock()
+		schema, data = schema || s.didDDL, data || s.inTxn
+		s.txMu.Unlock()
+	}
 	e.discardAllTxnsLocked()
+	e.transferred(schema, data)
 }
 
 // RestoreScoped replaces only the engine objects selected by keep with
@@ -159,55 +189,98 @@ func (e *Engine) Restore(st *State) {
 func (e *Engine) RestoreScoped(st *State, keep func(name string) bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.restoreLocked(st, keep)
+	e.transferred(e.restoreLocked(st, keep))
 }
 
-// restoreLocked is the body of Restore and RestoreScoped. Views and
-// indexes are immutable and shared; sequences advance in place and are
-// copied; tables get cloneHeader. Caller holds the exclusive lock.
-func (e *Engine) restoreLocked(st *State, keep func(name string) bool) {
-	for n := range e.st.tables {
-		if keep(n) {
-			delete(e.st.tables, n)
+// restoreLocked is the body of Restore and RestoreScoped: it makes the
+// selected objects the image's, keeping every live one that already
+// equals its image. Views and indexes are immutable and shared;
+// sequences advance in place and are copied; tables get cloneHeader.
+// schema reports an object added, dropped or redefined, data a table's
+// rows or a sequence's value replaced. Caller holds the exclusive lock.
+func (e *Engine) restoreLocked(st *State, keep func(name string) bool) (schema, data bool) {
+	s1, d1 := install(e.st.tables, st.Tables, keep, sameTable, (*Table).cloneHeader)
+	s2, _ := install(e.st.views, st.Views, keep, sameView, shared)
+	s3, _ := install(e.st.indexs, st.Indexs, keep, sameIndex, shared)
+	s4, d4 := install(e.st.seqs, st.Seqs, keep, sameSeq, copySeq)
+	return s1 || s2 || s3 || s4, d1 || d4
+}
+
+// transferred voids what a state transfer outdated: a changed catalog
+// moves the schema stamp (and with it the plan memos, the schema facts
+// and the cached read view), changed rows or sequence values the cached
+// read view alone.
+func (e *Engine) transferred(schema, data bool) {
+	switch {
+	case schema:
+		e.bumpSchemaLocked()
+	case data:
+		e.viewGen.Add(1)
+	}
+}
+
+// install makes the entries of live that keep selects those of img: a
+// live entry same finds identical to its image stays, every other is
+// replaced by clone(image) or dropped. same reports whether the two share
+// a definition and whether they share contents. schema reports an entry
+// added, dropped or redefined, data one whose contents alone differed.
+func install[T any](live, img map[string]*T, keep func(string) bool, same func(cur, want *T) (def, data bool), clone func(*T) *T) (schema, data bool) {
+	for n := range live {
+		if _, ok := img[n]; !ok && keep(n) {
+			delete(live, n)
+			schema = true
 		}
 	}
-	for n := range e.st.views {
-		if keep(n) {
-			delete(e.st.views, n)
+	for n, want := range img {
+		if !keep(n) {
+			continue
 		}
-	}
-	for n := range e.st.indexs {
-		if keep(n) {
-			delete(e.st.indexs, n)
+		if cur, ok := live[n]; !ok {
+			schema = true
+		} else if def, rows := same(cur, want); def && rows {
+			continue
+		} else {
+			schema, data = schema || !def, true
 		}
+		live[n] = clone(want)
 	}
-	for n := range e.st.seqs {
-		if keep(n) {
-			delete(e.st.seqs, n)
-		}
+	return schema, data
+}
+
+func shared[T any](x *T) *T { return x }
+
+// sameTable compares a table to its image: the definition (check
+// expressions by identity, which is conservative), then the rows cell by
+// cell with struct ==, which tells an INT 1 from a FLOAT 1.0. Two equal
+// lengths of one shared Rows array are the same rows: a shared array is
+// never written in place.
+func sameTable(a, b *Table) (def, rows bool) {
+	def = a.Name == b.Name && slices.Equal(a.Cols, b.Cols) && slices.Equal(a.PKCols, b.PKCols) &&
+		slices.EqualFunc(a.Uniques, b.Uniques, slices.Equal[[]int]) &&
+		slices.Equal(a.Checks, b.Checks) && slices.Equal(a.reads, b.reads)
+	if !def || len(a.Rows) != len(b.Rows) {
+		return def, false
 	}
-	for n, t := range st.Tables {
-		if keep(n) {
-			e.st.tables[n] = t.cloneHeader()
-		}
-	}
-	for n, v := range st.Views {
-		if keep(n) {
-			e.st.views[n] = v
-		}
-	}
-	for n, ix := range st.Indexs {
-		if keep(n) {
-			e.st.indexs[n] = ix
-		}
-	}
-	for n, sq := range st.Seqs {
-		if keep(n) {
-			cp := *sq
-			e.st.seqs[n] = &cp
-		}
-	}
-	e.bumpSchemaLocked()
+	return true, len(a.Rows) == 0 || &a.Rows[0] == &b.Rows[0] ||
+		slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]types.Value])
+}
+
+// sameView compares views by definition: the parsed select by identity.
+func sameView(a, b *View) (bool, bool) {
+	return a.Name == b.Name && a.Select == b.Select && slices.Equal(a.Columns, b.Columns) &&
+		slices.Equal(a.reads, b.reads) && slices.Equal(a.funcs, b.funcs), true
+}
+
+func sameIndex(a, b *Index) (bool, bool) {
+	return a.Name == b.Name && a.Table == b.Table && slices.Equal(a.Cols, b.Cols) &&
+		a.Unique == b.Unique && a.Clustered == b.Clustered, true
+}
+
+func sameSeq(a, b *Sequence) (bool, bool) { return a.Name == b.Name, a.Next == b.Next }
+
+func copySeq(sq *Sequence) *Sequence {
+	cp := *sq
+	return &cp
 }
 
 // Reset drops all state. Open transactions on every session are discarded.

@@ -550,21 +550,6 @@ func committedImages(e *Engine, own *Session) (view, ownImg *Table) {
 	return view, ownImg
 }
 
-// Snapshot copies headers, never rows: the image of 25 clean one-row
-// tables allocates the catalog maps and one header and one index cache
-// per table; the latch order is the schema facts' table list.
-func TestSnapshotAllocs(t *testing.T) {
-	e := NewOracle()
-	s := e.NewSession()
-	for i := 0; i < 25; i++ {
-		sessExec(t, s, fmt.Sprintf("CREATE TABLE T%02d (A INT)", i))
-		sessExec(t, s, fmt.Sprintf("INSERT INTO T%02d VALUES (1)", i))
-	}
-	if got := testing.AllocsPerRun(50, func() { e.Snapshot() }); got > 59 {
-		t.Errorf("Snapshot of 25 clean tables: %v allocations, want at most 59", got)
-	}
-}
-
 // liveRows reads table T's rows from the engine's catalog.
 func liveRows(e *Engine) []string {
 	e.mu.RLock()
