@@ -115,6 +115,12 @@ func (c Classification) IsFailure() bool { return c.Status == StatusFailure }
 // do not own its lifetime (workload drivers, replay).
 
 // Executor runs SQL text and reports results with simulated latency.
+//
+// A result, with its rows and column names, is valid until the
+// executor's next statement (Exec, or an Exec of one of its prepared
+// statements) or Close: below it sits an engine session's statement
+// memory (engine.Result). A caller that keeps a result longer, or
+// changes it, keeps or changes its Clone.
 type Executor interface {
 	// Exec executes one SQL statement.
 	Exec(sql string) (*engine.Result, time.Duration, error)

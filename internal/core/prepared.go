@@ -24,7 +24,8 @@ type Statement interface {
 	SQL() string
 	// NumParams reports how many arguments Exec expects.
 	NumParams() int
-	// Exec executes the statement with the given arguments.
+	// Exec executes the statement with the given arguments. The result
+	// lives as long as one of its session's (Executor).
 	Exec(args ...types.Value) (*engine.Result, time.Duration, error)
 	// Close releases the statement: it does not execute again. Closing is
 	// idempotent.

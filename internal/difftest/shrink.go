@@ -168,10 +168,12 @@ func selfCheckScanOn(srv *server.Server, key dedupKey, stmts []string) (int, cor
 		if err != nil || p.Select == nil || p.Fingerprint.String() != key.fp || srv.SelectAdvancesSequences(p) {
 			continue
 		}
+		// The summary is read before the oracle's re-runs reclaim res.
+		summary := resultSummary(res)
 		_, findings := metamorph.Check(sess, p, args, res, []metamorph.Oracle{metamorph.Oracle(key.src)})
 		if len(findings) > 0 {
 			cls := core.Classification{Status: core.StatusFailure, Type: core.IncorrectResult, Detail: findings[0].Detail}
-			return i, cls, resultSummary(res)
+			return i, cls, summary
 		}
 	}
 	return -1, core.Classification{}, ""

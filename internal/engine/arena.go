@@ -14,7 +14,9 @@ import (
 // evaluation envs, an INSERT's VALUES and an UPDATE's replaced rows — is
 // carved from the session's arena, which is reclaimed whole when the
 // session's next statement starts (Session.Exec,
-// Session.ExecSelectVariant). A statement-level result, an INSERT ... SELECT's source rows, and
+// Session.ExecSelectVariant). So is the statement's Result — its struct
+// and its rows — which is why a result is valid only until the session's
+// next statement (Result). An INSERT ... SELECT's source rows, and
 // anything stored in a table, an undo record or a read view never come
 // from it: those outlive the statement.
 
@@ -27,33 +29,48 @@ type arena struct {
 	rows slab[[]types.Value]
 	ints slab[int]
 	envs slab[env]
+	// results holds the statement's Result. It is taken once, after every
+	// evaluation of the statement, so no rewind reaches it.
+	results slab[Result]
 }
 
 // A slab keeps, at reset, its largest chunk within these element counts
 // and drops the rest: one large statement must not pin its high-water
-// mark to the session. Each is at least the most one statement took
-// from the slab on the bench workloads (hunt, seeds 1 and 3: under 4 096
-// values, 2 048 row headers, 4 096 ints and 128 envs; TPC-C and
-// pointread: under 128 of each), so the kept chunk can serve any of
-// their statements.
+// mark to the session. Each is at least the most one statement held at
+// once on the bench workloads, its result included (hunt, seeds 1 and
+// 3: 4 334 values, 1 740 row headers, 3 048 ints, 87 envs; TPC-C: 5 082
+// values — its consistency check's scan of ORDERS — and 726 row
+// headers; pointread: 16 or fewer of each; one result per statement),
+// so the kept chunk can serve any of their statements.
 const (
-	keepVals = 4096 // 128 KiB
+	keepVals = 8192 // 256 KiB
 	keepRows = 4096
 	keepInts = 8192
 	keepEnvs = 256
+	// keepResults keeps the first chunk: a statement takes one Result.
+	keepResults = minChunk
 	// minChunk is the first chunk's size; each further chunk of one
 	// statement doubles the last.
 	minChunk = 64
 )
 
-// poisonReclaimed makes reset fill reclaimed values with poisonValue
-// (and row headers with nil) instead of zeroing them, so a row kept past
-// its statement reads garbage that fails loudly, never the next
-// statement's data. Test-only (PoisonReclaimed).
+// poisonReclaimed makes reset fill reclaimed values with poisonValue,
+// row headers with nil and results with poisonResult instead of zeroing
+// them, and keeps what a statement used out of the next statement's
+// reach, so a row or result kept past its statement reads garbage that
+// fails loudly, never the next statement's data. Test-only
+// (PoisonReclaimed).
 var poisonReclaimed atomic.Bool
 
+// poisonText is the sentinel a reclaimed value or column name reads.
+const poisonText = "\x00reclaimed by the statement arena\x00"
+
 // poisonValue is what a reclaimed arena value reads in poison mode.
-var poisonValue = types.NewString("\x00reclaimed by the statement arena\x00")
+var poisonValue = types.NewString(poisonText)
+
+// poisonResult is what a reclaimed Result reads in poison mode: no kind,
+// a negative count, and one row and column of the sentinel.
+var poisonResult = Result{Columns: []string{poisonText}, Rows: [][]types.Value{{poisonValue}}, Affected: -1}
 
 // PoisonReclaimed arms or disarms poison mode for every session's
 // arena. Test-only: the test binaries of every package that executes
@@ -93,6 +110,7 @@ func (a *arena) reset() {
 	a.rows.reset(nil, poison, keepRows)
 	a.ints.reset(0, false, keepInts)
 	a.envs.reset(env{}, false, keepEnvs)
+	a.results.reset(poisonResult, poison, keepResults)
 }
 
 // slab hands out slices carved from chunks of T. The chunk being carved
@@ -104,6 +122,10 @@ type slab[T any] struct {
 	// spare is an emptied chunk a rewind took back: take carves from it
 	// once buf is full, before it makes a new chunk.
 	spare []T
+	// aside, in poison mode, is the chunk the previous statement kept: it
+	// sits out one statement, so what was read from it past its
+	// statement reads the poison, not the next statement's data.
+	aside []T
 	// dirty marks a slab that poison mode has filled since it last held
 	// only zeroes past what it handed out: what take hands out is
 	// cleared first.
@@ -133,6 +155,25 @@ func (p *slab[T]) take(n int) []T {
 }
 
 func (p *slab[T]) mark() slabMark { return slabMark{len(p.done), len(p.buf)} }
+
+// room returns the unused rest of the chunk being carved, empty, with
+// room for at least n: an append of unknown length writes into it, and
+// claim hands out what the append kept there. Nothing may be taken from
+// the slab between the two.
+func (p *slab[T]) room(n int) []T {
+	p.take(n)
+	i := len(p.buf) - n
+	p.buf = p.buf[:i]
+	return p.buf[i:i:cap(p.buf)]
+}
+
+// claim hands out out, an append into what room returned, when the
+// append stayed in the chunk (it moved to the heap when it outgrew it).
+func (p *slab[T]) claim(room, out []T) {
+	if len(out) > 0 && cap(out) == cap(room) {
+		p.buf = p.buf[:len(p.buf)+len(out)]
+	}
+}
 
 // rewind reclaims what the slab handed out since m. When chunks were
 // retired since, the chunk m was set in is carved again from m, the ones
@@ -195,6 +236,18 @@ func (p *slab[T]) reset(fill T, poison bool, keep int) {
 	clear(p.done)
 	p.done = p.done[:0]
 	switch {
+	case poison:
+		// What this statement used sits out the next one; the chunk set
+		// aside a statement ago, filled then, is carved instead.
+		kept, p.aside = p.aside, kept
+	case p.aside != nil:
+		// Poison mode was switched off.
+		if cap(p.aside) <= keep && cap(p.aside) > cap(kept) {
+			kept = p.aside
+		}
+		p.aside = nil
+	}
+	switch {
 	case kept == nil:
 		p.buf, p.dirty = nil, false
 	case poison:
@@ -241,6 +294,13 @@ func (a *arena) env(outer *env) *env {
 	en := &a.envs.take(1)[0]
 	en.outer = outer
 	return en
+}
+
+// result returns r carved from the arena.
+func (a *arena) result(r Result) *Result {
+	res := &a.results.take(1)[0]
+	*res = r
+	return res
 }
 
 // list returns an empty row list with room for n rows.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,19 @@ func (p *slab[T]) held() int {
 	return n
 }
 
+// resultShare is how much of what p holds a result's n elements,
+// starting at first, account for: the whole chunk when the result starts
+// it — a take that does not fit the chunk being carved opens one up to
+// twice as large — else the n elements themselves.
+func resultShare[T any](p *slab[T], first *T, n int) int {
+	for _, c := range append(slices.Clip(p.done), p.buf) {
+		if cap(c) > 0 && &c[:1][0] == first {
+			return cap(c)
+		}
+	}
+	return n
+}
+
 // A nested select run per row, and a builtin's argument vector, give
 // their arena memory back once their answer is read: after an UPDATE,
 // a correlated SELECT and a forced SELECT, each running a subquery over
@@ -113,12 +127,18 @@ func TestNestedRunsRewindTheArena(t *testing.T) {
 			t.Errorf("%q (%v): %d rows, %d affected, want %d", tc.sql, tc.force, len(res.Rows), res.Affected, max(tc.rows, n))
 		}
 		// Doubling chunks hold a few times the statement's largest live
-		// need — the inner result and, for the UPDATE, its replaced
-		// rows — linear in n; a run kept per outer row holds n*n.
+		// need — the inner result and, for the UPDATE, its replaced rows
+		// — linear in n; a run kept per outer row holds n*n. A SELECT's
+		// own result comes from the arena too, and is counted apart.
 		v, r := s.mem.vals.held(), s.mem.rows.held()
-		t.Logf("%q (%v): the arena holds %d values and %d row headers", tc.sql, tc.force, v, r)
-		if v > tc.held*n || r > tc.held*n {
-			t.Errorf("%q (%v): the arena holds %d values and %d row headers, want <= %d each", tc.sql, tc.force, v, r, tc.held*n)
+		var rv, rr int
+		if len(res.Rows) > 0 {
+			rv = resultShare(&s.mem.vals, &res.Rows[0][0], len(res.Rows)*len(res.Rows[0]))
+			rr = resultShare(&s.mem.rows, &res.Rows[0], len(res.Rows))
+		}
+		t.Logf("%q (%v): the arena holds %d values and %d row headers, the result's share %d and %d", tc.sql, tc.force, v, r, rv, rr)
+		if v-rv > tc.held*n || r-rr > tc.held*n {
+			t.Errorf("%q (%v): the arena holds %d values and %d row headers besides the result, want <= %d each", tc.sql, tc.force, v-rv, r-rr, tc.held*n)
 		}
 	}
 	if got := rowStrings(sessExec(t, s, "SELECT COUNT(*) FROM IO WHERE COALESCE(K IN (SELECT ABS(K) FROM II), FALSE)")); !reflect.DeepEqual(got, []string{fmt.Sprint(n)}) {
@@ -127,10 +147,9 @@ func TestNestedRunsRewindTheArena(t *testing.T) {
 }
 
 // The statement memory gate: on a warm session a join plus an
-// uncorrelated IN subquery allocates its result and the execution's
-// bookkeeping, nothing per row, per pair or per subquery run — the
-// join's slab and hash table, the filtered lists and the subquery's
-// rows and IN set all come from the arena.
+// uncorrelated IN subquery allocates nothing — the join's slab and hash
+// table, the filtered lists, the subquery's rows and IN set and the
+// result all come from the arena.
 func TestStatementMemoryAllocs(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
@@ -148,8 +167,43 @@ func TestStatementMemoryAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("64x64 join + uncorrelated IN over 32 rows: %.0f allocations", allocs)
-	// The Result, its column names, its row list and its slab.
-	if allocs > 4 {
-		t.Errorf("%.0f allocations, want <= 4 (the result only)", allocs)
+	if allocs > 0 {
+		t.Errorf("%.0f allocations, want 0", allocs)
+	}
+}
+
+// A result is its session's until the session's next statement: read
+// after it, the Result and its rows read the poison sentinel (armed in
+// poison_test.go), never the next statement's data, while a Clone taken
+// before reads the statement's values. A change to the clone's names
+// never reaches the names the plan hands the next execution.
+func TestResultLivesUntilTheNextStatement(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	sessExec(t, s, "CREATE TABLE RL (K INT PRIMARY KEY, V VARCHAR(5))")
+	sessExec(t, s, "INSERT INTO RL VALUES (1, 'a'), (2, 'b')")
+	p := resolve(t, "SELECT K, V FROM RL ORDER BY K")
+	for _, next := range []string{"SELECT V, K FROM RL WHERE K = 2", "UPDATE RL SET V = 'c' WHERE K = 1", "BEGIN", "ROLLBACK"} {
+		res, err := s.Exec(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, row := res.Clone(), res.Rows[0]
+		sessExec(t, s, next)
+		if res.Kind != 0 || res.Affected != -1 || !reflect.DeepEqual(res.Columns, []string{poisonText}) ||
+			!reflect.DeepEqual(res.Rows, [][]types.Value{{poisonValue}}) {
+			t.Errorf("after %q the result reads %+v, want the poison", next, *res)
+		}
+		if row[0] != poisonValue || row[1] != poisonValue {
+			t.Errorf("after %q its first row reads %v, want the poison", next, row)
+		}
+		if got := rowStrings(kept); kept.Kind != ResultRows || !reflect.DeepEqual(kept.Columns, []string{"K", "V"}) ||
+			got[0][:2] != "1|" || len(got) != 2 {
+			t.Errorf("after %q the clone reads %v %q, want the statement's answer", next, kept.Columns, got)
+		}
+		kept.Columns[0] = ""
+	}
+	if res := sessExec(t, s, "SELECT K, V FROM RL ORDER BY K"); !reflect.DeepEqual(res.Columns, []string{"K", "V"}) {
+		t.Errorf("a clone's changed names reached the plan's: %q", res.Columns)
 	}
 }

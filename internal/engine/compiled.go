@@ -192,7 +192,8 @@ type onceResult struct {
 // outCols are the visible output names of a plan that does not fail.
 func (cs *compiledSelect) outCols() []string {
 	names := cs.cores[0].names
-	return names[:len(names)-int(cs.hidden)]
+	n := len(names) - int(cs.hidden)
+	return names[:n:n]
 }
 
 // sortKey is one resolved ORDER BY key, read from the rows sorted. A
@@ -628,6 +629,11 @@ func tableScopeCols(cols []scopeCol, qual string, t *Table) []scopeCol {
 	return cols
 }
 
+// probeRoom is the least room an index probe is handed in the arena's
+// ints slab: it appends its positions to the rest of the slab's chunk,
+// and spills to the heap only past it.
+const probeRoom = 16
+
 // candidateRows evaluates the plan's key expressions and consults the
 // table's lazy index. It returns (positions, true) when the index
 // answered — positions are a superset of the WHERE-true rows, in table
@@ -655,7 +661,10 @@ func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
 		if ix == nil {
 			return nil, false
 		}
-		return ix.lookup(t.Rows[:n], keys), true
+		room := s.mem.ints.room(probeRoom)
+		out := ix.lookup(room, t.Rows[:n], keys)
+		s.mem.ints.claim(room, out)
+		return out, true
 	case plan.RangeScan:
 		// Bounds become inclusive; a strict one at the end of the INT
 		// range admits nothing.
@@ -685,7 +694,10 @@ func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
 		if ix == nil {
 			return nil, false
 		}
-		return ix.between(t.Rows[:n], lo, hi, p.Lo != nil, p.Hi != nil), true
+		room := s.mem.ints.room(probeRoom)
+		out := ix.between(room, t.Rows[:n], lo, hi, p.Lo != nil, p.Hi != nil)
+		s.mem.ints.claim(room, out)
+		return out, true
 	}
 	return nil, false
 }
@@ -803,17 +815,18 @@ func (s *Session) runTop(cs *compiledSelect, cacheHit bool) (*Result, error) {
 		s.lastPlan.Table, s.lastPlan.Path = p.Table, p.Path
 	}
 	s.eng.pathExecs[s.lastPlan.Path].Add(1)
-	rows, err := s.runSelect(cs, nil, nil)
+	rows, err := s.runSelect(cs, nil, &s.mem)
 	if err != nil {
 		return nil, err
 	}
-	return cs.result(rows), nil
+	return s.rowsResult(cs, rows), nil
 }
 
-// result names the rows a statement-level SELECT produced (the names
-// are copied: the plan is shared, the result is the caller's).
-func (cs *compiledSelect) result(rows [][]types.Value) *Result {
-	return &Result{Kind: ResultRows, Columns: append([]string(nil), cs.outCols()...), Rows: rows}
+// rowsResult names the rows a statement-level SELECT produced. The
+// names are the plan's own, shared with every execution of it: a
+// caller that changes a result changes a Clone.
+func (s *Session) rowsResult(cs *compiledSelect, rows [][]types.Value) *Result {
+	return s.mem.result(Result{Kind: ResultRows, Columns: cs.outCols(), Rows: rows})
 }
 
 // runUnowned compiles and runs a select no memoised plan owns — an
@@ -836,7 +849,8 @@ func (s *Session) LastPlan() plan.Info { return s.lastPlan }
 // variant, on the read plane a normal execution would use. This is the
 // hook behind the forced-variant differential oracle: the same statement
 // runs normally and forced, and any result disagreement convicts the
-// engine.
+// engine. Like Exec, it starts a statement: the session's previous
+// result is reclaimed, and this one is valid until the next (Result).
 func (s *Session) ExecSelectVariant(p *stmt.Parsed, force plan.Force, args []types.Value) (*Result, error) {
 	e := s.eng
 	s.startStatement()

@@ -320,6 +320,7 @@ func TestForcedVariantEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
+		auto = auto.Clone() // read after the variants ran
 		for _, force := range []plan.Force{plan.ForceFullScan, plan.ForceAuto} {
 			got, err := s.ExecSelectVariant(p, force, nil)
 			if err != nil {
@@ -527,6 +528,7 @@ func TestDMLSelectsWhatSelectSelects(t *testing.T) {
 		rowSet := func(sql string) []string { return rowStrings(sessExec(t, s, sql)) }
 		for _, where := range dmlWheres {
 			want, wantErr := gexec(s, "SELECT A, B FROM T WHERE "+where)
+			want = want.Clone() // read after the DML ran
 			check := func(kind string, err error, got []string) {
 				t.Helper()
 				switch {
@@ -573,7 +575,7 @@ func TestPoisonedIndexKeepsLooseCoercionMatches(t *testing.T) {
 	sessExec(t, s, "INSERT INTO P (ID) VALUES (1)") // A = '7' stored verbatim
 	sessExec(t, s, "INSERT INTO P (ID, A) VALUES (2, 7), (3, 8)")
 
-	res := sessExec(t, s, "SELECT ID FROM P WHERE A = 7")
+	res := sessExec(t, s, "SELECT ID FROM P WHERE A = 7").Clone()
 	if p := s.LastPlan(); p.Path != plan.PointLookup {
 		t.Fatalf("poisoned-index query planned %v, want the point lookup it falls back from", p.Path)
 	}

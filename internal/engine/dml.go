@@ -108,7 +108,7 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		}
 		t.touch()
 	}
-	return &Result{Kind: ResultCount, Affected: int64(inserted)}, nil
+	return e.mem.result(Result{Kind: ResultCount, Affected: int64(inserted)}), nil
 }
 
 // removeRowsByIdentity deletes the given row slices from the table,
@@ -278,11 +278,12 @@ func (e *Session) checkConstraints(t *Table, row []types.Value, skipIdx int, che
 		if allInt && skipIdx == -1 {
 			if ix, n := t.ic.eqIndex(t, key); ix != nil {
 				var kb [8]int64
+				var pb [16]int
 				keys := kb[:0]
 				for _, ci := range key {
 					keys = append(keys, row[ci].I)
 				}
-				if len(ix.lookup(t.Rows[:n], keys)) > 0 {
+				if len(ix.lookup(pb[:0], t.Rows[:n], keys)) > 0 {
 					return fmt.Errorf("%w: duplicate key in table %s", ErrConstraint, t.Name)
 				}
 				continue
@@ -463,7 +464,7 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 		e.logUndoRec(rec)
 		t.touch()
 	}
-	return &Result{Kind: ResultCount, Affected: affected}, nil
+	return e.mem.result(Result{Kind: ResultCount, Affected: affected}), nil
 }
 
 // unreplaceRows is an UPDATE's undo: for each (old, new) pair of the
@@ -542,7 +543,7 @@ func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, err
 		gone = append(grow(&e.mem.ints, gone, 1), ri)
 	}
 	if len(gone) == 0 {
-		return &Result{Kind: ResultCount}, nil
+		return e.mem.result(Result{Kind: ResultCount}), nil
 	}
 	oldRows := t.Rows
 	kept := make([][]types.Value, 0, len(t.Rows)-len(gone))
@@ -565,7 +566,7 @@ func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, err
 		e.logUndoRec(undoRec{kind: kindTable, op: opDelete, table: t.Name, rows: removed, pre: oldRows, post: kept})
 	}
 	t.touchBase()
-	return &Result{Kind: ResultCount, Affected: int64(len(gone))}, nil
+	return e.mem.result(Result{Kind: ResultCount, Affected: int64(len(gone))}), nil
 }
 
 // undelete is a DELETE's undo. When the table is untouched since the

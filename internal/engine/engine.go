@@ -48,6 +48,13 @@ const (
 )
 
 // Result is the outcome of one successfully executed statement.
+//
+// A Result, its rows and its column names belong to the session that
+// produced it and stay valid until that session's next Exec,
+// ExecSelectVariant or Close: they come from the session's statement
+// memory (arena.go), which the next statement reclaims, and the column
+// names are the plan's, shared by every execution of it. Read a result
+// in place, and Clone what must outlive that or be changed.
 type Result struct {
 	Kind     ResultKind
 	Columns  []string
@@ -55,7 +62,9 @@ type Result struct {
 	Affected int64
 }
 
-// Clone returns a deep copy of the result (rows share immutable values).
+// Clone returns a deep copy of the result that outlives its statement:
+// the struct, the column names and the rows are the caller's (rows share
+// immutable values).
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
@@ -512,7 +521,7 @@ func (e *Session) exec(p *stmt.Parsed) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cs.result(rows), nil
+		return e.rowsResult(cs, rows), nil
 	default:
 		return nil, fmt.Errorf("unsupported statement %T", p.AST)
 	}
@@ -679,7 +688,7 @@ func (e *Session) execCreateTable(ct *ast.CreateTable, reads []string) (*Result,
 	e.eng.st.tables[name] = t
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.tables, name) })
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (t *Table) columnIndexes(names []string) ([]int, error) {
@@ -720,7 +729,7 @@ func (e *Session) execCreateView(cv *ast.CreateView, reads, funcs []string) (*Re
 	e.eng.st.views[name] = &View{Name: name, Columns: cols, Select: cv.Select, reads: reads, funcs: funcs}
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.views, name) })
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (e *Session) execCreateIndex(ci *ast.CreateIndex) (*Result, error) {
@@ -768,7 +777,7 @@ func (e *Session) execCreateIndex(ci *ast.CreateIndex) (*Result, error) {
 	e.eng.st.indexs[name] = &Index{Name: name, Table: t.Name, Cols: cols, Unique: ci.Unique, Clustered: ci.Clustered}
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.indexs, name) })
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (e *Session) execCreateSequence(cs *ast.CreateSequence) (*Result, error) {
@@ -783,7 +792,7 @@ func (e *Session) execCreateSequence(cs *ast.CreateSequence) (*Result, error) {
 	e.eng.st.seqs[name] = &Sequence{Name: name, Next: start}
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.seqs, name) })
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (e *Session) execDropTable(dt *ast.DropTable) (*Result, error) {
@@ -804,7 +813,7 @@ func (e *Session) execDropTable(dt *ast.DropTable) (*Result, error) {
 			}
 		})
 		e.bumpSchema()
-		return &Result{Kind: ResultDDL}, nil
+		return e.mem.result(Result{Kind: ResultDDL}), nil
 	}
 	if v, ok := e.eng.st.views[name]; ok && e.eng.cfg.Quirks.AllowDropTableOnView {
 		// Quirk: DROP TABLE silently removes a view (IB bug 223512,
@@ -812,7 +821,7 @@ func (e *Session) execDropTable(dt *ast.DropTable) (*Result, error) {
 		delete(e.eng.st.views, name)
 		e.logUndoCatalog(func(dst *state, _ bool) { dst.views[name] = v })
 		e.bumpSchema()
-		return &Result{Kind: ResultDDL}, nil
+		return e.mem.result(Result{Kind: ResultDDL}), nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrTableNotFound, name)
 }
@@ -826,7 +835,7 @@ func (e *Session) execDropView(dv *ast.DropView) (*Result, error) {
 	delete(e.eng.st.views, name)
 	e.logUndoCatalog(func(dst *state, _ bool) { dst.views[name] = v })
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (e *Session) execDropIndex(di *ast.DropIndex) (*Result, error) {
@@ -838,7 +847,7 @@ func (e *Session) execDropIndex(di *ast.DropIndex) (*Result, error) {
 	delete(e.eng.st.indexs, name)
 	e.logUndoCatalog(func(dst *state, _ bool) { dst.indexs[name] = ix })
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (e *Session) execDropSequence(ds *ast.DropSequence) (*Result, error) {
@@ -859,7 +868,7 @@ func (e *Session) execDropSequence(ds *ast.DropSequence) (*Result, error) {
 		}
 	})
 	e.bumpSchema()
-	return &Result{Kind: ResultDDL}, nil
+	return e.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 // TableNames lists the base tables, sorted.

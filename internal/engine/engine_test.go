@@ -37,7 +37,9 @@ func execSQL(e *Engine, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sessionOf(e).Exec(p, nil)
+	res, err := sessionOf(e).Exec(p, nil)
+	// The session is shared: what a test reads later must be a copy.
+	return res.Clone(), err
 }
 
 // resolve returns the shared handle of a statement text, as every layer

@@ -38,6 +38,7 @@ func FuzzSelectVariants(f *testing.F) {
 			return
 		}
 		normal, nerr := s.Exec(p, nil)
+		normal = normal.Clone()
 		forced, ferr := s.ExecSelectVariant(p, plan.ForceFullScan, nil)
 		if (nerr == nil) != (ferr == nil) || (nerr != nil && nerr.Error() != ferr.Error()) {
 			t.Fatalf("%q: normal err = %v, forced full scan err = %v", sql, nerr, ferr)

@@ -342,18 +342,17 @@ func keyMatch(row []types.Value, cols []int, keys []int64) bool {
 	return true
 }
 
-// lookup returns the positions among rows (the probing table's first n,
-// as eqIndex returned it) whose key cells equal keys, in table order:
-// segments cover ascending row ranges and each chain ascends, and the
-// rows past the last segment ending at or below n are scanned. Only the
-// result allocates.
-func (ix *index) lookup(rows [][]types.Value, keys []int64) []int {
+// lookup appends to out the positions among rows (the probing table's
+// first n, as eqIndex returned it) whose key cells equal keys, in table
+// order: segments cover ascending row ranges and each chain ascends, and
+// the rows past the last segment ending at or below n are scanned. It
+// allocates only when out has no room left.
+func (ix *index) lookup(out []int, rows [][]types.Value, keys []int64) []int {
 	var h uint64
 	for _, k := range keys {
 		h = keyHash(h, k)
 	}
-	var buf [16]int
-	out, scan := buf[:0], 0
+	scan := 0
 	for i := range ix.segs {
 		s := &ix.segs[i]
 		if s.end > len(rows) {
@@ -371,10 +370,7 @@ func (ix *index) lookup(rows [][]types.Value, keys []int64) []int {
 			out = append(out, ri)
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return append([]int(nil), out...)
+	return out
 }
 
 // span returns the range of a sorted segment's entries whose key lies
@@ -390,11 +386,11 @@ func (s *seg) span(lo, hi int64, haveLo, haveHi bool) (int, int) {
 	return i, max(i, j)
 }
 
-// between returns the positions among rows (as for lookup) whose key
-// lies in the inclusive range [lo, hi] (either bound optional), sorted
-// into table order so index-backed execution emits rows exactly as a
-// full scan would. Only the result allocates.
-func (ix *index) between(rows [][]types.Value, lo, hi int64, haveLo, haveHi bool) []int {
+// between appends to out the positions among rows (as for lookup) whose
+// key lies in the inclusive range [lo, hi] (either bound optional),
+// sorted into table order so index-backed execution emits rows exactly
+// as a full scan would. It allocates only when out has no room for them.
+func (ix *index) between(out []int, rows [][]types.Value, lo, hi int64, haveLo, haveHi bool) []int {
 	size, scan := 0, 0
 	for i := range ix.segs {
 		if s := &ix.segs[i]; s.end <= len(rows) {
@@ -402,7 +398,8 @@ func (ix *index) between(rows [][]types.Value, lo, hi int64, haveLo, haveHi bool
 			size, scan = size+b-a, s.end
 		}
 	}
-	out := make([]int, 0, size+len(rows)-scan)
+	out = slices.Grow(out, size+len(rows)-scan)
+	from := len(out)
 	for i := range ix.segs {
 		if s := &ix.segs[i]; s.end <= len(rows) {
 			a, b := s.span(lo, hi, haveLo, haveHi)
@@ -421,6 +418,6 @@ func (ix *index) between(rows [][]types.Value, lo, hi int64, haveLo, haveHi bool
 		}
 		out = append(out, ri)
 	}
-	slices.Sort(out)
+	slices.Sort(out[from:])
 	return out
 }

@@ -57,7 +57,7 @@ func TestIndexMatchesScan(t *testing.T) {
 	s := buildHashSeg(few, []int{0}, 0, 3)
 	s.next[0], s.next[1] = 2, 3 // key 7's chain, rows 0 → 2, now runs 0 → 1 → 2
 	forged := &index{cols: []int{0}, n: 3, segs: []seg{s}}
-	if got := forged.lookup(few, []int64{7}); !slices.Equal(got, []int{0, 2}) {
+	if got := forged.lookup(nil, few, []int64{7}); !slices.Equal(got, []int{0, 2}) {
 		t.Fatalf("lookup of 7 through a chain that also links key 8: %v, want [0 2]", got)
 	}
 
@@ -153,7 +153,7 @@ func TestIndexMatchesScan(t *testing.T) {
 				t.Fatalf("%s: eqIndex%v served %d of %d rows (nil index: %v)", where, cols, n, len(rows), ix == nil)
 			}
 			note(tb, ix, n)
-			if got, want := ix.lookup(rows[:n], keys), scanEq(rows, cols, keys); !slices.Equal(got, want) {
+			if got, want := ix.lookup(nil, rows[:n], keys), scanEq(rows, cols, keys); !slices.Equal(got, want) {
 				t.Fatalf("%s: lookup%v of %v: %v, scan %v", where, cols, keys, got, want)
 			}
 		}
@@ -165,7 +165,7 @@ func TestIndexMatchesScan(t *testing.T) {
 				t.Fatalf("%s: rangeIndex(%d) served %d of %d rows (nil index: %v)", where, col, n, len(rows), ix == nil)
 			}
 			note(tb, ix, n)
-			got, want := ix.between(rows[:n], lo, hi, haveLo, haveHi), scanRange(rows, col, lo, hi, haveLo, haveHi)
+			got, want := ix.between(nil, rows[:n], lo, hi, haveLo, haveHi), scanRange(rows, col, lo, hi, haveLo, haveHi)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: between(%d, %d, %v, %v) on column %d: %v, scan %v", where, lo, hi, haveLo, haveHi, col, got, want)
 			}
@@ -265,15 +265,19 @@ func TestIndexAllocs(t *testing.T) {
 	if tail != 0 {
 		t.Errorf("probes served with a 5-row unindexed tail allocated %.0f, want 0", tail)
 	}
+	// A probe appends its positions to the caller's buffer: with room
+	// there, it allocates nothing.
 	ix, n := tb.ic.eqIndex(tb, cols)
-	for _, c := range []struct {
-		key  int64
-		want float64
-	}{{42, 1}, {103, 1}, {5000, 0}} {
-		keys := []int64{c.key}
-		if got := testing.AllocsPerRun(20, func() { ix.lookup(tb.Rows[:n], keys) }); got > c.want {
-			t.Errorf("lookup of %d allocated %.0f, want at most %.0f (its result)", c.key, got, c.want)
+	rx, rn := tb.ic.rangeIndex(tb, 1)
+	buf := make([]int, 0, 32)
+	for _, key := range []int64{42, 103, 5000} {
+		keys := []int64{key}
+		if got := testing.AllocsPerRun(20, func() { ix.lookup(buf, tb.Rows[:n], keys) }); got > 0 {
+			t.Errorf("lookup of %d allocated %.0f, want 0", key, got)
 		}
+	}
+	if got := testing.AllocsPerRun(20, func() { rx.between(buf, tb.Rows[:rn], 3, 3, true, true) }); got > 0 {
+		t.Errorf("a 15-row range probe allocated %.0f, want 0", got)
 	}
 }
 
@@ -345,6 +349,7 @@ func TestIndexLineageConcurrentProbes(t *testing.T) {
 							t.Errorf("%q: %v", sql, err)
 							return
 						}
+						res = res.Clone()
 						full, err := s.ExecSelectVariant(p, plan.ForceFullScan, nil)
 						if err != nil {
 							t.Errorf("%q forced: %v", sql, err)

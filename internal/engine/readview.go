@@ -617,7 +617,7 @@ func (s *Session) execSetTxn(st *ast.SetTxn) (*Result, error) {
 		s.defLevel = lvl
 		s.level = lvl
 	}
-	return &Result{Kind: ResultDDL}, nil
+	return s.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 // IsolationLevel reports the session's current isolation level (the

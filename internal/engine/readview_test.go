@@ -370,7 +370,7 @@ func TestOlderCaptureKeepsLineageCoverage(t *testing.T) {
 	const want = pinnedRows + appended
 	for _, s := range []*Session{latest, pinned} {
 		for _, q := range queries {
-			res := sexec(t, s, q)
+			res := sexec(t, s, q).Clone()
 			full, err := s.ExecSelectVariant(resolve(t, q), plan.ForceFullScan, nil)
 			if err != nil {
 				t.Fatal(err)

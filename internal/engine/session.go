@@ -242,6 +242,9 @@ var ErrSessionClosed = errors.New("session is closed")
 // view under the engine's read lock (parallel with writers); DML runs
 // under the read lock plus per-table latches; DDL, ROLLBACK and
 // DDL-publishing COMMITs take the write lock.
+//
+// The result is valid until the session's next Exec, ExecSelectVariant
+// or Close (Result).
 func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 	e := s.eng
 	s.startStatement()
@@ -338,9 +341,8 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 }
 
 // startStatement reclaims what the session's previous statement held:
-// its arena (results excepted, none of which came from it), its
-// uncorrelated selects' outputs, and the compile frames of a statement
-// a panic cut short.
+// its arena (its result too), its uncorrelated selects' outputs, and the
+// compile frames of a statement a panic cut short.
 func (s *Session) startStatement() {
 	s.mem.reset()
 	s.onceMem.reset()
@@ -500,7 +502,7 @@ func (s *Session) execBegin() (*Result, error) {
 	s.txnStmts = 0
 	s.pinned = nil
 	s.level = s.defLevel
-	return &Result{Kind: ResultDDL}, nil
+	return s.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 // execCommit commits the session's transaction: under the engine read
@@ -533,7 +535,7 @@ func (s *Session) execCommit() (*Result, error) {
 		e.commitSeq.Add(1)
 	}
 	e.commitMu.Unlock()
-	return &Result{Kind: ResultDDL}, nil
+	return s.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 func (s *Session) execRollback() (*Result, error) {
@@ -541,7 +543,7 @@ func (s *Session) execRollback() (*Result, error) {
 		return nil, ErrNoTransaction
 	}
 	s.rollbackLocked()
-	return &Result{Kind: ResultDDL}, nil
+	return s.mem.result(Result{Kind: ResultDDL}), nil
 }
 
 // rollbackLocked applies the undo log in reverse. Caller holds the

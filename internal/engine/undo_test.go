@@ -38,15 +38,15 @@ func TestWritePathAllocs(t *testing.T) {
 		s    *Session
 		args func(id int64) []types.Value
 	}{
-		{"BEGIN", 1, begin, w, nil},
-		{"INSERT", 3, ins, w, func(id int64) []types.Value {
+		{"BEGIN", 0, begin, w, nil},
+		{"INSERT", 2, ins, w, func(id int64) []types.Value {
 			return []types.Value{types.NewInt(id), types.NewInt(1), types.NewInt(2), types.NewString("c"), types.NewFloat(1.5), types.NewInt(5), types.NewInt(6)}
 		}},
-		{"UPDATE", 5, upd, w, func(id int64) []types.Value {
+		{"UPDATE", 3, upd, w, func(id int64) []types.Value {
 			return []types.Value{types.NewInt(7), types.NewInt(8), types.NewInt(id)}
 		}},
-		{"COMMIT", 1, commit, w, nil},
-		{"first SELECT", 15, sel, r, func(id int64) []types.Value { return []types.Value{types.NewInt(id)} }},
+		{"COMMIT", 0, commit, w, nil},
+		{"first SELECT", 10, sel, r, func(id int64) []types.Value { return []types.Value{types.NewInt(id)} }},
 	}
 	// Each step is counted on its own (runtime.MemStats around it); the
 	// argument vectors are built outside the counted region.

@@ -87,21 +87,23 @@ type Finding struct {
 
 // Check runs every armed oracle that applies to the SELECT against the
 // endpoint's already-produced base result, which must be the last
-// statement the executor ran. checked lists the oracles whose relation
-// was actually evaluated (the coverage "hits" signal); findings lists
-// the violations. A rewrite that errors makes its oracle inapplicable
-// rather than a finding: removing or widening a WHERE can legitimately
-// surface row-evaluation errors (e.g. a division the original predicate
-// filtered out), and an execution error is never evidence about the
-// base result's correctness. Plan is the exception: it re-runs the
+// statement the executor ran (Check reads a copy of it: the rewrites
+// run on the session whose next statement reclaims it). checked lists
+// the oracles whose relation was actually evaluated (the coverage "hits"
+// signal); findings lists the violations. A rewrite that errors makes
+// its oracle inapplicable rather than a finding: removing or widening a
+// WHERE can legitimately surface row-evaluation errors (e.g. a division
+// the original predicate filtered out), and an execution error is never
+// evidence about the base result's correctness. Plan is the exception: it re-runs the
 // statement itself, so its forced run failing is a finding.
 func Check(ex Executor, p *stmt.Parsed, args []types.Value, base *engine.Result, armed []Oracle) (checked []Oracle, findings []Finding) {
 	sel := p.Select
-	if base == nil {
+	if base == nil || len(armed) == 0 {
 		return nil, nil
 	}
 	// The base execution's plan, read before any rewrite replaces it.
 	normal := ex.LastPlan()
+	base = base.Clone()
 	plain := structurallyPlain(sel)
 	run := func(rw *ast.Select, force engplan.Force) (*engine.Result, error) {
 		return ex.ExecVariant(p.Rewritten(rw), force, args...)
@@ -282,17 +284,8 @@ func rewrite(sel *ast.Select, where ast.Expr) *ast.Select {
 // (the TRUE partition, as actually served) plus the NOT-p and p-IS-NULL
 // partitions must union to the unpartitioned query.
 func checkTLPRows(run runner, sel *ast.Select, base *engine.Result) (bool, *Finding) {
-	_, pFalse, pNull := Partitions(sel.Where)
-	q0, err := run(rewrite(sel, nil), engplan.ForceAuto)
-	if err != nil {
-		return false, nil
-	}
-	rf, err := run(rewrite(sel, pFalse), engplan.ForceAuto)
-	if err != nil {
-		return false, nil
-	}
-	rn, err := run(rewrite(sel, pNull), engplan.ForceAuto)
-	if err != nil {
+	q0, rf, rn, ok := runPartitions(run, sel)
+	if !ok {
 		return false, nil
 	}
 	union := &engine.Result{Kind: q0.Kind, Columns: base.Columns}
@@ -315,17 +308,8 @@ func checkTLPRows(run runner, sel *ast.Select, base *engine.Result) (bool, *Find
 // of the same aggregate over the three partitions (the base result
 // supplying the TRUE partition's value).
 func checkTLPAgg(run runner, sel *ast.Select, base *engine.Result) (bool, *Finding) {
-	_, pFalse, pNull := Partitions(sel.Where)
-	q0, err := run(rewrite(sel, nil), engplan.ForceAuto)
-	if err != nil {
-		return false, nil
-	}
-	rf, err := run(rewrite(sel, pFalse), engplan.ForceAuto)
-	if err != nil {
-		return false, nil
-	}
-	rn, err := run(rewrite(sel, pNull), engplan.ForceAuto)
-	if err != nil {
+	q0, rf, rn, ok := runPartitions(run, sel)
+	if !ok {
 		return false, nil
 	}
 	if len(base.Rows) != 1 || len(q0.Rows) != 1 || len(rf.Rows) != 1 || len(rn.Rows) != 1 {
@@ -344,6 +328,29 @@ func checkTLPAgg(run runner, sel *ast.Select, base *engine.Result) (bool, *Findi
 		}
 	}
 	return true, nil
+}
+
+// runPartitions runs the unpartitioned query and the NOT-p and
+// p-IS-NULL partitions, one after the other on one session: each but
+// the last is copied before the next reclaims it. ok is false when one
+// fails.
+func runPartitions(run runner, sel *ast.Select) (q0, rf, rn *engine.Result, ok bool) {
+	_, pFalse, pNull := Partitions(sel.Where)
+	q0, err := run(rewrite(sel, nil), engplan.ForceAuto)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	q0 = q0.Clone()
+	rf, err = run(rewrite(sel, pFalse), engplan.ForceAuto)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	rf = rf.Clone()
+	rn, err = run(rewrite(sel, pNull), engplan.ForceAuto)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	return q0, rf, rn, true
 }
 
 // additive checks whole == sum(parts) under SQL aggregate semantics: a

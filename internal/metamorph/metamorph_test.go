@@ -3,6 +3,7 @@ package metamorph_test
 import (
 	"testing"
 
+	"divsql/internal/engine"
 	engplan "divsql/internal/engine/plan"
 	"divsql/internal/metamorph"
 	"divsql/internal/qgen"
@@ -160,5 +161,52 @@ func TestUnforcedRewriteRunsItsOwnPlan(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
 		t.Errorf("unforced rewrite returned %v, want the one row C1 = 1", res.Rows)
+	}
+}
+
+// Every oracle re-runs statements on the session whose base result it
+// judges, and that session's next statement reclaims the base (and each
+// TLP partition in turn). Under poison (poison_test.go), all four armed
+// on one statement whose base has rows still check it — silent on the
+// served answer, and each convicting the answer with a row dropped.
+func TestCheckReadsTheBaseAcrossItsReruns(t *testing.T) {
+	orc := server.NewOracle()
+	sess := orc.NewSession()
+	defer sess.Close()
+	for _, s := range []string{
+		"CREATE TABLE T1 (C1 INT PRIMARY KEY, C2 INT)",
+		"INSERT INTO T1 (C1, C2) VALUES (1, 10), (2, NULL), (3, 30), (4, 40)",
+	} {
+		if _, _, err := sess.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	const q = "SELECT C1 AS X1, C2 AS X2 FROM T1 WHERE C2 > 15"
+	p, err := stmt.Resolve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *engine.Result {
+		res, _, err := sess.Exec(q)
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("%s: %v, err %v", q, res, err)
+		}
+		return res
+	}
+	checked, findings := metamorph.Check(sess, p, nil, run(), metamorph.Oracles)
+	if len(checked) != len(metamorph.Oracles) || len(findings) != 0 {
+		t.Errorf("served answer: checked %v, findings %v; want all four checked, none convicting", checked, findings)
+	}
+	short := run().Clone()
+	short.Rows = short.Rows[:1]
+	_, findings = metamorph.Check(sess, p, nil, short, metamorph.Oracles)
+	convicted := map[metamorph.Oracle]bool{}
+	for _, f := range findings {
+		convicted[f.Oracle] = true
+	}
+	for _, o := range metamorph.Oracles {
+		if !convicted[o] {
+			t.Errorf("%s did not convict an answer missing a row: %v", o, findings)
+		}
 	}
 }

@@ -49,6 +49,7 @@ package middleware
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -248,7 +249,12 @@ type Session struct {
 	d *DiverseServer
 	// mu serializes statements of this session (a session is one client).
 	mu   sync.Mutex
-	subs []*server.Session // index-aligned with d.replicas
+	subs []*server.Session // index-aligned with d.replicas; written under d.mu
+	// retired holds, per replica, the session a rejoin replaced in subs
+	// since this session's last statement (see flushPendingResyncs), nil
+	// where none; closed when this session next rebuilds its active set.
+	// Index-aligned with d.replicas and guarded by d.mu.
+	retired []*server.Session
 
 	// active is this session's view of the active (non-quarantined)
 	// replicas, in replica order, as of active-set number activeGen;
@@ -287,7 +293,7 @@ type redo struct {
 func (d *DiverseServer) NewSession() *Session {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cs := &Session{d: d}
+	cs := &Session{d: d, retired: make([]*server.Session, len(d.replicas))}
 	for _, r := range d.replicas {
 		cs.subs = append(cs.subs, r.srv.NewSession())
 	}
@@ -320,6 +326,12 @@ func (cs *Session) refreshActive() {
 // held.
 func (cs *Session) rebuildActiveLocked() {
 	d := cs.d
+	for i, old := range cs.retired {
+		if old != nil {
+			_ = old.Close() // the rejoin's Restore discarded its transaction: nothing to roll back
+			cs.retired[i] = nil
+		}
+	}
 	cs.activeGen = d.setGen.Load()
 	cs.active, cs.results = cs.active[:0], cs.results[:0]
 	for i, r := range d.replicas {
@@ -365,8 +377,12 @@ func (cs *Session) Close() error {
 	d.mu.Lock()
 	delete(d.sessions, cs)
 	d.mu.Unlock()
+	// No rejoin reaches cs now: subs and retired are settled.
 	var first error
-	for _, sub := range cs.subs {
+	for _, sub := range slices.Concat(cs.subs, cs.retired) {
+		if sub == nil {
+			continue
+		}
 		if err := sub.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -717,6 +733,12 @@ func (cs *Session) execAdjudicated(b *boundStmt, query, exclusive bool) (*engine
 
 	// Value containment: outvoted or split results.
 	if len(verdict.Outliers) > 0 {
+		// A split is described before the outliers are asked again: the
+		// rephrased run reclaims an outlier's result.
+		var split string
+		if !verdict.Majority {
+			split = core.Diff(results[verdict.AgreeIdx[0]].Res, results[verdict.Outliers[0]].Res, opts)
+		}
 		// Only a query's outliers are asked again: an outvoted write has
 		// been applied, and any second form of it would apply it twice.
 		if !query || !d.tryRephrase(active, verdict, b) {
@@ -727,10 +749,7 @@ func (cs *Session) execAdjudicated(b *boundStmt, query, exclusive bool) (*engine
 				}
 			} else {
 				d.metrics.DetectedSplits++
-				return nil, lat, &DivergenceError{
-					Replicas: replicaNames(results),
-					Detail:   core.Diff(results[verdict.AgreeIdx[0]].Res, results[verdict.Outliers[0]].Res, opts),
-				}
+				return nil, lat, &DivergenceError{Replicas: replicaNames(results), Detail: split}
 			}
 		}
 	}
@@ -903,6 +922,18 @@ func (cs *Session) resyncPending() bool {
 // written is replayed rephrased, as it ran live: dropping it would commit
 // the transaction without it and rejoin the replica diverged. What no
 // rule rewrites fails there again and is outvoted at the next statement.
+//
+// A client with something to replay gets a new session on the replica
+// for it, not its old one there: a client between statements may still
+// read the result its last statement returned, which came from its
+// session on some replica — this one, when it agreed then — and which
+// that session's next statement would reclaim. The old session is
+// retired, and closed at the client's next statement
+// (rebuildActiveLocked). A session an earlier rejoin made, which the
+// client has run nothing on since, holds none of its results and is
+// closed at once, so a client idle across many rejoins keeps at most one
+// retired session per replica. A client with nothing to replay keeps its
+// session: no statement runs on it.
 func (d *DiverseServer) flushPendingResyncs() {
 	for idx, r := range d.replicas {
 		if !r.quarantined {
@@ -916,18 +947,28 @@ func (d *DiverseServer) flushPendingResyncs() {
 		snap := donor.srv.Snapshot()
 		r.srv.Restore(snap)
 		for cs := range d.sessions {
+			if cs.isoStmt == nil && !cs.inTxn {
+				continue
+			}
+			if cs.retired[idx] == nil {
+				cs.retired[idx] = cs.subs[idx]
+			} else {
+				_ = cs.subs[idx].Close()
+			}
+			sub := r.srv.NewSession()
+			cs.subs[idx] = sub
 			if cs.isoStmt != nil {
 				// Restore the session-default isolation level first: the
 				// journal below may open a transaction that inherits it.
 				// A replica whose dialect rejects the level fails here
 				// exactly as it did live.
-				d.replay(cs.subs[idx], redo{p: cs.isoStmt})
+				d.replay(sub, redo{p: cs.isoStmt})
 			}
 			if !cs.inTxn {
 				continue
 			}
 			for _, entry := range cs.journal {
-				d.replay(cs.subs[idx], entry)
+				d.replay(sub, entry)
 				d.metrics.JournalReplays++
 			}
 		}

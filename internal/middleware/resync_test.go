@@ -8,6 +8,7 @@ import (
 	"divsql/internal/dialect"
 	"divsql/internal/fault"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/types"
 )
 
 // The acceptance scenario for live resync: donor sessions hold open
@@ -237,5 +238,70 @@ func TestCommentedBeginOpensTheJournal(t *testing.T) {
 				t.Errorf("MS holds %d rows of the committed transaction, want 2", len(rows))
 			}
 		})
+	}
+}
+
+// A client's last result stays readable while other sessions'
+// statements rejoin the replica that supplied it: each rejoin replays the
+// client's open transaction into a new session on that replica, not into
+// the one whose next statement would reclaim the result. Idle across
+// rejoins, the client holds one retired session on the replica, not one
+// per rejoin, and its next statement closes it; a client with nothing to
+// replay keeps its session. OR runs first, so it supplies every unanimous
+// answer.
+func TestRejoinKeepsAClientsResult(t *testing.T) {
+	faults := []fault.Fault{{
+		BugID:   "poison",
+		Server:  dialect.OR,
+		Trigger: fault.Trigger{Table: "POISON", Flag: ast.FlagInsert},
+		Effect:  fault.Effect{Kind: fault.EffectError, Message: "spurious internal failure"},
+	}}
+	servers := newServers(t, faults, dialect.OR, dialect.PG, dialect.IB)
+	d, err := New(DefaultConfig(), servers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	or := servers[0]
+	sess := d.NewSession()
+	defer sess.Close()
+	mustExec(t, sess, "CREATE TABLE POISON (A INT)")
+	mustExec(t, sess, "CREATE TABLE HELD (A INT)")
+	holder := d.NewSession()
+	defer holder.Close()
+	mustExec(t, holder, "BEGIN TRANSACTION")
+	mustExec(t, holder, "INSERT INTO HELD VALUES (7)")
+	res, _, err := holder.Exec("SELECT A FROM HELD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := d.NewSession() // nothing to replay: no transaction, no isolation level
+	defer idle.Close()
+	const live = 3 // sess, holder and idle, none with a retired session
+	if n := or.SessionCount(); n != live {
+		t.Fatalf("OR holds %d sessions, want %d", n, live)
+	}
+
+	mustExec(t, sess, "INSERT INTO POISON VALUES (1)") // OR is outvoted
+	for rejoins := int64(1); rejoins <= 2; rejoins++ {
+		// OR rejoins before each insert, and is outvoted again by it.
+		mustExec(t, sess, fmt.Sprintf("INSERT INTO POISON VALUES (%d)", rejoins+1))
+		if m := d.Metrics(); m.Resyncs != rejoins || m.JournalReplays != 2*rejoins {
+			t.Fatalf("want %d rejoins, each replaying the holder's journal: %+v", rejoins, m)
+		}
+		if n := or.SessionCount(); n != live+1 {
+			t.Errorf("after rejoin %d OR holds %d sessions, want %d: the holder's retired one and its new one", rejoins, n, live+1)
+		}
+	}
+	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0][0] != types.NewInt(7) {
+		t.Errorf("the holder's result reads %v after the rejoins, want [[7]]", res.Rows)
+	}
+	mustExec(t, holder, "INSERT INTO HELD VALUES (8)") // OR rejoins once more
+	if n := or.SessionCount(); n != live {
+		t.Errorf("after the holder's next statement OR holds %d sessions, want %d", n, live)
+	}
+	mustExec(t, holder, "COMMIT")
+	res, _, err = holder.Exec("SELECT COUNT(*) AS N FROM HELD")
+	if err != nil || len(d.QuarantinedReplicas()) != 0 || res.Rows[0][0] != types.NewInt(2) {
+		t.Fatalf("after the commit: %v, err %v, quarantined %v", res, err, d.QuarantinedReplicas())
 	}
 }

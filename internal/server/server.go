@@ -240,6 +240,10 @@ func (s *Server) Accepts(p *stmt.Parsed) error {
 // with ErrCrashed, so a replicated deployment outvotes, restarts and
 // resynchronizes this server instead of dying with it on whichever
 // goroutine happened to be executing the replica.
+//
+// The result is the engine session's: valid until this session's next
+// Run, Exec, ExecVariant or Close (engine.Result). A fault that mutates
+// a result mutates a copy (fault.Apply), never the engine's.
 func (c *Session) Run(p *stmt.Parsed, args []types.Value) (res *engine.Result, latency time.Duration, err error) {
 	s := c.srv
 	s.mu.Lock()
@@ -359,6 +363,9 @@ func (s *Server) Snapshot() *engine.State {
 // CommitSeq returns the engine's commit high-water mark (stamped into
 // snapshots, used to anchor resync redo).
 func (s *Server) CommitSeq() uint64 { return s.eng.CommitSeq() }
+
+// SessionCount reports the number of live sessions on the server.
+func (s *Server) SessionCount() int { return s.eng.SessionCount() }
 
 // Restore replaces the engine state (used for replica resync). Open
 // transactions on every session are discarded.

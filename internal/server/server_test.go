@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"divsql/internal/dialect"
+	engplan "divsql/internal/engine/plan"
 	"divsql/internal/fault"
 	"divsql/internal/obs"
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 )
 
 func TestNewServersForAllNames(t *testing.T) {
@@ -329,6 +331,37 @@ func TestLPADLengthsDoNotCrash(t *testing.T) {
 			case err != nil || len(res.Rows) != 1 || res.Rows[0][0].String() != want:
 				t.Errorf("%s %s: got %v, %v; want %q", name, sql, res, err, want)
 			}
+		}
+	}
+}
+
+// A result mutation changes a copy: the column names of an engine
+// result are the plan's, shared by every execution of it, so a fault
+// that blanks them must leave the next execution's names intact.
+func TestBlankColumnsFaultLeavesThePlanNames(t *testing.T) {
+	s, _ := New(dialect.OR, []fault.Fault{{
+		BugID:   "blank-bug",
+		Server:  dialect.OR,
+		Trigger: fault.Trigger{Table: "BL", Flag: ast.FlagSelect},
+		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutBlankColumns},
+	}})
+	sess := s.NewSession()
+	if _, _, err := sess.Exec("CREATE TABLE BL (K INT, V INT)"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := stmt.Resolve("SELECT K, V FROM BL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, _, err := sess.Run(p, nil)
+		if err != nil || len(res.Columns) != 2 || res.Columns[0] != "" || res.Columns[1] != "" {
+			t.Fatalf("faulted run %d: columns %q, err %v, want two blanks", i, res.Columns, err)
+		}
+		// The same plan, past the fault layer.
+		res, err = sess.ExecVariant(p, engplan.ForceAuto)
+		if err != nil || len(res.Columns) != 2 || res.Columns[0] != "K" || res.Columns[1] != "V" {
+			t.Fatalf("unfaulted run %d: columns %q, err %v, want [K V]", i, res.Columns, err)
 		}
 	}
 }

@@ -34,7 +34,8 @@ func (o Outcome) query() bool { return o.P != nil && o.P.Select != nil }
 // bound form (core.EncodeBound) replay through the session's prepare/bind
 // path, so parameterized divergence reports shrink and replay like any
 // other stream. Each statement is resolved here, once: the endpoint's own
-// resolve of the same text is an intern hit.
+// resolve of the same text is an intern hit. Every outcome outlives the
+// statements after it, so each holds a copy of its result.
 func RunSource(ep core.SessionExecutor, stmts []string) []Outcome {
 	exec := ep.OpenSession()
 	defer exec.Close()
@@ -43,7 +44,7 @@ func RunSource(ep core.SessionExecutor, stmts []string) []Outcome {
 		sql, _, _ := core.DecodeBound(entry)
 		p, _ := stmt.Resolve(sql) // text that does not parse has no handle; the endpoint reports the error
 		res, lat, err := core.ExecEntry(exec, entry)
-		out := Outcome{SQL: entry, P: p, Res: res, Err: err, Latency: lat, Crashed: errors.Is(err, server.ErrCrashed)}
+		out := Outcome{SQL: entry, P: p, Res: res.Clone(), Err: err, Latency: lat, Crashed: errors.Is(err, server.ErrCrashed)}
 		outcomes = append(outcomes, out)
 		if out.Crashed {
 			break

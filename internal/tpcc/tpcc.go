@@ -673,12 +673,15 @@ func (d *Driver) stockLevel(exec core.Executor) (int, time.Duration, error) {
 //   - every district's D_NEXT_O_ID equals 1 + its greatest order id;
 //   - every warehouse's W_YTD equals the sum of its districts' D_YTD;
 //   - every order has exactly O_OL_CNT order lines.
+//
+// Each check runs a statement per row of an outer query on the same
+// executor, so it walks a copy of the outer result.
 func CheckConsistency(exec core.Executor) error {
 	res, _, err := exec.Exec("SELECT D_W_ID, D_ID, D_NEXT_O_ID FROM DISTRICT ORDER BY D_W_ID, D_ID")
 	if err != nil {
 		return fmt.Errorf("consistency: %w", err)
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.Clone().Rows {
 		w, dID, next := row[0].AsInt(), row[1].AsInt(), row[2].AsInt()
 		mres, _, err := exec.Exec(fmt.Sprintf(
 			"SELECT MAX(O_ID) AS M FROM ORDERS WHERE O_W_ID = %d AND O_D_ID = %d", w, dID))
@@ -697,7 +700,7 @@ func CheckConsistency(exec core.Executor) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.Clone().Rows {
 		w, ytd := row[0].AsInt(), row[1].AsFloat()
 		sres, _, err := exec.Exec(fmt.Sprintf("SELECT SUM(D_YTD) AS S FROM DISTRICT WHERE D_W_ID = %d", w))
 		if err != nil {
@@ -715,7 +718,7 @@ func CheckConsistency(exec core.Executor) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.Clone().Rows {
 		w, dID, oid, cnt := row[0].AsInt(), row[1].AsInt(), row[2].AsInt(), row[3].AsInt()
 		cres, _, err := exec.Exec(fmt.Sprintf(
 			"SELECT COUNT(*) AS N FROM ORDER_LINE WHERE OL_W_ID = %d AND OL_D_ID = %d AND OL_O_ID = %d", w, dID, oid))

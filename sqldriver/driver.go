@@ -286,6 +286,9 @@ func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
 	if res == nil || res.Kind != engine.ResultRows {
 		return &rows{}, nil
 	}
+	// The rows are read while the connection runs other statements: an
+	// in-process result lives only until its session's next one.
+	res = res.Clone()
 	return &rows{cols: res.Columns, data: res.Rows}, nil
 }
 
