@@ -635,9 +635,7 @@ func BenchmarkMaskingAblation(b *testing.B) {
 		{"diverse-pair-PG+OR", func() core.SessionExecutor {
 			s1, _ := server.New(dialect.PG, nil)
 			s2, _ := server.New(dialect.OR, nil)
-			cfg := middleware.DefaultConfig()
-			cfg.Rephrase = false
-			d, _ := middleware.New(cfg, s1, s2)
+			d, _ := middleware.New(middleware.DefaultConfig(), s1, s2)
 			return d
 		}},
 		{"diverse-triple-PG+OR+IB", func() core.SessionExecutor {

@@ -196,12 +196,11 @@ type Option func(*options)
 
 type options struct {
 	withFaults bool
-	rephrase   bool
 }
 
 // resolve applies opts over the defaults.
 func resolve(opts []Option) options {
-	o := options{withFaults: true, rephrase: true}
+	o := options{withFaults: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -212,10 +211,6 @@ func resolve(opts []Option) options {
 // into the simulated servers (default true). Disable it to get
 // idealized fault-free servers.
 func WithFaults(on bool) Option { return func(o *options) { o.withFaults = on } }
-
-// WithRephrasing controls the query-rephrasing retry of the diverse
-// middleware (default true).
-func WithRephrasing(on bool) Option { return func(o *options) { o.rephrase = on } }
 
 // newServers builds one simulated server per name and the options.
 func newServers(o options, names ...ServerName) ([]*server.Server, error) {
@@ -241,7 +236,6 @@ func newReplicaSet(o options, wallClock bool, names ...ServerName) (*middleware.
 		return nil, err
 	}
 	cfg := middleware.DefaultConfig()
-	cfg.Rephrase = o.rephrase
 	cfg.WallClock = wallClock
 	return middleware.New(cfg, servers...)
 }

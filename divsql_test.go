@@ -172,6 +172,32 @@ func TestEngineReadsTablesFromTheHandle(t *testing.T) {
 	}
 }
 
+// TestPlanVocabularyImportsNoSQL: package plan is the vocabulary the
+// layers above the engine read; the rules that choose a plan are the
+// engine's and read its lowered predicates, so plan resolves no names
+// and imports no SQL package.
+func TestPlanVocabularyImportsNoSQL(t *testing.T) {
+	files, err := filepath.Glob("internal/engine/plan/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := goparser.ParseFile(fset, path, nil, goparser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "divsql/internal/sql" || strings.HasPrefix(p, "divsql/internal/sql/") {
+				t.Errorf("%s: package plan imports %s", fset.Position(imp.Pos()), p)
+			}
+		}
+	}
+}
+
 // callsInto returns the calls a Go file makes to the named functions of
 // the package at importPath.
 func callsInto(t *testing.T, fset *token.FileSet, path, importPath string, funcs ...string) []*ast.SelectorExpr {
@@ -267,7 +293,7 @@ func TestOpenDiverseMasksInjectedFault(t *testing.T) {
 }
 
 func TestOpenDiversePairDetects(t *testing.T) {
-	db, err := OpenDiverseWith([]Option{WithRephrasing(false)}, PG, OR)
+	db, err := OpenDiverse(PG, OR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,6 @@ type ShardedConfig struct {
 	// Shards is the number of diverse replica sets behind the router
 	// (0: 2).
 	Shards int
-	// Servers are the replicas inside every shard (nil: all four).
-	Servers []dialect.ServerName
 }
 
 // ShardedDivergence is one statement whose outcome through the sharded
@@ -82,15 +80,12 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	if len(cfg.Servers) == 0 {
-		cfg.Servers = append([]dialect.ServerName(nil), dialect.AllServers...)
-	}
 
 	mcfg := middleware.DefaultConfig()
 	backends := make([]shard.Backend, 0, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		servers := make([]*server.Server, 0, len(cfg.Servers))
-		for _, name := range cfg.Servers {
+		servers := make([]*server.Server, 0, len(dialect.AllServers))
+		for _, name := range dialect.AllServers {
 			srv, err := server.New(name, nil)
 			if err != nil {
 				return nil, err

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"divsql/internal/sql/types"
@@ -32,6 +34,9 @@ type arena struct {
 	// results holds the statement's Result. It is taken once, after every
 	// evaluation of the statement, so no rewind reaches it.
 	results slab[Result]
+	// poison is what the last reset filled reclaimed memory with, and what
+	// a rewind fills it with until the next, in poison mode.
+	poison poisonFill
 }
 
 // A slab keeps, at reset, its largest chunk within these element counts
@@ -54,23 +59,61 @@ const (
 	minChunk = 64
 )
 
-// poisonReclaimed makes reset fill reclaimed values with poisonValue,
-// row headers with nil and results with poisonResult instead of zeroing
+// poisonReclaimed makes reset fill reclaimed values, row headers and
+// results with a poison fill (nil for row headers) instead of zeroing
 // them, and keeps what a statement used out of the next statement's
 // reach, so a row or result kept past its statement reads garbage that
 // fails loudly, never the next statement's data. Test-only
 // (PoisonReclaimed).
 var poisonReclaimed atomic.Bool
 
-// poisonText is the sentinel a reclaimed value or column name reads.
+// poisonText begins every sentinel a reclaimed value or column name
+// reads; the number of the reset that filled it, modulo 4 096, follows
+// in three hex digits.
 const poisonText = "\x00reclaimed by the statement arena\x00"
 
-// poisonValue is what a reclaimed arena value reads in poison mode.
-var poisonValue = types.NewString(poisonText)
+// poisonFill is what one reset fills reclaimed memory with in poison
+// mode: a value reading its sentinel, and a result with no kind, a
+// negative count, and one row and column of it. Each reset has its own,
+// so what two statements left behind never reads equal: two kept
+// results compared with each other disagree instead of agreeing on one
+// shared sentinel.
+type poisonFill struct {
+	val types.Value
+	res Result
+}
 
-// poisonResult is what a reclaimed Result reads in poison mode: no kind,
-// a negative count, and one row and column of the sentinel.
-var poisonResult = Result{Columns: []string{poisonText}, Rows: [][]types.Value{{poisonValue}}, Affected: -1}
+// poisonResets numbers the resets of every session's arenas in poison
+// mode; reset n fills with poisonRing()[n % poisonRingLen]. The ring is
+// built once, on first use, so a reset allocates nothing: a kept result
+// only reads equal to one kept a multiple of 4 096 resets apart.
+var poisonResets atomic.Uint64
+
+const poisonRingLen = 4096
+
+var poisonRing = sync.OnceValue(func() []poisonFill {
+	w := len(poisonText) + 3
+	var b strings.Builder
+	b.Grow(poisonRingLen * w)
+	for i := range poisonRingLen {
+		b.WriteString(poisonText)
+		for shift := 8; shift >= 0; shift -= 4 {
+			b.WriteByte("0123456789abcdef"[i>>shift&15])
+		}
+	}
+	text := b.String()
+	vals := make([]types.Value, poisonRingLen)
+	rows := make([][]types.Value, poisonRingLen)
+	cols := make([]string, poisonRingLen)
+	ring := make([]poisonFill, poisonRingLen)
+	for i := range ring {
+		cols[i] = text[i*w : (i+1)*w]
+		vals[i] = types.NewString(cols[i])
+		rows[i] = vals[i : i+1 : i+1]
+		ring[i] = poisonFill{vals[i], Result{Columns: cols[i : i+1 : i+1], Rows: rows[i : i+1 : i+1], Affected: -1}}
+	}
+	return ring
+})
 
 // PoisonReclaimed arms or disarms poison mode for every session's
 // arena. Test-only: the test binaries of every package that executes
@@ -97,7 +140,7 @@ func (a *arena) mark() mark {
 // time, not one per row.
 func (a *arena) rewind(m mark) {
 	poison := poisonReclaimed.Load()
-	a.vals.rewind(m.vals, poisonValue, poison)
+	a.vals.rewind(m.vals, a.poison.val, poison)
 	a.rows.rewind(m.rows, nil, poison)
 	a.ints.rewind(m.ints, 0, false)
 	a.envs.rewind(m.envs, env{}, false)
@@ -106,11 +149,14 @@ func (a *arena) rewind(m mark) {
 // reset reclaims everything the arena handed out since the last reset.
 func (a *arena) reset() {
 	poison := poisonReclaimed.Load()
-	a.vals.reset(poisonValue, poison, keepVals)
+	if poison {
+		a.poison = poisonRing()[poisonResets.Add(1)%poisonRingLen]
+	}
+	a.vals.reset(a.poison.val, poison, keepVals)
 	a.rows.reset(nil, poison, keepRows)
 	a.ints.reset(0, false, keepInts)
 	a.envs.reset(env{}, false, keepEnvs)
-	a.results.reset(poisonResult, poison, keepResults)
+	a.results.reset(a.poison.res, poison, keepResults)
 }
 
 // slab hands out slices carved from chunks of T. The chunk being carved

@@ -11,6 +11,11 @@ import (
 	"divsql/internal/sql/types"
 )
 
+// isPoison reports whether v reads a poison sentinel, of any reset.
+func isPoison(v types.Value) bool {
+	return v.K == types.KindString && strings.HasPrefix(v.S, poisonText)
+}
+
 // A row the arena handed out reads the poison sentinel once the session's
 // next statement starts — poison mode is armed for this package's tests
 // (poison_test.go) — and zeroes when it is off. The chunk a small
@@ -22,7 +27,7 @@ func TestArenaPoisonsReclaimedRows(t *testing.T) {
 	row := s.mem.table(1, 2)[0]
 	row[0], row[1] = types.NewInt(7), types.NewString("kept")
 	sessExec(t, s, "BEGIN") // a statement that takes nothing from the arena
-	if row[0] != poisonValue || row[1] != poisonValue {
+	if !isPoison(row[0]) || !isPoison(row[1]) {
 		t.Fatalf("a retained arena row reads %v after a reset, want the poison sentinel", row)
 	}
 	if got := s.mem.values(2); got[0] != (types.Value{}) || got[1] != (types.Value{}) {
@@ -190,11 +195,11 @@ func TestResultLivesUntilTheNextStatement(t *testing.T) {
 		}
 		kept, row := res.Clone(), res.Rows[0]
 		sessExec(t, s, next)
-		if res.Kind != 0 || res.Affected != -1 || !reflect.DeepEqual(res.Columns, []string{poisonText}) ||
-			!reflect.DeepEqual(res.Rows, [][]types.Value{{poisonValue}}) {
+		if res.Kind != 0 || res.Affected != -1 || len(res.Columns) != 1 || !strings.HasPrefix(res.Columns[0], poisonText) ||
+			len(res.Rows) != 1 || len(res.Rows[0]) != 1 || !isPoison(res.Rows[0][0]) {
 			t.Errorf("after %q the result reads %+v, want the poison", next, *res)
 		}
-		if row[0] != poisonValue || row[1] != poisonValue {
+		if !isPoison(row[0]) || !isPoison(row[1]) {
 			t.Errorf("after %q its first row reads %v, want the poison", next, row)
 		}
 		if got := rowStrings(kept); kept.Kind != ResultRows || !reflect.DeepEqual(kept.Columns, []string{"K", "V"}) ||
@@ -205,5 +210,42 @@ func TestResultLivesUntilTheNextStatement(t *testing.T) {
 	}
 	if res := sessExec(t, s, "SELECT K, V FROM RL ORDER BY K"); !reflect.DeepEqual(res.Columns, []string{"K", "V"}) {
 		t.Errorf("a clone's changed names reached the plan's: %q", res.Columns)
+	}
+}
+
+// Each reset poisons with its own sentinel: two sessions that each keep
+// a result past their next statement read two different ones, so a
+// comparison of the two stale results disagrees instead of passing as
+// agreement.
+func TestKeptResultsReadDistinctPoison(t *testing.T) {
+	e := NewOracle()
+	a, b := e.NewSession(), e.NewSession()
+	sessExec(t, a, "CREATE TABLE KP (K INT, V VARCHAR(5))")
+	sessExec(t, a, "INSERT INTO KP VALUES (1, 'a'), (2, 'b')")
+	p := resolve(t, "SELECT K, V FROM KP ORDER BY K")
+	var kept [2]*Result
+	var rows [2][]types.Value
+	for i, s := range []*Session{a, b} {
+		res, err := s.Exec(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[i], rows[i] = res, res.Rows[0]
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Fatalf("the two answers differ before any reset: %v, %v", rows[0], rows[1])
+	}
+	sessExec(t, a, "BEGIN")
+	sessExec(t, b, "BEGIN")
+	for i := range kept {
+		if !isPoison(rows[i][0]) || !isPoison(kept[i].Rows[0][0]) {
+			t.Fatalf("session %d's kept result reads %v, %v, want the poison", i, rows[i], kept[i].Rows)
+		}
+	}
+	if reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("two kept rows compare equal after their sessions' next statements: %q", rows[0][0].S)
+	}
+	if reflect.DeepEqual(kept[0], kept[1]) {
+		t.Errorf("two kept results compare equal after their sessions' next statements: %+v", *kept[0])
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +25,7 @@ import (
 // references, nested selects — each compiled against the scope it is met
 // in and held by the node that evaluates it — builtins, casts), *
 // expansion, output names, sort-key resolution and, for a core whose
-// FROM is exactly one base table, the access path (package plan). What
+// FROM is exactly one base table, the access path (access.go). What
 // it must not change is anything observable: a static error is recorded
 // on the step that would have raised it and replayed when execution
 // reaches that step, so errors keep their precedence — source
@@ -40,9 +39,9 @@ import (
 // of lifted literals — operands of a WHERE or JOIN ON predicate at any
 // depth and UPDATE SET values, outside function arguments. Lowering turns
 // each literal of the handle's Lits into a slot (slotX) that reads the
-// executing handle's value, and an access path's keys are lowered the
-// same way, so every text of a shape — inline or prepared, on every
-// session, layer and replica — runs one plan. Every other literal is
+// executing handle's value — an access path probes by those same nodes
+// — so every text of a shape — inline or prepared, on every session,
+// layer and replica — runs one plan. Every other literal is
 // part of the shape, because compilation reads it: a select list names
 // the result's columns, ORDER BY and GROUP BY may be positional, a
 // function's argument may name a sequence. A lifted literal is the
@@ -251,11 +250,6 @@ type fromStep struct {
 	key  *joinKey
 }
 
-// joinKey is a hash join's key: left and right index the rows of the
-// join's two inputs; maxParam is the highest parameter ordinal of the
-// select, for the bind-arity gate candidateRows applies too.
-type joinKey struct{ left, right, maxParam int }
-
 // source is one FROM reference. A base table is resolved by name per
 // execution, on the session's active read plane: a plan is shared across
 // views and sessions, and Restore and snapshot installs replace the
@@ -271,30 +265,6 @@ type source struct {
 }
 
 func (src *source) fails() bool { return src.err != nil || (src.sub != nil && src.sub.fails) }
-
-// tableMeta is the analyzer's image of one base table: columns, primary
-// key, and the secondary keysets usable for access paths — declared
-// indexes (sorted by index name, so access-path choice is deterministic)
-// and unique constraints.
-func tableMeta(t *Table, idxs map[string]*Index) plan.TableMeta {
-	m := plan.TableMeta{Name: t.Name, PK: t.PKCols}
-	m.Cols = make([]plan.ColMeta, len(t.Cols))
-	for i, col := range t.Cols {
-		m.Cols[i] = plan.ColMeta{Name: col.Name, Kind: col.Kind}
-	}
-	var names []string
-	for n, ix := range idxs {
-		if ix.Table == t.Name {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		m.Indexes = append(m.Indexes, idxs[n].Cols)
-	}
-	m.Indexes = append(m.Indexes, t.Uniques...)
-	return m
-}
 
 // compileSelect lowers one query expression. outer is the scope the
 // expression is met in (nil at top level): the enclosing query's, for
@@ -459,50 +429,11 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	}
 	if len(c.from) == 1 && c.from[0].sub == nil {
 		t, _ := s.lookupTable(c.from[0].name)
-		c.p = s.visitPlan(&l, t, up(sel.From[0].Table.Alias), sel.Where, c.where, ast.NumParams(sel), force)
-		cs.paths = append(cs.paths, plan.Core{Table: c.p.Table, Path: c.p.Path})
+		c.p = s.accessPath(t, c.where, ast.NumParams(sel), force)
+		cs.paths = append(cs.paths, plan.Core{Table: c.p.table, Path: c.p.path})
 	}
 	cs.adopt(&l.body)
 	c.names, c.projs, c.projErr = s.expandItems(items, exprs, cols, c.grouped)
-}
-
-// visit is the access plan of one base table's row visit, with the
-// values it probes by lowered where the predicate was: a lifted literal
-// among them reads the executing handle's value.
-type visit struct {
-	plan.SelectPlan
-	// keys are PointLookup's KeyVals, or RangeScan's Lo and Hi values (nil
-	// for an open end), lowered; kb holds them for up to four key columns.
-	keys []rexpr
-	kb   [4]rexpr
-}
-
-// visitPlan plans the row visit of one base table — a SELECT core's or
-// an UPDATE/DELETE's — under the predicate that filters it, lowered by l
-// as lw. Index skipping is only sound when evaluating the predicate can
-// never error: it is evaluated on every row otherwise, so one that can
-// fail keeps full-iteration semantics (and the analyzer is not asked).
-func (s *Session) visitPlan(l *lowering, t *Table, alias string, where ast.Expr, lw rexpr, maxParam int, force plan.Force) *visit {
-	if lw == nil || force == plan.ForceFullScan || lw.canFail() {
-		return &visit{SelectPlan: plan.SelectPlan{Table: t.Name, Alias: alias, MaxParam: maxParam}}
-	}
-	v := &visit{SelectPlan: plan.Analyze(tableMeta(t, s.catalogIndexes()), alias, where, maxParam, force)}
-	v.keys = v.kb[:0]
-	switch v.Path {
-	case plan.PointLookup:
-		for _, x := range v.KeyVals {
-			v.keys = append(v.keys, l.lower(x, nil, false))
-		}
-	case plan.RangeScan:
-		for _, b := range []*plan.Bound{v.Lo, v.Hi} {
-			var x rexpr
-			if b != nil {
-				x = l.lower(b.Val, nil, false)
-			}
-			v.keys = append(v.keys, x)
-		}
-	}
-	return v
 }
 
 // compileFrom resolves the FROM clause of sel into the core's source
@@ -537,7 +468,7 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 			cs.adopt(&l.body)
 			if j.Type != ast.JoinCross && j.On != nil {
 				algo := plan.NestedLoop
-				if step.key = hashKey(sel, j.On, step.on, sc, nleft, force); step.key != nil {
+				if step.key = hashKey(step.on, nleft, ast.NumParams(sel), force); step.key != nil {
 					algo = plan.HashJoin
 				}
 				cs.joins = append(cs.joins, algo)
@@ -545,26 +476,6 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 		}
 	}
 	return cols, true
-}
-
-// hashKey is the key a join may hash on — plan.EquiJoinKey's, in the
-// scope ON is evaluated in (sc; its first nleft columns are the left
-// input's) — or nil, every pair is visited: under ForceFullScan ("skip
-// every narrowing rule") and, the gate visitPlan applies to an access
-// path, when evaluating ON (lowered as lw) can fail on a pair the key
-// would leave out.
-func hashKey(sel *ast.Select, on ast.Expr, lw rexpr, sc *scope, nleft int, force plan.Force) *joinKey {
-	if force == plan.ForceFullScan || lw.canFail() {
-		return nil
-	}
-	l, r, ok := plan.EquiJoinKey(on, func(cr *ast.ColumnRef) int {
-		i, _ := sc.ordinal(up(cr.Table), up(cr.Column))
-		return i
-	}, nleft)
-	if !ok {
-		return nil
-	}
-	return &joinKey{left: l, right: r, maxParam: ast.NumParams(sel)}
 }
 
 // compileRef resolves one FROM reference — base table, view, or derived
@@ -641,23 +552,23 @@ const probeRoom = 16
 // sound (no access path, unbound parameters, non-INT key values that
 // could still match through loose coercion, poisoned index).
 func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
-	if p.MaxParam > len(s.bind) {
+	if p.maxParam > len(s.bind) {
 		// Bind-arity errors must surface identically on every access
 		// path; only full iteration reaches the Param evaluation.
 		return nil, false
 	}
-	switch p.Path {
+	switch p.path {
 	case plan.PointLookup:
 		var kb [8]int64
 		keys := kb[:0]
-		for _, kv := range p.keys {
+		for _, kv := range p.keyVals {
 			v, null, ok := s.keyValue(kv)
 			if !ok || null {
 				return []int{}, ok
 			}
 			keys = append(keys, v)
 		}
-		ix, n := t.ic.eqIndex(t, p.KeyCols)
+		ix, n := t.ic.eqIndex(t, p.keyCols)
 		if ix == nil {
 			return nil, false
 		}
@@ -669,19 +580,19 @@ func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
 		// Bounds become inclusive; a strict one at the end of the INT
 		// range admits nothing.
 		var lo, hi int64
-		if p.Lo != nil {
-			v, null, ok := s.keyValue(p.keys[0])
-			if !ok || null || (p.Lo.Strict && v == math.MaxInt64) {
+		if p.lo != nil {
+			v, null, ok := s.keyValue(p.lo)
+			if !ok || null || (p.loStrict && v == math.MaxInt64) {
 				return []int{}, ok
 			}
 			lo = v
-			if p.Lo.Strict {
+			if p.loStrict {
 				lo++
 			}
 		}
-		if p.Hi != nil {
-			strict := p.Hi.Strict || plantedRangeBoundDefect.Load()
-			v, null, ok := s.keyValue(p.keys[1])
+		if p.hi != nil {
+			strict := p.hiStrict || plantedRangeBoundDefect.Load()
+			v, null, ok := s.keyValue(p.hi)
 			if !ok || null || (strict && v == math.MinInt64) {
 				return []int{}, ok
 			}
@@ -690,12 +601,12 @@ func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
 				hi--
 			}
 		}
-		ix, n := t.ic.rangeIndex(t, p.RangeCol)
+		ix, n := t.ic.rangeIndex(t, p.rangeCol)
 		if ix == nil {
 			return nil, false
 		}
 		room := s.mem.ints.room(probeRoom)
-		out := ix.between(room, t.Rows[:n], lo, hi, p.Lo != nil, p.Hi != nil)
+		out := ix.between(room, t.Rows[:n], lo, hi, p.lo != nil, p.hi != nil)
 		s.mem.ints.claim(room, out)
 		return out, true
 	}
@@ -746,7 +657,7 @@ func (s *Session) planDML(shape, st ast.Statement, t *Table, where ast.Expr, set
 	if dp.p == nil {
 		return dp
 	}
-	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.Path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
+	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
 	return dp
 }
 
@@ -765,8 +676,8 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 		dp.sets[i] = l.lower(set.Value, sc, false)
 	}
 	dp.err = l.unknown
-	dp.p = s.visitPlan(&l, t, "", where, dp.where, ast.NumParams(st), plan.ForceAuto)
-	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.Path}}, l.body.paths...)
+	dp.p = s.accessPath(t, dp.where, ast.NumParams(st), plan.ForceAuto)
+	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.path}}, l.body.paths...)
 	dp.joins = l.body.joins
 	return dp
 }
@@ -812,7 +723,7 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, 
 func (s *Session) runTop(cs *compiledSelect, cacheHit bool) (*Result, error) {
 	s.lastPlan = plan.Info{CacheHit: cacheHit, Cores: cs.paths, Joins: cs.joins}
 	if p := cs.cores[0].p; p != nil && len(cs.cores) == 1 {
-		s.lastPlan.Table, s.lastPlan.Path = p.Table, p.Path
+		s.lastPlan.Table, s.lastPlan.Path = p.table, p.path
 	}
 	s.eng.pathExecs[s.lastPlan.Path].Add(1)
 	rows, err := s.runSelect(cs, nil, &s.mem)

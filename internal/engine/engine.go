@@ -64,16 +64,16 @@ type Result struct {
 
 // Clone returns a deep copy of the result that outlives its statement:
 // the struct, the column names and the rows are the caller's (rows share
-// immutable values).
+// immutable values). An empty list stays empty, not nil, so a clone
+// compares equal to its original.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
 	}
-	cp := &Result{Kind: r.Kind, Affected: r.Affected}
-	cp.Columns = append([]string(nil), r.Columns...)
+	cp := &Result{Kind: r.Kind, Affected: r.Affected, Columns: slices.Clone(r.Columns)}
 	cp.Rows = make([][]types.Value, len(r.Rows))
 	for i, row := range r.Rows {
-		cp.Rows[i] = append([]types.Value(nil), row...)
+		cp.Rows[i] = slices.Clone(row)
 	}
 	return cp
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the lazily built lookup indexes behind the
-// compiled-plan access paths (see compiled.go and internal/engine/plan).
+// compiled-plan access paths (see access.go and compiled.go).
 //
 // The engine stores rows as a plain slice; indexes are a pure cache over
 // it, maintained on demand. Validity is tracked by Table.baseSeq, which

@@ -56,8 +56,8 @@ func (sc *scope) ordinal(qual, name string) (int, error) {
 // rexpr is a resolved expression.
 type rexpr interface {
 	// canFail reports whether evaluating the expression can raise an
-	// error, parameters assumed bound (plan.SelectPlan.MaxParam gates
-	// arity apart): arithmetic, unary minus, functions, CASE, CAST,
+	// error, parameters assumed bound (visit.maxParam gates arity
+	// apart): arithmetic, unary minus, functions, CASE, CAST,
 	// subqueries and unresolved columns can; a comparison error is Unknown.
 	canFail() bool
 }

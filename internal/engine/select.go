@@ -135,9 +135,9 @@ func (s *Session) runCore(c *core, outer *env, out *arena) ([][]types.Value, err
 	var cands []int
 	indexed := false
 	if c.p != nil {
-		t, ok := s.lookupTable(c.p.Table)
+		t, ok := s.lookupTable(c.p.table)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrTableNotFound, c.p.Table)
+			return nil, fmt.Errorf("%w: %s", ErrTableNotFound, c.p.table)
 		}
 		all = t.Rows
 		cands, indexed = s.candidateRows(c.p, t)

@@ -115,11 +115,6 @@ const (
 type Config struct {
 	// Reads selects the query execution policy (default ReadCompareAll).
 	Reads ReadPolicy
-	// Rephrase retries disagreeing replicas with a logically equivalent
-	// rewriting of the statement before quarantining them (the wrapper
-	// approach of reference [9]); it settles the reproduced product
-	// quirks a rewriting sidesteps.
-	Rephrase bool
 	// AutoResync restores quarantined or crashed replicas from a healthy
 	// replica's state and returns them to service at the next statement.
 	AutoResync bool
@@ -138,7 +133,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Reads:      ReadCompareAll,
-		Rephrase:   true,
 		AutoResync: true,
 	}
 }
@@ -831,9 +825,6 @@ func (cs *Session) execReplica(i int, b *boundStmt) {
 // replay), executes it at all. Error votes, query outliers and resync
 // redo all retry through it.
 func (d *DiverseServer) repair(b *boundStmt, m member, want *engine.Result) bool {
-	if !d.cfg.Rephrase {
-		return false
-	}
 	res, ok := b.rephraseOn(m.sub)
 	return ok && (want == nil || core.Equal(res, want, core.CompareFor(b.p)))
 }

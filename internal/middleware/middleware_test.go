@@ -115,9 +115,7 @@ func TestPairDetectsWithoutMasking(t *testing.T) {
 		Trigger: fault.Trigger{Table: "T", Flag: ast.FlagSelect},
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutOffByOne},
 	}}
-	cfg := DefaultConfig()
-	cfg.Rephrase = false
-	d, err := New(cfg, newServers(t, faults, dialect.PG, dialect.OR)...)
+	d, err := New(DefaultConfig(), newServers(t, faults, dialect.PG, dialect.OR)...)
 	if err != nil {
 		t.Fatal(err)
 	}

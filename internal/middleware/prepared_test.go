@@ -146,9 +146,7 @@ func TestIdleRejoinUnderReadOnlyLoad(t *testing.T) {
 		Effect:  fault.Effect{Kind: fault.EffectMutateResult, Mutation: fault.MutOffByOne},
 	}}
 	newRejoining := func() *DiverseServer {
-		cfg := DefaultConfig()
-		cfg.Rephrase = false
-		d, err := New(cfg, newServers(t, faults, dialect.PG, dialect.IB, dialect.OR)...)
+		d, err := New(DefaultConfig(), newServers(t, faults, dialect.PG, dialect.IB, dialect.OR)...)
 		if err != nil {
 			t.Fatal(err)
 		}

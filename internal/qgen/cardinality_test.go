@@ -63,10 +63,11 @@ func TestCardinalityCapAcrossRollbacks(t *testing.T) {
 	const capRows = 24
 	opts := CommonProfile(11)
 	opts.MaxRowsPerTable = capRows
-	// A txn-heavy mix so BEGIN/ROLLBACK brackets much of the stream.
-	opts.WeightTxn = 30
-	opts.WeightInsert = 40
 	g := New(opts)
+	// A txn-heavy mix so BEGIN/ROLLBACK brackets much of the stream.
+	w := g.Weights()
+	w.Txn, w.Insert = 30, 40
+	g.SetWeights(w)
 	e := engine.NewOracle()
 	sess := e.NewSession()
 	rollbacks := 0

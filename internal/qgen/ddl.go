@@ -12,19 +12,19 @@ import (
 // while the name pool is unexhausted (so calibrated fault-trigger tables
 // come into existence early in the stream).
 func (g *Generator) genDDL() ast.Statement {
-	canCreate := len(g.tables) < g.opts.MaxTables
+	canCreate := len(g.tables) < g.maxTables
 	if canCreate && (len(g.pool) > 0 || g.rnd.Intn(3) == 0) {
 		return g.genCreateTable()
 	}
 	type gen func() ast.Statement
 	var choices []gen
-	if g.opts.Views && len(g.tables) > 0 && len(g.views) < 4 {
+	if len(g.tables) > 0 && len(g.views) < 4 {
 		choices = append(choices, g.genCreateView)
 	}
-	if g.opts.Indexes && len(g.tables) > 0 && len(g.indexes) < 8 {
+	if len(g.tables) > 0 && len(g.indexes) < 8 {
 		choices = append(choices, g.genCreateIndex)
 	}
-	if g.opts.Indexes && len(g.indexes) > 0 {
+	if len(g.indexes) > 0 {
 		choices = append(choices, g.genDropIndex)
 	}
 	if len(g.views) > 0 {
@@ -53,7 +53,7 @@ func (g *Generator) genDDL() ast.Statement {
 func (g *Generator) genCreateTable() ast.Statement {
 	name := g.tableName()
 	rel := &relation{name: name, nextPK: 1, agedPK: 1}
-	nCols := 2 + g.rnd.Intn(g.opts.MaxColumns-1)
+	nCols := 2 + g.rnd.Intn(maxColumns-1)
 	var defs []ast.ColumnDef
 	for i := 0; i < nCols; i++ {
 		c := column{name: fmt.Sprintf("C%d", i+1)}
@@ -195,7 +195,7 @@ func (g *Generator) genDropView() ast.Statement {
 // table above the minimum table count. Pool tables are fault-trigger
 // tables and stay alive for the whole stream.
 func (g *Generator) droppableTable() *relation {
-	if len(g.tables) <= g.opts.MinTables {
+	if len(g.tables) <= minTables {
 		return nil
 	}
 	prefix := g.opts.NamePrefix + "QT"

@@ -41,7 +41,7 @@ func (g *Generator) genInsert() ast.Statement {
 	// Columns in a shuffled (but seeded) order, all listed explicitly.
 	perm := g.rnd.Perm(len(t.cols))
 	cols := make([]string, len(perm))
-	nRows := 1 + g.rnd.Intn(g.opts.MaxInsertRows)
+	nRows := 1 + g.rnd.Intn(maxInsertRows)
 	if limit := g.opts.MaxRowsPerTable; limit > 0 && t.rows+nRows > limit {
 		nRows = limit - t.rows
 	}

@@ -75,27 +75,8 @@ type Options struct {
 	// CERT turn it on.
 	PartitionSympathy bool
 
-	// --- Structural weights and caps ------------------------------------
+	// --- Structure -------------------------------------------------------
 
-	// Weights select the statement class (relative, need not sum to 100).
-	// They seed the generator's adaptive Weights plane; callers can
-	// retarget the plane mid-stream with Generator.SetWeights (see
-	// Weights).
-	WeightDDL, WeightInsert, WeightUpdate, WeightDelete, WeightSelect, WeightTxn int
-
-	// MinTables is kept alive (DROP TABLE is suppressed below it);
-	// MaxTables caps CREATE TABLE.
-	MinTables, MaxTables int
-	// MaxColumns caps columns per table (≥ 2).
-	MaxColumns int
-	// MaxJoins caps joined tables per SELECT (0 disables joins).
-	MaxJoins int
-	// MaxExprDepth caps expression nesting.
-	MaxExprDepth int
-	// MaxSubqueryDepth caps subquery nesting (0 disables subqueries).
-	MaxSubqueryDepth int
-	// MaxInsertRows caps rows per INSERT.
-	MaxInsertRows int
 	// MaxRowsPerTable bounds generated-table cardinality (0: unbounded).
 	// The generator tracks a conservative per-table row estimate (an
 	// upper bound on the live row count); once a table's estimate reaches
@@ -106,12 +87,6 @@ type Options struct {
 	// the rest of the schema tracking, so the bound survives transaction
 	// rewinds.
 	MaxRowsPerTable int
-	// Views enables CREATE VIEW and view references in FROM.
-	Views bool
-	// Indexes enables CREATE/DROP INDEX.
-	Indexes bool
-	// Unions enables UNION/UNION ALL queries.
-	Unions bool
 	// Transactions enables BEGIN/COMMIT/ROLLBACK around runs of work.
 	Transactions bool
 	// Isolation additionally emits SET TRANSACTION ISOLATION LEVEL
@@ -140,30 +115,27 @@ type Options struct {
 }
 
 // CommonProfile returns the default options: the common dialect subset,
-// quirk regions avoided, all structural features on.
+// quirk regions avoided, transactions on.
 func CommonProfile(seed int64) Options {
-	return Options{
-		Seed:         seed,
-		WeightDDL:    7,
-		WeightInsert: 28,
-		WeightUpdate: 12,
-		WeightDelete: 5,
-		WeightSelect: 42,
-		WeightTxn:    6,
-
-		MinTables:        2,
-		MaxTables:        8,
-		MaxColumns:       5,
-		MaxJoins:         2,
-		MaxExprDepth:     3,
-		MaxSubqueryDepth: 2,
-		MaxInsertRows:    3,
-		Views:            true,
-		Indexes:          true,
-		Unions:           true,
-		Transactions:     true,
-	}
+	return Options{Seed: seed, Transactions: true}
 }
+
+// The stream's structure: the statement-class split is the Weights
+// plane's (defaultWeights), the rest is fixed.
+const (
+	// minTables are kept alive (DROP TABLE is suppressed below it);
+	// maxTables caps CREATE TABLE, raised to fit every pool table
+	// (Options.TableNames) plus minTables.
+	minTables, maxTables = 2, 8
+	// maxColumns caps columns per table.
+	maxColumns = 5
+	// maxJoins caps joined tables per SELECT.
+	maxJoins = 2
+	// maxExprDepth caps expression nesting.
+	maxExprDepth = 3
+	// maxInsertRows caps rows per INSERT.
+	maxInsertRows = 3
+)
 
 // column is the generator's record of one column it created.
 type column struct {
@@ -222,9 +194,10 @@ func (r *relation) pick(rnd *rand.Rand, want func(*column) bool) int {
 
 // Generator emits one deterministic statement stream.
 type Generator struct {
-	opts Options
-	rnd  *rand.Rand
-	w    Weights // adaptive budget plane (see SetWeights)
+	opts      Options
+	maxTables int
+	rnd       *rand.Rand
+	w         Weights // adaptive budget plane (see SetWeights)
 
 	tables  []*relation // base tables, creation order
 	views   []*relation
@@ -253,41 +226,14 @@ type schemaSnapshot struct {
 	pool    []string
 }
 
-// New returns a generator over the options. Zero-valued caps fall back
-// to the CommonProfile values so a partially-filled Options is usable.
+// New returns a generator over the options.
 func New(opts Options) *Generator {
-	def := CommonProfile(opts.Seed)
-	if opts.WeightDDL+opts.WeightInsert+opts.WeightUpdate+opts.WeightDelete+opts.WeightSelect+opts.WeightTxn == 0 {
-		opts.WeightDDL, opts.WeightInsert, opts.WeightUpdate = def.WeightDDL, def.WeightInsert, def.WeightUpdate
-		opts.WeightDelete, opts.WeightSelect, opts.WeightTxn = def.WeightDelete, def.WeightSelect, def.WeightTxn
-	}
-	if opts.MinTables == 0 {
-		opts.MinTables = def.MinTables
-	}
-	if opts.MaxTables == 0 {
-		opts.MaxTables = def.MaxTables
-	}
-	if opts.MaxTables < opts.MinTables {
-		opts.MaxTables = opts.MinTables
-	}
-	if opts.MaxColumns < 2 {
-		opts.MaxColumns = def.MaxColumns
-	}
-	if opts.MaxInsertRows == 0 {
-		opts.MaxInsertRows = def.MaxInsertRows
-	}
-	if opts.MaxExprDepth == 0 {
-		opts.MaxExprDepth = def.MaxExprDepth
-	}
-	// Pool tables must all be creatable.
-	if n := len(opts.TableNames) + opts.MinTables; opts.MaxTables < n {
-		opts.MaxTables = n
-	}
 	return &Generator{
-		opts: opts,
-		rnd:  rand.New(rand.NewSource(opts.Seed)),
-		w:    weightsFromOptions(opts).sanitize(),
-		pool: append([]string(nil), opts.TableNames...),
+		opts:      opts,
+		maxTables: max(maxTables, len(opts.TableNames)+minTables), // pool tables must all be creatable
+		rnd:       rand.New(rand.NewSource(opts.Seed)),
+		w:         defaultWeights(opts.Params),
+		pool:      append([]string(nil), opts.TableNames...),
 	}
 }
 
@@ -306,7 +252,7 @@ func (g *Generator) LastArgs() []types.Value { return g.lastArgs }
 
 func (g *Generator) nextStmt() ast.Statement {
 	// Bootstrap: nothing is queryable until tables exist and hold rows.
-	if len(g.tables) < g.opts.MinTables {
+	if len(g.tables) < minTables {
 		return g.genCreateTable()
 	}
 	for {
@@ -402,12 +348,9 @@ func (g *Generator) anyTable() *relation {
 	return g.tables[g.rnd.Intn(len(g.tables))]
 }
 
-// anyRelation returns a table or (when views are on) a view.
+// anyRelation returns a table or a view.
 func (g *Generator) anyRelation() *relation {
-	n := len(g.tables)
-	if g.opts.Views {
-		n += len(g.views)
-	}
+	n := len(g.tables) + len(g.views)
 	if n == 0 {
 		return nil
 	}

@@ -148,14 +148,14 @@ func (g *Generator) predicate(s scope, depth int) ast.Expr {
 		}
 		return &ast.In{X: ref, Not: g.rnd.Intn(6) == 0, List: list}
 	case 4:
-		if depth >= 1 && g.opts.MaxSubqueryDepth > 0 {
+		if depth >= 1 {
 			if sub := g.subqueryFor(c.kind, depth-1); sub != nil {
 				return &ast.In{X: ref, Not: g.rnd.Intn(6) == 0, Select: sub}
 			}
 		}
 		fallthrough
 	case 5:
-		if kind == 5 && depth >= 1 && g.opts.MaxSubqueryDepth > 0 && g.rnd.Intn(2) == 0 {
+		if kind == 5 && depth >= 1 && g.rnd.Intn(2) == 0 {
 			if sub := g.existsSubquery(depth - 1); sub != nil {
 				return &ast.Exists{Not: g.rnd.Intn(4) == 0, Select: sub}
 			}
@@ -249,19 +249,10 @@ func (g *Generator) scalarAggSubquery() *ast.Select {
 // Query shapes
 
 // pickShape draws a SELECT shape from the adaptive Weights plane
-// (weight order matches Shapes). Shapes whose structural feature is
-// disabled contribute no weight.
+// (weight order matches Shapes).
 func (g *Generator) pickShape() Shape {
 	w := g.w
-	wJoin := w.JoinSelect
-	if g.opts.MaxJoins == 0 {
-		wJoin = 0
-	}
-	wUnion := w.UnionSelect
-	if !g.opts.Unions {
-		wUnion = 0
-	}
-	i := g.weightedPick([]int{w.SimpleSelect, wJoin, w.GroupSelect, wUnion, w.StarSelect, w.PointSelect, w.RangeSelect})
+	i := g.weightedPick([]int{w.SimpleSelect, w.JoinSelect, w.GroupSelect, w.UnionSelect, w.StarSelect, w.PointSelect, w.RangeSelect})
 	if i < 0 {
 		return ShapeSimple
 	}
@@ -344,13 +335,13 @@ func (g *Generator) genSimpleSelect() ast.Statement {
 				continue
 			}
 		}
-		if g.opts.MaxSubqueryDepth > 0 && g.rnd.Intn(12) == 0 {
+		if g.rnd.Intn(12) == 0 {
 			if sub := g.scalarAggSubquery(); sub != nil {
 				exprs = append(exprs, &ast.Subquery{Select: sub})
 				continue
 			}
 		}
-		exprs = append(exprs, g.scalar(s, g.opts.MaxExprDepth))
+		exprs = append(exprs, g.scalar(s, maxExprDepth))
 	}
 	sel := &ast.Select{
 		Items: aliasItems(exprs),
@@ -543,7 +534,7 @@ func (g *Generator) genJoinSelect() ast.Statement {
 	}
 	aliases := []string{"A", "B", "C", "D"}
 	s := scope{{aliases[0], left}}
-	nJoins := 1 + g.rnd.Intn(g.opts.MaxJoins)
+	nJoins := 1 + g.rnd.Intn(maxJoins)
 	if nJoins > len(aliases)-1 {
 		nJoins = len(aliases) - 1
 	}
@@ -675,9 +666,7 @@ func (g *Generator) genUnionSelect() ast.Statement {
 	// Find a relation offering the same kind signature.
 	cands := make([]*relation, 0, len(g.tables)+len(g.views))
 	cands = append(cands, g.tables...)
-	if g.opts.Views {
-		cands = append(cands, g.views...)
-	}
+	cands = append(cands, g.views...)
 	order := g.rnd.Perm(len(cands))
 	for _, i := range order {
 		r2 := cands[i]

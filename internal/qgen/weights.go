@@ -160,10 +160,7 @@ func valueLeafExpr(e ast.Expr) bool {
 type Weights struct {
 	// Statement classes (relative, need not sum to anything).
 	DDL, Insert, Update, Delete, Select, Txn int
-	// SELECT shapes (relative). JoinSelect and UnionSelect are capped by
-	// the structural options (MaxJoins, Unions): a shape whose feature is
-	// disabled is never picked regardless of its weight. PointSelect and
-	// RangeSelect target the engine's index-backed access paths: PK
+	// SELECT shapes (relative). PointSelect and RangeSelect target the engine's index-backed access paths: PK
 	// point probes and PK range scans over the live key band.
 	SimpleSelect, JoinSelect, GroupSelect, UnionSelect, StarSelect, PointSelect, RangeSelect int
 	// Bind plane (relative; only consulted when Options.Params is on):
@@ -179,15 +176,19 @@ func DefaultShapeWeights() (simple, join, group, union, star, point, rng int) {
 	return 3, 2, 2, 1, 2, 2, 1
 }
 
-// weightsFromOptions seeds the plane from the Options' class weights
-// plus the default shape split.
-func weightsFromOptions(o Options) Weights {
-	w := Weights{
-		DDL: o.WeightDDL, Insert: o.WeightInsert, Update: o.WeightUpdate,
-		Delete: o.WeightDelete, Select: o.WeightSelect, Txn: o.WeightTxn,
-	}
+// defaultClassWeights is the starting statement-class split over
+// ddl/insert/update/delete/select/txn.
+func defaultClassWeights() (ddl, insert, update, del, sel, txn int) {
+	return 7, 28, 12, 5, 42, 6
+}
+
+// defaultWeights seeds the plane: the default class and shape splits,
+// and in Params mode the default bind split.
+func defaultWeights(params bool) Weights {
+	var w Weights
+	w.DDL, w.Insert, w.Update, w.Delete, w.Select, w.Txn = defaultClassWeights()
 	w.SimpleSelect, w.JoinSelect, w.GroupSelect, w.UnionSelect, w.StarSelect, w.PointSelect, w.RangeSelect = DefaultShapeWeights()
-	if o.Params {
+	if params {
 		w.InlineBind, w.ParamBind = DefaultBindWeights()
 	}
 	return w

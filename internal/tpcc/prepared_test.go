@@ -87,7 +87,7 @@ func TestPreparedTerminalsCacheTemplates(t *testing.T) {
 	}
 	d := NewTerminalDriver(cfg, DefaultMix(), 1)
 	d.SetPrepared(true)
-	if _, err := d.run(sess, 100, false); err != nil {
+	if _, err := d.Run(sess, 100); err != nil {
 		t.Fatal(err)
 	}
 	if d.cache == nil {

@@ -272,14 +272,6 @@ func NewTerminalDriver(cfg Config, mix Mix, terminal int) *Driver {
 // of individual transactions are counted, not fatal (the load keeps
 // going, as in the paper's campaigns).
 func (d *Driver) Run(exec core.Executor, n int) (Metrics, error) {
-	return d.run(exec, n, false)
-}
-
-// run executes n transactions. When simulateLatency is set the driver
-// sleeps each transaction's accumulated simulated latency, modelling the
-// client-observed round-trip of the paper's campaigns; concurrent
-// terminals overlap those waits.
-func (d *Driver) run(exec core.Executor, n int, simulateLatency bool) (Metrics, error) {
 	d.attach(exec)
 	m := Metrics{PerType: make(map[TxType]int)}
 	for i := 0; i < n; i++ {
@@ -295,9 +287,6 @@ func (d *Driver) run(exec core.Executor, n int, simulateLatency bool) (Metrics, 
 			if errors.As(err, &div) {
 				m.Divergences++
 			}
-		}
-		if simulateLatency && lat > 0 {
-			time.Sleep(lat)
 		}
 	}
 	return m, nil
@@ -318,10 +307,6 @@ type ConcurrentOptions struct {
 	TxPerTerminal int
 	// Mix weights the transaction types (zero value: DefaultMix).
 	Mix Mix
-	// SimulateLatency makes each terminal experience the simulated
-	// statement latencies as real time, so the benchmark's throughput
-	// reflects how concurrent sessions overlap server waits.
-	SimulateLatency bool
 	// Prepared runs every terminal on prepared statements: each of the
 	// mix's fixed statement templates is parsed once per terminal
 	// session and re-executed with typed arguments, so the per-statement
@@ -369,7 +354,7 @@ func RunConcurrent(ep core.SessionExecutor, cfg Config, opts ConcurrentOptions) 
 			}
 			d := NewTerminalDriver(cfg, opts.Mix, term)
 			d.SetPrepared(opts.Prepared)
-			m, err := d.run(sess, opts.TxPerTerminal, opts.SimulateLatency)
+			m, err := d.Run(sess, opts.TxPerTerminal)
 			mu.Lock()
 			defer mu.Unlock()
 			merged.merge(m)
