@@ -27,10 +27,14 @@ stackbench-test:
 # 28 623 before expressions were lowered at plan time, 28 353 before
 # the server-vs-oracle verdict was written once, 28 246 before every
 # committed image came from one capture-and-rewind path, 28 908 before
-# access paths were read off the lowered tree.
+# access paths were read off the lowered tree, 28 715 before static
+# errors moved to the compile.
+# It counts the working tree: tracked and untracked files git does not
+# ignore, less those deleted but still in the index.
 # Deletion PRs quote it before and after.
 loc:
-	@git ls-files '*.go' ':!bench' ':!*_test.go' | xargs wc -l | \
+	@git ls-files --cached --others --exclude-standard '*.go' ':!bench' ':!*_test.go' | \
+		while read -r f; do [ -f "$$f" ] && echo "$$f"; done | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 

@@ -22,7 +22,7 @@ func seedAccess(t *testing.T) *Session {
 // resolve against the live catalog and lifted literals become slots of
 // the handle. The session is left reading the handle's literals, so the
 // plan's key values can be evaluated.
-func compileSQL(t *testing.T, s *Session, sql string, force plan.Force) *compiledSelect {
+func compileSQL(t *testing.T, s *Session, sql string, force plan.Force) (*compiledSelect, error) {
 	t.Helper()
 	p := resolve(t, sql)
 	s.eng.mu.RLock()
@@ -31,11 +31,22 @@ func compileSQL(t *testing.T, s *Session, sql string, force plan.Force) *compile
 	return s.compileSelect(p.Select, nil, force, p.Select.Distinct)
 }
 
+// mustCompile is compileSQL's plan; the test fails if sql does not
+// compile.
+func mustCompile(t *testing.T, s *Session, sql string, force plan.Force) *compiledSelect {
+	t.Helper()
+	cs, err := compileSQL(t, s, sql, force)
+	if err != nil {
+		t.Fatalf("%q: %v", sql, err)
+	}
+	return cs
+}
+
 // accessOf is the access plan of the first core of sql (a SELECT over
 // one base table).
 func accessOf(t *testing.T, s *Session, sql string, force plan.Force) *visit {
 	t.Helper()
-	v := compileSQL(t, s, sql, force).cores[0].p
+	v := mustCompile(t, s, sql, force).cores[0].p
 	if v == nil {
 		t.Fatalf("%q: no access plan", sql)
 	}
@@ -124,10 +135,10 @@ func TestAliasQualifierResolution(t *testing.T) {
 	// top level T.ID names nothing, and the statement fails before any
 	// row is visited; in a subquery it is the enclosing query's column,
 	// the same on every row the subquery visits.
-	if c := compileSQL(t, s, "SELECT X.A FROM T X WHERE T.ID = 1", plan.ForceAuto).cores[0]; c.p != nil || c.compileErr == nil {
-		t.Fatalf("stale table qualifier must not bind: %+v", c)
+	if cs, err := compileSQL(t, s, "SELECT X.A FROM T X WHERE T.ID = 1", plan.ForceAuto); err == nil {
+		t.Fatalf("stale table qualifier must not bind: %+v", cs.cores[0])
 	}
-	cs := compileSQL(t, s, "SELECT A FROM T WHERE EXISTS (SELECT 1 FROM T X WHERE T.ID = 1)", plan.ForceAuto)
+	cs := mustCompile(t, s, "SELECT A FROM T WHERE EXISTS (SELECT 1 FROM T X WHERE T.ID = 1)", plan.ForceAuto)
 	if v := nestedSelects(cs)[0].cores[0].p; v.path != plan.FullScan {
 		t.Fatalf("an enclosing query's column must not key the visit: %+v", v)
 	}
@@ -151,7 +162,7 @@ func TestMaxParamCoversWholeStatement(t *testing.T) {
 // equality in the lowered predicate.
 func TestDuplicateEqualityFirstWins(t *testing.T) {
 	s := seedAccess(t)
-	c := compileSQL(t, s, "SELECT A FROM T WHERE ID = 1 AND ID = 2", plan.ForceAuto).cores[0]
+	c := mustCompile(t, s, "SELECT A FROM T WHERE ID = 1 AND ID = 2", plan.ForceAuto).cores[0]
 	v := c.p
 	if v.path != plan.PointLookup || len(v.keyVals) != 1 {
 		t.Fatalf("duplicate equality mishandled: %+v", v)
@@ -166,8 +177,8 @@ func TestDuplicateEqualityFirstWins(t *testing.T) {
 
 // The join rule: the first top-level conjunct equating one column left
 // of the join with one right of it is the key, either way round; an
-// enclosing query's column, an ambiguous one, an equality under OR or
-// NOT, and an equality within one side are not.
+// enclosing query's column, an equality under OR or NOT, and an equality
+// within one side are not. An ambiguous column fails the compile.
 func TestEquiJoinKey(t *testing.T) {
 	s := NewOracle().NewSession()
 	seedJoin(t, s) // the join's scope: L(K, V) then R(K, Z, W)
@@ -187,13 +198,16 @@ func TestEquiJoinKey(t *testing.T) {
 		{"L.K = R.K + 0", 0, 0, false},
 		{"L.K = 1 AND R.K = 1", 0, 0, false},
 		{"O.X = R.K", 0, 0, false},
-		{"K = R.K", 0, 0, false},
 	} {
 		// The join sits in a subquery, so O.X is an enclosing query's column.
-		cs := compileSQL(t, s, "SELECT 1 FROM O WHERE EXISTS (SELECT 1 FROM L INNER JOIN R ON "+tc.on+")", plan.ForceAuto)
+		cs := mustCompile(t, s, "SELECT 1 FROM O WHERE EXISTS (SELECT 1 FROM L INNER JOIN R ON "+tc.on+")", plan.ForceAuto)
 		k := nestedSelects(cs)[0].cores[0].from[1].key
 		if ok := k != nil; ok != tc.ok || (ok && (k.left != tc.left || k.right != tc.right)) {
 			t.Errorf("ON %s: key = %+v, want (%d, %d, %v)", tc.on, k, tc.left, tc.right, tc.ok)
 		}
+	}
+	const ambiguous = "SELECT 1 FROM O WHERE EXISTS (SELECT 1 FROM L INNER JOIN R ON K = R.K)"
+	if _, err := compileSQL(t, s, ambiguous, plan.ForceAuto); err == nil || err.Error() != "ambiguous column reference K" {
+		t.Errorf("ON K = R.K: err = %v, want ambiguous column reference K", err)
 	}
 }

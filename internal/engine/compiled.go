@@ -25,13 +25,12 @@ import (
 // references, nested selects — each compiled against the scope it is met
 // in and held by the node that evaluates it — builtins, casts), *
 // expansion, output names, sort-key resolution and, for a core whose
-// FROM is exactly one base table, the access path (access.go). What
-// it must not change is anything observable: a static error is recorded
-// on the step that would have raised it and replayed when execution
-// reaches that step, so errors keep their precedence — source
-// construction → unknown references → WHERE → projection shape →
-// projection → sort → limit — and a nested select's errors surface only
-// when, and each time, it is evaluated.
+// FROM is exactly one base table, the access path (access.go). It
+// raises every static error, execution only those rows and arguments
+// cause: a statement that does not compile fails before anything runs.
+// The first static error wins — FROM sources left to right (ONs
+// included), then references in evaluation order (a nested select's
+// where its node sits), projection shape, UNION column count, ORDER BY.
 //
 // Plans are immutable once built and shared through the engine's memos,
 // keyed by the handle's shape (stmt.Parsed.Shape): the tree of the first
@@ -68,33 +67,37 @@ type memo[P any] struct {
 	n atomic.Int64 // approximate size, for the cap
 }
 
+// memoEntry is one compile: its plan, or the static error it met.
 type memoEntry[P any] struct {
 	version uint64
 	plan    *P
+	err     error
 }
 
-// load returns the statement's plan when it was compiled against schema
+// load returns the statement's entry when it was compiled against schema
 // generation ver (nil otherwise), and whether the statement has an entry
 // at all.
-func (c *memo[P]) load(st ast.Statement, ver uint64) (p *P, known bool) {
+func (c *memo[P]) load(st ast.Statement, ver uint64) (me *memoEntry[P], known bool) {
 	v, known := c.m.Load(st)
 	if known {
 		if me := v.(*memoEntry[P]); me.version == ver {
-			return me.plan, true
+			return me, true
 		}
 	}
 	return nil, known
 }
 
-// store publishes a plan; known is load's second result.
-func (c *memo[P]) store(st ast.Statement, known bool, ver uint64, p *P) {
+// store publishes a compile's entry; known is load's second result.
+func (c *memo[P]) store(st ast.Statement, known bool, ver uint64, p *P, err error) *memoEntry[P] {
 	if !known {
 		if c.n.Load() >= planMemoCap {
 			c.drop()
 		}
 		c.n.Add(1)
 	}
-	c.m.Store(st, &memoEntry[P]{version: ver, plan: p})
+	me := &memoEntry[P]{version: ver, plan: p, err: err}
+	c.m.Store(st, me)
+	return me
 }
 
 // drop empties the memo, reporting how many plans it held.
@@ -152,14 +155,7 @@ type compiledSelect struct {
 	// output: the sort keys a plain SELECT computes in its source scope,
 	// stripped after the sort.
 	hidden int32
-	// fails marks a plan no execution of which can succeed: some step on
-	// the way to its output carries a static error, so its output shape
-	// is never needed (and may be unknown).
-	fails bool
-	keys  []sortKey
-	// sortErr is a positional key of a plain SELECT out of range, raised
-	// before sorting.
-	sortErr error
+	keys   []sortKey
 	// correlated marks a select that reads a scope enclosing it or calls
 	// a sequence function: each evaluation may answer differently. once
 	// is, for an uncorrelated select nested in another, its slot in
@@ -188,18 +184,14 @@ type onceResult struct {
 	setState int8
 }
 
-// outCols are the visible output names of a plan that does not fail.
+// outCols are the visible output names of a plan.
 func (cs *compiledSelect) outCols() []string {
 	names := cs.cores[0].names
 	n := len(names) - int(cs.hidden)
 	return names[:n:n]
 }
 
-// sortKey is one resolved ORDER BY key, read from the rows sorted. A
-// key of a DISTINCT/UNION result that does not resolve is its error,
-// raised when a comparison first needs the key, as every release has
-// done (a sort of fewer than two rows, or one decided by earlier keys,
-// never does).
+// sortKey is one resolved ORDER BY key, read from the rows sorted.
 type sortKey struct {
 	expr rexpr
 	desc bool
@@ -213,15 +205,6 @@ type core struct {
 	width int
 	// p is the access plan when the FROM is exactly one base table.
 	p *visit
-	// broken marks a source tree that ends at a source which cannot open:
-	// execution raises that source's error once everything before it ran.
-	// compileErr replays the first reference that resolves nowhere, raised
-	// once the sources are open and before any row work; projErr a
-	// projection-shape error, raised after filtering (and grouping);
-	// unionErr a branch's column-count mismatch, raised after it ran.
-	// Compilation stops at the first: execution cannot get past it.
-	broken                        bool
-	compileErr, projErr, unionErr error
 	// where, having and groupBy are the core's lowered clauses; names the
 	// output names, hidden sort keys last, and projs the projection, *
 	// expanded — over the group when grouped is set.
@@ -233,10 +216,6 @@ type core struct {
 	distinct      bool
 	// unionAll tells how the branch attaches to what precedes it.
 	unionAll bool
-}
-
-func (c *core) fails() bool {
-	return c.broken || c.compileErr != nil || c.projErr != nil || c.unionErr != nil
 }
 
 // fromStep is one FROM reference: the first of a comma-separated FROM
@@ -259,33 +238,31 @@ type source struct {
 	sub   *compiledSelect // derived table, or the body of a view
 	view  bool
 	width int // columns per row
-	// err is raised when the source is opened (unknown name) or, for a
-	// view, once its body ran (column list mismatch).
-	err error
 }
 
-func (src *source) fails() bool { return src.err != nil || (src.sub != nil && src.sub.fails) }
-
-// compileSelect lowers one query expression. outer is the scope the
-// expression is met in (nil at top level): the enclosing query's, for
-// its correlated references. Under ForceFullScan every core of the
-// statement skips the access-path rule.
+// compileSelect lowers one query expression, or returns its first static
+// error. outer is the scope the expression is met in (nil at top level):
+// the enclosing query's, for its correlated references. Under
+// ForceFullScan every core of the statement skips the access-path rule.
 // distinct is sel.Distinct, except that the LeftJoinDistinctViewDup quirk
 // drops a view body's. Caller holds the engine lock.
-func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force, distinct bool) *compiledSelect {
+func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force, distinct bool) (*compiledSelect, error) {
 	if len(s.frames) == 0 {
 		s.onceN = 0
 	}
 	s.frames = append(s.frames, compileFrame{outer: outer})
-	cs := s.compileQuery(sel, outer, force, distinct)
+	cs, err := s.compileQuery(sel, outer, force, distinct)
 	f := s.frames[len(s.frames)-1]
 	s.frames = s.frames[:len(s.frames)-1]
+	if err != nil {
+		return nil, err
+	}
 	cs.correlated, cs.once = f.correlated, -1
 	if len(s.frames) > 0 && !f.correlated {
 		cs.once = s.onceN
 		s.onceN++
 	}
-	return cs
+	return cs, nil
 }
 
 // noteRef records a reference that resolved in scope sc: every select
@@ -308,7 +285,7 @@ func (s *Session) noteSeqCall() {
 }
 
 // compileQuery is compileSelect's body.
-func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, distinct bool) *compiledSelect {
+func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, distinct bool) (*compiledSelect, error) {
 	cs := &compiledSelect{sel: sel}
 	// ORDER BY keys may reference source columns that are not projected;
 	// a plain SELECT computes the non-positional ones as hidden trailing
@@ -331,19 +308,21 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, 
 	}
 	cs.cores = make([]core, n)
 	first := &cs.cores[0]
-	s.compileCore(cs, first, sel, items, outer, force, distinct)
-	cs.fails = first.fails()
+	if err := s.compileCore(cs, first, sel, items, outer, force, distinct); err != nil {
+		return nil, err
+	}
 	for i, prev, u := 1, sel, sel.Union; u != nil; i, prev, u = i+1, u, u.Union {
 		c := &cs.cores[i]
-		s.compileCore(cs, c, u, u.Items, outer, force, u.Distinct)
-		c.unionAll = prev.UnionAll
-		if !first.fails() && !c.fails() && len(c.names) != len(first.names) {
-			c.unionErr = errors.New("UNION branches have different column counts")
+		if err := s.compileCore(cs, c, u, u.Items, outer, force, u.Distinct); err != nil {
+			return nil, err
 		}
-		cs.fails = cs.fails || c.fails()
+		c.unionAll = prev.UnionAll
+		if len(c.names) != len(first.names) {
+			return nil, errors.New("UNION branches have different column counts")
+		}
 	}
-	if first.fails() || len(sel.OrderBy) == 0 {
-		return cs
+	if len(sel.OrderBy) == 0 {
+		return cs, nil
 	}
 	outCols := cs.outCols()
 	visible := len(outCols)
@@ -351,11 +330,10 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, 
 	var outScope *scope // the output row's, for the keys evaluated against it
 	for _, o := range sel.OrderBy {
 		k := sortKey{desc: o.Desc}
-		var err error
 		cr, isRef := o.Expr.(*ast.ColumnRef)
 		switch pos, positional := orderPosition(o); {
 		case positional && (pos < 1 || pos > int64(visible)):
-			err = fmt.Errorf("ORDER BY position %d out of range", pos)
+			return nil, fmt.Errorf("ORDER BY position %d out of range", pos)
 		case positional:
 			k.expr = column(0, int(pos)-1)
 		case hiddenSort:
@@ -364,28 +342,24 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, 
 		case isRef:
 			// Column references match output columns by name, ignoring any
 			// table qualifier (the source tables are gone by then).
-			if i := slices.IndexFunc(outCols, func(c string) bool { return up(c) == up(cr.Column) }); i >= 0 {
-				k.expr = column(0, i)
-			} else {
-				err = fmt.Errorf("ORDER BY column %s must appear in the select list", refName(cr))
+			i := slices.IndexFunc(outCols, func(c string) bool { return up(c) == up(cr.Column) })
+			if i < 0 {
+				return nil, fmt.Errorf("ORDER BY column %s must appear in the select list", refName(cr))
 			}
+			k.expr = column(0, i)
 		default:
 			if outScope == nil {
 				outScope = &scope{cols: scopeCols(nil, "", outCols), parent: outer}
 			}
 			l := lowering{s: s, force: force, owned: true}
-			k.expr = l.lower(o.Expr, outScope, false)
-			cs.adopt(&l.body)
-		}
-		if err != nil {
-			k.expr = &errX{err}
-			if hiddenSort && cs.sortErr == nil {
-				cs.sortErr, cs.fails = err, true
+			if k.expr = l.lower(o.Expr, outScope, false); l.err != nil {
+				return nil, l.err
 			}
+			cs.adopt(&l.body)
 		}
 		cs.keys = append(cs.keys, k)
 	}
-	return cs
+	return cs, nil
 }
 
 // orderPosition reports whether an ORDER BY key is positional (ORDER BY
@@ -399,17 +373,17 @@ func orderPosition(o ast.OrderItem) (int64, bool) {
 
 // compileCore lowers one SELECT of the query expression cs: sources,
 // expressions, access path, projection shape. It stops at the first
-// static error — execution cannot get past it.
-func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, items []ast.SelectItem, outer *scope, force plan.Force, distinct bool) {
+// static error.
+func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, items []ast.SelectItem, outer *scope, force plan.Force, distinct bool) error {
 	c.distinct = distinct
-	cols, ok := s.compileFrom(cs, c, sel, outer, force)
-	if c.broken = !ok; c.broken {
-		return
+	cols, err := s.compileFrom(cs, c, sel, outer, force)
+	if err != nil {
+		return err
 	}
 	c.width = len(cols)
 	// Lowered in evaluation order — items, WHERE, HAVING, GROUP BY — so the
-	// first reference that resolves nowhere is the one raised. The cores
-	// and joins nested in them are listed after the core's own path.
+	// first static error is the one raised. The cores and joins nested in
+	// them are listed after the core's own path.
 	sc := &scope{cols: cols, parent: outer}
 	l := lowering{s: s, force: force, owned: true}
 	exprs := make([]rexpr, len(items))
@@ -424,8 +398,8 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	c.where = l.lower(sel.Where, sc, false)
 	c.having = l.lower(sel.Having, sc, true)
 	c.groupBy = l.lowerAll(sel.GroupBy, sc)
-	if c.compileErr = l.unknown; c.compileErr != nil {
-		return
+	if l.err != nil {
+		return l.err
 	}
 	if len(c.from) == 1 && c.from[0].sub == nil {
 		t, _ := s.lookupTable(c.from[0].name)
@@ -433,38 +407,39 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 		cs.paths = append(cs.paths, plan.Core{Table: c.p.table, Path: c.p.path})
 	}
 	cs.adopt(&l.body)
-	c.names, c.projs, c.projErr = s.expandItems(items, exprs, cols, c.grouped)
+	c.names, c.projs, err = s.expandItems(items, exprs, cols, c.grouped)
+	return err
 }
 
 // compileFrom resolves the FROM clause of sel into the core's source
 // tree, in the order execution opens it, and returns the scope the tree
-// produces. It reports false at the first source that cannot open; the
-// tree then ends there.
-func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, outer *scope, force plan.Force) (cols []scopeCol, ok bool) {
-	add := func(tr ast.TableRef, j *ast.Join, skipViewDistinct bool) bool {
-		var src source
-		src, cols = s.compileRef(&cs.planBody, tr, cols, outer, force, skipViewDistinct)
+// produces, or the first static error of its sources and ONs.
+func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, outer *scope, force plan.Force) (cols []scopeCol, err error) {
+	add := func(tr ast.TableRef, j *ast.Join, skipViewDistinct bool) error {
+		src, more, err := s.compileRef(&cs.planBody, tr, cols, outer, force, skipViewDistinct)
+		cols = more
 		c.from = append(c.from, fromStep{source: src, join: j})
-		return !src.fails()
+		return err
 	}
 	for i := range sel.From {
 		fi := &sel.From[i]
 		entry := len(cols)
-		if !add(fi.Table, nil, false) {
-			return nil, false
+		if err := add(fi.Table, nil, false); err != nil {
+			return nil, err
 		}
 		for k := range fi.Joins {
 			j := &fi.Joins[k]
 			nleft := len(cols) - entry
-			if !add(j.Right, j, j.Type == ast.JoinLeft && s.eng.cfg.Quirks.LeftJoinDistinctViewDup) {
-				return nil, false
+			if err := add(j.Right, j, j.Type == ast.JoinLeft && s.eng.cfg.Quirks.LeftJoinDistinctViewDup); err != nil {
+				return nil, err
 			}
-			// ON reads the entry's columns so far, not an earlier entry's;
-			// its unknown references raise per pair, when evaluated.
+			// ON reads the entry's columns so far, not an earlier entry's.
 			sc := &scope{cols: cols[entry:], parent: outer}
 			l := lowering{s: s, force: force, owned: true}
 			step := &c.from[len(c.from)-1]
-			step.on = l.lower(j.On, sc, false)
+			if step.on = l.lower(j.On, sc, false); l.err != nil {
+				return nil, l.err
+			}
 			cs.adopt(&l.body)
 			if j.Type != ast.JoinCross && j.On != nil {
 				algo := plan.NestedLoop
@@ -475,7 +450,7 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 			}
 		}
 	}
-	return cols, true
+	return cols, nil
 }
 
 // compileRef resolves one FROM reference — base table, view, or derived
@@ -483,15 +458,15 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 // skipViewDistinct implements the LeftJoinDistinctViewDup quirk: the
 // DISTINCT of a view definition is dropped when the view is expanded on
 // the right of a LEFT OUTER JOIN.
-func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, outer *scope, force plan.Force, skipViewDistinct bool) (source, []scopeCol) {
+func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, outer *scope, force plan.Force, skipViewDistinct bool) (source, []scopeCol, error) {
 	if tr.Subquery != nil {
-		sub := s.compileSelect(tr.Subquery, outer, force, tr.Subquery.Distinct)
-		b.adopt(&sub.planBody)
-		if sub.fails {
-			return source{sub: sub}, cols
+		sub, err := s.compileSelect(tr.Subquery, outer, force, tr.Subquery.Distinct)
+		if err != nil {
+			return source{}, nil, err
 		}
+		b.adopt(&sub.planBody)
 		names := sub.outCols()
-		return source{sub: sub, width: len(names)}, scopeCols(cols, up(tr.Alias), names)
+		return source{sub: sub, width: len(names)}, scopeCols(cols, up(tr.Alias), names), nil
 	}
 	name := up(tr.Name)
 	qual := name
@@ -499,27 +474,27 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 		qual = up(tr.Alias)
 	}
 	if t, ok := s.lookupTable(name); ok {
-		return source{name: name, width: len(t.Cols)}, tableScopeCols(cols, qual, t)
+		return source{name: name, width: len(t.Cols)}, tableScopeCols(cols, qual, t), nil
 	}
 	v, ok := s.lookupView(name)
 	if !ok {
-		return source{name: name, err: fmt.Errorf("%w: %s", ErrTableNotFound, name)}, cols
+		return source{}, nil, fmt.Errorf("%w: %s", ErrTableNotFound, name)
 	}
-	sub := s.compileSelect(v.Select, nil, force, v.Select.Distinct && !skipViewDistinct)
+	sub, err := s.compileSelect(v.Select, nil, force, v.Select.Distinct && !skipViewDistinct)
+	if err != nil {
+		return source{}, nil, fmt.Errorf("expanding view %s: %w", name, err)
+	}
 	b.adopt(&sub.planBody)
-	src := source{name: name, sub: sub, view: true}
-	if sub.fails {
-		return src, cols
-	}
 	names := sub.outCols()
 	if len(v.Columns) > 0 {
+		// Checked at CREATE VIEW too; a SELECT * body widens or narrows
+		// when its table is recreated.
 		if len(v.Columns) != len(names) {
-			src.err = fmt.Errorf("view %s column list does not match definition", name)
+			return source{}, nil, fmt.Errorf("view %s column list does not match definition", name)
 		}
 		names = v.Columns
 	}
-	src.width = len(names)
-	return src, scopeCols(cols, qual, names)
+	return source{name: name, sub: sub, view: true, width: len(names)}, scopeCols(cols, qual, names), nil
 }
 
 // scopeCols appends a result's columns, named under one qualifier.
@@ -630,43 +605,40 @@ func (s *Session) keyValue(x rexpr) (v int64, null, ok bool) {
 // dmlPlan is the plan of one UPDATE or DELETE: its WHERE and SET values
 // lowered in the target table's scope, and the access path of its row
 // visit — chosen by the rules, and behind the gates, a SELECT core's is.
-// err is an UPDATE's first unknown SET column, else the first reference
-// of WHERE, then of the SET values, that resolves nowhere: raised, as a
-// SELECT core raises it, before any row work.
 type dmlPlan struct {
 	planBody
 	p     *visit
 	where rexpr
 	sets  []rexpr
 	cols  []int // the SET columns' ordinals, index-aligned with sets
-	err   error
 }
 
 // planDML returns the memoised plan of the shape of an UPDATE/DELETE st
-// over t, compiling st on a miss. An unknown SET column is the plan's
-// error, ahead of any in WHERE or SET expressions; such a plan has
-// nothing else. Caller holds t's latch on the live plane.
-func (s *Session) planDML(shape, st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
+// over t, compiling st on a miss, or its static error. Caller holds t's
+// latch on the live plane.
+func (s *Session) planDML(shape, st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) (*dmlPlan, error) {
 	e := s.eng
-	dp, known := e.dmlMemo.load(shape, e.schemaVersion)
-	hit := dp != nil
+	me, known := e.dmlMemo.load(shape, e.schemaVersion)
+	hit := me != nil
 	if !hit {
-		dp = s.compileDML(st, t, where, sets)
-		e.dmlMemo.store(shape, known, e.schemaVersion, dp)
+		dp, err := s.compileDML(st, t, where, sets)
+		me = e.dmlMemo.store(shape, known, e.schemaVersion, dp, err)
 	}
-	if dp.p == nil {
-		return dp
+	if me.err != nil {
+		return nil, me.err
 	}
+	dp := me.plan
 	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
-	return dp
+	return dp, nil
 }
 
-// compileDML compiles an UPDATE/DELETE over t (planDML).
-func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) *dmlPlan {
+// compileDML compiles an UPDATE/DELETE over t (planDML). An unknown SET
+// column is raised ahead of WHERE's static errors, then the SET values'.
+func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) (*dmlPlan, error) {
 	dp := &dmlPlan{cols: make([]int, len(sets))}
 	for i, set := range sets {
 		if dp.cols[i] = t.colIndex(set.Column); dp.cols[i] < 0 {
-			return &dmlPlan{err: fmt.Errorf("unknown column %s in table %s", set.Column, t.Name)}
+			return nil, fmt.Errorf("unknown column %s in table %s", set.Column, t.Name)
 		}
 	}
 	l := lowering{s: s, owned: true}
@@ -675,11 +647,13 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 	for i, set := range sets {
 		dp.sets[i] = l.lower(set.Value, sc, false)
 	}
-	dp.err = l.unknown
+	if l.err != nil {
+		return nil, l.err
+	}
 	dp.p = s.accessPath(t, dp.where, ast.NumParams(st), plan.ForceAuto)
 	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.path}}, l.body.paths...)
 	dp.joins = l.body.joins
-	return dp
+	return dp, nil
 }
 
 // execSelectRLocked is the read-lock SELECT path: probe the memo by the
@@ -692,7 +666,11 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, error) {
 	sel := p.Select
 	if force != plan.ForceAuto {
-		return s.runTop(s.compileSelect(sel, nil, force, sel.Distinct), false)
+		cs, err := s.compileSelect(sel, nil, force, sel.Distinct)
+		if err != nil {
+			return nil, err
+		}
+		return s.runTop(cs, false)
 	}
 	// A pure SELECT reads one plane that nothing changes while it runs,
 	// and calls no sequence function: an uncorrelated nested select
@@ -702,18 +680,22 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, 
 	defer func() { s.onceOn = false }()
 	e := s.eng
 	ver := s.planVersion()
-	cs, known := e.planMemo.load(p.Shape, ver)
-	if cs != nil {
+	me, known := e.planMemo.load(p.Shape, ver)
+	hit := me != nil
+	if hit {
 		e.memoHits.Add(1)
-		return s.runTop(cs, true)
+	} else {
+		if known {
+			e.memoStale.Add(1)
+		}
+		e.memoMisses.Add(1)
+		cs, err := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+		me = e.planMemo.store(p.Shape, known, ver, cs, err)
 	}
-	if known {
-		e.memoStale.Add(1)
+	if me.err != nil {
+		return nil, me.err
 	}
-	e.memoMisses.Add(1)
-	cs = s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
-	e.planMemo.store(p.Shape, known, ver, cs)
-	return s.runTop(cs, false)
+	return s.runTop(me.plan, hit)
 }
 
 // runTop runs a statement-level SELECT: it records the plan taken —
@@ -746,7 +728,10 @@ func (s *Session) rowsResult(cs *compiledSelect, rows [][]types.Value) *Result {
 // counting the compile as the miss it is.
 func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value, error) {
 	s.eng.memoMisses.Add(1)
-	cs := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+	cs, err := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+	if err != nil {
+		return nil, nil, err
+	}
 	rows, err := s.runSelect(cs, nil, nil)
 	return cs, rows, err
 }

@@ -395,35 +395,38 @@ func TestCorrelatedSubqueryCompiledOncePerStatement(t *testing.T) {
 	}
 }
 
-// Errors a plan records at compile time are replayed where execution
-// would have raised them: the first unresolved column in evaluation
-// order, after the sources opened and before any row work; a nested
-// select's only when it is evaluated; projection-shape errors after
-// filtering and grouping; an unresolvable key of a DISTINCT/UNION sort
-// only when a comparison needs it.
+// A static error fails the statement before anything runs, whatever its
+// rows: a nested select's static error, a FROM source that does not
+// exist, a projection's shape, a UNION's column count and an ORDER BY
+// key all precede a division by zero, and all raise on no rows. Among
+// static errors the first wins: sources, then references in evaluation
+// order, projection shape, UNION column count, ORDER BY keys.
 func TestStaticErrorPrecedence(t *testing.T) {
 	e := NewOracle()
 	s := e.NewSession()
 	seedShapes(t, s)
+	sessExec(t, s, "CREATE TABLE Z (A INT)")
+	sessExec(t, s, "INSERT INTO Z VALUES (1)")
 	for sql, want := range map[string]string{
 		"SELECT NOPE1 / NOPE2 FROM KV":                                      "unknown column NOPE1",
 		"SELECT ID FROM KV WHERE NOPE2 = 1 ORDER BY NOPE1":                  "unknown column NOPE1",
 		"SELECT ID FROM KV WHERE NOPE1 = 1 GROUP BY NOPE2 HAVING NOPE3 = 1": "unknown column NOPE1",
-		"SELECT ID FROM KV WHERE 1/0 = 1 AND EXISTS (SELECT NOPE1 FROM U)":  "division by zero",
+		"SELECT ID FROM KV WHERE 1/0 = 1 AND EXISTS (SELECT NOPE1 FROM U)":  "unknown column NOPE1",
 		"SELECT ID FROM KV WHERE ID = 1 AND EXISTS (SELECT NOPE1 FROM U)":   "unknown column NOPE1",
-		"SELECT ID FROM KV WHERE ID = 99 AND EXISTS (SELECT NOPE1 FROM U)":  "",
-		"SELECT Q.X FROM (SELECT 1/0 AS X FROM U) Q, NOSUCHTABLE":           "division by zero",
+		"SELECT ID FROM KV WHERE ID = 99 AND EXISTS (SELECT NOPE1 FROM U)":  "unknown column NOPE1",
+		"SELECT Q.X FROM (SELECT 1/0 AS X FROM U) Q, NOSUCHTABLE":           "table or view not found: NOSUCHTABLE",
 		"SELECT Q.X FROM NOSUCHTABLE, (SELECT 1/0 AS X FROM U) Q":           "table or view not found: NOSUCHTABLE",
-		"SELECT ID FROM KV WHERE 1/0 = 1 UNION SELECT X, Y FROM U":          "division by zero",
+		"SELECT ID FROM KV WHERE 1/0 = 1 UNION SELECT X, Y FROM U":          "UNION branches have different column counts",
 		"SELECT ID FROM KV UNION SELECT X, Y FROM U":                        "UNION branches have different column counts",
-		"SELECT NOSUCH.* FROM KV WHERE 1/0 = 1":                             "division by zero",
+		"SELECT NOSUCH.* FROM KV WHERE 1/0 = 1":                             "unknown table qualifier NOSUCH.*",
 		"SELECT NOSUCH.* FROM KV":                                           "unknown table qualifier NOSUCH.*",
-		"SELECT *, COUNT(*) FROM KV GROUP BY 1/(ID-1)":                      "division by zero",
+		"SELECT *, COUNT(*) FROM KV GROUP BY 1/(ID-1)":                      "cannot use * with GROUP BY or aggregates",
 		"SELECT *, COUNT(*) FROM KV GROUP BY ID":                            "cannot use * with GROUP BY or aggregates",
-		"SELECT DISTINCT A FROM KV WHERE ID = 1 ORDER BY 7":                 "",
-		"SELECT DISTINCT A FROM KV ORDER BY A, 7":                           "",
+		"SELECT DISTINCT A FROM KV WHERE ID = 1 ORDER BY 7":                 "ORDER BY position 7 out of range",
+		"SELECT DISTINCT A FROM KV ORDER BY A, 7":                           "ORDER BY position 7 out of range",
 		"SELECT DISTINCT A, ID FROM KV ORDER BY A, 7":                       "ORDER BY position 7 out of range",
 		"SELECT DISTINCT A FROM KV ORDER BY ID":                             "ORDER BY column ID must appear in the select list",
+		"SELECT 0 FROM Z WHERE 1 IN (SELECT 1) OR 1 IN (SELECT A0 FROM Z)":  "unknown column A0",
 	} {
 		_, err := gexec(s, sql)
 		if got := fmt.Sprint(err); (want == "") != (err == nil) || (err != nil && got != want) {

@@ -17,11 +17,16 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	checks, err := e.lowerChecks(t)
+	if err != nil {
+		return nil, err
+	}
 
 	// Every source row is evaluated before any row is built, so an
 	// evaluation error anywhere precedes a count or constraint error. A
-	// VALUES list is evaluated into the statement's arena, its rows back
-	// to back; only the stored rows are allocated.
+	// VALUES list, which reads no row, is lowered whole, then evaluated
+	// into the statement's arena, its rows back to back; only the stored
+	// rows are allocated.
 	var selRows [][]types.Value
 	var vals []types.Value
 	n := len(ins.Rows)
@@ -32,30 +37,30 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 		}
 		selRows, n = rows, len(rows)
 	} else {
-		// Each value is lowered where it is evaluated: it reads no row, and
-		// a reference is an error only when its row is reached.
-		l := lowering{s: e}
-		total := 0
-		for _, exprRow := range ins.Rows {
-			total += len(exprRow)
-		}
-		vals = e.mem.values(total)[:0]
+		xs := e.insVals[:0]
 		for _, exprRow := range ins.Rows {
 			for _, ex := range exprRow {
-				v, err := e.eval(l.lower(ex, nil, false), nil)
+				x, err := e.lowerAlone(ex, nil)
 				if err != nil {
 					return nil, err
 				}
-				vals = append(vals, v)
+				xs = append(xs, x)
 			}
 		}
+		vals = e.mem.values(len(xs))
+		for i, x := range xs {
+			if vals[i], err = e.eval(x, nil); err != nil {
+				return nil, err
+			}
+		}
+		clear(xs)
+		e.insVals = xs[:0]
 	}
 	width := len(targets)
 	if targets == nil {
 		width = len(t.Cols)
 	}
 
-	checks := e.lowerChecks(t)
 	inserted := 0
 	// Statement atomicity: a failure on any row unwinds the rows this
 	// statement already appended. Without this, a mid-statement error
@@ -190,8 +195,11 @@ func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.
 		}
 		switch {
 		case col.Default != nil:
-			l := lowering{s: e}
-			dv, err := e.eval(l.lower(col.Default, nil, false), nil)
+			x, err := e.lowerAlone(col.Default, nil)
+			if err != nil {
+				return nil, err
+			}
+			dv, err := e.eval(x, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -219,14 +227,24 @@ func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.
 	return row, nil
 }
 
+// lowerAlone lowers an expression no plan owns — an INSERT value, a
+// DEFAULT, a CHECK — in scope sc, or returns its static error: a node
+// that did not lower is never evaluated.
+func (e *Session) lowerAlone(x ast.Expr, sc *scope) (rexpr, error) {
+	l := lowering{s: e}
+	rx := l.lower(x, sc, false)
+	return rx, l.err
+}
+
 // lowerChecks lowers a table's CHECK constraints, in the table's scope,
-// once for the statement that checks its rows against them.
-func (e *Session) lowerChecks(t *Table) []rexpr {
+// once for the statement that creates the table or checks rows.
+func (e *Session) lowerChecks(t *Table) ([]rexpr, error) {
 	if len(t.Checks) == 0 {
-		return nil
+		return nil, nil
 	}
 	l := lowering{s: e}
-	return l.lowerAll(t.Checks, &scope{cols: tableScopeCols(nil, t.Name, t)})
+	checks := l.lowerAll(t.Checks, &scope{cols: tableScopeCols(nil, t.Name, t)})
+	return checks, l.err
 }
 
 // checkConstraints verifies PK/UNIQUE and the lowered CHECKs for a
@@ -353,12 +371,15 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, upd.Table)
 	}
-	dp := e.planDML(shape, upd, t, upd.Where, upd.Sets)
-	if dp.err != nil {
-		return nil, dp.err
+	dp, err := e.planDML(shape, upd, t, upd.Where, upd.Sets)
+	if err != nil {
+		return nil, err
 	}
 	setIdx := dp.cols
-	checks := e.lowerChecks(t)
+	checks, err := e.lowerChecks(t)
+	if err != nil {
+		return nil, err
+	}
 	var affected int64
 	// changes are the rows replaced, as (old, new) pairs flattened.
 	changes := e.mem.list(0)
@@ -511,9 +532,9 @@ func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, err
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, del.Table)
 	}
-	dp := e.planDML(shape, del, t, del.Where, nil)
-	if dp.err != nil {
-		return nil, dp.err
+	dp, err := e.planDML(shape, del, t, del.Where, nil)
+	if err != nil {
+		return nil, err
 	}
 	// The positions WHERE is true on, in table order: among the
 	// candidates an index names — rows outside them provably fail an

@@ -632,8 +632,11 @@ func (e *Session) execCreateTable(ct *ast.CreateTable, reads []string) (*Result,
 		}
 		col := Column{Name: cn, Kind: kind, NotNull: cd.NotNull || cd.PrimaryKey, Default: cd.Default}
 		if cd.Default != nil {
-			l := lowering{s: e}
-			dv, err := e.eval(l.lower(cd.Default, nil, false), nil)
+			x, err := e.lowerAlone(cd.Default, nil)
+			if err != nil {
+				return nil, fmt.Errorf("invalid DEFAULT for %s: %w", cn, err)
+			}
+			dv, err := e.eval(x, nil)
 			if err != nil {
 				return nil, fmt.Errorf("invalid DEFAULT for %s: %w", cn, err)
 			}
@@ -684,6 +687,9 @@ func (e *Session) execCreateTable(ct *ast.CreateTable, reads []string) (*Result,
 			t.Checks = append(t.Checks, tc.Check)
 		}
 	}
+	if _, err := e.lowerChecks(t); err != nil {
+		return nil, err
+	}
 	t.ic = &indexCache{}
 	e.eng.st.tables[name] = t
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.tables, name) })
@@ -719,12 +725,16 @@ func (e *Session) execCreateView(cv *ast.CreateView, reads, funcs []string) (*Re
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateObject, name)
 	}
 	// Validate the definition by executing it once against current state.
-	if _, _, err := e.runUnowned(cv.Select); err != nil {
+	cs, _, err := e.runUnowned(cv.Select)
+	if err != nil {
 		return nil, fmt.Errorf("invalid view definition: %w", err)
 	}
 	cols := make([]string, len(cv.Columns))
 	for i, c := range cv.Columns {
 		cols[i] = up(c)
+	}
+	if len(cols) > 0 && len(cols) != len(cs.outCols()) {
+		return nil, fmt.Errorf("view %s column list does not match definition", name)
 	}
 	e.eng.st.views[name] = &View{Name: name, Columns: cols, Select: cv.Select, reads: reads, funcs: funcs}
 	e.logUndoCatalog(func(dst *state, _ bool) { delete(dst.views, name) })

@@ -256,6 +256,13 @@ func TestViews(t *testing.T) {
 	}
 	mustExec(t, e, "DROP VIEW CHEAP")
 	mustFail(t, e, "SELECT NAME FROM CHEAP")
+	// A column list is checked against the definition when the view is
+	// created, not first when it is read.
+	const mismatch = "view WIDE column list does not match definition"
+	if err := mustFail(t, e, "CREATE VIEW WIDE (X, Y, W) AS SELECT ID, NAME FROM PRODUCT"); err.Error() != mismatch {
+		t.Errorf("CREATE VIEW with three names for two columns: %v, want %q", err, mismatch)
+	}
+	mustFail(t, e, "SELECT X FROM WIDE")
 }
 
 func TestDropTableOnViewQuirk(t *testing.T) {
@@ -385,6 +392,48 @@ func TestCheckConstraint(t *testing.T) {
 	}
 	// Unknown passes (SQL semantics).
 	mustExec(t, e, "INSERT INTO C VALUES (NULL)")
+	// A CHECK resolves in the new table's scope when the table is created.
+	if err := mustFail(t, e, "CREATE TABLE C2 (A INT, B INT, CHECK (NOPE > 0))"); err.Error() != "unknown column NOPE" {
+		t.Errorf("CREATE TABLE with an unresolvable CHECK: %v", err)
+	}
+	mustFail(t, e, "INSERT INTO C2 SELECT A, A FROM C WHERE 1 = 0")
+}
+
+// An expression no plan owns — an INSERT's values, a DEFAULT, a CHECK —
+// raises its static error before the statement evaluates anything, and
+// the statement stores nothing: a node that did not lower is never
+// evaluated.
+func TestUnownedExpressionsFailToCompile(t *testing.T) {
+	e := NewOracle()
+	mustExec(t, e, "CREATE TABLE Z (A INT, B INT)")
+	mustExec(t, e, "CREATE TABLE SRC (X INT)")
+	mustExec(t, e, "INSERT INTO SRC VALUES (5)")
+	mustExec(t, e, "CREATE TABLE D (A INT DEFAULT (SELECT MAX(X) FROM SRC), B INT)")
+	mustExec(t, e, "CREATE TABLE K (A INT CHECK (A < (SELECT MAX(X) FROM SRC)))")
+	mustExec(t, e, "INSERT INTO D (B) VALUES (1)")
+	mustExec(t, e, "INSERT INTO K VALUES (1)")
+	mustExec(t, e, "DROP TABLE SRC")
+	const gone = "table or view not found: SRC"
+	for sql, want := range map[string]string{
+		"INSERT INTO Z VALUES (NOPE, 1)":            "unknown column NOPE",
+		"INSERT INTO Z VALUES (1, 2), (1/0, NOPE)":  "unknown column NOPE",
+		"INSERT INTO D (B) VALUES (2)":              gone,
+		"INSERT INTO K VALUES (2)":                  gone,
+		"INSERT INTO K SELECT A FROM Z WHERE 1 = 0": gone,
+		"UPDATE K SET A = 2":                        gone,
+	} {
+		if err := mustFail(t, e, sql); err.Error() != want {
+			t.Errorf("%q: %v, want %q", sql, err, want)
+		}
+	}
+	for table, want := range map[string]string{"Z": "0", "D": "1", "K": "1"} {
+		if got := rowStrings(mustExec(t, e, "SELECT COUNT(*) AS N FROM "+table)); len(got) != 1 || got[0] != want {
+			t.Errorf("%s holds %v rows, want %s", table, got, want)
+		}
+	}
+	if got := rowStrings(mustExec(t, e, "SELECT A FROM K")); len(got) != 1 || got[0] != "1" {
+		t.Errorf("K after a failed UPDATE: %v, want [1]", got)
+	}
 }
 
 func TestInsertSelect(t *testing.T) {

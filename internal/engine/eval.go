@@ -46,8 +46,6 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 			en = en.outer
 		}
 		return en.row[n.i], nil
-	case *errX:
-		return types.Value{}, n.err
 	case *binX:
 		return s.evalBinary(n, en)
 	case *unX:
@@ -106,9 +104,6 @@ func (s *Session) eval(x rexpr, en *env) (types.Value, error) {
 		if err != nil {
 			return types.Value{}, err
 		}
-		if n.err != nil {
-			return types.Value{}, n.err
-		}
 		return coerce(v, n.kind)
 	}
 	return types.Value{}, fmt.Errorf("unresolved expression %T", x)
@@ -142,8 +137,6 @@ func (s *Session) evalSubquery(n *selectX, en *env) (types.Value, error) {
 		return types.Null(), nil
 	case len(rows) > 1:
 		return types.Value{}, errors.New("scalar subquery returned more than one row")
-	case len(rows[0]) != 1:
-		return types.Value{}, errors.New("scalar subquery must return one column")
 	}
 	return rows[0][0], nil
 }
@@ -424,9 +417,6 @@ func (s *Session) matchSubquery(n *inX, v types.Value, en *env, match func(types
 	rows, err := s.runSelect(n.sub, en, &s.mem)
 	if err != nil {
 		return err
-	}
-	if len(n.sub.outCols()) != 1 {
-		return errors.New("IN subquery must return one column")
 	}
 	if r := s.inSet(n.sub, rows); r != nil && v.K == types.KindInt {
 		// Every value is an INT or NULL: v equals one exactly when its

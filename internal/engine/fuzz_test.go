@@ -24,9 +24,7 @@ import (
 // every join pairs all rows) must agree on the error, the columns and
 // the rows (order-sensitive iff the statement orders them), and neither
 // may panic. Seeded from the regress/ corpus and this package's query
-// shapes: the ORDER BY 0 and can-fail-predicate cases, the
-// join-semantics table, joins over the views and the poisoned table, and
-// the grouped and correlated evaluation contexts.
+// shapes (addQueryShapes).
 func FuzzSelectVariants(f *testing.F) {
 	addQueryShapes(f)
 	e := fuzzEngine(f)
@@ -63,7 +61,8 @@ func FuzzSelectVariants(f *testing.F) {
 // addQueryShapes seeds a fuzz target with the regress/ corpus and this
 // package's query shapes: the ORDER BY 0 and can-fail-predicate cases,
 // the join-semantics table, joins over the views and the poisoned table,
-// and the grouped and correlated evaluation contexts.
+// the grouped and correlated evaluation contexts, and nested selects
+// that do not compile.
 func addQueryShapes(f *testing.F) {
 	files, err := filepath.Glob("../../regress/cases/*.json")
 	if err != nil || len(files) == 0 {
@@ -102,6 +101,22 @@ func addQueryShapes(f *testing.F) {
 	for _, tc := range evalContextCases {
 		f.Add(tc.sql)
 	}
+	for _, sql := range staticErrorShapes {
+		f.Add(sql)
+	}
+}
+
+// staticErrorShapes name a missing column in a nested select beside
+// lifted literals, some of which no row reaches: the shape's compile
+// error, memoised, answers for every literal sibling.
+var staticErrorShapes = []string{
+	"SELECT 0 FROM U WHERE 1 IN (SELECT 1) OR 1 IN (SELECT A0 FROM U)",
+	"SELECT ID FROM KV WHERE ID = 99 AND EXISTS (SELECT NOPE FROM U WHERE X = 2)",
+	"SELECT ID FROM KV WHERE ID = 1 OR ID IN (SELECT NOPE FROM U WHERE X = 1)",
+	"SELECT ID, (SELECT NOPE FROM U WHERE X = 3) AS Q FROM KV WHERE ID = 2",
+	"SELECT L.V FROM L INNER JOIN R ON L.K = R.K AND R.Z IN (SELECT NOPE FROM U WHERE X = 1)",
+	"UPDATE T SET M = 7 WHERE A = 1 AND EXISTS (SELECT NOPE FROM U WHERE X = 3)",
+	"DELETE FROM T WHERE A = 2 AND B IN (SELECT NOPE FROM U WHERE X = 1)",
 }
 
 // fuzzEngine is the fixed schema the fuzz targets run over.

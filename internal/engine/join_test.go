@@ -145,9 +145,9 @@ var joinCases = []struct {
 	{name: "an unknown column in ON, on pairs whose keys differ",
 		sql: "SELECT L5.V FROM (SELECT K, V FROM L WHERE K = 5) L5 INNER JOIN R ON NOPE = 1 AND L5.K = R.K",
 		err: "unknown column NOPE"},
-	{name: "an unknown column in ON is not raised without a pair",
-		sql:  "SELECT L.V, EMPTY.K FROM L LEFT OUTER JOIN EMPTY ON L.K = EMPTY.K AND NOPE = 1",
-		rows: []string{"a|NULL", "b|NULL", "c|NULL", "n|NULL", "e|NULL"}},
+	{name: "an unknown column in ON is raised without a pair",
+		sql: "SELECT L.V, EMPTY.K FROM L LEFT OUTER JOIN EMPTY ON L.K = EMPTY.K AND NOPE = 1",
+		err: "unknown column NOPE"},
 	{name: "a column of an earlier FROM entry is not in ON's scope",
 		sql: "SELECT L.V FROM L, R INNER JOIN F ON L.K = F.K",
 		err: "unknown column L.K"},

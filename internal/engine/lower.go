@@ -15,9 +15,8 @@ import (
 // resolved once, where its plan is compiled, into the tree eval
 // (eval.go) runs. No name survives it — a column becomes a scope depth
 // and an ordinal, a nested select its compiled plan, held by the node
-// that evaluates it — and what cannot be resolved (an unknown or
-// ambiguous column, an unknown function, a misused aggregate) becomes
-// the error evaluation raises when, and each time, it reaches the node.
+// that evaluates it. What cannot be resolved is the lowering's static
+// error, and its statement fails before anything runs.
 
 // scope is the compile-time image of the row an expression reads: the
 // names of its columns, and the scope enclosing it, through which a
@@ -57,8 +56,8 @@ func (sc *scope) ordinal(qual, name string) (int, error) {
 type rexpr interface {
 	// canFail reports whether evaluating the expression can raise an
 	// error, parameters assumed bound (visit.maxParam gates arity
-	// apart): arithmetic, unary minus, functions, CASE, CAST,
-	// subqueries and unresolved columns can; a comparison error is Unknown.
+	// apart): arithmetic, unary minus, functions, CASE, CAST and
+	// subqueries can; a comparison error is Unknown.
 	canFail() bool
 }
 
@@ -76,8 +75,9 @@ type (
 	slotX int
 	// colX reads ordinal i of the row depth levels up the env chain.
 	colX struct{ depth, i int }
-	// errX raises a static error when evaluated.
-	errX struct{ err error }
+	// unlowered stands in for a node that did not lower: lowering.err
+	// says why, and nothing that holds one is evaluated.
+	unlowered struct{}
 
 	binX struct {
 		l, r rexpr
@@ -136,20 +136,19 @@ type (
 	castX struct {
 		x    rexpr
 		kind types.Kind
-		err  error // the target type does not resolve; raised after x
 	}
 )
 
-func (litX) canFail() bool     { return false }
-func (paramX) canFail() bool   { return false }
-func (slotX) canFail() bool    { return false }
-func (*colX) canFail() bool    { return false }
-func (*errX) canFail() bool    { return true }
-func (*funcX) canFail() bool   { return true }
-func (*aggX) canFail() bool    { return true }
-func (*selectX) canFail() bool { return true }
-func (*caseX) canFail() bool   { return true }
-func (*castX) canFail() bool   { return true }
+func (litX) canFail() bool      { return false }
+func (paramX) canFail() bool    { return false }
+func (slotX) canFail() bool     { return false }
+func (*colX) canFail() bool     { return false }
+func (unlowered) canFail() bool { return true }
+func (*funcX) canFail() bool    { return true }
+func (*aggX) canFail() bool     { return true }
+func (*selectX) canFail() bool  { return true }
+func (*caseX) canFail() bool    { return true }
+func (*castX) canFail() bool    { return true }
 
 // colNodes are the column nodes of the nearest scopes' first columns,
 // shared by every plan (a resolved column is immutable), so that most
@@ -182,11 +181,19 @@ type lowering struct {
 	// values) each compile counts as the plan-cache miss it is instead.
 	body  planBody
 	owned bool
-	// unknown is the first reference that resolved nowhere, in evaluation
-	// order, outside a sequence function's arguments; aggs records that an
-	// aggregate over the scope's own rows was met.
-	unknown error
-	aggs    bool
+	// err is the first static error met, in evaluation order; aggs
+	// records that an aggregate over the scope's own rows was met.
+	err  error
+	aggs bool
+}
+
+// fail records err unless an earlier static error was met, and returns
+// the stand-in for the node that did not lower.
+func (l *lowering) fail(err error) rexpr {
+	if l.err == nil {
+		l.err = err
+	}
+	return unlowered{}
 }
 
 // lower resolves x against sc. top marks an item or HAVING of a core:
@@ -221,10 +228,11 @@ func (l *lowering) lower(x ast.Expr, sc *scope, top bool) rexpr {
 	case *ast.FuncCall:
 		return l.call(n, sc, top)
 	case *ast.In:
-		in := &inX{not: n.Not}
+		in := &inX{x: l.lower(n.X, sc, false), list: l.lowerAll(n.List, sc), not: n.Not}
 		if n.Select != nil {
-			in.sub = l.nested(n.Select, sc)
-			switch {
+			switch in.sub = l.nested(n.Select, sc); {
+			case in.sub != nil && len(in.sub.outCols()) != 1:
+				return l.fail(errors.New("IN subquery must return one column"))
 			case n.Select.Union == nil:
 			case l.s.eng.cfg.Quirks.ParenUnionSubqueryError:
 				// Quirk (PG bug 43): the parser chokes on UNION branches
@@ -237,8 +245,6 @@ func (l *lowering) lower(x ast.Expr, sc *scope, top bool) rexpr {
 				in.err = errors.New("internal error: could not resolve column in subquery parse tree")
 			}
 		}
-		in.x = l.lower(n.X, sc, false)
-		in.list = l.lowerAll(n.List, sc)
 		in.fallible = fallible(n.Select != nil || in.x.canFail())
 		for _, x := range in.list {
 			in.fallible = in.fallible || fallible(x.canFail())
@@ -247,7 +253,11 @@ func (l *lowering) lower(x ast.Expr, sc *scope, top bool) rexpr {
 	case *ast.Exists:
 		return &selectX{sub: l.nested(n.Select, sc), exists: true, not: n.Not}
 	case *ast.Subquery:
-		return &selectX{sub: l.nested(n.Select, sc)}
+		sub := l.nested(n.Select, sc)
+		if sub != nil && len(sub.outCols()) != 1 {
+			return l.fail(errors.New("scalar subquery must return one column"))
+		}
+		return &selectX{sub: sub}
 	case *ast.Between:
 		b := &betweenX{x: l.lower(n.X, sc, false), lo: l.lower(n.Lo, sc, false), hi: l.lower(n.Hi, sc, false), not: n.Not}
 		b.fallible = fallible(b.x.canFail() || b.lo.canFail() || b.hi.canFail())
@@ -272,10 +282,13 @@ func (l *lowering) lower(x ast.Expr, sc *scope, top bool) rexpr {
 		return c
 	case *ast.Cast:
 		c := &castX{x: l.lower(n.X, sc, false)}
-		c.kind, c.err = l.s.eng.cfg.ResolveType(n.To)
+		var err error
+		if c.kind, err = l.s.eng.cfg.ResolveType(n.To); err != nil {
+			return l.fail(err)
+		}
 		return c
 	}
-	return &errX{fmt.Errorf("unsupported expression %T", x)}
+	return l.fail(fmt.Errorf("unsupported expression %T", x))
 }
 
 func (l *lowering) lowerAll(xs []ast.Expr, sc *scope) []rexpr {
@@ -293,17 +306,13 @@ func (l *lowering) resolve(n *ast.ColumnRef, sc *scope) rexpr {
 	qual, name := up(n.Table), up(n.Column)
 	for depth := 0; sc != nil; depth, sc = depth+1, sc.parent {
 		if i, err := sc.ordinal(qual, name); err != nil {
-			return &errX{err}
+			return l.fail(err)
 		} else if i >= 0 {
 			l.s.noteRef(sc)
 			return column(depth, i)
 		}
 	}
-	err := fmt.Errorf("unknown column %s", refName(n))
-	if l.unknown == nil {
-		l.unknown = err
-	}
-	return &errX{err}
+	return l.fail(fmt.Errorf("unknown column %s", refName(n)))
 }
 
 func refName(n *ast.ColumnRef) string {
@@ -313,36 +322,34 @@ func refName(n *ast.ColumnRef) string {
 	return n.Column
 }
 
-// call resolves a function call to its builtin. Its static errors are
-// raised before any argument is evaluated, as they always were; the
-// arguments are lowered regardless, so their unknown references and
-// nested selects count where they sit.
+// call resolves a function call to its builtin, after its arguments:
+// their static errors come first, as evaluation order has them.
 func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 	name := strings.ToUpper(n.Name)
 	b, known := l.s.eng.cfg.Funcs[name]
 	seq := known && b.SeqFunc
-	unknown := l.unknown
-	args := l.lowerAll(n.Args, sc)
-	if seq {
-		l.unknown = unknown // a sequence function's arguments resolve when evaluated
+	xs := n.Args
+	if seq && len(xs) > 0 {
+		xs = xs[1:] // the first names the sequence
 	}
+	args := l.lowerAll(xs, sc)
 	if ast.IsAggregate(name) {
 		l.aggs = true
 		switch {
 		case !top:
-			return &errX{fmt.Errorf("invalid use of aggregate function %s", name)}
+			return l.fail(fmt.Errorf("invalid use of aggregate function %s", name))
 		case n.Star && name != "COUNT":
-			return &errX{fmt.Errorf("%s(*) is not valid", name)}
+			return l.fail(fmt.Errorf("%s(*) is not valid", name))
 		case n.Star:
 			return &aggX{name: name, star: true}
 		case len(args) != 1:
-			return &errX{fmt.Errorf("%s takes exactly one argument", name)}
+			return l.fail(fmt.Errorf("%s takes exactly one argument", name))
 		}
 		return &aggX{name: name, distinct: n.Distinct, arg: args[0]}
 	}
 	switch {
 	case !known:
-		return &errX{fmt.Errorf("unknown function %s", name)}
+		return l.fail(fmt.Errorf("unknown function %s", name))
 	case seq:
 		// The first argument is a sequence name, written as a bare
 		// identifier or a string.
@@ -358,12 +365,12 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 			}
 		}
 		if seqName == "" {
-			return &errX{fmt.Errorf("%s requires a sequence name", name)}
+			return l.fail(fmt.Errorf("%s requires a sequence name", name))
 		}
 		l.s.noteSeqCall()
 		// Its builtin is the advance of that sequence, by the second
 		// argument (1 without one); any further argument is never read.
-		return &funcX{args: args[1:min(len(args), 2)], fn: func(ctx *FuncContext, a []types.Value) (types.Value, error) {
+		return &funcX{args: args[:min(len(args), 1)], fn: func(ctx *FuncContext, a []types.Value) (types.Value, error) {
 			incr := int64(1)
 			if len(a) > 0 {
 				var err error
@@ -374,20 +381,23 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 			return ctx.Sess.SequenceNext(seqName, incr)
 		}}
 	case len(args) < b.MinArgs || (b.MaxArgs >= 0 && len(args) > b.MaxArgs):
-		return &errX{fmt.Errorf("wrong number of arguments to %s", name)}
+		return l.fail(fmt.Errorf("wrong number of arguments to %s", name))
 	}
 	return &funcX{fn: b.Fn, args: args}
 }
 
 // nested compiles a select met in an expression, against the scope it is
-// evaluated in. Its static errors are its own: they surface when, and
-// each time, the node runs it.
+// evaluated in: nil when it does not compile, its static error the
+// lowering's.
 func (l *lowering) nested(sel *ast.Select, sc *scope) *compiledSelect {
-	cs := l.s.compileSelect(sel, sc, l.force, sel.Distinct)
-	if l.owned {
-		l.body.adopt(&cs.planBody)
-	} else {
+	cs, err := l.s.compileSelect(sel, sc, l.force, sel.Distinct)
+	if !l.owned {
 		l.s.eng.memoMisses.Add(1)
+	}
+	if err != nil {
+		l.fail(err)
+	} else if l.owned {
+		l.body.adopt(&cs.planBody)
 	}
 	return cs
 }

@@ -48,12 +48,12 @@ var evalContextCases = []struct {
 	{sql: "SELECT S, ID + 1 AS I, COUNT(*) AS C FROM KV WHERE ID > 1", rows: []string{"b|3|3"}},
 	{sql: "SELECT ID, ID + 1 AS I, COUNT(*) AS C, MAX(S) AS M FROM KV WHERE ID > 99", rows: []string{"NULL|NULL|0|NULL"}},
 	{sql: "SELECT K, COUNT(*) AS C FROM EMPTY", rows: []string{"NULL|0"}},
-	// An ambiguous reference raises only when it is evaluated; an unknown
-	// one before any row is read.
-	{sql: "SELECT 1 AS O FROM U A, U B WHERE A.X = 99 AND X = 1", rows: []string{}},
+	// An ambiguous or unknown reference raises before any row is read,
+	// the first in evaluation order.
+	{sql: "SELECT 1 AS O FROM U A, U B WHERE A.X = 99 AND X = 1", err: "ambiguous column reference X"},
 	{sql: "SELECT 1 AS O FROM U A, U B WHERE A.X = 1 AND X = 1", err: "ambiguous column reference X"},
-	{sql: "SELECT X, NOPE FROM U A, U B", err: "unknown column NOPE"},
-	{sql: "SELECT X FROM U A, U B WHERE 1 = 0", rows: []string{}},
+	{sql: "SELECT X, NOPE FROM U A, U B", err: "ambiguous column reference X"},
+	{sql: "SELECT X FROM U A, U B WHERE 1 = 0", err: "ambiguous column reference X"},
 	// Correlated references resolve outward, two levels up included, and
 	// from an aggregate's argument and a subquery's HAVING.
 	{sql: "SELECT X FROM U WHERE EXISTS (SELECT 1 FROM KV WHERE KV.ID = 1 AND EXISTS (SELECT 1 FROM OL WHERE OL.N = U.X AND OL.W = KV.ID))", rows: []string{"1", "2"}},
@@ -66,7 +66,7 @@ var evalContextCases = []struct {
 	{sql: "SELECT NEXTVAL('SQ', 10) AS N FROM KV WHERE ID = 1", rows: []string{"2"}},
 	{sql: "SELECT NEXTVAL(SQ) AS N FROM KV WHERE ID = 1", rows: []string{"12"}},
 	{sql: "SELECT NEXTVAL(NOSUCHSEQ) AS N FROM KV WHERE ID = 1", err: "table or view not found: sequence NOSUCHSEQ"},
-	{sql: "SELECT NEXTVAL(SQ, NOPE) AS N FROM KV WHERE ID = 99", rows: []string{}},
+	{sql: "SELECT NEXTVAL(SQ, NOPE) AS N FROM KV WHERE ID = 99", err: "unknown column NOPE"},
 	{sql: "SELECT NEXTVAL(SQ, NOPE) AS N FROM KV WHERE ID = 1", err: "unknown column NOPE"},
 }
 

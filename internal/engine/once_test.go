@@ -202,8 +202,12 @@ func TestCorrelatedBit(t *testing.T) {
 	} {
 		p := resolve(t, tc.sql)
 		e.mu.RLock()
-		nested := nestedSelects(s.compileSelect(p.Select, nil, plan.ForceAuto, false))
+		cs, err := s.compileSelect(p.Select, nil, plan.ForceAuto, false)
 		e.mu.RUnlock()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		nested := nestedSelects(cs)
 		var got []bool
 		for _, cs := range nested {
 			got = append(got, cs.correlated)

@@ -85,9 +85,7 @@ func (s *Session) inSet(cs *compiledSelect, rows [][]types.Value) *onceResult {
 func (s *Session) runQuery(cs *compiledSelect, outer *env, out *arena) ([][]types.Value, error) {
 	rows, err := s.runCores(cs, outer, out)
 	if err == nil && len(cs.keys) > 0 {
-		if err = cs.sortErr; err == nil {
-			err = s.sortRows(cs, rows, outer)
-		}
+		err = s.sortRows(cs, rows, outer)
 		for i := 0; cs.hidden > 0 && i < len(rows); i++ {
 			rows[i] = rows[i][:len(rows[i])-int(cs.hidden)]
 		}
@@ -114,9 +112,6 @@ func (s *Session) runCores(cs *compiledSelect, outer *env, out *arena) ([][]type
 		if i == 0 {
 			rows = branch
 			continue
-		}
-		if c.unionErr != nil {
-			return nil, c.unionErr
 		}
 		rows = out.appendRow(rows, branch...)
 		if !c.unionAll {
@@ -145,9 +140,6 @@ func (s *Session) runCore(c *core, outer *env, out *arena) ([][]types.Value, err
 		rel, err := s.openFrom(c, outer)
 		if err != nil {
 			return nil, err
-		}
-		if c.compileErr != nil {
-			return nil, c.compileErr
 		}
 		all = rel.rows
 	}
@@ -238,8 +230,6 @@ func (s *Session) openSource(src *source, outer *env) (relation, error) {
 	rel := relation{width: src.width}
 	switch {
 	case src.sub == nil:
-		// A name compile time did not know (src.err) is still unknown:
-		// plans are stamped with their schema generation.
 		t, ok := s.lookupTable(src.name)
 		if !ok {
 			return relation{}, fmt.Errorf("%w: %s", ErrTableNotFound, src.name)
@@ -249,9 +239,6 @@ func (s *Session) openSource(src *source, outer *env) (relation, error) {
 		rows, err := s.runSelect(src.sub, nil, &s.mem)
 		if err != nil {
 			return relation{}, fmt.Errorf("expanding view %s: %w", src.name, err)
-		}
-		if src.err != nil {
-			return relation{}, src.err
 		}
 		rel.rows = rows
 	default:
@@ -268,11 +255,11 @@ func (s *Session) openSource(src *source, outer *env) (relation, error) {
 // first key error ends the sort's work.
 func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *env) error {
 	en := s.mem.env(outer)
-	var sortErr error
+	var keyErr error
 	keyOf := func(k *sortKey, row []types.Value) (v types.Value) {
-		if sortErr == nil {
+		if keyErr == nil {
 			en.row = row
-			v, sortErr = s.eval(k.expr, en)
+			v, keyErr = s.eval(k.expr, en)
 		}
 		return v
 	}
@@ -280,7 +267,7 @@ func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *env)
 		for k := range cs.keys {
 			key := &cs.keys[k]
 			a, b := keyOf(key, ri), keyOf(key, rj)
-			if sortErr != nil {
+			if keyErr != nil {
 				return 0
 			}
 			if c := types.CompareNullsFirst(a, b); c != 0 {
@@ -292,7 +279,7 @@ func (s *Session) sortRows(cs *compiledSelect, rows [][]types.Value, outer *env)
 		}
 		return 0
 	})
-	return sortErr
+	return keyErr
 }
 
 func (s *Session) crossProduct(a, b relation) relation {
@@ -477,9 +464,6 @@ func chainRows(mem *arena, rows [][]types.Value, col int) hashTable {
 // projectRows evaluates the core's projection over the filtered rows;
 // en is the core's env. The result rows come from one slab of out.
 func (s *Session) projectRows(c *core, rows [][]types.Value, en *env, out *arena) ([][]types.Value, error) {
-	if c.projErr != nil {
-		return nil, c.projErr
-	}
 	if len(rows) == 0 {
 		return nil, nil
 	}
@@ -620,9 +604,6 @@ func (s *Session) projectGrouped(c *core, rows [][]types.Value, outer *env, out 
 			starts[ids[r]]--
 			members[starts[ids[r]]] = rows[r]
 		}
-	}
-	if c.projErr != nil {
-		return nil, c.projErr
 	}
 	res := out.table(len(starts), len(c.projs))
 	kept := res[:0]

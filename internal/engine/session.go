@@ -99,10 +99,11 @@ type Session struct {
 	once    []onceResult
 	onceMem arena
 	onceOn  bool
-	// insCols holds an INSERT's explicit column list resolved, reused by
-	// every INSERT of the session (no write statement runs inside
-	// another).
+	// insCols holds an INSERT's column list resolved and insVals its
+	// VALUES lowered, reused by every INSERT of the session (no write
+	// statement runs inside another).
 	insCols []int
+	insVals []rexpr
 	// keyBuf encodes one key at a time for grouping and DISTINCT
 	// aggregates; fctx is what every builtin call is handed.
 	keyBuf []byte
