@@ -28,7 +28,8 @@ stackbench-test:
 # the server-vs-oracle verdict was written once, 28 246 before every
 # committed image came from one capture-and-rewind path, 28 908 before
 # access paths were read off the lowered tree, 28 715 before static
-# errors moved to the compile.
+# errors moved to the compile, 28 713 before a plan variant became a
+# run-time choice.
 # It counts the working tree: tracked and untracked files git does not
 # ignore, less those deleted but still in the index.
 # Deletion PRs quote it before and after.

@@ -22,8 +22,9 @@ import (
 // provably cannot satisfy an indexed conjunct, and only when evaluating
 // the predicate cannot fail (skipping a row that would have raised an
 // error changes what the statement answers). Plan choice is thereby
-// invisible in results, which is what the forced-variant oracle
-// (metamorph.Plan: normal execution against plan.ForceFullScan) checks.
+// invisible in results, which is what the plan-variant oracle checks
+// (metamorph.Plan: normal execution against plan.ForceFullScan, the
+// same plan with the choices declined by candidateRows and hashRight).
 
 // visit is the access plan of one base table's row visit.
 type visit struct {
@@ -51,9 +52,9 @@ type visit struct {
 // failing that, bounds on a keyset's leading column become a range scan
 // over it; otherwise every row is visited. Under ForceFullScan, and
 // when the predicate can fail, every row is.
-func (s *Session) accessPath(t *Table, where rexpr, maxParam int, force plan.Force) *visit {
+func (s *Session) accessPath(t *Table, where rexpr, maxParam int) *visit {
 	v := &visit{table: t.Name, maxParam: maxParam}
-	if where == nil || force == plan.ForceFullScan || where.canFail() {
+	if where == nil || where.canFail() {
 		return v
 	}
 	var cb [8]rexpr
@@ -215,8 +216,8 @@ type joinKey struct{ left, right, maxParam int }
 // one right of it, either way round. It is nil — every pair is visited —
 // when there is none, under ForceFullScan, and when evaluating ON can
 // fail on a pair the key would leave out.
-func hashKey(on rexpr, nleft, maxParam int, force plan.Force) *joinKey {
-	if force == plan.ForceFullScan || on.canFail() {
+func hashKey(on rexpr, nleft, maxParam int) *joinKey {
+	if on.canFail() {
 		return nil
 	}
 	var cb [8]rexpr

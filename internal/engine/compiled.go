@@ -48,9 +48,10 @@ import (
 // entry is validated against the schema-version stamp of the read plane
 // it runs on; a stale one recompiles transparently (DDL — including DDL
 // rolled back inside a transaction — never serves a plan compiled
-// against a schema generation that is no longer current). A forced
-// compile (ExecSelectVariant) compiles the handle's own tree and neither
-// reads nor writes a memo.
+// against a schema generation that is no longer current). There is one
+// compile mode: a plan variant (ExecSelectVariant) runs the memoised
+// plan, and the narrowing choices it turns off are answered where
+// execution reads them (candidateRows, hashRight, the once rule).
 //
 // Index use only narrows which rows a WHERE is evaluated on — and only
 // when that evaluation provably cannot error (its lowered form cannot
@@ -242,16 +243,15 @@ type source struct {
 
 // compileSelect lowers one query expression, or returns its first static
 // error. outer is the scope the expression is met in (nil at top level):
-// the enclosing query's, for its correlated references. Under
-// ForceFullScan every core of the statement skips the access-path rule.
-// distinct is sel.Distinct, except that the LeftJoinDistinctViewDup quirk
-// drops a view body's. Caller holds the engine lock.
-func (s *Session) compileSelect(sel *ast.Select, outer *scope, force plan.Force, distinct bool) (*compiledSelect, error) {
+// the enclosing query's, for its correlated references. distinct is
+// sel.Distinct, except that the LeftJoinDistinctViewDup quirk drops a
+// view body's. Caller holds the engine lock.
+func (s *Session) compileSelect(sel *ast.Select, outer *scope, distinct bool) (*compiledSelect, error) {
 	if len(s.frames) == 0 {
 		s.onceN = 0
 	}
 	s.frames = append(s.frames, compileFrame{outer: outer})
-	cs, err := s.compileQuery(sel, outer, force, distinct)
+	cs, err := s.compileQuery(sel, outer, distinct)
 	f := s.frames[len(s.frames)-1]
 	s.frames = s.frames[:len(s.frames)-1]
 	if err != nil {
@@ -285,7 +285,7 @@ func (s *Session) noteSeqCall() {
 }
 
 // compileQuery is compileSelect's body.
-func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, distinct bool) (*compiledSelect, error) {
+func (s *Session) compileQuery(sel *ast.Select, outer *scope, distinct bool) (*compiledSelect, error) {
 	cs := &compiledSelect{sel: sel}
 	// ORDER BY keys may reference source columns that are not projected;
 	// a plain SELECT computes the non-positional ones as hidden trailing
@@ -308,12 +308,12 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, 
 	}
 	cs.cores = make([]core, n)
 	first := &cs.cores[0]
-	if err := s.compileCore(cs, first, sel, items, outer, force, distinct); err != nil {
+	if err := s.compileCore(cs, first, sel, items, outer, distinct); err != nil {
 		return nil, err
 	}
 	for i, prev, u := 1, sel, sel.Union; u != nil; i, prev, u = i+1, u, u.Union {
 		c := &cs.cores[i]
-		if err := s.compileCore(cs, c, u, u.Items, outer, force, u.Distinct); err != nil {
+		if err := s.compileCore(cs, c, u, u.Items, outer, u.Distinct); err != nil {
 			return nil, err
 		}
 		c.unionAll = prev.UnionAll
@@ -351,7 +351,7 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, force plan.Force, 
 			if outScope == nil {
 				outScope = &scope{cols: scopeCols(nil, "", outCols), parent: outer}
 			}
-			l := lowering{s: s, force: force, owned: true}
+			l := lowering{s: s, owned: true}
 			if k.expr = l.lower(o.Expr, outScope, false); l.err != nil {
 				return nil, l.err
 			}
@@ -374,9 +374,9 @@ func orderPosition(o ast.OrderItem) (int64, bool) {
 // compileCore lowers one SELECT of the query expression cs: sources,
 // expressions, access path, projection shape. It stops at the first
 // static error.
-func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, items []ast.SelectItem, outer *scope, force plan.Force, distinct bool) error {
+func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, items []ast.SelectItem, outer *scope, distinct bool) error {
 	c.distinct = distinct
-	cols, err := s.compileFrom(cs, c, sel, outer, force)
+	cols, err := s.compileFrom(cs, c, sel, outer)
 	if err != nil {
 		return err
 	}
@@ -385,7 +385,7 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	// first static error is the one raised. The cores and joins nested in
 	// them are listed after the core's own path.
 	sc := &scope{cols: cols, parent: outer}
-	l := lowering{s: s, force: force, owned: true}
+	l := lowering{s: s, owned: true}
 	exprs := make([]rexpr, len(items))
 	for i, it := range items {
 		if !it.Star {
@@ -403,7 +403,7 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	}
 	if len(c.from) == 1 && c.from[0].sub == nil {
 		t, _ := s.lookupTable(c.from[0].name)
-		c.p = s.accessPath(t, c.where, ast.NumParams(sel), force)
+		c.p = s.accessPath(t, c.where, ast.NumParams(sel))
 		cs.paths = append(cs.paths, plan.Core{Table: c.p.table, Path: c.p.path})
 	}
 	cs.adopt(&l.body)
@@ -414,9 +414,9 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 // compileFrom resolves the FROM clause of sel into the core's source
 // tree, in the order execution opens it, and returns the scope the tree
 // produces, or the first static error of its sources and ONs.
-func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, outer *scope, force plan.Force) (cols []scopeCol, err error) {
+func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, outer *scope) (cols []scopeCol, err error) {
 	add := func(tr ast.TableRef, j *ast.Join, skipViewDistinct bool) error {
-		src, more, err := s.compileRef(&cs.planBody, tr, cols, outer, force, skipViewDistinct)
+		src, more, err := s.compileRef(&cs.planBody, tr, cols, outer, skipViewDistinct)
 		cols = more
 		c.from = append(c.from, fromStep{source: src, join: j})
 		return err
@@ -435,7 +435,7 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 			}
 			// ON reads the entry's columns so far, not an earlier entry's.
 			sc := &scope{cols: cols[entry:], parent: outer}
-			l := lowering{s: s, force: force, owned: true}
+			l := lowering{s: s, owned: true}
 			step := &c.from[len(c.from)-1]
 			if step.on = l.lower(j.On, sc, false); l.err != nil {
 				return nil, l.err
@@ -443,7 +443,7 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 			cs.adopt(&l.body)
 			if j.Type != ast.JoinCross && j.On != nil {
 				algo := plan.NestedLoop
-				if step.key = hashKey(step.on, nleft, ast.NumParams(sel), force); step.key != nil {
+				if step.key = hashKey(step.on, nleft, ast.NumParams(sel)); step.key != nil {
 					algo = plan.HashJoin
 				}
 				cs.joins = append(cs.joins, algo)
@@ -458,9 +458,9 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 // skipViewDistinct implements the LeftJoinDistinctViewDup quirk: the
 // DISTINCT of a view definition is dropped when the view is expanded on
 // the right of a LEFT OUTER JOIN.
-func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, outer *scope, force plan.Force, skipViewDistinct bool) (source, []scopeCol, error) {
+func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, outer *scope, skipViewDistinct bool) (source, []scopeCol, error) {
 	if tr.Subquery != nil {
-		sub, err := s.compileSelect(tr.Subquery, outer, force, tr.Subquery.Distinct)
+		sub, err := s.compileSelect(tr.Subquery, outer, tr.Subquery.Distinct)
 		if err != nil {
 			return source{}, nil, err
 		}
@@ -480,7 +480,7 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 	if !ok {
 		return source{}, nil, fmt.Errorf("%w: %s", ErrTableNotFound, name)
 	}
-	sub, err := s.compileSelect(v.Select, nil, force, v.Select.Distinct && !skipViewDistinct)
+	sub, err := s.compileSelect(v.Select, nil, v.Select.Distinct && !skipViewDistinct)
 	if err != nil {
 		return source{}, nil, fmt.Errorf("expanding view %s: %w", name, err)
 	}
@@ -523,13 +523,15 @@ const probeRoom = 16
 // candidateRows evaluates the plan's key expressions and consults the
 // table's lazy index. It returns (positions, true) when the index
 // answered — positions are a superset of the WHERE-true rows, in table
-// order, possibly empty — or (nil, false) when only a full scan is
-// sound (no access path, unbound parameters, non-INT key values that
-// could still match through loose coercion, poisoned index).
+// order, possibly empty — or (nil, false) under a full-scan variant and
+// when only a full scan is sound (no access path, unbound parameters,
+// non-INT key values that could still match through loose coercion,
+// poisoned index).
 func (s *Session) candidateRows(p *visit, t *Table) ([]int, bool) {
-	if p.maxParam > len(s.bind) {
-		// Bind-arity errors must surface identically on every access
-		// path; only full iteration reaches the Param evaluation.
+	if s.variant == plan.ForceFullScan || p.maxParam > len(s.bind) {
+		// A full-scan variant visits every row. Bind-arity errors must
+		// surface identically on every access path; only full iteration
+		// reaches the Param evaluation.
 		return nil, false
 	}
 	switch p.path {
@@ -650,7 +652,7 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 	if l.err != nil {
 		return nil, l.err
 	}
-	dp.p = s.accessPath(t, dp.where, ast.NumParams(st), plan.ForceAuto)
+	dp.p = s.accessPath(t, dp.where, ast.NumParams(st))
 	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.path}}, l.body.paths...)
 	dp.joins = l.body.joins
 	return dp, nil
@@ -658,26 +660,11 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 
 // execSelectRLocked is the read-lock SELECT path: probe the memo by the
 // handle's shape, compile the handle's tree on a miss or a stale stamp,
-// and execute. A forced plan is compiled fresh from the handle's tree,
-// the statement and everything nested in it, and neither reads nor
-// writes the memo: it must never leak into normal execution. Caller
-// holds the engine read lock, has chosen the read plane and has set
-// s.bind and s.lits.
-func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, error) {
-	sel := p.Select
-	if force != plan.ForceAuto {
-		cs, err := s.compileSelect(sel, nil, force, sel.Distinct)
-		if err != nil {
-			return nil, err
-		}
-		return s.runTop(cs, false)
-	}
-	// A pure SELECT reads one plane that nothing changes while it runs,
-	// and calls no sequence function: an uncorrelated nested select
-	// answers the same each time, so it runs once.
-	clear(s.once)
-	s.onceOn = true
-	defer func() { s.onceOn = false }()
+// and execute. A plan variant (ExecSelectVariant) runs the same plan
+// with the once rule off; it records no plan and counts as a full scan.
+// Caller holds the engine read lock, has chosen the read plane and has
+// set s.bind and s.lits.
+func (s *Session) execSelectRLocked(p *stmt.Parsed) (*Result, error) {
 	e := s.eng
 	ver := s.planVersion()
 	me, known := e.planMemo.load(p.Shape, ver)
@@ -689,25 +676,30 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed, force plan.Force) (*Result, 
 			e.memoStale.Add(1)
 		}
 		e.memoMisses.Add(1)
-		cs, err := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+		cs, err := s.compileSelect(p.Select, nil, p.Select.Distinct)
 		me = e.planMemo.store(p.Shape, known, ver, cs, err)
 	}
 	if me.err != nil {
 		return nil, me.err
 	}
-	return s.runTop(me.plan, hit)
-}
-
-// runTop runs a statement-level SELECT: it records the plan taken —
-// counted once, under its core's path when the statement is a single
-// base-table core and as a full scan otherwise — and names the result's
-// columns.
-func (s *Session) runTop(cs *compiledSelect, cacheHit bool) (*Result, error) {
-	s.lastPlan = plan.Info{CacheHit: cacheHit, Cores: cs.paths, Joins: cs.joins}
-	if p := cs.cores[0].p; p != nil && len(cs.cores) == 1 {
-		s.lastPlan.Table, s.lastPlan.Path = p.table, p.path
+	cs := me.plan
+	path := plan.FullScan // what a variant counts as
+	if s.variant == plan.ForceAuto {
+		// A pure SELECT reads one plane that nothing changes while it
+		// runs, and calls no sequence function: an uncorrelated nested
+		// select answers the same each time, so it runs once.
+		s.onceOn = true
+		defer func() { s.onceOn = false }()
+		// The plan taken is counted once, under its core's path when the
+		// statement is a single base-table core and as a full scan
+		// otherwise.
+		s.lastPlan = plan.Info{CacheHit: hit, Cores: cs.paths, Joins: cs.joins}
+		if c := cs.cores[0].p; c != nil && len(cs.cores) == 1 {
+			s.lastPlan.Table, s.lastPlan.Path = c.table, c.path
+		}
+		path = s.lastPlan.Path
 	}
-	s.eng.pathExecs[s.lastPlan.Path].Add(1)
+	e.pathExecs[path].Add(1)
 	rows, err := s.runSelect(cs, nil, &s.mem)
 	if err != nil {
 		return nil, err
@@ -728,7 +720,7 @@ func (s *Session) rowsResult(cs *compiledSelect, rows [][]types.Value) *Result {
 // counting the compile as the miss it is.
 func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value, error) {
 	s.eng.memoMisses.Add(1)
-	cs, err := s.compileSelect(sel, nil, plan.ForceAuto, sel.Distinct)
+	cs, err := s.compileSelect(sel, nil, sel.Distinct)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -741,12 +733,13 @@ func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value,
 // core nested in it, and whether the plan came out of the shared memo.
 func (s *Session) LastPlan() plan.Info { return s.lastPlan }
 
-// ExecSelectVariant executes a pure SELECT under a forced access-path
-// variant, on the read plane a normal execution would use. This is the
-// hook behind the forced-variant differential oracle: the same statement
-// runs normally and forced, and any result disagreement convicts the
-// engine. Like Exec, it starts a statement: the session's previous
-// result is reclaimed, and this one is valid until the next (Result).
+// ExecSelectVariant executes a pure SELECT as a plan variant, on the
+// read plane a normal execution would use: the memoised plan, with the
+// narrowing choices force turns off declined at run time. This is the
+// hook behind the plan-variant differential oracle: any disagreement
+// with a normal run convicts the engine. Like Exec, it starts a
+// statement: the session's previous result is reclaimed, and this one
+// is valid until the next (Result).
 func (s *Session) ExecSelectVariant(p *stmt.Parsed, force plan.Force, args []types.Value) (*Result, error) {
 	e := s.eng
 	s.startStatement()
@@ -758,7 +751,9 @@ func (s *Session) ExecSelectVariant(p *stmt.Parsed, force plan.Force, args []typ
 	if p.Select == nil || e.selectAdvancesSequences(p) {
 		return nil, errors.New("variant execution requires a pure SELECT")
 	}
-	return s.execSelectRead(p, e.cfg.Bind.Apply(args), force)
+	s.variant = force
+	defer func() { s.variant = plan.ForceAuto }()
+	return s.execSelectRead(p, e.cfg.Bind.Apply(args))
 }
 
 // PlanCacheStats returns the shared SELECT plan memo's counters. A miss

@@ -322,6 +322,7 @@ func TestForcedVariantEquivalence(t *testing.T) {
 		}
 		auto = auto.Clone() // read after the variants ran
 		for _, force := range []plan.Force{plan.ForceFullScan, plan.ForceAuto} {
+			narrowed, hashed := e.pathExecs[plan.PointLookup].Load()+e.pathExecs[plan.RangeScan].Load(), e.joinExecs[plan.HashJoin].Load()
 			got, err := s.ExecSelectVariant(p, force, nil)
 			if err != nil {
 				t.Fatalf("%q under %v: %v", sql, force, err)
@@ -329,20 +330,63 @@ func TestForcedVariantEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(rowStrings(got), rowStrings(auto)) || !reflect.DeepEqual(got.Columns, auto.Columns) {
 				t.Errorf("%q: %v variant disagrees: %v vs %v", sql, force, rowStrings(got), rowStrings(auto))
 			}
-			if force == plan.ForceFullScan {
-				for _, c := range s.LastPlan().Cores {
-					if c.Path != plan.FullScan {
-						t.Errorf("%q: forced full scan left core %v on %v", sql, c.Table, c.Path)
-					}
-				}
+			if force == plan.ForceFullScan && (e.pathExecs[plan.PointLookup].Load()+e.pathExecs[plan.RangeScan].Load() != narrowed || e.joinExecs[plan.HashJoin].Load() != hashed) {
+				t.Errorf("%q: the full-scan variant ran a narrowed path or a hash join", sql)
 			}
 		}
 	}
 }
 
+// A variant runs the memoised plan other sessions run normally: two
+// sessions run one shape concurrently, one normally and one as the
+// full-scan variant, each with its own literals, and both answer
+// correctly every time. Run it under -race: the shared plan must be
+// read-only to both.
+func TestVariantSharesThePlanConcurrently(t *testing.T) {
+	s := seedAccess(t)
+	sessExec(t, s, "INSERT INTO T VALUES (1, 1, 5, 'a'), (2, 2, 9, 'b'), (3, 3, 12, 'c')")
+	sessExec(t, s, "CREATE TABLE J (K INT)")
+	sessExec(t, s, "INSERT INTO J VALUES (1), (NULL), (2), (3)")
+	const shape = "SELECT T.ID FROM T INNER JOIN J ON T.ID = J.K WHERE T.B <= %d AND T.ID IN (SELECT K FROM J WHERE K > %d)"
+	normal, variant := resolve(t, fmt.Sprintf(shape, 9, 0)), resolve(t, fmt.Sprintf(shape, 12, 1))
+	if normal.Shape != variant.Shape {
+		t.Fatal("the two texts do not share a shape")
+	}
+	var wg sync.WaitGroup
+	for _, tc := range []struct {
+		sess  *Session
+		force plan.Force
+		p     *stmt.Parsed
+		want  []string
+	}{
+		{s, plan.ForceAuto, normal, []string{"1", "2"}},
+		{s.eng.NewSession(), plan.ForceFullScan, variant, []string{"2", "3"}},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				res, err := tc.sess.ExecSelectVariant(tc.p, tc.force, nil)
+				if err != nil {
+					t.Errorf("%v: %v", tc.force, err)
+					return
+				}
+				if got := rowStrings(res); !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("%v: got %q, want %q", tc.force, got, tc.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.eng.PlanCacheStats(); st.Misses > 2 {
+		t.Errorf("the shape compiled %d times, want at most once per session", st.Misses)
+	}
+}
+
 // The shape that never reached the analyzer: Delivery's SUM over
 // ORDER_LINE by a primary-key prefix, nested in an UPDATE's SET. Run as
-// a statement of its own it is a point lookup, forced it is a full scan,
+// a statement of its own it is a point lookup, as a variant a full scan,
 // and both return the sum the UPDATE applies.
 func TestDeliverySubqueryReachesTheAnalyzer(t *testing.T) {
 	e := NewOracle()
@@ -351,14 +395,18 @@ func TestDeliverySubqueryReachesTheAnalyzer(t *testing.T) {
 	p := resolve(t, "SELECT SUM(AMT) AS T FROM OL WHERE W = 1 AND D = 1 AND O = 7")
 	sums := map[plan.AccessPath]string{}
 	for force, want := range map[plan.Force]plan.AccessPath{plan.ForceAuto: plan.PointLookup, plan.ForceFullScan: plan.FullScan} {
+		n := e.pathExecs[want].Load()
 		res, err := s.ExecSelectVariant(p, force, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := s.LastPlan(); p.Path != want {
-			t.Errorf("%v execution took %v, want %v", force, p.Path, want)
+		if e.pathExecs[want].Load() != n+1 {
+			t.Errorf("%v execution did not run as %v", force, want)
 		}
 		sums[want] = rowStrings(res)[0]
+	}
+	if p := s.LastPlan(); p.Path != plan.PointLookup {
+		t.Errorf("LastPlan names %v, want the normal run's point lookup", p.Path)
 	}
 	if sums[plan.PointLookup] != "11" || sums[plan.FullScan] != "11" {
 		t.Fatalf("sums disagree: %v", sums)
@@ -407,6 +455,7 @@ func TestStaticErrorPrecedence(t *testing.T) {
 	seedShapes(t, s)
 	sessExec(t, s, "CREATE TABLE Z (A INT)")
 	sessExec(t, s, "INSERT INTO Z VALUES (1)")
+	sessExec(t, s, "CREATE SEQUENCE SQ")
 	for sql, want := range map[string]string{
 		"SELECT NOPE1 / NOPE2 FROM KV":                                      "unknown column NOPE1",
 		"SELECT ID FROM KV WHERE NOPE2 = 1 ORDER BY NOPE1":                  "unknown column NOPE1",
@@ -427,10 +476,17 @@ func TestStaticErrorPrecedence(t *testing.T) {
 		"SELECT DISTINCT A, ID FROM KV ORDER BY A, 7":                       "ORDER BY position 7 out of range",
 		"SELECT DISTINCT A FROM KV ORDER BY ID":                             "ORDER BY column ID must appear in the select list",
 		"SELECT 0 FROM Z WHERE 1 IN (SELECT 1) OR 1 IN (SELECT A0 FROM Z)":  "unknown column A0",
+		"SELECT NEXTVAL(SQ, 1, 2, 3) AS N FROM Z":                           "wrong number of arguments to NEXTVAL",
 	} {
 		_, err := gexec(s, sql)
 		if got := fmt.Sprint(err); (want == "") != (err == nil) || (err != nil && got != want) {
 			t.Errorf("%q: err = %v, want %q", sql, err, want)
+		}
+	}
+	// The sequence name counts as an argument, and the second is read.
+	for _, want := range []string{"1", "3"} {
+		if got := rowStrings(sessExec(t, s, "SELECT NEXTVAL(SQ, 2) AS N FROM Z")); len(got) != 1 || got[0] != want {
+			t.Errorf("NEXTVAL(SQ, 2) = %q, want %s", got, want)
 		}
 	}
 }

@@ -21,6 +21,11 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var db [8]colDefault
+	defs, err := e.lowerDefaults(db[:0], t, targets)
+	if err != nil {
+		return nil, err
+	}
 
 	// Every source row is evaluated before any row is built, so an
 	// evaluation error anywhere precedes a count or constraint error. A
@@ -84,7 +89,7 @@ func (e *Session) execInsert(ins *ast.Insert) (*Result, error) {
 			undoPartial()
 			return nil, fmt.Errorf("INSERT has %d values for %d columns", len(src), width)
 		}
-		row, err := e.buildRow(t, targets, src)
+		row, err := e.buildRow(t, targets, defs, src)
 		if err != nil {
 			undoPartial()
 			return nil, err
@@ -173,10 +178,34 @@ func (e *Session) insertTargets(t *Table, cols []string) ([]int, error) {
 	return idx, nil
 }
 
+// colDefault is the lowered DEFAULT of a column an INSERT leaves out.
+type colDefault struct {
+	col int
+	x   rexpr
+}
+
+// lowerDefaults appends to defs, once per INSERT, the lowered DEFAULT
+// of every column its column list leaves out (none when targets is nil:
+// every column is listed).
+func (e *Session) lowerDefaults(defs []colDefault, t *Table, targets []int) ([]colDefault, error) {
+	for ci, col := range t.Cols {
+		if col.Default == nil || targets == nil || slices.Contains(targets, ci) {
+			continue
+		}
+		x, err := e.lowerAlone(col.Default, nil)
+		if err != nil {
+			return nil, err
+		}
+		defs = append(defs, colDefault{col: ci, x: x})
+	}
+	return defs, nil
+}
+
 // buildRow produces a full storage row from target column values
-// (targets nil: src holds every column in order), applying defaults,
+// (targets nil: src holds every column in order) and the lowered
+// DEFAULTs of the columns left out (NULL without one), applying
 // coercion and NOT NULL checks. The row is the only allocation.
-func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.Value, error) {
+func (e *Session) buildRow(t *Table, targets []int, defs []colDefault, src []types.Value) ([]types.Value, error) {
 	row := make([]types.Value, len(t.Cols))
 	for i, v := range src {
 		ci := i
@@ -189,35 +218,24 @@ func (e *Session) buildRow(t *Table, targets []int, src []types.Value) ([]types.
 		}
 		row[ci] = v
 	}
-	for ci, col := range t.Cols {
-		if targets == nil || slices.Contains(targets, ci) {
+	for _, d := range defs {
+		col := t.Cols[d.col]
+		dv, err := e.eval(d.x, nil)
+		if err != nil {
+			return nil, err
+		}
+		if col.RawDefault {
+			// Quirk path (bug 217042(3)): the invalid default was
+			// accepted at CREATE TABLE and is applied verbatim,
+			// bypassing coercion — an ill-typed value lands in the row.
+			row[d.col] = dv
 			continue
 		}
-		switch {
-		case col.Default != nil:
-			x, err := e.lowerAlone(col.Default, nil)
-			if err != nil {
-				return nil, err
-			}
-			dv, err := e.eval(x, nil)
-			if err != nil {
-				return nil, err
-			}
-			if col.RawDefault {
-				// Quirk path (bug 217042(3)): the invalid default was
-				// accepted at CREATE TABLE and is applied verbatim,
-				// bypassing coercion — an ill-typed value lands in the row.
-				row[ci] = dv
-				continue
-			}
-			cv, err := coerce(dv, col.Kind)
-			if err != nil {
-				return nil, fmt.Errorf("default for column %s: %w", col.Name, err)
-			}
-			row[ci] = cv
-		default:
-			row[ci] = types.Null()
+		cv, err := coerce(dv, col.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("default for column %s: %w", col.Name, err)
 		}
+		row[d.col] = cv
 	}
 	for ci, col := range t.Cols {
 		if col.NotNull && row[ci].IsNull() {

@@ -402,7 +402,8 @@ func TestCheckConstraint(t *testing.T) {
 // An expression no plan owns — an INSERT's values, a DEFAULT, a CHECK —
 // raises its static error before the statement evaluates anything, and
 // the statement stores nothing: a node that did not lower is never
-// evaluated.
+// evaluated. A DEFAULT is lowered once per INSERT, before its source
+// runs, so a zero-row INSERT fails like a one-row one.
 func TestUnownedExpressionsFailToCompile(t *testing.T) {
 	e := NewOracle()
 	mustExec(t, e, "CREATE TABLE Z (A INT, B INT)")
@@ -410,23 +411,28 @@ func TestUnownedExpressionsFailToCompile(t *testing.T) {
 	mustExec(t, e, "INSERT INTO SRC VALUES (5)")
 	mustExec(t, e, "CREATE TABLE D (A INT DEFAULT (SELECT MAX(X) FROM SRC), B INT)")
 	mustExec(t, e, "CREATE TABLE K (A INT CHECK (A < (SELECT MAX(X) FROM SRC)))")
-	mustExec(t, e, "INSERT INTO D (B) VALUES (1)")
+	misses := e.PlanCacheStats().Misses
+	mustExec(t, e, "INSERT INTO D (B) VALUES (1), (2), (3), (4)")
+	if n := e.PlanCacheStats().Misses - misses; n != 1 {
+		t.Errorf("a four-row INSERT compiled its DEFAULT %d times, want 1", n)
+	}
 	mustExec(t, e, "INSERT INTO K VALUES (1)")
 	mustExec(t, e, "DROP TABLE SRC")
 	const gone = "table or view not found: SRC"
 	for sql, want := range map[string]string{
-		"INSERT INTO Z VALUES (NOPE, 1)":            "unknown column NOPE",
-		"INSERT INTO Z VALUES (1, 2), (1/0, NOPE)":  "unknown column NOPE",
-		"INSERT INTO D (B) VALUES (2)":              gone,
-		"INSERT INTO K VALUES (2)":                  gone,
-		"INSERT INTO K SELECT A FROM Z WHERE 1 = 0": gone,
-		"UPDATE K SET A = 2":                        gone,
+		"INSERT INTO Z VALUES (NOPE, 1)":                "unknown column NOPE",
+		"INSERT INTO Z VALUES (1, 2), (1/0, NOPE)":      "unknown column NOPE",
+		"INSERT INTO D (B) VALUES (2)":                  gone,
+		"INSERT INTO D (B) SELECT B FROM D WHERE 1 = 0": gone,
+		"INSERT INTO K VALUES (2)":                      gone,
+		"INSERT INTO K SELECT A FROM Z WHERE 1 = 0":     gone,
+		"UPDATE K SET A = 2":                            gone,
 	} {
 		if err := mustFail(t, e, sql); err.Error() != want {
 			t.Errorf("%q: %v, want %q", sql, err, want)
 		}
 	}
-	for table, want := range map[string]string{"Z": "0", "D": "1", "K": "1"} {
+	for table, want := range map[string]string{"Z": "0", "D": "4", "K": "1"} {
 		if got := rowStrings(mustExec(t, e, "SELECT COUNT(*) AS N FROM "+table)); len(got) != 1 || got[0] != want {
 			t.Errorf("%s holds %v rows, want %s", table, got, want)
 		}

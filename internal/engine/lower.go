@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/types"
 )
@@ -174,8 +173,7 @@ func column(depth, i int) rexpr {
 // core, a join's ON, a sort, a DML statement, or expressions no plan
 // owns.
 type lowering struct {
-	s     *Session
-	force plan.Force
+	s *Session
 	// body lists the cores and joins of the nested selects, for the plan
 	// that owns them to adopt. Where no plan does (CHECK, DEFAULT, INSERT
 	// values) each compile counts as the plan-cache miss it is instead.
@@ -350,6 +348,9 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 	switch {
 	case !known:
 		return l.fail(fmt.Errorf("unknown function %s", name))
+	case len(n.Args) < b.MinArgs || (b.MaxArgs >= 0 && len(n.Args) > b.MaxArgs):
+		// A sequence function's sequence name counts as an argument.
+		return l.fail(fmt.Errorf("wrong number of arguments to %s", name))
 	case seq:
 		// The first argument is a sequence name, written as a bare
 		// identifier or a string.
@@ -369,8 +370,8 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 		}
 		l.s.noteSeqCall()
 		// Its builtin is the advance of that sequence, by the second
-		// argument (1 without one); any further argument is never read.
-		return &funcX{args: args[:min(len(args), 1)], fn: func(ctx *FuncContext, a []types.Value) (types.Value, error) {
+		// argument (1 without one).
+		return &funcX{args: args, fn: func(ctx *FuncContext, a []types.Value) (types.Value, error) {
 			incr := int64(1)
 			if len(a) > 0 {
 				var err error
@@ -380,8 +381,6 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 			}
 			return ctx.Sess.SequenceNext(seqName, incr)
 		}}
-	case len(args) < b.MinArgs || (b.MaxArgs >= 0 && len(args) > b.MaxArgs):
-		return l.fail(fmt.Errorf("wrong number of arguments to %s", name))
 	}
 	return &funcX{fn: b.Fn, args: args}
 }
@@ -390,7 +389,7 @@ func (l *lowering) call(n *ast.FuncCall, sc *scope, top bool) rexpr {
 // evaluated in: nil when it does not compile, its static error the
 // lowering's.
 func (l *lowering) nested(sel *ast.Select, sc *scope) *compiledSelect {
-	cs, err := l.s.compileSelect(sel, sc, l.force, sel.Distinct)
+	cs, err := l.s.compileSelect(sel, sc, sel.Distinct)
 	if !l.owned {
 		l.s.eng.memoMisses.Add(1)
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"divsql/internal/engine/plan"
 	"divsql/internal/sql/ast"
 	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
@@ -93,8 +92,8 @@ func TestGroupedAndCorrelatedEvaluation(t *testing.T) {
 
 // What a one-off statement pays, in allocations — the whole of it:
 // compile, lower and run. Each case is one that compiles on every
-// execution: a forced SELECT bypasses the memo, every UPDATE below is a
-// tree the memo has not seen, and INSERT has no plan to memoise. The
+// execution: every SELECT and UPDATE below is a tree the memo has not
+// seen, and INSERT has no plan to memoise. The
 // bounds are what the evaluator that resolved names per row allocated
 // (measured on linux/amd64, go1.24); literal and parameter leaves lower
 // without allocating, and CHECK constraints are lowered once per
@@ -113,14 +112,15 @@ func TestOneOffStatementAllocs(t *testing.T) {
 	sessExec(t, s, "CREATE TABLE FIVE (A INT, B INT, C VARCHAR(5), D FLOAT, E INT CHECK (E > 0))")
 
 	const runs = 50
-	sel := resolve(t, "SELECT JA.V, COUNT(*) AS N, SUM(JB.V) + 1 AS T FROM JA INNER JOIN JB ON JA.K = JB.K "+
-		"WHERE EXISTS (SELECT 1 FROM JB X WHERE X.K = JA.V + 1) GROUP BY JA.V HAVING COUNT(*) > 0")
 	// One shape per execution — a function's argument is not lifted — so
-	// each fresh UPDATE is a one-off to the plan memo; the literal
-	// variants differ only in lifted literals and share one plan.
+	// each fresh SELECT and UPDATE is a one-off to the plan memo; the
+	// literal variants differ only in lifted literals and share one plan.
+	sels := make([]*stmt.Parsed, runs+1)
 	updates := make([]*stmt.Parsed, runs+1)
 	variants := make([]*stmt.Parsed, runs+1)
 	for i := range updates {
+		sels[i] = resolve(t, fmt.Sprintf("SELECT JA.V, COUNT(*) AS N, SUM(JB.V) + ABS(%d) AS T FROM JA INNER JOIN JB ON JA.K = JB.K "+
+			"WHERE EXISTS (SELECT 1 FROM JB X WHERE X.K = JA.V + 1) GROUP BY JA.V HAVING COUNT(*) > 0", i))
 		updates[i] = resolve(t, fmt.Sprintf("UPDATE PK SET V = ABS(%d), W = 'x' WHERE ID = 7", i))
 		variants[i] = resolve(t, fmt.Sprintf("UPDATE PK SET V = %d, W = 'x' WHERE ID = %d", i, []int{1, 7, 9}[i%3]))
 	}
@@ -130,8 +130,10 @@ func TestOneOffStatementAllocs(t *testing.T) {
 		max  float64
 		run  func() error
 	}{
-		{"forced join+subquery+group SELECT", 221, func() error {
-			res, err := s.ExecSelectVariant(sel, plan.ForceFullScan, nil)
+		{"fresh join+subquery+group SELECT", 221, func() error {
+			p := sels[0]
+			sels = sels[1:]
+			res, err := s.Exec(p, nil)
 			if err == nil && len(res.Rows) != 4 {
 				err = fmt.Errorf("%d rows, want 4", len(res.Rows))
 			}

@@ -202,7 +202,7 @@ func TestCorrelatedBit(t *testing.T) {
 	} {
 		p := resolve(t, tc.sql)
 		e.mu.RLock()
-		cs, err := s.compileSelect(p.Select, nil, plan.ForceAuto, false)
+		cs, err := s.compileSelect(p.Select, nil, false)
 		e.mu.RUnlock()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -1,7 +1,7 @@
 // Package plan is the vocabulary of the engine's plans, as the layers
 // above it read them: how a row visit reaches its rows (AccessPath), how
 // a join pairs its inputs (JoinAlgo), what one statement's plan chose
-// (Info, read through engine.Session.LastPlan), the forced variant
+// (Info, read through engine.Session.LastPlan), the plan variant
 // behind multi-plan differential execution (Force) and the plan memo's
 // counters (CacheStats). The rules that choose a plan are the engine's
 // (internal/engine/access.go): they read the predicate the engine has
@@ -11,7 +11,7 @@
 // A plan names candidate rows and pairs, never final rows: the executor
 // evaluates the whole predicate over every candidate, so access-path and
 // join-algorithm choice is invisible in results — which is exactly what
-// the forced-variant oracle (metamorph.Plan) verifies.
+// the plan-variant oracle (metamorph.Plan) verifies.
 package plan
 
 import "strings"
@@ -42,19 +42,20 @@ func (p AccessPath) String() string {
 	}
 }
 
-// Force overrides the engine's narrowing rules, the hook behind
-// multi-plan differential execution: the same statement runs once
-// normally and once forced, and any result disagreement is an engine
-// bug.
+// Force names a plan variant, the hook behind multi-plan differential
+// execution: the same statement runs once normally and once as a
+// variant, and any result disagreement is an engine bug. A variant runs
+// the statement's one plan and declines, at run time, the narrowing
+// choices it turns off.
 type Force int
 
 // Force modes.
 const (
 	// ForceAuto lets the rules choose.
 	ForceAuto Force = iota
-	// ForceFullScan skips every narrowing rule: every core of the
-	// statement visits all of its rows, and every join is the nested
-	// loop.
+	// ForceFullScan declines every narrowing choice: every core of the
+	// statement visits all of its rows, every join is the nested loop,
+	// and every nested select runs where it is met.
 	ForceFullScan
 )
 
@@ -72,7 +73,7 @@ type JoinAlgo int
 // Join algorithms.
 const (
 	// NestedLoop evaluates ON for every pair (the fallback, and what
-	// ForceFullScan forces).
+	// ForceFullScan runs).
 	NestedLoop JoinAlgo = iota
 	// HashJoin buckets the right input by an INT key column and evaluates
 	// ON only for the pairs whose keys are equal.
@@ -95,8 +96,8 @@ func (a JoinAlgo) String() string {
 // predicate, nested ones included, in compile order (a hash join still
 // falls back to the nested loop at run time on key values it cannot
 // hash); CacheHit reports whether the plan came out of the shared memo.
-// Exposed via Session.LastPlan for tests and the forced-variant difftest
-// oracle.
+// Exposed via Session.LastPlan for tests and the plan-variant oracle; a
+// variant run leaves it as the last normal run set it.
 type Info struct {
 	Table    string
 	Path     AccessPath

@@ -20,7 +20,7 @@ type relation struct {
 
 // This file is the execution side of the engine's one SELECT executor:
 // runSelect and the operators it drives. Every read of rows — a
-// statement-level SELECT, normal or forced, a subquery, EXISTS or
+// statement-level SELECT, normal or a plan variant, a subquery, EXISTS or
 // IN (SELECT …) of any expression, an INSERT's source, a view definition
 // under validation, a view body or derived table in a FROM clause —
 // compiles (compiled.go) and then comes through here. What it builds on
@@ -408,12 +408,13 @@ func (h *hashTable) next(bi int, algo plan.JoinAlgo) int {
 
 // hashRight chains the right input's rows by join key. It answers
 // NestedLoop — every pair is visited — where candidateRows refuses an
-// index too: no key, a parameter of the statement unbound (only full
-// iteration reaches its error), or a key value on either side that is
-// neither INT nor NULL (it can still equal an INT through types.Compare's
-// loose coercion). NULL keys are left out: they equal nothing.
+// index too: no key, a full-scan variant, a parameter of the statement
+// unbound (only full iteration reaches its error), or a key value on
+// either side that is neither INT nor NULL (it can still equal an INT
+// through types.Compare's loose coercion). NULL keys are left out: they
+// equal nothing.
 func (s *Session) hashRight(key *joinKey, a, b relation) (hashTable, plan.JoinAlgo) {
-	if key == nil || key.maxParam > len(s.bind) {
+	if key == nil || s.variant == plan.ForceFullScan || key.maxParam > len(s.bind) {
 		return hashTable{}, plan.NestedLoop
 	}
 	for _, ra := range a.rows {

@@ -89,6 +89,9 @@ type Session struct {
 	// statement at a time (one client), so plain fields suffice.
 	bind []types.Value
 	lits []*ast.Literal
+	// variant is the plan variant the executing pure SELECT runs as
+	// (ExecSelectVariant; ForceAuto otherwise).
+	variant plan.Force
 
 	// mem is the statement memory (arena.go), reclaimed when the next
 	// statement starts; once holds, per execution of a pure SELECT, what
@@ -258,7 +261,7 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 			return nil, ErrSessionClosed
 		}
 		if !e.selectAdvancesSequences(p) {
-			return s.execSelectRead(p, bind, plan.ForceAuto)
+			return s.execSelectRead(p, bind)
 		}
 		// A sequence-advancing SELECT mutates state: it takes the
 		// latched write path (it compiles per execution and never
@@ -389,16 +392,15 @@ func (s *Session) execLatched(p *stmt.Parsed, bind []types.Value) (*Result, erro
 	return res, err
 }
 
-// execSelectRead runs a pure SELECT, normally or under a forced plan
-// variant, on the appropriate read plane. Caller holds the engine read
-// lock.
-func (s *Session) execSelectRead(p *stmt.Parsed, bind []types.Value, force plan.Force) (*Result, error) {
+// execSelectRead runs a pure SELECT, normally or as a plan variant, on
+// the appropriate read plane. Caller holds the engine read lock.
+func (s *Session) execSelectRead(p *stmt.Parsed, bind []types.Value) (*Result, error) {
 	e := s.eng
 	e.checkPlantedPanic()
 	if s.inTxn {
 		s.txnStmts++
 		if s.didDDL || s.touchesRefs(p) {
-			return s.execSelectOwn(p, bind, force)
+			return s.execSelectOwn(p, bind)
 		}
 		if s.level == LevelRepeatableRead {
 			if s.pinned == nil {
@@ -412,7 +414,7 @@ func (s *Session) execSelectRead(p *stmt.Parsed, bind []types.Value, force plan.
 		s.curRead = e.currentView()
 	}
 	s.bind, s.lits = bind, p.Lits
-	res, err := s.execSelectRLocked(p, force)
+	res, err := s.execSelectRLocked(p)
 	s.bind, s.lits = nil, nil
 	s.curRead = nil
 	return res, err
@@ -437,12 +439,12 @@ func (s *Session) touchesRefs(p *stmt.Parsed) bool {
 // latches the referenced tables and reads them with readOwnWrites set,
 // so the session sees exactly the committed state plus its own writes.
 // Caller holds the engine read lock.
-func (s *Session) execSelectOwn(p *stmt.Parsed, bind []types.Value, force plan.Force) (*Result, error) {
+func (s *Session) execSelectOwn(p *stmt.Parsed, bind []types.Value) (*Result, error) {
 	refs := s.eng.latchSet(p)
 	s.eng.latchTables(refs)
 	defer s.eng.unlatchTables(refs)
 	s.readOwnWrites, s.bind, s.lits = true, bind, p.Lits
-	res, err := s.execSelectRLocked(p, force)
+	res, err := s.execSelectRLocked(p)
 	s.endOwnWrites()
 	return res, err
 }

@@ -169,11 +169,11 @@ func (c *Session) InTxn() bool { return c.es.InTxn() }
 // statement and of every core nested in it, plan-cache hit).
 func (c *Session) LastPlan() engplan.Info { return c.es.LastPlan() }
 
-// ExecVariant executes a pure SELECT's handle under a forced access-path
-// variant, bypassing this server's fault layer (and, when forced, the
-// engine's plan memo). It is the probe of the self-check oracles
-// (internal/metamorph): Plan runs the same statement normally and
-// forced and compares the results.
+// ExecVariant executes a pure SELECT's handle as a plan variant,
+// bypassing this server's fault layer: the engine runs the statement's
+// memoised plan with the narrowing choices force turns off. It is the
+// probe of the self-check oracles (internal/metamorph): Plan runs the
+// same statement normally and as ForceFullScan and compares the results.
 func (c *Session) ExecVariant(p *stmt.Parsed, force engplan.Force, args ...types.Value) (*engine.Result, error) {
 	return c.es.ExecSelectVariant(p, force, args)
 }
