@@ -881,6 +881,70 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile prices what a SELECT's plan costs on one engine
+// session, run included: a one-off shape (the select-list literal is
+// part of the shape, so every op's text is a shape the plan memo has not
+// seen: it compiles into the session's plan memory and files nothing)
+// against a repeated one (a memo hit: no compile). Texts are resolved
+// outside the timer, in batches, so neither case counts the parse.
+func BenchmarkCompile(b *testing.B) {
+	const shape = "SELECT K.A, K.S, %d AS N FROM K INNER JOIN J ON K.A = J.A WHERE K.ID = 3 AND J.B > 0 ORDER BY K.S"
+	e := engine.NewOracle()
+	s := e.NewSession()
+	for _, sql := range []string{
+		"CREATE TABLE K (ID INT PRIMARY KEY, A INT, S VARCHAR(8))",
+		"CREATE TABLE J (A INT, B INT)",
+		"INSERT INTO K VALUES (1, 1, 'a'), (2, 2, 'b'), (3, 3, 'c')",
+		"INSERT INTO J VALUES (1, 1), (3, 3), (3, 4)",
+	} {
+		p, err := stmt.Resolve(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Exec(p, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run := func(b *testing.B, p *stmt.Parsed) {
+		if res, err := s.Exec(p, nil); err != nil || len(res.Rows) != 2 {
+			b.Fatalf("%q: %v", p.Text, err)
+		}
+	}
+	// fresh numbers the one-off shapes across every call of the case.
+	fresh := 1 << 20
+	b.Run("one-off", func(b *testing.B) {
+		b.ReportAllocs()
+		batch := make([]*stmt.Parsed, 1024)
+		for i := 0; i < b.N; i++ {
+			if i%len(batch) == 0 {
+				b.StopTimer()
+				for k := range batch {
+					fresh++
+					var err error
+					if batch[k], err = stmt.Resolve(fmt.Sprintf(shape, fresh)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+			}
+			run(b, batch[i%len(batch)])
+		}
+	})
+	b.Run("repeated", func(b *testing.B) {
+		p, err := stmt.Resolve(fmt.Sprintf(shape, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, p)
+		run(b, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, p)
+		}
+	})
+}
+
 // BenchmarkReadPolicyTradeoff measures the paper's §7 performance-vs-
 // dependability dial: compare-every-query vs read-one-replica on a
 // diverse triple.

@@ -45,17 +45,18 @@ type visit struct {
 }
 
 // accessPath plans the row visit of t under its predicate, lowered as
-// where, in a statement whose highest parameter ordinal is maxParam.
+// where, in a statement whose highest parameter ordinal is maxParam,
+// into v.
 // The equality-covered prefix of a keyset — the primary key, then the
 // declared indexes sorted by name, then the unique constraints — becomes
 // a point lookup, the longest winning and the first among equals;
 // failing that, bounds on a keyset's leading column become a range scan
 // over it; otherwise every row is visited. Under ForceFullScan, and
 // when the predicate can fail, every row is.
-func (s *Session) accessPath(t *Table, where rexpr, maxParam int) *visit {
-	v := &visit{table: t.Name, maxParam: maxParam}
+func (s *Session) accessPath(v *visit, t *Table, where rexpr, maxParam int) {
+	*v = visit{table: t.Name, maxParam: maxParam}
 	if where == nil || where.canFail() {
-		return v
+		return
 	}
 	var cb [8]rexpr
 	conj := conjuncts(where, cb[:0])
@@ -85,13 +86,15 @@ func (s *Session) accessPath(t *Table, where rexpr, maxParam int) *visit {
 		}
 	}
 	if len(best) > 0 {
+		// The key columns are on the heap wherever the plan is: the
+		// lookup index they build keeps them.
 		v.path = plan.PointLookup
 		v.keyCols = slices.Clone(best)
-		v.keyVals = make([]rexpr, len(best))
+		v.keyVals = s.pm.exprList(len(best))
 		for i, c := range best {
 			v.keyVals[i] = colBounds(conj, t, c).eq
 		}
-		return v
+		return
 	}
 	for _, ks := range keysets {
 		if len(ks) == 0 {
@@ -100,10 +103,9 @@ func (s *Session) accessPath(t *Table, where rexpr, maxParam int) *visit {
 		if b := colBounds(conj, t, ks[0]); b.lo != nil || b.hi != nil {
 			v.path, v.rangeCol = plan.RangeScan, ks[0]
 			v.lo, v.hi, v.loStrict, v.hiStrict = b.lo, b.hi, b.loStrict, b.hiStrict
-			return v
+			return
 		}
 	}
-	return v
 }
 
 // bounds is what a predicate's conjuncts say about one column: the

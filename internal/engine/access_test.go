@@ -47,11 +47,11 @@ func mustCompile(t *testing.T, s *Session, sql string) *compiledSelect {
 // one base table).
 func accessOf(t *testing.T, s *Session, sql string) *visit {
 	t.Helper()
-	v := mustCompile(t, s, sql).cores[0].p
-	if v == nil {
+	c := &mustCompile(t, s, sql).cores[0]
+	if !c.visits() {
 		t.Fatalf("%q: no access plan", sql)
 	}
-	return v
+	return &c.p
 }
 
 func TestPointLookupOnPrimaryKey(t *testing.T) {
@@ -170,7 +170,9 @@ func TestForceFullScanRunsTheMemoisedPlan(t *testing.T) {
 		{"SELECT ID FROM T WHERE B <= 9", []string{"1"}, []string{"1", "2"}, plan.RangeScan, nil},
 		{"SELECT T.ID FROM T INNER JOIN J ON T.ID = J.K", []string{"1"}, []string{"1", "2"}, plan.FullScan, []plan.JoinAlgo{plan.HashJoin}},
 	} {
+		// The second normal run files the plan the variant runs.
 		p := resolve(t, tc.sql)
+		sessExec(t, s, tc.sql)
 		res, err := s.Exec(p, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.sql, err)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"divsql/internal/engine/plan"
 	"divsql/internal/sql/types"
 )
 
@@ -21,6 +22,16 @@ import (
 // next statement (Result). An INSERT ... SELECT's source rows, and
 // anything stored in a table, an undo record or a read view never come
 // from it: those outlive the statement.
+//
+// A plan no memo files — one a plan memo has not yet seen twice, and
+// every runUnowned compile — is statement memory too: its structural
+// pieces come from the session's plan memory (planMem), reclaimed with
+// the arena, but only when the statement compiled into it. Its output
+// names are then the Result's, and die with it. Nothing that outlives
+// the statement points into a plan there: a memo files only heap plans,
+// LastPlan hands out copies, and an UPDATE's undo records, the lookup
+// indexes and the catalog keep only heap slices (the SET ordinals, the
+// key columns, a view's names).
 
 // arena is a session's statement-scoped slab pool, one slab per element
 // type. A nil *arena allocates from the heap, so an operator that builds
@@ -381,4 +392,136 @@ func (a *arena) table(n, w int) [][]types.Value {
 		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
+}
+
+// planMem is a session's plan memory: typed slabs for the structural
+// pieces of the plans its statement compiles that no memo files. A nil
+// *planMem is the heap, where a memoised plan is built: the compile
+// functions take whichever the session says (Session.pm).
+type planMem struct {
+	selects slab[compiledSelect]
+	cores   slab[core]
+	dmls    slab[dmlPlan]
+	from    slab[fromStep]
+	cols    slab[scopeCol]
+	scopes  slab[scope]
+	exprs   slab[rexpr]
+	names   slab[string]
+	keys    slab[sortKey]
+	paths   slab[plan.Core]
+	joins   slab[plan.JoinAlgo]
+	// used marks a unit the statement compiled into: only then does the
+	// next statement's start visit it.
+	used bool
+}
+
+// keepPlan is the largest chunk of each plan slab kept for the next
+// statement.
+const keepPlan = 4 * minChunk
+
+// reset reclaims the unit; in poison mode its names read fill, the
+// sentinel of the arena's reset, and every other piece its zero value.
+func (m *planMem) reset(fill string, poison bool) {
+	m.used = false
+	m.selects.reset(compiledSelect{}, poison, keepPlan)
+	m.cores.reset(core{}, poison, keepPlan)
+	m.dmls.reset(dmlPlan{}, poison, keepPlan)
+	m.from.reset(fromStep{}, poison, keepPlan)
+	m.cols.reset(scopeCol{}, poison, keepPlan)
+	m.scopes.reset(scope{}, poison, keepPlan)
+	m.exprs.reset(nil, poison, keepPlan)
+	m.names.reset(fill, poison, keepPlan)
+	m.keys.reset(sortKey{}, poison, keepPlan)
+	m.paths.reset(plan.Core{}, poison, keepPlan)
+	m.joins.reset(0, poison, keepPlan)
+}
+
+func (m *planMem) newSelect() *compiledSelect {
+	if m == nil {
+		return new(compiledSelect)
+	}
+	return &m.selects.take(1)[0]
+}
+
+func (m *planMem) newDML() *dmlPlan {
+	if m == nil {
+		return new(dmlPlan)
+	}
+	return &m.dmls.take(1)[0]
+}
+
+func (m *planMem) newScope(cols []scopeCol, parent *scope) *scope {
+	if m == nil {
+		return &scope{cols: cols, parent: parent}
+	}
+	sc := &m.scopes.take(1)[0]
+	sc.cols, sc.parent = cols, parent
+	return sc
+}
+
+func (m *planMem) coreList(n int) []core {
+	if m == nil {
+		return make([]core, n)
+	}
+	return m.cores.take(n)
+}
+
+func (m *planMem) fromList(n int) []fromStep {
+	if m == nil {
+		return make([]fromStep, 0, n)
+	}
+	return m.from.take(n)[:0]
+}
+
+func (m *planMem) exprList(n int) []rexpr {
+	if m == nil {
+		return make([]rexpr, n)
+	}
+	return m.exprs.take(n)
+}
+
+func (m *planMem) nameList(n int) []string {
+	if m == nil {
+		return make([]string, 0, n)
+	}
+	return m.names.take(n)[:0]
+}
+
+// growCols returns cols with room for n more scope columns: the scope
+// of a FROM clause grows in place, reference after reference.
+func (m *planMem) growCols(cols []scopeCol, n int) []scopeCol {
+	if m == nil {
+		if cap(cols)-len(cols) < n {
+			cols = append(make([]scopeCol, 0, 2*len(cols)+n), cols...)
+		}
+		return cols
+	}
+	return grow(&m.cols, cols, n)
+}
+
+func (m *planMem) appendKey(keys []sortKey, k sortKey) []sortKey {
+	if m == nil {
+		return append(keys, k)
+	}
+	return append(grow(&m.keys, keys, 1), k)
+}
+
+// adopt lists sub's cores and joins after b's.
+func (m *planMem) adopt(b, sub *planBody) {
+	m.appendBody(b, sub.paths, sub.joins)
+}
+
+// appendBody appends cores and joins to b's lists.
+func (m *planMem) appendBody(b *planBody, paths []plan.Core, joins []plan.JoinAlgo) {
+	if m == nil {
+		b.paths = append(b.paths, paths...)
+		b.joins = append(b.joins, joins...)
+		return
+	}
+	if len(paths) > 0 {
+		b.paths = append(grow(&m.paths, b.paths, len(paths)), paths...)
+	}
+	if len(joins) > 0 {
+		b.joins = append(grow(&m.joins, b.joins, len(joins)), joins...)
+	}
 }

@@ -32,8 +32,14 @@ import (
 // included), then references in evaluation order (a nested select's
 // where its node sits), projection shape, UNION column count, ORDER BY.
 //
-// Plans are immutable once built and shared through the engine's memos,
-// keyed by the handle's shape (stmt.Parsed.Shape): the tree of the first
+// A plan a memo files is immutable once built and shared through the
+// engine's memos, keyed by the handle's shape (stmt.Parsed.Shape). A memo
+// files a shape's plan at its second miss: the first is recorded in the
+// memo's doorkeeper, a table of shape hashes (stmt.Parsed.ShapeHash),
+// and compiles into the session's plan memory (arena.go), reclaimed with
+// the statement — most shapes of a differential hunt run once, and a
+// filed plan would only wait on the heap for its memo's cap. So does
+// every runUnowned compile. The shape is the tree of the first
 // interned text that differs from the executing one only in the values
 // of lifted literals — operands of a WHERE or JOIN ON predicate at any
 // depth and UPDATE SET values, outside function arguments. Lowering turns
@@ -66,6 +72,34 @@ const planMemoCap = 4096
 type memo[P any] struct {
 	m sync.Map     // ast.Statement -> *memoEntry[P]
 	n atomic.Int64 // approximate size, for the cap
+	// door records the shapes the memo missed once and did not file.
+	door doorkeeper
+}
+
+// doorSlots is the doorkeeper's size: a shape is admitted when it misses
+// again before about this many other first misses passed over its slots.
+const doorSlots = 2048
+
+// doorkeeper is a fixed-size, lock-free table of shape hashes
+// (stmt.Parsed.ShapeHash), two candidate slots each, that holds no GC
+// reference. A shape whose hash is in one of its slots has missed
+// before: its plan is filed. Sessions race on it freely: a lost record
+// only costs one more compile into the session's plan memory, and a
+// collision of full hashes only files a plan early.
+type doorkeeper [doorSlots]atomic.Uint64
+
+// admit reports whether h missed before, recording it if it did not.
+func (d *doorkeeper) admit(h uint64) bool {
+	h |= 1 // 0 is an empty slot
+	a, b := &d[h%doorSlots], &d[(h>>32)%doorSlots]
+	if a.Load() == h || b.Load() == h {
+		return true
+	}
+	if a.Load() != 0 && (b.Load() == 0 || h>>63 != 0) {
+		a = b
+	}
+	a.Store(h)
+	return false
 }
 
 // memoEntry is one compile: its plan, or the static error it met.
@@ -99,6 +133,22 @@ func (c *memo[P]) store(st ast.Statement, known bool, ver uint64, p *P, err erro
 	me := &memoEntry[P]{version: ver, plan: p, err: err}
 	c.m.Store(st, me)
 	return me
+}
+
+// compile compiles a miss of shape, which is the memo's stale entry when
+// known: into the memo when the shape missed before (the doorkeeper's
+// second sighting, or a stale entry), else into the session's plan
+// memory, unfiled — own reports that case.
+func (c *memo[P]) compile(s *Session, shape ast.Statement, hash uint64, known bool, ver uint64, compile func() (*P, error)) (p *P, err error, own bool) {
+	if known || c.door.admit(hash) {
+		p, err = compile()
+		c.store(shape, known, ver, p, err)
+		return p, err, false
+	}
+	s.pm = s.planMem()
+	p, err = compile()
+	s.pm = nil
+	return p, err, true
 }
 
 // drop empties the memo, reporting how many plans it held.
@@ -138,20 +188,16 @@ type planBody struct {
 	joins []plan.JoinAlgo // likewise, of every join with an ON (plan.Info.Joins)
 }
 
-// adopt lists a nested plan's cores and joins under the plan that owns it.
-func (b *planBody) adopt(sub *planBody) {
-	b.paths = append(b.paths, sub.paths...)
-	b.joins = append(b.joins, sub.joins...)
-}
-
 // compiledSelect is one query expression lowered to the pipeline
 // source tree → filter → project|group → distinct (per core) → union →
 // sort → limit.
 type compiledSelect struct {
 	planBody
 	sel *ast.Select
-	// cores are the SELECT and its UNION branches, in order.
+	// cores are the SELECT and its UNION branches, in order: one, the
+	// plan's own when there is no UNION.
 	cores []core
+	one   [1]core
 	// hidden counts the trailing columns of cores[0]'s rows that are not
 	// output: the sort keys a plain SELECT computes in its source scope,
 	// stripped after the sort.
@@ -204,8 +250,9 @@ type core struct {
 	// and width the columns of the rows it produces.
 	from  []fromStep
 	width int
-	// p is the access plan when the FROM is exactly one base table.
-	p *visit
+	// p is the access plan when the FROM is exactly one base table (its
+	// table set; visits).
+	p visit
 	// where, having and groupBy are the core's lowered clauses; names the
 	// output names, hidden sort keys last, and projs the projection, *
 	// expanded — over the group when grouped is set.
@@ -218,6 +265,10 @@ type core struct {
 	// unionAll tells how the branch attaches to what precedes it.
 	unionAll bool
 }
+
+// visits reports whether the core's FROM is exactly one base table,
+// visited by its access plan p.
+func (c *core) visits() bool { return c.p.table != "" }
 
 // fromStep is one FROM reference: the first of a comma-separated FROM
 // entry (join nil; entries combine by cross product) or the right side
@@ -286,7 +337,8 @@ func (s *Session) noteSeqCall() {
 
 // compileQuery is compileSelect's body.
 func (s *Session) compileQuery(sel *ast.Select, outer *scope, distinct bool) (*compiledSelect, error) {
-	cs := &compiledSelect{sel: sel}
+	cs := s.pm.newSelect()
+	cs.sel = sel
 	// ORDER BY keys may reference source columns that are not projected;
 	// a plain SELECT computes the non-positional ones as hidden trailing
 	// columns in its source scope. A DISTINCT/UNION result resolves its
@@ -306,7 +358,11 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, distinct bool) (*c
 	for u := sel.Union; u != nil; u = u.Union {
 		n++
 	}
-	cs.cores = make([]core, n)
+	if n == 1 {
+		cs.cores = cs.one[:]
+	} else {
+		cs.cores = s.pm.coreList(n)
+	}
 	first := &cs.cores[0]
 	if err := s.compileCore(cs, first, sel, items, outer, distinct); err != nil {
 		return nil, err
@@ -349,15 +405,15 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, distinct bool) (*c
 			k.expr = column(0, i)
 		default:
 			if outScope == nil {
-				outScope = &scope{cols: scopeCols(nil, "", outCols), parent: outer}
+				outScope = s.pm.newScope(s.scopeCols(nil, "", outCols), outer)
 			}
 			l := lowering{s: s, owned: true}
 			if k.expr = l.lower(o.Expr, outScope, false); l.err != nil {
 				return nil, l.err
 			}
-			cs.adopt(&l.body)
+			s.pm.adopt(&cs.planBody, &l.body)
 		}
-		cs.keys = append(cs.keys, k)
+		cs.keys = s.pm.appendKey(cs.keys, k)
 	}
 	return cs, nil
 }
@@ -384,9 +440,9 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	// Lowered in evaluation order — items, WHERE, HAVING, GROUP BY — so the
 	// first static error is the one raised. The cores and joins nested in
 	// them are listed after the core's own path.
-	sc := &scope{cols: cols, parent: outer}
+	sc := s.pm.newScope(cols, outer)
 	l := lowering{s: s, owned: true}
-	exprs := make([]rexpr, len(items))
+	exprs := s.pm.exprList(len(items))
 	for i, it := range items {
 		if !it.Star {
 			exprs[i] = l.lower(it.Expr, sc, true)
@@ -403,10 +459,10 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 	}
 	if len(c.from) == 1 && c.from[0].sub == nil {
 		t, _ := s.lookupTable(c.from[0].name)
-		c.p = s.accessPath(t, c.where, ast.NumParams(sel))
-		cs.paths = append(cs.paths, plan.Core{Table: c.p.table, Path: c.p.path})
+		s.accessPath(&c.p, t, c.where, ast.NumParams(sel))
+		s.pm.appendBody(&cs.planBody, []plan.Core{{Table: c.p.table, Path: c.p.path}}, nil)
 	}
-	cs.adopt(&l.body)
+	s.pm.adopt(&cs.planBody, &l.body)
 	c.names, c.projs, err = s.expandItems(items, exprs, cols, c.grouped)
 	return err
 }
@@ -415,6 +471,11 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 // tree, in the order execution opens it, and returns the scope the tree
 // produces, or the first static error of its sources and ONs.
 func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, outer *scope) (cols []scopeCol, err error) {
+	n := len(sel.From)
+	for i := range sel.From {
+		n += len(sel.From[i].Joins)
+	}
+	c.from = s.pm.fromList(n)
 	add := func(tr ast.TableRef, j *ast.Join, skipViewDistinct bool) error {
 		src, more, err := s.compileRef(&cs.planBody, tr, cols, outer, skipViewDistinct)
 		cols = more
@@ -434,19 +495,19 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 				return nil, err
 			}
 			// ON reads the entry's columns so far, not an earlier entry's.
-			sc := &scope{cols: cols[entry:], parent: outer}
+			sc := s.pm.newScope(cols[entry:], outer)
 			l := lowering{s: s, owned: true}
 			step := &c.from[len(c.from)-1]
 			if step.on = l.lower(j.On, sc, false); l.err != nil {
 				return nil, l.err
 			}
-			cs.adopt(&l.body)
+			s.pm.adopt(&cs.planBody, &l.body)
 			if j.Type != ast.JoinCross && j.On != nil {
 				algo := plan.NestedLoop
 				if step.key = hashKey(step.on, nleft, ast.NumParams(sel)); step.key != nil {
 					algo = plan.HashJoin
 				}
-				cs.joins = append(cs.joins, algo)
+				s.pm.appendBody(&cs.planBody, nil, []plan.JoinAlgo{algo})
 			}
 		}
 	}
@@ -464,9 +525,9 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 		if err != nil {
 			return source{}, nil, err
 		}
-		b.adopt(&sub.planBody)
+		s.pm.adopt(b, &sub.planBody)
 		names := sub.outCols()
-		return source{sub: sub, width: len(names)}, scopeCols(cols, up(tr.Alias), names), nil
+		return source{sub: sub, width: len(names)}, s.scopeCols(cols, up(tr.Alias), names), nil
 	}
 	name := up(tr.Name)
 	qual := name
@@ -474,7 +535,7 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 		qual = up(tr.Alias)
 	}
 	if t, ok := s.lookupTable(name); ok {
-		return source{name: name, width: len(t.Cols)}, tableScopeCols(cols, qual, t), nil
+		return source{name: name, width: len(t.Cols)}, s.tableScopeCols(cols, qual, t), nil
 	}
 	v, ok := s.lookupView(name)
 	if !ok {
@@ -484,7 +545,7 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 	if err != nil {
 		return source{}, nil, fmt.Errorf("expanding view %s: %w", name, err)
 	}
-	b.adopt(&sub.planBody)
+	s.pm.adopt(b, &sub.planBody)
 	names := sub.outCols()
 	if len(v.Columns) > 0 {
 		// Checked at CREATE VIEW too; a SELECT * body widens or narrows
@@ -494,21 +555,24 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 		}
 		names = v.Columns
 	}
-	return source{name: name, sub: sub, view: true, width: len(names)}, scopeCols(cols, qual, names), nil
+	return source{name: name, sub: sub, view: true, width: len(names)}, s.scopeCols(cols, qual, names), nil
 }
 
-// scopeCols appends a result's columns, named under one qualifier.
-func scopeCols(cols []scopeCol, qual string, names []string) []scopeCol {
-	cols = append(make([]scopeCol, 0, len(cols)+len(names)), cols...)
+// scopeCols appends a result's columns, named under one qualifier, to
+// the scope cols, in place when it has room: what a scope read before
+// is a prefix the append leaves as it was.
+func (s *Session) scopeCols(cols []scopeCol, qual string, names []string) []scopeCol {
+	cols = s.pm.growCols(cols, len(names))
 	for _, n := range names {
 		cols = append(cols, scopeCol{qual: qual, name: up(n)})
 	}
 	return cols
 }
 
-// tableScopeCols appends one base table's columns under a qualifier.
-func tableScopeCols(cols []scopeCol, qual string, t *Table) []scopeCol {
-	cols = append(make([]scopeCol, 0, len(cols)+len(t.Cols)), cols...)
+// tableScopeCols appends one base table's columns under a qualifier, as
+// scopeCols.
+func (s *Session) tableScopeCols(cols []scopeCol, qual string, t *Table) []scopeCol {
+	cols = s.pm.growCols(cols, len(t.Cols))
 	for _, c := range t.Cols {
 		cols = append(cols, scopeCol{qual: qual, name: c.Name})
 	}
@@ -609,52 +673,59 @@ func (s *Session) keyValue(x rexpr) (v int64, null, ok bool) {
 // visit — chosen by the rules, and behind the gates, a SELECT core's is.
 type dmlPlan struct {
 	planBody
-	p     *visit
+	p     visit
 	where rexpr
 	sets  []rexpr
-	cols  []int // the SET columns' ordinals, index-aligned with sets
+	// cols are the SET columns' ordinals, index-aligned with sets: on the
+	// heap wherever the plan is, because an undo record keeps them.
+	cols []int
 }
 
-// planDML returns the memoised plan of the shape of an UPDATE/DELETE st
-// over t, compiling st on a miss, or its static error. Caller holds t's
-// latch on the live plane.
-func (s *Session) planDML(shape, st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) (*dmlPlan, error) {
+// planDML returns the plan of the shape of the UPDATE/DELETE p, st its
+// tree, over t — the memoised one, or st compiled on a miss — or its
+// static error. Caller holds t's latch on the live plane.
+func (s *Session) planDML(p *stmt.Parsed, st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) (*dmlPlan, error) {
 	e := s.eng
-	me, known := e.dmlMemo.load(shape, e.schemaVersion)
-	hit := me != nil
-	if !hit {
-		dp, err := s.compileDML(st, t, where, sets)
-		me = e.dmlMemo.store(shape, known, e.schemaVersion, dp, err)
+	me, known := e.dmlMemo.load(p.Shape, e.schemaVersion)
+	var dp *dmlPlan
+	var err error
+	own := false
+	if me != nil {
+		dp, err = me.plan, me.err
+	} else {
+		dp, err, own = e.dmlMemo.compile(s, p.Shape, p.ShapeHash, known, e.schemaVersion, func() (*dmlPlan, error) {
+			return s.compileDML(st, t, where, sets)
+		})
 	}
-	if me.err != nil {
-		return nil, me.err
+	if err != nil {
+		return nil, err
 	}
-	dp := me.plan
-	s.lastPlan = plan.Info{Table: t.Name, Path: dp.p.path, CacheHit: hit, Cores: dp.paths, Joins: dp.joins}
+	s.setLastPlan(plan.Info{Table: t.Name, Path: dp.p.path, CacheHit: me != nil, Cores: dp.paths, Joins: dp.joins}, own)
 	return dp, nil
 }
 
 // compileDML compiles an UPDATE/DELETE over t (planDML). An unknown SET
 // column is raised ahead of WHERE's static errors, then the SET values'.
 func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []ast.SetClause) (*dmlPlan, error) {
-	dp := &dmlPlan{cols: make([]int, len(sets))}
+	dp := s.pm.newDML()
+	dp.cols = make([]int, len(sets))
 	for i, set := range sets {
 		if dp.cols[i] = t.colIndex(set.Column); dp.cols[i] < 0 {
 			return nil, fmt.Errorf("unknown column %s in table %s", set.Column, t.Name)
 		}
 	}
 	l := lowering{s: s, owned: true}
-	sc := &scope{cols: tableScopeCols(nil, t.Name, t)}
-	dp.where, dp.sets = l.lower(where, sc, false), make([]rexpr, len(sets))
+	sc := s.pm.newScope(s.tableScopeCols(nil, t.Name, t), nil)
+	dp.where, dp.sets = l.lower(where, sc, false), s.pm.exprList(len(sets))
 	for i, set := range sets {
 		dp.sets[i] = l.lower(set.Value, sc, false)
 	}
 	if l.err != nil {
 		return nil, l.err
 	}
-	dp.p = s.accessPath(t, dp.where, ast.NumParams(st))
-	dp.paths = append([]plan.Core{{Table: t.Name, Path: dp.p.path}}, l.body.paths...)
-	dp.joins = l.body.joins
+	s.accessPath(&dp.p, t, dp.where, ast.NumParams(st))
+	s.pm.appendBody(&dp.planBody, []plan.Core{{Table: t.Name, Path: dp.p.path}}, nil)
+	s.pm.adopt(&dp.planBody, &l.body)
 	return dp, nil
 }
 
@@ -669,20 +740,24 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed) (*Result, error) {
 	ver := s.planVersion()
 	me, known := e.planMemo.load(p.Shape, ver)
 	hit := me != nil
+	var cs *compiledSelect
+	var err error
+	own := false
 	if hit {
 		e.memoHits.Add(1)
+		cs, err = me.plan, me.err
 	} else {
 		if known {
 			e.memoStale.Add(1)
 		}
 		e.memoMisses.Add(1)
-		cs, err := s.compileSelect(p.Select, nil, p.Select.Distinct)
-		me = e.planMemo.store(p.Shape, known, ver, cs, err)
+		cs, err, own = e.planMemo.compile(s, p.Shape, p.ShapeHash, known, ver, func() (*compiledSelect, error) {
+			return s.compileSelect(p.Select, nil, p.Select.Distinct)
+		})
 	}
-	if me.err != nil {
-		return nil, me.err
+	if err != nil {
+		return nil, err
 	}
-	cs := me.plan
 	path := plan.FullScan // what a variant counts as
 	if s.variant == plan.ForceAuto {
 		// A pure SELECT reads one plane that nothing changes while it
@@ -693,11 +768,12 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed) (*Result, error) {
 		// The plan taken is counted once, under its core's path when the
 		// statement is a single base-table core and as a full scan
 		// otherwise.
-		s.lastPlan = plan.Info{CacheHit: hit, Cores: cs.paths, Joins: cs.joins}
-		if c := cs.cores[0].p; c != nil && len(cs.cores) == 1 {
-			s.lastPlan.Table, s.lastPlan.Path = c.table, c.path
+		info := plan.Info{CacheHit: hit, Cores: cs.paths, Joins: cs.joins}
+		if c := &cs.cores[0]; c.visits() && len(cs.cores) == 1 {
+			info.Table, info.Path = c.p.table, c.p.path
 		}
-		path = s.lastPlan.Path
+		s.setLastPlan(info, own)
+		path = info.Path
 	}
 	e.pathExecs[path].Add(1)
 	rows, err := s.runSelect(cs, nil, &s.mem)
@@ -717,10 +793,13 @@ func (s *Session) rowsResult(cs *compiledSelect, rows [][]types.Value) *Result {
 // runUnowned compiles and runs a select no memoised plan owns — an
 // INSERT's source, a view definition under validation, a
 // sequence-advancing statement, none of which may publish to the memo —
-// counting the compile as the miss it is.
+// counting the compile as the miss it is. The plan is the statement's,
+// in the session's plan memory.
 func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value, error) {
 	s.eng.memoMisses.Add(1)
+	s.pm = s.planMem()
 	cs, err := s.compileSelect(sel, nil, sel.Distinct)
+	s.pm = nil
 	if err != nil {
 		return nil, nil, err
 	}
@@ -731,7 +810,34 @@ func (s *Session) runUnowned(sel *ast.Select) (*compiledSelect, [][]types.Value,
 // LastPlan describes how the session's most recent SELECT, UPDATE or
 // DELETE reached its rows: the access path of the statement and of every
 // core nested in it, and whether the plan came out of the shared memo.
-func (s *Session) LastPlan() plan.Info { return s.lastPlan }
+// It is a copy, the caller's to keep across statements.
+func (s *Session) LastPlan() plan.Info {
+	info := s.lastPlan
+	info.Cores, info.Joins = slices.Clone(info.Cores), slices.Clone(info.Joins)
+	return info
+}
+
+// setLastPlan records info as LastPlan. A plan in the session's plan
+// memory (own) dies with the statement, so its lists are copied into
+// the session's own, kept across statements.
+func (s *Session) setLastPlan(info plan.Info, own bool) {
+	if own && info.Cores != nil {
+		s.lastCores = append(s.lastCores[:0], info.Cores...)
+		info.Cores = s.lastCores
+	}
+	if own && info.Joins != nil {
+		s.lastJoins = append(s.lastJoins[:0], info.Joins...)
+		info.Joins = s.lastJoins
+	}
+	s.lastPlan = info
+}
+
+// planMem returns the session's plan memory, marked used: the statement
+// compiles into it.
+func (s *Session) planMem() *planMem {
+	s.plans.used = true
+	return &s.plans
+}
 
 // ExecSelectVariant executes a pure SELECT as a plan variant, on the
 // read plane a normal execution would use: the memoised plan, with the

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"divsql/internal/sql/ast"
+	"divsql/internal/sql/stmt"
 	"divsql/internal/sql/types"
 )
 
@@ -261,7 +262,7 @@ func (e *Session) lowerChecks(t *Table) ([]rexpr, error) {
 		return nil, nil
 	}
 	l := lowering{s: e}
-	checks := l.lowerAll(t.Checks, &scope{cols: tableScopeCols(nil, t.Name, t)})
+	checks := l.lowerAll(t.Checks, &scope{cols: e.tableScopeCols(nil, t.Name, t)})
 	return checks, l.err
 }
 
@@ -384,12 +385,12 @@ rows:
 	return -1
 }
 
-func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, error) {
+func (e *Session) execUpdate(upd *ast.Update, p *stmt.Parsed) (*Result, error) {
 	t, ok := e.eng.st.tables[up(upd.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, upd.Table)
 	}
-	dp, err := e.planDML(shape, upd, t, upd.Where, upd.Sets)
+	dp, err := e.planDML(p, upd, t, upd.Where, upd.Sets)
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +475,7 @@ func (e *Session) execUpdate(upd *ast.Update, shape ast.Statement) (*Result, err
 	// replacements never move a position), each visited at most once
 	// with its pre-statement row image — exactly the rows and values the
 	// full scan would have visited and found WHERE-true.
-	cands, narrowed := e.candidateRows(dp.p, t)
+	cands, narrowed := e.candidateRows(&dp.p, t)
 	n := len(t.Rows)
 	if narrowed {
 		n = len(cands)
@@ -545,19 +546,19 @@ func (t *Table) unreplaceRows(pairs [][]types.Value, cols []int) {
 	t.bumpCols(cols)
 }
 
-func (e *Session) execDelete(del *ast.Delete, shape ast.Statement) (*Result, error) {
+func (e *Session) execDelete(del *ast.Delete, p *stmt.Parsed) (*Result, error) {
 	t, ok := e.eng.st.tables[up(del.Table)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableNotFound, del.Table)
 	}
-	dp, err := e.planDML(shape, del, t, del.Where, nil)
+	dp, err := e.planDML(p, del, t, del.Where, nil)
 	if err != nil {
 		return nil, err
 	}
 	// The positions WHERE is true on, in table order: among the
 	// candidates an index names — rows outside them provably fail an
 	// equality conjunct — or among all. None leaves the table untouched.
-	cands, narrowed := e.candidateRows(dp.p, t)
+	cands, narrowed := e.candidateRows(&dp.p, t)
 	n := len(t.Rows)
 	if narrowed {
 		n = len(cands)

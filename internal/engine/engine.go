@@ -505,9 +505,9 @@ func (e *Session) exec(p *stmt.Parsed) (*Result, error) {
 	case *ast.Insert:
 		return e.execInsert(x)
 	case *ast.Update:
-		return e.execUpdate(x, p.Shape)
+		return e.execUpdate(x, p)
 	case *ast.Delete:
-		return e.execDelete(x, p.Shape)
+		return e.execDelete(x, p)
 	case *ast.Begin:
 		return e.execBegin()
 	case *ast.Commit:

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -132,8 +133,9 @@ func fuzzEngine(f *testing.F) *Engine {
 // FuzzShapeSharing: texts that differ only in lifted literal values share
 // one plan, and the plan answers for each of them. For any SELECT, UPDATE
 // or DELETE with a lifted literal, a sibling text — every lifted literal
-// changed within its kind — runs first on an engine (a write inside a
-// transaction it rolls back), then the input: the input's answer (error,
+// changed within its kind — runs twice first on an engine, so the memo
+// files its plan (a write inside a transaction it rolls back), then the
+// input: the input's answer (error,
 // columns, rows or count, and for a write the rows its table is left
 // with) must be the one an engine with the same data and no plan
 // memoised gives. Seeded like FuzzSelectVariants, plus UPDATEs and
@@ -165,7 +167,11 @@ func FuzzShapeSharing(f *testing.F) {
 		if p.Select == nil {
 			sessExec(t, ss, "BEGIN")
 		}
+		// A plan memo files a shape's plan at its second miss.
 		_, qerr := ss.Exec(q, nil)
+		if qerr == nil {
+			_, qerr = ss.Exec(q, nil)
+		}
 		if p.Select == nil {
 			sessExec(t, ss, "ROLLBACK")
 		}
@@ -229,7 +235,7 @@ func answerOf(s *Session, p *stmt.Parsed) (a shapeAnswer, cacheHit bool) {
 	if err != nil {
 		a.err = err.Error()
 	} else {
-		a.cols, a.rows, a.affected = res.Columns, rowStrings(res), res.Affected
+		a.cols, a.rows, a.affected = slices.Clone(res.Columns), rowStrings(res), res.Affected
 		if p.Select == nil || len(p.Select.OrderBy) == 0 {
 			sort.Strings(a.rows)
 		}

@@ -277,6 +277,9 @@ func TestJoinAllocs(t *testing.T) {
 		sessExec(t, s, fmt.Sprintf("INSERT INTO JB VALUES (%d, %d)", 17-i, i))
 	}
 	sel := resolve(t, "SELECT JA.V, JB.V FROM JA INNER JOIN JB ON JA.K = JB.K AND JB.V > 0")
+	// AllocsPerRun's warm-up run is the shape's second: the one that
+	// files its plan.
+	sessExec(t, s, sel.Text)
 	for _, tc := range []struct {
 		force plan.Force
 		max   float64
@@ -312,6 +315,7 @@ func TestProjectionAllocs(t *testing.T) {
 			sessExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES (%d)", table, i))
 		}
 		p := resolve(t, fmt.Sprintf("SELECT A, A + 1 FROM %s", table))
+		sessExec(t, s, p.Text) // the warm-up run below files the plan
 		allocs[n] = testing.AllocsPerRun(20, func() {
 			res, err := s.Exec(p, nil)
 			if err != nil || len(res.Rows) != n {

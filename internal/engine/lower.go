@@ -290,7 +290,10 @@ func (l *lowering) lower(x ast.Expr, sc *scope, top bool) rexpr {
 }
 
 func (l *lowering) lowerAll(xs []ast.Expr, sc *scope) []rexpr {
-	out := make([]rexpr, len(xs))
+	if len(xs) == 0 {
+		return nil
+	}
+	out := l.s.pm.exprList(len(xs))
 	for i, x := range xs {
 		out[i] = l.lower(x, sc, false)
 	}
@@ -396,7 +399,7 @@ func (l *lowering) nested(sel *ast.Select, sc *scope) *compiledSelect {
 	if err != nil {
 		l.fail(err)
 	} else if l.owned {
-		l.body.adopt(&cs.planBody)
+		l.s.pm.adopt(&l.body, &cs.planBody)
 	}
 	return cs
 }

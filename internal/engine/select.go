@@ -129,13 +129,13 @@ func (s *Session) runCore(c *core, outer *env, out *arena) ([][]types.Value, err
 	var all [][]types.Value
 	var cands []int
 	indexed := false
-	if c.p != nil {
+	if c.visits() {
 		t, ok := s.lookupTable(c.p.table)
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrTableNotFound, c.p.table)
 		}
 		all = t.Rows
-		cands, indexed = s.candidateRows(c.p, t)
+		cands, indexed = s.candidateRows(&c.p, t)
 	} else {
 		rel, err := s.openFrom(c, outer)
 		if err != nil {
@@ -484,14 +484,35 @@ func (s *Session) projectRows(c *core, rows [][]types.Value, en *env, out *arena
 
 // expandItems resolves the SELECT list — each item lowered in exprs —
 // into output column names and projection expressions, expanding * and
-// tbl.* into the columns they name (no * groups).
+// tbl.* into the columns they name (no * groups). With no * the
+// projection is exprs itself.
 func (e *Session) expandItems(items []ast.SelectItem, exprs []rexpr, from []scopeCol, grouped bool) ([]string, []rexpr, error) {
-	cols := make([]string, 0, len(items))
-	projs := make([]rexpr, 0, len(items))
-	for i, it := range items {
+	n, star := 0, false
+	for _, it := range items {
 		switch {
 		case it.Star && grouped:
 			return nil, nil, errors.New("cannot use * with GROUP BY or aggregates")
+		case it.Star && it.StarTable == "":
+			n, star = n+len(from), true
+		case it.Star:
+			q := up(it.StarTable)
+			for _, c := range from {
+				if c.qual == q {
+					n++
+				}
+			}
+			star = true
+		default:
+			n++
+		}
+	}
+	cols := e.pm.nameList(n)
+	projs := exprs[:0]
+	if star {
+		projs = e.pm.exprList(n)[:0]
+	}
+	for i, it := range items {
+		switch {
 		case it.Star && it.StarTable == "":
 			for j, c := range from {
 				cols = append(cols, c.name)

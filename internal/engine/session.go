@@ -117,10 +117,17 @@ type Session struct {
 	// selects of the statement-level select being compiled.
 	frames []compileFrame
 	onceN  int32
+	// pm is where the plan being compiled goes: plans, the session's plan
+	// memory, for one no memo files, nil (the heap) for a memoised one.
+	plans planMem
+	pm    *planMem
 
 	// lastPlan records how the most recent SELECT, UPDATE or DELETE
-	// reached its rows — see Session.LastPlan.
-	lastPlan plan.Info
+	// reached its rows — see Session.LastPlan; its lists are lastCores
+	// and lastJoins when the plan was in plan memory.
+	lastPlan  plan.Info
+	lastCores []plan.Core
+	lastJoins []plan.JoinAlgo
 }
 
 // recKind classifies an undo record by the state plane it rewinds, so
@@ -345,13 +352,17 @@ func (s *Session) Exec(p *stmt.Parsed, args []types.Value) (*Result, error) {
 }
 
 // startStatement reclaims what the session's previous statement held:
-// its arena (its result too), its uncorrelated selects' outputs, and the
-// compile frames of a statement a panic cut short.
+// its arena (its result too), its plan memory when it compiled into it,
+// its uncorrelated selects' outputs, and the compile frames and plan
+// target of a statement a panic cut short.
 func (s *Session) startStatement() {
 	s.mem.reset()
+	if s.plans.used {
+		s.plans.reset(s.mem.poison.val.S, poisonReclaimed.Load())
+	}
 	s.onceMem.reset()
 	clear(s.once)
-	s.frames = s.frames[:0]
+	s.frames, s.pm = s.frames[:0], nil
 }
 
 // execLatched runs a state-changing non-DDL statement under the engine

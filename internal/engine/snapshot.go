@@ -199,7 +199,7 @@ func (e *Engine) RestoreScoped(st *State, keep func(name string) bool) {
 // schema reports an object added, dropped or redefined, data a table's
 // rows or a sequence's value replaced. Caller holds the exclusive lock.
 func (e *Engine) restoreLocked(st *State, keep func(name string) bool) (schema, data bool) {
-	s1, d1 := install(e.st.tables, st.Tables, keep, sameTable, (*Table).cloneHeader)
+	s1, d1 := install(e.st.tables, st.Tables, keep, e.sameTable, (*Table).cloneHeader)
 	s2, _ := install(e.st.views, st.Views, keep, sameView, shared)
 	s3, _ := install(e.st.indexs, st.Indexs, keep, sameIndex, shared)
 	s4, d4 := install(e.st.seqs, st.Seqs, keep, sameSeq, copySeq)
@@ -249,20 +249,47 @@ func install[T any](live, img map[string]*T, keep func(string) bool, same func(c
 
 func shared[T any](x *T) *T { return x }
 
-// sameTable compares a table to its image: the definition (check
-// expressions by identity, which is conservative), then the rows cell by
-// cell with struct ==, which tells an INT 1 from a FLOAT 1.0. Two equal
-// lengths of one shared Rows array are the same rows: a shared array is
-// never written in place.
-func sameTable(a, b *Table) (def, rows bool) {
+// sameTable compares a live table a to its image b: the definition
+// (check expressions by identity, which is conservative), then the rows
+// cell by cell with struct ==, which tells an INT 1 from a FLOAT 1.0. Two
+// equal lengths of one shared Rows array are the same rows: a shared
+// array is never written in place. Rows that compare equal cell by cell
+// are adopted — a takes b's array, shared, so the next comparison is by
+// identity — unless an open transaction holds undo records on the
+// table, which target its rows by identity. Positions are unchanged, so
+// the table's lookup indexes stay valid. Caller holds the exclusive
+// lock.
+func (e *Engine) sameTable(a, b *Table) (def, rows bool) {
 	def = a.Name == b.Name && slices.Equal(a.Cols, b.Cols) && slices.Equal(a.PKCols, b.PKCols) &&
 		slices.EqualFunc(a.Uniques, b.Uniques, slices.Equal[[]int]) &&
 		slices.Equal(a.Checks, b.Checks) && slices.Equal(a.reads, b.reads)
-	if !def || len(a.Rows) != len(b.Rows) {
+	n := len(b.Rows)
+	switch {
+	case !def || len(a.Rows) != n:
 		return def, false
+	case n == 0 || &a.Rows[0] == &b.Rows[0]:
+		return true, true
+	case !slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]types.Value]):
+		return true, false
 	}
-	return true, len(a.Rows) == 0 || &a.Rows[0] == &b.Rows[0] ||
-		slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]types.Value])
+	if !e.undoTargets(a.Name) {
+		a.Rows, a.rowsShared = b.Rows[:n:n], true
+	}
+	return true, true
+}
+
+// undoTargets reports whether an open transaction holds undo records on
+// the table's rows.
+func (e *Engine) undoTargets(table string) bool {
+	for s := range e.sessions {
+		s.txMu.Lock()
+		held := slices.ContainsFunc(s.undo, func(r undoRec) bool { return r.kind == kindTable && r.table == table })
+		s.txMu.Unlock()
+		if held {
+			return true
+		}
+	}
+	return false
 }
 
 // sameView compares views by definition: the parsed select by identity.

@@ -99,6 +99,38 @@ func TestRestoreKeepsIdenticalObjects(t *testing.T) {
 	}
 }
 
+// Equal rows built separately are adopted at the first restore — the
+// live table takes the image's array, keeping its header and lookup
+// index — so a second restore compares them by identity. An open
+// transaction's undo records on a table keep its own rows.
+func TestRestoreAdoptsEqualRows(t *testing.T) {
+	e, donor := transferFixture(t), transferFixture(t)
+	img := donor.Snapshot()
+	u, ix := e.st.tables["T"], pointIndex(t, e)
+	e.Restore(img)
+	if got := e.st.tables["T"]; got != u || &got.Rows[0] != &img.Tables["T"].Rows[0] || !got.rowsShared {
+		t.Fatal("equal rows were not adopted into the kept table")
+	}
+	if pointIndex(t, e) != ix {
+		t.Error("adopting equal rows rebuilt the lookup index")
+	}
+	if def, rows := e.sameTable(u, img.Tables["T"]); !def || !rows || &u.Rows[0] != &img.Tables["T"].Rows[0] {
+		t.Error("the second comparison was not by identity")
+	}
+
+	e = transferFixture(t)
+	s := e.NewSession()
+	sessExec(t, s, "BEGIN")
+	sessExec(t, s, "INSERT INTO U VALUES (99, 'z')")
+	sessExec(t, s, "DELETE FROM U WHERE A = 99")
+	own := &e.st.tables["U"].Rows[0]
+	e.RestoreScoped(img, func(n string) bool { return n == "U" })
+	if &e.st.tables["U"].Rows[0] != own {
+		t.Error("rows adopted under an open transaction's undo records")
+	}
+	sessExec(t, s, "ROLLBACK")
+}
+
 // A one-cell difference replaces that table alone, leaves the schema
 // stamp, and readers see the image's rows. Cells compare by struct ==:
 // an INT 1 differs from a FLOAT 1.0.

@@ -66,6 +66,11 @@ type Parsed struct {
 	// every other statement.
 	Shape ast.Statement
 	Lits  []*ast.Literal
+	// ShapeHash hashes the shape's encoding: what an engine's plan memo
+	// records of a shape it has not filed (its doorkeeper). An opaque
+	// tree, its own shape, hashes what the encoding knows of it, so
+	// distinct ones may collide.
+	ShapeHash uint64
 }
 
 // Rewritten derives the handle of a rewrite of p's statement with the
@@ -79,7 +84,7 @@ func (p *Parsed) Rewritten(st ast.Statement) *Parsed {
 	q.AST = st
 	q.Select, _ = st.(*ast.Select)
 	q.Fingerprint = ast.FingerprintOf(st)
-	q.Shape, q.Lits = shapeOf(st, true)
+	q.Shape, q.Lits, q.ShapeHash = shapeOf(st, true)
 	return &q
 }
 
@@ -170,7 +175,7 @@ func Resolve(sql string) (*Parsed, error) {
 
 func newParsed(sql string, st ast.Statement) *Parsed {
 	p := &Parsed{Text: sql, AST: st, Fingerprint: ast.FingerprintOf(st), NumParams: ast.NumParams(st)}
-	p.Shape, p.Lits = shapeOf(st, false)
+	p.Shape, p.Lits, p.ShapeHash = shapeOf(st, false)
 	switch x := st.(type) {
 	case *ast.Select:
 		p.Class, p.Select = ClassSelect, x

@@ -28,19 +28,21 @@ var (
 	shapesMade atomic.Uint64
 )
 
-// shapeOf returns a statement's shape tree and its lifted literals, in
-// slot order. A statement that has no shape (INSERT, DDL, transaction
-// control) gets a nil tree. A rewritten tree that lifts one literal node
-// twice is its own shape (Parsed.Rewritten).
-func shapeOf(st ast.Statement, rewritten bool) (ast.Statement, []*ast.Literal) {
+// shapeOf returns a statement's shape tree, its lifted literals, in
+// slot order, and the hash of its shape key (Parsed.ShapeHash). A
+// statement that has no shape (INSERT, DDL, transaction control) gets a
+// nil tree. A rewritten tree that lifts one literal node twice is its
+// own shape (Parsed.Rewritten).
+func shapeOf(st ast.Statement, rewritten bool) (ast.Statement, []*ast.Literal, uint64) {
 	var lb [16]*ast.Literal
 	var kb [256]byte
 	sh := shaper{key: kb[:0], lits: lb[:0]}
-	switch {
-	case !sh.statement(st):
-		return nil, nil
-	case sh.opaque, rewritten && liftsTwice(sh.lits):
-		return st, nil
+	if !sh.statement(st) {
+		return nil, nil, 0
+	}
+	hash := keyHash(sh.key)
+	if sh.opaque || rewritten && liftsTwice(sh.lits) {
+		return st, nil, hash
 	}
 	var lits []*ast.Literal
 	if len(sh.lits) > 0 {
@@ -49,7 +51,7 @@ func shapeOf(st ast.Statement, rewritten bool) (ast.Statement, []*ast.Literal) {
 	key := string(sh.key)
 	shape, young := shapes.lookup(key)
 	if young {
-		return shape, lits
+		return shape, lits, hash
 	}
 	if shape == nil {
 		shape = st
@@ -57,7 +59,17 @@ func shapeOf(st ast.Statement, rewritten bool) (ast.Statement, []*ast.Literal) {
 	if shape = shapes.keep(key, shape); shape == st {
 		shapesMade.Add(1)
 	}
-	return shape, lits
+	return shape, lits, hash
+}
+
+// keyHash is the 64-bit FNV-1a hash of a shape key: the same in every
+// process, so what a plan memo admits by it is too.
+func keyHash(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }
 
 // liftsTwice reports whether one literal node sits in two positions.
