@@ -64,6 +64,28 @@ func TestPlanAdmission(t *testing.T) {
 	}
 }
 
+// A memo that has served more hits than it compiled misses runs a
+// workload that repeats: it files a shape at its first miss, so a shape
+// met late compiles once. Each memo counts its own.
+func TestRepeatingMemoFilesAtFirstMiss(t *testing.T) {
+	e := NewOracle()
+	s := e.NewSession()
+	seedIndexed(t, s)
+	for range 6 {
+		sessExec(t, s, "SELECT S FROM KV WHERE ID = 3")
+	}
+	p := resolve(t, "SELECT A FROM KV WHERE ID = 2")
+	sessExec(t, s, "SELECT A FROM KV WHERE ID = 2")
+	if _, ok := e.planMemo.m.Load(p.Shape); !ok || s.LastPlan().CacheHit {
+		t.Errorf("a memo of 4 hits and 2 misses: the first miss filed %v, hit %v; want filed, no hit", ok, s.LastPlan().CacheHit)
+	}
+	u := resolve(t, "UPDATE KV SET A = 21 WHERE ID = 2")
+	sessExec(t, s, "UPDATE KV SET A = 21 WHERE ID = 2")
+	if _, ok := e.dmlMemo.m.Load(u.Shape); ok {
+		t.Error("the DML memo, which served no hit, filed a shape at its first miss")
+	}
+}
+
 // A plan no memo files lives and dies with its statement: its output
 // names are the result's, and read past the session's next statement
 // they read the poison sentinel. What outlives the statement keeps its

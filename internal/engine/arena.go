@@ -23,15 +23,15 @@ import (
 // anything stored in a table, an undo record or a read view never come
 // from it: those outlive the statement.
 //
-// A plan no memo files — one a plan memo has not yet seen twice, and
-// every runUnowned compile — is statement memory too: its structural
-// pieces come from the session's plan memory (planMem), reclaimed with
-// the arena, but only when the statement compiled into it. Its output
-// names are then the Result's, and die with it. Nothing that outlives
-// the statement points into a plan there: a memo files only heap plans,
-// LastPlan hands out copies, and an UPDATE's undo records, the lookup
-// indexes and the catalog keep only heap slices (the SET ordinals, the
-// key columns, a view's names).
+// A plan no memo files — one a mostly-missing plan memo has not yet
+// seen twice, and every runUnowned compile — is statement memory too:
+// its structural pieces come from the session's plan memory (planMem),
+// reclaimed with the arena, but only when the statement compiled into
+// it. Its output names are then the Result's, and die with it. Nothing
+// that outlives the statement points into a plan there: a memo files
+// only heap plans, LastPlan hands out copies, and an UPDATE's undo
+// records, the lookup indexes and the catalog keep only heap slices (the
+// SET ordinals, the key columns, a view's names).
 
 // arena is a session's statement-scoped slab pool, one slab per element
 // type. A nil *arena allocates from the heap, so an operator that builds
@@ -480,8 +480,10 @@ func (m *planMem) exprList(n int) []rexpr {
 	return m.exprs.take(n)
 }
 
+// nameList returns room for n output names, never nil: a result of no
+// columns names an empty list wherever its plan lives.
 func (m *planMem) nameList(n int) []string {
-	if m == nil {
+	if m == nil || n == 0 {
 		return make([]string, 0, n)
 	}
 	return m.names.take(n)[:0]
@@ -504,11 +506,6 @@ func (m *planMem) appendKey(keys []sortKey, k sortKey) []sortKey {
 		return append(keys, k)
 	}
 	return append(grow(&m.keys, keys, 1), k)
-}
-
-// adopt lists sub's cores and joins after b's.
-func (m *planMem) adopt(b, sub *planBody) {
-	m.appendBody(b, sub.paths, sub.joins)
 }
 
 // appendBody appends cores and joins to b's lists.

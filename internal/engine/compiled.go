@@ -33,31 +33,33 @@ import (
 // where its node sits), projection shape, UNION column count, ORDER BY.
 //
 // A plan a memo files is immutable once built and shared through the
-// engine's memos, keyed by the handle's shape (stmt.Parsed.Shape). A memo
-// files a shape's plan at its second miss: the first is recorded in the
-// memo's doorkeeper, a table of shape hashes (stmt.Parsed.ShapeHash),
-// and compiles into the session's plan memory (arena.go), reclaimed with
-// the statement — most shapes of a differential hunt run once, and a
-// filed plan would only wait on the heap for its memo's cap. So does
-// every runUnowned compile. The shape is the tree of the first
-// interned text that differs from the executing one only in the values
-// of lifted literals — operands of a WHERE or JOIN ON predicate at any
-// depth and UPDATE SET values, outside function arguments. Lowering turns
-// each literal of the handle's Lits into a slot (slotX) that reads the
-// executing handle's value — an access path probes by those same nodes
-// — so every text of a shape — inline or prepared, on every session,
-// layer and replica — runs one plan. Every other literal is
-// part of the shape, because compilation reads it: a select list names
-// the result's columns, ORDER BY and GROUP BY may be positional, a
-// function's argument may name a sequence. A lifted literal is the
-// text's value, not a client's argument: it never passes BindRules. An
-// entry is validated against the schema-version stamp of the read plane
-// it runs on; a stale one recompiles transparently (DDL — including DDL
-// rolled back inside a transaction — never serves a plan compiled
-// against a schema generation that is no longer current). There is one
-// compile mode: a plan variant (ExecSelectVariant) runs the memoised
-// plan, and the narrowing choices it turns off are answered where
-// execution reads them (candidateRows, hashRight, the once rule).
+// engine's memos, keyed by the handle's shape (stmt.Parsed.Shape). A
+// memo files a shape's plan at its second miss: the first is recorded in
+// the memo's doorkeeper, a table of shape hashes
+// (stmt.Parsed.ShapeHash), and compiles into the session's plan memory
+// (arena.go), reclaimed with the statement — most shapes of a
+// differential hunt run once, and a filed plan would only wait on the
+// heap for its memo's cap. So does every runUnowned compile. A memo that
+// has served more hits than it compiled misses files at the first miss:
+// its workload repeats. The shape is the tree of the first interned text
+// that differs from the executing one only in the values of lifted
+// literals — operands of a WHERE or JOIN ON predicate at any depth and
+// UPDATE SET values, outside function arguments. Lowering turns each
+// literal of the handle's Lits into a slot (slotX) that reads the
+// executing handle's value — an access path probes by those same nodes —
+// so every text of a shape — inline or prepared, on every session, layer
+// and replica — runs one plan. Every other literal is part of the shape,
+// because compilation reads it: a select list names the result's
+// columns, ORDER BY and GROUP BY may be positional, a function's
+// argument may name a sequence. A lifted literal is the text's value,
+// not a client's argument: it never passes BindRules. An entry is
+// validated against the schema-version stamp of the read plane it runs
+// on; a stale one recompiles transparently (DDL — including DDL rolled
+// back inside a transaction — never serves a plan compiled against a
+// schema generation that is no longer current). There is one compile
+// mode: a plan variant (ExecSelectVariant) runs the memoised plan, and
+// the narrowing choices it turns off are answered where execution reads
+// them (candidateRows, hashRight, the once rule).
 //
 // Index use only narrows which rows a WHERE is evaluated on — and only
 // when that evaluation provably cannot error (its lowered form cannot
@@ -72,6 +74,8 @@ const planMemoCap = 4096
 type memo[P any] struct {
 	m sync.Map     // ast.Statement -> *memoEntry[P]
 	n atomic.Int64 // approximate size, for the cap
+	// hits counts the entries the memo served, misses its compiles.
+	hits, misses atomic.Uint64
 	// door records the shapes the memo missed once and did not file.
 	door doorkeeper
 }
@@ -116,6 +120,7 @@ func (c *memo[P]) load(st ast.Statement, ver uint64) (me *memoEntry[P], known bo
 	v, known := c.m.Load(st)
 	if known {
 		if me := v.(*memoEntry[P]); me.version == ver {
+			c.hits.Add(1)
 			return me, true
 		}
 	}
@@ -137,10 +142,12 @@ func (c *memo[P]) store(st ast.Statement, known bool, ver uint64, p *P, err erro
 
 // compile compiles a miss of shape, which is the memo's stale entry when
 // known: into the memo when the shape missed before (the doorkeeper's
-// second sighting, or a stale entry), else into the session's plan
-// memory, unfiled — own reports that case.
+// second sighting, or a stale entry) or when the memo has served more
+// hits than it compiled misses — its workload repeats, so a shape met
+// late is met again — else into the session's plan memory, unfiled —
+// own reports that case.
 func (c *memo[P]) compile(s *Session, shape ast.Statement, hash uint64, known bool, ver uint64, compile func() (*P, error)) (p *P, err error, own bool) {
-	if known || c.door.admit(hash) {
+	if known || c.hits.Load() > c.misses.Add(1) || c.door.admit(hash) {
 		p, err = compile()
 		c.store(shape, known, ver, p, err)
 		return p, err, false
@@ -411,7 +418,7 @@ func (s *Session) compileQuery(sel *ast.Select, outer *scope, distinct bool) (*c
 			if k.expr = l.lower(o.Expr, outScope, false); l.err != nil {
 				return nil, l.err
 			}
-			s.pm.adopt(&cs.planBody, &l.body)
+			s.pm.appendBody(&cs.planBody, l.body.paths, l.body.joins)
 		}
 		cs.keys = s.pm.appendKey(cs.keys, k)
 	}
@@ -462,7 +469,7 @@ func (s *Session) compileCore(cs *compiledSelect, c *core, sel *ast.Select, item
 		s.accessPath(&c.p, t, c.where, ast.NumParams(sel))
 		s.pm.appendBody(&cs.planBody, []plan.Core{{Table: c.p.table, Path: c.p.path}}, nil)
 	}
-	s.pm.adopt(&cs.planBody, &l.body)
+	s.pm.appendBody(&cs.planBody, l.body.paths, l.body.joins)
 	c.names, c.projs, err = s.expandItems(items, exprs, cols, c.grouped)
 	return err
 }
@@ -501,7 +508,7 @@ func (s *Session) compileFrom(cs *compiledSelect, c *core, sel *ast.Select, oute
 			if step.on = l.lower(j.On, sc, false); l.err != nil {
 				return nil, l.err
 			}
-			s.pm.adopt(&cs.planBody, &l.body)
+			s.pm.appendBody(&cs.planBody, l.body.paths, l.body.joins)
 			if j.Type != ast.JoinCross && j.On != nil {
 				algo := plan.NestedLoop
 				if step.key = hashKey(step.on, nleft, ast.NumParams(sel)); step.key != nil {
@@ -525,7 +532,7 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 		if err != nil {
 			return source{}, nil, err
 		}
-		s.pm.adopt(b, &sub.planBody)
+		s.pm.appendBody(b, sub.paths, sub.joins)
 		names := sub.outCols()
 		return source{sub: sub, width: len(names)}, s.scopeCols(cols, up(tr.Alias), names), nil
 	}
@@ -545,7 +552,7 @@ func (s *Session) compileRef(b *planBody, tr ast.TableRef, cols []scopeCol, oute
 	if err != nil {
 		return source{}, nil, fmt.Errorf("expanding view %s: %w", name, err)
 	}
-	s.pm.adopt(b, &sub.planBody)
+	s.pm.appendBody(b, sub.paths, sub.joins)
 	names := sub.outCols()
 	if len(v.Columns) > 0 {
 		// Checked at CREATE VIEW too; a SELECT * body widens or narrows
@@ -725,7 +732,7 @@ func (s *Session) compileDML(st ast.Statement, t *Table, where ast.Expr, sets []
 	}
 	s.accessPath(&dp.p, t, dp.where, ast.NumParams(st))
 	s.pm.appendBody(&dp.planBody, []plan.Core{{Table: t.Name, Path: dp.p.path}}, nil)
-	s.pm.adopt(&dp.planBody, &l.body)
+	s.pm.appendBody(&dp.planBody, l.body.paths, l.body.joins)
 	return dp, nil
 }
 
@@ -744,7 +751,6 @@ func (s *Session) execSelectRLocked(p *stmt.Parsed) (*Result, error) {
 	var err error
 	own := false
 	if hit {
-		e.memoHits.Add(1)
 		cs, err = me.plan, me.err
 	} else {
 		if known {
@@ -867,7 +873,7 @@ func (s *Session) ExecSelectVariant(p *stmt.Parsed, force plan.Force, args []typ
 // under a schema generation, or a select compiled where it is evaluated.
 func (e *Engine) PlanCacheStats() plan.CacheStats {
 	return plan.CacheStats{
-		Hits:          e.memoHits.Load(),
+		Hits:          e.planMemo.hits.Load(),
 		Misses:        e.memoMisses.Load(),
 		Invalidations: e.memoStale.Load(),
 	}

@@ -248,13 +248,12 @@ type Engine struct {
 	// planMemo is the shared plan memo of pure SELECT statements and
 	// dmlMemo that of UPDATE/DELETE statements, each keyed by the
 	// statement's shape — see compiled.go. They are bounded apart, so
-	// one-off DML shapes never evict a hot SELECT's plan. The
-	// three counters are what PlanCacheStats reports of planMemo: hits,
-	// misses (compilations), and entries found compiled against a schema
-	// generation no longer current.
+	// one-off DML shapes never evict a hot SELECT's plan. With planMemo's
+	// hits, the two counters are what PlanCacheStats reports: misses
+	// (SELECT compilations, filed or not), and entries found compiled
+	// against a schema generation no longer current.
 	planMemo   memo[compiledSelect]
 	dmlMemo    memo[dmlPlan]
-	memoHits   atomic.Uint64
 	memoMisses atomic.Uint64
 	memoStale  atomic.Uint64
 

@@ -399,7 +399,7 @@ func (l *lowering) nested(sel *ast.Select, sc *scope) *compiledSelect {
 	if err != nil {
 		l.fail(err)
 	} else if l.owned {
-		l.s.pm.adopt(&l.body, &cs.planBody)
+		l.s.pm.appendBody(&l.body, cs.paths, cs.joins)
 	}
 	return cs
 }
